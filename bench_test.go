@@ -11,6 +11,7 @@ package fuseme_test
 
 import (
 	"io"
+	"reflect"
 	"testing"
 
 	"fuseme"
@@ -335,9 +336,16 @@ func csrBlock(rows, cols int, density float64) matrix.Mat {
 	return matrix.ToCSR(d)
 }
 
-// Example-style smoke check keeping the benchmarks honest: the simulated
-// experiment tables stay well-formed.
+// Example-style smoke check keeping the benchmarks honest: every registered
+// experiment is one of the paper's tables or figures (a retired wall-clock id
+// must not quietly return — measured numbers belong to bench/), and the
+// simulated experiment tables stay well-formed.
 func TestBenchmarkHarnessSmoke(t *testing.T) {
+	want := []string{"ablation", "fig12a", "fig12b", "fig12c", "fig12d", "fig13", "fig13d",
+		"fig14", "fig15", "plans", "table1", "table3"}
+	if got := experiments.IDs(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("experiment ids = %v, want %v", got, want)
+	}
 	tables, err := experiments.Run("table1", experiments.Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -6,8 +6,10 @@
 //	fuseme-bench -exp all
 //	fuseme-bench -exp fig12a
 //	fuseme-bench -exp fig14 -scale 0.1
-//	fuseme-bench -exp cache -out BENCH_cache.json
 //	fuseme-bench -list
+//
+// Every number it prints is on the Eq. 2 simulated clock. Measured
+// wall-clock performance is the repo benchmark's job: see bench/README.md.
 package main
 
 import (
@@ -24,25 +26,16 @@ func main() {
 	exp := flag.String("exp", "all", "experiment ID to run (see -list)")
 	scale := flag.Float64("scale", 1, "dimension scale factor in (0,1]")
 	nodes := flag.Int("nodes", 0, "override worker node count (default: paper's 8)")
-	runtime := flag.String("runtime", "sim", "execution backend; experiments model the paper's cluster, so only sim is valid")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace_event JSON file of the bench run (per-experiment spans; stage/task detail for real executions)")
 	flightOut := flag.String("flight-out", "", "write a JSONL flight record of the bench run (one line per executed stage: predicted vs measured)")
-	out := flag.String("out", "", "write a report-producing experiment's JSON document to this file (cache -> BENCH_cache.json, kernels -> BENCH_kernels.json, serve -> BENCH_serve.json)")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
 	flag.Parse()
 
-	if *runtime != "sim" {
-		fmt.Fprintf(os.Stderr, "fuseme-bench: -runtime=%s is not supported: the experiments reproduce the paper's "+
-			"simulated 8-node cluster (Eq. 2 time model); use cmd/fuseme or the examples with -runtime=tcp for "+
-			"real distributed execution\n", *runtime)
-		os.Exit(2)
-	}
-
 	if *list {
-		fmt.Println("experiments:", strings.Join(experiments.IDs(), " "), "all")
+		fmt.Println(listLine())
 		return
 	}
-	opts := experiments.Options{Scale: *scale, Nodes: *nodes, ReportOut: *out}
+	opts := experiments.Options{Scale: *scale, Nodes: *nodes}
 	if *traceOut != "" || *flightOut != "" {
 		opts.Obs = &obs.Obs{}
 		if *traceOut != "" {
@@ -82,6 +75,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "fuseme-bench:", err)
 		os.Exit(1)
 	}
+}
+
+// listLine is what -list prints: the registered experiment ids plus "all".
+func listLine() string {
+	return "experiments: " + strings.Join(experiments.IDs(), " ") + " all"
 }
 
 func writeTrace(path string, rec *obs.Recorder) error {

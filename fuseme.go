@@ -60,26 +60,22 @@ type ClusterConfig struct {
 	// default) auto-sizes against the machine's cores without touching the
 	// cost model; an explicit count also scales the modelled compute bandwidth
 	// B̂c (and the worker pools under the TCP runtime). Keep
-	// KernelThreads x TasksPerNode at or below the node's core count. The
-	// WithKernelThreads option and FUSEME_KERNEL_THREADS override this field.
+	// KernelThreads x TasksPerNode at or below the node's core count.
+	// FUSEME_KERNEL_THREADS overrides this field.
 	KernelThreads int
 
-	// Pipelined stage execution (on by default): while one task's kernel
-	// runs, its worker prefetches the next queued task's recorded input
-	// blocks (bounded by PrefetchBytes), partial aggregates fold as tasks
-	// complete instead of at a stage barrier, and — on the TCP runtime —
-	// idle workers steal queued tasks from stragglers. Results are
-	// bit-identical with pipelining on or off (the driver folds partials in
-	// task-index order either way). DisablePipelining turns all three off;
-	// DisableStealing keeps prefetch and streamed aggregation but pins
-	// every task to its home worker (exact per-worker cache-hit accounting
-	// needs this). PrefetchBytes is the per-task prefetch admission budget:
-	// 0 means the 64 MiB default, clamped to TaskMemBytes. The
-	// WithPipelining / WithPrefetchBytes options and FUSEME_PREFETCH_BYTES
-	// override these fields.
-	DisablePipelining bool
-	DisableStealing   bool
-	PrefetchBytes     int64
+	// Pipelined stage execution: partial aggregates fold as tasks complete
+	// (in task-index order, so results never depend on completion order),
+	// and — on the TCP runtime — a worker prefetches the next queued task's
+	// recorded input blocks while the current kernel runs (bounded by
+	// PrefetchBytes) and idle workers steal queued tasks from stragglers.
+	// DisableStealing keeps prefetch but pins every task to its home worker
+	// (exact per-worker cache-hit accounting needs this). PrefetchBytes is
+	// the per-task prefetch admission budget: 0 means the 64 MiB default,
+	// clamped to TaskMemBytes; negative runs without prefetch (and without
+	// the stealing that rides on it). FUSEME_PREFETCH_BYTES overrides it.
+	DisableStealing bool
+	PrefetchBytes   int64
 
 	// Oversubscribe is how many waves of tasks per slot the planner targets
 	// per stage. Zero or one (the default) sizes stages to the slot count.
@@ -120,37 +116,35 @@ func LocalClusterConfig() ClusterConfig {
 
 func fromInternal(c cluster.Config) ClusterConfig {
 	return ClusterConfig{
-		Nodes:             c.Nodes,
-		TasksPerNode:      c.TasksPerNode,
-		TaskMemBytes:      c.TaskMemBytes,
-		NetBandwidth:      c.NetBandwidth,
-		CompBandwidth:     c.CompBandwidth,
-		BlockSize:         c.BlockSize,
-		SimTimeLimit:      c.SimTimeLimit,
-		KernelThreads:     c.KernelThreads,
-		DisablePipelining: c.DisablePipelining,
-		DisableStealing:   c.DisableStealing,
-		PrefetchBytes:     c.PrefetchBytes,
-		Oversubscribe:     c.Oversubscribe,
+		Nodes:           c.Nodes,
+		TasksPerNode:    c.TasksPerNode,
+		TaskMemBytes:    c.TaskMemBytes,
+		NetBandwidth:    c.NetBandwidth,
+		CompBandwidth:   c.CompBandwidth,
+		BlockSize:       c.BlockSize,
+		SimTimeLimit:    c.SimTimeLimit,
+		KernelThreads:   c.KernelThreads,
+		DisableStealing: c.DisableStealing,
+		PrefetchBytes:   c.PrefetchBytes,
+		Oversubscribe:   c.Oversubscribe,
 	}
 }
 
 func (c ClusterConfig) internal() cluster.Config {
 	return cluster.Config{
-		Nodes:             c.Nodes,
-		TasksPerNode:      c.TasksPerNode,
-		TaskMemBytes:      c.TaskMemBytes,
-		NetBandwidth:      c.NetBandwidth,
-		CompBandwidth:     c.CompBandwidth,
-		BlockSize:         c.BlockSize,
-		SimTimeLimit:      c.SimTimeLimit,
-		KernelThreads:     c.KernelThreads,
-		DisablePipelining: c.DisablePipelining,
-		DisableStealing:   c.DisableStealing,
-		PrefetchBytes:     c.PrefetchBytes,
-		Oversubscribe:     c.Oversubscribe,
-		TaskOverhead:      0.005,
-		MaxTaskRetries:    defaultMaxTaskRetries,
+		Nodes:           c.Nodes,
+		TasksPerNode:    c.TasksPerNode,
+		TaskMemBytes:    c.TaskMemBytes,
+		NetBandwidth:    c.NetBandwidth,
+		CompBandwidth:   c.CompBandwidth,
+		BlockSize:       c.BlockSize,
+		SimTimeLimit:    c.SimTimeLimit,
+		KernelThreads:   c.KernelThreads,
+		DisableStealing: c.DisableStealing,
+		PrefetchBytes:   c.PrefetchBytes,
+		Oversubscribe:   c.Oversubscribe,
+		TaskOverhead:    0.005,
+		MaxTaskRetries:  defaultMaxTaskRetries,
 	}
 }
 
@@ -228,9 +222,9 @@ type Stats struct {
 	CacheEvictions  int64 // blocks dropped to respect the byte budget
 	CacheSavedBytes int64 // wire bytes avoided by cache hits
 
-	// Pipelined-execution counters (zero with pipelining disabled; the
-	// seconds and steal counters are TCP-runtime measurements and stay zero
-	// under simulation, whose clock is modelled).
+	// Pipelined-execution counters: TCP-runtime measurements, all zero
+	// under simulation (which moves no bytes and has nothing to prefetch or
+	// steal).
 	PrefetchBlocks  int64   // blocks pulled ahead of their task
 	PrefetchBytes   int64   // in-memory bytes of those blocks
 	StealTasks      int64   // tasks idle workers stole from stragglers
@@ -241,8 +235,8 @@ type Stats struct {
 
 // OverlapRatio is the share of wire time hidden under kernels:
 // PrefetchSeconds / (PrefetchSeconds + FetchSeconds). 1 means every
-// transferred byte was prefetched while compute ran; 0 means barrier-like
-// behaviour (or no measurements, as under simulation).
+// transferred byte was prefetched while compute ran; 0 means every transfer
+// stalled its task (or no measurements, as under simulation).
 func (s Stats) OverlapRatio() float64 {
 	if s.PrefetchSeconds+s.FetchSeconds <= 0 {
 		return 0
@@ -378,15 +372,12 @@ type Session struct {
 	rtMu sync.Mutex
 	rtm  rt.Runtime // lazily constructed execution backend
 
-	obs           *obs.Obs      // never nil; components nil unless enabled
-	metricsAddr   string        // WithMetricsAddr target; "" = no endpoint
-	metricsSrv    *obs.Server   // running endpoint, if any
-	rcfg          remote.Config // TCP transport overrides from options
-	retries       int           // WithMaxTaskRetries; -1 = env/default
-	cacheBytes    int64         // WithBlockCache; -1 = env/default
-	kernelThreads int           // WithKernelThreads; -1 = env/config/default
-	pipelining    int           // WithPipelining; -1 = config field, 0 = off, 1 = on
-	prefetchBytes int64         // WithPrefetchBytes; 0 = env/config/default
+	obs         *obs.Obs      // never nil; components nil unless enabled
+	metricsAddr string        // WithMetricsAddr target; "" = no endpoint
+	metricsSrv  *obs.Server   // running endpoint, if any
+	rcfg        remote.Config // TCP transport overrides from options
+	retries     int           // WithMaxTaskRetries; -1 = env/default
+	cacheBytes  int64         // WithBlockCache; -1 = env/default
 
 	planCache   *PlanCache // WithPlanCache; nil = compile every query
 	sched       *Scheduler // WithScheduler; nil = backend-private dispatch
@@ -411,7 +402,7 @@ type Session struct {
 // NewSession creates a session on the given cluster configuration, running
 // the FuseME engine by default. Options enable observability (WithTracing,
 // WithMetricsAddr) and override runtime tuning (WithMaxTaskRetries,
-// WithHeartbeat, WithDialTimeout).
+// WithHeartbeat).
 func NewSession(cfg ClusterConfig, opts ...Option) (*Session, error) {
 	if err := cfg.internal().Validate(); err != nil {
 		return nil, err
@@ -422,12 +413,10 @@ func NewSession(cfg ClusterConfig, opts ...Option) (*Session, error) {
 		inputs: map[string]*block.Matrix{},
 		// Calibration is always on: it is stage-level (a stats snapshot per
 		// stage) and is what Session.Report joins against.
-		obs:           &obs.Obs{Calib: obs.NewCalibration()},
-		retries:       -1,
-		cacheBytes:    -1,
-		kernelThreads: -1,
-		pipelining:    -1,
-		replan:        -1,
+		obs:        &obs.Obs{Calib: obs.NewCalibration()},
+		retries:    -1,
+		cacheBytes: -1,
+		replan:     -1,
 	}
 	for _, opt := range opts {
 		if err := opt(s); err != nil {
@@ -557,8 +546,8 @@ func clampDensity(d float64) float64 {
 }
 
 // clusterConfig resolves the internal cluster configuration with the
-// session's retry, block-cache and kernel-thread overrides (option >
-// environment > config field > default).
+// session's retry, block-cache, kernel-thread and prefetch overrides (option
+// > environment > config field > default).
 func (s *Session) clusterConfig() (cluster.Config, error) {
 	cc := s.cfg.internal()
 	retries, err := s.maxTaskRetries()
@@ -581,12 +570,6 @@ func (s *Session) clusterConfig() (cluster.Config, error) {
 		return cc, err
 	}
 	cc.PrefetchBytes = prefetchBytes
-	switch s.pipelining {
-	case 0:
-		cc.DisablePipelining = true
-	case 1:
-		cc.DisablePipelining = false
-	}
 	return cc, nil
 }
 

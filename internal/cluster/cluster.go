@@ -23,7 +23,6 @@ import (
 	"fuseme/internal/blockcache"
 	"fuseme/internal/matrix"
 	"fuseme/internal/parallel"
-	"fuseme/internal/prefetch"
 	"fuseme/internal/sched"
 )
 
@@ -65,19 +64,18 @@ type Config struct {
 	// oversubscribed kernel threads only add scheduler churn.
 	KernelThreads int
 
-	// Pipelined stage execution (on by default; see internal/prefetch and
-	// the coordinator's task queues). DisablePipelining restores the strict
-	// fetch → kernel → send barrier per task: no next-task prefetch, no
-	// streamed result folding, no work-stealing. DisableStealing keeps
-	// prefetch and streaming but pins every task to its home worker —
-	// deterministic placement, which tests asserting exact per-worker cache
-	// counts rely on. PrefetchBytes bounds how many input bytes a worker may
-	// pull ahead for its next task: zero means the 64 MiB default, negative
-	// disables prefetch alone; the effective budget is clamped to
-	// TaskMemBytes so prefetched blocks respect θt like any task memory.
-	DisablePipelining bool
-	DisableStealing   bool
-	PrefetchBytes     int64
+	// Pipelined stage execution on the TCP runtime (see internal/prefetch
+	// and the coordinator's task queues; the simulated cluster moves no
+	// bytes and has nothing to prefetch or steal). DisableStealing keeps
+	// prefetch but pins every task to its home worker — deterministic
+	// placement, which tests asserting exact per-worker cache counts rely
+	// on. PrefetchBytes bounds how many input bytes a worker may pull ahead
+	// for its next task: zero means the 64 MiB default, negative runs
+	// without prefetch (and without the stealing that rides on it); the
+	// effective budget is clamped to TaskMemBytes so prefetched blocks
+	// respect θt like any task memory.
+	DisableStealing bool
+	PrefetchBytes   int64
 
 	// Oversubscribe is how many waves of tasks per slot the planner targets
 	// when sizing a stage. Zero or one (the default) sizes stages to the
@@ -173,11 +171,10 @@ func (c Config) PlanSlots() int { return c.TotalSlots() * c.Waves() }
 const DefaultPrefetchBytes = 64 << 20
 
 // EffectivePrefetchBytes resolves the prefetch byte budget: zero when
-// pipelining (or prefetch alone) is disabled, otherwise PrefetchBytes —
-// defaulted to DefaultPrefetchBytes — clamped to the per-task memory
-// budget θt.
+// PrefetchBytes is negative, otherwise PrefetchBytes — defaulted to
+// DefaultPrefetchBytes — clamped to the per-task memory budget θt.
 func (c Config) EffectivePrefetchBytes() int64 {
-	if c.DisablePipelining || c.PrefetchBytes < 0 {
+	if c.PrefetchBytes < 0 {
 		return 0
 	}
 	b := c.PrefetchBytes
@@ -231,14 +228,13 @@ type Stats struct {
 	CacheEvictions  int64
 	CacheSavedBytes int64
 
-	// Pipelined-execution counters (zero with DisablePipelining). A
-	// prefetch is an input block pulled for a task's queue successor while
-	// the current kernel runs; a steal is a queued task executed by a
-	// worker other than its home. The seconds counters decompose task time:
-	// FetchSeconds is wire-wait inside task bodies, PrefetchSeconds is wire
-	// time hidden under kernels, TaskSeconds total task wall time. The
-	// simulated backend models prefetch counts (identically to TCP) but
-	// reports no seconds — its clock is the Eq. 2 model, not wall time.
+	// Pipelined-execution counters, measured by the TCP runtime and always
+	// zero under simulation (like ExtraWireBytes). A prefetch is an input
+	// block pulled for a task's queue successor while the current kernel
+	// runs; a steal is a queued task executed by a worker other than its
+	// home. The seconds counters decompose task time: FetchSeconds is
+	// wire-wait inside task bodies, PrefetchSeconds is wire time hidden
+	// under kernels, TaskSeconds total task wall time.
 	PrefetchBlocks  int64
 	PrefetchBytes   int64
 	StealTasks      int64
@@ -395,11 +391,6 @@ type Cluster struct {
 	// making hit counts independent of in-stage scheduling order. It is
 	// never reset (ResetStats keeps it), so caching works across queries.
 	stageSeq atomic.Uint64
-
-	// hist is the prefetch fetch-history for pipelined execution: each
-	// stage's first run records per-task fetch lists, re-runs replay them as
-	// prefetch hints. Persistent across queries, like the caches.
-	hist *prefetch.History
 }
 
 // New creates a cluster from cfg.
@@ -407,7 +398,7 @@ func New(cfg Config) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Cluster{cfg: cfg, hist: prefetch.NewHistory()}
+	c := &Cluster{cfg: cfg}
 	localSlots := cfg.TotalSlots()
 	if n := runtime.GOMAXPROCS(0); n < localSlots {
 		localSlots = n
@@ -472,11 +463,6 @@ func (c *Cluster) StageCacheGen() uint64 { return c.stageSeq.Load() + 1 }
 // going through RunStage (the TCP coordinator) call it per spec stage.
 func (c *Cluster) NextStageGen() uint64 { return c.stageSeq.Add(1) }
 
-// PrefetchHistory returns the cluster's prefetch fetch-history. The
-// executor's simulated prefetch model records into and replays from it;
-// the TCP coordinator keeps its own (fed from worker fetch reports).
-func (c *Cluster) PrefetchHistory() *prefetch.History { return c.hist }
-
 // TaskCache returns the block cache of the node that task taskID runs on,
 // or nil when caching is disabled.
 func (c *Cluster) TaskCache(taskID int) *blockcache.Cache {
@@ -538,9 +524,6 @@ type Task struct {
 	cacheMisses     int64
 	cacheEvictions  int64
 	cacheSavedBytes int64
-
-	prefetchBlocks int64
-	prefetchBytes  int64
 }
 
 // SetPool hands the task a kernel pool for intra-task parallelism. Backends
@@ -611,19 +594,6 @@ func (t *Task) CacheMiss() { t.cacheMisses++ }
 
 // AddCacheEvictions meters entries the task's insertions evicted.
 func (t *Task) AddCacheEvictions(n int) { t.cacheEvictions += int64(n) }
-
-// AddPrefetch meters input blocks pulled ahead for this task's queue
-// successor while its own kernel ran (or, under simulation, blocks the
-// model determined would have been pulled ahead).
-func (t *Task) AddPrefetch(blocks, bytes int64) {
-	t.prefetchBlocks += blocks
-	t.prefetchBytes += bytes
-}
-
-// PrefetchCounters returns the task's prefetch metering.
-func (t *Task) PrefetchCounters() (blocks, bytes int64) {
-	return t.prefetchBlocks, t.prefetchBytes
-}
 
 // Counters returns the task's accumulated metering, for backends that fold
 // task metrics into stage statistics outside RunStage (the remote runtime's
@@ -717,8 +687,6 @@ func (c *Cluster) RunStage(name string, numTasks int, fn func(t *Task) error) er
 		stage.CacheMisses += tasks[i].cacheMisses
 		stage.CacheEvictions += tasks[i].cacheEvictions
 		stage.CacheSavedBytes += tasks[i].cacheSavedBytes
-		stage.PrefetchBlocks += tasks[i].prefetchBlocks
-		stage.PrefetchBytes += tasks[i].prefetchBytes
 		if tasks[i].memPeak > stage.PeakTaskMemBytes {
 			stage.PeakTaskMemBytes = tasks[i].memPeak
 		}

@@ -49,7 +49,9 @@ type Replanner struct {
 	Replans        int     // checks that swapped at least one operator
 	LastDivergence float64 // divergence ratio at the last check
 
-	lastMeasIdx int // measurements consumed by previous checks
+	// lastTotals is the calibration's cumulative per-operator totals at the
+	// previous check; the next window is the diff against it.
+	lastTotals map[string]obs.OpTotal
 }
 
 // threshold resolves the effective trigger ratio.
@@ -69,18 +71,20 @@ func (r *Replanner) Divergence(cc cluster.Config) float64 {
 	if r.Obs == nil || r.Obs.Calib == nil {
 		return 0
 	}
-	meas := r.Obs.Calib.Measurements()
-	if r.lastMeasIdx > len(meas) {
-		r.lastMeasIdx = len(meas) // calibration was reset under us
-	}
-	window := meas[r.lastMeasIdx:]
-	r.lastMeasIdx = len(meas)
-	if len(window) == 0 {
-		return 0
-	}
+	totals := r.Obs.Calib.OpTotals()
 	wallByOp := map[string]float64{}
-	for _, m := range window {
-		wallByOp[m.Op] += m.WallSeconds
+	for op, now := range totals {
+		last := r.lastTotals[op]
+		if last.Stages > now.Stages {
+			last = obs.OpTotal{} // calibration was reset under us
+		}
+		if now.Stages > last.Stages {
+			wallByOp[op] = now.WallSeconds - last.WallSeconds
+		}
+	}
+	r.lastTotals = totals
+	if len(wallByOp) == 0 {
+		return 0
 	}
 	n := float64(cc.Nodes)
 	if n <= 0 {

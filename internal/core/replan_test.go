@@ -5,11 +5,13 @@ import (
 
 	"fuseme/internal/cluster"
 	"fuseme/internal/core"
+	"fuseme/internal/cost"
+	"fuseme/internal/dag"
 	"fuseme/internal/obs"
 	"fuseme/internal/workloads"
 )
 
-// replanCluster mirrors the replan bench's shape: a parallelism floor of 12
+// replanCluster gives the replanner room to move: a parallelism floor of 12
 // over grids big enough that eligible operators have real (P,Q) freedom at
 // fixed R.
 func replanCluster() cluster.Config {
@@ -129,6 +131,70 @@ func TestRecostMovesPQAndPinsR(t *testing.T) {
 	}
 	if always.Replans != 1 {
 		t.Errorf("Replans = %d, want 1", always.Replans)
+	}
+}
+
+// residentPlanCost is the Eq. 2 cost of pp's operators at their current
+// (P,Q,R), priced the way Recost prices them: learned bandwidths where the
+// store has them, inputs named in resident discounted as cache hits.
+func residentPlanCost(pp *core.PhysPlan, cc cluster.Config, l obs.Learned, resident map[string]bool) float64 {
+	m := cost.Model{Nodes: cc.Nodes, NetBW: cc.NetBandwidth, CompBW: cc.EffectiveCompBandwidth(),
+		TaskMemBytes: cc.TaskMemBytes, MinTasks: cc.PlanSlots()}
+	if l.NetBW > 0 {
+		m.NetBW = l.NetBW
+	}
+	if l.CompBW > 0 {
+		m.CompBW = l.CompBW
+	}
+	var total float64
+	for _, op := range pp.Ops {
+		if op.Plan.MainMM == nil {
+			continue
+		}
+		ids := map[int]bool{}
+		for _, in := range op.Plan.ExternalInputs() {
+			if in.Op == dag.OpInput && resident[in.Name] {
+				ids[in.ID] = true
+			}
+		}
+		total += m.Cost(cost.AnalyzeCached(op.Plan, cc.BlockSize, ids), op.P, op.Q, op.R)
+	}
+	return total
+}
+
+// TestRecostResidentXLowersModelCost is the feedback loop's planning claim on
+// model cost alone (no sockets, no clock): once X is cache-resident and the
+// wire is known to be slow, the bit-safe re-cost picks a different (P,Q) whose
+// cost under that model is below the compile-time plan's. The FixedR search
+// space always contains the compile-time point, so a re-cost that ends up
+// dearer picked something worse than doing nothing.
+func TestRecostResidentXLowersModelCost(t *testing.T) {
+	cc := replanCluster()
+	pp, err := core.FuseME{}.Compile(workloads.GNMF(512, 384, 128, 1), cc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	learner := netBoundLearner(cc, 20e6)
+	learned, ok := learner.Store.Lookup(learner.Key)
+	if !ok || learned.NetBW <= 0 || learned.NetBW >= cc.NetBandwidth {
+		t.Fatalf("fixture learned net bandwidth %g, want in (0, %g)", learned.NetBW, cc.NetBandwidth)
+	}
+	resident := map[string]bool{"X": true}
+
+	first := residentPlanCost(pp, cc, learned, resident)
+	if first <= 0 {
+		t.Fatalf("compile-time plan cost = %g, want > 0", first)
+	}
+	before := snapshotParams(pp)
+	r := &core.Replanner{Obs: &obs.Obs{}, Learn: learner}
+	if !r.Recost(pp, cc, resident) {
+		t.Fatal("Recost kept the compile-time partitioning with X resident")
+	}
+	if paramsEqual(snapshotParams(pp), before) {
+		t.Error("Recost reported a change but no (P,Q) moved")
+	}
+	if steady := residentPlanCost(pp, cc, learned, resident); steady >= first {
+		t.Errorf("re-costed plan costs %g under the learned model, compile-time plan %g; want strictly less", steady, first)
 	}
 }
 

@@ -80,18 +80,12 @@ func runObservedStage(rtm rt.Runtime, o *obs.Obs, opKey string, st *rt.Stage) er
 	o.Counter(obs.MCacheEvictions).Add(after.CacheEvictions - before.CacheEvictions)
 	o.Gauge(obs.MCacheSavedBytes).Set(float64(after.CacheSavedBytes))
 
-	// Pipelined-execution diff. The TCP coordinator already bumps the
-	// fuseme_prefetch_*/fuseme_steal_* counters as it serves pulls; the
-	// simulated backend only folds its modelled admissions into Stats, so
-	// the counters are caught up from the stats diff here. Phase seconds
-	// feed the flight record's overlap ratio below.
+	// Pipelined-execution diff, all zero under simulation. The TCP
+	// coordinator bumps the fuseme_prefetch_*/fuseme_steal_* counters itself
+	// as it serves pulls; here the diff only feeds the flight record.
 	pfBlocks := after.PrefetchBlocks - before.PrefetchBlocks
 	pfBytes := after.PrefetchBytes - before.PrefetchBytes
 	steals := after.StealTasks - before.StealTasks
-	if _, sim := rtm.(prefetchHistorian); sim {
-		o.Counter(obs.MPrefetchBlocks).Add(pfBlocks)
-		o.Counter(obs.MPrefetchBytes).Add(pfBytes)
-	}
 	dFetch := after.FetchSeconds - before.FetchSeconds
 	dPrefetch := after.PrefetchSeconds - before.PrefetchSeconds
 	dTask := after.TaskSeconds - before.TaskSeconds

@@ -31,10 +31,10 @@ func runTask(fn func() error) (err error) {
 // dispatch hands one stage to the runtime: the closure runs runStageTask
 // in-process; descriptor-capable runtimes ship the spec to workers and feed
 // results back through Collect. Both paths route results through a
-// task-index-ordered stage reducer, so streamed (pipelined) and barrier
-// execution fold floating-point results in the same order and stay
-// bit-identical. Both are wrapped in the operator's observability (spans,
-// metrics, calibration measurement) when enabled.
+// task-index-ordered stage reducer, so floating-point results fold in the
+// same order whatever order tasks complete in. Both are wrapped in the
+// operator's observability (spans, metrics, calibration measurement) when
+// enabled.
 func dispatch(rtm rt.Runtime, name string, ctx *stageCtx, src blockSource, route emitFn) error {
 	var cacher rt.BlockCacher
 	var gen uint64
@@ -49,26 +49,8 @@ func dispatch(rtm rt.Runtime, name string, ctx *stageCtx, src blockSource, route
 			cacher.InvalidateStaleEpochs(ne.Node, ne.Epoch)
 		}
 	}
-	cfg := rtm.Config()
-	red := newStageReducer(ctx.sp.NumTasks, route, !cfg.DisablePipelining)
-	// The simulated prefetch model runs only on runtimes exposing a fetch
-	// history in-process (the sim cluster); the TCP coordinator prefetches
-	// for real, worker-side, and meters through the same admission loop.
-	var pf *simPrefetcher
-	if ph, ok := rtm.(prefetchHistorian); ok {
-		if budget := cfg.EffectivePrefetchBytes(); budget > 0 {
-			pf = &simPrefetcher{
-				hist:   ph.PrefetchHistory(),
-				budget: budget,
-				stride: cfg.Nodes * cfg.TasksPerNode,
-				sp:     ctx.sp,
-				src:    src,
-				cacher: cacher,
-				gen:    gen,
-			}
-		}
-	}
-	err := runObservedStage(rtm, ctx.op.Obs, ctx.op.opKey(), &rt.Stage{
+	red := newStageReducer(ctx.sp.NumTasks, route)
+	return runObservedStage(rtm, ctx.op.Obs, ctx.op.opKey(), &rt.Stage{
 		Name:     name,
 		NumTasks: ctx.sp.NumTasks,
 		Fn: func(task *cluster.Task) error {
@@ -79,18 +61,8 @@ func dispatch(rtm rt.Runtime, name string, ctx *stageCtx, src blockSource, route
 				}
 			}
 			red.reset(task.ID)
-			taskSrc := src
-			var rec *fetchRecorder
-			if pf != nil {
-				pf.model(task)
-				rec = &fetchRecorder{src: src}
-				taskSrc = rec
-			}
-			if err := runStageTask(ctx, task.ID, task, taskSrc, red.emitFor(task.ID), cc); err != nil {
+			if err := runStageTask(ctx, task.ID, task, src, red.emitFor(task.ID), cc); err != nil {
 				return err
-			}
-			if pf != nil {
-				pf.hist.Record(ctx.sp.Name, ctx.sp.NumTasks, task.ID, rec.refs)
 			}
 			red.complete(task.ID)
 			return nil
@@ -111,11 +83,6 @@ func dispatch(rtm rt.Runtime, name string, ctx *stageCtx, src blockSource, route
 			return nil
 		},
 	})
-	if err != nil {
-		return err
-	}
-	red.finish()
-	return nil
 }
 
 // executeCuboid runs the plan under (P,Q,R) cuboid partitioning: the CFO

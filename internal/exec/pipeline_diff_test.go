@@ -1,8 +1,11 @@
 // Differential suite for pipelined stage execution: the same workload with
-// pipelining on and off, on the simulated and the TCP backend, across 1–4
-// workers, must produce bit-identical results — the ordered stage reducer
-// folds partials in task-index order regardless of completion order — and,
-// with work-stealing pinned off, identical cache hit counts per iteration.
+// prefetch and work-stealing on and off (PrefetchBytes < 0), on the simulated
+// and the TCP backend, across 1–4 workers, must produce bit-identical results
+// — the ordered stage reducer folds partials in task-index order regardless
+// of completion order — and, with work-stealing pinned off, identical cache
+// hit counts per iteration. The simulated cluster has no prefetch or
+// stealing, so there the two arms are the same code path run twice: a
+// determinism check over its concurrent slot pool.
 package exec_test
 
 import (
@@ -92,24 +95,29 @@ func runPipelineGNMF(t *testing.T, backend string, cfg cluster.Config, iters int
 	return res
 }
 
-// TestPipelineDiffGNMF: pipelined GNMF must be bit-identical to barrier
-// GNMF on both backends across 1–4 workers, and with stealing pinned off
-// the block cache must hit identically per iteration.
+// noPrefetch returns cfg with prefetch (and the stealing that rides on it)
+// switched off.
+func noPrefetch(cfg cluster.Config) cluster.Config {
+	cfg.PrefetchBytes = -1
+	return cfg
+}
+
+// TestPipelineDiffGNMF: GNMF with prefetch and stealing on must be
+// bit-identical to GNMF without them on both backends across 1–4 workers,
+// and with stealing pinned off the block cache must hit identically per
+// iteration.
 func TestPipelineDiffGNMF(t *testing.T) {
 	const iters = 3
 	for _, backend := range []string{"sim", "tcp"} {
 		for nodes := 1; nodes <= 4; nodes++ {
 			t.Run(backend+"/"+string(rune('0'+nodes))+"w", func(t *testing.T) {
-				// Bit-identity with pipelining fully on (prefetch, streamed
-				// aggregation, stealing) against a barrier run.
-				pipelined := runPipelineGNMF(t, backend, pipelineTestConfig(nodes), iters)
-				barrierCfg := pipelineTestConfig(nodes)
-				barrierCfg.DisablePipelining = true
-				barrier := runPipelineGNMF(t, backend, barrierCfg, iters)
-				requireBitIdentical(t, "U pipelined vs barrier", pipelined.U, barrier.U)
-				requireBitIdentical(t, "V pipelined vs barrier", pipelined.V, barrier.V)
-				if got := barrier.Total.PrefetchBlocks; got != 0 {
-					t.Errorf("barrier run prefetched %d blocks, want 0", got)
+				on := runPipelineGNMF(t, backend, pipelineTestConfig(nodes), iters)
+				off := runPipelineGNMF(t, backend, noPrefetch(pipelineTestConfig(nodes)), iters)
+				requireBitIdentical(t, "U prefetch on vs off", on.U, off.U)
+				requireBitIdentical(t, "V prefetch on vs off", on.V, off.V)
+				if off.Total.PrefetchBlocks != 0 || off.Total.StealTasks != 0 {
+					t.Errorf("run without prefetch reported %d prefetched blocks, %d steals; want 0, 0",
+						off.Total.PrefetchBlocks, off.Total.StealTasks)
 				}
 
 				// Cache-hit equality needs home-pinned tasks: stealing moves
@@ -126,24 +134,22 @@ func TestPipelineDiffGNMF(t *testing.T) {
 				cachedCfg.CacheBytes = 64 << 20
 				cachedCfg.DisableStealing = true
 				cached := runPipelineGNMF(t, backend, cachedCfg, iters)
-				cachedBarrierCfg := cachedCfg
-				cachedBarrierCfg.DisableStealing = false
-				cachedBarrierCfg.DisablePipelining = true
-				cachedBarrier := runPipelineGNMF(t, backend, cachedBarrierCfg, iters)
-				requireBitIdentical(t, "U cached pipelined vs barrier", cached.U, cachedBarrier.U)
-				requireBitIdentical(t, "V cached pipelined vs barrier", cached.V, cachedBarrier.V)
+				cachedOff := runPipelineGNMF(t, backend, noPrefetch(cachedCfg), iters)
+				requireBitIdentical(t, "U cached prefetch on vs off", cached.U, cachedOff.U)
+				requireBitIdentical(t, "V cached prefetch on vs off", cached.V, cachedOff.V)
 				for i := range cached.PerIter {
-					p, b := cached.PerIter[i], cachedBarrier.PerIter[i]
+					p, b := cached.PerIter[i], cachedOff.PerIter[i]
 					if p.CacheHits != b.CacheHits || p.CacheMisses != b.CacheMisses {
-						t.Errorf("iteration %d: pipelined hits/misses %d/%d, barrier %d/%d",
+						t.Errorf("iteration %d: hits/misses %d/%d with prefetch, %d/%d without",
 							i, p.CacheHits, p.CacheMisses, b.CacheHits, b.CacheMisses)
 					}
 				}
 				if cached.Total.CacheHits == 0 {
-					t.Error("cached pipelined run hit nothing")
+					t.Error("cached run hit nothing")
 				}
-				if cached.Total.PrefetchBlocks == 0 {
-					t.Error("pipelined cached run prefetched nothing from the second iteration on")
+				// Only a runtime that moves bytes has anything to prefetch.
+				if got := cached.Total.PrefetchBlocks; (backend == "tcp") != (got > 0) {
+					t.Errorf("%s cached run prefetched %d blocks from the second iteration on", backend, got)
 				}
 			})
 		}
@@ -151,8 +157,7 @@ func TestPipelineDiffGNMF(t *testing.T) {
 }
 
 // TestPipelineDiffSimTCP: the two backends agree with each other, not just
-// each with its own barrier mode — pipelined sim and pipelined TCP produce
-// bit-identical GNMF factors (both fold partials in the same task order and
+// each with itself — sim and pipelined TCP produce bit-identical GNMF factors (both fold partials in the same task order and
 // run the same kernels; FME1 block transport is value-exact).
 func TestPipelineDiffSimTCP(t *testing.T) {
 	const iters = 2
@@ -166,7 +171,7 @@ func TestPipelineDiffSimTCP(t *testing.T) {
 
 // TestPipelineDiffAutoEncoder: one SGD epoch of the AutoEncoder — a long
 // chain of fused stages whose gradients fold through the ordered reducer —
-// is bit-identical between pipelined and barrier mode on both backends.
+// is bit-identical with prefetch and stealing on or off on both backends.
 func TestPipelineDiffAutoEncoder(t *testing.T) {
 	aeCfg := workloads.AutoEncoderConfig{Features: 24, Batch: 16, H1: 8, H2: 4}
 	run := func(t *testing.T, backend string, cfg cluster.Config) (*workloads.AEState, float64) {
@@ -183,9 +188,7 @@ func TestPipelineDiffAutoEncoder(t *testing.T) {
 		for _, nodes := range []int{2, 3} {
 			t.Run(backend+"/"+string(rune('0'+nodes))+"w", func(t *testing.T) {
 				pState, pLoss := run(t, backend, pipelineTestConfig(nodes))
-				bCfg := pipelineTestConfig(nodes)
-				bCfg.DisablePipelining = true
-				bState, bLoss := run(t, backend, bCfg)
+				bState, bLoss := run(t, backend, noPrefetch(pipelineTestConfig(nodes)))
 				if math.Float64bits(pLoss) != math.Float64bits(bLoss) {
 					t.Errorf("loss %v vs %v (bit-level)", pLoss, bLoss)
 				}

@@ -15,10 +15,10 @@ type recordedEmit struct {
 	bi, bj int
 }
 
-// TestStageReducerOrderInvariance: whatever order tasks complete in —
-// streamed or barrier — the routed fold sequence for ordered kinds (OutAgg,
-// OutPartial) is exactly the task-index order. This is the property that
-// makes pipelined execution bit-identical to barrier execution.
+// TestStageReducerOrderInvariance: whatever order tasks complete in, the
+// routed fold sequence for ordered kinds (OutAgg, OutPartial) is exactly the
+// task-index order. This is the property that makes results independent of
+// scheduling, prefetch and work-stealing.
 func TestStageReducerOrderInvariance(t *testing.T) {
 	const numTasks = 17
 	reference := func() []recordedEmit {
@@ -30,32 +30,29 @@ func TestStageReducerOrderInvariance(t *testing.T) {
 		return out
 	}()
 
-	for _, streamed := range []bool{false, true} {
-		for seed := int64(0); seed < 20; seed++ {
-			var got []recordedEmit
-			route := func(kind uint8, bi, bj int, blk matrix.Mat) {
-				got = append(got, recordedEmit{kind: kind, task: bi, bi: bi, bj: bj})
-			}
-			r := newStageReducer(numTasks, route, streamed)
-			order := rand.New(rand.NewSource(seed)).Perm(numTasks)
-			for _, task := range order {
-				emit := r.emitFor(task)
-				emit(spec.OutAgg, task, 0, nil)
-				emit(spec.OutPartial, task, 1, nil)
-				r.complete(task)
-			}
-			r.finish()
-			if r.pending() != 0 {
-				t.Fatalf("streamed=%v seed=%d: %d tasks still pending after finish", streamed, seed, r.pending())
-			}
-			if len(got) != len(reference) {
-				t.Fatalf("streamed=%v seed=%d: %d emissions, want %d", streamed, seed, len(got), len(reference))
-			}
-			for i := range got {
-				if got[i] != reference[i] {
-					t.Fatalf("streamed=%v seed=%d: emission %d = %+v, want %+v (completion order %v)",
-						streamed, seed, i, got[i], reference[i], order)
-				}
+	for seed := int64(0); seed < 20; seed++ {
+		var got []recordedEmit
+		route := func(kind uint8, bi, bj int, blk matrix.Mat) {
+			got = append(got, recordedEmit{kind: kind, task: bi, bi: bi, bj: bj})
+		}
+		r := newStageReducer(numTasks, route)
+		order := rand.New(rand.NewSource(seed)).Perm(numTasks)
+		for _, task := range order {
+			emit := r.emitFor(task)
+			emit(spec.OutAgg, task, 0, nil)
+			emit(spec.OutPartial, task, 1, nil)
+			r.complete(task)
+		}
+		if r.pending() != 0 {
+			t.Fatalf("seed=%d: %d tasks still pending after every task completed", seed, r.pending())
+		}
+		if len(got) != len(reference) {
+			t.Fatalf("seed=%d: %d emissions, want %d", seed, len(got), len(reference))
+		}
+		for i := range got {
+			if got[i] != reference[i] {
+				t.Fatalf("seed=%d: emission %d = %+v, want %+v (completion order %v)",
+					seed, i, got[i], reference[i], order)
 			}
 		}
 	}
@@ -70,7 +67,7 @@ func TestStageReducerFinalPassThrough(t *testing.T) {
 	route := func(kind uint8, bi, bj int, blk matrix.Mat) {
 		got = append(got, recordedEmit{kind: kind, bi: bi, bj: bj})
 	}
-	r := newStageReducer(4, route, true)
+	r := newStageReducer(4, route)
 	r.emitFor(3)(spec.OutFinal, 7, 8, nil)
 	if len(got) != 1 || got[0].bi != 7 || got[0].bj != 8 {
 		t.Fatalf("OutFinal from a not-yet-ready task did not pass through: %+v", got)
@@ -90,7 +87,7 @@ func TestStageReducerRetryReset(t *testing.T) {
 	route := func(kind uint8, bi, bj int, blk matrix.Mat) {
 		got = append(got, recordedEmit{kind: kind, bi: bi, bj: bj})
 	}
-	r := newStageReducer(2, route, true)
+	r := newStageReducer(2, route)
 
 	// Attempt 1 of task 0 emits, then dies before complete.
 	r.reset(0)
@@ -108,7 +105,6 @@ func TestStageReducerRetryReset(t *testing.T) {
 	r.reset(0)
 	r.emitFor(0)(spec.OutAgg, 0, 0, nil)
 	r.complete(0)
-	r.finish()
 
 	want := []recordedEmit{{kind: spec.OutAgg, bi: 0}, {kind: spec.OutAgg, bi: 1}}
 	if len(got) != len(want) {
@@ -119,4 +115,19 @@ func TestStageReducerRetryReset(t *testing.T) {
 			t.Fatalf("emission %d from block row %d, want %d", i, got[i].bi, want[i].bi)
 		}
 	}
+}
+
+// pending returns how many tasks have buffered, not-yet-folded output
+// (completed tasks past a gap, plus in-flight buffers). Tests use it to
+// assert the reducer drains.
+func (r *stageReducer) pending() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := 0
+	for i := r.next; i < len(r.buf); i++ {
+		if len(r.buf[i]) > 0 || r.done[i] {
+			n++
+		}
+	}
+	return n
 }

@@ -23,9 +23,6 @@ type Options struct {
 	// top-level span and real executions (the ablation) record full
 	// stage/task detail. fuseme-bench -trace-out wires this up.
 	Obs *obs.Obs
-	// ReportOut, when non-empty, is where report-producing experiments
-	// (cache, kernels) write their JSON document (fuseme-bench -out).
-	ReportOut string
 }
 
 func (o Options) scale() float64 {
@@ -120,12 +117,6 @@ var registry = map[string]Runner{
 	"fig15":    Fig15,
 	"plans":    Plans,
 	"ablation": Ablation,
-	"cache":    Cache,
-	"chaos":    Chaos,
-	"kernels":  Kernels,
-	"pipeline": Pipeline,
-	"replan":   Replan,
-	"serve":    Serve,
 }
 
 // IDs returns the registered experiment IDs in sorted order.

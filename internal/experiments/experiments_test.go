@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -287,18 +284,19 @@ func TestAblation(t *testing.T) {
 	}
 }
 
+// TestRunAllAndErrors pins the registry to the paper's tables and figures:
+// the retired measurement ids (cache, chaos, kernels, pipeline, replan,
+// serve) must be rejected like any unknown id, and none may quietly return —
+// measured numbers live in bench/ (BENCHMARK.json), not here.
 func TestRunAllAndErrors(t *testing.T) {
-	if _, err := Run("nope", Options{}); err == nil {
-		t.Fatal("unknown experiment accepted")
-	}
-	ids := IDs()
-	if len(ids) < 10 {
-		t.Fatalf("only %d experiments registered", len(ids))
-	}
-	for i := 1; i < len(ids); i++ {
-		if ids[i] < ids[i-1] {
-			t.Fatal("IDs not sorted")
+	for _, id := range []string{"nope", "cache", "chaos", "kernels", "pipeline", "replan", "serve"} {
+		if _, err := Run(id, Options{}); err == nil {
+			t.Errorf("experiment id %q accepted", id)
 		}
+	}
+	want := "ablation fig12a fig12b fig12c fig12d fig13 fig13d fig14 fig15 plans table1 table3"
+	if got := strings.Join(IDs(), " "); got != want {
+		t.Fatalf("registered ids = %q, want %q", got, want)
 	}
 }
 
@@ -323,48 +321,5 @@ func TestTableRender(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}
-	}
-}
-
-// TestCacheExperiment is the acceptance check for the loop-invariant block
-// cache: GNMF over the TCP runtime with caching must ship strictly fewer
-// wire bytes than the uncached run from the second iteration on, and the
-// JSON report lands where -out points.
-func TestCacheExperiment(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "BENCH_cache.json")
-	rep, tables, err := CacheBench(Options{Scale: 0.25, ReportOut: out})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) != 1 {
-		t.Fatalf("%d tables", len(tables))
-	}
-	if len(rep.PerIter) != rep.Iterations {
-		t.Fatalf("report has %d iterations, want %d", len(rep.PerIter), rep.Iterations)
-	}
-	for _, it := range rep.PerIter[1:] {
-		if it.CacheHits == 0 {
-			t.Errorf("iteration %d: no cache hits", it.Iteration)
-		}
-		if it.CachedWireBytes >= it.UncachedWireBytes {
-			t.Errorf("iteration %d: cached wire %d not below uncached %d",
-				it.Iteration, it.CachedWireBytes, it.UncachedWireBytes)
-		}
-	}
-
-	// The registered runner writes the report.
-	if _, err := Run("cache", Options{Scale: 0.25, ReportOut: out}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back CacheReport
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatalf("report is not valid JSON: %v", err)
-	}
-	if back.Workload == "" || len(back.PerIter) == 0 {
-		t.Fatalf("degenerate report: %+v", back)
 	}
 }

@@ -40,17 +40,34 @@ type StageMeas struct {
 func (m StageMeas) NetBytes() int64 { return m.ConsolidationBytes + m.AggregationBytes }
 
 // Calibration accumulates predictions and measurements across a run. Safe
-// for concurrent use; a nil *Calibration absorbs every call.
+// for concurrent use; a nil *Calibration absorbs every call. It holds one
+// record per operator key plus one name per distinct (operator, stage) pair —
+// never one per measurement, so an always-on store (every Session arms one,
+// the serve daemon pools sessions for the process lifetime) stays bounded by
+// the number of plan shapes, not by the number of queries.
 type Calibration struct {
 	mu    sync.Mutex
-	order []string             // operator keys in first-seen order
+	order []string             // predicted operator keys in first-predicted order
 	preds map[string]StagePred // by operator key
-	meas  []StageMeas
+	meas  []string             // measured operator keys in first-measured order
+	sums  map[string]*opSums   // by operator key
+}
+
+// opSums is one operator's measurements, folded as they arrive.
+type opSums struct {
+	stages      int // stage executions measured
+	tasks       int
+	netBytes    int64
+	extraBytes  int64
+	flops       int64
+	peakMem     int64
+	wallSeconds float64
+	stageNames  map[string]struct{} // distinct stage names, to count executions
 }
 
 // NewCalibration returns an empty store.
 func NewCalibration() *Calibration {
-	return &Calibration{preds: map[string]StagePred{}}
+	return &Calibration{preds: map[string]StagePred{}, sums: map[string]*opSums{}}
 }
 
 // Predict records (or refreshes) an operator's prediction.
@@ -66,14 +83,29 @@ func (c *Calibration) Predict(p StagePred) {
 	c.mu.Unlock()
 }
 
-// Measure records one stage execution.
+// Measure folds one stage execution into its operator's sums.
 func (c *Calibration) Measure(m StageMeas) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	c.meas = append(c.meas, m)
-	c.mu.Unlock()
+	defer c.mu.Unlock()
+	s := c.sums[m.Op]
+	if s == nil {
+		s = &opSums{stageNames: map[string]struct{}{}}
+		c.sums[m.Op] = s
+		c.meas = append(c.meas, m.Op)
+	}
+	s.stages++
+	s.tasks += m.Tasks
+	s.netBytes += m.NetBytes()
+	s.extraBytes += m.ExtraWireBytes
+	s.flops += m.Flops
+	s.wallSeconds += m.WallSeconds
+	if m.PeakTaskMemBytes > s.peakMem {
+		s.peakMem = m.PeakTaskMemBytes
+	}
+	s.stageNames[m.Stage] = struct{}{}
 }
 
 // Prediction returns the recorded prediction for an operator key.
@@ -124,18 +156,31 @@ func (c *Calibration) Reset() {
 	c.order = nil
 	c.preds = map[string]StagePred{}
 	c.meas = nil
+	c.sums = map[string]*opSums{}
 	c.mu.Unlock()
 }
 
-// Measurements returns a copy of the recorded stage measurements.
-func (c *Calibration) Measurements() []StageMeas {
+// OpTotal is one operator's cumulative measurement since the store was
+// created or last Reset: how many stage executions were measured and their
+// summed wall seconds.
+type OpTotal struct {
+	Stages      int
+	WallSeconds float64
+}
+
+// OpTotals snapshots the cumulative per-operator totals. Two snapshots diff
+// into the measurements taken between them (core.Replanner's divergence
+// window).
+func (c *Calibration) OpTotals() map[string]OpTotal {
 	if c == nil {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]StageMeas, len(c.meas))
-	copy(out, c.meas)
+	out := make(map[string]OpTotal, len(c.sums))
+	for op, s := range c.sums {
+		out[op] = OpTotal{Stages: s.stages, WallSeconds: s.wallSeconds}
+	}
 	return out
 }
 
@@ -186,62 +231,40 @@ type Report struct {
 	TaskLatency *HistogramSnapshot
 }
 
-// Report joins predictions and measurements. Operators appear in first-seen
-// order; stages without a prediction (in-process bookkeeping stages) group
-// under their own key with zero predictions.
+// Report joins predictions and measurements. Operators appear in
+// first-predicted order; stages without a prediction (in-process bookkeeping
+// stages) follow, grouped under their own key with zero predictions.
 func (c *Calibration) Report(m ClusterModel) *Report {
 	rep := &Report{Model: m}
 	if c == nil {
 		return rep
 	}
 	c.mu.Lock()
-	order := append([]string(nil), c.order...)
-	preds := make(map[string]StagePred, len(c.preds))
-	for k, v := range c.preds {
-		preds[k] = v
-	}
-	meas := append([]StageMeas(nil), c.meas...)
-	c.mu.Unlock()
-
-	byOp := map[string]*ReportRow{}
-	for _, key := range order {
-		p := preds[key]
-		byOp[key] = &ReportRow{Op: key, Kind: p.Kind, P: p.P, Q: p.Q, R: p.R,
-			PredNetBytes: p.NetBytes, PredComFlops: p.ComFlops, PredMemBytes: p.MemBytes}
-	}
-	perExec := map[string]map[string]bool{} // op → distinct first-stage names, to count executions
-	for _, s := range meas {
-		row := byOp[s.Op]
-		if row == nil {
-			row = &ReportRow{Op: s.Op}
-			byOp[s.Op] = row
-			order = append(order, s.Op)
-		}
-		row.Stages++
-		row.Tasks += s.Tasks
-		row.MeasNetBytes += s.NetBytes()
-		row.ExtraWireBytes += s.ExtraWireBytes
-		row.MeasFlops += s.Flops
-		row.MeasWallSeconds += s.WallSeconds
-		if s.PeakTaskMemBytes > row.MeasPeakMem {
-			row.MeasPeakMem = s.PeakTaskMemBytes
-		}
-		if perExec[s.Op] == nil {
-			perExec[s.Op] = map[string]bool{}
-		}
-		perExec[s.Op][s.Stage] = true
-	}
+	defer c.mu.Unlock()
 
 	n := float64(m.Nodes)
 	if n <= 0 {
 		n = 1
 	}
+	// Predicted operators first, then operators only ever measured.
+	order := append([]string(nil), c.order...)
+	for _, op := range c.meas {
+		if _, predicted := c.preds[op]; !predicted {
+			order = append(order, op)
+		}
+	}
 	var netBytes, netWall, comFlops, comWall float64
 	for _, key := range order {
-		row := byOp[key]
-		if stages := perExec[key]; len(stages) > 0 {
+		p := c.preds[key] // zero for stages that ran without a prediction
+		row := ReportRow{Op: key, Kind: p.Kind, P: p.P, Q: p.Q, R: p.R,
+			PredNetBytes: p.NetBytes, PredComFlops: p.ComFlops, PredMemBytes: p.MemBytes}
+		if s := c.sums[key]; s != nil {
+			row.Stages, row.Tasks = s.stages, s.tasks
+			row.MeasNetBytes, row.ExtraWireBytes = s.netBytes, s.extraBytes
+			row.MeasFlops, row.MeasPeakMem = s.flops, s.peakMem
+			row.MeasWallSeconds = s.wallSeconds
 			// Executions ≈ total stage records / distinct stage names.
-			row.Executions = row.Stages / len(stages)
+			row.Executions = s.stages / len(s.stageNames)
 		}
 		execs := row.Executions
 		if execs < 1 {
@@ -276,7 +299,7 @@ func (c *Calibration) Report(m ClusterModel) *Report {
 				comWall += row.MeasWallSeconds
 			}
 		}
-		rep.Rows = append(rep.Rows, *row)
+		rep.Rows = append(rep.Rows, row)
 	}
 	if netWall > 0 {
 		rep.EffNetBW = netBytes / (n * netWall)

@@ -45,8 +45,8 @@ type FlightRecord struct {
 	// (summed over tasks), MeasPrefetchSeconds wire time overlapped with
 	// kernels, MeasTaskSeconds total task wall; OverlapRatio is
 	// prefetch/(prefetch+fetch) — 1.0 means every transferred byte was
-	// hidden, 0 means barrier-like behaviour (all zero under simulation,
-	// whose clock is modelled, not measured).
+	// hidden, 0 means every transfer stalled its task. All seven fields are
+	// TCP-runtime measurements and zero under simulation.
 	PrefetchBlocks      int64   `json:"prefetch_blocks,omitempty"`
 	PrefetchBytes       int64   `json:"prefetch_bytes,omitempty"`
 	StealTasks          int64   `json:"steal_tasks,omitempty"`

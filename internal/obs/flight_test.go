@@ -69,16 +69,15 @@ func TestCalibrationFromFlight(t *testing.T) {
 	if p.P != 2 || p.Q != 2 || p.R != 1 || p.NetBytes != 1<<20 {
 		t.Fatalf("rebuilt prediction mismatch: %+v", p)
 	}
-	ms := c.Measurements()
-	if len(ms) != 2 {
-		t.Fatalf("rebuilt %d measurements, want 2", len(ms))
-	}
-	if ms[0].Op != "CFO mul#3" || ms[0].WallSeconds != 0.25 || ms[0].ConsolidationBytes != 900_000 {
-		t.Fatalf("rebuilt measurement mismatch: %+v", ms[0])
+	if tot := c.OpTotals()["CFO mul#3"]; tot.Stages != 2 || tot.WallSeconds != 0.5 {
+		t.Fatalf("rebuilt totals = %+v, want 2 stages / 0.5s", tot)
 	}
 	// Two executions of one stage collapse to one report row with runs=2.
 	rep := c.Report(ClusterModel{Nodes: 2, NetBandwidth: 1e9, CompBandwidth: 1e10})
 	if len(rep.Rows) != 1 || rep.Rows[0].Executions != 2 {
 		t.Fatalf("report rows = %+v, want one row with 2 executions", rep.Rows)
+	}
+	if row := rep.Rows[0]; row.MeasNetBytes != 2*(900_000+120_000) || row.ExtraWireBytes != 2*4_096 {
+		t.Fatalf("rebuilt measurement mismatch: %+v", row)
 	}
 }

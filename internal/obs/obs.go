@@ -199,11 +199,11 @@ const (
 	MKernelSerialCalls   = "fuseme_kernel_serial_calls_total"
 	MKernelHelperRuns    = "fuseme_kernel_helper_runs_total"
 
-	// Pipelined-execution metrics. MPrefetchBlocks/MPrefetchBytes count
-	// blocks pulled ahead of their task (bytes are in-memory block sizes,
-	// the same accounting on both runtimes); MStealTasks counts tasks an
-	// idle worker stole from a straggler's queue (always 0 under
-	// simulation, whose global slot pool never idles a worker).
+	// Pipelined-execution metrics, bumped by the TCP coordinator and always
+	// 0 under simulation. MPrefetchBlocks/MPrefetchBytes count blocks
+	// pulled ahead of their task (bytes are in-memory block sizes);
+	// MStealTasks counts tasks an idle worker stole from a straggler's
+	// queue.
 	MPrefetchBlocks = "fuseme_prefetch_blocks_total"
 	MPrefetchBytes  = "fuseme_prefetch_bytes_total"
 	MStealTasks     = "fuseme_steal_tasks_total"

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -278,6 +279,66 @@ func TestCalibrationIterativeExecutions(t *testing.T) {
 	c.Reset()
 	if rep := c.Report(ClusterModel{Nodes: 2}); len(rep.Rows) != 0 {
 		t.Fatal("Reset should clear records")
+	}
+}
+
+// TestCalibrationBoundedGrowth: the always-on store must hold O(operator
+// keys) records however many stages it measures — serve pools sessions for
+// the process lifetime and never resets them — and folding must report the
+// same sums a per-measurement log would.
+func TestCalibrationBoundedGrowth(t *testing.T) {
+	const calls, keys = 100_000, 8
+	c := NewCalibration()
+	ops := make([]string, keys)
+	for k := range ops {
+		ops[k] = fmt.Sprintf("CFO mul#%d", k)
+		c.Predict(StagePred{Op: ops[k], Kind: "CFO", P: 2, Q: 2, R: 1, NetBytes: 1e6, ComFlops: 1e6})
+	}
+	for i := 0; i < calls; i++ {
+		stage := "partial:"
+		if (i/keys)%2 == 1 {
+			stage = "fuse:"
+		}
+		c.Measure(StageMeas{Stage: stage + ops[i%keys], Op: ops[i%keys], Tasks: 2,
+			ConsolidationBytes: 3, AggregationBytes: 1, Flops: 5, WallSeconds: 0.5})
+	}
+	names := 0
+	for _, s := range c.sums {
+		names += len(s.stageNames)
+	}
+	if len(c.sums) != keys || len(c.meas) != keys || len(c.order) != keys || names != 2*keys {
+		t.Fatalf("store holds %d sums / %d measured keys / %d predicted keys / %d stage names after %d calls; want %d/%d/%d/%d",
+			len(c.sums), len(c.meas), len(c.order), names, calls, keys, keys, keys, 2*keys)
+	}
+	rep := c.Report(ClusterModel{Nodes: 2, NetBandwidth: 1e9, CompBandwidth: 1e10})
+	if len(rep.Rows) != keys {
+		t.Fatalf("rows = %d, want %d", len(rep.Rows), keys)
+	}
+	const per = calls / keys
+	for _, row := range rep.Rows {
+		if row.Stages != per || row.Tasks != 2*per || row.Executions != per/2 ||
+			row.MeasNetBytes != 4*per || row.MeasFlops != 5*per || row.MeasWallSeconds != 0.5*per {
+			t.Fatalf("row %+v does not sum %d measurements", row, per)
+		}
+	}
+}
+
+// TestCalibrationReportOrder: predicted operators come first in prediction
+// order, operators only ever measured follow in first-measured order —
+// whenever their measurements arrived.
+func TestCalibrationReportOrder(t *testing.T) {
+	c := NewCalibration()
+	c.Measure(StageMeas{Stage: "collect", Op: "driver"})
+	c.Measure(StageMeas{Stage: "s", Op: "B"})
+	c.Predict(StagePred{Op: "A"})
+	c.Predict(StagePred{Op: "B"})
+	c.Measure(StageMeas{Stage: "bcast", Op: "bookkeeping"})
+	var got []string
+	for _, row := range c.Report(ClusterModel{Nodes: 1}).Rows {
+		got = append(got, row.Op)
+	}
+	if want := "A B driver bookkeeping"; strings.Join(got, " ") != want {
+		t.Fatalf("row order = %v, want %s", got, want)
 	}
 }
 

@@ -6,10 +6,10 @@
 // prefetch hint for the task's queue successor, so a worker can pull the
 // next task's inputs while the current task's kernel runs.
 //
-// Both runtime backends share the same History and the same Admit loop, so
-// the prefetch counters they report are equal by construction: the
-// simulated cluster models a prefetch exactly where a TCP worker would
-// issue one.
+// The one user is the TCP runtime (internal/rt/remote): the coordinator owns
+// the History and ships hints with task assignments, the worker runs the
+// Admit loop behind its kernel. The simulated cluster moves no bytes and has
+// nothing to prefetch.
 package prefetch
 
 import (
@@ -101,9 +101,6 @@ func (h *History) Stages() int {
 // are strictly below budget (so one block may overflow the budget, never
 // two). A failed fetch stops the loop — prefetch is best-effort and the
 // task's own fetch path remains authoritative.
-//
-// Both backends count prefetch traffic through this one loop, which is what
-// keeps fuseme_prefetch_* counters equal between sim and TCP runs.
 func Admit(refs []spec.BlockRef, budget int64, resident func(spec.BlockRef) bool, fetch func(spec.BlockRef) (int64, bool)) (blocks, bytes int64) {
 	for _, ref := range refs {
 		if bytes >= budget {

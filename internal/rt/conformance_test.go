@@ -289,17 +289,12 @@ func TestRuntimeConformanceBlockCache(t *testing.T) {
 	}
 }
 
-// pipelineBackends returns the runtime constructors with pipelining in its
-// default-on state but stealing pinned off, the configuration under which
-// prefetch counters must conform exactly: both backends admit prefetches
-// through the same budget loop (prefetch.Admit) against the same recorded
-// fetch history, counting in-memory block bytes on both sides.
 // pipelineConformanceConfig narrows conformanceConfig to one lane per
 // worker with four waves of over-decomposition: every worker runs its
-// stage share sequentially, so the prefetcher has recorded successors to
-// pull ahead for (prefetch targets task t + lanes, which with a single
+// stage share sequentially, so the TCP prefetcher has recorded successors
+// to pull ahead for (prefetch targets task t + lanes, which with a single
 // full-width wave is always past the stage). Stealing is pinned off —
-// counter parity needs home placement.
+// exact counters need home placement.
 func pipelineConformanceConfig() cluster.Config {
 	cfg := conformanceConfig()
 	cfg.TasksPerNode = 1
@@ -308,6 +303,8 @@ func pipelineConformanceConfig() cluster.Config {
 	return cfg
 }
 
+// pipelineBackends returns the runtime constructors under
+// pipelineConformanceConfig.
 func pipelineBackends() map[string]func(t *testing.T) rt.Runtime {
 	return map[string]func(t *testing.T) rt.Runtime{
 		"sim": func(t *testing.T) rt.Runtime {
@@ -334,52 +331,38 @@ func pipelineBackends() map[string]func(t *testing.T) rt.Runtime {
 	}
 }
 
-// TestRuntimeConformancePipeline requires the simulated cluster and the TCP
-// backend to agree exactly on pipelined-execution counters for the same plan
-// run twice: the first run of a stage shape has no recorded fetch history and
-// must prefetch nothing (it seeds the history instead), the second run must
-// prefetch the same block count and byte volume on both backends, and with
-// stealing pinned off neither backend may report a stolen task. The sim
-// reports zero steals unconditionally — it schedules from a global slot pool
-// and has no per-worker queues to steal from.
+// TestRuntimeConformancePipeline pins where pipelined-execution counters
+// come from. Prefetch exists once, in the TCP worker: the first run of a
+// stage shape has no recorded fetch history and must prefetch nothing (it
+// seeds the history instead), the second run must prefetch, and with
+// stealing pinned off no task may be reported stolen. The simulated cluster
+// moves no bytes and schedules from a global slot pool, so it reports zero
+// prefetches and zero steals unconditionally.
 func TestRuntimeConformancePipeline(t *testing.T) {
 	ctors := pipelineBackends()
 	simFirst, simSecond := runPlanTwice(t, ctors["sim"](t))
-
-	if simFirst.PrefetchBlocks != 0 || simFirst.PrefetchBytes != 0 {
-		t.Errorf("sim first run prefetched %d blocks / %d bytes with no history, want 0/0",
-			simFirst.PrefetchBlocks, simFirst.PrefetchBytes)
-	}
-	if simSecond.PrefetchBlocks == 0 || simSecond.PrefetchBytes == 0 {
-		t.Errorf("sim second run prefetched %d blocks / %d bytes, want both nonzero",
-			simSecond.PrefetchBlocks, simSecond.PrefetchBytes)
-	}
-
-	for name, open := range ctors {
-		if name == "sim" {
-			continue
+	for run, s := range []cluster.Stats{simFirst, simSecond} {
+		if s.PrefetchBlocks != 0 || s.PrefetchBytes != 0 || s.StealTasks != 0 {
+			t.Errorf("sim run %d reported %d prefetched blocks / %d bytes / %d steals, want all zero",
+				run+1, s.PrefetchBlocks, s.PrefetchBytes, s.StealTasks)
 		}
-		t.Run(name, func(t *testing.T) {
-			first, second := runPlanTwice(t, open(t))
-			for _, run := range []struct {
-				name     string
-				ref, got cluster.Stats
-			}{{"first", simFirst, first}, {"second", simSecond, second}} {
-				if run.got.PrefetchBlocks != run.ref.PrefetchBlocks {
-					t.Errorf("%s run: prefetched %d blocks, sim %d",
-						run.name, run.got.PrefetchBlocks, run.ref.PrefetchBlocks)
-				}
-				if run.got.PrefetchBytes != run.ref.PrefetchBytes {
-					t.Errorf("%s run: prefetched %d bytes, sim %d",
-						run.name, run.got.PrefetchBytes, run.ref.PrefetchBytes)
-				}
-				if run.got.StealTasks != 0 || run.ref.StealTasks != 0 {
-					t.Errorf("%s run: steals %d (sim %d) with stealing disabled, want 0",
-						run.name, run.got.StealTasks, run.ref.StealTasks)
-				}
-			}
-		})
 	}
+
+	t.Run("tcp", func(t *testing.T) {
+		first, second := runPlanTwice(t, ctors["tcp"](t))
+		if first.PrefetchBlocks != 0 || first.PrefetchBytes != 0 {
+			t.Errorf("first run prefetched %d blocks / %d bytes with no history, want 0/0",
+				first.PrefetchBlocks, first.PrefetchBytes)
+		}
+		if second.PrefetchBlocks == 0 || second.PrefetchBytes == 0 {
+			t.Errorf("second run prefetched %d blocks / %d bytes, want both nonzero",
+				second.PrefetchBlocks, second.PrefetchBytes)
+		}
+		if first.StealTasks != 0 || second.StealTasks != 0 {
+			t.Errorf("steals %d then %d with stealing disabled, want 0",
+				first.StealTasks, second.StealTasks)
+		}
+	})
 }
 
 // runTracedPlan executes the reference plan with tracing enabled and returns

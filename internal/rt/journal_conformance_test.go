@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"fuseme/internal/block"
-	"fuseme/internal/cluster"
 	"fuseme/internal/core"
 	"fuseme/internal/obs"
 	"fuseme/internal/rt"
@@ -16,7 +15,8 @@ import (
 // normFlight is the deterministic slice of a stage_end's flight record: the
 // planner's choices and predictions plus the execution counters both backends
 // must agree on exactly. Timings, wire-byte volumes (metered vs encoded) and
-// steal counts are legitimately backend-specific and excluded.
+// prefetch/steal counts (measured by the TCP runtime only, zero under
+// simulation) are legitimately backend-specific and excluded.
 type normFlight struct {
 	Stage, Op, Kind string
 	P, Q, R, Tasks  int
@@ -26,8 +26,6 @@ type normFlight struct {
 	MeasFlops       int64
 	CacheHits       int64
 	CacheMisses     int64
-	PrefetchBlocks  int64
-	PrefetchBytes   int64
 }
 
 // normEvent is one journal event with every timing-, worker- and
@@ -53,7 +51,6 @@ func normalize(events []obs.Event) []normEvent {
 				PredNetBytes: f.PredNetBytes, PredComFlops: f.PredComFlops,
 				PredMemBytes: f.PredMemBytes, MeasFlops: f.MeasFlops,
 				CacheHits: f.CacheHits, CacheMisses: f.CacheMisses,
-				PrefetchBlocks: f.PrefetchBlocks, PrefetchBytes: f.PrefetchBytes,
 			}
 		}
 		out = append(out, n)
@@ -62,8 +59,8 @@ func normalize(events []obs.Event) []normEvent {
 }
 
 // runJournaledGNMF executes the GNMF update graph twice on one backend (the
-// second run sees the first's prefetch history), journaling both runs, and
-// returns each run's normalized event sequence.
+// second run has the TCP prefetcher live on the first's fetch history),
+// journaling both runs, and returns each run's normalized event sequence.
 func runJournaledGNMF(t *testing.T, rtm rt.Runtime) (first, second []normEvent) {
 	t.Helper()
 	const users, items, k = 96, 80, 8
@@ -87,46 +84,17 @@ func runJournaledGNMF(t *testing.T, rtm rt.Runtime) (first, second []normEvent) 
 	return normalize(j.Events("q1")), normalize(j.Events("q2"))
 }
 
-// journalBackends pins the configuration under which the journal must
-// conform exactly: stealing off (steal-displaced tasks would perturb nothing
-// in the normalized view, but the pipeline counters embedded in stage_end
-// flights need home placement) and one lane per worker with over-decomposed
-// stages so the prefetcher has recorded successors on both backends.
-func journalBackends() map[string]func(t *testing.T) rt.Runtime {
-	return map[string]func(t *testing.T) rt.Runtime{
-		"sim": func(t *testing.T) rt.Runtime {
-			return cluster.MustNew(pipelineConformanceConfig())
-		},
-		"tcp": func(t *testing.T) rt.Runtime {
-			cfg := pipelineConformanceConfig()
-			addrs := make([]string, cfg.Nodes)
-			for i := range addrs {
-				w, err := remote.NewWorker("127.0.0.1:0")
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { w.Close() })
-				addrs[i] = w.Addr()
-			}
-			co, err := remote.NewCoordinatorConfig(cfg, addrs, remote.Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { co.Close() })
-			return co
-		},
-	}
-}
-
 // TestRuntimeConformanceJournal requires the simulated cluster and the TCP
 // backend to journal the same GNMF run as the same event sequence — same
 // stage_start/stage_end alternation, same stage names, operators and task
 // counts, and stage_end flight records whose deterministic fields (chosen
-// (P,Q,R), predicted costs, flops, cache and prefetch counters) match
-// exactly. Only timestamps, wall times, wire-byte volumes and worker
-// attribution may differ between backends.
+// (P,Q,R), predicted costs, flops, cache counters) match exactly. Only
+// timestamps, wall times, wire-byte volumes, prefetch/steal counters and
+// worker attribution may differ between backends. Runs under
+// pipelineConformanceConfig: over-decomposed one-lane stages, so the TCP
+// side journals with its prefetcher active.
 func TestRuntimeConformanceJournal(t *testing.T) {
-	ctors := journalBackends()
+	ctors := pipelineBackends()
 	simFirst, simSecond := runJournaledGNMF(t, ctors["sim"](t))
 	if len(simFirst) == 0 {
 		t.Fatal("sim journaled no events")

@@ -143,7 +143,9 @@ func TestRemoteCacheConformsToSim(t *testing.T) {
 // reference) and must reclaim the stale residency via the coordinator's
 // invalidation push.
 func TestRemoteCacheInvalidationOnRebind(t *testing.T) {
-	co, workers := startCachedCluster(t, 2)
+	// The residency check below compares exact byte totals across runs; a
+	// stolen task caches its inputs on a second worker, so pin tasks home.
+	co, workers := startCachedCluster(t, 2, func(c *cluster.Config) { c.DisableStealing = true })
 	bs := testConfig().BlockSize
 
 	const rows, cols, k = 48, 32, 8

@@ -64,8 +64,7 @@ type Coordinator struct {
 
 	// hist records each task's fetch-path refs (reported in taskDone.Fetched)
 	// keyed by stage shape; the next execution of the same shape ships them
-	// as prefetch hints. Mirrors the simulated cluster's history, but fed by
-	// the workers' reports rather than an in-process recorder.
+	// as prefetch hints.
 	hist *prefetch.History
 
 	// addMu serializes membership-mutating operations (AddWorker, leave) so
@@ -778,9 +777,8 @@ type wireMeter struct {
 	extra         atomic.Int64 // traffic the simulation does not model
 
 	// Prefetch admissions served this stage (msgPrefetch pulls). Bytes are
-	// the in-memory SizeBytes of the served blocks — the same accounting the
-	// simulated prefetch model uses, so the two backends' fuseme_prefetch_*
-	// counters are comparable. The wire bytes of those pulls land in the
+	// the in-memory SizeBytes of the served blocks (what the admission budget
+	// is charged in). The wire bytes of those pulls land in the
 	// classified counters above exactly as a direct fetch would; prefetch
 	// moves traffic earlier, it never adds any.
 	pfBlocks atomic.Int64
@@ -935,8 +933,8 @@ func (c *Coordinator) RunSpecStage(st *rt.Stage) error {
 		// Prefetch hint: the recorded transfer set of the next task this
 		// worker has not yet started — taskID + workers*lanes under home
 		// placement, since anything nearer is already running on a sibling
-		// lane. The formula is deterministic (it matches the simulated
-		// model's stride), so the admitted set never depends on scheduling.
+		// lane. The formula is deterministic, so the admitted set never
+		// depends on scheduling.
 		// Empty history (first run of a shape) ships no hints but the
 		// positive budget still asks the worker for its fetch report, which
 		// seeds the history.
@@ -1230,8 +1228,8 @@ func (c *Coordinator) runTaskOn(w *workerConn, st *rt.Stage, taskID int, gen uin
 
 // serveFetch resolves one block request into a msgBlock payload. size is
 // the served block's in-memory SizeBytes (0 for nil blocks and errors) —
-// the prefetch counters use it, because that is what the simulated model
-// meters.
+// the prefetch counters use it, because that is what the admission budget
+// is charged in.
 func serveFetch(st *rt.Stage, ref spec.BlockRef) (payload []byte, size int64) {
 	m, err := st.Fetch(ref)
 	if err != nil {

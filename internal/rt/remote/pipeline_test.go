@@ -23,11 +23,11 @@ func stealConfig() cluster.Config {
 	return cfg
 }
 
-// startStealCluster launches n workers and a coordinator with one task lane
-// per worker, so queue depth survives long enough for idle workers to have
-// something to steal (with many lanes a worker's whole queue goes in-flight
-// at stage start).
-func startStealCluster(t *testing.T, n int) (*remote.Coordinator, []*remote.Worker) {
+// startStealCluster launches n workers and a coordinator under cfg — a
+// stealConfig variant: one task lane per worker, so queue depth survives long
+// enough for idle workers to have something to steal or prefetch for (with
+// many lanes a worker's whole queue goes in-flight at stage start).
+func startStealCluster(t *testing.T, cfg cluster.Config, n int) (*remote.Coordinator, []*remote.Worker) {
 	t.Helper()
 	workers := make([]*remote.Worker, n)
 	addrs := make([]string, n)
@@ -40,12 +40,55 @@ func startStealCluster(t *testing.T, n int) (*remote.Coordinator, []*remote.Work
 		workers[i] = w
 		addrs[i] = w.Addr()
 	}
-	co, err := remote.NewCoordinator(stealConfig(), addrs)
+	co, err := remote.NewCoordinator(cfg, addrs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { co.Close() })
 	return co, workers
+}
+
+// TestRemotePrefetchSecondExecution: on two real workers, with no injected
+// delay, the first execution of each stage shape has no recorded fetch
+// history and prefetches nothing; from the second execution on, the workers
+// pull their next task's inputs ahead, so blocks, bytes and hidden wire time
+// are all positive. The same run with PrefetchBytes < 0 executes the same
+// tasks with no prefetch and no steals.
+func TestRemotePrefetchSecondExecution(t *testing.T) {
+	x, u, v := gnmfInputs(testConfig().BlockSize)
+	run := func(cfg cluster.Config) *workloads.GNMFResult {
+		t.Helper()
+		co, _ := startStealCluster(t, cfg, 2)
+		res, err := workloads.RunGNMF(core.FuseME{}, co, x, u.Clone(), v.Clone(), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	cfg := stealConfig()
+	cfg.DisableStealing = true // a stolen task's prefetched inputs sit on the wrong worker
+	on := run(cfg)
+	if first := on.PerIter[0]; first.PrefetchBlocks != 0 || first.PrefetchBytes != 0 {
+		t.Errorf("first execution prefetched %d blocks / %d bytes with no history, want 0/0",
+			first.PrefetchBlocks, first.PrefetchBytes)
+	}
+	if second := on.PerIter[1]; second.PrefetchBlocks == 0 || second.PrefetchBytes == 0 || second.OverlapRatio() <= 0 {
+		t.Errorf("second execution prefetched %d blocks / %d bytes, overlap %v; want all positive",
+			second.PrefetchBlocks, second.PrefetchBytes, second.OverlapRatio())
+	}
+
+	cfg.PrefetchBytes = -1
+	off := run(cfg)
+	if off.Total.PrefetchBlocks != 0 || off.Total.OverlapRatio() != 0 || off.Total.StealTasks != 0 {
+		t.Errorf("run without prefetch reported %d prefetched blocks, overlap %v, %d steals; want none",
+			off.Total.PrefetchBlocks, off.Total.OverlapRatio(), off.Total.StealTasks)
+	}
+	if off.Total.Tasks != on.Total.Tasks {
+		t.Errorf("task counts differ: %d with prefetch vs %d without", on.Total.Tasks, off.Total.Tasks)
+	}
+	compareMatrices(t, "U prefetch on vs off", on.U, off.U)
+	compareMatrices(t, "V prefetch on vs off", on.V, off.V)
 }
 
 // TestRemoteStragglerSteal: with one worker slowed per task, the fast worker
@@ -63,7 +106,7 @@ func TestRemoteStragglerSteal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	co, workers := startStealCluster(t, 2)
+	co, workers := startStealCluster(t, stealConfig(), 2)
 	workers[1].SetTaskDelay(20 * time.Millisecond)
 	res, err := workloads.RunGNMF(core.FuseME{}, co, x, u, v, iters)
 	if err != nil {
@@ -86,7 +129,7 @@ func TestRemoteStragglerSteal(t *testing.T) {
 // lets the coordinator observe it before the straggler run is measured.
 func TestRemoteStealOptOut(t *testing.T) {
 	bs := testConfig().BlockSize
-	co, workers := startStealCluster(t, 2)
+	co, workers := startStealCluster(t, stealConfig(), 2)
 	workers[1].SetSteal(false)
 
 	x, u, v := gnmfInputs(bs)

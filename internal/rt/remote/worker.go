@@ -85,9 +85,9 @@ type Worker struct {
 	pfBuf map[pfKey]map[spec.BlockRef]matrix.Mat
 
 	// taskDelay, when positive, stalls every task body by that duration at
-	// the start of the timed task section, like a long kernel the prefetcher
-	// overlaps — a hook that turns this worker into a straggler (steal
-	// tests) or pads compute against wire time (the pipeline bench).
+	// the start of the timed task section, like a long kernel — a
+	// fault-injection hook that turns this worker into a straggler (the
+	// steal and skew-detection tests). Never used to measure anything.
 	taskDelay atomic.Int64
 
 	// Kernel-pool state. The pool is built lazily from the first taskAssign
@@ -157,9 +157,9 @@ func (w *Worker) CacheStats() blockcache.Stats { return w.cache.Load().Snapshot(
 func (w *Worker) SetSteal(on bool) { w.steal.Store(on) }
 
 // SetTaskDelay stalls every subsequent task body by d inside the timed task
-// section, behaving like a long kernel the prefetcher overlaps — a hook
-// that makes this worker a straggler (forcing the coordinator's steal path
-// deterministically) or pads compute against wire time. Zero disables.
+// section, behaving like a long kernel — a fault-injection hook that makes
+// this worker a straggler (forcing the coordinator's steal path
+// deterministically). Zero disables.
 func (w *Worker) SetTaskDelay(d time.Duration) { w.taskDelay.Store(int64(d)) }
 
 // pfKey identifies one task's prefetch buffer.

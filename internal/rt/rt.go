@@ -9,6 +9,13 @@
 // serializable descriptor (what a remote backend ships to workers). Both
 // drive the exact same executor task body, so the backends produce
 // bit-close results and the descriptor path is exercised even locally.
+//
+// What the two backends do NOT share is the wire: only the TCP coordinator
+// moves blocks, so input prefetch and work-stealing exist once, in rt/remote,
+// and cluster.Stats' prefetch/steal/phase-seconds counters are zero under
+// simulation. The conformance tests in this package pin everything else —
+// flops, cache hits and misses, stage and task counts, span taxonomy, journal
+// sequences — to be equal across backends.
 package rt
 
 import (

@@ -27,13 +27,13 @@ const defaultMaxTaskRetries = 2
 const EnvCacheBytes = "FUSEME_CACHE_BYTES"
 
 // EnvKernelThreads overrides the intra-task kernel thread count (see
-// WithKernelThreads). Zero means auto-size against the machine's cores.
+// ClusterConfig.KernelThreads). Zero means auto-size against the machine's
+// cores.
 const EnvKernelThreads = "FUSEME_KERNEL_THREADS"
 
 // EnvPrefetchBytes overrides the per-task prefetch admission budget in
-// bytes (see WithPrefetchBytes). Zero or unset means the 64 MiB default; a
-// negative value disables prefetching while leaving streamed aggregation
-// and work-stealing on.
+// bytes (see ClusterConfig.PrefetchBytes). Zero or unset means the 64 MiB
+// default; a negative value runs without prefetch.
 const EnvPrefetchBytes = "FUSEME_PREFETCH_BYTES"
 
 // EnvJournal names a JSONL file to sink the query event journal to (see
@@ -206,59 +206,6 @@ func WithBlockCache(bytes int64) Option {
 	}
 }
 
-// WithKernelThreads sets how many goroutines one task's kernels (matmul
-// row-panels, element-wise chains) may fan out across. n == 0 restores
-// auto-sizing: min(4, cores/slots), a wall-clock-only speedup that leaves the
-// simulated cost model untouched. An explicit n > 1 additionally scales the
-// modelled compute bandwidth B̂c by n, so plan costs and the chosen (P,Q,R)
-// reflect the parallelism. Keep n x TasksPerNode at or below the machine's
-// core count — oversubscription degrades every task (see internal/parallel).
-// Default: the ClusterConfig.KernelThreads field, or FUSEME_KERNEL_THREADS.
-func WithKernelThreads(n int) Option {
-	return func(s *Session) error {
-		if n < 0 {
-			return fmt.Errorf("fuseme: KernelThreads = %d, must be >= 0", n)
-		}
-		s.kernelThreads = n
-		return nil
-	}
-}
-
-// WithPipelining turns pipelined stage execution on or off (default on, or
-// the ClusterConfig.DisablePipelining field). Pipelining overlaps each
-// task's input transfer with the previous task's kernel (prefetch), folds
-// partial aggregates as tasks complete instead of at a stage barrier, and
-// lets idle TCP workers steal queued tasks from stragglers. Results are
-// bit-identical either way — the driver folds partials in task-index order
-// regardless — so turning it off only changes when bytes move, never what
-// is computed.
-func WithPipelining(on bool) Option {
-	return func(s *Session) error {
-		if on {
-			s.pipelining = 1
-		} else {
-			s.pipelining = 0
-		}
-		return nil
-	}
-}
-
-// WithPrefetchBytes sets the per-task prefetch admission budget: how many
-// bytes of the next task's recorded inputs a worker may pull ahead while
-// the current kernel runs. The budget is clamped to the per-task memory
-// budget θt so prefetching never violates admission control. Must be
-// positive — use WithPipelining(false) to disable pipelining wholesale.
-// Default 64 MiB, or FUSEME_PREFETCH_BYTES.
-func WithPrefetchBytes(bytes int64) Option {
-	return func(s *Session) error {
-		if bytes <= 0 {
-			return fmt.Errorf("fuseme: PrefetchBytes = %d, must be positive", bytes)
-		}
-		s.prefetchBytes = bytes
-		return nil
-	}
-}
-
 // WithHeartbeat overrides the TCP runtime's worker heartbeat: how often the
 // coordinator pings each worker and how long it waits for the reply. The
 // timeout must exceed the interval. Defaults: 500ms / 2s, or the
@@ -268,15 +215,6 @@ func WithHeartbeat(interval, timeout time.Duration) Option {
 	return func(s *Session) error {
 		s.rcfg.HeartbeatInterval = interval
 		s.rcfg.HeartbeatTimeout = timeout
-		return s.rcfg.Validate()
-	}
-}
-
-// WithDialTimeout overrides the TCP runtime's worker connection timeout
-// (default 5s, or FUSEME_DIAL_TIMEOUT).
-func WithDialTimeout(d time.Duration) Option {
-	return func(s *Session) error {
-		s.rcfg.DialTimeout = d
 		return s.rcfg.Validate()
 	}
 }
@@ -327,12 +265,9 @@ func (s *Session) blockCacheBytes() (int64, error) {
 	return 0, nil
 }
 
-// prefetchBytesSetting resolves the prefetch budget: option > environment >
+// prefetchBytesSetting resolves the prefetch budget: environment >
 // ClusterConfig field (whose zero means the built-in default).
 func (s *Session) prefetchBytesSetting() (int64, error) {
-	if s.prefetchBytes > 0 {
-		return s.prefetchBytes, nil
-	}
 	if env := os.Getenv(EnvPrefetchBytes); env != "" {
 		n, err := strconv.ParseInt(env, 10, 64)
 		if err != nil {
@@ -343,12 +278,9 @@ func (s *Session) prefetchBytesSetting() (int64, error) {
 	return s.cfg.PrefetchBytes, nil
 }
 
-// kernelThreadsSetting resolves the intra-task thread count: option >
-// environment > ClusterConfig field (which defaults to zero = auto).
+// kernelThreadsSetting resolves the intra-task thread count: environment >
+// ClusterConfig field (which defaults to zero = auto).
 func (s *Session) kernelThreadsSetting() (int, error) {
-	if s.kernelThreads >= 0 {
-		return s.kernelThreads, nil
-	}
 	if env := os.Getenv(EnvKernelThreads); env != "" {
 		n, err := strconv.Atoi(env)
 		if err != nil || n < 0 {
@@ -371,9 +303,6 @@ func (s *Session) remoteConfig() (remote.Config, error) {
 	}
 	if s.rcfg.HeartbeatTimeout != 0 {
 		cfg.HeartbeatTimeout = s.rcfg.HeartbeatTimeout
-	}
-	if s.rcfg.DialTimeout != 0 {
-		cfg.DialTimeout = s.rcfg.DialTimeout
 	}
 	if s.rcfg.CacheReplicas != 0 {
 		cfg.CacheReplicas = s.rcfg.CacheReplicas
