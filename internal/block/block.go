@@ -6,6 +6,14 @@
 //
 // A missing block is an all-zero block; sparse matrices therefore only store
 // the blocks that carry non-zeros.
+//
+// Ownership: a stored block is immutable. A Matrix changes only by having a
+// block replaced (SetBlock, AddInto), which restamps its content epoch; the
+// contents of a block it holds, or ever held, are never written. That is
+// what lets bindings, tasks, block caches and results share one block
+// without copying — an operator's output may hold its input's very block —
+// and what makes (node, epoch, coordinate) a sound cache key. Kernels write
+// only into buffers their task allocated (see internal/matrix, internal/exec).
 package block
 
 import (

@@ -1,0 +1,521 @@
+package exec
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"fuseme/internal/block"
+	"fuseme/internal/cluster"
+	"fuseme/internal/dag"
+	"fuseme/internal/fusion"
+	"fuseme/internal/matrix"
+	"fuseme/internal/ref"
+)
+
+// Differential tests of the compiled chain and the in-place kernels against
+// the single-node reference, which evaluates one operator at a time.
+
+const (
+	chainM, chainN, chainK = 21, 17, 19 // blocks of 8: edge blocks 5 and 1 wide, 3 k-blocks
+	chainBS                = 8
+)
+
+// chainInputs are the operands random chains draw from: dense, sparse (with
+// an all-zero block and empty rows), all-zero, and row/column vectors.
+func chainInputs() map[string]matrix.Mat {
+	s := matrix.ToDense(matrix.RandomSparse(chainM, chainN, 0.09, 0.5, 1.5, 3))
+	for i := 0; i < chainM; i++ {
+		for j := 0; j < chainN; j++ {
+			if (i < 8 && j >= 8 && j < 16) || i == 10 || i == 11 { // block (0,1); two rows
+				s.Set(i, j, 0)
+			}
+		}
+	}
+	return map[string]matrix.Mat{
+		"A": matrix.RandomDense(chainM, chainN, 0.5, 1.5, 1),
+		"B": matrix.RandomDense(chainM, chainN, -1, 1, 2),
+		"S": matrix.ToCSR(s),
+		"Z": matrix.NewCSR(chainM, chainN),
+		"r": matrix.RandomDense(1, chainN, -1, 1, 4),
+		"c": matrix.RandomDense(chainM, 1, 0.5, 1.5, 5),
+		"U": matrix.RandomDense(chainM, chainK, -1, 1, 6),
+		"V": matrix.RandomDense(chainN, chainK, -1, 1, 7),
+		"W": matrix.RandomDense(chainK, chainN, -1, 1, 8),
+		"T": matrix.RandomDense(chainK, chainM, -1, 1, 9),        // t(T) %*% X: the folded dense x CSR kernel
+		"X": matrix.RandomSparse(chainK, chainN, 0.2, -1, 1, 10), // its sparse right operand
+		"Y": matrix.RandomSparse(chainK, chainM, 0.2, -1, 1, 11), // t(T) %*% Y: a nested one
+	}
+}
+
+// randomChain grows a random element-wise expression of the given depth
+// over the graph's inputs. Exactly one path reaches mm (when non-nil), and
+// only through unary and binary operators, so outer fusion may apply.
+func randomChain(rng *rand.Rand, g *dag.Graph, in map[string]*dag.Node, mm *dag.Node, depth int) *dag.Node {
+	if depth == 0 {
+		if mm != nil {
+			return mm
+		}
+		return in[[]string{"A", "B", "S", "S", "Z", "r", "c"}[rng.Intn(7)]]
+	}
+	unaries := []string{"sq", "abs", "neg", "sigmoid", "relu", "sign", "round", "tanh"}
+	ops := []matrix.BinOp{matrix.Add, matrix.Sub, matrix.Mul, matrix.MinOp, matrix.MaxOp, matrix.Gt, matrix.Neq}
+	full := func(n *dag.Node) *dag.Node { // a vector alone is not a full-shaped chain
+		if n.Rows != chainM || n.Cols != chainN {
+			return g.Binary(matrix.Add, in["A"], n)
+		}
+		return n
+	}
+	switch rng.Intn(5) {
+	case 0:
+		return g.Unary(unaries[rng.Intn(len(unaries))], full(randomChain(rng, g, in, mm, depth-1)))
+	case 1:
+		x := full(randomChain(rng, g, in, mm, depth-1))
+		s := g.Scalar([]float64{2, -1, 0.5, 0}[rng.Intn(4)])
+		if rng.Intn(2) == 0 {
+			return g.Binary(ops[rng.Intn(len(ops))], s, x)
+		}
+		return g.Binary(ops[rng.Intn(len(ops))], x, s)
+	case 2: // a safe division
+		den := g.Binary(matrix.Add, g.Unary("abs", full(randomChain(rng, g, in, nil, depth-1))), g.Scalar(1))
+		return g.Binary(matrix.Div, full(randomChain(rng, g, in, mm, depth-1)), den)
+	}
+	a, b := randomChain(rng, g, in, mm, depth-1), randomChain(rng, g, in, nil, depth-1)
+	if (a.Rows != chainM || a.Cols != chainN) && (b.Rows != chainM || b.Cols != chainN) {
+		a = full(a) // two vectors do not broadcast against each other
+	}
+	if rng.Intn(2) == 0 {
+		a, b = b, a
+	}
+	return g.Binary(ops[rng.Intn(len(ops))], a, b)
+}
+
+// TestCompiledChainMatchesReference runs random fused chains — unary,
+// binary, scalar, row- and column-vector broadcast, zero blocks on either
+// side, a subtraction whose left operand vanished, edge blocks narrower than
+// a tile, empty driver rows — through the executor, dense and masked, single
+// stage and R > 1 partial + fuse, and compares with the reference to 1e-12.
+func TestCompiledChainMatchesReference(t *testing.T) {
+	flats := chainInputs()
+	rng := rand.New(rand.NewSource(11))
+	ran, masked := 0, 0
+	for trial := 0; trial < 400; trial++ {
+		g := dag.NewGraph()
+		in := map[string]*dag.Node{}
+		for name, m := range flats {
+			r, c := m.Dims()
+			in[name] = g.Input(name, r, c, matrix.Density(m))
+		}
+		var mm *dag.Node
+		switch trial % 5 {
+		case 0:
+			mm = g.MatMul(in["U"], g.Transpose(in["V"]))
+		case 1:
+			mm = g.MatMul(in["U"], in["W"])
+		case 2:
+			mm = g.MatMul(g.Transpose(in["T"]), in["X"])
+		case 3: // a product that is itself a transposed kernel's sum, times sparse blocks
+			mm = g.MatMul(g.MatMul(g.Transpose(in["T"]), in["Y"]), in["S"])
+		}
+		root := randomChain(rng, g, in, mm, 1+rng.Intn(4))
+		if trial%8 == 0 { // a sparse driver over the whole chain
+			root = g.Binary(matrix.Mul, in["S"], root)
+		}
+		if root.IsLeaf() || root.Rows != chainM || root.Cols != chainN {
+			continue
+		}
+		g.SetOutput("O", root)
+		members := map[int]*dag.Node{}
+		for id := range g.ReachableFromOutputs() {
+			if n := g.Nodes()[id]; !n.IsLeaf() {
+				members[n.ID] = n
+			}
+		}
+		plan, err := fusion.NewPlan(root, members)
+		if err != nil {
+			continue // interning shared a sub-expression: not one tree
+		}
+		want, err := ref.Evaluate(g, flats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bind := Bindings{}
+		for _, n := range g.InputNodes() {
+			bind[n.ID] = block.FromMat(flats[n.Name], chainBS)
+		}
+		if plan.MainMM != nil && fusion.FindOuterMask(plan) != nil {
+			masked++
+		}
+		for _, op := range []*FusedOp{
+			{Plan: plan, P: 1, Q: 1, R: 1},
+			{Plan: plan, P: 2, Q: 3, R: 1},
+			{Plan: plan, P: 2, Q: 2, R: 3},
+			{Plan: plan, P: 3, Q: 1, R: 2, NoMask: true},
+		} {
+			got, err := op.Execute(testCluster(chainBS), bind)
+			if err != nil {
+				t.Fatalf("trial %d (P=%d Q=%d R=%d): %v", trial, op.P, op.Q, op.R, err)
+			}
+			if !matrix.EqualApprox(got.ToMat(), want["O"], 1e-12) {
+				t.Fatalf("trial %d: %s (P=%d Q=%d R=%d NoMask=%v) differs from the reference",
+					trial, plan, op.P, op.Q, op.R, op.NoMask)
+			}
+		}
+		ran++
+	}
+	if ran < 150 || masked < 15 {
+		t.Fatalf("only %d chains ran, %d of them masked: the generator lost its coverage", ran, masked)
+	}
+}
+
+// snapshot deep-copies every block of the bound inputs, keyed like the block
+// cache keys them.
+func snapshot(bind Bindings) map[string]matrix.Mat {
+	out := map[string]matrix.Mat{}
+	for id, m := range bind {
+		m.ForEach(func(k block.Key, blk matrix.Mat) {
+			out[fmt.Sprint(id, k.Row, k.Col)] = blk.Clone()
+		})
+	}
+	return out
+}
+
+// TestKernelsNeverWriteSharedBlocks is the aliasing check behind the
+// ownership contract: with the block cache on, after stages that exercise
+// every in-place kernel (accumulating multiplications, the folded
+// transposes, the masked values buffer, the R > 1 partial sink, pass-through
+// of an unchanged operand), every bound input block — which is also what the
+// node caches hold — is byte-identical to before, and so is the output of an
+// earlier operator that a later one consumed.
+func TestKernelsNeverWriteSharedBlocks(t *testing.T) {
+	flats := chainInputs()
+	cl := cluster.MustNew(cluster.Config{
+		Nodes: 2, TasksPerNode: 2, TaskMemBytes: 1 << 40, NetBandwidth: 1e9, CompBandwidth: 1e12,
+		BlockSize: chainBS, CacheBytes: 1 << 30,
+	})
+	build := func(f func(g *dag.Graph, in map[string]*dag.Node) *dag.Node) (*fusion.Plan, Bindings) {
+		g := dag.NewGraph()
+		in := map[string]*dag.Node{}
+		bind := Bindings{}
+		for name, m := range flats {
+			r, c := m.Dims()
+			in[name] = g.Input(name, r, c, matrix.Density(m))
+			bind[in[name].ID] = block.FromMat(m, chainBS)
+		}
+		g.SetOutput("O", f(g, in))
+		return fullPlan(t, g), bind
+	}
+	queries := []func(g *dag.Graph, in map[string]*dag.Node) *dag.Node{
+		func(g *dag.Graph, in map[string]*dag.Node) *dag.Node { // masked SDDMM, folded t(V)
+			return g.Binary(matrix.Mul, in["S"], g.Unary("sigmoid", g.MatMul(in["U"], g.Transpose(in["V"]))))
+		},
+		func(g *dag.Graph, in map[string]*dag.Node) *dag.Node { // folded t(T) %*% X under a dense chain
+			return g.Binary(matrix.Div, g.Binary(matrix.Mul, in["A"], g.MatMul(g.Transpose(in["T"]), in["X"])), in["c"])
+		},
+		func(g *dag.Graph, in map[string]*dag.Node) *dag.Node { // B + 0: blocks pass through unchanged
+			return g.Binary(matrix.Add, in["B"], in["Z"])
+		},
+		func(g *dag.Graph, in map[string]*dag.Node) *dag.Node { // nested multiplication, retained operands
+			return g.MatMul(g.MatMul(in["U"], g.Transpose(in["U"])), in["A"])
+		},
+	}
+	for qi, q := range queries {
+		plan, bind := build(q)
+		before := snapshot(bind)
+		for _, r := range []int{1, 3} {
+			for pass := 0; pass < 2; pass++ { // the second pass runs on cache hits
+				if _, err := (&FusedOp{Plan: plan, P: 2, Q: 2, R: r}).Execute(cl, bind); err != nil {
+					t.Fatalf("query %d R=%d: %v", qi, r, err)
+				}
+			}
+		}
+		for key, want := range snapshot(bind) {
+			if !bitEqualBlocks(before[key], want) {
+				t.Fatalf("query %d: input block %s changed under execution", qi, key)
+			}
+		}
+		if len(before) != len(snapshot(bind)) {
+			t.Fatalf("query %d: the set of stored input blocks changed", qi)
+		}
+	}
+	if st := cl.Stats(); st.CacheHits == 0 {
+		t.Fatal("the block cache was never hit: the cached path went untested")
+	}
+
+	// An operator's output becomes the next one's input: B + 0 publishes B's
+	// own blocks, and the consumer must leave them as they were.
+	plan, bind := build(queries[2])
+	out, err := (&FusedOp{Plan: plan, P: 2, Q: 2, R: 1}).Execute(cl, bind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := dag.NewGraph()
+	o := g.Input("O", chainM, chainN, 1)
+	g.SetOutput("P", g.Binary(matrix.Mul, g.Unary("sq", o), g.Scalar(3)))
+	next := Bindings{o.ID: out}
+	before := snapshot(next)
+	if _, err := (&FusedOp{Plan: fullPlan(t, g), P: 2, Q: 2, R: 1}).Execute(cl, next); err != nil {
+		t.Fatal(err)
+	}
+	for key, want := range snapshot(next) {
+		if !bitEqualBlocks(before[key], want) {
+			t.Fatalf("published output block %s changed under its consumer", key)
+		}
+	}
+}
+
+// bitEqualBlocks compares representation, pattern and bits.
+func bitEqualBlocks(a, b matrix.Mat) bool {
+	if a == nil || b == nil || a.IsSparse() != b.IsSparse() || a.NNZ() != b.NNZ() {
+		return false
+	}
+	if sa, ok := a.(*matrix.CSR); ok {
+		sb := b.(*matrix.CSR)
+		for i := range sa.RowPtr {
+			if sa.RowPtr[i] != sb.RowPtr[i] {
+				return false
+			}
+		}
+		for p := range sa.Col {
+			if sa.Col[p] != sb.Col[p] || sa.Val[p] != sb.Val[p] {
+				return false
+			}
+		}
+		return true
+	}
+	da, db := a.(*matrix.Dense), b.(*matrix.Dense)
+	for i := range da.Data {
+		if da.Data[i] != db.Data[i] {
+			return false
+		}
+	}
+	return len(da.Data) == len(db.Data)
+}
+
+// The two fused operators of the repo benchmark, over inputs X (sparse,
+// users x items), U (k x items), V and W (users x k; W is V again, because
+// one plan is a tree and t(V) cannot feed two products) and F (items x k).
+type buildFn = func(g *dag.Graph, in map[string]*dag.Node) *dag.Node
+
+// gnmfUpdate is U2 = U * (t(V) %*% X) / ((t(V) %*% V) %*% U).
+func gnmfUpdate(g *dag.Graph, in map[string]*dag.Node) *dag.Node {
+	num := g.Binary(matrix.Mul, in["U"], g.MatMul(g.Transpose(in["V"]), in["X"]))
+	return g.Binary(matrix.Div, num, g.MatMul(g.MatMul(g.Transpose(in["W"]), in["V"]), in["U"]))
+}
+
+// nmfKernel is O = X * log(V %*% t(F) + eps).
+func nmfKernel(g *dag.Graph, in map[string]*dag.Node) *dag.Node {
+	mm := g.MatMul(in["V"], g.Transpose(in["F"]))
+	return g.Binary(matrix.Mul, in["X"], g.Unary("log", g.Binary(matrix.Add, mm, g.Scalar(1e-3))))
+}
+
+func benchFlats(users, items, k int, density float64) map[string]matrix.Mat {
+	return map[string]matrix.Mat{
+		"X": matrix.RandomSparse(users, items, density, 1, 5, 1),
+		"U": matrix.RandomDense(k, items, 0.1, 0.9, 2),
+		"V": matrix.RandomDense(users, k, 0.1, 0.9, 3),
+		"W": matrix.RandomDense(users, k, 0.1, 0.9, 3),
+		"F": matrix.RandomDense(items, k, 0.1, 0.9, 4),
+	}
+}
+
+// fusedOp plans build over flats as one fused operator.
+func fusedOp(t testing.TB, flats map[string]matrix.Mat, bs int, build buildFn) (*fusion.Plan, Bindings) {
+	g := dag.NewGraph()
+	in := map[string]*dag.Node{}
+	for name, m := range flats {
+		r, c := m.Dims()
+		in[name] = g.Input(name, r, c, matrix.Density(m))
+	}
+	g.SetOutput("O", build(g, in))
+	return fullPlan(t, g), bindInputs(t, g, bs, flats)
+}
+
+// allocated returns the bytes fn allocates, after one warm-up call.
+func allocated(t *testing.T, fn func()) int64 {
+	t.Helper()
+	fn()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	fn()
+	runtime.ReadMemStats(&m1)
+	return int64(m1.TotalAlloc - m0.TotalAlloc)
+}
+
+// TestTaskAllocationBudget holds one GNMF update task and one NMF-kernel
+// task, at an eighth of the benchmark's scale, to an allocation ceiling, so
+// per-node intermediates cannot creep back unnoticed. The GNMF task may
+// allocate twice its output (the main product's accumulator, which the chain
+// then stores into, and the nested product's) plus the transposes its
+// dense x dense product still builds; the NMF-kernel task, whose output
+// shares the driver's pattern, less than its output plus the one transposed
+// right block the SDDMM still takes per output block (4.2 of its 4.8 MB: the
+// copy a folded read of t(F) removes). With one block per node the same two
+// tasks allocated 38.2 MB and 17.3 MB where they now allocate 1.2 MB and
+// 4.8 MB.
+func TestTaskAllocationBudget(t *testing.T) {
+	const users, items, k, bs, slack = 1000, 500, 64, 64, 256 << 10 // slack: plan, descriptors, maps, scratch
+	flats := benchFlats(users, items, k, 0.08)
+	run := func(build buildFn) (allocBytes, outBytes int64) {
+		plan, bind := fusedOp(t, flats, bs, build)
+		op := &FusedOp{Plan: plan, P: 1, Q: 1, R: 1} // the whole operator as one task
+		cl := testCluster(bs)
+		allocBytes = allocated(t, func() {
+			out, err := op.Execute(cl, bind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			outBytes = out.SizeBytes()
+		})
+		return allocBytes, outBytes
+	}
+
+	alloc, out := run(gnmfUpdate)
+	tvBytes := flats["V"].SizeBytes() // t(V) %*% V is dense x dense: t(V)'s blocks are built
+	t.Logf("GNMF update task: %d bytes allocated, %d-byte output, t(V) %d bytes", alloc, out, tvBytes)
+	if ceiling := 2*out + tvBytes + slack; alloc > ceiling {
+		t.Errorf("GNMF update task allocated %d bytes for a %d-byte output: ceiling %d", alloc, out, ceiling)
+	}
+
+	alloc, out = run(nmfKernel)
+	outBlocks := int64((users+bs-1)/bs) * int64((items+bs-1)/bs)
+	if ceiling := out + outBlocks*bs*k*8 + slack; alloc > ceiling {
+		t.Errorf("NMF-kernel task allocated %d bytes for a %d-byte output: ceiling %d", alloc, out, ceiling)
+	}
+	t.Logf("NMF-kernel task: %d bytes allocated, %d-byte output", alloc, out)
+}
+
+// TestFusedTaskThreadInvariance runs the same two operators at blocks wide
+// enough for every pooled kernel to split its rows — the compiled chain's
+// store, the masked store, the SDDMM, the transposed and the dense kernels —
+// and requires 2 and 4 kernel threads to reproduce the serial bits.
+func TestFusedTaskThreadInvariance(t *testing.T) {
+	const users, items, k, bs = 512, 384, 64, 128
+	flats := benchFlats(users, items, k, 0.05)
+	for name, build := range map[string]buildFn{"gnmf-update": gnmfUpdate, "nmf-kernel": nmfKernel} {
+		plan, bind := fusedOp(t, flats, bs, build)
+		var serial *block.Matrix
+		for _, threads := range []int{1, 2, 4} {
+			cl := cluster.MustNew(cluster.Config{
+				Nodes: 1, TasksPerNode: 1, TaskMemBytes: 1 << 40, NetBandwidth: 1e9, CompBandwidth: 1e12,
+				BlockSize: bs, KernelThreads: threads,
+			})
+			out, err := (&FusedOp{Plan: plan, P: 2, Q: 1, R: 1}).Execute(cl, bind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if threads == 1 {
+				serial = out
+				continue
+			}
+			if cl.KernelPool().Stats().ParallelCalls == 0 {
+				t.Fatalf("%s: no kernel split its work at %d threads", name, threads)
+			}
+			serial.ForEach(func(key block.Key, want matrix.Mat) {
+				if !bitEqualBlocks(want, out.Block(key.Row, key.Col)) {
+					t.Errorf("%s: block (%d,%d) differs at %d kernel threads", name, key.Row, key.Col, threads)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkFusedTask times one fused operator end to end at the repo
+// benchmark's block shapes (256x256 blocks, k = 64): the GNMF U update
+// (folded t(V) %*% X, nested product, dense chain) and the NMF kernel
+// (transpose-free SDDMM, masked chain).
+func BenchmarkFusedTask(b *testing.B) {
+	const users, items, k, bs = 2048, 1024, 64, 256
+	flats := benchFlats(users, items, k, 0.01)
+	for name, build := range map[string]buildFn{"gnmf-update": gnmfUpdate, "nmf-kernel": nmfKernel} {
+		plan, bind := fusedOp(b, flats, bs, build)
+		op := &FusedOp{Plan: plan, P: 2, Q: 1, R: 1}
+		cl := testCluster(bs)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(block.FromMat(flats["X"], bs).SizeBytes())
+			for i := 0; i < b.N; i++ {
+				if _, err := op.Execute(cl, bind); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestExternalTransposeMemoryCharge pins the peak task memory of an operator
+// that consumes t(V) as an earlier operator's output (GNMF's twice-used
+// t(V)). Such a block is fetched and retained like any external non-leaf
+// block and charged as one — only a member transpose, which transposedChild
+// charges, is exempt. Against a dense right operand the figure is the
+// per-node evaluator's; against a CSR one the task also holds, and is charged
+// for, the copies it transposes back for the transposed kernel.
+func TestExternalTransposeMemoryCharge(t *testing.T) {
+	const bs = 8
+	v := matrix.RandomDense(40, 12, 0.1, 0.9, 1)
+	flats := map[string]matrix.Mat{
+		"X": matrix.RandomSparse(40, 30, 0.2, 1, 2, 2),
+		"D": matrix.RandomDense(40, 30, 1, 2, 4),
+	}
+	for right, wantPeak := range map[string]int64{"D": 20160, "X": 15952 + v.SizeBytes()} {
+		g := dag.NewGraph()
+		vn := g.Input("V", 40, 12, 1)
+		rn := g.Input(right, 40, 30, matrix.Density(flats[right]))
+		un := g.Input("U", 12, 30, 1)
+		tv := g.Transpose(vn)
+		mm := g.MatMul(tv, rn)
+		root := g.Binary(matrix.Mul, un, mm)
+		g.SetOutput("O", root)
+		plan, err := fusion.NewPlan(root, map[int]*dag.Node{root.ID: root, mm.ID: mm}) // t(V) stays outside
+		if err != nil {
+			t.Fatal(err)
+		}
+		bind := Bindings{
+			rn.ID: block.FromMat(flats[right], bs),
+			un.ID: block.FromMat(matrix.RandomDense(12, 30, 0.1, 0.9, 3), bs),
+			tv.ID: block.FromMat(matrix.Transpose(v), bs),
+		}
+		cl := testCluster(bs)
+		if _, err := (&FusedOp{Plan: plan, P: 1, Q: 1, R: 1}).Execute(cl, bind); err != nil {
+			t.Fatal(err)
+		}
+		if got := cl.Stats().PeakTaskMemBytes; got != wantPeak {
+			t.Errorf("t(V) %%*%% %s: peak task memory %d, want %d", right, got, wantPeak)
+		}
+	}
+}
+
+// TestSparseProductSumRepresentation pins how a multi-k sum of CSR x CSR
+// products is stored: by its own density, like a single product — dense once
+// the sum reaches matrix.SparseResultThreshold even if no one product does
+// (the per-node evaluator compressed each product and kept the CSR sum).
+func TestSparseProductSumRepresentation(t *testing.T) {
+	const bs = 8
+	a, b := matrix.NewDense(bs, 2*bs), matrix.NewDense(2*bs, bs)
+	for r := 0; r < 2; r++ { // k-block 0 fills output rows 0-1, k-block 1 rows 2-3: 12 cells each
+		a.Set(r, r, 1)
+		a.Set(2+r, bs+r, 1)
+		for j := 0; j < 6; j++ {
+			b.Set(r, j, float64(1+j))
+			b.Set(bs+r, j, float64(7+j))
+		}
+	}
+	flats := map[string]matrix.Mat{"A": matrix.ToCSR(a), "B": matrix.ToCSR(b)}
+	g := dag.NewGraph()
+	g.SetOutput("O", g.MatMul(g.Input("A", bs, 2*bs, 4.0/128), g.Input("B", 2*bs, bs, 24.0/128)))
+	for k := 0; k < 2; k++ {
+		if p := matrix.MatMul(block.FromMat(flats["A"], bs).Block(0, k), block.FromMat(flats["B"], bs).Block(k, 0)); !p.IsSparse() {
+			t.Fatalf("product %d alone is stored dense: the case is not the one meant", k)
+		}
+	}
+	out, err := (&FusedOp{Plan: fullPlan(t, g), P: 1, Q: 1, R: 1}).Execute(testCluster(bs), bindInputs(t, g, bs, flats))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blk := out.Block(0, 0); !matrix.Equal(blk, matrix.MatMul(a, b)) {
+		t.Fatal("the sum is not the product")
+	} else if blk.IsSparse() || blk.NNZ() != 24 {
+		t.Fatalf("a 24/64-dense sum of two sparse products is stored sparse=%v with %d values", blk.IsSparse(), blk.NNZ())
+	}
+}

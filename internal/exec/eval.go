@@ -23,17 +23,19 @@ type evaluator struct {
 	op        *FusedOp
 	src       blockSource // external input (and pinned-partial) blocks
 	task      *cluster.Task
-	pool      *parallel.Pool       // intra-task kernel threads; nil = serial
-	spaces    map[int]fusion.Space // nil for plans without matmul
-	mask      *fusion.OuterMask    // outer-fusion pattern, if detected
-	hasMM     map[int]bool         // member IDs whose subtree contains MainMM
-	kLo, kHi  int                  // main multiplication k-block range
+	pool      *parallel.Pool    // intra-task kernel threads; nil = serial
+	mask      *fusion.OuterMask // outer-fusion pattern, if detected
+	kLo, kHi  int               // main multiplication k-block range
 	blockSize int
 
 	memo      map[memoKey]matrix.Mat
+	memoNode  map[int]bool // member IDs whose blocks the task retains
 	fetched   map[memoKey]bool
-	colocated map[int]bool       // inputs co-partitioned with the output: no fetch cost
-	trace     *cluster.TaskTrace // per-task sub-spans; nil when tracing is off
+	charged   map[memoKey]bool          // retained transposes already charged, built or folded
+	leftT     map[memoKey]*matrix.Dense // retained, charged transposes of dense left blocks (evalMatMul)
+	accT      *matrix.Dense             // scratch: evalMatMul's transposed accumulator
+	colocated map[int]bool              // inputs co-partitioned with the output: no fetch cost
+	trace     *cluster.TaskTrace        // per-task sub-spans; nil when tracing is off
 
 	// Block-cache state, armed by stageCtx.armCache when the stage
 	// advertises input epochs and the task's node/worker holds a cache.
@@ -55,18 +57,27 @@ func newEvaluator(op *FusedOp, task *cluster.Task, src blockSource, blockSize, k
 		src:       src,
 		task:      task,
 		pool:      task.Pool(),
-		spaces:    op.Plan.NodeSpaces(),
 		mask:      opMask(op),
 		kLo:       kLo,
 		kHi:       kHi,
 		blockSize: blockSize,
 		memo:      make(map[memoKey]matrix.Mat),
+		memoNode:  make(map[int]bool),
 		fetched:   make(map[memoKey]bool),
+		charged:   make(map[memoKey]bool),
+		leftT:     make(map[memoKey]*matrix.Dense),
 		trace:     task.Trace(),
 	}
-	if op.Plan.MainMM != nil {
-		ev.hasMM = make(map[int]bool)
-		ev.computeHasMM(op.Plan.Root)
+	// Retained within the task: L/R-space results (reused across the task's
+	// output blocks) and the operands of every multiplication — a nested
+	// one's coordinates repeat across output blocks by construction.
+	for id, s := range op.Plan.NodeSpaces() {
+		ev.memoNode[id] = s == fusion.SpaceL || s == fusion.SpaceR
+	}
+	for _, mm := range op.Plan.MatMuls() {
+		for _, in := range mm.Inputs {
+			ev.memoNode[in.ID] = true
+		}
 	}
 	return ev
 }
@@ -79,31 +90,26 @@ func opMask(op *FusedOp) *fusion.OuterMask {
 	return fusion.FindOuterMask(op.Plan)
 }
 
-// computeHasMM marks member nodes whose member subtree contains the main mm.
-func (ev *evaluator) computeHasMM(n *dag.Node) bool {
+// reachesMM reports whether the member subtree rooted at n contains the main
+// multiplication.
+func (ev *evaluator) reachesMM(n *dag.Node) bool {
+	if n == ev.op.Plan.MainMM {
+		return true
+	}
 	if !ev.op.Plan.Contains(n) {
 		return false
 	}
-	has := n == ev.op.Plan.MainMM
 	for _, in := range n.Inputs {
-		if ev.computeHasMM(in) {
-			has = true
+		if ev.reachesMM(in) {
+			return true
 		}
 	}
-	ev.hasMM[n.ID] = has
-	return has
+	return false
 }
 
 // fail aborts the evaluation with err (recovered at the task boundary).
 func (ev *evaluator) fail(err error) {
 	panic(execPanic{err})
-}
-
-// trackMem accounts bytes against the task budget, failing with a wrapped
-// cluster.ErrOutOfMemory when the working set exceeds θt. This is the
-// runtime safety net behind the planners' admission estimates.
-func (ev *evaluator) trackMem(n int64) {
-	ev.task.GrowMem(n)
 }
 
 // blockDims returns the element dimensions of node n's block (bi, bj).
@@ -118,24 +124,11 @@ func (ev *evaluator) blockDims(n *dag.Node, bi, bj int) (rows, cols int) {
 }
 
 // shouldMemo reports whether the node's block values are retained for reuse
-// within the task: external inputs always; L/R-space results (reused across
-// the task's output blocks); never O-space intermediates, which stream
-// through one kernel at a time (the fused, no-materialisation property).
+// within the task: external inputs always, member nodes per memoNode; never
+// other O-space intermediates, which stream through one compiled chain (the
+// fused, no-materialisation property).
 func (ev *evaluator) shouldMemo(n *dag.Node) bool {
-	if !ev.op.Plan.Contains(n) {
-		return true
-	}
-	if ev.spaces == nil {
-		return false
-	}
-	s, ok := ev.spaces[n.ID]
-	return ok && (s == fusion.SpaceL || s == fusion.SpaceR)
-}
-
-// pin pre-seeds a node's block value (used by stage two to inject aggregated
-// main-multiplication results).
-func (ev *evaluator) pin(n *dag.Node, bi, bj int, blk matrix.Mat) {
-	ev.memo[memoKey{n.ID, bi, bj}] = blk
+	return !ev.op.Plan.Contains(n) || ev.memoNode[n.ID]
 }
 
 // evalBlock computes block (bi, bj) of node n. A nil return is an all-zero
@@ -149,8 +142,9 @@ func (ev *evaluator) evalBlock(n *dag.Node, bi, bj int) matrix.Mat {
 	if ev.shouldMemo(n) && !n.IsLeaf() {
 		// Leaves are memoised by fetchExternal itself.
 		ev.memo[key] = blk
-		if blk != nil {
-			ev.trackMem(blk.SizeBytes())
+		memberT := n.Op == dag.OpTranspose && ev.op.Plan.Contains(n) // transposedChild charged it
+		if blk != nil && !memberT {
+			ev.task.GrowMem(blk.SizeBytes())
 		}
 	}
 	return blk
@@ -161,26 +155,45 @@ func (ev *evaluator) computeBlock(n *dag.Node, bi, bj int) matrix.Mat {
 		return ev.fetchExternal(n, bi, bj)
 	}
 	switch n.Op {
-	case dag.OpUnary:
-		child := ev.evalBlock(n.Inputs[0], bi, bj)
-		return ev.applyUnary(n, child, bi, bj)
-	case dag.OpBinary:
+	case dag.OpUnary, dag.OpBinary:
 		if ev.mask != nil && n == ev.mask.Mul {
-			return ev.evalMaskedMul(n, bi, bj)
+			return ev.evalMaskedMul(bi, bj)
 		}
-		return ev.evalBinary(n, bi, bj)
+		return ev.evalChain(n, bi, bj)
 	case dag.OpTranspose:
-		child := ev.evalBlock(n.Inputs[0], bj, bi)
+		child := ev.transposedChild(n, bi, bj)
 		if child == nil {
 			return nil
 		}
-		ev.task.AddFlops(int64(child.NNZ()))
 		return matrix.TransposeWith(ev.pool, child)
 	case dag.OpMatMul:
 		return ev.evalMatMul(n, bi, bj)
 	}
 	ev.fail(fmt.Errorf("exec: operator %s cannot appear inside a fused kernel", n.Label()))
 	return nil
+}
+
+// transposedChild returns the block c whose transpose is block (bi, bj) of
+// the transpose node n, and charges the transpose — flops, and task memory
+// when n is retained — exactly as building it does: every time for a
+// streamed node, once per task for a retained one. A transpose-aware kernel
+// reads c directly, so the transposed block is never built.
+func (ev *evaluator) transposedChild(n *dag.Node, bi, bj int) matrix.Mat {
+	c := ev.evalBlock(n.Inputs[0], bj, bi)
+	key := memoKey{n.ID, bi, bj}
+	if c == nil || ev.charged[key] {
+		return c
+	}
+	ev.task.AddFlops(int64(c.NNZ()))
+	if ev.shouldMemo(n) {
+		ev.charged[key] = true
+		size := c.SizeBytes()
+		if s, ok := c.(*matrix.CSR); ok {
+			size += int64(s.Cols-s.Rows) * 8 // the transposed row-pointer array
+		}
+		ev.task.GrowMem(size)
+	}
+	return c
 }
 
 // fetchExternal meters and returns an input block, deduplicating fetches
@@ -258,55 +271,17 @@ func (ev *evaluator) fetchExternal(n *dag.Node, bi, bj int) matrix.Mat {
 	return blk
 }
 
-// applyUnary applies a unary function to a (possibly nil) child block.
-func (ev *evaluator) applyUnary(n *dag.Node, child matrix.Mat, bi, bj int) matrix.Mat {
-	f, _ := matrix.UnaryFunc(n.Func)
-	if child == nil {
-		if f(0) == 0 {
-			return nil
-		}
-		rows, cols := ev.blockDims(n, bi, bj)
-		ev.task.AddFlops(int64(rows*cols) * matrix.UnaryFlops(n.Func))
-		return constDense(rows, cols, f(0))
-	}
-	out := matrix.ApplyWith(ev.pool, f, child)
-	ev.task.AddFlops(workOf(out) * matrix.UnaryFlops(n.Func))
-	return out
-}
-
 // operandCoords maps the output block coordinate of an element-wise operator
-// to the coordinate of an operand, handling scalar (1x1), row-vector and
-// column-vector broadcasting.
-func operandCoords(operand, out *dag.Node, bi, bj int) (int, int) {
-	switch {
-	case operand.Rows == out.Rows && operand.Cols == out.Cols:
-		return bi, bj
-	case operand.IsScalarShaped():
-		return 0, 0
-	case operand.Rows == 1:
-		return 0, bj
-	case operand.Cols == 1:
-		return bi, 0
+// to the coordinate of an operand, which may be a scalar (1x1), row-vector or
+// column-vector broadcast: a single row or column has only block 0.
+func operandCoords(operand *dag.Node, bi, bj int) (int, int) {
+	if operand.Rows == 1 {
+		bi = 0
+	}
+	if operand.Cols == 1 {
+		bj = 0
 	}
 	return bi, bj
-}
-
-func (ev *evaluator) evalBinary(n *dag.Node, bi, bj int) matrix.Mat {
-	a, b := n.Inputs[0], n.Inputs[1]
-	// Scalar operands use the scalar kernel.
-	if b.IsScalarShaped() && !a.IsScalarShaped() {
-		ai, aj := operandCoords(a, n, bi, bj)
-		return ev.scalarCombine(n, ev.evalBlock(a, ai, aj), ev.scalarValue(b), false, bi, bj)
-	}
-	if a.IsScalarShaped() && !b.IsScalarShaped() {
-		bi2, bj2 := operandCoords(b, n, bi, bj)
-		return ev.scalarCombine(n, ev.evalBlock(b, bi2, bj2), ev.scalarValue(a), true, bi, bj)
-	}
-	ai, aj := operandCoords(a, n, bi, bj)
-	bi2, bj2 := operandCoords(b, n, bi, bj)
-	av := ev.evalBlock(a, ai, aj)
-	bv := ev.evalBlock(b, bi2, bj2)
-	return ev.combine(n, a, b, av, bv, bi, bj)
 }
 
 // scalarValue resolves a scalar-shaped operand to its float value.
@@ -321,128 +296,85 @@ func (ev *evaluator) scalarValue(n *dag.Node) float64 {
 	return blk.At(0, 0)
 }
 
-func (ev *evaluator) scalarCombine(n *dag.Node, blk matrix.Mat, s float64, scalarOnLeft bool, bi, bj int) matrix.Mat {
-	op := n.BinOp
-	if blk == nil {
-		var v float64
-		if scalarOnLeft {
-			v = op.Eval(s, 0)
-		} else {
-			v = op.Eval(0, s)
-		}
-		if v == 0 {
-			return nil
-		}
-		rows, cols := ev.blockDims(n, bi, bj)
-		ev.task.AddFlops(int64(rows*cols) * op.Flops())
-		return constDense(rows, cols, v)
-	}
-	out := matrix.BinaryScalarWith(ev.pool, op, blk, s, scalarOnLeft)
-	ev.task.AddFlops(workOf(out) * op.Flops())
-	return out
-}
-
-// combine applies an element-wise operator to two (possibly nil) blocks.
-func (ev *evaluator) combine(n *dag.Node, aNode, bNode *dag.Node, av, bv matrix.Mat, bi, bj int) matrix.Mat {
-	op := n.BinOp
-	switch {
-	case av == nil && bv == nil:
-		if op.Eval(0, 0) == 0 {
-			return nil
-		}
-		rows, cols := ev.blockDims(n, bi, bj)
-		ev.task.AddFlops(int64(rows*cols) * op.Flops())
-		return constDense(rows, cols, op.Eval(0, 0))
-	case av == nil:
-		switch op {
-		case matrix.Mul, matrix.Div:
-			return nil // 0*y == 0; 0/y == 0 (positive denominators by contract)
-		case matrix.Add:
-			return ev.broadcastIfNeeded(n, bNode, bv, bi, bj)
-		case matrix.Sub:
-			out := matrix.Scale(ev.broadcastIfNeeded(n, bNode, bv, bi, bj), -1)
-			ev.task.AddFlops(workOf(out))
-			return out
-		}
-		ar, ac := ev.operandBlockDims(aNode, n, bi, bj)
-		av = matrix.NewCSR(ar, ac)
-	case bv == nil:
-		switch op {
-		case matrix.Mul:
-			return nil
-		case matrix.Add, matrix.Sub:
-			return ev.broadcastIfNeeded(n, aNode, av, bi, bj)
-		}
-		br, bc := ev.operandBlockDims(bNode, n, bi, bj)
-		bv = matrix.NewCSR(br, bc)
-	}
-	out := matrix.BinaryWith(ev.pool, op, av, bv)
-	ev.task.AddFlops(workOf(out) * op.Flops())
-	return out
-}
-
-// broadcastIfNeeded expands a surviving vector operand to the full block
-// shape when the other operand vanished (a zero block plus a row vector is
-// still a full block of that vector's values).
-func (ev *evaluator) broadcastIfNeeded(n, operand *dag.Node, blk matrix.Mat, bi, bj int) matrix.Mat {
-	rows, cols := ev.blockDims(n, bi, bj)
-	br, bc := blk.Dims()
-	if br == rows && bc == cols {
-		return blk
-	}
-	zero := matrix.NewCSR(rows, cols)
-	return matrix.BinaryWith(ev.pool, matrix.Add, zero, blk)
-}
-
-// operandBlockDims returns the dims of operand's block for output block
-// (bi,bj) of n.
-func (ev *evaluator) operandBlockDims(operand, n *dag.Node, bi, bj int) (int, int) {
-	oi, oj := operandCoords(operand, n, bi, bj)
-	return ev.blockDims(operand, oi, oj)
-}
-
-// evalMatMul computes one block of a multiplication. The main mm sums only
-// the task's k-range (partial when R > 1); nested multiplications use their
-// full inner dimension.
+// evalMatMul computes one block of a multiplication into one task-owned
+// accumulator. The main mm sums only the task's k-range (partial when
+// R > 1); nested multiplications use their full inner dimension.
+//
+// A dense left block against a CSR right block (GNMF's t(V) %*% X) runs the
+// transposed kernel — one contiguous axpy per non-zero — accumulating in a
+// scratch the task reuses across output blocks and transposes once per sum.
+// The kernel reads the left block's transpose: the operand under a member
+// t(A) node as it is (t(A)'s blocks are never built), else a copy the task
+// keeps, and is charged for, across its output blocks.
+//
+// A sum of CSR x CSR products is stored by its own density, like a single
+// product; the other pairs give a dense block.
 func (ev *evaluator) evalMatMul(n *dag.Node, bi, bj int) matrix.Mat {
-	lo, hi := 0, (n.Inputs[0].Cols+ev.blockSize-1)/ev.blockSize
+	left, right := n.Inputs[0], n.Inputs[1]
+	lo, hi := 0, (left.Cols+ev.blockSize-1)/ev.blockSize
 	if n == ev.op.Plan.MainMM {
 		lo, hi = ev.kLo, ev.kHi
 	}
-	var acc matrix.Mat
+	rows, cols := ev.blockDims(n, bi, bj)
+	folded := left.Op == dag.OpTranspose && ev.op.Plan.Contains(left)
+	var acc, accT *matrix.Dense
+	sparse := true
 	for bk := lo; bk < hi; bk++ {
-		la := ev.evalBlock(n.Inputs[0], bi, bk)
-		rb := ev.evalBlock(n.Inputs[1], bk, bj)
-		if la == nil || rb == nil {
+		var la, lt matrix.Mat // the left block, or its transpose where that is what exists
+		if folded {
+			lt = ev.transposedChild(left, bi, bk)
+		} else {
+			la = ev.evalBlock(left, bi, bk)
+		}
+		rb := ev.evalBlock(right, bk, bj)
+		if (la == nil && lt == nil) || rb == nil {
 			continue
 		}
-		ev.task.AddFlops(matrix.MatMulFlops(la, rb))
-		prod := matrix.MatMulWith(ev.pool, la, rb)
-		if acc == nil {
-			acc = prod
-		} else {
-			acc = matrix.BinaryWith(ev.pool, matrix.Add, acc, prod)
+		if b, ok := rb.(*matrix.CSR); ok {
+			if d, ok := la.(*matrix.Dense); ok {
+				key := memoKey{left.ID, bi, bk}
+				if ev.leftT[key] == nil { // built once per task, held against its memory
+					ev.leftT[key] = matrix.TransposeWith(ev.pool, d).(*matrix.Dense)
+					ev.task.GrowMem(d.SizeBytes())
+				}
+				lt = ev.leftT[key]
+			}
+			if a, ok := lt.(*matrix.Dense); ok {
+				if accT == nil {
+					// The task's scratch — taken, not shared: an operand may be a product itself.
+					accT, ev.accT = ev.accT, nil
+					if accT == nil || accT.Rows != cols || accT.Cols != rows {
+						accT = matrix.NewDense(cols, rows)
+					}
+					clear(accT.Data)
+				}
+				ev.task.AddFlops(2 * int64(rows) * int64(a.Rows) * int64(cols))
+				matrix.MatMulTransAccWith(ev.pool, accT, a, b)
+				continue
+			}
 		}
+		if la == nil {
+			la = ev.evalBlock(left, bi, bk) // no kernel reads this pair transposed: build t(A)'s block
+		}
+		ev.task.AddFlops(matrix.MatMulFlops(la, rb))
+		if acc == nil {
+			acc = matrix.NewDense(rows, cols)
+		}
+		matrix.MatMulAccWith(ev.pool, acc, la, rb)
+		sparse = sparse && la.IsSparse() && rb.IsSparse()
+	}
+	switch {
+	case accT != nil:
+		ev.accT = accT // hand the scratch back
+		t := matrix.TransposeWith(ev.pool, accT)
+		if acc == nil {
+			return t
+		}
+		return matrix.AddAcc(acc, t)
+	case acc == nil:
+		return nil
+	case sparse:
+		return matrix.MaybeCompress(acc, matrix.SparseResultThreshold)
 	}
 	return acc
-}
-
-// workOf estimates the cells an operator touched to produce out.
-func workOf(out matrix.Mat) int64 {
-	if out == nil {
-		return 0
-	}
-	if out.IsSparse() {
-		return int64(out.NNZ())
-	}
-	r, c := out.Dims()
-	return int64(r) * int64(c)
-}
-
-func constDense(rows, cols int, v float64) *matrix.Dense {
-	d := matrix.NewDense(rows, cols)
-	for i := range d.Data {
-		d.Data[i] = v
-	}
-	return d
 }

@@ -7,161 +7,154 @@ import (
 	"fuseme/internal/matrix"
 )
 
-// Masked (outer-fusion) evaluation: when a sparse driver X element-wise
-// multiplies a chain that reaches the main multiplication, every node on the
-// chain — and crucially the multiplication itself — is evaluated only at the
-// non-zero positions of X's block (Section 2.1, "sparsity exploitation").
-// The result of evalMasked is always a CSR block with exactly the driver
-// pattern; values elsewhere are irrelevant because the driver multiply zeroes
-// them.
+// The compiled chain. A maximal run of member element-wise operators is not
+// evaluated node by node: per output block it is compiled into one function
+// of a cell (matrix.Chain) and applied once, writing one output buffer — per
+// cell when dense, per driver non-zero on the masked (outer-fusion) path —
+// with the values, representations and flop charges of one kernel per node.
 
-// evalMaskedMul evaluates the outer-fusion b(*) node: driver .* inner, where
-// inner is computed in masked form.
-func (ev *evaluator) evalMaskedMul(n *dag.Node, bi, bj int) matrix.Mat {
-	driverBlk := ev.evalBlock(ev.mask.Driver, bi, bj)
-	if driverBlk == nil {
-		return nil // 0 .* anything == 0
-	}
-	pattern := matrix.ToCSR(driverBlk)
-	inner := ev.evalMasked(ev.mask.Inner, bi, bj, pattern)
-	out := inner.Clone().(*matrix.CSR)
-	for p := range out.Val {
-		out.Val[p] *= pattern.Val[p]
-	}
-	ev.task.AddFlops(int64(len(out.Val)))
+// chain compiles the element-wise region rooted at one node for one output
+// block. Every node of the region has the root's shape.
+type chain struct {
+	*matrix.Chain
+	ev     *evaluator
+	root   *dag.Node
+	bi, bj int
+}
+
+// evalChain computes block (bi, bj) of the element-wise node n.
+func (ev *evaluator) evalChain(n *dag.Node, bi, bj int) matrix.Mat {
+	rows, cols := ev.blockDims(n, bi, bj)
+	c := &chain{Chain: &matrix.Chain{Rows: rows, Cols: cols}, ev: ev, root: n, bi: bi, bj: bj}
+	out := c.Materialise(ev.pool, c.node(n))
+	ev.task.AddFlops(c.Flops)
 	return out
 }
 
-// evalMasked computes node n's block (bi, bj) restricted to pattern.
-func (ev *evaluator) evalMasked(n *dag.Node, bi, bj int, pattern *matrix.CSR) *matrix.CSR {
-	if n == ev.op.Plan.MainMM {
-		return ev.evalMaskedMM(n, bi, bj, pattern)
+// operand returns the value of operand n of the region: compiled in place
+// when n continues the region, an evaluated block otherwise — an input, a
+// multiplication, a transpose, the masked multiply, a node the task retains,
+// or a vector operand of another shape.
+func (c *chain) operand(n *dag.Node) matrix.Value {
+	ev := c.ev
+	if ev.op.Plan.Contains(n) && (n.Op == dag.OpUnary || n.Op == dag.OpBinary) &&
+		n.Rows == c.root.Rows && n.Cols == c.root.Cols && !ev.shouldMemo(n) &&
+		(ev.mask == nil || n != ev.mask.Mul) {
+		return c.node(n)
 	}
-	if !ev.op.Plan.Contains(n) || !ev.hasMM[n.ID] {
-		// Off the multiplication path: evaluate fully, sample the pattern.
-		return gather(pattern, ev.evalBlock(n, bi, bj))
+	oi, oj := operandCoords(n, c.bi, c.bj)
+	if _, pinned := ev.memo[memoKey{n.ID, oi, oj}]; n.Op == dag.OpMatMul && !pinned && !ev.shouldMemo(n) {
+		return c.Owned(ev.evalBlock(n, oi, oj)) // a fresh accumulator nobody else holds
 	}
-	switch n.Op {
-	case dag.OpUnary:
-		child := ev.evalMasked(n.Inputs[0], bi, bj, pattern)
-		f, _ := matrix.UnaryFunc(n.Func)
-		out := child.Clone().(*matrix.CSR)
-		for p := range out.Val {
-			out.Val[p] = f(out.Val[p])
-		}
-		ev.task.AddFlops(int64(len(out.Val)) * matrix.UnaryFlops(n.Func))
-		return out
-	case dag.OpBinary:
-		a, b := n.Inputs[0], n.Inputs[1]
-		var inner, other *dag.Node
-		innerOnLeft := true
-		if ev.op.Plan.Contains(a) && ev.hasMM[a.ID] {
-			inner, other = a, b
-		} else {
-			inner, other, innerOnLeft = b, a, false
-		}
-		innerVals := ev.evalMasked(inner, bi, bj, pattern)
-		if other.IsScalarShaped() {
-			s := ev.scalarValue(other)
-			out := innerVals.Clone().(*matrix.CSR)
-			for p := range out.Val {
-				if innerOnLeft {
-					out.Val[p] = n.BinOp.Eval(out.Val[p], s)
-				} else {
-					out.Val[p] = n.BinOp.Eval(s, out.Val[p])
-				}
-			}
-			ev.task.AddFlops(int64(len(out.Val)) * n.BinOp.Flops())
-			return out
-		}
-		oi, oj := operandCoords(other, n, bi, bj)
-		otherBlk := ev.evalBlock(other, oi, oj)
-		return ev.combineGather(n, innerVals, other, otherBlk, innerOnLeft, pattern)
-	default:
-		// Transposes or nested multiplications on a masked path are rejected
-		// by FindOuterMask; reaching here is a planner bug.
-		ev.fail(fmt.Errorf("exec: unsupported %s on masked path", n.Label()))
-		return nil
-	}
+	return c.Leaf(ev.evalBlock(n, oi, oj))
 }
 
-// evalMaskedMM sums the task's k-range of masked partial products.
-func (ev *evaluator) evalMaskedMM(n *dag.Node, bi, bj int, pattern *matrix.CSR) *matrix.CSR {
-	if blk, ok := ev.memo[memoKey{n.ID, bi, bj}]; ok {
-		return gather(pattern, blk) // stage two: aggregated partials pinned
+// node compiles the member element-wise node n.
+func (c *chain) node(n *dag.Node) matrix.Value {
+	if n.Op == dag.OpUnary {
+		f, _ := matrix.UnaryFunc(n.Func)
+		return c.Unary(f, matrix.UnaryFlops(n.Func), c.operand(n.Inputs[0]))
 	}
-	acc := pattern.Clone().(*matrix.CSR)
-	for p := range acc.Val {
-		acc.Val[p] = 0
+	a, b := n.Inputs[0], n.Inputs[1]
+	switch {
+	case b.IsScalarShaped() && !a.IsScalarShaped():
+		return c.Scalar(n.BinOp, c.operand(a), c.ev.scalarValue(b), false)
+	case a.IsScalarShaped() && !b.IsScalarShaped():
+		return c.Scalar(n.BinOp, c.operand(b), c.ev.scalarValue(a), true)
 	}
+	return c.Binary(n.BinOp, c.operand(a), c.operand(b))
+}
+
+// Masked (outer-fusion) evaluation: when a sparse driver X element-wise
+// multiplies a chain that reaches the main multiplication, every node on the
+// chain — and crucially the multiplication itself — is evaluated only at the
+// non-zero positions of X's block (Section 2.1, "sparsity exploitation"):
+// one SDDMM into a values buffer with the driver's pattern, then one pass of
+// the compiled chain over that buffer, which becomes the output block.
+
+// evalMaskedMul evaluates block (bi, bj) of the outer-fusion b(*) node:
+// driver .* inner, with exactly the driver's pattern (values may be zero).
+func (ev *evaluator) evalMaskedMul(bi, bj int) matrix.Mat {
+	pattern, vals := ev.maskedMM(bi, bj)
+	if pattern == nil {
+		return nil // 0 .* anything == 0
+	}
+	c := &chain{Chain: &matrix.Chain{Rows: pattern.Rows, Cols: pattern.Cols}, ev: ev, root: ev.mask.Mul, bi: bi, bj: bj}
+	inner := c.masked(ev.mask.Inner, vals)
+	ev.task.AddFlops(c.Flops + int64(len(vals))) // the path, and the driver multiply
+	matrix.MaskedStore(ev.pool, pattern, vals, func(i, j, p int) float64 { return inner(i, j, p) * pattern.Val[p] })
+	return pattern.WithValues(vals)
+}
+
+// masked compiles the path from n down to the main multiplication, whose
+// masked values are vals; every step is charged, in c.Flops, once per driver
+// non-zero. Operands off the path are evaluated as blocks and sampled at the
+// pattern; a nil block contributes zeros.
+func (c *chain) masked(n *dag.Node, vals []float64) matrix.Cell {
+	ev := c.ev
+	switch {
+	case n == ev.op.Plan.MainMM:
+		return func(_, _, p int) float64 { return vals[p] }
+	case n.Op == dag.OpUnary:
+		child := c.masked(n.Inputs[0], vals)
+		f, _ := matrix.UnaryFunc(n.Func)
+		c.Flops += int64(len(vals)) * matrix.UnaryFlops(n.Func)
+		return func(i, j, p int) float64 { return f(child(i, j, p)) }
+	case n.Op == dag.OpBinary:
+		op := n.BinOp
+		inner, other, innerOnLeft := n.Inputs[0], n.Inputs[1], true
+		if !ev.reachesMM(inner) {
+			inner, other, innerOnLeft = other, inner, false
+		}
+		in := c.masked(inner, vals)
+		c.Flops += int64(len(vals)) * op.Flops()
+		if other.IsScalarShaped() {
+			f := matrix.ScalarFn(op, ev.scalarValue(other), !innerOnLeft)
+			return func(i, j, p int) float64 { return f(in(i, j, p)) }
+		}
+		oi, oj := operandCoords(other, c.bi, c.bj)
+		o := c.Leaf(ev.evalBlock(other, oi, oj)).Cell()
+		if innerOnLeft {
+			return func(i, j, p int) float64 { return op.Eval(in(i, j, p), o(i, j, p)) }
+		}
+		return func(i, j, p int) float64 { return op.Eval(o(i, j, p), in(i, j, p)) }
+	}
+	// Transposes or nested multiplications on a masked path are rejected by
+	// FindOuterMask; reaching here is a planner bug.
+	ev.fail(fmt.Errorf("exec: unsupported %s on masked path", n.Label()))
+	return nil
+}
+
+// maskedMM returns the driver pattern of block (bi, bj) and the main
+// multiplication restricted to it, summed over the task's k-range into one
+// task-owned buffer. A nil pattern is an all-zero driver block.
+func (ev *evaluator) maskedMM(bi, bj int) (*matrix.CSR, []float64) {
+	driver := ev.evalBlock(ev.mask.Driver, bi, bj)
+	if driver == nil {
+		return nil, nil
+	}
+	pattern := matrix.ToCSR(driver)
+	vals := make([]float64, len(pattern.Col))
+	mm := ev.op.Plan.MainMM
+	if blk, ok := ev.memo[memoKey{mm.ID, bi, bj}]; ok {
+		// Stage two: the aggregated partials are pinned; sample them.
+		c := matrix.Chain{Rows: pattern.Rows, Cols: pattern.Cols}
+		matrix.MaskedStore(nil, pattern, vals, c.Leaf(blk).Cell())
+		return pattern, vals
+	}
+	left, right := mm.Inputs[0], mm.Inputs[1]
 	for bk := ev.kLo; bk < ev.kHi; bk++ {
-		la := ev.evalBlock(n.Inputs[0], bi, bk)
-		rb := ev.evalBlock(n.Inputs[1], bk, bj)
+		la, rb := ev.evalBlock(left, bi, bk), ev.evalBlock(right, bk, bj)
 		if la == nil || rb == nil {
 			continue
 		}
 		_, inner := la.Dims()
 		ev.task.AddFlops(matrix.MaskedMatMulFlops(pattern, inner))
-		part := matrix.MaskedMatMulWith(ev.pool, pattern, la, rb)
-		for p := range acc.Val {
-			acc.Val[p] += part.Val[p]
-		}
+		// The SDDMM takes dot(A[i,:], Bt[j,:]): one transpose of the right
+		// block per output block, the only copy left on this path. (Reading a
+		// member t(B) as B's own row-major block removes it too; that step is
+		// held back, see CHANGES.md, PR 16.)
+		matrix.MaskedMatMulAccWith(ev.pool, pattern, vals, la, matrix.TransposeWith(ev.pool, rb))
 	}
-	return acc
-}
-
-// combineGather applies an element-wise operator between masked values and a
-// full block, sampling the full block at the pattern positions. A nil other
-// block contributes zeros. Row/column-vector operands are indexed by the
-// appropriate single coordinate.
-func (ev *evaluator) combineGather(n *dag.Node, inner *matrix.CSR, otherNode *dag.Node, other matrix.Mat, innerOnLeft bool, pattern *matrix.CSR) *matrix.CSR {
-	out := inner.Clone().(*matrix.CSR)
-	var or, oc int
-	if other != nil {
-		or, oc = other.Dims()
-	}
-	at := func(i, j int) float64 {
-		if other == nil {
-			return 0
-		}
-		// Broadcast semantics for vector operands.
-		if or == 1 {
-			i = 0
-		}
-		if oc == 1 {
-			j = 0
-		}
-		return other.At(i, j)
-	}
-	for i := 0; i < pattern.Rows; i++ {
-		lo, hi := pattern.RowPtr[i], pattern.RowPtr[i+1]
-		for p := lo; p < hi; p++ {
-			o := at(i, pattern.Col[p])
-			if innerOnLeft {
-				out.Val[p] = n.BinOp.Eval(out.Val[p], o)
-			} else {
-				out.Val[p] = n.BinOp.Eval(o, out.Val[p])
-			}
-		}
-	}
-	ev.task.AddFlops(int64(len(out.Val)) * n.BinOp.Flops())
-	return out
-}
-
-// gather samples blk at pattern's non-zero positions.
-func gather(pattern *matrix.CSR, blk matrix.Mat) *matrix.CSR {
-	out := pattern.Clone().(*matrix.CSR)
-	if blk == nil {
-		for p := range out.Val {
-			out.Val[p] = 0
-		}
-		return out
-	}
-	for i := 0; i < pattern.Rows; i++ {
-		lo, hi := pattern.RowPtr[i], pattern.RowPtr[i+1]
-		for p := lo; p < hi; p++ {
-			out.Val[p] = blk.At(i, pattern.Col[p])
-		}
-	}
-	return out
+	return pattern, vals
 }

@@ -10,8 +10,24 @@
 // task's r-range, nested multiplications require their full inner dimension —
 // and leaf requirements define the consolidation traffic, which the
 // simulated cluster meters. Evaluation is bottom-up with per-task
-// memoisation of L/R-space results (reused across output blocks) and of
-// fetched input blocks.
+// memoisation of L/R-space results and multiplication operands (reused
+// across output blocks) and of fetched input blocks. Within a task every
+// output block is written once: a multiplication folds its k-block products
+// into one accumulator in place, a transposed operand is read by a
+// transpose-aware kernel rather than built where one exists, and a run of
+// element-wise operators is compiled into one function of a cell and applied
+// in one pass (eval.go, eval_masked.go).
+//
+// Ownership: a block is immutable once published — bound as an input,
+// emitted to a sink, memoised, pinned, or resident in a block cache. The
+// in-place kernels write only into buffers the task itself allocated and has
+// not published yet: a multiplication's accumulator, the masked values
+// buffer, per-task scratch. A fetched, memoised, pinned or cache-resident
+// block is never written, which is what lets the runtimes share blocks
+// between tasks, caches and bindings without copying (matrix.ToDense and
+// ToCSR may return their argument; an output may be one of its inputs'
+// blocks, or share its pattern). The sinks own what tasks emitted and fold
+// partials into it in place.
 //
 // Three consolidation strategies share this machinery:
 //
@@ -304,7 +320,8 @@ func (s *mmPartialSink) add(bi, bj int, blk matrix.Mat) {
 	defer s.mu.Unlock()
 	k := block.Key{Row: bi, Col: bj}
 	if cur, ok := s.blocks[k]; ok {
-		s.blocks[k] = matrix.Binary(matrix.Add, cur, blk)
+		// The sink owns what tasks emitted: the sum folds into cur in place.
+		s.blocks[k] = matrix.AddAcc(cur, blk)
 	} else {
 		s.blocks[k] = blk
 	}

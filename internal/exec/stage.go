@@ -196,12 +196,12 @@ func (ctx *stageCtx) runPartialTask(taskID int, task *cluster.Task, src blockSou
 			var part matrix.Mat
 			endKernel := tt.Begin("kernel", "taskop")
 			if ev.mask != nil {
-				driver := ev.evalBlock(ev.mask.Driver, bi, bj)
-				if driver == nil {
+				pattern, vals := ev.maskedMM(bi, bj)
+				if pattern == nil {
 					endKernel()
 					continue // sparsity exploitation: nothing to do
 				}
-				part = ev.evalMaskedMM(ctx.op.Plan.MainMM, bi, bj, matrix.ToCSR(driver))
+				part = pattern.WithValues(vals)
 			} else {
 				part = ev.evalBlock(ctx.op.Plan.MainMM, bi, bj)
 			}
@@ -233,7 +233,7 @@ func (ctx *stageCtx) runFuseTask(taskID int, task *cluster.Task, src blockSource
 			if err != nil {
 				return fmt.Errorf("exec: partial block (%d,%d): %w", bi, bj, err)
 			}
-			ev.pin(ctx.op.Plan.MainMM, bi, bj, blk)
+			ev.memo[memoKey{ctx.op.Plan.MainMM.ID, bi, bj}] = blk // maskedMM / evalBlock find it pinned
 			if blk != nil {
 				task.GrowMem(blk.SizeBytes())
 			}

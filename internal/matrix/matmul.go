@@ -2,6 +2,8 @@ package matrix
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"fuseme/internal/parallel"
 )
@@ -20,42 +22,83 @@ const (
 // row-parallel sparse and masked kernels.
 const rowGrain = 16
 
-// elemGrain is the minimum number of elements worth a helper goroutine in
-// flat element-wise loops (see ops.go).
-const elemGrain = 4096
-
 // MatMul computes a x b on the serial path; see MatMulWith.
 func MatMul(a, b Mat) Mat { return MatMulWith(nil, a, b) }
 
-// MatMulWith computes a x b, splitting row panels across p's kernel threads
-// (p may be nil for the serial path). Dispatch is by representation:
-// dense x dense, CSR x dense, dense x CSR and CSR x CSR all have dedicated
-// kernels. The result is dense except for CSR x CSR, which is compressed
+// MatMulWith computes a x b into a fresh block: MatMulAccWith on a zeroed
+// accumulator. The result is dense except for CSR x CSR, which is compressed
 // when the result density stays below SparseResultThreshold.
-//
-// Results are bit-identical at every thread count: each output row is
-// computed by exactly one goroutine, and the per-element accumulation order
-// is fixed by the tile grid, not by the row partition.
 func MatMulWith(p *parallel.Pool, a, b Mat) Mat {
+	ar, _ := a.Dims()
+	_, bc := b.Dims()
+	out := NewDense(ar, bc)
+	matMulAcc(p, out, a, b, true)
+	if a.IsSparse() && b.IsSparse() {
+		return MaybeCompress(out, SparseResultThreshold)
+	}
+	return out
+}
+
+// MatMulAccWith accumulates acc += a x b in place, splitting row panels
+// across p's kernel threads (p may be nil for the serial path). acc must be
+// a buffer the caller owns. Dispatch is by representation: dense x dense,
+// CSR x dense and CSR x CSR have dedicated kernels, and dense x CSR runs
+// MatMulTransAccWith on a transposed copy of a.
+//
+// Every kernel sums the product of one element first and adds it to acc
+// once — aside, or in place where acc is still zero, which gives the same
+// bits — so the result is bit-identical to adding a separately computed
+// MatMulWith product, and at every thread count: each output element is
+// computed by exactly one goroutine, and the per-element accumulation order
+// is fixed by the tile grid, not by the partition.
+func MatMulAccWith(p *parallel.Pool, acc *Dense, a, b Mat) { matMulAcc(p, acc, a, b, false) }
+
+// matMulAcc is MatMulAccWith; fresh promises acc is all zeros, which saves
+// the sparse kernels finding it out row by row: on the repo benchmark's
+// 0.005-dense block that scan costs as much as the CSR x dense product.
+func matMulAcc(p *parallel.Pool, acc *Dense, a, b Mat, fresh bool) {
 	ar, ak := a.Dims()
 	bk, bc := b.Dims()
-	if ak != bk {
-		panic(fmt.Sprintf("matrix: matmul inner dimension mismatch %dx%d x %dx%d", ar, ak, bk, bc))
+	if ak != bk || acc.Rows != ar || acc.Cols != bc {
+		panic(fmt.Sprintf("matrix: matmul shape mismatch %dx%d x %dx%d into %dx%d", ar, ak, bk, bc, acc.Rows, acc.Cols))
 	}
 	switch x := a.(type) {
 	case *Dense:
 		switch y := b.(type) {
 		case *Dense:
-			return matMulDD(p, x, y)
+			p.For(ar, tileI, func(lo, hi int) { matMulDDPanel(x, y, acc, lo, hi) })
+			return
 		case *CSR:
-			return matMulDS(p, x, y)
+			// The product, transposed, summed aside and added once.
+			prodT := NewDense(bc, ar)
+			MatMulTransAccWith(p, prodT, TransposeWith(p, x).(*Dense), y)
+			AddAcc(acc, TransposeWith(p, prodT))
+			return
 		}
 	case *CSR:
 		switch y := b.(type) {
 		case *Dense:
-			return matMulSD(p, x, y)
+			accRows(p, acc, fresh, func(i int, row []float64) bool {
+				cols, vals := x.RowNNZ(i)
+				for q, k := range cols {
+					axpy(row, vals[q], y.Row(k))
+				}
+				return len(cols) > 0
+			})
+			return
 		case *CSR:
-			return matMulSS(p, x, y)
+			accRows(p, acc, fresh, func(i int, row []float64) bool {
+				acols, avals := x.RowNNZ(i)
+				for q, k := range acols {
+					av := avals[q]
+					bcols, bvals := y.RowNNZ(k)
+					for r, j := range bcols {
+						row[j] += av * bvals[r]
+					}
+				}
+				return len(acols) > 0
+			})
+			return
 		}
 	}
 	panic("matrix: unsupported Mat implementation")
@@ -65,39 +108,124 @@ func MatMulWith(p *parallel.Pool, a, b Mat) Mat {
 // are stored in CSR form.
 const SparseResultThreshold = 0.25
 
-// matMulDD is the cache-blocked, register-tiled dense kernel. Rows are split
-// into panels across kernel threads; each panel walks the fixed i/k/j tile
-// grid with a 4x4 register micro-kernel on full tiles.
-func matMulDD(p *parallel.Pool, a, b *Dense) *Dense {
-	out := NewDense(a.Rows, b.Cols)
-	p.For(a.Rows, tileI, func(lo, hi int) {
-		matMulDDPanel(a, b, out, lo, hi)
-	})
-	return out
-}
-
-// matMulDDPanel computes out rows [rLo, rHi) of a x b with i/k/j tiling.
-func matMulDDPanel(a, b, out *Dense, rLo, rHi int) {
-	K, N := a.Cols, b.Cols
-	for it := rLo; it < rHi; it += tileI {
-		iMax := minInt(it+tileI, rHi)
-		for kt := 0; kt < K; kt += tileK {
-			kMax := minInt(kt+tileK, K)
-			for jt := 0; jt < N; jt += tileJ {
-				jMax := minInt(jt+tileJ, N)
-				mulTile(a, b, out, it, iMax, kt, kMax, jt, jMax)
+// accRows is the row-parallel driver of the sparse kernels: fill sums row i
+// of the product into a zeroed row (reporting whether it touched it) — acc's
+// own row while that is still zero, otherwise a scratch row which is then
+// added to acc's row and re-zeroed.
+func accRows(p *parallel.Pool, acc *Dense, fresh bool, fill func(i int, row []float64) bool) {
+	p.For(acc.Rows, rowGrain, func(lo, hi int) {
+		row := make([]float64, acc.Cols)
+		for i := lo; i < hi; i++ {
+			orow := acc.Row(i)
+			if fresh || allZero(orow) {
+				fill(i, orow)
+				continue
+			}
+			if !fill(i, row) {
+				continue
+			}
+			for j, v := range row {
+				orow[j] += v
+				row[j] = 0
 			}
 		}
+	})
+}
+
+// axpy computes dst += s * x over len(x) elements.
+func axpy(dst []float64, s float64, x []float64) {
+	dst = dst[:len(x)]
+	for j, v := range x {
+		dst[j] += s * v
 	}
 }
 
-// mulTile multiplies one (i,k)x(k,j) tile pair into out, running the 4x8
-// AVX micro-kernel (amd64 with AVX) or the scalar 4x4 register micro-kernel
-// on full-width strips, and a scalar edge loop on the remainder. All paths
+// MatMulTransAccWith is the dense x CSR kernel. It accumulates
+// accT += t(b) x a for dense a (K x m) and CSR b (K x n): the transpose of
+// t(a) x b, so GNMF's t(V) %*% X is taken straight from the untransposed
+// factor block. It walks b's rows and does one contiguous m-wide axpy per
+// non-zero, where a row-major accumulator would take a scatter of b's ~nnz/K
+// entries per inner iteration. Kernel threads split the m columns, so each
+// element is still summed by one goroutine in k order. accT (n x m) must be
+// owned by the caller, which transposes it once when the sum is complete.
+func MatMulTransAccWith(p *parallel.Pool, accT *Dense, a *Dense, b *CSR) {
+	m := a.Cols
+	if a.Rows != b.Rows || accT.Rows != b.Cols || accT.Cols != m {
+		panic(fmt.Sprintf("matrix: transposed matmul shape mismatch t(%dx%d) x %dx%d into t(%dx%d)",
+			a.Rows, m, b.Rows, b.Cols, accT.Rows, accT.Cols))
+	}
+	p.For(m, rowGrain, func(lo, hi int) {
+		for k := 0; k < b.Rows; k++ {
+			cols, vals := b.RowNNZ(k)
+			arow := a.Data[k*m+lo : k*m+hi]
+			for q, j := range cols {
+				axpy(accT.Data[j*m+lo:j*m+hi], vals[q], arow)
+			}
+		}
+	})
+}
+
+// panelPool recycles the row-panel scratch of matMulDDPanel. A slice in the
+// pool is all zeros.
+var panelPool sync.Pool
+
+// matMulDDPanel accumulates rows [rLo, rHi) of a x b into acc with the
+// cache-blocked, register-tiled dense kernel, walking the fixed i/k/j tile
+// grid. A product spanning several k-tiles is summed first (k-tiles
+// ascending) and added to acc once: in a zeroed scratch row panel, or in
+// place where acc's rows are still zero.
+func matMulDDPanel(a, b, acc *Dense, rLo, rHi int) {
+	K, N := a.Cols, b.Cols
+	var panel *[]float64
+	for it := rLo; it < rHi; it += tileI {
+		iMax := minInt(it+tileI, rHi)
+		rows := acc.Data[it*N : iMax*N]
+		out := rows
+		if K > tileK && !allZero(rows) {
+			if panel == nil {
+				panel, _ = panelPool.Get().(*[]float64)
+			}
+			if panel == nil || cap(*panel) < tileI*N {
+				s := make([]float64, tileI*N)
+				panel = &s
+			}
+			out = (*panel)[:tileI*N]
+		}
+		for kt := 0; kt < K; kt += tileK {
+			kMax := minInt(kt+tileK, K)
+			for jt := 0; jt < N; jt += tileJ {
+				mulTile(a, b, out[jt:], N, it, iMax, kt, kMax, jt, minInt(jt+tileJ, N))
+			}
+		}
+		if &out[0] != &rows[0] {
+			for x, v := range out[:len(rows)] {
+				rows[x] += v
+				out[x] = 0
+			}
+		}
+	}
+	if panel != nil {
+		panelPool.Put(panel)
+	}
+}
+
+func allZero(s []float64) bool {
+	for _, v := range s {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// mulTile multiplies one (i,k)x(k,j) tile pair into out, whose element
+// (iLo, jLo) is out[0] and whose row stride is ldo. It runs the 4x8 AVX
+// micro-kernel (amd64 with AVX) or the scalar 4x4 register micro-kernel on
+// full-width strips, and a scalar edge loop on the remainder. All paths
 // accumulate each output element over the tile's k range in the same order —
 // one accumulator per element, k ascending, one += into out per tile — so
 // AVX strips, scalar strips and edge rows match bitwise.
-func mulTile(a, b, out *Dense, iLo, iMax, kLo, kMax, jLo, jMax int) {
+func mulTile(a, b *Dense, out []float64, ldo, iLo, iMax, kLo, kMax, jLo, jMax int) {
 	if kLo >= kMax {
 		return
 	}
@@ -108,36 +236,36 @@ func mulTile(a, b, out *Dense, iLo, iMax, kLo, kMax, jLo, jMax int) {
 		for ; i+4 <= iMax; i += 4 {
 			j := jLo
 			for ; j+8 <= jMax; j += 8 {
-				microAVX4x8(&a.Data[i*K+kLo], &b.Data[kLo*N+j], &out.Data[i*N+j],
-					kn, ldaB, ldbB, ldbB)
+				microAVX4x8(&a.Data[i*K+kLo], &b.Data[kLo*N+j], &out[(i-iLo)*ldo+j-jLo],
+					kn, ldaB, ldbB, uintptr(ldo*8))
 			}
 			if j < jMax {
-				edgeTile(a, b, out, i, i+4, kLo, kMax, j, jMax)
+				edgeTile(a, b, out[(i-iLo)*ldo+j-jLo:], ldo, i, i+4, kLo, kMax, j, jMax)
 			}
 		}
 		if i < iMax {
-			edgeTile(a, b, out, i, iMax, kLo, kMax, jLo, jMax)
+			edgeTile(a, b, out[(i-iLo)*ldo:], ldo, i, iMax, kLo, kMax, jLo, jMax)
 		}
 		return
 	}
 	for ; i+4 <= iMax; i += 4 {
 		j := jLo
 		for ; j+4 <= jMax; j += 4 {
-			micro4x4(a, b, out, i, j, kLo, kMax)
+			micro4x4(a, b, out[(i-iLo)*ldo+j-jLo:], ldo, i, j, kLo, kMax)
 		}
 		if j < jMax {
-			edgeTile(a, b, out, i, i+4, kLo, kMax, j, jMax)
+			edgeTile(a, b, out[(i-iLo)*ldo+j-jLo:], ldo, i, i+4, kLo, kMax, j, jMax)
 		}
 	}
 	if i < iMax {
-		edgeTile(a, b, out, i, iMax, kLo, kMax, jLo, jMax)
+		edgeTile(a, b, out[(i-iLo)*ldo:], ldo, i, iMax, kLo, kMax, jLo, jMax)
 	}
 }
 
 // micro4x4 accumulates the 4x4 output block at (i0, j0) over k in [kLo, kMax)
 // in sixteen scalar accumulators the compiler keeps in registers, touching
-// out only once per tile.
-func micro4x4(a, b, out *Dense, i0, j0, kLo, kMax int) {
+// out (whose out[0] is element (i0, j0), row stride ldo) only once per tile.
+func micro4x4(a, b *Dense, out []float64, ldo, i0, j0, kLo, kMax int) {
 	K, N := a.Cols, b.Cols
 	kn := kMax - kLo
 	a0 := a.Data[i0*K+kLo : i0*K+kMax : i0*K+kMax]
@@ -174,22 +302,22 @@ func micro4x4(a, b, out *Dense, i0, j0, kLo, kMax int) {
 		c32 += av * b2
 		c33 += av * b3
 	}
-	o := out.Data[i0*N+j0:]
+	o := out
 	o[0] += c00
 	o[1] += c01
 	o[2] += c02
 	o[3] += c03
-	o = out.Data[(i0+1)*N+j0:]
+	o = out[ldo:]
 	o[0] += c10
 	o[1] += c11
 	o[2] += c12
 	o[3] += c13
-	o = out.Data[(i0+2)*N+j0:]
+	o = out[2*ldo:]
 	o[0] += c20
 	o[1] += c21
 	o[2] += c22
 	o[3] += c23
-	o = out.Data[(i0+3)*N+j0:]
+	o = out[3*ldo:]
 	o[0] += c30
 	o[1] += c31
 	o[2] += c32
@@ -198,104 +326,65 @@ func micro4x4(a, b, out *Dense, i0, j0, kLo, kMax int) {
 
 // edgeTile handles tile remainders narrower than the micro-kernel,
 // accumulating each output element over the tile's k range in a scalar
-// before the single += — the same per-element order as micro4x4.
-func edgeTile(a, b, out *Dense, iLo, iMax, kLo, kMax, jLo, jMax int) {
+// before the single += — the same per-element order as micro4x4. out[0] is
+// element (iLo, jLo), row stride ldo.
+func edgeTile(a, b *Dense, out []float64, ldo, iLo, iMax, kLo, kMax, jLo, jMax int) {
 	K, N := a.Cols, b.Cols
 	for i := iLo; i < iMax; i++ {
 		arow := a.Data[i*K : i*K+kMax]
-		orow := out.Data[i*N : i*N+jMax]
+		orow := out[(i-iLo)*ldo : (i-iLo)*ldo+jMax-jLo]
 		for j := jLo; j < jMax; j++ {
 			var s float64
 			for k := kLo; k < kMax; k++ {
 				s += arow[k] * b.Data[k*N+j]
 			}
-			orow[j] += s
+			orow[j-jLo] += s
 		}
 	}
 }
 
-// MatMulNaive is the pre-blocking reference kernel: a plain i-k-j triple loop
-// over dense operands. It is kept for benchmarking the blocked kernel against
-// (BenchmarkBlockMatMul, `-exp kernels`), not for production dispatch.
-func MatMulNaive(a, b *Dense) *Dense {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("matrix: matmul inner dimension mismatch %dx%d x %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := NewDense(a.Rows, b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for k, av := range arow {
-			if av == 0 {
-				continue
+// AddAcc returns acc + x, folding into acc in place where the
+// representations allow: dense into dense, and CSR into CSR of the same
+// pattern (masked partial products), where sums that cancel to zero are
+// dropped as the sparse add drops them. acc must be owned by the caller and
+// is invalid afterwards; any other pairing builds a fresh block.
+func AddAcc(acc, x Mat) Mat {
+	checkSameShape("+", acc, x)
+	switch a := acc.(type) {
+	case *Dense:
+		if d, ok := x.(*Dense); ok {
+			for i, v := range d.Data {
+				a.Data[i] += v
 			}
-			brow := b.Row(k)
-			for j, bv := range brow {
-				orow[j] += av * bv
+			return a
+		}
+	case *CSR:
+		if s, ok := x.(*CSR); ok && slices.Equal(a.Col, s.Col) && slices.Equal(a.RowPtr, s.RowPtr) {
+			zeros := 0
+			for p, v := range s.Val {
+				a.Val[p] += v
+				if a.Val[p] == 0 {
+					zeros++
+				}
 			}
+			if zeros == 0 {
+				return a
+			}
+			out := NewCSR(a.Rows, a.Cols) // the pattern may be shared: rebuild it
+			for i := 0; i < a.Rows; i++ {
+				cols, vals := a.RowNNZ(i)
+				for p, v := range vals {
+					if v != 0 {
+						out.Col = append(out.Col, cols[p])
+						out.Val = append(out.Val, v)
+					}
+				}
+				out.RowPtr[i+1] = len(out.Val)
+			}
+			return out
 		}
 	}
-	return out
-}
-
-// matMulSD multiplies CSR a by dense b, row-parallel.
-func matMulSD(p *parallel.Pool, a *CSR, b *Dense) *Dense {
-	out := NewDense(a.Rows, b.Cols)
-	p.For(a.Rows, rowGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			cols, vals := a.RowNNZ(i)
-			orow := out.Row(i)
-			for p, k := range cols {
-				av := vals[p]
-				brow := b.Row(k)
-				for j, bv := range brow {
-					orow[j] += av * bv
-				}
-			}
-		}
-	})
-	return out
-}
-
-// matMulDS multiplies dense a by CSR b by scattering b's rows, row-parallel.
-func matMulDS(p *parallel.Pool, a *Dense, b *CSR) *Dense {
-	out := NewDense(a.Rows, b.Cols)
-	p.For(a.Rows, rowGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a.Row(i)
-			orow := out.Row(i)
-			for k, av := range arow {
-				if av == 0 {
-					continue
-				}
-				cols, vals := b.RowNNZ(k)
-				for p, j := range cols {
-					orow[j] += av * vals[p]
-				}
-			}
-		}
-	})
-	return out
-}
-
-// matMulSS multiplies two CSR matrices into a dense row accumulator,
-// row-parallel, compressing the result when it stays sparse.
-func matMulSS(p *parallel.Pool, a, b *CSR) Mat {
-	out := NewDense(a.Rows, b.Cols)
-	p.For(a.Rows, rowGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			acols, avals := a.RowNNZ(i)
-			orow := out.Row(i)
-			for p, k := range acols {
-				av := avals[p]
-				bcols, bvals := b.RowNNZ(k)
-				for q, j := range bcols {
-					orow[j] += av * bvals[q]
-				}
-			}
-		}
-	})
-	return MaybeCompress(out, SparseResultThreshold)
+	return Binary(Add, acc, x)
 }
 
 // MatMulFlops returns the flop count charged for a x b: 2*nnz(a)*cols(b) for
@@ -313,76 +402,70 @@ func MatMulFlops(a, b Mat) int64 {
 func MaskedMatMul(mask *CSR, a, b Mat) *CSR { return MaskedMatMulWith(nil, mask, a, b) }
 
 // MaskedMatMulWith computes (a x b) restricted to the non-zero pattern of
-// mask: for every stored (i,j) of mask the full dot product a[i,:] . b[:,j]
-// is evaluated; everything else is skipped. This is the sparsity-exploitation
-// kernel of outer fusion (Section 2.1 of the paper): for sparse mask X, only
-// nnz(X) dot products are computed instead of rows x cols. Mask rows are
-// split across p's kernel threads; each stored value is written by exactly
-// one goroutine, so results are bit-identical at every thread count.
-//
-// The result has exactly mask's pattern (values may be zero).
+// mask into a fresh block: b is transposed once and MaskedMatMulAccWith runs
+// on zeroed values. The result shares mask's pattern slices (blocks are
+// immutable) and has exactly that pattern; values may be zero.
 func MaskedMatMulWith(p *parallel.Pool, mask *CSR, a, b Mat) *CSR {
-	ar, ak := a.Dims()
-	bk, bc := b.Dims()
-	if ak != bk || mask.Rows != ar || mask.Cols != bc {
-		panic(fmt.Sprintf("matrix: masked matmul shape mismatch mask %dx%d, a %dx%d, b %dx%d",
-			mask.Rows, mask.Cols, ar, ak, bk, bc))
-	}
-	out := &CSR{Rows: mask.Rows, Cols: mask.Cols,
-		RowPtr: make([]int, len(mask.RowPtr)),
-		Col:    make([]int, len(mask.Col)),
-		Val:    make([]float64, len(mask.Col)),
-	}
-	copy(out.RowPtr, mask.RowPtr)
-	copy(out.Col, mask.Col)
+	out := mask.WithValues(make([]float64, len(mask.Col)))
+	MaskedMatMulAccWith(p, mask, out.Val, a, TransposeWith(p, b))
+	return out
+}
 
-	da, denseA := a.(*Dense)
-	db, denseB := b.(*Dense)
-	// bT caches the dense transpose of b so dot products walk contiguous
-	// memory; built lazily only when b is dense and the mask is non-trivial.
-	var bT *Dense
-	if denseB && len(mask.Col) > 0 {
-		bT = ToDense(TransposeWith(p, db)).Clone().(*Dense)
+// MaskedMatMulAccWith accumulates, for every stored (i,j) of mask at
+// position q, acc[q] += a[i,:] . bt[j,:] — the SDDMM of outer fusion
+// (Section 2.1 of the paper): for sparse mask X only nnz(X) dot products are
+// computed instead of rows x cols. The right operand comes transposed, so
+// every dot product walks two contiguous rows; a caller that holds b and not
+// t(b) transposes it once per call, as MaskedMatMulWith does. Mask rows are
+// split across p's kernel threads; each
+// position is written by exactly one goroutine, so results are bit-identical
+// at every thread count. acc (len nnz(mask)) must be owned by the caller.
+func MaskedMatMulAccWith(p *parallel.Pool, mask *CSR, acc []float64, a, bt Mat) {
+	ar, ak := a.Dims()
+	bc, bk := bt.Dims()
+	if ak != bk || mask.Rows != ar || mask.Cols != bc || len(acc) != len(mask.Col) {
+		panic(fmt.Sprintf("matrix: masked matmul shape mismatch mask %dx%d (%d values), a %dx%d, t(b) %dx%d",
+			mask.Rows, mask.Cols, len(acc), ar, ak, bc, bk))
 	}
+	da, denseA := a.(*Dense)
+	db, denseB := bt.(*Dense)
 	p.For(mask.Rows, rowGrain, func(rLo, rHi int) {
 		for i := rLo; i < rHi; i++ {
-			cols, _ := mask.RowNNZ(i)
-			if len(cols) == 0 {
+			lo, hi := mask.RowPtr[i], mask.RowPtr[i+1]
+			if denseA && denseB {
+				arow := da.Row(i)
+				for q := lo; q < hi; q++ {
+					acc[q] += dot(arow, db.Row(mask.Col[q]))
+				}
 				continue
 			}
-			base := mask.RowPtr[i]
-			switch {
-			case denseA && denseB:
-				arow := da.Row(i)
-				for p, j := range cols {
-					brow := bT.Row(j)
-					var s float64
-					for k, av := range arow {
-						s += av * brow[k]
-					}
-					out.Val[base+p] = s
+			for q := lo; q < hi; q++ {
+				var s float64
+				for k := 0; k < ak; k++ {
+					s += a.At(i, k) * bt.At(mask.Col[q], k)
 				}
-			case denseA:
-				arow := da.Row(i)
-				for p, j := range cols {
-					var s float64
-					for k := 0; k < ak; k++ {
-						s += arow[k] * b.At(k, j)
-					}
-					out.Val[base+p] = s
-				}
-			default:
-				for p, j := range cols {
-					var s float64
-					for k := 0; k < ak; k++ {
-						s += a.At(i, k) * b.At(k, j)
-					}
-					out.Val[base+p] = s
-				}
+				acc[q] += s
 			}
 		}
 	})
-	return out
+}
+
+// dot returns x . y over len(x) elements in four interleaved partial sums
+// (independent add chains keep the FP pipeline full), combined pairwise.
+func dot(x, y []float64) float64 {
+	y = y[:len(x)]
+	var s0, s1, s2, s3 float64
+	k := 0
+	for ; k+4 <= len(x); k += 4 {
+		s0 += x[k] * y[k]
+		s1 += x[k+1] * y[k+1]
+		s2 += x[k+2] * y[k+2]
+		s3 += x[k+3] * y[k+3]
+	}
+	for ; k < len(x); k++ {
+		s0 += x[k] * y[k]
+	}
+	return (s0 + s1) + (s2 + s3)
 }
 
 // MaskedMatMulFlops returns the flop count charged for a masked product:

@@ -16,9 +16,9 @@ func TestAVXMatchesScalar(t *testing.T) {
 	for _, sh := range shapes {
 		a := RandomDense(sh.m, sh.k, -1, 1, int64(sh.m+sh.k))
 		b := RandomDense(sh.k, sh.n, -1, 1, int64(sh.k+sh.n))
-		avx := matMulDD(nil, a, b)
+		avx := MatMul(a, b)
 		hasAVX = false
-		scalar := matMulDD(nil, a, b)
+		scalar := MatMul(a, b)
 		hasAVX = true
 		if !bitEqual(avx, scalar) {
 			t.Errorf("%dx%dx%d: AVX and scalar kernels disagree", sh.m, sh.k, sh.n)

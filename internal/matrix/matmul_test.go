@@ -2,6 +2,7 @@ package matrix
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -266,21 +267,58 @@ func BenchmarkMatMulDenseDense(b *testing.B) {
 	}
 }
 
+// The block shapes of the repo benchmark: 256x256 blocks of X at density
+// 0.01 (gnmf) and 0.005 (nmfk) against 64-wide factor blocks.
+const benchBlock, benchK = 256, 64
+
+// benchKernel times fn, which does flops floating-point operations over
+// bytes of operand and result data per call.
+func benchKernel(b *testing.B, name string, nbytes, flops int64, fn func()) {
+	b.Run(name, func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(nbytes)
+		for i := 0; i < b.N; i++ {
+			fn()
+		}
+		b.ReportMetric(float64(flops)*float64(b.N)/1e9/b.Elapsed().Seconds(), "GFLOP/s")
+	})
+}
+
 func BenchmarkMatMulSparseDense(b *testing.B) {
 	x := RandomSparse(1024, 1024, 0.01, -1, 1, 1)
 	y := RandomDense(1024, 128, -1, 1, 2)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sinkMat = MatMul(x, y)
-	}
+	benchKernel(b, "csr-dense/1024", x.SizeBytes()+y.SizeBytes(), MatMulFlops(x, y), func() { sinkMat = MatMul(x, y) })
+
+	xb := RandomSparse(benchBlock, benchBlock, 0.01, 1, 5, 3)
+	u := RandomDense(benchBlock, benchK, 0.1, 0.9, 4) // t(U) block: X %*% t(U)
+	vt := RandomDense(benchK, benchBlock, 0.1, 0.9, 5)
+	v := RandomDense(benchBlock, benchK, 0.1, 0.9, 6) // V block: t(V) %*% X, untransposed
+	nbytes := xb.SizeBytes() + 2*u.SizeBytes()
+	acc := NewDense(benchBlock, benchK)
+	accT := NewDense(benchBlock, benchK)
+	dsFlops := 2 * int64(benchK) * int64(xb.NNZ()) // the multiply-adds a dense x CSR product needs
+	benchKernel(b, "csr-dense/block", nbytes, MatMulFlops(xb, u), func() { sinkMat = MatMul(xb, u) })
+	benchKernel(b, "csr-dense-acc/block", nbytes, MatMulFlops(xb, u), func() { MatMulAccWith(nil, acc, xb, u) })
+	benchKernel(b, "dense-csr/block", nbytes, dsFlops, func() { sinkMat = MatMul(vt, xb) })
+	benchKernel(b, "dense-csr-trans-acc/block", nbytes, dsFlops, func() { MatMulTransAccWith(nil, accT, v, xb) })
 }
 
 func BenchmarkMaskedMatMul(b *testing.B) {
 	mask := RandomSparse(1024, 1024, 0.01, -1, 1, 1)
 	u := RandomDense(1024, 64, -1, 1, 2)
 	v := RandomDense(64, 1024, -1, 1, 3)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sinkMat = MaskedMatMul(mask, u, v)
+	benchKernel(b, "1024", mask.SizeBytes()+u.SizeBytes()+v.SizeBytes(), MaskedMatMulFlops(mask, 64),
+		func() { sinkMat = MaskedMatMul(mask, u, v) })
+
+	for _, d := range []float64{0.005, 0.01} {
+		m := RandomSparse(benchBlock, benchBlock, d, 1, 5, 4)
+		ub := RandomDense(benchBlock, benchK, 0.1, 0.9, 5)
+		vb := RandomDense(benchBlock, benchK, 0.1, 0.9, 6) // V block: U %*% t(V), untransposed
+		vtb := Transpose(vb)
+		vals := make([]float64, m.NNZ())
+		nbytes, flops := m.SizeBytes()+2*ub.SizeBytes(), MaskedMatMulFlops(m, benchK)
+		benchKernel(b, fmt.Sprintf("block/d=%g", d), nbytes, flops, func() { sinkMat = MaskedMatMul(m, ub, vtb) })
+		benchKernel(b, fmt.Sprintf("transpose-free-acc/block/d=%g", d), nbytes, flops,
+			func() { MaskedMatMulAccWith(nil, m, vals, ub, vb) })
 	}
 }

@@ -6,14 +6,30 @@
 // It plays the role that Breeze plays in the paper's Scala implementation:
 // everything a single task computes locally on its blocks goes through this
 // package. All kernels are deterministic and allocation-conscious. Dense
-// matmul is cache-blocked and register-tiled; the hot loops optionally fan
-// out across a bounded parallel.Pool via the *With kernel variants
-// (MatMulWith, BinaryWith, ...), which split disjoint output ranges so
-// results are bit-identical at every thread count. The plain-named kernels
-// (MatMul, Binary, ...) are the same code on a nil pool. Task-level
+// matmul is cache-blocked and register-tiled; the multiplication and
+// transpose kernels optionally fan out across a bounded parallel.Pool via
+// their *With variants (MatMulWith, MatMulAccWith, MaskedMatMulAccWith,
+// TransposeWith), which split disjoint output ranges so results are
+// bit-identical at every thread count. The plain-named kernels (MatMul,
+// MaskedMatMul, Transpose) are the same code on a nil pool. Task-level
 // parallelism still lives in the cluster layer; the pool only adds intra-task
 // threads, and its size is chosen so kernel threads x worker slots stays at
 // or below NumCPU (see internal/parallel).
+//
+// Ownership: a block is immutable once it has been published — bound as an
+// input, emitted by a task, memoised, pinned or cached. No kernel writes into
+// an operand; the accumulate kernels (MatMulAccWith, MatMulTransAccWith,
+// MaskedMatMulAccWith) write only into the accumulator the caller passes,
+// which must be a buffer that caller allocated and has not published yet.
+// Because nothing mutates a published block, ToDense and ToCSR return their
+// argument when it already has the requested representation, and a result
+// may share a pattern (RowPtr/Col) with the operand it was sampled from.
+// Clone is for callers that need a private copy to write into.
+//
+// The element-wise kernels in ops.go (Binary, BinaryScalar, Apply) evaluate
+// one operator into one fresh block. They are the reference semantics —
+// internal/ref is built on them — which the executor's compiled chains
+// (internal/exec) reproduce cell by cell without the intermediates.
 package matrix
 
 import (
@@ -158,6 +174,12 @@ func (s *CSR) Clone() Mat {
 	return c
 }
 
+// WithValues returns a block with s's pattern — shared, not copied: blocks
+// are immutable — and vals as its stored values, one per position of s.
+func (s *CSR) WithValues(vals []float64) *CSR {
+	return &CSR{Rows: s.Rows, Cols: s.Cols, RowPtr: s.RowPtr, Col: s.Col, Val: vals}
+}
+
 // RowNNZ returns the column indices and values of row i as views.
 func (s *CSR) RowNNZ(i int) (cols []int, vals []float64) {
 	lo, hi := s.RowPtr[i], s.RowPtr[i+1]
@@ -173,10 +195,11 @@ func Density(m Mat) float64 {
 	return float64(m.NNZ()) / (float64(r) * float64(c))
 }
 
-// ToDense converts any Mat to a dense matrix (copying).
+// ToDense returns m as a dense matrix: m itself when it is already dense
+// (blocks are immutable, see the package comment), a conversion otherwise.
 func ToDense(m Mat) *Dense {
 	if d, ok := m.(*Dense); ok {
-		return d.Clone().(*Dense)
+		return d
 	}
 	s := m.(*CSR)
 	d := NewDense(s.Rows, s.Cols)
@@ -190,10 +213,11 @@ func ToDense(m Mat) *Dense {
 	return d
 }
 
-// ToCSR converts any Mat to CSR form (copying), dropping zeros.
+// ToCSR returns m in CSR form: m itself when it is already CSR, otherwise a
+// conversion that drops zeros.
 func ToCSR(m Mat) *CSR {
 	if s, ok := m.(*CSR); ok {
-		return s.Clone().(*CSR)
+		return s
 	}
 	d := m.(*Dense)
 	out := NewCSR(d.Rows, d.Cols)

@@ -58,38 +58,24 @@ func boolToF(b bool) float64 {
 	return 0
 }
 
-// Eval applies the operation to a single pair of values.
-func (op BinOp) Eval(x, y float64) float64 {
-	switch op {
-	case Add:
-		return x + y
-	case Sub:
-		return x - y
-	case Mul:
-		return x * y
-	case Div:
-		return x / y
-	case Pow:
-		return math.Pow(x, y)
-	case MinOp:
-		return math.Min(x, y)
-	case MaxOp:
-		return math.Max(x, y)
-	case Neq:
-		return boolToF(x != y)
-	case Eq:
-		return boolToF(x == y)
-	case Gt:
-		return boolToF(x > y)
-	case Lt:
-		return boolToF(x < y)
-	case Ge:
-		return boolToF(x >= y)
-	case Le:
-		return boolToF(x <= y)
-	}
-	panic(fmt.Sprintf("matrix: unknown BinOp %d", int(op)))
+var binOpFuncs = [...]func(x, y float64) float64{
+	Add:   func(x, y float64) float64 { return x + y },
+	Sub:   func(x, y float64) float64 { return x - y },
+	Mul:   func(x, y float64) float64 { return x * y },
+	Div:   func(x, y float64) float64 { return x / y },
+	Pow:   math.Pow,
+	MinOp: math.Min,
+	MaxOp: math.Max,
+	Neq:   func(x, y float64) float64 { return boolToF(x != y) },
+	Eq:    func(x, y float64) float64 { return boolToF(x == y) },
+	Gt:    func(x, y float64) float64 { return boolToF(x > y) },
+	Lt:    func(x, y float64) float64 { return boolToF(x < y) },
+	Ge:    func(x, y float64) float64 { return boolToF(x >= y) },
+	Le:    func(x, y float64) float64 { return boolToF(x <= y) },
 }
+
+// Eval applies the operation to a single pair of values.
+func (op BinOp) Eval(x, y float64) float64 { return binOpFuncs[op](x, y) }
 
 // Flops returns the floating-point operation count charged for one
 // application of the operation (used by the computation-cost meter).
@@ -100,104 +86,209 @@ func (op BinOp) Flops() int64 {
 	return 1
 }
 
-// Binary is BinaryWith on the serial path.
-func Binary(op BinOp, a, b Mat) Mat { return BinaryWith(nil, op, a, b) }
+// Cell is a compiled element-wise expression defined at every cell of a
+// block. p is the position of (i, j) in the pattern being walked — a lookup
+// hint for sparse operands — or -1 on a dense walk.
+type Cell func(i, j, p int) float64
 
-// BinaryWith applies op element-wise to a and b, splitting dense loops across
-// p's kernel threads (p may be nil for the serial path). Shapes must either
-// match exactly, or one operand may be a broadcastable vector: a 1xC row
-// vector, an Rx1 column vector, or a 1x1 matrix (treated as a scalar). Sparse
-// operands take fast paths when the result is provably sparse; those
-// pattern-building paths stay serial. Element-wise results are trivially
-// bit-identical at every thread count: each output element is computed
-// independently by exactly one goroutine.
-func BinaryWith(p *parallel.Pool, op BinOp, a, b Mat) Mat {
-	ar, ac := a.Dims()
-	br, bc := b.Dims()
-	switch {
-	case ar == br && ac == bc:
-		return binarySame(p, op, a, b)
-	case br == 1 && bc == 1:
-		return BinaryScalarWith(p, op, a, b.At(0, 0), false)
-	case ar == 1 && ac == 1:
-		return BinaryScalarWith(p, op, b, a.At(0, 0), true)
-	case (br == 1 && bc == ac) || (bc == 1 && br == ar):
-		return binaryBroadcast(p, op, a, b, false)
-	case (ar == 1 && ac == bc) || (ac == 1 && ar == br):
-		return binaryBroadcast(p, op, b, a, true)
-	}
-	panic(fmt.Sprintf("matrix: %s shape mismatch %dx%d vs %dx%d", op, ar, ac, br, bc))
+// Value is an element-wise expression over one block of a Chain: the zero
+// Value is an all-zero block, blk is set for a block that exists (an operand,
+// or a sparse result), and anything else is a dense result not built yet.
+type Value struct {
+	cell   Cell
+	blk    Mat
+	vector bool // blk is a row/column vector or 1x1 block, read by broadcast
 }
 
-func binarySame(p *parallel.Pool, op BinOp, a, b Mat) Mat {
-	// Sparse fast paths. Multiplication by a sparse operand yields a result
-	// at most as dense as that operand; this is the kernel-level form of the
-	// paper's "sparsity exploitation".
-	if op == Mul {
-		if sa, ok := a.(*CSR); ok {
-			return mulSparseAny(sa, b, false)
-		}
-		if sb, ok := b.(*CSR); ok {
-			return mulSparseAny(sb, a, false)
-		}
+// IsZero reports whether v is an all-zero block.
+func (v Value) IsZero() bool { return v.cell == nil }
+
+// Cell returns v as a function of every cell; unstored positions read as 0.
+func (v Value) Cell() Cell {
+	if v.cell == nil {
+		return func(int, int, int) float64 { return 0 }
 	}
-	if op == Div {
-		// 0/y == 0 for y != 0; the engine only divides by strictly positive
-		// denominators (GNMF multiplicative updates), so a sparse numerator
-		// keeps its pattern.
-		if sa, ok := a.(*CSR); ok {
-			return mulSparseAny(sa, b, true)
-		}
-	}
-	if (op == Add || op == Sub) && a.IsSparse() && b.IsSparse() {
-		return addSubSparse(op, a.(*CSR), b.(*CSR))
-	}
-	da, db := ToDense(a), ToDense(b)
-	out := NewDense(da.Rows, da.Cols)
-	p.For(len(out.Data), elemGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.Data[i] = op.Eval(da.Data[i], db.Data[i])
-		}
-	})
-	return out
+	return v.cell
 }
 
-// mulSparseAny computes s .* other (or s ./ other when div is true), where
-// the iteration order follows the sparse operand's pattern. When the sparse
-// operand is on the right of a subtraction-like op this is invalid; callers
-// guarantee commutativity (Mul) or left-sparsity (Div).
-func mulSparseAny(s *CSR, other Mat, div bool) *CSR {
+// sparse returns v's block when it is a full-shaped CSR block.
+func (v Value) sparse() *CSR {
+	if s, ok := v.blk.(*CSR); ok && !v.vector {
+		return s
+	}
+	return nil
+}
+
+// Chain compiles a run of element-wise operators over one Rows x Cols block
+// into one function of a cell, which Materialise applies once into one
+// output buffer: no dense operator's block is ever built. Each step decides
+// the representation of its result from its operands' (a product is at most
+// as dense as its sparse operand — the kernel-level form of the paper's
+// sparsity exploitation; a zero-preserving function keeps a sparse pattern;
+// everything else is dense). A sparse result is built at once, by walking
+// its operand's pattern with the chain compiled so far, so sparse steps cost
+// O(nnz) and dense ones nothing until the single store. Binary, BinaryScalar
+// and Apply are one-step chains, so these rules exist once.
+type Chain struct {
+	Rows, Cols int
+	// Flops meters the steps: each costs its operator's flops per touched
+	// cell — every cell of a dense result, the stored values of a sparse one.
+	Flops int64
+	out   *Dense // an operand's buffer the dense result may be stored into
+}
+
+// Owned is Leaf for a dense block the caller allocated, has not published
+// and gives up: a dense result is stored into it in place. Cell (i, j) of an
+// operand is only read to compute cell (i, j) of the result, so no store
+// precedes a read it could change.
+func (c *Chain) Owned(blk Mat) Value {
+	if d, ok := blk.(*Dense); ok && d.Rows == c.Rows && d.Cols == c.Cols {
+		c.out = d
+	}
+	return c.Leaf(blk)
+}
+
+// Leaf wraps a block as an operand. nil is an all-zero block; a block with a
+// single row or column where the chain has more is read by broadcast.
+func (c *Chain) Leaf(blk Mat) Value {
+	if blk == nil {
+		return Value{}
+	}
+	r, k := blk.Dims()
+	if (r != c.Rows && r != 1) || (k != c.Cols && k != 1) {
+		panic(fmt.Sprintf("matrix: element-wise shape mismatch: %dx%d operand of a %dx%d result", r, k, c.Rows, c.Cols))
+	}
+	mi, mj := 1, 1 // index multipliers: 0 along a broadcast axis
+	if r != c.Rows {
+		mi = 0
+	}
+	if k != c.Cols {
+		mj = 0
+	}
+	v := Value{blk: blk, vector: mi == 0 || mj == 0}
+	switch b := blk.(type) {
+	case *Dense:
+		d, ld := b.Data, k*mi
+		v.cell = func(i, j, _ int) float64 { return d[i*ld+j*mj] }
+	case *CSR:
+		v.cell = func(i, j, p int) float64 {
+			i, j = i*mi, j*mj
+			// The hint is right when the walked pattern is this block's.
+			if uint(p) < uint(len(b.Col)) && b.Col[p] == j && b.RowPtr[i] <= p && p < b.RowPtr[i+1] {
+				return b.Val[p]
+			}
+			return b.At(i, j)
+		}
+	}
+	return v
+}
+
+// onPattern builds the sparse result g over s's stored values: s's pattern,
+// minus zero results when dropZeros.
+func (c *Chain) onPattern(s *CSR, flops int64, dropZeros bool, g func(v float64, i, j, p int) float64) Value {
 	out := NewCSR(s.Rows, s.Cols)
 	out.Col = make([]int, 0, len(s.Col))
-	out.Val = make([]float64, 0, len(s.Val))
-	od, odOK := other.(*Dense)
+	out.Val = make([]float64, 0, len(s.Col))
 	for i := 0; i < s.Rows; i++ {
-		cols, vals := s.RowNNZ(i)
-		var orow []float64
-		if odOK {
-			orow = od.Row(i)
-		}
-		for p, j := range cols {
-			var y float64
-			if odOK {
-				y = orow[j]
-			} else {
-				y = other.At(i, j)
-			}
-			var v float64
-			if div {
-				v = vals[p] / y
-			} else {
-				v = vals[p] * y
-			}
-			if v != 0 {
-				out.Col = append(out.Col, j)
+		for p := s.RowPtr[i]; p < s.RowPtr[i+1]; p++ {
+			if v := flush(g(s.Val[p], i, s.Col[p], p)); v != 0 || !dropZeros {
+				out.Col = append(out.Col, s.Col[p])
 				out.Val = append(out.Val, v)
 			}
 		}
 		out.RowPtr[i+1] = len(out.Val)
 	}
-	return out
+	c.Flops += int64(len(out.Val)) * flops
+	return c.Leaf(out)
+}
+
+// apply compiles f(x). A zero-preserving f keeps a sparse pattern.
+func (c *Chain) apply(f func(float64) float64, flops int64, x Value, dropZeros bool) Value {
+	s := x.sparse()
+	switch {
+	case f(0) != 0 || (s == nil && !x.IsZero()):
+		c.Flops += int64(c.Rows*c.Cols) * flops
+		xc := x.Cell()
+		return Value{cell: func(i, j, p int) float64 { return f(xc(i, j, p)) }}
+	case s == nil:
+		return Value{}
+	}
+	return c.onPattern(s, flops, dropZeros, func(v float64, _, _, _ int) float64 { return f(v) })
+}
+
+// Unary compiles f(x) at flops per touched cell. A sparse x under a
+// zero-preserving f keeps its pattern, explicit zeros included.
+func (c *Chain) Unary(f func(float64) float64, flops int64, x Value) Value {
+	return c.apply(f, flops, x, false)
+}
+
+// Scalar compiles op(x, s), or op(s, x) when left. A sparse x under a
+// zero-preserving operation keeps its pattern, minus zero results.
+func (c *Chain) Scalar(op BinOp, x Value, s float64, left bool) Value {
+	return c.apply(ScalarFn(op, s, left), op.Flops(), x, true)
+}
+
+// ScalarFn returns x -> op(x, s), or x -> op(s, x) when left.
+func ScalarFn(op BinOp, s float64, left bool) func(float64) float64 {
+	f := binOpFuncs[op]
+	if left {
+		return func(x float64) float64 { return f(s, x) }
+	}
+	return func(x float64) float64 { return f(x, s) }
+}
+
+// full returns a surviving operand at the chain's shape: a zero block plus a
+// row vector is still a full block of that vector's values.
+func full(x Value) Value {
+	if x.vector {
+		return Value{cell: x.cell}
+	}
+	return x
+}
+
+// Binary compiles op between two operands of the chain's shape, or one of
+// them a broadcast vector or 1x1 block.
+func (c *Chain) Binary(op BinOp, a, b Value) Value {
+	flops := op.Flops()
+	za, zb := a.IsZero(), b.IsZero()
+	ac, bc := a.Cell(), b.Cell()
+	sa, sb := a.sparse(), b.sparse()
+	switch {
+	case za && zb && op.Eval(0, 0) == 0, za && (op == Mul || op == Div), zb && op == Mul:
+		return Value{} // 0*y == 0; 0/y == 0 (positive denominators by contract)
+	case za && op == Add:
+		return full(b)
+	case zb && (op == Add || op == Sub):
+		return full(a)
+	case za && op == Sub:
+		return c.apply(func(x float64) float64 { return x * -1 }, 1, full(b), true)
+	case a.vector || b.vector: // broadcasting always yields a dense block
+	case op == Mul && sa != nil:
+		return c.onPattern(sa, flops, true, func(v float64, i, j, p int) float64 { return v * bc(i, j, p) })
+	case op == Mul && sb != nil:
+		return c.onPattern(sb, flops, true, func(v float64, i, j, p int) float64 { return v * ac(i, j, p) })
+	case op == Div && sa != nil:
+		// The engine only divides by strictly positive denominators (GNMF
+		// multiplicative updates), so a sparse numerator keeps its pattern.
+		return c.onPattern(sa, flops, true, func(v float64, i, j, p int) float64 { return v / bc(i, j, p) })
+	case (op == Add || op == Sub) && sa != nil && sb != nil:
+		out := addSubSparse(op, sa, sb)
+		c.Flops += int64(out.NNZ()) * flops
+		return c.Leaf(out)
+	}
+	c.Flops += int64(c.Rows*c.Cols) * flops
+	f, n := binOpFuncs[op], c.Cols
+	ad, _ := a.blk.(*Dense)
+	bd, _ := b.blk.(*Dense)
+	switch { // full dense operands are read without a call
+	case ad != nil && bd != nil && !a.vector && !b.vector:
+		return Value{cell: func(i, j, _ int) float64 { return f(ad.Data[i*n+j], bd.Data[i*n+j]) }}
+	case ad != nil && !a.vector:
+		return Value{cell: func(i, j, p int) float64 { return f(ad.Data[i*n+j], bc(i, j, p)) }}
+	case bd != nil && !b.vector:
+		return Value{cell: func(i, j, p int) float64 { return f(ac(i, j, p), bd.Data[i*n+j]) }}
+	}
+	return Value{cell: func(i, j, p int) float64 { return f(ac(i, j, p), bc(i, j, p)) }}
 }
 
 func addSubSparse(op BinOp, a, b *CSR) *CSR {
@@ -237,83 +328,81 @@ func addSubSparse(op BinOp, a, b *CSR) *CSR {
 	return out
 }
 
-// BinaryScalar is BinaryScalarWith on the serial path.
-func BinaryScalar(op BinOp, a Mat, s float64, scalarOnLeft bool) Mat {
-	return BinaryScalarWith(nil, op, a, s, scalarOnLeft)
+// minNormal is the smallest positive normal float64. Go cannot set FTZ/DAZ
+// per goroutine, and one subnormal operand makes a multiply ~100x slower, so
+// factors that decay across iterations (GNMF's) must not carry subnormals
+// from one operator into the next: the chain's single store flushes them.
+const minNormal = 2.2250738585072014e-308
+
+func flush(v float64) float64 {
+	if v < minNormal && v > -minNormal {
+		return 0
+	}
+	return v
 }
 
-// BinaryScalarWith applies op between every element of a and the scalar s,
-// splitting the dense loop across p's kernel threads. When scalarOnLeft is
-// true the scalar is the left operand: op(s, x). If the operation preserves
-// zeros (op(0,s) == 0) a sparse operand keeps its pattern (built serially).
-func BinaryScalarWith(p *parallel.Pool, op BinOp, a Mat, s float64, scalarOnLeft bool) Mat {
-	eval := func(x float64) float64 {
-		if scalarOnLeft {
-			return op.Eval(s, x)
-		}
-		return op.Eval(x, s)
+// chainGrain is the minimum number of cells worth a helper goroutine.
+const chainGrain = 4096
+
+// Materialise applies x once, into one output block, rows split across p's
+// kernel threads. A zero value is a nil block; a block that already exists
+// (an operand that came through unchanged, a sparse result) is returned.
+func (c *Chain) Materialise(p *parallel.Pool, x Value) Mat {
+	switch {
+	case x.IsZero():
+		return nil
+	case x.blk != nil && !x.vector:
+		return x.blk
 	}
-	if sa, ok := a.(*CSR); ok && eval(0) == 0 {
-		out := sa.Clone().(*CSR)
-		w := 0
-		for i := 0; i < out.Rows; i++ {
-			lo, hi := sa.RowPtr[i], sa.RowPtr[i+1]
-			for p := lo; p < hi; p++ {
-				v := eval(sa.Val[p])
-				if v != 0 {
-					out.Col[w] = sa.Col[p]
-					out.Val[w] = v
-					w++
-				}
-			}
-			out.RowPtr[i+1] = w
-		}
-		out.Col = out.Col[:w]
-		out.Val = out.Val[:w]
-		return out
+	out := c.out
+	if out == nil {
+		out = NewDense(c.Rows, c.Cols)
 	}
-	da := ToDense(a)
-	out := NewDense(da.Rows, da.Cols)
-	p.For(len(da.Data), elemGrain, func(lo, hi int) {
+	p.For(c.Rows, 1+chainGrain/(c.Cols+1), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			out.Data[i] = eval(da.Data[i])
+			row := out.Row(i)
+			for j := range row {
+				row[j] = flush(x.cell(i, j, -1))
+			}
 		}
 	})
 	return out
 }
 
-// binaryBroadcast applies op between the full matrix full and vector vec
-// (1xC row vector or Rx1 column vector), row-parallel. When vecOnLeft is
-// true the vector is the left operand of op.
-func binaryBroadcast(p *parallel.Pool, op BinOp, full, vec Mat, vecOnLeft bool) Mat {
-	fr, fc := full.Dims()
-	vr, vc := vec.Dims()
-	rowVec := vr == 1
-	if (rowVec && vc != fc) || (!rowVec && vr != fr) {
-		panic(fmt.Sprintf("matrix: %s broadcast mismatch %dx%d vs %dx%d", op, fr, fc, vr, vc))
-	}
-	df, dv := ToDense(full), ToDense(vec)
-	out := NewDense(fr, fc)
-	p.For(fr, rowGrain, func(rLo, rHi int) {
-		for i := rLo; i < rHi; i++ {
-			frow := df.Row(i)
-			orow := out.Row(i)
-			for j := 0; j < fc; j++ {
-				var v float64
-				if rowVec {
-					v = dv.Data[j]
-				} else {
-					v = dv.Data[i]
-				}
-				if vecOnLeft {
-					orow[j] = op.Eval(v, frow[j])
-				} else {
-					orow[j] = op.Eval(frow[j], v)
-				}
+// MaskedStore applies f once per stored position q = (i, j) of mask, in
+// place: vals[q] = f(i, j, q), flushed. f may read vals[q]. Mask rows are
+// split across p's kernel threads. It is the masked (outer-fusion) form of
+// Materialise: vals, with mask's pattern, is the output block.
+func MaskedStore(p *parallel.Pool, mask *CSR, vals []float64, f Cell) {
+	p.For(mask.Rows, rowGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			for q := mask.RowPtr[i]; q < mask.RowPtr[i+1]; q++ {
+				vals[q] = flush(f(i, mask.Col[q], q))
 			}
 		}
 	})
-	return out
+}
+
+// one builds the chain of a one-operator kernel over operands a and b.
+func one(a, b Mat) *Chain {
+	ar, ac := a.Dims()
+	br, bc := b.Dims()
+	return &Chain{Rows: max(ar, br), Cols: max(ac, bc)}
+}
+
+// Binary applies op element-wise to a and b into a fresh block. Shapes must
+// either match exactly, or one operand may be a broadcastable vector: a 1xC
+// row vector, an Rx1 column vector, or a 1x1 matrix (treated as a scalar).
+func Binary(op BinOp, a, b Mat) Mat {
+	c := one(a, b)
+	return c.Materialise(nil, c.Binary(op, c.Leaf(a), c.Leaf(b)))
+}
+
+// BinaryScalar applies op between every element of a and the scalar s. When
+// scalarOnLeft is true the scalar is the left operand: op(s, x).
+func BinaryScalar(op BinOp, a Mat, s float64, scalarOnLeft bool) Mat {
+	c := one(a, a)
+	return c.Materialise(nil, c.Scalar(op, c.Leaf(a), s, scalarOnLeft))
 }
 
 // unaryFuncs maps surface names to element-wise functions. "sq" is the ^2 of
@@ -365,28 +454,11 @@ func UnaryFlops(name string) int64 {
 	}
 }
 
-// Apply is ApplyWith on the serial path.
-func Apply(f func(float64) float64, a Mat) Mat { return ApplyWith(nil, f, a) }
-
-// ApplyWith evaluates f element-wise, splitting the dense loop across p's
-// kernel threads. If f preserves zero (f(0) == 0) a sparse input keeps its
-// sparse pattern (rewritten serially); otherwise the result is dense.
-func ApplyWith(p *parallel.Pool, f func(float64) float64, a Mat) Mat {
-	if sa, ok := a.(*CSR); ok && f(0) == 0 {
-		out := sa.Clone().(*CSR)
-		for p, v := range sa.Val {
-			out.Val[p] = f(v)
-		}
-		return out
-	}
-	da := ToDense(a)
-	out := NewDense(da.Rows, da.Cols)
-	p.For(len(da.Data), elemGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.Data[i] = f(da.Data[i])
-		}
-	})
-	return out
+// Apply evaluates f element-wise. If f preserves zero (f(0) == 0) a sparse
+// input keeps its sparse pattern; otherwise the result is dense.
+func Apply(f func(float64) float64, a Mat) Mat {
+	c := one(a, a)
+	return c.Materialise(nil, c.Unary(f, 0, c.Leaf(a)))
 }
 
 // ApplyNamed evaluates the registered unary function name element-wise.

@@ -1,7 +1,9 @@
 package matrix
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -349,5 +351,160 @@ func BenchmarkBinaryAddDenseDense(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sinkMat = Binary(Add, x, y)
+	}
+}
+
+// chainExpr is a random element-wise expression for TestChainFusesLikeStepwise.
+type chainExpr struct {
+	leaf   Mat // operand block (nil is an all-zero block) when kids is empty
+	isLeaf bool
+	unary  string
+	op     BinOp
+	scalar *float64 // op with a scalar, on the left when left
+	left   bool
+	kids   []*chainExpr
+}
+
+func (e *chainExpr) String() string {
+	switch {
+	case e.isLeaf && e.leaf == nil:
+		return "zero"
+	case e.isLeaf:
+		r, c := e.leaf.Dims()
+		return fmt.Sprintf("%dx%d(sparse=%v)", r, c, e.leaf.IsSparse())
+	case e.unary != "":
+		return fmt.Sprintf("%s(%s)", e.unary, e.kids[0])
+	case e.scalar != nil && e.left:
+		return fmt.Sprintf("(%v %s %s)", *e.scalar, e.op, e.kids[0])
+	case e.scalar != nil:
+		return fmt.Sprintf("(%s %s %v)", e.kids[0], e.op, *e.scalar)
+	}
+	return fmt.Sprintf("(%s %s %s)", e.kids[0], e.op, e.kids[1])
+}
+
+// build compiles e into c. With stepwise set every operator is materialised
+// on its own — the per-node evaluation the chain replaced — and its charge
+// is checked against the block it produced.
+func (e *chainExpr) build(t *testing.T, c *Chain, stepwise bool) Value {
+	if e.isLeaf {
+		return c.Leaf(e.leaf)
+	}
+	step, kids := c, make([]Value, len(e.kids))
+	if stepwise {
+		step = &Chain{Rows: c.Rows, Cols: c.Cols}
+	}
+	for i, k := range e.kids {
+		switch {
+		case k.isLeaf: // a block as it is: a vector stays a vector
+			kids[i] = step.Leaf(k.leaf)
+		case stepwise:
+			kids[i] = step.Leaf(c.Materialise(nil, k.build(t, c, true)))
+		default:
+			kids[i] = k.build(t, c, false)
+		}
+	}
+	var v Value
+	var flops int64
+	switch {
+	case e.unary != "":
+		f, _ := UnaryFunc(e.unary)
+		v, flops = step.Unary(f, UnaryFlops(e.unary), kids[0]), UnaryFlops(e.unary)
+	case e.scalar != nil:
+		v, flops = step.Scalar(e.op, kids[0], *e.scalar, e.left), e.op.Flops()
+	default:
+		v, flops = step.Binary(e.op, kids[0], kids[1]), e.op.Flops()
+	}
+	if !stepwise {
+		return v
+	}
+	out := step.Materialise(nil, v)
+	touched := int64(0) // the cells a kernel touches to produce out
+	switch o := out.(type) {
+	case *CSR:
+		touched = int64(o.NNZ())
+	case *Dense:
+		touched = int64(c.Rows * c.Cols)
+	}
+	passed := false // x + 0 and x - 0 are x, whole or broadcast, at no cost
+	for _, k := range kids {
+		passed = passed || (len(kids) == 2 && k.IsZero() && (e.op == Add || e.op == Sub) && step.Flops == 0)
+	}
+	if want := touched * flops; step.Flops != want && !passed {
+		t.Fatalf("step %s%s: charged %d flops for a block of %d touched cells x %d", e.unary, e.op, step.Flops, touched, flops)
+	}
+	c.Flops += step.Flops
+	return c.Leaf(out)
+}
+
+// TestChainFusesLikeStepwise compiles random expressions over dense, sparse,
+// zero and vector operands once as a single chain and once operator by
+// operator, and requires the same block — values, representation, pattern —
+// and the same flops from both.
+func TestChainFusesLikeStepwise(t *testing.T) {
+	const rows, cols = 11, 9
+	rng := rand.New(rand.NewSource(3))
+	leaves := []Mat{
+		RandomDense(rows, cols, 0.5, 1.5, 1), RandomDense(rows, cols, -1, 1, 2),
+		RandomSparse(rows, cols, 0.3, -1, 1, 3), RandomSparse(rows, cols, 0.2, 0.5, 2, 4),
+		nil, RandomDense(1, cols, 0.5, 1.5, 5), RandomDense(rows, 1, -1, 1, 6),
+		RandomSparse(1, cols, 0.5, 1, 2, 7),
+	}
+	unaries := []string{"sq", "exp", "relu", "abs", "neg", "round", "sign"}
+	ops := []BinOp{Add, Sub, Mul, Div, MaxOp, Lt, Neq}
+	var gen func(depth int) *chainExpr
+	gen = func(depth int) *chainExpr {
+		if depth == 0 || rng.Intn(4) == 0 {
+			return &chainExpr{isLeaf: true, leaf: leaves[rng.Intn(len(leaves))]}
+		}
+		switch rng.Intn(3) {
+		case 0:
+			return &chainExpr{unary: unaries[rng.Intn(len(unaries))], kids: []*chainExpr{gen(depth - 1)}}
+		case 1:
+			s := []float64{0, 2, -1, 0.5}[rng.Intn(4)]
+			return &chainExpr{op: ops[rng.Intn(len(ops))], scalar: &s, left: rng.Intn(2) == 0, kids: []*chainExpr{gen(depth - 1)}}
+		}
+		return &chainExpr{op: ops[rng.Intn(len(ops))], kids: []*chainExpr{gen(depth - 1), gen(depth - 1)}}
+	}
+	for trial := 0; trial < 2000; trial++ {
+		e := gen(4)
+		fused := &Chain{Rows: rows, Cols: cols}
+		got := fused.Materialise(nil, e.build(t, fused, false))
+		step := &Chain{Rows: rows, Cols: cols}
+		want := step.Materialise(nil, e.build(t, step, true))
+		switch {
+		case got == nil || want == nil:
+			if got != nil || want != nil {
+				t.Fatalf("trial %d: fused zero=%v, stepwise zero=%v", trial, got == nil, want == nil)
+			}
+		case got.IsSparse() != want.IsSparse() || got.NNZ() != want.NNZ() || !EqualApprox(got, want, 0):
+			t.Fatalf("trial %d: %s: fused block (sparse=%v nnz=%d) differs from stepwise (sparse=%v nnz=%d)",
+				trial, e, got.IsSparse(), got.NNZ(), want.IsSparse(), want.NNZ())
+		}
+		if fused.Flops != step.Flops {
+			t.Fatalf("trial %d: %s: fused chain charged %d flops, stepwise %d", trial, e, fused.Flops, step.Flops)
+		}
+	}
+}
+
+// BenchmarkChain times the compiled chain at the repo benchmark's block
+// shapes: GNMF's dense U * A / B over a 64x256 block, and the NMF kernel's
+// x * log(v + eps) over the non-zeros of a 256x256 driver block.
+func BenchmarkChain(b *testing.B) {
+	u, num, den := RandomDense(benchK, benchBlock, 0.1, 0.9, 1), RandomDense(benchK, benchBlock, 1, 2, 2), RandomDense(benchK, benchBlock, 1, 2, 3)
+	benchKernel(b, "dense/U*A/B", 4*u.SizeBytes(), 2*int64(benchK*benchBlock), func() {
+		c := &Chain{Rows: benchK, Cols: benchBlock}
+		sinkMat = c.Materialise(nil, c.Binary(Div, c.Binary(Mul, c.Leaf(u), c.Leaf(num)), c.Leaf(den)))
+	})
+	for _, d := range []float64{0.005, 0.01} {
+		x := RandomSparse(benchBlock, benchBlock, d, 1, 5, 4)
+		vals := make([]float64, x.NNZ())
+		logf, _ := UnaryFunc("log")
+		eps := ScalarFn(Add, 1e-3, false)
+		benchKernel(b, fmt.Sprintf("masked/x*log(v+eps)/d=%g", d), x.SizeBytes()+8*int64(len(vals)), 12*int64(len(vals)), func() {
+			for q := range vals {
+				vals[q] = 0.5
+			}
+			MaskedStore(nil, x, vals, func(_, _, q int) float64 { return logf(eps(vals[q])) * x.Val[q] })
+		})
 	}
 }
