@@ -161,8 +161,8 @@ func BenchmarkPublicAPIQuery(b *testing.B) {
 
 // BenchmarkTraceOverhead quantifies the observability fast path on a GNMF
 // iteration over the sim backend. "off" is a plain session: no recorder, no
-// registry, so the per-stage instrumentation reduces to nil checks and a
-// stats diff, and the per-task hot path is untouched. "on" records full
+// registry, so the per-stage instrumentation reduces to nil checks and one
+// stage record, and the per-task hot path is untouched. "on" records full
 // plan/stage/task spans plus every metric. The "off" variant is the default
 // every query pays; it must stay within 2% of an uninstrumented build
 // (compare off vs on with benchstat — the delta bounds the hook cost from
@@ -253,10 +253,10 @@ func BenchmarkJournalOverhead(b *testing.B) {
 	}{
 		{"off", func() []fuseme.Option { return nil }},
 		{"journal", func() []fuseme.Option {
-			return []fuseme.Option{fuseme.WithJournalWriter(io.Discard)}
+			return []fuseme.Option{fuseme.WithJournal(fuseme.NewJournal(0, io.Discard))}
 		}},
 		{"journal+skew", func() []fuseme.Option {
-			return []fuseme.Option{fuseme.WithJournalWriter(io.Discard), fuseme.WithMetrics()}
+			return []fuseme.Option{fuseme.WithJournal(fuseme.NewJournal(0, io.Discard)), fuseme.WithMetrics()}
 		}},
 	}
 	for _, v := range variants {

@@ -76,12 +76,7 @@ func (c *CalibrationStore) WarmFromFlightFile(path string, cfg ClusterConfig) (i
 	if err != nil {
 		return 0, err
 	}
-	cc := cfg.internal()
-	return c.s.UpdateFromFlight(calibKeyFor(cfg), obs.ClusterModel{
-		Nodes:         cfg.Nodes,
-		NetBandwidth:  cfg.NetBandwidth,
-		CompBandwidth: cc.EffectiveCompBandwidth(),
-	}, recs), nil
+	return c.s.UpdateFromFlight(calibKeyFor(cfg), core.EqModel(cfg.internal()), recs), nil
 }
 
 // calibKeyFor derives the store key from a cluster configuration.
@@ -138,11 +133,7 @@ func WithCalibrationStore(cs *CalibrationStore) Option {
 // (internal/workloads) re-plan at iteration boundaries the same way.
 func WithReplan(on bool) Option {
 	return func(s *Session) error {
-		if on {
-			s.replan = 1
-		} else {
-			s.replan = 0
-		}
+		s.replan = on
 		return nil
 	}
 }
@@ -167,7 +158,7 @@ func (s *Session) resolveCalibration() error {
 		}
 		s.obs.Learn = &obs.Learner{Store: s.calibStore, Key: key, Model: s.calibModel()}
 	}
-	if s.replan == 1 {
+	if s.replan {
 		s.replanner = &core.Replanner{Obs: s.obs, Learn: s.obs.Learn}
 	}
 	return nil

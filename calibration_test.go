@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"fuseme/internal/core"
 	"fuseme/internal/obs"
 )
 
@@ -14,13 +15,9 @@ import (
 // constant — the condition under which a re-cost wants to move replication
 // off cache-resident inputs.
 func seedNetBound(cs *CalibrationStore, cfg ClusterConfig, netBW float64) {
-	cc := cfg.internal()
-	cs.s.Observe(calibKeyFor(cfg), obs.ClusterModel{
-		Nodes:         cfg.Nodes,
-		NetBandwidth:  cfg.NetBandwidth,
-		CompBandwidth: cc.EffectiveCompBandwidth(),
-	}, obs.StagePred{Op: "seed", NetBytes: 1 << 30, ComFlops: 1},
-		obs.StageMeas{Op: "seed", ConsolidationBytes: int64(netBW * float64(cfg.Nodes)), WallSeconds: 1})
+	cs.s.Observe(calibKeyFor(cfg), core.EqModel(cfg.internal()), obs.FlightRecord{
+		Op: "seed", PredNetBytes: 1 << 30, PredComFlops: 1,
+		MeasConsolidationBytes: int64(netBW * float64(cfg.Nodes)), MeasWallSeconds: 1})
 }
 
 // TestCalibrationSessionLearnsAndSaves: a session attached to a persisted

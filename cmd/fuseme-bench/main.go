@@ -36,21 +36,20 @@ func main() {
 		return
 	}
 	opts := experiments.Options{Scale: *scale, Nodes: *nodes}
+	var flightFile *os.File
 	if *traceOut != "" || *flightOut != "" {
 		opts.Obs = &obs.Obs{}
 		if *traceOut != "" {
 			opts.Obs.Trace = obs.NewRecorder()
 		}
 		if *flightOut != "" {
-			// Flight records join measurements against predictions, so the
-			// calibration store must be live too.
-			opts.Obs.Calib = obs.NewCalibration()
-			fr, ferr := obs.OpenFlightRecorder(*flightOut)
+			f, ferr := os.Create(*flightOut)
 			if ferr != nil {
 				fmt.Fprintln(os.Stderr, "fuseme-bench:", ferr)
 				os.Exit(1)
 			}
-			opts.Obs.Flight = fr
+			flightFile = f
+			opts.Obs.Flight = obs.NewJSONL(f)
 		}
 	}
 	tables, err := experiments.Run(*exp, opts)
@@ -65,7 +64,11 @@ func main() {
 		fmt.Println("trace:", *traceOut)
 	}
 	if *flightOut != "" {
-		if werr := opts.Obs.Flight.Close(); werr != nil {
+		werr := opts.Obs.Flight.Flush()
+		if cerr := flightFile.Close(); werr == nil {
+			werr = cerr
+		}
+		if werr != nil {
 			fmt.Fprintln(os.Stderr, "fuseme-bench:", werr)
 			os.Exit(1)
 		}

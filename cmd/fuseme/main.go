@@ -94,11 +94,34 @@ func run() error {
 	if *traceOut != "" {
 		opts = append(opts, fuseme.WithTracing())
 	}
+	// -flight-out / -journal-out files are this command's: the session
+	// flushes into them on Close, the command closes them afterwards.
+	var outFiles []*os.File
+	defer func() {
+		for _, f := range outFiles {
+			f.Close() // error paths only; the success path checks Close below
+		}
+	}()
+	createOut := func(path string) (*os.File, error) {
+		f, err := os.Create(path)
+		if err == nil {
+			outFiles = append(outFiles, f)
+		}
+		return f, err
+	}
 	if *flightOut != "" {
-		opts = append(opts, fuseme.WithFlightRecorder(*flightOut))
+		f, err := createOut(*flightOut)
+		if err != nil {
+			return err
+		}
+		opts = append(opts, fuseme.WithFlightRecorder(f))
 	}
 	if *journalOut != "" {
-		opts = append(opts, fuseme.WithJournalFile(*journalOut))
+		f, err := createOut(*journalOut)
+		if err != nil {
+			return err
+		}
+		opts = append(opts, fuseme.WithJournal(fuseme.NewJournal(0, f)))
 	}
 	if *metricsAddr != "" {
 		opts = append(opts, fuseme.WithMetricsAddr(*metricsAddr))
@@ -186,9 +209,14 @@ func run() error {
 		}
 		fmt.Println("trace:", *traceOut)
 	}
-	if *flightOut != "" || *journalOut != "" {
+	if len(outFiles) > 0 {
 		if err := sess.Close(); err != nil {
 			return err
+		}
+		for _, f := range outFiles {
+			if err := f.Close(); err != nil {
+				return err
+			}
 		}
 		if *flightOut != "" {
 			fmt.Println("flight:", *flightOut)

@@ -214,3 +214,42 @@ func TestDocDriftDSLSnippets(t *testing.T) {
 		t.Fatalf("%s: no DSL blocks found — extraction broken or docs gutted", doc)
 	}
 }
+
+// TestDocDriftOptions holds docs/OPERATIONS.md to the root package's option
+// set in both directions: every exported With* function is named there, and
+// every With* it names exists.
+func TestDocDriftOptions(t *testing.T) {
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := map[string]bool{}
+	for _, f := range pkgs["fuseme"].Files {
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "With") {
+				declared[fn.Name.Name] = true
+			}
+		}
+	}
+	if len(declared) == 0 {
+		t.Fatal("found no With* functions in the root package — parsing broken")
+	}
+	doc, err := os.ReadFile("docs/OPERATIONS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := map[string]bool{}
+	for _, name := range regexp.MustCompile(`\bWith[A-Z][A-Za-z]*`).FindAllString(string(doc), -1) {
+		named[name] = true
+		if !declared[name] {
+			t.Errorf("docs/OPERATIONS.md names %s, which the root package does not declare", name)
+		}
+	}
+	for name := range declared {
+		if !named[name] {
+			t.Errorf("option %s is not named in docs/OPERATIONS.md", name)
+		}
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 	"strings"
 
 	"fuseme"
@@ -37,8 +38,14 @@ func main() {
 	if *traceOut != "" {
 		opts = append(opts, fuseme.WithTracing())
 	}
+	var flightFile *os.File
 	if *flightOut != "" {
-		opts = append(opts, fuseme.WithFlightRecorder(*flightOut))
+		f, err := os.Create(*flightOut)
+		if err != nil {
+			log.Fatal(err)
+		}
+		flightFile = f
+		opts = append(opts, fuseme.WithFlightRecorder(f))
 	}
 	sess, err := fuseme.NewSession(cfg, opts...)
 	if err != nil {
@@ -100,8 +107,12 @@ func main() {
 		}
 		fmt.Println("trace:", *traceOut)
 	}
-	if *flightOut != "" {
+	if flightFile != nil {
+		// Close flushes the flight recorder into the file; the file is ours.
 		if err := sess.Close(); err != nil {
+			log.Fatal(err)
+		}
+		if err := flightFile.Close(); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Println("flight:", *flightOut)

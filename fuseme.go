@@ -28,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"strings"
 	"sync"
@@ -385,14 +384,14 @@ type Session struct {
 
 	calibStore *obs.CalibStore // WithCalibration/WithCalibrationStore/FUSEME_CALIB
 	calibOwned bool            // session opened the store and saves it on Close
-	replan     int             // WithReplan; -1 = off (default), 0 = off, 1 = on
-	replanner  *core.Replanner // live when replan == 1
+	replan     bool            // WithReplan
+	replanner  *core.Replanner // live when replan is on
 	lastEpochs map[uint64]bool // input content epochs fed to the previous Query
 
-	journal      *obs.Journal  // WithJournal/WithJournalFile/FUSEME_JOURNAL; nil = off
-	journalOwned bool          // session opened the file sink and closes it
-	pendingQLog  *obs.QueryLog // SetQueryLog target consumed by the next Query
-	queryCount   int64         // auto-assigned query ids (q1, q2, ...)
+	journal     *obs.Journal  // WithJournal/FUSEME_JOURNAL; nil = off
+	journalFile *os.File      // FUSEME_JOURNAL sink, the one file the session opens and closes
+	pendingQLog *obs.QueryLog // SetQueryLog target consumed by the next Query
+	queryCount  int64         // auto-assigned query ids (q1, q2, ...)
 
 	tenantMu     sync.Mutex
 	tenant       string // SetTenant tag for the shared scheduler
@@ -416,7 +415,6 @@ func NewSession(cfg ClusterConfig, opts ...Option) (*Session, error) {
 		obs:        &obs.Obs{Calib: obs.NewCalibration()},
 		retries:    -1,
 		cacheBytes: -1,
-		replan:     -1,
 	}
 	for _, opt := range opts {
 		if err := opt(s); err != nil {
@@ -633,6 +631,8 @@ func (s *Session) Close() error {
 	s.closeMu.Lock()
 	srv := s.metricsSrv
 	s.metricsSrv = nil
+	journalFile := s.journalFile
+	s.journalFile = nil
 	s.closeMu.Unlock()
 	var err error
 	if srv != nil {
@@ -647,13 +647,16 @@ func (s *Session) Close() error {
 			err = cerr
 		}
 	}
-	if cerr := s.obs.Flight.Close(); err == nil {
+	// Sinks handed in by the caller (WithFlightRecorder, WithJournal) are
+	// flushed, not closed; the FUSEME_JOURNAL file is the session's own.
+	if cerr := s.obs.Flight.Flush(); err == nil {
 		err = cerr
 	}
-	// A session-owned journal (WithJournalFile / FUSEME_JOURNAL) flushes its
-	// file sink; shared journals (WithJournal) are closed by their owner.
-	if s.journalOwned {
-		if cerr := s.journal.Close(); err == nil {
+	if cerr := s.journal.Flush(); err == nil {
+		err = cerr
+	}
+	if journalFile != nil {
+		if cerr := journalFile.Close(); err == nil {
 			err = cerr
 		}
 	}
@@ -799,7 +802,7 @@ func (s *Session) Query(script string) (map[string]*Matrix, error) {
 			Plan:         cq.pp.Describe(),
 			PlanCacheHit: s.lastPlanHit,
 			Operators:    len(cq.pp.Ops),
-			PredSeconds:  predictedSeconds(cq.pp, cc)})
+			PredSeconds:  cq.pp.PredictedSeconds(cc)})
 		if replanned {
 			qlog.Emit(obs.Event{Type: obs.EvReplanned,
 				Plan:       cq.pp.Describe(),
@@ -840,36 +843,6 @@ func (s *Session) beginQueryLog() *obs.QueryLog {
 	s.queryCount++
 	name, _ := s.tenantTag()
 	return s.journal.Begin(fmt.Sprintf("q%d", s.queryCount), name)
-}
-
-// predictedSeconds is the plan's predicted Eq. 2 wall time: each operator's
-// max(net, comp) term under the config's bandwidths (learned when set),
-// summed across operators.
-func predictedSeconds(pp *core.PhysPlan, cc cluster.Config) float64 {
-	n := float64(cc.Nodes)
-	if n <= 0 {
-		n = 1
-	}
-	netBW := cc.NetBandwidth
-	if cc.LearnedNetBandwidth > 0 {
-		netBW = cc.LearnedNetBandwidth
-	}
-	compBW := cc.EffectiveCompBandwidth()
-	if cc.LearnedCompBandwidth > 0 {
-		compBW = cc.LearnedCompBandwidth
-	}
-	var total float64
-	for _, op := range pp.Ops {
-		var netSec, comSec float64
-		if netBW > 0 {
-			netSec = float64(op.EstNetBytes) / (n * netBW)
-		}
-		if compBW > 0 {
-			comSec = float64(op.EstComFlops) / (n * compBW)
-		}
-		total += math.Max(netSec, comSec)
-	}
-	return total
 }
 
 // Explain compiles a script and returns the physical plan description —

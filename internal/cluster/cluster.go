@@ -368,8 +368,9 @@ type Cluster struct {
 	// kernel threads x local slots never oversubscribes the machine.
 	pool *parallel.Pool
 
-	mu    sync.Mutex
-	stats Stats
+	mu        sync.Mutex
+	stats     Stats
+	lastStage Stats // the latest stage's own metrics; see LastStageStats
 
 	// caches holds one block cache per simulated node (empty when caching
 	// is disabled). A task's node is taskID % Nodes — deterministic, so the
@@ -442,6 +443,16 @@ func (c *Cluster) Stats() Stats {
 	return c.stats
 }
 
+// LastStageStats returns the metrics of the most recent stage alone — what
+// that stage added to Stats, with its own peak task memory rather than the
+// running maximum. It is zero from the moment a stage starts until the stage
+// folds its metrics, so a stage that fails before folding reports zeros.
+func (c *Cluster) LastStageStats() Stats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lastStage
+}
+
 // ResetStats clears accumulated metrics (between experiments).
 func (c *Cluster) ResetStats() {
 	c.mu.Lock()
@@ -458,10 +469,16 @@ func (c *Cluster) Close() error { return nil }
 // cached by earlier stages (hit-visible) from ones their own stage inserts.
 func (c *Cluster) StageCacheGen() uint64 { return c.stageSeq.Load() + 1 }
 
-// NextStageGen advances the stage-generation counter and returns the new
-// value. RunStage calls it internally; backends that execute stages without
-// going through RunStage (the TCP coordinator) call it per spec stage.
-func (c *Cluster) NextStageGen() uint64 { return c.stageSeq.Add(1) }
+// NextStageGen begins a stage: it clears LastStageStats, advances the
+// stage-generation counter and returns the new value. RunStage calls it
+// internally; backends that execute stages without going through RunStage
+// (the TCP coordinator) call it per spec stage.
+func (c *Cluster) NextStageGen() uint64 {
+	c.mu.Lock()
+	c.lastStage = Stats{}
+	c.mu.Unlock()
+	return c.stageSeq.Add(1)
+}
 
 // TaskCache returns the block cache of the node that task taskID runs on,
 // or nil when caching is disabled.
@@ -482,12 +499,13 @@ func (c *Cluster) InvalidateStaleEpochs(node int, epoch uint64) {
 	}
 }
 
-// AddStats folds externally measured metrics (for example a remote backend's
+// AddStats folds one stage's externally measured metrics (a remote backend's
 // wire accounting) into the cluster's totals.
 func (c *Cluster) AddStats(s Stats) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.stats.Add(s)
+	c.lastStage = s
 }
 
 // CheckAdmission rejects an operator whose estimated per-task memory exceeds
@@ -648,7 +666,7 @@ func (c *Cluster) RunStage(name string, numTasks int, fn func(t *Task) error) er
 		return fmt.Errorf("cluster: stage %q: negative task count", name)
 	}
 	start := time.Now()
-	c.stageSeq.Add(1)
+	c.NextStageGen()
 	tasks := make([]Task, numTasks)
 	scheduler, tenant, weight := c.schedulerTag()
 	err := scheduler.RunTasks(tenant, weight, numTasks, func(i int) error {
@@ -705,6 +723,7 @@ func (c *Cluster) RunStage(name string, numTasks int, fn func(t *Task) error) er
 
 	c.mu.Lock()
 	c.stats.Add(stage)
+	c.lastStage = stage
 	over := c.cfg.SimTimeLimit > 0 && c.stats.SimSeconds > c.cfg.SimTimeLimit
 	total := c.stats.SimSeconds
 	c.mu.Unlock()

@@ -39,11 +39,37 @@ type PhysOp struct {
 	EstMemPerTask int64
 }
 
-// OpKey is the operator's observability key: it names the operator in
-// calibration reports, joining compile-time predictions to the stage
-// measurements the executor records under the same key.
-func (op *PhysOp) OpKey() string {
-	return fmt.Sprintf("%s %s#%d", op.Kind, op.Plan.Root.Label(), op.Plan.Root.ID)
+// Prediction is the planner's half of the operator's stage records: its
+// observability key (Op, naming it in calibration reports), kind, chosen
+// (P,Q,R) and the compile-time cost estimates. The executor copies it into
+// the flight record of every stage the operator runs and fills in what the
+// runtime measured.
+func (op *PhysOp) Prediction() obs.FlightRecord {
+	return obs.FlightRecord{
+		Op:   fmt.Sprintf("%s %s#%d", op.Kind, op.Plan.Root.Label(), op.Plan.Root.ID),
+		Kind: op.Kind, P: op.P, Q: op.Q, R: op.R,
+		PredNetBytes: op.EstNetBytes, PredComFlops: op.EstComFlops, PredMemBytes: op.EstMemPerTask,
+	}
+}
+
+// EqModel is the Eq. 2 constants cfg prices a plan with: the configured
+// bandwidths (B̂c scaled by explicit kernel threads), overridden by the
+// calibration-learned ones when set.
+func EqModel(cfg cluster.Config) obs.ClusterModel {
+	m := modelFor(cfg)
+	return obs.ClusterModel{Nodes: m.Nodes, NetBandwidth: m.NetBW, CompBandwidth: m.CompBW}
+}
+
+// PredictedSeconds is the plan's predicted Eq. 2 wall time under cfg: each
+// operator's max(net, comp) term, summed across operators.
+func (pp *PhysPlan) PredictedSeconds(cfg cluster.Config) float64 {
+	m := EqModel(cfg)
+	var total float64
+	for _, op := range pp.Ops {
+		netSec, comSec, _ := m.Eq2(op.EstNetBytes, op.EstComFlops)
+		total += max(netSec, comSec)
+	}
+	return total
 }
 
 // PhysPlan is a compiled query: fused operators in execution (topological)
@@ -79,35 +105,33 @@ func (pp *PhysPlan) Describe() string {
 // matching what the compile actually priced with), the configured constants
 // otherwise. This is what `fuseme -explain` prints before execution.
 func (pp *PhysPlan) DescribeCosts(cfg cluster.Config) string {
-	n := float64(cfg.Nodes)
-	netBW, netSrc := cfg.NetBandwidth, ""
+	m := EqModel(cfg)
+	netSrc, compSrc := "", ""
 	if cfg.LearnedNetBandwidth > 0 {
-		netBW, netSrc = cfg.LearnedNetBandwidth, " learned"
+		netSrc = " learned"
 	}
-	compBW, compSrc := cfg.EffectiveCompBandwidth(), ""
 	if cfg.LearnedCompBandwidth > 0 {
-		compBW, compSrc = cfg.LearnedCompBandwidth, " learned"
+		compSrc = " learned"
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "predicted costs (N=%d, B̂n=%.3g B/s%s, B̂c=%.3g flop/s%s, θt=%s):\n",
-		cfg.Nodes, netBW, netSrc, compBW, compSrc, cluster.FormatBytes(cfg.TaskMemBytes))
+		cfg.Nodes, m.NetBandwidth, netSrc, m.CompBandwidth, compSrc, cluster.FormatBytes(cfg.TaskMemBytes))
 	for i, op := range pp.Ops {
 		pqr := "-"
 		if op.Strategy == exec.Cuboid && op.Plan.MainMM != nil {
 			pqr = fmt.Sprintf("(%d,%d,%d)", op.P, op.Q, op.R)
 		}
-		netSec := float64(op.EstNetBytes) / (n * netBW)
-		comSec := float64(op.EstComFlops) / (n * compBW)
-		bound, total := "net", netSec
-		if comSec > netSec {
-			bound, total = "comp", comSec
+		netSec, comSec, netBound := m.Eq2(op.EstNetBytes, op.EstComFlops)
+		bound := "comp"
+		if netBound {
+			bound = "net"
 		}
 		fmt.Fprintf(&b, "[%d] %-8s %-18s %-11s net=%-10s comp=%-12s mem/task=%-10s time=%.3gs (net %.3gs, comp %.3gs, %s-bound)\n",
 			i, op.Kind, fmt.Sprintf("%s#%d", op.Plan.Root.Label(), op.Plan.Root.ID), pqr,
 			cluster.FormatBytes(op.EstNetBytes),
 			fmt.Sprintf("%.3g flop", float64(op.EstComFlops)),
 			cluster.FormatBytes(op.EstMemPerTask),
-			total, netSec, comSec, bound)
+			max(netSec, comSec), netSec, comSec, bound)
 	}
 	return b.String()
 }
@@ -131,9 +155,9 @@ func Execute(pp *PhysPlan, rtm rt.Runtime, inputs map[string]*block.Matrix) (map
 }
 
 // ExecuteObs is Execute with observability: when o is enabled it opens a
-// plan span, records each operator's compile-time cost prediction for
-// calibration, and threads o into every fused operator so stages and tasks
-// are instrumented. A nil o is exactly Execute.
+// plan span and threads o, with each operator's compile-time cost prediction,
+// into every fused operator so stages and tasks are instrumented and every
+// stage's flight record carries its prediction. A nil o is exactly Execute.
 func ExecuteObs(pp *PhysPlan, rtm rt.Runtime, inputs map[string]*block.Matrix, o *obs.Obs) (map[string]*block.Matrix, error) {
 	planSpan := o.StartSpan("plan", "plan", 0)
 	if planSpan != nil {
@@ -157,12 +181,6 @@ func ExecuteObs(pp *PhysPlan, rtm rt.Runtime, inputs map[string]*block.Matrix, o
 		if err := rtm.CheckAdmission(op.EstMemPerTask, desc); err != nil {
 			return nil, err
 		}
-		if o.Enabled() {
-			o.Predict(obs.StagePred{
-				Op: op.OpKey(), Kind: op.Kind, P: op.P, Q: op.Q, R: op.R,
-				NetBytes: op.EstNetBytes, ComFlops: op.EstComFlops, MemBytes: op.EstMemPerTask,
-			})
-		}
 		bind := exec.Bindings{}
 		plans := op.Group
 		if len(plans) == 0 {
@@ -182,7 +200,7 @@ func ExecuteObs(pp *PhysPlan, rtm rt.Runtime, inputs map[string]*block.Matrix, o
 			}
 		}
 		if len(op.Group) > 0 {
-			multi := &exec.MultiAggOp{Plans: op.Group, Obs: o, OpKey: op.OpKey()}
+			multi := &exec.MultiAggOp{Plans: op.Group, Obs: o, Pred: op.Prediction()}
 			outs, err := multi.Execute(rtm, bind)
 			if err != nil {
 				return nil, fmt.Errorf("core: %s failed: %w", desc, err)
@@ -194,7 +212,7 @@ func ExecuteObs(pp *PhysPlan, rtm rt.Runtime, inputs map[string]*block.Matrix, o
 		}
 		fused := &exec.FusedOp{Plan: op.Plan, P: op.P, Q: op.Q, R: op.R,
 			Strategy: op.Strategy, Balance: op.Balance, NoMask: op.NoMask,
-			Obs: o, OpKey: op.OpKey()}
+			Obs: o, Pred: op.Prediction()}
 		out, err := fused.Execute(rtm, bind)
 		if err != nil {
 			return nil, fmt.Errorf("core: %s failed: %w", desc, err)

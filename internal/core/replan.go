@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"fuseme/internal/cluster"
 	"fuseme/internal/cost"
 	"fuseme/internal/dag"
@@ -64,8 +66,8 @@ func (r *Replanner) threshold() float64 {
 
 // Divergence computes the prediction error over the stages measured since
 // the last check: per operator, measured wall seconds are summed and
-// compared against the Eq. 2 predicted seconds under the configured cluster
-// constants; the ratio is Σ|measured − predicted| / Σ predicted. Zero when
+// compared against the Eq. 2 predicted seconds under cc's constants (see
+// EqModel); the ratio is Σ|measured − predicted| / Σ predicted. Zero when
 // nothing was measured (or nothing had a prediction).
 func (r *Replanner) Divergence(cc cluster.Config) float64 {
 	if r.Obs == nil || r.Obs.Calib == nil {
@@ -83,39 +85,16 @@ func (r *Replanner) Divergence(cc cluster.Config) float64 {
 		}
 	}
 	r.lastTotals = totals
-	if len(wallByOp) == 0 {
-		return 0
-	}
-	n := float64(cc.Nodes)
-	if n <= 0 {
-		n = 1
-	}
+	m := EqModel(cc)
 	var errSec, predSec float64
 	for op, wall := range wallByOp {
-		pred, ok := r.Obs.Prediction(op)
-		if !ok {
-			continue
-		}
-		var netSec, comSec float64
-		if cc.NetBandwidth > 0 {
-			netSec = float64(pred.NetBytes) / (n * cc.NetBandwidth)
-		}
-		if bw := cc.EffectiveCompBandwidth(); bw > 0 {
-			comSec = float64(pred.ComFlops) / (n * bw)
-		}
-		p := netSec
-		if comSec > p {
-			p = comSec
-		}
+		netSec, comSec, _ := m.Eq2(totals[op].PredNetBytes, totals[op].PredComFlops)
+		p := max(netSec, comSec)
 		if p <= 0 {
 			continue
 		}
 		predSec += p
-		d := wall - p
-		if d < 0 {
-			d = -d
-		}
-		errSec += d
+		errSec += math.Abs(wall - p)
 	}
 	if predSec <= 0 {
 		return 0

@@ -28,9 +28,9 @@ func netBoundLearner(cc cluster.Config, netBW float64) *obs.Learner {
 	store := obs.NewCalibStore()
 	key := obs.CalibKey{Workers: cc.Nodes, BlockSize: cc.BlockSize, KernelThreads: cc.KernelThreads}
 	model := obs.ClusterModel{Nodes: cc.Nodes, NetBandwidth: cc.NetBandwidth, CompBandwidth: cc.EffectiveCompBandwidth()}
-	pred := obs.StagePred{Op: "seed", NetBytes: 1 << 30, ComFlops: 1}
-	meas := obs.StageMeas{Op: "seed", ConsolidationBytes: int64(netBW * float64(cc.Nodes)), WallSeconds: 1}
-	store.Observe(key, model, pred, meas)
+	store.Observe(key, model, obs.FlightRecord{
+		Op: "seed", PredNetBytes: 1 << 30, PredComFlops: 1,
+		MeasConsolidationBytes: int64(netBW * float64(cc.Nodes)), MeasWallSeconds: 1})
 	return &obs.Learner{Store: store, Key: key, Model: model}
 }
 
@@ -50,8 +50,8 @@ func TestReplannerDivergenceWindow(t *testing.T) {
 	cc := replanCluster()
 
 	// Predicted: 2e9 bytes over 2 nodes at 1e9 B/s = 1s (net-bound).
-	o.Predict(obs.StagePred{Op: "CFO mul#1", NetBytes: 2e9, ComFlops: 1})
-	o.Measure(obs.StageMeas{Op: "CFO mul#1", WallSeconds: 3})
+	stage := obs.FlightRecord{Op: "CFO mul#1", PredNetBytes: 2e9, PredComFlops: 1, MeasWallSeconds: 3}
+	o.StageDone(stage, nil)
 	if div := r.Divergence(cc); div < 1.99 || div > 2.01 {
 		t.Errorf("Divergence = %g, want 2.0 (|3s - 1s| / 1s)", div)
 	}
@@ -61,7 +61,8 @@ func TestReplannerDivergenceWindow(t *testing.T) {
 		t.Errorf("second Divergence = %g, want 0 (window consumed)", div)
 	}
 	// New measurements open a new window.
-	o.Measure(obs.StageMeas{Op: "CFO mul#1", WallSeconds: 1.5})
+	stage.MeasWallSeconds = 1.5
+	o.StageDone(stage, nil)
 	if div := r.Divergence(cc); div < 0.49 || div > 0.51 {
 		t.Errorf("third Divergence = %g, want 0.5", div)
 	}
@@ -137,7 +138,7 @@ func TestRecostMovesPQAndPinsR(t *testing.T) {
 // residentPlanCost is the Eq. 2 cost of pp's operators at their current
 // (P,Q,R), priced the way Recost prices them: learned bandwidths where the
 // store has them, inputs named in resident discounted as cache hits.
-func residentPlanCost(pp *core.PhysPlan, cc cluster.Config, l obs.Learned, resident map[string]bool) float64 {
+func residentPlanCost(pp *core.PhysPlan, cc cluster.Config, l obs.CalibEntry, resident map[string]bool) float64 {
 	m := cost.Model{Nodes: cc.Nodes, NetBW: cc.NetBandwidth, CompBW: cc.EffectiveCompBandwidth(),
 		TaskMemBytes: cc.TaskMemBytes, MinTasks: cc.PlanSlots()}
 	if l.NetBW > 0 {

@@ -86,20 +86,23 @@ type FusedOp struct {
 	// multiplication chain is evaluated densely even under a sparse driver.
 	NoMask bool
 
-	// Obs receives stage/task spans, metrics and calibration measurements
+	// Obs receives stage/task spans, metrics and one flight record per stage
 	// from this operator's execution; nil disables all instrumentation.
 	Obs *obs.Obs
-	// OpKey identifies the operator in calibration reports, joining stage
-	// measurements to planner predictions. Defaults to "root-label#root-id".
-	OpKey string
+	// Pred is the planner's half of this operator's stage records: the
+	// operator key (Op, joining its stages in calibration reports), kind,
+	// chosen (P,Q,R) and predicted costs. Every stage's record starts as a
+	// copy and gains the measured half. Op defaults to "root-label#root-id".
+	Pred obs.FlightRecord
 }
 
-// opKey returns the calibration join key for this operator.
-func (op *FusedOp) opKey() string {
-	if op.OpKey != "" {
-		return op.OpKey
+// pred returns the prediction half of this operator's stage records.
+func (op *FusedOp) pred() obs.FlightRecord {
+	p := op.Pred
+	if p.Op == "" {
+		p.Op = fmt.Sprintf("%s#%d", op.Plan.Root.Label(), op.Plan.Root.ID)
 	}
-	return fmt.Sprintf("%s#%d", op.Plan.Root.Label(), op.Plan.Root.ID)
+	return p
 }
 
 // Execute runs the fused operator on the runtime — the in-process simulated

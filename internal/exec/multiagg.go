@@ -23,11 +23,12 @@ import (
 type MultiAggOp struct {
 	Plans []*fusion.Plan
 
-	// Obs receives the stage span, metrics and calibration measurement; nil
-	// disables instrumentation.
+	// Obs receives the stage span, metrics and flight record; nil disables
+	// instrumentation.
 	Obs *obs.Obs
-	// OpKey identifies the fused multi-aggregation in calibration reports.
-	OpKey string
+	// Pred is the planner's half of the stage's flight record (see
+	// FusedOp.Pred); Op defaults to the stage name.
+	Pred obs.FlightRecord
 }
 
 // Validate checks the multi-aggregation preconditions.
@@ -91,11 +92,11 @@ func (op *MultiAggOp) Execute(rtm rt.Runtime, bind Bindings) ([]*block.Matrix, e
 	}
 
 	name := fmt.Sprintf("multiagg:%d-plans", len(op.Plans))
-	key := op.OpKey
-	if key == "" {
-		key = name
+	pred := op.Pred
+	if pred.Op == "" {
+		pred.Op = name
 	}
-	err := runObservedStage(rtm, op.Obs, key, &rt.Stage{Name: name, NumTasks: numTasks, Fn: func(task *cluster.Task) error {
+	err := runObservedStage(rtm, op.Obs, pred, &rt.Stage{Name: name, NumTasks: numTasks, Fn: func(task *cluster.Task) error {
 		return runTask(func() error {
 			// One evaluator per plan, all sharing the fetch-dedup map so a
 			// block consumed by several aggregations moves (and is held)

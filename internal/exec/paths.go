@@ -50,7 +50,7 @@ func dispatch(rtm rt.Runtime, name string, ctx *stageCtx, src blockSource, route
 		}
 	}
 	red := newStageReducer(ctx.sp.NumTasks, route)
-	return runObservedStage(rtm, ctx.op.Obs, ctx.op.opKey(), &rt.Stage{
+	return runObservedStage(rtm, ctx.op.Obs, ctx.op.pred(), &rt.Stage{
 		Name:     name,
 		NumTasks: ctx.sp.NumTasks,
 		Fn: func(task *cluster.Task) error {

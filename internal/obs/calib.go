@@ -7,116 +7,57 @@ import (
 	"sync"
 )
 
-// StagePred is one fused operator's compile-time cost prediction: the
-// optimizer's NetEst/ComEst/MemEst at the chosen (P,Q,R). Keyed by Op, the
-// operator's display key; repeated predictions for the same key (iterative
-// workloads re-planning the same operator) overwrite.
-type StagePred struct {
-	Op       string // operator key, e.g. "CFO mul#12"
-	Kind     string // CFO, RFO, BFO, CuboidMM, Map, MultiAgg, ...
-	P, Q, R  int
-	NetBytes int64 // predicted cluster-wide network traffic
-	ComFlops int64 // predicted cluster-wide floating-point work
-	MemBytes int64 // predicted per-task memory
-}
-
-// StageMeas is one executed stage's measurement. Several stages (and several
-// executions, in iterative workloads) may map to one operator key; the report
-// sums them.
-type StageMeas struct {
-	Stage              string // stage name, e.g. "partial:mul#12"
-	Op                 string // operator key joining to StagePred.Op
-	Tasks              int
-	ConsolidationBytes int64
-	AggregationBytes   int64
-	ExtraWireBytes     int64
-	Flops              int64
-	PeakTaskMemBytes   int64
-	WallSeconds        float64
-}
-
-// NetBytes is the measured traffic comparable to the predicted NetEst:
-// consolidation plus aggregation, excluding unmodelled extra wire bytes.
-func (m StageMeas) NetBytes() int64 { return m.ConsolidationBytes + m.AggregationBytes }
-
-// Calibration accumulates predictions and measurements across a run. Safe
-// for concurrent use; a nil *Calibration absorbs every call. It holds one
-// record per operator key plus one name per distinct (operator, stage) pair —
-// never one per measurement, so an always-on store (every Session arms one,
-// the serve daemon pools sessions for the process lifetime) stays bounded by
-// the number of plan shapes, not by the number of queries.
+// Calibration accumulates executed stages' flight records across a run into
+// one row per operator key. Safe for concurrent use; a nil *Calibration
+// absorbs every call. It holds one row per operator key plus one name per
+// distinct (operator, stage) pair — never one per record, so an always-on
+// store (every Session arms one, the serve daemon pools sessions for the
+// process lifetime) stays bounded by the number of plan shapes, not by the
+// number of queries.
 type Calibration struct {
-	mu    sync.Mutex
-	order []string             // predicted operator keys in first-predicted order
-	preds map[string]StagePred // by operator key
-	meas  []string             // measured operator keys in first-measured order
-	sums  map[string]*opSums   // by operator key
+	mu   sync.Mutex
+	ops  []string          // operator keys in first-measured order
+	rows map[string]*opRow // by operator key
 }
 
-// opSums is one operator's measurements, folded as they arrive.
-type opSums struct {
-	stages      int // stage executions measured
-	tasks       int
-	netBytes    int64
-	extraBytes  int64
-	flops       int64
-	peakMem     int64
-	wallSeconds float64
-	stageNames  map[string]struct{} // distinct stage names, to count executions
+// opRow is one operator's records, folded as they arrive: the latest
+// prediction (per execution) next to the summed measurements.
+type opRow struct {
+	ReportRow
+	stageNames map[string]struct{} // distinct stage names, to count executions
 }
 
 // NewCalibration returns an empty store.
 func NewCalibration() *Calibration {
-	return &Calibration{preds: map[string]StagePred{}, sums: map[string]*opSums{}}
+	return &Calibration{rows: map[string]*opRow{}}
 }
 
-// Predict records (or refreshes) an operator's prediction.
-func (c *Calibration) Predict(p StagePred) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	if _, seen := c.preds[p.Op]; !seen {
-		c.order = append(c.order, p.Op)
-	}
-	c.preds[p.Op] = p
-	c.mu.Unlock()
-}
-
-// Measure folds one stage execution into its operator's sums.
-func (c *Calibration) Measure(m StageMeas) {
+// Measure folds one stage execution into its operator's row. Several stages
+// (and several executions, in iterative workloads) map to one operator key:
+// measurements sum, the prediction is the latest record's (a re-planned
+// operator reports the parameters it last ran with).
+func (c *Calibration) Measure(rec FlightRecord) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := c.sums[m.Op]
+	s := c.rows[rec.Op]
 	if s == nil {
-		s = &opSums{stageNames: map[string]struct{}{}}
-		c.sums[m.Op] = s
-		c.meas = append(c.meas, m.Op)
+		s = &opRow{ReportRow: ReportRow{Op: rec.Op}, stageNames: map[string]struct{}{}}
+		c.rows[rec.Op] = s
+		c.ops = append(c.ops, rec.Op)
 	}
-	s.stages++
-	s.tasks += m.Tasks
-	s.netBytes += m.NetBytes()
-	s.extraBytes += m.ExtraWireBytes
-	s.flops += m.Flops
-	s.wallSeconds += m.WallSeconds
-	if m.PeakTaskMemBytes > s.peakMem {
-		s.peakMem = m.PeakTaskMemBytes
-	}
-	s.stageNames[m.Stage] = struct{}{}
-}
-
-// Prediction returns the recorded prediction for an operator key.
-func (c *Calibration) Prediction(op string) (StagePred, bool) {
-	if c == nil {
-		return StagePred{}, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	p, ok := c.preds[op]
-	return p, ok
+	s.Kind, s.P, s.Q, s.R = rec.Kind, rec.P, rec.Q, rec.R
+	s.PredNetBytes, s.PredComFlops, s.PredMemBytes = rec.PredNetBytes, rec.PredComFlops, rec.PredMemBytes
+	s.Stages++
+	s.Tasks += rec.Tasks
+	s.MeasNetBytes += rec.NetBytes()
+	s.ExtraWireBytes += rec.MeasExtraWireBytes
+	s.MeasFlops += rec.MeasFlops
+	s.MeasWallSeconds += rec.MeasWallSeconds
+	s.MeasPeakMem = max(s.MeasPeakMem, rec.MeasPeakTaskMemBytes)
+	s.stageNames[rec.Stage] = struct{}{}
 }
 
 // CalibrationFromFlight rebuilds a calibration store from flight-recorder
@@ -126,23 +67,7 @@ func (c *Calibration) Prediction(op string) (StagePred, bool) {
 func CalibrationFromFlight(recs []FlightRecord) *Calibration {
 	c := NewCalibration()
 	for _, r := range recs {
-		if _, seen := c.preds[r.Op]; !seen {
-			c.Predict(StagePred{
-				Op: r.Op, Kind: r.Kind, P: r.P, Q: r.Q, R: r.R,
-				NetBytes: r.PredNetBytes, ComFlops: r.PredComFlops, MemBytes: r.PredMemBytes,
-			})
-		}
-		c.Measure(StageMeas{
-			Stage:              r.Stage,
-			Op:                 r.Op,
-			Tasks:              r.Tasks,
-			ConsolidationBytes: r.MeasConsolidationBytes,
-			AggregationBytes:   r.MeasAggregationBytes,
-			ExtraWireBytes:     r.MeasExtraWireBytes,
-			Flops:              r.MeasFlops,
-			PeakTaskMemBytes:   r.MeasPeakTaskMemBytes,
-			WallSeconds:        r.MeasWallSeconds,
-		})
+		c.Measure(r)
 	}
 	return c
 }
@@ -153,19 +78,19 @@ func (c *Calibration) Reset() {
 		return
 	}
 	c.mu.Lock()
-	c.order = nil
-	c.preds = map[string]StagePred{}
-	c.meas = nil
-	c.sums = map[string]*opSums{}
+	c.ops = nil
+	c.rows = map[string]*opRow{}
 	c.mu.Unlock()
 }
 
 // OpTotal is one operator's cumulative measurement since the store was
-// created or last Reset: how many stage executions were measured and their
-// summed wall seconds.
+// created or last Reset — how many stage executions were measured and their
+// summed wall seconds — next to its latest per-execution prediction.
 type OpTotal struct {
-	Stages      int
-	WallSeconds float64
+	Stages       int
+	WallSeconds  float64
+	PredNetBytes int64
+	PredComFlops int64
 }
 
 // OpTotals snapshots the cumulative per-operator totals. Two snapshots diff
@@ -177,19 +102,40 @@ func (c *Calibration) OpTotals() map[string]OpTotal {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make(map[string]OpTotal, len(c.sums))
-	for op, s := range c.sums {
-		out[op] = OpTotal{Stages: s.stages, WallSeconds: s.wallSeconds}
+	out := make(map[string]OpTotal, len(c.rows))
+	for op, s := range c.rows {
+		out[op] = OpTotal{Stages: s.Stages, WallSeconds: s.MeasWallSeconds,
+			PredNetBytes: s.PredNetBytes, PredComFlops: s.PredComFlops}
 	}
 	return out
 }
 
-// ClusterModel carries the configured Eq. 2 constants the report compares
-// measurements against.
+// ClusterModel carries the Eq. 2 constants predictions are priced with and
+// measurements are compared against.
 type ClusterModel struct {
 	Nodes         int
-	NetBandwidth  float64 // configured B̂n, bytes/s per node
-	CompBandwidth float64 // configured B̂c, flop/s per node
+	NetBandwidth  float64 // B̂n, bytes/s per node
+	CompBandwidth float64 // B̂c, flop/s per node
+}
+
+// Eq2 prices one operator under the paper's Eq. 2: the seconds its predicted
+// network traffic and floating-point work take spread over the cluster, and
+// whether the network term binds (the predicted time is the larger of the
+// two). A non-positive bandwidth prices its term at zero.
+func (m ClusterModel) Eq2(netBytes, comFlops int64) (netSec, comSec float64, netBound bool) {
+	if m.NetBandwidth > 0 {
+		netSec = m.perNode(float64(netBytes), m.NetBandwidth)
+	}
+	if m.CompBandwidth > 0 {
+		comSec = m.perNode(float64(comFlops), m.CompBandwidth)
+	}
+	return netSec, comSec, netSec >= comSec
+}
+
+// perNode divides a cluster-wide total by N x per: seconds when per is a
+// per-node bandwidth, an effective per-node bandwidth when per is seconds.
+func (m ClusterModel) perNode(total, per float64) float64 {
+	return total / (float64(max(m.Nodes, 1)) * per)
 }
 
 // ReportRow joins one operator's prediction with its summed measurements.
@@ -231,9 +177,9 @@ type Report struct {
 	TaskLatency *HistogramSnapshot
 }
 
-// Report joins predictions and measurements. Operators appear in
-// first-predicted order; stages without a prediction (in-process bookkeeping
-// stages) follow, grouped under their own key with zero predictions.
+// Report renders the accumulated rows, in first-measured operator order,
+// with the Eq. 2 predicted time under m and the back-solved effective
+// bandwidths.
 func (c *Calibration) Report(m ClusterModel) *Report {
 	rep := &Report{Model: m}
 	if c == nil {
@@ -242,56 +188,25 @@ func (c *Calibration) Report(m ClusterModel) *Report {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	n := float64(m.Nodes)
-	if n <= 0 {
-		n = 1
-	}
-	// Predicted operators first, then operators only ever measured.
-	order := append([]string(nil), c.order...)
-	for _, op := range c.meas {
-		if _, predicted := c.preds[op]; !predicted {
-			order = append(order, op)
-		}
-	}
 	var netBytes, netWall, comFlops, comWall float64
-	for _, key := range order {
-		p := c.preds[key] // zero for stages that ran without a prediction
-		row := ReportRow{Op: key, Kind: p.Kind, P: p.P, Q: p.Q, R: p.R,
-			PredNetBytes: p.NetBytes, PredComFlops: p.ComFlops, PredMemBytes: p.MemBytes}
-		if s := c.sums[key]; s != nil {
-			row.Stages, row.Tasks = s.stages, s.tasks
-			row.MeasNetBytes, row.ExtraWireBytes = s.netBytes, s.extraBytes
-			row.MeasFlops, row.MeasPeakMem = s.flops, s.peakMem
-			row.MeasWallSeconds = s.wallSeconds
-			// Executions ≈ total stage records / distinct stage names.
-			row.Executions = s.stages / len(s.stageNames)
-		}
-		execs := row.Executions
-		if execs < 1 {
-			execs = 1
-		}
+	for _, key := range c.ops {
+		s := c.rows[key]
+		row := s.ReportRow
+		// Executions ≈ total stage records / distinct stage names.
+		row.Executions = row.Stages / len(s.stageNames)
 		// Predictions are per execution; scale to the number of runs so the
 		// pred/meas columns compare like with like.
-		row.PredNetBytes *= int64(execs)
-		row.PredComFlops *= int64(execs)
-		var netSec, comSec float64
-		if m.NetBandwidth > 0 {
-			netSec = float64(row.PredNetBytes) / (n * m.NetBandwidth)
-		}
-		if m.CompBandwidth > 0 {
-			comSec = float64(row.PredComFlops) / (n * m.CompBandwidth)
-		}
-		row.PredSeconds = netSec
-		if comSec > netSec {
-			row.PredSeconds = comSec
-		}
+		row.PredNetBytes *= int64(row.Executions)
+		row.PredComFlops *= int64(row.Executions)
+		netSec, comSec, netBound := m.Eq2(row.PredNetBytes, row.PredComFlops)
+		row.PredSeconds = max(netSec, comSec)
 		if row.MeasWallSeconds > 0 {
-			row.EffNetBW = float64(row.MeasNetBytes) / (n * row.MeasWallSeconds)
-			row.EffCompBW = float64(row.MeasFlops) / (n * row.MeasWallSeconds)
+			row.EffNetBW = m.perNode(float64(row.MeasNetBytes), row.MeasWallSeconds)
+			row.EffCompBW = m.perNode(float64(row.MeasFlops), row.MeasWallSeconds)
 			// Eq. 2 takes the max of the two terms, so the measured wall time
 			// of a stage reflects whichever resource bound it: attribute the
 			// row to that class when back-solving.
-			if netSec >= comSec && row.MeasNetBytes > 0 {
+			if netBound && row.MeasNetBytes > 0 {
 				netBytes += float64(row.MeasNetBytes)
 				netWall += row.MeasWallSeconds
 			} else if row.MeasFlops > 0 {
@@ -302,10 +217,10 @@ func (c *Calibration) Report(m ClusterModel) *Report {
 		rep.Rows = append(rep.Rows, row)
 	}
 	if netWall > 0 {
-		rep.EffNetBW = netBytes / (n * netWall)
+		rep.EffNetBW = m.perNode(netBytes, netWall)
 	}
 	if comWall > 0 {
-		rep.EffCompBW = comFlops / (n * comWall)
+		rep.EffCompBW = m.perNode(comFlops, comWall)
 	}
 	return rep
 }
@@ -333,12 +248,8 @@ func (r *Report) String() string {
 		if row.P > 0 {
 			pqr = fmt.Sprintf("(%d,%d,%d)", row.P, row.Q, row.R)
 		}
-		execs := row.Executions
-		if execs < 1 {
-			execs = 1
-		}
 		fmt.Fprintf(&b, "  %-*s %-11s %5d  %-23s %-23s %-12s %-13s %-13s\n",
-			w, row.Op, pqr, execs,
+			w, row.Op, pqr, row.Executions,
 			fmt.Sprintf("%s→%s", fmtCount(float64(row.PredNetBytes), "B"), fmtCount(float64(row.MeasNetBytes), "B")),
 			fmt.Sprintf("%s→%s", fmtCount(float64(row.PredComFlops), "fl"), fmtCount(float64(row.MeasFlops), "fl")),
 			fmt.Sprintf("%.3gs→%.3gs", row.PredSeconds, row.MeasWallSeconds),

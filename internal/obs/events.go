@@ -1,11 +1,7 @@
 package obs
 
 import (
-	"bufio"
-	"encoding/json"
-	"fmt"
 	"io"
-	"os"
 	"sync"
 	"time"
 )
@@ -69,50 +65,29 @@ type Event struct {
 const DefaultJournalRing = 4096
 
 // Journal is the per-query event log: a bounded in-memory ring every
-// component appends lifecycle events to, with an optional JSONL file sink
-// for offline analysis. One journal is shared across the sessions of a
-// serve daemon so `GET /v1/queries/{id}` can join any query's events. Safe
-// for concurrent use; a nil *Journal absorbs every call.
+// component appends lifecycle events to, with an optional JSONL sink for
+// offline analysis. One journal is shared across the sessions of a serve
+// daemon so `GET /v1/queries/{id}` can join any query's events. Safe for
+// concurrent use; a nil *Journal absorbs every call.
 type Journal struct {
-	mu    sync.Mutex
-	ring  []Event // capacity-bounded; oldest overwritten first
-	next  int     // ring write cursor
-	total int64   // events ever appended
-
-	sink *bufio.Writer // optional JSONL sink
-	c    io.Closer     // underlying file, when OpenJournal created one
-	err  error         // latched sink write error
-
-	now func() time.Time // test hook; nil = time.Now
+	mu   sync.Mutex
+	ring []Event // capacity-bounded; oldest overwritten first
+	next int     // ring write cursor: len(ring) until the ring is full
+	sink *JSONL  // optional; nil = ring only
 }
 
 // NewJournal returns a journal holding the last ring events in memory
-// (non-positive selects DefaultJournalRing).
-func NewJournal(ring int) *Journal {
+// (non-positive selects DefaultJournalRing) and mirroring every event to
+// sink as a JSON line; a nil sink keeps the ring only. The sink stays the
+// caller's: Flush pushes buffered lines to it, closing it is the caller's job.
+func NewJournal(ring int, sink io.Writer) *Journal {
 	if ring <= 0 {
 		ring = DefaultJournalRing
 	}
-	return &Journal{ring: make([]Event, 0, ring)}
-}
-
-// OpenJournal is NewJournal plus a JSONL file sink at path (created or
-// truncated). Close flushes and releases the file.
-func OpenJournal(path string, ring int) (*Journal, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("obs: journal: %w", err)
+	j := &Journal{ring: make([]Event, 0, ring)}
+	if sink != nil {
+		j.sink = NewJSONL(sink)
 	}
-	j := NewJournal(ring)
-	j.sink = bufio.NewWriter(f)
-	j.c = f
-	return j, nil
-}
-
-// NewJournalWriter is NewJournal plus a JSONL sink onto an arbitrary writer
-// (tests, in-memory buffers). The writer is flushed by Close but not closed.
-func NewJournalWriter(w io.Writer, ring int) *Journal {
-	j := NewJournal(ring)
-	j.sink = bufio.NewWriter(w)
 	return j
 }
 
@@ -124,11 +99,7 @@ func (j *Journal) append(e Event) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if e.UnixNano == 0 {
-		if j.now != nil {
-			e.UnixNano = j.now().UnixNano()
-		} else {
-			e.UnixNano = time.Now().UnixNano()
-		}
+		e.UnixNano = time.Now().UnixNano()
 	}
 	if len(j.ring) < cap(j.ring) {
 		j.ring = append(j.ring, e)
@@ -136,24 +107,7 @@ func (j *Journal) append(e Event) {
 		j.ring[j.next] = e
 	}
 	j.next = (j.next + 1) % cap(j.ring)
-	j.total++
-	if j.sink != nil && j.err == nil {
-		line, err := json.Marshal(e)
-		if err == nil {
-			_, err = j.sink.Write(append(line, '\n'))
-		}
-		j.err = err
-	}
-}
-
-// snapshot returns the ring's events oldest-first.
-func (j *Journal) snapshot() []Event {
-	if len(j.ring) < cap(j.ring) {
-		return append([]Event(nil), j.ring...)
-	}
-	out := make([]Event, 0, len(j.ring))
-	out = append(out, j.ring[j.next:]...)
-	return append(out, j.ring[:j.next]...)
+	j.sink.Write(e)
 }
 
 // Events returns the retained events of one query, in sequence order.
@@ -164,79 +118,22 @@ func (j *Journal) Events(query string) []Event {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	var out []Event
-	for _, e := range j.snapshot() {
-		if e.Query == query {
+	for i := range j.ring {
+		// Oldest first: a full ring starts at the write cursor.
+		if e := j.ring[(j.next+i)%len(j.ring)]; e.Query == query {
 			out = append(out, e)
 		}
 	}
 	return out
 }
 
-// Recent returns the last n retained events (all of them when n <= 0),
-// oldest first.
-func (j *Journal) Recent(n int) []Event {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	all := j.snapshot()
-	if n > 0 && len(all) > n {
-		all = all[len(all)-n:]
-	}
-	return all
-}
-
-// Total returns how many events were ever appended (including any the ring
-// has since overwritten).
-func (j *Journal) Total() int64 {
-	if j == nil {
-		return 0
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.total
-}
-
-// Err returns the latched sink write error, if any.
-func (j *Journal) Err() error {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
-}
-
-// Flush forces buffered sink output to the underlying writer.
+// Flush forces buffered sink output to the underlying writer and returns
+// the sink's latched write error, if any. The in-memory ring is unaffected.
 func (j *Journal) Flush() error {
 	if j == nil {
 		return nil
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.sink != nil && j.err == nil {
-		j.err = j.sink.Flush()
-	}
-	return j.err
-}
-
-// Close flushes the sink and releases the underlying file (when OpenJournal
-// created one). The in-memory ring stays readable.
-func (j *Journal) Close() error {
-	err := j.Flush()
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.c != nil {
-		if cerr := j.c.Close(); err == nil {
-			err = cerr
-		}
-		j.c = nil
-	}
-	return err
+	return j.sink.Flush()
 }
 
 // Begin opens one query's event log: subsequent Emit calls stamp the query
@@ -260,14 +157,6 @@ type QueryLog struct {
 	seq    int64
 }
 
-// Query returns the query id this log stamps (empty on nil).
-func (q *QueryLog) Query() string {
-	if q == nil {
-		return ""
-	}
-	return q.query
-}
-
 // Emit appends one event, filling in the query id, tenant and sequence.
 func (q *QueryLog) Emit(e Event) {
 	if q == nil {
@@ -284,22 +173,7 @@ func (q *QueryLog) Emit(e Event) {
 	q.j.append(e)
 }
 
-// ReadEvents parses a JSONL stream of journal events (the file sink's
-// format).
+// ReadEvents parses a JSONL stream of journal events (the sink's format).
 func ReadEvents(r io.Reader) ([]Event, error) {
-	var out []Event
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var e Event
-		if err := json.Unmarshal(line, &e); err != nil {
-			return nil, fmt.Errorf("obs: journal event %d: %w", len(out)+1, err)
-		}
-		out = append(out, e)
-	}
-	return out, sc.Err()
+	return readJSONL[Event](r, "journal event")
 }

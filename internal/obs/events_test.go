@@ -8,34 +8,27 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestJournalRingBounds(t *testing.T) {
-	j := NewJournal(4)
+	j := NewJournal(4, nil)
+	q := j.Begin("q", "")
 	for i := 1; i <= 10; i++ {
-		j.append(Event{Query: fmt.Sprintf("q%d", i), Type: EvDone})
+		q.Emit(Event{Type: EvDone})
+		j.append(Event{Query: "other", Type: EvDone}) // interleaved, filtered out
 	}
-	if got := j.Total(); got != 10 {
-		t.Fatalf("Total = %d, want 10", got)
+	// The ring retains the last four appends — two of them q's — oldest first.
+	got := j.Events("q")
+	if len(got) != 2 || got[0].Seq != 9 || got[1].Seq != 10 {
+		t.Fatalf("Events(q) = %+v, want q's last two events (seq 9, 10) in order", got)
 	}
-	all := j.Recent(0)
-	if len(all) != 4 {
-		t.Fatalf("ring holds %d events, want 4", len(all))
-	}
-	// Oldest-first: the ring retains the last four appends in order.
-	for i, e := range all {
-		if want := fmt.Sprintf("q%d", 7+i); e.Query != want {
-			t.Errorf("ring[%d].Query = %q, want %q", i, e.Query, want)
-		}
-	}
-	if got := j.Recent(2); len(got) != 2 || got[1].Query != "q10" {
-		t.Fatalf("Recent(2) = %+v, want last two ending at q10", got)
+	if other := j.Events("other"); len(other) != 2 {
+		t.Fatalf("ring holds %d events of the other query, want 2", len(other))
 	}
 }
 
 func TestJournalEventsFiltersByQuery(t *testing.T) {
-	j := NewJournal(16)
+	j := NewJournal(16, nil)
 	a := j.Begin("qa", "acme")
 	b := j.Begin("qb", "beta")
 	a.Emit(Event{Type: EvPlanned})
@@ -68,12 +61,12 @@ func TestJournalEventsFiltersByQuery(t *testing.T) {
 
 func TestJournalSinkRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	j := NewJournalWriter(&buf, 8)
+	j := NewJournal(8, &buf)
 	q := j.Begin("q1", "acme")
 	q.Emit(Event{Type: EvPlanned, Plan: "CFO", PredSeconds: 1.5})
 	q.Emit(Event{Type: EvStageEnd, Stage: "s0", Flight: &FlightRecord{Stage: "s0", PredNetBytes: 64}})
 	q.Emit(Event{Type: EvDone, Seconds: 2})
-	if err := j.Close(); err != nil {
+	if err := j.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadEvents(&buf)
@@ -94,18 +87,21 @@ func TestJournalSinkRoundTrip(t *testing.T) {
 	}
 }
 
-func TestOpenJournalWritesFile(t *testing.T) {
+func TestJournalFileSink(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	j, err := OpenJournal(path, 8)
+	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.now = func() time.Time { return time.Unix(0, 42) }
-	j.Begin("q1", "").Emit(Event{Type: EvDone})
-	if err := j.Close(); err != nil {
+	j := NewJournal(8, f)
+	j.Begin("q1", "").Emit(Event{Type: EvDone, UnixNano: 42})
+	if err := j.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(path)
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err = os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,16 +116,16 @@ func TestOpenJournalWritesFile(t *testing.T) {
 }
 
 func TestJournalSinkLatchesError(t *testing.T) {
-	j := NewJournalWriter(failWriter{}, 2)
+	j := NewJournal(2, failWriter{})
 	j.append(Event{Query: "q1", Type: EvDone})
 	if err := j.Flush(); err == nil {
 		t.Fatal("Flush on a failing sink should latch an error")
 	}
-	if j.Err() == nil {
-		t.Fatal("Err should report the latched sink error")
+	if j.Flush() == nil {
+		t.Fatal("a second Flush should still report the latched sink error")
 	}
 	// The ring keeps working regardless.
-	if got := j.Recent(0); len(got) != 1 {
+	if got := j.Events("q1"); len(got) != 1 {
 		t.Fatalf("ring lost events after sink failure: %+v", got)
 	}
 }
@@ -137,10 +133,10 @@ func TestJournalSinkLatchesError(t *testing.T) {
 func TestJournalNilSafety(t *testing.T) {
 	var j *Journal
 	j.append(Event{})
-	if j.Events("q") != nil || j.Recent(1) != nil || j.Total() != 0 || j.Err() != nil {
+	if j.Events("q") != nil {
 		t.Fatal("nil journal should absorb reads")
 	}
-	if err := j.Close(); err != nil {
+	if err := j.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	q := j.Begin("q", "")
@@ -148,13 +144,10 @@ func TestJournalNilSafety(t *testing.T) {
 		t.Fatal("Begin on nil journal should return nil")
 	}
 	q.Emit(Event{Type: EvDone}) // must not panic
-	if q.Query() != "" {
-		t.Fatal("nil QueryLog should have no query id")
-	}
 }
 
 func TestQueryLogConcurrentEmit(t *testing.T) {
-	j := NewJournal(1024)
+	j := NewJournal(1024, nil)
 	q := j.Begin("q1", "t")
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -180,13 +173,44 @@ func TestQueryLogConcurrentEmit(t *testing.T) {
 	}
 }
 
+// TestReadEventsSkipsBlankLinesAndRejectsGarbage drives the shared JSONL
+// reader through both of its line types: blank lines are skipped, and a
+// garbage line, a truncated last line or a line over 1 MiB is an error — never
+// a panic, never a silently shorter result.
 func TestReadEventsSkipsBlankLinesAndRejectsGarbage(t *testing.T) {
-	got, err := ReadEvents(strings.NewReader("\n{\"query\":\"q1\",\"seq\":1,\"type\":\"done\"}\n\n"))
-	if err != nil || len(got) != 1 || got[0].Type != EvDone {
-		t.Fatalf("ReadEvents = %+v, %v", got, err)
+	const event = `{"query":"q1","seq":1,"type":"done"}`
+	const flight = `{"stage":"s","op":"CFO mul#1","tasks":4}`
+	readers := map[string]struct {
+		line string
+		read func(string) (int, error)
+	}{
+		"events": {event, func(in string) (int, error) {
+			got, err := ReadEvents(strings.NewReader(in))
+			return len(got), err
+		}},
+		"flight": {flight, func(in string) (int, error) {
+			got, err := ReadFlightRecords(strings.NewReader(in))
+			return len(got), err
+		}},
 	}
-	if _, err := ReadEvents(strings.NewReader("not json\n")); err == nil {
-		t.Fatal("garbage line should error")
+	for name, r := range readers {
+		if n, err := r.read("\n" + r.line + "\n\n" + r.line + "\n"); err != nil || n != 2 {
+			t.Errorf("%s: blank lines: read %d lines, err %v; want 2, nil", name, n, err)
+		}
+		bad := map[string]string{
+			"garbage":             "not json\n",
+			"interleaved garbage": r.line + "\n}{\n" + r.line + "\n",
+			"truncated last line": r.line + "\n" + r.line[:len(r.line)/2],
+			"line over 1 MiB":     r.line + "\n" + `{"stage":"` + strings.Repeat("x", 1<<20) + `"}` + "\n",
+		}
+		for what, in := range bad {
+			if n, err := r.read(in); err == nil {
+				t.Errorf("%s: %s: read %d lines without an error", name, what, n)
+			}
+		}
+	}
+	if got, _ := ReadEvents(strings.NewReader(event + "\n")); len(got) != 1 || got[0].Type != EvDone {
+		t.Fatalf("ReadEvents = %+v", got)
 	}
 }
 

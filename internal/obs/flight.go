@@ -1,19 +1,19 @@
 package obs
 
 import (
-	"bufio"
-	"encoding/json"
-	"fmt"
 	"io"
 	"os"
-	"sync"
 )
 
-// FlightRecord is one executed stage's black-box entry: the planner's
-// prediction for the owning operator (chosen (P,Q,R) and the Eq. 2–5 cost
-// terms) next to what actually happened when the stage ran. One record is
-// written per stage execution, so iterative workloads produce one line per
-// stage per iteration.
+// FlightRecord is one executed stage's black-box entry, and the only
+// per-stage type: the planner's prediction for the owning operator (chosen
+// (P,Q,R) and the Eq. 2–5 cost terms) next to what actually happened when
+// the stage ran. The engine fills the prediction half per operator, the
+// executor copies it per stage and fills the measured half from the
+// runtime's stats of that stage, and Obs.StageDone derives every output from
+// the result. One record per stage execution, so iterative workloads produce
+// one line per stage per iteration. The JSON tags are the flight file's, the
+// journal's stage_end.flight and GET /v1/queries/{id}'s wire format.
 type FlightRecord struct {
 	Stage string `json:"stage"`
 	Op    string `json:"op"`
@@ -56,121 +56,15 @@ type FlightRecord struct {
 	OverlapRatio        float64 `json:"overlap_ratio,omitempty"`
 }
 
-// FlightRecorder appends stage records to a writer as JSON lines. Safe for
-// concurrent use; a nil *FlightRecorder absorbs every call. Write errors are
-// latched: the first one stops further output and surfaces from Err/Close.
-type FlightRecorder struct {
-	mu  sync.Mutex
-	w   *bufio.Writer
-	c   io.Closer // underlying file, if OpenFlightRecorder created one
-	n   int
-	err error
-}
-
-// NewFlightRecorder writes records to w.
-func NewFlightRecorder(w io.Writer) *FlightRecorder {
-	return &FlightRecorder{w: bufio.NewWriter(w)}
-}
-
-// OpenFlightRecorder creates (or truncates) the JSONL file at path.
-func OpenFlightRecorder(path string) (*FlightRecorder, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("obs: flight recorder: %w", err)
-	}
-	fr := NewFlightRecorder(f)
-	fr.c = f
-	return fr, nil
-}
-
-// Record appends one stage record.
-func (f *FlightRecorder) Record(rec FlightRecord) {
-	if f == nil {
-		return
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.err != nil {
-		return
-	}
-	line, err := json.Marshal(rec)
-	if err == nil {
-		_, err = f.w.Write(append(line, '\n'))
-	}
-	if err != nil {
-		f.err = err
-		return
-	}
-	f.n++
-}
-
-// Count returns how many records were written.
-func (f *FlightRecorder) Count() int {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.n
-}
-
-// Err returns the latched write error, if any.
-func (f *FlightRecorder) Err() error {
-	if f == nil {
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.err
-}
-
-// Flush forces buffered records to the underlying writer.
-func (f *FlightRecorder) Flush() error {
-	if f == nil {
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.err == nil {
-		f.err = f.w.Flush()
-	}
-	return f.err
-}
-
-// Close flushes and releases the underlying file (when one was opened).
-func (f *FlightRecorder) Close() error {
-	if f == nil {
-		return nil
-	}
-	err := f.Flush()
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.c != nil {
-		if cerr := f.c.Close(); err == nil {
-			err = cerr
-		}
-		f.c = nil
-	}
-	return err
+// NetBytes is the measured traffic comparable to the predicted NetEst:
+// consolidation plus aggregation, excluding unmodelled extra wire bytes.
+func (r FlightRecord) NetBytes() int64 {
+	return r.MeasConsolidationBytes + r.MeasAggregationBytes
 }
 
 // ReadFlightRecords parses a JSONL stream of flight records.
 func ReadFlightRecords(r io.Reader) ([]FlightRecord, error) {
-	var out []FlightRecord
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var rec FlightRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return nil, fmt.Errorf("obs: flight record %d: %w", len(out)+1, err)
-		}
-		out = append(out, rec)
-	}
-	return out, sc.Err()
+	return readJSONL[FlightRecord](r, "flight record")
 }
 
 // ReadFlightFile is ReadFlightRecords on a file path.

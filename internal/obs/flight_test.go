@@ -23,13 +23,10 @@ func sampleRecord(stage string) FlightRecord {
 
 func TestFlightRecorderRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	fr := NewFlightRecorder(&buf)
+	fr := NewJSONL(&buf)
 	want := []FlightRecord{sampleRecord("cuboid:mul#3"), sampleRecord("fuse:mul#3")}
 	for _, r := range want {
-		fr.Record(r)
-	}
-	if fr.Count() != 2 {
-		t.Fatalf("Count = %d, want 2", fr.Count())
+		fr.Write(r)
 	}
 	if err := fr.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
@@ -52,32 +49,29 @@ func TestFlightRecorderRoundTrip(t *testing.T) {
 }
 
 func TestFlightRecorderNilSafe(t *testing.T) {
-	var fr *FlightRecorder
-	fr.Record(sampleRecord("s"))
-	if fr.Count() != 0 || fr.Err() != nil || fr.Flush() != nil || fr.Close() != nil {
-		t.Fatal("nil FlightRecorder must absorb every call")
+	var fr *JSONL
+	fr.Write(sampleRecord("s"))
+	if fr.Flush() != nil {
+		t.Fatal("nil flight recorder must absorb every call")
 	}
 }
 
 func TestCalibrationFromFlight(t *testing.T) {
 	recs := []FlightRecord{sampleRecord("cuboid:mul#3"), sampleRecord("cuboid:mul#3")}
 	c := CalibrationFromFlight(recs)
-	p, ok := c.Prediction("CFO mul#3")
-	if !ok {
-		t.Fatal("prediction not rebuilt from flight records")
-	}
-	if p.P != 2 || p.Q != 2 || p.R != 1 || p.NetBytes != 1<<20 {
-		t.Fatalf("rebuilt prediction mismatch: %+v", p)
-	}
-	if tot := c.OpTotals()["CFO mul#3"]; tot.Stages != 2 || tot.WallSeconds != 0.5 {
-		t.Fatalf("rebuilt totals = %+v, want 2 stages / 0.5s", tot)
+	if tot := c.OpTotals()["CFO mul#3"]; tot.Stages != 2 || tot.WallSeconds != 0.5 || tot.PredNetBytes != 1<<20 {
+		t.Fatalf("rebuilt totals = %+v, want 2 stages / 0.5s / 1 MiB predicted", tot)
 	}
 	// Two executions of one stage collapse to one report row with runs=2.
 	rep := c.Report(ClusterModel{Nodes: 2, NetBandwidth: 1e9, CompBandwidth: 1e10})
 	if len(rep.Rows) != 1 || rep.Rows[0].Executions != 2 {
 		t.Fatalf("report rows = %+v, want one row with 2 executions", rep.Rows)
 	}
-	if row := rep.Rows[0]; row.MeasNetBytes != 2*(900_000+120_000) || row.ExtraWireBytes != 2*4_096 {
+	row := rep.Rows[0]
+	if row.P != 2 || row.Q != 2 || row.R != 1 || row.PredNetBytes != 2<<20 {
+		t.Fatalf("rebuilt prediction mismatch: %+v", row)
+	}
+	if row.MeasNetBytes != 2*(900_000+120_000) || row.ExtraWireBytes != 2*4_096 {
 		t.Fatalf("rebuilt measurement mismatch: %+v", row)
 	}
 }

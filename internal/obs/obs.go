@@ -4,6 +4,13 @@
 // joins the planner's NetEst/ComEst/MemEst predictions against measured
 // execution so effective cluster bandwidths can be back-solved.
 //
+// The rule of the package: one FlightRecord per executed stage, built by the
+// executor from the runtime's stage stats; every other output — calibration
+// rows, the learner's sample, the fuseme_* stage counters, the flight line,
+// the journal's stage_end event — is derived from it in Obs.StageDone. One
+// level down, Obs.TaskDone is the same single emit point for a finished task
+// on either runtime.
+//
 // Everything is nil-safe by design: a nil *Obs (or a nil component inside a
 // non-nil Obs) turns every instrumentation call into a pointer check and an
 // immediate return, so disabled observability costs nothing on the task hot
@@ -11,18 +18,21 @@
 // never branch on "is observability on" beyond that nil check.
 package obs
 
-import "fmt"
+import (
+	"fmt"
+	"time"
+)
 
 // Obs bundles one session's observability components. Any field may be nil;
 // the whole struct may be nil. Helper methods absorb both.
 type Obs struct {
-	Trace   *Recorder       // span recorder; nil disables tracing
-	Metrics *Registry       // metrics registry; nil disables metrics
-	Calib   *Calibration    // prediction/measurement join; nil disables calibration
-	Flight  *FlightRecorder // per-stage JSONL flight recorder; nil disables it
-	Learn   *Learner        // online calibration-store updater; nil disables learning
-	QLog    *QueryLog       // current query's event-journal log; nil disables journaling
-	Skew    *SkewDetector   // straggler/skew detector; nil disables it
+	Trace   *Recorder     // span recorder; nil disables tracing
+	Metrics *Registry     // metrics registry; nil disables metrics
+	Calib   *Calibration  // prediction/measurement join; nil disables calibration
+	Flight  *JSONL        // per-stage flight recorder (one line per record); nil disables it
+	Learn   *Learner      // online calibration-store updater; nil disables learning
+	QLog    *QueryLog     // current query's event-journal log; nil disables journaling
+	Skew    *SkewDetector // straggler/skew detector; nil disables it
 }
 
 // Enabled reports whether any component is active (stage-level hooks run).
@@ -76,66 +86,106 @@ func (o *Obs) Histogram(name string) *Histogram {
 	return o.Metrics.Histogram(name)
 }
 
-// Predict records a per-operator cost prediction for calibration.
-func (o *Obs) Predict(p StagePred) {
+// StageDone is the one emit point of an executed stage: rec — the owning
+// operator's prediction next to what the runtime measured — is folded into
+// the calibration rows, offered to the calibration-store learner, added to
+// the stage counters, written as the flight line and embedded, together with
+// the stage's task-duration skew, in the journal's stage_end event, so the
+// five outputs can never disagree. err is the stage's failure, if any. A nil
+// Obs or any nil component absorbs its share.
+func (o *Obs) StageDone(rec FlightRecord, err error) {
 	if o == nil {
 		return
 	}
-	o.Calib.Predict(p)
-}
-
-// Measure records a per-stage measurement for calibration.
-func (o *Obs) Measure(m StageMeas) {
-	if o == nil {
-		return
-	}
-	o.Calib.Measure(m)
-}
-
-// Prediction looks up the recorded prediction for an operator key.
-func (o *Obs) Prediction(op string) (StagePred, bool) {
-	if o == nil {
-		return StagePred{}, false
-	}
-	return o.Calib.Prediction(op)
-}
-
-// LearnStage streams one completed stage's (prediction, measurement) pair
-// into the attached calibration-store learner, bumping the update counter
-// when a sample was folded in. A nil Obs or nil Learner absorbs the call.
-func (o *Obs) LearnStage(pred StagePred, meas StageMeas) {
-	if o == nil || o.Learn == nil {
-		return
-	}
-	if o.Learn.Observe(pred, meas) {
+	o.Calib.Measure(rec)
+	if o.Learn.Observe(rec) {
 		o.Counter(MCalibUpdates).Inc()
 		o.Gauge(MCalibGeneration).Set(float64(o.Learn.Store.Generation()))
 	}
+	o.Counter(MStagesTotal).Inc()
+	o.Counter(MConsolidationBytes).Add(rec.MeasConsolidationBytes)
+	o.Counter(MAggregationBytes).Add(rec.MeasAggregationBytes)
+	o.Counter(MExtraBytes).Add(rec.MeasExtraWireBytes)
+	o.Counter(MFlopsTotal).Add(rec.MeasFlops)
+	o.Counter(MCacheHits).Add(rec.CacheHits)
+	o.Counter(MCacheMisses).Add(rec.CacheMisses)
+	// A running total, kept under the gauge type the series always had.
+	saved := o.Gauge(MCacheSavedBytes)
+	saved.Set(saved.Value() + float64(rec.CacheSavedBytes))
+
+	// Straggler/skew: fold the stage's per-task samples, publish the stage
+	// imbalance and the refreshed per-worker slowdown scores.
+	var skew *StageSkew
+	if sk := o.Skew.FinishStage(rec.Stage); sk.Tasks > 0 {
+		skew = &sk
+		o.Gauge(MStageSkew).Set(sk.Imbalance)
+		for worker, score := range o.Skew.Slowdowns() {
+			o.Gauge(WorkerSlowdownGauge(worker)).Set(score)
+		}
+	}
+
+	// The record is boxed or copied to the heap only for a sink that is on,
+	// so the calibration-only default allocates nothing per stage here.
+	if o.Flight != nil {
+		o.Flight.Write(rec)
+	}
+	if o.QLog != nil {
+		flight := rec
+		end := Event{Type: EvStageEnd, Stage: rec.Stage, Op: rec.Op, Tasks: rec.Tasks,
+			Seconds: rec.MeasWallSeconds, Flight: &flight, Skew: skew}
+		if err != nil {
+			end.Error = err.Error()
+		}
+		o.QLog.Emit(end)
+	}
 }
 
-// RecordFlight appends one stage record to the flight recorder.
-func (o *Obs) RecordFlight(rec FlightRecord) {
-	if o == nil {
-		return
-	}
-	o.Flight.Record(rec)
+// TaskSample is one finished task as its dispatcher saw it: the sim
+// executor's task wrapper and the TCP coordinator's dispatch lane both fill
+// one and hand it to Obs.TaskDone.
+type TaskSample struct {
+	ID     int
+	Worker int // worker that ran the task; negative = none to attribute (no skew sample)
+	// Cat is the span category: "task" when the body ran in this process,
+	// "sched" for the coordinator's dispatch view of a remote task (whose
+	// execution view the worker ships back itself).
+	Cat string
+
+	StageStart time.Time // when the stage was dispatched; Start - StageStart is the queue wait
+	Start      time.Time // when the task started
+
+	ConsolidationBytes, AggregationBytes, Flops, PeakMemBytes int64
+
+	Err error
 }
 
-// Emit appends one event to the current query's journal log.
-func (o *Obs) Emit(e Event) {
-	if o == nil {
+// TaskDone is the one emit point of a finished task, called as it returns:
+// queue-wait and latency histograms, fuseme_tasks_total, the skew detector's
+// sample and the task span.
+func (o *Obs) TaskDone(t TaskSample) {
+	if !o.PerTask() {
 		return
 	}
-	o.QLog.Emit(e)
-}
-
-// ObserveTask feeds one completed task's (worker, duration) sample to the
-// skew detector.
-func (o *Obs) ObserveTask(worker int, seconds float64) {
-	if o == nil {
-		return
+	elapsed := time.Since(t.Start)
+	o.Histogram(MQueueSeconds).Observe(t.Start.Sub(t.StageStart).Seconds())
+	o.Histogram(MTaskSeconds).Observe(elapsed.Seconds())
+	o.Counter(MTasksTotal).Inc()
+	if t.Worker >= 0 {
+		o.Skew.ObserveTask(t.Worker, elapsed.Seconds())
 	}
-	o.Skew.ObserveTask(worker, seconds)
+	if o.Trace != nil {
+		args := map[string]any{
+			"consolidation_bytes": t.ConsolidationBytes,
+			"aggregation_bytes":   t.AggregationBytes,
+			"flops":               t.Flops,
+			"peak_mem_bytes":      t.PeakMemBytes,
+		}
+		if t.Err != nil {
+			args["error"] = t.Err.Error()
+		}
+		// Task tracks are 1-based: track 0 is the plan/stage track.
+		o.Trace.AddSpanAt(fmt.Sprintf("task %d", t.ID), t.Cat, PIDLocal, 1+t.ID%64, t.Start, elapsed, args)
+	}
 }
 
 // Reset clears accumulated spans, calibration records and metric values

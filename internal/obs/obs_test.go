@@ -23,8 +23,8 @@ func TestNilSafety(t *testing.T) {
 	o.Counter("c").Inc()
 	o.Gauge("g").Set(1.5)
 	o.Histogram("h").Observe(0.1)
-	o.Predict(StagePred{Op: "a"})
-	o.Measure(StageMeas{Op: "a"})
+	o.StageDone(FlightRecord{Op: "a"}, nil)
+	o.TaskDone(TaskSample{})
 	o.Reset()
 
 	var r *Recorder
@@ -34,8 +34,7 @@ func TestNilSafety(t *testing.T) {
 	r.Reset()
 
 	var c *Calibration
-	c.Predict(StagePred{})
-	c.Measure(StageMeas{})
+	c.Measure(FlightRecord{})
 	c.Reset()
 	if got := c.Report(ClusterModel{Nodes: 4}); len(got.Rows) != 0 {
 		t.Fatal("nil calibration should report no rows")
@@ -202,20 +201,17 @@ func TestCalibrationReport(t *testing.T) {
 	model := ClusterModel{Nodes: 4, NetBandwidth: 125e6, CompBandwidth: 546e9}
 
 	// Net-bound operator: predicted net term 8e9/(4·125e6) = 16s dominates
-	// the comp term 4e9/(4·546e9) ≈ 0.0018s.
-	c.Predict(StagePred{Op: "CFO mul#1", Kind: "CFO", P: 2, Q: 2, R: 1,
-		NetBytes: 8e9, ComFlops: 4e9, MemBytes: 64 << 20})
-	// Comp-bound operator.
-	c.Predict(StagePred{Op: "CFO mul#2", Kind: "CFO", P: 4, Q: 1, R: 1,
-		NetBytes: 1e6, ComFlops: 8e12, MemBytes: 32 << 20})
-
-	// Measurements: mul#1 moved 4e9 bytes in 10s wall → eff B̂n = 4e9/(4·10) = 1e8.
-	c.Measure(StageMeas{Stage: "cuboid:mul#1", Op: "CFO mul#1", Tasks: 4,
-		ConsolidationBytes: 3e9, AggregationBytes: 1e9, Flops: 4e9,
-		PeakTaskMemBytes: 50 << 20, WallSeconds: 10})
-	// mul#2 did 8e12 flops in 5s wall → eff B̂c = 8e12/(4·5) = 4e11.
-	c.Measure(StageMeas{Stage: "cuboid:mul#2", Op: "CFO mul#2", Tasks: 4,
-		ConsolidationBytes: 1e6, Flops: 8e12, WallSeconds: 5})
+	// the comp term 4e9/(4·546e9) ≈ 0.0018s. Measured: mul#1 moved 4e9 bytes
+	// in 10s wall → eff B̂n = 4e9/(4·10) = 1e8.
+	c.Measure(FlightRecord{Stage: "cuboid:mul#1", Op: "CFO mul#1", Kind: "CFO", P: 2, Q: 2, R: 1, Tasks: 4,
+		PredNetBytes: 8e9, PredComFlops: 4e9, PredMemBytes: 64 << 20,
+		MeasConsolidationBytes: 3e9, MeasAggregationBytes: 1e9, MeasFlops: 4e9,
+		MeasPeakTaskMemBytes: 50 << 20, MeasWallSeconds: 10})
+	// Comp-bound operator: mul#2 did 8e12 flops in 5s wall → eff B̂c =
+	// 8e12/(4·5) = 4e11.
+	c.Measure(FlightRecord{Stage: "cuboid:mul#2", Op: "CFO mul#2", Kind: "CFO", P: 4, Q: 1, R: 1, Tasks: 4,
+		PredNetBytes: 1e6, PredComFlops: 8e12, PredMemBytes: 32 << 20,
+		MeasConsolidationBytes: 1e6, MeasFlops: 8e12, MeasWallSeconds: 5})
 
 	rep := c.Report(model)
 	if len(rep.Rows) != 2 {
@@ -252,14 +248,17 @@ func TestCalibrationReport(t *testing.T) {
 
 func TestCalibrationIterativeExecutions(t *testing.T) {
 	c := NewCalibration()
-	c.Predict(StagePred{Op: "CFO mul#1", Kind: "CFO", P: 2, Q: 2, R: 2,
-		NetBytes: 1e9, ComFlops: 1e9})
+	pred := FlightRecord{Op: "CFO mul#1", Kind: "CFO", P: 2, Q: 2, R: 2,
+		PredNetBytes: 1e9, PredComFlops: 1e9}
 	// Three iterations, each with a partial and a fuse stage.
 	for i := 0; i < 3; i++ {
-		c.Measure(StageMeas{Stage: "partial:mul#1", Op: "CFO mul#1", Tasks: 8,
-			ConsolidationBytes: 5e8, Flops: 1e9, WallSeconds: 1})
-		c.Measure(StageMeas{Stage: "fuse:mul#1", Op: "CFO mul#1", Tasks: 4,
-			AggregationBytes: 5e8, WallSeconds: 0.5})
+		partial, fuse := pred, pred
+		partial.Stage, partial.Tasks = "partial:mul#1", 8
+		partial.MeasConsolidationBytes, partial.MeasFlops, partial.MeasWallSeconds = 5e8, 1e9, 1
+		fuse.Stage, fuse.Tasks = "fuse:mul#1", 4
+		fuse.MeasAggregationBytes, fuse.MeasWallSeconds = 5e8, 0.5
+		c.Measure(partial)
+		c.Measure(fuse)
 	}
 	rep := c.Report(ClusterModel{Nodes: 2, NetBandwidth: 125e6, CompBandwidth: 546e9})
 	if len(rep.Rows) != 1 {
@@ -292,23 +291,23 @@ func TestCalibrationBoundedGrowth(t *testing.T) {
 	ops := make([]string, keys)
 	for k := range ops {
 		ops[k] = fmt.Sprintf("CFO mul#%d", k)
-		c.Predict(StagePred{Op: ops[k], Kind: "CFO", P: 2, Q: 2, R: 1, NetBytes: 1e6, ComFlops: 1e6})
 	}
 	for i := 0; i < calls; i++ {
 		stage := "partial:"
 		if (i/keys)%2 == 1 {
 			stage = "fuse:"
 		}
-		c.Measure(StageMeas{Stage: stage + ops[i%keys], Op: ops[i%keys], Tasks: 2,
-			ConsolidationBytes: 3, AggregationBytes: 1, Flops: 5, WallSeconds: 0.5})
+		c.Measure(FlightRecord{Stage: stage + ops[i%keys], Op: ops[i%keys], Kind: "CFO", P: 2, Q: 2, R: 1, Tasks: 2,
+			PredNetBytes: 1e6, PredComFlops: 1e6,
+			MeasConsolidationBytes: 3, MeasAggregationBytes: 1, MeasFlops: 5, MeasWallSeconds: 0.5})
 	}
 	names := 0
-	for _, s := range c.sums {
+	for _, s := range c.rows {
 		names += len(s.stageNames)
 	}
-	if len(c.sums) != keys || len(c.meas) != keys || len(c.order) != keys || names != 2*keys {
-		t.Fatalf("store holds %d sums / %d measured keys / %d predicted keys / %d stage names after %d calls; want %d/%d/%d/%d",
-			len(c.sums), len(c.meas), len(c.order), names, calls, keys, keys, keys, 2*keys)
+	if len(c.rows) != keys || len(c.ops) != keys || names != 2*keys {
+		t.Fatalf("store holds %d rows / %d ordered keys / %d stage names after %d calls; want %d/%d/%d",
+			len(c.rows), len(c.ops), names, calls, keys, keys, 2*keys)
 	}
 	rep := c.Report(ClusterModel{Nodes: 2, NetBandwidth: 1e9, CompBandwidth: 1e10})
 	if len(rep.Rows) != keys {
@@ -323,22 +322,27 @@ func TestCalibrationBoundedGrowth(t *testing.T) {
 	}
 }
 
-// TestCalibrationReportOrder: predicted operators come first in prediction
-// order, operators only ever measured follow in first-measured order —
-// whenever their measurements arrived.
+// TestCalibrationReportOrder: operators appear in first-measured order —
+// which is plan order, the executor running operators one after another —
+// however their later records interleave, and a row shows the prediction of
+// its operator's latest record.
 func TestCalibrationReportOrder(t *testing.T) {
 	c := NewCalibration()
-	c.Measure(StageMeas{Stage: "collect", Op: "driver"})
-	c.Measure(StageMeas{Stage: "s", Op: "B"})
-	c.Predict(StagePred{Op: "A"})
-	c.Predict(StagePred{Op: "B"})
-	c.Measure(StageMeas{Stage: "bcast", Op: "bookkeeping"})
+	c.Measure(FlightRecord{Stage: "s", Op: "A", P: 1})
+	c.Measure(FlightRecord{Stage: "s", Op: "B"})
+	c.Measure(FlightRecord{Stage: "collect", Op: "driver"})
+	c.Measure(FlightRecord{Stage: "s", Op: "B"})
+	c.Measure(FlightRecord{Stage: "s", Op: "A", P: 4})
+	rows := c.Report(ClusterModel{Nodes: 1}).Rows
 	var got []string
-	for _, row := range c.Report(ClusterModel{Nodes: 1}).Rows {
+	for _, row := range rows {
 		got = append(got, row.Op)
 	}
-	if want := "A B driver bookkeeping"; strings.Join(got, " ") != want {
+	if want := "A B driver"; strings.Join(got, " ") != want {
 		t.Fatalf("row order = %v, want %s", got, want)
+	}
+	if rows[0].P != 4 || rows[0].Executions != 2 {
+		t.Fatalf("row A = %+v, want the latest record's P=4 over 2 executions", rows[0])
 	}
 }
 

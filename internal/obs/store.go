@@ -212,15 +212,6 @@ func (s *CalibStore) Rotate() {
 	s.mu.Unlock()
 }
 
-// Learned is a Lookup result: the learned bandwidths (zero when that
-// resource class was never observed) and how exact the key match was.
-type Learned struct {
-	NetBW  float64 // learned B̂n, bytes/s per node; 0 = unknown
-	CompBW float64 // learned B̂c, flop/s per node; 0 = unknown
-	Key    CalibKey
-	Exact  bool // the entry matches the requested key exactly
-}
-
 // Lookup returns learned bandwidths for a cluster shape. The fallback order
 // trades specificity for coverage: an exact (workers, block size, kernel
 // threads) entry wins; otherwise the same workers and block size with any
@@ -228,15 +219,15 @@ type Learned struct {
 // worker count with any block size. A different worker count never
 // substitutes — aggregate bandwidth scales with N, so entries from another
 // cluster size would mislead the optimizer more than the configured
-// constants do.
-func (s *CalibStore) Lookup(key CalibKey) (Learned, bool) {
+// constants do. The returned entry's Key says which shape matched.
+func (s *CalibStore) Lookup(key CalibKey) (CalibEntry, bool) {
 	if s == nil {
-		return Learned{}, false
+		return CalibEntry{}, false
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e, ok := s.entries[key]; ok {
-		return Learned{NetBW: e.NetBW, CompBW: e.CompBW, Key: e.Key, Exact: true}, true
+		return *e, true
 	}
 	var best *CalibEntry
 	bestRank := 0 // 2 = same workers+block size, 1 = same workers
@@ -253,9 +244,9 @@ func (s *CalibStore) Lookup(key CalibKey) (Learned, bool) {
 		}
 	}
 	if best == nil {
-		return Learned{}, false
+		return CalibEntry{}, false
 	}
-	return Learned{NetBW: best.NetBW, CompBW: best.CompBW, Key: best.Key}, true
+	return *best, true
 }
 
 // closerKey reports whether candidate a is a better fallback than b for the
@@ -285,21 +276,11 @@ func absInt(v int) int {
 // — and its back-solved effective bandwidth (measured bytes or flops over
 // N x wall) moves the class's EWMA. Stages with no prediction or no wall
 // time are ignored. Returns true when a sample was folded in.
-func (s *CalibStore) Observe(key CalibKey, m ClusterModel, pred StagePred, meas StageMeas) bool {
-	if s == nil || meas.WallSeconds <= 0 {
+func (s *CalibStore) Observe(key CalibKey, m ClusterModel, rec FlightRecord) bool {
+	if s == nil || rec.MeasWallSeconds <= 0 {
 		return false
 	}
-	n := float64(m.Nodes)
-	if n <= 0 {
-		n = 1
-	}
-	var netSec, comSec float64
-	if m.NetBandwidth > 0 {
-		netSec = float64(pred.NetBytes) / (n * m.NetBandwidth)
-	}
-	if m.CompBandwidth > 0 {
-		comSec = float64(pred.ComFlops) / (n * m.CompBandwidth)
-	}
+	netSec, comSec, netBound := m.Eq2(rec.PredNetBytes, rec.PredComFlops)
 	if netSec <= 0 && comSec <= 0 {
 		return false // bookkeeping stage with no prediction: nothing to learn from
 	}
@@ -310,25 +291,21 @@ func (s *CalibStore) Observe(key CalibKey, m ClusterModel, pred StagePred, meas 
 		e = &CalibEntry{Key: key}
 		s.entries[key] = e
 	}
-	if netSec >= comSec && meas.NetBytes() > 0 {
-		sample := float64(meas.NetBytes()) / (n * meas.WallSeconds)
-		e.NetBW = ewma(e.NetBW, sample, e.NetSamples)
-		e.NetSamples++
-		if drifted(e.NetBW, &e.pubNetBW) {
-			s.gen++
-		}
-		return true
+	// The class whose term binds takes the sample; a net-bound stage that
+	// moved no bytes still calibrates compute.
+	bw, samples, pub, measured := &e.NetBW, &e.NetSamples, &e.pubNetBW, float64(rec.NetBytes())
+	if !netBound || measured <= 0 {
+		bw, samples, pub, measured = &e.CompBW, &e.CompSamples, &e.pubCompBW, float64(rec.MeasFlops)
 	}
-	if meas.Flops > 0 {
-		sample := float64(meas.Flops) / (n * meas.WallSeconds)
-		e.CompBW = ewma(e.CompBW, sample, e.CompSamples)
-		e.CompSamples++
-		if drifted(e.CompBW, &e.pubCompBW) {
-			s.gen++
-		}
-		return true
+	if measured <= 0 {
+		return false
 	}
-	return false
+	*bw = ewma(*bw, m.perNode(measured, rec.MeasWallSeconds), *samples)
+	*samples++
+	if drifted(*bw, pub) {
+		s.gen++
+	}
+	return true
 }
 
 // ewma moves prev toward sample; the first sample initialises the average.
@@ -364,88 +341,29 @@ func drifted(live float64, published *float64) bool {
 // the same per-stage Observe path as live execution. Returns how many
 // records contributed a sample.
 func (s *CalibStore) UpdateFromFlight(key CalibKey, m ClusterModel, recs []FlightRecord) int {
-	if s == nil {
-		return 0
-	}
 	folded := 0
 	for _, r := range recs {
-		pred := StagePred{Op: r.Op, Kind: r.Kind, P: r.P, Q: r.Q, R: r.R,
-			NetBytes: r.PredNetBytes, ComFlops: r.PredComFlops, MemBytes: r.PredMemBytes}
-		meas := StageMeas{Stage: r.Stage, Op: r.Op, Tasks: r.Tasks,
-			ConsolidationBytes: r.MeasConsolidationBytes,
-			AggregationBytes:   r.MeasAggregationBytes,
-			ExtraWireBytes:     r.MeasExtraWireBytes,
-			Flops:              r.MeasFlops,
-			PeakTaskMemBytes:   r.MeasPeakTaskMemBytes,
-			WallSeconds:        r.MeasWallSeconds}
-		if s.Observe(key, m, pred, meas) {
+		if s.Observe(key, m, r) {
 			folded++
 		}
 	}
 	return folded
 }
 
-// Merge folds another store's entries into this one, weighting each entry
-// pair by its sample counts (a cluster that observed 100 stages outweighs
-// one that observed 3). Unknown keys copy over. The generation advances when
-// any merged value drifts materially.
-func (s *CalibStore) Merge(other *CalibStore) {
-	if s == nil || other == nil {
-		return
-	}
-	for _, oe := range other.Entries() {
-		s.mu.Lock()
-		e := s.entries[oe.Key]
-		if e == nil {
-			cp := oe
-			cp.pubNetBW, cp.pubCompBW = cp.NetBW, cp.CompBW
-			s.entries[oe.Key] = &cp
-			s.gen++
-			s.mu.Unlock()
-			continue
-		}
-		e.NetBW, e.NetSamples = weighted(e.NetBW, e.NetSamples, oe.NetBW, oe.NetSamples)
-		e.CompBW, e.CompSamples = weighted(e.CompBW, e.CompSamples, oe.CompBW, oe.CompSamples)
-		bumped := false
-		if drifted(e.NetBW, &e.pubNetBW) {
-			bumped = true
-		}
-		if drifted(e.CompBW, &e.pubCompBW) {
-			bumped = true
-		}
-		if bumped {
-			s.gen++
-		}
-		s.mu.Unlock()
-	}
-}
-
-// weighted combines two sample-weighted averages.
-func weighted(a float64, an int64, b float64, bn int64) (float64, int64) {
-	switch {
-	case an <= 0 || a <= 0:
-		return b, bn
-	case bn <= 0 || b <= 0:
-		return a, an
-	}
-	return (a*float64(an) + b*float64(bn)) / float64(an+bn), an + bn
-}
-
-// Learner binds a calibration store to one session's cluster shape so the
-// executor can stream stage samples into it without knowing either: the
-// stage hook calls Obs.LearnStage, which forwards (pred, meas) here under
-// the session's key and configured model. Sessions on different cluster
-// shapes share one store safely — each learns under its own key.
+// Learner binds a calibration store to one session's cluster shape so
+// Obs.StageDone can stream stage records into it without knowing either.
+// Sessions on different cluster shapes share one store safely — each learns
+// under its own key.
 type Learner struct {
 	Store *CalibStore
 	Key   CalibKey
 	Model ClusterModel // configured constants used to classify stage boundness
 }
 
-// Observe forwards one stage sample to the store; nil-safe.
-func (l *Learner) Observe(pred StagePred, meas StageMeas) bool {
+// Observe forwards one stage record to the store; nil-safe.
+func (l *Learner) Observe(rec FlightRecord) bool {
 	if l == nil {
 		return false
 	}
-	return l.Store.Observe(l.Key, l.Model, pred, meas)
+	return l.Store.Observe(l.Key, l.Model, rec)
 }

@@ -8,45 +8,39 @@ import (
 
 var calibTestModel = ClusterModel{Nodes: 2, NetBandwidth: 1e9, CompBandwidth: 50e9}
 
-// netStage returns a (pred, meas) pair the model classifies as net-bound,
-// whose back-solved bandwidth is exactly bw bytes/s per node.
-func netStage(bw float64, wall float64, nodes int) (StagePred, StageMeas) {
-	pred := StagePred{Op: "CFO mul#1", NetBytes: 1 << 30, ComFlops: 1}
-	meas := StageMeas{
-		Op:                 "CFO mul#1",
-		ConsolidationBytes: int64(bw * float64(nodes) * wall),
-		WallSeconds:        wall,
+// netStage returns a stage record the model classifies as net-bound, whose
+// back-solved bandwidth is exactly bw bytes/s per node.
+func netStage(bw float64, wall float64, nodes int) FlightRecord {
+	return FlightRecord{
+		Op: "CFO mul#1", PredNetBytes: 1 << 30, PredComFlops: 1,
+		MeasConsolidationBytes: int64(bw * float64(nodes) * wall),
+		MeasWallSeconds:        wall,
 	}
-	return pred, meas
 }
 
-// compStage returns a pair the model classifies as comp-bound with
+// compStage returns a record the model classifies as comp-bound with
 // back-solved flop rate bw.
-func compStage(bw float64, wall float64, nodes int) (StagePred, StageMeas) {
-	pred := StagePred{Op: "CFO mul#2", NetBytes: 1, ComFlops: 1 << 40}
-	meas := StageMeas{
-		Op:          "CFO mul#2",
-		Flops:       int64(bw * float64(nodes) * wall),
-		WallSeconds: wall,
+func compStage(bw float64, wall float64, nodes int) FlightRecord {
+	return FlightRecord{
+		Op: "CFO mul#2", PredNetBytes: 1, PredComFlops: 1 << 40,
+		MeasFlops:       int64(bw * float64(nodes) * wall),
+		MeasWallSeconds: wall,
 	}
-	return pred, meas
 }
 
 func TestCalibStoreObserveClassifiesStages(t *testing.T) {
 	s := NewCalibStore()
 	key := CalibKey{Workers: 2, BlockSize: 64}
 
-	pred, meas := netStage(8e6, 0.25, 2)
-	if !s.Observe(key, calibTestModel, pred, meas) {
+	if !s.Observe(key, calibTestModel, netStage(8e6, 0.25, 2)) {
 		t.Fatal("net-bound stage not folded in")
 	}
-	pred, meas = compStage(3e9, 0.5, 2)
-	if !s.Observe(key, calibTestModel, pred, meas) {
+	if !s.Observe(key, calibTestModel, compStage(3e9, 0.5, 2)) {
 		t.Fatal("comp-bound stage not folded in")
 	}
 
 	l, ok := s.Lookup(key)
-	if !ok || !l.Exact {
+	if !ok || l.Key != key {
 		t.Fatalf("Lookup(%v) = %v, %v, want exact hit", key, l, ok)
 	}
 	if math.Abs(l.NetBW-8e6)/8e6 > 1e-9 {
@@ -57,10 +51,10 @@ func TestCalibStoreObserveClassifiesStages(t *testing.T) {
 	}
 
 	// Stages with no wall time or no prediction contribute nothing.
-	if s.Observe(key, calibTestModel, pred, StageMeas{Op: "x"}) {
+	if s.Observe(key, calibTestModel, FlightRecord{Op: "x", PredComFlops: 1 << 40}) {
 		t.Error("zero-wall stage was folded in")
 	}
-	if s.Observe(key, calibTestModel, StagePred{}, StageMeas{WallSeconds: 1}) {
+	if s.Observe(key, calibTestModel, FlightRecord{MeasWallSeconds: 1}) {
 		t.Error("prediction-free stage was folded in")
 	}
 }
@@ -72,11 +66,9 @@ func TestCalibStoreConvergence(t *testing.T) {
 	key := CalibKey{Workers: 2, BlockSize: 64}
 	const trueBW = 12e6
 
-	pred, meas := netStage(trueBW*40, 0.1, 2)
-	s.Observe(key, calibTestModel, pred, meas)
+	s.Observe(key, calibTestModel, netStage(trueBW*40, 0.1, 2))
 	for i := 0; i < 30; i++ {
-		pred, meas = netStage(trueBW, 0.1, 2)
-		s.Observe(key, calibTestModel, pred, meas)
+		s.Observe(key, calibTestModel, netStage(trueBW, 0.1, 2))
 	}
 	l, _ := s.Lookup(key)
 	if math.Abs(l.NetBW-trueBW)/trueBW > 0.01 {
@@ -110,10 +102,8 @@ func TestCalibStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := CalibKey{Workers: 2, BlockSize: 64, KernelThreads: 4}
-	pred, meas := netStage(8e6, 0.25, 2)
-	s.Observe(key, calibTestModel, pred, meas)
-	pred, meas = compStage(3e9, 0.5, 2)
-	s.Observe(key, calibTestModel, pred, meas)
+	s.Observe(key, calibTestModel, netStage(8e6, 0.25, 2))
+	s.Observe(key, calibTestModel, compStage(3e9, 0.5, 2))
 	gen := s.Generation()
 	if err := s.Save(); err != nil {
 		t.Fatal(err)
@@ -145,8 +135,7 @@ func TestCalibStoreRoundTrip(t *testing.T) {
 func TestCalibStoreLookupFallbackOrder(t *testing.T) {
 	s := NewCalibStore()
 	add := func(key CalibKey, bw float64) {
-		pred, meas := netStage(bw, 0.25, 2)
-		s.Observe(key, calibTestModel, pred, meas)
+		s.Observe(key, calibTestModel, netStage(bw, 0.25, 2))
 	}
 	add(CalibKey{Workers: 2, BlockSize: 64, KernelThreads: 4}, 1e6)
 	add(CalibKey{Workers: 2, BlockSize: 64, KernelThreads: 1}, 2e6)
@@ -181,7 +170,7 @@ func TestCalibStoreLookupFallbackOrder(t *testing.T) {
 			}
 			continue
 		}
-		if !ok || l.NetBW != tc.wantBW || l.Exact != tc.exact {
+		if !ok || l.NetBW != tc.wantBW || (l.Key == tc.key) != tc.exact {
 			t.Errorf("%s: Lookup(%v) = %+v, %v; want NetBW %g exact=%v",
 				tc.name, tc.key, l, ok, tc.wantBW, tc.exact)
 		}
@@ -192,8 +181,7 @@ func TestCalibStoreGenerationHysteresis(t *testing.T) {
 	s := NewCalibStore()
 	key := CalibKey{Workers: 2, BlockSize: 64}
 
-	pred, meas := netStage(10e6, 0.25, 2)
-	s.Observe(key, calibTestModel, pred, meas)
+	s.Observe(key, calibTestModel, netStage(10e6, 0.25, 2))
 	gen := s.Generation()
 	if gen == 0 {
 		t.Fatal("first sample did not publish a generation")
@@ -201,8 +189,7 @@ func TestCalibStoreGenerationHysteresis(t *testing.T) {
 
 	// Identical samples refine silently: no churn for plan caches.
 	for i := 0; i < 20; i++ {
-		pred, meas = netStage(10e6, 0.25, 2)
-		s.Observe(key, calibTestModel, pred, meas)
+		s.Observe(key, calibTestModel, netStage(10e6, 0.25, 2))
 	}
 	if g := s.Generation(); g != gen {
 		t.Errorf("stable samples advanced generation %d -> %d", gen, g)
@@ -210,47 +197,17 @@ func TestCalibStoreGenerationHysteresis(t *testing.T) {
 
 	// A 10x shift must eventually re-key: the EWMA crosses the drift band.
 	for i := 0; i < 20; i++ {
-		pred, meas = netStage(100e6, 0.25, 2)
-		s.Observe(key, calibTestModel, pred, meas)
+		s.Observe(key, calibTestModel, netStage(100e6, 0.25, 2))
 	}
 	if g := s.Generation(); g <= gen {
 		t.Errorf("10x bandwidth shift left generation at %d", g)
 	}
 }
 
-func TestCalibStoreMerge(t *testing.T) {
-	a, b := NewCalibStore(), NewCalibStore()
-	shared := CalibKey{Workers: 2, BlockSize: 64}
-	only := CalibKey{Workers: 4, BlockSize: 64}
-
-	pred, meas := netStage(10e6, 0.25, 2)
-	a.Observe(shared, calibTestModel, pred, meas)
-	for i := 0; i < 3; i++ { // 3 samples at 20e6 in b: outweighs a's single sample
-		pred, meas = netStage(20e6, 0.25, 2)
-		b.Observe(shared, calibTestModel, pred, meas)
-	}
-	pred, meas = compStage(3e9, 0.5, 4)
-	b.Observe(only, ClusterModel{Nodes: 4, NetBandwidth: 1e9, CompBandwidth: 50e9}, pred, meas)
-
-	a.Merge(b)
-	if a.Len() != 2 {
-		t.Fatalf("merged Len = %d, want 2", a.Len())
-	}
-	l, _ := a.Lookup(shared)
-	want := (10e6*1 + 20e6*3) / 4
-	if math.Abs(l.NetBW-want)/want > 1e-9 {
-		t.Errorf("merged NetBW = %g, want sample-weighted %g", l.NetBW, want)
-	}
-	if l, _ := a.Lookup(only); l.CompBW != 3e9 {
-		t.Errorf("copied entry CompBW = %g, want 3e9", l.CompBW)
-	}
-}
-
 func TestCalibStoreRotate(t *testing.T) {
 	s := NewCalibStore()
 	key := CalibKey{Workers: 2, BlockSize: 64}
-	pred, meas := netStage(10e6, 0.25, 2)
-	s.Observe(key, calibTestModel, pred, meas)
+	s.Observe(key, calibTestModel, netStage(10e6, 0.25, 2))
 	gen := s.Generation()
 
 	s.Rotate()
@@ -267,7 +224,7 @@ func TestCalibStoreRotate(t *testing.T) {
 
 func TestCalibStoreNilSafe(t *testing.T) {
 	var s *CalibStore
-	if s.Observe(CalibKey{}, calibTestModel, StagePred{}, StageMeas{WallSeconds: 1}) {
+	if s.Observe(CalibKey{}, calibTestModel, FlightRecord{MeasWallSeconds: 1}) {
 		t.Error("nil store folded a sample")
 	}
 	if _, ok := s.Lookup(CalibKey{}); ok {
@@ -280,10 +237,9 @@ func TestCalibStoreNilSafe(t *testing.T) {
 		t.Errorf("nil Save = %v", err)
 	}
 	s.Rotate()
-	s.Merge(NewCalibStore())
 
 	var l *Learner
-	if l.Observe(StagePred{}, StageMeas{WallSeconds: 1}) {
+	if l.Observe(FlightRecord{MeasWallSeconds: 1}) {
 		t.Error("nil learner folded a sample")
 	}
 }

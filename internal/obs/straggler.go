@@ -82,12 +82,8 @@ func (d *SkewDetector) FinishStage(stage string) StageSkew {
 	if len(d.samples) == 0 {
 		return sk
 	}
-	sort.Float64s(d.samples)
+	sk.MedianSeconds = median(d.samples)
 	sk.MaxSeconds = d.samples[len(d.samples)-1]
-	sk.MedianSeconds = d.samples[len(d.samples)/2]
-	if len(d.samples)%2 == 0 {
-		sk.MedianSeconds = (d.samples[len(d.samples)/2-1] + d.samples[len(d.samples)/2]) / 2
-	}
 	if sk.MedianSeconds > 0 {
 		sk.Imbalance = sk.MaxSeconds / sk.MedianSeconds
 	} else if sk.MaxSeconds > 0 {
@@ -130,18 +126,25 @@ func (d *SkewDetector) Slowdowns() map[int]float64 {
 	for _, m := range d.ewma {
 		means = append(means, m)
 	}
-	sort.Float64s(means)
-	median := means[len(means)/2]
-	if len(means)%2 == 0 {
-		median = (means[len(means)/2-1] + means[len(means)/2]) / 2
-	}
+	fleet := median(means)
 	out := make(map[int]float64, len(d.ewma))
 	for id, m := range d.ewma {
-		if median > 0 {
-			out[id] = m / median
+		if fleet > 0 {
+			out[id] = m / fleet
 		} else {
 			out[id] = 1
 		}
 	}
 	return out
+}
+
+// median sorts v (non-empty) in place and returns its median: the middle
+// element, or the mean of the two middle ones.
+func median(v []float64) float64 {
+	sort.Float64s(v)
+	mid := len(v) / 2
+	if len(v)%2 == 0 {
+		return (v[mid-1] + v[mid]) / 2
+	}
+	return v[mid]
 }

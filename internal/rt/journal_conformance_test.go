@@ -58,10 +58,18 @@ func normalize(events []obs.Event) []normEvent {
 	return out
 }
 
+// taskTally is what Obs.TaskDone emitted over a run: both backends report
+// every task through that one hook, so the counts must be equal.
+type taskTally struct {
+	TasksTotal, TaskSeconds, QueueSeconds int64 // fuseme_tasks_total, histogram counts
+	SkewSamples                           int   // task samples folded into stage_end skews
+}
+
 // runJournaledGNMF executes the GNMF update graph twice on one backend (the
 // second run has the TCP prefetcher live on the first's fetch history),
-// journaling both runs, and returns each run's normalized event sequence.
-func runJournaledGNMF(t *testing.T, rtm rt.Runtime) (first, second []normEvent) {
+// journaling both runs, and returns each run's normalized event sequence and
+// the per-task telemetry tally of both.
+func runJournaledGNMF(t *testing.T, rtm rt.Runtime) (first, second []normEvent, tally taskTally) {
 	t.Helper()
 	const users, items, k = 96, 80, 8
 	inputs := map[string]*block.Matrix{
@@ -70,8 +78,8 @@ func runJournaledGNMF(t *testing.T, rtm rt.Runtime) (first, second []normEvent) 
 		"V": block.RandomDense(users, k, 16, 0.5, 1.5, 3),
 	}
 	g := workloads.GNMF(users, items, k, inputs["X"].Density())
-	j := obs.NewJournal(0)
-	o := &obs.Obs{Skew: obs.NewSkewDetector()}
+	j := obs.NewJournal(0, nil)
+	o := &obs.Obs{Metrics: obs.NewRegistry(), Skew: obs.NewSkewDetector()}
 	if co, ok := rtm.(*remote.Coordinator); ok {
 		co.SetObs(o)
 	}
@@ -81,7 +89,16 @@ func runJournaledGNMF(t *testing.T, rtm rt.Runtime) (first, second []normEvent) 
 			t.Fatalf("run %d: %v", run+1, err)
 		}
 	}
-	return normalize(j.Events("q1")), normalize(j.Events("q2"))
+	snap := o.Metrics.Snapshot()
+	tally = taskTally{TasksTotal: snap.Counters[obs.MTasksTotal],
+		TaskSeconds:  snap.Histograms[obs.MTaskSeconds].Count,
+		QueueSeconds: snap.Histograms[obs.MQueueSeconds].Count}
+	for _, e := range append(j.Events("q1"), j.Events("q2")...) {
+		if e.Skew != nil {
+			tally.SkewSamples += e.Skew.Tasks
+		}
+	}
+	return normalize(j.Events("q1")), normalize(j.Events("q2")), tally
 }
 
 // TestRuntimeConformanceJournal requires the simulated cluster and the TCP
@@ -95,9 +112,12 @@ func runJournaledGNMF(t *testing.T, rtm rt.Runtime) (first, second []normEvent) 
 // side journals with its prefetcher active.
 func TestRuntimeConformanceJournal(t *testing.T) {
 	ctors := pipelineBackends()
-	simFirst, simSecond := runJournaledGNMF(t, ctors["sim"](t))
+	simFirst, simSecond, simTally := runJournaledGNMF(t, ctors["sim"](t))
 	if len(simFirst) == 0 {
 		t.Fatal("sim journaled no events")
+	}
+	if simTally.TasksTotal == 0 || simTally.SkewSamples != int(simTally.TasksTotal) {
+		t.Fatalf("sim task tally = %+v, want one skew sample per counted task", simTally)
 	}
 
 	// Sanity on the sim sequence itself: strict start/end alternation and a
@@ -128,7 +148,10 @@ func TestRuntimeConformanceJournal(t *testing.T) {
 			continue
 		}
 		t.Run(name, func(t *testing.T) {
-			first, second := runJournaledGNMF(t, open(t))
+			first, second, tally := runJournaledGNMF(t, open(t))
+			if tally != simTally {
+				t.Errorf("per-task telemetry diverges: tcp %+v, sim %+v", tally, simTally)
+			}
 			if !reflect.DeepEqual(first, simFirst) {
 				t.Errorf("first run journals diverge:\n tcp %+v\n sim %+v", first, simFirst)
 			}

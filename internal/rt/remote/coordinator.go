@@ -732,6 +732,9 @@ func (c *Coordinator) Config() cluster.Config { return c.local.Config() }
 // Stats returns accumulated metrics (local stages + remote wire metering).
 func (c *Coordinator) Stats() cluster.Stats { return c.local.Stats() }
 
+// LastStageStats returns the most recent stage's own metrics.
+func (c *Coordinator) LastStageStats() cluster.Stats { return c.local.LastStageStats() }
+
 // ResetStats clears accumulated metrics.
 func (c *Coordinator) ResetStats() { c.local.ResetStats() }
 
@@ -918,18 +921,7 @@ func (c *Coordinator) RunSpecStage(st *rt.Stage) error {
 	}
 
 	runOne := func(w *workerConn, taskID int) {
-		// The executor's per-task wrapper only fires for in-process
-		// closures, so remote task telemetry is emitted here. The
-		// coordinator's own span is the scheduling view (cat "sched");
-		// the execution view (cat "task" with its sub-spans) arrives
-		// worker-side in done.Spans and merges onto the worker's track.
-		var span *obs.Span
-		var taskStart time.Time
-		if perTask {
-			taskStart = time.Now()
-			o.Histogram(obs.MQueueSeconds).Observe(taskStart.Sub(start).Seconds())
-			span = o.StartSpan(fmt.Sprintf("task %d", taskID), "sched", 1+taskID%64)
-		}
+		taskStart := time.Now()
 		// Prefetch hint: the recorded transfer set of the next task this
 		// worker has not yet started — taskID + workers*lanes under home
 		// placement, since anything nearer is already running on a sibling
@@ -948,22 +940,24 @@ func (c *Coordinator) RunSpecStage(st *rt.Stage) error {
 		}
 		done, dw, err := c.runTaskWithRetry(st, taskID, gen, &wire, colocated, w, pf)
 		if perTask {
-			elapsed := time.Since(taskStart).Seconds()
-			o.Histogram(obs.MTaskSeconds).Observe(elapsed)
+			// The executor's per-task wrapper only fires for in-process
+			// closures, so remote task telemetry is reported here. The
+			// coordinator's own span is the scheduling view (cat "sched");
+			// the execution view (cat "task" with its sub-spans) arrives
+			// worker-side in done.Spans and merges onto the worker's track.
+			// The dispatch-to-done latency is attributed to the worker that
+			// actually ran the task (the thief under work-stealing, the retry
+			// target after a death) for straggler detection.
+			worker := -1
 			if err == nil && dw != nil {
-				// Attribute the dispatch-to-done latency to the worker that
-				// actually ran the task (the thief under work-stealing, the
-				// retry target after a death) for straggler detection.
-				o.ObserveTask(dw.id, elapsed)
+				worker = dw.id
 			}
-			o.Counter(obs.MTasksTotal).Inc()
+			m := done.Metrics
+			o.TaskDone(obs.TaskSample{ID: taskID, Worker: worker, Cat: "sched",
+				StageStart: start, Start: taskStart, Err: err,
+				ConsolidationBytes: m.ConsolidationBytes, AggregationBytes: m.AggregationBytes,
+				Flops: m.Flops, PeakMemBytes: m.MemPeakBytes})
 			o.Counter(obs.MRemoteTasksTotal).Inc()
-			span.Arg("flops", done.Metrics.Flops).
-				Arg("peak_mem_bytes", done.Metrics.MemPeakBytes)
-			if err != nil {
-				span.Arg("error", err.Error())
-			}
-			span.End()
 		}
 		if len(done.Spans) > 0 && dw != nil && o.Tracing() {
 			// Skew-correct the worker's span batch into the coordinator

@@ -34,6 +34,9 @@ type Runtime interface {
 	Config() cluster.Config
 	// Stats returns a snapshot of accumulated metrics.
 	Stats() cluster.Stats
+	// LastStageStats returns the metrics of the most recent stage alone:
+	// zero while a stage runs and for a stage that failed before folding.
+	LastStageStats() cluster.Stats
 	// ResetStats clears accumulated metrics.
 	ResetStats()
 	// CheckAdmission rejects an operator whose estimated per-task memory

@@ -42,7 +42,7 @@ func TestQueryIntrospection(t *testing.T) {
 		Cluster:        testClusterConfig(),
 		Tenants:        []serve.Tenant{{Name: "acme", Token: "tok", Weight: 1}},
 		Sessions:       1,
-		SessionOptions: []fuseme.Option{fuseme.WithFlightWriter(&flightBuf)},
+		SessionOptions: []fuseme.Option{fuseme.WithFlightRecorder(&flightBuf)},
 	})
 	if err != nil {
 		t.Fatal(err)

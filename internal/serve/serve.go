@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -148,9 +149,9 @@ type Server struct {
 
 	// Per-query observability: the shared event journal every lifecycle
 	// event lands in, and the registry backing GET /v1/queries.
-	journal      *obs.Journal
-	journalOwned bool // server created it (and flushes any file sink)
-	queries      *queryRegistry
+	journal     *obs.Journal
+	journalFile *os.File // Config.JournalPath sink, closed on Shutdown
+	queries     *queryRegistry
 }
 
 // tenantCounters mirrors the per-tenant metric families for /v1/status.
@@ -195,14 +196,13 @@ func New(cfg Config) (*Server, error) {
 	case cfg.Journal != nil:
 		s.journal = cfg.Journal
 	case cfg.JournalPath != "":
-		j, err := obs.OpenJournal(cfg.JournalPath, cfg.JournalRing)
+		f, err := os.Create(cfg.JournalPath)
 		if err != nil {
-			return nil, fmt.Errorf("serve: %w", err)
+			return nil, fmt.Errorf("serve: journal: %w", err)
 		}
-		s.journal, s.journalOwned = j, true
+		s.journal, s.journalFile = obs.NewJournal(cfg.JournalRing, f), f
 	default:
-		s.journal = obs.NewJournal(cfg.JournalRing)
-		s.journalOwned = true
+		s.journal = obs.NewJournal(cfg.JournalRing, nil)
 	}
 	if cfg.PlanCacheEntries >= 0 {
 		s.pc = fuseme.NewPlanCache(cfg.PlanCacheEntries)
@@ -418,6 +418,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.sessMu.Lock()
 	sessions := s.sessions
 	s.sessions = nil
+	journalFile := s.journalFile
+	s.journalFile = nil
 	s.sessMu.Unlock()
 	for _, sess := range sessions {
 		if cerr := sess.Close(); err == nil {
@@ -429,8 +431,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			err = cerr
 		}
 	}
-	if s.journalOwned {
-		if cerr := s.journal.Close(); err == nil {
+	if journalFile != nil {
+		if cerr := s.journal.Flush(); err == nil {
+			err = cerr
+		}
+		if cerr := journalFile.Close(); err == nil {
 			err = cerr
 		}
 	}

@@ -19,9 +19,9 @@ func adaptiveReplanner(cfg cluster.Config) *core.Replanner {
 	store := obs.NewCalibStore()
 	key := obs.CalibKey{Workers: cfg.Nodes, BlockSize: cfg.BlockSize, KernelThreads: cfg.KernelThreads}
 	model := obs.ClusterModel{Nodes: cfg.Nodes, NetBandwidth: cfg.NetBandwidth, CompBandwidth: cfg.EffectiveCompBandwidth()}
-	store.Observe(key, model,
-		obs.StagePred{Op: "seed", NetBytes: 1 << 30, ComFlops: 1},
-		obs.StageMeas{Op: "seed", ConsolidationBytes: int64(cfg.NetBandwidth / 100 * float64(cfg.Nodes)), WallSeconds: 1})
+	store.Observe(key, model, obs.FlightRecord{
+		Op: "seed", PredNetBytes: 1 << 30, PredComFlops: 1,
+		MeasConsolidationBytes: int64(cfg.NetBandwidth / 100 * float64(cfg.Nodes)), MeasWallSeconds: 1})
 	learn := &obs.Learner{Store: store, Key: key, Model: model}
 	return &core.Replanner{Threshold: -1, Obs: &obs.Obs{Calib: obs.NewCalibration(), Learn: learn}, Learn: learn}
 }

@@ -29,7 +29,7 @@ func journalSession(t *testing.T, opts ...Option) *Session {
 // carrying the chosen plan and its predicted cost, balanced stage pairs with
 // flight records, and a terminal done with the task count.
 func TestSessionJournalLifecycle(t *testing.T) {
-	j := NewJournal(0)
+	j := NewJournal(0, nil)
 	sess := journalSession(t, WithJournal(j), WithPlanCache(NewPlanCache(0)))
 	for i := 0; i < 2; i++ {
 		if _, err := sess.Query(obsTestScript); err != nil {
@@ -93,15 +93,22 @@ func TestSessionJournalLifecycle(t *testing.T) {
 func TestSessionJournalFileSink(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "journal.jsonl")
-	sess := journalSession(t, WithJournalFile(path))
+	sink, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := journalSession(t, WithJournal(NewJournal(0, sink)))
 	if sess.Journal() == nil {
-		t.Fatal("Journal() = nil with WithJournalFile")
+		t.Fatal("Journal() = nil with WithJournal")
 	}
 	if _, err := sess.Query(obsTestScript); err != nil {
 		t.Fatal(err)
 	}
 	if err := sess.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatalf("Session.Close closed the caller's journal sink: %v", err)
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -136,7 +143,7 @@ func TestSessionJournalFileSink(t *testing.T) {
 // TestSetQueryLogConsumedOnce: a pending query log (the serve handoff) names
 // exactly one Query; the next query falls back to auto-numbering.
 func TestSetQueryLogConsumedOnce(t *testing.T) {
-	j := NewJournal(0)
+	j := NewJournal(0, nil)
 	sess := journalSession(t, WithJournal(j))
 	sess.SetQueryLog(j.Begin("custom-id", "acme"))
 	if _, err := sess.Query(obsTestScript); err != nil {
@@ -158,7 +165,7 @@ func TestSetQueryLogConsumedOnce(t *testing.T) {
 // skew detector — stage_end events carry a StageSkew and the registry gains
 // the imbalance gauge and per-worker slowdown series.
 func TestSessionSkewDetectorWithMetrics(t *testing.T) {
-	j := NewJournal(0)
+	j := NewJournal(0, nil)
 	sess := journalSession(t, WithJournal(j), WithMetrics())
 	if _, err := sess.Query(obsTestScript); err != nil {
 		t.Fatal(err)
@@ -222,7 +229,7 @@ func TestJournalOverheadGate(t *testing.T) {
 		return time.Since(start)
 	}
 	off := run()
-	on := run(WithJournal(NewJournal(0)), WithMetrics())
+	on := run(WithJournal(NewJournal(0, nil)), WithMetrics())
 	const slack = 150 * time.Millisecond
 	if on > off*5/4+slack {
 		t.Errorf("observed wall with journal+skew %v vs %v off: more than 25%%+%v slower", on, off, slack)

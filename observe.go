@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"time"
 
+	"fuseme/internal/core"
 	"fuseme/internal/obs"
 	"fuseme/internal/rt/remote"
 )
@@ -37,7 +38,7 @@ const EnvKernelThreads = "FUSEME_KERNEL_THREADS"
 const EnvPrefetchBytes = "FUSEME_PREFETCH_BYTES"
 
 // EnvJournal names a JSONL file to sink the query event journal to (see
-// WithJournalFile). Unset leaves journaling off.
+// WithJournal). Unset leaves journaling off.
 const EnvJournal = "FUSEME_JOURNAL"
 
 // WithTracing enables the span recorder: plan, stage and task spans are
@@ -51,37 +52,28 @@ func WithTracing() Option {
 }
 
 // WithFlightRecorder enables the per-stage flight recorder, appending one
-// JSON line per executed stage to the file at path: the planner's predicted
+// JSON line per executed stage to w: the planner's predicted
 // network/computation/memory costs and chosen (P,Q,R) next to the stage's
-// measured wall time, wire bytes and cache savings. The file is created (or
-// truncated) immediately and flushed on Session.Close; read it back with
-// obs.ReadFlightFile / obs.CalibrationFromFlight, or diff runs offline.
-func WithFlightRecorder(path string) Option {
+// measured wall time, wire bytes and cache savings. w stays the caller's: it
+// is flushed on Session.Close, never closed. Read a file of these lines back
+// with obs.ReadFlightFile / obs.CalibrationFromFlight, or diff runs offline.
+func WithFlightRecorder(w io.Writer) Option {
 	return func(s *Session) error {
-		fr, err := obs.OpenFlightRecorder(path)
-		if err != nil {
-			return err
+		if w == nil {
+			return errors.New("fuseme: WithFlightRecorder(nil)")
 		}
-		s.obs.Flight = fr
+		s.obs.Flight = obs.NewJSONL(w)
 		return nil
 	}
 }
 
-// WithFlightWriter is WithFlightRecorder onto an arbitrary writer (tests,
-// in-memory buffers). The writer is flushed on Session.Close but not closed.
-func WithFlightWriter(w io.Writer) Option {
-	return func(s *Session) error {
-		s.obs.Flight = obs.NewFlightRecorder(w)
-		return nil
-	}
-}
-
-// WithJournal attaches an existing event journal (see NewJournal): every
-// Query appends its lifecycle — planned (chosen plan + predicted cost),
-// replans, stage start/end with predicted-vs-measured costs, completion — as
+// WithJournal attaches an event journal (see NewJournal): every Query
+// appends its lifecycle — planned (chosen plan + predicted cost), replans,
+// stage start/end with predicted-vs-measured costs, completion — as
 // structured events. Share one journal across sessions (the serve daemon
-// does) to get a single queryable stream; the caller owns the journal's
-// lifetime.
+// does) to get a single queryable stream. The journal and its sink stay the
+// caller's: Session.Close flushes the sink, never closes it. Environment
+// equivalent for a file sink: FUSEME_JOURNAL.
 func WithJournal(j *obs.Journal) Option {
 	return func(s *Session) error {
 		if j == nil {
@@ -92,49 +84,25 @@ func WithJournal(j *obs.Journal) Option {
 	}
 }
 
-// WithJournalFile enables the event journal with a JSONL file sink at path
-// (created or truncated immediately, flushed on Session.Close). Read it back
-// with obs.ReadEvents. Environment equivalent: FUSEME_JOURNAL.
-func WithJournalFile(path string) Option {
-	return func(s *Session) error {
-		j, err := obs.OpenJournal(path, 0)
-		if err != nil {
-			return err
-		}
-		s.journal = j
-		s.journalOwned = true
-		return nil
-	}
-}
-
-// WithJournalWriter is WithJournalFile onto an arbitrary writer (tests,
-// in-memory buffers). The writer is flushed on Session.Close but not closed.
-func WithJournalWriter(w io.Writer) Option {
-	return func(s *Session) error {
-		s.journal = obs.NewJournalWriter(w, 0)
-		s.journalOwned = true
-		return nil
-	}
-}
-
-// NewJournal creates a standalone event journal holding the last ring events
-// in memory (non-positive selects the 4096 default), for sharing across
-// sessions via WithJournal.
-func NewJournal(ring int) *obs.Journal { return obs.NewJournal(ring) }
+// NewJournal creates an event journal holding the last ring events in memory
+// (non-positive selects the 4096 default) and, when sink is non-nil, writing
+// every event to it as one JSON line (read back with obs.ReadEvents). Attach
+// it to one or more sessions with WithJournal.
+func NewJournal(ring int, sink io.Writer) *obs.Journal { return obs.NewJournal(ring, sink) }
 
 // resolveJournal falls back to the FUSEME_JOURNAL file sink when no journal
-// option was given.
+// option was given — a deployment path, so the one journal file the session
+// itself creates (or truncates) and closes.
 func (s *Session) resolveJournal() error {
 	if s.journal != nil {
 		return nil
 	}
 	if path := os.Getenv(EnvJournal); path != "" {
-		j, err := obs.OpenJournal(path, 0)
+		f, err := os.Create(path)
 		if err != nil {
-			return err
+			return fmt.Errorf("fuseme: %s: %w", EnvJournal, err)
 		}
-		s.journal = j
-		s.journalOwned = true
+		s.journal, s.journalFile = obs.NewJournal(0, f), f
 	}
 	return nil
 }
@@ -395,15 +363,8 @@ func (s *Session) CalibrationReport() *obs.Report {
 // against: the configured constants with B̂c scaled by explicit kernel
 // threads, matching what the planner used.
 func (s *Session) calibModel() obs.ClusterModel {
-	cc := s.cfg.internal()
-	if kt, err := s.kernelThreadsSetting(); err == nil {
-		cc.KernelThreads = kt
-	}
-	return obs.ClusterModel{
-		Nodes:         s.cfg.Nodes,
-		NetBandwidth:  s.cfg.NetBandwidth,
-		CompBandwidth: cc.EffectiveCompBandwidth(),
-	}
+	cc, _ := s.clusterConfig() // an invalid setting fails NewSession on its own
+	return core.EqModel(cc)
 }
 
 // ResetObservations clears accumulated spans, calibration records and metric

@@ -3,6 +3,7 @@ package fuseme
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"testing"
 
 	"fuseme/internal/obs"
@@ -20,7 +21,7 @@ func TestSessionTCPDistributedTrace(t *testing.T) {
 	cfg.BlockSize = 16
 	cfg.Runtime = "tcp"
 	cfg.Workers = startWorkers(t, 2)
-	sess, err := NewSession(cfg, WithTracing(), WithFlightWriter(&flight))
+	sess, err := NewSession(cfg, WithTracing(), WithFlightRecorder(&flight))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,13 +123,17 @@ func TestSessionTCPDistributedTrace(t *testing.T) {
 }
 
 // TestSessionFlightRecorderSim checks the sim backend writes one flight
-// record per stage too, and that a file-backed recorder set up with
-// WithFlightRecorder survives a Close (flush) and reads back.
+// record per stage too, and that a file handed to WithFlightRecorder is
+// flushed — not closed — by Session.Close and reads back.
 func TestSessionFlightRecorderSim(t *testing.T) {
 	path := t.TempDir() + "/flight.jsonl"
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := LocalClusterConfig()
 	cfg.BlockSize = 16
-	sess, err := NewSession(cfg, WithFlightRecorder(path))
+	sess, err := NewSession(cfg, WithFlightRecorder(f))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,6 +144,9 @@ func TestSessionFlightRecorderSim(t *testing.T) {
 	stages := sess.LastStats().Stages
 	if err := sess.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatalf("Session.Close closed the caller's flight file: %v", err)
 	}
 	recs, err := obs.ReadFlightFile(path)
 	if err != nil {
@@ -151,5 +159,55 @@ func TestSessionFlightRecorderSim(t *testing.T) {
 	rep := obs.CalibrationFromFlight(recs).Report(obs.ClusterModel{Nodes: cfg.Nodes, NetBandwidth: cfg.NetBandwidth, CompBandwidth: cfg.CompBandwidth})
 	if len(rep.Rows) == 0 {
 		t.Fatal("flight file rebuilt an empty calibration report")
+	}
+}
+
+// TestFlightPeakMemIsPerStage: meas_peak_task_mem_bytes is the stage's own
+// per-task high-water mark, not the query's running maximum — a small
+// operator after a large one reports a strictly smaller peak, in the flight
+// line and in the calibration row, on both runtimes.
+func TestFlightPeakMemIsPerStage(t *testing.T) {
+	for _, runtime := range []string{"sim", "tcp"} {
+		t.Run(runtime, func(t *testing.T) {
+			var flight bytes.Buffer
+			cfg := LocalClusterConfig()
+			cfg.BlockSize = 16
+			if cfg.Runtime = runtime; runtime == "tcp" {
+				cfg.Workers = startWorkers(t, 2)
+			}
+			sess, err := NewSession(cfg, WithFlightRecorder(&flight))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			sess.RandomDense("A", 96, 96, 0, 1, 1)
+			sess.RandomDense("W", 16, 16, 0, 1, 2)
+			if _, err := sess.Query("B = A %*% A\nC = W %*% W"); err != nil {
+				t.Fatal(err)
+			}
+			if err := sess.Close(); err != nil {
+				t.Fatal(err)
+			}
+			recs, err := obs.ReadFlightRecords(&flight)
+			if err != nil || len(recs) < 2 {
+				t.Fatalf("flight records = %+v, %v; want one per stage of two operators", recs, err)
+			}
+			big, small := recs[0], recs[len(recs)-1]
+			if big.Op == small.Op {
+				t.Fatalf("first and last stage belong to one operator %q", big.Op)
+			}
+			if small.MeasPeakTaskMemBytes <= 0 || small.MeasPeakTaskMemBytes >= big.MeasPeakTaskMemBytes {
+				t.Errorf("peak task memory: %q %d bytes, then %q %d bytes; want the later, smaller operator strictly below",
+					big.Op, big.MeasPeakTaskMemBytes, small.Op, small.MeasPeakTaskMemBytes)
+			}
+			if got := sess.LastStats().PeakTaskMemBytes; got != big.MeasPeakTaskMemBytes {
+				t.Errorf("query peak = %d, want the larger stage's %d", got, big.MeasPeakTaskMemBytes)
+			}
+			for _, row := range sess.CalibrationReport().Rows {
+				if row.Op == small.Op && row.MeasPeakMem != small.MeasPeakTaskMemBytes {
+					t.Errorf("calibration row %q peak = %d, flight line says %d", row.Op, row.MeasPeakMem, small.MeasPeakTaskMemBytes)
+				}
+			}
+		})
 	}
 }
