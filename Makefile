@@ -25,13 +25,13 @@ build:
 	$(GO) build ./...
 
 ## race: every test under the race detector with a coverage profile, then
-## the kernel and fused-task micro-benchmarks and the two observability
-## overhead guards (disabled fast path, journal < 2 %) once each so they
-## cannot rot
+## the kernel and fused-task micro-benchmarks, the two observability
+## overhead guards (disabled fast path, journal < 2 %) and the FME1 wire
+## benchmark (codec and loopback-socket arms) once each so they cannot rot
 race:
 	$(GO) test -race -count=1 -coverprofile=coverage.out -covermode=atomic ./...
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/matrix ./internal/exec
-	$(GO) test -run '^$$' -bench 'Overhead$$' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'Overhead$$|BlockWire' -benchtime 1x .
 
 ## covercheck: parse coverage.out (written by `make race`), print the
 ## per-package statement-coverage table, and fail when total coverage drops

@@ -11,6 +11,7 @@ package fuseme_test
 
 import (
 	"io"
+	"net"
 	"reflect"
 	"testing"
 
@@ -284,7 +285,10 @@ func BenchmarkCompileGNMF(b *testing.B) {
 }
 
 // BenchmarkBlockWire measures FME1 encode+decode throughput for the block
-// shapes the TCP runtime ships: dense and CSR at typical block sizes.
+// shapes the TCP runtime ships — dense and CSR at typical block sizes — in
+// memory and, in the "-socket" arm, with a real loopback TCP connection
+// between the encode and the decode (the frame written with one Write and
+// read back into a reused buffer, as a task stream does).
 // b.SetBytes reports MB/s of in-memory block data moved through the format.
 func BenchmarkBlockWire(b *testing.B) {
 	cases := []struct {
@@ -292,17 +296,15 @@ func BenchmarkBlockWire(b *testing.B) {
 		m    matrix.Mat
 	}{
 		{"dense-128", denseBlock(128, 128)},
+		{"dense-256", denseBlock(256, 256)},
 		{"dense-512", denseBlock(512, 512)},
 		{"csr-128-d01", csrBlock(128, 128, 0.01)},
 		{"csr-512-d01", csrBlock(512, 512, 0.01)},
 		{"csr-512-d20", csrBlock(512, 512, 0.2)},
 	}
 	for _, c := range cases {
+		wire := float64(matrix.EncodedSize(c.m))
 		b.Run(c.name, func(b *testing.B) {
-			enc, err := spec.EncodeBlock(c.m)
-			if err != nil {
-				b.Fatal(err)
-			}
 			b.SetBytes(c.m.SizeBytes())
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -314,9 +316,65 @@ func BenchmarkBlockWire(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(len(enc)), "wire-bytes")
+			b.ReportMetric(wire, "wire-bytes")
+		})
+		b.Run(c.name+"-socket", func(b *testing.B) {
+			send, recv := loopbackPair(b)
+			out := make([]byte, 0, int(wire))
+			in := make([]byte, int(wire))
+			// The sending end runs on its own goroutine, as it does in the
+			// runtime: a block larger than the socket buffer cannot be written
+			// and read back from one.
+			kick, sent := make(chan struct{}), make(chan error)
+			defer close(kick)
+			go func() {
+				for range kick {
+					_, err := send.Write(matrix.AppendTo(out, c.m))
+					sent <- err
+				}
+			}()
+			b.SetBytes(c.m.SizeBytes())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				kick <- struct{}{}
+				if _, err := io.ReadFull(recv, in); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := spec.DecodeBlock(in); err != nil {
+					b.Fatal(err)
+				}
+				if err := <-sent; err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(wire, "wire-bytes")
 		})
 	}
+}
+
+// loopbackPair returns the two ends of one loopback TCP connection.
+func loopbackPair(b *testing.B) (dial, accept net.Conn) {
+	b.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		c, _ := ln.Accept()
+		accepted <- c
+	}()
+	dial, err = net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if accept = <-accepted; accept == nil {
+		b.Fatal("accept failed")
+	}
+	b.Cleanup(func() { dial.Close(); accept.Close() })
+	return dial, accept
 }
 
 func denseBlock(rows, cols int) matrix.Mat {

@@ -3,7 +3,10 @@ package fuseme
 import (
 	"math"
 	"os"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"fuseme/internal/rt/remote"
 )
@@ -138,5 +141,80 @@ func TestSessionTCPConfigErrors(t *testing.T) {
 	sess3.RandomDense("A", 8, 8, 0, 1, 1)
 	if _, err := sess3.Query("B = A + 1"); err == nil {
 		t.Fatal("unknown runtime accepted")
+	}
+}
+
+// TestTCPSessionLeavesNoGoroutines: GNMF over two loopback workers, then
+// Session.Close and Worker.Close/Wait — the persistent task streams, the
+// heartbeats and the worker's stream handlers all end, so no goroutine with
+// a frame of internal/rt/remote on its stack remains.
+func TestTCPSessionLeavesNoGoroutines(t *testing.T) {
+	workers := make([]*remote.Worker, 2)
+	addrs := make([]string, len(workers))
+	for i := range workers {
+		w, err := remote.NewWorker("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		workers[i], addrs[i] = w, w.Addr()
+	}
+	cfg := LocalClusterConfig()
+	cfg.BlockSize = 16
+	cfg.Runtime = "tcp"
+	cfg.Workers = addrs
+	sess, err := NewSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.RandomSparse("X", 80, 70, 0.05, 1, 5, 1)
+	sess.RandomDense("U", 10, 70, 0.5, 1.5, 2)
+	sess.RandomDense("V", 80, 10, 0.5, 1.5, 3)
+	for iter := 0; iter < 2; iter++ {
+		out, err := sess.Query(`
+U2 = U * (t(V) %*% X) / (t(V) %*% V %*% U)
+V2 = V * (X %*% t(U)) / (V %*% (U %*% t(U)))`)
+		if err != nil {
+			sess.Close()
+			t.Fatal(err)
+		}
+		sess.Bind("U", out["U2"])
+		sess.Bind("V", out["V2"])
+	}
+	if err := sess.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Closing the session hangs up every parked stream and the control
+	// connections, so the workers' handlers return on their own.
+	waitNoGoroutine(t, "remote.(*Worker).serveStream")
+	waitNoGoroutine(t, "remote.(*Worker).controlLoop")
+	for _, w := range workers {
+		w.Close()
+		w.Wait()
+	}
+	waitNoGoroutine(t, "fuseme/internal/rt/remote.")
+}
+
+// waitNoGoroutine polls until no goroutine's stack mentions frame, up to a
+// deadline: goroutines that are fired and forgotten (the coordinator's
+// membership broadcasts) or that are unwinding after a hang-up need a moment.
+func waitNoGoroutine(t *testing.T, frame string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	buf := make([]byte, 1<<20)
+	for {
+		var leaked []string
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, frame) {
+				leaked = append(leaked, g)
+			}
+		}
+		if len(leaked) == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutine(s) still in %s:\n\n%s", len(leaked), frame, strings.Join(leaked, "\n\n"))
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -17,7 +17,7 @@ import (
 // stage is described by a spec.Stage, and runStageTask executes one task of
 // it against a blockSource. The in-process backend calls runStageTask from
 // the stage closure in paths.go; a remote worker calls it through
-// ExecuteSpecTask after rebuilding the plan from the shipped descriptor.
+// SpecStage.RunTask, having rebuilt the plan from the shipped descriptor once.
 // Both paths run the same arithmetic and the same metering.
 
 // blockSource resolves a task's external block references: bound input
@@ -340,29 +340,37 @@ func broadcastSides(p *fusion.Plan, mainIn *dag.Node, src blockSource, ev *evalu
 	}
 }
 
-// ExecuteSpecTask runs one task of a shipped stage descriptor on a worker:
-// the plan is rebuilt from the descriptor, blocks are pulled through fetch,
-// and result blocks are encoded through emit. Metering lands on task and is
-// reported back to the coordinator by the caller. cc (optionally nil) is the
-// worker's block-cache binding; mutations land in cc.Advert when set.
-func ExecuteSpecTask(sp *spec.Stage, taskID int, task *cluster.Task, cc *CacheCtx, fetch func(spec.BlockRef) (matrix.Mat, error), emit func(spec.OutBlock)) error {
-	if taskID < 0 || taskID >= sp.NumTasks {
-		return fmt.Errorf("exec: task %d outside stage %q (%d tasks)", taskID, sp.Name, sp.NumTasks)
-	}
+// SpecStage is a shipped stage descriptor made ready to execute on a worker:
+// the plan is rebuilt from the descriptor once, and every task of the stage
+// the worker is assigned runs against it.
+type SpecStage struct{ ctx *stageCtx }
+
+// NewSpecStage rebuilds the plan sp describes.
+func NewSpecStage(sp *spec.Stage) (*SpecStage, error) {
 	plan, err := sp.Plan.Build()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	op := &FusedOp{Plan: plan, NoMask: sp.NoMask}
 	if sp.Broadcast {
 		op.Strategy = Broadcast
 	}
-	ctx := newStageCtx(op, sp)
-	return runStageTask(ctx, taskID, task, fetchSource{fetch}, func(kind uint8, bi, bj int, blk matrix.Mat) {
-		data, err := spec.EncodeBlock(blk)
-		if err != nil {
-			panic(execPanic{fmt.Errorf("exec: encoding result block (%d,%d): %w", bi, bj, err)})
+	return &SpecStage{ctx: newStageCtx(op, sp)}, nil
+}
+
+// RunTask runs one task of the stage: blocks are pulled through fetch and
+// result blocks handed to emit as they are produced (an emit error fails the
+// task). Metering lands on task and is reported back to the coordinator by
+// the caller. cc (optionally nil) is the worker's block-cache binding;
+// mutations land in cc.Advert when set.
+func (s *SpecStage) RunTask(taskID int, task *cluster.Task, cc *CacheCtx, fetch func(spec.BlockRef) (matrix.Mat, error), emit func(kind uint8, bi, bj int, blk matrix.Mat) error) error {
+	sp := s.ctx.sp
+	if taskID < 0 || taskID >= sp.NumTasks {
+		return fmt.Errorf("exec: task %d outside stage %q (%d tasks)", taskID, sp.Name, sp.NumTasks)
+	}
+	return runStageTask(s.ctx, taskID, task, fetchSource{fetch}, func(kind uint8, bi, bj int, blk matrix.Mat) {
+		if err := emit(kind, bi, bj, blk); err != nil {
+			panic(execPanic{fmt.Errorf("exec: sending result block (%d,%d): %w", bi, bj, err)})
 		}
-		emit(spec.OutBlock{Kind: kind, BI: bi, BJ: bj, Data: data})
 	}, cc)
 }

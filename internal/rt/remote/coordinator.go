@@ -10,6 +10,7 @@ import (
 
 	"fuseme/internal/blockcache"
 	"fuseme/internal/cluster"
+	"fuseme/internal/matrix"
 	"fuseme/internal/membership"
 	"fuseme/internal/obs"
 	"fuseme/internal/prefetch"
@@ -36,7 +37,11 @@ import (
 // (which compiled-plan cache keys embed via ClusterFingerprint), and pushes
 // the new table to the workers.
 //
-// Scheduling is round-robin over live workers with one connection per task.
+// Scheduling is home placement over live workers; each dispatch lane runs
+// its tasks over a persistent task stream taken from the worker's idle list
+// (dialled only when the list is empty, re-dialled once when an idle stream
+// turns out to have died). A stream is handed the stage descriptor once per
+// stage generation and tasks by id after that.
 // The failed task retries on survivors up to Config.MaxTaskRetries,
 // matching the simulated backend's retry semantics. With
 // Config.CacheReplicas = k > 1, each block a worker newly caches is pushed
@@ -89,7 +94,7 @@ type Coordinator struct {
 	// replicaBytes counts wire bytes spent pushing cache replicas.
 	replicaBytes atomic.Int64
 
-	// Intra-task parallelism settings shipped verbatim in every taskAssign.
+	// Intra-task parallelism settings shipped verbatim in every stageAssign.
 	// kernelThreads is the cluster config's explicit count (0 = each worker
 	// auto-sizes against its own core count — worker machines need not match
 	// the coordinator's); taskSlots is TasksPerNode, which bounds the pool's
@@ -180,6 +185,12 @@ type workerConn struct {
 	// probeMu serializes suspect-state probes for this worker.
 	probeMu sync.Mutex
 
+	// idle holds the worker's task streams that are not running a task, at
+	// most one per dispatch lane (TasksPerNode). A lane takes one per task
+	// and puts it back when the task ended cleanly.
+	idleMu sync.Mutex
+	idle   []*stream
+
 	// stealOK records whether the worker volunteers for work-stealing.
 	// Defaults true; learned from the task connection — a pipelined task
 	// that completes WITHOUT a msgTaskSteal frame means the worker runs
@@ -209,6 +220,44 @@ func (w *workerConn) setConn(c net.Conn) net.Conn {
 	w.ctrl = c
 	w.ptrMu.Unlock()
 	return old
+}
+
+// takeIdle pops an idle task stream, or returns nil.
+func (w *workerConn) takeIdle() *stream {
+	w.idleMu.Lock()
+	defer w.idleMu.Unlock()
+	if n := len(w.idle); n > 0 {
+		s := w.idle[n-1]
+		w.idle = w.idle[:n-1]
+		return s
+	}
+	return nil
+}
+
+// putIdle parks a stream whose task ended cleanly; it is closed instead when
+// the coordinator is closing, the worker no longer takes tasks or every
+// lane already has one parked.
+func (c *Coordinator) putIdle(w *workerConn, s *stream) {
+	w.idleMu.Lock()
+	keep := !c.closed.Load() && w.alive.Load() && len(w.idle) < c.taskSlots
+	if keep {
+		w.idle = append(w.idle, s)
+	}
+	w.idleMu.Unlock()
+	if !keep {
+		s.close()
+	}
+}
+
+// closeIdle closes every parked task stream.
+func (w *workerConn) closeIdle() {
+	w.idleMu.Lock()
+	idle := w.idle
+	w.idle = nil
+	w.idleMu.Unlock()
+	for _, s := range idle {
+		s.close()
+	}
 }
 
 // recordClock folds one ping/pong sample into the skew estimate.
@@ -294,7 +343,7 @@ func (c *Coordinator) dialHandshake(addr string) (net.Conn, error) {
 		conn.Close()
 		return nil, fmt.Errorf("handshake: %w", err)
 	}
-	payload, err := expectFrame(conn, msgHelloAck)
+	payload, err := expectFrame(conn, msgHelloAck, maxControlFrame)
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("handshake: %w", err)
@@ -374,6 +423,7 @@ func (c *Coordinator) removeWorker(addr string) error {
 		if cn := w.conn(); cn != nil {
 			cn.Close()
 		}
+		w.closeIdle()
 		return nil
 	}
 	return fmt.Errorf("remote: no live worker at %s", addr)
@@ -441,7 +491,7 @@ func (c *Coordinator) pingWorker(w *workerConn) error {
 		w.ctrlMu.Unlock()
 		return err
 	}
-	payload, err := expectFrame(cn, msgPong)
+	payload, err := expectFrame(cn, msgPong, maxControlFrame)
 	w.ctrlMu.Unlock()
 	if err != nil {
 		return err
@@ -513,6 +563,9 @@ func (c *Coordinator) suspectAndProbe(w *workerConn) bool {
 			return w.alive.Load()
 		}
 		w.alive.Store(false)
+		// Whatever broke the worker's channel very likely broke its parked
+		// streams too; the lanes dial fresh ones if the probe recovers it.
+		w.closeIdle()
 	case membership.Suspect:
 		// Stale row from an interrupted probe; probe now.
 	default:
@@ -766,6 +819,7 @@ func (c *Coordinator) Close() error {
 		if cn := w.conn(); cn != nil {
 			cn.Close()
 		}
+		w.closeIdle()
 	}
 	c.hbWG.Wait()
 	c.joinWG.Wait()
@@ -797,15 +851,13 @@ func (m *wireMeter) countFetch(ref spec.BlockRef, n int64, colocated map[int]boo
 	}
 }
 
-func (m *wireMeter) countResults(blocks []spec.OutBlock) {
-	for _, ob := range blocks {
-		n := int64(len(ob.Data))
-		switch ob.Kind {
-		case spec.OutPartial, spec.OutAgg:
-			m.aggregation.Add(n)
-		default:
-			m.extra.Add(n)
-		}
+func (m *wireMeter) countResult(ob spec.OutBlock) {
+	n := int64(len(ob.Data))
+	switch ob.Kind {
+	case spec.OutPartial, spec.OutAgg:
+		m.aggregation.Add(n)
+	default:
+		m.extra.Add(n)
 	}
 }
 
@@ -990,7 +1042,9 @@ func (c *Coordinator) RunSpecStage(st *rt.Stage) error {
 		pfSecs += done.Metrics.PrefetchSeconds
 		taskSecs += done.Metrics.TaskSeconds
 		mu.Unlock()
-		if err := st.Collect(taskID, done.Blocks); err != nil {
+		err = st.Collect(taskID, done.blocks)
+		done.release() // the blocks' Data was valid until Collect returned
+		if err != nil {
 			setErr(err)
 		}
 	}
@@ -1086,7 +1140,7 @@ func (c *Coordinator) RunSpecStage(st *rt.Stage) error {
 // replicas instead of cold-starting. It also returns the worker that
 // completed the task, so the caller can merge the returned span batch with
 // that worker's clock offset.
-func (c *Coordinator) runTaskWithRetry(st *rt.Stage, taskID int, gen uint64, wire *wireMeter, colocated map[int]bool, first *workerConn, pf pfAssign) (taskDone, *workerConn, error) {
+func (c *Coordinator) runTaskWithRetry(st *rt.Stage, taskID int, gen uint64, wire *wireMeter, colocated map[int]bool, first *workerConn, pf pfAssign) (*taskResult, *workerConn, error) {
 	retries := c.local.Config().MaxTaskRetries
 	ws := c.snapshotWorkers()
 	var lastErr error
@@ -1109,7 +1163,7 @@ func (c *Coordinator) runTaskWithRetry(st *rt.Stage, taskID int, gen uint64, wir
 			w = c.pickWorker()
 		}
 		if w == nil {
-			return taskDone{}, nil, errors.New("remote: no live workers")
+			return &taskResult{}, nil, errors.New("remote: no live workers")
 		}
 		done, err := c.runTaskOn(w, st, taskID, gen, wire, colocated, pf)
 		if err == nil {
@@ -1121,7 +1175,7 @@ func (c *Coordinator) runTaskWithRetry(st *rt.Stage, taskID int, gen uint64, wir
 			c.suspectAndProbe(w)
 		}
 	}
-	return taskDone{}, nil, lastErr
+	return &taskResult{}, nil, lastErr
 }
 
 // pfAssign carries one task's prefetch hint into the assignment: the queue
@@ -1134,50 +1188,124 @@ type pfAssign struct {
 	budget int64
 }
 
-// runTaskOn ships one task to worker w over a fresh connection and serves
-// its block fetches — and its prefetch pulls for the next queued task —
-// until it reports done or failed.
-func (c *Coordinator) runTaskOn(w *workerConn, st *rt.Stage, taskID int, gen uint64, wire *wireMeter, colocated map[int]bool, pf pfAssign) (taskDone, error) {
+// taskResult is a completed task as the coordinator holds it: the worker's
+// completion report plus the result blocks that arrived ahead of it. Each
+// block's Data sits in a pooled frame buffer, so it is valid only until
+// release — which the caller invokes once rt.Stage.Collect has returned.
+type taskResult struct {
+	taskDone
+	blocks []spec.OutBlock
+	bufs   []*[]byte
+}
+
+// release recycles the buffers behind the result blocks.
+func (r *taskResult) release() {
+	for _, b := range r.bufs {
+		framePool.Put(b)
+	}
+	r.blocks, r.bufs = nil, nil
+}
+
+// taskError is a failure the worker reported with msgFail: the task body
+// returned an error, but the stream carried it cleanly and stays usable.
+type taskError string
+
+func (e taskError) Error() string { return string(e) }
+
+// dialStream opens a new task stream to worker w.
+func (c *Coordinator) dialStream(w *workerConn) (*stream, error) {
 	conn, err := net.DialTimeout("tcp", w.addr, c.rcfg.DialTimeout)
 	if err != nil {
-		return taskDone{}, transportError{err}
+		return nil, transportError{err}
 	}
-	defer conn.Close()
-	assign := taskAssign{
-		Stage:          *st.Spec,
+	return newStream(conn), nil
+}
+
+// runTaskOn runs one task on worker w over one of its task streams — an
+// idle one when there is one, a freshly dialled one otherwise — and parks the
+// stream again when the task ended cleanly. An idle stream may have died
+// since it was parked (a network blip, a restarted worker); if it fails
+// before the worker said anything about this task, that is not a task
+// failure: the assignment is repeated once on a fresh dial.
+func (c *Coordinator) runTaskOn(w *workerConn, st *rt.Stage, taskID int, gen uint64, wire *wireMeter, colocated map[int]bool, pf pfAssign) (*taskResult, error) {
+	s := w.takeIdle()
+	parked := s != nil
+	for {
+		if s == nil {
+			var err error
+			if s, err = c.dialStream(w); err != nil {
+				return &taskResult{}, err
+			}
+		}
+		done, heard, err := c.serveTask(s, w, st, taskID, gen, wire, colocated, pf)
+		var te taskError
+		if s.err == nil && (err == nil || errors.As(err, &te)) {
+			c.putIdle(w, s)
+			return done, err
+		}
+		s.close()
+		if !parked || heard {
+			return done, err
+		}
+		s, parked = nil, false
+	}
+}
+
+// serveTask assigns the task on stream s — shipping the stage descriptor
+// first when the stream has not seen this generation — and serves the
+// worker's block fetches and prefetch pulls and takes its result blocks until
+// it reports done or failed. heard reports whether the worker sent anything
+// at all in reply.
+func (c *Coordinator) serveTask(s *stream, w *workerConn, st *rt.Stage, taskID int, gen uint64, wire *wireMeter, colocated map[int]bool, pf pfAssign) (res *taskResult, heard bool, err error) {
+	res = &taskResult{}
+	defer func() {
+		if err != nil {
+			res.release()
+		}
+	}()
+	if s.gen != gen {
+		if err := s.writeGob(msgStage, stageAssign{
+			Stage:         *st.Spec,
+			Gen:           gen,
+			KernelThreads: c.kernelThreads,
+			TaskSlots:     c.taskSlots,
+		}); err != nil {
+			return res, false, transportError{err}
+		}
+		s.gen, s.blockSize = gen, st.Spec.BlockSize
+	}
+	if err := s.writeGob(msgTask, taskAssign{
 		TaskID:         taskID,
 		Gen:            gen,
-		KernelThreads:  c.kernelThreads,
-		TaskSlots:      c.taskSlots,
 		Trace:          c.getObs().Tracing(),
 		PrefetchTask:   pf.task,
 		PrefetchRefs:   pf.refs,
 		PrefetchBudget: pf.budget,
-	}
-	if err := writeGob(conn, msgTask, assign); err != nil {
-		return taskDone{}, transportError{err}
+	}); err != nil {
+		return res, false, transportError{err}
 	}
 	sawSteal := false
 	for {
-		typ, payload, err := readFrame(conn)
+		typ, payload, err := s.readFrame()
 		if err != nil {
-			return taskDone{}, transportError{err}
+			return res, heard, transportError{err}
 		}
+		heard = true
 		switch typ {
 		case msgFetch, msgPrefetch:
-			var ref spec.BlockRef
-			if err := decodeGob(payload, &ref); err != nil {
-				return taskDone{}, err
+			ref, err := decodeRef(payload)
+			if err != nil {
+				return res, true, err
 			}
-			reply, size := serveFetch(st, ref)
-			if err := writeFrame(conn, msgBlock, reply); err != nil {
-				return taskDone{}, transportError{err}
+			n, size, ok, err := serveFetch(s, st, ref)
+			if err != nil {
+				return res, true, transportError{err}
 			}
 			// Prefetch pulls are metered exactly like direct fetches (the
 			// traffic is the same bytes, just earlier) plus the prefetch
 			// counters the simulated model also keeps.
-			wire.countFetch(ref, int64(len(reply)-1), colocated)
-			if typ == msgPrefetch && reply[0] != blockError {
+			wire.countFetch(ref, n, colocated)
+			if typ == msgPrefetch && ok {
 				wire.pfBlocks.Add(1)
 				wire.pfBytes.Add(size)
 				if o := c.getObs(); o.Enabled() {
@@ -1185,56 +1313,65 @@ func (c *Coordinator) runTaskOn(w *workerConn, st *rt.Stage, taskID int, gen uin
 					o.Counter(obs.MPrefetchBytes).Add(size)
 				}
 			}
+		case msgResult:
+			ob, err := decodeResult(payload)
+			if err != nil {
+				return res, true, err
+			}
+			// The frame stays where it was read, in a buffer that goes back
+			// to the pool after Collect; the stream reads on into another.
+			res.blocks = append(res.blocks, ob)
+			res.bufs = append(res.bufs, s.takeRead())
 		case msgCacheAd:
 			ad, err := spec.DecodeCacheAdvert(payload)
 			if err != nil {
-				return taskDone{}, err
+				return res, true, err
 			}
 			c.ledger.Record(w.id, ad.Added, ad.Evicted)
 			c.replicateAdvert(st, w, ad, gen, wire)
 		case msgTaskSteal:
 			sawSteal = true
 		case msgDone:
-			var done taskDone
-			if err := decodeGob(payload, &done); err != nil {
-				return taskDone{}, err
+			if err := s.decodeGob(payload, &res.taskDone); err != nil {
+				return res, true, err
 			}
-			wire.countResults(done.Blocks)
+			for _, ob := range res.blocks {
+				wire.countResult(ob)
+			}
 			if pf.budget > 0 {
 				// Learn the worker's steal preference and fold its fetch
 				// report into the prefetch history for the next execution
 				// of this stage shape.
 				w.stealOK.Store(sawSteal)
-				c.hist.Record(st.Spec.Name, st.Spec.NumTasks, taskID, done.Fetched)
+				c.hist.Record(st.Spec.Name, st.Spec.NumTasks, taskID, res.Fetched)
 			}
-			return done, nil
+			return res, true, nil
 		case msgFail:
 			var fail taskFail
-			if err := decodeGob(payload, &fail); err != nil {
-				return taskDone{}, err
+			if err := s.decodeGob(payload, &fail); err != nil {
+				return res, true, err
 			}
-			return taskDone{}, errors.New(fail.Err)
+			return res, true, taskError(fail.Err)
 		default:
-			return taskDone{}, fmt.Errorf("remote: unexpected frame type %d on task connection", typ)
+			return res, true, fmt.Errorf("remote: unexpected frame type %d on task stream", typ)
 		}
 	}
 }
 
-// serveFetch resolves one block request into a msgBlock payload. size is
-// the served block's in-memory SizeBytes (0 for nil blocks and errors) —
-// the prefetch counters use it, because that is what the admission budget
-// is charged in.
-func serveFetch(st *rt.Stage, ref spec.BlockRef) (payload []byte, size int64) {
-	m, err := st.Fetch(ref)
-	if err != nil {
-		return append([]byte{blockError}, err.Error()...), 0
+// serveFetch resolves one block request and sends the msgBlock reply. n is
+// the reply's metered wire size (the FME1 bytes, or the error text); size the
+// served block's in-memory SizeBytes (0 for nil blocks and errors) — the
+// prefetch counters use it, because that is what the admission budget is
+// charged in; ok is false when the reply was an error. err is a transport
+// failure of the reply itself.
+func serveFetch(s *stream, st *rt.Stage, ref spec.BlockRef) (n, size int64, ok bool, err error) {
+	m, ferr := st.Fetch(ref)
+	if ferr != nil {
+		msg := ferr.Error()
+		return int64(len(msg)), 0, false, s.send(append(append(s.begin(msgBlock), blockError), msg...))
 	}
 	if m == nil {
-		return []byte{blockNil}, 0
+		return 0, 0, true, s.writeBlock(nil)
 	}
-	data, err := spec.EncodeBlock(m)
-	if err != nil {
-		return append([]byte{blockError}, err.Error()...), 0
-	}
-	return append([]byte{blockData}, data...), m.SizeBytes()
+	return int64(matrix.EncodedSize(m)), m.SizeBytes(), true, s.writeBlock(m)
 }

@@ -63,7 +63,7 @@ func (c *Coordinator) JoinAddr() string {
 func (c *Coordinator) handleJoin(conn net.Conn) {
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(c.rcfg.DialTimeout))
-	typ, payload, err := readFrame(conn)
+	typ, payload, err := readFrame(conn, maxControlFrame)
 	if err != nil {
 		return
 	}
@@ -131,7 +131,7 @@ func joinExchange(joinAddr string, timeout time.Duration, typ byte, req any) (me
 	if err := writeGob(conn, typ, req); err != nil {
 		return memberUpdate{}, err
 	}
-	rtyp, payload, err := readFrame(conn)
+	rtyp, payload, err := readFrame(conn, maxControlFrame)
 	if err != nil {
 		return memberUpdate{}, err
 	}

@@ -163,11 +163,12 @@ func TestElasticJoinAndLeave(t *testing.T) {
 // established connection at once while continuing to accept new ones — a
 // network blip, as seen from the coordinator.
 type flakyProxy struct {
-	ln     net.Listener
-	target string
-	mu     sync.Mutex
-	conns  []net.Conn
-	closed bool
+	ln       net.Listener
+	target   string
+	mu       sync.Mutex
+	conns    []net.Conn
+	accepted int
+	closed   bool
 }
 
 func newFlakyProxy(t *testing.T, target string) *flakyProxy {
@@ -203,10 +204,18 @@ func (p *flakyProxy) accept() {
 			return
 		}
 		p.conns = append(p.conns, c, up)
+		p.accepted++
 		p.mu.Unlock()
 		go func() { io.Copy(up, c); up.Close() }()
 		go func() { io.Copy(c, up); c.Close() }()
 	}
+}
+
+// Accepted returns how many connections the proxy has forwarded so far.
+func (p *flakyProxy) Accepted() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.accepted
 }
 
 // DropAll severs every live proxied connection.

@@ -2,27 +2,74 @@
 // satisfies rt.Runtime by scheduling descriptor-based stages over worker
 // processes, and the worker loop those processes run.
 //
-// The protocol is deliberately small. Every connection carries length-framed
-// messages ([type byte][uint32 big-endian length][payload]); control
-// messages are gob-encoded, matrix blocks travel in the FME1 binary format.
+// Every connection carries length-framed messages
+// ([type byte][uint32 big-endian length][payload]), each sent with one Write.
 // The coordinator opens one persistent control connection per worker for the
-// handshake and heartbeats, and one fresh connection per task. A task
-// connection is a private request/response channel: the coordinator assigns
-// the task, then serves the worker's block fetches until the worker reports
-// the task done (with its result blocks and metering counters) or failed.
+// handshake, heartbeats and pushes, and keeps a small set of persistent
+// task streams per worker — at most TasksPerNode idle ones, the lanes that
+// exist — each carrying one task at a time, any number in sequence.
+//
+// Frame table, protocol v6 (C = coordinator, W = worker; "gob" = encoded by
+// the connection's gob stream, "raw" = fixed binary layout):
+//
+//	control connection (C dials; per-message gob, low rate)
+//	  C→W msgHello        gob(hello)         opens the connection
+//	  W→C msgHelloAck     gob(helloAck)
+//	  C→W msgPing         empty
+//	  W→C msgPong         gob(pong)
+//	  C→W msgCacheInv     raw  spec.EncodeCacheInvalidate     no reply
+//	  C→W msgMemberUpdate gob(memberUpdate)                   no reply
+//	  C→W msgCachePut     gob(cachePut)                       no reply
+//	  C→W msgTaskRelease  gob(taskRelease)                    no reply
+//
+//	task stream (C dials; ONE gob.Encoder/Decoder pair per direction for the
+//	stream's lifetime, so type descriptors travel once)
+//	  C→W msgStage        gob(stageAssign)   opens the stream; again whenever
+//	                                         the stage generation changes
+//	  C→W msgTask         gob(taskAssign)    a task of the shipped stage, by id
+//	  W→C msgFetch        raw  25-byte block reference
+//	  W→C msgPrefetch     raw  25-byte block reference (for the NEXT task)
+//	  C→W msgBlock        raw  status byte + FME1 block       reply to either
+//	  W→C msgResult       raw  17-byte result header + FME1 block
+//	  W→C msgCacheAd      raw  spec.EncodeCacheAdvert         before msgDone
+//	  W→C msgTaskSteal    empty                               before msgDone
+//	  W→C msgDone         gob(taskDone)      ends the task; the stream is idle
+//	  W→C msgFail         gob(taskFail)      ends the task; the stream is idle
+//
+//	join listener (W dials C; one exchange per connection, per-message gob)
+//	  W→C msgJoin / msgLeave, C→W msgMemberUpdate or msgFail
+//
+// Between msgTask and msgDone the stream is a private request/response
+// channel: the coordinator serves the worker's block fetches (and prefetch
+// pulls for its next task) and takes its result blocks as they are produced.
 // Pull-based fetching means the worker discovers exactly the blocks the
 // fused kernel needs — the same dedup and colocation accounting as the
 // simulated backend, because both run the identical executor task body.
+//
+// Buffer ownership. A block crosses each hop with one copy: the sender
+// encodes it straight into the stream's write buffer behind the frame header
+// (matrix.AppendTo), the receiver reads the frame into reusable scratch and
+// matrix.Decode converts it into the block's own slices before the next
+// read. So a decoded block owns its memory and never aliases a buffer.
+// Result frames are the one exception to "decode before the next read": the
+// coordinator keeps each in a pooled buffer and hands them to
+// rt.Stage.Collect as spec.OutBlock.Data, which is valid until Collect
+// returns and recycled after.
 package remote
 
 import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
+	"net"
+	"slices"
+	"sync"
 
 	"fuseme/internal/blockcache"
+	"fuseme/internal/matrix"
 	"fuseme/internal/rt/spec"
 )
 
@@ -39,8 +86,11 @@ import (
 // execution: prefetch hints in taskAssign with msgPrefetch pulls on the
 // task connection, the worker's fetch report (taskDone.Fetched) feeding the
 // coordinator's prefetch history, and the work-stealing pair
-// msgTaskSteal/msgTaskRelease.
-const protoVersion = 5
+// msgTaskSteal/msgTaskRelease. Version 6 made task connections persistent
+// streams: msgStage ships the descriptor once per (stream, stage
+// generation), msgTask assigns by id, fetch requests are fixed binary,
+// result blocks travel as msgResult frames ahead of a small msgDone.
+const protoVersion = 6
 
 // Frame types.
 const (
@@ -48,12 +98,12 @@ const (
 	msgHelloAck = byte(2)  // worker → coordinator: gob(helloAck)
 	msgPing     = byte(3)  // coordinator → worker: empty
 	msgPong     = byte(4)  // worker → coordinator: gob(pong)
-	msgTask     = byte(5)  // coordinator → worker: gob(taskAssign), opens task conn
-	msgFetch    = byte(6)  // worker → coordinator: gob(spec.BlockRef)
+	msgTask     = byte(5)  // coordinator → worker: gob(taskAssign), on a task stream after its msgStage
+	msgFetch    = byte(6)  // worker → coordinator: block reference (appendRef)
 	msgBlock    = byte(7)  // coordinator → worker: block payload (see below)
 	msgDone     = byte(8)  // worker → coordinator: gob(taskDone)
 	msgFail     = byte(9)  // worker → coordinator: gob(taskFail)
-	msgCacheAd  = byte(10) // worker → coordinator: spec.EncodeCacheAdvert, on task conn before msgDone
+	msgCacheAd  = byte(10) // worker → coordinator: spec.EncodeCacheAdvert, on task stream before msgDone
 	msgCacheInv = byte(11) // coordinator → worker: spec.EncodeCacheInvalidate, on control conn, no reply
 
 	// Elastic-membership frames (proto v4).
@@ -63,9 +113,13 @@ const (
 	msgCachePut     = byte(15) // coordinator → worker: gob(cachePut), on control conn, no reply
 
 	// Pipelined-execution frames (proto v5).
-	msgPrefetch    = byte(16) // worker → coordinator: gob(spec.BlockRef), on task conn; reply msgBlock. A pull for the NEXT task's input.
-	msgTaskSteal   = byte(17) // worker → coordinator: empty, on task conn before msgDone; the worker volunteers for steals
+	msgPrefetch    = byte(16) // worker → coordinator: block reference, on task stream; reply msgBlock. A pull for the NEXT task's input.
+	msgTaskSteal   = byte(17) // worker → coordinator: empty, on task stream before msgDone; the worker volunteers for steals
 	msgTaskRelease = byte(18) // coordinator → worker: gob(taskRelease), on control conn, no reply; drop prefetched state for a stolen task
+
+	// Persistent-stream frames (proto v6).
+	msgStage  = byte(19) // coordinator → worker: gob(stageAssign); opens a task stream, re-sent per stage generation
+	msgResult = byte(20) // worker → coordinator: result header (appendResultHeader) + FME1 block, before msgDone
 )
 
 // Block payload status bytes (first byte of a msgBlock payload).
@@ -75,10 +129,29 @@ const (
 	blockError = byte(2) // error string follows
 )
 
-// maxFrame bounds a single frame. Blocks are at most BlockSize² float64s
-// plus sparse indexing, far below this; the cap guards against corrupt
-// length prefixes.
-const maxFrame = 1 << 30
+// Frame size limits. A length prefix is checked against the limit of its
+// frame type before anything is allocated, and a larger one is
+// ErrFrameTooLarge. Block frames on a task stream (msgBlock, msgResult) are
+// bounded by what the shipped stage's BlockSize allows; the stream's other
+// frames (descriptors, assignments, completion reports) by maxControlFrame.
+// The control connection keeps the format's own maxFrame: msgCachePut
+// carries a block there with no stage to bound it.
+const (
+	maxFrame        = 1 << 30
+	maxControlFrame = 16 << 20
+)
+
+// ErrFrameTooLarge reports a frame whose length prefix exceeds the limit
+// for its type on that connection — a corrupt prefix or a hostile peer.
+var ErrFrameTooLarge = errors.New("remote: frame exceeds limit")
+
+// blockFrameLimit bounds a frame carrying one block of a stage with block
+// size bs: the larger FME1 encoding is a fully populated CSR block
+// (29 + 8(bs+1) + 16bs² bytes; dense is 21 + 8bs²), plus the status byte or
+// result header in front of it.
+func blockFrameLimit(bs int) int {
+	return resultHeaderSize + 29 + 8*(bs+1) + 16*bs*bs
+}
 
 type hello struct {
 	Proto int
@@ -88,24 +161,29 @@ type helloAck struct {
 	Proto int
 }
 
-// taskAssign ships one task: the full stage descriptor plus the task index
-// and the stage's cache generation (blocks a worker cached at generation g
-// are only hit-visible to tasks with a strictly greater generation).
-// Re-sending the descriptor per task keeps the protocol stateless; stage
-// descriptors are small (a flattened plan and partition ranges).
+// stageAssign ships a stage to a task stream: the descriptor and the
+// stage's cache generation (blocks a worker cached at generation g are only
+// hit-visible to tasks with a strictly greater generation). It is sent once
+// per (stream, generation); every msgTask until the next msgStage names a
+// task of it by id, and the worker rebuilds the plan once for all of them.
 //
 // KernelThreads/TaskSlots carry the coordinator's intra-task parallelism
 // settings: the kernel-thread count resolved from the cluster config (0 means
 // "worker decides") and the per-worker slot count the pool's helper budget is
-// sized against. Both are new in this proto revision; gob decodes frames from
-// older coordinators with the fields left zero, which degrades to the
-// worker-local default — no version bump needed.
-type taskAssign struct {
+// sized against.
+type stageAssign struct {
 	Stage         spec.Stage
-	TaskID        int
 	Gen           uint64
 	KernelThreads int
 	TaskSlots     int
+}
+
+// taskAssign assigns one task of the stream's current stage. Gen repeats
+// the stage generation so a worker never runs a task against a descriptor
+// it was not meant for.
+type taskAssign struct {
+	TaskID int
+	Gen    uint64
 
 	// Trace asks the worker to record per-task sub-spans (fetch, kernel,
 	// cache, send) and ship them back in taskDone.Spans. Trace context
@@ -117,7 +195,7 @@ type taskAssign struct {
 	// worker's next queued task of this stage; PrefetchRefs the ordered
 	// blocks that task pulled on its last run (the coordinator's recorded
 	// history); PrefetchBudget the admission byte budget. While this task's
-	// kernel runs, the worker pulls those blocks over the same connection
+	// kernel runs, the worker pulls those blocks over the same stream
 	// (msgPrefetch) into a buffer the next assignment consumes. A zero
 	// budget disables prefetch and the worker's fetch report alike.
 	PrefetchTask   int
@@ -125,13 +203,13 @@ type taskAssign struct {
 	PrefetchBudget int64
 }
 
-// taskDone reports a completed task: its result blocks and the metering the
-// worker-side cluster.Task accumulated. Spans carries the worker's span batch
-// (worker-clock timestamps; the coordinator skew-corrects them) when the
-// assignment requested tracing, led by the enclosing whole-task span.
+// taskDone reports a completed task: the metering the worker-side
+// cluster.Task accumulated (the result blocks went ahead of it as msgResult
+// frames). Spans carries the worker's span batch (worker-clock timestamps;
+// the coordinator skew-corrects them) when the assignment requested tracing,
+// led by the enclosing whole-task span.
 type taskDone struct {
 	Metrics spec.TaskMetrics
-	Blocks  []spec.OutBlock
 	Spans   []spec.SpanRec
 
 	// Fetched is the ordered list of refs the task pulled through its fetch
@@ -209,31 +287,37 @@ type cachePut struct {
 	Data []byte
 }
 
-// writeFrame writes one framed message.
+// writeFrame writes one framed message with a single Write. It serves the
+// low-rate connections (control, join); task streams assemble frames in
+// their own reusable buffer.
 func writeFrame(w io.Writer, typ byte, payload []byte) error {
-	var hdr [5]byte
-	hdr[0] = typ
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return err
-		}
-	}
-	return nil
+	b := make([]byte, frameHeaderSize, frameHeaderSize+len(payload))
+	b[0] = typ
+	binary.BigEndian.PutUint32(b[1:], uint32(len(payload)))
+	_, err := w.Write(append(b, payload...))
+	return err
 }
 
-// readFrame reads one framed message.
-func readFrame(r io.Reader) (typ byte, payload []byte, err error) {
-	var hdr [5]byte
+const frameHeaderSize = 5
+
+// readFrameHeader reads a frame's type and payload length.
+func readFrameHeader(r io.Reader) (typ byte, n int, err error) {
+	var hdr [frameHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, 0, err
+	}
+	return hdr[0], int(binary.BigEndian.Uint32(hdr[1:])), nil
+}
+
+// readFrame reads one framed message of at most limit payload bytes into a
+// fresh buffer (control and join connections).
+func readFrame(r io.Reader, limit int) (typ byte, payload []byte, err error) {
+	typ, n, err := readFrameHeader(r)
+	if err != nil {
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[1:])
-	if n > maxFrame {
-		return 0, nil, fmt.Errorf("remote: frame of %d bytes exceeds limit", n)
+	if n > limit {
+		return 0, nil, fmt.Errorf("%w: type %d, %d bytes, limit %d", ErrFrameTooLarge, typ, n, limit)
 	}
 	if n > 0 {
 		payload = make([]byte, n)
@@ -241,10 +325,11 @@ func readFrame(r io.Reader) (typ byte, payload []byte, err error) {
 			return 0, nil, err
 		}
 	}
-	return hdr[0], payload, nil
+	return typ, payload, nil
 }
 
-// writeGob writes a gob-encoded framed message.
+// writeGob writes a gob-encoded framed message with an encoder of its own
+// (control and join connections, where messages are rare).
 func writeGob(w io.Writer, typ byte, v any) error {
 	var b bytes.Buffer
 	if err := gob.NewEncoder(&b).Encode(v); err != nil {
@@ -253,14 +338,14 @@ func writeGob(w io.Writer, typ byte, v any) error {
 	return writeFrame(w, typ, b.Bytes())
 }
 
-// decodeGob decodes a gob payload into v.
+// decodeGob decodes a payload written by writeGob into v.
 func decodeGob(payload []byte, v any) error {
 	return gob.NewDecoder(bytes.NewReader(payload)).Decode(v)
 }
 
 // expectFrame reads a frame and checks its type.
-func expectFrame(r io.Reader, want byte) ([]byte, error) {
-	typ, payload, err := readFrame(r)
+func expectFrame(r io.Reader, want byte, limit int) ([]byte, error) {
+	typ, payload, err := readFrame(r, limit)
 	if err != nil {
 		return nil, err
 	}
@@ -268,4 +353,230 @@ func expectFrame(r io.Reader, want byte) ([]byte, error) {
 		return nil, fmt.Errorf("remote: expected frame type %d, got %d", want, typ)
 	}
 	return payload, nil
+}
+
+// refSize is the wire size of a block reference: kind, then node, BI and BJ
+// as big-endian int64.
+const refSize = 1 + 3*8
+
+func appendRef(b []byte, ref spec.BlockRef) []byte {
+	b = append(b, ref.Kind)
+	b = binary.BigEndian.AppendUint64(b, uint64(ref.Node))
+	b = binary.BigEndian.AppendUint64(b, uint64(ref.BI))
+	return binary.BigEndian.AppendUint64(b, uint64(ref.BJ))
+}
+
+func decodeRef(b []byte) (spec.BlockRef, error) {
+	if len(b) != refSize {
+		return spec.BlockRef{}, fmt.Errorf("remote: block reference of %d bytes, want %d", len(b), refSize)
+	}
+	return spec.BlockRef{
+		Kind: b[0],
+		Node: int(int64(binary.BigEndian.Uint64(b[1:]))),
+		BI:   int(int64(binary.BigEndian.Uint64(b[9:]))),
+		BJ:   int(int64(binary.BigEndian.Uint64(b[17:]))),
+	}, nil
+}
+
+// resultHeaderSize is the wire size of what precedes the FME1 bytes in a
+// msgResult frame: the output kind, then BI and BJ as big-endian int64.
+const resultHeaderSize = 1 + 2*8
+
+func appendResultHeader(b []byte, kind uint8, bi, bj int) []byte {
+	b = append(b, kind)
+	b = binary.BigEndian.AppendUint64(b, uint64(bi))
+	return binary.BigEndian.AppendUint64(b, uint64(bj))
+}
+
+// decodeResult splits a msgResult payload; the returned Data aliases b.
+func decodeResult(b []byte) (spec.OutBlock, error) {
+	if len(b) < resultHeaderSize {
+		return spec.OutBlock{}, fmt.Errorf("remote: result frame of %d bytes, header needs %d", len(b), resultHeaderSize)
+	}
+	ob := spec.OutBlock{
+		Kind: b[0],
+		BI:   int(int64(binary.BigEndian.Uint64(b[1:]))),
+		BJ:   int(int64(binary.BigEndian.Uint64(b[9:]))),
+	}
+	if len(b) > resultHeaderSize {
+		ob.Data = b[resultHeaderSize:]
+	}
+	return ob, nil
+}
+
+// framePool recycles frame buffers: every stream's read scratch and write
+// buffer, and the buffers result frames wait in until Collect has consumed
+// them. Buffers grow to the largest frame they have carried.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// stream is one persistent task connection, as either end holds it: the
+// socket, the reusable frame buffers and the connection's gob stream. One
+// goroutine at a time may read and one may write (the worker serialises its
+// task body and prefetcher; the coordinator serves a stream from one lane).
+type stream struct {
+	conn net.Conn
+
+	// rbuf is read scratch: the payload readFrame returns lives here until
+	// the next readFrame. wbuf is where a frame is assembled, header first,
+	// to be sent with one Write.
+	rbuf, wbuf *[]byte
+
+	// One gob stream per direction for the connection's lifetime. enc writes
+	// into encBuf, whose contents become a frame payload; dec reads the
+	// payloads in arrival order through decSrc.
+	encBuf bytes.Buffer
+	enc    *gob.Encoder
+	decSrc bytes.Reader
+	dec    *gob.Decoder
+
+	// blockSize is the block size of the stage last shipped on the stream;
+	// it bounds block frames and the blocks decoded from them. gen is that
+	// stage's generation (0 before the first msgStage).
+	blockSize int
+	gen       uint64
+
+	// err is the first transport or framing error. It is sticky: after a
+	// failed or refused read the byte stream is no longer aligned on frame
+	// boundaries, so every later send and readFrame fails with it too.
+	err error
+}
+
+func newStream(conn net.Conn) *stream {
+	s := &stream{conn: conn, rbuf: framePool.Get().(*[]byte), wbuf: framePool.Get().(*[]byte)}
+	s.enc = gob.NewEncoder(&s.encBuf)
+	s.dec = gob.NewDecoder(&s.decSrc)
+	return s
+}
+
+// close closes the connection and recycles the stream's buffers. The stream
+// must not be used afterwards.
+func (s *stream) close() {
+	s.conn.Close()
+	framePool.Put(s.rbuf)
+	framePool.Put(s.wbuf)
+	s.rbuf, s.wbuf = nil, nil
+}
+
+// begin starts a frame of the given type in the write buffer; the caller
+// appends the payload and passes the result to send.
+func (s *stream) begin(typ byte) []byte {
+	return append((*s.wbuf)[:0], typ, 0, 0, 0, 0)
+}
+
+// send fills in the length of the frame begun with begin and writes it.
+func (s *stream) send(frame []byte) error {
+	*s.wbuf = frame[:0] // keep whatever growth appending caused
+	if s.err != nil {
+		return s.err
+	}
+	binary.BigEndian.PutUint32(frame[1:], uint32(len(frame)-frameHeaderSize))
+	_, s.err = s.conn.Write(frame)
+	return s.err
+}
+
+func (s *stream) writeFrame(typ byte, payload []byte) error {
+	return s.send(append(s.begin(typ), payload...))
+}
+
+// writeGob sends v through the stream's gob encoder as one frame.
+func (s *stream) writeGob(typ byte, v any) error {
+	s.encBuf.Reset()
+	if err := s.enc.Encode(v); err != nil {
+		s.err = err // the encoder may have sent half a type descriptor
+		return err
+	}
+	return s.writeFrame(typ, s.encBuf.Bytes())
+}
+
+// decodeGob decodes the payload of a frame the peer sent with writeGob. v
+// must be zero: gob leaves fields the message omits untouched.
+func (s *stream) decodeGob(payload []byte, v any) error {
+	s.decSrc.Reset(payload)
+	if err := s.dec.Decode(v); err != nil {
+		s.err = err // the decoder's type table can no longer be trusted
+		return err
+	}
+	return nil
+}
+
+// writeBlock sends a msgBlock frame: the block, nil for an all-zero one.
+func (s *stream) writeBlock(m matrix.Mat) error {
+	if m == nil {
+		return s.send(append(s.begin(msgBlock), blockNil))
+	}
+	return s.send(matrix.AppendTo(append(s.begin(msgBlock), blockData), m))
+}
+
+// writeResult sends one result block of a task.
+func (s *stream) writeResult(kind uint8, bi, bj int, m matrix.Mat) error {
+	b := appendResultHeader(s.begin(msgResult), kind, bi, bj)
+	if m != nil {
+		b = matrix.AppendTo(b, m)
+	}
+	return s.send(b)
+}
+
+// readFrame reads the next frame into the stream's scratch. The payload is
+// valid until the next readFrame (or takeRead).
+func (s *stream) readFrame() (typ byte, payload []byte, err error) {
+	if s.err != nil {
+		return 0, nil, s.err
+	}
+	typ, n, err := readFrameHeader(s.conn)
+	if err != nil {
+		return s.failRead(err)
+	}
+	limit := maxControlFrame
+	switch typ {
+	case msgBlock, msgResult:
+		limit = blockFrameLimit(s.blockSize)
+	case msgFetch, msgPrefetch:
+		limit = refSize
+	}
+	if n > limit {
+		return s.failRead(fmt.Errorf("%w: type %d, %d bytes, limit %d", ErrFrameTooLarge, typ, n, limit))
+	}
+	*s.rbuf = slices.Grow((*s.rbuf)[:0], n)[:n]
+	if _, err := io.ReadFull(s.conn, *s.rbuf); err != nil {
+		return s.failRead(err)
+	}
+	return typ, *s.rbuf, nil
+}
+
+func (s *stream) failRead(err error) (byte, []byte, error) {
+	s.err = err
+	return 0, nil, err
+}
+
+// takeRead hands the caller the buffer holding the last payload read (to be
+// returned to framePool when done with) and gives the stream another.
+func (s *stream) takeRead() *[]byte {
+	held := s.rbuf
+	s.rbuf = framePool.Get().(*[]byte)
+	return held
+}
+
+// decodeBlock parses a msgBlock payload into a block that owns its memory.
+// A block larger than the stage's block size is refused: nothing the
+// coordinator serves is.
+func (s *stream) decodeBlock(payload []byte) (matrix.Mat, error) {
+	if len(payload) == 0 {
+		return nil, errors.New("remote: empty block payload")
+	}
+	switch payload[0] {
+	case blockNil:
+		return nil, nil
+	case blockData:
+		blk, err := matrix.Decode(payload[1:])
+		if err != nil {
+			return nil, err
+		}
+		if r, c := blk.Dims(); r > s.blockSize || c > s.blockSize {
+			return nil, fmt.Errorf("%w: %dx%d in a stage of block size %d", matrix.ErrCorruptBlock, r, c, s.blockSize)
+		}
+		return blk, nil
+	case blockError:
+		return nil, errors.New(string(payload[1:]))
+	}
+	return nil, fmt.Errorf("remote: unknown block status %d", payload[0])
 }

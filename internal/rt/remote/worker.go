@@ -1,7 +1,6 @@
 package remote
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"runtime"
@@ -19,10 +18,13 @@ import (
 	"fuseme/internal/rt/spec"
 )
 
-// Worker serves task executions for one worker process. A worker is
-// stateless between tasks: every task arrives with its full stage
-// descriptor, input blocks are pulled from the coordinator over the task
-// connection, and results stream back when the task completes.
+// Worker serves task executions for one worker process. Each task stream a
+// coordinator opens is served by one goroutine until the coordinator closes
+// it: the stream's current stage (descriptor, rebuilt plan) is the only
+// state kept between its tasks, and it is the stream's own — nothing about a
+// stage is shared across connections or outlives one. Input blocks are
+// pulled from the coordinator over the stream, and result blocks go back as
+// they are produced, ahead of the task's completion report.
 type Worker struct {
 	ln    net.Listener
 	wg    sync.WaitGroup
@@ -46,7 +48,10 @@ type Worker struct {
 
 	// activeTasks counts in-flight task executions; Drain waits for it to
 	// reach zero so a SIGTERM'd worker finishes its work before leaving.
-	activeTasks atomic.Int64
+	// taskWatch (same lock) is closed whenever a task finishes.
+	taskMu      sync.Mutex
+	activeTasks int
+	taskWatch   chan struct{}
 
 	// view is the latest membership table pushed by the coordinator
 	// (msgMemberUpdate), nil before the first push. ctrlWatch (same lock) is
@@ -90,7 +95,7 @@ type Worker struct {
 	// steal and skew-detection tests). Never used to measure anything.
 	taskDelay atomic.Int64
 
-	// Kernel-pool state. The pool is built lazily from the first taskAssign
+	// Kernel-pool state. The pool is built lazily from the first stageAssign
 	// (its KernelThreads/TaskSlots fields) and rebuilt only when those
 	// settings change; kernelOverride, when >= 0, pins the thread count
 	// locally (-kernel-threads / FUSEME_KERNEL_THREADS on the worker
@@ -237,7 +242,7 @@ func (w *Worker) PrefetchBuffered() int {
 }
 
 // SetKernelThreads pins this worker's intra-task kernel thread count,
-// overriding whatever each taskAssign ships: n > 0 is an explicit count,
+// overriding whatever each stageAssign ships: n > 0 is an explicit count,
 // n == 0 restores auto-sizing against the worker's own cores, and a negative
 // n removes the override (coordinator settings apply again). Keep explicit
 // counts x the coordinator's TasksPerNode at or below this machine's cores —
@@ -261,7 +266,7 @@ func (w *Worker) KernelPool() *parallel.Pool {
 // settings, rebuilding the cached one only when they change. The slot count
 // is clamped to this machine's GOMAXPROCS so the helper budget never assumes
 // more cores than exist, whatever the coordinator's TasksPerNode says.
-func (w *Worker) kernelPool(assign *taskAssign) *parallel.Pool {
+func (w *Worker) kernelPool(assign *stageAssign) *parallel.Pool {
 	threads := assign.KernelThreads
 	if ov := w.kernelOverride.Load(); ov >= 0 {
 		threads = int(ov)
@@ -330,21 +335,48 @@ func (w *Worker) CoordinatorGone() <-chan struct{} { return w.gone }
 func (w *Worker) ControlDrop() <-chan struct{} { return w.drop }
 
 // ActiveTasks returns the number of task executions currently in flight.
-func (w *Worker) ActiveTasks() int { return int(w.activeTasks.Load()) }
+func (w *Worker) ActiveTasks() int {
+	w.taskMu.Lock()
+	defer w.taskMu.Unlock()
+	return w.activeTasks
+}
 
-// Drain waits until the worker has no in-flight tasks, polling, up to
-// timeout. It does not refuse new tasks by itself — the departing worker is
-// expected to have sent msgLeave first, which stops the coordinator's
-// dispatch. Returns true when the worker drained within the deadline.
+// taskFinished retires one in-flight task and wakes Drain.
+func (w *Worker) taskFinished() {
+	w.taskMu.Lock()
+	w.activeTasks--
+	if w.taskWatch != nil {
+		close(w.taskWatch)
+		w.taskWatch = nil
+	}
+	w.taskMu.Unlock()
+}
+
+// Drain waits until the worker has no in-flight tasks, woken by each task's
+// completion, up to timeout. It does not refuse new tasks by itself — the
+// departing worker is expected to have sent msgLeave first, which stops the
+// coordinator's dispatch. Returns true when the worker drained within the
+// deadline.
 func (w *Worker) Drain(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for w.activeTasks.Load() > 0 {
-		if time.Now().After(deadline) {
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
+	for {
+		w.taskMu.Lock()
+		if w.activeTasks == 0 {
+			w.taskMu.Unlock()
+			return true
+		}
+		if w.taskWatch == nil {
+			w.taskWatch = make(chan struct{})
+		}
+		finished := w.taskWatch
+		w.taskMu.Unlock()
+		select {
+		case <-finished:
+		case <-deadline.C:
 			return false
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
-	return true
 }
 
 // ClusterView returns the latest membership table the coordinator pushed
@@ -399,19 +431,20 @@ func (w *Worker) acceptLoop() {
 }
 
 // handleConn dispatches on the connection's first frame: a control
-// connection (hello + heartbeats) or a task connection.
+// connection (hello + heartbeats) or a task stream (its first stage).
 func (w *Worker) handleConn(conn net.Conn) {
-	typ, payload, err := readFrame(conn)
+	typ, payload, err := readFrame(conn, maxControlFrame)
 	if err != nil {
 		return
 	}
 	switch typ {
 	case msgHello:
+		// The ack names this worker's version either way, so a coordinator
+		// of another version reports "protocol mismatch", not a bare EOF.
 		var h hello
-		if decodeGob(payload, &h) != nil || h.Proto != protoVersion {
-			return
-		}
-		if writeGob(conn, msgHelloAck, helloAck{Proto: protoVersion}) != nil {
+		if decodeGob(payload, &h) != nil ||
+			writeGob(conn, msgHelloAck, helloAck{Proto: protoVersion}) != nil ||
+			h.Proto != protoVersion {
 			return
 		}
 		w.ctrlMu.Lock()
@@ -430,13 +463,60 @@ func (w *Worker) handleConn(conn net.Conn) {
 			default:
 			}
 		}
-	case msgTask:
-		var assign taskAssign
-		if err := decodeGob(payload, &assign); err != nil {
-			writeGob(conn, msgFail, taskFail{Err: fmt.Sprintf("decoding task: %v", err)})
+	case msgStage:
+		s := newStream(conn)
+		defer s.close()
+		w.serveStream(s, payload)
+	}
+}
+
+// workerStage is a task stream's current stage: what msgStage shipped and
+// the plan rebuilt from it, once, for every task of the stage this stream is
+// assigned. A descriptor that does not build fails each of those tasks with
+// buildErr, as it would have failed them one by one.
+type workerStage struct {
+	stageAssign
+	exec     *exec.SpecStage
+	buildErr error
+}
+
+// serveStream runs a task stream until the coordinator closes it (or a
+// transport or protocol error ends it): msgStage replaces the current stage,
+// msgTask runs one task of it to its msgDone or msgFail.
+func (w *Worker) serveStream(s *stream, firstStage []byte) {
+	typ, payload := msgStage, firstStage
+	var st *workerStage
+	for {
+		switch typ {
+		case msgStage:
+			st = &workerStage{}
+			if err := s.decodeGob(payload, &st.stageAssign); err != nil {
+				s.writeGob(msgFail, taskFail{Err: fmt.Sprintf("decoding stage: %v", err)})
+				return
+			}
+			st.exec, st.buildErr = exec.NewSpecStage(&st.Stage)
+			s.blockSize, s.gen = st.Stage.BlockSize, st.Gen
+		case msgTask:
+			var assign taskAssign
+			if err := s.decodeGob(payload, &assign); err != nil {
+				s.writeGob(msgFail, taskFail{Err: fmt.Sprintf("decoding task: %v", err)})
+				return
+			}
+			if assign.Gen != st.Gen {
+				s.writeGob(msgFail, taskFail{Err: fmt.Sprintf(
+					"remote: task of stage generation %d on a stream holding generation %d", assign.Gen, st.Gen)})
+				return
+			}
+			if !w.runTask(s, st, &assign) {
+				return
+			}
+		default:
 			return
 		}
-		w.runTask(conn, &assign)
+		var err error
+		if typ, payload, err = s.readFrame(); err != nil {
+			return
+		}
 	}
 }
 
@@ -444,7 +524,7 @@ func (w *Worker) handleConn(conn net.Conn) {
 // connection drops.
 func (w *Worker) controlLoop(conn net.Conn) {
 	for {
-		typ, payload, err := readFrame(conn)
+		typ, payload, err := readFrame(conn, maxFrame)
 		if err != nil {
 			return
 		}
@@ -509,18 +589,24 @@ func (w *Worker) controlLoop(conn net.Conn) {
 	}
 }
 
-// runTask executes one assigned task, pulling blocks over conn and reporting
-// the outcome.
-func (w *Worker) runTask(conn net.Conn, assign *taskAssign) {
+// runTask executes one assigned task of the stream's stage, pulling blocks
+// and sending result blocks over s, and reports the outcome. It returns false
+// when the stream is no longer usable.
+func (w *Worker) runTask(s *stream, st *workerStage, assign *taskAssign) bool {
 	if kill := w.killAfter.Load(); kill >= 0 && w.started.Add(1) > kill {
 		// Fault injection: die abruptly, mid-stage, without a reply.
 		w.Close()
-		return
+		return false
 	}
-	w.activeTasks.Add(1)
-	defer w.activeTasks.Add(-1)
+	w.taskMu.Lock()
+	w.activeTasks++
+	w.taskMu.Unlock()
+	defer w.taskFinished()
+	if st.buildErr != nil {
+		return s.writeGob(msgFail, taskFail{Err: st.buildErr.Error()}) == nil
+	}
 	task := &cluster.Task{ID: assign.TaskID}
-	task.SetPool(w.kernelPool(assign))
+	task.SetPool(w.kernelPool(&st.stageAssign))
 	var tt *cluster.TaskTrace
 	if assign.Trace {
 		tt = &cluster.TaskTrace{}
@@ -528,23 +614,31 @@ func (w *Worker) runTask(conn net.Conn, assign *taskAssign) {
 	}
 	cache := w.cache.Load()
 
-	// connMu serializes request/response pairs on the task connection: the
-	// task body's own fetches interleave with the prefetcher's pulls for the
-	// next task, and each pair must stay atomic for the framing to hold.
+	// connMu serializes the stream: the task body's fetches and result
+	// frames interleave with the prefetcher's pulls for the next task. A
+	// request/response pair must stay atomic for the framing to hold, and
+	// the reply is decoded before the lock drops because the next read
+	// reuses the scratch it sits in.
 	var connMu sync.Mutex
-	wireFetch := func(typ byte, ref spec.BlockRef) ([]byte, error) {
+	wireFetch := func(typ byte, ref spec.BlockRef) (matrix.Mat, error) {
 		connMu.Lock()
 		defer connMu.Unlock()
-		if err := writeGob(conn, typ, ref); err != nil {
+		if err := s.send(appendRef(s.begin(typ), ref)); err != nil {
 			return nil, err
 		}
-		return expectFrame(conn, msgBlock)
+		rtyp, payload, err := s.readFrame()
+		if err != nil {
+			return nil, err
+		}
+		if rtyp != msgBlock {
+			return nil, fmt.Errorf("remote: expected frame type %d, got %d", msgBlock, rtyp)
+		}
+		return s.decodeBlock(payload)
 	}
 
 	pipelined := assign.PrefetchBudget > 0
 	var fetched []spec.BlockRef // this task's fetch-path refs, reported in taskDone
 	var fetchSecs float64       // wire wait inside the task body
-	var blocks []spec.OutBlock
 	fetch := func(ref spec.BlockRef) (matrix.Mat, error) {
 		if pipelined {
 			fetched = append(fetched, ref)
@@ -555,23 +649,14 @@ func (w *Worker) runTask(conn net.Conn, assign *taskAssign) {
 			}
 		}
 		fetchStart := time.Now()
-		payload, err := wireFetch(msgFetch, ref)
+		blk, err := wireFetch(msgFetch, ref)
 		fetchSecs += time.Since(fetchStart).Seconds()
-		if err != nil {
-			return nil, err
-		}
-		if len(payload) == 0 {
-			return nil, errors.New("remote: empty block payload")
-		}
-		switch payload[0] {
-		case blockNil:
-			return nil, nil
-		case blockData:
-			return spec.DecodeBlock(payload[1:])
-		case blockError:
-			return nil, errors.New(string(payload[1:]))
-		}
-		return nil, fmt.Errorf("remote: unknown block status %d", payload[0])
+		return blk, err
+	}
+	emit := func(kind uint8, bi, bj int, blk matrix.Mat) error {
+		connMu.Lock()
+		defer connMu.Unlock()
+		return s.writeResult(kind, bi, bj, blk)
 	}
 
 	// Prefetcher: while this task's kernel runs, pull the next queued
@@ -594,7 +679,7 @@ func (w *Worker) runTask(conn net.Conn, assign *taskAssign) {
 				if ref.Kind != spec.RefInput || cache == nil {
 					return false
 				}
-				ep, ok := assign.Stage.EpochOf(ref.Node)
+				ep, ok := st.Stage.EpochOf(ref.Node)
 				if !ok {
 					return false
 				}
@@ -602,31 +687,23 @@ func (w *Worker) runTask(conn net.Conn, assign *taskAssign) {
 			}
 			pull := func(ref spec.BlockRef) (int64, bool) {
 				start := time.Now()
-				payload, err := wireFetch(msgPrefetch, ref)
+				blk, err := wireFetch(msgPrefetch, ref)
 				pfSecs += time.Since(start).Seconds()
-				if err != nil || len(payload) == 0 {
+				if err != nil {
 					return 0, false
 				}
-				switch payload[0] {
-				case blockNil:
-					w.pfStore(assign.Gen, next, ref, nil)
+				w.pfStore(assign.Gen, next, ref, blk)
+				if blk == nil {
 					return 0, true
-				case blockData:
-					blk, err := spec.DecodeBlock(payload[1:])
-					if err != nil {
-						return 0, false
-					}
-					w.pfStore(assign.Gen, next, ref, blk)
-					return blk.SizeBytes(), true
 				}
-				return 0, false
+				return blk.SizeBytes(), true
 			}
 			prefetch.Admit(assign.PrefetchRefs, assign.PrefetchBudget, resident, pull)
 		}()
 	}
 
 	var cc *exec.CacheCtx
-	if cache != nil && len(assign.Stage.Epochs) > 0 {
+	if cache != nil && len(st.Stage.Epochs) > 0 {
 		cc = &exec.CacheCtx{Cache: cache, Gen: assign.Gen, Advert: &spec.CacheAdvert{}}
 	}
 	start := time.Now()
@@ -636,9 +713,7 @@ func (w *Worker) runTask(conn net.Conn, assign *taskAssign) {
 		// it would a real computation.
 		time.Sleep(time.Duration(d))
 	}
-	err := exec.ExecuteSpecTask(&assign.Stage, assign.TaskID, task, cc, fetch, func(ob spec.OutBlock) {
-		blocks = append(blocks, ob)
-	})
+	err := st.exec.RunTask(assign.TaskID, task, cc, fetch, emit)
 	taskDur := time.Since(start)
 	// The prefetcher must finish before any completion frame: msgDone ends
 	// the coordinator's serve loop, and a partial hint list would make the
@@ -664,15 +739,14 @@ func (w *Worker) runTask(conn net.Conn, assign *taskAssign) {
 		o.Counter(obs.MKernelHelperRuns).Add(delta.HelperRuns)
 	}
 	if err != nil {
-		writeGob(conn, msgFail, taskFail{Err: err.Error()})
-		return
+		return s.writeGob(msgFail, taskFail{Err: err.Error()}) == nil
 	}
 	if cc != nil && !cc.Advert.Empty() {
 		// Advertise cache mutations before msgDone so the coordinator's
 		// residency ledger is current by the time the task completes.
 		cc.Advert.ResidentBytes = cache.ResidentBytes()
-		if writeFrame(conn, msgCacheAd, spec.EncodeCacheAdvert(cc.Advert)) != nil {
-			return
+		if s.writeFrame(msgCacheAd, spec.EncodeCacheAdvert(cc.Advert)) != nil {
+			return false
 		}
 	}
 	var spans []spec.SpanRec
@@ -687,25 +761,25 @@ func (w *Worker) runTask(conn net.Conn, assign *taskAssign) {
 			StartUnixNano: start.UnixNano(),
 			DurNanos:      taskDur.Nanoseconds(),
 		})
-		for _, s := range sub {
+		for _, sp := range sub {
 			spans = append(spans, spec.SpanRec{
-				Name:          s.Name,
-				Cat:           s.Cat,
-				StartUnixNano: s.Start.UnixNano(),
-				DurNanos:      s.End.Sub(s.Start).Nanoseconds(),
+				Name:          sp.Name,
+				Cat:           sp.Cat,
+				StartUnixNano: sp.Start.UnixNano(),
+				DurNanos:      sp.End.Sub(sp.Start).Nanoseconds(),
 			})
 		}
 	}
 	if pipelined && w.steal.Load() {
 		// Volunteer this worker's lanes for work-stealing. Sent before
 		// msgDone so the coordinator sees the flag before it frees the slot.
-		if writeFrame(conn, msgTaskSteal, nil) != nil {
-			return
+		if s.writeFrame(msgTaskSteal, nil) != nil {
+			return false
 		}
 	}
 	con, agg, flops, mem := task.Counters()
 	hits, misses, evs, saved := task.CacheCounters()
-	writeGob(conn, msgDone, taskDone{
+	return s.writeGob(msgDone, taskDone{
 		Metrics: spec.TaskMetrics{
 			ConsolidationBytes: con,
 			AggregationBytes:   agg,
@@ -719,8 +793,7 @@ func (w *Worker) runTask(conn net.Conn, assign *taskAssign) {
 			PrefetchSeconds:    pfSecs,
 			TaskSeconds:        taskDur.Seconds(),
 		},
-		Blocks:  blocks,
 		Spans:   spans,
 		Fetched: fetched,
-	})
+	}) == nil
 }

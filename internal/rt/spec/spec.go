@@ -7,14 +7,13 @@
 // distributed-runtime equivalent of shipping the stage closure.
 //
 // Descriptors carry no matrix data. Blocks travel separately in the FME1
-// binary format (matrix.WriteTo/ReadFrom), so the wire cost of a block is
+// binary format (matrix.AppendTo/Decode), so the wire cost of a block is
 // within a few header bytes of its in-memory size — which is what lets the
 // coordinator's measured wire bytes be compared against the simulated
 // cluster's metered communication for the same plan.
 package spec
 
 import (
-	"bytes"
 	"fmt"
 
 	"fuseme/internal/dag"
@@ -242,24 +241,21 @@ type TaskMetrics struct {
 	TaskSeconds     float64
 }
 
-// EncodeBlock serialises a block in the FME1 format. Encoding nil (an
-// all-zero block) returns nil bytes.
+// EncodeBlock serialises a block in the FME1 format, in one exactly-sized
+// allocation. Encoding nil (an all-zero block) returns nil bytes.
 func EncodeBlock(m matrix.Mat) ([]byte, error) {
 	if m == nil {
 		return nil, nil
 	}
-	var b bytes.Buffer
-	if err := matrix.WriteTo(&b, m); err != nil {
-		return nil, err
-	}
-	return b.Bytes(), nil
+	return matrix.AppendTo(make([]byte, 0, matrix.EncodedSize(m)), m), nil
 }
 
 // DecodeBlock deserialises an EncodeBlock payload; nil bytes decode to a nil
-// (all-zero) block.
+// (all-zero) block. The block owns its memory (data may be reused at once);
+// malformed bytes are matrix.ErrCorruptBlock, never a panic.
 func DecodeBlock(data []byte) (matrix.Mat, error) {
 	if len(data) == 0 {
 		return nil, nil
 	}
-	return matrix.ReadFrom(bytes.NewReader(data))
+	return matrix.Decode(data)
 }

@@ -3,6 +3,7 @@ package spec_test
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"fuseme/internal/core"
 	"fuseme/internal/fusion"
 	"fuseme/internal/lang"
+	"fuseme/internal/matrix"
 	"fuseme/internal/rt/spec"
 )
 
@@ -164,4 +166,64 @@ func TestBuildRejectsCorruptSpecs(t *testing.T) {
 	if _, err := noRoot.Build(); err == nil {
 		t.Error("missing root built successfully")
 	}
+}
+
+// FuzzDecodeBlock: DecodeBlock never panics or over-allocates on arbitrary
+// bytes (a bad block is matrix.ErrCorruptBlock), and because the decoder
+// accepts only the exact length a header implies, whatever it accepts
+// re-encodes to the same bytes and is structurally safe to hand a kernel.
+func FuzzDecodeBlock(f *testing.F) {
+	seeds := []matrix.Mat{
+		matrix.RandomDense(3, 5, -1, 1, 1),
+		matrix.RandomSparse(6, 4, 0.4, -1, 1, 2),
+		matrix.NewCSR(4, 4),
+		matrix.NewDense(0, 7),
+		matrix.NewDenseData(1, 1, []float64{42}),
+		&matrix.CSR{Rows: 1, Cols: 1, RowPtr: []int{0, 1}, Col: []int{0}, Val: []float64{-1}},
+	}
+	f.Add([]byte{})
+	for _, m := range seeds {
+		enc, err := spec.EncodeBlock(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+		for _, cut := range []int{1, 8, 21, len(enc) / 2} {
+			if cut < len(enc) {
+				f.Add(enc[:len(enc)-cut])
+			}
+		}
+	}
+	// A 21-byte header claiming 2^31 x 2^31, and a CSR claiming 2^33 non-zeros.
+	f.Add([]byte("1EMF\x00\x00\x00\x00\x80\x00\x00\x00\x00\x00\x00\x00\x80\x00\x00\x00\x00"))
+	f.Add([]byte("1EMF\x01\x01\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := spec.DecodeBlock(data)
+		if err != nil {
+			if !errors.Is(err, matrix.ErrCorruptBlock) {
+				t.Fatalf("untyped error %v", err)
+			}
+			return
+		}
+		if m == nil {
+			if len(data) != 0 {
+				t.Fatalf("%d bytes decoded to the nil block", len(data))
+			}
+			return
+		}
+		again, err := spec.EncodeBlock(m)
+		if err != nil || !bytes.Equal(again, data) {
+			t.Fatalf("re-encode differs (err %v):\n%x\n%x", err, again, data)
+		}
+		if s, ok := m.(*matrix.CSR); ok {
+			for i := 0; i < s.Rows; i++ {
+				for p := s.RowPtr[i]; p < s.RowPtr[i+1]; p++ {
+					if c := s.Col[p]; c < 0 || c >= s.Cols {
+						t.Fatalf("row %d holds column %d of %d", i, c, s.Cols)
+					}
+					_ = s.Val[p]
+				}
+			}
+		}
+	})
 }
