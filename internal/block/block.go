@@ -47,7 +47,8 @@ type Matrix struct {
 	Rows, Cols int // element-level dimensions
 	BlockSize  int
 	blocks     map[Key]matrix.Mat
-	epoch      uint64 // content version; see epochCounter
+	epoch      uint64       // content version; see epochCounter
+	nnz        atomic.Int64 // NNZ()+1 once counted; 0 until then and after restamp
 }
 
 // New returns an empty (all-zero) blocked matrix.
@@ -100,7 +101,7 @@ func (m *Matrix) SetBlock(bi, bj int, blk matrix.Mat) {
 	}
 	if blk == nil {
 		delete(m.blocks, Key{bi, bj})
-		m.epoch = nextEpoch()
+		m.restamp()
 		return
 	}
 	wr, wc := m.BlockDims(bi, bj)
@@ -109,7 +110,14 @@ func (m *Matrix) SetBlock(bi, bj int, blk matrix.Mat) {
 		panic(fmt.Sprintf("block: block (%d,%d) has shape %dx%d, want %dx%d", bi, bj, br, bc, wr, wc))
 	}
 	m.blocks[Key{bi, bj}] = blk
+	m.restamp()
+}
+
+// restamp marks a change of the block map: a fresh content epoch, and the
+// non-zero count is no longer known.
+func (m *Matrix) restamp() {
 	m.epoch = nextEpoch()
+	m.nnz.Store(0)
 }
 
 // NumStoredBlocks returns the number of explicitly stored (non-zero) blocks.
@@ -146,12 +154,19 @@ func (m *Matrix) At(i, j int) float64 {
 	return blk.At(i%m.BlockSize, j%m.BlockSize)
 }
 
-// NNZ returns the total number of stored non-zeros across blocks.
+// NNZ returns the total number of stored non-zeros across blocks. Blocks are
+// immutable, so the count is taken once per content epoch — a session asks
+// for the density of every bound input on every query — and concurrent
+// readers of one matrix may both take it: they store the same number.
 func (m *Matrix) NNZ() int {
+	if n := m.nnz.Load(); n > 0 {
+		return int(n - 1)
+	}
 	n := 0
 	for _, b := range m.blocks {
 		n += b.NNZ()
 	}
+	m.nnz.Store(int64(n) + 1)
 	return n
 }
 
@@ -259,7 +274,7 @@ func AddInto(dst, src *Matrix) {
 		}
 		dst.blocks[k] = matrix.Binary(matrix.Add, cur, blk)
 	})
-	dst.epoch = nextEpoch()
+	dst.restamp()
 }
 
 // RandomDense generates a blocked dense matrix with entries in [lo, hi),

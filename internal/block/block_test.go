@@ -1,6 +1,8 @@
 package block
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -181,5 +183,80 @@ func TestQuickTransposeCommutes(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// countedBlock counts how often its non-zeros are counted.
+type countedBlock struct {
+	matrix.Mat
+	scans *atomic.Int64
+}
+
+func (b countedBlock) NNZ() int {
+	b.scans.Add(1)
+	return b.Mat.NNZ()
+}
+
+// TestDensityCachedAndInvalidated: a session asks every bound input for its
+// density on every query, so the blocks are scanned once per content epoch,
+// not once per call — from any number of concurrent sessions — and every way
+// of replacing a block (SetBlock, deleting one, AddInto) makes the next call
+// count again.
+func TestDensityCachedAndInvalidated(t *testing.T) {
+	const rows, cols, bs = 16, 24, 8
+	var scans atomic.Int64
+	m := New(rows, cols, bs)
+	for bi := 0; bi < m.BlockRows(); bi++ {
+		for bj := 0; bj < m.BlockCols(); bj++ {
+			m.SetBlock(bi, bj, countedBlock{matrix.RandomSparse(bs, bs, 0.25, 1, 2, int64(bi*10+bj)), &scans})
+		}
+	}
+	recount := func() float64 {
+		n := 0
+		m.ForEach(func(_ Key, blk matrix.Mat) { n += blk.(countedBlock).Mat.NNZ() })
+		return float64(n) / (rows * cols)
+	}
+	var wg sync.WaitGroup
+	for s := 0; s < 8; s++ { // concurrent sessions over one shared dataset
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for q := 0; q < 50; q++ {
+				if d := m.Density(); d != recount() {
+					t.Errorf("Density = %v, want %v", d, recount())
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := scans.Load(); n < 6 || n > 8*6 { // once, or once per session that raced to be first
+		t.Fatalf("400 Density calls scanned blocks %d times, want one pass over the 6 blocks", n)
+	}
+
+	changes := []struct {
+		name   string
+		change func()
+	}{
+		{"SetBlock", func() { m.SetBlock(0, 1, countedBlock{matrix.RandomDense(bs, bs, 1, 2, 3), &scans}) }},
+		{"delete", func() { m.SetBlock(1, 2, nil) }},
+	}
+	for _, c := range changes {
+		before, epoch := m.Density(), m.Epoch()
+		scans.Store(0)
+		c.change()
+		if d := m.Density(); d == before || d != recount() || m.Epoch() == epoch {
+			t.Errorf("%s: density %v -> %v, want %v under a new epoch", c.name, before, d, recount())
+		}
+		m.Density()
+		if n := int(scans.Load()); n != m.NumStoredBlocks() {
+			t.Errorf("%s: two Density calls scanned blocks %d times, want one pass over %d blocks", c.name, n, m.NumStoredBlocks())
+		}
+	}
+
+	dst := RandomSparse(rows, cols, bs, 0.1, 1, 2, 4)
+	before := dst.Density()
+	AddInto(dst, RandomSparse(rows, cols, bs, 0.1, 1, 2, 5))
+	if after := dst.Density(); after <= before || after != float64(dst.Clone().NNZ())/(rows*cols) {
+		t.Errorf("AddInto: density %v -> %v, stale or wrong", before, after)
 	}
 }

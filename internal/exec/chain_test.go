@@ -3,13 +3,17 @@ package exec
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
 	"fuseme/internal/block"
+	"fuseme/internal/cfg"
 	"fuseme/internal/cluster"
+	"fuseme/internal/cost"
 	"fuseme/internal/dag"
 	"fuseme/internal/fusion"
+	"fuseme/internal/lang"
 	"fuseme/internal/matrix"
 	"fuseme/internal/ref"
 )
@@ -23,7 +27,8 @@ const (
 )
 
 // chainInputs are the operands random chains draw from: dense, sparse (with
-// an all-zero block and empty rows), all-zero, and row/column vectors.
+// an all-zero block and empty rows), all-zero, row/column vectors and a 1x1
+// matrix.
 func chainInputs() map[string]matrix.Mat {
 	s := matrix.ToDense(matrix.RandomSparse(chainM, chainN, 0.09, 0.5, 1.5, 3))
 	for i := 0; i < chainM; i++ {
@@ -40,6 +45,7 @@ func chainInputs() map[string]matrix.Mat {
 		"Z": matrix.NewCSR(chainM, chainN),
 		"r": matrix.RandomDense(1, chainN, -1, 1, 4),
 		"c": matrix.RandomDense(chainM, 1, 0.5, 1.5, 5),
+		"o": matrix.RandomDense(1, 1, 0.5, 1.5, 12),
 		"U": matrix.RandomDense(chainM, chainK, -1, 1, 6),
 		"V": matrix.RandomDense(chainN, chainK, -1, 1, 7),
 		"W": matrix.RandomDense(chainK, chainN, -1, 1, 8),
@@ -57,7 +63,7 @@ func randomChain(rng *rand.Rand, g *dag.Graph, in map[string]*dag.Node, mm *dag.
 		if mm != nil {
 			return mm
 		}
-		return in[[]string{"A", "B", "S", "S", "Z", "r", "c"}[rng.Intn(7)]]
+		return in[[]string{"A", "B", "S", "S", "Z", "r", "c", "o"}[rng.Intn(8)]]
 	}
 	unaries := []string{"sq", "abs", "neg", "sigmoid", "relu", "sign", "round", "tanh"}
 	ops := []matrix.BinOp{matrix.Add, matrix.Sub, matrix.Mul, matrix.MinOp, matrix.MaxOp, matrix.Gt, matrix.Neq}
@@ -92,9 +98,10 @@ func randomChain(rng *rand.Rand, g *dag.Graph, in map[string]*dag.Node, mm *dag.
 }
 
 // TestCompiledChainMatchesReference runs random fused chains — unary,
-// binary, scalar, row- and column-vector broadcast, zero blocks on either
-// side, a subtraction whose left operand vanished, edge blocks narrower than
-// a tile, empty driver rows — through the executor, dense and masked, single
+// binary, scalar, row-vector, column-vector and 1x1 broadcast, zero blocks on
+// either side, a subtraction whose left operand vanished, products the chain
+// owns and stores into in every operand position, edge blocks narrower than a
+// tile, empty driver rows — through the executor, dense and masked, single
 // stage and R > 1 partial + fuse, and compares with the reference to 1e-12.
 func TestCompiledChainMatchesReference(t *testing.T) {
 	flats := chainInputs()
@@ -349,11 +356,9 @@ func allocated(t *testing.T, fn func()) int64 {
 // allocate twice its output (the main product's accumulator, which the chain
 // then stores into, and the nested product's) plus the transposes its
 // dense x dense product still builds; the NMF-kernel task, whose output
-// shares the driver's pattern, less than its output plus the one transposed
-// right block the SDDMM still takes per output block (4.2 of its 4.8 MB: the
-// copy a folded read of t(F) removes). With one block per node the same two
-// tasks allocated 38.2 MB and 17.3 MB where they now allocate 1.2 MB and
-// 4.8 MB.
+// shares the driver's pattern and whose SDDMM reads t(F) as F's own blocks,
+// its output. With one block per node the same two tasks allocated 38.2 MB
+// and 17.3 MB where they now allocate 1.2 MB and 0.5 MB.
 func TestTaskAllocationBudget(t *testing.T) {
 	const users, items, k, bs, slack = 1000, 500, 64, 64, 256 << 10 // slack: plan, descriptors, maps, scratch
 	flats := benchFlats(users, items, k, 0.08)
@@ -379,8 +384,7 @@ func TestTaskAllocationBudget(t *testing.T) {
 	}
 
 	alloc, out = run(nmfKernel)
-	outBlocks := int64((users+bs-1)/bs) * int64((items+bs-1)/bs)
-	if ceiling := out + outBlocks*bs*k*8 + slack; alloc > ceiling {
+	if ceiling := out + slack; alloc > ceiling {
 		t.Errorf("NMF-kernel task allocated %d bytes for a %d-byte output: ceiling %d", alloc, out, ceiling)
 	}
 	t.Logf("NMF-kernel task: %d bytes allocated, %d-byte output", alloc, out)
@@ -422,19 +426,35 @@ func TestFusedTaskThreadInvariance(t *testing.T) {
 }
 
 // BenchmarkFusedTask times one fused operator end to end at the repo
-// benchmark's block shapes (256x256 blocks, k = 64): the GNMF U update
-// (folded t(V) %*% X, nested product, dense chain) and the NMF kernel
-// (transpose-free SDDMM, masked chain).
+// benchmark's block shapes: the GNMF U update (folded t(V) %*% X, nested
+// product, dense chain) and the NMF kernel (transpose-free SDDMM, masked
+// chain) on 256x256 blocks with k = 64, and the AutoEncoder's first layer
+// sigmoid(W %*% X + b) (dense GEMM, then the activation stored strip by strip
+// into the product) on 128x128 blocks.
 func BenchmarkFusedTask(b *testing.B) {
-	const users, items, k, bs = 2048, 1024, 64, 256
-	flats := benchFlats(users, items, k, 0.01)
-	for name, build := range map[string]buildFn{"gnmf-update": gnmfUpdate, "nmf-kernel": nmfKernel} {
-		plan, bind := fusedOp(b, flats, bs, build)
+	const users, items, k = 2048, 1024, 64
+	factors := benchFlats(users, items, k, 0.01)
+	layer := map[string]matrix.Mat{
+		"W": matrix.RandomDense(256, 1024, -0.3, 0.3, 1), "X": matrix.RandomDense(1024, 256, 0, 1, 2),
+		"b": matrix.RandomDense(256, 1, -0.1, 0.1, 3),
+	}
+	aeLayer := func(g *dag.Graph, in map[string]*dag.Node) *dag.Node {
+		return g.Unary("sigmoid", g.Binary(matrix.Add, g.MatMul(in["W"], in["X"]), in["b"]))
+	}
+	for _, arm := range []struct {
+		name  string
+		flats map[string]matrix.Mat
+		bs    int
+		build buildFn
+	}{
+		{"gnmf-update", factors, 256, gnmfUpdate}, {"nmf-kernel", factors, 256, nmfKernel}, {"ae-layer", layer, 128, aeLayer},
+	} {
+		plan, bind := fusedOp(b, arm.flats, arm.bs, arm.build)
 		op := &FusedOp{Plan: plan, P: 2, Q: 1, R: 1}
-		cl := testCluster(bs)
-		b.Run(name, func(b *testing.B) {
+		cl := testCluster(arm.bs)
+		b.Run(arm.name, func(b *testing.B) {
 			b.ReportAllocs()
-			b.SetBytes(block.FromMat(flats["X"], bs).SizeBytes())
+			b.SetBytes(block.FromMat(arm.flats["X"], arm.bs).SizeBytes())
 			for i := 0; i < b.N; i++ {
 				if _, err := op.Execute(cl, bind); err != nil {
 					b.Fatal(err)
@@ -517,5 +537,202 @@ func TestSparseProductSumRepresentation(t *testing.T) {
 		t.Fatal("the sum is not the product")
 	} else if blk.IsSparse() || blk.NNZ() != 24 {
 		t.Fatalf("a 24/64-dense sum of two sparse products is stored sparse=%v with %d values", blk.IsSparse(), blk.NNZ())
+	}
+}
+
+// TestMaskedFoldedTransposeCharges pins what a task is charged for the NMF
+// kernel O = X * log(V %*% t(F) + eps) whose masked multiply reads a member
+// t(F) as F's own blocks: flops, peak task memory and fetched bytes are the
+// figures measured at e8b7d89, where every t(F) block was built — for a member
+// t(F) and for one that is an earlier operator's output (which is still
+// transposed back per output block), single stage and R > 1, block cache off
+// and on (two executions, the second on hits). The two forms differ by the
+// transposes only — each of F's 360 values, charged to the two tasks that
+// read it — and give the same output bit for bit.
+func TestMaskedFoldedTransposeCharges(t *testing.T) {
+	const bs, users, items, k = 8, 40, 30, 12
+	flats := map[string]matrix.Mat{
+		"X": matrix.RandomSparse(users, items, 0.08, 1, 5, 1),
+		"V": matrix.RandomDense(users, k, 0.1, 0.9, 2),
+		"F": matrix.RandomDense(items, k, 0.1, 0.9, 3),
+	}
+	type charges struct{ flops, peakMem, fetched int64 }
+	want := map[string]charges{ // measured at e8b7d89
+		"member/R=1/cache=false":   {4320, 6384, 13440},
+		"member/R=1/cache=true":    {8640, 6384, 13440},
+		"member/R=2/cache=false":   {4320, 4592, 13440},
+		"member/R=2/cache=true":    {8640, 4592, 13440},
+		"external/R=1/cache=false": {3600, 6384, 13440},
+		"external/R=1/cache=true":  {7200, 6384, 13440},
+		"external/R=2/cache=false": {3600, 4592, 13440},
+		"external/R=2/cache=true":  {7200, 4592, 13440},
+	}
+	outputs := map[string]*block.Matrix{}
+	for _, form := range []string{"member", "external"} {
+		g := dag.NewGraph()
+		in := map[string]*dag.Node{}
+		for name, m := range flats {
+			r, c := m.Dims()
+			in[name] = g.Input(name, r, c, matrix.Density(m))
+		}
+		tf := g.Transpose(in["F"])
+		root := g.Binary(matrix.Mul, in["X"], g.Unary("log", g.Binary(matrix.Add, g.MatMul(in["V"], tf), g.Scalar(1e-3))))
+		g.SetOutput("O", root)
+		plan, bind := fullPlan(t, g), bindInputs(t, g, bs, flats)
+		if form == "external" {
+			members := map[int]*dag.Node{}
+			for _, n := range g.Nodes() {
+				if !n.IsLeaf() && n != tf {
+					members[n.ID] = n
+				}
+			}
+			var err error
+			if plan, err = fusion.NewPlan(root, members); err != nil {
+				t.Fatal(err)
+			}
+			bind[tf.ID] = block.FromMat(matrix.Transpose(flats["F"]), bs)
+		}
+		if fusion.FindOuterMask(plan) == nil {
+			t.Fatalf("%s t(F): the plan has no outer mask, the case is not the one meant", form)
+		}
+		for _, r := range []int{1, 2} {
+			for _, cached := range []bool{false, true} {
+				name := fmt.Sprintf("%s/R=%d/cache=%v", form, r, cached)
+				cfg := cluster.Config{Nodes: 2, TasksPerNode: 2, TaskMemBytes: 1 << 40, NetBandwidth: 1e9, CompBandwidth: 1e12, BlockSize: bs}
+				runs := 1
+				if cached {
+					cfg.CacheBytes, runs = 1<<30, 2
+				}
+				cl := cluster.MustNew(cfg)
+				var out *block.Matrix
+				for i := 0; i < runs; i++ {
+					var err error
+					if out, err = (&FusedOp{Plan: plan, P: 2, Q: 2, R: r}).Execute(cl, bind); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+				}
+				st := cl.Stats()
+				if got := (charges{st.Flops, st.PeakTaskMemBytes, st.ConsolidationBytes}); got != want[name] {
+					t.Errorf("%s: charged %+v, want %+v", name, got, want[name])
+				}
+				if cached && st.CacheHits == 0 {
+					t.Errorf("%s: the second execution never hit the cache", name)
+				}
+				outputs[name] = out
+			}
+		}
+	}
+	first := outputs["member/R=1/cache=false"]
+	for name, out := range outputs {
+		if out.NumStoredBlocks() != first.NumStoredBlocks() {
+			t.Errorf("%s: %d output blocks, want %d", name, out.NumStoredBlocks(), first.NumStoredBlocks())
+		}
+		first.ForEach(func(key block.Key, blk matrix.Mat) {
+			if !bitEqualBlocks(blk, out.Block(key.Row, key.Col)) {
+				t.Errorf("%s: output block (%d,%d) differs", name, key.Row, key.Col)
+			}
+		})
+	}
+}
+
+// TestDenseChainsUseStrips keeps the fast path the path for the two scripts
+// the repo benchmark spends its element-wise time in: planned as the engine
+// plans them, every element-wise operator of the GNMF update and of the
+// 18-statement AutoEncoder train step compiles — alone and with the region
+// below it — to a dense value with a strip form (matrix.Value's row, read by
+// reflection: the field is not exported and need not be), so a later edit
+// cannot silently fall back to one closure call per cell.
+func TestDenseChainsUseStrips(t *testing.T) {
+	const bs = 8
+	scripts := map[string]struct {
+		src    string
+		inputs map[string][3]float64 // rows, cols, density
+	}{
+		"gnmf": {`
+U2 = U * (t(V) %*% X) / (t(V) %*% V %*% U)
+V2 = V * (X %*% t(U)) / (V %*% (U %*% t(U)))
+`, map[string][3]float64{"X": {40, 24, 0.3}, "U": {8, 24, 1}, "V": {40, 8, 1}}},
+		"autoencoder": {`
+H1 = sigmoid(W1 %*% XT + b1)
+H2 = sigmoid(W2 %*% H1 + b2)
+H3 = sigmoid(W3 %*% H2 + b3)
+Y = sigmoid(W4 %*% H3 + b4)
+E = Y - XT
+loss = sum(E ^ 2)
+D4 = E * sigmoidGrad(Y)
+D3 = (t(W4) %*% D4) * sigmoidGrad(H3)
+D2 = (t(W3) %*% D3) * sigmoidGrad(H2)
+D1 = (t(W2) %*% D2) * sigmoidGrad(H1)
+W1n = W1 - lrm * (D1 %*% t(XT))
+b1n = b1 - lrm * rowSums(D1)
+W2n = W2 - lrm * (D2 %*% t(H1))
+b2n = b2 - lrm * rowSums(D2)
+W3n = W3 - lrm * (D3 %*% t(H2))
+b3n = b3 - lrm * rowSums(D3)
+W4n = W4 - lrm * (D4 %*% t(H3))
+b4n = b4 - lrm * rowSums(D4)
+`, map[string][3]float64{
+			"XT": {24, 16, 1}, "lrm": {1, 1, 1},
+			"W1": {16, 24, 1}, "b1": {16, 1, 1}, "W2": {8, 16, 1}, "b2": {8, 1, 1},
+			"W3": {16, 8, 1}, "b3": {16, 1, 1}, "W4": {24, 16, 1}, "b4": {24, 1, 1},
+		}},
+	}
+	for name, sc := range scripts {
+		decls, flats := map[string]lang.InputDecl{}, map[string]matrix.Mat{}
+		for in, d := range sc.inputs {
+			rows, cols := int(d[0]), int(d[1])
+			decls[in] = lang.InputDecl{Rows: rows, Cols: cols, Sparsity: d[2]}
+			if flats[in] = matrix.RandomDense(rows, cols, 0.1, 0.9, int64(len(in)+rows)); d[2] < 1 {
+				flats[in] = matrix.RandomSparse(rows, cols, d[2], 1, 5, 1)
+			}
+		}
+		g, err := lang.Parse(sc.src, decls)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := cfg.Generate(g, cost.Model{Nodes: 2, NetBW: 1e9, CompBW: 1e12, TaskMemBytes: 1 << 40, MinTasks: 4}, bs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl, bind, compiled := testCluster(bs), bindInputs(t, g, bs, flats), 0
+		for _, plan := range res.Set.Plans {
+			op := &FusedOp{Plan: plan, P: 1, Q: 1, R: 1}
+			err := cl.RunStage("compile", 1, func(task *cluster.Task) error {
+				gk := 0
+				if mm := plan.MainMM; mm != nil {
+					gk = (mm.Inputs[0].Cols + bs - 1) / bs
+				}
+				ev := newEvaluator(op, task, bindSource{bind: bind}, bs, 0, gk)
+				if ev.mask != nil {
+					t.Errorf("%s: %s is masked: its chain walks a pattern, the case is not the one meant", name, plan)
+				}
+				for _, id := range plan.MemberIDs() {
+					n := plan.Members[id]
+					if n.Op != dag.OpUnary && n.Op != dag.OpBinary {
+						continue
+					}
+					rows, cols := ev.blockDims(n, 0, 0)
+					c := &chain{Chain: &matrix.Chain{Rows: rows, Cols: cols}, ev: ev, root: n}
+					row := reflect.ValueOf(c.node(n)).FieldByName("row")
+					if !row.IsValid() {
+						t.Fatal("matrix.Value has no field named row: this test reads the strip form by that name")
+					}
+					if row.IsNil() {
+						t.Errorf("%s: %s in %s compiles to a value without a strip form", name, n.Label(), plan)
+					}
+					compiled++
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bind[plan.Root.ID], err = op.Execute(cl, bind); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if want := map[string]int{"gnmf": 4, "autoencoder": 34}[name]; compiled != want {
+			t.Errorf("%s: %d element-wise operators compiled, want %d", name, compiled, want)
+		}
 	}
 }

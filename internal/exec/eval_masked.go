@@ -8,10 +8,10 @@ import (
 )
 
 // The compiled chain. A maximal run of member element-wise operators is not
-// evaluated node by node: per output block it is compiled into one function
-// of a cell (matrix.Chain) and applied once, writing one output buffer — per
-// cell when dense, per driver non-zero on the masked (outer-fusion) path —
-// with the values, representations and flop charges of one kernel per node.
+// evaluated node by node: per output block it is compiled into one expression
+// (matrix.Chain) and applied once, writing one output buffer — strip by strip
+// when dense, per driver non-zero on the masked (outer-fusion) path — with
+// the values, representations and flop charges of one kernel per node.
 
 // chain compiles the element-wise region rooted at one node for one output
 // block. Every node of the region has the root's shape.
@@ -143,18 +143,27 @@ func (ev *evaluator) maskedMM(bi, bj int) (*matrix.CSR, []float64) {
 		return pattern, vals
 	}
 	left, right := mm.Inputs[0], mm.Inputs[1]
+	folded := right.Op == dag.OpTranspose && ev.op.Plan.Contains(right)
 	for bk := ev.kLo; bk < ev.kHi; bk++ {
-		la, rb := ev.evalBlock(left, bi, bk), ev.evalBlock(right, bk, bj)
-		if la == nil || rb == nil {
+		// The SDDMM takes dot(A[i,:], Bt[j,:]), its right operand transposed:
+		// under a member t(B) that is B's own row-major block, read where it
+		// lies; any other right block is transposed once per output block.
+		la := ev.evalBlock(left, bi, bk)
+		var bt matrix.Mat
+		if folded {
+			bt = ev.transposedChild(right, bk, bj)
+		} else {
+			bt = ev.evalBlock(right, bk, bj)
+		}
+		if la == nil || bt == nil {
 			continue
+		}
+		if !folded {
+			bt = matrix.TransposeWith(ev.pool, bt)
 		}
 		_, inner := la.Dims()
 		ev.task.AddFlops(matrix.MaskedMatMulFlops(pattern, inner))
-		// The SDDMM takes dot(A[i,:], Bt[j,:]): one transpose of the right
-		// block per output block, the only copy left on this path. (Reading a
-		// member t(B) as B's own row-major block removes it too; that step is
-		// held back, see CHANGES.md, PR 16.)
-		matrix.MaskedMatMulAccWith(ev.pool, pattern, vals, la, matrix.TransposeWith(ev.pool, rb))
+		matrix.MaskedMatMulAccWith(ev.pool, pattern, vals, la, bt)
 	}
 	return pattern, vals
 }

@@ -14,20 +14,26 @@
 // across output blocks) and of fetched input blocks. Within a task every
 // output block is written once: a multiplication folds its k-block products
 // into one accumulator in place, a transposed operand is read by a
-// transpose-aware kernel rather than built where one exists, and a run of
-// element-wise operators is compiled into one function of a cell and applied
-// in one pass (eval.go, eval_masked.go).
+// transpose-aware kernel rather than built where one exists (the transposed
+// dense x CSR kernel; the masked SDDMM, which reads a member t(B) as B's own
+// row-major block), and a run of element-wise operators is compiled into one
+// expression and applied in one pass (eval.go, eval_masked.go): strip by
+// strip — one call per operator per row — for a dense result, cell by cell
+// where a pattern is walked (sparse steps, the masked path).
 //
 // Ownership: a block is immutable once published — bound as an input,
 // emitted to a sink, memoised, pinned, or resident in a block cache. The
 // in-place kernels write only into buffers the task itself allocated and has
 // not published yet: a multiplication's accumulator, the masked values
-// buffer, per-task scratch. A fetched, memoised, pinned or cache-resident
-// block is never written, which is what lets the runtimes share blocks
-// between tasks, caches and bindings without copying (matrix.ToDense and
-// ToCSR may return their argument; an output may be one of its inputs'
-// blocks, or share its pattern). The sinks own what tasks emitted and fold
-// partials into it in place.
+// buffer, per-task scratch. A chain that consumed such an accumulator stores
+// its result there (matrix.Chain.Owned), so the row being written is an
+// operand's row: a row is evaluated in scratch and stored once, after every
+// read of it. A fetched, memoised, pinned or cache-resident block is never
+// written, which is what lets the runtimes share blocks between tasks, caches
+// and bindings without copying (matrix.ToDense and ToCSR may return their
+// argument; an output may be one of its inputs' blocks, or share its
+// pattern). The sinks own what tasks emitted and fold partials into it in
+// place.
 //
 // Three consolidation strategies share this machinery:
 //

@@ -28,8 +28,15 @@
 //
 // The element-wise kernels in ops.go (Binary, BinaryScalar, Apply) evaluate
 // one operator into one fresh block. They are the reference semantics —
-// internal/ref is built on them — which the executor's compiled chains
-// (internal/exec) reproduce cell by cell without the intermediates.
+// internal/ref is built on them — and one-step instances of Chain, which the
+// executor (internal/exec) uses to compile a whole run of operators without
+// the intermediates. A chain's expression has two forms that agree bit for
+// bit: strips — one call per operator per row, tight loops over the row —
+// write a dense result over row-major operands; cells — one call per operator
+// per cell — serve the pattern walks (sparse steps, MaskedStore) and a dense
+// result with a CSR operand. A chain given an Owned accumulator stores into
+// it, so the block being written is an operand: every row is evaluated in
+// scratch and stored by the last loop, after all reads of it (see Owned).
 package matrix
 
 import (

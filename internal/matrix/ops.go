@@ -3,6 +3,7 @@ package matrix
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"fuseme/internal/parallel"
 )
@@ -91,6 +92,12 @@ func (op BinOp) Flops() int64 {
 // hint for sparse operands — or -1 on a dense walk.
 type Cell func(i, j, p int) float64
 
+// rowFn is the strip form of a Cell: a compiled expression over whole rows of
+// a dense block. It returns row i — computed into dst, or, for an operand
+// stored row-major, the operand's own storage, which the caller only reads.
+// scratch holds the strips the expression needs besides dst.
+type rowFn func(i int, dst, scratch []float64) []float64
+
 // Value is an element-wise expression over one block of a Chain: the zero
 // Value is an all-zero block, blk is set for a block that exists (an operand,
 // or a sparse result), and anything else is a dense result not built yet.
@@ -98,6 +105,13 @@ type Value struct {
 	cell   Cell
 	blk    Mat
 	vector bool // blk is a row/column vector or 1x1 block, read by broadcast
+
+	// The strip form, which Materialise prefers for a dense result. row is nil
+	// when an operand has none (a CSR leaf): such a value is stored cell by
+	// cell.
+	row    rowFn
+	strips int  // scratch strips row needs
+	view   bool // row returns an operand's storage and never writes dst
 }
 
 // IsZero reports whether v is an all-zero block.
@@ -111,6 +125,17 @@ func (v Value) Cell() Cell {
 	return v.cell
 }
 
+// strip returns v with the strip form of an all-zero block filled in.
+func (v Value) strip() Value {
+	if v.cell == nil {
+		v.row = func(_ int, dst, _ []float64) []float64 {
+			clear(dst)
+			return dst
+		}
+	}
+	return v
+}
+
 // sparse returns v's block when it is a full-shaped CSR block.
 func (v Value) sparse() *CSR {
 	if s, ok := v.blk.(*CSR); ok && !v.vector {
@@ -120,15 +145,23 @@ func (v Value) sparse() *CSR {
 }
 
 // Chain compiles a run of element-wise operators over one Rows x Cols block
-// into one function of a cell, which Materialise applies once into one
-// output buffer: no dense operator's block is ever built. Each step decides
-// the representation of its result from its operands' (a product is at most
-// as dense as its sparse operand — the kernel-level form of the paper's
-// sparsity exploitation; a zero-preserving function keeps a sparse pattern;
-// everything else is dense). A sparse result is built at once, by walking
-// its operand's pattern with the chain compiled so far, so sparse steps cost
-// O(nnz) and dense ones nothing until the single store. Binary, BinaryScalar
-// and Apply are one-step chains, so these rules exist once.
+// into one expression, which Materialise applies once into one output buffer:
+// no dense operator's block is ever built. Each step decides the
+// representation of its result from its operands' (a product is at most as
+// dense as its sparse operand — the kernel-level form of the paper's sparsity
+// exploitation; a zero-preserving function keeps a sparse pattern; everything
+// else is dense). A sparse result is built at once, by walking its operand's
+// pattern with the chain compiled so far, so sparse steps cost O(nnz) and
+// dense ones nothing until the single store. Binary, BinaryScalar and Apply
+// are one-step chains, so these rules exist once.
+//
+// The expression has two forms. Every Value is a function of a cell (Cell),
+// which the pattern walks — onPattern, MaskedStore — call per stored
+// position. A dense result over operands stored row-major also has a strip
+// form (rowFn): one call per operator per row, each a tight loop over the
+// row, which Materialise uses to write each output row. Both apply the same
+// scalar operations in the same order to every cell, so they agree bit for
+// bit; a dense result with a CSR operand has only the cell form.
 type Chain struct {
 	Rows, Cols int
 	// Flops meters the steps: each costs its operator's flops per touched
@@ -138,9 +171,12 @@ type Chain struct {
 }
 
 // Owned is Leaf for a dense block the caller allocated, has not published
-// and gives up: a dense result is stored into it in place. Cell (i, j) of an
-// operand is only read to compute cell (i, j) of the result, so no store
-// precedes a read it could change.
+// and gives up: a dense result is stored into it. Row i of an operand is only
+// read to compute row i of the result, and the aliasing rule is that no
+// operand row is written while that row is being evaluated: Materialise
+// evaluates each row into scratch and writes the owned row once, in its last
+// loop, after every read of it — wherever in the expression the owned block
+// stands.
 func (c *Chain) Owned(blk Mat) Value {
 	if d, ok := blk.(*Dense); ok && d.Rows == c.Rows && d.Cols == c.Cols {
 		c.out = d
@@ -170,6 +206,18 @@ func (c *Chain) Leaf(blk Mat) Value {
 	case *Dense:
 		d, ld := b.Data, k*mi
 		v.cell = func(i, j, _ int) float64 { return d[i*ld+j*mj] }
+		if mj == 1 { // a full block hands out its own row, a row vector its only one
+			v.view = true
+			v.row = func(i int, _, _ []float64) []float64 { return d[i*ld : i*ld+k] }
+		} else { // a column vector or 1x1 block: one scalar per row
+			v.row = func(i int, dst, _ []float64) []float64 {
+				s := d[i*ld]
+				for j := range dst {
+					dst[j] = s
+				}
+				return dst
+			}
+		}
 	case *CSR:
 		v.cell = func(i, j, p int) float64 {
 			i, j = i*mi, j*mj
@@ -208,8 +256,18 @@ func (c *Chain) apply(f func(float64) float64, flops int64, x Value, dropZeros b
 	switch {
 	case f(0) != 0 || (s == nil && !x.IsZero()):
 		c.Flops += int64(c.Rows*c.Cols) * flops
-		xc := x.Cell()
-		return Value{cell: func(i, j, p int) float64 { return f(xc(i, j, p)) }}
+		x = x.strip()
+		xc, xr := x.Cell(), x.row
+		v := Value{cell: func(i, j, p int) float64 { return f(xc(i, j, p)) }, strips: x.strips}
+		if xr != nil {
+			v.row = func(i int, dst, scratch []float64) []float64 {
+				for j, u := range xr(i, dst, scratch)[:len(dst)] {
+					dst[j] = f(u)
+				}
+				return dst
+			}
+		}
+		return v
 	case s == nil:
 		return Value{}
 	}
@@ -241,7 +299,7 @@ func ScalarFn(op BinOp, s float64, left bool) func(float64) float64 {
 // row vector is still a full block of that vector's values.
 func full(x Value) Value {
 	if x.vector {
-		return Value{cell: x.cell}
+		x.blk, x.vector = nil, false
 	}
 	return x
 }
@@ -277,18 +335,66 @@ func (c *Chain) Binary(op BinOp, a, b Value) Value {
 		return c.Leaf(out)
 	}
 	c.Flops += int64(c.Rows*c.Cols) * flops
-	f, n := binOpFuncs[op], c.Cols
-	ad, _ := a.blk.(*Dense)
-	bd, _ := b.blk.(*Dense)
-	switch { // full dense operands are read without a call
-	case ad != nil && bd != nil && !a.vector && !b.vector:
-		return Value{cell: func(i, j, _ int) float64 { return f(ad.Data[i*n+j], bd.Data[i*n+j]) }}
-	case ad != nil && !a.vector:
-		return Value{cell: func(i, j, p int) float64 { return f(ad.Data[i*n+j], bc(i, j, p)) }}
-	case bd != nil && !b.vector:
-		return Value{cell: func(i, j, p int) float64 { return f(ac(i, j, p), bd.Data[i*n+j]) }}
+	v := c.binaryStrip(op, a.strip(), b.strip())
+	f := binOpFuncs[op]
+	v.cell = func(i, j, p int) float64 { return f(ac(i, j, p), bc(i, j, p)) }
+	return v
+}
+
+// binaryStrip compiles the strip form of a dense op(a, b): a's row is
+// evaluated into the destination, b's into a scratch strip — or into the
+// destination too, where either left it alone by handing out its own row —
+// and one loop combines them.
+func (c *Chain) binaryStrip(op BinOp, a, b Value) Value {
+	if a.row == nil || b.row == nil {
+		return Value{}
 	}
-	return Value{cell: func(i, j, p int) float64 { return f(ac(i, j, p), bc(i, j, p)) }}
+	ar, br := a.row, b.row
+	bInDst := a.view || b.view
+	v := Value{strips: max(a.strips, b.strips)}
+	if !bInDst {
+		v.strips = max(a.strips, b.strips+1)
+	}
+	v.row = func(i int, dst, scratch []float64) []float64 {
+		x := ar(i, dst, scratch)
+		if bInDst {
+			combine(op, dst, x, br(i, dst, scratch))
+		} else {
+			combine(op, dst, x, br(i, scratch[:len(dst)], scratch[len(dst):]))
+		}
+		return dst
+	}
+	return v
+}
+
+// combine stores op(x[j], y[j]) into dst[j]; dst may be x or y. The four
+// arithmetic operators, which every benchmarked chain is made of, get a loop
+// without a call; their semantics are still binOpFuncs'.
+func combine(op BinOp, dst, x, y []float64) {
+	x, y = x[:len(dst)], y[:len(dst)]
+	switch op {
+	case Add:
+		for j := range dst {
+			dst[j] = x[j] + y[j]
+		}
+	case Sub:
+		for j := range dst {
+			dst[j] = x[j] - y[j]
+		}
+	case Mul:
+		for j := range dst {
+			dst[j] = x[j] * y[j]
+		}
+	case Div:
+		for j := range dst {
+			dst[j] = x[j] / y[j]
+		}
+	default:
+		f := binOpFuncs[op]
+		for j := range dst {
+			dst[j] = f(x[j], y[j])
+		}
+	}
 }
 
 func addSubSparse(op BinOp, a, b *CSR) *CSR {
@@ -328,14 +434,13 @@ func addSubSparse(op BinOp, a, b *CSR) *CSR {
 	return out
 }
 
-// minNormal is the smallest positive normal float64. Go cannot set FTZ/DAZ
-// per goroutine, and one subnormal operand makes a multiply ~100x slower, so
-// factors that decay across iterations (GNMF's) must not carry subnormals
-// from one operator into the next: the chain's single store flushes them.
-const minNormal = 2.2250738585072014e-308
-
+// Go cannot set FTZ/DAZ per goroutine, and one subnormal operand makes a
+// multiply ~100x slower, so factors that decay across iterations (GNMF's) must
+// not carry subnormals from one operator into the next: the chain's single
+// store flushes them. A value whose exponent bits are all zero is zero or
+// subnormal.
 func flush(v float64) float64 {
-	if v < minNormal && v > -minNormal {
+	if math.Float64bits(v)&(0x7ff<<52) == 0 {
 		return 0
 	}
 	return v
@@ -344,9 +449,16 @@ func flush(v float64) float64 {
 // chainGrain is the minimum number of cells worth a helper goroutine.
 const chainGrain = 4096
 
+// stripPool recycles the scratch strips of Materialise, one slice per p.For
+// chunk.
+var stripPool sync.Pool
+
 // Materialise applies x once, into one output block, rows split across p's
-// kernel threads. A zero value is a nil block; a block that already exists
-// (an operand that came through unchanged, a sparse result) is returned.
+// kernel threads: strip by strip where x has that form, cell by cell
+// otherwise. Either way a row is evaluated into scratch and stored by one
+// flushing loop, so an Owned output is only written after it was read. A zero
+// value is a nil block; a block that already exists (an operand that came
+// through unchanged, a sparse result) is returned.
 func (c *Chain) Materialise(p *parallel.Pool, x Value) Mat {
 	switch {
 	case x.IsZero():
@@ -358,11 +470,28 @@ func (c *Chain) Materialise(p *parallel.Pool, x Value) Mat {
 	if out == nil {
 		out = NewDense(c.Rows, c.Cols)
 	}
+	row := x.row
+	if row == nil { // one call per cell
+		row = func(i int, dst, _ []float64) []float64 {
+			for j := range dst {
+				dst[j] = x.cell(i, j, -1)
+			}
+			return dst
+		}
+	}
+	need := (x.strips + 1) * c.Cols
 	p.For(c.Rows, 1+chainGrain/(c.Cols+1), func(lo, hi int) {
+		buf, _ := stripPool.Get().(*[]float64)
+		if buf == nil || cap(*buf) < need {
+			s := make([]float64, need)
+			buf = &s
+		}
+		defer stripPool.Put(buf)
+		dst, scratch := (*buf)[:c.Cols], (*buf)[c.Cols:need]
 		for i := lo; i < hi; i++ {
-			row := out.Row(i)
-			for j := range row {
-				row[j] = flush(x.cell(i, j, -1))
+			stored := out.Row(i)
+			for j, v := range row(i, dst, scratch)[:len(stored)] {
+				stored[j] = flush(v)
 			}
 		}
 	})

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"fuseme/internal/parallel"
 )
 
 func TestBinOpEval(t *testing.T) {
@@ -358,6 +360,7 @@ func BenchmarkBinaryAddDenseDense(b *testing.B) {
 type chainExpr struct {
 	leaf   Mat // operand block (nil is an all-zero block) when kids is empty
 	isLeaf bool
+	owned  bool // the fused chain is given a private copy of leaf, as Owned
 	unary  string
 	op     BinOp
 	scalar *float64 // op with a scalar, on the left when left
@@ -371,7 +374,7 @@ func (e *chainExpr) String() string {
 		return "zero"
 	case e.isLeaf:
 		r, c := e.leaf.Dims()
-		return fmt.Sprintf("%dx%d(sparse=%v)", r, c, e.leaf.IsSparse())
+		return fmt.Sprintf("%dx%d(sparse=%v owned=%v)", r, c, e.leaf.IsSparse(), e.owned)
 	case e.unary != "":
 		return fmt.Sprintf("%s(%s)", e.unary, e.kids[0])
 	case e.scalar != nil && e.left:
@@ -387,6 +390,9 @@ func (e *chainExpr) String() string {
 // is checked against the block it produced.
 func (e *chainExpr) build(t *testing.T, c *Chain, stepwise bool) Value {
 	if e.isLeaf {
+		if e.owned && !stepwise {
+			return c.Owned(e.leaf.Clone())
+		}
 		return c.Leaf(e.leaf)
 	}
 	step, kids := c, make([]Value, len(e.kids))
@@ -396,7 +402,7 @@ func (e *chainExpr) build(t *testing.T, c *Chain, stepwise bool) Value {
 	for i, k := range e.kids {
 		switch {
 		case k.isLeaf: // a block as it is: a vector stays a vector
-			kids[i] = step.Leaf(k.leaf)
+			kids[i] = k.build(t, step, stepwise)
 		case stepwise:
 			kids[i] = step.Leaf(c.Materialise(nil, k.build(t, c, true)))
 		default:
@@ -437,9 +443,10 @@ func (e *chainExpr) build(t *testing.T, c *Chain, stepwise bool) Value {
 }
 
 // TestChainFusesLikeStepwise compiles random expressions over dense, sparse,
-// zero and vector operands once as a single chain and once operator by
-// operator, and requires the same block — values, representation, pattern —
-// and the same flops from both.
+// zero, row-vector, column-vector and 1x1 operands, some of them Owned, once
+// as a single chain and once operator by operator, and requires the same
+// block — values, representation, pattern — and the same flops from both, and
+// from the fused chain's strips the bits its cells give.
 func TestChainFusesLikeStepwise(t *testing.T) {
 	const rows, cols = 11, 9
 	rng := rand.New(rand.NewSource(3))
@@ -447,14 +454,15 @@ func TestChainFusesLikeStepwise(t *testing.T) {
 		RandomDense(rows, cols, 0.5, 1.5, 1), RandomDense(rows, cols, -1, 1, 2),
 		RandomSparse(rows, cols, 0.3, -1, 1, 3), RandomSparse(rows, cols, 0.2, 0.5, 2, 4),
 		nil, RandomDense(1, cols, 0.5, 1.5, 5), RandomDense(rows, 1, -1, 1, 6),
-		RandomSparse(1, cols, 0.5, 1, 2, 7),
+		RandomSparse(1, cols, 0.5, 1, 2, 7), RandomDense(1, 1, 0.5, 1.5, 8),
 	}
 	unaries := []string{"sq", "exp", "relu", "abs", "neg", "round", "sign"}
 	ops := []BinOp{Add, Sub, Mul, Div, MaxOp, Lt, Neq}
 	var gen func(depth int) *chainExpr
 	gen = func(depth int) *chainExpr {
 		if depth == 0 || rng.Intn(4) == 0 {
-			return &chainExpr{isLeaf: true, leaf: leaves[rng.Intn(len(leaves))]}
+			leaf := leaves[rng.Intn(len(leaves))]
+			return &chainExpr{isLeaf: true, leaf: leaf, owned: leaf != nil && !leaf.IsSparse() && rng.Intn(3) == 0}
 		}
 		switch rng.Intn(3) {
 		case 0:
@@ -465,10 +473,22 @@ func TestChainFusesLikeStepwise(t *testing.T) {
 		}
 		return &chainExpr{op: ops[rng.Intn(len(ops))], kids: []*chainExpr{gen(depth - 1), gen(depth - 1)}}
 	}
+	strips := 0 // dense results stored strip by strip
 	for trial := 0; trial < 2000; trial++ {
 		e := gen(4)
 		fused := &Chain{Rows: rows, Cols: cols}
-		got := fused.Materialise(nil, e.build(t, fused, false))
+		x := e.build(t, fused, false)
+		var cells *Dense
+		if !x.IsZero() && (x.blk == nil || x.vector) { // a dense result yet to be stored
+			cells = cellwise(fused, x)
+			if x.row != nil {
+				strips++
+			}
+		}
+		got := fused.Materialise(nil, x)
+		if cells != nil && !sameBits(got.(*Dense), cells) {
+			t.Fatalf("trial %d: %s: stored block differs from the cell-by-cell result (strips=%v)", trial, e, x.row != nil)
+		}
 		step := &Chain{Rows: rows, Cols: cols}
 		want := step.Materialise(nil, e.build(t, step, true))
 		switch {
@@ -484,6 +504,170 @@ func TestChainFusesLikeStepwise(t *testing.T) {
 			t.Fatalf("trial %d: %s: fused chain charged %d flops, stepwise %d", trial, e, fused.Flops, step.Flops)
 		}
 	}
+	if strips < 500 {
+		t.Fatalf("only %d of 2000 expressions were stored strip by strip: the generator lost its coverage", strips)
+	}
+}
+
+// cellwise stores x the way every strip must reproduce bit for bit: one call
+// of its cell form per cell, flushed.
+func cellwise(c *Chain, x Value) *Dense {
+	out, cell := NewDense(c.Rows, c.Cols), x.Cell()
+	for i := 0; i < c.Rows; i++ {
+		for j := 0; j < c.Cols; j++ {
+			out.Data[i*c.Cols+j] = flush(cell(i, j, -1))
+		}
+	}
+	return out
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b *Dense) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		return false
+	}
+	for i, v := range a.Data {
+		if math.Float64bits(v) != math.Float64bits(b.Data[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestStripInPlaceAliasing puts the Owned block, which the result is stored
+// into, in every operand position: the result must be the cell-by-cell one
+// bit for bit, stored in the owned block, at every thread count, and no other
+// operand may change.
+func TestStripInPlaceAliasing(t *testing.T) {
+	sig, _ := UnaryFunc("sigmoid")
+	type operands struct{ view, p, a, b, row, col Value } // view is the owned block wrapped by Leaf before Owned
+	positions := []struct {
+		name  string
+		build func(c *Chain, o operands) Value
+	}{
+		{"left", func(c *Chain, o operands) Value { return c.Binary(Sub, o.p, c.Scalar(Mul, o.a, 0.5, false)) }},
+		{"right", func(c *Chain, o operands) Value { return c.Binary(Sub, o.a, c.Scalar(Mul, o.p, 0.5, false)) }},
+		{"right-of-computed", func(c *Chain, o operands) Value { return c.Binary(Sub, c.Binary(Add, o.a, o.b), o.p) }},
+		{"nested-left", func(c *Chain, o operands) Value {
+			return c.Binary(Div, c.Binary(Add, c.Binary(Mul, o.p, o.a), o.b), c.Scalar(Add, o.a, 3, false))
+		}},
+		{"nested-right", func(c *Chain, o operands) Value {
+			return c.Binary(Mul, c.Binary(Add, o.a, o.b), c.Binary(Sub, o.b, c.Binary(Mul, o.a, o.p)))
+		}},
+		{"nested-right-of-leaf", func(c *Chain, o operands) Value {
+			return c.Binary(Mul, o.a, c.Binary(Sub, o.b, c.Binary(Mul, o.a, o.p)))
+		}},
+		{"unary", func(c *Chain, o operands) Value { return c.Binary(Mul, o.a, c.Unary(sig, 10, o.p)) }},
+		{"unary-right-of-computed", func(c *Chain, o operands) Value {
+			return c.Binary(Mul, c.Unary(sig, 10, o.a), c.Unary(sig, 10, o.p))
+		}},
+		{"twice", func(c *Chain, o operands) Value { return c.Binary(Sub, c.Binary(Add, o.p, o.a), o.p) }},
+		{"vector", func(c *Chain, o operands) Value {
+			return c.Unary(sig, 10, c.Binary(Mul, c.Binary(Add, o.p, o.col), o.row))
+		}},
+		{"row-vector-left", func(c *Chain, o operands) Value { return c.Binary(Sub, o.row, o.p) }},
+		{"column-vector-left", func(c *Chain, o operands) Value { return c.Binary(Sub, o.col, o.p) }},
+		{"generic-op", func(c *Chain, o operands) Value { return c.Binary(MaxOp, o.a, c.Binary(Lt, o.p, o.b)) }},
+		{"leaf-before-owned", func(c *Chain, o operands) Value { return c.Binary(Sub, o.view, c.Unary(sig, 10, o.p)) }},
+	}
+	for _, cols := range []int{1, 7, 128, 256} {
+		rows := 2*(1+chainGrain/(cols+1)) + 3 // two chunks of Materialise's grain
+		others := []*Dense{
+			RandomDense(rows, cols, 0.5, 1.5, 1), RandomDense(rows, cols, -1, 1, 2),
+			RandomDense(1, cols, -1, 1, 3), RandomDense(rows, 1, -1, 1, 4),
+		}
+		owned := RandomDense(rows, cols, -1, 1, 5)
+		for _, pos := range positions {
+			for _, threads := range []int{1, 2, 4} {
+				c, p := &Chain{Rows: rows, Cols: cols}, owned.Clone().(*Dense)
+				before := make([]*Dense, len(others))
+				for i, o := range others {
+					before[i] = o.Clone().(*Dense)
+				}
+				x := pos.build(c, operands{c.Leaf(p), c.Owned(p), c.Leaf(others[0]), c.Leaf(others[1]), c.Leaf(others[2]), c.Leaf(others[3])})
+				if x.row == nil {
+					t.Fatalf("%s, %d columns: no strip form", pos.name, cols)
+				}
+				want := cellwise(c, x)
+				pool := parallel.New(threads, 1)
+				if got := c.Materialise(pool, x); got != Mat(p) {
+					t.Fatalf("%s, %d columns: the result is not stored in the owned block", pos.name, cols)
+				}
+				if !sameBits(p, want) {
+					t.Errorf("%s, %d columns, %d threads: strips differ from the cell-by-cell result", pos.name, cols, threads)
+				}
+				if threads > 1 && pool.Stats().ParallelCalls == 0 {
+					t.Errorf("%s, %d columns: the store never split at %d threads", pos.name, cols, threads)
+				}
+				for i, o := range others {
+					if !sameBits(o, before[i]) {
+						t.Errorf("%s, %d columns: operand %d changed under the store", pos.name, cols, i)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDenseChainsUseStrips keeps the fast path the path: a dense result over
+// dense operands — whole blocks, row and column vectors, 1x1 blocks — has a
+// strip form, for every operator the one-step wrappers Binary, BinaryScalar
+// and Apply compile and for the benchmark's chains, so a later edit cannot
+// silently fall back to cells. A CSR operand of a dense result has none, and
+// the result is stored cell by cell.
+func TestDenseChainsUseStrips(t *testing.T) {
+	const rows, cols = 6, 5
+	d := RandomDense(rows, cols, 0.5, 1.5, 1)
+	shapes := map[string]Mat{
+		"block": RandomDense(rows, cols, 1, 2, 2), "row": RandomDense(1, cols, 1, 2, 3),
+		"column": RandomDense(rows, 1, 1, 2, 4), "1x1": RandomDense(1, 1, 1, 2, 5),
+	}
+	check := func(name string, c *Chain, x Value) {
+		t.Helper()
+		if x.row == nil {
+			t.Errorf("%s compiles to a value without a strip form", name)
+		} else if want := cellwise(c, x); !sameBits(c.Materialise(nil, x).(*Dense), want) { // cells first: the store may be into an operand
+			t.Errorf("%s: strips differ from the cell-by-cell result", name)
+		}
+	}
+	for op := Add; op <= Le; op++ {
+		for name, other := range shapes {
+			c := one(d, other) // Binary(op, d, other) and Binary(op, other, d)
+			check(fmt.Sprintf("Binary(%s, block, %s)", op, name), c, c.Binary(op, c.Leaf(d), c.Leaf(other)))
+			check(fmt.Sprintf("Binary(%s, %s, block)", op, name), c, c.Binary(op, c.Leaf(other), c.Leaf(d)))
+		}
+		for _, left := range []bool{false, true} {
+			c := one(d, d) // BinaryScalar(op, d, 2, left)
+			check(fmt.Sprintf("BinaryScalar(%s, left=%v)", op, left), c, c.Scalar(op, c.Leaf(d), 2, left))
+		}
+	}
+	for name, f := range unaryFuncs {
+		c := one(d, d) // Apply(f, d)
+		check("Apply("+name+")", c, c.Unary(f, 0, c.Leaf(d)))
+	}
+
+	// GNMF's U * A / B, the AutoEncoder's activation, back-propagated error
+	// and SGD update.
+	sig, sigGrad := unaryFuncs["sigmoid"], unaryFuncs["sigmoidGrad"]
+	a, b, col := shapes["block"], RandomDense(rows, cols, 1, 2, 6), shapes["column"]
+	c := &Chain{Rows: rows, Cols: cols}
+	check("U * A / B", c, c.Binary(Div, c.Binary(Mul, c.Leaf(d), c.Owned(a.Clone())), c.Leaf(b)))
+	c = &Chain{Rows: rows, Cols: cols}
+	check("sigmoid(P + b)", c, c.Unary(sig, 10, c.Binary(Add, c.Owned(a.Clone()), c.Leaf(col))))
+	c = &Chain{Rows: rows, Cols: cols}
+	check("P * sigmoidGrad(H)", c, c.Binary(Mul, c.Owned(a.Clone()), c.Unary(sigGrad, 10, c.Leaf(d))))
+	c = &Chain{Rows: rows, Cols: cols}
+	check("W - s * P", c, c.Binary(Sub, c.Leaf(d), c.Scalar(Mul, c.Owned(a.Clone()), 0.01, true)))
+
+	s := RandomSparse(rows, cols, 0.3, 1, 2, 7)
+	c = &Chain{Rows: rows, Cols: cols}
+	x := c.Binary(Add, c.Leaf(d), c.Leaf(s))
+	if x.row != nil {
+		t.Error("a dense result with a CSR operand claims a strip form")
+	}
+	if got := c.Materialise(nil, x).(*Dense); !sameBits(got, cellwise(c, x)) || !EqualApprox(got, refBinary(Add, d, s), 0) {
+		t.Error("dense + CSR stored cell by cell is not the sum")
+	}
 }
 
 // BenchmarkChain times the compiled chain at the repo benchmark's block
@@ -494,6 +678,21 @@ func BenchmarkChain(b *testing.B) {
 	benchKernel(b, "dense/U*A/B", 4*u.SizeBytes(), 2*int64(benchK*benchBlock), func() {
 		c := &Chain{Rows: benchK, Cols: benchBlock}
 		sinkMat = c.Materialise(nil, c.Binary(Div, c.Binary(Mul, c.Leaf(u), c.Leaf(num)), c.Leaf(den)))
+	})
+	// The AutoEncoder's two chains, on its 128x128 blocks: an activation stored
+	// into the product it reads (re-activated every call: values stay in
+	// (0, 1)), and the SGD update of a weight block.
+	const ae = 128
+	acc, bias := RandomDense(ae, ae, -1, 1, 5), RandomDense(ae, 1, -0.1, 0.1, 6)
+	sigmoid, _ := UnaryFunc("sigmoid")
+	benchKernel(b, "dense/sigmoid(P+b)", 2*acc.SizeBytes(), 11*int64(ae*ae), func() {
+		c := &Chain{Rows: ae, Cols: ae}
+		sinkMat = c.Materialise(nil, c.Unary(sigmoid, UnaryFlops("sigmoid"), c.Binary(Add, c.Owned(acc), c.Leaf(bias))))
+	})
+	w, grad := RandomDense(ae, ae, -0.3, 0.3, 7), RandomDense(ae, ae, -1, 1, 8)
+	benchKernel(b, "dense/W-s*G", 3*w.SizeBytes(), 2*int64(ae*ae), func() {
+		c := &Chain{Rows: ae, Cols: ae}
+		sinkMat = c.Materialise(nil, c.Binary(Sub, c.Leaf(w), c.Scalar(Mul, c.Leaf(grad), 0.01, false)))
 	})
 	for _, d := range []float64{0.005, 0.01} {
 		x := RandomSparse(benchBlock, benchBlock, d, 1, 5, 4)
