@@ -12,10 +12,14 @@ fmtcheck:
 
 ## vet: both modules. bench/ type-checks against the internal functions the
 ## repo benchmark pins (bench/README.md), so a refactor that breaks one fails
-## here, not in the benchmark driver
+## here, not in the benchmark driver. The arm64 pass type-checks the kernels'
+## portable twins and non-amd64 stubs against their callers (asmdecl checks
+## the amd64 assembly against its declarations in the normal pass), so a
+## changed assembly signature cannot leave them behind
 vet:
 	$(GO) vet ./...
 	$(GO) -C bench vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/matrix ./internal/exec
 
 ## docscheck: every package must carry a package-level doc comment
 docscheck:
@@ -25,11 +29,14 @@ build:
 	$(GO) build ./...
 
 ## race: every test under the race detector with a coverage profile, then
+## the one test that needs the kernelcount tag (the assembly kernels are the
+## path at the benchmark's block shapes; the tag compiles call counters in),
 ## the kernel and fused-task micro-benchmarks, the two observability
 ## overhead guards (disabled fast path, journal < 2 %) and the FME1 wire
 ## benchmark (codec and loopback-socket arms) once each so they cannot rot
 race:
 	$(GO) test -race -count=1 -coverprofile=coverage.out -covermode=atomic ./...
+	$(GO) test -tags kernelcount -run FastPathIsThePath ./internal/matrix
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/matrix ./internal/exec
 	$(GO) test -run '^$$' -bench 'Overhead$$|BlockWire' -benchtime 1x .
 

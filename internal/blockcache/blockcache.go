@@ -10,7 +10,11 @@
 //   - Epoch keying: block.Matrix epochs are globally unique and bumped on
 //     every mutation, so a stale entry can never match a fresh fetch key.
 //     Invalidation (InvalidateStale) is therefore a space optimisation, not
-//     a correctness requirement.
+//     a correctness requirement. Epochs also increase — a matrix made later
+//     has the larger one — and invalidation drops older epochs only, so an
+//     invalidation applied late (the TCP coordinator pushes it to the
+//     workers' control loops without waiting) cannot drop what a later stage
+//     has cached since: hit counts do not depend on when it lands.
 //
 //   - Generation visibility: entries inserted during stage generation g only
 //     become hit-visible to stages with a generation > g. Tasks of one stage
@@ -162,10 +166,13 @@ func (c *Cache) CountMiss() {
 	c.mu.Unlock()
 }
 
-// InvalidateStale drops every entry of the given node whose epoch differs
-// from epoch, returning the dropped keys. epoch 0 drops all entries of the
-// node. Dropped entries do not count as evictions (they are invalidations,
-// not budget pressure).
+// InvalidateStale drops every entry of the given node whose epoch is older
+// than epoch, returning the dropped keys. epoch 0 drops all entries of the
+// node. An entry with a newer epoch was cached after the invalidation was
+// issued, or belongs to a newer matrix the node was bound to before: it stays
+// (until the LRU takes it), which is what makes a late invalidation harmless.
+// Dropped entries do not count as evictions (they are invalidations, not
+// budget pressure).
 func (c *Cache) InvalidateStale(node int, epoch uint64) []Key {
 	if c == nil {
 		return nil
@@ -176,7 +183,7 @@ func (c *Cache) InvalidateStale(node int, epoch uint64) []Key {
 	for el := c.lru.Front(); el != nil; {
 		next := el.Next()
 		e := el.Value.(*entry)
-		if e.key.Node == node && (epoch == 0 || e.key.Epoch != epoch) {
+		if e.key.Node == node && (epoch == 0 || e.key.Epoch < epoch) {
 			c.lru.Remove(el)
 			delete(c.items, e.key)
 			c.bytes -= e.bytes

@@ -108,9 +108,18 @@ func TestInvalidateStale(t *testing.T) {
 	if rb := c.ResidentBytes(); rb != 20 {
 		t.Errorf("resident = %d after invalidation, want 20", rb)
 	}
+	// An invalidation that lands late — the node has been rebound to a newer
+	// matrix and a later stage has cached its blocks — drops nothing of it.
+	c.Put(key(1, 30, 0, 0), nil, 10, 3)
+	if dropped := c.InvalidateStale(1, 22); len(dropped) != 0 {
+		t.Errorf("a late invalidation dropped %v", dropped)
+	}
+	if _, hit := c.Get(key(1, 30, 0, 0), 4); !hit {
+		t.Error("a late invalidation dropped a newer epoch's entry")
+	}
 	// Epoch 0 drops everything the node holds.
-	if dropped := c.InvalidateStale(1, 0); len(dropped) != 1 {
-		t.Errorf("epoch-0 invalidation dropped %d, want 1", len(dropped))
+	if dropped := c.InvalidateStale(1, 0); len(dropped) != 2 {
+		t.Errorf("epoch-0 invalidation dropped %d, want 2", len(dropped))
 	}
 }
 

@@ -489,7 +489,7 @@ func (c *Cluster) TaskCache(taskID int) *blockcache.Cache {
 	return c.caches[taskID%len(c.caches)]
 }
 
-// InvalidateStaleEpochs drops cached blocks of node whose epoch differs from
+// InvalidateStaleEpochs drops cached blocks of node whose epoch is older than
 // epoch on every simulated node. Harmless but wasteful entries would never
 // be hit anyway (epochs are globally unique), so this is the sim-side
 // analogue of the coordinator's invalidation push: it frees budget.

@@ -1,7 +1,10 @@
 package exec
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -733,6 +736,150 @@ b4n = b4 - lrm * rowSums(D4)
 		}
 		if want := map[string]int{"gnmf": 4, "autoencoder": 34}[name]; compiled != want {
 			t.Errorf("%s: %d element-wise operators compiled, want %d", name, compiled, want)
+		}
+	}
+}
+
+// maskedPathCases are outer-fusion paths S * f(U %*% W) whose f puts each
+// shape of masked pass where its order shows: a block operand on either side
+// of the non-commutative - and /, a scalar on their left, a unary above and
+// below a binary, all-zero, vector, 1x1 and CSR operands (the driver's own
+// pattern, and another), and operators without a loop of their own.
+var maskedPathCases = []struct {
+	name string
+	path func(g *dag.Graph, in map[string]*dag.Node, mm *dag.Node) *dag.Node
+}{
+	{"sub-right", func(g *dag.Graph, in map[string]*dag.Node, mm *dag.Node) *dag.Node {
+		return g.Binary(matrix.Sub, mm, in["B"])
+	}},
+	{"sub-left", func(g *dag.Graph, in map[string]*dag.Node, mm *dag.Node) *dag.Node {
+		return g.Binary(matrix.Sub, in["B"], mm)
+	}},
+	{"div-right", func(g *dag.Graph, in map[string]*dag.Node, mm *dag.Node) *dag.Node {
+		return g.Binary(matrix.Div, mm, in["A"])
+	}},
+	{"div-left", func(g *dag.Graph, in map[string]*dag.Node, mm *dag.Node) *dag.Node {
+		return g.Binary(matrix.Div, in["A"], g.Binary(matrix.Add, g.Unary("abs", mm), g.Scalar(1)))
+	}},
+	{"scalar-left-sub", func(g *dag.Graph, in map[string]*dag.Node, mm *dag.Node) *dag.Node {
+		return g.Binary(matrix.Sub, g.Scalar(2), mm)
+	}},
+	{"scalar-left-div", func(g *dag.Graph, in map[string]*dag.Node, mm *dag.Node) *dag.Node {
+		return g.Binary(matrix.Div, g.Scalar(2), g.Binary(matrix.Add, g.Unary("abs", mm), g.Scalar(1)))
+	}},
+	{"scalar-right", func(g *dag.Graph, in map[string]*dag.Node, mm *dag.Node) *dag.Node {
+		return g.Binary(matrix.Div, g.Binary(matrix.Sub, g.Binary(matrix.Mul, mm, g.Scalar(3)), g.Scalar(0.25)), g.Scalar(7))
+	}},
+	{"unary-around-binary", func(g *dag.Graph, in map[string]*dag.Node, mm *dag.Node) *dag.Node {
+		return g.Unary("sq", g.Binary(matrix.Sub, g.Unary("abs", mm), in["A"]))
+	}},
+	{"zero-right", func(g *dag.Graph, in map[string]*dag.Node, mm *dag.Node) *dag.Node {
+		return g.Binary(matrix.Sub, mm, in["Z"])
+	}},
+	{"zero-left", func(g *dag.Graph, in map[string]*dag.Node, mm *dag.Node) *dag.Node {
+		return g.Binary(matrix.Sub, in["Z"], mm)
+	}},
+	{"row-vector", func(g *dag.Graph, in map[string]*dag.Node, mm *dag.Node) *dag.Node {
+		return g.Binary(matrix.Sub, in["r"], mm)
+	}},
+	{"column-vector", func(g *dag.Graph, in map[string]*dag.Node, mm *dag.Node) *dag.Node {
+		return g.Binary(matrix.Div, g.Unary("neg", mm), in["c"])
+	}},
+	{"1x1", func(g *dag.Graph, in map[string]*dag.Node, mm *dag.Node) *dag.Node {
+		return g.Binary(matrix.Sub, in["o"], mm)
+	}},
+	{"driver-pattern", func(g *dag.Graph, in map[string]*dag.Node, mm *dag.Node) *dag.Node {
+		return g.Binary(matrix.Sub, in["S"], mm)
+	}},
+	{"other-pattern", func(g *dag.Graph, in map[string]*dag.Node, mm *dag.Node) *dag.Node {
+		return g.Binary(matrix.Sub, mm, in["T"])
+	}},
+	{"generic-ops", func(g *dag.Graph, in map[string]*dag.Node, mm *dag.Node) *dag.Node {
+		return g.Binary(matrix.MinOp, g.Scalar(0.5), g.Binary(matrix.MaxOp, in["B"], g.Unary("relu", mm)))
+	}},
+}
+
+// maskedPathBits are the outputs of maskedPathCases under the per-non-zero
+// closure chain the passes replaced, as FNV-1a over the value bits (measured
+// at d40874f; single stage and R = 3 sum the k-blocks in the same order and
+// agree). Every operator in the cases is exact arithmetic, so the figures
+// hold on every machine.
+var maskedPathBits = map[string]uint64{
+	"sub-right": 0xdc28e447c4c8d49a, "sub-left": 0xcc3b50b9ce747e9a, "div-right": 0xd5ee85887d1d5890, "div-left": 0xaf8f1b6b1d97367c,
+	"scalar-left-sub": 0x86f8dbf83c08d98d, "scalar-left-div": 0x546fa47503956f3f, "scalar-right": 0x48e500fe45799664,
+	"unary-around-binary": 0x186155b47464b74d, "zero-right": 0xfb80010a83801a39, "zero-left": 0xaedac2408594c139,
+	"row-vector": 0x19ae91537c630098, "column-vector": 0x806e9769859821e0, "1x1": 0x4cd44b349d1d952c,
+	"driver-pattern": 0xd4941b1dc1c8db0a, "other-pattern": 0x140d3433d3cdf5a9, "generic-ops": 0x1a81ce35ad628d88,
+}
+
+// TestMaskedPassesMatchClosures runs maskedPathCases through the executor on
+// 64-wide blocks with empty driver rows and an all-zero driver block — single
+// stage (one task, and 2x2 partitions) and R = 3, whose second stage samples
+// the pinned partials through the gather pass; at 1, 2 and 4 kernel threads —
+// and requires the reference's values and, from every run, the bits of
+// maskedPathBits.
+func TestMaskedPassesMatchClosures(t *testing.T) {
+	const rows, cols, inner, bs = 150, 130, 150, 64
+	s := matrix.ToDense(matrix.RandomSparse(rows, cols, 0.06, 0.5, 1.5, 3))
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			if (i < bs && j >= bs && j < 2*bs) || i == 70 || i == 71 { // block (0,1); two rows
+				s.Set(i, j, 0)
+			}
+		}
+	}
+	flats := map[string]matrix.Mat{
+		"S": matrix.ToCSR(s), "T": matrix.RandomSparse(rows, cols, 0.3, -1, 1, 13), "Z": matrix.NewCSR(rows, cols),
+		"A": matrix.RandomDense(rows, cols, 0.5, 1.5, 1), "B": matrix.RandomDense(rows, cols, -1, 1, 2),
+		"r": matrix.RandomDense(1, cols, -1, 1, 4), "c": matrix.RandomDense(rows, 1, 0.5, 1.5, 5), "o": matrix.RandomDense(1, 1, 0.5, 1.5, 12),
+		"U": matrix.RandomDense(rows, inner, -1, 1, 6), "W": matrix.RandomDense(inner, cols, -1, 1, 8),
+	}
+	hash := func(m *block.Matrix) uint64 {
+		h := fnv.New64a()
+		var b [8]byte
+		for _, v := range matrix.ToDense(m.ToMat()).Data {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+		return h.Sum64()
+	}
+	for _, tc := range maskedPathCases {
+		g := dag.NewGraph()
+		in := map[string]*dag.Node{}
+		for name, m := range flats {
+			r, c := m.Dims()
+			in[name] = g.Input(name, r, c, matrix.Density(m))
+		}
+		g.SetOutput("O", g.Binary(matrix.Mul, in["S"], tc.path(g, in, g.MatMul(in["U"], in["W"]))))
+		plan, bind := fullPlan(t, g), bindInputs(t, g, bs, flats)
+		if fusion.FindOuterMask(plan) == nil {
+			t.Fatalf("%s: the plan has no outer mask, the case is not the one meant", tc.name)
+		}
+		want, err := ref.Evaluate(g, flats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, run := range []struct{ p, q, r, threads int }{
+			{1, 1, 1, 1}, {2, 2, 1, 1}, {1, 1, 1, 2}, {1, 1, 1, 4},
+			{2, 2, 3, 1}, {1, 1, 3, 2}, {1, 1, 3, 4},
+		} {
+			cl := cluster.MustNew(cluster.Config{
+				Nodes: 2, TasksPerNode: 2, TaskMemBytes: 1 << 40, NetBandwidth: 1e9, CompBandwidth: 1e12,
+				BlockSize: bs, KernelThreads: run.threads,
+			})
+			out, err := (&FusedOp{Plan: plan, P: run.p, Q: run.q, R: run.r}).Execute(cl, bind)
+			if err != nil {
+				t.Fatalf("%s %+v: %v", tc.name, run, err)
+			}
+			if !matrix.EqualApprox(out.ToMat(), want["O"], 1e-11) {
+				t.Errorf("%s %+v: differs from the reference", tc.name, run)
+			}
+			if run.threads > 1 && cl.KernelPool().Stats().ParallelCalls == 0 {
+				t.Errorf("%s %+v: no kernel split its work", tc.name, run)
+			}
+			if got := hash(out); got != maskedPathBits[tc.name] {
+				t.Errorf("%s %+v: output bits %#x, under the closure chain %#x", tc.name, run, got, maskedPathBits[tc.name])
+			}
 		}
 	}
 }

@@ -9,9 +9,10 @@ import (
 
 // The compiled chain. A maximal run of member element-wise operators is not
 // evaluated node by node: per output block it is compiled into one expression
-// (matrix.Chain) and applied once, writing one output buffer — strip by strip
-// when dense, per driver non-zero on the masked (outer-fusion) path — with
-// the values, representations and flop charges of one kernel per node.
+// (matrix.Chain) and applied once, writing one output buffer strip by strip —
+// on the masked (outer-fusion) path, as passes over the driver's values buffer
+// (matrix.MaskedChain) — with the values, representations and flop charges of
+// one kernel per node.
 
 // chain compiles the element-wise region rooted at one node for one output
 // block. Every node of the region has the root's shape.
@@ -69,79 +70,86 @@ func (c *chain) node(n *dag.Node) matrix.Value {
 // multiplies a chain that reaches the main multiplication, every node on the
 // chain — and crucially the multiplication itself — is evaluated only at the
 // non-zero positions of X's block (Section 2.1, "sparsity exploitation"):
-// one SDDMM into a values buffer with the driver's pattern, then one pass of
-// the compiled chain over that buffer, which becomes the output block.
+// one SDDMM into a values buffer with the driver's pattern, then the chain as
+// in-place passes over that buffer (matrix.MaskedChain), which becomes the
+// output block.
 
 // evalMaskedMul evaluates block (bi, bj) of the outer-fusion b(*) node:
 // driver .* inner, with exactly the driver's pattern (values may be zero).
 func (ev *evaluator) evalMaskedMul(bi, bj int) matrix.Mat {
-	pattern, vals := ev.maskedMM(bi, bj)
+	var passes matrix.MaskedChain
+	var pattern *matrix.CSR
+	var vals []float64
+	mm := ev.op.Plan.MainMM
+	if blk, pinned := ev.memo[memoKey{mm.ID, bi, bj}]; pinned {
+		// Stage two: the aggregated partials are pinned; the first pass samples them.
+		pattern, vals = ev.driverPattern(bi, bj)
+		passes.Sample(blk)
+	} else {
+		pattern, vals = ev.maskedMM(bi, bj)
+	}
 	if pattern == nil {
 		return nil // 0 .* anything == 0
 	}
-	c := &chain{Chain: &matrix.Chain{Rows: pattern.Rows, Cols: pattern.Cols}, ev: ev, root: ev.mask.Mul, bi: bi, bj: bj}
-	inner := c.masked(ev.mask.Inner, vals)
-	ev.task.AddFlops(c.Flops + int64(len(vals))) // the path, and the driver multiply
-	matrix.MaskedStore(ev.pool, pattern, vals, func(i, j, p int) float64 { return inner(i, j, p) * pattern.Val[p] })
+	flops := ev.maskedPasses(&passes, ev.mask.Inner, bi, bj)
+	ev.task.AddFlops(int64(len(vals)) * (flops + 1)) // the path, and the driver multiply
+	passes.Run(ev.pool, pattern, vals)
 	return pattern.WithValues(vals)
 }
 
-// masked compiles the path from n down to the main multiplication, whose
-// masked values are vals; every step is charged, in c.Flops, once per driver
-// non-zero. Operands off the path are evaluated as blocks and sampled at the
-// pattern; a nil block contributes zeros.
-func (c *chain) masked(n *dag.Node, vals []float64) matrix.Cell {
-	ev := c.ev
+// maskedPasses compiles the path from n down to the main multiplication into
+// passes, innermost operator first, and returns the flops the path is charged
+// per driver non-zero. Operands off the path are evaluated as blocks, in path
+// order, and read at the pattern; a nil block contributes zeros.
+func (ev *evaluator) maskedPasses(passes *matrix.MaskedChain, n *dag.Node, bi, bj int) int64 {
 	switch {
 	case n == ev.op.Plan.MainMM:
-		return func(_, _, p int) float64 { return vals[p] }
+		return 0
 	case n.Op == dag.OpUnary:
-		child := c.masked(n.Inputs[0], vals)
+		flops := ev.maskedPasses(passes, n.Inputs[0], bi, bj)
 		f, _ := matrix.UnaryFunc(n.Func)
-		c.Flops += int64(len(vals)) * matrix.UnaryFlops(n.Func)
-		return func(i, j, p int) float64 { return f(child(i, j, p)) }
+		passes.Unary(f)
+		return flops + matrix.UnaryFlops(n.Func)
 	case n.Op == dag.OpBinary:
-		op := n.BinOp
-		inner, other, innerOnLeft := n.Inputs[0], n.Inputs[1], true
+		inner, other, otherOnLeft := n.Inputs[0], n.Inputs[1], false
 		if !ev.reachesMM(inner) {
-			inner, other, innerOnLeft = other, inner, false
+			inner, other, otherOnLeft = other, inner, true
 		}
-		in := c.masked(inner, vals)
-		c.Flops += int64(len(vals)) * op.Flops()
+		flops := ev.maskedPasses(passes, inner, bi, bj)
 		if other.IsScalarShaped() {
-			f := matrix.ScalarFn(op, ev.scalarValue(other), !innerOnLeft)
-			return func(i, j, p int) float64 { return f(in(i, j, p)) }
+			passes.Scalar(n.BinOp, ev.scalarValue(other), otherOnLeft)
+		} else {
+			oi, oj := operandCoords(other, bi, bj)
+			passes.Block(n.BinOp, ev.evalBlock(other, oi, oj), otherOnLeft)
 		}
-		oi, oj := operandCoords(other, c.bi, c.bj)
-		o := c.Leaf(ev.evalBlock(other, oi, oj)).Cell()
-		if innerOnLeft {
-			return func(i, j, p int) float64 { return op.Eval(in(i, j, p), o(i, j, p)) }
-		}
-		return func(i, j, p int) float64 { return op.Eval(o(i, j, p), in(i, j, p)) }
+		return flops + n.BinOp.Flops()
 	}
 	// Transposes or nested multiplications on a masked path are rejected by
 	// FindOuterMask; reaching here is a planner bug.
 	ev.fail(fmt.Errorf("exec: unsupported %s on masked path", n.Label()))
-	return nil
+	return 0
+}
+
+// driverPattern returns the driver pattern of block (bi, bj) and a zeroed,
+// task-owned values buffer for it. A nil pattern is an all-zero driver block.
+func (ev *evaluator) driverPattern(bi, bj int) (*matrix.CSR, []float64) {
+	driver := ev.evalBlock(ev.mask.Driver, bi, bj)
+	if driver == nil {
+		return nil, nil
+	}
+	pattern := matrix.ToCSR(driver)
+	return pattern, make([]float64, len(pattern.Col))
 }
 
 // maskedMM returns the driver pattern of block (bi, bj) and the main
 // multiplication restricted to it, summed over the task's k-range into one
 // task-owned buffer. A nil pattern is an all-zero driver block.
 func (ev *evaluator) maskedMM(bi, bj int) (*matrix.CSR, []float64) {
-	driver := ev.evalBlock(ev.mask.Driver, bi, bj)
-	if driver == nil {
+	pattern, vals := ev.driverPattern(bi, bj)
+	if pattern == nil {
 		return nil, nil
 	}
-	pattern := matrix.ToCSR(driver)
-	vals := make([]float64, len(pattern.Col))
 	mm := ev.op.Plan.MainMM
-	if blk, ok := ev.memo[memoKey{mm.ID, bi, bj}]; ok {
-		// Stage two: the aggregated partials are pinned; sample them.
-		c := matrix.Chain{Rows: pattern.Rows, Cols: pattern.Cols}
-		matrix.MaskedStore(nil, pattern, vals, c.Leaf(blk).Cell())
-		return pattern, vals
-	}
 	left, right := mm.Inputs[0], mm.Inputs[1]
 	folded := right.Op == dag.OpTranspose && ev.op.Plan.Contains(right)
 	for bk := ev.kLo; bk < ev.kHi; bk++ {

@@ -17,9 +17,10 @@
 // transpose-aware kernel rather than built where one exists (the transposed
 // dense x CSR kernel; the masked SDDMM, which reads a member t(B) as B's own
 // row-major block), and a run of element-wise operators is compiled into one
-// expression and applied in one pass (eval.go, eval_masked.go): strip by
-// strip — one call per operator per row — for a dense result, cell by cell
-// where a pattern is walked (sparse steps, the masked path).
+// expression and applied once (eval.go, eval_masked.go): strip by strip — one
+// call per operator per row — for a dense result, cell by cell where a sparse
+// step walks a pattern, and on the masked (outer-fusion) path as in-place
+// passes over the driver's values buffer, one loop per operator.
 //
 // Ownership: a block is immutable once published — bound as an input,
 // emitted to a sink, memoised, pinned, or resident in a block cache. The

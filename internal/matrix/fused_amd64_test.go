@@ -1,0 +1,92 @@
+//go:build amd64
+
+package matrix_test
+
+import (
+	"testing"
+
+	"fuseme/internal/block"
+	"fuseme/internal/cluster"
+	"fuseme/internal/dag"
+	"fuseme/internal/exec"
+	"fuseme/internal/fusion"
+	"fuseme/internal/matrix"
+)
+
+// TestFusedTaskPortableKernels is the portable arm of the executor's
+// TestFusedTaskThreadInvariance, which cannot reach the dispatch flag from
+// its package: the GNMF update U * (t(V) %*% X) / ((t(W) %*% V) %*% U) and the
+// NMF kernel X * log(V %*% t(F) + eps), planned as one fused operator each
+// and run through the executor on 128-wide blocks — GEMM, SDDMM, both axpy
+// kernels, dense strips and masked passes — give, with the assembly kernels
+// off and 1, 2 and 4 kernel threads, the bits the assembly kernels give. So
+// the portable twins run end to end on the machine that runs the tests.
+func TestFusedTaskPortableKernels(t *testing.T) {
+	if !matrix.HasAssembly() {
+		t.Skip("CPU lacks AVX or FMA3: the portable kernels are the only ones")
+	}
+	const users, items, k, bs = 512, 384, 64, 128
+	flats := map[string]matrix.Mat{
+		"X": matrix.RandomSparse(users, items, 0.05, 1, 5, 1),
+		"U": matrix.RandomDense(k, items, 0.1, 0.9, 2),
+		"V": matrix.RandomDense(users, k, 0.1, 0.9, 3),
+		"W": matrix.RandomDense(users, k, 0.1, 0.9, 3),
+		"F": matrix.RandomDense(items, k, 0.1, 0.9, 4),
+	}
+	builds := map[string]func(g *dag.Graph, in map[string]*dag.Node) *dag.Node{
+		"gnmf-update": func(g *dag.Graph, in map[string]*dag.Node) *dag.Node {
+			num := g.Binary(matrix.Mul, in["U"], g.MatMul(g.Transpose(in["V"]), in["X"]))
+			return g.Binary(matrix.Div, num, g.MatMul(g.MatMul(g.Transpose(in["W"]), in["V"]), in["U"]))
+		},
+		"nmf-kernel": func(g *dag.Graph, in map[string]*dag.Node) *dag.Node {
+			mm := g.MatMul(in["V"], g.Transpose(in["F"]))
+			return g.Binary(matrix.Mul, in["X"], g.Unary("log", g.Binary(matrix.Add, mm, g.Scalar(1e-3))))
+		},
+	}
+	for name, build := range builds {
+		t.Run(name, func(t *testing.T) {
+			g := dag.NewGraph()
+			in, bind := map[string]*dag.Node{}, exec.Bindings{}
+			for name, m := range flats {
+				r, c := m.Dims()
+				in[name] = g.Input(name, r, c, matrix.Density(m))
+			}
+			root := build(g, in)
+			g.SetOutput("O", root)
+			members := map[int]*dag.Node{}
+			for _, n := range g.Nodes() {
+				if !n.IsLeaf() {
+					members[n.ID] = n
+				}
+			}
+			plan, err := fusion.NewPlan(root, members)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range g.InputNodes() {
+				bind[n.ID] = block.FromMat(flats[n.Name], bs)
+			}
+			run := func(threads int) *block.Matrix {
+				cl := cluster.MustNew(cluster.Config{
+					Nodes: 1, TasksPerNode: 1, TaskMemBytes: 1 << 40, NetBandwidth: 1e9, CompBandwidth: 1e12,
+					BlockSize: bs, KernelThreads: threads,
+				})
+				out, err := (&exec.FusedOp{Plan: plan, P: 2, Q: 1, R: 1}).Execute(cl, bind)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return out
+			}
+			want := run(1)
+			matrix.ForcePortable(t)
+			for _, threads := range []int{1, 2, 4} {
+				got := run(threads)
+				want.ForEach(func(key block.Key, w matrix.Mat) {
+					if !matrix.BitEqual(w, got.Block(key.Row, key.Col)) {
+						t.Errorf("block (%d,%d): portable kernels at %d threads differ from the assembly kernels", key.Row, key.Col, threads)
+					}
+				})
+			}
+		})
+	}
+}

@@ -1,0 +1,89 @@
+//go:build amd64 && unix
+
+package matrix
+
+import (
+	"math/rand"
+	"runtime/debug"
+	"syscall"
+	"testing"
+	"unsafe"
+)
+
+// guarded returns n values that end where an unreadable page begins, so a
+// kernel that loads even one element past its operand faults.
+func guarded[T float64 | int](t *testing.T, n int) []T {
+	t.Helper()
+	page := syscall.Getpagesize()
+	size := (n*8 + page) / page * page
+	mem, err := syscall.Mmap(-1, 0, size+page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	if err != nil {
+		t.Skipf("mmap: %v", err)
+	}
+	t.Cleanup(func() { _ = syscall.Munmap(mem) }) // the test is over either way
+	if err := syscall.Mprotect(mem[size:], syscall.PROT_NONE); err != nil {
+		t.Skipf("mprotect: %v", err)
+	}
+	return unsafe.Slice((*T)(unsafe.Pointer(&mem[size-n*8])), n)
+}
+
+// guardedCopy is src in guarded memory.
+func guardedCopy[T float64 | int](t *testing.T, src []T) []T {
+	dst := guarded[T](t, len(src))
+	copy(dst, src)
+	return dst
+}
+
+// TestAssemblyStaysInBounds runs the three assembly kernels on operands each
+// of which ends at an unreadable page — the last a and bt rows, the values
+// buffer, the pattern's Col (the SDDMM's prefetch looks one position ahead
+// and must not read Col[nnz]), axpy's vectors at every length, GEMM tiles
+// with every edge — and requires the results of ordinary memory.
+func TestAssemblyStaysInBounds(t *testing.T) {
+	if !hasAVX {
+		t.Skip("CPU lacks AVX or FMA3")
+	}
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("an assembly kernel read or wrote outside its operands: %v", r)
+		}
+	}()
+	rng := rand.New(rand.NewSource(22))
+
+	const rows, cols = 7, 9
+	mask := RandomSparse(rows, cols, 0.4, 1, 2, 1)
+	if mask.RowPtr[rows-1] == mask.RowPtr[rows] {
+		t.Fatal("the last mask row is empty: the case is not the one meant")
+	}
+	gmask := &CSR{Rows: rows, Cols: cols, RowPtr: guardedCopy(t, mask.RowPtr), Col: guardedCopy(t, mask.Col), Val: mask.Val}
+	for _, k := range []int{1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 31, 64, 67} {
+		a, bt := special(rng, make([]float64, rows*k)), special(rng, make([]float64, cols*k))
+		want, got := make([]float64, mask.NNZ()), guarded[float64](t, mask.NNZ())
+		MaskedMatMulAccWith(nil, mask, want, NewDenseData(rows, k, a), NewDenseData(cols, k, bt))
+		MaskedMatMulAccWith(nil, gmask, got, NewDenseData(rows, k, guardedCopy(t, a)), NewDenseData(cols, k, guardedCopy(t, bt)))
+		if !sameFloats(got, want) {
+			t.Errorf("sddmm, k=%d: guarded operands give other values", k)
+		}
+	}
+
+	for n := 0; n <= 70; n++ {
+		x, dst := special(rng, make([]float64, n)), special(rng, make([]float64, n))
+		gdst := guardedCopy(t, dst)
+		axpy(dst, 1.5, x)
+		axpy(gdst, 1.5, guardedCopy(t, x))
+		if !sameFloats(gdst, dst) {
+			t.Errorf("axpy, n=%d: guarded operands give other values", n)
+		}
+	}
+
+	for _, sh := range []struct{ m, k, n int }{{4, 1, 8}, {4, 64, 8}, {8, 3, 16}, {5, 9, 11}, {64, 64, 64}, {68, 65, 72}} {
+		a, b := special(rng, make([]float64, sh.m*sh.k)), special(rng, make([]float64, sh.k*sh.n))
+		want, got := NewDense(sh.m, sh.n), NewDenseData(sh.m, sh.n, guarded[float64](t, sh.m*sh.n))
+		MatMulAccWith(nil, want, NewDenseData(sh.m, sh.k, a), NewDenseData(sh.k, sh.n, b))
+		MatMulAccWith(nil, got, NewDenseData(sh.m, sh.k, guardedCopy(t, a)), NewDenseData(sh.k, sh.n, guardedCopy(t, b)))
+		if !sameFloats(got.Data, want.Data) {
+			t.Errorf("gemm %dx%dx%d: guarded operands give other values", sh.m, sh.k, sh.n)
+		}
+	}
+}

@@ -1,0 +1,46 @@
+//go:build kernelcount && amd64
+
+package matrix
+
+import "testing"
+
+// TestFastPathIsThePath keeps the assembly kernels the path at the repo
+// benchmark's block shapes, by counting entries into each assembly arm
+// (kernelCalls, compiled in by the kernelcount tag only): the dense/dense
+// SDDMM of a 256x256 mask block at density 0.005 against 256x64 factor
+// blocks is one kernel call per row range; the dense x CSR and CSR x dense
+// products of those blocks are one assembly axpy per stored value; a 128x128
+// dense product is one assembly tile per (i, k, j) tile and nothing beside.
+// With the assembly switched off, nothing is counted.
+func TestFastPathIsThePath(t *testing.T) {
+	mask := RandomSparse(benchBlock, benchBlock, 0.005, 1, 5, 4)
+	u, v := RandomDense(benchBlock, benchK, 0.1, 0.9, 5), RandomDense(benchBlock, benchK, 0.1, 0.9, 6)
+	a, b := RandomDense(128, 128, -1, 1, 7), RandomDense(128, 128, -1, 1, 8)
+	run := func() (counts [numKernels]int64) {
+		for k := range kernelCalls {
+			kernelCalls[k].Store(0)
+		}
+		MaskedMatMulAccWith(nil, mask, make([]float64, mask.NNZ()), u, v)
+		counts[kernelSDDMM] = kernelCalls[kernelSDDMM].Load()
+		MatMulTransAccWith(nil, NewDense(benchBlock, benchK), u, mask)
+		MatMulAccWith(nil, NewDense(benchBlock, benchK), mask, v)
+		counts[kernelAxpy] = kernelCalls[kernelAxpy].Load()
+		MatMulAccWith(nil, NewDense(128, 128), a, b)
+		counts[kernelGEMM] = kernelCalls[kernelGEMM].Load()
+		return counts
+	}
+	want := [numKernels]int64{kernelGEMM: (128 / tileI) * (128 / tileK) * (128 / tileJ), kernelSDDMM: 1, kernelAxpy: 2 * int64(mask.NNZ())}
+	if !hasAVX {
+		want = [numKernels]int64{}
+	}
+	if got := run(); got != want {
+		t.Errorf("assembly kernel calls (gemm, sddmm, axpy) = %v, want %v", got, want)
+	}
+	if hasAVX {
+		portably(func() {
+			if got := run(); got != ([numKernels]int64{}) {
+				t.Errorf("with the assembly off, %v calls were still counted", got)
+			}
+		})
+	}
+}

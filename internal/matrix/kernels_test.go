@@ -60,7 +60,7 @@ func TestMatMulThreadInvariance(t *testing.T) {
 	row := RandomDense(1, 133, -1, 1, 27)
 	f, _ := UnaryFunc("sigmoid")
 	// The element-wise arms run one compiled chain over a 150x133 block, wide
-	// enough for Materialise and MaskedStore to split rows across the pool.
+	// enough for Materialise and MaskedChain.Run to split rows across the pool.
 	chain := func(build func(c *Chain, p *parallel.Pool) Value) func(p *parallel.Pool) Mat {
 		return func(p *parallel.Pool) Mat {
 			c := &Chain{Rows: 150, Cols: 133}
@@ -87,9 +87,14 @@ func TestMatMulThreadInvariance(t *testing.T) {
 		{"fused", chain(func(c *Chain, _ *parallel.Pool) Value {
 			return c.Binary(Sub, c.Binary(Mul, c.Leaf(dc), c.Leaf(mask)), c.Unary(f, 10, c.Binary(Add, c.Leaf(dc), c.Leaf(row))))
 		})},
-		{"masked-store", func(p *parallel.Pool) Mat {
+		{"masked-passes", func(p *parallel.Pool) Mat {
 			vals := MaskedMatMulWith(p, mask, da, db).Val
-			MaskedStore(p, mask, vals, func(_, _, q int) float64 { return f(vals[q]) * mask.Val[q] })
+			var passes MaskedChain
+			passes.Block(Sub, dc, true)
+			passes.Unary(f)
+			passes.Scalar(Div, 3, true)
+			passes.Block(Add, row, false)
+			passes.Run(p, mask, vals)
 			return mask.WithValues(vals)
 		}},
 		{"trans-ds", func(p *parallel.Pool) Mat {

@@ -2,6 +2,7 @@ package matrix
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -21,6 +22,14 @@ const (
 // rowGrain is the minimum number of rows worth a helper goroutine in the
 // row-parallel sparse and masked kernels.
 const rowGrain = 16
+
+// The three kernels that have an assembly form, as countKernel names them.
+const (
+	kernelGEMM = iota
+	kernelSDDMM
+	kernelAxpy
+	numKernels
+)
 
 // MatMul computes a x b on the serial path; see MatMulWith.
 func MatMul(a, b Mat) Mat { return MatMulWith(nil, a, b) }
@@ -132,11 +141,18 @@ func accRows(p *parallel.Pool, acc *Dense, fresh bool, fill func(i int, row []fl
 	})
 }
 
-// axpy computes dst += s * x over len(x) elements.
+// axpy computes dst += s * x over len(x) elements: per element one multiply,
+// rounded, then one add — never fused, which the conversion states for the
+// architectures whose compiler would. axpyAVX is the same arithmetic.
 func axpy(dst []float64, s float64, x []float64) {
 	dst = dst[:len(x)]
+	if hasAVX && len(x) > 0 {
+		countKernel(kernelAxpy)
+		axpyAVX(&dst[0], &x[0], len(x), s)
+		return
+	}
 	for j, v := range x {
-		dst[j] += s * v
+		dst[j] += float64(s * v)
 	}
 }
 
@@ -219,18 +235,22 @@ func allZero(s []float64) bool {
 }
 
 // mulTile multiplies one (i,k)x(k,j) tile pair into out, whose element
-// (iLo, jLo) is out[0] and whose row stride is ldo. It runs the 4x8 AVX
-// micro-kernel (amd64 with AVX) or the scalar 4x4 register micro-kernel on
-// full-width strips, and a scalar edge loop on the remainder. All paths
-// accumulate each output element over the tile's k range in the same order —
-// one accumulator per element, k ascending, one += into out per tile — so
-// AVX strips, scalar strips and edge rows match bitwise.
+// (iLo, jLo) is out[0] and whose row stride is ldo. It runs the 4x8 FMA
+// micro-kernel (hasAVX) or the portable 4x4 register micro-kernel on
+// full-width strips, and an edge loop on the remainder. The arithmetic is
+// defined once: every output element has one accumulator, which takes
+// acc = fma(a, b, acc) — one rounding per step — over the tile's k range, k
+// ascending, and is added into out once per tile. Assembly strips, portable
+// strips and edge rows therefore match bitwise, on every machine: math.FMA is
+// the hardware instruction on amd64 with FMA3 and on arm64, and exact (and
+// slow) software elsewhere.
 func mulTile(a, b *Dense, out []float64, ldo, iLo, iMax, kLo, kMax, jLo, jMax int) {
 	if kLo >= kMax {
 		return
 	}
 	i := iLo
 	if hasAVX {
+		countKernel(kernelGEMM)
 		K, N := a.Cols, b.Cols
 		kn, ldaB, ldbB := uintptr(kMax-kLo), uintptr(K*8), uintptr(N*8)
 		for ; i+4 <= iMax; i += 4 {
@@ -262,9 +282,10 @@ func mulTile(a, b *Dense, out []float64, ldo, iLo, iMax, kLo, kMax, jLo, jMax in
 	}
 }
 
-// micro4x4 accumulates the 4x4 output block at (i0, j0) over k in [kLo, kMax)
-// in sixteen scalar accumulators the compiler keeps in registers, touching
-// out (whose out[0] is element (i0, j0), row stride ldo) only once per tile.
+// micro4x4 is the portable twin of microAVX4x8: it accumulates the 4x4 output
+// block at (i0, j0) over k in [kLo, kMax) in sixteen scalar accumulators the
+// compiler keeps in registers, touching out (whose out[0] is element (i0, j0),
+// row stride ldo) only once per tile.
 func micro4x4(a, b *Dense, out []float64, ldo, i0, j0, kLo, kMax int) {
 	K, N := a.Cols, b.Cols
 	kn := kMax - kLo
@@ -282,25 +303,25 @@ func micro4x4(a, b *Dense, out []float64, ldo, i0, j0, kLo, kMax int) {
 		b0, b1, b2, b3 := bd[bi], bd[bi+1], bd[bi+2], bd[bi+3]
 		bi += N
 		av := a0[k]
-		c00 += av * b0
-		c01 += av * b1
-		c02 += av * b2
-		c03 += av * b3
+		c00 = math.FMA(av, b0, c00)
+		c01 = math.FMA(av, b1, c01)
+		c02 = math.FMA(av, b2, c02)
+		c03 = math.FMA(av, b3, c03)
 		av = a1[k]
-		c10 += av * b0
-		c11 += av * b1
-		c12 += av * b2
-		c13 += av * b3
+		c10 = math.FMA(av, b0, c10)
+		c11 = math.FMA(av, b1, c11)
+		c12 = math.FMA(av, b2, c12)
+		c13 = math.FMA(av, b3, c13)
 		av = a2[k]
-		c20 += av * b0
-		c21 += av * b1
-		c22 += av * b2
-		c23 += av * b3
+		c20 = math.FMA(av, b0, c20)
+		c21 = math.FMA(av, b1, c21)
+		c22 = math.FMA(av, b2, c22)
+		c23 = math.FMA(av, b3, c23)
 		av = a3[k]
-		c30 += av * b0
-		c31 += av * b1
-		c32 += av * b2
-		c33 += av * b3
+		c30 = math.FMA(av, b0, c30)
+		c31 = math.FMA(av, b1, c31)
+		c32 = math.FMA(av, b2, c32)
+		c33 = math.FMA(av, b3, c33)
 	}
 	o := out
 	o[0] += c00
@@ -326,8 +347,8 @@ func micro4x4(a, b *Dense, out []float64, ldo, i0, j0, kLo, kMax int) {
 
 // edgeTile handles tile remainders narrower than the micro-kernel,
 // accumulating each output element over the tile's k range in a scalar
-// before the single += — the same per-element order as micro4x4. out[0] is
-// element (iLo, jLo), row stride ldo.
+// before the single += — mulTile's arithmetic. out[0] is element (iLo, jLo),
+// row stride ldo.
 func edgeTile(a, b *Dense, out []float64, ldo, iLo, iMax, kLo, kMax, jLo, jMax int) {
 	K, N := a.Cols, b.Cols
 	for i := iLo; i < iMax; i++ {
@@ -336,7 +357,7 @@ func edgeTile(a, b *Dense, out []float64, ldo, iLo, iMax, kLo, kMax, jLo, jMax i
 		for j := jLo; j < jMax; j++ {
 			var s float64
 			for k := kLo; k < kMax; k++ {
-				s += arow[k] * b.Data[k*N+j]
+				s = math.FMA(arow[k], b.Data[k*N+j], s)
 			}
 			orow[j-jLo] += s
 		}
@@ -417,9 +438,10 @@ func MaskedMatMulWith(p *parallel.Pool, mask *CSR, a, b Mat) *CSR {
 // computed instead of rows x cols. The right operand comes transposed, so
 // every dot product walks two contiguous rows; a caller that holds b and not
 // t(b) transposes it once per call, as MaskedMatMulWith does. Mask rows are
-// split across p's kernel threads; each
-// position is written by exactly one goroutine, so results are bit-identical
-// at every thread count. acc (len nnz(mask)) must be owned by the caller.
+// split across p's kernel threads, and between dense operands each row range
+// is one kernel call (sddmmRows); each position is written by exactly one
+// goroutine, so results are bit-identical at every thread count. acc (len
+// nnz(mask)) must be owned by the caller.
 func MaskedMatMulAccWith(p *parallel.Pool, mask *CSR, acc []float64, a, bt Mat) {
 	ar, ak := a.Dims()
 	bc, bk := bt.Dims()
@@ -429,17 +451,13 @@ func MaskedMatMulAccWith(p *parallel.Pool, mask *CSR, acc []float64, a, bt Mat) 
 	}
 	da, denseA := a.(*Dense)
 	db, denseB := bt.(*Dense)
+	if denseA && denseB {
+		p.For(mask.Rows, rowGrain, func(rLo, rHi int) { sddmmRows(mask, rLo, rHi, da, db, acc) })
+		return
+	}
 	p.For(mask.Rows, rowGrain, func(rLo, rHi int) {
 		for i := rLo; i < rHi; i++ {
-			lo, hi := mask.RowPtr[i], mask.RowPtr[i+1]
-			if denseA && denseB {
-				arow := da.Row(i)
-				for q := lo; q < hi; q++ {
-					acc[q] += dot(arow, db.Row(mask.Col[q]))
-				}
-				continue
-			}
-			for q := lo; q < hi; q++ {
+			for q := mask.RowPtr[i]; q < mask.RowPtr[i+1]; q++ {
 				var s float64
 				for k := 0; k < ak; k++ {
 					s += a.At(i, k) * bt.At(mask.Col[q], k)
@@ -450,20 +468,40 @@ func MaskedMatMulAccWith(p *parallel.Pool, mask *CSR, acc []float64, a, bt Mat) 
 	})
 }
 
+// sddmmRows is the dense/dense SDDMM over mask rows [rLo, rHi): one call of
+// the assembly kernel, which walks the pattern itself, or one dot per stored
+// position — the same arithmetic.
+func sddmmRows(mask *CSR, rLo, rHi int, a, bt *Dense, acc []float64) {
+	if hasAVX && a.Cols > 0 && len(acc) > 0 {
+		countKernel(kernelSDDMM)
+		sddmmAVX(&mask.RowPtr[0], &mask.Col[0], rLo, rHi, len(acc), &a.Data[0], &bt.Data[0], &acc[0], a.Cols)
+		return
+	}
+	for i := rLo; i < rHi; i++ {
+		arow := a.Row(i)
+		for q := mask.RowPtr[i]; q < mask.RowPtr[i+1]; q++ {
+			acc[q] += dot(arow, bt.Row(mask.Col[q]))
+		}
+	}
+}
+
 // dot returns x . y over len(x) elements in four interleaved partial sums
-// (independent add chains keep the FP pipeline full), combined pairwise.
+// (independent add chains keep the FP pipeline full), combined pairwise. Each
+// step is one multiply, rounded, then one add — never fused, which the
+// conversions state for the architectures whose compiler would — so that
+// sddmmAVX, whose four lanes are s0..s3, gives the same bits.
 func dot(x, y []float64) float64 {
 	y = y[:len(x)]
 	var s0, s1, s2, s3 float64
 	k := 0
 	for ; k+4 <= len(x); k += 4 {
-		s0 += x[k] * y[k]
-		s1 += x[k+1] * y[k+1]
-		s2 += x[k+2] * y[k+2]
-		s3 += x[k+3] * y[k+3]
+		s0 += float64(x[k] * y[k])
+		s1 += float64(x[k+1] * y[k+1])
+		s2 += float64(x[k+2] * y[k+2])
+		s3 += float64(x[k+3] * y[k+3])
 	}
 	for ; k < len(x); k++ {
-		s0 += x[k] * y[k]
+		s0 += float64(x[k] * y[k])
 	}
 	return (s0 + s1) + (s2 + s3)
 }
@@ -474,22 +512,34 @@ func MaskedMatMulFlops(mask *CSR, inner int) int64 {
 	return 2 * int64(mask.NNZ()) * int64(inner)
 }
 
+// transposeTile is the tile edge of the dense transpose: 8 float64 are one
+// cache line.
+const transposeTile = 8
+
 // Transpose is TransposeWith on the serial path.
 func Transpose(a Mat) Mat { return TransposeWith(nil, a) }
 
 // TransposeWith returns the transpose of a, preserving representation. The
-// dense path gathers into disjoint output rows split across p's kernel
-// threads; it is a pure copy, so parallelism cannot change the result.
-// The CSR counting sort stays serial.
+// dense path copies into disjoint output rows split across p's kernel
+// threads, in transposeTile-square tiles so that both the reads and the writes
+// of a tile stay within a few cache lines; it is a pure copy, so neither
+// tiling nor parallelism can change the result. The CSR counting sort stays
+// serial.
 func TransposeWith(p *parallel.Pool, a Mat) Mat {
 	switch x := a.(type) {
 	case *Dense:
 		out := NewDense(x.Cols, x.Rows)
 		p.For(x.Cols, rowGrain, func(lo, hi int) {
-			for j := lo; j < hi; j++ {
-				orow := out.Row(j)
-				for i := 0; i < x.Rows; i++ {
-					orow[i] = x.Data[i*x.Cols+j]
+			for i0 := 0; i0 < x.Rows; i0 += transposeTile {
+				iMax := minInt(i0+transposeTile, x.Rows)
+				for j0 := lo; j0 < hi; j0 += transposeTile {
+					jMax := minInt(j0+transposeTile, hi)
+					for i := i0; i < iMax; i++ {
+						o := out.Data[j0*x.Rows+i:]
+						for dj, v := range x.Data[i*x.Cols+j0 : i*x.Cols+jMax] {
+							o[dj*x.Rows] = v
+						}
+					}
 				}
 			}
 		})

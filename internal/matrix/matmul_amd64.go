@@ -2,20 +2,34 @@
 
 package matrix
 
-// hasAVX reports whether the CPU and OS support 256-bit AVX — checked once at
-// init via CPUID/XGETBV. It is a var (not const) so tests can force the
-// scalar fallback path and compare the two kernels.
+// hasAVX reports whether the assembly kernels can run: the CPU has AVX and
+// FMA3 and the OS saves YMM state — checked once at init via CPUID/XGETBV. It
+// is the only dispatch flag, and a var (not const) so tests can force the
+// portable twins and compare the two forms of each kernel.
 var hasAVX = cpuidAVX()
 
-// cpuidAVX reports AVX + OSXSAVE support with YMM state enabled by the OS.
-// Implemented in matmul_amd64.s.
+// cpuidAVX reports AVX + FMA3 + OSXSAVE support with YMM state enabled by the
+// OS. Implemented in matmul_amd64.s.
 func cpuidAVX() bool
 
 // microAVX4x8 accumulates the 4x8 output block at out over kn steps:
-// out[r][c] += sum_k a[r][k]*b[k][c], with k ascending and one accumulator
-// lane per element — the same per-element order as edgeTile and micro4x4, so
-// mixing the AVX and scalar paths cannot change results. Strides are in
+// out[r][c] += sum_k a[r][k]*b[k][c], as acc = fma(a, b, acc) with k
+// ascending and one accumulator lane per element — the arithmetic of micro4x4
+// and edgeTile, so mixing the paths cannot change results. Strides are in
 // bytes. Implemented in matmul_amd64.s.
 //
 //go:noescape
 func microAVX4x8(a, b, out *float64, kn, ldaB, ldbB, ldoB uintptr)
+
+// sddmmAVX is sddmmRows on raw storage: for the nnz-long pattern rowPtr/col
+// and mask rows [rLo, rHi), acc[q] += dot(a[i*k:][:k], bt[col[q]*k:][:k]) with
+// dot's arithmetic. k must be positive. Implemented in matmul_amd64.s.
+//
+//go:noescape
+func sddmmAVX(rowPtr, col *int, rLo, rHi, nnz int, a, bt, acc *float64, k int)
+
+// axpyAVX computes dst[j] += s * x[j] for j < n with axpy's arithmetic.
+// Implemented in matmul_amd64.s.
+//
+//go:noescape
+func axpyAVX(dst, x *float64, n int, s float64)

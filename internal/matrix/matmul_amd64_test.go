@@ -2,26 +2,171 @@
 
 package matrix
 
-import "testing"
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
 
-// TestAVXMatchesScalar forces the scalar register-tiled path and checks it is
-// bit-identical to the AVX micro-kernel path, including on edge-heavy shapes.
+// portably runs fn with the assembly kernels switched off.
+func portably(fn func()) {
+	defer func(was bool) { hasAVX = was }(hasAVX)
+	hasAVX = false
+	fn()
+}
+
+// sameFloats reports whether a and b hold the same float64 bit patterns. NaNs
+// match each other whatever their payload: which operand's payload an
+// operation on two NaNs keeps is the compiler's operand order, not arithmetic.
+func sameFloats(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[i]) && !(math.IsNaN(v) && math.IsNaN(b[i])) {
+			return false
+		}
+	}
+	return true
+}
+
+// special fills s with ordinary values in [-1, 1) and — in one call of three
+// not at all, in one rarely, in one every fourth value, so that both exact
+// sums and saturated ones are compared — values where a wrong instruction
+// shows: signed zeros, subnormals, values whose products overflow, underflow
+// or lose bits to a second rounding, infinities and NaN.
+func special(rng *rand.Rand, s []float64) []float64 {
+	odd := []float64{
+		0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1040,
+		0x1p-600, 0x1p600, -0x1p600, 1 + 0x1p-52, 1 - 0x1p-53, math.MaxFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN(),
+	}
+	every := []int{0, 32, 4}[rng.Intn(3)]
+	for i := range s {
+		if s[i] = 2*rng.Float64() - 1; every > 0 && rng.Intn(every) == 0 {
+			s[i] = odd[rng.Intn(len(odd))]
+		}
+	}
+	return s
+}
+
+// within returns an n-long window of a larger array, off elements in, so a
+// kernel that reads its operand from the array's start, or past the window,
+// reads other values.
+func within(rng *rand.Rand, n, off int) []float64 {
+	return special(rng, make([]float64, off+n+9))[off : off+n : off+n]
+}
+
+// TestAVXMatchesScalar holds each of the three kernels to one arithmetic: the
+// assembly form and its portable twin, run on the same operands — ordinary
+// and special values, every tail length, operands that are windows of larger
+// arrays — must give the same bits.
 func TestAVXMatchesScalar(t *testing.T) {
 	if !hasAVX {
-		t.Skip("CPU lacks AVX")
+		t.Skip("CPU lacks AVX or FMA3")
 	}
-	shapes := []struct{ m, k, n int }{
-		{4, 64, 8}, {64, 64, 64}, {65, 67, 66}, {130, 100, 121}, {3, 5, 7},
-	}
-	for _, sh := range shapes {
-		a := RandomDense(sh.m, sh.k, -1, 1, int64(sh.m+sh.k))
-		b := RandomDense(sh.k, sh.n, -1, 1, int64(sh.k+sh.n))
-		avx := MatMul(a, b)
-		hasAVX = false
-		scalar := MatMul(a, b)
-		hasAVX = true
-		if !bitEqual(avx, scalar) {
-			t.Errorf("%dx%dx%d: AVX and scalar kernels disagree", sh.m, sh.k, sh.n)
+	rng := rand.New(rand.NewSource(20))
+
+	t.Run("gemm", func(t *testing.T) {
+		shapes := []struct{ m, k, n int }{
+			{4, 64, 8}, {64, 64, 64}, {65, 67, 66}, {130, 100, 121}, {3, 5, 7}, {4, 1, 8}, {8, 130, 16},
+		}
+		for _, sh := range shapes {
+			for _, odd := range []bool{false, true} {
+				a, b, acc := RandomDense(sh.m, sh.k, -1, 1, int64(sh.m+sh.k)), RandomDense(sh.k, sh.n, -1, 1, int64(sh.k+sh.n)), NewDense(sh.m, sh.n)
+				if odd {
+					special(rng, a.Data)
+					special(rng, b.Data)
+					special(rng, acc.Data) // a product summed aside and added once
+				}
+				asm, twin := acc.Clone().(*Dense), acc.Clone().(*Dense)
+				MatMulAccWith(nil, asm, a, b)
+				portably(func() { MatMulAccWith(nil, twin, a, b) })
+				if !sameFloats(asm.Data, twin.Data) {
+					t.Errorf("%dx%dx%d (special values: %v): assembly and portable kernels disagree", sh.m, sh.k, sh.n, odd)
+				}
+			}
+		}
+	})
+
+	t.Run("sddmm", func(t *testing.T) {
+		const rows, cols = 9, 11
+		masks := map[string]*CSR{
+			"empty-rows": ToCSR(NewDenseData(rows, cols, func() []float64 { // rows 0, 4 and 5 empty; the last row ends at nnz
+				d := make([]float64, rows*cols)
+				for i := 0; i < rows; i++ {
+					for j := 0; j < cols; j++ {
+						if i != 0 && i != 4 && i != 5 && (i*j)%3 != 1 {
+							d[i*cols+j] = 1
+						}
+					}
+				}
+				return d
+			}())),
+			"empty-last-rows": RandomSparse(rows, cols, 0.1, 1, 2, 3),
+			"empty-block":     NewCSR(rows, cols),
+			"full":            ToCSR(RandomDense(rows, cols, 1, 2, 4)),
+		}
+		for k := 1; k <= 70; k++ {
+			for name, mask := range masks {
+				a := NewDenseData(rows, k, within(rng, rows*k, 3))
+				bt := NewDenseData(cols, k, within(rng, cols*k, 5))
+				acc := within(rng, mask.NNZ(), 1)
+				asm, twin := append([]float64(nil), acc...), append([]float64(nil), acc...)
+				MaskedMatMulAccWith(nil, mask, asm, a, bt)
+				portably(func() { MaskedMatMulAccWith(nil, mask, twin, a, bt) })
+				if !sameFloats(asm, twin) {
+					t.Fatalf("k=%d, %s mask: assembly and portable kernels disagree", k, name)
+				}
+				for lo := 0; lo < rows; lo += 4 { // any row range is that range of the whole
+					part := append([]float64(nil), acc...)
+					sddmmRows(mask, lo, minInt(lo+4, rows), a, bt, part)
+					qLo, qHi := mask.RowPtr[lo], mask.RowPtr[minInt(lo+4, rows)]
+					if !sameFloats(part[qLo:qHi], asm[qLo:qHi]) || !sameFloats(part[:qLo], acc[:qLo]) || !sameFloats(part[qHi:], acc[qHi:]) {
+						t.Fatalf("k=%d, %s mask: rows [%d, %d) computed alone differ, or wrote outside their positions", k, name, lo, lo+4)
+					}
+				}
+			}
+		}
+	})
+
+	t.Run("axpy", func(t *testing.T) {
+		for n := 0; n <= 70; n++ {
+			for _, s := range []float64{0.75, -3, 0, math.Copysign(0, -1), 0x1p-1040, 0x1p600, math.Inf(1), math.NaN()} {
+				x, dst := within(rng, n, 2), within(rng, n+3, 4) // dst is longer than x: its tail must not change
+				asm, twin := append([]float64(nil), dst...), append([]float64(nil), dst...)
+				axpy(asm, s, x)
+				portably(func() { axpy(twin, s, x) })
+				if !sameFloats(asm, twin) || !sameFloats(asm[n:], dst[n:]) {
+					t.Fatalf("n=%d s=%v: assembly and portable kernels disagree", n, s)
+				}
+			}
+		}
+	})
+}
+
+// TestDotIsFourPartialSums pins the SDDMM's arithmetic itself, against a
+// spelled-out evaluation: lanes k%4, the tail into lane 0, pairwise combine.
+func TestDotIsFourPartialSums(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for k := 1; k <= 70; k++ {
+		x, y := special(rng, make([]float64, k)), special(rng, make([]float64, k))
+		var s [4]float64
+		for i := 0; i < k; i++ {
+			lane := i % 4
+			if i >= k&^3 {
+				lane = 0
+			}
+			s[lane] += x[i] * y[i]
+		}
+		want := []float64{(s[0] + s[1]) + (s[2] + s[3])}
+		mask := ToCSR(NewDenseData(1, 1, []float64{1}))
+		a, bt := NewDenseData(1, k, x), NewDenseData(1, k, y)
+		asm, twin := []float64{0}, []float64{0}
+		MaskedMatMulAccWith(nil, mask, asm, a, bt)
+		portably(func() { MaskedMatMulAccWith(nil, mask, twin, a, bt) })
+		if !sameFloats(asm, want) || !sameFloats(twin, want) {
+			t.Errorf("k=%d: dot = %v (assembly on), %v (off); four partial sums give %v", k, asm[0], twin[0], want[0])
 		}
 	}
 }

@@ -2,11 +2,20 @@
 
 package matrix
 
-// hasAVX is false off amd64; mulTile takes the scalar register-tiled path.
+// hasAVX is false off amd64: every kernel runs its portable twin.
 const hasAVX = false
 
-// microAVX4x8 is never reached when hasAVX is false; it exists so mulTile
-// compiles on every architecture.
+// The assembly kernels are never reached when hasAVX is false; the stubs
+// exist so their callers compile on every architecture.
+
 func microAVX4x8(a, b, out *float64, kn, ldaB, ldbB, ldoB uintptr) {
-	panic("matrix: AVX micro-kernel called on non-amd64")
+	panic("matrix: AVX kernel called on non-amd64")
+}
+
+func sddmmAVX(rowPtr, col *int, rLo, rHi, nnz int, a, bt, acc *float64, k int) {
+	panic("matrix: AVX kernel called on non-amd64")
+}
+
+func axpyAVX(dst, x *float64, n int, s float64) {
+	panic("matrix: AVX kernel called on non-amd64")
 }

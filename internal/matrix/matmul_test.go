@@ -258,12 +258,15 @@ func TestIOBadMagic(t *testing.T) {
 	}
 }
 
+// BenchmarkMatMulDenseDense times the dense product (m x k times k x n) of a
+// square block and at the widths of the repo benchmark's dense operands: the
+// AutoEncoder's 128-wide blocks under a 256-wide batch, and GNMF's 64-wide
+// factors against 256-wide blocks.
 func BenchmarkMatMulDenseDense(b *testing.B) {
-	x := RandomDense(256, 256, -1, 1, 1)
-	y := RandomDense(256, 256, -1, 1, 2)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sinkMat = MatMul(x, y)
+	for _, sh := range []struct{ m, k, n int }{{256, 256, 256}, {128, 128, 256}, {256, 64, 256}} {
+		x, y := RandomDense(sh.m, sh.k, -1, 1, 1), RandomDense(sh.k, sh.n, -1, 1, 2)
+		benchKernel(b, fmt.Sprintf("%dx%dx%d", sh.m, sh.k, sh.n), x.SizeBytes()+y.SizeBytes()+8*int64(sh.m*sh.n), MatMulFlops(x, y),
+			func() { sinkMat = MatMul(x, y) })
 	}
 }
 

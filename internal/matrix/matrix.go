@@ -16,6 +16,21 @@
 // threads, and its size is chosen so kernel threads x worker slots stays at
 // or below NumCPU (see internal/parallel).
 //
+// One arithmetic per kernel. The three inner loops have an assembly form on
+// amd64 (matmul_amd64.s) and a portable Go twin that computes the same bits,
+// selected by hasAVX — AVX, FMA3 and OS YMM state; nothing else dispatches.
+// Dense GEMM is fused multiply-add: every output element has one accumulator
+// that takes acc = fma(a, b, acc), k ascending, and is added to the output
+// once per k-tile (microAVX4x8; micro4x4 and edgeTile through math.FMA, which
+// is the hardware instruction on amd64 with FMA3 and on arm64, and exact
+// software on an older x86 — identical and slow). The dense SDDMM (sddmmAVX;
+// dot) is four interleaved partial sums, each step a rounded multiply then an
+// add, combined pairwise as (s0+s1)+(s2+s3); axpy (axpyAVX; the loop in
+// axpy), under the CSR x dense and dense x CSR kernels, is a rounded multiply
+// then an add per element. NaN payloads aside, results are therefore equal
+// bit for bit between assembly and portable forms, strips and edges, thread
+// counts and machines.
+//
 // Ownership: a block is immutable once it has been published — bound as an
 // input, emitted by a task, memoised, pinned or cached. No kernel writes into
 // an operand; the accumulate kernels (MatMulAccWith, MatMulTransAccWith,
@@ -33,8 +48,10 @@
 // the intermediates. A chain's expression has two forms that agree bit for
 // bit: strips — one call per operator per row, tight loops over the row —
 // write a dense result over row-major operands; cells — one call per operator
-// per cell — serve the pattern walks (sparse steps, MaskedStore) and a dense
-// result with a CSR operand. A chain given an Owned accumulator stores into
+// per cell — serve the pattern walks of sparse steps and a dense result with
+// a CSR operand. The masked (outer-fusion) path is a MaskedChain: in-place
+// passes over the values buffer of the driver's pattern, one loop per
+// operator. A chain given an Owned accumulator stores into
 // it, so the block being written is an operand: every row is evaluated in
 // scratch and stored by the last loop, after all reads of it (see Owned).
 package matrix

@@ -156,10 +156,10 @@ func (v Value) sparse() *CSR {
 // are one-step chains, so these rules exist once.
 //
 // The expression has two forms. Every Value is a function of a cell (Cell),
-// which the pattern walks — onPattern, MaskedStore — call per stored
-// position. A dense result over operands stored row-major also has a strip
-// form (rowFn): one call per operator per row, each a tight loop over the
-// row, which Materialise uses to write each output row. Both apply the same
+// which the pattern walks (onPattern, a sparse operand of a MaskedChain) call
+// per stored position. A dense result over operands stored row-major also has
+// a strip form (rowFn): one call per operator per row, each a tight loop over
+// the row, which Materialise uses to write each output row. Both apply the same
 // scalar operations in the same order to every cell, so they agree bit for
 // bit; a dense result with a CSR operand has only the cell form.
 type Chain struct {
@@ -449,9 +449,19 @@ func flush(v float64) float64 {
 // chainGrain is the minimum number of cells worth a helper goroutine.
 const chainGrain = 4096
 
-// stripPool recycles the scratch strips of Materialise, one slice per p.For
-// chunk.
+// stripPool recycles the scratch strips of Materialise and MaskedChain.Run,
+// one slice per p.For chunk.
 var stripPool sync.Pool
+
+// getStrips takes a slice of capacity at least n from stripPool.
+func getStrips(n int) *[]float64 {
+	buf, _ := stripPool.Get().(*[]float64)
+	if buf == nil || cap(*buf) < n {
+		s := make([]float64, n)
+		buf = &s
+	}
+	return buf
+}
 
 // Materialise applies x once, into one output block, rows split across p's
 // kernel threads: strip by strip where x has that form, cell by cell
@@ -481,11 +491,7 @@ func (c *Chain) Materialise(p *parallel.Pool, x Value) Mat {
 	}
 	need := (x.strips + 1) * c.Cols
 	p.For(c.Rows, 1+chainGrain/(c.Cols+1), func(lo, hi int) {
-		buf, _ := stripPool.Get().(*[]float64)
-		if buf == nil || cap(*buf) < need {
-			s := make([]float64, need)
-			buf = &s
-		}
+		buf := getStrips(need)
 		defer stripPool.Put(buf)
 		dst, scratch := (*buf)[:c.Cols], (*buf)[c.Cols:need]
 		for i := lo; i < hi; i++ {
@@ -498,18 +504,176 @@ func (c *Chain) Materialise(p *parallel.Pool, x Value) Mat {
 	return out
 }
 
-// MaskedStore applies f once per stored position q = (i, j) of mask, in
-// place: vals[q] = f(i, j, q), flushed. f may read vals[q]. Mask rows are
-// split across p's kernel threads. It is the masked (outer-fusion) form of
-// Materialise: vals, with mask's pattern, is the output block.
-func MaskedStore(p *parallel.Pool, mask *CSR, vals []float64, f Cell) {
+// MaskedChain is the masked (outer-fusion) form of a Chain: the element-wise
+// path from the main multiplication up to the driver multiply, compiled into
+// passes over the values buffer of one block. vals holds one value per stored
+// position of the driver block mask — the masked product, or nothing yet when
+// the first pass is Sample — and Run rewrites it in place, pass by pass,
+// into the output block's values. Each pass is one loop over a run of vals,
+// so an operator costs one call per p.For chunk and, for a unary function,
+// one per value; every value still sees the operators' scalar operations in
+// chain order. The zero MaskedChain is the empty path: Run then only
+// multiplies by the driver.
+type MaskedChain struct {
+	passes []maskedPass
+}
+
+// maskedPass is one step of a MaskedChain.
+type maskedPass struct {
+	kind passKind
+	f    func(float64) float64 // passUnary
+	op   BinOp                 // passScalar, passBlock
+	s    float64               // passScalar
+	blk  Mat                   // passBlock, passSample; nil is an all-zero block
+	left bool                  // the scalar or block is op's left operand
+}
+
+type passKind uint8
+
+const (
+	passUnary  passKind = iota // v = f(v)
+	passScalar                 // v = op(v, s)
+	passBlock                  // v = op(v, blk[i,j])
+	passSample                 // v = flush(blk[i,j])
+)
+
+// Sample appends the pass that fills vals from blk at the pattern's positions
+// (nil: zeros), flushed: a product that was summed elsewhere and is sampled,
+// not computed.
+func (m *MaskedChain) Sample(blk Mat) {
+	m.passes = append(m.passes, maskedPass{kind: passSample, blk: blk})
+}
+
+// Unary appends v = f(v).
+func (m *MaskedChain) Unary(f func(float64) float64) {
+	m.passes = append(m.passes, maskedPass{kind: passUnary, f: f})
+}
+
+// Scalar appends v = op(v, s), or op(s, v) when left.
+func (m *MaskedChain) Scalar(op BinOp, s float64, left bool) {
+	m.passes = append(m.passes, maskedPass{kind: passScalar, op: op, s: s, left: left})
+}
+
+// Block appends v = op(v, blk[i,j]), or op(blk[i,j], v) when left, for a
+// block of the pattern's shape or a vector or 1x1 block read by broadcast;
+// nil is an all-zero block, to which the operator is still applied.
+func (m *MaskedChain) Block(op BinOp, blk Mat, left bool) {
+	m.passes = append(m.passes, maskedPass{kind: passBlock, op: op, blk: blk, left: left})
+}
+
+// Run applies the passes and then the driver multiply to vals in place:
+// vals[q] = flush(passes(vals[q]) * mask.Val[q]), which with mask's pattern is
+// the output block. Mask rows are split across p's kernel threads; each chunk
+// runs every pass over its own run of vals, so results do not depend on the
+// split.
+func (m *MaskedChain) Run(p *parallel.Pool, mask *CSR, vals []float64) {
+	operands := false // some pass combines vals with a gathered operand
+	for _, ps := range m.passes {
+		operands = operands || ps.kind == passBlock
+	}
 	p.For(mask.Rows, rowGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			for q := mask.RowPtr[i]; q < mask.RowPtr[i+1]; q++ {
-				vals[q] = flush(f(i, mask.Col[q], q))
+		qLo, qHi := mask.RowPtr[lo], mask.RowPtr[hi]
+		run := vals[qLo:qHi]
+		var other []float64
+		if operands {
+			buf := getStrips(len(run))
+			defer stripPool.Put(buf)
+			other = (*buf)[:len(run)]
+		}
+		for _, ps := range m.passes {
+			switch ps.kind {
+			case passUnary:
+				for q, v := range run {
+					run[q] = ps.f(v)
+				}
+			case passScalar:
+				combineScalar(ps.op, run, ps.s, ps.left)
+			case passBlock:
+				gather(other, ps.blk, mask, lo, hi)
+				if ps.left {
+					combine(ps.op, run, other, run)
+				} else {
+					combine(ps.op, run, run, other)
+				}
+			case passSample:
+				gather(run, ps.blk, mask, lo, hi)
+				for q, v := range run {
+					run[q] = flush(v)
+				}
 			}
 		}
+		for q, v := range mask.Val[qLo:qHi] {
+			run[q] = flush(run[q] * v)
+		}
 	})
+}
+
+// gather reads blk at the stored positions of mask rows [lo, hi) into dst,
+// one value per position in pattern order.
+func gather(dst []float64, blk Mat, mask *CSR, lo, hi int) {
+	base := mask.RowPtr[lo]
+	switch d := blk.(type) {
+	case nil:
+		clear(dst)
+		return
+	case *Dense:
+		if d.Rows != mask.Rows || d.Cols != mask.Cols {
+			break
+		}
+		for i := lo; i < hi; i++ {
+			row := d.Data[i*d.Cols : (i+1)*d.Cols]
+			for q := mask.RowPtr[i]; q < mask.RowPtr[i+1]; q++ {
+				dst[q-base] = row[mask.Col[q]]
+			}
+		}
+		return
+	}
+	// A vector, a 1x1 or a CSR block: broadcast, the position hint and the
+	// shape check are Leaf's.
+	c := Chain{Rows: mask.Rows, Cols: mask.Cols}
+	cell := c.Leaf(blk).cell
+	for i := lo; i < hi; i++ {
+		for q := mask.RowPtr[i]; q < mask.RowPtr[i+1]; q++ {
+			dst[q-base] = cell(i, mask.Col[q], q)
+		}
+	}
+}
+
+// combineScalar stores op(x[j], s), or op(s, x[j]) when left, into x[j]: the
+// scalar form of combine, with the same four operators spelled out and
+// ScalarFn behind the rest.
+func combineScalar(op BinOp, x []float64, s float64, left bool) {
+	switch {
+	case op == Add:
+		for j := range x {
+			x[j] += s
+		}
+	case op == Mul:
+		for j := range x {
+			x[j] *= s
+		}
+	case op == Sub && !left:
+		for j := range x {
+			x[j] -= s
+		}
+	case op == Sub:
+		for j := range x {
+			x[j] = s - x[j]
+		}
+	case op == Div && !left:
+		for j := range x {
+			x[j] /= s
+		}
+	case op == Div:
+		for j := range x {
+			x[j] = s / x[j]
+		}
+	default:
+		f := ScalarFn(op, s, left)
+		for j := range x {
+			x[j] = f(x[j])
+		}
+	}
 }
 
 // one builds the chain of a one-operator kernel over operands a and b.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -534,6 +535,82 @@ func sameBits(a, b *Dense) bool {
 	return true
 }
 
+// TestMaskedChainMatchesCells runs random pass lists — unary, scalar and
+// block passes with either operand order, over dense, CSR (the mask's own
+// pattern and another), vector, 1x1 and all-zero operands, with and without a
+// leading Sample — and requires from MaskedChain.Run, at 1 and 3 threads, the
+// bits of applying the same operators to each stored value on its own.
+func TestMaskedChainMatchesCells(t *testing.T) {
+	const rows, cols = 70, 23
+	rng := rand.New(rand.NewSource(9))
+	mask := RandomSparse(rows, cols, 0.2, 0.5, 2, 1)
+	blocks := []Mat{
+		RandomDense(rows, cols, 0.5, 1.5, 2), mask, RandomSparse(rows, cols, 0.3, -1, 1, 3), nil,
+		RandomDense(1, cols, 0.5, 1.5, 4), RandomDense(rows, 1, -1, 1, 5), RandomDense(1, 1, 0.5, 1.5, 6), RandomSparse(1, cols, 0.5, 1, 2, 7),
+	}
+	unaries := []string{"sq", "exp", "relu", "neg", "sign"}
+	ops := []BinOp{Add, Sub, Mul, Div, MaxOp, Lt}
+	c := &Chain{Rows: rows, Cols: cols}
+	for trial := 0; trial < 300; trial++ {
+		var passes MaskedChain
+		var steps []func(v float64, i, j, q int) float64 // the same path, one stored value at a time
+		vals := make([]float64, mask.NNZ())
+		for q := range vals {
+			vals[q] = 2*rng.Float64() - 1
+		}
+		if rng.Intn(3) == 0 {
+			blk := blocks[rng.Intn(len(blocks))]
+			cell := c.Leaf(blk).Cell()
+			passes.Sample(blk)
+			steps = append(steps, func(_ float64, i, j, q int) float64 { return flush(cell(i, j, q)) })
+		}
+		for n := rng.Intn(5); n > 0; n-- {
+			op, left := ops[rng.Intn(len(ops))], rng.Intn(2) == 0
+			switch rng.Intn(3) {
+			case 0:
+				f, _ := UnaryFunc(unaries[rng.Intn(len(unaries))])
+				passes.Unary(f)
+				steps = append(steps, func(v float64, _, _, _ int) float64 { return f(v) })
+			case 1:
+				sc := []float64{0, 2, -1, 0.5}[rng.Intn(4)]
+				passes.Scalar(op, sc, left)
+				f := ScalarFn(op, sc, left)
+				steps = append(steps, func(v float64, _, _, _ int) float64 { return f(v) })
+			default:
+				blk := blocks[rng.Intn(len(blocks))]
+				cell := c.Leaf(blk).Cell()
+				passes.Block(op, blk, left)
+				steps = append(steps, func(v float64, i, j, q int) float64 {
+					if left {
+						return op.Eval(cell(i, j, q), v)
+					}
+					return op.Eval(v, cell(i, j, q))
+				})
+			}
+		}
+		want := make([]float64, len(vals))
+		for i := 0; i < rows; i++ {
+			for q := mask.RowPtr[i]; q < mask.RowPtr[i+1]; q++ {
+				v := vals[q]
+				for _, step := range steps {
+					v = step(v, i, mask.Col[q], q)
+				}
+				want[q] = flush(v * mask.Val[q])
+			}
+		}
+		for _, threads := range []int{1, 3} {
+			got, pool := slices.Clone(vals), parallel.New(threads, 1)
+			passes.Run(pool, mask, got)
+			if !sameBits(NewDenseData(1, len(got), got), NewDenseData(1, len(want), want)) {
+				t.Fatalf("trial %d, %d threads: the passes differ from the per-value path", trial, threads)
+			}
+			if threads > 1 && pool.Stats().ParallelCalls == 0 {
+				t.Fatalf("the passes never split at %d threads", threads)
+			}
+		}
+	}
+}
+
 // TestStripInPlaceAliasing puts the Owned block, which the result is stored
 // into, in every operand position: the result must be the cell-by-cell one
 // bit for bit, stored in the owned block, at every thread count, and no other
@@ -698,12 +775,14 @@ func BenchmarkChain(b *testing.B) {
 		x := RandomSparse(benchBlock, benchBlock, d, 1, 5, 4)
 		vals := make([]float64, x.NNZ())
 		logf, _ := UnaryFunc("log")
-		eps := ScalarFn(Add, 1e-3, false)
+		var passes MaskedChain
+		passes.Scalar(Add, 1e-3, false)
+		passes.Unary(logf)
 		benchKernel(b, fmt.Sprintf("masked/x*log(v+eps)/d=%g", d), x.SizeBytes()+8*int64(len(vals)), 12*int64(len(vals)), func() {
 			for q := range vals {
 				vals[q] = 0.5
 			}
-			MaskedStore(nil, x, vals, func(_, _, q int) float64 { return logf(eps(vals[q])) * x.Val[q] })
+			passes.Run(nil, x, vals)
 		})
 	}
 }

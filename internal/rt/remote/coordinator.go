@@ -604,13 +604,16 @@ func (c *Coordinator) StageCacheGen() uint64 { return c.local.StageCacheGen() }
 func (c *Coordinator) TaskCache(taskID int) *blockcache.Cache { return nil }
 
 // InvalidateStaleEpochs implements rt.BlockCacher: every worker whose
-// advertised residency includes entries for node with a different epoch gets
-// a msgCacheInv push, and those ledger entries are pruned. Correctness never
+// advertised residency includes entries for node with an older epoch gets a
+// msgCacheInv push, and those ledger entries are pruned. Correctness never
 // depends on the push (epochs are globally unique, so stale keys cannot be
-// hit); it only reclaims worker memory promptly.
+// hit); it only reclaims worker memory promptly. Nor do hit counts depend on
+// when a worker applies it — the push is not acknowledged — because it drops
+// older epochs only, never what a later stage cached in the meantime
+// (blockcache.InvalidateStale).
 func (c *Coordinator) InvalidateStaleEpochs(node int, epoch uint64) {
 	stale := c.ledger.Collect(func(id int, k blockcache.Key) bool {
-		return k.Node == node && k.Epoch != epoch
+		return k.Node == node && k.Epoch < epoch
 	})
 	for id, keys := range stale {
 		for _, k := range keys {

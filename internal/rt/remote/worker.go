@@ -536,8 +536,10 @@ func (w *Worker) controlLoop(conn net.Conn) {
 		case msgCacheInv:
 			// Coordinator push: a binding was rebound, drop its stale
 			// blocks. No reply — the heartbeat channel stays request/response
-			// clean, and correctness never depends on the drop (epochs are
-			// globally unique, so stale entries can't be hit anyway).
+			// clean, and neither correctness nor hit counts depend on when
+			// the drop happens (epochs are globally unique, so stale entries
+			// can't be hit, and only older epochs are dropped, so blocks a
+			// later stage has cached by now stay).
 			inv, err := spec.DecodeCacheInvalidate(payload)
 			if err != nil {
 				return

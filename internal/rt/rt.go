@@ -67,8 +67,8 @@ type BlockCacher interface {
 	// runs on, or nil when the cache is not reachable in-process (the TCP
 	// coordinator's caches live inside remote workers).
 	TaskCache(taskID int) *blockcache.Cache
-	// InvalidateStaleEpochs drops cached blocks of node whose epoch differs
-	// from epoch, on every node/worker.
+	// InvalidateStaleEpochs drops cached blocks of node whose epoch is older
+	// than epoch, on every node/worker.
 	InvalidateStaleEpochs(node int, epoch uint64)
 }
 

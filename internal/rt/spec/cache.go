@@ -27,7 +27,7 @@ type CacheAdvert struct {
 func (a *CacheAdvert) Empty() bool { return len(a.Added) == 0 && len(a.Evicted) == 0 }
 
 // CacheInvalidate is a coordinator → worker order to drop every cached block
-// of Node whose epoch differs from Epoch (Epoch 0: drop all of Node's
+// of Node whose epoch is older than Epoch (Epoch 0: drop all of Node's
 // blocks).
 type CacheInvalidate struct {
 	Node  int
