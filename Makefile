@@ -15,11 +15,14 @@ fmtcheck:
 ## here, not in the benchmark driver. The arm64 pass type-checks the kernels'
 ## portable twins and non-amd64 stubs against their callers (asmdecl checks
 ## the amd64 assembly against its declarations in the normal pass), so a
-## changed assembly signature cannot leave them behind
+## changed assembly signature cannot leave them behind; the ppc64 pass does
+## the same for the FME1 codec's word-by-word twin, which only a big-endian or
+## 32-bit target compiles
 vet:
 	$(GO) vet ./...
 	$(GO) -C bench vet ./...
 	GOARCH=arm64 $(GO) vet ./internal/matrix ./internal/exec
+	GOARCH=ppc64 $(GO) vet ./internal/matrix
 
 ## docscheck: every package must carry a package-level doc comment
 docscheck:
@@ -31,9 +34,10 @@ build:
 ## race: every test under the race detector with a coverage profile, then
 ## the one test that needs the kernelcount tag (the assembly kernels are the
 ## path at the benchmark's block shapes; the tag compiles call counters in),
-## the kernel and fused-task micro-benchmarks, the two observability
-## overhead guards (disabled fast path, journal < 2 %) and the FME1 wire
-## benchmark (codec and loopback-socket arms) once each so they cannot rot
+## the kernel and fused-task micro-benchmarks (BenchmarkUnaryStrip among
+## them), the two observability overhead guards (disabled fast path,
+## journal < 2 %) and the FME1 wire benchmark (codec and loopback-socket
+## arms) once each so they cannot rot
 race:
 	$(GO) test -race -count=1 -coverprofile=coverage.out -covermode=atomic ./...
 	$(GO) test -tags kernelcount -run FastPathIsThePath ./internal/matrix

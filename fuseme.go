@@ -732,20 +732,21 @@ func (s *Session) compile(script string) (*compiled, error) {
 	}
 	canon := plancache.Canonicalize(g)
 	key := canon.Key + "|" + s.planFingerprint()
-	if hit, ok := s.planCache.c.Lookup(key, canon); ok {
+	// Sessions that meet one cold key together compile it once: the others
+	// wait for that plan and count as hits.
+	hit, ok, err := s.planCache.c.Get(key, canon, func() (*core.PhysPlan, error) { return s.engine.Compile(g, cc) })
+	if err != nil {
+		return nil, err
+	}
+	if ok {
 		s.lastPlanHit = true
 		s.obs.Counter(obs.MPlanCacheHits).Inc()
 		return &compiled{pp: hit.PP, rtm: rtm, inNames: hit.InputNames, outNames: hit.OutputNames, cacheHit: true}, nil
 	}
-	pp, err := s.engine.Compile(g, cc)
-	if err != nil {
-		return nil, err
-	}
-	s.planCache.c.Insert(key, canon, pp)
 	s.obs.Counter(obs.MPlanCacheMisses).Inc()
 	_, _, entries := s.planCache.c.Stats()
 	s.obs.Gauge(obs.MPlanCacheEntries).Set(float64(entries))
-	return &compiled{pp: pp, rtm: rtm}, nil
+	return &compiled{pp: hit.PP, rtm: rtm}, nil
 }
 
 // Query parses and executes a script, returning its named outputs. The

@@ -274,20 +274,20 @@ func (g *Graph) Scalar(v float64) *Node {
 func (g *Graph) Unary(fn string, in *Node) *Node {
 	// Constant folding: f(scalar) -> scalar.
 	if in.Op == OpScalar {
-		if f, ok := matrix.UnaryFunc(fn); ok {
-			return g.Scalar(f(in.Scalar))
+		if u, ok := matrix.UnaryFunc(fn); ok {
+			return g.Scalar(u.F(in.Scalar))
 		}
 	}
 	// neg(neg(x)) -> x.
 	if fn == "neg" && in.Op == OpUnary && in.Func == "neg" {
 		return in.Inputs[0]
 	}
-	f, ok := matrix.UnaryFunc(fn)
+	u, ok := matrix.UnaryFunc(fn)
 	if !ok {
 		panic(fmt.Sprintf("dag: unknown unary function %q", fn))
 	}
 	sp := 1.0
-	if f(0) == 0 {
+	if u.F(0) == 0 {
 		sp = in.Sparsity
 	}
 	return g.add(&Node{Op: OpUnary, Func: fn, Inputs: []*Node{in},

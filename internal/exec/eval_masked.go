@@ -53,8 +53,8 @@ func (c *chain) operand(n *dag.Node) matrix.Value {
 // node compiles the member element-wise node n.
 func (c *chain) node(n *dag.Node) matrix.Value {
 	if n.Op == dag.OpUnary {
-		f, _ := matrix.UnaryFunc(n.Func)
-		return c.Unary(f, matrix.UnaryFlops(n.Func), c.operand(n.Inputs[0]))
+		u, _ := matrix.UnaryFunc(n.Func)
+		return c.Unary(u, matrix.UnaryFlops(n.Func), c.operand(n.Inputs[0]))
 	}
 	a, b := n.Inputs[0], n.Inputs[1]
 	switch {
@@ -107,8 +107,8 @@ func (ev *evaluator) maskedPasses(passes *matrix.MaskedChain, n *dag.Node, bi, b
 		return 0
 	case n.Op == dag.OpUnary:
 		flops := ev.maskedPasses(passes, n.Inputs[0], bi, bj)
-		f, _ := matrix.UnaryFunc(n.Func)
-		passes.Unary(f)
+		u, _ := matrix.UnaryFunc(n.Func)
+		passes.Unary(u)
 		return flops + matrix.UnaryFlops(n.Func)
 	case n.Op == dag.OpBinary:
 		inner, other, otherOnLeft := n.Inputs[0], n.Inputs[1], false

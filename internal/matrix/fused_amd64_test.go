@@ -15,12 +15,14 @@ import (
 
 // TestFusedTaskPortableKernels is the portable arm of the executor's
 // TestFusedTaskThreadInvariance, which cannot reach the dispatch flag from
-// its package: the GNMF update U * (t(V) %*% X) / ((t(W) %*% V) %*% U) and the
-// NMF kernel X * log(V %*% t(F) + eps), planned as one fused operator each
-// and run through the executor on 128-wide blocks — GEMM, SDDMM, both axpy
-// kernels, dense strips and masked passes — give, with the assembly kernels
-// off and 1, 2 and 4 kernel threads, the bits the assembly kernels give. So
-// the portable twins run end to end on the machine that runs the tests.
+// its package: the GNMF update U * (t(V) %*% X) / ((t(W) %*% V) %*% U), the
+// NMF kernel X * log(V %*% t(F) + eps) and the AutoEncoder layer
+// sigmoid(V %*% U - 16 + b), planned as one fused operator each and run
+// through the executor on 128-wide blocks — GEMM, SDDMM, both axpy kernels,
+// dense strips and masked passes, the log and sigmoid strip kernels — give,
+// with the assembly kernels off and 1, 2 and 4 kernel threads, the bits the
+// assembly kernels give. So the portable twins run end to end on the machine
+// that runs the tests.
 func TestFusedTaskPortableKernels(t *testing.T) {
 	if !matrix.HasAssembly() {
 		t.Skip("CPU lacks AVX or FMA3: the portable kernels are the only ones")
@@ -32,6 +34,7 @@ func TestFusedTaskPortableKernels(t *testing.T) {
 		"V": matrix.RandomDense(users, k, 0.1, 0.9, 3),
 		"W": matrix.RandomDense(users, k, 0.1, 0.9, 3),
 		"F": matrix.RandomDense(items, k, 0.1, 0.9, 4),
+		"B": matrix.RandomDense(users, 1, -1, 1, 5),
 	}
 	builds := map[string]func(g *dag.Graph, in map[string]*dag.Node) *dag.Node{
 		"gnmf-update": func(g *dag.Graph, in map[string]*dag.Node) *dag.Node {
@@ -41,6 +44,10 @@ func TestFusedTaskPortableKernels(t *testing.T) {
 		"nmf-kernel": func(g *dag.Graph, in map[string]*dag.Node) *dag.Node {
 			mm := g.MatMul(in["V"], g.Transpose(in["F"]))
 			return g.Binary(matrix.Mul, in["X"], g.Unary("log", g.Binary(matrix.Add, mm, g.Scalar(1e-3))))
+		},
+		"ae-layer": func(g *dag.Graph, in map[string]*dag.Node) *dag.Node {
+			mm := g.MatMul(in["V"], in["U"])
+			return g.Unary("sigmoid", g.Binary(matrix.Add, g.Binary(matrix.Sub, mm, g.Scalar(16)), in["B"]))
 		},
 	}
 	for name, build := range builds {

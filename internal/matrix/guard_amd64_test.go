@@ -34,11 +34,12 @@ func guardedCopy[T float64 | int](t *testing.T, src []T) []T {
 	return dst
 }
 
-// TestAssemblyStaysInBounds runs the three assembly kernels on operands each
-// of which ends at an unreadable page — the last a and bt rows, the values
+// TestAssemblyStaysInBounds runs the assembly kernels on operands each of
+// which ends at an unreadable page — the last a and bt rows, the values
 // buffer, the pattern's Col (the SDDMM's prefetch looks one position ahead
-// and must not read Col[nnz]), axpy's vectors at every length, GEMM tiles
-// with every edge — and requires the results of ordinary memory.
+// and must not read Col[nnz]), axpy's vectors and the unary strips at every
+// length, GEMM tiles with every edge — and requires the results of ordinary
+// memory.
 func TestAssemblyStaysInBounds(t *testing.T) {
 	if !hasAVX {
 		t.Skip("CPU lacks AVX or FMA3")
@@ -74,6 +75,21 @@ func TestAssemblyStaysInBounds(t *testing.T) {
 		axpy(gdst, 1.5, guardedCopy(t, x))
 		if !sameFloats(gdst, dst) {
 			t.Errorf("axpy, n=%d: guarded operands give other values", n)
+		}
+	}
+
+	for _, k := range stripKernels {
+		u := unaryFuncs[k.name]
+		odd := func(rng *rand.Rand) float64 { return k.edges[rng.Intn(len(k.edges))] }
+		for n := 0; n <= 70; n++ {
+			src := specialFrom(rng, make([]float64, n), k.ordinary, odd)
+			want, got, in := make([]float64, n), guarded[float64](t, n), guardedCopy(t, src)
+			u.Strip(want, src)
+			u.Strip(got, guardedCopy(t, src))
+			u.Strip(in, in)
+			if !sameFloats(got, want) || !sameFloats(in, want) {
+				t.Errorf("%s, n=%d: guarded operands give other values", k.name, n)
+			}
 		}
 	}
 

@@ -83,21 +83,6 @@ func AppendTo(dst []byte, m Mat) []byte {
 	return dst
 }
 
-func putFloats(b []byte, v []float64) {
-	for _, f := range v {
-		binary.LittleEndian.PutUint64(b, math.Float64bits(f))
-		b = b[8:]
-	}
-}
-
-func putInts(b []byte, v []int) []byte {
-	for _, x := range v {
-		binary.LittleEndian.PutUint64(b, uint64(x))
-		b = b[8:]
-	}
-	return b
-}
-
 // Decode parses one FME1 matrix that occupies data exactly. The result owns
 // its memory: nothing in it aliases data, so the caller may reuse the buffer
 // at once.
@@ -183,21 +168,6 @@ func isProduct(n, a, b int) bool {
 		return n == 0
 	}
 	return b <= n/a && a*b == n
-}
-
-func getFloats(dst []float64, b []byte) {
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b))
-		b = b[8:]
-	}
-}
-
-func getInts(dst []int, b []byte) []byte {
-	for i := range dst {
-		dst[i] = int(binary.LittleEndian.Uint64(b))
-		b = b[8:]
-	}
-	return b
 }
 
 // WriteTo serialises m to w in the FME1 binary format, as one Write.

@@ -10,8 +10,10 @@ import "testing"
 // SDDMM of a 256x256 mask block at density 0.005 against 256x64 factor
 // blocks is one kernel call per row range; the dense x CSR and CSR x dense
 // products of those blocks are one assembly axpy per stored value; a 128x128
-// dense product is one assembly tile per (i, k, j) tile and nothing beside.
-// With the assembly switched off, nothing is counted.
+// dense product is one assembly tile per (i, k, j) tile and nothing beside;
+// the NMF kernel's log pass over that mask block's values is one strip kernel
+// call, the AutoEncoder's sigmoid over a 128x128 block one per row. With the
+// assembly switched off, nothing is counted.
 func TestFastPathIsThePath(t *testing.T) {
 	mask := RandomSparse(benchBlock, benchBlock, 0.005, 1, 5, 4)
 	u, v := RandomDense(benchBlock, benchK, 0.1, 0.9, 5), RandomDense(benchBlock, benchK, 0.1, 0.9, 6)
@@ -27,14 +29,25 @@ func TestFastPathIsThePath(t *testing.T) {
 		counts[kernelAxpy] = kernelCalls[kernelAxpy].Load()
 		MatMulAccWith(nil, NewDense(128, 128), a, b)
 		counts[kernelGEMM] = kernelCalls[kernelGEMM].Load()
+		var passes MaskedChain
+		passes.Scalar(Add, 1e-3, false)
+		passes.Unary(unaryFuncs["log"])
+		passes.Run(nil, mask, make([]float64, mask.NNZ()))
+		counts[kernelLog] = kernelCalls[kernelLog].Load()
+		c := &Chain{Rows: 128, Cols: 128}
+		c.Materialise(nil, c.Unary(unaryFuncs["sigmoid"], 10, c.Binary(Add, c.Owned(a.Clone()), c.Leaf(b))))
+		counts[kernelSigmoid] = kernelCalls[kernelSigmoid].Load()
 		return counts
 	}
-	want := [numKernels]int64{kernelGEMM: (128 / tileI) * (128 / tileK) * (128 / tileJ), kernelSDDMM: 1, kernelAxpy: 2 * int64(mask.NNZ())}
+	want := [numKernels]int64{
+		kernelGEMM: (128 / tileI) * (128 / tileK) * (128 / tileJ), kernelSDDMM: 1, kernelAxpy: 2 * int64(mask.NNZ()),
+		kernelLog: 1, kernelSigmoid: 128,
+	}
 	if !hasAVX {
 		want = [numKernels]int64{}
 	}
 	if got := run(); got != want {
-		t.Errorf("assembly kernel calls (gemm, sddmm, axpy) = %v, want %v", got, want)
+		t.Errorf("assembly kernel calls (gemm, sddmm, axpy, log, exp, sigmoid) = %v, want %v", got, want)
 	}
 	if hasAVX {
 		portably(func() {

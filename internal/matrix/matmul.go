@@ -23,11 +23,14 @@ const (
 // row-parallel sparse and masked kernels.
 const rowGrain = 16
 
-// The three kernels that have an assembly form, as countKernel names them.
+// The kernels that have an assembly form, as countKernel names them.
 const (
 	kernelGEMM = iota
 	kernelSDDMM
 	kernelAxpy
+	kernelLog
+	kernelExp
+	kernelSigmoid
 	numKernels
 )
 

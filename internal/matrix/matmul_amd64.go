@@ -2,14 +2,16 @@
 
 package matrix
 
-// hasAVX reports whether the assembly kernels can run: the CPU has AVX and
-// FMA3 and the OS saves YMM state — checked once at init via CPUID/XGETBV. It
-// is the only dispatch flag, and a var (not const) so tests can force the
-// portable twins and compare the two forms of each kernel.
+// hasAVX reports whether the assembly kernels can run: the CPU has AVX, FMA3
+// and AVX2 (the strip kernels' integer lanes) and the OS saves YMM state —
+// checked once at init via CPUID/XGETBV. It is the only dispatch flag, so an
+// AVX + FMA3 CPU without AVX2 (AMD Piledriver) runs the portable form of the
+// product kernels too, which need none. A var (not const) so tests can force
+// the portable forms and compare the two forms of each kernel.
 var hasAVX = cpuidAVX()
 
-// cpuidAVX reports AVX + FMA3 + OSXSAVE support with YMM state enabled by the
-// OS. Implemented in matmul_amd64.s.
+// cpuidAVX reports AVX + FMA3 + AVX2 + OSXSAVE support with YMM state enabled
+// by the OS. Implemented in matmul_amd64.s.
 func cpuidAVX() bool
 
 // microAVX4x8 accumulates the 4x8 output block at out over kn steps:

@@ -2,9 +2,14 @@
 
 // func cpuidAVX() bool
 //
-// AVX (CPUID.1:ECX bit 28) and FMA3 (bit 12), with OSXSAVE (bit 27) and the
-// OS saving XMM and YMM state (XCR0 bits 1 and 2).
+// AVX (CPUID.1:ECX bit 28), FMA3 (bit 12) and AVX2 (CPUID.7.0:EBX bit 5),
+// with OSXSAVE (CPUID.1:ECX bit 27) and the OS saving XMM and YMM state (XCR0
+// bits 1 and 2).
 TEXT ·cpuidAVX(SB), NOSPLIT, $0-1
+	MOVL	$0, AX
+	CPUID
+	CMPL	AX, $7
+	JLT	noavx
 	MOVL	$1, AX
 	MOVL	$0, CX
 	CPUID
@@ -12,6 +17,11 @@ TEXT ·cpuidAVX(SB), NOSPLIT, $0-1
 	ANDL	$(1<<12 | 1<<27 | 1<<28), BX
 	CMPL	BX, $(1<<12 | 1<<27 | 1<<28)
 	JNE	noavx
+	MOVL	$7, AX
+	MOVL	$0, CX
+	CPUID
+	TESTL	$(1<<5), BX
+	JZ	noavx
 	MOVL	$0, CX
 	XGETBV
 	ANDL	$6, AX

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // portably runs fn with the assembly kernels switched off.
@@ -33,18 +34,17 @@ func sameFloats(a, b []float64) bool {
 // special fills s with ordinary values in [-1, 1) and — in one call of three
 // not at all, in one rarely, in one every fourth value, so that both exact
 // sums and saturated ones are compared — values where a wrong instruction
-// shows: signed zeros, subnormals, values whose products overflow, underflow
-// or lose bits to a second rounding, infinities and NaN.
+// shows (oddValues).
 func special(rng *rand.Rand, s []float64) []float64 {
-	odd := []float64{
-		0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1040,
-		0x1p-600, 0x1p600, -0x1p600, 1 + 0x1p-52, 1 - 0x1p-53, math.MaxFloat64,
-		math.Inf(1), math.Inf(-1), math.NaN(),
-	}
+	return specialFrom(rng, s, func(rng *rand.Rand) float64 { return 2*rng.Float64() - 1 }, func(rng *rand.Rand) float64 { return oddValues[rng.Intn(len(oddValues))] })
+}
+
+// specialFrom is special over other draws of ordinary and odd values.
+func specialFrom(rng *rand.Rand, s []float64, ordinary, odd func(*rand.Rand) float64) []float64 {
 	every := []int{0, 32, 4}[rng.Intn(3)]
 	for i := range s {
-		if s[i] = 2*rng.Float64() - 1; every > 0 && rng.Intn(every) == 0 {
-			s[i] = odd[rng.Intn(len(odd))]
+		if s[i] = ordinary(rng); every > 0 && rng.Intn(every) == 0 {
+			s[i] = odd(rng)
 		}
 	}
 	return s
@@ -57,7 +57,7 @@ func within(rng *rand.Rand, n, off int) []float64 {
 	return special(rng, make([]float64, off+n+9))[off : off+n : off+n]
 }
 
-// TestAVXMatchesScalar holds each of the three kernels to one arithmetic: the
+// TestAVXMatchesScalar holds each of the assembly kernels to one arithmetic: the
 // assembly form and its portable twin, run on the same operands — ordinary
 // and special values, every tail length, operands that are windows of larger
 // arrays — must give the same bits.
@@ -143,6 +143,58 @@ func TestAVXMatchesScalar(t *testing.T) {
 			}
 		}
 	})
+
+	// The strip kernels: every length, windows at each 8-byte phase of a
+	// 32-byte line, out of place and in place (the masked pass rewrites its
+	// values buffer), operands in special's regimes plus each kernel's edges.
+	// Compared by bit pattern, NaN payloads too — log and exp return a NaN
+	// operand itself — against the registered scalar form, which is also what
+	// the strip runs with the assembly off.
+	t.Run("unary", func(t *testing.T) {
+		for _, k := range stripKernels {
+			u := unaryFuncs[k.name]
+			odd := func(rng *rand.Rand) float64 {
+				if rng.Intn(2) == 0 {
+					return k.edges[rng.Intn(len(k.edges))]
+				}
+				return oddValues[rng.Intn(len(oddValues))]
+			}
+			for n := 0; n <= 70; n++ {
+				for phase := 0; phase < 4; phase++ {
+					src, _, _ := phased(n, phase)
+					specialFrom(rng, src, k.ordinary, odd)
+					dst, whole, off := phased(n, (phase+n)%4)
+					special(rng, whole)
+					before := append([]float64(nil), whole...)
+					u.Strip(dst, src)
+					in := append(src[:0:0], src...)
+					u.Strip(in, in)
+					for i, x := range src {
+						if w := math.Float64bits(u.F(x)); math.Float64bits(dst[i]) != w || math.Float64bits(in[i]) != w {
+							t.Fatalf("%s(%v), n=%d phase=%d: scalar form %x, assembly %x, assembly in place %x", k.name, x, n, phase, w, math.Float64bits(dst[i]), math.Float64bits(in[i]))
+						}
+					}
+					for i := range whole {
+						if (i < off || i >= off+n) && math.Float64bits(whole[i]) != math.Float64bits(before[i]) {
+							t.Fatalf("%s, n=%d phase=%d: the kernel wrote outside its destination", k.name, n, phase)
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// phased returns an n-long window of a fresh array that starts phase*8 bytes
+// into a 32-byte line, the array, which extends past both ends, and the
+// window's offset in it.
+func phased(n, phase int) (win, whole []float64, off int) {
+	whole = make([]float64, n+12)
+	off = 4
+	for (uintptr(unsafe.Pointer(&whole[off]))/8)%4 != uintptr(phase) {
+		off++
+	}
+	return whole[off : off+n : off+n], whole, off
 }
 
 // TestDotIsFourPartialSums pins the SDDMM's arithmetic itself, against a
@@ -168,5 +220,33 @@ func TestDotIsFourPartialSums(t *testing.T) {
 		if !sameFloats(asm, want) || !sameFloats(twin, want) {
 			t.Errorf("k=%d: dot = %v (assembly on), %v (off); four partial sums give %v", k, asm[0], twin[0], want[0])
 		}
+	}
+}
+
+// BenchmarkUnaryStrip times log, exp and sigmoid over a 4096-value strip, in
+// ns per value: the assembly kernel, and the strip with the assembly off —
+// the scalar form called through the registry's function value once per
+// value, which is what a strip cost before it had kernels.
+func BenchmarkUnaryStrip(b *testing.B) {
+	const n = 4096
+	rng := rand.New(rand.NewSource(23))
+	for _, k := range stripKernels {
+		u := unaryFuncs[k.name]
+		src, dst := make([]float64, n), make([]float64, n)
+		for i := range src {
+			if src[i] = 40*rng.Float64() - 20; k.name == "log" {
+				src[i] = 0.001 + 10*rng.Float64()
+			}
+		}
+		arm := func(name string, fn func()) {
+			b.Run(k.name+"/"+name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					fn()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/value")
+			})
+		}
+		arm("assembly", func() { u.Strip(dst, src) })
+		arm("portable", func() { portably(func() { u.Strip(dst, src) }) })
 	}
 }

@@ -19,3 +19,15 @@ func sddmmAVX(rowPtr, col *int, rLo, rHi, nnz int, a, bt, acc *float64, k int) {
 func axpyAVX(dst, x *float64, n int, s float64) {
 	panic("matrix: AVX kernel called on non-amd64")
 }
+
+func logAVX(dst, src *float64, n int) int {
+	panic("matrix: AVX kernel called on non-amd64")
+}
+
+func expAVX(dst, src *float64, n int) int {
+	panic("matrix: AVX kernel called on non-amd64")
+}
+
+func sigmoidAVX(dst, src *float64, n int) int {
+	panic("matrix: AVX kernel called on non-amd64")
+}

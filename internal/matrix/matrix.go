@@ -16,20 +16,25 @@
 // threads, and its size is chosen so kernel threads x worker slots stays at
 // or below NumCPU (see internal/parallel).
 //
-// One arithmetic per kernel. The three inner loops have an assembly form on
+// One arithmetic per kernel. The three product loops have an assembly form on
 // amd64 (matmul_amd64.s) and a portable Go twin that computes the same bits,
-// selected by hasAVX — AVX, FMA3 and OS YMM state; nothing else dispatches.
-// Dense GEMM is fused multiply-add: every output element has one accumulator
-// that takes acc = fma(a, b, acc), k ascending, and is added to the output
-// once per k-tile (microAVX4x8; micro4x4 and edgeTile through math.FMA, which
-// is the hardware instruction on amd64 with FMA3 and on arm64, and exact
-// software on an older x86 — identical and slow). The dense SDDMM (sddmmAVX;
-// dot) is four interleaved partial sums, each step a rounded multiply then an
-// add, combined pairwise as (s0+s1)+(s2+s3); axpy (axpyAVX; the loop in
-// axpy), under the CSR x dense and dense x CSR kernels, is a rounded multiply
-// then an add per element. NaN payloads aside, results are therefore equal
-// bit for bit between assembly and portable forms, strips and edges, thread
-// counts and machines.
+// selected by hasAVX — AVX, FMA3, AVX2 and OS YMM state; nothing else
+// dispatches. Dense GEMM is fused multiply-add: every output element has one
+// accumulator that takes acc = fma(a, b, acc), k ascending, and is added to
+// the output once per k-tile (microAVX4x8; micro4x4 and edgeTile through
+// math.FMA, which is the hardware instruction on amd64 with FMA3 and on
+// arm64, and exact software on an older x86 — identical and slow). The dense
+// SDDMM (sddmmAVX; dot) is four interleaved partial sums, each step a rounded
+// multiply then an add, combined pairwise as (s0+s1)+(s2+s3); axpy (axpyAVX;
+// the loop in axpy), under the CSR x dense and dense x CSR kernels, is a
+// rounded multiply then an add per element. NaN payloads aside, their results
+// are therefore equal bit for bit between assembly and portable forms, strips
+// and edges, thread counts and machines. log, exp and sigmoid are what the
+// machine's math.Log and math.Exp are; under the same flag a strip of them
+// runs an assembly kernel (unary_amd64.s: logAVX, expAVX, sigmoidAVX, four
+// values per step) in the recurrences math runs on amd64 with FMA3, so with
+// the same bits, and without it calls math per value (withKernel in unary.go
+// has the fast ranges and who finishes a value outside them).
 //
 // Ownership: a block is immutable once it has been published — bound as an
 // input, emitted by a task, memoised, pinned or cached. No kernel writes into
@@ -46,7 +51,8 @@
 // internal/ref is built on them — and one-step instances of Chain, which the
 // executor (internal/exec) uses to compile a whole run of operators without
 // the intermediates. A chain's expression has two forms that agree bit for
-// bit: strips — one call per operator per row, tight loops over the row —
+// bit: strips — one call per operator per row, tight loops over the row (a
+// registered unary function brings its own strip form, UnaryFn) —
 // write a dense result over row-major operands; cells — one call per operator
 // per cell — serve the pattern walks of sparse steps and a dense result with
 // a CSR operand. The masked (outer-fusion) path is a MaskedChain: in-place

@@ -250,8 +250,10 @@ func (c *Chain) onPattern(s *CSR, flops int64, dropZeros bool, g func(v float64,
 	return c.Leaf(out)
 }
 
-// apply compiles f(x). A zero-preserving f keeps a sparse pattern.
-func (c *Chain) apply(f func(float64) float64, flops int64, x Value, dropZeros bool) Value {
+// apply compiles u(x). A zero-preserving u keeps a sparse pattern. The strip
+// form of a dense result is one call of u over the row.
+func (c *Chain) apply(u UnaryFn, flops int64, x Value, dropZeros bool) Value {
+	f := u.F
 	s := x.sparse()
 	switch {
 	case f(0) != 0 || (s == nil && !x.IsZero()):
@@ -261,9 +263,7 @@ func (c *Chain) apply(f func(float64) float64, flops int64, x Value, dropZeros b
 		v := Value{cell: func(i, j, p int) float64 { return f(xc(i, j, p)) }, strips: x.strips}
 		if xr != nil {
 			v.row = func(i int, dst, scratch []float64) []float64 {
-				for j, u := range xr(i, dst, scratch)[:len(dst)] {
-					dst[j] = f(u)
-				}
+				u.over(dst, xr(i, dst, scratch))
 				return dst
 			}
 		}
@@ -274,16 +274,16 @@ func (c *Chain) apply(f func(float64) float64, flops int64, x Value, dropZeros b
 	return c.onPattern(s, flops, dropZeros, func(v float64, _, _, _ int) float64 { return f(v) })
 }
 
-// Unary compiles f(x) at flops per touched cell. A sparse x under a
-// zero-preserving f keeps its pattern, explicit zeros included.
-func (c *Chain) Unary(f func(float64) float64, flops int64, x Value) Value {
-	return c.apply(f, flops, x, false)
+// Unary compiles u(x) at flops per touched cell. A sparse x under a
+// zero-preserving u keeps its pattern, explicit zeros included.
+func (c *Chain) Unary(u UnaryFn, flops int64, x Value) Value {
+	return c.apply(u, flops, x, false)
 }
 
 // Scalar compiles op(x, s), or op(s, x) when left. A sparse x under a
 // zero-preserving operation keeps its pattern, minus zero results.
 func (c *Chain) Scalar(op BinOp, x Value, s float64, left bool) Value {
-	return c.apply(ScalarFn(op, s, left), op.Flops(), x, true)
+	return c.apply(UnaryFn{F: ScalarFn(op, s, left)}, op.Flops(), x, true)
 }
 
 // ScalarFn returns x -> op(x, s), or x -> op(s, x) when left.
@@ -319,7 +319,7 @@ func (c *Chain) Binary(op BinOp, a, b Value) Value {
 	case zb && (op == Add || op == Sub):
 		return full(a)
 	case za && op == Sub:
-		return c.apply(func(x float64) float64 { return x * -1 }, 1, full(b), true)
+		return c.apply(UnaryFn{F: func(x float64) float64 { return x * -1 }}, 1, full(b), true)
 	case a.vector || b.vector: // broadcasting always yields a dense block
 	case op == Mul && sa != nil:
 		return c.onPattern(sa, flops, true, func(v float64, i, j, p int) float64 { return v * bc(i, j, p) })
@@ -510,10 +510,10 @@ func (c *Chain) Materialise(p *parallel.Pool, x Value) Mat {
 // position of the driver block mask — the masked product, or nothing yet when
 // the first pass is Sample — and Run rewrites it in place, pass by pass,
 // into the output block's values. Each pass is one loop over a run of vals,
-// so an operator costs one call per p.For chunk and, for a unary function,
-// one per value; every value still sees the operators' scalar operations in
-// chain order. The zero MaskedChain is the empty path: Run then only
-// multiplies by the driver.
+// so an operator costs one call per p.For chunk — a unary function without a
+// strip form, one per value; every value still sees the operators' scalar
+// operations in chain order. The zero MaskedChain is the empty path: Run then
+// only multiplies by the driver.
 type MaskedChain struct {
 	passes []maskedPass
 }
@@ -521,17 +521,17 @@ type MaskedChain struct {
 // maskedPass is one step of a MaskedChain.
 type maskedPass struct {
 	kind passKind
-	f    func(float64) float64 // passUnary
-	op   BinOp                 // passScalar, passBlock
-	s    float64               // passScalar
-	blk  Mat                   // passBlock, passSample; nil is an all-zero block
-	left bool                  // the scalar or block is op's left operand
+	left bool    // the scalar or block is op's left operand
+	u    UnaryFn // passUnary
+	op   BinOp   // passScalar, passBlock
+	s    float64 // passScalar
+	blk  Mat     // passBlock, passSample; nil is an all-zero block
 }
 
 type passKind uint8
 
 const (
-	passUnary  passKind = iota // v = f(v)
+	passUnary  passKind = iota // v = u(v)
 	passScalar                 // v = op(v, s)
 	passBlock                  // v = op(v, blk[i,j])
 	passSample                 // v = flush(blk[i,j])
@@ -544,9 +544,9 @@ func (m *MaskedChain) Sample(blk Mat) {
 	m.passes = append(m.passes, maskedPass{kind: passSample, blk: blk})
 }
 
-// Unary appends v = f(v).
-func (m *MaskedChain) Unary(f func(float64) float64) {
-	m.passes = append(m.passes, maskedPass{kind: passUnary, f: f})
+// Unary appends v = u(v).
+func (m *MaskedChain) Unary(u UnaryFn) {
+	m.passes = append(m.passes, maskedPass{kind: passUnary, u: u})
 }
 
 // Scalar appends v = op(v, s), or op(s, v) when left.
@@ -583,9 +583,7 @@ func (m *MaskedChain) Run(p *parallel.Pool, mask *CSR, vals []float64) {
 		for _, ps := range m.passes {
 			switch ps.kind {
 			case passUnary:
-				for q, v := range run {
-					run[q] = ps.f(v)
-				}
+				ps.u.over(run, run)
 			case passScalar:
 				combineScalar(ps.op, run, ps.s, ps.left)
 			case passBlock:
@@ -698,24 +696,25 @@ func BinaryScalar(op BinOp, a Mat, s float64, scalarOnLeft bool) Mat {
 	return c.Materialise(nil, c.Scalar(op, c.Leaf(a), s, scalarOnLeft))
 }
 
-// unaryFuncs maps surface names to element-wise functions. "sq" is the ^2 of
-// the paper's weighted-squared-loss examples; "sigmoid" and "sigmoidGrad"
-// serve the AutoEncoder workload.
-var unaryFuncs = map[string]func(float64) float64{
-	"log":   math.Log,
-	"exp":   math.Exp,
-	"sqrt":  math.Sqrt,
-	"abs":   math.Abs,
-	"sin":   math.Sin,
-	"cos":   math.Cos,
-	"tanh":  math.Tanh,
-	"round": math.Round,
-	"floor": math.Floor,
-	"ceil":  math.Ceil,
-	"sq":    func(x float64) float64 { return x * x },
-	"neg":   func(x float64) float64 { return -x },
-	"recip": func(x float64) float64 { return 1 / x },
-	"sign": func(x float64) float64 {
+// unaryFuncs maps surface names to element-wise functions: the scalar form
+// and, for the three transcendentals the workloads run over whole blocks, a
+// strip form (unary.go). "sq" is the ^2 of the paper's weighted-squared-loss
+// examples; "sigmoid" and "sigmoidGrad" serve the AutoEncoder workload.
+var unaryFuncs = map[string]UnaryFn{
+	"log":   withKernel(math.Log, kernelLog, logAVX),
+	"exp":   withKernel(math.Exp, kernelExp, expAVX),
+	"sqrt":  {F: math.Sqrt},
+	"abs":   {F: math.Abs},
+	"sin":   {F: math.Sin},
+	"cos":   {F: math.Cos},
+	"tanh":  {F: math.Tanh},
+	"round": {F: math.Round},
+	"floor": {F: math.Floor},
+	"ceil":  {F: math.Ceil},
+	"sq":    {F: func(x float64) float64 { return x * x }},
+	"neg":   {F: func(x float64) float64 { return -x }},
+	"recip": {F: func(x float64) float64 { return 1 / x }},
+	"sign": {F: func(x float64) float64 {
 		switch {
 		case x > 0:
 			return 1
@@ -723,17 +722,17 @@ var unaryFuncs = map[string]func(float64) float64{
 			return -1
 		}
 		return 0
-	},
-	"relu":    func(x float64) float64 { return math.Max(0, x) },
-	"sigmoid": func(x float64) float64 { return 1 / (1 + math.Exp(-x)) },
+	}},
+	"relu":    {F: func(x float64) float64 { return math.Max(0, x) }},
+	"sigmoid": withKernel(func(x float64) float64 { return 1 / (1 + math.Exp(-x)) }, kernelSigmoid, sigmoidAVX),
 	// sigmoidGrad computes s*(1-s) for an already-activated value s.
-	"sigmoidGrad": func(s float64) float64 { return s * (1 - s) },
+	"sigmoidGrad": {F: func(s float64) float64 { return s * (1 - s) }},
 }
 
 // UnaryFunc returns the element-wise function registered under name.
-func UnaryFunc(name string) (func(float64) float64, bool) {
-	f, ok := unaryFuncs[name]
-	return f, ok
+func UnaryFunc(name string) (UnaryFn, bool) {
+	u, ok := unaryFuncs[name]
+	return u, ok
 }
 
 // UnaryFlops returns the flop cost charged per element for the named unary
@@ -751,16 +750,16 @@ func UnaryFlops(name string) int64 {
 // input keeps its sparse pattern; otherwise the result is dense.
 func Apply(f func(float64) float64, a Mat) Mat {
 	c := one(a, a)
-	return c.Materialise(nil, c.Unary(f, 0, c.Leaf(a)))
+	return c.Materialise(nil, c.Unary(UnaryFn{F: f}, 0, c.Leaf(a)))
 }
 
 // ApplyNamed evaluates the registered unary function name element-wise.
 func ApplyNamed(name string, a Mat) Mat {
-	f, ok := UnaryFunc(name)
+	u, ok := UnaryFunc(name)
 	if !ok {
 		panic(fmt.Sprintf("matrix: unknown unary function %q", name))
 	}
-	return Apply(f, a)
+	return Apply(u.F, a) // the scalar form: internal/ref's oracle stays clear of the strip kernels
 }
 
 // Scale returns s * a, preserving sparsity.

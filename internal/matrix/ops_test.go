@@ -268,7 +268,7 @@ func TestUnaryFuncRegistry(t *testing.T) {
 		t.Fatal("unknown function resolved")
 	}
 	sig, _ := UnaryFunc("sigmoid")
-	if math.Abs(sig(0)-0.5) > 1e-15 {
+	if math.Abs(sig.F(0)-0.5) > 1e-15 {
 		t.Fatal("sigmoid(0) != 0.5")
 	}
 	if UnaryFlops("sq") != 1 || UnaryFlops("log") != 10 {
@@ -568,9 +568,9 @@ func TestMaskedChainMatchesCells(t *testing.T) {
 			op, left := ops[rng.Intn(len(ops))], rng.Intn(2) == 0
 			switch rng.Intn(3) {
 			case 0:
-				f, _ := UnaryFunc(unaries[rng.Intn(len(unaries))])
-				passes.Unary(f)
-				steps = append(steps, func(v float64, _, _, _ int) float64 { return f(v) })
+				u, _ := UnaryFunc(unaries[rng.Intn(len(unaries))])
+				passes.Unary(u)
+				steps = append(steps, func(v float64, _, _, _ int) float64 { return u.F(v) })
 			case 1:
 				sc := []float64{0, 2, -1, 0.5}[rng.Intn(4)]
 				passes.Scalar(op, sc, left)

@@ -151,15 +151,24 @@ type entry struct {
 	outputs []string // the cached graph's output names, canonical order
 }
 
-// Cache is a concurrency-safe LRU plan cache.
+// Cache is a concurrency-safe LRU plan cache. Get compiles each cold key once
+// however many callers meet it at the same time.
 type Cache struct {
 	mu      sync.Mutex
 	max     int
 	entries map[string]*list.Element
-	order   *list.List // front = most recently used
+	order   *list.List         // front = most recently used
+	flights map[string]*flight // keys being compiled under Get
 
 	hits   atomic.Int64
 	misses atomic.Int64
+}
+
+// flight is one compile in progress. e and err are set before done closes.
+type flight struct {
+	done chan struct{}
+	e    *entry
+	err  error
 }
 
 // DefaultMaxEntries bounds the cache when no explicit size is given.
@@ -171,27 +180,14 @@ func New(maxEntries int) *Cache {
 	if maxEntries <= 0 {
 		maxEntries = DefaultMaxEntries
 	}
-	return &Cache{max: maxEntries, entries: map[string]*list.Element{}, order: list.New()}
+	return &Cache{max: maxEntries, entries: map[string]*list.Element{}, order: list.New(), flights: map[string]*flight{}}
 }
 
-// Lookup returns the cached plan for key, with rename maps aligning the
-// cached graph's names to canon's, and counts a hit or miss.
-func (c *Cache) Lookup(key string, canon Canon) (Hit, bool) {
-	c.mu.Lock()
-	el, ok := c.entries[key]
-	if ok {
-		c.order.MoveToFront(el)
-	}
-	c.mu.Unlock()
-	if !ok {
-		c.misses.Add(1)
-		return Hit{}, false
-	}
-	e := el.Value.(*entry)
+// hit aligns the cached graph's names to canon's. Identical keys imply
+// identical structure, so a length mismatch cannot happen; it reads as a miss
+// rather than mis-binding inputs.
+func (e *entry) hit(canon Canon) (Hit, bool) {
 	if len(e.inputs) != len(canon.Inputs) || len(e.outputs) != len(canon.Outputs) {
-		// Defensive: identical keys imply identical structure; treat any
-		// mismatch as a miss rather than mis-binding inputs.
-		c.misses.Add(1)
 		return Hit{}, false
 	}
 	h := Hit{
@@ -205,14 +201,91 @@ func (c *Cache) Lookup(key string, canon Canon) (Hit, bool) {
 	for i, name := range e.outputs {
 		h.OutputNames[name] = canon.Outputs[i]
 	}
-	c.hits.Add(1)
 	return h, true
+}
+
+// cached returns key's entry and marks it most recently used. c.mu is held.
+func (c *Cache) cached(key string) *entry {
+	el, ok := c.entries[key]
+	if !ok {
+		return nil
+	}
+	c.order.MoveToFront(el)
+	return el.Value.(*entry)
+}
+
+// Lookup returns the cached plan for key, with rename maps aligning the
+// cached graph's names to canon's, and counts a hit or miss.
+func (c *Cache) Lookup(key string, canon Canon) (Hit, bool) {
+	c.mu.Lock()
+	e := c.cached(key)
+	c.mu.Unlock()
+	if e != nil {
+		if h, ok := e.hit(canon); ok {
+			c.hits.Add(1)
+			return h, true
+		}
+	}
+	c.misses.Add(1)
+	return Hit{}, false
+}
+
+// Get returns the plan for key: the cached one (hit is true, with Lookup's
+// rename maps), or the one compile builds from the caller's own graph, which
+// is then cached (hit is false, names need no mapping). Callers that meet a
+// key while another is compiling it wait for that compile instead of starting
+// their own and count as hits. A failed compile is not cached: its caller and
+// everyone who waited on it get the error, and the next Get compiles again.
+func (c *Cache) Get(key string, canon Canon, compile func() (*core.PhysPlan, error)) (h Hit, hit bool, err error) {
+	c.mu.Lock()
+	e, f := c.cached(key), c.flights[key]
+	if e == nil && f == nil {
+		f = &flight{done: make(chan struct{})}
+		c.flights[key] = f
+		c.mu.Unlock()
+		c.misses.Add(1)
+		pp, err := c.fly(f, key, canon, compile)
+		return Hit{PP: pp}, false, err
+	}
+	c.mu.Unlock()
+	c.hits.Add(1) // a waiter counts when it joins, so Stats shows it waiting
+	if e == nil {
+		if <-f.done; f.err != nil {
+			return Hit{}, false, f.err
+		}
+		e = f.e
+	}
+	if h, ok := e.hit(canon); ok {
+		return h, true, nil
+	}
+	pp, err := compile()
+	return Hit{PP: pp}, false, err
+}
+
+// fly runs the compile of flight f, caches its plan and releases the waiters
+// — also when compile panics, with an error in place of the plan.
+func (c *Cache) fly(f *flight, key string, canon Canon, compile func() (*core.PhysPlan, error)) (*core.PhysPlan, error) {
+	f.err = fmt.Errorf("plancache: compiling the plan panicked")
+	defer func() {
+		c.mu.Lock()
+		delete(c.flights, key)
+		c.mu.Unlock()
+		close(f.done)
+	}()
+	pp, err := compile()
+	if err == nil {
+		f.e = c.insert(key, canon, pp)
+	}
+	f.err = err
+	return pp, err
 }
 
 // Insert stores a compiled plan under key. The plan is pre-warmed (lazy
 // fusion-space trees built) so concurrent executions of the shared plan
 // never race on lazy initialisation.
-func (c *Cache) Insert(key string, canon Canon, pp *core.PhysPlan) {
+func (c *Cache) Insert(key string, canon Canon, pp *core.PhysPlan) { c.insert(key, canon, pp) }
+
+func (c *Cache) insert(key string, canon Canon, pp *core.PhysPlan) *entry {
 	prewarm(pp)
 	e := &entry{
 		key:     key,
@@ -225,7 +298,7 @@ func (c *Cache) Insert(key string, canon Canon, pp *core.PhysPlan) {
 	if el, ok := c.entries[key]; ok {
 		el.Value = e
 		c.order.MoveToFront(el)
-		return
+		return e
 	}
 	c.entries[key] = c.order.PushFront(e)
 	for c.order.Len() > c.max {
@@ -233,6 +306,7 @@ func (c *Cache) Insert(key string, canon Canon, pp *core.PhysPlan) {
 		c.order.Remove(last)
 		delete(c.entries, last.Value.(*entry).key)
 	}
+	return e
 }
 
 // prewarm forces every lazily built structure the executor may touch, so a

@@ -1,7 +1,11 @@
 package plancache
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"fuseme/internal/core"
@@ -222,6 +226,75 @@ V2 = V * (X %*% t(U)) / (V %*% (U %*% t(U)))
 		if got.Key != ref.Key || fmt.Sprint(got.Inputs) != fmt.Sprint(ref.Inputs) ||
 			fmt.Sprint(got.Outputs) != fmt.Sprint(ref.Outputs) {
 			t.Fatalf("canonicalization not deterministic: %+v vs %+v", got, ref)
+		}
+	}
+}
+
+// TestGetCompilesAColdKeyOnce starts 8 callers on one cold key. The first
+// compiles; its compile is held until Stats shows the other seven waiting on
+// it, so all seven take the in-flight path rather than finding the entry
+// afterwards. One compile, seven hits with rename maps onto each caller's own
+// names, one entry. A failed compile reaches its waiters as the error, is not
+// cached, and the next Get compiles again.
+func TestGetCompilesAColdKeyOnce(t *testing.T) {
+	const callers = 8
+	canonOf := func(i int) Canon {
+		a, b, o := fmt.Sprintf("A%d", i), fmt.Sprintf("B%d", i), fmt.Sprintf("O%d", i)
+		return Canonicalize(parse(t, o+" = "+a+" + "+b, map[string]lang.InputDecl{
+			a: {Rows: 4, Cols: 4, Sparsity: 1},
+			b: {Rows: 4, Cols: 4, Sparsity: 1},
+		}))
+	}
+	for _, fail := range []bool{false, true} {
+		c := New(4)
+		var compiles atomic.Int64
+		compile := func() (*core.PhysPlan, error) {
+			compiles.Add(1)
+			for hits, _, _ := c.Stats(); hits < callers-1; hits, _, _ = c.Stats() {
+				runtime.Gosched() // until every other caller has joined this compile
+			}
+			if fail {
+				return nil, errors.New("no plan")
+			}
+			return &core.PhysPlan{}, nil
+		}
+		var wg sync.WaitGroup
+		for i := 0; i < callers; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				canon := canonOf(i)
+				h, hit, err := c.Get(canon.Key, canon, compile)
+				switch {
+				case fail:
+					if err == nil || err.Error() != "no plan" {
+						t.Errorf("caller %d: err = %v, want the compile's error", i, err)
+					}
+				case err != nil || h.PP == nil:
+					t.Errorf("caller %d: plan %v, err %v", i, h.PP, err)
+				case hit: // the compiling caller's one output name, onto this caller's
+					for _, caller := range h.OutputNames {
+						if caller == fmt.Sprintf("O%d", i) && len(h.OutputNames) == 1 {
+							return
+						}
+					}
+					t.Errorf("caller %d: output rename map = %v", i, h.OutputNames)
+				}
+			}()
+		}
+		wg.Wait()
+		hits, misses, entries := c.Stats()
+		if compiles.Load() != 1 || hits != callers-1 || misses != 1 {
+			t.Errorf("fail=%v: %d compiles, %d hits, %d misses; want 1, %d, 1", fail, compiles.Load(), hits, misses, callers-1)
+		}
+		if want := map[bool]int{false: 1, true: 0}[fail]; entries != want {
+			t.Errorf("fail=%v: %d entries, want %d", fail, entries, want)
+		}
+		if fail { // nothing was cached: the key is cold again
+			canon := canonOf(0)
+			if _, hit, err := c.Get(canon.Key, canon, func() (*core.PhysPlan, error) { return &core.PhysPlan{}, nil }); hit || err != nil {
+				t.Errorf("after a failed compile: hit=%v err=%v, want a fresh compile", hit, err)
+			}
 		}
 	}
 }

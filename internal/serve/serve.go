@@ -481,12 +481,12 @@ type httpError struct {
 	Error string `json:"error"`
 }
 
+// writeJSON replies with v as one compact line: indenting a reply cost more
+// than building it (pipe a reply through a formatter to read it).
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // retryAfterSeconds is the hint attached to 429/503 responses.

@@ -116,6 +116,9 @@ func postQuery(t *testing.T, url, token string, req serve.QueryRequest) (int, *s
 	if err != nil {
 		t.Fatal(err)
 	}
+	if bytes.IndexByte(raw, '\n') != len(raw)-1 {
+		t.Errorf("the reply is not one compact line of JSON:\n%s", raw)
+	}
 	if resp.StatusCode != http.StatusOK {
 		return resp.StatusCode, nil, raw
 	}
