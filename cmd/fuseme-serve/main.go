@@ -72,7 +72,6 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight plans on shutdown")
 	tenants := flag.String("tenants", "", "tenant table name:token:weight[:quotaMB],... (default "+EnvTenants+", or a single open tenant)")
 	noPlanCache := flag.Bool("no-plan-cache", false, "disable the shared compiled-plan cache")
-	calib := flag.String("calib", "", "calibration-store file shared across tenants: learned effective bandwidths consulted at plan time, updated online, saved on shutdown")
 	journal := flag.String("journal", "", "sink the query event journal to this JSONL file (the in-memory ring behind /v1/queries is always on)")
 	cacheBytes := flag.Int64("cache-bytes", 0, "per-worker block-cache budget for loop-invariant inputs (0 disables)")
 	cacheReplicas := flag.Int("cache-replicas", 2, "workers holding each hot cached block under -runtime tcp, primary included (1 disables replication)")
@@ -139,7 +138,6 @@ func main() {
 	if *noPlanCache {
 		scfg.PlanCacheEntries = -1
 	}
-	scfg.CalibPath = *calib
 	scfg.JournalPath = *journal
 	if *cacheBytes > 0 {
 		scfg.SessionOptions = append(scfg.SessionOptions, fuseme.WithBlockCache(*cacheBytes))

@@ -63,8 +63,6 @@ func run() error {
 	journalOut := flag.String("journal-out", "", "write the query event journal (planned/stage/done lifecycle, JSONL) to this file (default: $FUSEME_JOURNAL)")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus /metrics and JSON /debug/stats on this address during the run")
 	report := flag.Bool("report", false, "print the cost-model calibration report (predicted vs measured, back-solved bandwidths) after executing")
-	calib := flag.String("calib", "", "calibration-store file: learned effective bandwidths consulted at plan time, updated by this run, saved on exit (default: $FUSEME_CALIB)")
-	replan := flag.Bool("replan", false, "re-pick cuboid partitioning between queries when measured stage times diverge from predictions (bit-identical results)")
 	flag.Var(&inputs, "in", "input declaration name:ROWSxCOLS[:density]; repeatable")
 	flag.Parse()
 
@@ -125,12 +123,6 @@ func run() error {
 	}
 	if *metricsAddr != "" {
 		opts = append(opts, fuseme.WithMetricsAddr(*metricsAddr))
-	}
-	if *calib != "" {
-		opts = append(opts, fuseme.WithCalibration(*calib))
-	}
-	if *replan {
-		opts = append(opts, fuseme.WithReplan(true))
 	}
 	sess, err := fuseme.NewSession(cfg, opts...)
 	if err != nil {

@@ -124,9 +124,8 @@ func declaredNames(t *testing.T, frag string) []string {
 	return names
 }
 
-// TestDocDriftGoSnippets compiles every ```go block in README.md,
-// docs/OPERATIONS.md and docs/TUNING.md. Blocks that begin with a package
-// clause build as-is;
+// TestDocDriftGoSnippets compiles every ```go block in README.md and
+// docs/OPERATIONS.md. Blocks that begin with a package clause build as-is;
 // statement fragments are wrapped in a function that predeclares the
 // conventional free variable `cfg` (a ClusterConfig) and blank-assigns
 // whatever the fragment declares.
@@ -135,7 +134,7 @@ func TestDocDriftGoSnippets(t *testing.T) {
 		t.Skip("spawns the go tool")
 	}
 	total := 0
-	for _, doc := range []string{"README.md", "docs/OPERATIONS.md", "docs/TUNING.md"} {
+	for _, doc := range []string{"README.md", "docs/OPERATIONS.md"} {
 		n := 0
 		for _, blk := range extractFenced(t, doc) {
 			if blk.tag != "go" {
@@ -250,6 +249,72 @@ func TestDocDriftOptions(t *testing.T) {
 	for name := range declared {
 		if !named[name] {
 			t.Errorf("option %s is not named in docs/OPERATIONS.md", name)
+		}
+	}
+}
+
+// TestDocDriftVariablesAndCommands holds docs/OPERATIONS.md to the source in
+// both directions for environment variables — every "FUSEME_*" string literal
+// in non-test Go source outside bench/ is a row of the variable table, and
+// every row is read somewhere — and checks that every command under cmd/ is
+// named there.
+func TestDocDriftVariablesAndCommands(t *testing.T) {
+	literal := regexp.MustCompile(`"(FUSEME_[A-Z_]+)"`)
+	read := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "bench" || (path != "." && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range literal.FindAllSubmatch(src, -1) {
+			read[string(m[1])] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := os.ReadFile("docs/OPERATIONS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string]bool{}
+	for _, m := range regexp.MustCompile("(?m)^\\| `(FUSEME_[A-Z_]+)` \\|").FindAllSubmatch(doc, -1) {
+		rows[string(m[1])] = true
+	}
+	if len(read) == 0 || len(rows) == 0 {
+		t.Fatalf("found %d variables in source and %d table rows — extraction broken", len(read), len(rows))
+	}
+	for name := range read {
+		if !rows[name] {
+			t.Errorf("%s is read by the source but has no row in docs/OPERATIONS.md's variable table", name)
+		}
+	}
+	for name := range rows {
+		if !read[name] {
+			t.Errorf("docs/OPERATIONS.md lists %s, which no non-test source reads", name)
+		}
+	}
+
+	cmds, err := os.ReadDir("cmd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cmds {
+		if c.IsDir() && !strings.Contains(string(doc), "`"+c.Name()+"`") {
+			t.Errorf("command cmd/%s is not named in docs/OPERATIONS.md", c.Name())
 		}
 	}
 }

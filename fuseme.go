@@ -72,7 +72,7 @@ type ClusterConfig struct {
 	// (exact per-worker cache-hit accounting needs this). PrefetchBytes is
 	// the per-task prefetch admission budget: 0 means the 64 MiB default,
 	// clamped to TaskMemBytes; negative runs without prefetch (and without
-	// the stealing that rides on it). FUSEME_PREFETCH_BYTES overrides it.
+	// the stealing that rides on it).
 	DisableStealing bool
 	PrefetchBytes   int64
 
@@ -128,6 +128,10 @@ func fromInternal(c cluster.Config) ClusterConfig {
 		Oversubscribe:   c.Oversubscribe,
 	}
 }
+
+// defaultMaxTaskRetries is the Spark-like budget of re-attempts a failed task
+// gets before its stage fails.
+const defaultMaxTaskRetries = 2
 
 func (c ClusterConfig) internal() cluster.Config {
 	return cluster.Config{
@@ -371,22 +375,19 @@ type Session struct {
 	rtMu sync.Mutex
 	rtm  rt.Runtime // lazily constructed execution backend
 
-	obs         *obs.Obs      // never nil; components nil unless enabled
-	metricsAddr string        // WithMetricsAddr target; "" = no endpoint
-	metricsSrv  *obs.Server   // running endpoint, if any
-	rcfg        remote.Config // TCP transport overrides from options
-	retries     int           // WithMaxTaskRetries; -1 = env/default
-	cacheBytes  int64         // WithBlockCache; -1 = env/default
+	// cc and rcfg are cfg with every option and environment override
+	// resolved, once, by NewSession: each backend the session builds, every
+	// plan it compiles and every report it renders reads these.
+	cc   cluster.Config
+	rcfg remote.Config
+
+	obs         *obs.Obs    // never nil; components nil unless enabled
+	metricsAddr string      // WithMetricsAddr target; "" = no endpoint
+	metricsSrv  *obs.Server // running endpoint, if any
 
 	planCache   *PlanCache // WithPlanCache; nil = compile every query
 	sched       *Scheduler // WithScheduler; nil = backend-private dispatch
 	lastPlanHit bool       // most recent compile came from the plan cache
-
-	calibStore *obs.CalibStore // WithCalibration/WithCalibrationStore/FUSEME_CALIB
-	calibOwned bool            // session opened the store and saves it on Close
-	replan     bool            // WithReplan
-	replanner  *core.Replanner // live when replan is on
-	lastEpochs map[uint64]bool // input content epochs fed to the previous Query
 
 	journal     *obs.Journal  // WithJournal/FUSEME_JOURNAL; nil = off
 	journalFile *os.File      // FUSEME_JOURNAL sink, the one file the session opens and closes
@@ -400,28 +401,31 @@ type Session struct {
 
 // NewSession creates a session on the given cluster configuration, running
 // the FuseME engine by default. Options enable observability (WithTracing,
-// WithMetricsAddr) and override runtime tuning (WithMaxTaskRetries,
-// WithHeartbeat).
+// WithMetricsAddr), the block cache and sharing across sessions
+// (WithPlanCache, WithScheduler, WithRegistry). Settings an option or the
+// environment can override are read here, once: changing FUSEME_* afterwards
+// does not reach the session.
 func NewSession(cfg ClusterConfig, opts ...Option) (*Session, error) {
-	if err := cfg.internal().Validate(); err != nil {
+	cc := cfg.internal()
+	if err := cc.Validate(); err != nil {
 		return nil, err
 	}
+	cc.CacheBytes = -1 // unset: WithBlockCache, else FUSEME_CACHE_BYTES, else off
 	s := &Session{
 		cfg:    cfg,
+		cc:     cc,
 		engine: core.FuseME{},
 		inputs: map[string]*block.Matrix{},
 		// Calibration is always on: it is stage-level (a stats snapshot per
 		// stage) and is what Session.Report joins against.
-		obs:        &obs.Obs{Calib: obs.NewCalibration()},
-		retries:    -1,
-		cacheBytes: -1,
+		obs: &obs.Obs{Calib: obs.NewCalibration()},
 	}
 	for _, opt := range opts {
 		if err := opt(s); err != nil {
 			return nil, err
 		}
 	}
-	if err := s.resolveCalibration(); err != nil {
+	if err := s.resolveSettings(); err != nil {
 		return nil, err
 	}
 	if err := s.resolveJournal(); err != nil {
@@ -432,21 +436,6 @@ func NewSession(cfg ClusterConfig, opts ...Option) (*Session, error) {
 	// registry being on already means per-task instrumentation runs.
 	if s.obs.Metrics != nil {
 		s.obs.Skew = obs.NewSkewDetector()
-	}
-	if _, err := s.maxTaskRetries(); err != nil {
-		return nil, err
-	}
-	if _, err := s.blockCacheBytes(); err != nil {
-		return nil, err
-	}
-	if _, err := s.kernelThreadsSetting(); err != nil {
-		return nil, err
-	}
-	if _, err := s.prefetchBytesSetting(); err != nil {
-		return nil, err
-	}
-	if _, err := s.remoteConfig(); err != nil {
-		return nil, err
 	}
 	if err := s.startMetricsServer(); err != nil {
 		return nil, err
@@ -543,34 +532,6 @@ func clampDensity(d float64) float64 {
 	return d
 }
 
-// clusterConfig resolves the internal cluster configuration with the
-// session's retry, block-cache, kernel-thread and prefetch overrides (option
-// > environment > config field > default).
-func (s *Session) clusterConfig() (cluster.Config, error) {
-	cc := s.cfg.internal()
-	retries, err := s.maxTaskRetries()
-	if err != nil {
-		return cc, err
-	}
-	cc.MaxTaskRetries = retries
-	cacheBytes, err := s.blockCacheBytes()
-	if err != nil {
-		return cc, err
-	}
-	cc.CacheBytes = cacheBytes
-	kernelThreads, err := s.kernelThreadsSetting()
-	if err != nil {
-		return cc, err
-	}
-	cc.KernelThreads = kernelThreads
-	prefetchBytes, err := s.prefetchBytesSetting()
-	if err != nil {
-		return cc, err
-	}
-	cc.PrefetchBytes = prefetchBytes
-	return cc, nil
-}
-
 // runtime returns the session's execution backend, constructing it on first
 // use: the in-process simulated cluster, or a TCP coordinator connected to
 // the configured workers.
@@ -580,13 +541,9 @@ func (s *Session) runtime() (rt.Runtime, error) {
 	if s.rtm != nil {
 		return s.rtm, nil
 	}
-	cc, err := s.clusterConfig()
-	if err != nil {
-		return nil, err
-	}
 	switch s.cfg.Runtime {
 	case "", "sim":
-		cl, err := cluster.New(cc)
+		cl, err := cluster.New(s.cc)
 		if err != nil {
 			return nil, err
 		}
@@ -596,11 +553,7 @@ func (s *Session) runtime() (rt.Runtime, error) {
 		if len(workers) == 0 {
 			return nil, errors.New("fuseme: tcp runtime needs worker addresses (ClusterConfig.Workers or FUSEME_WORKERS)")
 		}
-		rcfg, err := s.remoteConfig()
-		if err != nil {
-			return nil, err
-		}
-		co, err := remote.NewCoordinatorConfig(cc, workers, rcfg)
+		co, err := remote.NewCoordinatorConfig(s.cc, workers, s.rcfg)
 		if err != nil {
 			return nil, err
 		}
@@ -660,15 +613,6 @@ func (s *Session) Close() error {
 			err = cerr
 		}
 	}
-	// A session-owned calibration store (WithCalibration / FUSEME_CALIB)
-	// persists what this session learned; shared stores are saved by their
-	// owner. Close is idempotent and Save is concurrency-safe, so repeated
-	// Closes just rewrite the same state.
-	if s.calibOwned {
-		if cerr := s.calibStore.Save(); err == nil {
-			err = cerr
-		}
-	}
 	return err
 }
 
@@ -718,11 +662,7 @@ func (s *Session) compile(script string) (*compiled, error) {
 		return nil, err
 	}
 	s.lastPlanHit = false
-	// Learned bandwidths from the calibration store override the cost
-	// model's constants at compile time; execution (and the sim clock) still
-	// runs on the configured values.
 	cc := rtm.Config()
-	cc.LearnedNetBandwidth, cc.LearnedCompBandwidth = s.learnedBandwidths()
 	if s.planCache == nil {
 		pp, err := s.engine.Compile(g, cc)
 		if err != nil {
@@ -731,7 +671,7 @@ func (s *Session) compile(script string) (*compiled, error) {
 		return &compiled{pp: pp, rtm: rtm}, nil
 	}
 	canon := plancache.Canonicalize(g)
-	key := canon.Key + "|" + s.planFingerprint()
+	key := canon.Key + "|" + s.planFingerprint(rtm)
 	// Sessions that meet one cold key together compile it once: the others
 	// wait for that plan and count as hits.
 	hit, ok, err := s.planCache.c.Get(key, canon, func() (*core.PhysPlan, error) { return s.engine.Compile(g, cc) })
@@ -784,37 +724,17 @@ func (s *Session) Query(script string) (map[string]*Matrix, error) {
 		}
 		needed[in.Name] = b
 	}
-	// Feedback-directed re-planning (WithReplan): before executing, check the
-	// previous query's measured stage times against their predictions and,
-	// on divergence, re-pick eligible operators' (P,Q) on a copy of the plan
-	// — cached plans stay untouched — with learned bandwidths and the inputs
-	// still cache-resident since the last query.
-	replanned := false
-	if s.replanner != nil {
-		pp := cq.pp.Clone()
-		replanned = s.replanner.MaybeReplan(pp, cq.rtm.Config(), s.residentNames(cq.rtm, needed))
-		cq.pp = pp
-	}
 	if qlog != nil {
-		cc := cq.rtm.Config()
-		cc.LearnedNetBandwidth, cc.LearnedCompBandwidth = s.learnedBandwidths()
 		qlog.Emit(obs.Event{Type: obs.EvPlanned,
 			Engine:       s.engine.Name(),
 			Plan:         cq.pp.Describe(),
 			PlanCacheHit: s.lastPlanHit,
 			Operators:    len(cq.pp.Ops),
-			PredSeconds:  cq.pp.PredictedSeconds(cc)})
-		if replanned {
-			qlog.Emit(obs.Event{Type: obs.EvReplanned,
-				Plan:       cq.pp.Describe(),
-				Operators:  len(cq.pp.Ops),
-				Divergence: s.replanner.LastDivergence})
-		}
+			PredSeconds:  cq.pp.PredictedSeconds(cq.rtm.Config())})
 	}
 	cq.rtm.ResetStats()
 	out, err := core.ExecuteObs(cq.pp, cq.rtm, needed, s.obs)
 	s.last = statsFrom(cq.rtm.Stats())
-	s.snapshotEpochs(needed)
 	if err != nil {
 		return fail(err)
 	}

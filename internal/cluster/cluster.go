@@ -89,18 +89,6 @@ type Config struct {
 	// and TCP runs decompose identically.
 	Oversubscribe int
 
-	// LearnedNetBandwidth/LearnedCompBandwidth are calibration-store
-	// overrides for the cost model's B̂n/B̂c, in the same units as
-	// NetBandwidth/CompBandwidth. Zero (the default) keeps the configured
-	// constants. They influence ONLY plan costing (core.modelFor): the
-	// simulated execution clock always runs on the configured constants, so
-	// learning from measured stages can never feed back into the
-	// measurements it learns from. LearnedCompBandwidth is already an
-	// effective per-node rate (stages were measured under the session's
-	// kernel-thread count), so it is NOT re-scaled by KernelThreads.
-	LearnedNetBandwidth  float64
-	LearnedCompBandwidth float64
-
 	// MaxTaskRetries is how many times a failed task is re-attempted before
 	// the stage fails (Spark's task retry). Zero means no retries.
 	MaxTaskRetries int

@@ -53,8 +53,7 @@ func (op *PhysOp) Prediction() obs.FlightRecord {
 }
 
 // EqModel is the Eq. 2 constants cfg prices a plan with: the configured
-// bandwidths (B̂c scaled by explicit kernel threads), overridden by the
-// calibration-learned ones when set.
+// bandwidths, B̂c scaled by explicit kernel threads.
 func EqModel(cfg cluster.Config) obs.ClusterModel {
 	m := modelFor(cfg)
 	return obs.ClusterModel{Nodes: m.Nodes, NetBandwidth: m.NetBW, CompBandwidth: m.CompBW}
@@ -101,21 +100,13 @@ func (pp *PhysPlan) Describe() string {
 // DescribeCosts renders the plan's per-operator cost predictions: each fused
 // operator's chosen (P,Q,R) with its predicted network, computation and
 // per-task memory terms and the Eq. 2 time decomposition under cfg's cluster
-// constants — calibration-learned bandwidths when set (marked "learned",
-// matching what the compile actually priced with), the configured constants
-// otherwise. This is what `fuseme -explain` prints before execution.
+// constants, the ones the compile priced with. This is what `fuseme
+// -explain` prints before execution.
 func (pp *PhysPlan) DescribeCosts(cfg cluster.Config) string {
 	m := EqModel(cfg)
-	netSrc, compSrc := "", ""
-	if cfg.LearnedNetBandwidth > 0 {
-		netSrc = " learned"
-	}
-	if cfg.LearnedCompBandwidth > 0 {
-		compSrc = " learned"
-	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "predicted costs (N=%d, B̂n=%.3g B/s%s, B̂c=%.3g flop/s%s, θt=%s):\n",
-		cfg.Nodes, m.NetBandwidth, netSrc, m.CompBandwidth, compSrc, cluster.FormatBytes(cfg.TaskMemBytes))
+	fmt.Fprintf(&b, "predicted costs (N=%d, B̂n=%.3g B/s, B̂c=%.3g flop/s, θt=%s):\n",
+		cfg.Nodes, m.NetBandwidth, m.CompBandwidth, cluster.FormatBytes(cfg.TaskMemBytes))
 	for i, op := range pp.Ops {
 		pqr := "-"
 		if op.Strategy == exec.Cuboid && op.Plan.MainMM != nil {

@@ -16,26 +16,14 @@ import (
 // modelFor derives the cost-model constants from the cluster configuration.
 // CompBW uses the kernel-thread-scaled compute bandwidth so plan costs (and
 // the chosen (P,Q,R)) reflect intra-task parallelism when it is configured
-// explicitly. Calibration-store overrides (LearnedNetBandwidth /
-// LearnedCompBandwidth) replace the configured constants when set; the
-// learned compute rate is already effective per-node, so the kernel-thread
-// multiplier does not reapply to it.
+// explicitly.
 func modelFor(cc cluster.Config) cost.Model {
-	c := cc
-	netBW := c.NetBandwidth
-	if c.LearnedNetBandwidth > 0 {
-		netBW = c.LearnedNetBandwidth
-	}
-	compBW := c.EffectiveCompBandwidth()
-	if c.LearnedCompBandwidth > 0 {
-		compBW = c.LearnedCompBandwidth
-	}
 	return cost.Model{
-		Nodes:        c.Nodes,
-		NetBW:        netBW,
-		CompBW:       compBW,
-		TaskMemBytes: c.TaskMemBytes,
-		MinTasks:     c.PlanSlots(),
+		Nodes:        cc.Nodes,
+		NetBW:        cc.NetBandwidth,
+		CompBW:       cc.EffectiveCompBandwidth(),
+		TaskMemBytes: cc.TaskMemBytes,
+		MinTasks:     cc.PlanSlots(),
 	}
 }
 
@@ -57,12 +45,6 @@ type FuseME struct {
 	Balanced bool
 	// NoMask disables outer-fusion masking (dense evaluation), for ablation.
 	NoMask bool
-	// CachedNames marks query inputs (by name) whose blocks are resident in
-	// the worker block caches: their consolidation traffic is discounted
-	// from NetEst when choosing (P,Q,R), reflecting the steady state of an
-	// iterative workload from the second iteration on. Empty (the zero
-	// value) compiles exactly as published.
-	CachedNames map[string]bool
 }
 
 // Name implements Engine.
@@ -90,11 +72,8 @@ func (f FuseME) Compile(g *dag.Graph, cc cluster.Config) (*PhysPlan, error) {
 			continue
 		}
 		params, ok := res.Params[p]
-		// Cache-resident inputs change the network term, so re-optimize
-		// (P,Q,R) with the discounted estimates even when CFG already
-		// picked parameters for this plan.
-		if cached := f.cachedIDs(p); !ok || len(cached) > 0 {
-			params = opt.Optimize(model, cost.AnalyzeCached(p, cc.BlockSize, cached))
+		if !ok {
+			params = opt.Optimize(model, cost.Analyze(p, cc.BlockSize))
 		}
 		pp.Ops = append(pp.Ops, &PhysOp{
 			Plan: p, Strategy: exec.Cuboid, Kind: "CFO",
@@ -106,24 +85,6 @@ func (f FuseME) Compile(g *dag.Graph, cc cluster.Config) (*PhysPlan, error) {
 	}
 	pp.Ops = groupMultiAgg(pp.Ops, cc)
 	return pp, nil
-}
-
-// cachedIDs resolves CachedNames to the plan's external-input node IDs;
-// nil when no marked input feeds this plan.
-func (f FuseME) cachedIDs(p *fusion.Plan) map[int]bool {
-	if len(f.CachedNames) == 0 {
-		return nil
-	}
-	var ids map[int]bool
-	for _, in := range p.ExternalInputs() {
-		if in.Op == dag.OpInput && f.CachedNames[in.Name] {
-			if ids == nil {
-				ids = map[int]bool{}
-			}
-			ids[in.ID] = true
-		}
-	}
-	return ids
 }
 
 // SystemDSSim reproduces SystemDS: GEN fusion plans executed with BFO or

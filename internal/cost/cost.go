@@ -168,17 +168,6 @@ type axes struct{ ai, aj, ak int }
 // the masked count (sparsity exploitation), and R>1 aggregation shuffles the
 // (pattern-sized) partials.
 func Analyze(p *fusion.Plan, blockSize int) Estimates {
-	return AnalyzeCached(p, blockSize, nil)
-}
-
-// AnalyzeCached is Analyze with a set of cache-resident external inputs
-// (keyed by dag node ID): a leaf whose blocks the workers already hold ships
-// nothing during consolidation, so its NetEst term is dropped while its
-// memory term stays (the blocks still occupy the task working set). This
-// keeps the (P,Q,R) choice honest for iterative workloads where a
-// loop-invariant input is served from the worker block cache from the second
-// iteration on.
-func AnalyzeCached(p *fusion.Plan, blockSize int, cached map[int]bool) Estimates {
 	tree := p.Spaces()
 	if tree == nil {
 		panic("cost: Analyze requires a plan with matrix multiplication")
@@ -186,7 +175,7 @@ func AnalyzeCached(p *fusion.Plan, blockSize int, cached map[int]bool) Estimates
 	var e Estimates
 	e.I, e.J, e.K = p.BlockGridDims(blockSize)
 
-	a := &analysis{e: &e, p: p, cached: cached}
+	a := &analysis{e: &e, p: p}
 	if om := fusion.FindOuterMask(p); om != nil {
 		a.maskedMM = p.MainMM
 		inner := p.MainMM.Inputs[0].Cols
@@ -215,7 +204,6 @@ type analysis struct {
 	maskedMM    *dag.Node
 	maskedFlops float64
 	mmOutBytes  float64
-	cached      map[int]bool // external inputs resident in worker caches
 }
 
 // colocatedO reports whether an external input of the top-level O-space is
@@ -303,13 +291,9 @@ func (a *analysis) side(tree *fusion.SpaceTree, side *fusion.Side, s fusion.Spac
 
 // materialized charges a consolidated input: replicated to prod(stage \
 // active) tasks on the network, holding a 1/prod(active) share per task.
-// Cache-resident inputs skip the network charge — their blocks are already
-// on the workers — but still occupy task memory.
 func (a *analysis) materialized(in *dag.Node, active, stage int) {
 	size := float64(in.EstSizeBytes())
-	if !a.cached[in.ID] {
-		a.e.NetBytes.C[stage&^active] += size
-	}
+	a.e.NetBytes.C[stage&^active] += size
 	a.e.MemBytes.C[active] += size
 }
 

@@ -34,8 +34,7 @@ func NewCalibration() *Calibration {
 
 // Measure folds one stage execution into its operator's row. Several stages
 // (and several executions, in iterative workloads) map to one operator key:
-// measurements sum, the prediction is the latest record's (a re-planned
-// operator reports the parameters it last ran with).
+// measurements sum, the prediction is the latest record's.
 func (c *Calibration) Measure(rec FlightRecord) {
 	if c == nil {
 		return
@@ -61,9 +60,8 @@ func (c *Calibration) Measure(rec FlightRecord) {
 }
 
 // CalibrationFromFlight rebuilds a calibration store from flight-recorder
-// records, so Report can be produced offline from a -flight-out file — the
-// feedback loop that lets calibration consume real distributed measurements
-// instead of only the live session's.
+// records, so Report can be produced offline from a -flight-out file and
+// judge real distributed measurements, not only the live session's.
 func CalibrationFromFlight(recs []FlightRecord) *Calibration {
 	c := NewCalibration()
 	for _, r := range recs {
@@ -81,33 +79,6 @@ func (c *Calibration) Reset() {
 	c.ops = nil
 	c.rows = map[string]*opRow{}
 	c.mu.Unlock()
-}
-
-// OpTotal is one operator's cumulative measurement since the store was
-// created or last Reset — how many stage executions were measured and their
-// summed wall seconds — next to its latest per-execution prediction.
-type OpTotal struct {
-	Stages       int
-	WallSeconds  float64
-	PredNetBytes int64
-	PredComFlops int64
-}
-
-// OpTotals snapshots the cumulative per-operator totals. Two snapshots diff
-// into the measurements taken between them (core.Replanner's divergence
-// window).
-func (c *Calibration) OpTotals() map[string]OpTotal {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]OpTotal, len(c.rows))
-	for op, s := range c.rows {
-		out[op] = OpTotal{Stages: s.Stages, WallSeconds: s.MeasWallSeconds,
-			PredNetBytes: s.PredNetBytes, PredComFlops: s.PredComFlops}
-	}
-	return out
 }
 
 // ClusterModel carries the Eq. 2 constants predictions are priced with and

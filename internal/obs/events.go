@@ -17,7 +17,6 @@ const (
 	EvQueued     EventType = "queued"      // waiting for admission; Cause says on what
 	EvAdmitted   EventType = "admitted"    // admission granted; Seconds is the wait
 	EvPlanned    EventType = "planned"     // plan chosen; Plan/PredSeconds describe it
-	EvReplanned  EventType = "replanned"   // feedback loop swapped the plan mid-flight
 	EvStageStart EventType = "stage_start" // one distributed stage began
 	EvStageEnd   EventType = "stage_end"   // stage finished; Flight carries pred vs meas
 	EvDone       EventType = "done"        // query completed; Seconds is end-to-end
@@ -40,13 +39,12 @@ type Event struct {
 	// Admission (received/queued/admitted).
 	Cause string `json:"cause,omitempty"` // what a queued submission waits on
 
-	// Planning (planned/replanned).
+	// Planning (planned).
 	Engine       string  `json:"engine,omitempty"`
 	Plan         string  `json:"plan,omitempty"` // PhysPlan.Describe text
 	PlanCacheHit bool    `json:"plan_cache_hit,omitempty"`
 	Operators    int     `json:"operators,omitempty"`
 	PredSeconds  float64 `json:"pred_seconds,omitempty"` // Eq. 2 total across operators
-	Divergence   float64 `json:"divergence,omitempty"`   // replan trigger ratio
 
 	// Stages (stage_start/stage_end).
 	Stage  string        `json:"stage,omitempty"`

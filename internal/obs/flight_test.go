@@ -59,9 +59,6 @@ func TestFlightRecorderNilSafe(t *testing.T) {
 func TestCalibrationFromFlight(t *testing.T) {
 	recs := []FlightRecord{sampleRecord("cuboid:mul#3"), sampleRecord("cuboid:mul#3")}
 	c := CalibrationFromFlight(recs)
-	if tot := c.OpTotals()["CFO mul#3"]; tot.Stages != 2 || tot.WallSeconds != 0.5 || tot.PredNetBytes != 1<<20 {
-		t.Fatalf("rebuilt totals = %+v, want 2 stages / 0.5s / 1 MiB predicted", tot)
-	}
 	// Two executions of one stage collapse to one report row with runs=2.
 	rep := c.Report(ClusterModel{Nodes: 2, NetBandwidth: 1e9, CompBandwidth: 1e10})
 	if len(rep.Rows) != 1 || rep.Rows[0].Executions != 2 {
@@ -70,6 +67,9 @@ func TestCalibrationFromFlight(t *testing.T) {
 	row := rep.Rows[0]
 	if row.P != 2 || row.Q != 2 || row.R != 1 || row.PredNetBytes != 2<<20 {
 		t.Fatalf("rebuilt prediction mismatch: %+v", row)
+	}
+	if row.Stages != 2 || row.MeasWallSeconds != 0.5 {
+		t.Fatalf("rebuilt totals = %+v, want 2 stages / 0.5s", row)
 	}
 	if row.MeasNetBytes != 2*(900_000+120_000) || row.ExtraWireBytes != 2*4_096 {
 		t.Fatalf("rebuilt measurement mismatch: %+v", row)

@@ -6,10 +6,10 @@
 //
 // The rule of the package: one FlightRecord per executed stage, built by the
 // executor from the runtime's stage stats; every other output — calibration
-// rows, the learner's sample, the fuseme_* stage counters, the flight line,
-// the journal's stage_end event — is derived from it in Obs.StageDone. One
-// level down, Obs.TaskDone is the same single emit point for a finished task
-// on either runtime.
+// rows, the fuseme_* stage counters, the flight line, the journal's
+// stage_end event — is derived from it in Obs.StageDone. One level down,
+// Obs.TaskDone is the same single emit point for a finished task on either
+// runtime.
 //
 // Everything is nil-safe by design: a nil *Obs (or a nil component inside a
 // non-nil Obs) turns every instrumentation call into a pointer check and an
@@ -30,7 +30,6 @@ type Obs struct {
 	Metrics *Registry     // metrics registry; nil disables metrics
 	Calib   *Calibration  // prediction/measurement join; nil disables calibration
 	Flight  *JSONL        // per-stage flight recorder (one line per record); nil disables it
-	Learn   *Learner      // online calibration-store updater; nil disables learning
 	QLog    *QueryLog     // current query's event-journal log; nil disables journaling
 	Skew    *SkewDetector // straggler/skew detector; nil disables it
 }
@@ -88,20 +87,16 @@ func (o *Obs) Histogram(name string) *Histogram {
 
 // StageDone is the one emit point of an executed stage: rec — the owning
 // operator's prediction next to what the runtime measured — is folded into
-// the calibration rows, offered to the calibration-store learner, added to
-// the stage counters, written as the flight line and embedded, together with
-// the stage's task-duration skew, in the journal's stage_end event, so the
-// five outputs can never disagree. err is the stage's failure, if any. A nil
-// Obs or any nil component absorbs its share.
+// the calibration rows, added to the stage counters, written as the flight
+// line and embedded, together with the stage's task-duration skew, in the
+// journal's stage_end event, so the four outputs can never disagree. err is
+// the stage's failure, if any. A nil Obs or any nil component absorbs its
+// share.
 func (o *Obs) StageDone(rec FlightRecord, err error) {
 	if o == nil {
 		return
 	}
 	o.Calib.Measure(rec)
-	if o.Learn.Observe(rec) {
-		o.Counter(MCalibUpdates).Inc()
-		o.Gauge(MCalibGeneration).Set(float64(o.Learn.Store.Generation()))
-	}
 	o.Counter(MStagesTotal).Inc()
 	o.Counter(MConsolidationBytes).Add(rec.MeasConsolidationBytes)
 	o.Counter(MAggregationBytes).Add(rec.MeasAggregationBytes)
@@ -257,18 +252,6 @@ const (
 	MPrefetchBlocks = "fuseme_prefetch_blocks_total"
 	MPrefetchBytes  = "fuseme_prefetch_bytes_total"
 	MStealTasks     = "fuseme_steal_tasks_total"
-
-	// Calibration / feedback-loop metrics. MCalibUpdates counts stage
-	// samples folded into the calibration store; MCalibGeneration mirrors
-	// the store's generation counter (bumped on material learned-value
-	// movement or rotation). MReplanChecks counts iteration-boundary
-	// divergence checks, MReplans counts checks that actually swapped a
-	// plan, and MReplanDivergence holds the last measured divergence ratio.
-	MCalibUpdates     = "fuseme_calibration_updates_total"
-	MCalibGeneration  = "fuseme_calibration_generation"
-	MReplanChecks     = "fuseme_replan_checks_total"
-	MReplans          = "fuseme_replans_total"
-	MReplanDivergence = "fuseme_replan_divergence"
 
 	// Plan-cache metrics (compiled-plan reuse across repeat queries).
 	MPlanCacheHits    = "fuseme_plancache_hits_total"

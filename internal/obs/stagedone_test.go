@@ -59,21 +59,19 @@ func TestGoldenStageBytes(t *testing.T) {
 }
 
 // TestStageDoneFanOut: one StageDone call with every component on yields a
-// flight line, a journal stage_end.flight, a calibration row, a learner
-// sample and counter deltas that all carry the record's numbers; a nil Obs
-// and an Obs with every component nil absorb the same call.
+// flight line, a journal stage_end.flight, a calibration row and counter
+// deltas that all carry the record's numbers; a nil Obs and an Obs with every
+// component nil absorb the same call.
 func TestStageDoneFanOut(t *testing.T) {
 	rec := fullRecord()
 	rec.PredNetBytes, rec.PredComFlops = 1<<30, 1 // net-bound under the model below
 	model := ClusterModel{Nodes: 2, NetBandwidth: 1e9, CompBandwidth: 50e9}
-	key := CalibKey{Workers: 2, BlockSize: 64}
 
 	var flight, sink bytes.Buffer
 	j := NewJournal(0, &sink)
 	o := &Obs{
 		Trace: NewRecorder(), Metrics: NewRegistry(), Calib: NewCalibration(),
 		Flight: NewJSONL(&flight), Skew: NewSkewDetector(), QLog: j.Begin("q1", "acme"),
-		Learn: &Learner{Store: NewCalibStore(), Key: key, Model: model},
 	}
 	for id := 0; id < 3; id++ {
 		o.TaskDone(TaskSample{ID: id, Worker: id % 2, Cat: "task", StageStart: time.Now(), Start: time.Now()})
@@ -119,14 +117,10 @@ func TestStageDoneFanOut(t *testing.T) {
 		row.MeasWallSeconds != rec.MeasWallSeconds {
 		t.Errorf("calibration row = %+v, does not carry the record %+v", row, rec)
 	}
-	learned, ok := o.Learn.Store.Lookup(key)
-	if want := float64(rec.NetBytes()) / (2 * rec.MeasWallSeconds); !ok || !close2(learned.NetBW, want) {
-		t.Errorf("learner = %+v, %v; want the record's back-solved B̂n %g", learned, ok, want)
-	}
 
 	snap := o.Metrics.Snapshot()
 	for name, want := range map[string]int64{
-		MStagesTotal: 1, MTasksTotal: 3, MCalibUpdates: 1,
+		MStagesTotal: 1, MTasksTotal: 3,
 		MConsolidationBytes: rec.MeasConsolidationBytes, MAggregationBytes: rec.MeasAggregationBytes,
 		MExtraBytes: rec.MeasExtraWireBytes, MFlopsTotal: rec.MeasFlops,
 		MCacheHits: rec.CacheHits, MCacheMisses: rec.CacheMisses,

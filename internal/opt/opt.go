@@ -92,53 +92,6 @@ func OptimizeExhaustive(m cost.Model, e cost.Estimates) Result {
 	return best
 }
 
-// OptimizeFixedR runs the pruning search with R pinned: only (P,Q) vary.
-// This is the adaptive replanner's safe-swap search — changing R repartitions
-// the k axis and therefore reorders floating-point accumulation, while any
-// (P,Q) at the same R preserves each output block's k-ascending summation
-// order bit-for-bit. R outside [1, K] is clamped.
-func OptimizeFixedR(m cost.Model, e cost.Estimates, r int) Result {
-	searchCalls.Add(1)
-	if r < 1 {
-		r = 1
-	}
-	if r > e.K {
-		r = e.K
-	}
-	minPar := minParallelism(m, e)
-	best := Result{Cost: math.Inf(1)}
-	evaluated := 0
-	for q := 1; q <= e.J; q++ {
-		qr := int64(q) * int64(r)
-		pStart := int((minPar + qr - 1) / qr)
-		if pStart < 1 {
-			pStart = 1
-		}
-		if pStart > e.I {
-			continue
-		}
-		evaluated++
-		if m.Cost(e, pStart, q, r) >= best.Cost {
-			continue
-		}
-		for p := pStart; p <= e.I; p++ {
-			evaluated++
-			if !m.MemOK(e, p, q, r) {
-				continue
-			}
-			if c := m.Cost(e, p, q, r); c < best.Cost {
-				best = finish(m, e, p, q, r, 0, true)
-			}
-			break
-		}
-	}
-	best.Evaluated = evaluated
-	if !best.Feasible {
-		return finish(m, e, e.I, e.J, r, evaluated, false)
-	}
-	return best
-}
-
 // Optimize is the paper's pruning search. For each (Q,R) column it jumps
 // directly to the smallest P satisfying the parallelism floor, walks P up
 // only until memory fits (cost is monotone increasing in P, so the first

@@ -2,15 +2,12 @@ package remote
 
 import (
 	"fmt"
-	"os"
-	"strconv"
 	"time"
 )
 
-// Config carries the coordinator's transport tuning, previously hardcoded
-// constants. Zero values mean "use the default"; explicit values are
-// validated. Session options and FUSEME_* environment variables both land
-// here.
+// Config carries the coordinator's transport tuning. Zero values mean "use
+// the default"; explicit values are validated. The package reads no
+// environment: callers resolve their settings and pass them here.
 type Config struct {
 	// HeartbeatInterval is how often the coordinator pings each worker.
 	HeartbeatInterval time.Duration
@@ -36,48 +33,6 @@ func DefaultConfig() Config {
 		DialTimeout:       5 * time.Second,
 		CacheReplicas:     1,
 	}
-}
-
-// Environment variable names overriding Config fields (Go duration syntax,
-// e.g. "250ms", "3s").
-const (
-	EnvHeartbeatInterval = "FUSEME_HEARTBEAT_INTERVAL"
-	EnvHeartbeatTimeout  = "FUSEME_HEARTBEAT_TIMEOUT"
-	EnvDialTimeout       = "FUSEME_DIAL_TIMEOUT"
-)
-
-// EnvCacheReplicas overrides Config.CacheReplicas (a positive integer).
-const EnvCacheReplicas = "FUSEME_CACHE_REPLICAS"
-
-// FromEnv returns c with any FUSEME_* environment overrides applied.
-// Unset variables leave the corresponding field untouched.
-func (c Config) FromEnv() (Config, error) {
-	for _, v := range []struct {
-		env string
-		dst *time.Duration
-	}{
-		{EnvHeartbeatInterval, &c.HeartbeatInterval},
-		{EnvHeartbeatTimeout, &c.HeartbeatTimeout},
-		{EnvDialTimeout, &c.DialTimeout},
-	} {
-		s := os.Getenv(v.env)
-		if s == "" {
-			continue
-		}
-		d, err := time.ParseDuration(s)
-		if err != nil {
-			return c, fmt.Errorf("remote: %s=%q: %w", v.env, s, err)
-		}
-		*v.dst = d
-	}
-	if s := os.Getenv(EnvCacheReplicas); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 1 {
-			return c, fmt.Errorf("remote: %s=%q: want a positive integer", EnvCacheReplicas, s)
-		}
-		c.CacheReplicas = n
-	}
-	return c, nil
 }
 
 // withDefaults fills zero fields from DefaultConfig.

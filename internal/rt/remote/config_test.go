@@ -20,49 +20,6 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
-func TestConfigFromEnv(t *testing.T) {
-	t.Setenv(EnvHeartbeatInterval, "100ms")
-	t.Setenv(EnvHeartbeatTimeout, "900ms")
-	t.Setenv(EnvDialTimeout, "1s")
-	cfg, err := DefaultConfig().FromEnv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Config{
-		HeartbeatInterval: 100 * time.Millisecond,
-		HeartbeatTimeout:  900 * time.Millisecond,
-		DialTimeout:       time.Second,
-		CacheReplicas:     1,
-	}
-	if cfg != want {
-		t.Errorf("FromEnv() = %+v, want %+v", cfg, want)
-	}
-	if err := cfg.Validate(); err != nil {
-		t.Errorf("env config invalid: %v", err)
-	}
-}
-
-func TestConfigFromEnvPartial(t *testing.T) {
-	t.Setenv(EnvHeartbeatInterval, "250ms")
-	cfg, err := DefaultConfig().FromEnv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.HeartbeatInterval != 250*time.Millisecond {
-		t.Errorf("HeartbeatInterval = %v, want 250ms", cfg.HeartbeatInterval)
-	}
-	if d := DefaultConfig(); cfg.HeartbeatTimeout != d.HeartbeatTimeout || cfg.DialTimeout != d.DialTimeout {
-		t.Errorf("unset fields changed: %+v", cfg)
-	}
-}
-
-func TestConfigFromEnvInvalid(t *testing.T) {
-	t.Setenv(EnvHeartbeatTimeout, "fast")
-	if _, err := DefaultConfig().FromEnv(); err == nil {
-		t.Errorf("%s=fast accepted", EnvHeartbeatTimeout)
-	}
-}
-
 func TestConfigValidate(t *testing.T) {
 	cases := []struct {
 		name string

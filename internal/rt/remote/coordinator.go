@@ -284,19 +284,15 @@ func (e transportError) Error() string { return e.err.Error() }
 func (e transportError) Unwrap() error { return e.err }
 
 // NewCoordinator connects to every worker address and returns a runtime
-// backed by them, with default transport tuning plus FUSEME_* environment
-// overrides. cfg.Nodes is overridden with the worker count, so planners
-// compile for the parallelism that actually exists.
+// backed by them, with default transport tuning. cfg.Nodes is overridden with
+// the worker count, so planners compile for the parallelism that actually
+// exists.
 func NewCoordinator(cfg cluster.Config, addrs []string) (*Coordinator, error) {
-	rcfg, err := DefaultConfig().FromEnv()
-	if err != nil {
-		return nil, err
-	}
-	return NewCoordinatorConfig(cfg, addrs, rcfg)
+	return NewCoordinatorConfig(cfg, addrs, DefaultConfig())
 }
 
 // NewCoordinatorConfig is NewCoordinator with explicit transport tuning
-// (zero fields take defaults; environment variables are NOT consulted).
+// (zero fields take defaults).
 func NewCoordinatorConfig(cfg cluster.Config, addrs []string, rcfg Config) (*Coordinator, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("remote: no worker addresses")

@@ -137,14 +137,13 @@ type StageStatus struct {
 
 // QueryDetail is the GET /v1/queries/{id} document: the registry record, the
 // chosen plan (EXPLAIN) annotated with the predicted cost, the
-// per-stage predicted-vs-measured flight records (ANALYZE), replan
-// decisions, and the raw event journal.
+// per-stage predicted-vs-measured flight records (ANALYZE), and the raw
+// event journal.
 type QueryDetail struct {
 	QueryRecord
 	Engine      string        `json:"engine,omitempty"`
 	Plan        string        `json:"plan,omitempty"`
 	PredSeconds float64       `json:"pred_seconds,omitempty"`
-	Replans     int           `json:"replans"`
 	Stages      []StageStatus `json:"stages,omitempty"`
 	Events      []obs.Event   `json:"events,omitempty"`
 }
@@ -162,9 +161,6 @@ func (s *Server) detail(id string) (QueryDetail, bool) {
 		switch e.Type {
 		case obs.EvPlanned:
 			d.Engine, d.Plan, d.PredSeconds = e.Engine, e.Plan, e.PredSeconds
-		case obs.EvReplanned:
-			d.Replans++
-			d.Plan = e.Plan
 		case obs.EvStageEnd:
 			d.Stages = append(d.Stages, StageStatus{
 				Stage: e.Stage, Op: e.Op, Flight: e.Flight, Skew: e.Skew,

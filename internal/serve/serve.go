@@ -83,16 +83,6 @@ type Config struct {
 	// Registry, when non-nil, is the metrics registry to aggregate into
 	// (default: a fresh one).
 	Registry *obs.Registry
-	// CalibPath, when non-empty, opens (or creates) a calibration store at
-	// this path, shares it across every pooled session — all tenants run on
-	// the same cluster, so they learn into and benefit from one set of
-	// effective bandwidths — and saves it on Shutdown. Plan-cache entries
-	// are stamped with the store's generation, so a material learned-value
-	// movement re-costs cached plans.
-	CalibPath string
-	// Calibration, when non-nil, is an already-open shared store (takes
-	// precedence over CalibPath; the caller owns persistence).
-	Calibration *fuseme.CalibrationStore
 	// SessionOptions are applied to every pooled session (e.g.
 	// fuseme.WithBlockCache).
 	SessionOptions []fuseme.Option
@@ -117,12 +107,6 @@ type Server struct {
 	tenants []Tenant // normalized
 	byToken map[string]*Tenant
 	open    *Tenant // the implicit tenant when none are configured
-
-	// calib is the shared per-cluster calibration store, nil unless
-	// configured; calibOwned marks a CalibPath-opened store the server
-	// saves on Shutdown.
-	calib      *fuseme.CalibrationStore
-	calibOwned bool
 
 	mux *http.ServeMux
 
@@ -208,17 +192,6 @@ func New(cfg Config) (*Server, error) {
 		s.pc = fuseme.NewPlanCache(cfg.PlanCacheEntries)
 	}
 	s.sched = fuseme.NewScheduler(cfg.Cluster.Nodes * cfg.Cluster.TasksPerNode)
-	switch {
-	case cfg.Calibration != nil:
-		s.calib = cfg.Calibration
-	case cfg.CalibPath != "":
-		cs, err := fuseme.OpenCalibrationStore(cfg.CalibPath)
-		if err != nil {
-			return nil, fmt.Errorf("serve: %w", err)
-		}
-		s.calib = cs
-		s.calibOwned = true
-	}
 
 	// Normalize tenants and carve the budget.
 	tenants := cfg.Tenants
@@ -337,9 +310,6 @@ func (s *Server) acquireSession() (*fuseme.Session, error) {
 		if s.pc != nil {
 			opts = append(opts, fuseme.WithPlanCache(s.pc))
 		}
-		if s.calib != nil {
-			opts = append(opts, fuseme.WithCalibrationStore(s.calib))
-		}
 		opts = append(opts, s.cfg.SessionOptions...)
 		sess, err := fuseme.NewSession(s.cfg.Cluster, opts...)
 		if err != nil {
@@ -423,11 +393,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.sessMu.Unlock()
 	for _, sess := range sessions {
 		if cerr := sess.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if s.calibOwned {
-		if cerr := s.calib.Save(); err == nil {
 			err = cerr
 		}
 	}
@@ -526,19 +491,13 @@ type TenantStatus struct {
 
 // Status is the /v1/status document.
 type Status struct {
-	Draining     bool                  `json:"draining"`
-	Sessions     int                   `json:"sessions"`
-	SessionsBusy int                   `json:"sessions_busy"`
-	PlanCache    fuseme.PlanCacheStats `json:"plan_cache"`
-	// CalibrationGeneration / CalibrationEntries describe the shared
-	// calibration store: zero / zero when none is configured. The
-	// generation advances on material learned-bandwidth movement (or
-	// rotation) and re-keys the plan cache.
-	CalibrationGeneration uint64                    `json:"calibration_generation"`
-	CalibrationEntries    int                       `json:"calibration_entries"`
-	Tenants               []TenantStatus            `json:"tenants"`
-	Scheduler             []fuseme.TenantSchedStats `json:"scheduler"`
-	RunningTasks          int                       `json:"running_tasks"`
+	Draining     bool                      `json:"draining"`
+	Sessions     int                       `json:"sessions"`
+	SessionsBusy int                       `json:"sessions_busy"`
+	PlanCache    fuseme.PlanCacheStats     `json:"plan_cache"`
+	Tenants      []TenantStatus            `json:"tenants"`
+	Scheduler    []fuseme.TenantSchedStats `json:"scheduler"`
+	RunningTasks int                       `json:"running_tasks"`
 	// Workers is the TCP runtime's membership table (state, epoch per
 	// worker); empty under the simulated runtime. Dead and departed
 	// workers stay listed — slots are never reused.
@@ -549,10 +508,6 @@ func (s *Server) status() Status {
 	st := Status{Draining: s.Draining()}
 	if s.pc != nil {
 		st.PlanCache = s.pc.Stats()
-	}
-	if s.calib != nil {
-		st.CalibrationGeneration = s.calib.Generation()
-		st.CalibrationEntries = s.calib.Len()
 	}
 	s.sessMu.Lock()
 	st.Sessions = s.created

@@ -6,22 +6,13 @@ import (
 	"io"
 	"os"
 	"strconv"
-	"time"
 
 	"fuseme/internal/core"
 	"fuseme/internal/obs"
-	"fuseme/internal/rt/remote"
 )
 
 // Option configures a Session at construction time.
 type Option func(*Session) error
-
-// EnvMaxTaskRetries overrides the task retry budget (non-negative integer).
-const EnvMaxTaskRetries = "FUSEME_MAX_TASK_RETRIES"
-
-// defaultMaxTaskRetries is the Spark-like retry budget applied when neither
-// WithMaxTaskRetries nor FUSEME_MAX_TASK_RETRIES is set.
-const defaultMaxTaskRetries = 2
 
 // EnvCacheBytes sets the per-worker block-cache budget in bytes (see
 // WithBlockCache). Zero or unset disables caching.
@@ -32,10 +23,9 @@ const EnvCacheBytes = "FUSEME_CACHE_BYTES"
 // cores.
 const EnvKernelThreads = "FUSEME_KERNEL_THREADS"
 
-// EnvPrefetchBytes overrides the per-task prefetch admission budget in
-// bytes (see ClusterConfig.PrefetchBytes). Zero or unset means the 64 MiB
-// default; a negative value runs without prefetch.
-const EnvPrefetchBytes = "FUSEME_PREFETCH_BYTES"
+// envCacheReplicas sets how many workers hold each cached block on the TCP
+// runtime (see WithCacheReplicas).
+const envCacheReplicas = "FUSEME_CACHE_REPLICAS"
 
 // EnvJournal names a JSONL file to sink the query event journal to (see
 // WithJournal). Unset leaves journaling off.
@@ -68,8 +58,8 @@ func WithFlightRecorder(w io.Writer) Option {
 }
 
 // WithJournal attaches an event journal (see NewJournal): every Query
-// appends its lifecycle — planned (chosen plan + predicted cost), replans,
-// stage start/end with predicted-vs-measured costs, completion — as
+// appends its lifecycle — planned (chosen plan + predicted cost), stage
+// start/end with predicted-vs-measured costs, completion — as
 // structured events. Share one journal across sessions (the serve daemon
 // does) to get a single queryable stream. The journal and its sink stay the
 // caller's: Session.Close flushes the sink, never closes it. Environment
@@ -143,18 +133,6 @@ func WithMetricsAddr(addr string) Option {
 	}
 }
 
-// WithMaxTaskRetries overrides how many times a failed task is re-attempted
-// before its stage fails (default 2, or FUSEME_MAX_TASK_RETRIES).
-func WithMaxTaskRetries(n int) Option {
-	return func(s *Session) error {
-		if n < 0 {
-			return fmt.Errorf("fuseme: MaxTaskRetries = %d, must be >= 0", n)
-		}
-		s.retries = n
-		return nil
-	}
-}
-
 // WithBlockCache enables the worker-resident block cache for loop-invariant
 // inputs with a per-worker byte budget (0 disables; the effective budget is
 // clamped to the per-task memory budget θt). Iterative workloads whose
@@ -169,21 +147,8 @@ func WithBlockCache(bytes int64) Option {
 		if bytes < 0 {
 			return fmt.Errorf("fuseme: BlockCache budget = %d, must be >= 0", bytes)
 		}
-		s.cacheBytes = bytes
+		s.cc.CacheBytes = bytes
 		return nil
-	}
-}
-
-// WithHeartbeat overrides the TCP runtime's worker heartbeat: how often the
-// coordinator pings each worker and how long it waits for the reply. The
-// timeout must exceed the interval. Defaults: 500ms / 2s, or the
-// FUSEME_HEARTBEAT_INTERVAL / FUSEME_HEARTBEAT_TIMEOUT environment
-// variables.
-func WithHeartbeat(interval, timeout time.Duration) Option {
-	return func(s *Session) error {
-		s.rcfg.HeartbeatInterval = interval
-		s.rcfg.HeartbeatTimeout = timeout
-		return s.rcfg.Validate()
 	}
 }
 
@@ -199,83 +164,52 @@ func WithCacheReplicas(k int) Option {
 			return fmt.Errorf("fuseme: CacheReplicas = %d, must be >= 1", k)
 		}
 		s.rcfg.CacheReplicas = k
-		return s.rcfg.Validate()
+		return nil
 	}
 }
 
-// maxTaskRetries resolves the retry budget: option > environment > default.
-func (s *Session) maxTaskRetries() (int, error) {
-	if s.retries >= 0 {
-		return s.retries, nil
-	}
-	if env := os.Getenv(EnvMaxTaskRetries); env != "" {
-		n, err := strconv.Atoi(env)
-		if err != nil || n < 0 {
-			return 0, fmt.Errorf("fuseme: %s=%q: want a non-negative integer", EnvMaxTaskRetries, env)
-		}
-		return n, nil
-	}
-	return defaultMaxTaskRetries, nil
-}
-
-// blockCacheBytes resolves the cache budget: option > environment > disabled.
-func (s *Session) blockCacheBytes() (int64, error) {
-	if s.cacheBytes >= 0 {
-		return s.cacheBytes, nil
-	}
-	if env := os.Getenv(EnvCacheBytes); env != "" {
-		n, err := strconv.ParseInt(env, 10, 64)
-		if err != nil || n < 0 {
-			return 0, fmt.Errorf("fuseme: %s=%q: want a non-negative byte count", EnvCacheBytes, env)
-		}
-		return n, nil
-	}
-	return 0, nil
-}
-
-// prefetchBytesSetting resolves the prefetch budget: environment >
-// ClusterConfig field (whose zero means the built-in default).
-func (s *Session) prefetchBytesSetting() (int64, error) {
-	if env := os.Getenv(EnvPrefetchBytes); env != "" {
-		n, err := strconv.ParseInt(env, 10, 64)
-		if err != nil {
-			return 0, fmt.Errorf("fuseme: %s=%q: want a byte count (negative disables prefetch)", EnvPrefetchBytes, env)
-		}
-		return n, nil
-	}
-	return s.cfg.PrefetchBytes, nil
-}
-
-// kernelThreadsSetting resolves the intra-task thread count: environment >
-// ClusterConfig field (which defaults to zero = auto).
-func (s *Session) kernelThreadsSetting() (int, error) {
-	if env := os.Getenv(EnvKernelThreads); env != "" {
-		n, err := strconv.Atoi(env)
-		if err != nil || n < 0 {
-			return 0, fmt.Errorf("fuseme: %s=%q: want a non-negative integer", EnvKernelThreads, env)
-		}
-		return n, nil
-	}
-	return s.cfg.KernelThreads, nil
-}
-
-// remoteConfig resolves the TCP transport tuning: environment overrides
-// first, then explicit session options on top.
-func (s *Session) remoteConfig() (remote.Config, error) {
-	cfg, err := remote.DefaultConfig().FromEnv()
+// resolveSettings fixes the three settings with more than one source, after
+// the options ran: cache bytes (option > environment > off), kernel threads
+// (environment > ClusterConfig field) and cache replicas (option >
+// environment > 1). rcfg's other fields stay zero: the transport defaults.
+func (s *Session) resolveSettings() error {
+	cacheBytes, _, err := envInt(EnvCacheBytes, 0, "a non-negative byte count")
 	if err != nil {
-		return cfg, err
+		return err
 	}
-	if s.rcfg.HeartbeatInterval != 0 {
-		cfg.HeartbeatInterval = s.rcfg.HeartbeatInterval
+	if s.cc.CacheBytes < 0 {
+		s.cc.CacheBytes = cacheBytes
 	}
-	if s.rcfg.HeartbeatTimeout != 0 {
-		cfg.HeartbeatTimeout = s.rcfg.HeartbeatTimeout
+	threads, ok, err := envInt(EnvKernelThreads, 0, "a non-negative integer")
+	if err != nil {
+		return err
 	}
-	if s.rcfg.CacheReplicas != 0 {
-		cfg.CacheReplicas = s.rcfg.CacheReplicas
+	if ok {
+		s.cc.KernelThreads = int(threads)
 	}
-	return cfg, cfg.Validate()
+	replicas, _, err := envInt(envCacheReplicas, 1, "a positive integer")
+	if err != nil {
+		return err
+	}
+	if s.rcfg.CacheReplicas == 0 {
+		s.rcfg.CacheReplicas = int(replicas) // still 0 when unset: the default, 1
+	}
+	return nil
+}
+
+// envInt reads an integer setting from the environment. ok is false when the
+// variable is unset; a value that does not parse or is below min is an error
+// naming the variable.
+func envInt(name string, min int64, want string) (n int64, ok bool, err error) {
+	env := os.Getenv(name)
+	if env == "" {
+		return 0, false, nil
+	}
+	n, err = strconv.ParseInt(env, 10, 64)
+	if err != nil || n < min {
+		return 0, false, fmt.Errorf("fuseme: %s=%q: want %s", name, env, want)
+	}
+	return n, true, nil
 }
 
 // startMetricsServer starts the /metrics + /debug/stats endpoint if
@@ -350,21 +284,15 @@ func (s *Session) Report() string {
 // registry is on, the report also carries the per-task latency distribution
 // (count, p50/p95/p99, max) under TaskLatency.
 func (s *Session) CalibrationReport() *obs.Report {
-	rep := s.obs.Calib.Report(s.calibModel())
+	// Judged against the constants the planner used: the configured ones,
+	// B̂c scaled by explicit kernel threads.
+	rep := s.obs.Calib.Report(core.EqModel(s.cc))
 	if s.obs.Metrics != nil {
 		if snap := s.obs.Metrics.Histogram(obs.MTaskSeconds).Snapshot(); snap.Count > 0 {
 			rep.TaskLatency = &snap
 		}
 	}
 	return rep
-}
-
-// calibModel is the cluster model calibration measurements are judged
-// against: the configured constants with B̂c scaled by explicit kernel
-// threads, matching what the planner used.
-func (s *Session) calibModel() obs.ClusterModel {
-	cc, _ := s.clusterConfig() // an invalid setting fails NewSession on its own
-	return core.EqModel(cc)
 }
 
 // ResetObservations clears accumulated spans, calibration records and metric
@@ -374,16 +302,11 @@ func (s *Session) ResetObservations() { s.obs.Reset() }
 // ExplainCosts compiles a script and returns the physical plan description
 // followed by each fused operator's predicted cost breakdown — the chosen
 // (P,Q,R) with its network, computation and per-task memory terms under the
-// same constants the compile priced with: calibration-learned bandwidths
-// when a store covers the session's cluster shape (marked "learned" in the
-// header), the configured constants otherwise. This is what
-// `fuseme -explain` prints.
+// constants the compile priced with. This is what `fuseme -explain` prints.
 func (s *Session) ExplainCosts(script string) (string, error) {
 	cq, err := s.compile(script)
 	if err != nil {
 		return "", err
 	}
-	cc := cq.rtm.Config()
-	cc.LearnedNetBandwidth, cc.LearnedCompBandwidth = s.learnedBandwidths()
-	return cq.pp.Describe() + cq.pp.DescribeCosts(cc), nil
+	return cq.pp.Describe() + cq.pp.DescribeCosts(cq.rtm.Config()), nil
 }

@@ -5,9 +5,9 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
 	"strings"
 	"testing"
-	"time"
 
 	"fuseme/internal/obs"
 )
@@ -214,23 +214,78 @@ func TestSessionCalibrationDefault(t *testing.T) {
 	}
 }
 
-// TestSessionOptionValidation covers the failure modes of the observability
-// and tuning options.
+// TestSessionOptionValidation covers the failure modes of the tuning options
+// and of the environment variables NewSession resolves.
 func TestSessionOptionValidation(t *testing.T) {
 	cfg := LocalClusterConfig()
-	if _, err := NewSession(cfg, WithMaxTaskRetries(-1)); err == nil {
-		t.Error("WithMaxTaskRetries(-1) accepted")
+	if _, err := NewSession(cfg, WithBlockCache(-1)); err == nil {
+		t.Error("WithBlockCache(-1) accepted")
 	}
-	if _, err := NewSession(cfg, WithHeartbeat(2*time.Second, time.Second)); err == nil {
-		t.Error("heartbeat timeout <= interval accepted")
+	if _, err := NewSession(cfg, WithCacheReplicas(0)); err == nil {
+		t.Error("WithCacheReplicas(0) accepted")
 	}
-	t.Setenv(EnvMaxTaskRetries, "many")
-	if _, err := NewSession(cfg); err == nil {
-		t.Errorf("%s=many accepted", EnvMaxTaskRetries)
+	for _, c := range []struct{ env, bad, good string }{
+		{EnvKernelThreads, "many", "2"},
+		{EnvCacheBytes, "-1", "0"},
+		{envCacheReplicas, "0", "2"},
+	} {
+		t.Setenv(c.env, c.bad)
+		if _, err := NewSession(cfg); err == nil || !strings.Contains(err.Error(), c.env) {
+			t.Errorf("%s=%s: err = %v, want one naming the variable", c.env, c.bad, err)
+		}
+		t.Setenv(c.env, c.good)
+		if _, err := NewSession(cfg); err != nil {
+			t.Errorf("%s=%s rejected: %v", c.env, c.good, err)
+		}
+		os.Unsetenv(c.env)
 	}
-	t.Setenv(EnvMaxTaskRetries, "0")
-	if _, err := NewSession(cfg); err != nil {
-		t.Errorf("%s=0 rejected: %v", EnvMaxTaskRetries, err)
+	// Option beats environment for the replica count; the environment fills
+	// it in when no option was given.
+	t.Setenv(envCacheReplicas, "3")
+	sess, err := NewSession(cfg, WithCacheReplicas(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sess.rcfg.CacheReplicas != 2 {
+		t.Errorf("CacheReplicas = %d with option 2 and env 3, want 2", sess.rcfg.CacheReplicas)
+	}
+	if sess, err = NewSession(cfg); err != nil || sess.rcfg.CacheReplicas != 3 {
+		t.Errorf("CacheReplicas = %d, %v with env 3 alone, want 3", sess.rcfg.CacheReplicas, err)
+	}
+}
+
+// TestSessionSettingsAreSnapshotted: NewSession reads the environment once.
+// A session built under FUSEME_KERNEL_THREADS=2 keeps planning, reporting and
+// — after Close rebuilds the backend — running under 2 when the variable is
+// gone.
+func TestSessionSettingsAreSnapshotted(t *testing.T) {
+	t.Setenv(EnvKernelThreads, "2")
+	sess := newTestSession(t)
+	os.Unsetenv(EnvKernelThreads)
+	bindTestInputs(sess)
+	const header = "B̂c=1e+11 flop/s" // LocalClusterConfig's 50 GFLOP/s x 2 threads
+	if err := sess.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Query(obsTestScript); err != nil {
+		t.Fatal(err)
+	}
+	rtm, err := sess.runtime()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kt := rtm.Config().KernelThreads; kt != 2 {
+		t.Errorf("rebuilt backend runs with KernelThreads = %d, want the 2 read at NewSession", kt)
+	}
+	desc, err := sess.ExplainCosts(obsTestScript)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(desc, header) {
+		t.Errorf("ExplainCosts lost the snapshotted kernel threads (want %q):\n%s", header, desc)
+	}
+	if rep := sess.Report(); !strings.Contains(rep, "B̂c=100 Gflop/s") {
+		t.Errorf("Report judged against another B̂c than the plan's:\n%s", rep)
 	}
 }
 
@@ -243,7 +298,8 @@ func TestSessionExplainCosts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"predicted costs", "net=", "comp=", "mem/task=", "-bound"} {
+	for _, want := range []string{"predicted costs (N=2, B̂n=1e+09 B/s, B̂c=5e+10 flop/s, θt=4.0 GiB):",
+		"net=", "comp=", "mem/task=", "-bound"} {
 		if !strings.Contains(desc, want) {
 			t.Errorf("ExplainCosts missing %q in:\n%s", want, desc)
 		}

@@ -7,6 +7,7 @@ import (
 	"fuseme/internal/membership"
 	"fuseme/internal/obs"
 	"fuseme/internal/plancache"
+	"fuseme/internal/rt"
 	"fuseme/internal/sched"
 )
 
@@ -152,31 +153,24 @@ type tenantTagger interface{ SetTenant(name string, weight int) }
 // scheduler.
 type schedSetter interface{ SetScheduler(s *sched.Scheduler) }
 
-// planFingerprint appends the engine identity/knobs and the plan-relevant
-// cluster parameters to the canonical DAG key, so plans compiled under
-// different configurations never collide in a shared cache. Engine structs
-// print deterministically (Go formats map fields in sorted key order).
-// Elastic backends contribute their membership fingerprint, so a plan
-// compiled against one active worker set is never replayed against another:
-// every accepted join/leave/death bumps the cluster epoch and therefore
-// re-keys the cache.
-func (s *Session) planFingerprint() string {
-	cc := s.cfg
-	fp := fmt.Sprintf("eng=%T%+v|cl=N%d,T%d,M%d,B%d,net%g,comp%g,kt%d,rt=%s",
+// planFingerprint appends the engine identity/knobs and every cluster
+// parameter the compile reads to the canonical DAG key, so plans compiled
+// under different configurations never collide in a shared cache. The
+// parameters are taken from the resolved configuration the compiler is handed
+// (rtm.Config(): worker count as connected, kernel threads as resolved), not
+// from the ClusterConfig the caller wrote. Engine structs print
+// deterministically. Elastic backends contribute their membership
+// fingerprint, so a plan compiled against one active worker set is never
+// replayed against another: every accepted join/leave/death bumps the
+// cluster epoch and therefore re-keys the cache.
+func (s *Session) planFingerprint(rtm rt.Runtime) string {
+	cc := rtm.Config()
+	fp := fmt.Sprintf("eng=%T%+v|cl=N%d,slots%d,M%d,B%d,net%g,comp%g,rt=%s",
 		s.engine, s.engine,
-		cc.Nodes, cc.TasksPerNode, cc.TaskMemBytes, cc.BlockSize,
-		cc.NetBandwidth, cc.CompBandwidth, cc.KernelThreads, cc.Runtime)
-	s.rtMu.Lock()
-	rtm := s.rtm
-	s.rtMu.Unlock()
+		cc.Nodes, cc.PlanSlots(), cc.TaskMemBytes, cc.BlockSize,
+		cc.NetBandwidth, cc.EffectiveCompBandwidth(), s.cfg.Runtime)
 	if cf, ok := rtm.(interface{ ClusterFingerprint() string }); ok {
 		fp += "|mem=" + cf.ClusterFingerprint()
-	}
-	// Calibration-attached sessions stamp the store generation: when a
-	// learned bandwidth moves materially (or the store is rotated), cached
-	// plans costed under the old model stop matching and re-cost.
-	if s.calibStore != nil {
-		fp += fmt.Sprintf("|calib=%d", s.calibStore.Generation())
 	}
 	return fp
 }

@@ -245,6 +245,47 @@ func TestPlanCacheKeySensitivity(t *testing.T) {
 	}
 }
 
+// TestPlanCacheKeyCoversPlanInputs: sessions that share one PlanCache and
+// differ only in a cluster parameter the compile reads — Oversubscribe, then
+// TasksPerNode — each get the plan their own compile picks, not the plan the
+// first session cached.
+func TestPlanCacheKeyCoversPlanInputs(t *testing.T) {
+	const script = "O = X * log(U %*% t(V) + 1e-3)"
+	pc := NewPlanCache(0)
+	explain := func(c ClusterConfig, opts ...Option) (string, bool) {
+		sess, err := NewSession(c, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		sess.RandomSparse("X", 1024, 1024, 0.05, 1, 5, 1)
+		sess.RandomDense("U", 1024, 16, 0.1, 0.9, 2)
+		sess.RandomDense("V", 1024, 16, 0.1, 0.9, 3)
+		plan, err := sess.Explain(script)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plan, sess.LastPlanCacheHit()
+	}
+	base := LocalClusterConfig()
+	basePlan, _ := explain(base, WithPlanCache(pc))
+	over, slots := base, base
+	over.Oversubscribe = 4
+	slots.TasksPerNode = 1
+	for name, c := range map[string]ClusterConfig{"Oversubscribe=4": over, "TasksPerNode=1": slots} {
+		own, _ := explain(c)
+		if own == basePlan {
+			t.Fatalf("%s compiles the base plan %q: the case distinguishes nothing", name, own)
+		}
+		if got, hit := explain(c, WithPlanCache(pc)); hit || got != own {
+			t.Errorf("%s on the shared cache: hit=%t plan %q, want its own compile's %q", name, hit, got, own)
+		}
+	}
+	if again, hit := explain(base, WithPlanCache(pc)); !hit || again != basePlan {
+		t.Errorf("identical config: hit=%t plan %q, want a hit on %q", hit, again, basePlan)
+	}
+}
+
 // TestPlanCacheMultiOutputRename: a cached multi-output plan (GNMF) must
 // return its outputs under the submitting script's names.
 func TestPlanCacheMultiOutputRename(t *testing.T) {
