@@ -204,7 +204,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 		}
 	})
 	b.Run("on", func(b *testing.B) {
-		sess := newGNMFSession(b, fuseme.WithTracing(), fuseme.WithMetrics())
+		sess := newGNMFSession(b, fuseme.WithTracing(), fuseme.WithMetricsAddr(""))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			gnmfIteration(b, sess)
@@ -257,7 +257,7 @@ func BenchmarkJournalOverhead(b *testing.B) {
 			return []fuseme.Option{fuseme.WithJournal(fuseme.NewJournal(0, io.Discard))}
 		}},
 		{"journal+skew", func() []fuseme.Option {
-			return []fuseme.Option{fuseme.WithJournal(fuseme.NewJournal(0, io.Discard)), fuseme.WithMetrics()}
+			return []fuseme.Option{fuseme.WithJournal(fuseme.NewJournal(0, io.Discard)), fuseme.WithMetricsAddr("")}
 		}},
 	}
 	for _, v := range variants {

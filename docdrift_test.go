@@ -253,14 +253,11 @@ func TestDocDriftOptions(t *testing.T) {
 	}
 }
 
-// TestDocDriftVariablesAndCommands holds docs/OPERATIONS.md to the source in
-// both directions for environment variables — every "FUSEME_*" string literal
-// in non-test Go source outside bench/ is a row of the variable table, and
-// every row is read somewhere — and checks that every command under cmd/ is
-// named there.
-func TestDocDriftVariablesAndCommands(t *testing.T) {
-	literal := regexp.MustCompile(`"(FUSEME_[A-Z_]+)"`)
-	read := map[string]bool{}
+// nonTestGoFiles lists the non-test Go sources of the root module: bench/ (a
+// module of its own) and dot-directories are skipped.
+func nonTestGoFiles(t *testing.T) []string {
+	t.Helper()
+	var files []string
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -271,20 +268,33 @@ func TestDocDriftVariablesAndCommands(t *testing.T) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		for _, m := range literal.FindAllSubmatch(src, -1) {
-			read[string(m[1])] = true
+		if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+			files = append(files, path)
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	return files
+}
+
+// TestDocDriftVariablesAndCommands holds docs/OPERATIONS.md to the source in
+// both directions for environment variables — every "FUSEME_*" string literal
+// in non-test Go source outside bench/ is a row of the variable table, and
+// every row is read somewhere — and checks that every command under cmd/ is
+// named there.
+func TestDocDriftVariablesAndCommands(t *testing.T) {
+	literal := regexp.MustCompile(`"(FUSEME_[A-Z_]+)"`)
+	read := map[string]bool{}
+	for _, path := range nonTestGoFiles(t) {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range literal.FindAllSubmatch(src, -1) {
+			read[string(m[1])] = true
+		}
 	}
 	doc, err := os.ReadFile("docs/OPERATIONS.md")
 	if err != nil {
@@ -316,5 +326,67 @@ func TestDocDriftVariablesAndCommands(t *testing.T) {
 		if c.IsDir() && !strings.Contains(string(doc), "`"+c.Name()+"`") {
 			t.Errorf("command cmd/%s is not named in docs/OPERATIONS.md", c.Name())
 		}
+	}
+}
+
+// TestOneStageConstructor holds the executor to one stage representation:
+// non-test Go outside bench/ builds an rt.Stage in exactly one place,
+// internal/exec/paths.go (dispatch), and nothing outside package rt asks a
+// runtime for more than rt.Runtime with a type assertion to an rt interface.
+func TestOneStageConstructor(t *testing.T) {
+	const rtPath, rtDir = `"fuseme/internal/rt"`, "internal/rt"
+	var literals []string
+	for _, path := range nonTestGoFiles(t) {
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inRT := filepath.ToSlash(filepath.Dir(path)) == rtDir
+		local := "" // the name this file knows package rt by
+		for _, imp := range f.Imports {
+			if imp.Path.Value == rtPath {
+				local = "rt"
+				if imp.Name != nil {
+					local = imp.Name.Name
+				}
+			}
+		}
+		// fromRT reports whether the type expression e names rt.<name> ("" = any).
+		fromRT := func(e ast.Expr, name string) bool {
+			if id, ok := e.(*ast.Ident); ok && inRT {
+				return id.Name == name
+			}
+			sel, ok := e.(*ast.SelectorExpr)
+			if !ok || local == "" {
+				return false
+			}
+			pkg, ok := sel.X.(*ast.Ident)
+			return ok && pkg.Name == local && (name == "" || sel.Sel.Name == name)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				if fromRT(n.Type, "Stage") {
+					literals = append(literals, fset.Position(n.Pos()).String())
+				}
+			case *ast.TypeAssertExpr:
+				if !inRT && n.Type != nil && fromRT(n.Type, "") {
+					t.Errorf("%s: type assertion to an rt type outside package rt", fset.Position(n.Pos()))
+				}
+			case *ast.TypeSwitchStmt:
+				for _, c := range n.Body.List {
+					for _, e := range c.(*ast.CaseClause).List {
+						if !inRT && fromRT(e, "") {
+							t.Errorf("%s: type switch on an rt type outside package rt", fset.Position(e.Pos()))
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+	if len(literals) != 1 || !strings.HasPrefix(literals[0], "internal/exec/paths.go:") {
+		t.Errorf("rt.Stage literals at %v, want exactly one, in internal/exec/paths.go", literals)
 	}
 }

@@ -794,15 +794,11 @@ func (s *Session) Simulate(script string, shapes map[string]Shape) (Stats, error
 	if err != nil {
 		return Stats{}, err
 	}
-	cl, err := cluster.New(s.cfg.internal())
+	pp, err := s.engine.Compile(g, s.cc)
 	if err != nil {
 		return Stats{}, err
 	}
-	pp, err := s.engine.Compile(g, cl.Config())
-	if err != nil {
-		return Stats{}, err
-	}
-	st, err := core.Simulate(pp, cl)
+	st, err := core.Simulate(pp, s.cc)
 	return statsFrom(st), err
 }
 

@@ -146,7 +146,7 @@ func Run(cfg Config, wl Workload) (*Report, error) {
 			return nil, fmt.Errorf("chaos: %s step %d: %w", wl.Name, i, err)
 		}
 		cur, curReplicas := h.co.Stats(), h.co.ReplicaBytes()
-		rep.PerStep = append(rep.PerStep, diffStats(cur, prev))
+		rep.PerStep = append(rep.PerStep, cur.Sub(prev))
 		rep.StepReplicas = append(rep.StepReplicas, curReplicas-prevReplicas)
 		prev, prevReplicas = cur, curReplicas
 	}
@@ -324,31 +324,6 @@ func (h *harness) close() {
 	}
 	for _, w := range h.workers {
 		w.Close()
-	}
-}
-
-// diffStats returns the counter deltas between two stats snapshots.
-func diffStats(cur, prev cluster.Stats) cluster.Stats {
-	return cluster.Stats{
-		ConsolidationBytes: cur.ConsolidationBytes - prev.ConsolidationBytes,
-		AggregationBytes:   cur.AggregationBytes - prev.AggregationBytes,
-		ExtraWireBytes:     cur.ExtraWireBytes - prev.ExtraWireBytes,
-		Flops:              cur.Flops - prev.Flops,
-		Stages:             cur.Stages - prev.Stages,
-		Tasks:              cur.Tasks - prev.Tasks,
-		SimSeconds:         cur.SimSeconds - prev.SimSeconds,
-		WallSeconds:        cur.WallSeconds - prev.WallSeconds,
-		PeakTaskMemBytes:   cur.PeakTaskMemBytes,
-		CacheHits:          cur.CacheHits - prev.CacheHits,
-		CacheMisses:        cur.CacheMisses - prev.CacheMisses,
-		CacheEvictions:     cur.CacheEvictions - prev.CacheEvictions,
-		CacheSavedBytes:    cur.CacheSavedBytes - prev.CacheSavedBytes,
-		PrefetchBlocks:     cur.PrefetchBlocks - prev.PrefetchBlocks,
-		PrefetchBytes:      cur.PrefetchBytes - prev.PrefetchBytes,
-		StealTasks:         cur.StealTasks - prev.StealTasks,
-		FetchSeconds:       cur.FetchSeconds - prev.FetchSeconds,
-		PrefetchSeconds:    cur.PrefetchSeconds - prev.PrefetchSeconds,
-		TaskSeconds:        cur.TaskSeconds - prev.TaskSeconds,
 	}
 }
 

@@ -345,6 +345,79 @@ func (s *Stats) Add(other Stats) {
 	}
 }
 
+// Sub returns what accumulated between the snapshot prev and s: every counter
+// subtracts; the two maxima (PeakTaskMemBytes, MaxTaskFlops) have no
+// difference and keep s's value.
+func (s Stats) Sub(prev Stats) Stats {
+	s.ConsolidationBytes -= prev.ConsolidationBytes
+	s.AggregationBytes -= prev.AggregationBytes
+	s.Flops -= prev.Flops
+	s.Stages -= prev.Stages
+	s.Tasks -= prev.Tasks
+	s.SimSeconds -= prev.SimSeconds
+	s.WallSeconds -= prev.WallSeconds
+	s.ExtraWireBytes -= prev.ExtraWireBytes
+	s.CacheHits -= prev.CacheHits
+	s.CacheMisses -= prev.CacheMisses
+	s.CacheEvictions -= prev.CacheEvictions
+	s.CacheSavedBytes -= prev.CacheSavedBytes
+	s.PrefetchBlocks -= prev.PrefetchBlocks
+	s.PrefetchBytes -= prev.PrefetchBytes
+	s.StealTasks -= prev.StealTasks
+	s.FetchSeconds -= prev.FetchSeconds
+	s.PrefetchSeconds -= prev.PrefetchSeconds
+	s.TaskSeconds -= prev.TaskSeconds
+	return s
+}
+
+// TaskMetrics is one finished task's metering: what Task.Metrics reports
+// in-process and what a remote worker sends back to its coordinator (the wire
+// name is spec.TaskMetrics). Byte counters are the task's own SizeBytes
+// accounting; the TCP coordinator separately measures actual wire bytes.
+type TaskMetrics struct {
+	ConsolidationBytes int64
+	AggregationBytes   int64
+	Flops              int64
+	MemPeakBytes       int64
+
+	// Block-cache counters for the task (see internal/blockcache).
+	CacheHits       int64
+	CacheMisses     int64
+	CacheEvictions  int64
+	CacheSavedBytes int64
+
+	// Pipelined-execution metering, filled by a remote worker and zero
+	// in-process. FetchSeconds is the wire wait inside the task body (time
+	// blocked on msgFetch round-trips, excluding buffered prefetch hits);
+	// PrefetchSeconds the wire time the worker spent pulling the next task's
+	// blocks while this task's kernel ran; TaskSeconds the task's wall time
+	// on the worker.
+	FetchSeconds    float64
+	PrefetchSeconds float64
+	TaskSeconds     float64
+}
+
+// AddTask folds one finished task into the stage's stats: the one place a
+// task counter becomes a stage counter, on both runtimes.
+func (s *Stats) AddTask(m TaskMetrics) {
+	s.ConsolidationBytes += m.ConsolidationBytes
+	s.AggregationBytes += m.AggregationBytes
+	s.Flops += m.Flops
+	s.CacheHits += m.CacheHits
+	s.CacheMisses += m.CacheMisses
+	s.CacheEvictions += m.CacheEvictions
+	s.CacheSavedBytes += m.CacheSavedBytes
+	s.FetchSeconds += m.FetchSeconds
+	s.PrefetchSeconds += m.PrefetchSeconds
+	s.TaskSeconds += m.TaskSeconds
+	if m.MemPeakBytes > s.PeakTaskMemBytes {
+		s.PeakTaskMemBytes = m.MemPeakBytes
+	}
+	if m.Flops > s.MaxTaskFlops {
+		s.MaxTaskFlops = m.Flops
+	}
+}
+
 // Cluster is a simulated cluster instance. It is safe for use by one
 // execution at a time; stats reads are safe concurrently with stages.
 type Cluster struct {
@@ -601,16 +674,19 @@ func (t *Task) CacheMiss() { t.cacheMisses++ }
 // AddCacheEvictions meters entries the task's insertions evicted.
 func (t *Task) AddCacheEvictions(n int) { t.cacheEvictions += int64(n) }
 
-// Counters returns the task's accumulated metering, for backends that fold
-// task metrics into stage statistics outside RunStage (the remote runtime's
-// workers report these back to their coordinator).
-func (t *Task) Counters() (consolidationBytes, aggregationBytes, flops, memPeakBytes int64) {
-	return t.consolidationBytes, t.aggregationBytes, t.flops, t.memPeak
-}
-
-// CacheCounters returns the task's block-cache metering.
-func (t *Task) CacheCounters() (hits, misses, evictions, savedBytes int64) {
-	return t.cacheHits, t.cacheMisses, t.cacheEvictions, t.cacheSavedBytes
+// Metrics returns the task's accumulated metering. The seconds fields are
+// the caller's to fill: only a remote worker times its tasks.
+func (t *Task) Metrics() TaskMetrics {
+	return TaskMetrics{
+		ConsolidationBytes: t.consolidationBytes,
+		AggregationBytes:   t.aggregationBytes,
+		Flops:              t.flops,
+		MemPeakBytes:       t.memPeak,
+		CacheHits:          t.cacheHits,
+		CacheMisses:        t.cacheMisses,
+		CacheEvictions:     t.cacheEvictions,
+		CacheSavedBytes:    t.cacheSavedBytes,
+	}
 }
 
 // SetScheduler installs a shared task-dispatch scheduler (nil restores the
@@ -686,19 +762,7 @@ func (c *Cluster) RunStage(name string, numTasks int, fn func(t *Task) error) er
 	stage.Stages = 1
 	stage.Tasks = numTasks
 	for i := range tasks {
-		stage.ConsolidationBytes += tasks[i].consolidationBytes
-		stage.AggregationBytes += tasks[i].aggregationBytes
-		stage.Flops += tasks[i].flops
-		stage.CacheHits += tasks[i].cacheHits
-		stage.CacheMisses += tasks[i].cacheMisses
-		stage.CacheEvictions += tasks[i].cacheEvictions
-		stage.CacheSavedBytes += tasks[i].cacheSavedBytes
-		if tasks[i].memPeak > stage.PeakTaskMemBytes {
-			stage.PeakTaskMemBytes = tasks[i].memPeak
-		}
-		if tasks[i].flops > stage.MaxTaskFlops {
-			stage.MaxTaskFlops = tasks[i].flops
-		}
+		stage.AddTask(tasks[i].Metrics())
 	}
 	bytes := float64(stage.ConsolidationBytes + stage.AggregationBytes)
 	n := float64(c.cfg.Nodes)

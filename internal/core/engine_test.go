@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -236,7 +237,7 @@ func TestSimulateMatchesAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := core.Simulate(ppF, cl)
+	stats, err := core.Simulate(ppF, cl.Config())
 	if err != nil {
 		t.Fatalf("FuseME simulation: %v", err)
 	}
@@ -248,7 +249,7 @@ func TestSimulateMatchesAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = core.Simulate(ppB, cl)
+	_, err = core.Simulate(ppB, cl.Config())
 	if !errors.Is(err, cluster.ErrOutOfMemory) {
 		t.Fatalf("SystemDS at 750K scale: %v, want O.O.M.", err)
 	}
@@ -263,7 +264,7 @@ func TestSimulateTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.Simulate(pp, cl); !errors.Is(err, cluster.ErrTimeout) {
+	if _, err := core.Simulate(pp, cl.Config()); !errors.Is(err, cluster.ErrTimeout) {
 		t.Fatalf("got %v, want T.O.", err)
 	}
 }
@@ -278,7 +279,7 @@ func TestSimulatedCFOBeatsBaselinesAtScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sF, err := core.Simulate(ppF, cl)
+	sF, err := core.Simulate(ppF, cl.Config())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +287,7 @@ func TestSimulatedCFOBeatsBaselinesAtScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sS, err := core.Simulate(ppS, cl)
+	sS, err := core.Simulate(ppS, cl.Config())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,5 +368,34 @@ func TestMultiAggNotGroupedWhenUnrelated(t *testing.T) {
 		if len(op.Group) > 0 {
 			t.Fatal("disjoint aggregations were grouped")
 		}
+	}
+}
+
+// TestMultiAggGroupsStayExecutable: more sums over one plane than one
+// multi-aggregation stage has outputs split into several operators instead of
+// one that exec.MultiAggOp would refuse.
+func TestMultiAggGroupsStayExecutable(t *testing.T) {
+	g := dag.NewGraph()
+	x := g.Input("X", 16, 16, 1)
+	for i := 0; i < 70; i++ {
+		g.SetOutput(fmt.Sprintf("s%d", i), g.Agg(matrix.SumAll, g.Binary(matrix.Mul, x, g.Scalar(float64(i+2)))))
+	}
+	cl := testCluster(8)
+	flats := map[string]matrix.Mat{"X": matrix.RandomDense(16, 16, -1, 1, 1)}
+	out, _, err := core.Run(core.FuseME{}, g, cl, blockInputs(flats, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Evaluate(g, flats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, w := range want {
+		if !matrix.EqualApprox(out[name].ToMat(), w, 1e-9) {
+			t.Errorf("output %q differs", name)
+		}
+	}
+	if cl.Stats().Stages != 2 {
+		t.Errorf("%d stages, want 2 (groups of 64 and 6)", cl.Stats().Stages)
 	}
 }

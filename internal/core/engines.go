@@ -277,7 +277,9 @@ func groupMultiAgg(ops []*PhysOp, cc cluster.Config) []*PhysOp {
 			for changed := true; changed; {
 				changed = false
 				for j := range cand {
-					if used[j] || !sharesInput(inputs, cand[j].Plan) {
+					// exec.MultiAggOp takes at most 64 plans (an output's index
+					// rides in six bits of its result frames); the rest regroup.
+					if used[j] || len(group) == 64 || !sharesInput(inputs, cand[j].Plan) {
 						continue
 					}
 					group = append(group, cand[j])

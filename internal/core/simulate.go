@@ -25,8 +25,7 @@ import (
 // Admission failures return a wrapped cluster.ErrOutOfMemory; exceeding the
 // configured simulated-time limit returns a wrapped cluster.ErrTimeout.
 // Partial stats accumulated before the failure are returned either way.
-func Simulate(pp *PhysPlan, cl *cluster.Cluster) (cluster.Stats, error) {
-	cfg := cl.Config()
+func Simulate(pp *PhysPlan, cfg cluster.Config) (cluster.Stats, error) {
 	var s cluster.Stats
 	n := float64(cfg.Nodes)
 

@@ -50,9 +50,8 @@ func TestSimulateLevelParallelism(t *testing.T) {
 	cfg := cluster.Default()
 	cfg.TaskOverhead = 1.0
 	cfg.SimTimeLimit = 0
-	cl := cluster.MustNew(cfg)
 	pp := chainPlan(t)
-	s, err := Simulate(pp, cl)
+	s, err := Simulate(pp, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

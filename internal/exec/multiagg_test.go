@@ -5,10 +5,12 @@ import (
 	"testing"
 
 	"fuseme/internal/block"
+	"fuseme/internal/cluster"
 	"fuseme/internal/dag"
 	"fuseme/internal/fusion"
 	"fuseme/internal/matrix"
 	"fuseme/internal/ref"
+	"fuseme/internal/rt/spec"
 )
 
 // multiAggFixture builds sum(U*X) and colSums(X*V) over a shared sparse X.
@@ -90,6 +92,60 @@ func TestMultiAggSharedScanSavesConsolidation(t *testing.T) {
 	// covered by memory: the fused run holds X once per task.
 	if clFused.Stats().Stages >= clSep.Stats().Stages {
 		t.Fatalf("fused stages %d >= separate %d", clFused.Stats().Stages, clSep.Stats().Stages)
+	}
+}
+
+// TestMultiAggSpecStageFetchesSharedInputOnce: on a worker a shipped
+// multi-aggregation stage evaluates both plans over one leaf memo, so every
+// block a task needs — those of X, which both aggregations consume, included —
+// is requested from the coordinator once; and what the tasks emit, folded in
+// task order by output index, is the in-process result bit for bit.
+func TestMultiAggSpecStageFetchesSharedInputOnce(t *testing.T) {
+	const bs = 7
+	_, plans, bind, _ := multiAggFixture(t, bs)
+	cl := testCluster(bs)
+	want, err := (&MultiAggOp{Plans: plans}).Execute(cl, bind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := gridStage(cl, bind, "multiagg:2-plans", plans[0].Root.Inputs[0], true, plans...)
+	stage, err := NewSpecStage(&sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sinks := []*aggSink{
+		{agg: plans[0].Root.Agg, out: block.New(1, 1, bs)},
+		{agg: plans[1].Root.Agg, out: block.New(1, 27, bs)},
+	}
+	for task := 0; task < sp.NumTasks; task++ {
+		asked := map[spec.BlockRef]int{}
+		fetch := func(ref spec.BlockRef) (matrix.Mat, error) {
+			asked[ref]++
+			return bindSource{bind: bind}.fetch(ref)
+		}
+		emit := func(kind uint8, bi, bj int, blk matrix.Mat) error {
+			sinks[aggOutput(kind)].combine(bi, bj, blk)
+			return nil
+		}
+		if err := stage.RunTask(task, &cluster.Task{ID: task}, nil, fetch, emit); err != nil {
+			t.Fatal(err)
+		}
+		blocks := (sp.GI*sp.GJ - task + sp.NumTasks - 1) / sp.NumTasks
+		if len(asked) != 3*blocks { // X, U and V at each block of the task's stride
+			t.Errorf("task %d asked for %d distinct blocks, want %d", task, len(asked), 3*blocks)
+		}
+		for ref, n := range asked {
+			if n != 1 {
+				t.Errorf("task %d asked %d times for %+v", task, n, ref)
+			}
+		}
+	}
+	for i := range want {
+		for j := 0; j < want[i].Cols; j++ {
+			if got, w := sinks[i].out.At(0, j), want[i].At(0, j); math.Float64bits(got) != math.Float64bits(w) {
+				t.Errorf("output %d column %d: %v from the shipped stage, %v in process", i, j, got, w)
+			}
+		}
 	}
 }
 

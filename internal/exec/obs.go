@@ -26,17 +26,15 @@ func runObservedStage(rtm rt.Runtime, o *obs.Obs, pred obs.FlightRecord, st *rt.
 
 	span := o.StartSpan(st.Name, "stage", 0)
 	if span != nil {
-		span.Arg("tasks", st.NumTasks)
-		if sp := st.Spec; sp != nil {
-			span.Arg("phase", string(sp.Phase))
-			// Cuboid stages carry their partitioning; grid stages have none.
-			if p, q := len(sp.IRanges), len(sp.JRanges); p > 0 && q > 0 {
-				span.Arg("P", p).Arg("Q", q).Arg("R", max(len(sp.KRanges), 1))
-			}
-			span.Arg("grid", fmt.Sprintf("%dx%dx%d", sp.GI, sp.GJ, sp.GK))
+		sp := st.Spec
+		span.Arg("tasks", st.NumTasks).Arg("phase", string(sp.Phase))
+		// Cuboid stages carry their partitioning; grid stages have none.
+		if p, q := len(sp.IRanges), len(sp.JRanges); p > 0 && q > 0 {
+			span.Arg("P", p).Arg("Q", q).Arg("R", max(len(sp.KRanges), 1))
 		}
+		span.Arg("grid", fmt.Sprintf("%dx%dx%d", sp.GI, sp.GJ, sp.GK))
 	}
-	if o.PerTask() && st.Fn != nil {
+	if o.PerTask() {
 		st.Fn = wrapTaskFn(o, st.Fn, time.Now(), rtm.Config().Nodes)
 	}
 	if o.QLog != nil {
@@ -106,10 +104,11 @@ func wrapTaskFn(o *obs.Obs, inner func(*cluster.Task) error, stageStart time.Tim
 			task.SetTrace(tt)
 		}
 		err := inner(task)
-		cons, agg, flops, memPeak := task.Counters()
+		m := task.Metrics()
 		o.TaskDone(obs.TaskSample{ID: task.ID, Worker: task.ID % nodes, Cat: "task",
 			StageStart: stageStart, Start: start, Err: err,
-			ConsolidationBytes: cons, AggregationBytes: agg, Flops: flops, PeakMemBytes: memPeak})
+			ConsolidationBytes: m.ConsolidationBytes, AggregationBytes: m.AggregationBytes,
+			Flops: m.Flops, PeakMemBytes: m.MemPeakBytes})
 		if tt != nil {
 			// Replay the task body's sub-spans onto the local process track,
 			// same taxonomy the TCP workers ship back over the wire.

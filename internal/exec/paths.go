@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"fuseme/internal/block"
@@ -28,25 +29,24 @@ func runTask(fn func() error) (err error) {
 	return fn()
 }
 
-// dispatch hands one stage to the runtime: the closure runs runStageTask
-// in-process; descriptor-capable runtimes ship the spec to workers and feed
-// results back through Collect. Both paths route results through a
-// task-index-ordered stage reducer, so floating-point results fold in the
-// same order whatever order tasks complete in. Both are wrapped in the
-// operator's observability (spans, metrics, calibration measurement) when
-// enabled.
+// dispatch hands one stage to the runtime, and is the one place an rt.Stage
+// is built: the closure runs runStageTask in-process; descriptor-capable
+// runtimes ship the spec to workers and feed results back through Collect.
+// Both paths route results through a task-index-ordered stage reducer, so
+// floating-point results fold in the same order whatever order tasks complete
+// in. Both are wrapped in the operator's observability (spans, metrics,
+// calibration measurement) when enabled.
 func dispatch(rtm rt.Runtime, name string, ctx *stageCtx, src blockSource, route emitFn) error {
-	var cacher rt.BlockCacher
+	cached := len(ctx.sp.Epochs) > 0
 	var gen uint64
-	if bc, ok := rtm.(rt.BlockCacher); ok && len(ctx.sp.Epochs) > 0 {
-		cacher = bc
-		gen = bc.StageCacheGen()
+	if cached {
+		gen = rtm.StageCacheGen()
 		// Drop residual cache entries of inputs that were rebound since they
 		// were cached: their epoch changed, so the entries can never hit
 		// again and only waste budget (on the TCP backend this pushes
 		// invalidation frames to the workers holding them).
 		for _, ne := range ctx.sp.Epochs {
-			cacher.InvalidateStaleEpochs(ne.Node, ne.Epoch)
+			rtm.InvalidateStaleEpochs(ne.Node, ne.Epoch)
 		}
 	}
 	red := newStageReducer(ctx.sp.NumTasks, route)
@@ -55,8 +55,8 @@ func dispatch(rtm rt.Runtime, name string, ctx *stageCtx, src blockSource, route
 		NumTasks: ctx.sp.NumTasks,
 		Fn: func(task *cluster.Task) error {
 			var cc *CacheCtx
-			if cacher != nil {
-				if cache := cacher.TaskCache(task.ID); cache != nil {
+			if cached {
+				if cache := rtm.TaskCache(task.ID); cache != nil {
 					cc = &CacheCtx{Cache: cache, Gen: gen}
 				}
 			}
@@ -131,7 +131,7 @@ func (op *FusedOp) executeCuboid(rtm rt.Runtime, bind Bindings) (*block.Matrix, 
 		GJ:        gj,
 		GK:        gk,
 		Colocated: colocatedList(colocated),
-		Epochs:    stageEpochs(rtm, op.Plan, bind),
+		Epochs:    stageEpochs(rtm, bind, op.Plan),
 	}
 
 	if r == 1 {
@@ -180,29 +180,13 @@ func (op *FusedOp) executeCuboid(rtm rt.Runtime, bind Bindings) (*block.Matrix, 
 func (op *FusedOp) executeGrid(rtm rt.Runtime, bind Bindings) (*block.Matrix, error) {
 	bs := rtm.Config().BlockSize
 	root, rootAgg := op.effectiveRoot()
-	gi := (root.Rows + bs - 1) / bs
-	gj := (root.Cols + bs - 1) / bs
-	totalBlocks := gi * gj
-	numTasks := min(rtm.Config().PlanSlots(), totalBlocks)
-	if numTasks < 1 {
-		numTasks = 1
-	}
-	fullK := 0
+	// Pure element-wise plans run as a map over co-partitioned data;
+	// reorganised or broadcast-shaped inputs still consolidate.
+	sp := gridStage(rtm, bind, stageName(op, "map"), root, op.Strategy != Broadcast && op.Plan.MainMM == nil, op.Plan)
+	sp.Broadcast = op.Strategy == Broadcast
+	sp.NoMask = op.NoMask
 	if op.Plan.MainMM != nil {
-		_, _, fullK = op.Plan.BlockGridDims(bs)
-	}
-
-	// Pure element-wise plans run as a map over co-partitioned data: inputs
-	// shaped like the output plane pipeline without network transfer, as
-	// they do in a Spark map stage. Reorganised or broadcast-shaped inputs
-	// still consolidate.
-	colocated := map[int]bool{}
-	if op.Strategy != Broadcast && op.Plan.MainMM == nil {
-		for _, in := range op.Plan.ExternalInputs() {
-			if in.Rows == root.Rows && in.Cols == root.Cols {
-				colocated[in.ID] = true
-			}
-		}
+		_, _, sp.GK = op.Plan.BlockGridDims(bs)
 	}
 
 	var out *block.Matrix
@@ -213,26 +197,49 @@ func (op *FusedOp) executeGrid(rtm rt.Runtime, bind Bindings) (*block.Matrix, er
 		out = block.New(root.Rows, root.Cols, bs)
 	}
 	sink := &resultSink{out: out}
-
-	sp := spec.Stage{
-		Name:      stageName(op, "map"),
-		Phase:     spec.PhaseGrid,
-		NumTasks:  numTasks,
-		BlockSize: bs,
-		Plan:      spec.FromPlan(op.Plan),
-		Broadcast: op.Strategy == Broadcast,
-		NoMask:    op.NoMask,
-		GI:        gi,
-		GJ:        gj,
-		GK:        fullK,
-		Colocated: colocatedList(colocated),
-		Epochs:    stageEpochs(rtm, op.Plan, bind),
-	}
 	src := bindSource{bind: bind}
 	if err := dispatch(rtm, sp.Name, newStageCtx(op, &sp), src, routeTo(sink, agg, nil)); err != nil {
 		return nil, err
 	}
 	return op.finish(out, agg)
+}
+
+// gridStage describes a strided map over the block grid of plane — the stage
+// shape of matmul-free plans, BFO executions and multi-aggregations — sized
+// to one wave of tasks. With colocate set, the inputs of plans shaped like
+// the plane are co-partitioned with it: they pipeline without network
+// transfer, as they do in a Spark map stage.
+func gridStage(rtm rt.Runtime, bind Bindings, name string, plane *dag.Node, colocate bool, plans ...*fusion.Plan) spec.Stage {
+	bs := rtm.Config().BlockSize
+	gi := (plane.Rows + bs - 1) / bs
+	gj := (plane.Cols + bs - 1) / bs
+	numTasks := min(rtm.Config().PlanSlots(), gi*gj)
+	if numTasks < 1 {
+		numTasks = 1
+	}
+	colocated := map[int]bool{}
+	for _, p := range plans {
+		for _, in := range p.ExternalInputs() {
+			if colocate && in.Rows == plane.Rows && in.Cols == plane.Cols {
+				colocated[in.ID] = true
+			}
+		}
+	}
+	sp := spec.Stage{
+		Name:      name,
+		Phase:     spec.PhaseGrid,
+		NumTasks:  numTasks,
+		BlockSize: bs,
+		Plan:      spec.FromPlan(plans[0]),
+		GI:        gi,
+		GJ:        gj,
+		Colocated: colocatedList(colocated),
+		Epochs:    stageEpochs(rtm, bind, plans...),
+	}
+	for _, p := range plans[1:] {
+		sp.Group = append(sp.Group, spec.FromPlan(p))
+	}
+	return sp
 }
 
 // routeTo builds the emit routing for a stage's result blocks: final blocks
@@ -251,30 +258,25 @@ func routeTo(sink *resultSink, agg *aggSink, partials *mmPartialSink) emitFn {
 	}
 }
 
-// Epochs returns the content epochs of the plan's bound external inputs in
-// node-ID order: the cache keys' version component. Scalars carry no epoch.
-func (b Bindings) Epochs(p *fusion.Plan) []spec.NodeEpoch {
-	var out []spec.NodeEpoch
-	for _, in := range p.ExternalInputs() {
-		if in.Op == dag.OpScalar {
-			continue
-		}
-		if m, ok := b[in.ID]; ok {
-			out = append(out, spec.NodeEpoch{Node: in.ID, Epoch: m.Epoch()})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
-	return out
-}
-
 // stageEpochs resolves the epoch list a stage descriptor advertises: the
-// bound inputs' epochs when the runtime has block caching enabled, nil (no
-// caching, the exact uncached execution) otherwise.
-func stageEpochs(rtm rt.Runtime, p *fusion.Plan, bind Bindings) []spec.NodeEpoch {
+// content epochs of the plans' bound external inputs in node-ID order (the
+// cache keys' version component; scalars carry none) when the runtime has
+// block caching enabled, nil (no caching, the exact uncached execution)
+// otherwise.
+func stageEpochs(rtm rt.Runtime, bind Bindings, plans ...*fusion.Plan) []spec.NodeEpoch {
 	if rtm.Config().CacheBytes <= 0 {
 		return nil
 	}
-	return bind.Epochs(p)
+	var out []spec.NodeEpoch
+	for _, p := range plans {
+		for _, in := range p.ExternalInputs() {
+			if m, ok := bind[in.ID]; ok && in.Op != dag.OpScalar {
+				out = append(out, spec.NodeEpoch{Node: in.ID, Epoch: m.Epoch()})
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
+	return slices.Compact(out) // an input several plans share is listed once
 }
 
 // toSpans converts internal spans to their wire representation.

@@ -89,26 +89,38 @@ func tracedEmit(tt *cluster.TaskTrace, emit emitFn) emitFn {
 // aggregation partials, or partial main-multiplication blocks.
 type emitFn func(kind uint8, bi, bj int, blk matrix.Mat)
 
+// aggKind is the kind byte of a task-local aggregate of the stage's output
+// out (spec.OutAgg itself for output 0, the only one outside a
+// multi-aggregation stage); aggOutput reads the index back. The six bits
+// above the kind bound a stage to maxOutputs outputs.
+func aggKind(out int) uint8    { return spec.OutAgg | uint8(out)<<2 }
+func aggOutput(kind uint8) int { return int(kind >> 2) }
+
+const maxOutputs = 1 << 6
+
 // stageCtx is the per-stage execution context shared by all tasks: the fused
 // operator plus everything derived deterministically from the descriptor, so
 // coordinator and workers agree on it without shipping more than the spec.
 type stageCtx struct {
 	op        *FusedOp
+	ops       []*FusedOp // the stage's outputs: op, then one operator per plan of sp.Group
 	sp        *spec.Stage
-	root      *dag.Node
-	rootAgg   *dag.Node
 	colocated map[int]bool
 	mainIn    *dag.Node      // BFO: the co-partitioned main input (not broadcast)
 	epochs    map[int]uint64 // input epochs from the descriptor; empty = no caching
 }
 
-func newStageCtx(op *FusedOp, sp *spec.Stage) *stageCtx {
-	root, rootAgg := op.effectiveRoot()
+// newStageCtx builds the context of op's stage sp; group holds the plans of
+// sp.Group, the further outputs of a multi-aggregation.
+func newStageCtx(op *FusedOp, sp *spec.Stage, group ...*fusion.Plan) *stageCtx {
 	colocated := make(map[int]bool, len(sp.Colocated))
 	for _, id := range sp.Colocated {
 		colocated[id] = true
 	}
-	ctx := &stageCtx{op: op, sp: sp, root: root, rootAgg: rootAgg, colocated: colocated}
+	ctx := &stageCtx{op: op, ops: []*FusedOp{op}, sp: sp, colocated: colocated}
+	for _, p := range group {
+		ctx.ops = append(ctx.ops, &FusedOp{Plan: p, NoMask: sp.NoMask})
+	}
 	if sp.Broadcast {
 		ctx.mainIn = cost.MainInput(op.Plan)
 	}
@@ -131,16 +143,73 @@ type CacheCtx struct {
 	Advert *spec.CacheAdvert
 }
 
-// armCache wires the cache context into an evaluator. A nil cc, a nil cache
-// or a stage without epochs leaves the evaluator running fully uncached.
-func (ctx *stageCtx) armCache(ev *evaluator, cc *CacheCtx) {
-	if cc == nil || cc.Cache == nil || len(ctx.epochs) == 0 {
+// evaluator builds a task's evaluator of op over the main multiplication's
+// k-block range [kLo, kHi), wired to the stage's co-partitioned inputs and to
+// the block cache. A nil cc, a nil cache or a stage without epochs leaves it
+// running fully uncached.
+func (ctx *stageCtx) evaluator(op *FusedOp, task *cluster.Task, src blockSource, cc *CacheCtx, kLo, kHi int) *evaluator {
+	ev := newEvaluator(op, task, src, ctx.sp.BlockSize, kLo, kHi)
+	ev.colocated = ctx.colocated
+	if cc != nil && cc.Cache != nil && len(ctx.epochs) > 0 {
+		ev.cache = cc.Cache
+		ev.cacheGen = cc.Gen
+		ev.epochs = ctx.epochs
+		ev.advert = cc.Advert
+	}
+	return ev
+}
+
+// taskOut is one output of a task: the node evaluated per output block and,
+// when its plan roots in an aggregation, the task-local partial the blocks
+// fold into, which leaves the task once, at the end.
+type taskOut struct {
+	ev      *evaluator
+	root    *dag.Node
+	agg     *dag.Node // the root aggregation; nil emits final blocks
+	partial *block.Matrix
+	kind    uint8 // the partial's kind byte (aggKind)
+}
+
+// outputs builds the task's outputs; outs[0] is ctx.op's. A multi-aggregation
+// stage has one per plan, and their evaluators read through one memo — its
+// plans hold no multiplication, so only leaves are memoised — which makes a
+// block several aggregations consume fetched, metered and cached once per
+// task.
+func (ctx *stageCtx) outputs(task *cluster.Task, src blockSource, cc *CacheCtx, kHi int) []taskOut {
+	outs := make([]taskOut, len(ctx.ops))
+	for i, op := range ctx.ops {
+		o := &outs[i]
+		o.ev, o.kind = ctx.evaluator(op, task, src, cc, 0, kHi), aggKind(i)
+		o.ev.memo, o.ev.fetched = outs[0].ev.memo, outs[0].ev.fetched
+		if o.root, o.agg = op.effectiveRoot(); o.agg != nil {
+			o.partial = block.New(o.agg.Rows, o.agg.Cols, ctx.sp.BlockSize)
+		}
+	}
+	return outs
+}
+
+// eval computes output block (bi, bj) and folds it into the partial or emits
+// it.
+func (o *taskOut) eval(bi, bj int, emit emitFn) {
+	endKernel := o.ev.trace.Begin("kernel", "taskop")
+	blk := o.ev.evalBlock(o.root, bi, bj)
+	endKernel()
+	if o.agg != nil {
+		aggregateLocal(o.ev.task, o.partial, o.agg.Agg, bi, bj, blk)
+	} else if blk != nil {
+		emit(spec.OutFinal, bi, bj, blk)
+	}
+}
+
+// flush emits the task-local aggregate, if the output has one.
+func (o *taskOut) flush(emit emitFn) {
+	if o.agg == nil {
 		return
 	}
-	ev.cache = cc.Cache
-	ev.cacheGen = cc.Gen
-	ev.epochs = ctx.epochs
-	ev.advert = cc.Advert
+	o.partial.ForEach(func(k block.Key, blk matrix.Mat) {
+		o.ev.task.SendBlock(blk)
+		emit(o.kind, k.Row, k.Col, blk)
+	})
 }
 
 // runStageTask executes task taskID of the stage: the single task body both
@@ -170,11 +239,7 @@ func runStageTask(ctx *stageCtx, taskID int, task *cluster.Task, src blockSource
 // computes final output blocks of its (p, q) partition.
 func (ctx *stageCtx) runCuboidTask(taskID int, task *cluster.Task, src blockSource, emit emitFn, cc *CacheCtx) error {
 	q := len(ctx.sp.JRanges)
-	pi, qi := taskID/q, taskID%q
-	ev := newEvaluator(ctx.op, task, src, ctx.sp.BlockSize, 0, ctx.sp.GK)
-	ev.colocated = ctx.colocated
-	ctx.armCache(ev, cc)
-	return ctx.evalOutputs(ev, task, pi, qi, emit)
+	return ctx.evalOutputs(&ctx.outputs(task, src, cc, ctx.sp.GK)[0], taskID/q, taskID%q, emit)
 }
 
 // runPartialTask handles stage one of an R > 1 execution: partial
@@ -186,9 +251,7 @@ func (ctx *stageCtx) runPartialTask(taskID int, task *cluster.Task, src blockSou
 	qi := (taskID / r) % q
 	ri := taskID % r
 	kr := sp.KRanges[ri]
-	ev := newEvaluator(ctx.op, task, src, sp.BlockSize, kr.Lo, kr.Hi)
-	ev.colocated = ctx.colocated
-	ctx.armCache(ev, cc)
+	ev := ctx.evaluator(ctx.op, task, src, cc, kr.Lo, kr.Hi)
 	tt := task.Trace()
 	rowsp, colsp := sp.IRanges[pi], sp.JRanges[qi]
 	for bi := rowsp.Lo; bi < rowsp.Hi; bi++ {
@@ -223,9 +286,7 @@ func (ctx *stageCtx) runFuseTask(taskID int, task *cluster.Task, src blockSource
 	sp := ctx.sp
 	q := len(sp.JRanges)
 	pi, qi := taskID/q, taskID%q
-	ev := newEvaluator(ctx.op, task, src, sp.BlockSize, 0, sp.GK)
-	ev.colocated = ctx.colocated
-	ctx.armCache(ev, cc)
+	out := &ctx.outputs(task, src, cc, sp.GK)[0]
 	ri, rj := sp.IRanges[pi], sp.JRanges[qi]
 	for bi := ri.Lo; bi < ri.Hi; bi++ {
 		for bj := rj.Lo; bj < rj.Hi; bj++ {
@@ -233,61 +294,40 @@ func (ctx *stageCtx) runFuseTask(taskID int, task *cluster.Task, src blockSource
 			if err != nil {
 				return fmt.Errorf("exec: partial block (%d,%d): %w", bi, bj, err)
 			}
-			ev.memo[memoKey{ctx.op.Plan.MainMM.ID, bi, bj}] = blk // maskedMM / evalBlock find it pinned
+			out.ev.memo[memoKey{ctx.op.Plan.MainMM.ID, bi, bj}] = blk // maskedMM / evalBlock find it pinned
 			if blk != nil {
 				task.GrowMem(blk.SizeBytes())
 			}
 		}
 	}
-	return ctx.evalOutputs(ev, task, pi, qi, emit)
+	return ctx.evalOutputs(out, pi, qi, emit)
 }
 
-// runGridTask handles matmul-free plans and BFO executions: a strided map
-// over the output block grid.
+// runGridTask handles matmul-free plans, BFO executions and
+// multi-aggregations: a strided map over the output block grid, every output
+// evaluated per block.
 func (ctx *stageCtx) runGridTask(taskID int, task *cluster.Task, src blockSource, emit emitFn, cc *CacheCtx) error {
 	sp := ctx.sp
-	totalBlocks := sp.GI * sp.GJ
-	ev := newEvaluator(ctx.op, task, src, sp.BlockSize, 0, sp.GK)
-	ev.colocated = ctx.colocated
-	ctx.armCache(ev, cc)
+	outs := ctx.outputs(task, src, cc, sp.GK)
 	if sp.Broadcast {
-		broadcastSides(ctx.op.Plan, ctx.mainIn, src, ev, task)
+		broadcastSides(ctx.op.Plan, ctx.mainIn, src, outs[0].ev, task)
 	}
-	var partial *block.Matrix
-	if ctx.rootAgg != nil {
-		partial = block.New(ctx.rootAgg.Rows, ctx.rootAgg.Cols, sp.BlockSize)
-	}
-	tt := task.Trace()
-	for l := taskID; l < totalBlocks; l += sp.NumTasks {
-		bi, bj := l/sp.GJ, l%sp.GJ
-		endKernel := tt.Begin("kernel", "taskop")
-		blk := ev.evalBlock(ctx.root, bi, bj)
-		endKernel()
-		if ctx.rootAgg != nil {
-			aggregateLocal(task, partial, ctx.rootAgg.Agg, bi, bj, blk)
-		} else if blk != nil {
-			emit(spec.OutFinal, bi, bj, blk)
+	for l := taskID; l < sp.GI*sp.GJ; l += sp.NumTasks {
+		for i := range outs {
+			outs[i].eval(l/sp.GJ, l%sp.GJ, emit)
 		}
 	}
-	if ctx.rootAgg != nil {
-		partial.ForEach(func(k block.Key, blk matrix.Mat) {
-			task.SendBlock(blk)
-			emit(spec.OutAgg, k.Row, k.Col, blk)
-		})
+	for i := range outs {
+		outs[i].flush(emit)
 	}
 	return nil
 }
 
-// evalOutputs evaluates every output block of partition (pi, qi) with ev and
-// emits final blocks, or task-local aggregates when the plan roots in an
+// evalOutputs evaluates every block of out in partition (pi, qi) and emits
+// final blocks, or task-local aggregates when the plan roots in an
 // aggregation.
-func (ctx *stageCtx) evalOutputs(ev *evaluator, task *cluster.Task, pi, qi int, emit emitFn) error {
+func (ctx *stageCtx) evalOutputs(out *taskOut, pi, qi int, emit emitFn) error {
 	sp := ctx.sp
-	var partial *block.Matrix
-	if ctx.rootAgg != nil {
-		partial = block.New(ctx.rootAgg.Rows, ctx.rootAgg.Cols, sp.BlockSize)
-	}
-	tt := task.Trace()
 	ri, rj := sp.IRanges[pi], sp.JRanges[qi]
 	for bi := ri.Lo; bi < ri.Hi; bi++ {
 		for bj := rj.Lo; bj < rj.Hi; bj++ {
@@ -295,22 +335,10 @@ func (ctx *stageCtx) evalOutputs(ev *evaluator, task *cluster.Task, pi, qi int, 
 			if sp.Swapped {
 				oi, oj = bj, bi
 			}
-			endKernel := tt.Begin("kernel", "taskop")
-			blk := ev.evalBlock(ctx.root, oi, oj)
-			endKernel()
-			if ctx.rootAgg != nil {
-				aggregateLocal(task, partial, ctx.rootAgg.Agg, oi, oj, blk)
-			} else if blk != nil {
-				emit(spec.OutFinal, oi, oj, blk)
-			}
+			out.eval(oi, oj, emit)
 		}
 	}
-	if ctx.rootAgg != nil {
-		partial.ForEach(func(k block.Key, blk matrix.Mat) {
-			task.SendBlock(blk)
-			emit(spec.OutAgg, k.Row, k.Col, blk)
-		})
-	}
+	out.flush(emit)
 	return nil
 }
 
@@ -345,17 +373,21 @@ func broadcastSides(p *fusion.Plan, mainIn *dag.Node, src blockSource, ev *evalu
 // the worker is assigned runs against it.
 type SpecStage struct{ ctx *stageCtx }
 
-// NewSpecStage rebuilds the plan sp describes.
+// NewSpecStage rebuilds the plan — of a multi-aggregation, the plans — sp
+// describes.
 func NewSpecStage(sp *spec.Stage) (*SpecStage, error) {
-	plan, err := sp.Plan.Build()
-	if err != nil {
-		return nil, err
+	plans := make([]*fusion.Plan, 1+len(sp.Group))
+	for i, ps := range append([]spec.PlanSpec{sp.Plan}, sp.Group...) {
+		var err error
+		if plans[i], err = ps.Build(); err != nil {
+			return nil, err
+		}
 	}
-	op := &FusedOp{Plan: plan, NoMask: sp.NoMask}
+	op := &FusedOp{Plan: plans[0], NoMask: sp.NoMask}
 	if sp.Broadcast {
 		op.Strategy = Broadcast
 	}
-	return &SpecStage{ctx: newStageCtx(op, sp)}, nil
+	return &SpecStage{ctx: newStageCtx(op, sp, plans[1:]...)}, nil
 }
 
 // RunTask runs one task of the stage: blocks are pulled through fetch and

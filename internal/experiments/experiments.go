@@ -63,12 +63,11 @@ func tfCluster(cfg cluster.Config) cluster.Config {
 // time and communication. A failed admission renders as O.O.M., a blown
 // simulated-time budget as T.O. (the markers of Figures 12, 14 and 15).
 func simulate(e core.Engine, g *dag.Graph, cfg cluster.Config) (cluster.Stats, error) {
-	cl := cluster.MustNew(cfg)
-	pp, err := e.Compile(g, cl.Config())
+	pp, err := e.Compile(g, cfg)
 	if err != nil {
 		return cluster.Stats{}, err
 	}
-	return core.Simulate(pp, cl)
+	return core.Simulate(pp, cfg)
 }
 
 // fmtTime renders a simulated time respecting failure markers.

@@ -27,7 +27,6 @@ func fig12Engines() []core.Engine {
 // by the number of partitions of the main matrix X versus the output grid.
 // Returns the simulated stats and the variant label ("B" or "R").
 func systemDSFused(g *dag.Graph, cfg cluster.Config) (cluster.Stats, error, string) {
-	cl := cluster.MustNew(cfg)
 	var root *dag.Node
 	for _, n := range g.Outputs() {
 		root = n
@@ -59,7 +58,7 @@ func systemDSFused(g *dag.Graph, cfg cluster.Config) (cluster.Stats, error, stri
 			EstNetBytes: net, EstComFlops: com, EstMemPerTask: mem}
 	}
 	pp := &core.PhysPlan{Graph: g, Ops: []*core.PhysOp{op}}
-	stats, err := core.Simulate(pp, cl)
+	stats, err := core.Simulate(pp, cfg)
 	return stats, err, variant
 }
 

@@ -13,6 +13,7 @@ import (
 	"fuseme/internal/block"
 	"fuseme/internal/cluster"
 	"fuseme/internal/core"
+	"fuseme/internal/lang"
 	"fuseme/internal/obs"
 	"fuseme/internal/rt"
 	"fuseme/internal/rt/remote"
@@ -440,24 +441,21 @@ func TestRuntimeConformanceSpans(t *testing.T) {
 	}
 }
 
-// TestRuntimeConformanceClosureStage requires closure-only stages (no
-// descriptor, e.g. multi-aggregation operators) to run every task exactly
-// once on every backend, with identical stage/task accounting.
+// TestRuntimeConformanceClosureStage requires a bare closure handed to
+// Runtime.RunStage (no executor stage is one any more, but the runtimes still
+// accept it) to run every task exactly once on every backend, with identical
+// stage/task accounting.
 func TestRuntimeConformanceClosureStage(t *testing.T) {
 	const numTasks = 8
 	for name, open := range backends() {
 		t.Run(name, func(t *testing.T) {
 			rtm := open(t)
 			var ran atomic.Int64
-			st := &rt.Stage{
-				Name:     "closure-only",
-				NumTasks: numTasks,
-				Fn: func(task *cluster.Task) error {
-					ran.Add(1)
-					return nil
-				},
-			}
-			if err := rt.RunStage(rtm, st); err != nil {
+			err := rtm.RunStage("closure-only", numTasks, func(task *cluster.Task) error {
+				ran.Add(1)
+				return nil
+			})
+			if err != nil {
 				t.Fatal(err)
 			}
 			if ran.Load() != numTasks {
@@ -505,5 +503,69 @@ func TestRuntimeConformanceStatsReset(t *testing.T) {
 				t.Errorf("stats after reset = %+v, want zeroes", s)
 			}
 		})
+	}
+}
+
+// TestRuntimeConformanceMultiAgg requires a multi-aggregation (Figure 2(d):
+// several sums over one plane, one stage) to run as the same stage on every
+// backend — on TCP by the workers, with the runtime's own measured clock and
+// wire accounting rather than the coordinator process's model of them.
+func TestRuntimeConformanceMultiAgg(t *testing.T) {
+	const rows, cols = 96, 80
+	inputs := map[string]*block.Matrix{
+		"X": block.RandomSparse(rows, cols, 16, 0.2, -1, 1, 1),
+		"U": block.RandomDense(rows, cols, 16, -1, 1, 2),
+		"w": block.RandomDense(1, cols, 16, -1, 1, 3),
+	}
+	// U and X are shaped like the plane (co-partitioned: no consolidation in
+	// the model, extra wire bytes on TCP); the row vector w is consolidated.
+	g, err := lang.Parse("s1 = sum(U * X); s2 = colSums(X * w)", map[string]lang.InputDecl{
+		"X": {Rows: rows, Cols: cols, Sparsity: 0.2},
+		"U": {Rows: rows, Cols: cols, Sparsity: 1},
+		"w": {Rows: 1, Cols: cols, Sparsity: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := map[string]planRun{}
+	for name, open := range backends() {
+		rtm := open(t)
+		pp, err := core.FuseME{}.Compile(g, rtm.Config())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pp.Ops) != 1 || len(pp.Ops[0].Group) != 2 {
+			t.Fatalf("not one two-plan MultiAgg operator:\n%s", pp.Describe())
+		}
+		out, err := core.Execute(pp, rtm, inputs)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		runs[name] = planRun{out: out, stats: rtm.LastStageStats()}
+	}
+	sim, tcp := runs["sim"].stats, runs["tcp"].stats
+	if sim.Stages != 1 || tcp.Stages != 1 || tcp.Tasks != sim.Tasks || tcp.Flops != sim.Flops || tcp.MaxTaskFlops != sim.MaxTaskFlops {
+		t.Errorf("tcp ran %d stages / %d tasks / %d flops (max %d), sim %d / %d / %d (max %d)",
+			tcp.Stages, tcp.Tasks, tcp.Flops, tcp.MaxTaskFlops, sim.Stages, sim.Tasks, sim.Flops, sim.MaxTaskFlops)
+	}
+	if tcp.SimSeconds != tcp.WallSeconds || tcp.WallSeconds <= 0 {
+		t.Errorf("tcp stage clock %v s is not its measured wall %v s", tcp.SimSeconds, tcp.WallSeconds)
+	}
+	if sim.ConsolidationBytes <= 0 || tcp.ConsolidationBytes <= 0 || tcp.ConsolidationBytes > 2*sim.ConsolidationBytes {
+		t.Errorf("consolidation (the row vector): tcp %d bytes, sim %d", tcp.ConsolidationBytes, sim.ConsolidationBytes)
+	}
+	if sim.AggregationBytes <= 0 || tcp.AggregationBytes <= 0 || tcp.AggregationBytes > 2*sim.AggregationBytes {
+		t.Errorf("aggregation: tcp %d bytes, sim %d", tcp.AggregationBytes, sim.AggregationBytes)
+	}
+	if sim.ExtraWireBytes != 0 || tcp.ExtraWireBytes <= 0 {
+		t.Errorf("extra wire bytes (the plane-shaped inputs): tcp %d, sim %d", tcp.ExtraWireBytes, sim.ExtraWireBytes)
+	}
+	for name, want := range runs["sim"].out {
+		got := runs["tcp"].out[name]
+		for j := 0; j < want.Cols; j++ {
+			if math.Float64bits(got.At(0, j)) != math.Float64bits(want.At(0, j)) {
+				t.Fatalf("output %q differs at column %d: tcp %v, sim %v", name, j, got.At(0, j), want.At(0, j))
+			}
+		}
 	}
 }

@@ -590,16 +590,16 @@ func (c *Coordinator) markDead(w *workerConn) {
 	c.mem.MarkDead(w.id)
 }
 
-// StageCacheGen implements rt.BlockCacher against the embedded cluster's
+// StageCacheGen implements rt.Runtime against the embedded cluster's
 // generation counter (shared with closure stages run locally).
 func (c *Coordinator) StageCacheGen() uint64 { return c.local.StageCacheGen() }
 
-// TaskCache implements rt.BlockCacher. The coordinator holds no blocks
+// TaskCache implements rt.Runtime. The coordinator holds no blocks
 // itself — caches live in the worker processes — so there is never a local
 // cache to arm.
 func (c *Coordinator) TaskCache(taskID int) *blockcache.Cache { return nil }
 
-// InvalidateStaleEpochs implements rt.BlockCacher: every worker whose
+// InvalidateStaleEpochs implements rt.Runtime: every worker whose
 // advertised residency includes entries for node with an older epoch gets a
 // msgCacheInv push, and those ledger entries are pruned. Correctness never
 // depends on the push (epochs are globally unique, so stale keys cannot be
@@ -795,8 +795,9 @@ func (c *Coordinator) CheckAdmission(estTaskMemBytes int64, what string) error {
 	return c.local.CheckAdmission(estTaskMemBytes, what)
 }
 
-// RunStage executes a closure-only stage in-process on the coordinator
-// (stages without a descriptor, such as multi-aggregation operators).
+// RunStage executes a bare closure in-process on the coordinator, on the
+// embedded cluster's model clock. No executor stage comes this way: they all
+// carry a descriptor and run through RunSpecStage.
 func (c *Coordinator) RunStage(name string, numTasks int, fn func(t *cluster.Task) error) error {
 	return c.local.RunStage(name, numTasks, fn)
 }
@@ -852,11 +853,12 @@ func (m *wireMeter) countFetch(ref spec.BlockRef, n int64, colocated map[int]boo
 
 func (m *wireMeter) countResult(ob spec.OutBlock) {
 	n := int64(len(ob.Data))
-	switch ob.Kind {
-	case spec.OutPartial, spec.OutAgg:
-		m.aggregation.Add(n)
-	default:
+	// Everything but a final block is shuffled: a partial product, or a
+	// task-local aggregate of whichever output its kind byte names.
+	if ob.Kind == spec.OutFinal {
 		m.extra.Add(n)
+	} else {
+		m.aggregation.Add(n)
 	}
 }
 
@@ -882,16 +884,7 @@ func (c *Coordinator) RunSpecStage(st *rt.Stage) error {
 		stealTasks atomic.Int64
 		mu         sync.Mutex
 		firstErr   error
-		flops      int64
-		maxFlops   int64
-		peakMem    int64
-		cacheHits  int64
-		cacheMiss  int64
-		cacheEvict int64
-		cacheSaved int64
-		fetchSecs  float64
-		pfSecs     float64
-		taskSecs   float64
+		stage      = cluster.Stats{Stages: 1, Tasks: sp.NumTasks} // the tasks' metering, under mu
 	)
 	aborted := func() bool {
 		mu.Lock()
@@ -1026,20 +1019,7 @@ func (c *Coordinator) RunSpecStage(st *rt.Stage) error {
 			return
 		}
 		mu.Lock()
-		flops += done.Metrics.Flops
-		if done.Metrics.Flops > maxFlops {
-			maxFlops = done.Metrics.Flops
-		}
-		if done.Metrics.MemPeakBytes > peakMem {
-			peakMem = done.Metrics.MemPeakBytes
-		}
-		cacheHits += done.Metrics.CacheHits
-		cacheMiss += done.Metrics.CacheMisses
-		cacheEvict += done.Metrics.CacheEvictions
-		cacheSaved += done.Metrics.CacheSavedBytes
-		fetchSecs += done.Metrics.FetchSeconds
-		pfSecs += done.Metrics.PrefetchSeconds
-		taskSecs += done.Metrics.TaskSeconds
+		stage.AddTask(done.Metrics)
 		mu.Unlock()
 		err = st.Collect(taskID, done.blocks)
 		done.release() // the blocks' Data was valid until Collect returned
@@ -1098,29 +1078,17 @@ func (c *Coordinator) RunSpecStage(st *rt.Stage) error {
 		return firstErr
 	}
 
-	wall := time.Since(start).Seconds()
-	c.local.AddStats(cluster.Stats{
-		ConsolidationBytes: wire.consolidation.Load(),
-		AggregationBytes:   wire.aggregation.Load(),
-		ExtraWireBytes:     wire.extra.Load(),
-		Flops:              flops,
-		Stages:             1,
-		Tasks:              sp.NumTasks,
-		SimSeconds:         wall, // the remote backend's clock is real time
-		WallSeconds:        wall,
-		PeakTaskMemBytes:   peakMem,
-		MaxTaskFlops:       maxFlops,
-		CacheHits:          cacheHits,
-		CacheMisses:        cacheMiss,
-		CacheEvictions:     cacheEvict,
-		CacheSavedBytes:    cacheSaved,
-		PrefetchBlocks:     wire.pfBlocks.Load(),
-		PrefetchBytes:      wire.pfBytes.Load(),
-		StealTasks:         stealTasks.Load(),
-		FetchSeconds:       fetchSecs,
-		PrefetchSeconds:    pfSecs,
-		TaskSeconds:        taskSecs,
-	})
+	// The byte counters are what crossed the wire, not the workers' own
+	// SizeBytes accounting; the clock is real time.
+	stage.ConsolidationBytes = wire.consolidation.Load()
+	stage.AggregationBytes = wire.aggregation.Load()
+	stage.ExtraWireBytes = wire.extra.Load()
+	stage.PrefetchBlocks = wire.pfBlocks.Load()
+	stage.PrefetchBytes = wire.pfBytes.Load()
+	stage.StealTasks = stealTasks.Load()
+	stage.WallSeconds = time.Since(start).Seconds()
+	stage.SimSeconds = stage.WallSeconds
+	c.local.AddStats(stage)
 	return nil
 }
 

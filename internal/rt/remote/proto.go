@@ -9,7 +9,7 @@
 // task streams per worker — at most TasksPerNode idle ones, the lanes that
 // exist — each carrying one task at a time, any number in sequence.
 //
-// Frame table, protocol v6 (C = coordinator, W = worker; "gob" = encoded by
+// Frame table, protocol v7 (C = coordinator, W = worker; "gob" = encoded by
 // the connection's gob stream, "raw" = fixed binary layout):
 //
 //	control connection (C dials; per-message gob, low rate)
@@ -90,7 +90,11 @@ import (
 // streams: msgStage ships the descriptor once per (stream, stage
 // generation), msgTask assigns by id, fetch requests are fixed binary,
 // result blocks travel as msgResult frames ahead of a small msgDone.
-const protoVersion = 6
+// Version 7 ships multi-aggregation stages (spec.Stage.Group; a v6 worker
+// would run the first plan alone): the kind byte of a msgResult header
+// carries the output's index above the kind, so the frames of a
+// single-output stage are what they were.
+const protoVersion = 7
 
 // Frame types.
 const (

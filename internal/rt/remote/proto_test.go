@@ -448,15 +448,15 @@ func TestDrainWakesOnTaskCompletion(t *testing.T) {
 	}
 }
 
-// TestHandshakeRefusesOtherVersions: protocol v6 does not interoperate with
-// v5 in either direction, and both ends say so at the handshake.
+// TestHandshakeRefusesOtherVersions: protocol v7 does not interoperate with
+// v6 in either direction, and both ends say so at the handshake.
 func TestHandshakeRefusesOtherVersions(t *testing.T) {
-	if protoVersion != 6 {
-		t.Fatalf("protoVersion = %d, want 6", protoVersion)
+	if protoVersion != 7 {
+		t.Fatalf("protoVersion = %d, want 7", protoVersion)
 	}
 	cfg := cluster.Config{TasksPerNode: 1, TaskMemBytes: 1 << 30, NetBandwidth: 1e9, CompBandwidth: 50e9, BlockSize: 16}
 
-	// A v5 worker: acknowledges with its own version.
+	// A v6 worker: acknowledges with its own version.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -469,16 +469,16 @@ func TestHandshakeRefusesOtherVersions(t *testing.T) {
 				return
 			}
 			if _, err := expectFrame(conn, msgHello, maxControlFrame); err == nil {
-				writeGob(conn, msgHelloAck, helloAck{Proto: 5})
+				writeGob(conn, msgHelloAck, helloAck{Proto: 6})
 			}
 			conn.Close()
 		}
 	}()
 	if _, err := NewCoordinatorConfig(cfg, []string{ln.Addr().String()}, DefaultConfig()); err == nil || !strings.Contains(err.Error(), "protocol mismatch") {
-		t.Errorf("coordinator against a v5 worker: err = %v, want protocol mismatch", err)
+		t.Errorf("coordinator against a v6 worker: err = %v, want protocol mismatch", err)
 	}
 
-	// A v5 coordinator against this worker: told the worker's version, then
+	// A v6 coordinator against this worker: told the worker's version, then
 	// hung up on.
 	w, err := NewWorker("127.0.0.1:0")
 	if err != nil {
@@ -491,7 +491,7 @@ func TestHandshakeRefusesOtherVersions(t *testing.T) {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	if err := writeGob(conn, msgHello, hello{Proto: 5}); err != nil {
+	if err := writeGob(conn, msgHello, hello{Proto: 6}); err != nil {
 		t.Fatal(err)
 	}
 	payload, err := expectFrame(conn, msgHelloAck, maxControlFrame)
@@ -503,10 +503,10 @@ func TestHandshakeRefusesOtherVersions(t *testing.T) {
 		t.Errorf("ack = %+v, err %v; want the worker's version %d", ack, err, protoVersion)
 	}
 	if _, _, err := readFrame(conn, maxControlFrame); !errors.Is(err, io.EOF) {
-		t.Errorf("after a v5 hello: read err = %v, want EOF", err)
+		t.Errorf("after a v6 hello: read err = %v, want EOF", err)
 	}
 
-	// A v5 worker registering at the join listener.
+	// A v6 worker registering at the join listener.
 	co, err := NewCoordinatorConfig(cfg, []string{w.Addr()}, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -516,7 +516,7 @@ func TestHandshakeRefusesOtherVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := joinExchange(joinAddr, 5*time.Second, msgJoin, joinReq{Proto: 5, Addr: "127.0.0.1:1"}); err == nil || !strings.Contains(err.Error(), "protocol mismatch") {
-		t.Errorf("v5 join: err = %v, want protocol mismatch", err)
+	if _, err := joinExchange(joinAddr, 5*time.Second, msgJoin, joinReq{Proto: 6, Addr: "127.0.0.1:1"}); err == nil || !strings.Contains(err.Error(), "protocol mismatch") {
+		t.Errorf("v6 join: err = %v, want protocol mismatch", err)
 	}
 }

@@ -722,16 +722,17 @@ func (w *Worker) runTask(s *stream, st *workerStage, assign *taskAssign) bool {
 	// admitted set timing-dependent.
 	pfWG.Wait()
 	w.pfDrop(assign.Gen, assign.TaskID)
+	m := task.Metrics()
+	m.FetchSeconds, m.PrefetchSeconds, m.TaskSeconds = fetchSecs, pfSecs, taskDur.Seconds()
 	if o := w.obs.Load(); o.Enabled() {
 		o.Counter(obs.MWorkerTasksTotal).Inc()
 		o.Histogram(obs.MWorkerTaskSeconds).Observe(taskDur.Seconds())
-		con, agg, _, _ := task.Counters()
-		o.Counter(obs.MWorkerFetchBytes).Add(con)
-		o.Counter(obs.MWorkerResultBytes).Add(agg)
-		if hits, misses, evs, _ := task.CacheCounters(); hits+misses > 0 {
-			o.Counter(obs.MCacheHits).Add(hits)
-			o.Counter(obs.MCacheMisses).Add(misses)
-			o.Counter(obs.MCacheEvictions).Add(evs)
+		o.Counter(obs.MWorkerFetchBytes).Add(m.ConsolidationBytes)
+		o.Counter(obs.MWorkerResultBytes).Add(m.AggregationBytes)
+		if m.CacheHits+m.CacheMisses > 0 {
+			o.Counter(obs.MCacheHits).Add(m.CacheHits)
+			o.Counter(obs.MCacheMisses).Add(m.CacheMisses)
+			o.Counter(obs.MCacheEvictions).Add(m.CacheEvictions)
 			o.Gauge(obs.MCacheResidentBytes).Set(float64(cache.ResidentBytes()))
 		}
 		delta, threads := w.kernelStatsDelta()
@@ -779,23 +780,5 @@ func (w *Worker) runTask(s *stream, st *workerStage, assign *taskAssign) bool {
 			return false
 		}
 	}
-	con, agg, flops, mem := task.Counters()
-	hits, misses, evs, saved := task.CacheCounters()
-	return s.writeGob(msgDone, taskDone{
-		Metrics: spec.TaskMetrics{
-			ConsolidationBytes: con,
-			AggregationBytes:   agg,
-			Flops:              flops,
-			MemPeakBytes:       mem,
-			CacheHits:          hits,
-			CacheMisses:        misses,
-			CacheEvictions:     evs,
-			CacheSavedBytes:    saved,
-			FetchSeconds:       fetchSecs,
-			PrefetchSeconds:    pfSecs,
-			TaskSeconds:        taskDur.Seconds(),
-		},
-		Spans:   spans,
-		Fetched: fetched,
-	}) == nil
+	return s.writeGob(msgDone, taskDone{Metrics: m, Spans: spans, Fetched: fetched}) == nil
 }

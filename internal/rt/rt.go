@@ -8,7 +8,10 @@
 // in-process closure (what the simulated cluster runs), and Spec, a
 // serializable descriptor (what a remote backend ships to workers). Both
 // drive the exact same executor task body, so the backends produce
-// bit-close results and the descriptor path is exercised even locally.
+// bit-identical results and the descriptor path is exercised even locally.
+// Every stage the executor builds has both (internal/exec/paths.go is the one
+// place a Stage is constructed); a runtime still accepts a bare closure
+// through Runtime.RunStage.
 //
 // What the two backends do NOT share is the wire: only the TCP coordinator
 // moves blocks, so input prefetch and work-stealing exist once, in rt/remote,
@@ -44,6 +47,19 @@ type Runtime interface {
 	CheckAdmission(estTaskMemBytes int64, what string) error
 	// RunStage executes numTasks tasks of one distributed stage in-process.
 	RunStage(name string, numTasks int, fn func(t *cluster.Task) error) error
+	// StageCacheGen returns the block-cache generation the next stage will
+	// run at. The executor consults the caches — one per node/worker, for
+	// loop-invariant inputs — when a stage descriptor advertises input
+	// epochs. Blocks inserted at generation g are only hit-visible to stages
+	// with a strictly greater generation.
+	StageCacheGen() uint64
+	// TaskCache returns the cache local to the node/worker that task taskID
+	// runs on, or nil when caching is disabled or the cache is not reachable
+	// in-process (the TCP coordinator's caches live inside remote workers).
+	TaskCache(taskID int) *blockcache.Cache
+	// InvalidateStaleEpochs drops cached blocks of node whose epoch is older
+	// than epoch, on every node/worker.
+	InvalidateStaleEpochs(node int, epoch uint64)
 	// Close releases backend resources (worker connections).
 	Close() error
 }
@@ -54,51 +70,30 @@ type SpecRunner interface {
 	RunSpecStage(st *Stage) error
 }
 
-// BlockCacher is implemented by runtimes that keep worker-resident block
-// caches for loop-invariant inputs. The executor consults it when a stage
-// descriptor advertises input epochs; runtimes without the interface (or
-// with caching disabled) run every fetch cold.
-type BlockCacher interface {
-	// StageCacheGen returns the cache generation the next stage will run
-	// at. Blocks inserted at generation g are only hit-visible to stages
-	// with a strictly greater generation.
-	StageCacheGen() uint64
-	// TaskCache returns the cache local to the node/worker that task taskID
-	// runs on, or nil when the cache is not reachable in-process (the TCP
-	// coordinator's caches live inside remote workers).
-	TaskCache(taskID int) *blockcache.Cache
-	// InvalidateStaleEpochs drops cached blocks of node whose epoch is older
-	// than epoch, on every node/worker.
-	InvalidateStaleEpochs(node int, epoch uint64)
-}
-
 // Stage is one distributed stage handed to a Runtime.
 type Stage struct {
 	Name     string
 	NumTasks int
 
-	// Fn is the in-process task body. Always set.
+	// Fn is the in-process task body.
 	Fn func(t *cluster.Task) error
 
-	// Spec, when non-nil, is the serializable descriptor of the same work.
-	// Stages without a descriptor (for example multi-aggregation operators)
-	// run in-process on every backend.
+	// Spec is the serializable descriptor of the same work.
 	Spec *spec.Stage
 
 	// Fetch serves a worker's block request from the coordinator-side data
 	// (bound inputs, aggregated partials). A nil matrix with nil error is a
-	// legitimate all-zero block. Required when Spec is set.
+	// legitimate all-zero block.
 	Fetch func(ref spec.BlockRef) (matrix.Mat, error)
 
 	// Collect folds one remote task's result blocks into the stage sinks.
-	// Required when Spec is set.
 	Collect func(taskID int, blocks []spec.OutBlock) error
 }
 
 // RunStage dispatches st to r: descriptor-capable runtimes execute the spec
 // remotely, everything else runs the closure in-process.
 func RunStage(r Runtime, st *Stage) error {
-	if sr, ok := r.(SpecRunner); ok && st.Spec != nil {
+	if sr, ok := r.(SpecRunner); ok {
 		return sr.RunSpecStage(st)
 	}
 	return r.RunStage(st.Name, st.NumTasks, st.Fn)

@@ -16,6 +16,7 @@ package spec
 import (
 	"fmt"
 
+	"fuseme/internal/cluster"
 	"fuseme/internal/dag"
 	"fuseme/internal/fusion"
 	"fuseme/internal/matrix"
@@ -148,6 +149,13 @@ type Stage struct {
 	BlockSize int
 	Plan      PlanSpec
 
+	// Group, when set, makes the stage a multi-aggregation — a PhaseGrid stage
+	// with several outputs: Plan and every plan of Group root at an
+	// aggregation over the same plane, and each task evaluates all of them
+	// per block of that plane, reading shared inputs once. Output 0 is
+	// Plan's, output i Group[i-1]'s.
+	Group []PlanSpec
+
 	Broadcast bool // BFO: ship side matrices whole to every task
 	NoMask    bool // ablation: disable sparsity exploitation
 	Swapped   bool // root block plane is the transpose of the mm output plane
@@ -202,7 +210,11 @@ type BlockRef struct {
 	BI, BJ int
 }
 
-// Output block kinds for task → coordinator results.
+// Output block kinds for task → coordinator results: the low two bits of a
+// result's kind byte. The bits above them carry the index of the output the
+// block belongs to, which is 0 — so the byte is the plain kind — for every
+// block but the OutAgg partials of a multi-aggregation stage's further plans
+// (OutAgg | i<<2 for output i).
 const (
 	OutFinal   = uint8(0) // a final output block of the fused operator
 	OutAgg     = uint8(1) // a task-local partial of the root aggregation
@@ -216,30 +228,9 @@ type OutBlock struct {
 	Data   []byte
 }
 
-// TaskMetrics carries a remote task's metering counters back to the
-// coordinator. Byte counters reflect the worker's own SizeBytes accounting;
-// the coordinator separately measures actual wire bytes.
-type TaskMetrics struct {
-	ConsolidationBytes int64
-	AggregationBytes   int64
-	Flops              int64
-	MemPeakBytes       int64
-
-	// Block-cache counters for the task (see internal/blockcache).
-	CacheHits       int64
-	CacheMisses     int64
-	CacheEvictions  int64
-	CacheSavedBytes int64
-
-	// Pipelined-execution metering (proto v5). FetchSeconds is the wire
-	// wait inside the task body (time blocked on msgFetch round-trips,
-	// excluding buffered prefetch hits); PrefetchSeconds the wire time the
-	// worker spent pulling the next task's blocks while this task's kernel
-	// ran; TaskSeconds the task's wall time on the worker.
-	FetchSeconds    float64
-	PrefetchSeconds float64
-	TaskSeconds     float64
-}
+// TaskMetrics is the wire name of a remote task's metering report; cluster
+// owns the type, next to the Stats it folds into.
+type TaskMetrics = cluster.TaskMetrics
 
 // EncodeBlock serialises a block in the FME1 format, in one exactly-sized
 // allocation. Encoding nil (an all-zero block) returns nil bytes.

@@ -36,35 +36,11 @@ func RunGNMF(e core.Engine, rtm rt.Runtime, x, u, v *block.Matrix, iters int) (*
 		}
 		res.U, res.V = out["U2"], out["V2"]
 		cur := rtm.Stats()
-		res.PerIter = append(res.PerIter, diffStats(cur, prev))
+		res.PerIter = append(res.PerIter, cur.Sub(prev))
 		prev = cur
 	}
 	res.Total = prev
 	return res, nil
-}
-
-func diffStats(cur, prev cluster.Stats) cluster.Stats {
-	return cluster.Stats{
-		ConsolidationBytes: cur.ConsolidationBytes - prev.ConsolidationBytes,
-		AggregationBytes:   cur.AggregationBytes - prev.AggregationBytes,
-		ExtraWireBytes:     cur.ExtraWireBytes - prev.ExtraWireBytes,
-		Flops:              cur.Flops - prev.Flops,
-		Stages:             cur.Stages - prev.Stages,
-		Tasks:              cur.Tasks - prev.Tasks,
-		SimSeconds:         cur.SimSeconds - prev.SimSeconds,
-		WallSeconds:        cur.WallSeconds - prev.WallSeconds,
-		PeakTaskMemBytes:   cur.PeakTaskMemBytes,
-		CacheHits:          cur.CacheHits - prev.CacheHits,
-		CacheMisses:        cur.CacheMisses - prev.CacheMisses,
-		CacheEvictions:     cur.CacheEvictions - prev.CacheEvictions,
-		CacheSavedBytes:    cur.CacheSavedBytes - prev.CacheSavedBytes,
-		PrefetchBlocks:     cur.PrefetchBlocks - prev.PrefetchBlocks,
-		PrefetchBytes:      cur.PrefetchBytes - prev.PrefetchBytes,
-		StealTasks:         cur.StealTasks - prev.StealTasks,
-		FetchSeconds:       cur.FetchSeconds - prev.FetchSeconds,
-		PrefetchSeconds:    cur.PrefetchSeconds - prev.PrefetchSeconds,
-		TaskSeconds:        cur.TaskSeconds - prev.TaskSeconds,
-	}
 }
 
 // AEState holds the AutoEncoder parameters as blocked matrices.

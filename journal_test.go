@@ -166,7 +166,7 @@ func TestSetQueryLogConsumedOnce(t *testing.T) {
 // the imbalance gauge and per-worker slowdown series.
 func TestSessionSkewDetectorWithMetrics(t *testing.T) {
 	j := NewJournal(0, nil)
-	sess := journalSession(t, WithJournal(j), WithMetrics())
+	sess := journalSession(t, WithJournal(j), WithMetricsAddr(""))
 	if _, err := sess.Query(obsTestScript); err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestJournalOverheadGate(t *testing.T) {
 		return time.Since(start)
 	}
 	off := run()
-	on := run(WithJournal(NewJournal(0, nil)), WithMetrics())
+	on := run(WithJournal(NewJournal(0, nil)), WithMetricsAddr(""))
 	const slack = 150 * time.Millisecond
 	if on > off*5/4+slack {
 		t.Errorf("observed wall with journal+skew %v vs %v off: more than 25%%+%v slower", on, off, slack)

@@ -108,21 +108,11 @@ func (s *Session) Journal() *obs.Journal { return s.journal }
 // exactly one Query; like Bind, not safe concurrently with Query.
 func (s *Session) SetQueryLog(q *obs.QueryLog) { s.pendingQLog = q }
 
-// WithMetrics enables the in-process metrics registry without serving it
-// over HTTP; read it with Session.MetricsSnapshot.
-func WithMetrics() Option {
-	return func(s *Session) error {
-		if s.obs.Metrics == nil {
-			s.obs.Metrics = obs.NewRegistry()
-		}
-		return nil
-	}
-}
-
 // WithMetricsAddr enables the metrics registry and serves it over HTTP on
 // addr (host:port; use ":0" for an ephemeral port): Prometheus text on
 // /metrics, a JSON snapshot plus live runtime stats on /debug/stats. The
-// bound address is available from Session.MetricsAddr.
+// bound address is available from Session.MetricsAddr. An empty addr enables
+// the registry without an endpoint; read it with Session.MetricsSnapshot.
 func WithMetricsAddr(addr string) Option {
 	return func(s *Session) error {
 		if s.obs.Metrics == nil {
@@ -240,10 +230,10 @@ func (s *Session) startMetricsServer() error {
 func (s *Session) MetricsAddr() string { return s.metricsSrv.Addr() }
 
 // MetricsSnapshot returns the current values of every session metric. The
-// registry must be enabled with WithMetrics or WithMetricsAddr.
+// registry must be enabled with WithMetricsAddr.
 func (s *Session) MetricsSnapshot() (obs.Snapshot, error) {
 	if s.obs.Metrics == nil {
-		return obs.Snapshot{}, errors.New("fuseme: metrics not enabled (use WithMetrics or WithMetricsAddr)")
+		return obs.Snapshot{}, errors.New("fuseme: metrics not enabled (use WithMetricsAddr; an empty address needs no endpoint)")
 	}
 	return s.obs.Metrics.Snapshot(), nil
 }

@@ -21,7 +21,7 @@ const obsTestScript = "O = X * log(U %*% t(V) + 1e-3)"
 func TestSessionTracingAndMetricsSim(t *testing.T) {
 	cfg := LocalClusterConfig()
 	cfg.BlockSize = 16
-	sess, err := NewSession(cfg, WithTracing(), WithMetrics())
+	sess, err := NewSession(cfg, WithTracing(), WithMetricsAddr(""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,14 +203,14 @@ func TestSessionCalibrationDefault(t *testing.T) {
 	}
 	// But per-task instrumentation stays off...
 	if sess.obs.PerTask() {
-		t.Error("per-task instrumentation enabled without WithTracing/WithMetrics")
+		t.Error("per-task instrumentation enabled without WithTracing/WithMetricsAddr")
 	}
 	// ...and the exporters report their collectors as disabled.
 	if err := sess.WriteTrace(io.Discard); err == nil {
 		t.Error("WriteTrace succeeded without WithTracing")
 	}
 	if _, err := sess.MetricsSnapshot(); err == nil {
-		t.Error("MetricsSnapshot succeeded without WithMetrics")
+		t.Error("MetricsSnapshot succeeded without WithMetricsAddr")
 	}
 }
 
@@ -286,6 +286,45 @@ func TestSessionSettingsAreSnapshotted(t *testing.T) {
 	}
 	if rep := sess.Report(); !strings.Contains(rep, "B̂c=100 Gflop/s") {
 		t.Errorf("Report judged against another B̂c than the plan's:\n%s", rep)
+	}
+}
+
+// TestSimulateUsesResolvedSettings: Simulate plans and clocks under the
+// settings NewSession resolved, like Query and ExplainCosts of the same
+// session — a session that got its kernel threads from the environment and one
+// that got them from ClusterConfig show the same plan and the same dry run.
+func TestSimulateUsesResolvedSettings(t *testing.T) {
+	const script = "O = U %*% t(V)" // compute-bound under LocalClusterConfig: B̂c sets the clock
+	shapes := map[string]Shape{"U": {Rows: 20_000, Cols: 200}, "V": {Rows: 20_000, Cols: 200}}
+	cfg := LocalClusterConfig()
+	t.Setenv(EnvKernelThreads, "4")
+	fromEnv, err := NewSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Unsetenv(EnvKernelThreads)
+	cfg.KernelThreads = 4
+	fromField, err := NewSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var plans [2]string
+	var stats [2]Stats
+	for i, sess := range []*Session{fromEnv, fromField} {
+		sess.RandomDense("U", 200, 20, 0, 1, 1)
+		sess.RandomDense("V", 200, 20, 0, 1, 2)
+		if plans[i], err = sess.Explain(script); err != nil {
+			t.Fatal(err)
+		}
+		if stats[i], err = sess.Simulate(script, shapes); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if plans[0] != plans[1] {
+		t.Errorf("plans differ:\nenv:   %s\nfield: %s", plans[0], plans[1])
+	}
+	if stats[0] != stats[1] {
+		t.Errorf("Simulate under FUSEME_KERNEL_THREADS=4: %+v\nunder KernelThreads: 4: %+v", stats[0], stats[1])
 	}
 }
 
