@@ -883,3 +883,63 @@ func TestMaskedPassesMatchClosures(t *testing.T) {
 		}
 	}
 }
+
+// TestDenseFoldedTransposeCharges pins what a task is charged for a dense
+// product under a member t(V), which the dense kernel reads as V's own blocks
+// through swapped strides: flops, peak task memory and fetched bytes are the
+// figures measured at c9b6dc4, where every t(V) block was built, single stage
+// and R > 1. The output is, bit for bit, the one an operator gives that is
+// handed t(V) built, as an earlier operator's output.
+func TestDenseFoldedTransposeCharges(t *testing.T) {
+	const bs, users, items, k = 8, 40, 30, 12
+	flats := map[string]matrix.Mat{
+		"V": matrix.RandomDense(users, k, 0.1, 0.9, 1),
+		"D": matrix.RandomDense(users, items, 1, 2, 2),
+		"U": matrix.RandomDense(k, items, 0.1, 0.9, 4),
+	}
+	type charges struct{ flops, peakMem, fetched int64 }
+	for r, want := range map[int]charges{1: {30120, 11264, 26880}, 2: {30120, 6144, 26880}} { // measured at c9b6dc4
+		name := fmt.Sprintf("R=%d", r)
+		var outs [2]*block.Matrix
+		for external := range outs {
+			g := dag.NewGraph()
+			in := map[string]*dag.Node{}
+			for name, m := range flats {
+				r, c := m.Dims()
+				in[name] = g.Input(name, r, c, 1)
+			}
+			tv := g.Transpose(in["V"])
+			root := g.Binary(matrix.Mul, in["U"], g.MatMul(tv, in["D"]))
+			g.SetOutput("O", root)
+			plan, bind := fullPlan(t, g), bindInputs(t, g, bs, flats)
+			if external == 1 {
+				members := map[int]*dag.Node{}
+				for _, n := range g.Nodes() {
+					if !n.IsLeaf() && n != tv {
+						members[n.ID] = n
+					}
+				}
+				var err error
+				if plan, err = fusion.NewPlan(root, members); err != nil {
+					t.Fatal(err)
+				}
+				bind[tv.ID] = block.FromMat(matrix.Transpose(flats["V"]), bs)
+			}
+			cl := testCluster(bs)
+			out, err := (&FusedOp{Plan: plan, P: 2, Q: 2, R: r}).Execute(cl, bind)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			outs[external] = out
+			st := cl.Stats()
+			if got := (charges{st.Flops, st.PeakTaskMemBytes, st.ConsolidationBytes}); external == 0 && got != want {
+				t.Errorf("%s: charged %+v, want %+v", name, got, want)
+			}
+		}
+		outs[0].ForEach(func(key block.Key, blk matrix.Mat) {
+			if !bitEqualBlocks(blk, outs[1].Block(key.Row, key.Col)) {
+				t.Errorf("%s: output block (%d,%d) differs from the product with t(V) built", name, key.Row, key.Col)
+			}
+		})
+	}
+}

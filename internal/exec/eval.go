@@ -305,7 +305,10 @@ func (ev *evaluator) scalarValue(n *dag.Node) float64 {
 // scratch the task reuses across output blocks and transposes once per sum.
 // The kernel reads the left block's transpose: the operand under a member
 // t(A) node as it is (t(A)'s blocks are never built), else a copy the task
-// keeps, and is charged for, across its output blocks.
+// keeps, and is charged for, across its output blocks. A dense pair under a
+// member t(A) runs the dense kernel on A's block through swapped strides
+// (GNMF's t(V) %*% (V %*% U), the AutoEncoder's t(W) %*% D); only a CSR block
+// under t(A) against a dense one still has its transpose built.
 //
 // A sum of CSR x CSR products is stored by its own density, like a single
 // product; the other pairs give a dense block.
@@ -353,14 +356,18 @@ func (ev *evaluator) evalMatMul(n *dag.Node, bi, bj int) matrix.Mat {
 				continue
 			}
 		}
+		at, denseL := lt.(*matrix.Dense)
+		if b, ok := rb.(*matrix.Dense); ok && denseL {
+			ev.task.AddFlops(2 * int64(rows) * int64(at.Rows) * int64(cols))
+			acc = matrix.MatMulTNAccWith(ev.pool, acc, at, b)
+			sparse = false
+			continue
+		}
 		if la == nil {
-			la = ev.evalBlock(left, bi, bk) // no kernel reads this pair transposed: build t(A)'s block
+			la = ev.evalBlock(left, bi, bk) // no kernel reads a CSR block transposed: build t(A)'s block
 		}
 		ev.task.AddFlops(matrix.MatMulFlops(la, rb))
-		if acc == nil {
-			acc = matrix.NewDense(rows, cols)
-		}
-		matrix.MatMulAccWith(ev.pool, acc, la, rb)
+		acc = matrix.MatMulAccWith(ev.pool, acc, la, rb) // a nil acc is the sum's first product: a fresh block
 		sparse = sparse && la.IsSparse() && rb.IsSparse()
 	}
 	switch {

@@ -7,13 +7,20 @@ import "testing"
 // BitEqual is bitEqual, for the executor test in fused_amd64_test.go.
 var BitEqual = bitEqual
 
-// HasAssembly reports whether the assembly kernels are in use.
-func HasAssembly() bool { return hasAVX }
+// The dispatch levels, for tests outside the package.
+const (
+	LevelPortable = levelPortable
+	LevelAVX2     = levelAVX2
+	LevelAVX512   = levelAVX512
+)
 
-// ForcePortable switches the assembly kernels off until test t ends, for
+// Level reports the widest assembly form this machine runs.
+func Level() int { return simdLevel }
+
+// ForceLevel keeps the kernels at level n or below until test t ends, for
 // tests outside the package (the executor's, in fused_amd64_test.go).
-func ForcePortable(t testing.TB) {
-	was := hasAVX
-	hasAVX = false
-	t.Cleanup(func() { hasAVX = was })
+func ForceLevel(t testing.TB, n int) {
+	was := simdLevel
+	simdLevel = min(was, n)
+	t.Cleanup(func() { simdLevel = was })
 }

@@ -13,18 +13,20 @@ import (
 	"fuseme/internal/matrix"
 )
 
-// TestFusedTaskPortableKernels is the portable arm of the executor's
-// TestFusedTaskThreadInvariance, which cannot reach the dispatch flag from
+// TestFusedTaskPortableKernels is the forced-level arm of the executor's
+// TestFusedTaskThreadInvariance, which cannot reach the dispatch level from
 // its package: the GNMF update U * (t(V) %*% X) / ((t(W) %*% V) %*% U), the
 // NMF kernel X * log(V %*% t(F) + eps) and the AutoEncoder layer
 // sigmoid(V %*% U - 16 + b), planned as one fused operator each and run
-// through the executor on 128-wide blocks — GEMM, SDDMM, both axpy kernels,
-// dense strips and masked passes, the log and sigmoid strip kernels — give,
-// with the assembly kernels off and 1, 2 and 4 kernel threads, the bits the
-// assembly kernels give. So the portable twins run end to end on the machine
-// that runs the tests.
+// through the executor on 128-wide blocks — GEMM as stored and through
+// swapped strides, SDDMM, both axpy kernels, dense strips and masked passes,
+// the log and sigmoid strip kernels — give, with the assembly kernels off and
+// (on a machine with the ZMM micro-kernel) held at the AVX2 forms, at 1, 2
+// and 4 kernel threads, the bits the machine's own kernels give. So the
+// portable twins, and every assembly form, run end to end on the machine that
+// runs the tests.
 func TestFusedTaskPortableKernels(t *testing.T) {
-	if !matrix.HasAssembly() {
+	if matrix.Level() == matrix.LevelPortable {
 		t.Skip("CPU lacks AVX or FMA3: the portable kernels are the only ones")
 	}
 	const users, items, k, bs = 512, 384, 64, 128
@@ -85,12 +87,23 @@ func TestFusedTaskPortableKernels(t *testing.T) {
 				return out
 			}
 			want := run(1)
-			matrix.ForcePortable(t)
-			for _, threads := range []int{1, 2, 4} {
-				got := run(threads)
-				want.ForEach(func(key block.Key, w matrix.Mat) {
-					if !matrix.BitEqual(w, got.Block(key.Row, key.Col)) {
-						t.Errorf("block (%d,%d): portable kernels at %d threads differ from the assembly kernels", key.Row, key.Col, threads)
+			arms := []struct {
+				name  string
+				level int
+			}{{"portable", matrix.LevelPortable}, {"avx2", matrix.LevelAVX2}}
+			for _, arm := range arms {
+				t.Run(arm.name, func(t *testing.T) {
+					if matrix.Level() <= arm.level {
+						t.Skip("CPU or OS lacks AVX-512F: the AVX2 kernels are the machine's own, which the other arm is compared with")
+					}
+					matrix.ForceLevel(t, arm.level)
+					for _, threads := range []int{1, 2, 4} {
+						got := run(threads)
+						want.ForEach(func(key block.Key, w matrix.Mat) {
+							if !matrix.BitEqual(w, got.Block(key.Row, key.Col)) {
+								t.Errorf("block (%d,%d): %s kernels at %d threads differ from the machine's own", key.Row, key.Col, arm.name, threads)
+							}
+						})
 					}
 				})
 			}

@@ -38,18 +38,13 @@ func guardedCopy[T float64 | int](t *testing.T, src []T) []T {
 // which ends at an unreadable page — the last a and bt rows, the values
 // buffer, the pattern's Col (the SDDMM's prefetch looks one position ahead
 // and must not read Col[nnz]), axpy's vectors and the unary strips at every
-// length, GEMM tiles with every edge — and requires the results of ordinary
-// memory.
+// length, GEMM tiles with every edge under both micro-kernels and both stride
+// orders of the left operand — and requires the results of ordinary memory.
 func TestAssemblyStaysInBounds(t *testing.T) {
-	if !hasAVX {
-		t.Skip("CPU lacks AVX or FMA3")
+	if simdLevel < levelAVX2 {
+		t.Skip("CPU lacks AVX, FMA3 or AVX2")
 	}
-	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
-	defer func() {
-		if r := recover(); r != nil {
-			t.Fatalf("an assembly kernel read or wrote outside its operands: %v", r)
-		}
-	}()
+	defer failOnFault(t)()
 	rng := rand.New(rand.NewSource(22))
 
 	const rows, cols = 7, 9
@@ -93,13 +88,41 @@ func TestAssemblyStaysInBounds(t *testing.T) {
 		}
 	}
 
-	for _, sh := range []struct{ m, k, n int }{{4, 1, 8}, {4, 64, 8}, {8, 3, 16}, {5, 9, 11}, {64, 64, 64}, {68, 65, 72}} {
-		a, b := special(rng, make([]float64, sh.m*sh.k)), special(rng, make([]float64, sh.k*sh.n))
-		want, got := NewDense(sh.m, sh.n), NewDenseData(sh.m, sh.n, guarded[float64](t, sh.m*sh.n))
-		MatMulAccWith(nil, want, NewDenseData(sh.m, sh.k, a), NewDenseData(sh.k, sh.n, b))
-		MatMulAccWith(nil, got, NewDenseData(sh.m, sh.k, guardedCopy(t, a)), NewDenseData(sh.k, sh.n, guardedCopy(t, b)))
-		if !sameFloats(got.Data, want.Data) {
-			t.Errorf("gemm %dx%dx%d: guarded operands give other values", sh.m, sh.k, sh.n)
+	// Both micro-kernels (on a machine with the wide one, the narrow one is
+	// forced too), with the left operand as stored and read transposed.
+	for _, lv := range asmLevels {
+		t.Run("gemm/"+lv.name, func(t *testing.T) {
+			if simdLevel < lv.level {
+				t.Skip(lv.lacks)
+			}
+			defer failOnFault(t)()
+			atLevel(lv.level, func() {
+				for _, sh := range []struct{ m, k, n int }{{4, 1, 8}, {4, 64, 8}, {8, 1, 16}, {8, 3, 16}, {8, 64, 16}, {5, 9, 11}, {13, 7, 29}, {64, 64, 64}, {68, 65, 72}} {
+					a, b := special(rng, make([]float64, sh.m*sh.k)), special(rng, make([]float64, sh.k*sh.n))
+					at := Transpose(NewDenseData(sh.m, sh.k, a)).(*Dense).Data
+					want := NewDense(sh.m, sh.n)
+					nn, tn := NewDenseData(sh.m, sh.n, guarded[float64](t, sh.m*sh.n)), NewDenseData(sh.m, sh.n, guarded[float64](t, sh.m*sh.n))
+					MatMulAccWith(nil, want, NewDenseData(sh.m, sh.k, a), NewDenseData(sh.k, sh.n, b))
+					MatMulAccWith(nil, nn, NewDenseData(sh.m, sh.k, guardedCopy(t, a)), NewDenseData(sh.k, sh.n, guardedCopy(t, b)))
+					MatMulTNAccWith(nil, tn, NewDenseData(sh.k, sh.m, guardedCopy(t, at)), NewDenseData(sh.k, sh.n, guardedCopy(t, b)))
+					if !sameFloats(nn.Data, want.Data) || !sameFloats(tn.Data, want.Data) {
+						t.Errorf("%dx%dx%d: guarded operands give other values", sh.m, sh.k, sh.n)
+					}
+				}
+			})
+		})
+	}
+}
+
+// failOnFault makes a memory fault on the calling goroutine fail t, with
+// defer failOnFault(t)(): a fault panics until the returned function has run,
+// and that function reports the panic.
+func failOnFault(t *testing.T) func() {
+	was := debug.SetPanicOnFault(true)
+	return func() {
+		debug.SetPanicOnFault(was)
+		if r := recover(); r != nil {
+			t.Fatalf("an assembly kernel read or wrote outside its operands: %v", r)
 		}
 	}
 }

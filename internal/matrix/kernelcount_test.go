@@ -13,7 +13,10 @@ import "testing"
 // dense product is one assembly tile per (i, k, j) tile and nothing beside;
 // the NMF kernel's log pass over that mask block's values is one strip kernel
 // call, the AutoEncoder's sigmoid over a 128x128 block one per row. With the
-// assembly switched off, nothing is counted.
+// assembly switched off, nothing is counted. And at every level the machine
+// has, the dense products of the benchmark's blocks — 256 and 128 wide, the
+// factors' 64, the twins' 64 and 32, left operand as stored and transposed —
+// are micro-kernel strips alone: the scalar edge loop is never entered.
 func TestFastPathIsThePath(t *testing.T) {
 	mask := RandomSparse(benchBlock, benchBlock, 0.005, 1, 5, 4)
 	u, v := RandomDense(benchBlock, benchK, 0.1, 0.9, 5), RandomDense(benchBlock, benchK, 0.1, 0.9, 6)
@@ -29,6 +32,7 @@ func TestFastPathIsThePath(t *testing.T) {
 		counts[kernelAxpy] = kernelCalls[kernelAxpy].Load()
 		MatMulAccWith(nil, NewDense(128, 128), a, b)
 		counts[kernelGEMM] = kernelCalls[kernelGEMM].Load()
+		counts[kernelGEMMEdge] = kernelCalls[kernelGEMMEdge].Load()
 		var passes MaskedChain
 		passes.Scalar(Add, 1e-3, false)
 		passes.Unary(unaryFuncs["log"])
@@ -43,17 +47,42 @@ func TestFastPathIsThePath(t *testing.T) {
 		kernelGEMM: (128 / tileI) * (128 / tileK) * (128 / tileJ), kernelSDDMM: 1, kernelAxpy: 2 * int64(mask.NNZ()),
 		kernelLog: 1, kernelSigmoid: 128,
 	}
-	if !hasAVX {
+	if simdLevel < levelAVX2 {
 		want = [numKernels]int64{}
 	}
 	if got := run(); got != want {
-		t.Errorf("assembly kernel calls (gemm, sddmm, axpy, log, exp, sigmoid) = %v, want %v", got, want)
+		t.Errorf("assembly kernel calls (gemm, gemm edge, sddmm, axpy, log, exp, sigmoid) = %v, want %v", got, want)
 	}
-	if hasAVX {
+	if simdLevel >= levelAVX2 {
 		portably(func() {
 			if got := run(); got != ([numKernels]int64{}) {
 				t.Errorf("with the assembly off, %v calls were still counted", got)
 			}
+		})
+	}
+
+	edgeFree := func(t *testing.T, level int) {
+		atLevel(level, func() {
+			for _, sh := range []struct{ m, k, n int }{
+				{256, 256, 256}, {256, 64, 256}, {64, 256, 64}, {64, 256, 256}, {128, 128, 256}, {128, 256, 128}, {64, 64, 64}, {32, 32, 32}, {32, 64, 32},
+			} {
+				kernelCalls[kernelGEMMEdge].Store(0)
+				x, y := RandomDense(sh.m, sh.k, -1, 1, 1), RandomDense(sh.k, sh.n, -1, 1, 2)
+				MatMulAccWith(nil, nil, x, y)
+				MatMulTNAccWith(nil, nil, Transpose(x).(*Dense), y)
+				if n := kernelCalls[kernelGEMMEdge].Load(); n != 0 {
+					t.Errorf("%dx%dx%d: the edge loop was entered %d times", sh.m, sh.k, sh.n, n)
+				}
+			}
+		})
+	}
+	t.Run("portable", func(t *testing.T) { edgeFree(t, levelPortable) })
+	for _, lv := range asmLevels {
+		t.Run(lv.name, func(t *testing.T) {
+			if simdLevel < lv.level {
+				t.Skip(lv.lacks)
+			}
+			edgeFree(t, lv.level)
 		})
 	}
 }

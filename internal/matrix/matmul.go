@@ -9,23 +9,40 @@ import (
 	"fuseme/internal/parallel"
 )
 
-// Tile sizes for the blocked dense kernel. 64x64 float64 tiles are 32 KiB —
-// an a-tile plus a b-tile fit in a typical 256 KiB L2 with room for the
-// output panel, and 64 divides evenly into the register micro-kernel's 4-wide
-// steps so full tiles never hit the edge path.
+// Tile sizes for the blocked dense kernel. A 64x64 float64 tile is 32 KiB:
+// the a-tile is read once per 16 (or 8) output columns and stays in L1, the
+// b-tile's rows come from L2 at the block's row stride — measured on the
+// benchmark's machine (2 MB L2), packing them per (k, j) tile gained nothing
+// (ROADMAP item 5). 64 is a multiple of every micro-kernel's steps (8x16,
+// 4x8, 4x4), so full tiles never reach the edge loop. tileK is also part of
+// the arithmetic: a product is added into its output once per k-tile, so
+// another value gives other sums.
 const (
 	tileI = 64
 	tileK = 64
 	tileJ = 64
 )
 
+// The levels of assembly support, in order: a machine runs the widest form a
+// kernel has at or below its simdLevel. Only the dense GEMM has a form at
+// levelAVX512; the SDDMM, axpy and the unary strips stop at levelAVX2 — their
+// bits are defined by four lanes, and they wait on cache fills, not on
+// arithmetic.
+const (
+	levelPortable = iota
+	levelAVX2
+	levelAVX512
+)
+
 // rowGrain is the minimum number of rows worth a helper goroutine in the
 // row-parallel sparse and masked kernels.
 const rowGrain = 16
 
-// The kernels that have an assembly form, as countKernel names them.
+// What countKernel counts: entries into the assembly arm of each kernel that
+// has one, and into edgeTile, the dense GEMM's scalar remainder loop.
 const (
 	kernelGEMM = iota
+	kernelGEMMEdge
 	kernelSDDMM
 	kernelAxpy
 	kernelLog
@@ -37,25 +54,25 @@ const (
 // MatMul computes a x b on the serial path; see MatMulWith.
 func MatMul(a, b Mat) Mat { return MatMulWith(nil, a, b) }
 
-// MatMulWith computes a x b into a fresh block: MatMulAccWith on a zeroed
+// MatMulWith computes a x b into a fresh block: MatMulAccWith without an
 // accumulator. The result is dense except for CSR x CSR, which is compressed
 // when the result density stays below SparseResultThreshold.
 func MatMulWith(p *parallel.Pool, a, b Mat) Mat {
-	ar, _ := a.Dims()
-	_, bc := b.Dims()
-	out := NewDense(ar, bc)
-	matMulAcc(p, out, a, b, true)
+	out := MatMulAccWith(p, nil, a, b)
 	if a.IsSparse() && b.IsSparse() {
 		return MaybeCompress(out, SparseResultThreshold)
 	}
 	return out
 }
 
-// MatMulAccWith accumulates acc += a x b in place, splitting row panels
-// across p's kernel threads (p may be nil for the serial path). acc must be
-// a buffer the caller owns. Dispatch is by representation: dense x dense,
-// CSR x dense and CSR x CSR have dedicated kernels, and dense x CSR runs
-// MatMulTransAccWith on a transposed copy of a.
+// MatMulAccWith accumulates acc += a x b in place and returns acc, splitting
+// row panels across p's kernel threads (p may be nil for the serial path).
+// acc must be a buffer the caller owns, or nil for the first product of a
+// sum: the kernel then allocates the block and, knowing it all zeros, does not
+// scan it to find out — on the repo benchmark's 0.005-dense block that scan
+// costs as much as the CSR x dense product. Dispatch is by representation:
+// dense x dense, CSR x dense and CSR x CSR have dedicated kernels, and
+// dense x CSR runs MatMulTransAccWith on a transposed copy of a.
 //
 // Every kernel sums the product of one element first and adds it to acc
 // once — aside, or in place where acc is still zero, which gives the same
@@ -63,14 +80,13 @@ func MatMulWith(p *parallel.Pool, a, b Mat) Mat {
 // MatMulWith product, and at every thread count: each output element is
 // computed by exactly one goroutine, and the per-element accumulation order
 // is fixed by the tile grid, not by the partition.
-func MatMulAccWith(p *parallel.Pool, acc *Dense, a, b Mat) { matMulAcc(p, acc, a, b, false) }
-
-// matMulAcc is MatMulAccWith; fresh promises acc is all zeros, which saves
-// the sparse kernels finding it out row by row: on the repo benchmark's
-// 0.005-dense block that scan costs as much as the CSR x dense product.
-func matMulAcc(p *parallel.Pool, acc *Dense, a, b Mat, fresh bool) {
+func MatMulAccWith(p *parallel.Pool, acc *Dense, a, b Mat) *Dense {
 	ar, ak := a.Dims()
 	bk, bc := b.Dims()
+	fresh := acc == nil
+	if fresh {
+		acc = NewDense(ar, bc)
+	}
 	if ak != bk || acc.Rows != ar || acc.Cols != bc {
 		panic(fmt.Sprintf("matrix: matmul shape mismatch %dx%d x %dx%d into %dx%d", ar, ak, bk, bc, acc.Rows, acc.Cols))
 	}
@@ -78,14 +94,14 @@ func matMulAcc(p *parallel.Pool, acc *Dense, a, b Mat, fresh bool) {
 	case *Dense:
 		switch y := b.(type) {
 		case *Dense:
-			p.For(ar, tileI, func(lo, hi int) { matMulDDPanel(x, y, acc, lo, hi) })
-			return
+			matMulDD(p, acc, strided{x.Data, x.Cols, 1}, y, fresh)
+			return acc
 		case *CSR:
 			// The product, transposed, summed aside and added once.
 			prodT := NewDense(bc, ar)
 			MatMulTransAccWith(p, prodT, TransposeWith(p, x).(*Dense), y)
 			AddAcc(acc, TransposeWith(p, prodT))
-			return
+			return acc
 		}
 	case *CSR:
 		switch y := b.(type) {
@@ -97,7 +113,7 @@ func matMulAcc(p *parallel.Pool, acc *Dense, a, b Mat, fresh bool) {
 				}
 				return len(cols) > 0
 			})
-			return
+			return acc
 		case *CSR:
 			accRows(p, acc, fresh, func(i int, row []float64) bool {
 				acols, avals := x.RowNNZ(i)
@@ -110,7 +126,7 @@ func matMulAcc(p *parallel.Pool, acc *Dense, a, b Mat, fresh bool) {
 				}
 				return len(acols) > 0
 			})
-			return
+			return acc
 		}
 	}
 	panic("matrix: unsupported Mat implementation")
@@ -149,7 +165,7 @@ func accRows(p *parallel.Pool, acc *Dense, fresh bool, fill func(i int, row []fl
 // architectures whose compiler would. axpyAVX is the same arithmetic.
 func axpy(dst []float64, s float64, x []float64) {
 	dst = dst[:len(x)]
-	if hasAVX && len(x) > 0 {
+	if simdLevel >= levelAVX2 && len(x) > 0 {
 		countKernel(kernelAxpy)
 		axpyAVX(&dst[0], &x[0], len(x), s)
 		return
@@ -184,6 +200,37 @@ func MatMulTransAccWith(p *parallel.Pool, accT *Dense, a *Dense, b *CSR) {
 	})
 }
 
+// MatMulTNAccWith is MatMulAccWith for dense blocks with the left operand
+// given transposed: acc += t(at) x b for at (K x m) and b (K x n). The kernel
+// reads at where it lies, through swapped strides, so a product under a
+// t(A) node never builds t(A)'s block; element for element it is the
+// arithmetic of MatMulAccWith on the built transpose, and gives its bits.
+func MatMulTNAccWith(p *parallel.Pool, acc *Dense, at, b *Dense) *Dense {
+	fresh := acc == nil
+	if fresh {
+		acc = NewDense(at.Cols, b.Cols)
+	}
+	if at.Rows != b.Rows || acc.Rows != at.Cols || acc.Cols != b.Cols {
+		panic(fmt.Sprintf("matrix: matmul shape mismatch t(%dx%d) x %dx%d into %dx%d", at.Rows, at.Cols, b.Rows, b.Cols, acc.Rows, acc.Cols))
+	}
+	matMulDD(p, acc, strided{at.Data, 1, at.Cols}, b, fresh)
+	return acc
+}
+
+// strided is the left operand as the dense kernel reads it: element (i, k) is
+// data[i*rs+k*ks] — a row-major block (rs its column count, ks 1) or the
+// transpose of one (rs 1, ks the stored block's column count).
+type strided struct {
+	data   []float64
+	rs, ks int
+}
+
+// matMulDD is the dense x dense kernel, acc += a x b, row panels split across
+// p's kernel threads; fresh promises acc is all zeros.
+func matMulDD(p *parallel.Pool, acc *Dense, a strided, b *Dense, fresh bool) {
+	p.For(acc.Rows, tileI, func(lo, hi int) { matMulDDPanel(a, b, acc, lo, hi, fresh) })
+}
+
 // panelPool recycles the row-panel scratch of matMulDDPanel. A slice in the
 // pool is all zeros.
 var panelPool sync.Pool
@@ -192,15 +239,15 @@ var panelPool sync.Pool
 // cache-blocked, register-tiled dense kernel, walking the fixed i/k/j tile
 // grid. A product spanning several k-tiles is summed first (k-tiles
 // ascending) and added to acc once: in a zeroed scratch row panel, or in
-// place where acc's rows are still zero.
-func matMulDDPanel(a, b, acc *Dense, rLo, rHi int) {
-	K, N := a.Cols, b.Cols
+// place where acc's rows are still zero — which fresh says, or a scan finds.
+func matMulDDPanel(a strided, b, acc *Dense, rLo, rHi int, fresh bool) {
+	K, N := b.Rows, b.Cols
 	var panel *[]float64
 	for it := rLo; it < rHi; it += tileI {
 		iMax := minInt(it+tileI, rHi)
 		rows := acc.Data[it*N : iMax*N]
 		out := rows
-		if K > tileK && !allZero(rows) {
+		if K > tileK && !fresh && !allZero(rows) {
 			if panel == nil {
 				panel, _ = panelPool.Get().(*[]float64)
 			}
@@ -238,29 +285,47 @@ func allZero(s []float64) bool {
 }
 
 // mulTile multiplies one (i,k)x(k,j) tile pair into out, whose element
-// (iLo, jLo) is out[0] and whose row stride is ldo. It runs the 4x8 FMA
-// micro-kernel (hasAVX) or the portable 4x4 register micro-kernel on
-// full-width strips, and an edge loop on the remainder. The arithmetic is
-// defined once: every output element has one accumulator, which takes
-// acc = fma(a, b, acc) — one rounding per step — over the tile's k range, k
-// ascending, and is added into out once per tile. Assembly strips, portable
-// strips and edge rows therefore match bitwise, on every machine: math.FMA is
-// the hardware instruction on amd64 with FMA3 and on arm64, and exact (and
-// slow) software elsewhere.
-func mulTile(a, b *Dense, out []float64, ldo, iLo, iMax, kLo, kMax, jLo, jMax int) {
+// (iLo, jLo) is out[0] and whose row stride is ldo. Full-width strips go to
+// the widest micro-kernel the machine has — 8x16 at levelAVX512, whose row
+// and column remainders are tiles for the next one; 4x8 at levelAVX2; else
+// the portable 4x4 — and what is narrower than that to an edge loop. The
+// arithmetic is defined once: every output element has one accumulator, which
+// takes acc = fma(a, b, acc) — one rounding per step — over the tile's k
+// range, k ascending, and is added into out once per tile. Strips of either
+// assembly form, portable strips and edge rows therefore match bitwise, on
+// every machine: math.FMA is the hardware instruction on amd64 with FMA3 and
+// on arm64, and exact (and slow) software elsewhere.
+func mulTile(a strided, b *Dense, out []float64, ldo, iLo, iMax, kLo, kMax, jLo, jMax int) {
 	if kLo >= kMax {
 		return
 	}
-	i := iLo
-	if hasAVX {
+	switch {
+	case simdLevel >= levelAVX512:
 		countKernel(kernelGEMM)
-		K, N := a.Cols, b.Cols
-		kn, ldaB, ldbB := uintptr(kMax-kLo), uintptr(K*8), uintptr(N*8)
+		N := b.Cols
+		kn, ldaB, ldkB, ldbB, ldoB := uintptr(kMax-kLo), uintptr(a.rs*8), uintptr(a.ks*8), uintptr(N*8), uintptr(ldo*8)
+		i8, j16 := iLo+(iMax-iLo)&^7, jLo+(jMax-jLo)&^15
+		for i := iLo; i < i8; i += 8 {
+			ap, orow := &a.data[i*a.rs+kLo*a.ks], out[(i-iLo)*ldo:]
+			for j := jLo; j < j16; j += 16 {
+				microAVX512x8x16(ap, &b.Data[kLo*N+j], &orow[j-jLo], kn, ldaB, ldkB, ldbB, ldoB)
+			}
+		}
+		if i8 > iLo && j16 < jMax {
+			mulTileAVX2(a, b, out[j16-jLo:], ldo, iLo, i8, kLo, kMax, j16, jMax)
+		}
+		if i8 < iMax {
+			mulTileAVX2(a, b, out[(i8-iLo)*ldo:], ldo, i8, iMax, kLo, kMax, jLo, jMax)
+		}
+	case simdLevel >= levelAVX2:
+		countKernel(kernelGEMM)
+		mulTileAVX2(a, b, out, ldo, iLo, iMax, kLo, kMax, jLo, jMax)
+	default:
+		i := iLo
 		for ; i+4 <= iMax; i += 4 {
 			j := jLo
-			for ; j+8 <= jMax; j += 8 {
-				microAVX4x8(&a.Data[i*K+kLo], &b.Data[kLo*N+j], &out[(i-iLo)*ldo+j-jLo],
-					kn, ldaB, ldbB, uintptr(ldo*8))
+			for ; j+4 <= jMax; j += 4 {
+				micro4x4(a, b, out[(i-iLo)*ldo+j-jLo:], ldo, i, j, kLo, kMax)
 			}
 			if j < jMax {
 				edgeTile(a, b, out[(i-iLo)*ldo+j-jLo:], ldo, i, i+4, kLo, kMax, j, jMax)
@@ -269,12 +334,19 @@ func mulTile(a, b *Dense, out []float64, ldo, iLo, iMax, kLo, kMax, jLo, jMax in
 		if i < iMax {
 			edgeTile(a, b, out[(i-iLo)*ldo:], ldo, i, iMax, kLo, kMax, jLo, jMax)
 		}
-		return
 	}
+}
+
+// mulTileAVX2 is mulTile with the 4x8 micro-kernel, on a whole tile or on
+// what the 8x16 strips left of one.
+func mulTileAVX2(a strided, b *Dense, out []float64, ldo, iLo, iMax, kLo, kMax, jLo, jMax int) {
+	N := b.Cols
+	kn, ldaB, ldkB, ldbB, ldoB := uintptr(kMax-kLo), uintptr(a.rs*8), uintptr(a.ks*8), uintptr(N*8), uintptr(ldo*8)
+	i := iLo
 	for ; i+4 <= iMax; i += 4 {
 		j := jLo
-		for ; j+4 <= jMax; j += 4 {
-			micro4x4(a, b, out[(i-iLo)*ldo+j-jLo:], ldo, i, j, kLo, kMax)
+		for ; j+8 <= jMax; j += 8 {
+			microAVX4x8(&a.data[i*a.rs+kLo*a.ks], &b.Data[kLo*N+j], &out[(i-iLo)*ldo+j-jLo], kn, ldaB, ldkB, ldbB, ldoB)
 		}
 		if j < jMax {
 			edgeTile(a, b, out[(i-iLo)*ldo+j-jLo:], ldo, i, i+4, kLo, kMax, j, jMax)
@@ -285,46 +357,44 @@ func mulTile(a, b *Dense, out []float64, ldo, iLo, iMax, kLo, kMax, jLo, jMax in
 	}
 }
 
-// micro4x4 is the portable twin of microAVX4x8: it accumulates the 4x4 output
-// block at (i0, j0) over k in [kLo, kMax) in sixteen scalar accumulators the
-// compiler keeps in registers, touching out (whose out[0] is element (i0, j0),
-// row stride ldo) only once per tile.
-func micro4x4(a, b *Dense, out []float64, ldo, i0, j0, kLo, kMax int) {
-	K, N := a.Cols, b.Cols
-	kn := kMax - kLo
-	a0 := a.Data[i0*K+kLo : i0*K+kMax : i0*K+kMax]
-	a1 := a.Data[(i0+1)*K+kLo : (i0+1)*K+kMax : (i0+1)*K+kMax]
-	a2 := a.Data[(i0+2)*K+kLo : (i0+2)*K+kMax : (i0+2)*K+kMax]
-	a3 := a.Data[(i0+3)*K+kLo : (i0+3)*K+kMax : (i0+3)*K+kMax]
+// micro4x4 is the portable twin of the assembly micro-kernels: it accumulates
+// the 4x4 output block at (i0, j0) over k in [kLo, kMax) in sixteen scalar
+// accumulators the compiler keeps in registers, touching out (whose out[0] is
+// element (i0, j0), row stride ldo) only once per tile.
+func micro4x4(a strided, b *Dense, out []float64, ldo, i0, j0, kLo, kMax int) {
+	N := b.Cols
+	ad, rs := a.data, a.rs
+	ai := i0*rs + kLo*a.ks
 	bd := b.Data
 	bi := kLo*N + j0
 	var c00, c01, c02, c03 float64
 	var c10, c11, c12, c13 float64
 	var c20, c21, c22, c23 float64
 	var c30, c31, c32, c33 float64
-	for k := 0; k < kn; k++ {
+	for k := kLo; k < kMax; k++ {
 		b0, b1, b2, b3 := bd[bi], bd[bi+1], bd[bi+2], bd[bi+3]
 		bi += N
-		av := a0[k]
+		av := ad[ai]
 		c00 = math.FMA(av, b0, c00)
 		c01 = math.FMA(av, b1, c01)
 		c02 = math.FMA(av, b2, c02)
 		c03 = math.FMA(av, b3, c03)
-		av = a1[k]
+		av = ad[ai+rs]
 		c10 = math.FMA(av, b0, c10)
 		c11 = math.FMA(av, b1, c11)
 		c12 = math.FMA(av, b2, c12)
 		c13 = math.FMA(av, b3, c13)
-		av = a2[k]
+		av = ad[ai+2*rs]
 		c20 = math.FMA(av, b0, c20)
 		c21 = math.FMA(av, b1, c21)
 		c22 = math.FMA(av, b2, c22)
 		c23 = math.FMA(av, b3, c23)
-		av = a3[k]
+		av = ad[ai+3*rs]
 		c30 = math.FMA(av, b0, c30)
 		c31 = math.FMA(av, b1, c31)
 		c32 = math.FMA(av, b2, c32)
 		c33 = math.FMA(av, b3, c33)
+		ai += a.ks
 	}
 	o := out
 	o[0] += c00
@@ -352,15 +422,17 @@ func micro4x4(a, b *Dense, out []float64, ldo, i0, j0, kLo, kMax int) {
 // accumulating each output element over the tile's k range in a scalar
 // before the single += — mulTile's arithmetic. out[0] is element (iLo, jLo),
 // row stride ldo.
-func edgeTile(a, b *Dense, out []float64, ldo, iLo, iMax, kLo, kMax, jLo, jMax int) {
-	K, N := a.Cols, b.Cols
+func edgeTile(a strided, b *Dense, out []float64, ldo, iLo, iMax, kLo, kMax, jLo, jMax int) {
+	countKernel(kernelGEMMEdge)
+	N := b.Cols
 	for i := iLo; i < iMax; i++ {
-		arow := a.Data[i*K : i*K+kMax]
 		orow := out[(i-iLo)*ldo : (i-iLo)*ldo+jMax-jLo]
 		for j := jLo; j < jMax; j++ {
 			var s float64
+			ai := i*a.rs + kLo*a.ks
 			for k := kLo; k < kMax; k++ {
-				s = math.FMA(arow[k], b.Data[k*N+j], s)
+				s = math.FMA(a.data[ai], b.Data[k*N+j], s)
+				ai += a.ks
 			}
 			orow[j-jLo] += s
 		}
@@ -475,7 +547,7 @@ func MaskedMatMulAccWith(p *parallel.Pool, mask *CSR, acc []float64, a, bt Mat) 
 // the assembly kernel, which walks the pattern itself, or one dot per stored
 // position — the same arithmetic.
 func sddmmRows(mask *CSR, rLo, rHi int, a, bt *Dense, acc []float64) {
-	if hasAVX && a.Cols > 0 && len(acc) > 0 {
+	if simdLevel >= levelAVX2 && a.Cols > 0 && len(acc) > 0 {
 		countKernel(kernelSDDMM)
 		sddmmAVX(&mask.RowPtr[0], &mask.Col[0], rLo, rHi, len(acc), &a.Data[0], &bt.Data[0], &acc[0], a.Cols)
 		return

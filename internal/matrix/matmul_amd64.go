@@ -2,26 +2,35 @@
 
 package matrix
 
-// hasAVX reports whether the assembly kernels can run: the CPU has AVX, FMA3
-// and AVX2 (the strip kernels' integer lanes) and the OS saves YMM state —
-// checked once at init via CPUID/XGETBV. It is the only dispatch flag, so an
-// AVX + FMA3 CPU without AVX2 (AMD Piledriver) runs the portable form of the
-// product kernels too, which need none. A var (not const) so tests can force
-// the portable forms and compare the two forms of each kernel.
-var hasAVX = cpuidAVX()
+// simdLevel is the widest assembly form this machine runs, checked once at
+// init via CPUID/XGETBV: levelAVX2 needs AVX, FMA3 and AVX2 (the strip
+// kernels' integer lanes) with the OS saving YMM state, so an AVX + FMA3 CPU
+// without AVX2 (AMD Piledriver) runs the portable form of the product kernels
+// too, which need none; levelAVX512 needs AVX-512F and the OS saving opmask
+// and ZMM state besides. It is the only dispatch switch. A var (not const) so
+// tests can force a lower level and compare the forms of each kernel.
+var simdLevel = cpuidLevel()
 
-// cpuidAVX reports AVX + FMA3 + AVX2 + OSXSAVE support with YMM state enabled
-// by the OS. Implemented in matmul_amd64.s.
-func cpuidAVX() bool
+// cpuidLevel returns the level the CPU and the OS support. Implemented in
+// matmul_amd64.s.
+func cpuidLevel() int
 
 // microAVX4x8 accumulates the 4x8 output block at out over kn steps:
 // out[r][c] += sum_k a[r][k]*b[k][c], as acc = fma(a, b, acc) with k
 // ascending and one accumulator lane per element — the arithmetic of micro4x4
-// and edgeTile, so mixing the paths cannot change results. Strides are in
-// bytes. Implemented in matmul_amd64.s.
+// and edgeTile, so mixing the paths cannot change results. a[r][k] lies
+// r*ldaB + k*ldkB bytes past a, so the left operand is read as stored or
+// transposed; the other strides are row strides, in bytes too. Implemented in
+// matmul_amd64.s.
 //
 //go:noescape
-func microAVX4x8(a, b, out *float64, kn, ldaB, ldbB, ldoB uintptr)
+func microAVX4x8(a, b, out *float64, kn, ldaB, ldkB, ldbB, ldoB uintptr)
+
+// microAVX512x8x16 is microAVX4x8 on an 8x16 output block, at levelAVX512.
+// Implemented in matmul_amd64.s.
+//
+//go:noescape
+func microAVX512x8x16(a, b, out *float64, kn, ldaB, ldkB, ldbB, ldoB uintptr)
 
 // sddmmAVX is sddmmRows on raw storage: for the nnz-long pattern rowPtr/col
 // and mask rows [rLo, rHi), acc[q] += dot(a[i*k:][:k], bt[col[q]*k:][:k]) with
@@ -35,3 +44,15 @@ func sddmmAVX(rowPtr, col *int, rLo, rHi, nnz int, a, bt, acc *float64, k int)
 //
 //go:noescape
 func axpyAVX(dst, x *float64, n int, s float64)
+
+// fmaPeakAVX2 and fmaPeakAVX512 run n rounds of twelve (YMM) and sixteen (ZMM)
+// independent fused multiply-adds on registers alone — the ceiling
+// BenchmarkFMAPeak states beside the GEMM's rate. Only that benchmark calls
+// them, so the linker leaves them out of every binary. n must be positive.
+// Implemented in matmul_amd64.s.
+
+//go:noescape
+func fmaPeakAVX2(n int)
+
+//go:noescape
+func fmaPeakAVX512(n int)

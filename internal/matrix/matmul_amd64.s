@@ -1,51 +1,61 @@
 #include "textflag.h"
 
-// func cpuidAVX() bool
+// func cpuidLevel() int
 //
-// AVX (CPUID.1:ECX bit 28), FMA3 (bit 12) and AVX2 (CPUID.7.0:EBX bit 5),
-// with OSXSAVE (CPUID.1:ECX bit 27) and the OS saving XMM and YMM state (XCR0
-// bits 1 and 2).
-TEXT ·cpuidAVX(SB), NOSPLIT, $0-1
+// 1 (levelAVX2) with AVX (CPUID.1:ECX bit 28), FMA3 (bit 12) and AVX2
+// (CPUID.7.0:EBX bit 5), OSXSAVE (CPUID.1:ECX bit 27) and the OS saving XMM
+// and YMM state (XCR0 bits 1 and 2); 2 (levelAVX512) with AVX-512F
+// (CPUID.7.0:EBX bit 16) and the OS saving opmask and ZMM state as well
+// (XCR0 bits 5, 6 and 7) on top of that; otherwise 0 (levelPortable).
+TEXT ·cpuidLevel(SB), NOSPLIT, $0-8
+	MOVQ	$0, ret+0(FP)
 	MOVL	$0, AX
 	CPUID
 	CMPL	AX, $7
-	JLT	noavx
+	JLT	leveldone
 	MOVL	$1, AX
 	MOVL	$0, CX
 	CPUID
 	MOVL	CX, BX
 	ANDL	$(1<<12 | 1<<27 | 1<<28), BX
 	CMPL	BX, $(1<<12 | 1<<27 | 1<<28)
-	JNE	noavx
+	JNE	leveldone
 	MOVL	$7, AX
 	MOVL	$0, CX
 	CPUID
 	TESTL	$(1<<5), BX
-	JZ	noavx
+	JZ	leveldone
+	MOVL	BX, DI
 	MOVL	$0, CX
 	XGETBV
+	MOVL	AX, SI
 	ANDL	$6, AX
 	CMPL	AX, $6
-	JNE	noavx
-	MOVB	$1, ret+0(FP)
-	RET
-noavx:
-	MOVB	$0, ret+0(FP)
+	JNE	leveldone
+	MOVQ	$1, ret+0(FP)
+	TESTL	$(1<<16), DI
+	JZ	leveldone
+	ANDL	$0xE6, SI
+	CMPL	SI, $0xE6
+	JNE	leveldone
+	MOVQ	$2, ret+0(FP)
+leveldone:
 	RET
 
-// func microAVX4x8(a, b, out *float64, kn, ldaB, ldbB, ldoB uintptr)
+// func microAVX4x8(a, b, out *float64, kn, ldaB, ldkB, ldbB, ldoB uintptr)
 //
 // Accumulates a 4x8 block: out[r][c] += sum_k a[r][k]*b[k][c], each element
 // in its own accumulator lane as acc = fma(a, b, acc), k ascending — the
-// arithmetic of micro4x4 and edgeTile.
-TEXT ·microAVX4x8(SB), NOSPLIT, $0-56
+// arithmetic of micro4x4 and edgeTile. a[r][k] lies at a + r*ldaB + k*ldkB.
+TEXT ·microAVX4x8(SB), NOSPLIT, $0-64
 	MOVQ	a+0(FP), BX
 	MOVQ	b+8(FP), CX
 	MOVQ	out+16(FP), DX
 	MOVQ	kn+24(FP), SI
 	MOVQ	ldaB+32(FP), R8
-	MOVQ	ldbB+40(FP), R9
-	MOVQ	ldoB+48(FP), R10
+	MOVQ	ldkB+40(FP), R12
+	MOVQ	ldbB+48(FP), R9
+	MOVQ	ldoB+56(FP), R10
 	LEAQ	(R8)(R8*2), R11
 	VXORPD	Y0, Y0, Y0
 	VXORPD	Y1, Y1, Y1
@@ -70,7 +80,7 @@ kloop:
 	VFMADD231PD	Y9, Y12, Y5
 	VFMADD231PD	Y8, Y13, Y6
 	VFMADD231PD	Y9, Y13, Y7
-	ADDQ	$8, BX
+	ADDQ	R12, BX
 	ADDQ	R9, CX
 	DECQ	SI
 	JNZ	kloop
@@ -93,6 +103,116 @@ kloop:
 	VMOVUPD	Y6, (DX)
 	VADDPD	32(DX), Y7, Y7
 	VMOVUPD	Y7, 32(DX)
+	VZEROUPPER
+	RET
+
+// func microAVX512x8x16(a, b, out *float64, kn, ldaB, ldkB, ldbB, ldoB uintptr)
+//
+// microAVX4x8 at ZMM width: an 8x16 block in sixteen accumulators (row r in
+// Z(2r), Z(2r+1)), two loads of b and one broadcast of a per row and step —
+// the same acc = fma(a, b, acc) per element, k ascending, and one add into
+// out. Zeroed with VPXORQ: VXORPD on ZMM registers is AVX-512DQ, not F.
+//
+// Registers: R8 a's row stride, R11/R12/R13 three, five and seven times it,
+// R14 a's k stride.
+TEXT ·microAVX512x8x16(SB), NOSPLIT, $0-64
+	MOVQ	a+0(FP), BX
+	MOVQ	b+8(FP), CX
+	MOVQ	out+16(FP), DX
+	MOVQ	kn+24(FP), SI
+	MOVQ	ldaB+32(FP), R8
+	MOVQ	ldkB+40(FP), R14
+	MOVQ	ldbB+48(FP), R9
+	MOVQ	ldoB+56(FP), R10
+	LEAQ	(R8)(R8*2), R11
+	LEAQ	(R8)(R8*4), R12
+	LEAQ	(R11)(R8*4), R13
+	VPXORQ	Z0, Z0, Z0
+	VPXORQ	Z1, Z1, Z1
+	VPXORQ	Z2, Z2, Z2
+	VPXORQ	Z3, Z3, Z3
+	VPXORQ	Z4, Z4, Z4
+	VPXORQ	Z5, Z5, Z5
+	VPXORQ	Z6, Z6, Z6
+	VPXORQ	Z7, Z7, Z7
+	VPXORQ	Z8, Z8, Z8
+	VPXORQ	Z9, Z9, Z9
+	VPXORQ	Z10, Z10, Z10
+	VPXORQ	Z11, Z11, Z11
+	VPXORQ	Z12, Z12, Z12
+	VPXORQ	Z13, Z13, Z13
+	VPXORQ	Z14, Z14, Z14
+	VPXORQ	Z15, Z15, Z15
+kloop512:
+	VMOVUPD	(CX), Z16
+	VMOVUPD	64(CX), Z17
+	VBROADCASTSD	(BX), Z18
+	VBROADCASTSD	(BX)(R8*1), Z19
+	VBROADCASTSD	(BX)(R8*2), Z20
+	VBROADCASTSD	(BX)(R11*1), Z21
+	VBROADCASTSD	(BX)(R8*4), Z22
+	VBROADCASTSD	(BX)(R12*1), Z23
+	VBROADCASTSD	(BX)(R11*2), Z24
+	VBROADCASTSD	(BX)(R13*1), Z25
+	VFMADD231PD	Z16, Z18, Z0
+	VFMADD231PD	Z17, Z18, Z1
+	VFMADD231PD	Z16, Z19, Z2
+	VFMADD231PD	Z17, Z19, Z3
+	VFMADD231PD	Z16, Z20, Z4
+	VFMADD231PD	Z17, Z20, Z5
+	VFMADD231PD	Z16, Z21, Z6
+	VFMADD231PD	Z17, Z21, Z7
+	VFMADD231PD	Z16, Z22, Z8
+	VFMADD231PD	Z17, Z22, Z9
+	VFMADD231PD	Z16, Z23, Z10
+	VFMADD231PD	Z17, Z23, Z11
+	VFMADD231PD	Z16, Z24, Z12
+	VFMADD231PD	Z17, Z24, Z13
+	VFMADD231PD	Z16, Z25, Z14
+	VFMADD231PD	Z17, Z25, Z15
+	ADDQ	R14, BX
+	ADDQ	R9, CX
+	DECQ	SI
+	JNZ	kloop512
+	VADDPD	(DX), Z0, Z0
+	VMOVUPD	Z0, (DX)
+	VADDPD	64(DX), Z1, Z1
+	VMOVUPD	Z1, 64(DX)
+	ADDQ	R10, DX
+	VADDPD	(DX), Z2, Z2
+	VMOVUPD	Z2, (DX)
+	VADDPD	64(DX), Z3, Z3
+	VMOVUPD	Z3, 64(DX)
+	ADDQ	R10, DX
+	VADDPD	(DX), Z4, Z4
+	VMOVUPD	Z4, (DX)
+	VADDPD	64(DX), Z5, Z5
+	VMOVUPD	Z5, 64(DX)
+	ADDQ	R10, DX
+	VADDPD	(DX), Z6, Z6
+	VMOVUPD	Z6, (DX)
+	VADDPD	64(DX), Z7, Z7
+	VMOVUPD	Z7, 64(DX)
+	ADDQ	R10, DX
+	VADDPD	(DX), Z8, Z8
+	VMOVUPD	Z8, (DX)
+	VADDPD	64(DX), Z9, Z9
+	VMOVUPD	Z9, 64(DX)
+	ADDQ	R10, DX
+	VADDPD	(DX), Z10, Z10
+	VMOVUPD	Z10, (DX)
+	VADDPD	64(DX), Z11, Z11
+	VMOVUPD	Z11, 64(DX)
+	ADDQ	R10, DX
+	VADDPD	(DX), Z12, Z12
+	VMOVUPD	Z12, (DX)
+	VADDPD	64(DX), Z13, Z13
+	VMOVUPD	Z13, 64(DX)
+	ADDQ	R10, DX
+	VADDPD	(DX), Z14, Z14
+	VMOVUPD	Z14, (DX)
+	VADDPD	64(DX), Z15, Z15
+	VMOVUPD	Z15, 64(DX)
 	VZEROUPPER
 	RET
 
@@ -228,5 +348,90 @@ axtailloop:
 	DECQ	CX
 	JNZ	axtailloop
 axdone:
+	VZEROUPPER
+	RET
+
+// func fmaPeakAVX2(n int)
+//
+// n rounds of twelve independent VFMADD231PD on YMM registers and nothing
+// else: the rate no kernel of four lanes can pass (BenchmarkFMAPeak).
+TEXT ·fmaPeakAVX2(SB), NOSPLIT, $0-8
+	MOVQ	n+0(FP), CX
+	VXORPD	Y0, Y0, Y0
+	VXORPD	Y1, Y1, Y1
+	VXORPD	Y2, Y2, Y2
+	VXORPD	Y3, Y3, Y3
+	VXORPD	Y4, Y4, Y4
+	VXORPD	Y5, Y5, Y5
+	VXORPD	Y6, Y6, Y6
+	VXORPD	Y7, Y7, Y7
+	VXORPD	Y8, Y8, Y8
+	VXORPD	Y9, Y9, Y9
+	VXORPD	Y10, Y10, Y10
+	VXORPD	Y11, Y11, Y11
+	VXORPD	Y12, Y12, Y12
+	VXORPD	Y13, Y13, Y13
+	VXORPD	Y14, Y14, Y14
+	VXORPD	Y15, Y15, Y15
+peakloop:
+	VFMADD231PD	Y14, Y15, Y0
+	VFMADD231PD	Y14, Y15, Y1
+	VFMADD231PD	Y14, Y15, Y2
+	VFMADD231PD	Y14, Y15, Y3
+	VFMADD231PD	Y14, Y15, Y4
+	VFMADD231PD	Y14, Y15, Y5
+	VFMADD231PD	Y14, Y15, Y6
+	VFMADD231PD	Y14, Y15, Y7
+	VFMADD231PD	Y14, Y15, Y8
+	VFMADD231PD	Y14, Y15, Y9
+	VFMADD231PD	Y14, Y15, Y10
+	VFMADD231PD	Y14, Y15, Y11
+	DECQ	CX
+	JNZ	peakloop
+	VZEROUPPER
+	RET
+
+// func fmaPeakAVX512(n int)
+//
+// fmaPeakAVX2 on ZMM registers: sixteen independent VFMADD231PD a round.
+TEXT ·fmaPeakAVX512(SB), NOSPLIT, $0-8
+	MOVQ	n+0(FP), CX
+	VPXORQ	Z0, Z0, Z0
+	VPXORQ	Z1, Z1, Z1
+	VPXORQ	Z2, Z2, Z2
+	VPXORQ	Z3, Z3, Z3
+	VPXORQ	Z4, Z4, Z4
+	VPXORQ	Z5, Z5, Z5
+	VPXORQ	Z6, Z6, Z6
+	VPXORQ	Z7, Z7, Z7
+	VPXORQ	Z8, Z8, Z8
+	VPXORQ	Z9, Z9, Z9
+	VPXORQ	Z10, Z10, Z10
+	VPXORQ	Z11, Z11, Z11
+	VPXORQ	Z12, Z12, Z12
+	VPXORQ	Z13, Z13, Z13
+	VPXORQ	Z14, Z14, Z14
+	VPXORQ	Z15, Z15, Z15
+	VPXORQ	Z16, Z16, Z16
+	VPXORQ	Z17, Z17, Z17
+peakloop512:
+	VFMADD231PD	Z16, Z17, Z0
+	VFMADD231PD	Z16, Z17, Z1
+	VFMADD231PD	Z16, Z17, Z2
+	VFMADD231PD	Z16, Z17, Z3
+	VFMADD231PD	Z16, Z17, Z4
+	VFMADD231PD	Z16, Z17, Z5
+	VFMADD231PD	Z16, Z17, Z6
+	VFMADD231PD	Z16, Z17, Z7
+	VFMADD231PD	Z16, Z17, Z8
+	VFMADD231PD	Z16, Z17, Z9
+	VFMADD231PD	Z16, Z17, Z10
+	VFMADD231PD	Z16, Z17, Z11
+	VFMADD231PD	Z16, Z17, Z12
+	VFMADD231PD	Z16, Z17, Z13
+	VFMADD231PD	Z16, Z17, Z14
+	VFMADD231PD	Z16, Z17, Z15
+	DECQ	CX
+	JNZ	peakloop512
 	VZEROUPPER
 	RET

@@ -3,18 +3,22 @@
 package matrix
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"unsafe"
 )
 
-// portably runs fn with the assembly kernels switched off.
-func portably(fn func()) {
-	defer func(was bool) { hasAVX = was }(hasAVX)
-	hasAVX = false
+// atLevel runs fn with the kernels held at level n or below.
+func atLevel(n int, fn func()) {
+	defer func(was int) { simdLevel = was }(simdLevel)
+	simdLevel = min(simdLevel, n)
 	fn()
 }
+
+// portably runs fn with the assembly kernels switched off.
+func portably(fn func()) { atLevel(levelPortable, fn) }
 
 // sameFloats reports whether a and b hold the same float64 bit patterns. NaNs
 // match each other whatever their payload: which operand's payload an
@@ -36,18 +40,43 @@ func sameFloats(a, b []float64) bool {
 // sums and saturated ones are compared — values where a wrong instruction
 // shows (oddValues).
 func special(rng *rand.Rand, s []float64) []float64 {
-	return specialFrom(rng, s, func(rng *rand.Rand) float64 { return 2*rng.Float64() - 1 }, func(rng *rand.Rand) float64 { return oddValues[rng.Intn(len(oddValues))] })
+	return specialFrom(rng, s, unit, anyOdd)
 }
+
+func unit(rng *rand.Rand) float64   { return 2*rng.Float64() - 1 }
+func anyOdd(rng *rand.Rand) float64 { return oddValues[rng.Intn(len(oddValues))] }
+
+// specialRegimes are how often special puts an odd value: never, rarely,
+// every fourth value.
+var specialRegimes = []int{0, 32, 4}
 
 // specialFrom is special over other draws of ordinary and odd values.
 func specialFrom(rng *rand.Rand, s []float64, ordinary, odd func(*rand.Rand) float64) []float64 {
-	every := []int{0, 32, 4}[rng.Intn(3)]
+	return specialEvery(rng, s, specialRegimes[rng.Intn(3)], ordinary, odd)
+}
+
+// specialEvery is specialFrom in a stated regime: an odd value once in every
+// values, or never when every is 0.
+func specialEvery(rng *rand.Rand, s []float64, every int, ordinary, odd func(*rand.Rand) float64) []float64 {
 	for i := range s {
 		if s[i] = ordinary(rng); every > 0 && rng.Intn(every) == 0 {
 			s[i] = odd(rng)
 		}
 	}
 	return s
+}
+
+// kernelLevel is a dispatch level and why a machine below it cannot run it.
+type kernelLevel struct {
+	name  string
+	level int
+	lacks string
+}
+
+// asmLevels are the dispatch levels with an assembly form.
+var asmLevels = []kernelLevel{
+	{"avx2", levelAVX2, "CPU or OS lacks AVX, FMA3 or AVX2"},
+	{"avx512", levelAVX512, "CPU or OS lacks AVX-512F: the ZMM micro-kernel cannot run here"},
 }
 
 // within returns an n-long window of a larger array, off elements in, so a
@@ -62,30 +91,78 @@ func within(rng *rand.Rand, n, off int) []float64 {
 // and special values, every tail length, operands that are windows of larger
 // arrays — must give the same bits.
 func TestAVXMatchesScalar(t *testing.T) {
-	if !hasAVX {
-		t.Skip("CPU lacks AVX or FMA3")
+	if simdLevel < levelAVX2 {
+		t.Skip("CPU lacks AVX, FMA3 or AVX2")
 	}
 	rng := rand.New(rand.NewSource(20))
 
+	// The dense GEMM at every level the machine has, against the portable
+	// twin on built operands: every row remainder of the 8-row strips, every
+	// column remainder of the 16-column ones (0; 8, one 4x8 strip; 1..7, edge
+	// columns; 9..15, both), tiles of one step, one short of full and full,
+	// products of several k-tiles (summed aside, the accumulator holding
+	// values), the left operand as stored (NN) and read transposed through
+	// swapped strides (TN, against the product with the built transpose), in
+	// the three regimes of special values, into a pre-filled accumulator and
+	// into none.
 	t.Run("gemm", func(t *testing.T) {
-		shapes := []struct{ m, k, n int }{
-			{4, 64, 8}, {64, 64, 64}, {65, 67, 66}, {130, 100, 121}, {3, 5, 7}, {4, 1, 8}, {8, 130, 16},
+		type shape struct {
+			m, k, n int
+			regimes []int
 		}
-		for _, sh := range shapes {
-			for _, odd := range []bool{false, true} {
-				a, b, acc := RandomDense(sh.m, sh.k, -1, 1, int64(sh.m+sh.k)), RandomDense(sh.k, sh.n, -1, 1, int64(sh.k+sh.n)), NewDense(sh.m, sh.n)
-				if odd {
-					special(rng, a.Data)
-					special(rng, b.Data)
-					special(rng, acc.Data) // a product summed aside and added once
-				}
-				asm, twin := acc.Clone().(*Dense), acc.Clone().(*Dense)
-				MatMulAccWith(nil, asm, a, b)
-				portably(func() { MatMulAccWith(nil, twin, a, b) })
-				if !sameFloats(asm.Data, twin.Data) {
-					t.Errorf("%dx%dx%d (special values: %v): assembly and portable kernels disagree", sh.m, sh.k, sh.n, odd)
+		var shapes []shape
+		for i, sh := range [][3]int{{4, 64, 8}, {64, 64, 64}, {130, 100, 121}, {3, 5, 7}, {4, 1, 8}, {8, 130, 16}} {
+			shapes = append(shapes, shape{sh[0], sh[1], sh[2], specialRegimes[i%3:][:1]})
+		}
+		shapes = append(shapes, shape{65, 67, 66, specialRegimes}, shape{72, 130, 80, specialRegimes})
+		for r := 0; r < 8; r++ {
+			for c := 0; c < 16; c++ {
+				for i, k := range []int{1, 63, 64} { // each remainder pair meets each regime, at one k
+					shapes = append(shapes, shape{8 + r, k, 16 + c, specialRegimes[(r+c+i)%3:][:1]})
 				}
 			}
+		}
+		type product struct {
+			a, at, b, acc, want, wantFresh *Dense
+			every                          int
+		}
+		var products []product // the operands, and what the portable kernel makes of them
+		for _, sh := range shapes {
+			for _, every := range sh.regimes {
+				fill := func(n int) []float64 { return specialEvery(rng, make([]float64, n), every, unit, anyOdd) }
+				a, b := NewDenseData(sh.m, sh.k, fill(sh.m*sh.k)), NewDenseData(sh.k, sh.n, fill(sh.k*sh.n))
+				acc := NewDenseData(sh.m, sh.n, fill(sh.m*sh.n)) // a product summed aside and added once
+				pr := product{a: a, at: Transpose(a).(*Dense), b: b, acc: acc, want: acc.Clone().(*Dense), every: every}
+				portably(func() {
+					MatMulAccWith(nil, pr.want, a, b)
+					pr.wantFresh = MatMulAccWith(nil, nil, a, b)
+				})
+				products = append(products, pr)
+			}
+		}
+		run := func(t *testing.T, level int) {
+			atLevel(level, func() {
+				for _, pr := range products {
+					nn, tn := pr.acc.Clone().(*Dense), pr.acc.Clone().(*Dense)
+					MatMulAccWith(nil, nn, pr.a, pr.b)
+					MatMulTNAccWith(nil, tn, pr.at, pr.b)
+					nnFresh, tnFresh := MatMulAccWith(nil, nil, pr.a, pr.b), MatMulTNAccWith(nil, nil, pr.at, pr.b)
+					for name, pair := range map[string][2]*Dense{"NN": {nn, pr.want}, "TN": {tn, pr.want}, "NN, no accumulator": {nnFresh, pr.wantFresh}, "TN, no accumulator": {tnFresh, pr.wantFresh}} {
+						if !sameFloats(pair[0].Data, pair[1].Data) {
+							t.Fatalf("%dx%dx%d, an odd value every %d, %s: differs from the portable kernel on built operands", pr.a.Rows, pr.a.Cols, pr.b.Cols, pr.every, name)
+						}
+					}
+				}
+			})
+		}
+		t.Run("portable", func(t *testing.T) { run(t, levelPortable) }) // the twin's own TN against its NN
+		for _, lv := range asmLevels {
+			t.Run(lv.name, func(t *testing.T) {
+				if simdLevel < lv.level {
+					t.Skip(lv.lacks)
+				}
+				run(t, lv.level)
+			})
 		}
 	})
 
@@ -248,5 +325,54 @@ func BenchmarkUnaryStrip(b *testing.B) {
 		}
 		arm("assembly", func() { u.Strip(dst, src) })
 		arm("portable", func() { portably(func() { u.Strip(dst, src) }) })
+	}
+}
+
+// BenchmarkMatMulDenseDense times the dense product (m x k times k x n) of a
+// square block and at the widths of the repo benchmark's dense operands — the
+// AutoEncoder's 128-wide blocks under a 256-wide batch, and GNMF's 64-wide
+// factors against 256-wide blocks — with the kernels held at each level
+// (MatMul, so a fresh result block is allocated and cleared inside the timed
+// call), and at the machine's own level the tile loops alone: acc adds the
+// product into one block that is told fresh every time, which spares the
+// scan and the side panel; the sums that pile up in it are never read.
+// BenchmarkFMAPeak states what each width could do.
+func BenchmarkMatMulDenseDense(b *testing.B) {
+	levels := append([]kernelLevel{{name: "portable", level: levelPortable}}, asmLevels...)
+	for _, sh := range []struct{ m, k, n int }{{256, 256, 256}, {128, 128, 256}, {256, 64, 256}} {
+		x, y := RandomDense(sh.m, sh.k, -1, 1, 1), RandomDense(sh.k, sh.n, -1, 1, 2)
+		name, nbytes, flops := fmt.Sprintf("%dx%dx%d/", sh.m, sh.k, sh.n), x.SizeBytes()+y.SizeBytes()+8*int64(sh.m*sh.n), MatMulFlops(x, y)
+		for _, lv := range levels {
+			if simdLevel < lv.level {
+				b.Run(name+lv.name, func(b *testing.B) { b.Skip(lv.lacks) })
+				continue
+			}
+			atLevel(lv.level, func() { benchKernel(b, name+lv.name, nbytes, flops, func() { sinkMat = MatMul(x, y) }) })
+		}
+		acc := NewDense(sh.m, sh.n)
+		benchKernel(b, name+"acc", nbytes, flops, func() { matMulDD(nil, acc, strided{x.Data, x.Cols, 1}, y, true) })
+	}
+}
+
+// BenchmarkFMAPeak times fused multiply-adds on registers alone, at YMM and
+// at ZMM width: the ceiling of one core, which BenchmarkMatMulDenseDense's
+// GFLOP/s are a share of.
+func BenchmarkFMAPeak(b *testing.B) {
+	const rounds = 1 << 16
+	for _, arm := range []struct {
+		name        string
+		level       int
+		fmas, lanes int64
+		run         func(n int)
+	}{{"ymm", levelAVX2, 12, 4, fmaPeakAVX2}, {"zmm", levelAVX512, 16, 8, fmaPeakAVX512}} {
+		b.Run(arm.name, func(b *testing.B) {
+			if simdLevel < arm.level {
+				b.Skip("the CPU or the OS lacks this width")
+			}
+			for i := 0; i < b.N; i++ {
+				arm.run(rounds)
+			}
+			b.ReportMetric(float64(2*arm.fmas*arm.lanes*rounds)*float64(b.N)/1e9/b.Elapsed().Seconds(), "GFLOP/s")
+		})
 	}
 }

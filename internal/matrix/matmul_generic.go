@@ -2,13 +2,17 @@
 
 package matrix
 
-// hasAVX is false off amd64: every kernel runs its portable twin.
-const hasAVX = false
+// simdLevel is levelPortable off amd64: every kernel runs its portable twin.
+const simdLevel = levelPortable
 
-// The assembly kernels are never reached when hasAVX is false; the stubs
-// exist so their callers compile on every architecture.
+// The assembly kernels are never reached at levelPortable; the stubs exist so
+// their callers compile on every architecture.
 
-func microAVX4x8(a, b, out *float64, kn, ldaB, ldbB, ldoB uintptr) {
+func microAVX4x8(a, b, out *float64, kn, ldaB, ldkB, ldbB, ldoB uintptr) {
+	panic("matrix: AVX kernel called on non-amd64")
+}
+
+func microAVX512x8x16(a, b, out *float64, kn, ldaB, ldkB, ldbB, ldoB uintptr) {
 	panic("matrix: AVX kernel called on non-amd64")
 }
 

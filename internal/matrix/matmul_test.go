@@ -258,18 +258,6 @@ func TestIOBadMagic(t *testing.T) {
 	}
 }
 
-// BenchmarkMatMulDenseDense times the dense product (m x k times k x n) of a
-// square block and at the widths of the repo benchmark's dense operands: the
-// AutoEncoder's 128-wide blocks under a 256-wide batch, and GNMF's 64-wide
-// factors against 256-wide blocks.
-func BenchmarkMatMulDenseDense(b *testing.B) {
-	for _, sh := range []struct{ m, k, n int }{{256, 256, 256}, {128, 128, 256}, {256, 64, 256}} {
-		x, y := RandomDense(sh.m, sh.k, -1, 1, 1), RandomDense(sh.k, sh.n, -1, 1, 2)
-		benchKernel(b, fmt.Sprintf("%dx%dx%d", sh.m, sh.k, sh.n), x.SizeBytes()+y.SizeBytes()+8*int64(sh.m*sh.n), MatMulFlops(x, y),
-			func() { sinkMat = MatMul(x, y) })
-	}
-}
-
 // The block shapes of the repo benchmark: 256x256 blocks of X at density
 // 0.01 (gnmf) and 0.005 (nmfk) against 64-wide factor blocks.
 const benchBlock, benchK = 256, 64

@@ -18,19 +18,23 @@
 //
 // One arithmetic per kernel. The three product loops have an assembly form on
 // amd64 (matmul_amd64.s) and a portable Go twin that computes the same bits,
-// selected by hasAVX — AVX, FMA3, AVX2 and OS YMM state; nothing else
-// dispatches. Dense GEMM is fused multiply-add: every output element has one
-// accumulator that takes acc = fma(a, b, acc), k ascending, and is added to
-// the output once per k-tile (microAVX4x8; micro4x4 and edgeTile through
+// selected by simdLevel, one ordered value — portable, then AVX2 (AVX, FMA3,
+// AVX2 and OS YMM state), then AVX-512F with OS ZMM state; nothing else
+// dispatches, and only the dense GEMM has a form above AVX2. Dense GEMM is
+// fused multiply-add: every output element has one accumulator that takes
+// acc = fma(a, b, acc), k ascending, and is added to the output once per
+// k-tile (microAVX512x8x16 and microAVX4x8; micro4x4 and edgeTile through
 // math.FMA, which is the hardware instruction on amd64 with FMA3 and on
-// arm64, and exact software on an older x86 — identical and slow). The dense
+// arm64, and exact software on an older x86 — identical and slow); its left
+// operand is read through a row and a k stride, so t(A) x B (MatMulTNAccWith)
+// is the same kernels on A's block as it lies. The dense
 // SDDMM (sddmmAVX; dot) is four interleaved partial sums, each step a rounded
 // multiply then an add, combined pairwise as (s0+s1)+(s2+s3); axpy (axpyAVX;
 // the loop in axpy), under the CSR x dense and dense x CSR kernels, is a
 // rounded multiply then an add per element. NaN payloads aside, their results
 // are therefore equal bit for bit between assembly and portable forms, strips
 // and edges, thread counts and machines. log, exp and sigmoid are what the
-// machine's math.Log and math.Exp are; under the same flag a strip of them
+// machine's math.Log and math.Exp are; from the AVX2 level up a strip of them
 // runs an assembly kernel (unary_amd64.s: logAVX, expAVX, sigmoidAVX, four
 // values per step) in the recurrences math runs on amd64 with FMA3, so with
 // the same bits, and without it calls math per value (withKernel in unary.go
@@ -38,7 +42,7 @@
 //
 // Ownership: a block is immutable once it has been published — bound as an
 // input, emitted by a task, memoised, pinned or cached. No kernel writes into
-// an operand; the accumulate kernels (MatMulAccWith, MatMulTransAccWith,
+// an operand; the accumulate kernels (MatMulAccWith, MatMulTNAccWith, MatMulTransAccWith,
 // MaskedMatMulAccWith) write only into the accumulator the caller passes,
 // which must be a buffer that caller allocated and has not published yet.
 // Because nothing mutates a published block, ToDense and ToCSR return their

@@ -697,23 +697,24 @@ func BinaryScalar(op BinOp, a Mat, s float64, scalarOnLeft bool) Mat {
 }
 
 // unaryFuncs maps surface names to element-wise functions: the scalar form
-// and, for the three transcendentals the workloads run over whole blocks, a
-// strip form (unary.go). "sq" is the ^2 of the paper's weighted-squared-loss
+// and, for the functions the workloads run over whole blocks, a strip form
+// (unary.go) — an assembly kernel for the three transcendentals, a plain loop
+// for the algebraic ones. "sq" is the ^2 of the paper's weighted-squared-loss
 // examples; "sigmoid" and "sigmoidGrad" serve the AutoEncoder workload.
 var unaryFuncs = map[string]UnaryFn{
 	"log":   withKernel(math.Log, kernelLog, logAVX),
 	"exp":   withKernel(math.Exp, kernelExp, expAVX),
 	"sqrt":  {F: math.Sqrt},
-	"abs":   {F: math.Abs},
+	"abs":   {F: math.Abs, Strip: absStrip},
 	"sin":   {F: math.Sin},
 	"cos":   {F: math.Cos},
 	"tanh":  {F: math.Tanh},
 	"round": {F: math.Round},
 	"floor": {F: math.Floor},
 	"ceil":  {F: math.Ceil},
-	"sq":    {F: func(x float64) float64 { return x * x }},
-	"neg":   {F: func(x float64) float64 { return -x }},
-	"recip": {F: func(x float64) float64 { return 1 / x }},
+	"sq":    {F: sq, Strip: sqStrip},
+	"neg":   {F: neg, Strip: negStrip},
+	"recip": {F: recip, Strip: recipStrip},
 	"sign": {F: func(x float64) float64 {
 		switch {
 		case x > 0:
@@ -723,10 +724,9 @@ var unaryFuncs = map[string]UnaryFn{
 		}
 		return 0
 	}},
-	"relu":    {F: func(x float64) float64 { return math.Max(0, x) }},
-	"sigmoid": withKernel(func(x float64) float64 { return 1 / (1 + math.Exp(-x)) }, kernelSigmoid, sigmoidAVX),
-	// sigmoidGrad computes s*(1-s) for an already-activated value s.
-	"sigmoidGrad": {F: func(s float64) float64 { return s * (1 - s) }},
+	"relu":        {F: relu, Strip: reluStrip},
+	"sigmoid":     withKernel(func(x float64) float64 { return 1 / (1 + math.Exp(-x)) }, kernelSigmoid, sigmoidAVX),
+	"sigmoidGrad": {F: sigmoidGrad, Strip: sigmoidGradStrip},
 }
 
 // UnaryFunc returns the element-wise function registered under name.

@@ -16,14 +16,35 @@ var oddValues = []float64{
 	math.Float64frombits(0x7FF8000000000123), math.Float64frombits(0xFFF8000000000456), 0x1p-1022, 1, -1,
 }
 
-// stripKernels are the three registered functions with a strip kernel and the
-// operands each must get right: a draw of ordinary ones, and the ones at the
-// edges of its fast range.
-var stripKernels = []struct {
+// stripCase is a registered function with a strip form, a draw of ordinary
+// operands for it and the operands at the edges of its kernel's fast range.
+type stripCase struct {
 	name     string
 	ordinary func(rng *rand.Rand) float64
 	edges    []float64
-}{
+}
+
+// draws is how many ordinary operands TestStripEqualsMath gives a case: a
+// kernel's recurrence gets 2^20, a loop over the inlined scalar form, which
+// has no range to fall out of, 2^16.
+func (k stripCase) draws() int {
+	if k.edges == nil {
+		return 1 << 16
+	}
+	return 1 << 20
+}
+
+// plainStrips are the registered functions whose strip form is a Go loop.
+var plainStrips = []string{"abs", "sq", "neg", "recip", "relu", "sigmoidGrad"}
+
+// anyFloat draws from all 2^64 bit patterns: every exponent and sign,
+// subnormals, infinities and NaNs with a payload.
+func anyFloat(rng *rand.Rand) float64 { return math.Float64frombits(rng.Uint64()) }
+
+// stripKernels are the three registered functions with a strip kernel and the
+// operands each must get right: a draw of ordinary ones, and the ones at the
+// edges of its fast range.
+var stripKernels = []stripCase{
 	{"log", func(rng *rand.Rand) float64 { return math.Float64frombits(rng.Uint64() >> 1) }, logEdges()}, // every exponent
 	{"exp", expOrdinary, expEdges()},
 	{"sigmoid", expOrdinary, expEdges()},
@@ -61,18 +82,26 @@ func expOrdinary(rng *rand.Rand) float64 {
 	return (2*rng.Float64() - 1) * []float64{1, 40, 708}[rng.Intn(3)]
 }
 
-// TestStripEqualsMath holds the strip kernels to the standard library over
-// 2^20 random operands per function, every edge operand and the odd values,
-// out of place and in place: the strip form has the bits of the registered
-// scalar form — math.Log, math.Exp, the sigmoid over math.Exp — NaN payloads
-// included, so a chain gives the same block whichever form it takes. Where
-// the assembly kernels run, that is their arithmetic against math's; on any
-// other machine the strip form is the scalar form in a loop.
+// TestStripEqualsMath holds every strip form to its scalar form over 2^20
+// random operands per kernel (2^16 per plain loop), every edge operand and the
+// odd values, out of place and in place: the strip has the bits of the registered scalar form —
+// math.Log, math.Exp, the sigmoid over math.Exp, the algebraic functions'
+// expressions — NaN payloads included, so a chain gives the same block
+// whichever form it takes. Where the assembly kernels run, that is their
+// arithmetic against math's; on any other machine, and for the algebraic
+// functions everywhere, the strip form is the scalar form in a loop.
 func TestStripEqualsMath(t *testing.T) {
-	const n = 1 << 20
 	rng := rand.New(rand.NewSource(21))
-	for _, k := range stripKernels {
+	cases := append([]stripCase(nil), stripKernels...)
+	for _, name := range plainStrips {
+		cases = append(cases, stripCase{name: name, ordinary: anyFloat})
+	}
+	for _, k := range cases {
 		u := unaryFuncs[k.name]
+		if u.Strip == nil {
+			t.Fatalf("%s has no strip form", k.name)
+		}
+		n := k.draws()
 		src := make([]float64, n, n+len(k.edges)+len(oddValues))
 		for i := range src {
 			src[i] = k.ordinary(rng)

@@ -575,11 +575,14 @@ func (c *Coordinator) suspectAndProbe(w *workerConn) bool {
 	if old := w.setConn(conn); old != nil {
 		old.Close()
 	}
+	// Alive before the table says active, as on the join path: whoever the
+	// membership change wakes must not count the worker out.
+	w.alive.Store(true)
 	if _, err := c.mem.Confirm(w.id); err != nil {
+		w.alive.Store(false)
 		conn.Close()
 		return false
 	}
-	w.alive.Store(true)
 	return true
 }
 
