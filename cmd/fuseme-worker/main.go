@@ -35,7 +35,6 @@ func main() {
 	joinAddr := flag.String("join", "", "coordinator join-listener address to register with; the worker re-registers with jittered exponential backoff whenever the coordinator is lost")
 	drain := flag.Bool("drain", false, "on SIGTERM/SIGINT announce departure to the coordinator (-join), finish in-flight tasks (up to -drain-timeout), then exit")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long -drain waits for in-flight tasks to finish")
-	steal := flag.Bool("steal", true, "volunteer for work-stealing: when this worker idles, the coordinator may route it tasks queued on stragglers (-steal=false pins this worker to its own queue)")
 	flag.Parse()
 
 	budget := *cacheBytes
@@ -75,10 +74,6 @@ func main() {
 	if threads >= 0 {
 		w.SetKernelThreads(threads)
 		fmt.Println("fuseme-worker kernel threads pinned to", threads)
-	}
-	if !*steal {
-		w.SetSteal(false)
-		fmt.Println("fuseme-worker work-stealing opt-out")
 	}
 	fmt.Println("fuseme-worker listening on", w.Addr())
 

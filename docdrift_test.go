@@ -14,7 +14,9 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -326,6 +328,114 @@ func TestDocDriftVariablesAndCommands(t *testing.T) {
 		if c.IsDir() && !strings.Contains(string(doc), "`"+c.Name()+"`") {
 			t.Errorf("command cmd/%s is not named in docs/OPERATIONS.md", c.Name())
 		}
+	}
+}
+
+// TestDocDriftClusterConfig holds docs/OPERATIONS.md to ClusterConfig in both
+// directions: every exported field has a row in the field table, and every
+// field the document names — a table row or a ClusterConfig.Field mention —
+// is declared.
+func TestDocDriftClusterConfig(t *testing.T) {
+	declared := map[string]bool{}
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(fuseme.ClusterConfig{})) {
+		if f.IsExported() {
+			declared[f.Name] = true
+		}
+	}
+	doc, err := os.ReadFile("docs/OPERATIONS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string]bool{}
+	for _, m := range regexp.MustCompile("(?m)^\\| `([A-Z][A-Za-z]*)` \\|").FindAllSubmatch(doc, -1) {
+		rows[string(m[1])] = true
+	}
+	if len(rows) == 0 {
+		t.Fatal("docs/OPERATIONS.md has no ClusterConfig field table — extraction broken")
+	}
+	for name := range declared {
+		if !rows[name] {
+			t.Errorf("ClusterConfig.%s has no row in docs/OPERATIONS.md's field table", name)
+		}
+	}
+	for _, m := range regexp.MustCompile(`ClusterConfig\.([A-Za-z]+)`).FindAllSubmatch(doc, -1) {
+		rows[string(m[1])] = true
+	}
+	for name := range rows {
+		if !declared[name] {
+			t.Errorf("docs/OPERATIONS.md names ClusterConfig.%s, which is not declared", name)
+		}
+	}
+}
+
+// TestDocDriftFlags checks that every flag a cmd/*/main.go declares is named,
+// as `-name`, in its command's part of docs/OPERATIONS.md: the section under
+// a "### `cmd`" heading, or the "- `cmd`" bullet under "Others".
+func TestDocDriftFlags(t *testing.T) {
+	doc, err := os.ReadFile("docs/OPERATIONS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(doc), "\n")
+	section := func(cmd string) string {
+		for i, l := range lines {
+			heading := strings.HasPrefix(l, "### `"+cmd+"`")
+			if !heading && !strings.HasPrefix(l, "- `"+cmd+"`") {
+				continue
+			}
+			end := i + 1
+			for end < len(lines) && !strings.HasPrefix(lines[end], "#") && (heading || !strings.HasPrefix(lines[end], "- ")) {
+				end++
+			}
+			return strings.Join(lines[i:end], "\n")
+		}
+		return ""
+	}
+	paths, err := filepath.Glob("cmd/*/main.go")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no cmd/*/main.go (err %v)", err)
+	}
+	total := 0
+	for _, path := range paths {
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cmd := filepath.Base(filepath.Dir(path))
+		text := section(cmd)
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+				return true
+			}
+			arg := 0 // flag.String("name", …); flag.Var(&v, "name", …) and flag.XxxVar
+			if strings.HasSuffix(sel.Sel.Name, "Var") {
+				arg = 1
+			}
+			if len(call.Args) <= arg {
+				return true
+			}
+			lit, ok := call.Args[arg].(*ast.BasicLit)
+			if !ok || lit.Kind != token.STRING {
+				return true
+			}
+			name, _ := strconv.Unquote(lit.Value)
+			total++
+			if !regexp.MustCompile("`-" + regexp.QuoteMeta(name) + "[`\\s=]").MatchString(text) {
+				t.Errorf("%s declares -%s, which its section of docs/OPERATIONS.md does not name", path, name)
+			}
+			return true
+		})
+	}
+	if total == 0 {
+		t.Fatal("found no flag declarations under cmd/ — parsing broken")
 	}
 }
 

@@ -63,25 +63,12 @@ type ClusterConfig struct {
 	// FUSEME_KERNEL_THREADS overrides this field.
 	KernelThreads int
 
-	// Pipelined stage execution: partial aggregates fold as tasks complete
-	// (in task-index order, so results never depend on completion order),
-	// and — on the TCP runtime — a worker prefetches the next queued task's
-	// recorded input blocks while the current kernel runs (bounded by
-	// PrefetchBytes) and idle workers steal queued tasks from stragglers.
-	// DisableStealing keeps prefetch but pins every task to its home worker
-	// (exact per-worker cache-hit accounting needs this). PrefetchBytes is
-	// the per-task prefetch admission budget: 0 means the 64 MiB default,
-	// clamped to TaskMemBytes; negative runs without prefetch (and without
-	// the stealing that rides on it).
-	DisableStealing bool
-	PrefetchBytes   int64
-
 	// Oversubscribe is how many waves of tasks per slot the planner targets
 	// per stage. Zero or one (the default) sizes stages to the slot count.
 	// Larger values over-decompose each stage into Oversubscribe x more,
-	// smaller tasks, which is what gives pipelining queue depth: a worker
-	// always has a next task to prefetch for, and a straggler's backlog is
-	// stealable.
+	// smaller tasks, which gives the TCP runtime's task queues depth: an idle
+	// worker then steals a straggler's backlog (it steals only from a worker
+	// whose task lanes are all busy).
 	Oversubscribe int
 
 	// Runtime selects the execution backend: "sim" (default) runs stages
@@ -115,17 +102,15 @@ func LocalClusterConfig() ClusterConfig {
 
 func fromInternal(c cluster.Config) ClusterConfig {
 	return ClusterConfig{
-		Nodes:           c.Nodes,
-		TasksPerNode:    c.TasksPerNode,
-		TaskMemBytes:    c.TaskMemBytes,
-		NetBandwidth:    c.NetBandwidth,
-		CompBandwidth:   c.CompBandwidth,
-		BlockSize:       c.BlockSize,
-		SimTimeLimit:    c.SimTimeLimit,
-		KernelThreads:   c.KernelThreads,
-		DisableStealing: c.DisableStealing,
-		PrefetchBytes:   c.PrefetchBytes,
-		Oversubscribe:   c.Oversubscribe,
+		Nodes:         c.Nodes,
+		TasksPerNode:  c.TasksPerNode,
+		TaskMemBytes:  c.TaskMemBytes,
+		NetBandwidth:  c.NetBandwidth,
+		CompBandwidth: c.CompBandwidth,
+		BlockSize:     c.BlockSize,
+		SimTimeLimit:  c.SimTimeLimit,
+		KernelThreads: c.KernelThreads,
+		Oversubscribe: c.Oversubscribe,
 	}
 }
 
@@ -135,19 +120,17 @@ const defaultMaxTaskRetries = 2
 
 func (c ClusterConfig) internal() cluster.Config {
 	return cluster.Config{
-		Nodes:           c.Nodes,
-		TasksPerNode:    c.TasksPerNode,
-		TaskMemBytes:    c.TaskMemBytes,
-		NetBandwidth:    c.NetBandwidth,
-		CompBandwidth:   c.CompBandwidth,
-		BlockSize:       c.BlockSize,
-		SimTimeLimit:    c.SimTimeLimit,
-		KernelThreads:   c.KernelThreads,
-		DisableStealing: c.DisableStealing,
-		PrefetchBytes:   c.PrefetchBytes,
-		Oversubscribe:   c.Oversubscribe,
-		TaskOverhead:    0.005,
-		MaxTaskRetries:  defaultMaxTaskRetries,
+		Nodes:          c.Nodes,
+		TasksPerNode:   c.TasksPerNode,
+		TaskMemBytes:   c.TaskMemBytes,
+		NetBandwidth:   c.NetBandwidth,
+		CompBandwidth:  c.CompBandwidth,
+		BlockSize:      c.BlockSize,
+		SimTimeLimit:   c.SimTimeLimit,
+		KernelThreads:  c.KernelThreads,
+		Oversubscribe:  c.Oversubscribe,
+		TaskOverhead:   0.005,
+		MaxTaskRetries: defaultMaxTaskRetries,
 	}
 }
 
@@ -225,26 +208,11 @@ type Stats struct {
 	CacheEvictions  int64 // blocks dropped to respect the byte budget
 	CacheSavedBytes int64 // wire bytes avoided by cache hits
 
-	// Pipelined-execution counters: TCP-runtime measurements, all zero
-	// under simulation (which moves no bytes and has nothing to prefetch or
-	// steal).
-	PrefetchBlocks  int64   // blocks pulled ahead of their task
-	PrefetchBytes   int64   // in-memory bytes of those blocks
-	StealTasks      int64   // tasks idle workers stole from stragglers
-	FetchSeconds    float64 // wire wait inside task bodies
-	PrefetchSeconds float64 // wire time hidden under running kernels
-	TaskSeconds     float64 // total task wall time on workers
-}
-
-// OverlapRatio is the share of wire time hidden under kernels:
-// PrefetchSeconds / (PrefetchSeconds + FetchSeconds). 1 means every
-// transferred byte was prefetched while compute ran; 0 means every transfer
-// stalled its task (or no measurements, as under simulation).
-func (s Stats) OverlapRatio() float64 {
-	if s.PrefetchSeconds+s.FetchSeconds <= 0 {
-		return 0
-	}
-	return s.PrefetchSeconds / (s.PrefetchSeconds + s.FetchSeconds)
+	// Dispatch counters: TCP-runtime measurements, all zero under
+	// simulation (which has no task queues to steal from).
+	StealTasks   int64   // tasks idle workers stole from busy workers
+	FetchSeconds float64 // wire wait inside task bodies
+	TaskSeconds  float64 // total task wall time on workers
 }
 
 // TotalCommBytes is consolidation plus aggregation traffic — the
@@ -273,11 +241,8 @@ func statsFrom(c cluster.Stats) Stats {
 		CacheMisses:        c.CacheMisses,
 		CacheEvictions:     c.CacheEvictions,
 		CacheSavedBytes:    c.CacheSavedBytes,
-		PrefetchBlocks:     c.PrefetchBlocks,
-		PrefetchBytes:      c.PrefetchBytes,
 		StealTasks:         c.StealTasks,
 		FetchSeconds:       c.FetchSeconds,
-		PrefetchSeconds:    c.PrefetchSeconds,
 		TaskSeconds:        c.TaskSeconds,
 	}
 }

@@ -195,6 +195,65 @@ V2 = V * (X %*% t(U)) / (V %*% (U %*% t(U)))`)
 	waitNoGoroutine(t, "fuseme/internal/rt/remote.")
 }
 
+// TestTCPStealAndDeathLeaveNoGoroutines is the same check after the two
+// paths a plain run never takes: a straggler whose queued tasks the idle
+// worker steals, then a query during which a worker dies mid-stage and its
+// task finishes on the survivor.
+func TestTCPStealAndDeathLeaveNoGoroutines(t *testing.T) {
+	workers := make([]*remote.Worker, 2)
+	addrs := make([]string, len(workers))
+	for i := range workers {
+		w, err := remote.NewWorker("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		workers[i], addrs[i] = w, w.Addr()
+	}
+	cfg := LocalClusterConfig()
+	cfg.BlockSize = 16
+	cfg.TasksPerNode = 1
+	cfg.Oversubscribe = 6
+	cfg.Runtime = "tcp"
+	cfg.Workers = addrs
+	sess, err := NewSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	sess.RandomSparse("X", 80, 70, 0.05, 1, 5, 1)
+	sess.RandomDense("U", 10, 70, 0.5, 1.5, 2)
+	sess.RandomDense("V", 80, 10, 0.5, 1.5, 3)
+	const script = "U2 = U * (t(V) %*% X) / (t(V) %*% V %*% U)"
+
+	workers[1].SetTaskDelay(20 * time.Millisecond)
+	if _, err := sess.Query(script); err != nil {
+		t.Fatal(err)
+	}
+	if n := sess.LastStats().StealTasks; n == 0 {
+		t.Fatal("the idle worker stole nothing from a 20ms/task straggler")
+	}
+	workers[1].SetTaskDelay(0)
+	workers[1].KillAfterTasks(1) // dies as its second task arrives
+	if _, err := sess.Query(script); err != nil {
+		t.Fatalf("query did not finish on the survivor: %v", err)
+	}
+	if n := sess.rtm.(*remote.Coordinator).AliveWorkers(); n != 1 {
+		t.Fatalf("%d workers alive after the kill, want 1", n)
+	}
+
+	if err := sess.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitNoGoroutine(t, "remote.(*Worker).serveStream")
+	waitNoGoroutine(t, "remote.(*Worker).controlLoop")
+	for _, w := range workers {
+		w.Close()
+		w.Wait()
+	}
+	waitNoGoroutine(t, "fuseme/internal/rt/remote.")
+}
+
 // waitNoGoroutine polls until no goroutine's stack mentions frame, up to a
 // deadline: goroutines that are fired and forgotten (the coordinator's
 // membership broadcasts) or that are unwinding after a hang-up need a moment.

@@ -96,24 +96,6 @@ func (c *Cache) Get(k Key, gen uint64) (matrix.Mat, bool) {
 	return e.blk, true
 }
 
-// Contains reports whether k is resident and hit-visible at generation gen
-// without touching the LRU order or the hit/miss counters. Prefetch
-// admission uses it to skip already-cached blocks: a passive peek, so
-// probing for residency never perturbs eviction behaviour relative to a
-// run without prefetch.
-func (c *Cache) Contains(k Key, gen uint64) bool {
-	if c == nil {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[k]
-	if !ok {
-		return false
-	}
-	return el.Value.(*entry).gen < gen
-}
-
 // Put inserts blk under k, charging bytes against the budget and evicting
 // least-recently-used entries as needed. It returns whether the entry was
 // added and the keys evicted to make room. Entries larger than the whole

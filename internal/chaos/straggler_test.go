@@ -19,10 +19,10 @@ import (
 func TestStragglerDetection(t *testing.T) {
 	cfg := testCluster()
 	cfg.Nodes = 2
-	// Home placement keeps task→worker attribution deterministic; stealing
-	// would let the healthy worker absorb the straggler's queue, which is
-	// the mitigation, not the signal under test.
-	cfg.DisableStealing = true
+	// Home placement keeps task→worker attribution deterministic. No stage
+	// has more tasks than a worker has lanes, so nothing is stuck behind the
+	// straggler and the healthy worker steals nothing (checked below):
+	// stealing is the mitigation, not the signal under test.
 
 	const slow = 1
 	addrs := make([]string, cfg.Nodes)
@@ -67,6 +67,9 @@ func TestStragglerDetection(t *testing.T) {
 		}
 	}
 
+	if n := co.Stats().StealTasks; n != 0 {
+		t.Fatalf("%d tasks stolen, want 0", n)
+	}
 	slowScore := reg.Gauge(obs.WorkerSlowdownGauge(slow)).Value()
 	healthyScore := reg.Gauge(obs.WorkerSlowdownGauge(0)).Value()
 	if slowScore < 1.5 {

@@ -64,27 +64,13 @@ type Config struct {
 	// oversubscribed kernel threads only add scheduler churn.
 	KernelThreads int
 
-	// Pipelined stage execution on the TCP runtime (see internal/prefetch
-	// and the coordinator's task queues; the simulated cluster moves no
-	// bytes and has nothing to prefetch or steal). DisableStealing keeps
-	// prefetch but pins every task to its home worker — deterministic
-	// placement, which tests asserting exact per-worker cache counts rely
-	// on. PrefetchBytes bounds how many input bytes a worker may pull ahead
-	// for its next task: zero means the 64 MiB default, negative runs
-	// without prefetch (and without the stealing that rides on it); the
-	// effective budget is clamped to TaskMemBytes so prefetched blocks
-	// respect θt like any task memory.
-	DisableStealing bool
-	PrefetchBytes   int64
-
 	// Oversubscribe is how many waves of tasks per slot the planner targets
 	// when sizing a stage. Zero or one (the default) sizes stages to the
 	// slot count — every task in a stage starts at once, and plans are
 	// identical to builds without the knob. Larger values over-decompose
 	// each stage into Oversubscribe× more, smaller tasks, which is what
-	// gives the pipelined runtime queue depth: a worker always has a "next
-	// task" whose inputs it can prefetch behind the running kernel, and a
-	// straggler's backlog is stealable. The cuboid parallelism floor
+	// gives the TCP runtime's task queues depth: a straggler's backlog is
+	// then stealable. The cuboid parallelism floor
 	// (P*Q*R >= N*Tc*waves) and the grid executors scale together so sim
 	// and TCP runs decompose identically.
 	Oversubscribe int
@@ -154,27 +140,6 @@ func (c Config) Waves() int {
 // TotalSlots() times the over-decomposition factor.
 func (c Config) PlanSlots() int { return c.TotalSlots() * c.Waves() }
 
-// DefaultPrefetchBytes is the per-worker prefetch budget when
-// Config.PrefetchBytes is zero.
-const DefaultPrefetchBytes = 64 << 20
-
-// EffectivePrefetchBytes resolves the prefetch byte budget: zero when
-// PrefetchBytes is negative, otherwise PrefetchBytes — defaulted to
-// DefaultPrefetchBytes — clamped to the per-task memory budget θt.
-func (c Config) EffectivePrefetchBytes() int64 {
-	if c.PrefetchBytes < 0 {
-		return 0
-	}
-	b := c.PrefetchBytes
-	if b == 0 {
-		b = DefaultPrefetchBytes
-	}
-	if b > c.TaskMemBytes {
-		b = c.TaskMemBytes
-	}
-	return b
-}
-
 // EffectiveCompBandwidth returns the modelled per-node compute bandwidth:
 // B̂c scaled by the explicit kernel thread count. With KernelThreads zero
 // (auto) it equals CompBandwidth exactly, keeping every default simulated
@@ -216,31 +181,16 @@ type Stats struct {
 	CacheEvictions  int64
 	CacheSavedBytes int64
 
-	// Pipelined-execution counters, measured by the TCP runtime and always
-	// zero under simulation (like ExtraWireBytes). A prefetch is an input
-	// block pulled for a task's queue successor while the current kernel
-	// runs; a steal is a queued task executed by a worker other than its
-	// home. The seconds counters decompose task time: FetchSeconds is
-	// wire-wait inside task bodies, PrefetchSeconds is wire time hidden
-	// under kernels, TaskSeconds total task wall time.
-	PrefetchBlocks  int64
-	PrefetchBytes   int64
+	// Dispatch counters, measured by the TCP runtime and always zero under
+	// simulation (like ExtraWireBytes). A steal is a queued task executed by
+	// a worker other than its home. The seconds counters decompose task
+	// time: FetchSeconds is wire-wait inside task bodies, TaskSeconds total
+	// task wall time. PrefetchSeconds is always zero — nothing prefetches;
+	// the field stays only because bench/ reads it.
 	StealTasks      int64
 	FetchSeconds    float64
 	PrefetchSeconds float64
 	TaskSeconds     float64
-}
-
-// OverlapRatio is the fraction of block-transfer time hidden under kernel
-// execution by prefetching: PrefetchSeconds / (PrefetchSeconds +
-// FetchSeconds). Zero when nothing transferred (or under simulation, which
-// reports no wall-clock phase times).
-func (s Stats) OverlapRatio() float64 {
-	total := s.PrefetchSeconds + s.FetchSeconds
-	if total <= 0 {
-		return 0
-	}
-	return s.PrefetchSeconds / total
 }
 
 // TotalCommBytes is consolidation plus aggregation traffic.
@@ -274,13 +224,9 @@ type StatsView struct {
 		SavedBytes int64 `json:"saved_bytes"`
 	} `json:"cache"`
 	Pipeline struct {
-		PrefetchBlocks  int64   `json:"prefetch_blocks"`
-		PrefetchBytes   int64   `json:"prefetch_bytes"`
-		StealTasks      int64   `json:"steal_tasks"`
-		FetchSeconds    float64 `json:"fetch_seconds"`
-		PrefetchSeconds float64 `json:"prefetch_seconds"`
-		TaskSeconds     float64 `json:"task_seconds"`
-		OverlapRatio    float64 `json:"overlap_ratio"`
+		StealTasks   int64   `json:"steal_tasks"`
+		FetchSeconds float64 `json:"fetch_seconds"`
+		TaskSeconds  float64 `json:"task_seconds"`
 	} `json:"pipeline"`
 	Time struct {
 		SimSeconds  float64 `json:"sim_seconds"`
@@ -305,13 +251,9 @@ func (s Stats) View() StatsView {
 	v.Cache.Misses = s.CacheMisses
 	v.Cache.Evictions = s.CacheEvictions
 	v.Cache.SavedBytes = s.CacheSavedBytes
-	v.Pipeline.PrefetchBlocks = s.PrefetchBlocks
-	v.Pipeline.PrefetchBytes = s.PrefetchBytes
 	v.Pipeline.StealTasks = s.StealTasks
 	v.Pipeline.FetchSeconds = s.FetchSeconds
-	v.Pipeline.PrefetchSeconds = s.PrefetchSeconds
 	v.Pipeline.TaskSeconds = s.TaskSeconds
-	v.Pipeline.OverlapRatio = s.OverlapRatio()
 	v.Time.SimSeconds = s.SimSeconds
 	v.Time.WallSeconds = s.WallSeconds
 	return v
@@ -331,11 +273,8 @@ func (s *Stats) Add(other Stats) {
 	s.CacheMisses += other.CacheMisses
 	s.CacheEvictions += other.CacheEvictions
 	s.CacheSavedBytes += other.CacheSavedBytes
-	s.PrefetchBlocks += other.PrefetchBlocks
-	s.PrefetchBytes += other.PrefetchBytes
 	s.StealTasks += other.StealTasks
 	s.FetchSeconds += other.FetchSeconds
-	s.PrefetchSeconds += other.PrefetchSeconds
 	s.TaskSeconds += other.TaskSeconds
 	if other.PeakTaskMemBytes > s.PeakTaskMemBytes {
 		s.PeakTaskMemBytes = other.PeakTaskMemBytes
@@ -361,11 +300,8 @@ func (s Stats) Sub(prev Stats) Stats {
 	s.CacheMisses -= prev.CacheMisses
 	s.CacheEvictions -= prev.CacheEvictions
 	s.CacheSavedBytes -= prev.CacheSavedBytes
-	s.PrefetchBlocks -= prev.PrefetchBlocks
-	s.PrefetchBytes -= prev.PrefetchBytes
 	s.StealTasks -= prev.StealTasks
 	s.FetchSeconds -= prev.FetchSeconds
-	s.PrefetchSeconds -= prev.PrefetchSeconds
 	s.TaskSeconds -= prev.TaskSeconds
 	return s
 }
@@ -386,15 +322,11 @@ type TaskMetrics struct {
 	CacheEvictions  int64
 	CacheSavedBytes int64
 
-	// Pipelined-execution metering, filled by a remote worker and zero
-	// in-process. FetchSeconds is the wire wait inside the task body (time
-	// blocked on msgFetch round-trips, excluding buffered prefetch hits);
-	// PrefetchSeconds the wire time the worker spent pulling the next task's
-	// blocks while this task's kernel ran; TaskSeconds the task's wall time
-	// on the worker.
-	FetchSeconds    float64
-	PrefetchSeconds float64
-	TaskSeconds     float64
+	// Wall-clock metering, filled by a remote worker and zero in-process.
+	// FetchSeconds is the wire wait inside the task body (time blocked on
+	// msgFetch round-trips); TaskSeconds the task's wall time on the worker.
+	FetchSeconds float64
+	TaskSeconds  float64
 }
 
 // AddTask folds one finished task into the stage's stats: the one place a
@@ -408,7 +340,6 @@ func (s *Stats) AddTask(m TaskMetrics) {
 	s.CacheEvictions += m.CacheEvictions
 	s.CacheSavedBytes += m.CacheSavedBytes
 	s.FetchSeconds += m.FetchSeconds
-	s.PrefetchSeconds += m.PrefetchSeconds
 	s.TaskSeconds += m.TaskSeconds
 	if m.MemPeakBytes > s.PeakTaskMemBytes {
 		s.PeakTaskMemBytes = m.MemPeakBytes
@@ -689,10 +620,10 @@ func (t *Task) Metrics() TaskMetrics {
 	}
 }
 
-// SetScheduler installs a shared task-dispatch scheduler (nil restores the
-// cluster's private one is not supported — pass a non-nil scheduler). Call
-// before running stages; the serve daemon uses one scheduler across many
-// clusters so tasks of concurrent plans interleave by weighted round-robin.
+// SetScheduler installs a shared task-dispatch scheduler; nil is ignored (the
+// cluster keeps the scheduler it has). Call before running stages; the serve
+// daemon uses one scheduler across many clusters so tasks of concurrent plans
+// interleave by weighted round-robin.
 func (c *Cluster) SetScheduler(s *sched.Scheduler) {
 	if s == nil {
 		return

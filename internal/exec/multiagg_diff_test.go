@@ -104,7 +104,6 @@ func TestMultiAggBitStable(t *testing.T) {
 // hits, on both backends alike — and is bit-identical with the cache off.
 func TestMultiAggBlockCache(t *testing.T) {
 	cfg := multiAggConfig()
-	cfg.DisableStealing = true // home placement: the iteration-two hits are exact
 	inputs := multiAggInputs(cfg.BlockSize)
 	pp := compileMultiAgg(t, cfg, inputs)
 	cold := sumBits(t, pp, openBackend(t, "sim", cfg), inputs)
@@ -116,9 +115,11 @@ func TestMultiAggBlockCache(t *testing.T) {
 				t.Errorf("%s iteration %d with the cache on: %x, cache off %x", backend, iter, got, cold)
 			}
 			// Each task reads its 32 blocks of X and of Y once, for three sums.
+			// Exact only with every task at its home: none may be stolen.
 			s := rtm.LastStageStats()
-			if want := int64(iter) * 2 * 256; s.CacheHits != want || s.CacheHits+s.CacheMisses != 2*256 {
-				t.Errorf("%s iteration %d: %d hits, %d misses, want %d hits of 512 reads", backend, iter, s.CacheHits, s.CacheMisses, want)
+			if want := int64(iter) * 2 * 256; s.CacheHits != want || s.CacheHits+s.CacheMisses != 2*256 || s.StealTasks != 0 {
+				t.Errorf("%s iteration %d: %d hits, %d misses, %d steals; want %d hits of 512 reads, no steals",
+					backend, iter, s.CacheHits, s.CacheMisses, s.StealTasks, want)
 			}
 		}
 	}

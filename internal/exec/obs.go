@@ -54,7 +54,7 @@ func runObservedStage(rtm rt.Runtime, o *obs.Obs, pred obs.FlightRecord, st *rt.
 	// coordinator's wire accounting) into this stage's own stats before
 	// returning; a stage that failed before folding reports zeros. SimSeconds
 	// is the stage clock: the Eq. 2 model under simulation, real wall under
-	// TCP. The prefetch/steal/phase-seconds fields are zero under simulation.
+	// TCP. The steal and phase-seconds fields are zero under simulation.
 	m := rtm.LastStageStats()
 	rec := pred
 	rec.Stage, rec.Tasks = st.Name, st.NumTasks
@@ -63,9 +63,7 @@ func runObservedStage(rtm rt.Runtime, o *obs.Obs, pred obs.FlightRecord, st *rt.
 	rec.MeasExtraWireBytes, rec.MeasFlops = m.ExtraWireBytes, m.Flops
 	rec.MeasPeakTaskMemBytes = m.PeakTaskMemBytes
 	rec.CacheHits, rec.CacheMisses, rec.CacheSavedBytes = m.CacheHits, m.CacheMisses, m.CacheSavedBytes
-	rec.PrefetchBlocks, rec.PrefetchBytes, rec.StealTasks = m.PrefetchBlocks, m.PrefetchBytes, m.StealTasks
-	rec.MeasFetchSeconds, rec.MeasPrefetchSeconds = m.FetchSeconds, m.PrefetchSeconds
-	rec.MeasTaskSeconds, rec.OverlapRatio = m.TaskSeconds, m.OverlapRatio()
+	rec.StealTasks, rec.MeasFetchSeconds, rec.MeasTaskSeconds = m.StealTasks, m.FetchSeconds, m.TaskSeconds
 	o.StageDone(rec, err)
 
 	o.Counter(obs.MCacheEvictions).Add(m.CacheEvictions)

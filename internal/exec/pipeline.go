@@ -9,9 +9,9 @@ import (
 
 // This file is the executor side of pipelined stage execution: the
 // task-index-ordered stage reducer, which streams partial aggregation while
-// tasks are still running yet folds in one fixed order. Prefetch and
-// work-stealing, the other two thirds of the pipeline, exist only where
-// blocks really cross a wire: in internal/rt/remote.
+// tasks are still running yet folds in one fixed order. Nothing prefetches;
+// work-stealing, the other half of the pipeline, exists only where tasks
+// queue per worker: in internal/rt/remote.
 
 // taskEmit is one buffered result emission of a task.
 type taskEmit struct {

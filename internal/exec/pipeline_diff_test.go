@@ -1,11 +1,11 @@
-// Differential suite for pipelined stage execution: the same workload with
-// prefetch and work-stealing on and off (PrefetchBytes < 0), on the simulated
-// and the TCP backend, across 1–4 workers, must produce bit-identical results
-// — the ordered stage reducer folds partials in task-index order regardless
-// of completion order — and, with work-stealing pinned off, identical cache
-// hit counts per iteration. The simulated cluster has no prefetch or
-// stealing, so there the two arms are the same code path run twice: a
-// determinism check over its concurrent slot pool.
+// Differential suite for pipelined stage execution: the same workload on the
+// TCP backend, across 1–4 workers, must produce bit-identical results to the
+// simulated backend — the ordered stage reducer folds partials in task-index
+// order regardless of completion order — and, with the block cache on,
+// identical cache hit counts per iteration, because no task of a stage that
+// fits its workers' lanes is stolen away from its cache home. Each subtest
+// runs its backend against a simulated reference, so the sim subtests are a
+// determinism check over the simulated cluster's concurrent slot pool.
 package exec_test
 
 import (
@@ -95,61 +95,38 @@ func runPipelineGNMF(t *testing.T, backend string, cfg cluster.Config, iters int
 	return res
 }
 
-// noPrefetch returns cfg with prefetch (and the stealing that rides on it)
-// switched off.
-func noPrefetch(cfg cluster.Config) cluster.Config {
-	cfg.PrefetchBytes = -1
-	return cfg
-}
-
-// TestPipelineDiffGNMF: GNMF with prefetch and stealing on must be
-// bit-identical to GNMF without them on both backends across 1–4 workers,
-// and with stealing pinned off the block cache must hit identically per
-// iteration.
+// TestPipelineDiffGNMF: GNMF on each backend must be bit-identical to the
+// simulated reference across 1–4 workers, and with the block cache on it
+// must also hit and miss exactly as the reference does per iteration, with
+// no task stolen.
 func TestPipelineDiffGNMF(t *testing.T) {
 	const iters = 3
 	for _, backend := range []string{"sim", "tcp"} {
 		for nodes := 1; nodes <= 4; nodes++ {
 			t.Run(backend+"/"+string(rune('0'+nodes))+"w", func(t *testing.T) {
-				on := runPipelineGNMF(t, backend, pipelineTestConfig(nodes), iters)
-				off := runPipelineGNMF(t, backend, noPrefetch(pipelineTestConfig(nodes)), iters)
-				requireBitIdentical(t, "U prefetch on vs off", on.U, off.U)
-				requireBitIdentical(t, "V prefetch on vs off", on.V, off.V)
-				if off.Total.PrefetchBlocks != 0 || off.Total.StealTasks != 0 {
-					t.Errorf("run without prefetch reported %d prefetched blocks, %d steals; want 0, 0",
-						off.Total.PrefetchBlocks, off.Total.StealTasks)
-				}
+				cfg := pipelineTestConfig(nodes)
+				ref := runPipelineGNMF(t, "sim", cfg, iters)
+				got := runPipelineGNMF(t, backend, cfg, iters)
+				requireBitIdentical(t, "U vs sim", got.U, ref.U)
+				requireBitIdentical(t, "V vs sim", got.V, ref.V)
 
-				// Cache-hit equality needs home-pinned tasks: stealing moves
-				// tasks off the workers that cached their inputs, which is
-				// legal for results but not for exact per-worker hit counts.
-				// One lane per worker with 4 waves of over-decomposition
-				// gives every worker a queue of sequential tasks, so the
-				// prefetcher has a genuine "next task" to pull ahead for
-				// (prefetch targets task t + lanes; with one wave that index
-				// is past the stage).
-				cachedCfg := pipelineTestConfig(nodes)
-				cachedCfg.TasksPerNode = 1
-				cachedCfg.Oversubscribe = 4
-				cachedCfg.CacheBytes = 64 << 20
-				cachedCfg.DisableStealing = true
-				cached := runPipelineGNMF(t, backend, cachedCfg, iters)
-				cachedOff := runPipelineGNMF(t, backend, noPrefetch(cachedCfg), iters)
-				requireBitIdentical(t, "U cached prefetch on vs off", cached.U, cachedOff.U)
-				requireBitIdentical(t, "V cached prefetch on vs off", cached.V, cachedOff.V)
-				for i := range cached.PerIter {
-					p, b := cached.PerIter[i], cachedOff.PerIter[i]
-					if p.CacheHits != b.CacheHits || p.CacheMisses != b.CacheMisses {
-						t.Errorf("iteration %d: hits/misses %d/%d with prefetch, %d/%d without",
-							i, p.CacheHits, p.CacheMisses, b.CacheHits, b.CacheMisses)
+				cfg.CacheBytes = 64 << 20
+				ref = runPipelineGNMF(t, "sim", cfg, iters)
+				got = runPipelineGNMF(t, backend, cfg, iters)
+				requireBitIdentical(t, "U cached vs sim", got.U, ref.U)
+				requireBitIdentical(t, "V cached vs sim", got.V, ref.V)
+				for i := range got.PerIter {
+					g, r := got.PerIter[i], ref.PerIter[i]
+					if g.CacheHits != r.CacheHits || g.CacheMisses != r.CacheMisses {
+						t.Errorf("iteration %d: hits/misses %d/%d, sim %d/%d",
+							i, g.CacheHits, g.CacheMisses, r.CacheHits, r.CacheMisses)
 					}
 				}
-				if cached.Total.CacheHits == 0 {
+				if got.Total.CacheHits == 0 {
 					t.Error("cached run hit nothing")
 				}
-				// Only a runtime that moves bytes has anything to prefetch.
-				if got := cached.Total.PrefetchBlocks; (backend == "tcp") != (got > 0) {
-					t.Errorf("%s cached run prefetched %d blocks from the second iteration on", backend, got)
+				if n := got.Total.StealTasks; n != 0 {
+					t.Errorf("cached run stole %d tasks, want 0", n)
 				}
 			})
 		}
@@ -171,7 +148,7 @@ func TestPipelineDiffSimTCP(t *testing.T) {
 
 // TestPipelineDiffAutoEncoder: one SGD epoch of the AutoEncoder — a long
 // chain of fused stages whose gradients fold through the ordered reducer —
-// is bit-identical with prefetch and stealing on or off on both backends.
+// is bit-identical on each backend to the simulated reference.
 func TestPipelineDiffAutoEncoder(t *testing.T) {
 	aeCfg := workloads.AutoEncoderConfig{Features: 24, Batch: 16, H1: 8, H2: 4}
 	run := func(t *testing.T, backend string, cfg cluster.Config) (*workloads.AEState, float64) {
@@ -188,9 +165,9 @@ func TestPipelineDiffAutoEncoder(t *testing.T) {
 		for _, nodes := range []int{2, 3} {
 			t.Run(backend+"/"+string(rune('0'+nodes))+"w", func(t *testing.T) {
 				pState, pLoss := run(t, backend, pipelineTestConfig(nodes))
-				bState, bLoss := run(t, backend, noPrefetch(pipelineTestConfig(nodes)))
+				bState, bLoss := run(t, "sim", pipelineTestConfig(nodes))
 				if math.Float64bits(pLoss) != math.Float64bits(bLoss) {
-					t.Errorf("loss %v vs %v (bit-level)", pLoss, bLoss)
+					t.Errorf("loss %v vs sim %v (bit-level)", pLoss, bLoss)
 				}
 				requireBitIdentical(t, "W1", pState.W1, bState.W1)
 				requireBitIdentical(t, "W2", pState.W2, bState.W2)

@@ -18,7 +18,7 @@ type recordedEmit struct {
 // TestStageReducerOrderInvariance: whatever order tasks complete in, the
 // routed fold sequence for ordered kinds (OutAgg, OutPartial) is exactly the
 // task-index order. This is the property that makes results independent of
-// scheduling, prefetch and work-stealing.
+// scheduling and work-stealing.
 func TestStageReducerOrderInvariance(t *testing.T) {
 	const numTasks = 17
 	reference := func() []recordedEmit {

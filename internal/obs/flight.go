@@ -40,20 +40,13 @@ type FlightRecord struct {
 	CacheMisses            int64   `json:"cache_misses"`
 	CacheSavedBytes        int64   `json:"cache_saved_bytes"`
 
-	// Pipelined execution: how much of the stage's wire time ran hidden
-	// under kernels. MeasFetchSeconds is wire wait inside task bodies
-	// (summed over tasks), MeasPrefetchSeconds wire time overlapped with
-	// kernels, MeasTaskSeconds total task wall; OverlapRatio is
-	// prefetch/(prefetch+fetch) — 1.0 means every transferred byte was
-	// hidden, 0 means every transfer stalled its task. All seven fields are
-	// TCP-runtime measurements and zero under simulation.
-	PrefetchBlocks      int64   `json:"prefetch_blocks,omitempty"`
-	PrefetchBytes       int64   `json:"prefetch_bytes,omitempty"`
-	StealTasks          int64   `json:"steal_tasks,omitempty"`
-	MeasFetchSeconds    float64 `json:"meas_fetch_seconds,omitempty"`
-	MeasPrefetchSeconds float64 `json:"meas_prefetch_seconds,omitempty"`
-	MeasTaskSeconds     float64 `json:"meas_task_seconds,omitempty"`
-	OverlapRatio        float64 `json:"overlap_ratio,omitempty"`
+	// Dispatch: StealTasks counts tasks run away from their home worker,
+	// MeasFetchSeconds is wire wait inside task bodies (summed over tasks),
+	// MeasTaskSeconds total task wall. All three are TCP-runtime
+	// measurements and zero under simulation.
+	StealTasks       int64   `json:"steal_tasks,omitempty"`
+	MeasFetchSeconds float64 `json:"meas_fetch_seconds,omitempty"`
+	MeasTaskSeconds  float64 `json:"meas_task_seconds,omitempty"`
 }
 
 // NetBytes is the measured traffic comparable to the predicted NetEst:

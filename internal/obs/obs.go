@@ -244,14 +244,10 @@ const (
 	MKernelSerialCalls   = "fuseme_kernel_serial_calls_total"
 	MKernelHelperRuns    = "fuseme_kernel_helper_runs_total"
 
-	// Pipelined-execution metrics, bumped by the TCP coordinator and always
-	// 0 under simulation. MPrefetchBlocks/MPrefetchBytes count blocks
-	// pulled ahead of their task (bytes are in-memory block sizes);
-	// MStealTasks counts tasks an idle worker stole from a straggler's
-	// queue.
-	MPrefetchBlocks = "fuseme_prefetch_blocks_total"
-	MPrefetchBytes  = "fuseme_prefetch_bytes_total"
-	MStealTasks     = "fuseme_steal_tasks_total"
+	// MStealTasks counts tasks an idle worker stole from a worker whose
+	// lanes were all busy; bumped by the TCP coordinator, always 0 under
+	// simulation.
+	MStealTasks = "fuseme_steal_tasks_total"
 
 	// Plan-cache metrics (compiled-plan reuse across repeat queries).
 	MPlanCacheHits    = "fuseme_plancache_hits_total"

@@ -18,24 +18,24 @@ func fullRecord() FlightRecord {
 		MeasWallSeconds: 0.125, MeasConsolidationBytes: 2001, MeasAggregationBytes: 2002,
 		MeasExtraWireBytes: 2003, MeasFlops: 2004, MeasPeakTaskMemBytes: 2005,
 		CacheHits: 31, CacheMisses: 32, CacheSavedBytes: 33,
-		PrefetchBlocks: 41, PrefetchBytes: 42, StealTasks: 43,
-		MeasFetchSeconds: 0.25, MeasPrefetchSeconds: 0.75, MeasTaskSeconds: 1.5, OverlapRatio: 0.75,
+		StealTasks: 43, MeasFetchSeconds: 0.25, MeasTaskSeconds: 1.5,
 	}
 }
 
 // The wire format of the flight file, the journal's stage_end.flight and
 // GET /v1/queries/{id}: these strings were marshalled by the commit before
-// FlightRecord became the only per-stage type (8b2b7b6). A renamed tag, a
-// reordered or dropped field fails here.
+// FlightRecord became the only per-stage type (8b2b7b6), less the four
+// prefetch keys protocol v8 removed (omitempty and never set, so no record
+// ever carried them). A renamed tag, a reordered or dropped field fails here.
 const (
-	goldenFlight = `{"stage":"partial:mul#12","op":"CFO mul#12","kind":"CFO","p":2,"q":3,"r":4,"tasks":24,"pred_net_bytes":1001,"pred_com_flops":1002,"pred_mem_bytes":1003,"meas_wall_seconds":0.125,"meas_consolidation_bytes":2001,"meas_aggregation_bytes":2002,"meas_extra_wire_bytes":2003,"meas_flops":2004,"meas_peak_task_mem_bytes":2005,"cache_hits":31,"cache_misses":32,"cache_saved_bytes":33,"prefetch_blocks":41,"prefetch_bytes":42,"steal_tasks":43,"meas_fetch_seconds":0.25,"meas_prefetch_seconds":0.75,"meas_task_seconds":1.5,"overlap_ratio":0.75}`
+	goldenFlight = `{"stage":"partial:mul#12","op":"CFO mul#12","kind":"CFO","p":2,"q":3,"r":4,"tasks":24,"pred_net_bytes":1001,"pred_com_flops":1002,"pred_mem_bytes":1003,"meas_wall_seconds":0.125,"meas_consolidation_bytes":2001,"meas_aggregation_bytes":2002,"meas_extra_wire_bytes":2003,"meas_flops":2004,"meas_peak_task_mem_bytes":2005,"cache_hits":31,"cache_misses":32,"cache_saved_bytes":33,"steal_tasks":43,"meas_fetch_seconds":0.25,"meas_task_seconds":1.5}`
 	goldenEvent  = `{"query":"q7","seq":5,"type":"stage_end","t_unix_nano":1700000000000000000,"tenant":"acme","stage":"partial:mul#12","op":"CFO mul#12","tasks":24,"flight":` + goldenFlight + `,"skew":{"stage":"partial:mul#12","tasks":24,"max_seconds":0.5,"median_seconds":0.25,"imbalance":2,"workers":[{"worker":0,"tasks":12,"seconds":3},{"worker":1,"tasks":12,"seconds":4.5}]},"seconds":0.125,"error":"boom"}`
 )
 
 func TestGoldenStageBytes(t *testing.T) {
 	rec := fullRecord()
-	if v := reflect.ValueOf(rec); v.NumField() != 26 {
-		t.Fatalf("FlightRecord has %d fields, the golden line covers 26: extend fullRecord and re-check the format", v.NumField())
+	if v := reflect.ValueOf(rec); v.NumField() != 22 {
+		t.Fatalf("FlightRecord has %d fields, the golden line covers 22: extend fullRecord and re-check the format", v.NumField())
 	} else {
 		for i := 0; i < v.NumField(); i++ {
 			if v.Field(i).IsZero() {

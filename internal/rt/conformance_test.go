@@ -165,22 +165,21 @@ func TestRuntimeConformancePlan(t *testing.T) {
 
 // cacheBackends returns the runtime constructors with the loop-invariant
 // block cache enabled on both sides (worker budgets and coordinator config).
-// Work-stealing is pinned off: stolen tasks run away from their cache homes,
-// which is legal for results but perturbs the exact per-worker hit counts
-// this suite compares.
+// A stolen task would run away from its cache home, which is legal for
+// results but perturbs the exact per-worker hit counts this suite compares;
+// no stage here has more tasks than a worker has lanes, so none is stolen
+// (TestRuntimeConformanceBlockCache checks it).
 func cacheBackends() map[string]func(t *testing.T) rt.Runtime {
 	const budget = 64 << 20
 	return map[string]func(t *testing.T) rt.Runtime{
 		"sim": func(t *testing.T) rt.Runtime {
 			cfg := conformanceConfig()
 			cfg.CacheBytes = budget
-			cfg.DisableStealing = true
 			return cluster.MustNew(cfg)
 		},
 		"tcp": func(t *testing.T) rt.Runtime {
 			cfg := conformanceConfig()
 			cfg.CacheBytes = budget
-			cfg.DisableStealing = true
 			addrs := make([]string, cfg.Nodes)
 			for i := range addrs {
 				w, err := remote.NewWorker("127.0.0.1:0")
@@ -286,21 +285,20 @@ func TestRuntimeConformanceBlockCache(t *testing.T) {
 				t.Errorf("warm consolidation %d not below cold %d",
 					second.ConsolidationBytes, first.ConsolidationBytes)
 			}
+			if first.StealTasks != 0 || second.StealTasks != 0 {
+				t.Errorf("steals %d then %d, want 0", first.StealTasks, second.StealTasks)
+			}
 		})
 	}
 }
 
 // pipelineConformanceConfig narrows conformanceConfig to one lane per
 // worker with four waves of over-decomposition: every worker runs its
-// stage share sequentially, so the TCP prefetcher has recorded successors
-// to pull ahead for (prefetch targets task t + lanes, which with a single
-// full-width wave is always past the stage). Stealing is pinned off —
-// exact counters need home placement.
+// stage share sequentially from a queue, so on TCP an idle lane may steal.
 func pipelineConformanceConfig() cluster.Config {
 	cfg := conformanceConfig()
 	cfg.TasksPerNode = 1
 	cfg.Oversubscribe = 4
-	cfg.DisableStealing = true
 	return cfg
 }
 
@@ -330,40 +328,6 @@ func pipelineBackends() map[string]func(t *testing.T) rt.Runtime {
 			return co
 		},
 	}
-}
-
-// TestRuntimeConformancePipeline pins where pipelined-execution counters
-// come from. Prefetch exists once, in the TCP worker: the first run of a
-// stage shape has no recorded fetch history and must prefetch nothing (it
-// seeds the history instead), the second run must prefetch, and with
-// stealing pinned off no task may be reported stolen. The simulated cluster
-// moves no bytes and schedules from a global slot pool, so it reports zero
-// prefetches and zero steals unconditionally.
-func TestRuntimeConformancePipeline(t *testing.T) {
-	ctors := pipelineBackends()
-	simFirst, simSecond := runPlanTwice(t, ctors["sim"](t))
-	for run, s := range []cluster.Stats{simFirst, simSecond} {
-		if s.PrefetchBlocks != 0 || s.PrefetchBytes != 0 || s.StealTasks != 0 {
-			t.Errorf("sim run %d reported %d prefetched blocks / %d bytes / %d steals, want all zero",
-				run+1, s.PrefetchBlocks, s.PrefetchBytes, s.StealTasks)
-		}
-	}
-
-	t.Run("tcp", func(t *testing.T) {
-		first, second := runPlanTwice(t, ctors["tcp"](t))
-		if first.PrefetchBlocks != 0 || first.PrefetchBytes != 0 {
-			t.Errorf("first run prefetched %d blocks / %d bytes with no history, want 0/0",
-				first.PrefetchBlocks, first.PrefetchBytes)
-		}
-		if second.PrefetchBlocks == 0 || second.PrefetchBytes == 0 {
-			t.Errorf("second run prefetched %d blocks / %d bytes, want both nonzero",
-				second.PrefetchBlocks, second.PrefetchBytes)
-		}
-		if first.StealTasks != 0 || second.StealTasks != 0 {
-			t.Errorf("steals %d then %d with stealing disabled, want 0",
-				first.StealTasks, second.StealTasks)
-		}
-	})
 }
 
 // runTracedPlan executes the reference plan with tracing enabled and returns

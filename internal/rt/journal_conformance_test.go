@@ -15,8 +15,8 @@ import (
 // normFlight is the deterministic slice of a stage_end's flight record: the
 // planner's choices and predictions plus the execution counters both backends
 // must agree on exactly. Timings, wire-byte volumes (metered vs encoded) and
-// prefetch/steal counts (measured by the TCP runtime only, zero under
-// simulation) are legitimately backend-specific and excluded.
+// steal counts (measured by the TCP runtime only, zero under simulation) are
+// legitimately backend-specific and excluded.
 type normFlight struct {
 	Stage, Op, Kind string
 	P, Q, R, Tasks  int
@@ -65,8 +65,7 @@ type taskTally struct {
 	SkewSamples                           int   // task samples folded into stage_end skews
 }
 
-// runJournaledGNMF executes the GNMF update graph twice on one backend (the
-// second run has the TCP prefetcher live on the first's fetch history),
+// runJournaledGNMF executes the GNMF update graph twice on one backend,
 // journaling both runs, and returns each run's normalized event sequence and
 // the per-task telemetry tally of both.
 func runJournaledGNMF(t *testing.T, rtm rt.Runtime) (first, second []normEvent, tally taskTally) {
@@ -106,10 +105,10 @@ func runJournaledGNMF(t *testing.T, rtm rt.Runtime) (first, second []normEvent, 
 // stage_start/stage_end alternation, same stage names, operators and task
 // counts, and stage_end flight records whose deterministic fields (chosen
 // (P,Q,R), predicted costs, flops, cache counters) match exactly. Only
-// timestamps, wall times, wire-byte volumes, prefetch/steal counters and
-// worker attribution may differ between backends. Runs under
+// timestamps, wall times, wire-byte volumes, steal counters and worker
+// attribution may differ between backends. Runs under
 // pipelineConformanceConfig: over-decomposed one-lane stages, so the TCP
-// side journals with its prefetcher active.
+// side journals with queued tasks an idle lane may steal.
 func TestRuntimeConformanceJournal(t *testing.T) {
 	ctors := pipelineBackends()
 	simFirst, simSecond, simTally := runJournaledGNMF(t, ctors["sim"](t))

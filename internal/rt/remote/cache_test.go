@@ -17,7 +17,7 @@ const testCacheBudget = 64 << 20
 // startCachedCluster is startCluster with the block cache enabled on both
 // sides: each worker gets a budget, and the coordinator's configuration
 // carries the same budget so planners attach stage epochs.
-func startCachedCluster(t *testing.T, n int, muts ...func(*cluster.Config)) (*remote.Coordinator, []*remote.Worker) {
+func startCachedCluster(t *testing.T, n int) (*remote.Coordinator, []*remote.Worker) {
 	t.Helper()
 	workers := make([]*remote.Worker, n)
 	addrs := make([]string, n)
@@ -33,9 +33,6 @@ func startCachedCluster(t *testing.T, n int, muts ...func(*cluster.Config)) (*re
 	}
 	cfg := testConfig()
 	cfg.CacheBytes = testCacheBudget
-	for _, mut := range muts {
-		mut(&cfg)
-	}
 	co, err := remote.NewCoordinator(cfg, addrs)
 	if err != nil {
 		t.Fatal(err)
@@ -115,11 +112,10 @@ func TestRemoteCacheConformsToSim(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Work-stealing moves tasks off their cache homes, which is fine for
-	// results (the ordered reducer keeps them placement-independent) but
-	// perturbs per-worker hit counts; exact-count conformance pins tasks to
-	// their homes. Prefetch and streamed aggregation stay on.
-	co, _ := startCachedCluster(t, 2, func(c *cluster.Config) { c.DisableStealing = true })
+	// A stolen task would cache its inputs away from its home; no stage
+	// here has more tasks than a worker has lanes, so none is stolen and
+	// every task runs at the home the simulated cache uses.
+	co, _ := startCachedCluster(t, 2)
 	x2, u2, v2 := gnmfInputs(bs)
 	rem, err := workloads.RunGNMF(core.FuseME{}, co, x2, u2, v2, iters)
 	if err != nil {
@@ -136,6 +132,9 @@ func TestRemoteCacheConformsToSim(t *testing.T) {
 			t.Errorf("iteration %d: sim saved %d bytes, tcp %d", i, s.CacheSavedBytes, r.CacheSavedBytes)
 		}
 	}
+	if n := rem.Total.StealTasks; n != 0 {
+		t.Errorf("tcp run stole %d tasks, want 0", n)
+	}
 }
 
 // TestRemoteCacheInvalidationOnRebind: rebinding an input between queries
@@ -144,8 +143,9 @@ func TestRemoteCacheConformsToSim(t *testing.T) {
 // invalidation push.
 func TestRemoteCacheInvalidationOnRebind(t *testing.T) {
 	// The residency check below compares exact byte totals across runs; a
-	// stolen task caches its inputs on a second worker, so pin tasks home.
-	co, workers := startCachedCluster(t, 2, func(c *cluster.Config) { c.DisableStealing = true })
+	// stolen task would cache its inputs on a second worker (none is: every
+	// stage fits its workers' lanes, and StealTasks is checked below).
+	co, workers := startCachedCluster(t, 2)
 	bs := testConfig().BlockSize
 
 	const rows, cols, k = 48, 32, 8
@@ -179,6 +179,7 @@ func TestRemoteCacheInvalidationOnRebind(t *testing.T) {
 		t.Fatal("no blocks resident after the first run")
 	}
 
+	stolen := co.Stats().StealTasks
 	co.ResetStats()
 	warmOut, _, err := core.Run(core.FuseME{}, g, co, inputs)
 	if err != nil {
@@ -187,6 +188,7 @@ func TestRemoteCacheInvalidationOnRebind(t *testing.T) {
 	if hits := co.Stats().CacheHits; hits == 0 {
 		t.Error("repeat query with unchanged bindings produced no hits")
 	}
+	stolen += co.Stats().StealTasks
 
 	// Rebind X; the stale blocks must not be served, and the next dispatch
 	// must push their invalidation to the holding workers.
@@ -203,6 +205,9 @@ func TestRemoteCacheInvalidationOnRebind(t *testing.T) {
 	compareMatrices(t, "U2 after rebind", out["U2"], ref["U2"])
 	if block.EqualApprox(out["U2"], warmOut["U2"], 0) {
 		t.Fatal("rebinding X did not change the result — stale blocks were served")
+	}
+	if stolen += co.Stats().StealTasks; stolen != 0 {
+		t.Errorf("%d tasks stolen, want 0", stolen)
 	}
 
 	// The invalidation push is applied by the workers' control loops

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,7 +14,6 @@ import (
 	"fuseme/internal/matrix"
 	"fuseme/internal/membership"
 	"fuseme/internal/obs"
-	"fuseme/internal/prefetch"
 	"fuseme/internal/rt"
 	"fuseme/internal/rt/spec"
 	"fuseme/internal/sched"
@@ -66,11 +66,6 @@ type Coordinator struct {
 	// change).
 	mem    *membership.Table
 	ledger *membership.Ledger[blockcache.Key]
-
-	// hist records each task's fetch-path refs (reported in taskDone.Fetched)
-	// keyed by stage shape; the next execution of the same shape ships them
-	// as prefetch hints.
-	hist *prefetch.History
 
 	// addMu serializes membership-mutating operations (AddWorker, leave) so
 	// member IDs always equal their slot in the workers slice.
@@ -191,13 +186,6 @@ type workerConn struct {
 	idleMu sync.Mutex
 	idle   []*stream
 
-	// stealOK records whether the worker volunteers for work-stealing.
-	// Defaults true; learned from the task connection — a pipelined task
-	// that completes WITHOUT a msgTaskSteal frame means the worker runs
-	// with -steal=false, and the flag flips off. Best-effort: a worker that
-	// never ran a task keeps the default.
-	stealOK atomic.Bool
-
 	// Clock-skew estimate for this worker, fed by ping/pong samples. The
 	// lowest-RTT sample wins (see skew.go); sampled guards the first write.
 	clockMu  sync.Mutex
@@ -311,7 +299,6 @@ func NewCoordinatorConfig(cfg cluster.Config, addrs []string, rcfg Config) (*Coo
 		rcfg:          rcfg,
 		mem:           membership.NewTable(),
 		ledger:        membership.NewLedger[blockcache.Key](),
-		hist:          prefetch.NewHistory(),
 		hbStop:        make(chan struct{}),
 		kernelThreads: cfg.KernelThreads,
 		taskSlots:     cfg.TasksPerNode,
@@ -378,7 +365,6 @@ func (c *Coordinator) AddWorker(addr string) (int, error) {
 	}
 	m := c.mem.Join(addr)
 	w := &workerConn{id: m.ID, addr: addr, ctrl: conn}
-	w.stealOK.Store(true)
 	c.wmu.Lock()
 	c.workers = append(c.workers, w)
 	c.wmu.Unlock()
@@ -648,20 +634,6 @@ func (c *Coordinator) sendCachePut(w *workerConn, p cachePut) error {
 	return writeGob(cn, msgCachePut, p)
 }
 
-// sendTaskRelease tells a worker that a task it may have prefetched for was
-// stolen. Best-effort: the buffer is an optimisation, so the caller ignores
-// failures.
-func (c *Coordinator) sendTaskRelease(w *workerConn, rel taskRelease) error {
-	w.ctrlMu.Lock()
-	defer w.ctrlMu.Unlock()
-	cn := w.conn()
-	if cn == nil {
-		return errors.New("remote: no control connection")
-	}
-	cn.SetDeadline(time.Now().Add(c.rcfg.HeartbeatTimeout))
-	return writeGob(cn, msgTaskRelease, rel)
-}
-
 // replicateAdvert pushes each block a task newly cached to
 // Config.CacheReplicas-1 secondary holders: the workers at home id + 1,
 // home id + 2, ... (mod cluster size), which is exactly where
@@ -835,14 +807,6 @@ type wireMeter struct {
 	consolidation atomic.Int64 // non-colocated input fetches
 	aggregation   atomic.Int64 // partial/aggregate result uploads
 	extra         atomic.Int64 // traffic the simulation does not model
-
-	// Prefetch admissions served this stage (msgPrefetch pulls). Bytes are
-	// the in-memory SizeBytes of the served blocks (what the admission budget
-	// is charged in). The wire bytes of those pulls land in the
-	// classified counters above exactly as a direct fetch would; prefetch
-	// moves traffic earlier, it never adds any.
-	pfBlocks atomic.Int64
-	pfBytes  atomic.Int64
 }
 
 func (m *wireMeter) countFetch(ref spec.BlockRef, n int64, colocated map[int]bool) {
@@ -882,6 +846,31 @@ func (c *Coordinator) RunSpecStage(st *rt.Stage) error {
 		colocated[id] = true
 	}
 
+	// Per-worker FIFO queues under home placement (taskID mod workers, the
+	// same homes the simulated backend's task caches use), dead homes
+	// falling forward to the next alive slot. Each alive worker gets
+	// TasksPerNode dispatch lanes draining its own queue; a lane whose queue
+	// runs dry steals from a worker whose lanes are all busy (taskQueues).
+	// Liveness is read once: a queue nobody may steal from must have lanes,
+	// even if its worker dies before they start (they then run its tasks
+	// through the retry path).
+	ws := c.snapshotWorkers()
+	alive := make([]bool, len(ws))
+	for i, w := range ws {
+		alive[i] = w.alive.Load()
+	}
+	if !slices.Contains(alive, true) {
+		return errors.New("remote: no live workers")
+	}
+	queues := newTaskQueues(len(ws), c.taskSlots)
+	for id := 0; id < sp.NumTasks; id++ {
+		home := id % len(ws)
+		for !alive[home] {
+			home = (home + 1) % len(ws)
+		}
+		queues.push(home, id)
+	}
+
 	var (
 		wire       wireMeter
 		stealTasks atomic.Int64
@@ -900,6 +889,7 @@ func (c *Coordinator) RunSpecStage(st *rt.Stage) error {
 			firstErr = err
 		}
 		mu.Unlock()
+		queues.close()
 	}
 
 	o := c.getObs()
@@ -914,78 +904,9 @@ func (c *Coordinator) RunSpecStage(st *rt.Stage) error {
 	}
 	scheduler, tenant, weight := c.schedulerTag()
 
-	// Per-worker FIFO queues under home placement (taskID mod workers, the
-	// same homes the simulated backend's task caches use), dead homes
-	// falling forward to the next alive slot. Each alive worker gets
-	// TasksPerNode dispatch lanes draining its own queue; with pipelining,
-	// a lane whose queue runs dry steals from the longest queue — the
-	// work-stealing half of the pipelined execution model.
-	ws := c.snapshotWorkers()
-	anyAlive := false
-	for _, w := range ws {
-		if w.alive.Load() {
-			anyAlive = true
-			break
-		}
-	}
-	if !anyAlive {
-		return errors.New("remote: no live workers")
-	}
-	cfg := c.local.Config()
-	budget := cfg.EffectivePrefetchBytes()
-	stealing := budget > 0 && !cfg.DisableStealing
-	queues := newTaskQueues(len(ws))
-	for id := 0; id < sp.NumTasks; id++ {
-		home := id % len(ws)
-		for !ws[home].alive.Load() {
-			home = (home + 1) % len(ws)
-		}
-		queues.push(home, id)
-	}
-
-	// preferFor biases a thief toward queued tasks whose recorded inputs it
-	// already holds cached (per the residency ledger): scanning from the
-	// tail, the first task with an affinity wins; otherwise the default
-	// tail-steal stands.
-	preferFor := func(thief int) func(victim int, tasks []int) int {
-		return func(victim int, tasks []int) int {
-			for i := len(tasks) - 1; i >= 0; i-- {
-				for _, ref := range c.hist.Lookup(sp.Name, sp.NumTasks, tasks[i]) {
-					if ref.Kind != spec.RefInput {
-						continue
-					}
-					ep, ok := sp.EpochOf(ref.Node)
-					if !ok {
-						continue
-					}
-					if c.ledger.Holds(thief, blockcache.Key{Node: ref.Node, Epoch: ep, BI: ref.BI, BJ: ref.BJ}) {
-						return i
-					}
-				}
-			}
-			return -1
-		}
-	}
-
 	runOne := func(w *workerConn, taskID int) {
 		taskStart := time.Now()
-		// Prefetch hint: the recorded transfer set of the next task this
-		// worker has not yet started — taskID + workers*lanes under home
-		// placement, since anything nearer is already running on a sibling
-		// lane. The formula is deterministic, so the admitted set never
-		// depends on scheduling.
-		// Empty history (first run of a shape) ships no hints but the
-		// positive budget still asks the worker for its fetch report, which
-		// seeds the history.
-		pf := pfAssign{task: -1, budget: budget}
-		if budget > 0 {
-			if next := taskID + len(ws)*c.taskSlots; next < sp.NumTasks {
-				if refs := c.hist.Lookup(sp.Name, sp.NumTasks, next); len(refs) > 0 {
-					pf.task, pf.refs = next, refs
-				}
-			}
-		}
-		done, dw, err := c.runTaskWithRetry(st, taskID, gen, &wire, colocated, w, pf)
+		done, dw, err := c.runTaskWithRetry(st, taskID, gen, &wire, colocated, w)
 		if perTask {
 			// The executor's per-task wrapper only fires for in-process
 			// closures, so remote task telemetry is reported here. The
@@ -1035,38 +956,26 @@ func (c *Coordinator) RunSpecStage(st *rt.Stage) error {
 	lane := func(w *workerConn) {
 		defer wg.Done()
 		for {
-			if aborted() {
+			// The task is taken before the scheduler slot, so a lane waiting
+			// in next for a steal never holds a slot a home lane needs.
+			taskID, victim, ok := queues.next(w.id)
+			if !ok {
 				return
+			}
+			if victim != w.id {
+				stealTasks.Add(1)
+				c.getObs().Counter(obs.MStealTasks).Inc()
 			}
 			release := scheduler.Acquire(tenant, weight)
-			if aborted() {
-				release()
-				return
+			if !aborted() {
+				runOne(w, taskID)
 			}
-			taskID, ok := queues.popOwn(w.id)
-			if !ok && stealing && w.stealOK.Load() {
-				var victim int
-				taskID, victim, ok = queues.steal(w.id, preferFor(w.id))
-				if ok {
-					stealTasks.Add(1)
-					c.getObs().Counter(obs.MStealTasks).Inc()
-					// Tell the victim to drop anything it prefetched for
-					// the stolen task; best-effort.
-					if vw := c.workerByID(victim); vw != nil && vw.alive.Load() {
-						c.sendTaskRelease(vw, taskRelease{Gen: gen, TaskID: taskID})
-					}
-				}
-			}
-			if !ok {
-				release()
-				return
-			}
-			runOne(w, taskID)
 			release()
+			queues.done(w.id)
 		}
 	}
-	for _, w := range ws {
-		if !w.alive.Load() {
+	for i, w := range ws {
+		if !alive[i] {
 			continue
 		}
 		for l := 0; l < c.taskSlots; l++ {
@@ -1086,8 +995,6 @@ func (c *Coordinator) RunSpecStage(st *rt.Stage) error {
 	stage.ConsolidationBytes = wire.consolidation.Load()
 	stage.AggregationBytes = wire.aggregation.Load()
 	stage.ExtraWireBytes = wire.extra.Load()
-	stage.PrefetchBlocks = wire.pfBlocks.Load()
-	stage.PrefetchBytes = wire.pfBytes.Load()
 	stage.StealTasks = stealTasks.Load()
 	stage.WallSeconds = time.Since(start).Seconds()
 	stage.SimSeconds = stage.WallSeconds
@@ -1110,7 +1017,7 @@ func (c *Coordinator) RunSpecStage(st *rt.Stage) error {
 // replicas instead of cold-starting. It also returns the worker that
 // completed the task, so the caller can merge the returned span batch with
 // that worker's clock offset.
-func (c *Coordinator) runTaskWithRetry(st *rt.Stage, taskID int, gen uint64, wire *wireMeter, colocated map[int]bool, first *workerConn, pf pfAssign) (*taskResult, *workerConn, error) {
+func (c *Coordinator) runTaskWithRetry(st *rt.Stage, taskID int, gen uint64, wire *wireMeter, colocated map[int]bool, first *workerConn) (*taskResult, *workerConn, error) {
 	retries := c.local.Config().MaxTaskRetries
 	ws := c.snapshotWorkers()
 	var lastErr error
@@ -1135,7 +1042,7 @@ func (c *Coordinator) runTaskWithRetry(st *rt.Stage, taskID int, gen uint64, wir
 		if w == nil {
 			return &taskResult{}, nil, errors.New("remote: no live workers")
 		}
-		done, err := c.runTaskOn(w, st, taskID, gen, wire, colocated, pf)
+		done, err := c.runTaskOn(w, st, taskID, gen, wire, colocated)
 		if err == nil {
 			return done, w, nil
 		}
@@ -1146,16 +1053,6 @@ func (c *Coordinator) runTaskWithRetry(st *rt.Stage, taskID int, gen uint64, wir
 		}
 	}
 	return &taskResult{}, nil, lastErr
-}
-
-// pfAssign carries one task's prefetch hint into the assignment: the queue
-// successor it should pull ahead for (-1 = none), that task's recorded
-// transfer set, and the admission byte budget. A zero budget disables
-// pipelining for the task.
-type pfAssign struct {
-	task   int
-	refs   []spec.BlockRef
-	budget int64
 }
 
 // taskResult is a completed task as the coordinator holds it: the worker's
@@ -1197,7 +1094,7 @@ func (c *Coordinator) dialStream(w *workerConn) (*stream, error) {
 // since it was parked (a network blip, a restarted worker); if it fails
 // before the worker said anything about this task, that is not a task
 // failure: the assignment is repeated once on a fresh dial.
-func (c *Coordinator) runTaskOn(w *workerConn, st *rt.Stage, taskID int, gen uint64, wire *wireMeter, colocated map[int]bool, pf pfAssign) (*taskResult, error) {
+func (c *Coordinator) runTaskOn(w *workerConn, st *rt.Stage, taskID int, gen uint64, wire *wireMeter, colocated map[int]bool) (*taskResult, error) {
 	s := w.takeIdle()
 	parked := s != nil
 	for {
@@ -1207,7 +1104,7 @@ func (c *Coordinator) runTaskOn(w *workerConn, st *rt.Stage, taskID int, gen uin
 				return &taskResult{}, err
 			}
 		}
-		done, heard, err := c.serveTask(s, w, st, taskID, gen, wire, colocated, pf)
+		done, heard, err := c.serveTask(s, w, st, taskID, gen, wire, colocated)
 		var te taskError
 		if s.err == nil && (err == nil || errors.As(err, &te)) {
 			c.putIdle(w, s)
@@ -1223,10 +1120,9 @@ func (c *Coordinator) runTaskOn(w *workerConn, st *rt.Stage, taskID int, gen uin
 
 // serveTask assigns the task on stream s — shipping the stage descriptor
 // first when the stream has not seen this generation — and serves the
-// worker's block fetches and prefetch pulls and takes its result blocks until
-// it reports done or failed. heard reports whether the worker sent anything
-// at all in reply.
-func (c *Coordinator) serveTask(s *stream, w *workerConn, st *rt.Stage, taskID int, gen uint64, wire *wireMeter, colocated map[int]bool, pf pfAssign) (res *taskResult, heard bool, err error) {
+// worker's block fetches and takes its result blocks until it reports done
+// or failed. heard reports whether the worker sent anything at all in reply.
+func (c *Coordinator) serveTask(s *stream, w *workerConn, st *rt.Stage, taskID int, gen uint64, wire *wireMeter, colocated map[int]bool) (res *taskResult, heard bool, err error) {
 	res = &taskResult{}
 	defer func() {
 		if err != nil {
@@ -1245,16 +1141,12 @@ func (c *Coordinator) serveTask(s *stream, w *workerConn, st *rt.Stage, taskID i
 		s.gen, s.blockSize = gen, st.Spec.BlockSize
 	}
 	if err := s.writeGob(msgTask, taskAssign{
-		TaskID:         taskID,
-		Gen:            gen,
-		Trace:          c.getObs().Tracing(),
-		PrefetchTask:   pf.task,
-		PrefetchRefs:   pf.refs,
-		PrefetchBudget: pf.budget,
+		TaskID: taskID,
+		Gen:    gen,
+		Trace:  c.getObs().Tracing(),
 	}); err != nil {
 		return res, false, transportError{err}
 	}
-	sawSteal := false
 	for {
 		typ, payload, err := s.readFrame()
 		if err != nil {
@@ -1262,27 +1154,16 @@ func (c *Coordinator) serveTask(s *stream, w *workerConn, st *rt.Stage, taskID i
 		}
 		heard = true
 		switch typ {
-		case msgFetch, msgPrefetch:
+		case msgFetch:
 			ref, err := decodeRef(payload)
 			if err != nil {
 				return res, true, err
 			}
-			n, size, ok, err := serveFetch(s, st, ref)
+			n, err := serveFetch(s, st, ref)
 			if err != nil {
 				return res, true, transportError{err}
 			}
-			// Prefetch pulls are metered exactly like direct fetches (the
-			// traffic is the same bytes, just earlier) plus the prefetch
-			// counters the simulated model also keeps.
 			wire.countFetch(ref, n, colocated)
-			if typ == msgPrefetch && ok {
-				wire.pfBlocks.Add(1)
-				wire.pfBytes.Add(size)
-				if o := c.getObs(); o.Enabled() {
-					o.Counter(obs.MPrefetchBlocks).Inc()
-					o.Counter(obs.MPrefetchBytes).Add(size)
-				}
-			}
 		case msgResult:
 			ob, err := decodeResult(payload)
 			if err != nil {
@@ -1299,21 +1180,12 @@ func (c *Coordinator) serveTask(s *stream, w *workerConn, st *rt.Stage, taskID i
 			}
 			c.ledger.Record(w.id, ad.Added, ad.Evicted)
 			c.replicateAdvert(st, w, ad, gen, wire)
-		case msgTaskSteal:
-			sawSteal = true
 		case msgDone:
 			if err := s.decodeGob(payload, &res.taskDone); err != nil {
 				return res, true, err
 			}
 			for _, ob := range res.blocks {
 				wire.countResult(ob)
-			}
-			if pf.budget > 0 {
-				// Learn the worker's steal preference and fold its fetch
-				// report into the prefetch history for the next execution
-				// of this stage shape.
-				w.stealOK.Store(sawSteal)
-				c.hist.Record(st.Spec.Name, st.Spec.NumTasks, taskID, res.Fetched)
 			}
 			return res, true, nil
 		case msgFail:
@@ -1329,19 +1201,16 @@ func (c *Coordinator) serveTask(s *stream, w *workerConn, st *rt.Stage, taskID i
 }
 
 // serveFetch resolves one block request and sends the msgBlock reply. n is
-// the reply's metered wire size (the FME1 bytes, or the error text); size the
-// served block's in-memory SizeBytes (0 for nil blocks and errors) — the
-// prefetch counters use it, because that is what the admission budget is
-// charged in; ok is false when the reply was an error. err is a transport
-// failure of the reply itself.
-func serveFetch(s *stream, st *rt.Stage, ref spec.BlockRef) (n, size int64, ok bool, err error) {
+// the reply's metered wire size (the FME1 bytes, or the error text); err is a
+// transport failure of the reply itself.
+func serveFetch(s *stream, st *rt.Stage, ref spec.BlockRef) (n int64, err error) {
 	m, ferr := st.Fetch(ref)
 	if ferr != nil {
 		msg := ferr.Error()
-		return int64(len(msg)), 0, false, s.send(append(append(s.begin(msgBlock), blockError), msg...))
+		return int64(len(msg)), s.send(append(append(s.begin(msgBlock), blockError), msg...))
 	}
 	if m == nil {
-		return 0, 0, true, s.writeBlock(nil)
+		return 0, s.writeBlock(nil)
 	}
-	return int64(matrix.EncodedSize(m)), m.SizeBytes(), true, s.writeBlock(m)
+	return int64(matrix.EncodedSize(m)), s.writeBlock(m)
 }

@@ -4,8 +4,11 @@ import (
 	"testing"
 	"time"
 
+	"fuseme/internal/block"
 	"fuseme/internal/cluster"
 	"fuseme/internal/core"
+	"fuseme/internal/lang"
+	"fuseme/internal/obs"
 	"fuseme/internal/rt/remote"
 	"fuseme/internal/workloads"
 )
@@ -25,8 +28,8 @@ func stealConfig() cluster.Config {
 
 // startStealCluster launches n workers and a coordinator under cfg — a
 // stealConfig variant: one task lane per worker, so queue depth survives long
-// enough for idle workers to have something to steal or prefetch for (with
-// many lanes a worker's whole queue goes in-flight at stage start).
+// enough for idle workers to have something to steal (with many lanes a
+// worker's whole queue goes in-flight at stage start).
 func startStealCluster(t *testing.T, cfg cluster.Config, n int) (*remote.Coordinator, []*remote.Worker) {
 	t.Helper()
 	workers := make([]*remote.Worker, n)
@@ -46,49 +49,6 @@ func startStealCluster(t *testing.T, cfg cluster.Config, n int) (*remote.Coordin
 	}
 	t.Cleanup(func() { co.Close() })
 	return co, workers
-}
-
-// TestRemotePrefetchSecondExecution: on two real workers, with no injected
-// delay, the first execution of each stage shape has no recorded fetch
-// history and prefetches nothing; from the second execution on, the workers
-// pull their next task's inputs ahead, so blocks, bytes and hidden wire time
-// are all positive. The same run with PrefetchBytes < 0 executes the same
-// tasks with no prefetch and no steals.
-func TestRemotePrefetchSecondExecution(t *testing.T) {
-	x, u, v := gnmfInputs(testConfig().BlockSize)
-	run := func(cfg cluster.Config) *workloads.GNMFResult {
-		t.Helper()
-		co, _ := startStealCluster(t, cfg, 2)
-		res, err := workloads.RunGNMF(core.FuseME{}, co, x, u.Clone(), v.Clone(), 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-
-	cfg := stealConfig()
-	cfg.DisableStealing = true // a stolen task's prefetched inputs sit on the wrong worker
-	on := run(cfg)
-	if first := on.PerIter[0]; first.PrefetchBlocks != 0 || first.PrefetchBytes != 0 {
-		t.Errorf("first execution prefetched %d blocks / %d bytes with no history, want 0/0",
-			first.PrefetchBlocks, first.PrefetchBytes)
-	}
-	if second := on.PerIter[1]; second.PrefetchBlocks == 0 || second.PrefetchBytes == 0 || second.OverlapRatio() <= 0 {
-		t.Errorf("second execution prefetched %d blocks / %d bytes, overlap %v; want all positive",
-			second.PrefetchBlocks, second.PrefetchBytes, second.OverlapRatio())
-	}
-
-	cfg.PrefetchBytes = -1
-	off := run(cfg)
-	if off.Total.PrefetchBlocks != 0 || off.Total.OverlapRatio() != 0 || off.Total.StealTasks != 0 {
-		t.Errorf("run without prefetch reported %d prefetched blocks, overlap %v, %d steals; want none",
-			off.Total.PrefetchBlocks, off.Total.OverlapRatio(), off.Total.StealTasks)
-	}
-	if off.Total.Tasks != on.Total.Tasks {
-		t.Errorf("task counts differ: %d with prefetch vs %d without", on.Total.Tasks, off.Total.Tasks)
-	}
-	compareMatrices(t, "U prefetch on vs off", on.U, off.U)
-	compareMatrices(t, "V prefetch on vs off", on.V, off.V)
 }
 
 // TestRemoteStragglerSteal: with one worker slowed per task, the fast worker
@@ -122,34 +82,34 @@ func TestRemoteStragglerSteal(t *testing.T) {
 	}
 }
 
-// TestRemoteStealOptOut: a worker started with stealing disabled
-// (fuseme-worker -steal=false → SetSteal(false)) never volunteers, so the
-// coordinator must not route it stolen tasks even when it idles next to a
-// straggler. The opt-out is learned from the task stream, so a warm-up run
-// lets the coordinator observe it before the straggler run is measured.
-func TestRemoteStealOptOut(t *testing.T) {
-	bs := testConfig().BlockSize
-	co, workers := startStealCluster(t, stealConfig(), 2)
-	workers[1].SetSteal(false)
-
-	x, u, v := gnmfInputs(bs)
-	warm, err := workloads.RunGNMF(core.FuseME{}, co, x, u.Clone(), v.Clone(), 1)
+// TestOneTaskStageRunsAtHome: a one-task stage on two workers runs at its
+// home, worker 0, every time. The other worker's lanes find their own queue
+// empty first, but worker 0 has an idle lane, so its task is not stuck
+// behind a busy home and nothing may steal it.
+func TestOneTaskStageRunsAtHome(t *testing.T) {
+	const runs = 100
+	co, workers := startCluster(t, 2)
+	regs := make([]*obs.Registry, len(workers))
+	for i, w := range workers {
+		regs[i] = obs.NewRegistry()
+		w.SetObs(&obs.Obs{Metrics: regs[i]})
+	}
+	a := block.RandomDense(8, 8, testConfig().BlockSize, 0, 1, 1)
+	g, err := lang.Parse("B = A + 1", map[string]lang.InputDecl{"A": {Rows: 8, Cols: 8, Sparsity: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	workers[0].SetTaskDelay(20 * time.Millisecond)
-	res, err := workloads.RunGNMF(core.FuseME{}, co, x, u, v, 2)
-	if err != nil {
-		t.Fatal(err)
+	for run := 0; run < runs; run++ {
+		if _, _, err := core.Run(core.FuseME{}, g, co, map[string]*block.Matrix{"A": a}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	ref, err := workloads.RunGNMF(core.FuseME{}, cluster.MustNew(stealConfig()), x, u.Clone(), v.Clone(), 2)
-	if err != nil {
-		t.Fatal(err)
+	st := co.Stats()
+	if st.Stages != runs || st.Tasks != runs {
+		t.Fatalf("%d stages, %d tasks over %d runs; want one one-task stage per run", st.Stages, st.Tasks, runs)
 	}
-	compareMatrices(t, "U with steal opt-out", res.U, ref.U)
-	compareMatrices(t, "V with steal opt-out", res.V, ref.V)
-	if stolen := co.Stats().StealTasks - warm.Total.StealTasks; stolen != 0 {
-		t.Errorf("opted-out worker was routed %d stolen tasks", stolen)
+	home, other := regs[0].Counter(obs.MWorkerTasksTotal).Value(), regs[1].Counter(obs.MWorkerTasksTotal).Value()
+	if home != runs || other != 0 || st.StealTasks != 0 {
+		t.Errorf("worker 0 ran %d tasks, worker 1 ran %d, %d stolen; want %d, 0, 0", home, other, st.StealTasks, runs)
 	}
 }

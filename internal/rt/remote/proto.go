@@ -9,7 +9,7 @@
 // task streams per worker — at most TasksPerNode idle ones, the lanes that
 // exist — each carrying one task at a time, any number in sequence.
 //
-// Frame table, protocol v7 (C = coordinator, W = worker; "gob" = encoded by
+// Frame table, protocol v8 (C = coordinator, W = worker; "gob" = encoded by
 // the connection's gob stream, "raw" = fixed binary layout):
 //
 //	control connection (C dials; per-message gob, low rate)
@@ -20,7 +20,6 @@
 //	  C→W msgCacheInv     raw  spec.EncodeCacheInvalidate     no reply
 //	  C→W msgMemberUpdate gob(memberUpdate)                   no reply
 //	  C→W msgCachePut     gob(cachePut)                       no reply
-//	  C→W msgTaskRelease  gob(taskRelease)                    no reply
 //
 //	task stream (C dials; ONE gob.Encoder/Decoder pair per direction for the
 //	stream's lifetime, so type descriptors travel once)
@@ -28,11 +27,9 @@
 //	                                         the stage generation changes
 //	  C→W msgTask         gob(taskAssign)    a task of the shipped stage, by id
 //	  W→C msgFetch        raw  25-byte block reference
-//	  W→C msgPrefetch     raw  25-byte block reference (for the NEXT task)
-//	  C→W msgBlock        raw  status byte + FME1 block       reply to either
+//	  C→W msgBlock        raw  status byte + FME1 block       the reply
 //	  W→C msgResult       raw  17-byte result header + FME1 block
 //	  W→C msgCacheAd      raw  spec.EncodeCacheAdvert         before msgDone
-//	  W→C msgTaskSteal    empty                               before msgDone
 //	  W→C msgDone         gob(taskDone)      ends the task; the stream is idle
 //	  W→C msgFail         gob(taskFail)      ends the task; the stream is idle
 //
@@ -40,8 +37,8 @@
 //	  W→C msgJoin / msgLeave, C→W msgMemberUpdate or msgFail
 //
 // Between msgTask and msgDone the stream is a private request/response
-// channel: the coordinator serves the worker's block fetches (and prefetch
-// pulls for its next task) and takes its result blocks as they are produced.
+// channel: the coordinator serves the worker's block fetches, one at a time,
+// and takes its result blocks as they are produced.
 // Pull-based fetching means the worker discovers exactly the blocks the
 // fused kernel needs — the same dedup and colocation accounting as the
 // simulated backend, because both run the identical executor task body.
@@ -82,19 +79,18 @@ import (
 // membership: msgJoin/msgLeave on the coordinator's join listener so
 // workers register (and drain away) at any time, msgMemberUpdate pushing
 // the membership table to workers, and msgCachePut carrying replicated
-// cache blocks to secondary holders. Version 5 added pipelined stage
-// execution: prefetch hints in taskAssign with msgPrefetch pulls on the
-// task connection, the worker's fetch report (taskDone.Fetched) feeding the
-// coordinator's prefetch history, and the work-stealing pair
-// msgTaskSteal/msgTaskRelease. Version 6 made task connections persistent
-// streams: msgStage ships the descriptor once per (stream, stage
+// cache blocks to secondary holders. Version 5 added record-and-replay
+// prefetch and the work-stealing opt-out. Version 6 made task connections
+// persistent streams: msgStage ships the descriptor once per (stream, stage
 // generation), msgTask assigns by id, fetch requests are fixed binary,
 // result blocks travel as msgResult frames ahead of a small msgDone.
 // Version 7 ships multi-aggregation stages (spec.Stage.Group; a v6 worker
 // would run the first plan alone): the kind byte of a msgResult header
 // carries the output's index above the kind, so the frames of a
-// single-output stage are what they were.
-const protoVersion = 7
+// single-output stage are what they were. Version 8 removes what version 5
+// added — prefetch hints and pulls, the fetch report, the steal opt-out and
+// the release push — and retires frame types 16–18.
+const protoVersion = 8
 
 // Frame types.
 const (
@@ -116,10 +112,7 @@ const (
 	msgMemberUpdate = byte(14) // coordinator → worker: gob(memberUpdate); join/leave ack and control-conn push
 	msgCachePut     = byte(15) // coordinator → worker: gob(cachePut), on control conn, no reply
 
-	// Pipelined-execution frames (proto v5).
-	msgPrefetch    = byte(16) // worker → coordinator: block reference, on task stream; reply msgBlock. A pull for the NEXT task's input.
-	msgTaskSteal   = byte(17) // worker → coordinator: empty, on task stream before msgDone; the worker volunteers for steals
-	msgTaskRelease = byte(18) // coordinator → worker: gob(taskRelease), on control conn, no reply; drop prefetched state for a stolen task
+	// 16–18 were proto v5's prefetch and steal frames; retired, not reused.
 
 	// Persistent-stream frames (proto v6).
 	msgStage  = byte(19) // coordinator → worker: gob(stageAssign); opens a task stream, re-sent per stage generation
@@ -194,17 +187,6 @@ type taskAssign struct {
 	// propagation is this one bit plus the task identity already in the
 	// assignment — the coordinator rebuilds the global timeline from those.
 	Trace bool
-
-	// Pipelined execution (proto v5). PrefetchTask (-1 = none) is the
-	// worker's next queued task of this stage; PrefetchRefs the ordered
-	// blocks that task pulled on its last run (the coordinator's recorded
-	// history); PrefetchBudget the admission byte budget. While this task's
-	// kernel runs, the worker pulls those blocks over the same stream
-	// (msgPrefetch) into a buffer the next assignment consumes. A zero
-	// budget disables prefetch and the worker's fetch report alike.
-	PrefetchTask   int
-	PrefetchRefs   []spec.BlockRef
-	PrefetchBudget int64
 }
 
 // taskDone reports a completed task: the metering the worker-side
@@ -215,22 +197,6 @@ type taskAssign struct {
 type taskDone struct {
 	Metrics spec.TaskMetrics
 	Spans   []spec.SpanRec
-
-	// Fetched is the ordered list of refs the task pulled through its fetch
-	// path (wire fetches plus buffered prefetch hits; cache hits never reach
-	// it). The coordinator records it as the task's prefetch hint for the
-	// next execution of the same stage shape. Only populated when the
-	// assignment carried a positive PrefetchBudget.
-	Fetched []spec.BlockRef
-}
-
-// taskRelease tells a worker that a task it may have prefetched for was
-// stolen by another worker: drop any buffered blocks for (Gen, TaskID).
-// Pushed on the control connection; no reply (the buffer is an optimisation,
-// a missed release only wastes memory until the stage's buffers collect).
-type taskRelease struct {
-	Gen    uint64
-	TaskID int
 }
 
 // pong is the heartbeat reply. UnixNano is the worker's wall clock at reply
@@ -415,8 +381,8 @@ var framePool = sync.Pool{New: func() any { return new([]byte) }}
 
 // stream is one persistent task connection, as either end holds it: the
 // socket, the reusable frame buffers and the connection's gob stream. One
-// goroutine at a time may read and one may write (the worker serialises its
-// task body and prefetcher; the coordinator serves a stream from one lane).
+// goroutine at a time may read and one may write (the worker runs one task
+// body on it at a time; the coordinator serves a stream from one lane).
 type stream struct {
 	conn net.Conn
 
@@ -534,7 +500,7 @@ func (s *stream) readFrame() (typ byte, payload []byte, err error) {
 	switch typ {
 	case msgBlock, msgResult:
 		limit = blockFrameLimit(s.blockSize)
-	case msgFetch, msgPrefetch:
+	case msgFetch:
 		limit = refSize
 	}
 	if n > limit {

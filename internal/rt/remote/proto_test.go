@@ -46,7 +46,7 @@ func FuzzReadFrame(f *testing.F) {
 		frame(msgBlock, []byte{blockNil}),
 		frame(msgResult, matrix.AppendTo(appendResultHeader(nil, spec.OutFinal, 1, 2), matrix.NewDense(1, 1))),
 		frame(msgFetch, appendRef(nil, spec.BlockRef{Kind: spec.RefInput, Node: 3, BI: 1, BJ: 2})),
-		frame(msgTaskSteal, nil),
+		frame(msgPing, nil),
 	}
 	f.Add([]byte{})
 	for _, v := range valid {
@@ -73,7 +73,7 @@ func FuzzReadFrame(f *testing.F) {
 			switch typ {
 			case msgBlock, msgResult:
 				limit = blockFrameLimit(4)
-			case msgFetch, msgPrefetch:
+			case msgFetch:
 				limit = refSize
 			}
 			if len(payload) > limit {
@@ -87,7 +87,7 @@ func FuzzReadFrame(f *testing.F) {
 				if ob, err := decodeResult(payload); err == nil {
 					spec.DecodeBlock(ob.Data)
 				}
-			case msgFetch, msgPrefetch:
+			case msgFetch:
 				decodeRef(payload)
 			}
 		}
@@ -201,7 +201,7 @@ func fetchOver(t testing.TB, worker, coord *stream, st *rt.Stage, bi int) matrix
 		if err == nil {
 			var ref spec.BlockRef
 			if ref, err = decodeRef(payload); err == nil {
-				_, _, _, err = serveFetch(coord, st, ref)
+				_, err = serveFetch(coord, st, ref)
 			}
 		}
 		served <- err
@@ -319,7 +319,7 @@ func TestWireAllocBudget(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, _, _, err := serveFetch(coord, st, got); err != nil {
+			if _, err := serveFetch(coord, st, got); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := io.ReadFull(peer2.conn, sink); err != nil {
@@ -400,12 +400,12 @@ func TestStreamNeedsItsStage(t *testing.T) {
 		t.Fatal(err)
 	}
 	for task := 0; task < 2; task++ { // the stream survives an application failure
-		if err := s.writeGob(msgTask, taskAssign{TaskID: task, Gen: 5, PrefetchTask: -1}); err != nil {
+		if err := s.writeGob(msgTask, taskAssign{TaskID: task, Gen: 5}); err != nil {
 			t.Fatal(err)
 		}
 		fails("missing root node")
 	}
-	if err := s.writeGob(msgTask, taskAssign{TaskID: 0, Gen: 6, PrefetchTask: -1}); err != nil {
+	if err := s.writeGob(msgTask, taskAssign{TaskID: 0, Gen: 6}); err != nil {
 		t.Fatal(err)
 	}
 	fails("generation 6")
@@ -448,15 +448,15 @@ func TestDrainWakesOnTaskCompletion(t *testing.T) {
 	}
 }
 
-// TestHandshakeRefusesOtherVersions: protocol v7 does not interoperate with
-// v6 in either direction, and both ends say so at the handshake.
+// TestHandshakeRefusesOtherVersions: protocol v8 does not interoperate with
+// v7 in either direction, and both ends say so at the handshake.
 func TestHandshakeRefusesOtherVersions(t *testing.T) {
-	if protoVersion != 7 {
-		t.Fatalf("protoVersion = %d, want 7", protoVersion)
+	if protoVersion != 8 {
+		t.Fatalf("protoVersion = %d, want 8", protoVersion)
 	}
 	cfg := cluster.Config{TasksPerNode: 1, TaskMemBytes: 1 << 30, NetBandwidth: 1e9, CompBandwidth: 50e9, BlockSize: 16}
 
-	// A v6 worker: acknowledges with its own version.
+	// A v7 worker: acknowledges with its own version.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -469,16 +469,16 @@ func TestHandshakeRefusesOtherVersions(t *testing.T) {
 				return
 			}
 			if _, err := expectFrame(conn, msgHello, maxControlFrame); err == nil {
-				writeGob(conn, msgHelloAck, helloAck{Proto: 6})
+				writeGob(conn, msgHelloAck, helloAck{Proto: 7})
 			}
 			conn.Close()
 		}
 	}()
 	if _, err := NewCoordinatorConfig(cfg, []string{ln.Addr().String()}, DefaultConfig()); err == nil || !strings.Contains(err.Error(), "protocol mismatch") {
-		t.Errorf("coordinator against a v6 worker: err = %v, want protocol mismatch", err)
+		t.Errorf("coordinator against a v7 worker: err = %v, want protocol mismatch", err)
 	}
 
-	// A v6 coordinator against this worker: told the worker's version, then
+	// A v7 coordinator against this worker: told the worker's version, then
 	// hung up on.
 	w, err := NewWorker("127.0.0.1:0")
 	if err != nil {
@@ -491,7 +491,7 @@ func TestHandshakeRefusesOtherVersions(t *testing.T) {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	if err := writeGob(conn, msgHello, hello{Proto: 6}); err != nil {
+	if err := writeGob(conn, msgHello, hello{Proto: 7}); err != nil {
 		t.Fatal(err)
 	}
 	payload, err := expectFrame(conn, msgHelloAck, maxControlFrame)
@@ -503,10 +503,10 @@ func TestHandshakeRefusesOtherVersions(t *testing.T) {
 		t.Errorf("ack = %+v, err %v; want the worker's version %d", ack, err, protoVersion)
 	}
 	if _, _, err := readFrame(conn, maxControlFrame); !errors.Is(err, io.EOF) {
-		t.Errorf("after a v6 hello: read err = %v, want EOF", err)
+		t.Errorf("after a v7 hello: read err = %v, want EOF", err)
 	}
 
-	// A v6 worker registering at the join listener.
+	// A v7 worker registering at the join listener.
 	co, err := NewCoordinatorConfig(cfg, []string{w.Addr()}, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -516,7 +516,7 @@ func TestHandshakeRefusesOtherVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := joinExchange(joinAddr, 5*time.Second, msgJoin, joinReq{Proto: 6, Addr: "127.0.0.1:1"}); err == nil || !strings.Contains(err.Error(), "protocol mismatch") {
-		t.Errorf("v6 join: err = %v, want protocol mismatch", err)
+	if _, err := joinExchange(joinAddr, 5*time.Second, msgJoin, joinReq{Proto: 7, Addr: "127.0.0.1:1"}); err == nil || !strings.Contains(err.Error(), "protocol mismatch") {
+		t.Errorf("v7 join: err = %v, want protocol mismatch", err)
 	}
 }

@@ -2,87 +2,101 @@ package remote
 
 import "sync"
 
-// taskQueues holds one stage's per-worker task queues for pipelined
-// dispatch. Tasks are pushed at stage start under home placement
-// (taskID mod workers, matching the simulated backend's cache homes); each
-// worker's lanes pop their own queue front-to-back, and an idle lane may
-// steal from the longest other queue. All mutation is under one mutex —
-// queues hold ints and a stage has at most a few thousand tasks, so
-// fine-grained locking would buy nothing.
+// taskQueues holds one stage's per-worker task queues. Tasks are pushed at
+// stage start under home placement (taskID mod workers, matching the
+// simulated backend's cache homes); each worker's lanes take their own
+// queue front-to-back. All state is under one mutex — queues hold ints and
+// a stage has at most a few thousand tasks, so fine-grained locking would
+// buy nothing.
 //
-// Stealing takes from the TAIL of the victim's queue: the task farthest
-// from running there, which maximises the useful life of whatever the
-// victim has already prefetched for its queue head. A prefer callback can
-// override the choice (the coordinator passes a residency-ledger check so a
-// thief grabs a task whose cached inputs it already holds, when one is
-// queued).
+// Work-stealing has one rule: an idle lane steals only from a worker whose
+// lanes all hold a task, because only then is a queued task stuck behind a
+// busy home. A worker with a free lane runs its own queue, so a stage with
+// no more tasks than lanes runs every task at its home, and a straggler's
+// backlog is still taken. A steal takes the TAIL of the longest such queue:
+// the task farthest from running there.
 type taskQueues struct {
 	mu     sync.Mutex
+	wake   sync.Cond // broadcast when a worker's lanes become all busy, the last task is taken, or the queues close
 	queues [][]int
+	busy   []int // per worker: lanes holding a task
+	lanes  int   // lanes per worker
+	left   int   // queued tasks
+	closed bool
 }
 
-func newTaskQueues(workers int) *taskQueues {
-	return &taskQueues{queues: make([][]int, workers)}
+func newTaskQueues(workers, lanes int) *taskQueues {
+	q := &taskQueues{queues: make([][]int, workers), busy: make([]int, workers), lanes: lanes}
+	q.wake.L = &q.mu
+	return q
 }
 
 // push appends a task to worker w's queue.
 func (q *taskQueues) push(w, task int) {
 	q.mu.Lock()
 	q.queues[w] = append(q.queues[w], task)
+	q.left++
 	q.mu.Unlock()
 }
 
-// popOwn removes and returns the head of worker w's own queue.
-func (q *taskQueues) popOwn(w int) (int, bool) {
+// next hands a lane of worker w its next task and the worker whose queue it
+// came from (w itself unless stolen). While tasks are queued but none may be
+// taken — each is behind a worker with a free lane, which will run it — next
+// waits. It returns false once every task is taken or the queues are
+// closed. The lane holds the task until it calls done.
+func (q *taskQueues) next(w int) (task, victim int, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if len(q.queues[w]) == 0 {
-		return 0, false
+	for !q.closed && q.left > 0 {
+		if task, victim, ok = q.take(w); ok {
+			return task, victim, true
+		}
+		q.wake.Wait()
 	}
-	task := q.queues[w][0]
-	q.queues[w] = q.queues[w][1:]
-	return task, true
+	return 0, 0, false
 }
 
-// steal removes one task from the longest non-empty queue other than the
-// thief's (ties break to the lowest worker ID, so victim choice is
-// deterministic given queue state). prefer, when non-nil, picks the index
-// to take from the victim's queue; by default the tail is taken. Returns
-// the task, the victim's worker ID, and whether a steal happened.
-func (q *taskQueues) steal(thief int, prefer func(victim int, tasks []int) int) (int, int, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	victim, best := -1, 0
-	for w, tasks := range q.queues {
-		if w == thief {
-			continue
+// take is one attempt of next, with q.mu held: the head of w's own queue,
+// else the tail of the longest queue (ties to the lowest worker ID) whose
+// worker has every lane busy.
+func (q *taskQueues) take(w int) (task, victim int, ok bool) {
+	victim = w
+	if len(q.queues[w]) == 0 {
+		victim = -1
+		for v, tasks := range q.queues {
+			if v != w && q.busy[v] == q.lanes && len(tasks) > 0 && (victim < 0 || len(tasks) > len(q.queues[victim])) {
+				victim = v
+			}
 		}
-		if len(tasks) > best {
-			victim, best = w, len(tasks)
+		if victim < 0 {
+			return 0, 0, false
 		}
-	}
-	if victim < 0 {
-		return 0, 0, false
 	}
 	tasks := q.queues[victim]
-	idx := len(tasks) - 1
-	if prefer != nil {
-		if i := prefer(victim, tasks); i >= 0 && i < len(tasks) {
-			idx = i
-		}
+	if victim == w {
+		task, q.queues[w] = tasks[0], tasks[1:]
+	} else {
+		task, q.queues[victim] = tasks[len(tasks)-1], tasks[:len(tasks)-1]
 	}
-	task := tasks[idx]
-	q.queues[victim] = append(tasks[:idx:idx], tasks[idx+1:]...)
+	q.busy[w]++
+	q.left--
+	if q.busy[w] == q.lanes || q.left == 0 {
+		q.wake.Broadcast() // w's queue may be stealable now, or nothing is left
+	}
 	return task, victim, true
 }
 
-// remaining returns the number of still-queued tasks.
-func (q *taskQueues) remaining() int {
+// done releases the task a lane of worker w took.
+func (q *taskQueues) done(w int) {
 	q.mu.Lock()
-	defer q.mu.Unlock()
-	n := 0
-	for _, tasks := range q.queues {
-		n += len(tasks)
-	}
-	return n
+	q.busy[w]--
+	q.mu.Unlock()
+}
+
+// close makes every next return false (a failed stage runs nothing more).
+func (q *taskQueues) close() {
+	q.mu.Lock()
+	q.closed = true
+	q.wake.Broadcast()
+	q.mu.Unlock()
 }

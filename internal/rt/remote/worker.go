@@ -14,7 +14,6 @@ import (
 	"fuseme/internal/matrix"
 	"fuseme/internal/obs"
 	"fuseme/internal/parallel"
-	"fuseme/internal/prefetch"
 	"fuseme/internal/rt/spec"
 )
 
@@ -76,19 +75,6 @@ type Worker struct {
 	// worker serves tasks.
 	cache atomic.Pointer[blockcache.Cache]
 
-	// steal, when true (the default), makes the worker volunteer for
-	// work-stealing: each task connection sends msgTaskSteal before msgDone,
-	// telling the coordinator this worker's idle lanes may pull queued tasks
-	// from stragglers. -steal=false opts a worker out.
-	steal atomic.Bool
-
-	// Prefetch buffer: blocks pulled ahead for a next-task assignment
-	// (msgPrefetch), keyed by (stage generation, task). The next task's
-	// fetch path consumes entries; msgTaskRelease and generation turnover
-	// drop them. A present nil block is a legitimate all-zero block.
-	pfMu  sync.Mutex
-	pfBuf map[pfKey]map[spec.BlockRef]matrix.Mat
-
 	// taskDelay, when positive, stalls every task body by that duration at
 	// the start of the timed task section, like a long kernel — a
 	// fault-injection hook that turns this worker into a straggler (the
@@ -123,14 +109,12 @@ func NewWorker(addr string) (*Worker, error) {
 		return nil, err
 	}
 	w := &Worker{
-		ln:    ln,
-		gone:  make(chan struct{}),
-		drop:  make(chan struct{}, 1),
-		pfBuf: make(map[pfKey]map[spec.BlockRef]matrix.Mat),
+		ln:   ln,
+		gone: make(chan struct{}),
+		drop: make(chan struct{}, 1),
 	}
 	w.killAfter.Store(-1)
 	w.kernelOverride.Store(-1)
-	w.steal.Store(true)
 	w.wg.Add(1)
 	go w.acceptLoop()
 	return w, nil
@@ -157,89 +141,11 @@ func (w *Worker) SetCacheBytes(n int64) {
 // CacheStats returns the worker cache's counters; zeroes with no cache.
 func (w *Worker) CacheStats() blockcache.Stats { return w.cache.Load().Snapshot() }
 
-// SetSteal sets whether the worker volunteers for work-stealing (the
-// -steal flag; default true).
-func (w *Worker) SetSteal(on bool) { w.steal.Store(on) }
-
 // SetTaskDelay stalls every subsequent task body by d inside the timed task
 // section, behaving like a long kernel — a fault-injection hook that makes
 // this worker a straggler (forcing the coordinator's steal path
 // deterministically). Zero disables.
 func (w *Worker) SetTaskDelay(d time.Duration) { w.taskDelay.Store(int64(d)) }
-
-// pfKey identifies one task's prefetch buffer.
-type pfKey struct {
-	gen  uint64
-	task int
-}
-
-// pfStore buffers one prefetched block for (gen, task). Entries of other
-// generations are dropped on the way in: stages are serialized, so a
-// different generation is always stale.
-func (w *Worker) pfStore(gen uint64, task int, ref spec.BlockRef, blk matrix.Mat) {
-	w.pfMu.Lock()
-	defer w.pfMu.Unlock()
-	for k := range w.pfBuf {
-		if k.gen != gen {
-			delete(w.pfBuf, k)
-		}
-	}
-	k := pfKey{gen: gen, task: task}
-	m, ok := w.pfBuf[k]
-	if !ok {
-		m = make(map[spec.BlockRef]matrix.Mat)
-		w.pfBuf[k] = m
-	}
-	m[ref] = blk
-}
-
-// pfTake consumes a buffered block, reporting whether it was present (a
-// present nil is a legitimate all-zero block).
-func (w *Worker) pfTake(gen uint64, task int, ref spec.BlockRef) (matrix.Mat, bool) {
-	w.pfMu.Lock()
-	defer w.pfMu.Unlock()
-	m, ok := w.pfBuf[pfKey{gen: gen, task: task}]
-	if !ok {
-		return nil, false
-	}
-	blk, ok := m[ref]
-	if ok {
-		delete(m, ref)
-	}
-	return blk, ok
-}
-
-// pfHas reports whether a block is already buffered (without consuming it).
-func (w *Worker) pfHas(gen uint64, task int, ref spec.BlockRef) bool {
-	w.pfMu.Lock()
-	defer w.pfMu.Unlock()
-	m, ok := w.pfBuf[pfKey{gen: gen, task: task}]
-	if !ok {
-		return false
-	}
-	_, ok = m[ref]
-	return ok
-}
-
-// pfDrop discards one task's buffered blocks (task completed elsewhere, or
-// finished consuming).
-func (w *Worker) pfDrop(gen uint64, task int) {
-	w.pfMu.Lock()
-	delete(w.pfBuf, pfKey{gen: gen, task: task})
-	w.pfMu.Unlock()
-}
-
-// PrefetchBuffered returns how many blocks the prefetch buffer currently
-// holds, across tasks. Tests assert it drains back to zero.
-func (w *Worker) PrefetchBuffered() int {
-	w.pfMu.Lock()
-	defer w.pfMu.Unlock()
-	n := 0
-	for _, m := range w.pfBuf {
-		n += len(m)
-	}
-	return n
-}
 
 // SetKernelThreads pins this worker's intra-task kernel thread count,
 // overriding whatever each stageAssign ships: n > 0 is an explicit count,
@@ -560,15 +466,6 @@ func (w *Worker) controlLoop(conn net.Conn) {
 			}
 			w.viewMu.Unlock()
 			w.ctrlNotify()
-		case msgTaskRelease:
-			// A task this worker prefetched for was stolen: drop its
-			// buffered blocks. No reply — the buffer is an optimisation and
-			// generation turnover collects anything a lost release leaves.
-			var rel taskRelease
-			if err := decodeGob(payload, &rel); err != nil {
-				return
-			}
-			w.pfDrop(rel.Gen, rel.TaskID)
 		case msgCachePut:
 			// Replica push: store the block exactly as if one of this
 			// worker's own tasks had cached it at generation Gen. No reply;
@@ -616,92 +513,24 @@ func (w *Worker) runTask(s *stream, st *workerStage, assign *taskAssign) bool {
 	}
 	cache := w.cache.Load()
 
-	// connMu serializes the stream: the task body's fetches and result
-	// frames interleave with the prefetcher's pulls for the next task. A
-	// request/response pair must stay atomic for the framing to hold, and
-	// the reply is decoded before the lock drops because the next read
-	// reuses the scratch it sits in.
-	var connMu sync.Mutex
-	wireFetch := func(typ byte, ref spec.BlockRef) (matrix.Mat, error) {
-		connMu.Lock()
-		defer connMu.Unlock()
-		if err := s.send(appendRef(s.begin(typ), ref)); err != nil {
+	// The task body fetches and emits from this goroutine alone, so each
+	// request/response pair on the stream is atomic; the reply is decoded
+	// before the next read reuses the scratch it sits in.
+	var fetchSecs float64 // wire wait inside the task body
+	fetch := func(ref spec.BlockRef) (matrix.Mat, error) {
+		fetchStart := time.Now()
+		defer func() { fetchSecs += time.Since(fetchStart).Seconds() }()
+		if err := s.send(appendRef(s.begin(msgFetch), ref)); err != nil {
 			return nil, err
 		}
-		rtyp, payload, err := s.readFrame()
+		typ, payload, err := s.readFrame()
 		if err != nil {
 			return nil, err
 		}
-		if rtyp != msgBlock {
-			return nil, fmt.Errorf("remote: expected frame type %d, got %d", msgBlock, rtyp)
+		if typ != msgBlock {
+			return nil, fmt.Errorf("remote: expected frame type %d, got %d", msgBlock, typ)
 		}
 		return s.decodeBlock(payload)
-	}
-
-	pipelined := assign.PrefetchBudget > 0
-	var fetched []spec.BlockRef // this task's fetch-path refs, reported in taskDone
-	var fetchSecs float64       // wire wait inside the task body
-	fetch := func(ref spec.BlockRef) (matrix.Mat, error) {
-		if pipelined {
-			fetched = append(fetched, ref)
-			if blk, ok := w.pfTake(assign.Gen, assign.TaskID, ref); ok {
-				// Served from the prefetch buffer: the wire transfer already
-				// happened under a previous task's kernel. No wire wait.
-				return blk, nil
-			}
-		}
-		fetchStart := time.Now()
-		blk, err := wireFetch(msgFetch, ref)
-		fetchSecs += time.Since(fetchStart).Seconds()
-		return blk, err
-	}
-	emit := func(kind uint8, bi, bj int, blk matrix.Mat) error {
-		connMu.Lock()
-		defer connMu.Unlock()
-		return s.writeResult(kind, bi, bj, blk)
-	}
-
-	// Prefetcher: while this task's kernel runs, pull the next queued
-	// task's recorded inputs into the buffer, bounded by the admission
-	// budget. The full hint list is always processed (the task's completion
-	// report waits for it), so the admitted set — and the coordinator's
-	// prefetch counters — depend only on the hints and cache state, never
-	// on kernel timing.
-	var pfWG sync.WaitGroup
-	var pfSecs float64
-	if pipelined && assign.PrefetchTask >= 0 && len(assign.PrefetchRefs) > 0 {
-		next := assign.PrefetchTask
-		pfWG.Add(1)
-		go func() {
-			defer pfWG.Done()
-			resident := func(ref spec.BlockRef) bool {
-				if w.pfHas(assign.Gen, next, ref) {
-					return true
-				}
-				if ref.Kind != spec.RefInput || cache == nil {
-					return false
-				}
-				ep, ok := st.Stage.EpochOf(ref.Node)
-				if !ok {
-					return false
-				}
-				return cache.Contains(blockcache.Key{Node: ref.Node, Epoch: ep, BI: ref.BI, BJ: ref.BJ}, assign.Gen)
-			}
-			pull := func(ref spec.BlockRef) (int64, bool) {
-				start := time.Now()
-				blk, err := wireFetch(msgPrefetch, ref)
-				pfSecs += time.Since(start).Seconds()
-				if err != nil {
-					return 0, false
-				}
-				w.pfStore(assign.Gen, next, ref, blk)
-				if blk == nil {
-					return 0, true
-				}
-				return blk.SizeBytes(), true
-			}
-			prefetch.Admit(assign.PrefetchRefs, assign.PrefetchBudget, resident, pull)
-		}()
 	}
 
 	var cc *exec.CacheCtx
@@ -711,19 +540,13 @@ func (w *Worker) runTask(s *stream, st *workerStage, assign *taskAssign) bool {
 	start := time.Now()
 	if d := w.taskDelay.Load(); d > 0 {
 		// The injected stall behaves like a long kernel: it counts as task
-		// time and the prefetcher (already launched) overlaps it, exactly as
-		// it would a real computation.
+		// time, exactly as a real computation would.
 		time.Sleep(time.Duration(d))
 	}
-	err := st.exec.RunTask(assign.TaskID, task, cc, fetch, emit)
+	err := st.exec.RunTask(assign.TaskID, task, cc, fetch, s.writeResult)
 	taskDur := time.Since(start)
-	// The prefetcher must finish before any completion frame: msgDone ends
-	// the coordinator's serve loop, and a partial hint list would make the
-	// admitted set timing-dependent.
-	pfWG.Wait()
-	w.pfDrop(assign.Gen, assign.TaskID)
 	m := task.Metrics()
-	m.FetchSeconds, m.PrefetchSeconds, m.TaskSeconds = fetchSecs, pfSecs, taskDur.Seconds()
+	m.FetchSeconds, m.TaskSeconds = fetchSecs, taskDur.Seconds()
 	if o := w.obs.Load(); o.Enabled() {
 		o.Counter(obs.MWorkerTasksTotal).Inc()
 		o.Histogram(obs.MWorkerTaskSeconds).Observe(taskDur.Seconds())
@@ -773,12 +596,5 @@ func (w *Worker) runTask(s *stream, st *workerStage, assign *taskAssign) bool {
 			})
 		}
 	}
-	if pipelined && w.steal.Load() {
-		// Volunteer this worker's lanes for work-stealing. Sent before
-		// msgDone so the coordinator sees the flag before it frees the slot.
-		if s.writeFrame(msgTaskSteal, nil) != nil {
-			return false
-		}
-	}
-	return s.writeGob(msgDone, taskDone{Metrics: m, Spans: spans, Fetched: fetched}) == nil
+	return s.writeGob(msgDone, taskDone{Metrics: m, Spans: spans}) == nil
 }

@@ -13,12 +13,13 @@
 // place a Stage is constructed); a runtime still accepts a bare closure
 // through Runtime.RunStage.
 //
-// What the two backends do NOT share is the wire: only the TCP coordinator
-// moves blocks, so input prefetch and work-stealing exist once, in rt/remote,
-// and cluster.Stats' prefetch/steal/phase-seconds counters are zero under
-// simulation. The conformance tests in this package pin everything else —
-// flops, cache hits and misses, stage and task counts, span taxonomy, journal
-// sequences — to be equal across backends.
+// What the two backends do NOT share is the wire and the per-worker task
+// queues: only the TCP coordinator moves blocks and queues tasks at their
+// home workers, so work-stealing exists once, in rt/remote, and cluster.Stats'
+// steal and phase-seconds counters are zero under simulation. Nothing
+// prefetches on either backend. The conformance tests in this package pin
+// everything else — flops, cache hits and misses, stage and task counts, span
+// taxonomy, journal sequences — to be equal across backends.
 package rt
 
 import (

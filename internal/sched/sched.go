@@ -15,6 +15,8 @@ package sched
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -227,16 +229,8 @@ func (s *Scheduler) Snapshot() (tenants []TenantSnapshot, running int) {
 			Waiting: len(q.waiters),
 		})
 	}
-	sortSnapshots(tenants)
+	slices.SortFunc(tenants, func(a, b TenantSnapshot) int { return strings.Compare(a.Tenant, b.Tenant) })
 	return tenants, s.running
-}
-
-func sortSnapshots(ts []TenantSnapshot) {
-	for i := 1; i < len(ts); i++ {
-		for j := i; j > 0 && ts[j].Tenant < ts[j-1].Tenant; j-- {
-			ts[j], ts[j-1] = ts[j-1], ts[j]
-		}
-	}
 }
 
 // String describes the scheduler for debug output.
