@@ -439,12 +439,22 @@ func TestDocDriftFlags(t *testing.T) {
 	}
 }
 
-// TestOneStageConstructor holds the executor to one stage representation:
-// non-test Go outside bench/ builds an rt.Stage in exactly one place,
-// internal/exec/paths.go (dispatch), and nothing outside package rt asks a
-// runtime for more than rt.Runtime with a type assertion to an rt interface.
+// TestOneStageConstructor holds the executor to one stage representation,
+// built once. Non-test Go outside bench/:
+//   - builds an rt.Stage in exactly one place, internal/exec/paths.go
+//     (dispatch), and asks a runtime for no more than rt.Runtime with a type
+//     assertion to an rt interface outside package rt;
+//   - builds a spec.Stage and flattens a plan with spec.FromPlan only in the
+//     lowering file, internal/exec/lower.go (and in package spec itself);
+//   - in internal/exec, asks a plan for its space tree, node spaces, outer
+//     mask or multiplications only in newPlanCtx, which only lowering and
+//     NewSpecStage call: once per stage, never per execution or per task.
 func TestOneStageConstructor(t *testing.T) {
 	const rtPath, rtDir = `"fuseme/internal/rt"`, "internal/rt"
+	const specPath, specDir = `"fuseme/internal/rt/spec"`, "internal/rt/spec"
+	const lowerFile = "internal/exec/lower.go"
+	derivations := map[string]bool{"Spaces": true, "NodeSpaces": true, "FindOuterMask": true, "MatMuls": true}
+	planCtxCallers := map[string]bool{"FusedOp.Lower": true, "MultiAggOp.Lower": true, "NewSpecStage": true}
 	var literals []string
 	for _, path := range nonTestGoFiles(t) {
 		fset := token.NewFileSet()
@@ -452,33 +462,48 @@ func TestOneStageConstructor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inRT := filepath.ToSlash(filepath.Dir(path)) == rtDir
-		local := "" // the name this file knows package rt by
-		for _, imp := range f.Imports {
-			if imp.Path.Value == rtPath {
-				local = "rt"
-				if imp.Name != nil {
-					local = imp.Name.Name
+		dir, slash := filepath.ToSlash(filepath.Dir(path)), filepath.ToSlash(path)
+		inRT, inSpec, inExec := dir == rtDir, dir == specDir, dir == "internal/exec"
+		// local returns the name this file knows the package at import path by.
+		local := func(importPath string) string {
+			for _, imp := range f.Imports {
+				if imp.Path.Value == importPath {
+					if imp.Name != nil {
+						return imp.Name.Name
+					}
+					return filepath.Base(strings.Trim(importPath, `"`))
 				}
 			}
+			return ""
 		}
-		// fromRT reports whether the type expression e names rt.<name> ("" = any).
-		fromRT := func(e ast.Expr, name string) bool {
-			if id, ok := e.(*ast.Ident); ok && inRT {
+		rtName, specName := local(rtPath), local(specPath)
+		// from reports whether e names <pkg>.<name> ("" = any), where pkg is
+		// imported as as, or is the file's own package when in is set.
+		from := func(e ast.Expr, in bool, as, name string) bool {
+			if id, ok := e.(*ast.Ident); ok && in {
 				return id.Name == name
 			}
 			sel, ok := e.(*ast.SelectorExpr)
-			if !ok || local == "" {
+			if !ok || as == "" {
 				return false
 			}
 			pkg, ok := sel.X.(*ast.Ident)
-			return ok && pkg.Name == local && (name == "" || sel.Sel.Name == name)
+			return ok && pkg.Name == as && (name == "" || sel.Sel.Name == name)
 		}
+		fromRT := func(e ast.Expr, name string) bool { return from(e, inRT, rtName, name) }
+		inLowering := slash == lowerFile || inSpec
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CompositeLit:
 				if fromRT(n.Type, "Stage") {
 					literals = append(literals, fset.Position(n.Pos()).String())
+				}
+				if from(n.Type, inSpec, specName, "Stage") && !inLowering {
+					t.Errorf("%s: spec.Stage literal outside %s", fset.Position(n.Pos()), lowerFile)
+				}
+			case *ast.CallExpr:
+				if from(n.Fun, inSpec, specName, "FromPlan") && !inLowering {
+					t.Errorf("%s: spec.FromPlan outside %s", fset.Position(n.Pos()), lowerFile)
 				}
 			case *ast.TypeAssertExpr:
 				if !inRT && n.Type != nil && fromRT(n.Type, "") {
@@ -495,6 +520,45 @@ func TestOneStageConstructor(t *testing.T) {
 			}
 			return true
 		})
+		if !inExec {
+			continue
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			name := fn.Name.Name
+			if fn.Recv != nil {
+				recv := fn.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if id, ok := recv.(*ast.Ident); ok {
+					name = id.Name + "." + name
+				}
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				var callee string
+				switch fun := call.Fun.(type) {
+				case *ast.SelectorExpr:
+					callee = fun.Sel.Name
+				case *ast.Ident:
+					callee = fun.Name
+				}
+				if derivations[callee] && name != "newPlanCtx" {
+					t.Errorf("%s: %s calls %s; only newPlanCtx derives from a plan", fset.Position(call.Pos()), name, callee)
+				}
+				if callee == "newPlanCtx" && !planCtxCallers[name] {
+					t.Errorf("%s: %s calls newPlanCtx; only lowering and NewSpecStage may", fset.Position(call.Pos()), name)
+				}
+				return true
+			})
+		}
 	}
 	if len(literals) != 1 || !strings.HasPrefix(literals[0], "internal/exec/paths.go:") {
 		t.Errorf("rt.Stage literals at %v, want exactly one, in internal/exec/paths.go", literals)

@@ -63,14 +63,6 @@ type ClusterConfig struct {
 	// FUSEME_KERNEL_THREADS overrides this field.
 	KernelThreads int
 
-	// Oversubscribe is how many waves of tasks per slot the planner targets
-	// per stage. Zero or one (the default) sizes stages to the slot count.
-	// Larger values over-decompose each stage into Oversubscribe x more,
-	// smaller tasks, which gives the TCP runtime's task queues depth: an idle
-	// worker then steals a straggler's backlog (it steals only from a worker
-	// whose task lanes are all busy).
-	Oversubscribe int
-
 	// Runtime selects the execution backend: "sim" (default) runs stages
 	// in-process on the simulated cluster; "tcp" distributes them over
 	// fuseme-worker processes.
@@ -110,7 +102,6 @@ func fromInternal(c cluster.Config) ClusterConfig {
 		BlockSize:     c.BlockSize,
 		SimTimeLimit:  c.SimTimeLimit,
 		KernelThreads: c.KernelThreads,
-		Oversubscribe: c.Oversubscribe,
 	}
 }
 
@@ -128,7 +119,6 @@ func (c ClusterConfig) internal() cluster.Config {
 		BlockSize:      c.BlockSize,
 		SimTimeLimit:   c.SimTimeLimit,
 		KernelThreads:  c.KernelThreads,
-		Oversubscribe:  c.Oversubscribe,
 		TaskOverhead:   0.005,
 		MaxTaskRetries: defaultMaxTaskRetries,
 	}

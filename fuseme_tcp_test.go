@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"fuseme/internal/cluster"
 	"fuseme/internal/rt/remote"
 )
 
@@ -195,10 +196,21 @@ V2 = V * (X %*% t(U)) / (V %*% (U %*% t(U)))`)
 	waitNoGoroutine(t, "fuseme/internal/rt/remote.")
 }
 
+// wideRuntime is a coordinator that reports a wider cluster than it
+// dispatches to: plans compile for cfg, and lowered stages keep the task
+// counts cfg gives them, while the coordinator runs them on its own lanes.
+type wideRuntime struct {
+	*remote.Coordinator
+	cfg cluster.Config
+}
+
+func (w wideRuntime) Config() cluster.Config { return w.cfg }
+
 // TestTCPStealAndDeathLeaveNoGoroutines is the same check after the two
 // paths a plain run never takes: a straggler whose queued tasks the idle
 // worker steals, then a query during which a worker dies mid-stage and its
-// task finishes on the survivor.
+// task finishes on the survivor. The session's plans compile for six lanes
+// per worker and run on one, so every worker's queue is six tasks deep.
 func TestTCPStealAndDeathLeaveNoGoroutines(t *testing.T) {
 	workers := make([]*remote.Worker, 2)
 	addrs := make([]string, len(workers))
@@ -213,14 +225,19 @@ func TestTCPStealAndDeathLeaveNoGoroutines(t *testing.T) {
 	cfg := LocalClusterConfig()
 	cfg.BlockSize = 16
 	cfg.TasksPerNode = 1
-	cfg.Oversubscribe = 6
-	cfg.Runtime = "tcp"
-	cfg.Workers = addrs
 	sess, err := NewSession(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sess.Close()
+	co, err := remote.NewCoordinatorConfig(sess.cc, addrs, sess.rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	co.SetObs(sess.obs)
+	wide := co.Config()
+	wide.TasksPerNode = 6
+	sess.rtm = wideRuntime{Coordinator: co, cfg: wide}
 	sess.RandomSparse("X", 80, 70, 0.05, 1, 5, 1)
 	sess.RandomDense("U", 10, 70, 0.5, 1.5, 2)
 	sess.RandomDense("V", 80, 10, 0.5, 1.5, 3)
@@ -238,7 +255,7 @@ func TestTCPStealAndDeathLeaveNoGoroutines(t *testing.T) {
 	if _, err := sess.Query(script); err != nil {
 		t.Fatalf("query did not finish on the survivor: %v", err)
 	}
-	if n := sess.rtm.(*remote.Coordinator).AliveWorkers(); n != 1 {
+	if n := co.AliveWorkers(); n != 1 {
 		t.Fatalf("%d workers alive after the kill, want 1", n)
 	}
 

@@ -64,17 +64,6 @@ type Config struct {
 	// oversubscribed kernel threads only add scheduler churn.
 	KernelThreads int
 
-	// Oversubscribe is how many waves of tasks per slot the planner targets
-	// when sizing a stage. Zero or one (the default) sizes stages to the
-	// slot count — every task in a stage starts at once, and plans are
-	// identical to builds without the knob. Larger values over-decompose
-	// each stage into Oversubscribe× more, smaller tasks, which is what
-	// gives the TCP runtime's task queues depth: a straggler's backlog is
-	// then stealable. The cuboid parallelism floor
-	// (P*Q*R >= N*Tc*waves) and the grid executors scale together so sim
-	// and TCP runs decompose identically.
-	Oversubscribe int
-
 	// MaxTaskRetries is how many times a failed task is re-attempted before
 	// the stage fails (Spark's task retry). Zero means no retries.
 	MaxTaskRetries int
@@ -119,26 +108,12 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster: BlockSize = %d, must be positive", c.BlockSize)
 	case c.KernelThreads < 0:
 		return fmt.Errorf("cluster: KernelThreads = %d, must be >= 0", c.KernelThreads)
-	case c.Oversubscribe < 0:
-		return fmt.Errorf("cluster: Oversubscribe = %d, must be >= 0", c.Oversubscribe)
 	}
 	return nil
 }
 
 // TotalSlots returns N * Tc, the maximum parallelism of the cluster.
 func (c Config) TotalSlots() int { return c.Nodes * c.TasksPerNode }
-
-// Waves returns the effective over-decomposition factor (>= 1).
-func (c Config) Waves() int {
-	if c.Oversubscribe > 1 {
-		return c.Oversubscribe
-	}
-	return 1
-}
-
-// PlanSlots returns the task count the planner targets per stage:
-// TotalSlots() times the over-decomposition factor.
-func (c Config) PlanSlots() int { return c.TotalSlots() * c.Waves() }
 
 // EffectiveCompBandwidth returns the modelled per-node compute bandwidth:
 // B̂c scaled by the explicit kernel thread count. With KernelThreads zero

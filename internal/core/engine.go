@@ -37,6 +37,10 @@ type PhysOp struct {
 	EstNetBytes   int64
 	EstComFlops   int64
 	EstMemPerTask int64
+
+	// Lowered is the operator as the stages Execute runs, built from the
+	// fields above by PhysPlan.Lower, which every Compile ends with.
+	Lowered *exec.Operator
 }
 
 // Prediction is the planner's half of the operator's stage records: its
@@ -76,6 +80,28 @@ func (pp *PhysPlan) PredictedSeconds(cfg cluster.Config) float64 {
 type PhysPlan struct {
 	Graph *dag.Graph
 	Ops   []*PhysOp
+}
+
+// Lower lowers every operator to its stages for a cluster of shape cfg: the
+// last step of every Compile, and the one to repeat after editing an
+// operator's strategy or (P,Q,R). From then on the lowered stages are the
+// plan — Execute runs them as they are, and a plan cache shares them — so a
+// plan executes only on a runtime of cfg's block size.
+func (pp *PhysPlan) Lower(cfg cluster.Config) error {
+	for _, op := range pp.Ops {
+		var err error
+		if len(op.Group) > 0 {
+			op.Lowered, err = (&exec.MultiAggOp{Plans: op.Group, Pred: op.Prediction()}).Lower(cfg)
+		} else {
+			op.Lowered, err = (&exec.FusedOp{Plan: op.Plan, P: op.P, Q: op.Q, R: op.R,
+				Strategy: op.Strategy, Balance: op.Balance, NoMask: op.NoMask,
+				Pred: op.Prediction()}).Lower(cfg)
+		}
+		if err != nil {
+			return fmt.Errorf("core: lowering %s %s: %w", op.Kind, op.Plan, err)
+		}
+	}
+	return nil
 }
 
 // Describe renders the physical plan for humans: one line per fused
@@ -132,23 +158,24 @@ type Engine interface {
 	// Name identifies the engine in experiment output.
 	Name() string
 	// Compile lowers the query DAG to a physical plan for a cluster of the
-	// given shape.
+	// given shape, each operator lowered to its stages (PhysPlan.Lower).
 	Compile(g *dag.Graph, cfg cluster.Config) (*PhysPlan, error)
 }
 
 // Execute runs a compiled plan on a runtime (the in-process simulated
 // cluster or a remote coordinator): fused operators execute in order, each
-// materialising its root's value, which later operators consume as external
-// inputs. Admission control rejects operators whose estimated per-task
-// memory exceeds the budget (the O.O.M. of the paper's figures).
+// running its lowered stages and materialising its roots' values, which
+// later operators consume as external inputs. Admission control rejects
+// operators whose estimated per-task memory exceeds the budget (the O.O.M.
+// of the paper's figures).
 func Execute(pp *PhysPlan, rtm rt.Runtime, inputs map[string]*block.Matrix) (map[string]*block.Matrix, error) {
 	return ExecuteObs(pp, rtm, inputs, nil)
 }
 
 // ExecuteObs is Execute with observability: when o is enabled it opens a
-// plan span and threads o, with each operator's compile-time cost prediction,
-// into every fused operator so stages and tasks are instrumented and every
-// stage's flight record carries its prediction. A nil o is exactly Execute.
+// plan span and threads o into every operator, so stages and tasks are
+// instrumented and every stage's flight record carries the operator's
+// compile-time cost prediction. A nil o is exactly Execute.
 func ExecuteObs(pp *PhysPlan, rtm rt.Runtime, inputs map[string]*block.Matrix, o *obs.Obs) (map[string]*block.Matrix, error) {
 	planSpan := o.StartSpan("plan", "plan", 0)
 	if planSpan != nil {
@@ -172,43 +199,26 @@ func ExecuteObs(pp *PhysPlan, rtm rt.Runtime, inputs map[string]*block.Matrix, o
 		if err := rtm.CheckAdmission(op.EstMemPerTask, desc); err != nil {
 			return nil, err
 		}
+		lo := op.Lowered
+		if lo == nil {
+			return nil, fmt.Errorf("core: %s was never lowered (PhysPlan.Lower)", desc)
+		}
 		bind := exec.Bindings{}
-		plans := op.Group
-		if len(plans) == 0 {
-			plans = []*fusion.Plan{op.Plan}
-		}
-		for _, p := range plans {
-			for _, in := range p.ExternalInputs() {
-				if in.Op == dag.OpScalar {
-					continue
-				}
-				v, ok := values[in.ID]
-				if !ok {
-					return nil, fmt.Errorf("core: operator %s needs unmaterialised value of node %d (%s)",
-						op.Kind, in.ID, in.Label())
-				}
-				bind[in.ID] = v
+		for _, in := range lo.Inputs() {
+			v, ok := values[in.ID]
+			if !ok {
+				return nil, fmt.Errorf("core: operator %s needs unmaterialised value of node %d (%s)",
+					op.Kind, in.ID, in.Label())
 			}
+			bind[in.ID] = v
 		}
-		if len(op.Group) > 0 {
-			multi := &exec.MultiAggOp{Plans: op.Group, Obs: o, Pred: op.Prediction()}
-			outs, err := multi.Execute(rtm, bind)
-			if err != nil {
-				return nil, fmt.Errorf("core: %s failed: %w", desc, err)
-			}
-			for i, p := range op.Group {
-				values[p.Root.ID] = outs[i]
-			}
-			continue
-		}
-		fused := &exec.FusedOp{Plan: op.Plan, P: op.P, Q: op.Q, R: op.R,
-			Strategy: op.Strategy, Balance: op.Balance, NoMask: op.NoMask,
-			Obs: o, Pred: op.Prediction()}
-		out, err := fused.Execute(rtm, bind)
+		outs, err := lo.Run(rtm, bind, o)
 		if err != nil {
 			return nil, fmt.Errorf("core: %s failed: %w", desc, err)
 		}
-		values[op.Plan.Root.ID] = out
+		for i, root := range lo.Roots() {
+			values[root.ID] = outs[i]
+		}
 	}
 	outputs := make(map[string]*block.Matrix, len(pp.Graph.Outputs()))
 	for name, n := range pp.Graph.Outputs() {

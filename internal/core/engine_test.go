@@ -105,6 +105,15 @@ func smallWorkloads(t *testing.T) []testCase {
 				"b4": matrix.RandomDense(13, 1, -0.1, 0.1, 26),
 			},
 		},
+		{
+			name:  "kl-divergence",
+			graph: workloads.KLDivergence(28, 23, 5, 0.1),
+			flats: map[string]matrix.Mat{
+				"X": matrix.RandomSparse(28, 23, 0.1, 1, 5, 27),
+				"U": matrix.RandomDense(28, 5, 0.5, 1.5, 28),
+				"V": matrix.RandomDense(5, 23, 0.5, 1.5, 29),
+			},
+		},
 	}
 }
 
@@ -117,10 +126,13 @@ func blockInputs(flats map[string]matrix.Mat, bs int) map[string]*block.Matrix {
 }
 
 // TestAllEnginesMatchReference is the central equivalence suite: every
-// engine must produce numerically identical results to the single-node
-// reference on every workload.
+// engine — FuseME also with sparsity balancing, whose ranges each execution
+// derives from its driver, and with masking ablated — must produce
+// numerically identical results to the single-node reference on every
+// workload.
 func TestAllEnginesMatchReference(t *testing.T) {
-	engines := []core.Engine{core.FuseME{}, core.SystemDSSim{}, core.DistMESim{}, core.MatFastSim{}, core.TensorFlowSim{}}
+	engines := []core.Engine{core.FuseME{}, core.FuseME{Balanced: true}, core.FuseME{NoMask: true},
+		core.SystemDSSim{}, core.DistMESim{}, core.MatFastSim{}, core.TensorFlowSim{}}
 	for _, tc := range smallWorkloads(t) {
 		want, err := ref.Evaluate(tc.graph, tc.flats)
 		if err != nil {

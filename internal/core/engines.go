@@ -23,14 +23,14 @@ func modelFor(cc cluster.Config) cost.Model {
 		NetBW:        cc.NetBandwidth,
 		CompBW:       cc.EffectiveCompBandwidth(),
 		TaskMemBytes: cc.TaskMemBytes,
-		MinTasks:     cc.PlanSlots(),
+		MinTasks:     cc.TotalSlots(),
 	}
 }
 
 // gridOp builds the physical operator for a plan without matrix
 // multiplication (or any plan executed as a partitioned map).
 func gridOp(p *fusion.Plan, cc cluster.Config, kind string) *PhysOp {
-	net, com, mem := cost.ElementwiseEstimates(p, cc.PlanSlots())
+	net, com, mem := cost.ElementwiseEstimates(p, cc.TotalSlots())
 	return &PhysOp{Plan: p, Strategy: exec.Cuboid, Kind: kind,
 		EstNetBytes: net, EstComFlops: com, EstMemPerTask: mem}
 }
@@ -84,6 +84,14 @@ func (f FuseME) Compile(g *dag.Graph, cc cluster.Config) (*PhysPlan, error) {
 		})
 	}
 	pp.Ops = groupMultiAgg(pp.Ops, cc)
+	return lowered(pp, cc)
+}
+
+// lowered returns pp with every operator lowered for cc.
+func lowered(pp *PhysPlan, cc cluster.Config) (*PhysPlan, error) {
+	if err := pp.Lower(cc); err != nil {
+		return nil, err
+	}
 	return pp, nil
 }
 
@@ -122,7 +130,7 @@ func (SystemDSSim) Compile(g *dag.Graph, cc cluster.Config) (*PhysPlan, error) {
 		}
 	}
 	pp.Ops = groupMultiAgg(pp.Ops, cc)
-	return pp, nil
+	return lowered(pp, cc)
 }
 
 // broadcastLimitBytes approximates Spark's practical broadcast ceiling:
@@ -179,7 +187,7 @@ func (DistMESim) Compile(g *dag.Graph, cc cluster.Config) (*PhysPlan, error) {
 			EstNetBytes: params.NetBytes, EstComFlops: params.ComFlops,
 			EstMemPerTask: params.MemPerTask})
 	}
-	return pp, nil
+	return lowered(pp, cc)
 }
 
 // MatFastSim reproduces MatFast: folded element-wise operators; every
@@ -226,7 +234,7 @@ func compileElementwiseFusedBroadcast(g *dag.Graph, cc cluster.Config, mmKind st
 		pp.Ops = append(pp.Ops, &PhysOp{Plan: p, Strategy: exec.Broadcast, Kind: mmKind,
 			EstNetBytes: net, EstComFlops: com, EstMemPerTask: mem})
 	}
-	return pp, nil
+	return lowered(pp, cc)
 }
 
 // groupMultiAgg rewrites runs of aggregation operators into Multi-aggregation

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -8,6 +9,7 @@ import (
 	"fuseme/internal/dag"
 	"fuseme/internal/matrix"
 	"fuseme/internal/ref"
+	"fuseme/internal/rt/spec"
 )
 
 func TestWeightedRangesInvariants(t *testing.T) {
@@ -34,10 +36,10 @@ func TestWeightedRangesInvariants(t *testing.T) {
 		// Contiguous, non-empty, covering 0..n.
 		pos := 0
 		for _, s := range spans {
-			if s.lo != pos || s.hi <= s.lo {
+			if s.Lo != pos || s.Hi <= s.Lo {
 				return false
 			}
-			pos = s.hi
+			pos = s.Hi
 		}
 		return pos == n
 	}
@@ -51,14 +53,14 @@ func TestWeightedRangesBalancesSkew(t *testing.T) {
 	// the heavy head its own narrow range.
 	w := []int64{1000, 10, 10, 10, 10, 10, 10, 10}
 	spans := weightedRanges(w, 4)
-	if spans[0].len() != 1 {
+	if spans[0].Len() != 1 {
 		t.Fatalf("heavy head not isolated: %+v", spans)
 	}
 	// Uniform weights degrade to near-equal widths.
 	u := []int64{5, 5, 5, 5, 5, 5, 5, 5}
 	spans = weightedRanges(u, 4)
 	for _, s := range spans {
-		if s.len() != 2 {
+		if s.Len() != 2 {
 			t.Fatalf("uniform weights not evenly split: %+v", spans)
 		}
 	}
@@ -149,5 +151,61 @@ func TestNoMaskAblation(t *testing.T) {
 	if clDense.Stats().Flops <= clMasked.Stats().Flops {
 		t.Fatalf("NoMask should cost more flops: %d <= %d",
 			clDense.Stats().Flops, clMasked.Stats().Flops)
+	}
+}
+
+// TestBalancedRangesFollowEachBinding: a balanced operator is lowered once,
+// with equal ranges, and every execution re-derives its i/j ranges from the
+// driver it binds, on a copy: two bindings skewed toward opposite ends get
+// opposite boundaries, both compute the reference, and the lowered stage
+// keeps its own.
+func TestBalancedRangesFollowEachBinding(t *testing.T) {
+	const bs = 5
+	g, bind, flats := skewedNMF(t, bs)
+	plan := fullPlan(t, g)
+	cl := testCluster(bs)
+	lo, err := (&FusedOp{Plan: plan, P: 4, Q: 3, R: 1, Balance: true}).Lower(cl.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lowered := lo.Stages[0].Spec
+	equal := equalRanges(lowered.GI, 4)
+
+	// The same driver with its rows reversed: heavy at the bottom.
+	x := flats["X"]
+	rows, cols := x.Dims()
+	flipped := matrix.NewDense(rows, cols)
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			flipped.Set(rows-1-i, j, x.At(i, j))
+		}
+	}
+	flippedFlats := map[string]matrix.Mat{"X": matrix.ToCSR(flipped), "U": flats["U"], "V": flats["V"]}
+	flippedBind := bindInputs(t, g, bs, flippedFlats)
+
+	var first []spec.Span
+	for _, c := range []struct {
+		bind  Bindings
+		flats map[string]matrix.Mat
+	}{{bind, flats}, {flippedBind, flippedFlats}} {
+		ranges := lo.bound(cl, c.bind)[0].Spec.IRanges
+		if reflect.DeepEqual(ranges, equal) || reflect.DeepEqual(ranges, first) {
+			t.Errorf("ranges %v: not derived from this binding's driver (equal %v, previous binding %v)", ranges, equal, first)
+		}
+		first = ranges
+		got, err := lo.Run(cl, c.bind, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.Evaluate(g, c.flats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !matrix.EqualApprox(got[0].ToMat(), want["O"], 1e-9) {
+			t.Fatalf("balanced run over ranges %v differs from the reference", ranges)
+		}
+	}
+	if !reflect.DeepEqual(lo.Stages[0].Spec, lowered) || !reflect.DeepEqual(lowered.IRanges, equal) {
+		t.Errorf("lowered stage changed: %+v", lo.Stages[0].Spec)
 	}
 }

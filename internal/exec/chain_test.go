@@ -705,8 +705,8 @@ b4n = b4 - lrm * rowSums(D4)
 				if mm := plan.MainMM; mm != nil {
 					gk = (mm.Inputs[0].Cols + bs - 1) / bs
 				}
-				ev := newEvaluator(op, task, bindSource{bind: bind}, bs, 0, gk)
-				if ev.mask != nil {
+				ev := newEvaluator(newPlanCtx(plan, false), task, bindSource{bind: bind}, bs, 0, gk)
+				if ev.pc.mask != nil {
 					t.Errorf("%s: %s is masked: its chain walks a pattern, the case is not the one meant", name, plan)
 				}
 				for _, id := range plan.MemberIDs() {

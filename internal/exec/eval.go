@@ -2,11 +2,11 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"fuseme/internal/blockcache"
 	"fuseme/internal/cluster"
 	"fuseme/internal/dag"
-	"fuseme/internal/fusion"
 	"fuseme/internal/matrix"
 	"fuseme/internal/parallel"
 	"fuseme/internal/rt/spec"
@@ -20,29 +20,27 @@ type execPanic struct{ err error }
 // evaluator computes blocks of the fused sub-DAG for one task. It is not
 // safe for concurrent use; every task builds its own.
 type evaluator struct {
-	op        *FusedOp
+	pc        *planCtx    // the plan evaluated, with its mask and retained members
 	src       blockSource // external input (and pinned-partial) blocks
 	task      *cluster.Task
-	pool      *parallel.Pool    // intra-task kernel threads; nil = serial
-	mask      *fusion.OuterMask // outer-fusion pattern, if detected
-	kLo, kHi  int               // main multiplication k-block range
+	pool      *parallel.Pool // intra-task kernel threads; nil = serial
+	kLo, kHi  int            // main multiplication k-block range
 	blockSize int
 
 	memo      map[memoKey]matrix.Mat
-	memoNode  map[int]bool // member IDs whose blocks the task retains
 	fetched   map[memoKey]bool
 	charged   map[memoKey]bool          // retained transposes already charged, built or folded
 	leftT     map[memoKey]*matrix.Dense // retained, charged transposes of dense left blocks (evalMatMul)
 	accT      *matrix.Dense             // scratch: evalMatMul's transposed accumulator
-	colocated map[int]bool              // inputs co-partitioned with the output: no fetch cost
+	colocated []int                     // inputs co-partitioned with the output: no fetch cost
 	trace     *cluster.TaskTrace        // per-task sub-spans; nil when tracing is off
 
-	// Block-cache state, armed by stageCtx.armCache when the stage
+	// Block-cache state, armed by Stage.evaluator when the stage
 	// advertises input epochs and the task's node/worker holds a cache.
 	// All zero otherwise, which reproduces the uncached fetch path exactly.
 	cache    *blockcache.Cache
 	cacheGen uint64
-	epochs   map[int]uint64    // node ID -> content epoch of the bound input
+	epochs   *spec.Stage       // the stage advertising the bound inputs' content epochs
 	advert   *spec.CacheAdvert // cache-mutation delta to report (workers only)
 }
 
@@ -51,52 +49,30 @@ type memoKey struct {
 	bi, bj int
 }
 
-func newEvaluator(op *FusedOp, task *cluster.Task, src blockSource, blockSize, kLo, kHi int) *evaluator {
-	ev := &evaluator{
-		op:        op,
+func newEvaluator(pc *planCtx, task *cluster.Task, src blockSource, blockSize, kLo, kHi int) *evaluator {
+	return &evaluator{
+		pc:        pc,
 		src:       src,
 		task:      task,
 		pool:      task.Pool(),
-		mask:      opMask(op),
 		kLo:       kLo,
 		kHi:       kHi,
 		blockSize: blockSize,
 		memo:      make(map[memoKey]matrix.Mat),
-		memoNode:  make(map[int]bool),
 		fetched:   make(map[memoKey]bool),
 		charged:   make(map[memoKey]bool),
 		leftT:     make(map[memoKey]*matrix.Dense),
 		trace:     task.Trace(),
 	}
-	// Retained within the task: L/R-space results (reused across the task's
-	// output blocks) and the operands of every multiplication — a nested
-	// one's coordinates repeat across output blocks by construction.
-	for id, s := range op.Plan.NodeSpaces() {
-		ev.memoNode[id] = s == fusion.SpaceL || s == fusion.SpaceR
-	}
-	for _, mm := range op.Plan.MatMuls() {
-		for _, in := range mm.Inputs {
-			ev.memoNode[in.ID] = true
-		}
-	}
-	return ev
-}
-
-// opMask resolves the plan's outer mask unless ablated away.
-func opMask(op *FusedOp) *fusion.OuterMask {
-	if op.NoMask {
-		return nil
-	}
-	return fusion.FindOuterMask(op.Plan)
 }
 
 // reachesMM reports whether the member subtree rooted at n contains the main
 // multiplication.
 func (ev *evaluator) reachesMM(n *dag.Node) bool {
-	if n == ev.op.Plan.MainMM {
+	if n == ev.pc.plan.MainMM {
 		return true
 	}
-	if !ev.op.Plan.Contains(n) {
+	if !ev.pc.plan.Contains(n) {
 		return false
 	}
 	for _, in := range n.Inputs {
@@ -124,11 +100,11 @@ func (ev *evaluator) blockDims(n *dag.Node, bi, bj int) (rows, cols int) {
 }
 
 // shouldMemo reports whether the node's block values are retained for reuse
-// within the task: external inputs always, member nodes per memoNode; never
-// other O-space intermediates, which stream through one compiled chain (the
-// fused, no-materialisation property).
+// within the task: external inputs always, member nodes per the plan's
+// memoNode; never other O-space intermediates, which stream through one
+// compiled chain (the fused, no-materialisation property).
 func (ev *evaluator) shouldMemo(n *dag.Node) bool {
-	return !ev.op.Plan.Contains(n) || ev.memoNode[n.ID]
+	return !ev.pc.plan.Contains(n) || ev.pc.memoNode[n.ID]
 }
 
 // evalBlock computes block (bi, bj) of node n. A nil return is an all-zero
@@ -142,7 +118,7 @@ func (ev *evaluator) evalBlock(n *dag.Node, bi, bj int) matrix.Mat {
 	if ev.shouldMemo(n) && !n.IsLeaf() {
 		// Leaves are memoised by fetchExternal itself.
 		ev.memo[key] = blk
-		memberT := n.Op == dag.OpTranspose && ev.op.Plan.Contains(n) // transposedChild charged it
+		memberT := n.Op == dag.OpTranspose && ev.pc.plan.Contains(n) // transposedChild charged it
 		if blk != nil && !memberT {
 			ev.task.GrowMem(blk.SizeBytes())
 		}
@@ -151,12 +127,12 @@ func (ev *evaluator) evalBlock(n *dag.Node, bi, bj int) matrix.Mat {
 }
 
 func (ev *evaluator) computeBlock(n *dag.Node, bi, bj int) matrix.Mat {
-	if !ev.op.Plan.Contains(n) {
+	if !ev.pc.plan.Contains(n) {
 		return ev.fetchExternal(n, bi, bj)
 	}
 	switch n.Op {
 	case dag.OpUnary, dag.OpBinary:
-		if ev.mask != nil && n == ev.mask.Mul {
+		if ev.pc.mask != nil && n == ev.pc.mask.Mul {
 			return ev.evalMaskedMul(bi, bj)
 		}
 		return ev.evalChain(n, bi, bj)
@@ -214,7 +190,7 @@ func (ev *evaluator) fetchExternal(n *dag.Node, bi, bj int) matrix.Mat {
 	var ck blockcache.Key
 	cacheable := false
 	if ev.cache != nil {
-		if ep, ok := ev.epochs[n.ID]; ok {
+		if ep, ok := ev.epochs.EpochOf(n.ID); ok {
 			ck = blockcache.Key{Node: n.ID, Epoch: ep, BI: bi, BJ: bj}
 			cacheable = true
 		}
@@ -230,7 +206,7 @@ func (ev *evaluator) fetchExternal(n *dag.Node, bi, bj int) matrix.Mat {
 			// on one saves no consolidation bytes.
 			ev.fetched[key] = true
 			saved := blk.SizeBytes()
-			if ev.colocated[n.ID] {
+			if slices.Contains(ev.colocated, n.ID) {
 				saved = 0
 			}
 			ev.task.CacheHit(blk.SizeBytes(), saved)
@@ -244,7 +220,7 @@ func (ev *evaluator) fetchExternal(n *dag.Node, bi, bj int) matrix.Mat {
 	}
 	if !ev.fetched[key] {
 		ev.fetched[key] = true
-		if ev.colocated[n.ID] {
+		if slices.Contains(ev.colocated, n.ID) {
 			// Co-partitioned input: the task already owns the block; it
 			// occupies memory but moves no bytes.
 			if blk != nil {
@@ -315,11 +291,11 @@ func (ev *evaluator) scalarValue(n *dag.Node) float64 {
 func (ev *evaluator) evalMatMul(n *dag.Node, bi, bj int) matrix.Mat {
 	left, right := n.Inputs[0], n.Inputs[1]
 	lo, hi := 0, (left.Cols+ev.blockSize-1)/ev.blockSize
-	if n == ev.op.Plan.MainMM {
+	if n == ev.pc.plan.MainMM {
 		lo, hi = ev.kLo, ev.kHi
 	}
 	rows, cols := ev.blockDims(n, bi, bj)
-	folded := left.Op == dag.OpTranspose && ev.op.Plan.Contains(left)
+	folded := left.Op == dag.OpTranspose && ev.pc.plan.Contains(left)
 	var acc, accT *matrix.Dense
 	sparse := true
 	for bk := lo; bk < hi; bk++ {

@@ -38,9 +38,9 @@ func (ev *evaluator) evalChain(n *dag.Node, bi, bj int) matrix.Mat {
 // or a vector operand of another shape.
 func (c *chain) operand(n *dag.Node) matrix.Value {
 	ev := c.ev
-	if ev.op.Plan.Contains(n) && (n.Op == dag.OpUnary || n.Op == dag.OpBinary) &&
+	if ev.pc.plan.Contains(n) && (n.Op == dag.OpUnary || n.Op == dag.OpBinary) &&
 		n.Rows == c.root.Rows && n.Cols == c.root.Cols && !ev.shouldMemo(n) &&
-		(ev.mask == nil || n != ev.mask.Mul) {
+		(ev.pc.mask == nil || n != ev.pc.mask.Mul) {
 		return c.node(n)
 	}
 	oi, oj := operandCoords(n, c.bi, c.bj)
@@ -80,7 +80,7 @@ func (ev *evaluator) evalMaskedMul(bi, bj int) matrix.Mat {
 	var passes matrix.MaskedChain
 	var pattern *matrix.CSR
 	var vals []float64
-	mm := ev.op.Plan.MainMM
+	mm := ev.pc.plan.MainMM
 	if blk, pinned := ev.memo[memoKey{mm.ID, bi, bj}]; pinned {
 		// Stage two: the aggregated partials are pinned; the first pass samples them.
 		pattern, vals = ev.driverPattern(bi, bj)
@@ -91,7 +91,7 @@ func (ev *evaluator) evalMaskedMul(bi, bj int) matrix.Mat {
 	if pattern == nil {
 		return nil // 0 .* anything == 0
 	}
-	flops := ev.maskedPasses(&passes, ev.mask.Inner, bi, bj)
+	flops := ev.maskedPasses(&passes, ev.pc.mask.Inner, bi, bj)
 	ev.task.AddFlops(int64(len(vals)) * (flops + 1)) // the path, and the driver multiply
 	passes.Run(ev.pool, pattern, vals)
 	return pattern.WithValues(vals)
@@ -103,7 +103,7 @@ func (ev *evaluator) evalMaskedMul(bi, bj int) matrix.Mat {
 // order, and read at the pattern; a nil block contributes zeros.
 func (ev *evaluator) maskedPasses(passes *matrix.MaskedChain, n *dag.Node, bi, bj int) int64 {
 	switch {
-	case n == ev.op.Plan.MainMM:
+	case n == ev.pc.plan.MainMM:
 		return 0
 	case n.Op == dag.OpUnary:
 		flops := ev.maskedPasses(passes, n.Inputs[0], bi, bj)
@@ -133,7 +133,7 @@ func (ev *evaluator) maskedPasses(passes *matrix.MaskedChain, n *dag.Node, bi, b
 // driverPattern returns the driver pattern of block (bi, bj) and a zeroed,
 // task-owned values buffer for it. A nil pattern is an all-zero driver block.
 func (ev *evaluator) driverPattern(bi, bj int) (*matrix.CSR, []float64) {
-	driver := ev.evalBlock(ev.mask.Driver, bi, bj)
+	driver := ev.evalBlock(ev.pc.mask.Driver, bi, bj)
 	if driver == nil {
 		return nil, nil
 	}
@@ -149,9 +149,9 @@ func (ev *evaluator) maskedMM(bi, bj int) (*matrix.CSR, []float64) {
 	if pattern == nil {
 		return nil, nil
 	}
-	mm := ev.op.Plan.MainMM
+	mm := ev.pc.plan.MainMM
 	left, right := mm.Inputs[0], mm.Inputs[1]
-	folded := right.Op == dag.OpTranspose && ev.op.Plan.Contains(right)
+	folded := right.Op == dag.OpTranspose && ev.pc.plan.Contains(right)
 	for bk := ev.kLo; bk < ev.kHi; bk++ {
 		// The SDDMM takes dot(A[i,:], Bt[j,:]), its right operand transposed:
 		// under a member t(B) that is B's own row-major block, read where it

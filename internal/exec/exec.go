@@ -43,26 +43,30 @@
 //   - BFO: round-robin output partitioning with every side matrix broadcast
 //     to every task (Strategy Broadcast).
 //
-// Stages: with R = 1 a single stage computes final output blocks. With
-// R > 1, stage one computes partial main-multiplication results per cuboid,
-// a metered shuffle aggregates them to their (p,q) owners, and stage two
-// applies the O-space chain once. (The paper's cost model instead charges
-// the O-chain R-fold; see DESIGN.md for why the executor aggregates first.)
-// A root aggregation adds a metered partial-aggregate combine.
+// Stages: an operator is lowered to its stages once, when its plan is
+// compiled (lower.go; FusedOp.Lower, MultiAggOp.Lower), into an Operator
+// that the plan — and a plan cache — keeps. With R = 1 a single stage
+// computes final output blocks. With R > 1, stage one computes partial
+// main-multiplication results per cuboid, a metered shuffle aggregates them
+// to their (p,q) owners, and stage two applies the O-space chain once. (The
+// paper's cost model instead charges the O-chain R-fold; see DESIGN.md for
+// why the executor aggregates first.) A root aggregation adds a metered
+// partial-aggregate combine. Operator.Run is the one executor: it fills in
+// what depends on the bound data — input epochs under block caching, the
+// ranges of a balanced operator — on a copy (Operator.bound), and hands every
+// stage to the runtime through dispatch.
 package exec
 
 import (
-	"errors"
-	"fmt"
 	"sync"
 
 	"fuseme/internal/block"
 	"fuseme/internal/cluster"
-	"fuseme/internal/dag"
 	"fuseme/internal/fusion"
 	"fuseme/internal/matrix"
 	"fuseme/internal/obs"
 	"fuseme/internal/rt"
+	"fuseme/internal/rt/spec"
 )
 
 // Bindings maps external node IDs to their materialised blocked matrices.
@@ -77,7 +81,7 @@ const (
 	Broadcast                 // BFO: broadcast side matrices, round-robin main
 )
 
-// FusedOp is one physical fused operator ready to execute.
+// FusedOp is one physical fused operator: what Lower turns into stages.
 type FusedOp struct {
 	Plan     *fusion.Plan
 	P, Q, R  int // cuboid parameters; ignored under Broadcast
@@ -93,74 +97,31 @@ type FusedOp struct {
 	// multiplication chain is evaluated densely even under a sparse driver.
 	NoMask bool
 
-	// Obs receives stage/task spans, metrics and one flight record per stage
-	// from this operator's execution; nil disables all instrumentation.
-	Obs *obs.Obs
 	// Pred is the planner's half of this operator's stage records: the
 	// operator key (Op, joining its stages in calibration reports), kind,
 	// chosen (P,Q,R) and predicted costs. Every stage's record starts as a
-	// copy and gains the measured half. Op defaults to "root-label#root-id".
+	// copy and gains the measured half.
 	Pred obs.FlightRecord
 }
 
-// pred returns the prediction half of this operator's stage records.
-func (op *FusedOp) pred() obs.FlightRecord {
-	p := op.Pred
-	if p.Op == "" {
-		p.Op = fmt.Sprintf("%s#%d", op.Plan.Root.Label(), op.Plan.Root.ID)
-	}
-	return p
-}
-
-// Execute runs the fused operator on the runtime — the in-process simulated
-// cluster or a remote coordinator — reading inputs from bind and returning
-// the materialised result of the plan root.
+// Execute lowers op for the runtime's cluster and runs it, returning the
+// materialised result of the plan root: the short path for a fused operator
+// that is not part of a compiled plan.
 func (op *FusedOp) Execute(rtm rt.Runtime, bind Bindings) (*block.Matrix, error) {
-	if err := op.validate(rtm.Config(), bind); err != nil {
+	lo, err := op.Lower(rtm.Config())
+	if err != nil {
 		return nil, err
 	}
-	if op.Plan.MainMM == nil || op.Strategy == Broadcast {
-		return op.executeGrid(rtm, bind)
+	outs, err := lo.Run(rtm, bind, nil)
+	if err != nil {
+		return nil, err
 	}
-	return op.executeCuboid(rtm, bind)
+	return outs[0], nil
 }
-
-func (op *FusedOp) validate(cfg cluster.Config, bind Bindings) error {
-	if op.Plan == nil {
-		return errors.New("exec: nil plan")
-	}
-	if err := op.Plan.Validate(); err != nil {
-		return err
-	}
-	bs := cfg.BlockSize
-	for _, in := range op.Plan.ExternalInputs() {
-		if in.Op == dag.OpScalar {
-			continue
-		}
-		m, ok := bind[in.ID]
-		if !ok {
-			return fmt.Errorf("exec: no binding for input %q (node %d)", in.Name, in.ID)
-		}
-		if m.Rows != in.Rows || m.Cols != in.Cols {
-			return fmt.Errorf("exec: binding for %q is %dx%d, node declares %dx%d",
-				in.Name, m.Rows, m.Cols, in.Rows, in.Cols)
-		}
-		if m.BlockSize != bs {
-			return fmt.Errorf("exec: binding for %q has block size %d, cluster uses %d",
-				in.Name, m.BlockSize, bs)
-		}
-	}
-	return nil
-}
-
-// span is a half-open block-index range.
-type span struct{ lo, hi int }
-
-func (s span) len() int { return s.hi - s.lo }
 
 // partRange splits dim block indices into parts balanced ranges and returns
 // the idx-th.
-func partRange(dim, parts, idx int) span {
+func partRange(dim, parts, idx int) spec.Span {
 	base := dim / parts
 	rem := dim % parts
 	lo := idx*base + min(idx, rem)
@@ -168,12 +129,12 @@ func partRange(dim, parts, idx int) span {
 	if idx < rem {
 		size++
 	}
-	return span{lo, lo + size}
+	return spec.Span{Lo: lo, Hi: lo + size}
 }
 
 // equalRanges materialises all partRange spans of a dimension.
-func equalRanges(dim, parts int) []span {
-	out := make([]span, parts)
+func equalRanges(dim, parts int) []spec.Span {
+	out := make([]spec.Span, parts)
 	for i := range out {
 		out[i] = partRange(dim, parts, i)
 	}
@@ -183,7 +144,7 @@ func equalRanges(dim, parts int) []span {
 // weightedRanges splits indices 0..len(w) into parts contiguous ranges of
 // approximately equal total weight, guaranteeing every range is non-empty.
 // Used by sparsity-aware load balancing.
-func weightedRanges(w []int64, parts int) []span {
+func weightedRanges(w []int64, parts int) []spec.Span {
 	n := len(w)
 	if parts > n {
 		parts = n
@@ -192,13 +153,13 @@ func weightedRanges(w []int64, parts int) []span {
 	for _, v := range w {
 		total += v
 	}
-	out := make([]span, 0, parts)
+	out := make([]spec.Span, 0, parts)
 	lo := 0
 	var remaining = total
 	for part := 0; part < parts; part++ {
 		partsLeft := parts - part
 		if partsLeft == 1 {
-			out = append(out, span{lo, n})
+			out = append(out, spec.Span{Lo: lo, Hi: n})
 			break
 		}
 		target := remaining / int64(partsLeft)
@@ -212,7 +173,7 @@ func weightedRanges(w []int64, parts int) []span {
 				break
 			}
 		}
-		out = append(out, span{lo, hi})
+		out = append(out, spec.Span{Lo: lo, Hi: hi})
 		remaining -= acc
 		lo = hi
 	}
@@ -234,48 +195,6 @@ func clamp(v, lo, hi int) int {
 		return hi
 	}
 	return v
-}
-
-// effectiveRoot returns the node evaluated per output block, and the root
-// aggregation if the plan ends in one.
-func (op *FusedOp) effectiveRoot() (*dag.Node, *dag.Node) {
-	if op.Plan.Root.Op == dag.OpUnaryAgg {
-		return op.Plan.Root.Inputs[0], op.Plan.Root
-	}
-	return op.Plan.Root, nil
-}
-
-// rootPlaneSwapped reports whether the effective root's block plane is the
-// transpose of the main multiplication's output plane (an odd number of
-// transposes on the O-space path from root to mm).
-func (op *FusedOp) rootPlaneSwapped(root *dag.Node) bool {
-	mm := op.Plan.MainMM
-	if mm == nil {
-		return false
-	}
-	swaps := 0
-	var walk func(n *dag.Node, s int) bool
-	walk = func(n *dag.Node, s int) bool {
-		if n == mm {
-			swaps = s
-			return true
-		}
-		if !op.Plan.Contains(n) || n.Op == dag.OpMatMul {
-			return false
-		}
-		next := s
-		if n.Op == dag.OpTranspose {
-			next = s + 1
-		}
-		for _, in := range n.Inputs {
-			if walk(in, next) {
-				return true
-			}
-		}
-		return false
-	}
-	walk(root, 0)
-	return swaps%2 == 1
 }
 
 // resultSink collects final output blocks from tasks.

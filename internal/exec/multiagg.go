@@ -6,7 +6,6 @@ import (
 	"fuseme/internal/block"
 	"fuseme/internal/dag"
 	"fuseme/internal/fusion"
-	"fuseme/internal/matrix"
 	"fuseme/internal/obs"
 	"fuseme/internal/rt"
 )
@@ -22,11 +21,8 @@ import (
 type MultiAggOp struct {
 	Plans []*fusion.Plan
 
-	// Obs receives the stage span, metrics and flight record; nil disables
-	// instrumentation.
-	Obs *obs.Obs
 	// Pred is the planner's half of the stage's flight record (see
-	// FusedOp.Pred); Op defaults to the stage name.
+	// FusedOp.Pred).
 	Pred obs.FlightRecord
 }
 
@@ -53,28 +49,12 @@ func (op *MultiAggOp) Validate() error {
 	return nil
 }
 
-// Execute runs the fused multi-aggregation as one grid stage with an output
-// per plan, through the dispatch every stage takes; results are returned in
-// plan order.
+// Execute lowers the multi-aggregation for the runtime's cluster and runs it;
+// results are returned in plan order.
 func (op *MultiAggOp) Execute(rtm rt.Runtime, bind Bindings) ([]*block.Matrix, error) {
-	if err := op.Validate(); err != nil {
+	lo, err := op.Lower(rtm.Config())
+	if err != nil {
 		return nil, err
 	}
-	// Inputs shaped like the plane are co-partitioned, as in the grid path.
-	sp := gridStage(rtm, bind, fmt.Sprintf("multiagg:%d-plans", len(op.Plans)), op.Plans[0].Root.Inputs[0], true, op.Plans...)
-	first := &FusedOp{Plan: op.Plans[0], Obs: op.Obs, Pred: op.Pred}
-	if first.Pred.Op == "" {
-		first.Pred.Op = sp.Name
-	}
-	outs := make([]*block.Matrix, len(op.Plans))
-	sinks := make([]*aggSink, len(op.Plans))
-	for i, p := range op.Plans {
-		outs[i] = block.New(p.Root.Rows, p.Root.Cols, sp.BlockSize)
-		sinks[i] = &aggSink{agg: p.Root.Agg, out: outs[i]}
-	}
-	route := func(kind uint8, bi, bj int, blk matrix.Mat) { sinks[aggOutput(kind)].combine(bi, bj, blk) }
-	if err := dispatch(rtm, sp.Name, newStageCtx(first, &sp, op.Plans[1:]...), bindSource{bind: bind}, route); err != nil {
-		return nil, err
-	}
-	return outs, nil
+	return lo.Run(rtm, bind, nil)
 }

@@ -108,7 +108,11 @@ func TestMultiAggSpecStageFetchesSharedInputOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := gridStage(cl, bind, "multiagg:2-plans", plans[0].Root.Inputs[0], true, plans...)
+	lo, err := (&MultiAggOp{Plans: plans}).Lower(cl.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := lo.Stages[0].Spec
 	stage, err := NewSpecStage(&sp)
 	if err != nil {
 		t.Fatal(err)

@@ -2,14 +2,13 @@ package exec
 
 import (
 	"fmt"
-	"slices"
-	"sort"
 
 	"fuseme/internal/block"
 	"fuseme/internal/cluster"
 	"fuseme/internal/dag"
 	"fuseme/internal/fusion"
 	"fuseme/internal/matrix"
+	"fuseme/internal/obs"
 	"fuseme/internal/rt"
 	"fuseme/internal/rt/spec"
 )
@@ -29,6 +28,109 @@ func runTask(fn func() error) (err error) {
 	return fn()
 }
 
+// Run executes the operator on the runtime — the in-process simulated
+// cluster or a remote coordinator — reading its inputs from bind, and returns
+// one matrix per output in Roots' order. Every stage goes through dispatch;
+// o receives spans, metrics and one flight record per stage (nil disables
+// all instrumentation).
+func (lo *Operator) Run(rtm rt.Runtime, bind Bindings, o *obs.Obs) ([]*block.Matrix, error) {
+	bs := rtm.Config().BlockSize
+	if lowered := lo.Stages[0].Spec.BlockSize; lowered != bs {
+		return nil, fmt.Errorf("exec: operator lowered for block size %d, runtime uses %d", lowered, bs)
+	}
+	if err := lo.checkBindings(bind, bs); err != nil {
+		return nil, err
+	}
+	final := &resultSink{}
+	aggs := make([]*aggSink, len(lo.outs))
+	results := make([]*block.Matrix, len(lo.outs))
+	for i, pc := range lo.outs {
+		if pc.agg != nil {
+			aggs[i] = &aggSink{agg: pc.agg.Agg, out: block.New(pc.agg.Rows, pc.agg.Cols, bs)}
+			results[i] = aggs[i].out
+		} else { // only a single-output operator emits final blocks
+			final.out = block.New(pc.root.Rows, pc.root.Cols, bs)
+			results[i] = final.out
+		}
+	}
+	src := bindSource{bind: bind}
+	if len(lo.Stages) > 1 {
+		src.partials = &mmPartialSink{blocks: make(map[block.Key]matrix.Mat)}
+	}
+	// Final blocks land in the result sink, task aggregates fold into their
+	// output's aggregation sink, and partial main-multiplication blocks
+	// accumulate in the shuffle sink.
+	route := func(kind uint8, bi, bj int, blk matrix.Mat) {
+		switch outKind(kind) {
+		case spec.OutFinal:
+			final.put(bi, bj, blk)
+		case spec.OutAgg:
+			aggs[aggOutput(kind)].combine(bi, bj, blk)
+		case spec.OutPartial:
+			src.partials.add(bi, bj, blk)
+		}
+	}
+	for _, st := range lo.bound(rtm, bind) {
+		if err := dispatch(rtm, o, lo.pred, st, src, route); err != nil {
+			return nil, err
+		}
+	}
+	return results, nil
+}
+
+// checkBindings checks the bound inputs against the plans: every input bound,
+// shaped as its node declares, and blocked at the runtime's block size.
+func (lo *Operator) checkBindings(bind Bindings, bs int) error {
+	for _, in := range lo.inputs {
+		m, ok := bind[in.ID]
+		if !ok {
+			return fmt.Errorf("exec: no binding for input %q (node %d)", in.Name, in.ID)
+		}
+		if m.Rows != in.Rows || m.Cols != in.Cols {
+			return fmt.Errorf("exec: binding for %q is %dx%d, node declares %dx%d",
+				in.Name, m.Rows, m.Cols, in.Rows, in.Cols)
+		}
+		if m.BlockSize != bs {
+			return fmt.Errorf("exec: binding for %q has block size %d, cluster uses %d",
+				in.Name, m.BlockSize, bs)
+		}
+	}
+	return nil
+}
+
+// bound returns the stages as this execution runs them. Two fields depend on
+// the bound data rather than the plan: the input epochs, when the runtime
+// caches blocks, and the i/j ranges of a balanced operator, which follow the
+// non-zeros of the bound driver. Without either, the lowered stages run as
+// they are; otherwise each runs as a copy with them filled in.
+func (lo *Operator) bound(rtm rt.Runtime, bind Bindings) []*Stage {
+	var epochs []spec.NodeEpoch // the cache keys' version component, in node-ID order
+	if rtm.Config().CacheBytes > 0 {
+		for _, in := range lo.inputs {
+			epochs = append(epochs, spec.NodeEpoch{Node: in.ID, Epoch: bind[in.ID].Epoch()})
+		}
+	}
+	var rowW, colW []int64
+	if lo.balance {
+		rowW, colW = driverWeights(lo.outs[0], bind)
+	}
+	if epochs == nil && rowW == nil {
+		return lo.Stages
+	}
+	out := make([]*Stage, len(lo.Stages))
+	for i, st := range lo.Stages {
+		sp := st.Spec
+		sp.Epochs = epochs
+		if rowW != nil {
+			sp.IRanges = weightedRanges(rowW, len(sp.IRanges))
+			sp.JRanges = weightedRanges(colW, len(sp.JRanges))
+			sp.NumTasks = len(sp.IRanges) * len(sp.JRanges) * max(len(sp.KRanges), 1)
+		}
+		out[i] = newStage(sp, st.outs)
+	}
+	return out
+}
+
 // dispatch hands one stage to the runtime, and is the one place an rt.Stage
 // is built: the closure runs runStageTask in-process; descriptor-capable
 // runtimes ship the spec to workers and feed results back through Collect.
@@ -36,8 +138,9 @@ func runTask(fn func() error) (err error) {
 // floating-point results fold in the same order whatever order tasks complete
 // in. Both are wrapped in the operator's observability (spans, metrics,
 // calibration measurement) when enabled.
-func dispatch(rtm rt.Runtime, name string, ctx *stageCtx, src blockSource, route emitFn) error {
-	cached := len(ctx.sp.Epochs) > 0
+func dispatch(rtm rt.Runtime, o *obs.Obs, pred obs.FlightRecord, st *Stage, src blockSource, route emitFn) error {
+	sp := &st.Spec
+	cached := len(sp.Epochs) > 0
 	var gen uint64
 	if cached {
 		gen = rtm.StageCacheGen()
@@ -45,14 +148,14 @@ func dispatch(rtm rt.Runtime, name string, ctx *stageCtx, src blockSource, route
 		// were cached: their epoch changed, so the entries can never hit
 		// again and only waste budget (on the TCP backend this pushes
 		// invalidation frames to the workers holding them).
-		for _, ne := range ctx.sp.Epochs {
+		for _, ne := range sp.Epochs {
 			rtm.InvalidateStaleEpochs(ne.Node, ne.Epoch)
 		}
 	}
-	red := newStageReducer(ctx.sp.NumTasks, route)
-	return runObservedStage(rtm, ctx.op.Obs, ctx.op.pred(), &rt.Stage{
-		Name:     name,
-		NumTasks: ctx.sp.NumTasks,
+	red := newStageReducer(sp.NumTasks, route)
+	return runObservedStage(rtm, o, pred, &rt.Stage{
+		Name:     sp.Name,
+		NumTasks: sp.NumTasks,
 		Fn: func(task *cluster.Task) error {
 			var cc *CacheCtx
 			if cached {
@@ -61,13 +164,13 @@ func dispatch(rtm rt.Runtime, name string, ctx *stageCtx, src blockSource, route
 				}
 			}
 			red.reset(task.ID)
-			if err := runStageTask(ctx, task.ID, task, src, red.emitFor(task.ID), cc); err != nil {
+			if err := runStageTask(st, task.ID, task, src, red.emitFor(task.ID), cc); err != nil {
 				return err
 			}
 			red.complete(task.ID)
 			return nil
 		},
-		Spec:  ctx.sp,
+		Spec:  sp,
 		Fetch: src.fetch,
 		Collect: func(taskID int, blocks []spec.OutBlock) error {
 			red.reset(taskID)
@@ -85,225 +188,12 @@ func dispatch(rtm rt.Runtime, name string, ctx *stageCtx, src blockSource, route
 	})
 }
 
-// executeCuboid runs the plan under (P,Q,R) cuboid partitioning: the CFO
-// (optimised parameters) and the RFO ((I,J,1)).
-func (op *FusedOp) executeCuboid(rtm rt.Runtime, bind Bindings) (*block.Matrix, error) {
-	bs := rtm.Config().BlockSize
-	gi, gj, gk := op.Plan.BlockGridDims(bs)
-	p := clamp(op.P, 1, gi)
-	q := clamp(op.Q, 1, gj)
-	r := clamp(op.R, 1, gk)
-
-	root, rootAgg := op.effectiveRoot()
-	swapped := op.rootPlaneSwapped(root)
-	mask := opMask(op)
-	colocated := colocatedOInputs(op.Plan)
-
-	iRanges := equalRanges(gi, p)
-	jRanges := equalRanges(gj, q)
-	kRanges := equalRanges(gk, r)
-	if op.Balance && mask != nil {
-		if rw, cw := driverWeights(op.Plan, mask, bind); rw != nil {
-			iRanges = weightedRanges(rw, p)
-			jRanges = weightedRanges(cw, q)
-			p, q = len(iRanges), len(jRanges)
-		}
-	}
-
-	var out *block.Matrix
-	var agg *aggSink
-	if rootAgg != nil {
-		agg = &aggSink{agg: rootAgg.Agg, out: block.New(rootAgg.Rows, rootAgg.Cols, bs)}
-	} else {
-		out = block.New(root.Rows, root.Cols, bs)
-	}
-	sink := &resultSink{out: out}
-
-	planSpec := spec.FromPlan(op.Plan)
-	base := spec.Stage{
-		BlockSize: bs,
-		Plan:      planSpec,
-		NoMask:    op.NoMask,
-		Swapped:   swapped,
-		IRanges:   toSpans(iRanges),
-		JRanges:   toSpans(jRanges),
-		GI:        gi,
-		GJ:        gj,
-		GK:        gk,
-		Colocated: colocatedList(colocated),
-		Epochs:    stageEpochs(rtm, bind, op.Plan),
-	}
-
-	if r == 1 {
-		sp := base
-		sp.Name = stageName(op, "local")
-		sp.Phase = spec.PhaseCuboid
-		sp.NumTasks = p * q
-		src := bindSource{bind: bind}
-		route := routeTo(sink, agg, nil)
-		if err := dispatch(rtm, sp.Name, newStageCtx(op, &sp), src, route); err != nil {
-			return nil, err
-		}
-		return op.finish(out, agg)
-	}
-
-	// Stage one: partial main-multiplication results per cuboid, shuffled to
-	// their (p,q) owners (the matrix aggregation step).
-	partials := &mmPartialSink{blocks: make(map[block.Key]matrix.Mat)}
-	sp1 := base
-	sp1.Name = stageName(op, "partial")
-	sp1.Phase = spec.PhasePartial
-	sp1.NumTasks = p * q * r
-	sp1.KRanges = toSpans(kRanges)
-	src1 := bindSource{bind: bind}
-	if err := dispatch(rtm, sp1.Name, newStageCtx(op, &sp1), src1, routeTo(sink, agg, partials)); err != nil {
-		return nil, err
-	}
-
-	// Stage two: owners apply the O-space chain once over aggregated
-	// multiplication results.
-	sp2 := base
-	sp2.Name = stageName(op, "fuse")
-	sp2.Phase = spec.PhaseFuse
-	sp2.NumTasks = p * q
-	src2 := bindSource{bind: bind, partials: partials}
-	if err := dispatch(rtm, sp2.Name, newStageCtx(op, &sp2), src2, routeTo(sink, agg, partials)); err != nil {
-		return nil, err
-	}
-	return op.finish(out, agg)
-}
-
-// executeGrid runs plans without matrix multiplication, and BFO executions,
-// as a partitioned map over the output block grid. Under Broadcast, side
-// matrices are shipped whole to every task and the main multiplication (if
-// any) runs with its full inner dimension inside each kernel.
-func (op *FusedOp) executeGrid(rtm rt.Runtime, bind Bindings) (*block.Matrix, error) {
-	bs := rtm.Config().BlockSize
-	root, rootAgg := op.effectiveRoot()
-	// Pure element-wise plans run as a map over co-partitioned data;
-	// reorganised or broadcast-shaped inputs still consolidate.
-	sp := gridStage(rtm, bind, stageName(op, "map"), root, op.Strategy != Broadcast && op.Plan.MainMM == nil, op.Plan)
-	sp.Broadcast = op.Strategy == Broadcast
-	sp.NoMask = op.NoMask
-	if op.Plan.MainMM != nil {
-		_, _, sp.GK = op.Plan.BlockGridDims(bs)
-	}
-
-	var out *block.Matrix
-	var agg *aggSink
-	if rootAgg != nil {
-		agg = &aggSink{agg: rootAgg.Agg, out: block.New(rootAgg.Rows, rootAgg.Cols, bs)}
-	} else {
-		out = block.New(root.Rows, root.Cols, bs)
-	}
-	sink := &resultSink{out: out}
-	src := bindSource{bind: bind}
-	if err := dispatch(rtm, sp.Name, newStageCtx(op, &sp), src, routeTo(sink, agg, nil)); err != nil {
-		return nil, err
-	}
-	return op.finish(out, agg)
-}
-
-// gridStage describes a strided map over the block grid of plane — the stage
-// shape of matmul-free plans, BFO executions and multi-aggregations — sized
-// to one wave of tasks. With colocate set, the inputs of plans shaped like
-// the plane are co-partitioned with it: they pipeline without network
-// transfer, as they do in a Spark map stage.
-func gridStage(rtm rt.Runtime, bind Bindings, name string, plane *dag.Node, colocate bool, plans ...*fusion.Plan) spec.Stage {
-	bs := rtm.Config().BlockSize
-	gi := (plane.Rows + bs - 1) / bs
-	gj := (plane.Cols + bs - 1) / bs
-	numTasks := min(rtm.Config().PlanSlots(), gi*gj)
-	if numTasks < 1 {
-		numTasks = 1
-	}
-	colocated := map[int]bool{}
-	for _, p := range plans {
-		for _, in := range p.ExternalInputs() {
-			if colocate && in.Rows == plane.Rows && in.Cols == plane.Cols {
-				colocated[in.ID] = true
-			}
-		}
-	}
-	sp := spec.Stage{
-		Name:      name,
-		Phase:     spec.PhaseGrid,
-		NumTasks:  numTasks,
-		BlockSize: bs,
-		Plan:      spec.FromPlan(plans[0]),
-		GI:        gi,
-		GJ:        gj,
-		Colocated: colocatedList(colocated),
-		Epochs:    stageEpochs(rtm, bind, plans...),
-	}
-	for _, p := range plans[1:] {
-		sp.Group = append(sp.Group, spec.FromPlan(p))
-	}
-	return sp
-}
-
-// routeTo builds the emit routing for a stage's result blocks: final blocks
-// land in the result sink, task aggregates fold into the aggregation sink,
-// and partial main-multiplication blocks accumulate in the shuffle sink.
-func routeTo(sink *resultSink, agg *aggSink, partials *mmPartialSink) emitFn {
-	return func(kind uint8, bi, bj int, blk matrix.Mat) {
-		switch kind {
-		case spec.OutFinal:
-			sink.put(bi, bj, blk)
-		case spec.OutAgg:
-			agg.combine(bi, bj, blk)
-		case spec.OutPartial:
-			partials.add(bi, bj, blk)
-		}
-	}
-}
-
-// stageEpochs resolves the epoch list a stage descriptor advertises: the
-// content epochs of the plans' bound external inputs in node-ID order (the
-// cache keys' version component; scalars carry none) when the runtime has
-// block caching enabled, nil (no caching, the exact uncached execution)
-// otherwise.
-func stageEpochs(rtm rt.Runtime, bind Bindings, plans ...*fusion.Plan) []spec.NodeEpoch {
-	if rtm.Config().CacheBytes <= 0 {
-		return nil
-	}
-	var out []spec.NodeEpoch
-	for _, p := range plans {
-		for _, in := range p.ExternalInputs() {
-			if m, ok := bind[in.ID]; ok && in.Op != dag.OpScalar {
-				out = append(out, spec.NodeEpoch{Node: in.ID, Epoch: m.Epoch()})
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
-	return slices.Compact(out) // an input several plans share is listed once
-}
-
-// toSpans converts internal spans to their wire representation.
-func toSpans(ss []span) []spec.Span {
-	out := make([]spec.Span, len(ss))
-	for i, s := range ss {
-		out[i] = spec.Span{Lo: s.lo, Hi: s.hi}
-	}
-	return out
-}
-
-// colocatedList flattens a colocated-input set into a deterministic list.
-func colocatedList(m map[int]bool) []int {
-	ids := make([]int, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
-}
-
 // driverWeights derives per-block-row and per-block-column non-zero counts
 // of the plan's sparse driver, resolved to the underlying bound input (the
 // driver may be a pattern operator like X != 0 over an input X). Returns
 // nils when no bound input backs the driver.
-func driverWeights(p *fusion.Plan, mask *fusion.OuterMask, bind Bindings) (rowW, colW []int64) {
-	src := driverInput(p, mask.Driver)
+func driverWeights(pc *planCtx, bind Bindings) (rowW, colW []int64) {
+	src := driverInput(pc.plan, pc.mask.Driver)
 	if src == nil {
 		return nil, nil
 	}
@@ -347,35 +237,4 @@ func driverInput(p *fusion.Plan, driver *dag.Node) *dag.Node {
 	}
 	walk(driver)
 	return found
-}
-
-// colocatedOInputs returns the external inputs of the plan's top-level
-// O-space that are shaped like the main multiplication's output plane: they
-// are consumed pre-partitioned on the (p,q) grid and move no bytes, matching
-// the paper's measured CFO communication (see the cost package).
-func colocatedOInputs(p *fusion.Plan) map[int]bool {
-	tree := p.Spaces()
-	if tree == nil {
-		return nil
-	}
-	out := map[int]bool{}
-	for _, n := range tree.O.Nodes {
-		for _, in := range n.Inputs {
-			if !p.Contains(in) && in.Rows == tree.MM.Rows && in.Cols == tree.MM.Cols {
-				out[in.ID] = true
-			}
-		}
-	}
-	return out
-}
-
-func (op *FusedOp) finish(out *block.Matrix, agg *aggSink) (*block.Matrix, error) {
-	if agg != nil {
-		return agg.out, nil
-	}
-	return out, nil
-}
-
-func stageName(op *FusedOp, phase string) string {
-	return fmt.Sprintf("%s:%s#%d", phase, op.Plan.Root.Label(), op.Plan.Root.ID)
 }

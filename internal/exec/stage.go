@@ -6,19 +6,17 @@ import (
 	"fuseme/internal/block"
 	"fuseme/internal/blockcache"
 	"fuseme/internal/cluster"
-	"fuseme/internal/cost"
 	"fuseme/internal/dag"
-	"fuseme/internal/fusion"
 	"fuseme/internal/matrix"
 	"fuseme/internal/rt/spec"
 )
 
-// This file is the descriptor-driven half of the executor. Every distributed
-// stage is described by a spec.Stage, and runStageTask executes one task of
-// it against a blockSource. The in-process backend calls runStageTask from
-// the stage closure in paths.go; a remote worker calls it through
-// SpecStage.RunTask, having rebuilt the plan from the shipped descriptor once.
-// Both paths run the same arithmetic and the same metering.
+// This file is the task half of the executor. runStageTask executes one task
+// of a Stage — its spec.Stage descriptor plus the context lowering built for
+// it — against a blockSource. The in-process backend calls it from the stage
+// closure in paths.go; a remote worker calls it through Stage.RunTask,
+// having rebuilt the same context from the shipped descriptor once per stage
+// (NewSpecStage). Both paths run the same arithmetic and the same metering.
 
 // blockSource resolves a task's external block references: bound input
 // blocks and, in the fuse phase, aggregated main-multiplication partials.
@@ -91,47 +89,13 @@ type emitFn func(kind uint8, bi, bj int, blk matrix.Mat)
 
 // aggKind is the kind byte of a task-local aggregate of the stage's output
 // out (spec.OutAgg itself for output 0, the only one outside a
-// multi-aggregation stage); aggOutput reads the index back. The six bits
-// above the kind bound a stage to maxOutputs outputs.
+// multi-aggregation stage); aggOutput reads the index back and outKind the
+// kind. The six bits above the kind bound a stage to maxOutputs outputs.
 func aggKind(out int) uint8    { return spec.OutAgg | uint8(out)<<2 }
 func aggOutput(kind uint8) int { return int(kind >> 2) }
+func outKind(kind uint8) uint8 { return kind & 3 }
 
 const maxOutputs = 1 << 6
-
-// stageCtx is the per-stage execution context shared by all tasks: the fused
-// operator plus everything derived deterministically from the descriptor, so
-// coordinator and workers agree on it without shipping more than the spec.
-type stageCtx struct {
-	op        *FusedOp
-	ops       []*FusedOp // the stage's outputs: op, then one operator per plan of sp.Group
-	sp        *spec.Stage
-	colocated map[int]bool
-	mainIn    *dag.Node      // BFO: the co-partitioned main input (not broadcast)
-	epochs    map[int]uint64 // input epochs from the descriptor; empty = no caching
-}
-
-// newStageCtx builds the context of op's stage sp; group holds the plans of
-// sp.Group, the further outputs of a multi-aggregation.
-func newStageCtx(op *FusedOp, sp *spec.Stage, group ...*fusion.Plan) *stageCtx {
-	colocated := make(map[int]bool, len(sp.Colocated))
-	for _, id := range sp.Colocated {
-		colocated[id] = true
-	}
-	ctx := &stageCtx{op: op, ops: []*FusedOp{op}, sp: sp, colocated: colocated}
-	for _, p := range group {
-		ctx.ops = append(ctx.ops, &FusedOp{Plan: p, NoMask: sp.NoMask})
-	}
-	if sp.Broadcast {
-		ctx.mainIn = cost.MainInput(op.Plan)
-	}
-	if len(sp.Epochs) > 0 {
-		ctx.epochs = make(map[int]uint64, len(sp.Epochs))
-		for _, ne := range sp.Epochs {
-			ctx.epochs[ne.Node] = ne.Epoch
-		}
-	}
-	return ctx
-}
 
 // CacheCtx binds one task execution to its node/worker-resident block cache:
 // the cache itself, the stage generation driving hit visibility, and an
@@ -143,46 +107,43 @@ type CacheCtx struct {
 	Advert *spec.CacheAdvert
 }
 
-// evaluator builds a task's evaluator of op over the main multiplication's
-// k-block range [kLo, kHi), wired to the stage's co-partitioned inputs and to
-// the block cache. A nil cc, a nil cache or a stage without epochs leaves it
-// running fully uncached.
-func (ctx *stageCtx) evaluator(op *FusedOp, task *cluster.Task, src blockSource, cc *CacheCtx, kLo, kHi int) *evaluator {
-	ev := newEvaluator(op, task, src, ctx.sp.BlockSize, kLo, kHi)
-	ev.colocated = ctx.colocated
-	if cc != nil && cc.Cache != nil && len(ctx.epochs) > 0 {
+// evaluator builds a task's evaluator of output plan pc over the main
+// multiplication's k-block range [kLo, kHi), wired to the stage's
+// co-partitioned inputs and to the block cache. A nil cc, a nil cache or a
+// stage without epochs leaves it running fully uncached.
+func (st *Stage) evaluator(pc *planCtx, task *cluster.Task, src blockSource, cc *CacheCtx, kLo, kHi int) *evaluator {
+	ev := newEvaluator(pc, task, src, st.Spec.BlockSize, kLo, kHi)
+	ev.colocated = st.Spec.Colocated
+	if cc != nil && cc.Cache != nil && len(st.Spec.Epochs) > 0 {
 		ev.cache = cc.Cache
 		ev.cacheGen = cc.Gen
-		ev.epochs = ctx.epochs
+		ev.epochs = &st.Spec
 		ev.advert = cc.Advert
 	}
 	return ev
 }
 
-// taskOut is one output of a task: the node evaluated per output block and,
-// when its plan roots in an aggregation, the task-local partial the blocks
-// fold into, which leaves the task once, at the end.
+// taskOut is one output of a task: its evaluator and, when its plan roots in
+// an aggregation, the task-local partial the blocks fold into, which leaves
+// the task once, at the end.
 type taskOut struct {
 	ev      *evaluator
-	root    *dag.Node
-	agg     *dag.Node // the root aggregation; nil emits final blocks
 	partial *block.Matrix
 	kind    uint8 // the partial's kind byte (aggKind)
 }
 
-// outputs builds the task's outputs; outs[0] is ctx.op's. A multi-aggregation
-// stage has one per plan, and their evaluators read through one memo — its
-// plans hold no multiplication, so only leaves are memoised — which makes a
-// block several aggregations consume fetched, metered and cached once per
-// task.
-func (ctx *stageCtx) outputs(task *cluster.Task, src blockSource, cc *CacheCtx, kHi int) []taskOut {
-	outs := make([]taskOut, len(ctx.ops))
-	for i, op := range ctx.ops {
+// outputs builds the task's outputs, one per plan of the stage. Their
+// evaluators read through one memo — a multi-aggregation's plans hold no
+// multiplication, so only leaves are memoised — which makes a block several
+// aggregations consume fetched, metered and cached once per task.
+func (st *Stage) outputs(task *cluster.Task, src blockSource, cc *CacheCtx, kHi int) []taskOut {
+	outs := make([]taskOut, len(st.outs))
+	for i, pc := range st.outs {
 		o := &outs[i]
-		o.ev, o.kind = ctx.evaluator(op, task, src, cc, 0, kHi), aggKind(i)
+		o.ev, o.kind = st.evaluator(pc, task, src, cc, 0, kHi), aggKind(i)
 		o.ev.memo, o.ev.fetched = outs[0].ev.memo, outs[0].ev.fetched
-		if o.root, o.agg = op.effectiveRoot(); o.agg != nil {
-			o.partial = block.New(o.agg.Rows, o.agg.Cols, ctx.sp.BlockSize)
+		if pc.agg != nil {
+			o.partial = block.New(pc.agg.Rows, pc.agg.Cols, st.Spec.BlockSize)
 		}
 	}
 	return outs
@@ -192,10 +153,10 @@ func (ctx *stageCtx) outputs(task *cluster.Task, src blockSource, cc *CacheCtx, 
 // it.
 func (o *taskOut) eval(bi, bj int, emit emitFn) {
 	endKernel := o.ev.trace.Begin("kernel", "taskop")
-	blk := o.ev.evalBlock(o.root, bi, bj)
+	blk := o.ev.evalBlock(o.ev.pc.root, bi, bj)
 	endKernel()
-	if o.agg != nil {
-		aggregateLocal(o.ev.task, o.partial, o.agg.Agg, bi, bj, blk)
+	if agg := o.ev.pc.agg; agg != nil {
+		aggregateLocal(o.ev.task, o.partial, agg.Agg, bi, bj, blk)
 	} else if blk != nil {
 		emit(spec.OutFinal, bi, bj, blk)
 	}
@@ -203,7 +164,7 @@ func (o *taskOut) eval(bi, bj int, emit emitFn) {
 
 // flush emits the task-local aggregate, if the output has one.
 func (o *taskOut) flush(emit emitFn) {
-	if o.agg == nil {
+	if o.partial == nil {
 		return
 	}
 	o.partial.ForEach(func(k block.Key, blk matrix.Mat) {
@@ -215,50 +176,51 @@ func (o *taskOut) flush(emit emitFn) {
 // runStageTask executes task taskID of the stage: the single task body both
 // backends share. Results leave through emit; metering lands on task. cc
 // (optionally nil) binds the task to its node/worker-resident block cache.
-func runStageTask(ctx *stageCtx, taskID int, task *cluster.Task, src blockSource, emit emitFn, cc *CacheCtx) error {
+func runStageTask(st *Stage, taskID int, task *cluster.Task, src blockSource, emit emitFn, cc *CacheCtx) error {
 	if tt := task.Trace(); tt != nil {
 		src = tracedSource{src: src, tt: tt}
 		emit = tracedEmit(tt, emit)
 	}
 	return runTask(func() error {
-		switch ctx.sp.Phase {
+		switch st.Spec.Phase {
 		case spec.PhaseCuboid:
-			return ctx.runCuboidTask(taskID, task, src, emit, cc)
+			return st.runCuboidTask(taskID, task, src, emit, cc)
 		case spec.PhasePartial:
-			return ctx.runPartialTask(taskID, task, src, emit, cc)
+			return st.runPartialTask(taskID, task, src, emit, cc)
 		case spec.PhaseFuse:
-			return ctx.runFuseTask(taskID, task, src, emit, cc)
+			return st.runFuseTask(taskID, task, src, emit, cc)
 		case spec.PhaseGrid:
-			return ctx.runGridTask(taskID, task, src, emit, cc)
+			return st.runGridTask(taskID, task, src, emit, cc)
 		}
-		return fmt.Errorf("exec: unknown stage phase %q", ctx.sp.Phase)
+		return fmt.Errorf("exec: unknown stage phase %q", st.Spec.Phase)
 	})
 }
 
 // runCuboidTask handles the single-stage (R == 1) cuboid execution: the task
 // computes final output blocks of its (p, q) partition.
-func (ctx *stageCtx) runCuboidTask(taskID int, task *cluster.Task, src blockSource, emit emitFn, cc *CacheCtx) error {
-	q := len(ctx.sp.JRanges)
-	return ctx.evalOutputs(&ctx.outputs(task, src, cc, ctx.sp.GK)[0], taskID/q, taskID%q, emit)
+func (st *Stage) runCuboidTask(taskID int, task *cluster.Task, src blockSource, emit emitFn, cc *CacheCtx) error {
+	q := len(st.Spec.JRanges)
+	return st.evalOutputs(&st.outputs(task, src, cc, st.Spec.GK)[0], taskID/q, taskID%q, emit)
 }
 
 // runPartialTask handles stage one of an R > 1 execution: partial
 // main-multiplication results over the task's k-range, shuffled out.
-func (ctx *stageCtx) runPartialTask(taskID int, task *cluster.Task, src blockSource, emit emitFn, cc *CacheCtx) error {
-	sp := ctx.sp
+func (st *Stage) runPartialTask(taskID int, task *cluster.Task, src blockSource, emit emitFn, cc *CacheCtx) error {
+	sp := &st.Spec
 	q, r := len(sp.JRanges), len(sp.KRanges)
 	pi := taskID / (q * r)
 	qi := (taskID / r) % q
 	ri := taskID % r
 	kr := sp.KRanges[ri]
-	ev := ctx.evaluator(ctx.op, task, src, cc, kr.Lo, kr.Hi)
+	pc := st.outs[0]
+	ev := st.evaluator(pc, task, src, cc, kr.Lo, kr.Hi)
 	tt := task.Trace()
 	rowsp, colsp := sp.IRanges[pi], sp.JRanges[qi]
 	for bi := rowsp.Lo; bi < rowsp.Hi; bi++ {
 		for bj := colsp.Lo; bj < colsp.Hi; bj++ {
 			var part matrix.Mat
 			endKernel := tt.Begin("kernel", "taskop")
-			if ev.mask != nil {
+			if pc.mask != nil {
 				pattern, vals := ev.maskedMM(bi, bj)
 				if pattern == nil {
 					endKernel()
@@ -266,7 +228,7 @@ func (ctx *stageCtx) runPartialTask(taskID int, task *cluster.Task, src blockSou
 				}
 				part = pattern.WithValues(vals)
 			} else {
-				part = ev.evalBlock(ctx.op.Plan.MainMM, bi, bj)
+				part = ev.evalBlock(pc.plan.MainMM, bi, bj)
 			}
 			endKernel()
 			if part == nil {
@@ -282,11 +244,11 @@ func (ctx *stageCtx) runPartialTask(taskID int, task *cluster.Task, src blockSou
 // runFuseTask handles stage two of an R > 1 execution: the task pins the
 // aggregated multiplication results of its partition and applies the O-space
 // chain once.
-func (ctx *stageCtx) runFuseTask(taskID int, task *cluster.Task, src blockSource, emit emitFn, cc *CacheCtx) error {
-	sp := ctx.sp
+func (st *Stage) runFuseTask(taskID int, task *cluster.Task, src blockSource, emit emitFn, cc *CacheCtx) error {
+	sp := &st.Spec
 	q := len(sp.JRanges)
 	pi, qi := taskID/q, taskID%q
-	out := &ctx.outputs(task, src, cc, sp.GK)[0]
+	out := &st.outputs(task, src, cc, sp.GK)[0]
 	ri, rj := sp.IRanges[pi], sp.JRanges[qi]
 	for bi := ri.Lo; bi < ri.Hi; bi++ {
 		for bj := rj.Lo; bj < rj.Hi; bj++ {
@@ -294,23 +256,23 @@ func (ctx *stageCtx) runFuseTask(taskID int, task *cluster.Task, src blockSource
 			if err != nil {
 				return fmt.Errorf("exec: partial block (%d,%d): %w", bi, bj, err)
 			}
-			out.ev.memo[memoKey{ctx.op.Plan.MainMM.ID, bi, bj}] = blk // maskedMM / evalBlock find it pinned
+			out.ev.memo[memoKey{out.ev.pc.plan.MainMM.ID, bi, bj}] = blk // maskedMM / evalBlock find it pinned
 			if blk != nil {
 				task.GrowMem(blk.SizeBytes())
 			}
 		}
 	}
-	return ctx.evalOutputs(out, pi, qi, emit)
+	return st.evalOutputs(out, pi, qi, emit)
 }
 
 // runGridTask handles matmul-free plans, BFO executions and
 // multi-aggregations: a strided map over the output block grid, every output
 // evaluated per block.
-func (ctx *stageCtx) runGridTask(taskID int, task *cluster.Task, src blockSource, emit emitFn, cc *CacheCtx) error {
-	sp := ctx.sp
-	outs := ctx.outputs(task, src, cc, sp.GK)
+func (st *Stage) runGridTask(taskID int, task *cluster.Task, src blockSource, emit emitFn, cc *CacheCtx) error {
+	sp := &st.Spec
+	outs := st.outputs(task, src, cc, sp.GK)
 	if sp.Broadcast {
-		broadcastSides(ctx.op.Plan, ctx.mainIn, src, outs[0].ev, task)
+		broadcastSides(st.sides, src, outs[0].ev, task)
 	}
 	for l := taskID; l < sp.GI*sp.GJ; l += sp.NumTasks {
 		for i := range outs {
@@ -326,8 +288,8 @@ func (ctx *stageCtx) runGridTask(taskID int, task *cluster.Task, src blockSource
 // evalOutputs evaluates every block of out in partition (pi, qi) and emits
 // final blocks, or task-local aggregates when the plan roots in an
 // aggregation.
-func (ctx *stageCtx) evalOutputs(out *taskOut, pi, qi int, emit emitFn) error {
-	sp := ctx.sp
+func (st *Stage) evalOutputs(out *taskOut, pi, qi int, emit emitFn) error {
+	sp := &st.Spec
 	ri, rj := sp.IRanges[pi], sp.JRanges[qi]
 	for bi := ri.Lo; bi < ri.Hi; bi++ {
 		for bj := rj.Lo; bj < rj.Hi; bj++ {
@@ -345,12 +307,9 @@ func (ctx *stageCtx) evalOutputs(out *taskOut, pi, qi int, emit emitFn) error {
 // broadcastSides meters a full copy of every side matrix to the task, as the
 // BFO's matrix consolidation step does, and seeds the evaluator's fetch memo
 // so evaluation neither double-counts nor re-pulls them.
-func broadcastSides(p *fusion.Plan, mainIn *dag.Node, src blockSource, ev *evaluator, task *cluster.Task) {
+func broadcastSides(sides []*dag.Node, src blockSource, ev *evaluator, task *cluster.Task) {
 	bs := ev.blockSize
-	for _, in := range p.ExternalInputs() {
-		if in == mainIn || in.Op == dag.OpScalar {
-			continue
-		}
+	for _, in := range sides {
 		gi := (in.Rows + bs - 1) / bs
 		gj := (in.Cols + bs - 1) / bs
 		for bi := 0; bi < gi; bi++ {
@@ -368,39 +327,33 @@ func broadcastSides(p *fusion.Plan, mainIn *dag.Node, src blockSource, ev *evalu
 	}
 }
 
-// SpecStage is a shipped stage descriptor made ready to execute on a worker:
-// the plan is rebuilt from the descriptor once, and every task of the stage
-// the worker is assigned runs against it.
-type SpecStage struct{ ctx *stageCtx }
-
-// NewSpecStage rebuilds the plan — of a multi-aggregation, the plans — sp
-// describes.
-func NewSpecStage(sp *spec.Stage) (*SpecStage, error) {
-	plans := make([]*fusion.Plan, 1+len(sp.Group))
+// NewSpecStage makes a shipped stage descriptor ready to execute on a
+// worker: it rebuilds the plan — of a multi-aggregation, the plans — sp
+// describes, and the stage's context over them with the constructor lowering
+// uses, once; every task of the stage the worker is assigned runs against
+// the result.
+func NewSpecStage(sp *spec.Stage) (*Stage, error) {
+	outs := make([]*planCtx, 1+len(sp.Group))
 	for i, ps := range append([]spec.PlanSpec{sp.Plan}, sp.Group...) {
-		var err error
-		if plans[i], err = ps.Build(); err != nil {
+		p, err := ps.Build()
+		if err != nil {
 			return nil, err
 		}
+		outs[i] = newPlanCtx(p, sp.NoMask)
 	}
-	op := &FusedOp{Plan: plans[0], NoMask: sp.NoMask}
-	if sp.Broadcast {
-		op.Strategy = Broadcast
-	}
-	return &SpecStage{ctx: newStageCtx(op, sp, plans[1:]...)}, nil
+	return newStage(*sp, outs), nil
 }
 
-// RunTask runs one task of the stage: blocks are pulled through fetch and
-// result blocks handed to emit as they are produced (an emit error fails the
-// task). Metering lands on task and is reported back to the coordinator by
-// the caller. cc (optionally nil) is the worker's block-cache binding;
-// mutations land in cc.Advert when set.
-func (s *SpecStage) RunTask(taskID int, task *cluster.Task, cc *CacheCtx, fetch func(spec.BlockRef) (matrix.Mat, error), emit func(kind uint8, bi, bj int, blk matrix.Mat) error) error {
-	sp := s.ctx.sp
-	if taskID < 0 || taskID >= sp.NumTasks {
+// RunTask runs one task of the stage on a worker: blocks are pulled through
+// fetch and result blocks handed to emit as they are produced (an emit error
+// fails the task). Metering lands on task and is reported back to the
+// coordinator by the caller. cc (optionally nil) is the worker's block-cache
+// binding; mutations land in cc.Advert when set.
+func (st *Stage) RunTask(taskID int, task *cluster.Task, cc *CacheCtx, fetch func(spec.BlockRef) (matrix.Mat, error), emit func(kind uint8, bi, bj int, blk matrix.Mat) error) error {
+	if sp := &st.Spec; taskID < 0 || taskID >= sp.NumTasks {
 		return fmt.Errorf("exec: task %d outside stage %q (%d tasks)", taskID, sp.Name, sp.NumTasks)
 	}
-	return runStageTask(s.ctx, taskID, task, fetchSource{fetch}, func(kind uint8, bi, bj int, blk matrix.Mat) {
+	return runStageTask(st, taskID, task, fetchSource{fetch}, func(kind uint8, bi, bj int, blk matrix.Mat) {
 		if err := emit(kind, bi, bj, blk); err != nil {
 			panic(execPanic{fmt.Errorf("exec: sending result block (%d,%d): %w", bi, bj, err)})
 		}

@@ -280,13 +280,12 @@ func (c *Cache) fly(f *flight, key string, canon Canon, compile func() (*core.Ph
 	return pp, err
 }
 
-// Insert stores a compiled plan under key. The plan is pre-warmed (lazy
-// fusion-space trees built) so concurrent executions of the shared plan
-// never race on lazy initialisation.
+// Insert stores a compiled plan under key. A compiled plan carries its
+// lowered stages and is read-only from then on, so concurrent executions
+// share it as it is.
 func (c *Cache) Insert(key string, canon Canon, pp *core.PhysPlan) { c.insert(key, canon, pp) }
 
 func (c *Cache) insert(key string, canon Canon, pp *core.PhysPlan) *entry {
-	prewarm(pp)
 	e := &entry{
 		key:     key,
 		pp:      pp,
@@ -307,21 +306,6 @@ func (c *Cache) insert(key string, canon Canon, pp *core.PhysPlan) *entry {
 		delete(c.entries, last.Value.(*entry).key)
 	}
 	return e
-}
-
-// prewarm forces every lazily built structure the executor may touch, so a
-// cached plan shared across goroutines is read-only at execution time.
-func prewarm(pp *core.PhysPlan) {
-	for _, op := range pp.Ops {
-		if op.Plan != nil {
-			op.Plan.Spaces()
-		}
-		for _, p := range op.Group {
-			if p != nil {
-				p.Spaces()
-			}
-		}
-	}
 }
 
 // Stats returns hit/miss counters and the current entry count.

@@ -292,25 +292,27 @@ func TestRuntimeConformanceBlockCache(t *testing.T) {
 	}
 }
 
-// pipelineConformanceConfig narrows conformanceConfig to one lane per
-// worker with four waves of over-decomposition: every worker runs its
-// stage share sequentially from a queue, so on TCP an idle lane may steal.
-func pipelineConformanceConfig() cluster.Config {
-	cfg := conformanceConfig()
-	cfg.TasksPerNode = 1
-	cfg.Oversubscribe = 4
-	return cfg
+// wideRuntime is a coordinator that reports a wider cluster than it
+// dispatches to: plans compile for cfg, and lowered stages keep the task
+// counts cfg gives them, while the coordinator runs them on its own lanes.
+type wideRuntime struct {
+	*remote.Coordinator
+	cfg cluster.Config
 }
 
-// pipelineBackends returns the runtime constructors under
-// pipelineConformanceConfig.
+func (w wideRuntime) Config() cluster.Config { return w.cfg }
+
+// pipelineBackends returns the runtime constructors of backends, but with
+// the TCP coordinator running on one lane per worker while plans still
+// compile for conformanceConfig's four: every worker runs its share of a
+// stage sequentially from a queue, and an idle lane may steal.
 func pipelineBackends() map[string]func(t *testing.T) rt.Runtime {
 	return map[string]func(t *testing.T) rt.Runtime{
 		"sim": func(t *testing.T) rt.Runtime {
-			return cluster.MustNew(pipelineConformanceConfig())
+			return cluster.MustNew(conformanceConfig())
 		},
 		"tcp": func(t *testing.T) rt.Runtime {
-			cfg := pipelineConformanceConfig()
+			cfg := conformanceConfig()
 			addrs := make([]string, cfg.Nodes)
 			for i := range addrs {
 				w, err := remote.NewWorker("127.0.0.1:0")
@@ -320,12 +322,14 @@ func pipelineBackends() map[string]func(t *testing.T) rt.Runtime {
 				t.Cleanup(func() { w.Close() })
 				addrs[i] = w.Addr()
 			}
-			co, err := remote.NewCoordinatorConfig(cfg, addrs, remote.Config{})
+			lanes := cfg
+			lanes.TasksPerNode = 1
+			co, err := remote.NewCoordinatorConfig(lanes, addrs, remote.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { co.Close() })
-			return co
+			return wideRuntime{Coordinator: co, cfg: cfg}
 		},
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"fuseme/internal/core"
 	"fuseme/internal/obs"
 	"fuseme/internal/rt"
-	"fuseme/internal/rt/remote"
 	"fuseme/internal/workloads"
 )
 
@@ -79,7 +78,7 @@ func runJournaledGNMF(t *testing.T, rtm rt.Runtime) (first, second []normEvent, 
 	g := workloads.GNMF(users, items, k, inputs["X"].Density())
 	j := obs.NewJournal(0, nil)
 	o := &obs.Obs{Metrics: obs.NewRegistry(), Skew: obs.NewSkewDetector()}
-	if co, ok := rtm.(*remote.Coordinator); ok {
+	if co, ok := rtm.(interface{ SetObs(*obs.Obs) }); ok {
 		co.SetObs(o)
 	}
 	for run, query := range []string{"q1", "q2"} {
@@ -106,9 +105,9 @@ func runJournaledGNMF(t *testing.T, rtm rt.Runtime) (first, second []normEvent, 
 // counts, and stage_end flight records whose deterministic fields (chosen
 // (P,Q,R), predicted costs, flops, cache counters) match exactly. Only
 // timestamps, wall times, wire-byte volumes, steal counters and worker
-// attribution may differ between backends. Runs under
-// pipelineConformanceConfig: over-decomposed one-lane stages, so the TCP
-// side journals with queued tasks an idle lane may steal.
+// attribution may differ between backends. Runs on pipelineBackends: the
+// TCP side runs each worker's share of a stage on one lane, so it journals
+// with queued tasks an idle lane may steal.
 func TestRuntimeConformanceJournal(t *testing.T) {
 	ctors := pipelineBackends()
 	simFirst, simSecond, simTally := runJournaledGNMF(t, ctors["sim"](t))

@@ -13,24 +13,34 @@ import (
 	"fuseme/internal/workloads"
 )
 
-// stealConfig over-decomposes stages (Oversubscribe waves on one lane per
-// worker) so every worker's queue is several tasks deep at stage start: a
-// straggler's queue then stays non-empty for (depth-1) task delays, wide
-// enough that an idle worker reaches the steal path even when the machine
-// is loaded. The sim reference in each test must use the same config —
-// the plan (and therefore the accumulation order) depends on PlanSlots.
+// stealConfig is the cluster the steal tests compile for: six lanes per
+// worker, where the coordinator they run on has one (startStealCluster), so
+// every stage holds up to six tasks per lane and every worker's queue is
+// several tasks deep at stage start: a straggler's queue then stays non-empty
+// for (depth-1) task delays, wide enough that an idle worker reaches the
+// steal path even when the machine is loaded. The sim reference in each test
+// runs at this config, so it compiles the same plan and folds in the same
+// order.
 func stealConfig() cluster.Config {
 	cfg := testConfig()
-	cfg.TasksPerNode = 1
-	cfg.Oversubscribe = 6
+	cfg.TasksPerNode = 6
 	return cfg
 }
 
-// startStealCluster launches n workers and a coordinator under cfg — a
-// stealConfig variant: one task lane per worker, so queue depth survives long
-// enough for idle workers to have something to steal (with many lanes a
-// worker's whole queue goes in-flight at stage start).
-func startStealCluster(t *testing.T, cfg cluster.Config, n int) (*remote.Coordinator, []*remote.Worker) {
+// wideRuntime is a coordinator that reports a wider cluster than it
+// dispatches to: plans compile for cfg, and lowered stages keep the task
+// counts cfg gives them, while the coordinator runs them on its own lanes.
+type wideRuntime struct {
+	*remote.Coordinator
+	cfg cluster.Config
+}
+
+func (w wideRuntime) Config() cluster.Config { return w.cfg }
+
+// startStealCluster launches n workers and a coordinator with one task lane
+// per worker — with many lanes a worker's whole queue goes in-flight at stage
+// start — and returns it reporting stealConfig's width.
+func startStealCluster(t *testing.T, n int) (wideRuntime, []*remote.Worker) {
 	t.Helper()
 	workers := make([]*remote.Worker, n)
 	addrs := make([]string, n)
@@ -43,12 +53,16 @@ func startStealCluster(t *testing.T, cfg cluster.Config, n int) (*remote.Coordin
 		workers[i] = w
 		addrs[i] = w.Addr()
 	}
+	cfg := stealConfig()
+	cfg.TasksPerNode = 1
 	co, err := remote.NewCoordinator(cfg, addrs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { co.Close() })
-	return co, workers
+	wide := co.Config()
+	wide.TasksPerNode = stealConfig().TasksPerNode
+	return wideRuntime{Coordinator: co, cfg: wide}, workers
 }
 
 // TestRemoteStragglerSteal: with one worker slowed per task, the fast worker
@@ -66,7 +80,7 @@ func TestRemoteStragglerSteal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	co, workers := startStealCluster(t, stealConfig(), 2)
+	co, workers := startStealCluster(t, 2)
 	workers[1].SetTaskDelay(20 * time.Millisecond)
 	res, err := workloads.RunGNMF(core.FuseME{}, co, x, u, v, iters)
 	if err != nil {

@@ -142,11 +142,14 @@ func TestRemoteMultiStage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	forceR := func(pp *core.PhysPlan) {
+	forceR := func(pp *core.PhysPlan, cfg cluster.Config) {
 		for _, op := range pp.Ops {
 			if op.Strategy == exec.Cuboid && op.Plan.MainMM != nil {
 				op.P, op.Q, op.R = 2, 1, 2
 			}
+		}
+		if err := pp.Lower(cfg); err != nil {
+			t.Fatal(err)
 		}
 	}
 	cl := cluster.MustNew(co.Config())
@@ -154,7 +157,7 @@ func TestRemoteMultiStage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	forceR(pp)
+	forceR(pp, cl.Config())
 	simOut, err := core.Execute(pp, cl, inputs)
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +166,7 @@ func TestRemoteMultiStage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	forceR(pp2)
+	forceR(pp2, co.Config())
 	remOut, err := core.Execute(pp2, co, inputs)
 	if err != nil {
 		t.Fatal(err)

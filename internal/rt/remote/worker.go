@@ -382,7 +382,7 @@ func (w *Worker) handleConn(conn net.Conn) {
 // buildErr, as it would have failed them one by one.
 type workerStage struct {
 	stageAssign
-	exec     *exec.SpecStage
+	exec     *exec.Stage
 	buildErr error
 }
 

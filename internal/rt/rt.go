@@ -9,9 +9,11 @@
 // serializable descriptor (what a remote backend ships to workers). Both
 // drive the exact same executor task body, so the backends produce
 // bit-identical results and the descriptor path is exercised even locally.
-// Every stage the executor builds has both (internal/exec/paths.go is the one
-// place a Stage is constructed); a runtime still accepts a bare closure
-// through Runtime.RunStage.
+// The descriptor is lowered once, when the plan is compiled, and a runtime
+// must not modify it: a cached plan's stages run concurrently in several
+// sessions. Every stage the executor dispatches has both forms
+// (internal/exec/paths.go is the one place a Stage is constructed); a
+// runtime still accepts a bare closure through Runtime.RunStage.
 //
 // What the two backends do NOT share is the wire and the per-worker task
 // queues: only the TCP coordinator moves blocks and queues tasks at their

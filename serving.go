@@ -167,7 +167,7 @@ func (s *Session) planFingerprint(rtm rt.Runtime) string {
 	cc := rtm.Config()
 	fp := fmt.Sprintf("eng=%T%+v|cl=N%d,slots%d,M%d,B%d,net%g,comp%g,rt=%s",
 		s.engine, s.engine,
-		cc.Nodes, cc.PlanSlots(), cc.TaskMemBytes, cc.BlockSize,
+		cc.Nodes, cc.TotalSlots(), cc.TaskMemBytes, cc.BlockSize,
 		cc.NetBandwidth, cc.EffectiveCompBandwidth(), s.cfg.Runtime)
 	if cf, ok := rtm.(interface{ ClusterFingerprint() string }); ok {
 		fp += "|mem=" + cf.ClusterFingerprint()

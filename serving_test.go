@@ -246,9 +246,10 @@ func TestPlanCacheKeySensitivity(t *testing.T) {
 }
 
 // TestPlanCacheKeyCoversPlanInputs: sessions that share one PlanCache and
-// differ only in a cluster parameter the compile reads — Oversubscribe, then
+// differ only in a cluster parameter the compile reads — BlockSize, then
 // TasksPerNode — each get the plan their own compile picks, not the plan the
-// first session cached.
+// first session cached. (A compiled plan carries stages lowered for one block
+// size: a hit across block sizes would run the wrong grid.)
 func TestPlanCacheKeyCoversPlanInputs(t *testing.T) {
 	const script = "O = X * log(U %*% t(V) + 1e-3)"
 	pc := NewPlanCache(0)
@@ -269,10 +270,10 @@ func TestPlanCacheKeyCoversPlanInputs(t *testing.T) {
 	}
 	base := LocalClusterConfig()
 	basePlan, _ := explain(base, WithPlanCache(pc))
-	over, slots := base, base
-	over.Oversubscribe = 4
+	blocks, slots := base, base
+	blocks.BlockSize = 128
 	slots.TasksPerNode = 1
-	for name, c := range map[string]ClusterConfig{"Oversubscribe=4": over, "TasksPerNode=1": slots} {
+	for name, c := range map[string]ClusterConfig{"BlockSize=128": blocks, "TasksPerNode=1": slots} {
 		own, _ := explain(c)
 		if own == basePlan {
 			t.Fatalf("%s compiles the base plan %q: the case distinguishes nothing", name, own)
