@@ -74,7 +74,6 @@ func main() {
 	noPlanCache := flag.Bool("no-plan-cache", false, "disable the shared compiled-plan cache")
 	journal := flag.String("journal", "", "sink the query event journal to this JSONL file (the in-memory ring behind /v1/queries is always on)")
 	cacheBytes := flag.Int64("cache-bytes", 0, "per-worker block-cache budget for loop-invariant inputs (0 disables)")
-	cacheReplicas := flag.Int("cache-replicas", 2, "workers holding each hot cached block under -runtime tcp, primary included (1 disables replication)")
 	var datasets stringsFlag
 	flag.Var(&datasets, "dataset", "preload a named dataset: name=dense:RxC:lo:hi:seed, name=sparse:RxC:density:lo:hi:seed or name=file:PATH (repeatable)")
 	flag.Parse()
@@ -141,9 +140,6 @@ func main() {
 	scfg.JournalPath = *journal
 	if *cacheBytes > 0 {
 		scfg.SessionOptions = append(scfg.SessionOptions, fuseme.WithBlockCache(*cacheBytes))
-	}
-	if *cacheReplicas != 1 && *runtimeKind == "tcp" {
-		scfg.SessionOptions = append(scfg.SessionOptions, fuseme.WithCacheReplicas(*cacheReplicas))
 	}
 	srv, err := serve.New(scfg)
 	if err != nil {

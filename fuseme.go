@@ -330,11 +330,10 @@ type Session struct {
 	rtMu sync.Mutex
 	rtm  rt.Runtime // lazily constructed execution backend
 
-	// cc and rcfg are cfg with every option and environment override
-	// resolved, once, by NewSession: each backend the session builds, every
-	// plan it compiles and every report it renders reads these.
-	cc   cluster.Config
-	rcfg remote.Config
+	// cc is cfg with every option and environment override resolved, once,
+	// by NewSession: each backend the session builds, every plan it compiles
+	// and every report it renders reads it.
+	cc cluster.Config
 
 	obs         *obs.Obs    // never nil; components nil unless enabled
 	metricsAddr string      // WithMetricsAddr target; "" = no endpoint
@@ -508,7 +507,7 @@ func (s *Session) runtime() (rt.Runtime, error) {
 		if len(workers) == 0 {
 			return nil, errors.New("fuseme: tcp runtime needs worker addresses (ClusterConfig.Workers or FUSEME_WORKERS)")
 		}
-		co, err := remote.NewCoordinatorConfig(s.cc, workers, s.rcfg)
+		co, err := remote.NewCoordinator(s.cc, workers)
 		if err != nil {
 			return nil, err
 		}

@@ -230,7 +230,7 @@ func TestTCPStealAndDeathLeaveNoGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	co, err := remote.NewCoordinatorConfig(sess.cc, addrs, sess.rcfg)
+	co, err := remote.NewCoordinator(sess.cc, addrs)
 	if err != nil {
 		t.Fatal(err)
 	}

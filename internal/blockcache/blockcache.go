@@ -10,11 +10,11 @@
 //   - Epoch keying: block.Matrix epochs are globally unique and bumped on
 //     every mutation, so a stale entry can never match a fresh fetch key.
 //     Invalidation (InvalidateStale) is therefore a space optimisation, not
-//     a correctness requirement. Epochs also increase — a matrix made later
-//     has the larger one — and invalidation drops older epochs only, so an
-//     invalidation applied late (the TCP coordinator pushes it to the
-//     workers' control loops without waiting) cannot drop what a later stage
-//     has cached since: hit counts do not depend on when it lands.
+//     a correctness requirement. Each task bound to a cache applies it itself,
+//     for the epochs its stage names, before its first lookup; epochs
+//     increase — a matrix made later has the larger one — and invalidation
+//     drops older epochs only, so it never drops what a concurrent task of
+//     the same stage has just cached.
 //
 //   - Generation visibility: entries inserted during stage generation g only
 //     become hit-visible to stages with a generation > g. Tasks of one stage
@@ -97,13 +97,13 @@ func (c *Cache) Get(k Key, gen uint64) (matrix.Mat, bool) {
 }
 
 // Put inserts blk under k, charging bytes against the budget and evicting
-// least-recently-used entries as needed. It returns whether the entry was
-// added and the keys evicted to make room. Entries larger than the whole
-// budget are not cached. Re-putting an existing key refreshes its recency
-// and generation but never double-charges bytes.
-func (c *Cache) Put(k Key, blk matrix.Mat, bytes int64, gen uint64) (added bool, evicted []Key) {
+// least-recently-used entries as needed. It returns how many entries it
+// evicted to make room. Entries larger than the whole budget are not cached.
+// Re-putting an existing key refreshes its recency but keeps its generation,
+// and never double-charges bytes.
+func (c *Cache) Put(k Key, blk matrix.Mat, bytes int64, gen uint64) (evicted int) {
 	if c == nil || c.budget <= 0 || bytes > c.budget || bytes < 0 {
-		return false, nil
+		return 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -112,28 +112,24 @@ func (c *Cache) Put(k Key, blk matrix.Mat, bytes int64, gen uint64) (added bool,
 		// generation so the first insertion wins visibility.
 		el.Value.(*entry).blk = blk
 		c.lru.MoveToFront(el)
-		return false, nil
+		return 0
 	}
-	for c.bytes+bytes > c.budget {
-		evicted = append(evicted, c.evictOldest())
+	for ; c.bytes+bytes > c.budget; evicted++ {
+		c.remove(c.lru.Back())
+		c.evictions++
 	}
 	el := c.lru.PushFront(&entry{key: k, blk: blk, bytes: bytes, gen: gen})
 	c.items[k] = el
 	c.bytes += bytes
-	return true, evicted
+	return evicted
 }
 
-// evictOldest removes the LRU entry and returns its key. Caller holds mu and
-// guarantees the list is non-empty (budget > 0 implies at least one entry
-// whenever bytes > 0).
-func (c *Cache) evictOldest() Key {
-	el := c.lru.Back()
+// remove takes el out of the cache. Caller holds mu.
+func (c *Cache) remove(el *list.Element) {
 	e := el.Value.(*entry)
 	c.lru.Remove(el)
 	delete(c.items, e.key)
 	c.bytes -= e.bytes
-	c.evictions++
-	return e.key
 }
 
 // CountMiss records one miss. The caller invokes it after a Get miss that
@@ -149,31 +145,22 @@ func (c *Cache) CountMiss() {
 }
 
 // InvalidateStale drops every entry of the given node whose epoch is older
-// than epoch, returning the dropped keys. epoch 0 drops all entries of the
-// node. An entry with a newer epoch was cached after the invalidation was
-// issued, or belongs to a newer matrix the node was bound to before: it stays
-// (until the LRU takes it), which is what makes a late invalidation harmless.
-// Dropped entries do not count as evictions (they are invalidations, not
-// budget pressure).
-func (c *Cache) InvalidateStale(node int, epoch uint64) []Key {
+// than epoch. An entry with a newer epoch belongs to a newer matrix the node
+// was bound to before: it stays until the LRU takes it. Dropped entries do
+// not count as evictions (they are invalidations, not budget pressure).
+func (c *Cache) InvalidateStale(node int, epoch uint64) {
 	if c == nil {
-		return nil
+		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var dropped []Key
 	for el := c.lru.Front(); el != nil; {
 		next := el.Next()
-		e := el.Value.(*entry)
-		if e.key.Node == node && (epoch == 0 || e.key.Epoch < epoch) {
-			c.lru.Remove(el)
-			delete(c.items, e.key)
-			c.bytes -= e.bytes
-			dropped = append(dropped, e.key)
+		if k := el.Value.(*entry).key; k.Node == node && k.Epoch < epoch {
+			c.remove(el)
 		}
 		el = next
 	}
-	return dropped
 }
 
 // ResidentBytes returns the bytes currently charged against the budget.

@@ -11,11 +11,19 @@ func key(node int, epoch uint64, bi, bj int) Key {
 	return Key{Node: node, Epoch: epoch, BI: bi, BJ: bj}
 }
 
+// holds reports whether k is resident, without touching recency or counters.
+func (c *Cache) holds(k Key) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.items[k]
+	return ok
+}
+
 func TestGenerationVisibility(t *testing.T) {
 	c := New(1 << 20)
 	k := key(1, 7, 0, 0)
 	blk := matrix.NewDense(2, 2)
-	if added, _ := c.Put(k, blk, 32, 5); !added {
+	if c.Put(k, blk, 32, 5); !c.holds(k) {
 		t.Fatal("Put rejected a fitting entry")
 	}
 	// Same generation (or earlier): the entry must be invisible.
@@ -43,8 +51,8 @@ func TestRePutKeepsOriginalGeneration(t *testing.T) {
 	k := key(2, 9, 1, 1)
 	c.Put(k, nil, 100, 3)
 	// A later re-put must not double-charge or advance the visibility gen.
-	if added, _ := c.Put(k, nil, 100, 8); added {
-		t.Error("re-Put reported added")
+	if n := c.Put(k, nil, 100, 8); n != 0 {
+		t.Errorf("re-Put evicted %d entries", n)
 	}
 	if rb := c.ResidentBytes(); rb != 100 {
 		t.Errorf("resident = %d after re-Put, want 100", rb)
@@ -56,7 +64,7 @@ func TestRePutKeepsOriginalGeneration(t *testing.T) {
 
 func TestOversizedEntryNotCached(t *testing.T) {
 	c := New(64)
-	if added, _ := c.Put(key(0, 1, 0, 0), nil, 65, 1); added {
+	if c.Put(key(0, 1, 0, 0), nil, 65, 1); c.holds(key(0, 1, 0, 0)) {
 		t.Error("entry larger than the whole budget was cached")
 	}
 	if c.Len() != 0 || c.ResidentBytes() != 0 {
@@ -72,9 +80,8 @@ func TestLRUEvictionOrder(t *testing.T) {
 	c.Put(d, nil, 100, 1)
 	// Touch a so b becomes least recently used.
 	c.Get(a, 2)
-	_, evicted := c.Put(key(0, 1, 0, 3), nil, 100, 2)
-	if len(evicted) != 1 || evicted[0] != b {
-		t.Errorf("evicted %v, want [%v]", evicted, b)
+	if n := c.Put(key(0, 1, 0, 3), nil, 100, 2); n != 1 || c.holds(b) {
+		t.Errorf("evicted %d entries (b resident: %t), want b alone", n, c.holds(b))
 	}
 	if _, hit := c.Get(a, 3); !hit {
 		t.Error("recently used entry was evicted")
@@ -87,14 +94,9 @@ func TestInvalidateStale(t *testing.T) {
 	c.Put(key(1, 10, 0, 1), nil, 10, 1)
 	c.Put(key(1, 22, 0, 0), nil, 10, 2) // current epoch
 	c.Put(key(2, 10, 0, 0), nil, 10, 1) // different node, same stale epoch
-	dropped := c.InvalidateStale(1, 22)
-	if len(dropped) != 2 {
-		t.Fatalf("dropped %d entries, want 2", len(dropped))
-	}
-	for _, k := range dropped {
-		if k.Node != 1 || k.Epoch != 10 {
-			t.Errorf("dropped wrong key %v", k)
-		}
+	c.InvalidateStale(1, 22)
+	if c.Len() != 2 || c.holds(key(1, 10, 0, 0)) || c.holds(key(1, 10, 0, 1)) {
+		t.Fatalf("%d entries left, want node 1's two epoch-10 entries dropped", c.Len())
 	}
 	if _, hit := c.Get(key(1, 22, 0, 0), 3); !hit {
 		t.Error("current-epoch entry was invalidated")
@@ -108,18 +110,11 @@ func TestInvalidateStale(t *testing.T) {
 	if rb := c.ResidentBytes(); rb != 20 {
 		t.Errorf("resident = %d after invalidation, want 20", rb)
 	}
-	// An invalidation that lands late — the node has been rebound to a newer
-	// matrix and a later stage has cached its blocks — drops nothing of it.
+	// A node re-bound to an older matrix than one it has cached keeps the
+	// newer epoch's entries: only older epochs go.
 	c.Put(key(1, 30, 0, 0), nil, 10, 3)
-	if dropped := c.InvalidateStale(1, 22); len(dropped) != 0 {
-		t.Errorf("a late invalidation dropped %v", dropped)
-	}
-	if _, hit := c.Get(key(1, 30, 0, 0), 4); !hit {
-		t.Error("a late invalidation dropped a newer epoch's entry")
-	}
-	// Epoch 0 drops everything the node holds.
-	if dropped := c.InvalidateStale(1, 0); len(dropped) != 2 {
-		t.Errorf("epoch-0 invalidation dropped %d, want 2", len(dropped))
+	if c.InvalidateStale(1, 22); !c.holds(key(1, 30, 0, 0)) || !c.holds(key(1, 22, 0, 0)) {
+		t.Error("an invalidation dropped an entry of its own or a newer epoch")
 	}
 }
 
@@ -128,8 +123,8 @@ func TestNilCacheIsInert(t *testing.T) {
 	if _, hit := c.Get(key(0, 1, 0, 0), 5); hit {
 		t.Error("nil cache hit")
 	}
-	if added, evicted := c.Put(key(0, 1, 0, 0), nil, 8, 1); added || evicted != nil {
-		t.Error("nil cache accepted a Put")
+	if n := c.Put(key(0, 1, 0, 0), nil, 8, 1); n != 0 {
+		t.Errorf("nil cache evicted %d entries", n)
 	}
 	c.CountMiss()
 	c.InvalidateStale(0, 0)
@@ -143,49 +138,47 @@ func TestNilCacheIsInert(t *testing.T) {
 
 // TestBudgetInvariantRandomized is the LRU property test: under arbitrary
 // randomized insert/get/invalidate sequences and budgets, resident bytes
-// never exceed the budget, and the resident-byte counter always equals the
-// sum of the live entries' sizes.
+// never exceed the budget, the resident-byte counter always equals the sum
+// of the live entries' sizes, the LRU list and the index hold the same
+// entries, and every eviction Put reports is counted.
 func TestBudgetInvariantRandomized(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		budget := int64(rng.Intn(1000) + 1)
 		c := New(budget)
-		live := map[Key]int64{}
+		var evicted int64
 		for op := 0; op < 400; op++ {
 			k := key(rng.Intn(4), uint64(rng.Intn(6)+1), rng.Intn(3), rng.Intn(3))
 			switch rng.Intn(4) {
 			case 0, 1:
-				size := int64(rng.Intn(300))
-				added, evicted := c.Put(k, nil, size, uint64(op))
-				for _, ek := range evicted {
-					delete(live, ek)
-				}
-				if added {
-					live[k] = size
-				}
+				evicted += int64(c.Put(k, nil, int64(rng.Intn(300)), uint64(op)))
 			case 2:
 				c.Get(k, uint64(op))
 			case 3:
 				if rng.Intn(10) == 0 {
-					node, epoch := rng.Intn(4), uint64(rng.Intn(6)+1)
-					for _, dk := range c.InvalidateStale(node, epoch) {
-						delete(live, dk)
-					}
+					c.InvalidateStale(rng.Intn(4), uint64(rng.Intn(6)+1))
 				}
 			}
 			var want int64
-			for _, sz := range live {
-				want += sz
+			for el := c.lru.Front(); el != nil; el = el.Next() {
+				e := el.Value.(*entry)
+				if c.items[e.key] != el {
+					t.Fatalf("trial %d op %d: LRU entry %v not indexed", trial, op, e.key)
+				}
+				want += e.bytes
 			}
 			got := c.ResidentBytes()
 			if got != want {
-				t.Fatalf("trial %d op %d: resident = %d, tracked sum = %d", trial, op, got, want)
+				t.Fatalf("trial %d op %d: resident = %d, entry sum = %d", trial, op, got, want)
 			}
 			if got > budget {
 				t.Fatalf("trial %d op %d: resident %d exceeds budget %d", trial, op, got, budget)
 			}
-			if c.Len() != len(live) {
-				t.Fatalf("trial %d op %d: len = %d, tracked = %d", trial, op, c.Len(), len(live))
+			if c.Len() != c.lru.Len() {
+				t.Fatalf("trial %d op %d: len = %d, LRU holds %d", trial, op, c.Len(), c.lru.Len())
+			}
+			if s := c.Snapshot(); s.Evictions != evicted {
+				t.Fatalf("trial %d op %d: %d evictions counted, Put reported %d", trial, op, s.Evictions, evicted)
 			}
 		}
 	}

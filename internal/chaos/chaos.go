@@ -4,8 +4,8 @@
 // cluster's results against the same workload run undisturbed on the
 // simulated backend. The comparison is the whole point — a cluster that
 // loses and gains workers mid-computation must still produce the same
-// numbers, because retries re-home tasks, replicas keep caches warm, and
-// membership epochs fence every stale block.
+// numbers, because retries re-home tasks and content epochs fence every
+// stale cached block.
 package chaos
 
 import (
@@ -62,8 +62,7 @@ type Config struct {
 	// Cluster is the cluster shape (Nodes is overridden by Workers).
 	Cluster cluster.Config
 	// Transport tunes the coordinator; tests use a tight heartbeat so
-	// liveness transitions resolve quickly. Set CacheReplicas here to
-	// exercise replicated block placement under faults.
+	// liveness transitions resolve quickly.
 	Transport remote.Config
 	// CacheBytes, when positive, enables the loop-invariant block cache on
 	// every worker (including ones added mid-run) and on the reference run.
@@ -94,11 +93,9 @@ type Report struct {
 	EventsApplied []string            `json:"events_applied"`
 	MaxRelDiff    float64             `json:"max_rel_diff"`
 	KillRecovery  []float64           `json:"kill_recovery_seconds"` // Close() -> membership dead, per Kill
-	ReplicaBytes  int64               `json:"replica_bytes"`
 	WireBytes     int64               `json:"wire_bytes"`
 	FinalEpoch    uint64              `json:"final_epoch"`
 	PerStep       []cluster.Stats     `json:"-"` // stats delta of each workload step
-	StepReplicas  []int64             `json:"-"` // replica bytes pushed during each step
 	FinalMembers  []membership.Member `json:"-"`
 }
 
@@ -127,7 +124,6 @@ func Run(cfg Config, wl Workload) (*Report, error) {
 	}
 	rep := &Report{Workload: wl.Name, Steps: wl.Steps}
 	prev := h.co.Stats()
-	prevReplicas := h.co.ReplicaBytes()
 	for i := 0; i < wl.Steps; i++ {
 		for _, ev := range cfg.Events {
 			if ev.Before != i {
@@ -145,10 +141,9 @@ func Run(cfg Config, wl Workload) (*Report, error) {
 		if err := step(i); err != nil {
 			return nil, fmt.Errorf("chaos: %s step %d: %w", wl.Name, i, err)
 		}
-		cur, curReplicas := h.co.Stats(), h.co.ReplicaBytes()
+		cur := h.co.Stats()
 		rep.PerStep = append(rep.PerStep, cur.Sub(prev))
-		rep.StepReplicas = append(rep.StepReplicas, curReplicas-prevReplicas)
-		prev, prevReplicas = cur, curReplicas
+		prev = cur
 	}
 
 	got := outputs()
@@ -163,7 +158,6 @@ func Run(cfg Config, wl Workload) (*Report, error) {
 	}
 	st := h.co.Stats()
 	rep.WireBytes = st.TotalCommBytes() + st.ExtraWireBytes
-	rep.ReplicaBytes = h.co.ReplicaBytes()
 	rep.FinalEpoch = h.co.ClusterEpoch()
 	rep.FinalMembers = h.co.Members()
 	if rep.MaxRelDiff > cfg.Tolerance {

@@ -28,15 +28,16 @@ func fastTransport() remote.Config {
 
 // TestChaosGNMFSoak is the headline soak: a four-worker cluster loses two
 // workers and gains two replacements mid-GNMF (kills, a drain, and joins
-// interleaved between iterations) with the block cache and 2-way replica
-// placement on — and the surviving cluster's factors must match an
-// undisturbed simulated run within the repo's standard TCP tolerance (task
-// completion order permutes partial-aggregate merges by at most a ULP).
+// interleaved between iterations) with the block cache on — and the
+// surviving cluster's factors must match an undisturbed simulated run within
+// the repo's standard TCP tolerance (task completion order permutes
+// partial-aggregate merges by at most a ULP), and its last iteration must
+// still read X from the caches it has rebuilt.
 func TestChaosGNMFSoak(t *testing.T) {
 	cfg := Config{
 		Workers:    4,
 		Cluster:    testCluster(),
-		Transport:  remote.Config{CacheReplicas: 2, HeartbeatInterval: 25 * time.Millisecond, HeartbeatTimeout: 250 * time.Millisecond, DialTimeout: 500 * time.Millisecond},
+		Transport:  fastTransport(),
 		CacheBytes: 64 << 20,
 		Events: []Event{
 			{Before: 1, Kind: Kill, Worker: 1},
@@ -62,8 +63,8 @@ func TestChaosGNMFSoak(t *testing.T) {
 			t.Errorf("kill %d recovery = %gs, want (0, 15]", i, s)
 		}
 	}
-	if rep.ReplicaBytes == 0 {
-		t.Error("no replica bytes pushed with CacheReplicas=2")
+	if last := rep.PerStep[len(rep.PerStep)-1]; last.CacheHits == 0 {
+		t.Errorf("last step had no cache hits: %+v", last)
 	}
 	// 4 initial joins+activations already happened at construction; the 5
 	// events add at least: 2x(suspect+dead), 2x(join+activate), 1 leave.
@@ -128,9 +129,6 @@ func TestChaosUndisturbed(t *testing.T) {
 	}
 	if len(rep.EventsApplied) != 0 {
 		t.Errorf("control run applied events: %v", rep.EventsApplied)
-	}
-	if rep.ReplicaBytes != 0 {
-		t.Errorf("control run pushed %d replica bytes with CacheReplicas unset", rep.ReplicaBytes)
 	}
 }
 

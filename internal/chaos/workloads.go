@@ -10,7 +10,7 @@ import (
 // GNMFWorkload builds a stepwise GNMF run: one multiplicative-update
 // iteration per step, the plan compiled once per instance, factor state fed
 // forward — the paper's flagship iterative workload, and the one whose
-// loop-invariant X makes cache replication observable under worker loss.
+// loop-invariant X keeps the block cache busy across worker loss.
 func GNMFWorkload(users, items, k, blockSize, iters int) Workload {
 	return Workload{
 		Name:  "gnmf",

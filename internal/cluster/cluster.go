@@ -456,16 +456,6 @@ func (c *Cluster) TaskCache(taskID int) *blockcache.Cache {
 	return c.caches[taskID%len(c.caches)]
 }
 
-// InvalidateStaleEpochs drops cached blocks of node whose epoch is older than
-// epoch on every simulated node. Harmless but wasteful entries would never
-// be hit anyway (epochs are globally unique), so this is the sim-side
-// analogue of the coordinator's invalidation push: it frees budget.
-func (c *Cluster) InvalidateStaleEpochs(node int, epoch uint64) {
-	for _, cache := range c.caches {
-		cache.InvalidateStale(node, epoch)
-	}
-}
-
 // AddStats folds one stage's externally measured metrics (a remote backend's
 // wire accounting) into the cluster's totals.
 func (c *Cluster) AddStats(s Stats) {

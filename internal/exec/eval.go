@@ -40,8 +40,7 @@ type evaluator struct {
 	// All zero otherwise, which reproduces the uncached fetch path exactly.
 	cache    *blockcache.Cache
 	cacheGen uint64
-	epochs   *spec.Stage       // the stage advertising the bound inputs' content epochs
-	advert   *spec.CacheAdvert // cache-mutation delta to report (workers only)
+	epochs   *spec.Stage // the stage advertising the bound inputs' content epochs
 }
 
 type memoKey struct {
@@ -233,14 +232,7 @@ func (ev *evaluator) fetchExternal(n *dag.Node, bi, bj int) matrix.Mat {
 			// Only materialised blocks are cached (and counted as misses):
 			// all-zero blocks cost nothing to refetch on either backend.
 			ev.task.CacheMiss()
-			added, evicted := ev.cache.Put(ck, blk, blk.SizeBytes(), ev.cacheGen)
-			ev.task.AddCacheEvictions(len(evicted))
-			if ev.advert != nil {
-				if added {
-					ev.advert.Added = append(ev.advert.Added, ck)
-				}
-				ev.advert.Evicted = append(ev.advert.Evicted, evicted...)
-			}
+			ev.task.AddCacheEvictions(ev.cache.Put(ck, blk, blk.SizeBytes(), ev.cacheGen))
 		}
 	}
 	ev.memo[key] = blk

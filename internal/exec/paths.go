@@ -144,13 +144,6 @@ func dispatch(rtm rt.Runtime, o *obs.Obs, pred obs.FlightRecord, st *Stage, src 
 	var gen uint64
 	if cached {
 		gen = rtm.StageCacheGen()
-		// Drop residual cache entries of inputs that were rebound since they
-		// were cached: their epoch changed, so the entries can never hit
-		// again and only waste budget (on the TCP backend this pushes
-		// invalidation frames to the workers holding them).
-		for _, ne := range sp.Epochs {
-			rtm.InvalidateStaleEpochs(ne.Node, ne.Epoch)
-		}
 	}
 	red := newStageReducer(sp.NumTasks, route)
 	return runObservedStage(rtm, o, pred, &rt.Stage{

@@ -98,13 +98,22 @@ func outKind(kind uint8) uint8 { return kind & 3 }
 const maxOutputs = 1 << 6
 
 // CacheCtx binds one task execution to its node/worker-resident block cache:
-// the cache itself, the stage generation driving hit visibility, and an
-// optional delta the task's cache mutations are recorded into (remote workers
-// advertise the delta back to their coordinator).
+// the cache itself and the stage generation driving hit visibility.
 type CacheCtx struct {
-	Cache  *blockcache.Cache
-	Gen    uint64
-	Advert *spec.CacheAdvert
+	Cache *blockcache.Cache
+	Gen   uint64
+}
+
+// dropStale drops the cache's entries of each input the stage names whose
+// epoch is older than the stage's: the input was rebound since, so they can
+// never hit again and only take budget. Every task bound to a cache does it
+// before its first lookup, so a cache is coherent with the stage it serves
+// without anyone tracking what it holds; only older epochs go, so what a
+// concurrent task of the stage has cached stays.
+func (cc *CacheCtx) dropStale(sp *spec.Stage) {
+	for _, ne := range sp.Epochs {
+		cc.Cache.InvalidateStale(ne.Node, ne.Epoch)
+	}
 }
 
 // evaluator builds a task's evaluator of output plan pc over the main
@@ -118,7 +127,6 @@ func (st *Stage) evaluator(pc *planCtx, task *cluster.Task, src blockSource, cc 
 		ev.cache = cc.Cache
 		ev.cacheGen = cc.Gen
 		ev.epochs = &st.Spec
-		ev.advert = cc.Advert
 	}
 	return ev
 }
@@ -175,8 +183,12 @@ func (o *taskOut) flush(emit emitFn) {
 
 // runStageTask executes task taskID of the stage: the single task body both
 // backends share. Results leave through emit; metering lands on task. cc
-// (optionally nil) binds the task to its node/worker-resident block cache.
+// (optionally nil) binds the task to its node/worker-resident block cache,
+// which the task first rids of the stage's stale epochs.
 func runStageTask(st *Stage, taskID int, task *cluster.Task, src blockSource, emit emitFn, cc *CacheCtx) error {
+	if cc != nil {
+		cc.dropStale(&st.Spec)
+	}
 	if tt := task.Trace(); tt != nil {
 		src = tracedSource{src: src, tt: tt}
 		emit = tracedEmit(tt, emit)
@@ -348,7 +360,7 @@ func NewSpecStage(sp *spec.Stage) (*Stage, error) {
 // fetch and result blocks handed to emit as they are produced (an emit error
 // fails the task). Metering lands on task and is reported back to the
 // coordinator by the caller. cc (optionally nil) is the worker's block-cache
-// binding; mutations land in cc.Advert when set.
+// binding.
 func (st *Stage) RunTask(taskID int, task *cluster.Task, cc *CacheCtx, fetch func(spec.BlockRef) (matrix.Mat, error), emit func(kind uint8, bi, bj int, blk matrix.Mat) error) error {
 	if sp := &st.Spec; taskID < 0 || taskID >= sp.NumTasks {
 		return fmt.Errorf("exec: task %d outside stage %q (%d tasks)", taskID, sp.Name, sp.NumTasks)

@@ -39,8 +39,7 @@ const (
 	// Suspect: one transport operation failed; dispatch is paused while the
 	// coordinator probes the worker once before giving up on it.
 	Suspect
-	// Dead: the probe failed too. Terminal — the slot is never reused and
-	// the residency ledger forgets the worker's cached blocks.
+	// Dead: the probe failed too. Terminal — the slot is never reused.
 	Dead
 	// Left: the worker drained and departed voluntarily (msgLeave).
 	// Terminal, like Dead, but distinguishes operator intent in /v1/status.
@@ -281,22 +280,6 @@ func (t *Table) CountByState() map[State]int {
 		out[m.State]++
 	}
 	t.mu.Unlock()
-	return out
-}
-
-// LiveIDs returns the set of members that may legitimately hold cached
-// blocks: active and suspect (a suspect worker's cache survives the probe —
-// adverts are deltas, so dropping its ledger rows on mere suspicion would
-// under-count residency forever after it recovers).
-func (t *Table) LiveIDs() map[int]bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[int]bool)
-	for _, m := range t.members {
-		if m.State == Active || m.State == Suspect {
-			out[m.ID] = true
-		}
-	}
 	return out
 }
 

@@ -153,7 +153,7 @@ func TestRejoinIsNewMember(t *testing.T) {
 	}
 }
 
-func TestCountsAndLiveIDs(t *testing.T) {
+func TestCountsByState(t *testing.T) {
 	tbl := NewTable()
 	ids := make([]int, 5)
 	for i := range ids {
@@ -174,9 +174,8 @@ func TestCountsAndLiveIDs(t *testing.T) {
 			t.Errorf("count[%s] = %d, want %d", s, counts[s], n)
 		}
 	}
-	live := tbl.LiveIDs()
-	if !live[ids[0]] || !live[ids[1]] || len(live) != 2 {
-		t.Errorf("live ids = %v, want {%d, %d}", live, ids[0], ids[1])
+	if n := tbl.ActiveCount(); n != 1 {
+		t.Errorf("active count = %d, want 1", n)
 	}
 }
 
@@ -229,7 +228,7 @@ func TestTableConcurrency(t *testing.T) {
 					tbl.CountByState()
 				default:
 					tbl.Fingerprint()
-					tbl.LiveIDs()
+					tbl.ActiveCount()
 				}
 			}
 		}(g)

@@ -218,12 +218,9 @@ const (
 
 	// Elastic-membership metrics. MClusterWorkers is a per-state gauge
 	// series (label the liveness state with ClusterWorkersGauge);
-	// MMembershipChanges counts accepted membership-table transitions;
-	// MCacheReplicaBytes counts wire bytes spent pushing block-cache
-	// replicas to secondary holders.
+	// MMembershipChanges counts accepted membership-table transitions.
 	MClusterWorkers    = "fuseme_cluster_workers"
 	MMembershipChanges = "fuseme_membership_changes_total"
-	MCacheReplicaBytes = "fuseme_cache_replica_bytes"
 
 	// Worker-process metrics.
 	MWorkerTasksTotal  = "fuseme_worker_tasks_total"

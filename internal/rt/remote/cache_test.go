@@ -1,13 +1,15 @@
 package remote_test
 
 import (
+	"math"
 	"testing"
-	"time"
 
 	"fuseme/internal/block"
+	"fuseme/internal/blockcache"
 	"fuseme/internal/cluster"
 	"fuseme/internal/core"
 	"fuseme/internal/lang"
+	"fuseme/internal/rt"
 	"fuseme/internal/rt/remote"
 	"fuseme/internal/workloads"
 )
@@ -139,8 +141,8 @@ func TestRemoteCacheConformsToSim(t *testing.T) {
 
 // TestRemoteCacheInvalidationOnRebind: rebinding an input between queries
 // must never serve its stale blocks (the result matches an uncached
-// reference) and must reclaim the stale residency via the coordinator's
-// invalidation push.
+// reference), and the stale residency is reclaimed by the time the query
+// returns: each task drops the old epoch from its worker's cache itself.
 func TestRemoteCacheInvalidationOnRebind(t *testing.T) {
 	// The residency check below compares exact byte totals across runs; a
 	// stolen task would cache its inputs on a second worker (none is: every
@@ -190,8 +192,8 @@ func TestRemoteCacheInvalidationOnRebind(t *testing.T) {
 	}
 	stolen += co.Stats().StealTasks
 
-	// Rebind X; the stale blocks must not be served, and the next dispatch
-	// must push their invalidation to the holding workers.
+	// Rebind X; the stale blocks must not be served, and the tasks of the
+	// next run drop them from the caches they read.
 	inputs["X"] = mk(99)
 	co.ResetStats()
 	out, _, err := core.Run(core.FuseME{}, g, co, inputs)
@@ -210,25 +212,77 @@ func TestRemoteCacheInvalidationOnRebind(t *testing.T) {
 		t.Errorf("%d tasks stolen, want 0", stolen)
 	}
 
-	// The invalidation push is applied by the workers' control loops
-	// asynchronously; X's old and new blocks are the same size, so residency
-	// must settle back to the first run's level. Wake on each worker's
-	// control-push events rather than sleep-polling. The deadline is generous
-	// because the full -race suite saturates the machine and control loops
-	// can be descheduled for seconds.
-	deadline := time.After(15 * time.Second)
-	for {
-		applied0, applied1 := workers[0].ControlWatch(), workers[1].ControlWatch()
-		if resident() == resident1 {
-			break
-		}
-		select {
-		case <-applied0:
-		case <-applied1:
-		case <-deadline:
-			t.Fatalf("resident bytes after rebind = %d, want %d (stale blocks not reclaimed)",
-				resident(), resident1)
-		}
+	// X's old and new blocks are the same size, so residency is back at the
+	// first run's level as soon as the run returns.
+	if got := resident(); got != resident1 {
+		t.Errorf("resident bytes after rebind = %d, want %d (stale blocks not reclaimed)", got, resident1)
+	}
+}
+
+// TestRebindLeavesNoStaleEpoch: on either backend, once the run after a
+// rebind returns, no node or worker cache holds a block of the input's old
+// epoch. Nothing is pushed or awaited: every task drops the stale epochs its
+// stage names before it reads its cache, and each cache serves some task.
+func TestRebindLeavesNoStaleEpoch(t *testing.T) {
+	bs := testConfig().BlockSize
+	for _, backend := range []string{"sim", "tcp"} {
+		t.Run(backend, func(t *testing.T) {
+			var rtm rt.Runtime
+			var caches []*blockcache.Cache
+			if backend == "sim" {
+				cfg := testConfig()
+				cfg.CacheBytes = testCacheBudget
+				cl := cluster.MustNew(cfg)
+				for node := 0; node < cfg.Nodes; node++ {
+					caches = append(caches, cl.TaskCache(node))
+				}
+				rtm = cl
+			} else {
+				co, workers := startCachedCluster(t, 2)
+				for _, w := range workers {
+					caches = append(caches, w.BlockCache())
+				}
+				rtm = co
+			}
+			x, u, v := gnmfInputs(bs)
+			res, err := workloads.RunGNMF(core.FuseME{}, rtm, x, u, v, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var xNode int
+			for _, in := range workloads.GNMF(x.Rows, x.Cols, u.Rows, x.Density()).InputNodes() {
+				if in.Name == "X" {
+					xNode = in.ID
+				}
+			}
+			holdsOldX := func(c *blockcache.Cache) (n int) {
+				for bi := 0; bi < x.BlockRows(); bi++ {
+					for bj := 0; bj < x.BlockCols(); bj++ {
+						if _, ok := c.Get(blockcache.Key{Node: xNode, Epoch: x.Epoch(), BI: bi, BJ: bj}, math.MaxUint64); ok {
+							n++
+						}
+					}
+				}
+				return n
+			}
+			held := 0
+			for _, c := range caches {
+				held += holdsOldX(c)
+			}
+			if held == 0 {
+				t.Fatal("no cache holds X's blocks before the rebind")
+			}
+
+			x2 := block.RandomDense(x.Rows, x.Cols, bs, 0.5, 1.5, 99)
+			if _, err := workloads.RunGNMF(core.FuseME{}, rtm, x2, res.U, res.V, 1); err != nil {
+				t.Fatal(err)
+			}
+			for i, c := range caches {
+				if n := holdsOldX(c); n != 0 {
+					t.Errorf("cache %d still holds %d blocks of X's old epoch", i, n)
+				}
+			}
+		})
 	}
 }
 

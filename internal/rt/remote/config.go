@@ -15,14 +15,6 @@ type Config struct {
 	HeartbeatTimeout time.Duration
 	// DialTimeout bounds worker connection attempts (handshake and per-task).
 	DialTimeout time.Duration
-	// CacheReplicas is how many workers hold each hot cached block,
-	// including the primary (the worker whose task cached it). 1 — the
-	// library default — disables replication and keeps hit accounting
-	// bit-compatible with the simulated backend; k > 1 pushes each newly
-	// cached loop-invariant block to k-1 secondary holders so losing one
-	// worker no longer cold-starts the next iteration. The serve daemon
-	// defaults to 2.
-	CacheReplicas int
 }
 
 // DefaultConfig returns the transport defaults (the former constants).
@@ -31,7 +23,6 @@ func DefaultConfig() Config {
 		HeartbeatInterval: 500 * time.Millisecond,
 		HeartbeatTimeout:  2 * time.Second,
 		DialTimeout:       5 * time.Second,
-		CacheReplicas:     1,
 	}
 }
 
@@ -47,9 +38,6 @@ func (c Config) withDefaults() Config {
 	if c.DialTimeout == 0 {
 		c.DialTimeout = d.DialTimeout
 	}
-	if c.CacheReplicas == 0 {
-		c.CacheReplicas = d.CacheReplicas
-	}
 	return c
 }
 
@@ -64,8 +52,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("remote: HeartbeatTimeout = %v, must be >= 0", c.HeartbeatTimeout)
 	case c.DialTimeout < 0:
 		return fmt.Errorf("remote: DialTimeout = %v, must be >= 0", c.DialTimeout)
-	case c.CacheReplicas < 0:
-		return fmt.Errorf("remote: CacheReplicas = %d, must be >= 0", c.CacheReplicas)
 	}
 	f := c.withDefaults()
 	if f.HeartbeatTimeout <= f.HeartbeatInterval {

@@ -33,9 +33,8 @@ import (
 // outright: the worker turns suspect, dispatch pauses, and one fresh-dial
 // probe decides between recovery and eviction. Every accepted membership
 // change rebalances the dispatch scheduler to alive-workers x TasksPerNode
-// slots, reconciles the cache-residency ledger, bumps the cluster epoch
-// (which compiled-plan cache keys embed via ClusterFingerprint), and pushes
-// the new table to the workers.
+// slots, bumps the cluster epoch (which compiled-plan cache keys embed via
+// ClusterFingerprint), and pushes the new table to the workers.
 //
 // Scheduling is home placement over live workers; each dispatch lane runs
 // its tasks over a persistent task stream taken from the worker's idle list
@@ -43,11 +42,12 @@ import (
 // turns out to have died). A stream is handed the stage descriptor once per
 // stage generation and tasks by id after that.
 // The failed task retries on survivors up to Config.MaxTaskRetries,
-// matching the simulated backend's retry semantics. With
-// Config.CacheReplicas = k > 1, each block a worker newly caches is pushed
-// to k-1 secondary holders chosen deterministically (home id + 1, + 2, ...)
-// and retries re-home the task onto exactly those holders, so one worker
-// loss no longer cold-starts the next iteration.
+// matching the simulated backend's retry semantics.
+//
+// The coordinator keeps no record of what the workers' block caches hold:
+// each task keeps its worker's cache coherent from the stage descriptor
+// alone (exec drops the stale epochs it names), so nothing about a cache
+// crosses the wire.
 //
 // The coordinator meters real wire traffic into cluster.Stats. Bytes with a
 // simulated counterpart land in the matching counter so the two backends are
@@ -55,17 +55,11 @@ import (
 // traffic, and partial/aggregate result uploads are aggregation traffic.
 // Bytes the simulation does not model — colocated input shipments (local
 // reads in a real deployment), fuse-phase partial re-delivery, final result
-// blocks, replica pushes — are recorded separately as ExtraWireBytes.
+// blocks — are recorded separately as ExtraWireBytes.
 type Coordinator struct {
 	local *cluster.Cluster
-	rcfg  Config // transport tuning, validated and defaulted
-
-	// mem is the membership table; ledger the cache-residency ledger (which
-	// block-cache keys each live worker advertised as held, fed by
-	// msgCacheAd deltas and replica pushes, reconciled on every membership
-	// change).
-	mem    *membership.Table
-	ledger *membership.Ledger[blockcache.Key]
+	rcfg  Config            // transport tuning, validated and defaulted
+	mem   *membership.Table // worker liveness
 
 	// addMu serializes membership-mutating operations (AddWorker, leave) so
 	// member IDs always equal their slot in the workers slice.
@@ -85,9 +79,6 @@ type Coordinator struct {
 	joinMu sync.Mutex
 	joinLn net.Listener
 	joinWG sync.WaitGroup
-
-	// replicaBytes counts wire bytes spent pushing cache replicas.
-	replicaBytes atomic.Int64
 
 	// Intra-task parallelism settings shipped verbatim in every stageAssign.
 	// kernelThreads is the cluster config's explicit count (0 = each worker
@@ -169,10 +160,9 @@ type workerConn struct {
 	alive atomic.Bool
 
 	// ctrlMu serializes control-connection exchanges (heartbeat ping/pong,
-	// cache invalidation and replica pushes, membership updates); each
-	// holder sets its own deadline. ptrMu guards the conn pointer itself, so
-	// a probe can swap in a fresh connection while Close interrupts a
-	// blocked exchange by closing the old one.
+	// membership updates); each holder sets its own deadline. ptrMu guards
+	// the conn pointer itself, so a probe can swap in a fresh connection
+	// while Close interrupts a blocked exchange by closing the old one.
 	ctrlMu sync.Mutex
 	ptrMu  sync.Mutex
 	ctrl   net.Conn
@@ -298,7 +288,6 @@ func NewCoordinatorConfig(cfg cluster.Config, addrs []string, rcfg Config) (*Coo
 		local:         local,
 		rcfg:          rcfg,
 		mem:           membership.NewTable(),
-		ledger:        membership.NewLedger[blockcache.Key](),
 		hbStop:        make(chan struct{}),
 		kernelThreads: cfg.KernelThreads,
 		taskSlots:     cfg.TasksPerNode,
@@ -412,12 +401,11 @@ func (c *Coordinator) removeWorker(addr string) error {
 }
 
 // onMembershipChange is the membership.Table change hook: rebalance the
-// dispatch scheduler, reconcile the residency ledger, refresh metrics, and
-// push the new table to the workers.
+// dispatch scheduler, refresh metrics, and push the new table to the
+// workers.
 func (c *Coordinator) onMembershipChange(ev membership.Event) {
 	scheduler, _, _ := c.schedulerTag()
 	scheduler.Resize(c.mem.ActiveCount() * c.taskSlots)
-	c.ledger.Reconcile(c.mem.LiveIDs())
 	if o := c.getObs(); o.Enabled() {
 		o.Counter(obs.MMembershipChanges).Inc()
 		for st, n := range c.mem.CountByState() {
@@ -572,8 +560,8 @@ func (c *Coordinator) suspectAndProbe(w *workerConn) bool {
 	return true
 }
 
-// markDead evicts a suspect worker whose probe failed. Ledger cleanup and
-// metric refresh happen in the membership-change hook.
+// markDead evicts a suspect worker whose probe failed. The metric refresh
+// happens in the membership-change hook.
 func (c *Coordinator) markDead(w *workerConn) {
 	w.alive.Store(false)
 	c.mem.MarkDead(w.id)
@@ -587,110 +575,6 @@ func (c *Coordinator) StageCacheGen() uint64 { return c.local.StageCacheGen() }
 // itself — caches live in the worker processes — so there is never a local
 // cache to arm.
 func (c *Coordinator) TaskCache(taskID int) *blockcache.Cache { return nil }
-
-// InvalidateStaleEpochs implements rt.Runtime: every worker whose
-// advertised residency includes entries for node with an older epoch gets a
-// msgCacheInv push, and those ledger entries are pruned. Correctness never
-// depends on the push (epochs are globally unique, so stale keys cannot be
-// hit); it only reclaims worker memory promptly. Nor do hit counts depend on
-// when a worker applies it — the push is not acknowledged — because it drops
-// older epochs only, never what a later stage cached in the meantime
-// (blockcache.InvalidateStale).
-func (c *Coordinator) InvalidateStaleEpochs(node int, epoch uint64) {
-	stale := c.ledger.Collect(func(id int, k blockcache.Key) bool {
-		return k.Node == node && k.Epoch < epoch
-	})
-	for id, keys := range stale {
-		for _, k := range keys {
-			c.ledger.Remove(id, k)
-		}
-		w := c.workerByID(id)
-		if w == nil || !w.alive.Load() {
-			continue
-		}
-		if err := c.sendInvalidate(w, spec.CacheInvalidate{Node: node, Epoch: epoch}); err != nil {
-			c.suspectAndProbe(w)
-		}
-	}
-}
-
-// sendInvalidate pushes one cache invalidation over the worker's control
-// connection.
-func (c *Coordinator) sendInvalidate(w *workerConn, inv spec.CacheInvalidate) error {
-	w.ctrlMu.Lock()
-	defer w.ctrlMu.Unlock()
-	cn := w.conn()
-	cn.SetDeadline(time.Now().Add(c.rcfg.HeartbeatTimeout))
-	return writeFrame(cn, msgCacheInv, spec.EncodeCacheInvalidate(inv))
-}
-
-// sendCachePut pushes one replicated cache block over the worker's control
-// connection.
-func (c *Coordinator) sendCachePut(w *workerConn, p cachePut) error {
-	w.ctrlMu.Lock()
-	defer w.ctrlMu.Unlock()
-	cn := w.conn()
-	cn.SetDeadline(time.Now().Add(c.rcfg.HeartbeatTimeout))
-	return writeGob(cn, msgCachePut, p)
-}
-
-// replicateAdvert pushes each block a task newly cached to
-// Config.CacheReplicas-1 secondary holders: the workers at home id + 1,
-// home id + 2, ... (mod cluster size), which is exactly where
-// runTaskWithRetry re-homes the task if the primary dies. Only blocks of
-// the executing stage's own input epochs replicate — anything else in the
-// advert is stale by definition. The pushed bytes are metered as
-// ExtraWireBytes (the simulation does not model replication) and in the
-// fuseme_cache_replica_bytes counter.
-func (c *Coordinator) replicateAdvert(st *rt.Stage, home *workerConn, ad *spec.CacheAdvert, gen uint64, wire *wireMeter) {
-	k := c.rcfg.CacheReplicas
-	if k <= 1 || len(ad.Added) == 0 {
-		return
-	}
-	ws := c.snapshotWorkers()
-	n := len(ws)
-	if n < 2 {
-		return
-	}
-	for _, key := range ad.Added {
-		if ep, ok := st.Spec.EpochOf(key.Node); !ok || ep != key.Epoch {
-			continue
-		}
-		var data []byte
-		encoded := false
-		for j := 1; j < k && j < n; j++ {
-			tgt := ws[(home.id+j)%n]
-			if tgt.id == home.id || !tgt.alive.Load() || c.ledger.Holds(tgt.id, key) {
-				continue
-			}
-			if !encoded {
-				m, err := st.Fetch(spec.BlockRef{Kind: spec.RefInput, Node: key.Node, BI: key.BI, BJ: key.BJ})
-				if err != nil {
-					return
-				}
-				data, err = spec.EncodeBlock(m)
-				if err != nil {
-					return
-				}
-				encoded = true
-			}
-			if err := c.sendCachePut(tgt, cachePut{Key: key, Gen: gen, Data: data}); err != nil {
-				c.suspectAndProbe(tgt)
-				continue
-			}
-			c.ledger.Add(tgt.id, key)
-			nb := int64(len(data))
-			c.replicaBytes.Add(nb)
-			wire.extra.Add(nb)
-			if o := c.getObs(); o.Enabled() {
-				o.Counter(obs.MCacheReplicaBytes).Add(nb)
-			}
-		}
-	}
-}
-
-// ReplicaBytes returns the total wire bytes spent pushing cache replicas.
-func (c *Coordinator) ReplicaBytes() int64 { return c.replicaBytes.Load() }
 
 // AliveWorkers reports how many workers still answer.
 func (c *Coordinator) AliveWorkers() int {
@@ -1012,9 +896,7 @@ func (c *Coordinator) RunSpecStage(st *rt.Stage) error {
 // otherwise. The home formula ((taskID + 0) mod workers) is therefore
 // the same home placement the simulated backend uses for its task caches
 // (so a recurring task lands on the worker that cached its inputs and the
-// two backends agree on hit counts), and attempts 1..k-1 land exactly on
-// the secondary holders replicateAdvert chose — a re-homed task finds warm
-// replicas instead of cold-starting. It also returns the worker that
+// two backends agree on hit counts). It also returns the worker that
 // completed the task, so the caller can merge the returned span batch with
 // that worker's clock offset.
 func (c *Coordinator) runTaskWithRetry(st *rt.Stage, taskID int, gen uint64, wire *wireMeter, colocated map[int]bool, first *workerConn) (*taskResult, *workerConn, error) {
@@ -1104,7 +986,7 @@ func (c *Coordinator) runTaskOn(w *workerConn, st *rt.Stage, taskID int, gen uin
 				return &taskResult{}, err
 			}
 		}
-		done, heard, err := c.serveTask(s, w, st, taskID, gen, wire, colocated)
+		done, heard, err := c.serveTask(s, st, taskID, gen, wire, colocated)
 		var te taskError
 		if s.err == nil && (err == nil || errors.As(err, &te)) {
 			c.putIdle(w, s)
@@ -1122,7 +1004,7 @@ func (c *Coordinator) runTaskOn(w *workerConn, st *rt.Stage, taskID int, gen uin
 // first when the stream has not seen this generation — and serves the
 // worker's block fetches and takes its result blocks until it reports done
 // or failed. heard reports whether the worker sent anything at all in reply.
-func (c *Coordinator) serveTask(s *stream, w *workerConn, st *rt.Stage, taskID int, gen uint64, wire *wireMeter, colocated map[int]bool) (res *taskResult, heard bool, err error) {
+func (c *Coordinator) serveTask(s *stream, st *rt.Stage, taskID int, gen uint64, wire *wireMeter, colocated map[int]bool) (res *taskResult, heard bool, err error) {
 	res = &taskResult{}
 	defer func() {
 		if err != nil {
@@ -1173,13 +1055,6 @@ func (c *Coordinator) serveTask(s *stream, w *workerConn, st *rt.Stage, taskID i
 			// to the pool after Collect; the stream reads on into another.
 			res.blocks = append(res.blocks, ob)
 			res.bufs = append(res.bufs, s.takeRead())
-		case msgCacheAd:
-			ad, err := spec.DecodeCacheAdvert(payload)
-			if err != nil {
-				return res, true, err
-			}
-			c.ledger.Record(w.id, ad.Added, ad.Evicted)
-			c.replicateAdvert(st, w, ad, gen, wire)
 		case msgDone:
 			if err := s.decodeGob(payload, &res.taskDone); err != nil {
 				return res, true, err

@@ -11,7 +11,6 @@ import (
 	"fuseme/internal/lang"
 	"fuseme/internal/membership"
 	"fuseme/internal/rt/remote"
-	"fuseme/internal/workloads"
 )
 
 // fastConfig is transport tuning with a tight heartbeat so liveness
@@ -305,70 +304,5 @@ func TestDeathRoutesThroughSuspect(t *testing.T) {
 	}
 	if alive := co.AliveWorkers(); alive != 1 {
 		t.Errorf("AliveWorkers = %d, want 1", alive)
-	}
-}
-
-// TestReplicationWarmFailover is the replicated-block-placement
-// differential: with CacheReplicas=2 on a two-worker cluster, losing one
-// worker between iterations must leave the survivor's cache warm for the
-// re-homed tasks, shipping strictly fewer input bytes than the same failure
-// under CacheReplicas=1.
-func TestReplicationWarmFailover(t *testing.T) {
-	run := func(replicas int) (replicaBytes, reFetchBytes, hits int64) {
-		workers := make([]*remote.Worker, 2)
-		addrs := make([]string, 2)
-		for i := range workers {
-			w, err := remote.NewWorker("127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { w.Close() })
-			w.SetCacheBytes(testCacheBudget)
-			workers[i] = w
-			addrs[i] = w.Addr()
-		}
-		cfg := testConfig()
-		cfg.CacheBytes = testCacheBudget
-		rcfg := fastConfig()
-		rcfg.CacheReplicas = replicas
-		co, err := remote.NewCoordinatorConfig(cfg, addrs, rcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { co.Close() })
-
-		bs := cfg.BlockSize
-		x, u, v := gnmfInputs(bs)
-		if _, err := workloads.RunGNMF(core.FuseME{}, co, x, u.Clone(), v.Clone(), 1); err != nil {
-			t.Fatal(err)
-		}
-		replicaBytes = co.ReplicaBytes()
-
-		// Kill worker 0; its primaries are gone, and every task re-homes to
-		// worker 1 — which holds replicas of worker 0's blocks iff k=2.
-		workers[0].Close()
-		waitForState(t, co, 0, membership.Dead)
-		co.ResetStats()
-		if _, err := workloads.RunGNMF(core.FuseME{}, co, x, u.Clone(), v.Clone(), 1); err != nil {
-			t.Fatal(err)
-		}
-		st := co.Stats()
-		return replicaBytes, st.ConsolidationBytes, st.CacheHits
-	}
-
-	rb1, refetch1, _ := run(1)
-	rb2, refetch2, hits2 := run(2)
-	if rb1 != 0 {
-		t.Errorf("CacheReplicas=1 pushed %d replica bytes, want 0", rb1)
-	}
-	if rb2 == 0 {
-		t.Error("CacheReplicas=2 pushed no replica bytes")
-	}
-	if hits2 == 0 {
-		t.Error("no cache hits after failover with replicas")
-	}
-	if refetch2 >= refetch1 {
-		t.Errorf("post-failure input fetches with replicas (%d bytes) not below without (%d bytes)",
-			refetch2, refetch1)
 	}
 }

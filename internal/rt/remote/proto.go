@@ -5,21 +5,20 @@
 // Every connection carries length-framed messages
 // ([type byte][uint32 big-endian length][payload]), each sent with one Write.
 // The coordinator opens one persistent control connection per worker for the
-// handshake, heartbeats and pushes, and keeps a small set of persistent
-// task streams per worker — at most TasksPerNode idle ones, the lanes that
-// exist — each carrying one task at a time, any number in sequence.
+// handshake, heartbeats and membership pushes, and keeps a small set of
+// persistent task streams per worker — at most TasksPerNode idle ones, the
+// lanes that exist — each carrying one task at a time, any number in
+// sequence.
 //
-// Frame table, protocol v8 (C = coordinator, W = worker; "gob" = encoded by
+// Frame table, protocol v9 (C = coordinator, W = worker; "gob" = encoded by
 // the connection's gob stream, "raw" = fixed binary layout):
 //
-//	control connection (C dials; per-message gob, low rate)
+//	control connection (C dials; per-message gob, low rate, no block)
 //	  C→W msgHello        gob(hello)         opens the connection
 //	  W→C msgHelloAck     gob(helloAck)
 //	  C→W msgPing         empty
 //	  W→C msgPong         gob(pong)
-//	  C→W msgCacheInv     raw  spec.EncodeCacheInvalidate     no reply
 //	  C→W msgMemberUpdate gob(memberUpdate)                   no reply
-//	  C→W msgCachePut     gob(cachePut)                       no reply
 //
 //	task stream (C dials; ONE gob.Encoder/Decoder pair per direction for the
 //	stream's lifetime, so type descriptors travel once)
@@ -29,12 +28,14 @@
 //	  W→C msgFetch        raw  25-byte block reference
 //	  C→W msgBlock        raw  status byte + FME1 block       the reply
 //	  W→C msgResult       raw  17-byte result header + FME1 block
-//	  W→C msgCacheAd      raw  spec.EncodeCacheAdvert         before msgDone
 //	  W→C msgDone         gob(taskDone)      ends the task; the stream is idle
 //	  W→C msgFail         gob(taskFail)      ends the task; the stream is idle
 //
 //	join listener (W dials C; one exchange per connection, per-message gob)
 //	  W→C msgJoin / msgLeave, C→W msgMemberUpdate or msgFail
+//
+//	retired, never reused: 10 (cache advert), 11 (cache invalidation push),
+//	15 (cache replica put) and 16–18 (proto v5's prefetch and steal frames)
 //
 // Between msgTask and msgDone the stream is a private request/response
 // channel: the coordinator serves the worker's block fetches, one at a time,
@@ -42,6 +43,8 @@
 // Pull-based fetching means the worker discovers exactly the blocks the
 // fused kernel needs — the same dedup and colocation accounting as the
 // simulated backend, because both run the identical executor task body.
+// That body also keeps a worker's block cache coherent: it drops the stale
+// epochs the stage descriptor names, so no frame carries cache state.
 //
 // Buffer ownership. A block crosses each hop with one copy: the sender
 // encodes it straight into the stream's write buffer behind the frame header
@@ -65,54 +68,57 @@ import (
 	"slices"
 	"sync"
 
-	"fuseme/internal/blockcache"
 	"fuseme/internal/matrix"
 	"fuseme/internal/rt/spec"
 )
 
 // Protocol version, checked during the control-connection handshake.
-// Version 2 added the block-cache coherence frames (msgCacheAd,
-// msgCacheInval) and the stage generation in taskAssign. Version 3 added
-// distributed tracing: the Trace flag in taskAssign, worker span batches in
-// taskDone, and the worker-clock timestamp in the pong payload that the
-// coordinator's skew estimator consumes. Version 4 added elastic
-// membership: msgJoin/msgLeave on the coordinator's join listener so
-// workers register (and drain away) at any time, msgMemberUpdate pushing
-// the membership table to workers, and msgCachePut carrying replicated
-// cache blocks to secondary holders. Version 5 added record-and-replay
-// prefetch and the work-stealing opt-out. Version 6 made task connections
-// persistent streams: msgStage ships the descriptor once per (stream, stage
-// generation), msgTask assigns by id, fetch requests are fixed binary,
-// result blocks travel as msgResult frames ahead of a small msgDone.
+// Version 2 added the block-cache coherence frames (the worker's cache advert
+// and the coordinator's invalidation push) and the stage generation in
+// taskAssign. Version 3 added distributed tracing: the Trace flag in
+// taskAssign, worker span batches in taskDone, and the worker-clock timestamp
+// in the pong payload that the coordinator's skew estimator consumes.
+// Version 4 added elastic membership: msgJoin/msgLeave on the coordinator's
+// join listener so workers register (and drain away) at any time,
+// msgMemberUpdate pushing the membership table to workers, and a replica put
+// carrying cached blocks to secondary holders. Version 5 added
+// record-and-replay prefetch and the work-stealing opt-out. Version 6 made
+// task connections persistent streams: msgStage ships the descriptor once per
+// (stream, stage generation), msgTask assigns by id, fetch requests are fixed
+// binary, result blocks travel as msgResult frames ahead of a small msgDone.
 // Version 7 ships multi-aggregation stages (spec.Stage.Group; a v6 worker
 // would run the first plan alone): the kind byte of a msgResult header
 // carries the output's index above the kind, so the frames of a
 // single-output stage are what they were. Version 8 removes what version 5
 // added — prefetch hints and pulls, the fetch report, the steal opt-out and
-// the release push — and retires frame types 16–18.
-const protoVersion = 8
+// the release push — and retires frame types 16–18. Version 9 removes the
+// cache frames of versions 2 and 4 — the advert, the invalidation push and
+// the replica put — and retires frame types 10, 11 and 15: a worker drops
+// stale epochs itself, as the stage descriptor names them, and no control
+// frame carries a block any more.
+const protoVersion = 9
 
 // Frame types.
 const (
-	msgHello    = byte(1)  // coordinator → worker: gob(hello), opens control conn
-	msgHelloAck = byte(2)  // worker → coordinator: gob(helloAck)
-	msgPing     = byte(3)  // coordinator → worker: empty
-	msgPong     = byte(4)  // worker → coordinator: gob(pong)
-	msgTask     = byte(5)  // coordinator → worker: gob(taskAssign), on a task stream after its msgStage
-	msgFetch    = byte(6)  // worker → coordinator: block reference (appendRef)
-	msgBlock    = byte(7)  // coordinator → worker: block payload (see below)
-	msgDone     = byte(8)  // worker → coordinator: gob(taskDone)
-	msgFail     = byte(9)  // worker → coordinator: gob(taskFail)
-	msgCacheAd  = byte(10) // worker → coordinator: spec.EncodeCacheAdvert, on task stream before msgDone
-	msgCacheInv = byte(11) // coordinator → worker: spec.EncodeCacheInvalidate, on control conn, no reply
+	msgHello    = byte(1) // coordinator → worker: gob(hello), opens control conn
+	msgHelloAck = byte(2) // worker → coordinator: gob(helloAck)
+	msgPing     = byte(3) // coordinator → worker: empty
+	msgPong     = byte(4) // worker → coordinator: gob(pong)
+	msgTask     = byte(5) // coordinator → worker: gob(taskAssign), on a task stream after its msgStage
+	msgFetch    = byte(6) // worker → coordinator: block reference (appendRef)
+	msgBlock    = byte(7) // coordinator → worker: block payload (see below)
+	msgDone     = byte(8) // worker → coordinator: gob(taskDone)
+	msgFail     = byte(9) // worker → coordinator: gob(taskFail)
+
+	// 10 and 11 were the cache advert and invalidation push; retired, not reused.
 
 	// Elastic-membership frames (proto v4).
 	msgJoin         = byte(12) // worker → coordinator: gob(joinReq), on join listener
 	msgLeave        = byte(13) // worker → coordinator: gob(leaveReq), on join listener
 	msgMemberUpdate = byte(14) // coordinator → worker: gob(memberUpdate); join/leave ack and control-conn push
-	msgCachePut     = byte(15) // coordinator → worker: gob(cachePut), on control conn, no reply
 
-	// 16–18 were proto v5's prefetch and steal frames; retired, not reused.
+	// 15 was the cache replica put, 16–18 proto v5's prefetch and steal
+	// frames; retired, not reused.
 
 	// Persistent-stream frames (proto v6).
 	msgStage  = byte(19) // coordinator → worker: gob(stageAssign); opens a task stream, re-sent per stage generation
@@ -126,17 +132,14 @@ const (
 	blockError = byte(2) // error string follows
 )
 
-// Frame size limits. A length prefix is checked against the limit of its
-// frame type before anything is allocated, and a larger one is
-// ErrFrameTooLarge. Block frames on a task stream (msgBlock, msgResult) are
-// bounded by what the shipped stage's BlockSize allows; the stream's other
-// frames (descriptors, assignments, completion reports) by maxControlFrame.
-// The control connection keeps the format's own maxFrame: msgCachePut
-// carries a block there with no stage to bound it.
-const (
-	maxFrame        = 1 << 30
-	maxControlFrame = 16 << 20
-)
+// maxControlFrame bounds every frame that carries no block. A length prefix
+// is checked against the limit of its frame type before anything is
+// allocated, and a larger one is ErrFrameTooLarge. Block frames on a task
+// stream (msgBlock, msgResult) are bounded by what the shipped stage's
+// BlockSize allows; the stream's other frames (descriptors, assignments,
+// completion reports) and every frame of the control and join connections
+// by maxControlFrame.
+const maxControlFrame = 16 << 20
 
 // ErrFrameTooLarge reports a frame whose length prefix exceeds the limit
 // for its type on that connection — a corrupt prefix or a hostile peer.
@@ -244,17 +247,6 @@ type MemberInfo struct {
 type memberUpdate struct {
 	Epoch   uint64
 	Members []MemberInfo
-}
-
-// cachePut replicates one cached block to a secondary holder: the worker
-// stores Data (FME1 bytes; empty = all-zero block) under Key at generation
-// Gen, exactly as if its own task had cached it. No reply — the coordinator
-// records the placement in its residency ledger optimistically and any loss
-// shows up as a miss, never as corruption.
-type cachePut struct {
-	Key  blockcache.Key
-	Gen  uint64
-	Data []byte
 }
 
 // writeFrame writes one framed message with a single Write. It serves the

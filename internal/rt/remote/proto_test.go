@@ -3,6 +3,7 @@ package remote
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"io"
 	"net"
@@ -157,6 +158,85 @@ func TestFrameLimits(t *testing.T) {
 	if n := resultHeaderSize + matrix.EncodedSize(full); n > blockFrameLimit(16) {
 		t.Errorf("full CSR block frame is %d bytes, bound %d", n, blockFrameLimit(16))
 	}
+}
+
+// TestControlFrameCap: no control frame carries a block, so a length prefix
+// above maxControlFrame on the control connection is ErrFrameTooLarge. The
+// loop ends on it before allocating the payload, and a real worker hangs up.
+func TestControlFrameCap(t *testing.T) {
+	over := uint32(maxControlFrame + 1)
+	hdr := []byte{msgMemberUpdate, byte(over >> 24), byte(over >> 16), byte(over >> 8), byte(over)}
+	var err error
+	loop := func() { err = (&Worker{}).controlLoop(replayConn{r: bytes.NewReader(hdr)}) }
+	if got := allocPerOp(20, loop); got > 1024 {
+		t.Errorf("refusing an oversized control frame allocates %.0f B", got)
+	}
+	if !errors.Is(err, ErrFrameTooLarge) {
+		t.Errorf("control loop ended with %v, want ErrFrameTooLarge", err)
+	}
+
+	w, err := NewWorker("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { w.Close(); w.Wait() }()
+	conn := dialControl(t, w)
+	if _, err := conn.Write(hdr); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := readFrame(conn, maxControlFrame); !errors.Is(err, io.EOF) {
+		t.Errorf("after an oversized control frame: read err = %v, want EOF", err)
+	}
+}
+
+// dialControl opens a control connection to w and completes the handshake.
+func dialControl(t testing.TB, w *Worker) net.Conn {
+	t.Helper()
+	conn, err := net.DialTimeout("tcp", w.Addr(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	if err := writeGob(conn, msgHello, hello{Proto: protoVersion}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := expectFrame(conn, msgHelloAck, maxControlFrame); err != nil {
+		t.Fatal(err)
+	}
+	return conn
+}
+
+// FuzzControlLoop: whatever frames follow the handshake on a worker's control
+// connection, the worker does not panic, and once the coordinator's end is
+// closed no goroutine of the worker keeps the connection.
+func FuzzControlLoop(f *testing.F) {
+	var upd bytes.Buffer
+	gob.NewEncoder(&upd).Encode(memberUpdate{Epoch: 3, Members: []MemberInfo{{ID: 0, Addr: "a:1", State: "active", Epoch: 3}}})
+	f.Add([]byte{})
+	f.Add(frame(msgPing, nil))
+	f.Add(append(frame(msgPing, nil), frame(msgMemberUpdate, upd.Bytes())...))
+	f.Add(frame(msgMemberUpdate, upd.Bytes()[:upd.Len()/2]))
+	f.Add(frame(msgStage, []byte{1, 2, 3}))       // not a control frame: skipped
+	f.Add([]byte{msgMemberUpdate, 0x01, 0, 0, 1}) // above maxControlFrame
+	f.Add([]byte{msgPing, 0, 0})                  // a cut header
+	w, err := NewWorker("127.0.0.1:0")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { w.Close(); w.Wait() })
+	f.Fuzz(func(t *testing.T, data []byte) {
+		conn := dialControl(t, w)
+		conn.Write(data) // the worker may hang up first
+		conn.(*net.TCPConn).CloseWrite()
+		io.Copy(io.Discard, conn) // pongs, until the worker hangs up
+		conn.Close()
+		select {
+		case <-w.ControlDrop():
+		case <-time.After(10 * time.Second):
+			t.Fatal("the worker still holds the control connection after it closed")
+		}
+	})
 }
 
 // loopbackStreams returns the two ends of one real TCP connection.
@@ -448,15 +528,15 @@ func TestDrainWakesOnTaskCompletion(t *testing.T) {
 	}
 }
 
-// TestHandshakeRefusesOtherVersions: protocol v8 does not interoperate with
-// v7 in either direction, and both ends say so at the handshake.
+// TestHandshakeRefusesOtherVersions: protocol v9 does not interoperate with
+// v8 in either direction, and both ends say so at the handshake.
 func TestHandshakeRefusesOtherVersions(t *testing.T) {
-	if protoVersion != 8 {
-		t.Fatalf("protoVersion = %d, want 8", protoVersion)
+	if protoVersion != 9 {
+		t.Fatalf("protoVersion = %d, want 9", protoVersion)
 	}
 	cfg := cluster.Config{TasksPerNode: 1, TaskMemBytes: 1 << 30, NetBandwidth: 1e9, CompBandwidth: 50e9, BlockSize: 16}
 
-	// A v7 worker: acknowledges with its own version.
+	// A v8 worker: acknowledges with its own version.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -469,16 +549,16 @@ func TestHandshakeRefusesOtherVersions(t *testing.T) {
 				return
 			}
 			if _, err := expectFrame(conn, msgHello, maxControlFrame); err == nil {
-				writeGob(conn, msgHelloAck, helloAck{Proto: 7})
+				writeGob(conn, msgHelloAck, helloAck{Proto: 8})
 			}
 			conn.Close()
 		}
 	}()
 	if _, err := NewCoordinatorConfig(cfg, []string{ln.Addr().String()}, DefaultConfig()); err == nil || !strings.Contains(err.Error(), "protocol mismatch") {
-		t.Errorf("coordinator against a v7 worker: err = %v, want protocol mismatch", err)
+		t.Errorf("coordinator against a v8 worker: err = %v, want protocol mismatch", err)
 	}
 
-	// A v7 coordinator against this worker: told the worker's version, then
+	// A v8 coordinator against this worker: told the worker's version, then
 	// hung up on.
 	w, err := NewWorker("127.0.0.1:0")
 	if err != nil {
@@ -491,7 +571,7 @@ func TestHandshakeRefusesOtherVersions(t *testing.T) {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	if err := writeGob(conn, msgHello, hello{Proto: 7}); err != nil {
+	if err := writeGob(conn, msgHello, hello{Proto: 8}); err != nil {
 		t.Fatal(err)
 	}
 	payload, err := expectFrame(conn, msgHelloAck, maxControlFrame)
@@ -503,10 +583,10 @@ func TestHandshakeRefusesOtherVersions(t *testing.T) {
 		t.Errorf("ack = %+v, err %v; want the worker's version %d", ack, err, protoVersion)
 	}
 	if _, _, err := readFrame(conn, maxControlFrame); !errors.Is(err, io.EOF) {
-		t.Errorf("after a v7 hello: read err = %v, want EOF", err)
+		t.Errorf("after a v8 hello: read err = %v, want EOF", err)
 	}
 
-	// A v7 worker registering at the join listener.
+	// A v8 worker registering at the join listener.
 	co, err := NewCoordinatorConfig(cfg, []string{w.Addr()}, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -516,7 +596,7 @@ func TestHandshakeRefusesOtherVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := joinExchange(joinAddr, 5*time.Second, msgJoin, joinReq{Proto: 7, Addr: "127.0.0.1:1"}); err == nil || !strings.Contains(err.Error(), "protocol mismatch") {
-		t.Errorf("v7 join: err = %v, want protocol mismatch", err)
+	if _, err := joinExchange(joinAddr, 5*time.Second, msgJoin, joinReq{Proto: 8, Addr: "127.0.0.1:1"}); err == nil || !strings.Contains(err.Error(), "protocol mismatch") {
+		t.Errorf("v8 join: err = %v, want protocol mismatch", err)
 	}
 }

@@ -54,9 +54,9 @@ type Worker struct {
 
 	// view is the latest membership table pushed by the coordinator
 	// (msgMemberUpdate), nil before the first push. ctrlWatch (same lock) is
-	// closed whenever the control loop applies a coordinator push — a
-	// membership update, cache invalidation, or replica put — so waiters can
-	// block for control-plane convergence instead of sleep-polling.
+	// closed whenever the control loop applies a membership update, so
+	// waiters can block for control-plane convergence instead of
+	// sleep-polling.
 	viewMu    sync.Mutex
 	view      []MemberInfo
 	epoch     uint64
@@ -296,9 +296,8 @@ func (w *Worker) ClusterView() ([]MemberInfo, uint64) {
 }
 
 // ControlWatch returns a channel closed the next time the control loop
-// applies a coordinator push (membership update, cache invalidation, replica
-// put). Snapshot the channel, check the awaited state (ClusterView,
-// CacheStats), and block on the channel only if it does not hold yet.
+// applies a membership update. Snapshot the channel, check the awaited
+// ClusterView, and block on the channel only if it does not hold yet.
 func (w *Worker) ControlWatch() <-chan struct{} {
 	w.viewMu.Lock()
 	defer w.viewMu.Unlock()
@@ -308,7 +307,7 @@ func (w *Worker) ControlWatch() <-chan struct{} {
 	return w.ctrlWatch
 }
 
-// ctrlNotify wakes ControlWatch waiters after an applied control push.
+// ctrlNotify wakes ControlWatch waiters after an applied membership update.
 func (w *Worker) ctrlNotify() {
 	w.viewMu.Lock()
 	if w.ctrlWatch != nil {
@@ -426,63 +425,33 @@ func (w *Worker) serveStream(s *stream, firstStage []byte) {
 	}
 }
 
-// controlLoop answers heartbeats and applies cache invalidations until the
-// connection drops.
-func (w *Worker) controlLoop(conn net.Conn) {
+// controlLoop answers heartbeats and applies membership updates until the
+// connection drops, a frame exceeds maxControlFrame (no control frame carries
+// a block) or a payload does not decode, and returns what ended it.
+func (w *Worker) controlLoop(conn net.Conn) error {
 	for {
-		typ, payload, err := readFrame(conn, maxFrame)
+		typ, payload, err := readFrame(conn, maxControlFrame)
 		if err != nil {
-			return
+			return err
 		}
 		switch typ {
 		case msgPing:
-			if writeGob(conn, msgPong, pong{UnixNano: time.Now().UnixNano()}) != nil {
-				return
+			if err := writeGob(conn, msgPong, pong{UnixNano: time.Now().UnixNano()}); err != nil {
+				return err
 			}
-		case msgCacheInv:
-			// Coordinator push: a binding was rebound, drop its stale
-			// blocks. No reply — the heartbeat channel stays request/response
-			// clean, and neither correctness nor hit counts depend on when
-			// the drop happens (epochs are globally unique, so stale entries
-			// can't be hit, and only older epochs are dropped, so blocks a
-			// later stage has cached by now stay).
-			inv, err := spec.DecodeCacheInvalidate(payload)
-			if err != nil {
-				return
-			}
-			w.cache.Load().InvalidateStale(inv.Node, inv.Epoch)
-			w.ctrlNotify()
 		case msgMemberUpdate:
 			// Coordinator push after a membership change: remember the
 			// table so operators (and the reconnect loop) can inspect the
 			// worker's view of the cluster. No reply.
 			var upd memberUpdate
 			if err := decodeGob(payload, &upd); err != nil {
-				return
+				return err
 			}
 			w.viewMu.Lock()
 			if upd.Epoch >= w.epoch {
 				w.view, w.epoch = upd.Members, upd.Epoch
 			}
 			w.viewMu.Unlock()
-			w.ctrlNotify()
-		case msgCachePut:
-			// Replica push: store the block exactly as if one of this
-			// worker's own tasks had cached it at generation Gen. No reply;
-			// a dropped put surfaces as a later miss, never as corruption.
-			var p cachePut
-			if err := decodeGob(payload, &p); err != nil {
-				return
-			}
-			cache := w.cache.Load()
-			if cache == nil || len(p.Data) == 0 {
-				break
-			}
-			blk, err := spec.DecodeBlock(p.Data)
-			if err != nil || blk == nil {
-				break
-			}
-			cache.Put(p.Key, blk, blk.SizeBytes(), p.Gen)
 			w.ctrlNotify()
 		}
 	}
@@ -535,7 +504,7 @@ func (w *Worker) runTask(s *stream, st *workerStage, assign *taskAssign) bool {
 
 	var cc *exec.CacheCtx
 	if cache != nil && len(st.Stage.Epochs) > 0 {
-		cc = &exec.CacheCtx{Cache: cache, Gen: assign.Gen, Advert: &spec.CacheAdvert{}}
+		cc = &exec.CacheCtx{Cache: cache, Gen: assign.Gen}
 	}
 	start := time.Now()
 	if d := w.taskDelay.Load(); d > 0 {
@@ -566,14 +535,6 @@ func (w *Worker) runTask(s *stream, st *workerStage, assign *taskAssign) bool {
 	}
 	if err != nil {
 		return s.writeGob(msgFail, taskFail{Err: err.Error()}) == nil
-	}
-	if cc != nil && !cc.Advert.Empty() {
-		// Advertise cache mutations before msgDone so the coordinator's
-		// residency ledger is current by the time the task completes.
-		cc.Advert.ResidentBytes = cache.ResidentBytes()
-		if s.writeFrame(msgCacheAd, spec.EncodeCacheAdvert(cc.Advert)) != nil {
-			return false
-		}
 	}
 	var spans []spec.SpanRec
 	if tt != nil {

@@ -60,9 +60,6 @@ type Runtime interface {
 	// runs on, or nil when caching is disabled or the cache is not reachable
 	// in-process (the TCP coordinator's caches live inside remote workers).
 	TaskCache(taskID int) *blockcache.Cache
-	// InvalidateStaleEpochs drops cached blocks of node whose epoch is older
-	// than epoch, on every node/worker.
-	InvalidateStaleEpochs(node int, epoch uint64)
 	// Close releases backend resources (worker connections).
 	Close() error
 }

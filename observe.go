@@ -23,10 +23,6 @@ const EnvCacheBytes = "FUSEME_CACHE_BYTES"
 // cores.
 const EnvKernelThreads = "FUSEME_KERNEL_THREADS"
 
-// envCacheReplicas sets how many workers hold each cached block on the TCP
-// runtime (see WithCacheReplicas).
-const envCacheReplicas = "FUSEME_CACHE_REPLICAS"
-
 // EnvJournal names a JSONL file to sink the query event journal to (see
 // WithJournal). Unset leaves journaling off.
 const EnvJournal = "FUSEME_JOURNAL"
@@ -142,26 +138,9 @@ func WithBlockCache(bytes int64) Option {
 	}
 }
 
-// WithCacheReplicas sets how many workers hold each hot cached block on the
-// TCP runtime, including the primary. The default 1 disables replication
-// (and keeps cache-hit accounting identical to the simulated backend);
-// k > 1 pushes each newly cached loop-invariant block to k-1 secondary
-// holders so a single worker loss no longer cold-starts the next iteration.
-// Environment override: FUSEME_CACHE_REPLICAS.
-func WithCacheReplicas(k int) Option {
-	return func(s *Session) error {
-		if k < 1 {
-			return fmt.Errorf("fuseme: CacheReplicas = %d, must be >= 1", k)
-		}
-		s.rcfg.CacheReplicas = k
-		return nil
-	}
-}
-
-// resolveSettings fixes the three settings with more than one source, after
-// the options ran: cache bytes (option > environment > off), kernel threads
-// (environment > ClusterConfig field) and cache replicas (option >
-// environment > 1). rcfg's other fields stay zero: the transport defaults.
+// resolveSettings fixes the two settings with more than one source, after
+// the options ran: cache bytes (option > environment > off) and kernel
+// threads (environment > ClusterConfig field).
 func (s *Session) resolveSettings() error {
 	cacheBytes, _, err := envInt(EnvCacheBytes, 0, "a non-negative byte count")
 	if err != nil {
@@ -176,13 +155,6 @@ func (s *Session) resolveSettings() error {
 	}
 	if ok {
 		s.cc.KernelThreads = int(threads)
-	}
-	replicas, _, err := envInt(envCacheReplicas, 1, "a positive integer")
-	if err != nil {
-		return err
-	}
-	if s.rcfg.CacheReplicas == 0 {
-		s.rcfg.CacheReplicas = int(replicas) // still 0 when unset: the default, 1
 	}
 	return nil
 }

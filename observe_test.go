@@ -221,13 +221,9 @@ func TestSessionOptionValidation(t *testing.T) {
 	if _, err := NewSession(cfg, WithBlockCache(-1)); err == nil {
 		t.Error("WithBlockCache(-1) accepted")
 	}
-	if _, err := NewSession(cfg, WithCacheReplicas(0)); err == nil {
-		t.Error("WithCacheReplicas(0) accepted")
-	}
 	for _, c := range []struct{ env, bad, good string }{
 		{EnvKernelThreads, "many", "2"},
 		{EnvCacheBytes, "-1", "0"},
-		{envCacheReplicas, "0", "2"},
 	} {
 		t.Setenv(c.env, c.bad)
 		if _, err := NewSession(cfg); err == nil || !strings.Contains(err.Error(), c.env) {
@@ -238,19 +234,6 @@ func TestSessionOptionValidation(t *testing.T) {
 			t.Errorf("%s=%s rejected: %v", c.env, c.good, err)
 		}
 		os.Unsetenv(c.env)
-	}
-	// Option beats environment for the replica count; the environment fills
-	// it in when no option was given.
-	t.Setenv(envCacheReplicas, "3")
-	sess, err := NewSession(cfg, WithCacheReplicas(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sess.rcfg.CacheReplicas != 2 {
-		t.Errorf("CacheReplicas = %d with option 2 and env 3, want 2", sess.rcfg.CacheReplicas)
-	}
-	if sess, err = NewSession(cfg); err != nil || sess.rcfg.CacheReplicas != 3 {
-		t.Errorf("CacheReplicas = %d, %v with env 3 alone, want 3", sess.rcfg.CacheReplicas, err)
 	}
 }
 
