@@ -198,9 +198,10 @@ type Stats struct {
 	CacheEvictions  int64 // blocks dropped to respect the byte budget
 	CacheSavedBytes int64 // wire bytes avoided by cache hits
 
-	// Dispatch counters: TCP-runtime measurements, all zero under
-	// simulation (which has no task queues to steal from).
-	StealTasks   int64   // tasks idle workers stole from busy workers
+	// Dispatch counters. Steals are counted on both runtimes (one stage
+	// driver queues every stage); the seconds are TCP-runtime measurements,
+	// zero under simulation.
+	StealTasks   int64   // tasks an idle lane stole from a node whose lanes were all busy
 	FetchSeconds float64 // wire wait inside task bodies
 	TaskSeconds  float64 // total task wall time on workers
 }

@@ -1,7 +1,8 @@
 // Package cluster implements the simulated distributed runtime the engines
 // execute on. It stands in for the paper's Spark cluster (one coordinator +
-// eight workers, 12 tasks per node, 1 Gbps Ethernet): tasks run as goroutines
-// on a bounded pool, every block that moves between storage, the driver and a
+// eight workers, 12 tasks per node, 1 Gbps Ethernet): tasks run on the stage
+// driver both runtimes share (sched.Run, Nodes × TasksPerNode lanes over a
+// bounded slot pool), every block that moves between storage, the driver and a
 // task is metered in bytes, per-task memory is tracked against the budget θt,
 // and a simulated clock advances per execution stage by the paper's Eq. 2:
 //
@@ -34,9 +35,6 @@ var ErrOutOfMemory = errors.New("task memory budget exceeded (O.O.M.)")
 // configured limit. This is the T.O. (12 h in the paper) of the figures.
 var ErrTimeout = errors.New("simulated time limit exceeded (T.O.)")
 
-// errInjectedFailure marks failures produced by Config.InjectTaskFailure.
-var errInjectedFailure = errors.New("injected task failure")
-
 // Config describes the simulated cluster.
 type Config struct {
 	Nodes         int     // N: number of worker nodes
@@ -68,8 +66,9 @@ type Config struct {
 	// the stage fails (Spark's task retry). Zero means no retries.
 	MaxTaskRetries int
 	// InjectTaskFailure, when non-nil, is consulted before each task
-	// attempt; returning true makes the attempt fail with a transient
-	// error. Used by failure-injection tests to exercise retry paths.
+	// attempt, on either runtime; returning true fails the attempt with
+	// sched.ErrInjected without running it. Used by failure-injection tests
+	// to exercise retry paths.
 	InjectTaskFailure func(taskID, attempt int) bool
 }
 
@@ -156,12 +155,12 @@ type Stats struct {
 	CacheEvictions  int64
 	CacheSavedBytes int64
 
-	// Dispatch counters, measured by the TCP runtime and always zero under
-	// simulation (like ExtraWireBytes). A steal is a queued task executed by
-	// a worker other than its home. The seconds counters decompose task
-	// time: FetchSeconds is wire-wait inside task bodies, TaskSeconds total
-	// task wall time. PrefetchSeconds is always zero — nothing prefetches;
-	// the field stays only because bench/ reads it.
+	// Dispatch counters. A steal is a queued task executed by a node other
+	// than its home (sched.Run counts them on both runtimes). The seconds
+	// counters, measured by the TCP runtime and zero under simulation,
+	// decompose task time: FetchSeconds is wire-wait inside task bodies,
+	// TaskSeconds total task wall time. PrefetchSeconds is always zero —
+	// nothing prefetches; the field stays only because bench/ reads it.
 	StealTasks      int64
 	FetchSeconds    float64
 	PrefetchSeconds float64
@@ -340,9 +339,12 @@ type Cluster struct {
 	lastStage Stats // the latest stage's own metrics; see LastStageStats
 
 	// caches holds one block cache per simulated node (empty when caching
-	// is disabled). A task's node is taskID % Nodes — deterministic, so the
-	// TCP runtime can reproduce the same placement with real workers.
+	// is disabled). A task reads its home node's, taskID % Nodes —
+	// deterministic, so the TCP runtime reproduces the same placement with
+	// real workers.
 	caches []*blockcache.Cache
+
+	alive []bool // every simulated node, live, for Dispatch
 
 	// sched gates task dispatch. By default each cluster owns a private
 	// scheduler sized like the old inline worker pool
@@ -366,7 +368,10 @@ func New(cfg Config) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Cluster{cfg: cfg}
+	c := &Cluster{cfg: cfg, alive: make([]bool, cfg.Nodes)}
+	for i := range c.alive {
+		c.alive[i] = true
+	}
 	localSlots := cfg.TotalSlots()
 	if n := runtime.GOMAXPROCS(0); n < localSlots {
 		localSlots = n
@@ -431,29 +436,16 @@ func (c *Cluster) ResetStats() {
 // method exists so *Cluster satisfies the rt.Runtime interface.
 func (c *Cluster) Close() error { return nil }
 
-// StageCacheGen returns the generation the next stage will run at. The
-// executor reads it when building a stage so tasks can distinguish blocks
-// cached by earlier stages (hit-visible) from ones their own stage inserts.
-func (c *Cluster) StageCacheGen() uint64 { return c.stageSeq.Load() + 1 }
-
 // NextStageGen begins a stage: it clears LastStageStats, advances the
-// stage-generation counter and returns the new value. RunStage calls it
-// internally; backends that execute stages without going through RunStage
-// (the TCP coordinator) call it per spec stage.
+// stage-generation counter and returns the new value, the generation the
+// stage's tasks carry to their block caches. RunStage calls it internally;
+// backends that execute stages without going through RunStage (the TCP
+// coordinator) call it per spec stage.
 func (c *Cluster) NextStageGen() uint64 {
 	c.mu.Lock()
 	c.lastStage = Stats{}
 	c.mu.Unlock()
 	return c.stageSeq.Add(1)
-}
-
-// TaskCache returns the block cache of the node that task taskID runs on,
-// or nil when caching is disabled.
-func (c *Cluster) TaskCache(taskID int) *blockcache.Cache {
-	if len(c.caches) == 0 {
-		return nil
-	}
-	return c.caches[taskID%len(c.caches)]
 }
 
 // AddStats folds one stage's externally measured metrics (a remote backend's
@@ -489,6 +481,12 @@ type Task struct {
 	// nil means tracing is off. Set by the backend that runs the task.
 	trace *TaskTrace
 
+	// cache is the block cache of the task's node, gen the stage generation
+	// (blocks cached at g are hit-visible only to later stages); nil means
+	// uncached. Set by the backend that runs the task.
+	cache *blockcache.Cache
+	gen   uint64
+
 	consolidationBytes int64
 	aggregationBytes   int64
 	flops              int64
@@ -507,6 +505,14 @@ func (t *Task) SetPool(p *parallel.Pool) { t.pool = p }
 
 // Pool returns the task's kernel pool; nil means serial kernels.
 func (t *Task) Pool() *parallel.Pool { return t.pool }
+
+// SetCache hands the task its node's block cache (nil, the default: none) and
+// the stage generation. Backends call it before running the task body.
+func (t *Task) SetCache(c *blockcache.Cache, gen uint64) { t.cache, t.gen = c, gen }
+
+// Cache returns the task's block cache (nil when uncached) and the stage
+// generation.
+func (t *Task) Cache() (*blockcache.Cache, uint64) { return t.cache, t.gen }
 
 // FetchBlock meters a block moved to this task during matrix consolidation
 // and counts it against the task's live memory.
@@ -534,9 +540,6 @@ func (t *Task) SendBlock(m matrix.Mat) {
 	}
 	t.aggregationBytes += m.SizeBytes()
 }
-
-// SendBytes meters raw aggregation traffic.
-func (t *Task) SendBytes(n int64) { t.aggregationBytes += n }
 
 // AddFlops meters floating-point work executed by this task.
 func (t *Task) AddFlops(n int64) { t.flops += n }
@@ -606,57 +609,56 @@ func (c *Cluster) SetTenant(name string, weight int) {
 	c.tenantMu.Unlock()
 }
 
-// schedulerTag returns the dispatch scheduler and the tenant tag to run
-// stages under.
-func (c *Cluster) schedulerTag() (*sched.Scheduler, string, int) {
+// Scheduler returns the installed dispatch scheduler.
+func (c *Cluster) Scheduler() *sched.Scheduler {
 	c.tenantMu.Lock()
 	defer c.tenantMu.Unlock()
-	return c.sched, c.tenant, c.tenantWeight
+	return c.sched
 }
 
-// RunStage executes numTasks tasks as one distributed stage. fn runs once
-// per task (possibly concurrently, bounded by the dispatch scheduler's slot
-// count — by default min(TotalSlots, GOMAXPROCS)); task metrics are folded
-// into the cluster stats and the simulated clock advances per Eq. 2. The
-// first task error aborts the stage: no further task starts and the error is
-// returned once in-flight tasks finish. A simulated-time overrun returns a
-// wrapped ErrTimeout.
+// Dispatch runs one stage of numTasks tasks on the stage driver over the
+// nodes alive names — RunStage over the simulated nodes, the TCP coordinator
+// over its workers — with this cluster's dispatch scheduler, tenant tag,
+// TasksPerNode lanes and retry policy, and returns the stage's steal count.
+func (c *Cluster) Dispatch(name string, numTasks int, alive []bool, run func(node, taskID, attempt int) error) (int64, error) {
+	c.tenantMu.Lock()
+	s, st := c.sched, sched.Stage{Name: name, Tasks: numTasks, Alive: alive, Lanes: c.cfg.TasksPerNode,
+		Tenant: c.tenant, Weight: c.tenantWeight, Retries: c.cfg.MaxTaskRetries, Inject: c.cfg.InjectTaskFailure}
+	c.tenantMu.Unlock()
+	return s.Run(st, run)
+}
+
+// RunStage executes numTasks tasks as one distributed stage over the
+// simulated nodes (Dispatch), each running task holding a slot of the
+// dispatch scheduler — by default min(TotalSlots, GOMAXPROCS) of them. fn runs
+// once per task attempt, on a Task carrying the kernel pool and the block
+// cache of the task's home node (task ID mod Nodes, whichever lane runs it,
+// so cache hits do not depend on steals). Task metrics are folded into the
+// cluster stats and the simulated clock advances per Eq. 2. The first error
+// aborts the stage once in-flight tasks finish; a simulated-time overrun
+// returns a wrapped ErrTimeout.
 func (c *Cluster) RunStage(name string, numTasks int, fn func(t *Task) error) error {
 	if numTasks < 0 {
 		return fmt.Errorf("cluster: stage %q: negative task count", name)
 	}
 	start := time.Now()
-	c.NextStageGen()
+	gen := c.NextStageGen()
 	tasks := make([]Task, numTasks)
-	scheduler, tenant, weight := c.schedulerTag()
-	err := scheduler.RunTasks(tenant, weight, numTasks, func(i int) error {
-		var err error
-		for attempt := 0; ; attempt++ {
-			// A retried task restarts with clean metering: the failed
-			// attempt's partial work is discarded, exactly as a re-executed
-			// Spark task recomputes its partition.
-			tasks[i] = Task{ID: i, pool: c.pool}
-			if c.cfg.InjectTaskFailure != nil && c.cfg.InjectTaskFailure(i, attempt) {
-				err = errInjectedFailure
-			} else {
-				err = fn(&tasks[i])
-			}
-			if err == nil || attempt >= c.cfg.MaxTaskRetries {
-				break
-			}
+	steals, err := c.Dispatch(name, numTasks, c.alive, func(_, id, _ int) error {
+		// A retried task restarts with clean metering: the failed attempt's
+		// partial work is discarded, exactly as a re-executed Spark task
+		// recomputes its partition.
+		tasks[id] = Task{ID: id, pool: c.pool, gen: gen}
+		if len(c.caches) > 0 {
+			tasks[id].cache = c.caches[id%len(c.caches)] // the home node's
 		}
-		if err != nil {
-			return fmt.Errorf("stage %q task %d: %w", name, i, err)
-		}
-		return nil
+		return fn(&tasks[id])
 	})
 	if err != nil {
 		return err
 	}
 
-	var stage Stats
-	stage.Stages = 1
-	stage.Tasks = numTasks
+	stage := Stats{Stages: 1, Tasks: numTasks, StealTasks: steals}
 	for i := range tasks {
 		stage.AddTask(tasks[i].Metrics())
 	}

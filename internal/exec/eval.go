@@ -34,13 +34,7 @@ type evaluator struct {
 	accT      *matrix.Dense             // scratch: evalMatMul's transposed accumulator
 	colocated []int                     // inputs co-partitioned with the output: no fetch cost
 	trace     *cluster.TaskTrace        // per-task sub-spans; nil when tracing is off
-
-	// Block-cache state, armed by Stage.evaluator when the stage
-	// advertises input epochs and the task's node/worker holds a cache.
-	// All zero otherwise, which reproduces the uncached fetch path exactly.
-	cache    *blockcache.Cache
-	cacheGen uint64
-	epochs   *spec.Stage // the stage advertising the bound inputs' content epochs
+	epochs    *spec.Stage               // the stage naming the bound inputs' content epochs: the cacheable ones
 }
 
 type memoKey struct {
@@ -186,9 +180,12 @@ func (ev *evaluator) fetchExternal(n *dag.Node, bi, bj int) matrix.Mat {
 			return blk
 		}
 	}
+	// A task without a cache, or an input its stage names no epoch for,
+	// takes the uncached fetch path exactly.
+	cache, gen := ev.task.Cache()
 	var ck blockcache.Key
 	cacheable := false
-	if ev.cache != nil {
+	if cache != nil {
 		if ep, ok := ev.epochs.EpochOf(n.ID); ok {
 			ck = blockcache.Key{Node: n.ID, Epoch: ep, BI: bi, BJ: bj}
 			cacheable = true
@@ -196,7 +193,7 @@ func (ev *evaluator) fetchExternal(n *dag.Node, bi, bj int) matrix.Mat {
 	}
 	if cacheable && !ev.fetched[key] {
 		endCache := ev.trace.Begin("cache", "taskop")
-		blk, hit := ev.cache.Get(ck, ev.cacheGen)
+		blk, hit := cache.Get(ck, gen)
 		endCache()
 		if hit {
 			// Served from the node/worker-resident cache: no wire fetch,
@@ -232,7 +229,7 @@ func (ev *evaluator) fetchExternal(n *dag.Node, bi, bj int) matrix.Mat {
 			// Only materialised blocks are cached (and counted as misses):
 			// all-zero blocks cost nothing to refetch on either backend.
 			ev.task.CacheMiss()
-			ev.task.AddCacheEvictions(ev.cache.Put(ck, blk, blk.SizeBytes(), ev.cacheGen))
+			ev.task.AddCacheEvictions(cache.Put(ck, blk, blk.SizeBytes(), gen))
 		}
 	}
 	ev.memo[key] = blk

@@ -54,7 +54,8 @@ func runObservedStage(rtm rt.Runtime, o *obs.Obs, pred obs.FlightRecord, st *rt.
 	// coordinator's wire accounting) into this stage's own stats before
 	// returning; a stage that failed before folding reports zeros. SimSeconds
 	// is the stage clock: the Eq. 2 model under simulation, real wall under
-	// TCP. The steal and phase-seconds fields are zero under simulation.
+	// TCP. Steals are counted by the stage driver on both; the phase-seconds
+	// fields are zero under simulation.
 	m := rtm.LastStageStats()
 	rec := pred
 	rec.Stage, rec.Tasks = st.Name, st.NumTasks
@@ -67,6 +68,7 @@ func runObservedStage(rtm rt.Runtime, o *obs.Obs, pred obs.FlightRecord, st *rt.
 	o.StageDone(rec, err)
 
 	o.Counter(obs.MCacheEvictions).Add(m.CacheEvictions)
+	o.Counter(obs.MStealTasks).Add(m.StealTasks)
 	if hasPool {
 		pool := pooled.KernelPool()
 		after := pool.Stats()

@@ -140,24 +140,13 @@ func (lo *Operator) bound(rtm rt.Runtime, bind Bindings) []*Stage {
 // calibration measurement) when enabled.
 func dispatch(rtm rt.Runtime, o *obs.Obs, pred obs.FlightRecord, st *Stage, src blockSource, route emitFn) error {
 	sp := &st.Spec
-	cached := len(sp.Epochs) > 0
-	var gen uint64
-	if cached {
-		gen = rtm.StageCacheGen()
-	}
 	red := newStageReducer(sp.NumTasks, route)
 	return runObservedStage(rtm, o, pred, &rt.Stage{
 		Name:     sp.Name,
 		NumTasks: sp.NumTasks,
 		Fn: func(task *cluster.Task) error {
-			var cc *CacheCtx
-			if cached {
-				if cache := rtm.TaskCache(task.ID); cache != nil {
-					cc = &CacheCtx{Cache: cache, Gen: gen}
-				}
-			}
 			red.reset(task.ID)
-			if err := runStageTask(st, task.ID, task, src, red.emitFor(task.ID), cc); err != nil {
+			if err := runStageTask(st, task, src, red.emitFor(task.ID)); err != nil {
 				return err
 			}
 			red.complete(task.ID)

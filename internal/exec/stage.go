@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"fuseme/internal/block"
-	"fuseme/internal/blockcache"
 	"fuseme/internal/cluster"
 	"fuseme/internal/dag"
 	"fuseme/internal/matrix"
@@ -97,37 +96,12 @@ func outKind(kind uint8) uint8 { return kind & 3 }
 
 const maxOutputs = 1 << 6
 
-// CacheCtx binds one task execution to its node/worker-resident block cache:
-// the cache itself and the stage generation driving hit visibility.
-type CacheCtx struct {
-	Cache *blockcache.Cache
-	Gen   uint64
-}
-
-// dropStale drops the cache's entries of each input the stage names whose
-// epoch is older than the stage's: the input was rebound since, so they can
-// never hit again and only take budget. Every task bound to a cache does it
-// before its first lookup, so a cache is coherent with the stage it serves
-// without anyone tracking what it holds; only older epochs go, so what a
-// concurrent task of the stage has cached stays.
-func (cc *CacheCtx) dropStale(sp *spec.Stage) {
-	for _, ne := range sp.Epochs {
-		cc.Cache.InvalidateStale(ne.Node, ne.Epoch)
-	}
-}
-
 // evaluator builds a task's evaluator of output plan pc over the main
 // multiplication's k-block range [kLo, kHi), wired to the stage's
-// co-partitioned inputs and to the block cache. A nil cc, a nil cache or a
-// stage without epochs leaves it running fully uncached.
-func (st *Stage) evaluator(pc *planCtx, task *cluster.Task, src blockSource, cc *CacheCtx, kLo, kHi int) *evaluator {
+// co-partitioned inputs and input epochs.
+func (st *Stage) evaluator(pc *planCtx, task *cluster.Task, src blockSource, kLo, kHi int) *evaluator {
 	ev := newEvaluator(pc, task, src, st.Spec.BlockSize, kLo, kHi)
-	ev.colocated = st.Spec.Colocated
-	if cc != nil && cc.Cache != nil && len(st.Spec.Epochs) > 0 {
-		ev.cache = cc.Cache
-		ev.cacheGen = cc.Gen
-		ev.epochs = &st.Spec
-	}
+	ev.colocated, ev.epochs = st.Spec.Colocated, &st.Spec
 	return ev
 }
 
@@ -144,11 +118,11 @@ type taskOut struct {
 // evaluators read through one memo — a multi-aggregation's plans hold no
 // multiplication, so only leaves are memoised — which makes a block several
 // aggregations consume fetched, metered and cached once per task.
-func (st *Stage) outputs(task *cluster.Task, src blockSource, cc *CacheCtx, kHi int) []taskOut {
+func (st *Stage) outputs(task *cluster.Task, src blockSource, kHi int) []taskOut {
 	outs := make([]taskOut, len(st.outs))
 	for i, pc := range st.outs {
 		o := &outs[i]
-		o.ev, o.kind = st.evaluator(pc, task, src, cc, 0, kHi), aggKind(i)
+		o.ev, o.kind = st.evaluator(pc, task, src, 0, kHi), aggKind(i)
 		o.ev.memo, o.ev.fetched = outs[0].ev.memo, outs[0].ev.fetched
 		if pc.agg != nil {
 			o.partial = block.New(pc.agg.Rows, pc.agg.Cols, st.Spec.BlockSize)
@@ -181,13 +155,16 @@ func (o *taskOut) flush(emit emitFn) {
 	})
 }
 
-// runStageTask executes task taskID of the stage: the single task body both
-// backends share. Results leave through emit; metering lands on task. cc
-// (optionally nil) binds the task to its node/worker-resident block cache,
-// which the task first rids of the stage's stale epochs.
-func runStageTask(st *Stage, taskID int, task *cluster.Task, src blockSource, emit emitFn, cc *CacheCtx) error {
-	if cc != nil {
-		cc.dropStale(&st.Spec)
+// runStageTask executes the task: the single task body both backends share.
+// Results leave through emit; metering lands on task. A task carrying a block
+// cache first drops its entries of each input the stage names at an older
+// epoch — rebound since, they can never hit again — so a cache is coherent
+// with the stage it serves without anyone tracking what it holds.
+func runStageTask(st *Stage, task *cluster.Task, src blockSource, emit emitFn) error {
+	if cache, _ := task.Cache(); cache != nil {
+		for _, ne := range st.Spec.Epochs {
+			cache.InvalidateStale(ne.Node, ne.Epoch)
+		}
 	}
 	if tt := task.Trace(); tt != nil {
 		src = tracedSource{src: src, tt: tt}
@@ -196,13 +173,13 @@ func runStageTask(st *Stage, taskID int, task *cluster.Task, src blockSource, em
 	return runTask(func() error {
 		switch st.Spec.Phase {
 		case spec.PhaseCuboid:
-			return st.runCuboidTask(taskID, task, src, emit, cc)
+			return st.runCuboidTask(task, src, emit)
 		case spec.PhasePartial:
-			return st.runPartialTask(taskID, task, src, emit, cc)
+			return st.runPartialTask(task, src, emit)
 		case spec.PhaseFuse:
-			return st.runFuseTask(taskID, task, src, emit, cc)
+			return st.runFuseTask(task, src, emit)
 		case spec.PhaseGrid:
-			return st.runGridTask(taskID, task, src, emit, cc)
+			return st.runGridTask(task, src, emit)
 		}
 		return fmt.Errorf("exec: unknown stage phase %q", st.Spec.Phase)
 	})
@@ -210,22 +187,22 @@ func runStageTask(st *Stage, taskID int, task *cluster.Task, src blockSource, em
 
 // runCuboidTask handles the single-stage (R == 1) cuboid execution: the task
 // computes final output blocks of its (p, q) partition.
-func (st *Stage) runCuboidTask(taskID int, task *cluster.Task, src blockSource, emit emitFn, cc *CacheCtx) error {
+func (st *Stage) runCuboidTask(task *cluster.Task, src blockSource, emit emitFn) error {
 	q := len(st.Spec.JRanges)
-	return st.evalOutputs(&st.outputs(task, src, cc, st.Spec.GK)[0], taskID/q, taskID%q, emit)
+	return st.evalOutputs(&st.outputs(task, src, st.Spec.GK)[0], task.ID/q, task.ID%q, emit)
 }
 
 // runPartialTask handles stage one of an R > 1 execution: partial
 // main-multiplication results over the task's k-range, shuffled out.
-func (st *Stage) runPartialTask(taskID int, task *cluster.Task, src blockSource, emit emitFn, cc *CacheCtx) error {
+func (st *Stage) runPartialTask(task *cluster.Task, src blockSource, emit emitFn) error {
 	sp := &st.Spec
 	q, r := len(sp.JRanges), len(sp.KRanges)
-	pi := taskID / (q * r)
-	qi := (taskID / r) % q
-	ri := taskID % r
+	pi := task.ID / (q * r)
+	qi := (task.ID / r) % q
+	ri := task.ID % r
 	kr := sp.KRanges[ri]
 	pc := st.outs[0]
-	ev := st.evaluator(pc, task, src, cc, kr.Lo, kr.Hi)
+	ev := st.evaluator(pc, task, src, kr.Lo, kr.Hi)
 	tt := task.Trace()
 	rowsp, colsp := sp.IRanges[pi], sp.JRanges[qi]
 	for bi := rowsp.Lo; bi < rowsp.Hi; bi++ {
@@ -256,11 +233,11 @@ func (st *Stage) runPartialTask(taskID int, task *cluster.Task, src blockSource,
 // runFuseTask handles stage two of an R > 1 execution: the task pins the
 // aggregated multiplication results of its partition and applies the O-space
 // chain once.
-func (st *Stage) runFuseTask(taskID int, task *cluster.Task, src blockSource, emit emitFn, cc *CacheCtx) error {
+func (st *Stage) runFuseTask(task *cluster.Task, src blockSource, emit emitFn) error {
 	sp := &st.Spec
 	q := len(sp.JRanges)
-	pi, qi := taskID/q, taskID%q
-	out := &st.outputs(task, src, cc, sp.GK)[0]
+	pi, qi := task.ID/q, task.ID%q
+	out := &st.outputs(task, src, sp.GK)[0]
 	ri, rj := sp.IRanges[pi], sp.JRanges[qi]
 	for bi := ri.Lo; bi < ri.Hi; bi++ {
 		for bj := rj.Lo; bj < rj.Hi; bj++ {
@@ -280,13 +257,13 @@ func (st *Stage) runFuseTask(taskID int, task *cluster.Task, src blockSource, em
 // runGridTask handles matmul-free plans, BFO executions and
 // multi-aggregations: a strided map over the output block grid, every output
 // evaluated per block.
-func (st *Stage) runGridTask(taskID int, task *cluster.Task, src blockSource, emit emitFn, cc *CacheCtx) error {
+func (st *Stage) runGridTask(task *cluster.Task, src blockSource, emit emitFn) error {
 	sp := &st.Spec
-	outs := st.outputs(task, src, cc, sp.GK)
+	outs := st.outputs(task, src, sp.GK)
 	if sp.Broadcast {
 		broadcastSides(st.sides, src, outs[0].ev, task)
 	}
-	for l := taskID; l < sp.GI*sp.GJ; l += sp.NumTasks {
+	for l := task.ID; l < sp.GI*sp.GJ; l += sp.NumTasks {
 		for i := range outs {
 			outs[i].eval(l/sp.GJ, l%sp.GJ, emit)
 		}
@@ -356,18 +333,18 @@ func NewSpecStage(sp *spec.Stage) (*Stage, error) {
 	return newStage(*sp, outs), nil
 }
 
-// RunTask runs one task of the stage on a worker: blocks are pulled through
+// RunTask runs task.ID of the stage on a worker: blocks are pulled through
 // fetch and result blocks handed to emit as they are produced (an emit error
 // fails the task). Metering lands on task and is reported back to the
-// coordinator by the caller. cc (optionally nil) is the worker's block-cache
-// binding.
-func (st *Stage) RunTask(taskID int, task *cluster.Task, cc *CacheCtx, fetch func(spec.BlockRef) (matrix.Mat, error), emit func(kind uint8, bi, bj int, blk matrix.Mat) error) error {
-	if sp := &st.Spec; taskID < 0 || taskID >= sp.NumTasks {
-		return fmt.Errorf("exec: task %d outside stage %q (%d tasks)", taskID, sp.Name, sp.NumTasks)
+// coordinator by the caller; the worker hands the task its block cache
+// (cluster.Task.SetCache).
+func (st *Stage) RunTask(task *cluster.Task, fetch func(spec.BlockRef) (matrix.Mat, error), emit func(kind uint8, bi, bj int, blk matrix.Mat) error) error {
+	if sp := &st.Spec; task.ID < 0 || task.ID >= sp.NumTasks {
+		return fmt.Errorf("exec: task %d outside stage %q (%d tasks)", task.ID, sp.Name, sp.NumTasks)
 	}
-	return runStageTask(st, taskID, task, fetchSource{fetch}, func(kind uint8, bi, bj int, blk matrix.Mat) {
+	return runStageTask(st, task, fetchSource{fetch}, func(kind uint8, bi, bj int, blk matrix.Mat) {
 		if err := emit(kind, bi, bj, blk); err != nil {
 			panic(execPanic{fmt.Errorf("exec: sending result block (%d,%d): %w", bi, bj, err)})
 		}
-	}, cc)
+	})
 }

@@ -40,10 +40,10 @@ type FlightRecord struct {
 	CacheMisses            int64   `json:"cache_misses"`
 	CacheSavedBytes        int64   `json:"cache_saved_bytes"`
 
-	// Dispatch: StealTasks counts tasks run away from their home worker,
-	// MeasFetchSeconds is wire wait inside task bodies (summed over tasks),
-	// MeasTaskSeconds total task wall. All three are TCP-runtime
-	// measurements and zero under simulation.
+	// Dispatch: StealTasks counts tasks run away from their home node (on
+	// either runtime), MeasFetchSeconds is wire wait inside task bodies
+	// (summed over tasks), MeasTaskSeconds total task wall; the two seconds
+	// fields are TCP-runtime measurements and zero under simulation.
 	StealTasks       int64   `json:"steal_tasks,omitempty"`
 	MeasFetchSeconds float64 `json:"meas_fetch_seconds,omitempty"`
 	MeasTaskSeconds  float64 `json:"meas_task_seconds,omitempty"`

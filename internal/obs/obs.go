@@ -241,9 +241,8 @@ const (
 	MKernelSerialCalls   = "fuseme_kernel_serial_calls_total"
 	MKernelHelperRuns    = "fuseme_kernel_helper_runs_total"
 
-	// MStealTasks counts tasks an idle worker stole from a worker whose
-	// lanes were all busy; bumped by the TCP coordinator, always 0 under
-	// simulation.
+	// MStealTasks counts tasks an idle lane stole from a node whose lanes
+	// were all busy (the stage driver's steal rule, on either runtime).
 	MStealTasks = "fuseme_steal_tasks_total"
 
 	// Plan-cache metrics (compiled-plan reuse across repeat queries).

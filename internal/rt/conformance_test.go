@@ -33,12 +33,17 @@ func conformanceConfig() cluster.Config {
 
 // backends returns the named runtime constructors under test.
 func backends() map[string]func(t *testing.T) rt.Runtime {
+	return backendsWith(conformanceConfig())
+}
+
+// backendsWith returns the runtime constructors over cluster shape cfg, the
+// TCP backend's workers each with cfg.CacheBytes of block cache.
+func backendsWith(cfg cluster.Config) map[string]func(t *testing.T) rt.Runtime {
 	return map[string]func(t *testing.T) rt.Runtime{
 		"sim": func(t *testing.T) rt.Runtime {
-			return cluster.MustNew(conformanceConfig())
+			return cluster.MustNew(cfg)
 		},
 		"tcp": func(t *testing.T) rt.Runtime {
-			cfg := conformanceConfig()
 			addrs := make([]string, cfg.Nodes)
 			for i := range addrs {
 				w, err := remote.NewWorker("127.0.0.1:0")
@@ -46,6 +51,7 @@ func backends() map[string]func(t *testing.T) rt.Runtime {
 					t.Fatal(err)
 				}
 				t.Cleanup(func() { w.Close() })
+				w.SetCacheBytes(cfg.CacheBytes)
 				addrs[i] = w.Addr()
 			}
 			co, err := remote.NewCoordinatorConfig(cfg, addrs, remote.Config{})
@@ -170,34 +176,9 @@ func TestRuntimeConformancePlan(t *testing.T) {
 // no stage here has more tasks than a worker has lanes, so none is stolen
 // (TestRuntimeConformanceBlockCache checks it).
 func cacheBackends() map[string]func(t *testing.T) rt.Runtime {
-	const budget = 64 << 20
-	return map[string]func(t *testing.T) rt.Runtime{
-		"sim": func(t *testing.T) rt.Runtime {
-			cfg := conformanceConfig()
-			cfg.CacheBytes = budget
-			return cluster.MustNew(cfg)
-		},
-		"tcp": func(t *testing.T) rt.Runtime {
-			cfg := conformanceConfig()
-			cfg.CacheBytes = budget
-			addrs := make([]string, cfg.Nodes)
-			for i := range addrs {
-				w, err := remote.NewWorker("127.0.0.1:0")
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { w.Close() })
-				w.SetCacheBytes(budget)
-				addrs[i] = w.Addr()
-			}
-			co, err := remote.NewCoordinatorConfig(cfg, addrs, remote.Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { co.Close() })
-			return co
-		},
-	}
+	cfg := conformanceConfig()
+	cfg.CacheBytes = 64 << 20
+	return backendsWith(cfg)
 }
 
 // runPlanTwice executes the reference plan twice against the same bound
@@ -406,6 +387,55 @@ func TestRuntimeConformanceSpans(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRuntimeConformanceInjectedRetries requires one injected-failure pattern
+// to behave alike on both backends: the stage driver consults
+// InjectTaskFailure before each attempt on either runtime, equally often, and
+// an injected attempt runs nothing. Results are bit-identical across backends
+// and to a clean run, Stages, Tasks and Flops are equal, and the TCP backend
+// ships exactly the clean run's wire bytes.
+func TestRuntimeConformanceInjectedRetries(t *testing.T) {
+	flaky := func(calls *atomic.Int64) cluster.Config {
+		cfg := conformanceConfig()
+		cfg.InjectTaskFailure = func(taskID, attempt int) bool {
+			calls.Add(1)
+			return attempt <= taskID%2 // within MaxTaskRetries 2
+		}
+		return cfg
+	}
+	var simCalls, tcpCalls atomic.Int64
+	ref := runReferencePlan(t, backendsWith(flaky(&simCalls))["sim"](t))
+	runs := map[string]planRun{
+		"injected tcp": runReferencePlan(t, backendsWith(flaky(&tcpCalls))["tcp"](t)),
+		"clean sim":    runReferencePlan(t, backends()["sim"](t)),
+		"clean tcp":    runReferencePlan(t, backends()["tcp"](t)),
+	}
+	if sim, tcp := simCalls.Load(), tcpCalls.Load(); sim != tcp || sim <= int64(ref.stats.Tasks) {
+		t.Errorf("InjectTaskFailure consulted %d times on sim and %d on tcp over %d tasks; want equal, above the task count",
+			sim, tcp, ref.stats.Tasks)
+	}
+	for name, run := range runs {
+		s, r := run.stats, ref.stats
+		if s.Stages != r.Stages || s.Tasks != r.Tasks || s.Flops != r.Flops {
+			t.Errorf("%s: %d stages / %d tasks / %d flops, injected sim %d / %d / %d",
+				name, s.Stages, s.Tasks, s.Flops, r.Stages, r.Tasks, r.Flops)
+		}
+		for out, want := range ref.out {
+			got := run.out[out]
+			for i := 0; i < want.Rows; i++ {
+				for j := 0; j < want.Cols; j++ {
+					if math.Float64bits(got.At(i, j)) != math.Float64bits(want.At(i, j)) {
+						t.Fatalf("%s: output %q differs at (%d,%d): %v vs injected sim %v", name, out, i, j, got.At(i, j), want.At(i, j))
+					}
+				}
+			}
+		}
+	}
+	wire := func(s cluster.Stats) int64 { return s.TotalCommBytes() + s.ExtraWireBytes }
+	if got, want := wire(runs["injected tcp"].stats), wire(runs["clean tcp"].stats); got != want {
+		t.Errorf("injected tcp shipped %d wire bytes, the clean run %d", got, want)
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 // normFlight is the deterministic slice of a stage_end's flight record: the
 // planner's choices and predictions plus the execution counters both backends
 // must agree on exactly. Timings, wire-byte volumes (metered vs encoded) and
-// steal counts (measured by the TCP runtime only, zero under simulation) are
-// legitimately backend-specific and excluded.
+// steal counts (which follow each backend's timing, and here its lane count)
+// are legitimately backend-specific and excluded.
 type normFlight struct {
 	Stage, Op, Kind string
 	P, Q, R, Tasks  int

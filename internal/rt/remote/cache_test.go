@@ -233,8 +233,13 @@ func TestRebindLeavesNoStaleEpoch(t *testing.T) {
 				cfg := testConfig()
 				cfg.CacheBytes = testCacheBudget
 				cl := cluster.MustNew(cfg)
-				for node := 0; node < cfg.Nodes; node++ {
-					caches = append(caches, cl.TaskCache(node))
+				// Task i of a stage carries node i's cache (its home).
+				caches = make([]*blockcache.Cache, cfg.Nodes)
+				if err := cl.RunStage("caches", cfg.Nodes, func(task *cluster.Task) error {
+					caches[task.ID], _ = task.Cache()
+					return nil
+				}); err != nil {
+					t.Fatal(err)
 				}
 				rtm = cl
 			} else {

@@ -4,12 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"fuseme/internal/blockcache"
 	"fuseme/internal/cluster"
 	"fuseme/internal/matrix"
 	"fuseme/internal/membership"
@@ -36,13 +34,13 @@ import (
 // slots, bumps the cluster epoch (which compiled-plan cache keys embed via
 // ClusterFingerprint), and pushes the new table to the workers.
 //
-// Scheduling is home placement over live workers; each dispatch lane runs
-// its tasks over a persistent task stream taken from the worker's idle list
-// (dialled only when the list is empty, re-dialled once when an idle stream
-// turns out to have died). A stream is handed the stage descriptor once per
-// stage generation and tasks by id after that.
-// The failed task retries on survivors up to Config.MaxTaskRetries,
-// matching the simulated backend's retry semantics.
+// Scheduling is the stage driver both backends share (sched.Run: home
+// queues, TasksPerNode lanes per live worker, the one steal rule, retries);
+// the coordinator supplies one attempt of a task, which runs over a
+// persistent task stream taken from the worker's idle list (dialled only when
+// the list is empty, re-dialled once when an idle stream turns out to have
+// died). A stream is handed the stage descriptor once per stage generation
+// and tasks by id after that. A retry moves to another live worker.
 //
 // The coordinator keeps no record of what the workers' block caches hold:
 // each task keeps its worker's cache coherent from the stage descriptor
@@ -70,7 +68,6 @@ type Coordinator struct {
 	wmu     sync.RWMutex
 	workers []*workerConn
 
-	next   atomic.Int64 // round-robin cursor
 	hbStop chan struct{}
 	hbWG   sync.WaitGroup
 	closed atomic.Bool
@@ -87,14 +84,6 @@ type Coordinator struct {
 	// shared helper budget on the worker.
 	kernelThreads int
 	taskSlots     int
-
-	// sched gates remote task dispatch (the former per-stage semaphore of
-	// len(workers) x TasksPerNode permits). SetScheduler swaps in a shared
-	// scheduler so several coordinators' plans interleave fairly.
-	schedMu      sync.Mutex
-	sched        *sched.Scheduler
-	tenant       string
-	tenantWeight int
 
 	obs atomic.Pointer[obs.Obs] // session observability; nil disables
 }
@@ -123,36 +112,17 @@ func (c *Coordinator) SetObs(o *obs.Obs) {
 // getObs returns the attached observability bundle (nil-safe to use).
 func (c *Coordinator) getObs() *obs.Obs { return c.obs.Load() }
 
-// SetScheduler installs a shared task-dispatch scheduler for remote and
-// local (closure) stages alike. Call before running stages. Membership
-// changes resize whichever scheduler is installed — with a shared scheduler
-// that is a cluster-wide capacity change, which is exactly right: the slots
-// model the one physical cluster every tenant runs on.
-func (c *Coordinator) SetScheduler(s *sched.Scheduler) {
-	if s == nil {
-		return
-	}
-	c.schedMu.Lock()
-	c.sched = s
-	c.schedMu.Unlock()
-	c.local.SetScheduler(s)
-}
+// SetScheduler installs a shared task-dispatch scheduler (nil is ignored).
+// Call before running stages. The coordinator dispatches through its
+// embedded cluster's, which starts as one of live workers x TasksPerNode
+// slots; membership changes resize whichever scheduler is installed — with a
+// shared scheduler that is a cluster-wide capacity change, which is exactly
+// right: the slots model the one physical cluster every tenant runs on.
+func (c *Coordinator) SetScheduler(s *sched.Scheduler) { c.local.SetScheduler(s) }
 
 // SetTenant tags this coordinator's subsequent stages with a tenant name and
 // scheduling weight for the (shared) dispatch scheduler.
-func (c *Coordinator) SetTenant(name string, weight int) {
-	c.schedMu.Lock()
-	c.tenant, c.tenantWeight = name, weight
-	c.schedMu.Unlock()
-	c.local.SetTenant(name, weight)
-}
-
-// schedulerTag returns the dispatch scheduler and tenant tag for a stage.
-func (c *Coordinator) schedulerTag() (*sched.Scheduler, string, int) {
-	c.schedMu.Lock()
-	defer c.schedMu.Unlock()
-	return c.sched, c.tenant, c.tenantWeight
-}
+func (c *Coordinator) SetTenant(name string, weight int) { c.local.SetTenant(name, weight) }
 
 type workerConn struct {
 	id    int
@@ -291,8 +261,8 @@ func NewCoordinatorConfig(cfg cluster.Config, addrs []string, rcfg Config) (*Coo
 		hbStop:        make(chan struct{}),
 		kernelThreads: cfg.KernelThreads,
 		taskSlots:     cfg.TasksPerNode,
-		sched:         sched.New(len(addrs) * cfg.TasksPerNode),
 	}
+	local.SetScheduler(sched.New(len(addrs) * cfg.TasksPerNode))
 	c.mem.OnChange(c.onMembershipChange)
 	for _, addr := range addrs {
 		if _, err := c.AddWorker(addr); err != nil {
@@ -404,8 +374,7 @@ func (c *Coordinator) removeWorker(addr string) error {
 // dispatch scheduler, refresh metrics, and push the new table to the
 // workers.
 func (c *Coordinator) onMembershipChange(ev membership.Event) {
-	scheduler, _, _ := c.schedulerTag()
-	scheduler.Resize(c.mem.ActiveCount() * c.taskSlots)
+	c.local.Scheduler().Resize(c.mem.ActiveCount() * c.taskSlots)
 	if o := c.getObs(); o.Enabled() {
 		o.Counter(obs.MMembershipChanges).Inc()
 		for st, n := range c.mem.CountByState() {
@@ -567,15 +536,6 @@ func (c *Coordinator) markDead(w *workerConn) {
 	c.mem.MarkDead(w.id)
 }
 
-// StageCacheGen implements rt.Runtime against the embedded cluster's
-// generation counter (shared with closure stages run locally).
-func (c *Coordinator) StageCacheGen() uint64 { return c.local.StageCacheGen() }
-
-// TaskCache implements rt.Runtime. The coordinator holds no blocks
-// itself — caches live in the worker processes — so there is never a local
-// cache to arm.
-func (c *Coordinator) TaskCache(taskID int) *blockcache.Cache { return nil }
-
 // AliveWorkers reports how many workers still answer.
 func (c *Coordinator) AliveWorkers() int {
 	n := 0
@@ -622,19 +582,6 @@ func (c *Coordinator) workerByID(id int) *workerConn {
 		return nil
 	}
 	return c.workers[id]
-}
-
-// pickWorker returns the next live worker round-robin, or nil when none
-// remain.
-func (c *Coordinator) pickWorker() *workerConn {
-	ws := c.snapshotWorkers()
-	for range ws {
-		i := int(c.next.Add(1)-1) % len(ws)
-		if w := ws[i]; w.alive.Load() {
-			return w
-		}
-	}
-	return nil
 }
 
 // Config returns the cluster shape the planners compile against.
@@ -713,7 +660,11 @@ func (m *wireMeter) countResult(ob spec.OutBlock) {
 	}
 }
 
-// RunSpecStage distributes one descriptor stage over the live workers.
+// RunSpecStage distributes one descriptor stage over the live workers on the
+// stage driver (the embedded cluster's Dispatch), whose home of a task,
+// taskID mod workers, is the simulated backend's cache home too. Liveness is
+// read once: a worker that dies before its lanes start has them run its
+// tasks elsewhere (attemptWorker).
 func (c *Coordinator) RunSpecStage(st *rt.Stage) error {
 	sp := st.Spec
 	if sp == nil || st.Fetch == nil || st.Collect == nil {
@@ -729,68 +680,41 @@ func (c *Coordinator) RunSpecStage(st *rt.Stage) error {
 	for _, id := range sp.Colocated {
 		colocated[id] = true
 	}
-
-	// Per-worker FIFO queues under home placement (taskID mod workers, the
-	// same homes the simulated backend's task caches use), dead homes
-	// falling forward to the next alive slot. Each alive worker gets
-	// TasksPerNode dispatch lanes draining its own queue; a lane whose queue
-	// runs dry steals from a worker whose lanes are all busy (taskQueues).
-	// Liveness is read once: a queue nobody may steal from must have lanes,
-	// even if its worker dies before they start (they then run its tasks
-	// through the retry path).
 	ws := c.snapshotWorkers()
 	alive := make([]bool, len(ws))
 	for i, w := range ws {
 		alive[i] = w.alive.Load()
 	}
-	if !slices.Contains(alive, true) {
-		return errors.New("remote: no live workers")
-	}
-	queues := newTaskQueues(len(ws), c.taskSlots)
-	for id := 0; id < sp.NumTasks; id++ {
-		home := id % len(ws)
-		for !alive[home] {
-			home = (home + 1) % len(ws)
-		}
-		queues.push(home, id)
-	}
 
 	var (
-		wire       wireMeter
-		stealTasks atomic.Int64
-		mu         sync.Mutex
-		firstErr   error
-		stage      = cluster.Stats{Stages: 1, Tasks: sp.NumTasks} // the tasks' metering, under mu
+		wire  wireMeter
+		mu    sync.Mutex
+		stage = cluster.Stats{Stages: 1, Tasks: sp.NumTasks} // the tasks' metering, under mu
 	)
-	aborted := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return firstErr != nil
-	}
-	setErr := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		queues.close()
-	}
-
 	o := c.getObs()
 	perTask := o.PerTask()
 	if o.Tracing() {
 		// Label the merged timeline's process tracks: the coordinator's own
 		// spans on PIDLocal, each worker's shipped spans on its own track.
 		o.Trace.SetProcessName(obs.PIDLocal, "coordinator")
-		for _, w := range c.snapshotWorkers() {
+		for _, w := range ws {
 			o.Trace.SetProcessName(obs.PIDWorkerBase+w.id, fmt.Sprintf("worker %d (%s)", w.id, w.addr))
 		}
 	}
-	scheduler, tenant, weight := c.schedulerTag()
-
-	runOne := func(w *workerConn, taskID int) {
+	steals, err := c.local.Dispatch(sp.Name, sp.NumTasks, alive, func(node, taskID, attempt int) error {
+		if attempt > 0 {
+			o.Counter(obs.MRetriesTotal).Inc()
+		}
+		w := c.attemptWorker(node, taskID, attempt)
+		if w == nil {
+			return errors.New("remote: no live workers")
+		}
 		taskStart := time.Now()
-		done, dw, err := c.runTaskWithRetry(st, taskID, gen, &wire, colocated, w)
+		done, err := c.runTaskOn(w, st, taskID, gen, &wire, colocated)
+		var te transportError
+		if errors.As(err, &te) {
+			c.suspectAndProbe(w)
+		}
 		if perTask {
 			// The executor's per-task wrapper only fires for in-process
 			// closures, so remote task telemetry is reported here. The
@@ -798,11 +722,11 @@ func (c *Coordinator) RunSpecStage(st *rt.Stage) error {
 			// the execution view (cat "task" with its sub-spans) arrives
 			// worker-side in done.Spans and merges onto the worker's track.
 			// The dispatch-to-done latency is attributed to the worker that
-			// actually ran the task (the thief under work-stealing, the retry
+			// ran the attempt (the thief under work-stealing, the retry
 			// target after a death) for straggler detection.
-			worker := -1
-			if err == nil && dw != nil {
-				worker = dw.id
+			worker := w.id
+			if err != nil {
+				worker = -1
 			}
 			m := done.Metrics
 			o.TaskDone(obs.TaskSample{ID: taskID, Worker: worker, Cat: "sched",
@@ -811,67 +735,29 @@ func (c *Coordinator) RunSpecStage(st *rt.Stage) error {
 				Flops: m.Flops, PeakMemBytes: m.MemPeakBytes})
 			o.Counter(obs.MRemoteTasksTotal).Inc()
 		}
-		if len(done.Spans) > 0 && dw != nil && o.Tracing() {
+		if err != nil {
+			return err
+		}
+		if len(done.Spans) > 0 && o.Tracing() {
 			// Skew-correct the worker's span batch into the coordinator
 			// clock and clamp it into the dispatch window this goroutine
 			// observed, then merge onto the worker's process track.
-			aligned := AlignSpans(done.Spans, dw.clockOffset(), taskStart, time.Now())
-			pid := obs.PIDWorkerBase + dw.id
+			aligned := AlignSpans(done.Spans, w.clockOffset(), taskStart, time.Now())
+			pid := obs.PIDWorkerBase + w.id
 			for _, s := range aligned {
 				o.Trace.AddSpanAt(s.Name, s.Cat, pid, 1+taskID%64,
 					time.Unix(0, s.StartUnixNano), time.Duration(s.DurNanos), nil)
 			}
-		}
-		if err != nil {
-			setErr(fmt.Errorf("stage %q task %d: %w", sp.Name, taskID, err))
-			return
 		}
 		mu.Lock()
 		stage.AddTask(done.Metrics)
 		mu.Unlock()
 		err = st.Collect(taskID, done.blocks)
 		done.release() // the blocks' Data was valid until Collect returned
-		if err != nil {
-			setErr(err)
-		}
-	}
-
-	var wg sync.WaitGroup
-	lane := func(w *workerConn) {
-		defer wg.Done()
-		for {
-			// The task is taken before the scheduler slot, so a lane waiting
-			// in next for a steal never holds a slot a home lane needs.
-			taskID, victim, ok := queues.next(w.id)
-			if !ok {
-				return
-			}
-			if victim != w.id {
-				stealTasks.Add(1)
-				c.getObs().Counter(obs.MStealTasks).Inc()
-			}
-			release := scheduler.Acquire(tenant, weight)
-			if !aborted() {
-				runOne(w, taskID)
-			}
-			release()
-			queues.done(w.id)
-		}
-	}
-	for i, w := range ws {
-		if !alive[i] {
-			continue
-		}
-		for l := 0; l < c.taskSlots; l++ {
-			wg.Add(1)
-			go lane(w)
-		}
-	}
-	wg.Wait()
-	// A stage abort can leave tasks queued; they were never run, which is
-	// fine — the stage already failed.
-	if firstErr != nil {
-		return firstErr
+		return err
+	})
+	if err != nil {
+		return err
 	}
 
 	// The byte counters are what crossed the wire, not the workers' own
@@ -879,62 +765,28 @@ func (c *Coordinator) RunSpecStage(st *rt.Stage) error {
 	stage.ConsolidationBytes = wire.consolidation.Load()
 	stage.AggregationBytes = wire.aggregation.Load()
 	stage.ExtraWireBytes = wire.extra.Load()
-	stage.StealTasks = stealTasks.Load()
+	stage.StealTasks = steals
 	stage.WallSeconds = time.Since(start).Seconds()
 	stage.SimSeconds = stage.WallSeconds
 	c.local.AddStats(stage)
 	return nil
 }
 
-// runTaskWithRetry runs one task, retrying on another live worker when the
-// assigned worker dies mid-task, up to MaxTaskRetries re-attempts.
-//
-// Attempt 0 goes to first — the dispatching lane's worker, which is the
-// home placement for a task popped from the lane's own queue and the thief
-// for a stolen one. Attempt r then goes to worker (taskID + r) mod
-// len(workers) when that worker is alive, falling back to round-robin
-// otherwise. The home formula ((taskID + 0) mod workers) is therefore
-// the same home placement the simulated backend uses for its task caches
-// (so a recurring task lands on the worker that cached its inputs and the
-// two backends agree on hit counts). It also returns the worker that
-// completed the task, so the caller can merge the returned span batch with
-// that worker's clock offset.
-func (c *Coordinator) runTaskWithRetry(st *rt.Stage, taskID int, gen uint64, wire *wireMeter, colocated map[int]bool, first *workerConn) (*taskResult, *workerConn, error) {
-	retries := c.local.Config().MaxTaskRetries
+// attemptWorker picks the worker for one attempt of a task on lane node: the
+// lane's own for the first attempt (the home, or a stolen task's thief), else
+// the first live one from (taskID + attempt) mod workers on, so a retry moves
+// off a failed worker. It returns nil when no worker is live.
+func (c *Coordinator) attemptWorker(node, taskID, attempt int) *workerConn {
 	ws := c.snapshotWorkers()
-	var lastErr error
-	for attempt := 0; attempt <= retries; attempt++ {
-		if attempt > 0 {
-			c.getObs().Counter(obs.MRetriesTotal).Inc()
-		}
-		var w *workerConn
-		if attempt == 0 && first != nil && first.alive.Load() {
-			// The dispatching lane's worker: the home placement, or the
-			// thief for a stolen task.
-			w = first
-		}
-		if w == nil && len(ws) > 0 {
-			if cand := ws[(taskID+attempt)%len(ws)]; cand.alive.Load() {
-				w = cand
-			}
-		}
-		if w == nil {
-			w = c.pickWorker()
-		}
-		if w == nil {
-			return &taskResult{}, nil, errors.New("remote: no live workers")
-		}
-		done, err := c.runTaskOn(w, st, taskID, gen, wire, colocated)
-		if err == nil {
-			return done, w, nil
-		}
-		lastErr = err
-		var te transportError
-		if errors.As(err, &te) {
-			c.suspectAndProbe(w)
+	if attempt == 0 && ws[node].alive.Load() {
+		return ws[node]
+	}
+	for i := range ws {
+		if w := ws[(taskID+attempt+i)%len(ws)]; w.alive.Load() {
+			return w
 		}
 	}
-	return &taskResult{}, nil, lastErr
+	return nil
 }
 
 // taskResult is a completed task as the coordinator holds it: the worker's

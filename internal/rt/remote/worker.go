@@ -481,6 +481,7 @@ func (w *Worker) runTask(s *stream, st *workerStage, assign *taskAssign) bool {
 		task.SetTrace(tt)
 	}
 	cache := w.cache.Load()
+	task.SetCache(cache, assign.Gen)
 
 	// The task body fetches and emits from this goroutine alone, so each
 	// request/response pair on the stream is atomic; the reply is decoded
@@ -502,17 +503,13 @@ func (w *Worker) runTask(s *stream, st *workerStage, assign *taskAssign) bool {
 		return s.decodeBlock(payload)
 	}
 
-	var cc *exec.CacheCtx
-	if cache != nil && len(st.Stage.Epochs) > 0 {
-		cc = &exec.CacheCtx{Cache: cache, Gen: assign.Gen}
-	}
 	start := time.Now()
 	if d := w.taskDelay.Load(); d > 0 {
 		// The injected stall behaves like a long kernel: it counts as task
 		// time, exactly as a real computation would.
 		time.Sleep(time.Duration(d))
 	}
-	err := st.exec.RunTask(assign.TaskID, task, cc, fetch, s.writeResult)
+	err := st.exec.RunTask(task, fetch, s.writeResult)
 	taskDur := time.Since(start)
 	m := task.Metrics()
 	m.FetchSeconds, m.TaskSeconds = fetchSecs, taskDur.Seconds()

@@ -15,17 +15,15 @@
 // (internal/exec/paths.go is the one place a Stage is constructed); a
 // runtime still accepts a bare closure through Runtime.RunStage.
 //
-// What the two backends do NOT share is the wire and the per-worker task
-// queues: only the TCP coordinator moves blocks and queues tasks at their
-// home workers, so work-stealing exists once, in rt/remote, and cluster.Stats'
-// steal and phase-seconds counters are zero under simulation. Nothing
-// prefetches on either backend. The conformance tests in this package pin
-// everything else — flops, cache hits and misses, stage and task counts, span
-// taxonomy, journal sequences — to be equal across backends.
+// Both backends also schedule a stage on the one stage driver, sched.Run, and
+// differ only in one attempt of a task: a call of the task body in-process,
+// or a task stream to a worker, which is where blocks cross a wire. Nothing
+// prefetches on either. The conformance tests in this package pin flops,
+// cache hits and misses, stage and task counts, span taxonomy, journal
+// sequences and injected retries to be equal across backends.
 package rt
 
 import (
-	"fuseme/internal/blockcache"
 	"fuseme/internal/cluster"
 	"fuseme/internal/matrix"
 	"fuseme/internal/rt/spec"
@@ -50,16 +48,6 @@ type Runtime interface {
 	CheckAdmission(estTaskMemBytes int64, what string) error
 	// RunStage executes numTasks tasks of one distributed stage in-process.
 	RunStage(name string, numTasks int, fn func(t *cluster.Task) error) error
-	// StageCacheGen returns the block-cache generation the next stage will
-	// run at. The executor consults the caches — one per node/worker, for
-	// loop-invariant inputs — when a stage descriptor advertises input
-	// epochs. Blocks inserted at generation g are only hit-visible to stages
-	// with a strictly greater generation.
-	StageCacheGen() uint64
-	// TaskCache returns the cache local to the node/worker that task taskID
-	// runs on, or nil when caching is disabled or the cache is not reachable
-	// in-process (the TCP coordinator's caches live inside remote workers).
-	TaskCache(taskID int) *blockcache.Cache
 	// Close releases backend resources (worker connections).
 	Close() error
 }

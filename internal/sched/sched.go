@@ -1,9 +1,11 @@
-// Package sched provides the task-dispatch scheduler shared by the execution
-// backends. It was extracted from the worker-pool loop in internal/cluster
-// (and the semaphore in the TCP coordinator) so that several concurrently
-// executing plans can interleave their stage tasks on one cluster: every
-// task acquires a slot from the scheduler before running, and when tasks
-// from multiple tenants are waiting, slots are granted by weighted
+// Package sched is the one stage driver of both execution backends
+// (Scheduler.Run: home queues, TasksPerNode lanes per node, the steal rule,
+// retries, first-error abort; a runtime supplies one attempt of a task), and
+// the slot gate it dispatches through.
+//
+// Every task holds a slot of the Scheduler while it runs, so several
+// concurrently executing plans interleave their tasks on one cluster: when
+// tasks from multiple tenants are waiting, slots are granted by weighted
 // round-robin across tenants. One giant job therefore cannot starve small
 // queries — a tenant with weight w receives w grants per round while it has
 // waiters, regardless of how many tasks it has queued.
@@ -154,57 +156,6 @@ func (s *Scheduler) grantLocked() {
 			s.cursor++
 		}
 	}
-}
-
-// RunTasks executes fn(0) ... fn(numTasks-1) for tenant, each task holding
-// one scheduler slot while it runs. It is the dispatch loop formerly inlined
-// in cluster.RunStage: up to min(numTasks, Slots) worker goroutines pull
-// task indices in order; after the first task error no new task starts, and
-// RunTasks returns that first error once in-flight tasks finish.
-func (s *Scheduler) RunTasks(tenant string, weight, numTasks int, fn func(i int) error) error {
-	if numTasks <= 0 {
-		return nil
-	}
-	workers := s.Slots()
-	if workers > numTasks {
-		workers = numTasks
-	}
-	var (
-		next     atomic.Int64
-		failed   atomic.Bool
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if failed.Load() {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= numTasks {
-					return
-				}
-				release := s.Acquire(tenant, weight)
-				if failed.Load() {
-					release()
-					return
-				}
-				err := fn(i)
-				release()
-				if err != nil {
-					errOnce.Do(func() { firstErr = err })
-					failed.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
 }
 
 // TenantSnapshot reports one tenant's scheduling state.

@@ -76,14 +76,15 @@ func TestWeightedRoundRobin(t *testing.T) {
 	}
 }
 
-// TestRunTasksRunsAll checks every index runs exactly once and concurrency
-// never exceeds the slot count.
+// TestRunTasksRunsAll checks that the stage driver runs every task exactly
+// once and that concurrency never exceeds the slot count, however many
+// lanes the nodes have.
 func TestRunTasksRunsAll(t *testing.T) {
 	const slots, tasks = 3, 50
 	s := New(slots)
 	var ran [tasks]atomic.Int32
 	var inFlight, peak atomic.Int32
-	err := s.RunTasks("t", 1, tasks, func(i int) error {
+	_, err := s.Run(Stage{Tasks: tasks, Alive: []bool{true, true, true, true}, Lanes: 3}, func(_, i, _ int) error {
 		cur := inFlight.Add(1)
 		for {
 			p := peak.Load()
@@ -92,7 +93,6 @@ func TestRunTasksRunsAll(t *testing.T) {
 			}
 		}
 		ran[i].Add(1)
-		time.Sleep(time.Millisecond)
 		inFlight.Add(-1)
 		return nil
 	})
@@ -109,63 +109,82 @@ func TestRunTasksRunsAll(t *testing.T) {
 	}
 }
 
-// TestRunTasksError checks the first error is returned and unstarted tasks
-// are skipped after it.
+// TestRunTasksError checks the first error stops the stage: it comes back
+// wrapped with the stage and task, and tasks that had not started never run.
 func TestRunTasksError(t *testing.T) {
 	s := New(1)
 	boom := errors.New("boom")
 	var started atomic.Int32
-	err := s.RunTasks("t", 1, 100, func(i int) error {
+	_, err := s.Run(Stage{Name: "st", Tasks: 100, Alive: []bool{true}, Lanes: 1}, func(_, i, _ int) error {
 		started.Add(1)
 		if i == 3 {
 			return boom
 		}
 		return nil
 	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want %v", err, boom)
+	if !errors.Is(err, boom) || !strings.Contains(err.Error(), `stage "st" task 3`) {
+		t.Fatalf("err = %v, want %v from stage \"st\" task 3", err, boom)
 	}
-	// One slot means strictly sequential dispatch: tasks 0..3 started, the
-	// rest were skipped.
+	// One lane means strictly sequential dispatch: tasks 0..3 started, the
+	// rest never ran.
 	if n := started.Load(); n != 4 {
 		t.Fatalf("started %d tasks, want 4", n)
+	}
+
+	// Two lanes wait for the one slot, each holding a task that fails: the
+	// second task, taken but not started when the first failed, never runs.
+	s = New(1)
+	hold := s.Acquire("", 1)
+	started.Store(0)
+	done := make(chan error)
+	go func() {
+		_, err := s.Run(Stage{Tasks: 2, Alive: []bool{true, true}, Lanes: 1}, func(int, int, int) error {
+			started.Add(1)
+			return boom
+		})
+		done <- err
+	}()
+	waitWaiting(t, s, "", 2)
+	hold()
+	if err := <-done; !errors.Is(err, boom) || started.Load() != 1 {
+		t.Fatalf("err = %v after %d started tasks, want %v after 1", err, started.Load(), boom)
 	}
 }
 
 // TestRunTasksZero checks the degenerate cases.
 func TestRunTasksZero(t *testing.T) {
 	s := New(4)
-	if err := s.RunTasks("t", 1, 0, func(int) error { return errors.New("never") }); err != nil {
-		t.Fatal(err)
+	never := func(int, int, int) error { return errors.New("never") }
+	if steals, err := s.Run(Stage{Alive: []bool{true}}, never); err != nil || steals != 0 {
+		t.Fatalf("empty stage: %d steals, %v", steals, err)
 	}
 	if got := New(0).Slots(); got != 1 {
 		t.Fatalf("Slots() = %d after New(0), want 1", got)
 	}
 }
 
-// TestSharedSchedulerInterleaves runs two tenants' task batches through one
+// TestSharedSchedulerInterleaves runs two tenants' stages through one
 // single-slot scheduler concurrently and checks both make progress before
 // either finishes (round-robin interleaving rather than FIFO draining).
 func TestSharedSchedulerInterleaves(t *testing.T) {
 	s := New(1)
 	var mu sync.Mutex
 	var order []string
-	run := func(tenant string) func() error {
-		return func() error {
-			return s.RunTasks(tenant, 1, 8, func(i int) error {
-				mu.Lock()
-				order = append(order, tenant)
-				mu.Unlock()
-				time.Sleep(time.Millisecond)
-				return nil
-			})
-		}
+	run := func(tenant string) error {
+		_, err := s.Run(Stage{Tasks: 8, Alive: []bool{true, true}, Lanes: 4, Tenant: tenant, Weight: 1}, func(int, int, int) error {
+			mu.Lock()
+			order = append(order, tenant)
+			mu.Unlock()
+			time.Sleep(time.Millisecond)
+			return nil
+		})
+		return err
 	}
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
 	for i, tenant := range []string{"A", "B"} {
 		wg.Add(1)
-		go func() { defer wg.Done(); errs[i] = run(tenant)() }()
+		go func() { defer wg.Done(); errs[i] = run(tenant) }()
 	}
 	wg.Wait()
 	for _, err := range errs {
