@@ -27,7 +27,7 @@ func main() {
 	scale := flag.Float64("scale", 1, "dimension scale factor in (0,1]")
 	nodes := flag.Int("nodes", 0, "override worker node count (default: paper's 8)")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace_event JSON file of the bench run (per-experiment spans; stage/task detail for real executions)")
-	flightOut := flag.String("flight-out", "", "write a JSONL flight record of the bench run (one line per executed stage: predicted vs measured)")
+	journalOut := flag.String("journal-out", "", "write a JSONL event journal of the bench run (one stage_end line per executed stage, carrying its predicted-vs-measured flight record)")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
 	flag.Parse()
 
@@ -36,20 +36,21 @@ func main() {
 		return
 	}
 	opts := experiments.Options{Scale: *scale, Nodes: *nodes}
-	var flightFile *os.File
-	if *traceOut != "" || *flightOut != "" {
+	var journal *obs.Journal
+	var journalFile *os.File
+	if *traceOut != "" || *journalOut != "" {
 		opts.Obs = &obs.Obs{}
 		if *traceOut != "" {
 			opts.Obs.Trace = obs.NewRecorder()
 		}
-		if *flightOut != "" {
-			f, ferr := os.Create(*flightOut)
+		if *journalOut != "" {
+			f, ferr := os.Create(*journalOut)
 			if ferr != nil {
 				fmt.Fprintln(os.Stderr, "fuseme-bench:", ferr)
 				os.Exit(1)
 			}
-			flightFile = f
-			opts.Obs.Flight = obs.NewJSONL(f)
+			journal, journalFile = obs.NewJournal(0, f), f
+			opts.Obs.QLog = journal.Begin("bench", "")
 		}
 	}
 	tables, err := experiments.Run(*exp, opts)
@@ -63,16 +64,16 @@ func main() {
 		}
 		fmt.Println("trace:", *traceOut)
 	}
-	if *flightOut != "" {
-		werr := opts.Obs.Flight.Flush()
-		if cerr := flightFile.Close(); werr == nil {
+	if journal != nil {
+		werr := journal.Flush()
+		if cerr := journalFile.Close(); werr == nil {
 			werr = cerr
 		}
 		if werr != nil {
 			fmt.Fprintln(os.Stderr, "fuseme-bench:", werr)
 			os.Exit(1)
 		}
-		fmt.Println("flight:", *flightOut)
+		fmt.Println("journal:", *journalOut)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fuseme-bench:", err)

@@ -31,7 +31,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -46,15 +45,9 @@ type stringsFlag []string
 func (f *stringsFlag) String() string     { return strings.Join(*f, ",") }
 func (f *stringsFlag) Set(v string) error { *f = append(*f, v); return nil }
 
-// Environment overrides (flags win).
-const (
-	// EnvTenants is the tenant table: name:token:weight[:quotaMB], comma
-	// separated (see -tenants).
-	EnvTenants = "FUSEME_TENANTS"
-	// EnvBudgetBytes overrides the cluster memory budget carved into tenant
-	// reservations.
-	EnvBudgetBytes = "FUSEME_SERVE_BUDGET_BYTES"
-)
+// EnvTenants is the tenant table: name:token:weight[:quotaMB], comma
+// separated; the -tenants flag wins.
+const EnvTenants = "FUSEME_TENANTS"
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "address the query API listens on")
@@ -66,7 +59,7 @@ func main() {
 	blockSize := flag.Int("block-size", 64, "matrix block width/height")
 	taskMem := flag.Int64("task-mem-bytes", 4<<30, "per-task memory budget θt in bytes")
 	sessions := flag.Int("sessions", 8, "session pool size: max concurrently executing plans")
-	budget := flag.Int64("budget-bytes", 0, "cluster memory budget carved into tenant reservations (default nodes x tasks x θt, or "+EnvBudgetBytes+")")
+	budget := flag.Int64("budget-bytes", 0, "cluster memory budget carved into tenant reservations (default nodes x tasks x θt)")
 	queueDepth := flag.Int("queue-depth", 16, "per-tenant admission queue bound")
 	queueWait := flag.Duration("queue-wait", 10*time.Second, "max time a queued submission waits for memory before 429")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight plans on shutdown")
@@ -114,23 +107,12 @@ func main() {
 		fail(err)
 	}
 
-	budgetBytes := *budget
-	if budgetBytes == 0 {
-		if env := os.Getenv(EnvBudgetBytes); env != "" {
-			b, err := strconv.ParseInt(env, 10, 64)
-			if err != nil || b < 1 {
-				fail(fmt.Errorf("%s=%q: want a positive byte count", EnvBudgetBytes, env))
-			}
-			budgetBytes = b
-		}
-	}
-
 	scfg := serve.Config{
 		Cluster:     ccfg,
 		Engine:      fuseme.Engine(*engine),
 		Tenants:     tenantList,
 		Sessions:    *sessions,
-		BudgetBytes: budgetBytes,
+		BudgetBytes: *budget,
 		QueueDepth:  *queueDepth,
 		QueueWait:   *queueWait,
 	}

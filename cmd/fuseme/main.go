@@ -14,11 +14,12 @@
 //
 // Observability: -explain prints each operator's predicted cost terms
 // before executing, -trace-out FILE exports a Chrome trace of the run (a
-// single merged cluster timeline under -runtime=tcp), -flight-out FILE
-// appends one JSON line per executed stage (predicted vs measured),
-// -metrics-addr HOST:PORT serves /metrics, /debug/stats and /debug/pprof/
-// during it, and -report prints the cost-model calibration (predicted vs
-// measured, with back-solved effective bandwidths) afterwards.
+// single merged cluster timeline under -runtime=tcp), -journal-out FILE
+// writes the query's event journal (one stage_end line per executed stage
+// carries its predicted-vs-measured flight record), -metrics-addr HOST:PORT
+// serves /metrics, /debug/stats and /debug/pprof/ during it, and -report
+// prints the cost-model calibration (predicted vs measured, with
+// back-solved effective bandwidths) afterwards.
 package main
 
 import (
@@ -59,8 +60,7 @@ func run() error {
 	verbose := flag.Bool("v", false, "print result matrices (small outputs only)")
 	explain := flag.Bool("explain", false, "print each operator's (P,Q,R) and predicted memory/net/comp terms before executing")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace_event JSON file of the execution (load in chrome://tracing)")
-	flightOut := flag.String("flight-out", "", "write a JSONL flight record (one line per stage: predicted vs measured) to this file")
-	journalOut := flag.String("journal-out", "", "write the query event journal (planned/stage/done lifecycle, JSONL) to this file (default: $FUSEME_JOURNAL)")
+	journalOut := flag.String("journal-out", "", "write the query event journal (planned/stage/done lifecycle, JSONL; each stage_end carries the stage's predicted-vs-measured flight record) to this file (default: $FUSEME_JOURNAL)")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus /metrics and JSON /debug/stats on this address during the run")
 	report := flag.Bool("report", false, "print the cost-model calibration report (predicted vs measured, back-solved bandwidths) after executing")
 	flag.Var(&inputs, "in", "input declaration name:ROWSxCOLS[:density]; repeatable")
@@ -92,33 +92,16 @@ func run() error {
 	if *traceOut != "" {
 		opts = append(opts, fuseme.WithTracing())
 	}
-	// -flight-out / -journal-out files are this command's: the session
-	// flushes into them on Close, the command closes them afterwards.
-	var outFiles []*os.File
-	defer func() {
-		for _, f := range outFiles {
-			f.Close() // error paths only; the success path checks Close below
-		}
-	}()
-	createOut := func(path string) (*os.File, error) {
-		f, err := os.Create(path)
-		if err == nil {
-			outFiles = append(outFiles, f)
-		}
-		return f, err
-	}
-	if *flightOut != "" {
-		f, err := createOut(*flightOut)
-		if err != nil {
-			return err
-		}
-		opts = append(opts, fuseme.WithFlightRecorder(f))
-	}
+	// The -journal-out file is this command's: the session flushes into it
+	// on Close, the command closes it afterwards.
+	var journalFile *os.File
 	if *journalOut != "" {
-		f, err := createOut(*journalOut)
+		f, err := os.Create(*journalOut)
 		if err != nil {
 			return err
 		}
+		defer f.Close() // error paths only; the success path checks Close below
+		journalFile = f
 		opts = append(opts, fuseme.WithJournal(fuseme.NewJournal(0, f)))
 	}
 	if *metricsAddr != "" {
@@ -201,21 +184,14 @@ func run() error {
 		}
 		fmt.Println("trace:", *traceOut)
 	}
-	if len(outFiles) > 0 {
+	if journalFile != nil {
 		if err := sess.Close(); err != nil {
 			return err
 		}
-		for _, f := range outFiles {
-			if err := f.Close(); err != nil {
-				return err
-			}
+		if err := journalFile.Close(); err != nil {
+			return err
 		}
-		if *flightOut != "" {
-			fmt.Println("flight:", *flightOut)
-		}
-		if *journalOut != "" {
-			fmt.Println("journal:", *journalOut)
-		}
+		fmt.Println("journal:", *journalOut)
 	}
 	return nil
 }

@@ -237,6 +237,9 @@ func TestDocDriftOptions(t *testing.T) {
 	if len(declared) == 0 {
 		t.Fatal("found no With* functions in the root package — parsing broken")
 	}
+	if len(declared) != 7 {
+		t.Errorf("the root package declares %d With* options, want 7: a new option needs a benchmark arm or a reason in ROADMAP", len(declared))
+	}
 	doc, err := os.ReadFile("docs/OPERATIONS.md")
 	if err != nil {
 		t.Fatal(err)
@@ -308,6 +311,9 @@ func TestDocDriftVariablesAndCommands(t *testing.T) {
 	}
 	if len(read) == 0 || len(rows) == 0 {
 		t.Fatalf("found %d variables in source and %d table rows — extraction broken", len(read), len(rows))
+	}
+	if len(read) != 5 {
+		t.Errorf("the source reads %d FUSEME_* variables, want 5: a new variable needs a reason in ROADMAP", len(read))
 	}
 	for name := range read {
 		if !rows[name] {
@@ -439,6 +445,21 @@ func TestDocDriftFlags(t *testing.T) {
 	}
 }
 
+// declName names a function declaration as Recv.Name for a method, Name
+// otherwise.
+func declName(fn *ast.FuncDecl) string {
+	if fn.Recv != nil {
+		recv := fn.Recv.List[0].Type
+		if star, ok := recv.(*ast.StarExpr); ok {
+			recv = star.X
+		}
+		if id, ok := recv.(*ast.Ident); ok {
+			return id.Name + "." + fn.Name.Name
+		}
+	}
+	return fn.Name.Name
+}
+
 // TestOneStageConstructor holds the executor to one stage representation,
 // built once. Non-test Go outside bench/:
 //   - builds an rt.Stage in exactly one place, internal/exec/paths.go
@@ -528,16 +549,7 @@ func TestOneStageConstructor(t *testing.T) {
 			if !ok || fn.Body == nil {
 				continue
 			}
-			name := fn.Name.Name
-			if fn.Recv != nil {
-				recv := fn.Recv.List[0].Type
-				if star, ok := recv.(*ast.StarExpr); ok {
-					recv = star.X
-				}
-				if id, ok := recv.(*ast.Ident); ok {
-					name = id.Name + "." + name
-				}
-			}
+			name := declName(fn)
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
@@ -562,5 +574,76 @@ func TestOneStageConstructor(t *testing.T) {
 	}
 	if len(literals) != 1 || !strings.HasPrefix(literals[0], "internal/exec/paths.go:") {
 		t.Errorf("rt.Stage literals at %v, want exactly one, in internal/exec/paths.go", literals)
+	}
+}
+
+// TestEq2PricedOnce holds the cost model to one pricing function. Non-test Go
+// outside bench/ divides by a bandwidth — NetBandwidth, CompBandwidth or
+// EffectiveCompBandwidth() — only in cluster.Config.Eq2, and multiplies
+// TaskOverhead only in cluster.Config.WaveOverhead and in fig15's per-step
+// TensorFlow model, tfEpoch.
+func TestEq2PricedOnce(t *testing.T) {
+	bandwidths := map[string]bool{"NetBandwidth": true, "CompBandwidth": true, "EffectiveCompBandwidth": true}
+	allowed := map[string]map[string]bool{
+		"divides":    {"internal/cluster/cluster.go:Config.Eq2": true},
+		"multiplies": {"internal/cluster/cluster.go:Config.WaveOverhead": true, "internal/experiments/fig15.go:tfEpoch": true},
+	}
+	// names reports whether e mentions a selector named in want.
+	names := func(e ast.Expr, want map[string]bool) bool {
+		found := false
+		ast.Inspect(e, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && want[sel.Sel.Name] {
+				found = true
+			}
+			return !found
+		})
+		return found
+	}
+	overhead := map[string]bool{"TaskOverhead": true}
+	seen := map[string]bool{}
+	for _, path := range nonTestGoFiles(t) {
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			name := declName(fn)
+			where := filepath.ToSlash(path) + ":" + name
+			check := func(what string, n ast.Node) {
+				seen[what] = true
+				if !allowed[what][where] {
+					t.Errorf("%s: %s %s; Eq. 2 is priced in cluster.Config.Eq2 / WaveOverhead only", fset.Position(n.Pos()), name, what)
+				}
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.BinaryExpr:
+					if n.Op == token.QUO && names(n.Y, bandwidths) {
+						check("divides", n)
+					}
+					if n.Op == token.MUL && (names(n.X, overhead) || names(n.Y, overhead)) {
+						check("multiplies", n)
+					}
+				case *ast.AssignStmt:
+					for _, rhs := range n.Rhs {
+						if n.Tok == token.QUO_ASSIGN && names(rhs, bandwidths) {
+							check("divides", n)
+						}
+						if n.Tok == token.MUL_ASSIGN && (names(rhs, overhead) || names(n.Lhs[0], overhead)) {
+							check("multiplies", n)
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	if !seen["divides"] || !seen["multiplies"] {
+		t.Fatalf("found no pricing expression (%v) — parsing broken", seen)
 	}
 }

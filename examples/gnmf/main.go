@@ -21,7 +21,7 @@ func main() {
 	workers := flag.String("workers", "", "comma-separated worker addresses for -runtime=tcp (default: $FUSEME_WORKERS)")
 	iters := flag.Int("iters", 8, "GNMF iterations")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace of the whole run (one merged cluster timeline under -runtime=tcp)")
-	flightOut := flag.String("flight-out", "", "write a JSONL flight record (one line per stage: predicted vs measured)")
+	journalOut := flag.String("journal-out", "", "write the query event journal (JSONL; each stage_end carries the stage's predicted-vs-measured flight record)")
 	flag.Parse()
 
 	const (
@@ -38,14 +38,14 @@ func main() {
 	if *traceOut != "" {
 		opts = append(opts, fuseme.WithTracing())
 	}
-	var flightFile *os.File
-	if *flightOut != "" {
-		f, err := os.Create(*flightOut)
+	var journalFile *os.File
+	if *journalOut != "" {
+		f, err := os.Create(*journalOut)
 		if err != nil {
 			log.Fatal(err)
 		}
-		flightFile = f
-		opts = append(opts, fuseme.WithFlightRecorder(f))
+		journalFile = f
+		opts = append(opts, fuseme.WithJournal(fuseme.NewJournal(0, f)))
 	}
 	sess, err := fuseme.NewSession(cfg, opts...)
 	if err != nil {
@@ -107,14 +107,14 @@ func main() {
 		}
 		fmt.Println("trace:", *traceOut)
 	}
-	if flightFile != nil {
-		// Close flushes the flight recorder into the file; the file is ours.
+	if journalFile != nil {
+		// Close flushes the journal into the file; the file is ours.
 		if err := sess.Close(); err != nil {
 			log.Fatal(err)
 		}
-		if err := flightFile.Close(); err != nil {
+		if err := journalFile.Close(); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Println("flight:", *flightOut)
+		fmt.Println("journal:", *journalOut)
 	}
 }

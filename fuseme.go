@@ -555,11 +555,8 @@ func (s *Session) Close() error {
 			err = cerr
 		}
 	}
-	// Sinks handed in by the caller (WithFlightRecorder, WithJournal) are
-	// flushed, not closed; the FUSEME_JOURNAL file is the session's own.
-	if cerr := s.obs.Flight.Flush(); err == nil {
-		err = cerr
-	}
+	// A sink handed in by the caller (WithJournal) is flushed, not closed;
+	// the FUSEME_JOURNAL file is the session's own.
 	if cerr := s.journal.Flush(); err == nil {
 		err = cerr
 	}

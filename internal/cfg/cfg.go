@@ -15,6 +15,7 @@ import (
 	"sort"
 	"sync/atomic"
 
+	"fuseme/internal/cluster"
 	"fuseme/internal/cost"
 	"fuseme/internal/dag"
 	"fuseme/internal/fusion"
@@ -37,12 +38,13 @@ type Result struct {
 
 // Generate runs both CFG phases over g and then covers the remaining
 // operators with Cell-fused chains and singletons, so the returned set
-// partitions the whole query.
-func Generate(g *dag.Graph, model cost.Model, blockSize int) (*Result, error) {
+// partitions the whole query. Plans are priced on cluster cc at its block
+// size.
+func Generate(g *dag.Graph, cc cluster.Config) (*Result, error) {
 	generateCalls.Add(1)
-	rule := fusion.RuleFor(g, model.TaskMemBytes)
+	rule := fusion.RuleFor(g, cc.TaskMemBytes)
 	candidates := ExplorationPhase(g, rule)
-	final, params := ExploitationPhase(candidates, model, blockSize)
+	final, params := ExploitationPhase(candidates, cc)
 
 	used := map[int]bool{}
 	for _, p := range final {
@@ -214,7 +216,7 @@ func rootOf(members map[int]*dag.Node) *dag.Node {
 // from the main one) out into its own plan; keep the split when the summed
 // optimal costs improve. Returns the final plans and the optimal parameters
 // for every matmul-bearing plan.
-func ExploitationPhase(candidates []*fusion.Plan, model cost.Model, blockSize int) ([]*fusion.Plan, map[*fusion.Plan]opt.Result) {
+func ExploitationPhase(candidates []*fusion.Plan, cc cluster.Config) ([]*fusion.Plan, map[*fusion.Plan]opt.Result) {
 	params := map[*fusion.Plan]opt.Result{}
 	var final []*fusion.Plan
 	queue := append([]*fusion.Plan(nil), candidates...)
@@ -225,7 +227,7 @@ func ExploitationPhase(candidates []*fusion.Plan, model cost.Model, blockSize in
 			final = append(final, f)
 			continue
 		}
-		best := opt.Optimize(model, cost.Analyze(f, blockSize))
+		best := opt.Optimize(cc, cost.Analyze(f, cc.BlockSize))
 		splitPoints := secondaryMatMuls(f)
 		for _, vi := range splitPoints {
 			if f.Members[vi.ID] == nil {
@@ -235,8 +237,8 @@ func ExploitationPhase(candidates []*fusion.Plan, model cost.Model, blockSize in
 			if err != nil {
 				continue
 			}
-			rm := opt.Optimize(model, cost.Analyze(fm, blockSize))
-			ri := opt.Optimize(model, cost.Analyze(fi, blockSize))
+			rm := opt.Optimize(cc, cost.Analyze(fm, cc.BlockSize))
+			ri := opt.Optimize(cc, cost.Analyze(fi, cc.BlockSize))
 			if rm.Cost+ri.Cost < best.Cost {
 				queue = append(queue, fi) // fi may itself split further
 				f, best = fm, rm

@@ -3,7 +3,7 @@ package cfg
 import (
 	"testing"
 
-	"fuseme/internal/cost"
+	"fuseme/internal/cluster"
 	"fuseme/internal/dag"
 	"fuseme/internal/fusion"
 	"fuseme/internal/lang"
@@ -40,9 +40,8 @@ func nmfGraph(t testing.TB, rows, cols, k int, density float64) *dag.Graph {
 	})
 }
 
-func paperModel() cost.Model {
-	return cost.Model{Nodes: 8, NetBW: 125e6, CompBW: 546e9, TaskMemBytes: 10 << 30, MinTasks: 96}
-}
+// paperModel is the paper's cluster, whose 1000-wide blocks the tests plan at.
+func paperModel() cluster.Config { return cluster.Default() }
 
 // gnmfStructure finds, per output, the generated plan sizes for the GNMF
 // graph (Figure 10).
@@ -80,7 +79,7 @@ func TestExploitationPhaseSplitsDistantMM(t *testing.T) {
 	g := gnmfGraph(t, 1_823_179, 136_736, 200, 0.0029)
 	rule := fusion.RuleFor(g, 10<<30)
 	candidates := ExplorationPhase(g, rule)
-	final, params := ExploitationPhase(candidates, paperModel(), 1000)
+	final, params := ExploitationPhase(candidates, paperModel())
 	if len(final) <= len(candidates) {
 		t.Fatalf("exploitation did not split: %d plans from %d candidates", len(final), len(candidates))
 	}
@@ -135,7 +134,7 @@ func TestGenerateCoversWholeGraph(t *testing.T) {
 		}),
 	}
 	for name, g := range graphs {
-		res, err := Generate(g, paperModel(), 1000)
+		res, err := Generate(g, paperModel())
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
@@ -150,7 +149,7 @@ func TestGenerateNMFSinglePlan(t *testing.T) {
 	// The NMF kernel fuses into exactly one CFO ("the entire query is
 	// executed as a single fused operator", Section 6.2).
 	g := nmfGraph(t, 100_000, 100_000, 2000, 0.001)
-	res, err := Generate(g, paperModel(), 1000)
+	res, err := Generate(g, paperModel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +173,7 @@ func TestCFGFusesLargeMatMulUnlikeGEN(t *testing.T) {
 	// x U)-style queries CFG keeps the large multiplication inside the
 	// fusion plan.
 	g := gnmfGraph(t, 1_823_179, 136_736, 1000, 0.0029)
-	res, err := Generate(g, paperModel(), 1000)
+	res, err := Generate(g, paperModel())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,9 +4,10 @@
 // driver both runtimes share (sched.Run, Nodes × TasksPerNode lanes over a
 // bounded slot pool), every block that moves between storage, the driver and a
 // task is metered in bytes, per-task memory is tracked against the budget θt,
-// and a simulated clock advances per execution stage by the paper's Eq. 2:
+// and a simulated clock advances per execution stage by the paper's Eq. 2
+// (Config.Eq2) plus the stage's scheduling overhead (Config.WaveOverhead):
 //
-//	stageTime = max(stageBytes / (N * B̂n), stageFlops / (N * B̂c))
+//	stageTime = max(stageBytes / (N * B̂n), stageFlops / (N * B̂c)) + overhead
 //
 // because computation and communication overlap within a stage. Real local
 // arithmetic still runs (and is verified against references in tests); only
@@ -124,6 +125,34 @@ func (c Config) EffectiveCompBandwidth() float64 {
 		return c.CompBandwidth * float64(c.KernelThreads)
 	}
 	return c.CompBandwidth
+}
+
+// Eq2 prices the two terms of the paper's Eq. 2 on this cluster: netBytes of
+// cluster-wide traffic over N × B̂n and flops over N × B̂c, with B̂c scaled by
+// explicit kernel threads (EffectiveCompBandwidth). Computation and
+// communication overlap, so a stage takes the larger of the two. This is the
+// one place the model prices a term: the optimizer's objective, the simulated
+// clock, -explain and the calibration report all call it. A non-positive
+// bandwidth prices its term at zero.
+func (c Config) Eq2(netBytes, flops float64) (netSec, compSec float64) {
+	n := float64(c.Nodes)
+	if c.NetBandwidth > 0 {
+		netSec = netBytes / (n * c.NetBandwidth)
+	}
+	if bc := c.EffectiveCompBandwidth(); bc > 0 {
+		compSec = flops / (n * bc)
+	}
+	return netSec, compSec
+}
+
+// WaveOverhead is the scheduling overhead of a stage of the given number of
+// tasks: TaskOverhead per wave of TotalSlots tasks.
+func (c Config) WaveOverhead(tasks int) float64 {
+	if tasks <= 0 || c.TaskOverhead <= 0 {
+		return 0
+	}
+	slots := max(c.TotalSlots(), 1)
+	return float64((tasks+slots-1)/slots) * c.TaskOverhead
 }
 
 // Stats accumulates execution metrics across stages. All byte counts are the
@@ -662,13 +691,8 @@ func (c *Cluster) RunStage(name string, numTasks int, fn func(t *Task) error) er
 	for i := range tasks {
 		stage.AddTask(tasks[i].Metrics())
 	}
-	bytes := float64(stage.ConsolidationBytes + stage.AggregationBytes)
-	n := float64(c.cfg.Nodes)
-	stage.SimSeconds = maxf(bytes/(n*c.cfg.NetBandwidth), float64(stage.Flops)/(n*c.cfg.EffectiveCompBandwidth()))
-	if c.cfg.TaskOverhead > 0 && numTasks > 0 {
-		waves := (numTasks + c.cfg.TotalSlots() - 1) / c.cfg.TotalSlots()
-		stage.SimSeconds += float64(waves) * c.cfg.TaskOverhead
-	}
+	stage.SimSeconds = max(c.cfg.Eq2(float64(stage.TotalCommBytes()), float64(stage.Flops))) +
+		c.cfg.WaveOverhead(numTasks)
 	stage.WallSeconds = time.Since(start).Seconds()
 
 	c.mu.Lock()
@@ -682,13 +706,6 @@ func (c *Cluster) RunStage(name string, numTasks int, fn func(t *Task) error) er
 			name, total, c.cfg.SimTimeLimit, ErrTimeout)
 	}
 	return nil
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // FormatBytes renders a byte count with a binary-prefix unit.

@@ -56,21 +56,12 @@ func (op *PhysOp) Prediction() obs.FlightRecord {
 	}
 }
 
-// EqModel is the Eq. 2 constants cfg prices a plan with: the configured
-// bandwidths, B̂c scaled by explicit kernel threads.
-func EqModel(cfg cluster.Config) obs.ClusterModel {
-	m := modelFor(cfg)
-	return obs.ClusterModel{Nodes: m.Nodes, NetBandwidth: m.NetBW, CompBandwidth: m.CompBW}
-}
-
 // PredictedSeconds is the plan's predicted Eq. 2 wall time under cfg: each
 // operator's max(net, comp) term, summed across operators.
 func (pp *PhysPlan) PredictedSeconds(cfg cluster.Config) float64 {
-	m := EqModel(cfg)
 	var total float64
 	for _, op := range pp.Ops {
-		netSec, comSec, _ := m.Eq2(op.EstNetBytes, op.EstComFlops)
-		total += max(netSec, comSec)
+		total += max(cfg.Eq2(float64(op.EstNetBytes), float64(op.EstComFlops)))
 	}
 	return total
 }
@@ -129,18 +120,17 @@ func (pp *PhysPlan) Describe() string {
 // constants, the ones the compile priced with. This is what `fuseme
 // -explain` prints before execution.
 func (pp *PhysPlan) DescribeCosts(cfg cluster.Config) string {
-	m := EqModel(cfg)
 	var b strings.Builder
 	fmt.Fprintf(&b, "predicted costs (N=%d, B̂n=%.3g B/s, B̂c=%.3g flop/s, θt=%s):\n",
-		cfg.Nodes, m.NetBandwidth, m.CompBandwidth, cluster.FormatBytes(cfg.TaskMemBytes))
+		cfg.Nodes, cfg.NetBandwidth, cfg.EffectiveCompBandwidth(), cluster.FormatBytes(cfg.TaskMemBytes))
 	for i, op := range pp.Ops {
 		pqr := "-"
 		if op.Strategy == exec.Cuboid && op.Plan.MainMM != nil {
 			pqr = fmt.Sprintf("(%d,%d,%d)", op.P, op.Q, op.R)
 		}
-		netSec, comSec, netBound := m.Eq2(op.EstNetBytes, op.EstComFlops)
+		netSec, comSec := cfg.Eq2(float64(op.EstNetBytes), float64(op.EstComFlops))
 		bound := "comp"
-		if netBound {
+		if netSec >= comSec {
 			bound = "net"
 		}
 		fmt.Fprintf(&b, "[%d] %-8s %-18s %-11s net=%-10s comp=%-12s mem/task=%-10s time=%.3gs (net %.3gs, comp %.3gs, %s-bound)\n",

@@ -13,20 +13,6 @@ import (
 	"fuseme/internal/opt"
 )
 
-// modelFor derives the cost-model constants from the cluster configuration.
-// CompBW uses the kernel-thread-scaled compute bandwidth so plan costs (and
-// the chosen (P,Q,R)) reflect intra-task parallelism when it is configured
-// explicitly.
-func modelFor(cc cluster.Config) cost.Model {
-	return cost.Model{
-		Nodes:        cc.Nodes,
-		NetBW:        cc.NetBandwidth,
-		CompBW:       cc.EffectiveCompBandwidth(),
-		TaskMemBytes: cc.TaskMemBytes,
-		MinTasks:     cc.TotalSlots(),
-	}
-}
-
 // gridOp builds the physical operator for a plan without matrix
 // multiplication (or any plan executed as a partitioned map).
 func gridOp(p *fusion.Plan, cc cluster.Config, kind string) *PhysOp {
@@ -60,8 +46,7 @@ func (f FuseME) Name() string {
 
 // Compile implements Engine.
 func (f FuseME) Compile(g *dag.Graph, cc cluster.Config) (*PhysPlan, error) {
-	model := modelFor(cc)
-	res, err := cfg.Generate(g, model, cc.BlockSize)
+	res, err := cfg.Generate(g, cc)
 	if err != nil {
 		return nil, err
 	}
@@ -73,7 +58,7 @@ func (f FuseME) Compile(g *dag.Graph, cc cluster.Config) (*PhysPlan, error) {
 		}
 		params, ok := res.Params[p]
 		if !ok {
-			params = opt.Optimize(model, cost.Analyze(p, cc.BlockSize))
+			params = opt.Optimize(cc, cost.Analyze(p, cc.BlockSize))
 		}
 		pp.Ops = append(pp.Ops, &PhysOp{
 			Plan: p, Strategy: exec.Cuboid, Kind: "CFO",
@@ -174,14 +159,13 @@ func (DistMESim) Compile(g *dag.Graph, cc cluster.Config) (*PhysPlan, error) {
 	if err := set.Validate(g); err != nil {
 		return nil, fmt.Errorf("distme: %w", err)
 	}
-	model := modelFor(cc)
 	pp := &PhysPlan{Graph: g}
 	for _, p := range set.Plans {
 		if p.MainMM == nil {
 			pp.Ops = append(pp.Ops, gridOp(p, cc, "Map"))
 			continue
 		}
-		params := opt.Optimize(model, cost.Analyze(p, cc.BlockSize))
+		params := opt.Optimize(cc, cost.Analyze(p, cc.BlockSize))
 		pp.Ops = append(pp.Ops, &PhysOp{Plan: p, Strategy: exec.Cuboid, Kind: "CuboidMM",
 			P: params.P, Q: params.Q, R: params.R,
 			EstNetBytes: params.NetBytes, EstComFlops: params.ComFlops,

@@ -27,15 +27,13 @@ import (
 // Partial stats accumulated before the failure are returned either way.
 func Simulate(pp *PhysPlan, cfg cluster.Config) (cluster.Stats, error) {
 	var s cluster.Stats
-	n := float64(cfg.Nodes)
 
 	levels := opLevels(pp)
 	// Per level: bandwidth and compute are shared cluster resources, so
 	// bytes and flops add up across concurrent operators; only scheduling
 	// overhead overlaps (the longest operator's waves gate the level).
-	levelNet := map[int]float64{}
-	levelCom := map[int]float64{}
-	levelOvh := map[int]float64{}
+	type level struct{ net, com, ovh float64 }
+	byLevel := make([]level, len(pp.Ops))
 	for _, op := range pp.Ops {
 		desc := fmt.Sprintf("%s %s", op.Kind, op.Plan)
 		if op.EstMemPerTask > cfg.TaskMemBytes {
@@ -44,31 +42,21 @@ func Simulate(pp *PhysPlan, cfg cluster.Config) (cluster.Stats, error) {
 		}
 		tasks := estTasks(op, cfg)
 		agg := estAggregationBytes(op, tasks)
-		lvl := levels[op]
-		levelNet[lvl] += float64(op.EstNetBytes + agg)
-		levelCom[lvl] += float64(op.EstComFlops)
-		if cfg.TaskOverhead > 0 {
-			waves := (tasks + cfg.TotalSlots() - 1) / cfg.TotalSlots()
-			if ovh := float64(waves) * cfg.TaskOverhead; ovh > levelOvh[lvl] {
-				levelOvh[lvl] = ovh
-			}
-		}
+		lvl := &byLevel[levels[op]]
+		lvl.net += float64(op.EstNetBytes + agg)
+		lvl.com += float64(op.EstComFlops)
+		lvl.ovh = max(lvl.ovh, cfg.WaveOverhead(tasks))
 		s.ConsolidationBytes += op.EstNetBytes
 		s.AggregationBytes += agg
 		s.Flops += op.EstComFlops
 		s.Stages++
 		s.Tasks += tasks
-		if op.EstMemPerTask > s.PeakTaskMemBytes {
-			s.PeakTaskMemBytes = op.EstMemPerTask
-		}
+		s.PeakTaskMemBytes = max(s.PeakTaskMemBytes, op.EstMemPerTask)
 	}
-	for lvl, net := range levelNet {
-		s.SimSeconds += maxf(net/(n*cfg.NetBandwidth), levelCom[lvl]/(n*cfg.EffectiveCompBandwidth())) + levelOvh[lvl]
-	}
-	for lvl, ovh := range levelOvh {
-		if _, seen := levelNet[lvl]; !seen {
-			s.SimSeconds += ovh
-		}
+	// Levels in order, so the sum rounds the same way every run. Levels past
+	// the deepest operator are zero and add nothing.
+	for _, lvl := range byLevel {
+		s.SimSeconds += max(cfg.Eq2(lvl.net, lvl.com)) + lvl.ovh
 	}
 	if cfg.SimTimeLimit > 0 && s.SimSeconds > cfg.SimTimeLimit {
 		return s, fmt.Errorf("plan: simulated time %.0fs exceeds limit %.0fs: %w",
@@ -141,11 +129,4 @@ func estTasks(op *PhysOp, cfg cluster.Config) int {
 		slots = 1
 	}
 	return slots
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

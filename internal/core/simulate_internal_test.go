@@ -108,15 +108,6 @@ func TestEstTasks(t *testing.T) {
 	}
 }
 
-func TestModelForMirrorsCluster(t *testing.T) {
-	cfg := cluster.Default()
-	cl := cluster.MustNew(cfg)
-	m := modelFor(cl.Config())
-	if m.Nodes != cfg.Nodes || m.TaskMemBytes != cfg.TaskMemBytes || m.MinTasks != cfg.TotalSlots() {
-		t.Fatalf("modelFor mismatch: %+v", m)
-	}
-}
-
 func TestUseBFORules(t *testing.T) {
 	g := dag.NewGraph()
 	// Large sparse main, small sides, big grid: BFO (the Figure 12(a) case).

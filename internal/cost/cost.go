@@ -1,7 +1,8 @@
 // Package cost implements the cost model for distributed fused operators
 // (Section 3.3): per-task memory estimation MemEst (Algorithm 1, Eq. 3),
 // network cost NetEst (Eq. 4), computation cost ComEst (Eq. 5) and the
-// combined objective Cost (Eq. 2), plus the closed-form BFO and RFO
+// combined objective Cost (Eq. 2, priced by cluster.Config.Eq2 like every
+// other Eq. 2 figure), plus the closed-form BFO and RFO
 // estimates of Table 1 used by the SystemDS baseline.
 //
 // The multipliers generalise the paper's equations to arbitrarily nested
@@ -23,6 +24,7 @@
 package cost
 
 import (
+	"fuseme/internal/cluster"
 	"fuseme/internal/dag"
 	"fuseme/internal/fusion"
 )
@@ -88,70 +90,15 @@ type Estimates struct {
 	I, J, K int
 }
 
-// Model holds the cluster constants of Eq. 2.
-type Model struct {
-	Nodes        int     // N
-	NetBW        float64 // B̂n, bytes/s per node
-	CompBW       float64 // B̂c, flop/s per node (pre-scaled by explicit kernel threads)
-	TaskMemBytes int64   // θt
-	MinTasks     int     // N * Tc: the parallelism floor for pruning
+// Cost evaluates the objective of Eq. 2 for a candidate (p,q,r) on cluster
+// cc: max(NetEst/(N*B̂n), ComEst/(N*B̂c)), priced by cc.Eq2.
+func Cost(cc cluster.Config, e Estimates, p, q, r int) float64 {
+	return max(cc.Eq2(e.NetBytes.Eval(p, q, r), e.ComFlops.Eval(p, q, r)))
 }
 
-// Cost evaluates Eq. 2 for a candidate (p,q,r):
-// max(NetEst/(N*B̂n), ComEst/(N*B̂c)).
-func (m Model) Cost(e Estimates, p, q, r int) float64 {
-	n := float64(m.Nodes)
-	net := e.NetBytes.Eval(p, q, r) / (n * m.NetBW)
-	com := e.ComFlops.Eval(p, q, r) / (n * m.CompBW)
-	if net > com {
-		return net
-	}
-	return com
-}
-
-// MemOK reports whether the candidate fits the per-task budget.
-func (m Model) MemOK(e Estimates, p, q, r int) bool {
-	return e.MemBytes.Eval(p, q, r) <= float64(m.TaskMemBytes)
-}
-
-// Breakdown is the concrete evaluation of the symbolic estimates at one
-// (P,Q,R): the three Eq. 3-5 terms plus the Eq. 2 time decomposition. This
-// is what -explain prints and what calibration joins measurements against.
-type Breakdown struct {
-	P, Q, R int
-
-	NetBytes int64 // NetEst: cluster-wide network traffic
-	ComFlops int64 // ComEst: cluster-wide floating-point work
-	MemBytes int64 // MemEst: per-task memory
-
-	NetSeconds float64 // NetEst / (N * B̂n)
-	ComSeconds float64 // ComEst / (N * B̂c)
-	Seconds    float64 // Eq. 2: max of the two
-}
-
-// NetBound reports whether the network term dominates Eq. 2 at this point.
-func (b Breakdown) NetBound() bool { return b.NetSeconds >= b.ComSeconds }
-
-// Breakdown evaluates the estimates at (p,q,r) under the model constants.
-func (m Model) Breakdown(e Estimates, p, q, r int) Breakdown {
-	b := Breakdown{
-		P: p, Q: q, R: r,
-		NetBytes: int64(e.NetBytes.Eval(p, q, r)),
-		ComFlops: int64(e.ComFlops.Eval(p, q, r)),
-		MemBytes: int64(e.MemBytes.Eval(p, q, r)),
-	}
-	n := float64(m.Nodes)
-	if n > 0 && m.NetBW > 0 {
-		b.NetSeconds = float64(b.NetBytes) / (n * m.NetBW)
-	}
-	if n > 0 && m.CompBW > 0 {
-		b.ComSeconds = float64(b.ComFlops) / (n * m.CompBW)
-	}
-	b.Seconds = b.NetSeconds
-	if b.ComSeconds > b.Seconds {
-		b.Seconds = b.ComSeconds
-	}
-	return b
+// MemOK reports whether the candidate fits cc's per-task budget θt.
+func MemOK(cc cluster.Config, e Estimates, p, q, r int) bool {
+	return e.MemBytes.Eval(p, q, r) <= float64(cc.TaskMemBytes)
 }
 
 // axes maps a model space's local i/j/k axes to global axis bits (0 when the

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"fuseme/internal/cluster"
 	"fuseme/internal/dag"
 	"fuseme/internal/fusion"
 	"fuseme/internal/matrix"
@@ -127,12 +128,17 @@ func TestAnalyzeMonotonicity(t *testing.T) {
 func TestModelCostIsMax(t *testing.T) {
 	p, _, _, _, _, _, _, _, _ := nmfPlan(t)
 	e := Analyze(p, 1000)
-	m := Model{Nodes: 8, NetBW: 125e6, CompBW: 546e9, TaskMemBytes: 10 << 30, MinTasks: 96}
+	cc := cluster.Default()
 	net := e.NetBytes.Eval(2, 2, 1) / (8 * 125e6)
 	com := e.ComFlops.Eval(2, 2, 1) / (8 * 546e9)
 	want := math.Max(net, com)
-	if got := m.Cost(e, 2, 2, 1); math.Abs(got-want) > 1e-12 {
+	if got := Cost(cc, e, 2, 2, 1); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("Cost = %v, want %v", got, want)
+	}
+	// Explicit kernel threads scale B̂c, so the compute term halves.
+	cc.KernelThreads = 2
+	if got := Cost(cc, e, 2, 2, 1); math.Abs(got-math.Max(net, com/2)) > 1e-12 {
+		t.Fatalf("Cost at 2 kernel threads = %v, want %v", got, math.Max(net, com/2))
 	}
 }
 
@@ -140,16 +146,16 @@ func TestMemOK(t *testing.T) {
 	p, _, _, _, _, _, _, _, _ := nmfPlan(t)
 	e := Analyze(p, 1000)
 	need := int64(e.MemBytes.Eval(1, 1, 1))
-	m := Model{Nodes: 8, NetBW: 1, CompBW: 1, TaskMemBytes: need + 100}
-	if !m.MemOK(e, 1, 1, 1) {
+	cc := cluster.Config{Nodes: 8, NetBandwidth: 1, CompBandwidth: 1, TaskMemBytes: need + 100}
+	if !MemOK(cc, e, 1, 1, 1) {
 		t.Fatal("should fit")
 	}
-	m.TaskMemBytes = need - 100
-	if m.MemOK(e, 1, 1, 1) {
+	cc.TaskMemBytes = need - 100
+	if MemOK(cc, e, 1, 1, 1) {
 		t.Fatal("should not fit")
 	}
 	// Larger partitions shrink per-task memory.
-	if !m.MemOK(e, 5, 4, 2) {
+	if !MemOK(cc, e, 5, 4, 2) {
 		t.Fatal("partitioned plan should fit")
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"fuseme/internal/block"
 	"fuseme/internal/cfg"
 	"fuseme/internal/cluster"
-	"fuseme/internal/cost"
 	"fuseme/internal/dag"
 	"fuseme/internal/fusion"
 	"fuseme/internal/lang"
@@ -693,7 +692,7 @@ b4n = b4 - lrm * rowSums(D4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := cfg.Generate(g, cost.Model{Nodes: 2, NetBW: 1e9, CompBW: 1e12, TaskMemBytes: 1 << 40, MinTasks: 4}, bs)
+		res, err := cfg.Generate(g, cluster.Config{Nodes: 2, TasksPerNode: 2, NetBandwidth: 1e9, CompBandwidth: 1e12, TaskMemBytes: 1 << 40, BlockSize: bs})
 		if err != nil {
 			t.Fatal(err)
 		}

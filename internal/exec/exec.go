@@ -180,13 +180,6 @@ func weightedRanges(w []int64, parts int) []spec.Span {
 	return out
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func clamp(v, lo, hi int) int {
 	if v < lo {
 		return lo

@@ -56,7 +56,7 @@ func Fig15(opts Options) ([]*Table, error) {
 		}
 		for _, n := range []int{1_000, 10_000, 100_000} {
 			nd := opts.dim(n)
-			c := workloads.AutoEncoderConfig{Features: nd, Batch: minInt(batch, nd), H1: 500, H2: 2}
+			c := workloads.AutoEncoderConfig{Features: nd, Batch: min(batch, nd), H1: 500, H2: 2}
 			row := []string{fmt.Sprintf("%dK", n/1000)}
 			for _, e := range engines {
 				row = append(row, e.run(c, nd))
@@ -72,7 +72,7 @@ func Fig15(opts Options) ([]*Table, error) {
 	}
 	for _, batch := range []int{512, 1024, 2048, 4096} {
 		nd := opts.dim(10_000)
-		c := workloads.AutoEncoderConfig{Features: nd, Batch: minInt(batch, nd), H1: 500, H2: 2}
+		c := workloads.AutoEncoderConfig{Features: nd, Batch: min(batch, nd), H1: 500, H2: 2}
 		row := []string{fmt.Sprintf("%d", batch)}
 		for _, e := range engines {
 			row = append(row, e.run(c, nd))
@@ -87,7 +87,7 @@ func Fig15(opts Options) ([]*Table, error) {
 	}
 	for _, hh := range [][2]int{{500, 2}, {1000, 4}, {2000, 8}, {5000, 20}} {
 		nd := opts.dim(10_000)
-		c := workloads.AutoEncoderConfig{Features: nd, Batch: minInt(1024, nd), H1: hh[0], H2: hh[1]}
+		c := workloads.AutoEncoderConfig{Features: nd, Batch: min(1024, nd), H1: hh[0], H2: hh[1]}
 		row := []string{fmt.Sprintf("(%d,%d)", hh[0], hh[1])}
 		for _, e := range engines {
 			row = append(row, e.run(c, nd))
@@ -120,20 +120,8 @@ func tfEpoch(c workloads.AutoEncoderConfig, n int, cfg cluster.Config) string {
 	// Input pipeline plus TF1-style parameter-server synchronisation: every
 	// instance pushes its gradients each step.
 	netPerStep := batchBytes + int64(cfg.TotalSlots())*weights
-	nn := float64(cfg.Nodes)
-	netT := float64(netOnce+int64(steps)*netPerStep) / (nn * cfg.NetBandwidth)
-	comT := float64(int64(steps)*flopsPerStep) / (nn * cfg.EffectiveCompBandwidth())
-	t := netT
-	if comT > t {
-		t = comT
-	}
-	t += float64(steps) * cfg.TaskOverhead
-	return formatF(t)
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	// The epoch is priced as one Eq. 2 stage, plus TF's own per-step
+	// dispatch overhead rather than Spark's per-wave one.
+	t := max(cfg.Eq2(float64(netOnce+int64(steps)*netPerStep), float64(int64(steps)*flopsPerStep)))
+	return formatF(t + float64(steps)*cfg.TaskOverhead)
 }

@@ -5,7 +5,6 @@ import (
 
 	"fuseme/internal/cfg"
 	"fuseme/internal/cost"
-	"fuseme/internal/fusion"
 	"fuseme/internal/opt"
 	"fuseme/internal/workloads"
 )
@@ -24,12 +23,8 @@ func Table1(opts Options) ([]*Table, error) {
 
 	// Instantiate at 100K x 2K x 100K, d = 0.1 with the paper's cluster.
 	clCfg := opts.paperCluster()
-	model := cost.Model{Nodes: clCfg.Nodes, NetBW: clCfg.NetBandwidth, CompBW: clCfg.EffectiveCompBandwidth(),
-		TaskMemBytes: clCfg.TaskMemBytes, MinTasks: clCfg.TotalSlots()}
 	g := workloads.NMFKernel(opts.dim(100_000), opts.dim(100_000), opts.dim(2_000), 0.1)
-	rule := fusion.RuleFor(g, clCfg.TaskMemBytes)
-	_ = rule
-	res, err := cfg.Generate(g, model, clCfg.BlockSize)
+	res, err := cfg.Generate(g, clCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -43,7 +38,7 @@ func Table1(opts Options) ([]*Table, error) {
 		}
 		bNet, _, bMem := cost.BFOEstimates(p, clCfg.TotalSlots())
 		rNet, _, rMem := cost.RFOEstimates(p, clCfg.BlockSize)
-		best := opt.Optimize(model, cost.Analyze(p, clCfg.BlockSize))
+		best := opt.Optimize(clCfg, cost.Analyze(p, clCfg.BlockSize))
 		inst.AddRow("BFO", float64(bNet)/1e9, float64(bMem)/1e9)
 		inst.AddRow("RFO", float64(rNet)/1e9, float64(rMem)/1e9)
 		inst.AddRow(fmt.Sprintf("CFO (P=%d,Q=%d,R=%d)", best.P, best.Q, best.R),
@@ -57,8 +52,6 @@ func Table1(opts Options) ([]*Table, error) {
 // optimizer selects for each synthetic dataset of Section 6.2.
 func Table3(opts Options) ([]*Table, error) {
 	clCfg := opts.paperCluster()
-	model := cost.Model{Nodes: clCfg.Nodes, NetBW: clCfg.NetBandwidth, CompBW: clCfg.EffectiveCompBandwidth(),
-		TaskMemBytes: clCfg.TaskMemBytes, MinTasks: clCfg.TotalSlots()}
 	tab := &Table{ID: "table3",
 		Title:   "optimal (P*,Q*,R*) per synthetic dataset",
 		Columns: []string{"type", "n", "density", "(P*,Q*,R*)", "paper", "net (GB)", "mem/task (GB)"},
@@ -85,7 +78,7 @@ func Table3(opts Options) ([]*Table, error) {
 	}
 	for _, r := range rows {
 		g := workloads.NMFKernel(opts.dim(r.n), opts.dim(r.cols), opts.dim(r.k), r.density)
-		res, err := cfg.Generate(g, model, clCfg.BlockSize)
+		res, err := cfg.Generate(g, clCfg)
 		if err != nil {
 			return nil, err
 		}
@@ -95,7 +88,7 @@ func Table3(opts Options) ([]*Table, error) {
 			}
 			best, ok := res.Params[p]
 			if !ok {
-				best = opt.Optimize(model, cost.Analyze(p, clCfg.BlockSize))
+				best = opt.Optimize(clCfg, cost.Analyze(p, clCfg.BlockSize))
 			}
 			label := r.k
 			if r.density != 0.001 && r.k != 2000 {

@@ -244,7 +244,7 @@ func matMulDDPanel(a strided, b, acc *Dense, rLo, rHi int, fresh bool) {
 	K, N := b.Rows, b.Cols
 	var panel *[]float64
 	for it := rLo; it < rHi; it += tileI {
-		iMax := minInt(it+tileI, rHi)
+		iMax := min(it+tileI, rHi)
 		rows := acc.Data[it*N : iMax*N]
 		out := rows
 		if K > tileK && !fresh && !allZero(rows) {
@@ -258,9 +258,9 @@ func matMulDDPanel(a strided, b, acc *Dense, rLo, rHi int, fresh bool) {
 			out = (*panel)[:tileI*N]
 		}
 		for kt := 0; kt < K; kt += tileK {
-			kMax := minInt(kt+tileK, K)
+			kMax := min(kt+tileK, K)
 			for jt := 0; jt < N; jt += tileJ {
-				mulTile(a, b, out[jt:], N, it, iMax, kt, kMax, jt, minInt(jt+tileJ, N))
+				mulTile(a, b, out[jt:], N, it, iMax, kt, kMax, jt, min(jt+tileJ, N))
 			}
 		}
 		if &out[0] != &rows[0] {
@@ -606,9 +606,9 @@ func TransposeWith(p *parallel.Pool, a Mat) Mat {
 		out := NewDense(x.Cols, x.Rows)
 		p.For(x.Cols, rowGrain, func(lo, hi int) {
 			for i0 := 0; i0 < x.Rows; i0 += transposeTile {
-				iMax := minInt(i0+transposeTile, x.Rows)
+				iMax := min(i0+transposeTile, x.Rows)
 				for j0 := lo; j0 < hi; j0 += transposeTile {
-					jMax := minInt(j0+transposeTile, hi)
+					jMax := min(j0+transposeTile, hi)
 					for i := i0; i < iMax; i++ {
 						o := out.Data[j0*x.Rows+i:]
 						for dj, v := range x.Data[i*x.Cols+j0 : i*x.Cols+jMax] {
@@ -650,11 +650,4 @@ func transposeCSR(a *CSR) *CSR {
 		}
 	}
 	return out
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -197,8 +197,8 @@ func TestAVXMatchesScalar(t *testing.T) {
 				}
 				for lo := 0; lo < rows; lo += 4 { // any row range is that range of the whole
 					part := append([]float64(nil), acc...)
-					sddmmRows(mask, lo, minInt(lo+4, rows), a, bt, part)
-					qLo, qHi := mask.RowPtr[lo], mask.RowPtr[minInt(lo+4, rows)]
+					sddmmRows(mask, lo, min(lo+4, rows), a, bt, part)
+					qLo, qHi := mask.RowPtr[lo], mask.RowPtr[min(lo+4, rows)]
 					if !sameFloats(part[qLo:qHi], asm[qLo:qHi]) || !sameFloats(part[:qLo], acc[:qLo]) || !sameFloats(part[qHi:], acc[qHi:]) {
 						t.Fatalf("k=%d, %s mask: rows [%d, %d) computed alone differ, or wrote outside their positions", k, name, lo, lo+4)
 					}

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"fuseme/internal/cluster"
 )
 
 // Calibration accumulates executed stages' flight records across a run into
@@ -59,13 +61,16 @@ func (c *Calibration) Measure(rec FlightRecord) {
 	s.stageNames[rec.Stage] = struct{}{}
 }
 
-// CalibrationFromFlight rebuilds a calibration store from flight-recorder
-// records, so Report can be produced offline from a -flight-out file and
-// judge real distributed measurements, not only the live session's.
-func CalibrationFromFlight(recs []FlightRecord) *Calibration {
+// CalibrationFromEvents rebuilds a calibration store from journal events —
+// the flight record each stage_end carries — so Report can be produced
+// offline from a -journal-out file (ReadEvents) and judge real distributed
+// measurements, not only the live session's.
+func CalibrationFromEvents(events []Event) *Calibration {
 	c := NewCalibration()
-	for _, r := range recs {
-		c.Measure(r)
+	for _, e := range events {
+		if e.Type == EvStageEnd && e.Flight != nil {
+			c.Measure(*e.Flight)
+		}
 	}
 	return c
 }
@@ -79,34 +84,6 @@ func (c *Calibration) Reset() {
 	c.ops = nil
 	c.rows = map[string]*opRow{}
 	c.mu.Unlock()
-}
-
-// ClusterModel carries the Eq. 2 constants predictions are priced with and
-// measurements are compared against.
-type ClusterModel struct {
-	Nodes         int
-	NetBandwidth  float64 // B̂n, bytes/s per node
-	CompBandwidth float64 // B̂c, flop/s per node
-}
-
-// Eq2 prices one operator under the paper's Eq. 2: the seconds its predicted
-// network traffic and floating-point work take spread over the cluster, and
-// whether the network term binds (the predicted time is the larger of the
-// two). A non-positive bandwidth prices its term at zero.
-func (m ClusterModel) Eq2(netBytes, comFlops int64) (netSec, comSec float64, netBound bool) {
-	if m.NetBandwidth > 0 {
-		netSec = m.perNode(float64(netBytes), m.NetBandwidth)
-	}
-	if m.CompBandwidth > 0 {
-		comSec = m.perNode(float64(comFlops), m.CompBandwidth)
-	}
-	return netSec, comSec, netSec >= comSec
-}
-
-// perNode divides a cluster-wide total by N x per: seconds when per is a
-// per-node bandwidth, an effective per-node bandwidth when per is seconds.
-func (m ClusterModel) perNode(total, per float64) float64 {
-	return total / (float64(max(m.Nodes, 1)) * per)
 }
 
 // ReportRow joins one operator's prediction with its summed measurements.
@@ -131,8 +108,10 @@ type ReportRow struct {
 // Report is the calibration result: per-operator rows plus back-solved
 // effective bandwidths.
 type Report struct {
-	Model ClusterModel
-	Rows  []ReportRow
+	// Cluster is the configuration predictions are priced on (Eq2) and
+	// measurements are judged against.
+	Cluster cluster.Config
+	Rows    []ReportRow
 
 	// EffNetBW / EffCompBW are the back-solved effective bandwidths: B̂n from
 	// network-bound rows (where the predicted network term dominates Eq. 2),
@@ -149,10 +128,10 @@ type Report struct {
 }
 
 // Report renders the accumulated rows, in first-measured operator order,
-// with the Eq. 2 predicted time under m and the back-solved effective
+// with the Eq. 2 predicted time on cc and the back-solved effective
 // bandwidths.
-func (c *Calibration) Report(m ClusterModel) *Report {
-	rep := &Report{Model: m}
+func (c *Calibration) Report(cc cluster.Config) *Report {
+	rep := &Report{Cluster: cc}
 	if c == nil {
 		return rep
 	}
@@ -169,15 +148,15 @@ func (c *Calibration) Report(m ClusterModel) *Report {
 		// pred/meas columns compare like with like.
 		row.PredNetBytes *= int64(row.Executions)
 		row.PredComFlops *= int64(row.Executions)
-		netSec, comSec, netBound := m.Eq2(row.PredNetBytes, row.PredComFlops)
+		netSec, comSec := cc.Eq2(float64(row.PredNetBytes), float64(row.PredComFlops))
 		row.PredSeconds = max(netSec, comSec)
 		if row.MeasWallSeconds > 0 {
-			row.EffNetBW = m.perNode(float64(row.MeasNetBytes), row.MeasWallSeconds)
-			row.EffCompBW = m.perNode(float64(row.MeasFlops), row.MeasWallSeconds)
+			row.EffNetBW = backSolve(float64(row.MeasNetBytes), row.MeasWallSeconds, cc.Nodes)
+			row.EffCompBW = backSolve(float64(row.MeasFlops), row.MeasWallSeconds, cc.Nodes)
 			// Eq. 2 takes the max of the two terms, so the measured wall time
 			// of a stage reflects whichever resource bound it: attribute the
 			// row to that class when back-solving.
-			if netBound && row.MeasNetBytes > 0 {
+			if netSec >= comSec && row.MeasNetBytes > 0 {
 				netBytes += float64(row.MeasNetBytes)
 				netWall += row.MeasWallSeconds
 			} else if row.MeasFlops > 0 {
@@ -188,20 +167,27 @@ func (c *Calibration) Report(m ClusterModel) *Report {
 		rep.Rows = append(rep.Rows, row)
 	}
 	if netWall > 0 {
-		rep.EffNetBW = m.perNode(netBytes, netWall)
+		rep.EffNetBW = backSolve(netBytes, netWall, cc.Nodes)
 	}
 	if comWall > 0 {
-		rep.EffCompBW = m.perNode(comFlops, comWall)
+		rep.EffCompBW = backSolve(comFlops, comWall, cc.Nodes)
 	}
 	return rep
+}
+
+// backSolve is the effective per-node bandwidth a measurement implies: a
+// cluster-wide total over seconds of wall time, spread over the nodes.
+func backSolve(total, seconds float64, nodes int) float64 {
+	return total / (float64(max(nodes, 1)) * seconds)
 }
 
 // String renders the report as an aligned text table with the back-solved
 // bandwidths and a ready-to-paste configuration suggestion.
 func (r *Report) String() string {
 	var b strings.Builder
+	compBW := r.Cluster.EffectiveCompBandwidth()
 	fmt.Fprintf(&b, "cost-model calibration: N=%d, configured B̂n=%s, B̂c=%s\n",
-		r.Model.Nodes, fmtRate(r.Model.NetBandwidth, "B/s"), fmtRate(r.Model.CompBandwidth, "flop/s"))
+		r.Cluster.Nodes, fmtRate(r.Cluster.NetBandwidth, "B/s"), fmtRate(compBW, "flop/s"))
 	if len(r.Rows) == 0 {
 		b.WriteString("  (no stages recorded)\n")
 		return b.String()
@@ -229,14 +215,17 @@ func (r *Report) String() string {
 	if r.EffNetBW > 0 || r.EffCompBW > 0 {
 		b.WriteString("back-solved effective bandwidths:")
 		if r.EffNetBW > 0 {
-			fmt.Fprintf(&b, " B̂n ≈ %s (x%.2f of configured)", fmtRate(r.EffNetBW, "B/s"), ratio(r.EffNetBW, r.Model.NetBandwidth))
+			fmt.Fprintf(&b, " B̂n ≈ %s (x%.2f of configured)", fmtRate(r.EffNetBW, "B/s"), ratio(r.EffNetBW, r.Cluster.NetBandwidth))
 		}
 		if r.EffCompBW > 0 {
-			fmt.Fprintf(&b, " B̂c ≈ %s (x%.2f of configured)", fmtRate(r.EffCompBW, "flop/s"), ratio(r.EffCompBW, r.Model.CompBandwidth))
+			fmt.Fprintf(&b, " B̂c ≈ %s (x%.2f of configured)", fmtRate(r.EffCompBW, "flop/s"), ratio(r.EffCompBW, compBW))
 		}
 		b.WriteString("\n")
+		// ClusterConfig.CompBandwidth is per kernel thread: a session scales
+		// it by KernelThreads again, so the line divides the effective B̂c.
+		threads := float64(max(r.Cluster.KernelThreads, 1))
 		fmt.Fprintf(&b, "feed back with: ClusterConfig{NetBandwidth: %.3g, CompBandwidth: %.3g}\n",
-			nonZero(r.EffNetBW, r.Model.NetBandwidth), nonZero(r.EffCompBW, r.Model.CompBandwidth))
+			nonZero(r.EffNetBW, r.Cluster.NetBandwidth), nonZero(r.EffCompBW/threads, r.Cluster.CompBandwidth))
 	}
 	if tl := r.TaskLatency; tl != nil && tl.Count > 0 {
 		fmt.Fprintf(&b, "task latency: n=%d p50=%.3gs p95=%.3gs p99=%.3gs max=%.3gs\n",

@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"bufio"
+	"encoding/json"
+	"fmt"
 	"io"
 	"sync"
 	"time"
@@ -26,9 +29,9 @@ const (
 // Event is one entry of the per-query event journal. Fields beyond the
 // identity triple (Query, Seq, Type) are populated per type and omitted from
 // the JSON encoding when empty, so the JSONL sink stays compact. A stage_end
-// event embeds the exact FlightRecord the flight recorder wrote for the same
-// stage — the query-introspection endpoint serves these verbatim, which is
-// what makes its predicted-vs-measured costs match the flight file exactly.
+// event embeds the stage's FlightRecord, which makes the journal the one
+// per-stage sink: the query-introspection endpoint serves these verbatim, so
+// its predicted-vs-measured costs match the journal file exactly.
 type Event struct {
 	Query    string    `json:"query"`
 	Seq      int64     `json:"seq"`
@@ -66,12 +69,14 @@ const DefaultJournalRing = 4096
 // component appends lifecycle events to, with an optional JSONL sink for
 // offline analysis. One journal is shared across the sessions of a serve
 // daemon so `GET /v1/queries/{id}` can join any query's events. Safe for
-// concurrent use; a nil *Journal absorbs every call.
+// concurrent use; a nil *Journal absorbs every call. Sink write errors are
+// latched: the first one stops further output and surfaces from Flush.
 type Journal struct {
-	mu   sync.Mutex
-	ring []Event // capacity-bounded; oldest overwritten first
-	next int     // ring write cursor: len(ring) until the ring is full
-	sink *JSONL  // optional; nil = ring only
+	mu      sync.Mutex
+	ring    []Event       // capacity-bounded; oldest overwritten first
+	next    int           // ring write cursor: len(ring) until the ring is full
+	sink    *bufio.Writer // optional; nil = ring only
+	sinkErr error         // the sink's first write error
 }
 
 // NewJournal returns a journal holding the last ring events in memory
@@ -84,7 +89,7 @@ func NewJournal(ring int, sink io.Writer) *Journal {
 	}
 	j := &Journal{ring: make([]Event, 0, ring)}
 	if sink != nil {
-		j.sink = NewJSONL(sink)
+		j.sink = bufio.NewWriter(sink)
 	}
 	return j
 }
@@ -105,7 +110,13 @@ func (j *Journal) append(e Event) {
 		j.ring[j.next] = e
 	}
 	j.next = (j.next + 1) % cap(j.ring)
-	j.sink.Write(e)
+	if j.sink != nil && j.sinkErr == nil {
+		line, err := json.Marshal(e)
+		if err == nil {
+			_, err = j.sink.Write(append(line, '\n'))
+		}
+		j.sinkErr = err
+	}
 }
 
 // Events returns the retained events of one query, in sequence order.
@@ -131,7 +142,13 @@ func (j *Journal) Flush() error {
 	if j == nil {
 		return nil
 	}
-	return j.sink.Flush()
+	j.mu.Lock()
+	if j.sink != nil && j.sinkErr == nil {
+		j.sinkErr = j.sink.Flush()
+	}
+	err := j.sinkErr
+	j.mu.Unlock()
+	return err
 }
 
 // Begin opens one query's event log: subsequent Emit calls stamp the query
@@ -171,7 +188,23 @@ func (q *QueryLog) Emit(e Event) {
 	q.j.append(e)
 }
 
-// ReadEvents parses a JSONL stream of journal events (the sink's format).
+// ReadEvents parses a JSONL stream of journal events (the sink's format),
+// skipping blank lines. A malformed or truncated line, or one over 1 MiB, is
+// an error — never a silent stop.
 func ReadEvents(r io.Reader) ([]Event, error) {
-	return readJSONL[Event](r, "journal event")
+	var out []Event
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	for sc.Scan() {
+		line := sc.Bytes()
+		if len(line) == 0 {
+			continue
+		}
+		var e Event
+		if err := json.Unmarshal(line, &e); err != nil {
+			return nil, fmt.Errorf("obs: journal event %d: %w", len(out)+1, err)
+		}
+		out = append(out, e)
+	}
+	return out, sc.Err()
 }

@@ -173,40 +173,28 @@ func TestQueryLogConcurrentEmit(t *testing.T) {
 	}
 }
 
-// TestReadEventsSkipsBlankLinesAndRejectsGarbage drives the shared JSONL
-// reader through both of its line types: blank lines are skipped, and a
-// garbage line, a truncated last line or a line over 1 MiB is an error — never
-// a panic, never a silently shorter result.
+// TestReadEventsSkipsBlankLinesAndRejectsGarbage drives the journal reader:
+// blank lines are skipped, and a garbage line, a truncated last line or a
+// line over 1 MiB is an error — never a panic, never a silently shorter
+// result.
 func TestReadEventsSkipsBlankLinesAndRejectsGarbage(t *testing.T) {
 	const event = `{"query":"q1","seq":1,"type":"done"}`
-	const flight = `{"stage":"s","op":"CFO mul#1","tasks":4}`
-	readers := map[string]struct {
-		line string
-		read func(string) (int, error)
-	}{
-		"events": {event, func(in string) (int, error) {
-			got, err := ReadEvents(strings.NewReader(in))
-			return len(got), err
-		}},
-		"flight": {flight, func(in string) (int, error) {
-			got, err := ReadFlightRecords(strings.NewReader(in))
-			return len(got), err
-		}},
+	read := func(in string) (int, error) {
+		got, err := ReadEvents(strings.NewReader(in))
+		return len(got), err
 	}
-	for name, r := range readers {
-		if n, err := r.read("\n" + r.line + "\n\n" + r.line + "\n"); err != nil || n != 2 {
-			t.Errorf("%s: blank lines: read %d lines, err %v; want 2, nil", name, n, err)
-		}
-		bad := map[string]string{
-			"garbage":             "not json\n",
-			"interleaved garbage": r.line + "\n}{\n" + r.line + "\n",
-			"truncated last line": r.line + "\n" + r.line[:len(r.line)/2],
-			"line over 1 MiB":     r.line + "\n" + `{"stage":"` + strings.Repeat("x", 1<<20) + `"}` + "\n",
-		}
-		for what, in := range bad {
-			if n, err := r.read(in); err == nil {
-				t.Errorf("%s: %s: read %d lines without an error", name, what, n)
-			}
+	if n, err := read("\n" + event + "\n\n" + event + "\n"); err != nil || n != 2 {
+		t.Errorf("blank lines: read %d lines, err %v; want 2, nil", n, err)
+	}
+	bad := map[string]string{
+		"garbage":             "not json\n",
+		"interleaved garbage": event + "\n}{\n" + event + "\n",
+		"truncated last line": event + "\n" + event[:len(event)/2],
+		"line over 1 MiB":     event + "\n" + `{"stage":"` + strings.Repeat("x", 1<<20) + `"}` + "\n",
+	}
+	for what, in := range bad {
+		if n, err := read(in); err == nil {
+			t.Errorf("%s: read %d lines without an error", what, n)
 		}
 	}
 	if got, _ := ReadEvents(strings.NewReader(event + "\n")); len(got) != 1 || got[0].Type != EvDone {

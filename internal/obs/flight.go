@@ -1,10 +1,5 @@
 package obs
 
-import (
-	"io"
-	"os"
-)
-
 // FlightRecord is one executed stage's black-box entry, and the only
 // per-stage type: the planner's prediction for the owning operator (chosen
 // (P,Q,R) and the Eq. 2–5 cost terms) next to what actually happened when
@@ -12,8 +7,8 @@ import (
 // executor copies it per stage and fills the measured half from the
 // runtime's stats of that stage, and Obs.StageDone derives every output from
 // the result. One record per stage execution, so iterative workloads produce
-// one line per stage per iteration. The JSON tags are the flight file's, the
-// journal's stage_end.flight and GET /v1/queries/{id}'s wire format.
+// one record per stage per iteration. The JSON tags are the journal's
+// stage_end.flight and GET /v1/queries/{id}'s wire format.
 type FlightRecord struct {
 	Stage string `json:"stage"`
 	Op    string `json:"op"`
@@ -53,19 +48,4 @@ type FlightRecord struct {
 // consolidation plus aggregation, excluding unmodelled extra wire bytes.
 func (r FlightRecord) NetBytes() int64 {
 	return r.MeasConsolidationBytes + r.MeasAggregationBytes
-}
-
-// ReadFlightRecords parses a JSONL stream of flight records.
-func ReadFlightRecords(r io.Reader) ([]FlightRecord, error) {
-	return readJSONL[FlightRecord](r, "flight record")
-}
-
-// ReadFlightFile is ReadFlightRecords on a file path.
-func ReadFlightFile(path string) ([]FlightRecord, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadFlightRecords(f)
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"fuseme/internal/cluster"
 )
 
 func sampleRecord(stage string) FlightRecord {
@@ -21,46 +23,64 @@ func sampleRecord(stage string) FlightRecord {
 	}
 }
 
+// TestFlightRecorderRoundTrip: the journal is the flight recorder — every
+// StageDone writes one stage_end line whose flight reads back as the record.
 func TestFlightRecorderRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	fr := NewJSONL(&buf)
+	j := NewJournal(0, &buf)
+	o := &Obs{QLog: j.Begin("q1", "")}
 	want := []FlightRecord{sampleRecord("cuboid:mul#3"), sampleRecord("fuse:mul#3")}
 	for _, r := range want {
-		fr.Write(r)
+		o.StageDone(r, nil)
 	}
-	if err := fr.Flush(); err != nil {
+	if err := j.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
 	if lines := strings.Count(buf.String(), "\n"); lines != 2 {
 		t.Fatalf("wrote %d lines, want 2", lines)
 	}
-	got, err := ReadFlightRecords(&buf)
+	got, err := ReadEvents(&buf)
 	if err != nil {
-		t.Fatalf("ReadFlightRecords: %v", err)
+		t.Fatalf("ReadEvents: %v", err)
 	}
 	if len(got) != 2 {
-		t.Fatalf("read %d records, want 2", len(got))
+		t.Fatalf("read %d events, want 2", len(got))
 	}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("record %d: got %+v, want %+v", i, got[i], want[i])
+		if got[i].Type != EvStageEnd || got[i].Flight == nil || *got[i].Flight != want[i] {
+			t.Fatalf("event %d: got %+v, want a stage_end carrying %+v", i, got[i], want[i])
 		}
 	}
 }
 
+// TestFlightRecorderNilSafe: with journaling off — no query log, or a nil
+// journal — StageDone records nothing and nothing fails.
 func TestFlightRecorderNilSafe(t *testing.T) {
-	var fr *JSONL
-	fr.Write(sampleRecord("s"))
-	if fr.Flush() != nil {
-		t.Fatal("nil flight recorder must absorb every call")
+	var j *Journal
+	o := &Obs{QLog: j.Begin("q1", "")}
+	o.StageDone(sampleRecord("s"), nil)
+	(&Obs{}).StageDone(sampleRecord("s"), nil)
+	if j.Flush() != nil || j.Events("q1") != nil {
+		t.Fatal("nil journal must absorb every call")
 	}
 }
 
+// TestCalibrationFromFlight rebuilds a calibration offline from a journal's
+// events: each stage_end's flight record is measured, every other event is
+// ignored.
 func TestCalibrationFromFlight(t *testing.T) {
-	recs := []FlightRecord{sampleRecord("cuboid:mul#3"), sampleRecord("cuboid:mul#3")}
-	c := CalibrationFromFlight(recs)
+	rec := sampleRecord("cuboid:mul#3")
+	events := []Event{
+		{Type: EvPlanned, Plan: "CFO"},
+		{Type: EvStageStart, Stage: rec.Stage},
+		{Type: EvStageEnd, Stage: rec.Stage, Flight: &rec},
+		{Type: EvStageEnd, Stage: "failed"}, // no flight record
+		{Type: EvStageEnd, Stage: rec.Stage, Flight: &rec},
+		{Type: EvDone},
+	}
+	c := CalibrationFromEvents(events)
 	// Two executions of one stage collapse to one report row with runs=2.
-	rep := c.Report(ClusterModel{Nodes: 2, NetBandwidth: 1e9, CompBandwidth: 1e10})
+	rep := c.Report(cluster.Config{Nodes: 2, NetBandwidth: 1e9, CompBandwidth: 1e10})
 	if len(rep.Rows) != 1 || rep.Rows[0].Executions != 2 {
 		t.Fatalf("report rows = %+v, want one row with 2 executions", rep.Rows)
 	}

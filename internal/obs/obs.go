@@ -6,8 +6,8 @@
 //
 // The rule of the package: one FlightRecord per executed stage, built by the
 // executor from the runtime's stage stats; every other output — calibration
-// rows, the fuseme_* stage counters, the flight line, the journal's
-// stage_end event — is derived from it in Obs.StageDone. One level down,
+// rows, the fuseme_* stage counters, the journal's stage_end event — is
+// derived from it in Obs.StageDone. One level down,
 // Obs.TaskDone is the same single emit point for a finished task on either
 // runtime.
 //
@@ -29,15 +29,14 @@ type Obs struct {
 	Trace   *Recorder     // span recorder; nil disables tracing
 	Metrics *Registry     // metrics registry; nil disables metrics
 	Calib   *Calibration  // prediction/measurement join; nil disables calibration
-	Flight  *JSONL        // per-stage flight recorder (one line per record); nil disables it
-	QLog    *QueryLog     // current query's event-journal log; nil disables journaling
+	QLog    *QueryLog     // current query's event-journal log (stage_end carries the flight record); nil disables journaling
 	Skew    *SkewDetector // straggler/skew detector; nil disables it
 }
 
 // Enabled reports whether any component is active (stage-level hooks run).
 func (o *Obs) Enabled() bool {
 	return o != nil && (o.Trace != nil || o.Metrics != nil || o.Calib != nil ||
-		o.Flight != nil || o.QLog != nil || o.Skew != nil)
+		o.QLog != nil || o.Skew != nil)
 }
 
 // Tracing reports whether the span recorder is active — the signal backends
@@ -87,11 +86,10 @@ func (o *Obs) Histogram(name string) *Histogram {
 
 // StageDone is the one emit point of an executed stage: rec — the owning
 // operator's prediction next to what the runtime measured — is folded into
-// the calibration rows, added to the stage counters, written as the flight
-// line and embedded, together with the stage's task-duration skew, in the
-// journal's stage_end event, so the four outputs can never disagree. err is
-// the stage's failure, if any. A nil Obs or any nil component absorbs its
-// share.
+// the calibration rows, added to the stage counters and embedded, together
+// with the stage's task-duration skew, in the journal's stage_end event, so
+// the three outputs can never disagree. err is the stage's failure, if any.
+// A nil Obs or any nil component absorbs its share.
 func (o *Obs) StageDone(rec FlightRecord, err error) {
 	if o == nil {
 		return
@@ -119,11 +117,8 @@ func (o *Obs) StageDone(rec FlightRecord, err error) {
 		}
 	}
 
-	// The record is boxed or copied to the heap only for a sink that is on,
-	// so the calibration-only default allocates nothing per stage here.
-	if o.Flight != nil {
-		o.Flight.Write(rec)
-	}
+	// The record is copied to the heap only when the journal is on, so the
+	// calibration-only default allocates nothing per stage here.
 	if o.QLog != nil {
 		flight := rec
 		end := Event{Type: EvStageEnd, Stage: rec.Stage, Op: rec.Op, Tasks: rec.Tasks,

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"fuseme/internal/cluster"
 )
 
 func TestNilSafety(t *testing.T) {
@@ -36,7 +38,7 @@ func TestNilSafety(t *testing.T) {
 	var c *Calibration
 	c.Measure(FlightRecord{})
 	c.Reset()
-	if got := c.Report(ClusterModel{Nodes: 4}); len(got.Rows) != 0 {
+	if got := c.Report(cluster.Config{Nodes: 4}); len(got.Rows) != 0 {
 		t.Fatal("nil calibration should report no rows")
 	}
 
@@ -198,7 +200,7 @@ func TestRegistryMetrics(t *testing.T) {
 
 func TestCalibrationReport(t *testing.T) {
 	c := NewCalibration()
-	model := ClusterModel{Nodes: 4, NetBandwidth: 125e6, CompBandwidth: 546e9}
+	cc := cluster.Config{Nodes: 4, NetBandwidth: 125e6, CompBandwidth: 546e9}
 
 	// Net-bound operator: predicted net term 8e9/(4·125e6) = 16s dominates
 	// the comp term 4e9/(4·546e9) ≈ 0.0018s. Measured: mul#1 moved 4e9 bytes
@@ -213,7 +215,7 @@ func TestCalibrationReport(t *testing.T) {
 		PredNetBytes: 1e6, PredComFlops: 8e12, PredMemBytes: 32 << 20,
 		MeasConsolidationBytes: 1e6, MeasFlops: 8e12, MeasWallSeconds: 5})
 
-	rep := c.Report(model)
+	rep := c.Report(cc)
 	if len(rep.Rows) != 2 {
 		t.Fatalf("rows = %d, want 2", len(rep.Rows))
 	}
@@ -246,6 +248,36 @@ func TestCalibrationReport(t *testing.T) {
 	}
 }
 
+// TestCalibrationFeedBackIsPerThread: ClusterConfig.CompBandwidth is per
+// kernel thread, so under KernelThreads = 2 the paste-ready line halves the
+// effective B̂c the report judged against — the back-solved one, or the
+// configured one when no row was compute-bound — while the header shows the
+// effective value.
+func TestCalibrationFeedBackIsPerThread(t *testing.T) {
+	cc := cluster.Config{Nodes: 4, NetBandwidth: 125e6, CompBandwidth: 546e9, KernelThreads: 2}
+	netBound := FlightRecord{Stage: "s1", Op: "CFO mul#1", PredNetBytes: 8e9, PredComFlops: 4e9,
+		MeasConsolidationBytes: 4e9, MeasFlops: 4e9, MeasWallSeconds: 10}
+	compBound := FlightRecord{Stage: "s2", Op: "CFO mul#2", PredNetBytes: 1e6, PredComFlops: 8e12,
+		MeasConsolidationBytes: 1e6, MeasFlops: 8e12, MeasWallSeconds: 5} // eff B̂c 4e11
+	for _, c := range []struct {
+		name string
+		recs []FlightRecord
+		want string
+	}{
+		{"back-solved", []FlightRecord{netBound, compBound}, "CompBandwidth: 2e+11}"},
+		{"configured", []FlightRecord{netBound}, "CompBandwidth: 5.46e+11}"},
+	} {
+		cal := NewCalibration()
+		for _, r := range c.recs {
+			cal.Measure(r)
+		}
+		out := cal.Report(cc).String()
+		if !strings.Contains(out, "B̂c=1.09 Tflop/s") || !strings.Contains(out, c.want) {
+			t.Errorf("%s: want the effective B̂c=1.09 Tflop/s in the header and %q in:\n%s", c.name, c.want, out)
+		}
+	}
+}
+
 func TestCalibrationIterativeExecutions(t *testing.T) {
 	c := NewCalibration()
 	pred := FlightRecord{Op: "CFO mul#1", Kind: "CFO", P: 2, Q: 2, R: 2,
@@ -260,7 +292,7 @@ func TestCalibrationIterativeExecutions(t *testing.T) {
 		c.Measure(partial)
 		c.Measure(fuse)
 	}
-	rep := c.Report(ClusterModel{Nodes: 2, NetBandwidth: 125e6, CompBandwidth: 546e9})
+	rep := c.Report(cluster.Config{Nodes: 2, NetBandwidth: 125e6, CompBandwidth: 546e9})
 	if len(rep.Rows) != 1 {
 		t.Fatalf("rows = %d", len(rep.Rows))
 	}
@@ -276,7 +308,7 @@ func TestCalibrationIterativeExecutions(t *testing.T) {
 	}
 
 	c.Reset()
-	if rep := c.Report(ClusterModel{Nodes: 2}); len(rep.Rows) != 0 {
+	if rep := c.Report(cluster.Config{Nodes: 2}); len(rep.Rows) != 0 {
 		t.Fatal("Reset should clear records")
 	}
 }
@@ -309,7 +341,7 @@ func TestCalibrationBoundedGrowth(t *testing.T) {
 		t.Fatalf("store holds %d rows / %d ordered keys / %d stage names after %d calls; want %d/%d/%d",
 			len(c.rows), len(c.ops), names, calls, keys, keys, 2*keys)
 	}
-	rep := c.Report(ClusterModel{Nodes: 2, NetBandwidth: 1e9, CompBandwidth: 1e10})
+	rep := c.Report(cluster.Config{Nodes: 2, NetBandwidth: 1e9, CompBandwidth: 1e10})
 	if len(rep.Rows) != keys {
 		t.Fatalf("rows = %d, want %d", len(rep.Rows), keys)
 	}
@@ -333,7 +365,7 @@ func TestCalibrationReportOrder(t *testing.T) {
 	c.Measure(FlightRecord{Stage: "collect", Op: "driver"})
 	c.Measure(FlightRecord{Stage: "s", Op: "B"})
 	c.Measure(FlightRecord{Stage: "s", Op: "A", P: 4})
-	rows := c.Report(ClusterModel{Nodes: 1}).Rows
+	rows := c.Report(cluster.Config{Nodes: 1}).Rows
 	var got []string
 	for _, row := range rows {
 		got = append(got, row.Op)

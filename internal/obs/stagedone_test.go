@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"fuseme/internal/cluster"
 )
 
 // fullRecord has every FlightRecord field set to a distinct value.
@@ -22,8 +24,8 @@ func fullRecord() FlightRecord {
 	}
 }
 
-// The wire format of the flight file, the journal's stage_end.flight and
-// GET /v1/queries/{id}: these strings were marshalled by the commit before
+// The wire format of the journal's stage_end.flight and GET
+// /v1/queries/{id}: these strings were marshalled by the commit before
 // FlightRecord became the only per-stage type (8b2b7b6), less the four
 // prefetch keys protocol v8 removed (omitempty and never set, so no record
 // ever carried them). A renamed tag, a reordered or dropped field fails here.
@@ -59,32 +61,25 @@ func TestGoldenStageBytes(t *testing.T) {
 }
 
 // TestStageDoneFanOut: one StageDone call with every component on yields a
-// flight line, a journal stage_end.flight, a calibration row and counter
-// deltas that all carry the record's numbers; a nil Obs and an Obs with every
-// component nil absorb the same call.
+// journal stage_end.flight, a calibration row and counter deltas that all
+// carry the record's numbers; a nil Obs and an Obs with every component nil
+// absorb the same call.
 func TestStageDoneFanOut(t *testing.T) {
 	rec := fullRecord()
-	rec.PredNetBytes, rec.PredComFlops = 1<<30, 1 // net-bound under the model below
-	model := ClusterModel{Nodes: 2, NetBandwidth: 1e9, CompBandwidth: 50e9}
+	rec.PredNetBytes, rec.PredComFlops = 1<<30, 1 // net-bound under the cluster below
+	cc := cluster.Config{Nodes: 2, NetBandwidth: 1e9, CompBandwidth: 50e9}
 
-	var flight, sink bytes.Buffer
+	var sink bytes.Buffer
 	j := NewJournal(0, &sink)
 	o := &Obs{
 		Trace: NewRecorder(), Metrics: NewRegistry(), Calib: NewCalibration(),
-		Flight: NewJSONL(&flight), Skew: NewSkewDetector(), QLog: j.Begin("q1", "acme"),
+		Skew: NewSkewDetector(), QLog: j.Begin("q1", "acme"),
 	}
 	for id := 0; id < 3; id++ {
 		o.TaskDone(TaskSample{ID: id, Worker: id % 2, Cat: "task", StageStart: time.Now(), Start: time.Now()})
 	}
 	o.StageDone(rec, errors.New("boom"))
 
-	if err := o.Flight.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	lines, err := ReadFlightRecords(&flight)
-	if err != nil || len(lines) != 1 || lines[0] != rec {
-		t.Fatalf("flight file = %+v, %v; want the one record", lines, err)
-	}
 	if err := j.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +99,7 @@ func TestStageDoneFanOut(t *testing.T) {
 		t.Errorf("stage_end.skew = %+v, want the three task samples over two workers", end.Skew)
 	}
 
-	rows := o.Calib.Report(model).Rows
+	rows := o.Calib.Report(cc).Rows
 	if len(rows) != 1 {
 		t.Fatalf("calibration rows = %+v, want one", rows)
 	}

@@ -14,6 +14,7 @@ import (
 	"math"
 	"sync/atomic"
 
+	"fuseme/internal/cluster"
 	"fuseme/internal/cost"
 )
 
@@ -35,13 +36,13 @@ type Result struct {
 	Evaluated  int // candidates whose cost was evaluated
 }
 
-func finish(m cost.Model, e cost.Estimates, p, q, r, evaluated int, feasible bool) Result {
+func finish(cc cluster.Config, e cost.Estimates, p, q, r, evaluated int, feasible bool) Result {
 	res := Result{P: p, Q: q, R: r, Evaluated: evaluated, Feasible: feasible}
 	if !feasible {
 		res.Cost = math.Inf(1)
 		return res
 	}
-	res.Cost = m.Cost(e, p, q, r)
+	res.Cost = cost.Cost(cc, e, p, q, r)
 	res.NetBytes = int64(e.NetBytes.Eval(p, q, r))
 	res.ComFlops = int64(e.ComFlops.Eval(p, q, r))
 	res.MemPerTask = int64(e.MemBytes.Eval(p, q, r))
@@ -51,9 +52,9 @@ func finish(m cost.Model, e cost.Estimates, p, q, r, evaluated int, feasible boo
 // minParallelism returns the parallelism floor: N*Tc, capped by the size of
 // the search space (when I*J*K < N*Tc the paper sets the parameters as large
 // as possible, which the floor enforces naturally).
-func minParallelism(m cost.Model, e cost.Estimates) int64 {
+func minParallelism(cc cluster.Config, e cost.Estimates) int64 {
 	space := int64(e.I) * int64(e.J) * int64(e.K)
-	floor := int64(m.MinTasks)
+	floor := int64(cc.TotalSlots())
 	if floor < 1 {
 		floor = 1
 	}
@@ -64,9 +65,9 @@ func minParallelism(m cost.Model, e cost.Estimates) int64 {
 }
 
 // OptimizeExhaustive scans the full (1..I) x (1..J) x (1..K) space.
-func OptimizeExhaustive(m cost.Model, e cost.Estimates) Result {
+func OptimizeExhaustive(cc cluster.Config, e cost.Estimates) Result {
 	searchCalls.Add(1)
-	minPar := minParallelism(m, e)
+	minPar := minParallelism(cc, e)
 	best := Result{Cost: math.Inf(1)}
 	evaluated := 0
 	for r := 1; r <= e.K; r++ {
@@ -76,18 +77,18 @@ func OptimizeExhaustive(m cost.Model, e cost.Estimates) Result {
 				if int64(p)*int64(q)*int64(r) < minPar {
 					continue
 				}
-				if !m.MemOK(e, p, q, r) {
+				if !cost.MemOK(cc, e, p, q, r) {
 					continue
 				}
-				if c := m.Cost(e, p, q, r); c < best.Cost {
-					best = finish(m, e, p, q, r, 0, true)
+				if c := cost.Cost(cc, e, p, q, r); c < best.Cost {
+					best = finish(cc, e, p, q, r, 0, true)
 				}
 			}
 		}
 	}
 	best.Evaluated = evaluated
 	if !best.Feasible {
-		return finish(m, e, e.I, e.J, e.K, evaluated, false)
+		return finish(cc, e, e.I, e.J, e.K, evaluated, false)
 	}
 	return best
 }
@@ -97,9 +98,9 @@ func OptimizeExhaustive(m cost.Model, e cost.Estimates) Result {
 // only until memory fits (cost is monotone increasing in P, so the first
 // feasible P is the column's optimum), and skips the column entirely when
 // its cost lower bound already exceeds the incumbent.
-func Optimize(m cost.Model, e cost.Estimates) Result {
+func Optimize(cc cluster.Config, e cost.Estimates) Result {
 	searchCalls.Add(1)
-	minPar := minParallelism(m, e)
+	minPar := minParallelism(cc, e)
 	best := Result{Cost: math.Inf(1)}
 	evaluated := 0
 	for r := 1; r <= e.K; r++ {
@@ -114,16 +115,16 @@ func Optimize(m cost.Model, e cost.Estimates) Result {
 			}
 			// Column lower bound: cost at the smallest admissible P.
 			evaluated++
-			if m.Cost(e, pStart, q, r) >= best.Cost {
+			if cost.Cost(cc, e, pStart, q, r) >= best.Cost {
 				continue
 			}
 			for p := pStart; p <= e.I; p++ {
 				evaluated++
-				if !m.MemOK(e, p, q, r) {
+				if !cost.MemOK(cc, e, p, q, r) {
 					continue // memory shrinks as P grows; keep walking
 				}
-				if c := m.Cost(e, p, q, r); c < best.Cost {
-					best = finish(m, e, p, q, r, 0, true)
+				if c := cost.Cost(cc, e, p, q, r); c < best.Cost {
+					best = finish(cc, e, p, q, r, 0, true)
 				}
 				break // larger P in this column only costs more
 			}
@@ -131,7 +132,7 @@ func Optimize(m cost.Model, e cost.Estimates) Result {
 	}
 	best.Evaluated = evaluated
 	if !best.Feasible {
-		return finish(m, e, e.I, e.J, e.K, evaluated, false)
+		return finish(cc, e, e.I, e.J, e.K, evaluated, false)
 	}
 	return best
 }

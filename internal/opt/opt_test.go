@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"fuseme/internal/cluster"
 	"fuseme/internal/cost"
 	"fuseme/internal/dag"
 	"fuseme/internal/fusion"
@@ -35,9 +36,9 @@ func nmfEstimates(t testing.TB, n, k int, density float64) cost.Estimates {
 	return cost.Analyze(p, 1000)
 }
 
-func paperModel() cost.Model {
-	return cost.Model{Nodes: 8, NetBW: 125e6, CompBW: 546e9, TaskMemBytes: 10 << 30, MinTasks: 96}
-}
+// paperModel is the paper's cluster: 8 nodes x 12 slots, 125 MB/s,
+// 546 Gflop/s and 10 GB per task.
+func paperModel() cluster.Config { return cluster.Default() }
 
 func TestOptimizeFindsFeasibleOptimum(t *testing.T) {
 	e := nmfEstimates(t, 100_000, 2000, 0.001)
@@ -49,7 +50,7 @@ func TestOptimizeFindsFeasibleOptimum(t *testing.T) {
 	if res.P < 1 || res.P > e.I || res.Q < 1 || res.Q > e.J || res.R < 1 || res.R > e.K {
 		t.Fatalf("out of range: %+v", res)
 	}
-	if int64(res.P)*int64(res.Q)*int64(res.R) < int64(m.MinTasks) {
+	if int64(res.P)*int64(res.Q)*int64(res.R) < int64(m.TotalSlots()) {
 		t.Fatalf("parallelism floor violated: %+v", res)
 	}
 	if res.MemPerTask > m.TaskMemBytes {

@@ -1,16 +1,16 @@
 package serve_test
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
 
-	"fuseme"
 	"fuseme/internal/obs"
 	"fuseme/internal/serve"
 )
@@ -34,15 +34,15 @@ func getJSON(t *testing.T, url string, v any) int {
 // TestQueryIntrospection runs one query and checks GET /v1/queries and
 // GET /v1/queries/{id}: the lifecycle event sequence, the EXPLAIN ANALYZE
 // stage list, and — the invariant the endpoint is built on — that the
-// per-stage flight records served over HTTP are byte-for-byte the records the
-// session's flight recorder wrote.
+// per-stage flight records served over HTTP are exactly the records the
+// journal file's stage_end lines carry.
 func TestQueryIntrospection(t *testing.T) {
-	var flightBuf bytes.Buffer
+	journalPath := filepath.Join(t.TempDir(), "journal.jsonl")
 	srv, err := serve.New(serve.Config{
-		Cluster:        testClusterConfig(),
-		Tenants:        []serve.Tenant{{Name: "acme", Token: "tok", Weight: 1}},
-		Sessions:       1,
-		SessionOptions: []fuseme.Option{fuseme.WithFlightRecorder(&flightBuf)},
+		Cluster:     testClusterConfig(),
+		Tenants:     []serve.Tenant{{Name: "acme", Token: "tok", Weight: 1}},
+		Sessions:    1,
+		JournalPath: journalPath,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -105,24 +105,36 @@ func TestQueryIntrospection(t *testing.T) {
 		}
 	}
 
-	// Flush the pooled session's flight recorder and compare: the stages the
-	// endpoint served must be exactly the records the recorder wrote.
+	// Drain the server, which flushes and closes the journal file, and
+	// compare: the stages the endpoint served must be exactly the flight
+	// records of the file's stage_end lines.
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := obs.ReadFlightRecords(&flightBuf)
+	f, err := os.Open(journalPath)
 	if err != nil {
 		t.Fatal(err)
 	}
+	events, err := obs.ReadEvents(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []obs.FlightRecord
+	for _, e := range events {
+		if e.Type == obs.EvStageEnd && e.Query == rec.ID {
+			recs = append(recs, *e.Flight)
+		}
+	}
 	if len(recs) != len(d.Stages) {
-		t.Fatalf("flight recorder wrote %d records, endpoint served %d stages", len(recs), len(d.Stages))
+		t.Fatalf("journal file holds %d stage_end records, endpoint served %d stages", len(recs), len(d.Stages))
 	}
 	for i, st := range d.Stages {
 		if st.Flight == nil {
 			t.Fatalf("stage %d has no flight record", i)
 		}
 		if !reflect.DeepEqual(*st.Flight, recs[i]) {
-			t.Errorf("stage %d: endpoint flight %+v\n!= recorder %+v", i, *st.Flight, recs[i])
+			t.Errorf("stage %d: endpoint flight %+v\n!= journal file %+v", i, *st.Flight, recs[i])
 		}
 		if st.Stage != recs[i].Stage || st.Op != recs[i].Op {
 			t.Errorf("stage %d labels: %s/%s vs %s/%s", i, st.Stage, st.Op, recs[i].Stage, recs[i].Op)

@@ -125,7 +125,7 @@ type QueryList struct {
 }
 
 // StageStatus is one executed stage of a query detail: the flight record the
-// executor measured (identical to the -flight-out line for the stage) plus
+// executor measured (identical to the journal's stage_end.flight) plus
 // the stage's task-duration skew and per-worker placement when the detector
 // was on.
 type StageStatus struct {

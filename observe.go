@@ -7,7 +7,6 @@ import (
 	"os"
 	"strconv"
 
-	"fuseme/internal/core"
 	"fuseme/internal/obs"
 )
 
@@ -37,26 +36,10 @@ func WithTracing() Option {
 	}
 }
 
-// WithFlightRecorder enables the per-stage flight recorder, appending one
-// JSON line per executed stage to w: the planner's predicted
-// network/computation/memory costs and chosen (P,Q,R) next to the stage's
-// measured wall time, wire bytes and cache savings. w stays the caller's: it
-// is flushed on Session.Close, never closed. Read a file of these lines back
-// with obs.ReadFlightFile / obs.CalibrationFromFlight, or diff runs offline.
-func WithFlightRecorder(w io.Writer) Option {
-	return func(s *Session) error {
-		if w == nil {
-			return errors.New("fuseme: WithFlightRecorder(nil)")
-		}
-		s.obs.Flight = obs.NewJSONL(w)
-		return nil
-	}
-}
-
 // WithJournal attaches an event journal (see NewJournal): every Query
 // appends its lifecycle — planned (chosen plan + predicted cost), stage
-// start/end with predicted-vs-measured costs, completion — as
-// structured events. Share one journal across sessions (the serve daemon
+// start/end with each stage's flight record (predicted-vs-measured costs),
+// completion — as structured events. Share one journal across sessions (the serve daemon
 // does) to get a single queryable stream. The journal and its sink stay the
 // caller's: Session.Close flushes the sink, never closes it. Environment
 // equivalent for a file sink: FUSEME_JOURNAL.
@@ -72,8 +55,9 @@ func WithJournal(j *obs.Journal) Option {
 
 // NewJournal creates an event journal holding the last ring events in memory
 // (non-positive selects the 4096 default) and, when sink is non-nil, writing
-// every event to it as one JSON line (read back with obs.ReadEvents). Attach
-// it to one or more sessions with WithJournal.
+// every event to it as one JSON line (read back with obs.ReadEvents;
+// obs.CalibrationFromEvents rebuilds a calibration report from the lines
+// offline). Attach it to one or more sessions with WithJournal.
 func NewJournal(ring int, sink io.Writer) *obs.Journal { return obs.NewJournal(ring, sink) }
 
 // resolveJournal falls back to the FUSEME_JOURNAL file sink when no journal
@@ -246,9 +230,8 @@ func (s *Session) Report() string {
 // registry is on, the report also carries the per-task latency distribution
 // (count, p50/p95/p99, max) under TaskLatency.
 func (s *Session) CalibrationReport() *obs.Report {
-	// Judged against the constants the planner used: the configured ones,
-	// B̂c scaled by explicit kernel threads.
-	rep := s.obs.Calib.Report(core.EqModel(s.cc))
+	// Judged against the cluster the planner priced on.
+	rep := s.obs.Calib.Report(s.cc)
 	if s.obs.Metrics != nil {
 		if snap := s.obs.Metrics.Histogram(obs.MTaskSeconds).Snapshot(); snap.Count > 0 {
 			rep.TaskLatency = &snap

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"os"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -308,6 +311,63 @@ func TestSimulateUsesResolvedSettings(t *testing.T) {
 	}
 	if stats[0] != stats[1] {
 		t.Errorf("Simulate under FUSEME_KERNEL_THREADS=4: %+v\nunder KernelThreads: 4: %+v", stats[0], stats[1])
+	}
+}
+
+// TestReportFeedBackRoundTrips: the report's paste-ready ClusterConfig line
+// is per kernel thread. A session built from it with the same thread count
+// plans with the effective B̂c the report judged against, not KernelThreads
+// times it.
+func TestReportFeedBackRoundTrips(t *testing.T) {
+	cfg := LocalClusterConfig()
+	cfg.BlockSize = 16
+	cfg.KernelThreads = 2
+	sess, err := NewSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	bindTestInputs(sess)
+	if _, err := sess.Query(obsTestScript); err != nil {
+		t.Fatal(err)
+	}
+	rep := sess.CalibrationReport()
+	judged := rep.EffCompBW // the back-solved B̂c, else the configured one
+	if judged == 0 {
+		judged = sess.cc.EffectiveCompBandwidth()
+	}
+	line := regexp.MustCompile(`ClusterConfig\{NetBandwidth: (\S+), CompBandwidth: (\S+)\}`).FindStringSubmatch(rep.String())
+	if line == nil {
+		t.Fatalf("no feed-back line in the report:\n%s", rep)
+	}
+	fed := cfg
+	var perr [2]error
+	fed.NetBandwidth, perr[0] = strconv.ParseFloat(line[1], 64)
+	fed.CompBandwidth, perr[1] = strconv.ParseFloat(line[2], 64)
+	if perr[0] != nil || perr[1] != nil {
+		t.Fatalf("feed-back line %q: %v", line[0], perr)
+	}
+	again, err := NewSession(fed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	bindTestInputs(again)
+	desc, err := again.ExplainCosts(obsTestScript)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header := regexp.MustCompile(`B̂c=(\S+) flop/s`).FindStringSubmatch(desc)
+	if header == nil {
+		t.Fatalf("no B̂c in the ExplainCosts header:\n%s", desc)
+	}
+	got, err := strconv.ParseFloat(header[1], 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Both sides print three significant digits.
+	if math.Abs(got/judged-1) > 0.01 {
+		t.Errorf("a session fed %q plans with B̂c = %g, the report judged against %g", line[0], got, judged)
 	}
 }
 

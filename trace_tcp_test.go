@@ -3,25 +3,46 @@ package fuseme
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"testing"
 
 	"fuseme/internal/obs"
 )
 
+// stageFlights reads a journal's JSON lines and returns the flight records
+// its stage_end events carry, in order.
+func stageFlights(t *testing.T, r io.Reader) []obs.FlightRecord {
+	t.Helper()
+	events, err := obs.ReadEvents(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []obs.FlightRecord
+	for _, e := range events {
+		if e.Type == obs.EvStageEnd {
+			if e.Flight == nil {
+				t.Fatalf("stage_end without a flight record: %+v", e)
+			}
+			recs = append(recs, *e.Flight)
+		}
+	}
+	return recs
+}
+
 // TestSessionTCPDistributedTrace runs an iterative query on a TCP session
-// backed by two local workers with tracing and the flight recorder on, and
-// checks the merged timeline: every worker contributes skew-corrected task
-// spans (with fetch/kernel/send sub-spans) on its own labelled process track,
-// and the flight recorder holds exactly one record per executed stage with
-// both predicted and measured sides populated.
+// backed by two local workers with tracing and the journal on, and checks
+// the merged timeline: every worker contributes skew-corrected task spans
+// (with fetch/kernel/send sub-spans) on its own labelled process track, and
+// the journal holds exactly one stage_end flight record per executed stage
+// with both predicted and measured sides populated.
 func TestSessionTCPDistributedTrace(t *testing.T) {
-	var flight bytes.Buffer
+	var journal bytes.Buffer
 	cfg := LocalClusterConfig()
 	cfg.BlockSize = 16
 	cfg.Runtime = "tcp"
 	cfg.Workers = startWorkers(t, 2)
-	sess, err := NewSession(cfg, WithTracing(), WithFlightRecorder(&flight))
+	sess, err := NewSession(cfg, WithTracing(), WithJournal(NewJournal(0, &journal)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,15 +111,13 @@ func TestSessionTCPDistributedTrace(t *testing.T) {
 		}
 	}
 
-	// Flight recorder: exactly one record per executed stage, with the
-	// prediction joined in for the planned operator and measurements filled.
-	if err := sess.obs.Flight.Flush(); err != nil {
+	// Journal: exactly one stage_end flight record per executed stage, with
+	// the prediction joined in for the planned operator and measurements
+	// filled.
+	if err := sess.Journal().Flush(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := obs.ReadFlightRecords(bytes.NewReader(flight.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := stageFlights(t, &journal)
 	if len(recs) != stages {
 		t.Fatalf("flight holds %d records, runtime executed %d stages", len(recs), stages)
 	}
@@ -122,18 +141,18 @@ func TestSessionTCPDistributedTrace(t *testing.T) {
 	}
 }
 
-// TestSessionFlightRecorderSim checks the sim backend writes one flight
-// record per stage too, and that a file handed to WithFlightRecorder is
-// flushed — not closed — by Session.Close and reads back.
+// TestSessionFlightRecorderSim checks the sim backend journals one flight
+// record per stage too, and that a file handed to WithJournal is flushed —
+// not closed — by Session.Close and reads back.
 func TestSessionFlightRecorderSim(t *testing.T) {
-	path := t.TempDir() + "/flight.jsonl"
+	path := t.TempDir() + "/journal.jsonl"
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := LocalClusterConfig()
 	cfg.BlockSize = 16
-	sess, err := NewSession(cfg, WithFlightRecorder(f))
+	sess, err := NewSession(cfg, WithJournal(NewJournal(0, f)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,36 +165,40 @@ func TestSessionFlightRecorderSim(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
-		t.Fatalf("Session.Close closed the caller's flight file: %v", err)
+		t.Fatalf("Session.Close closed the caller's journal file: %v", err)
 	}
-	recs, err := obs.ReadFlightFile(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != stages {
-		t.Fatalf("flight holds %d records, runtime executed %d stages", len(recs), stages)
+	if recs := stageFlights(t, bytes.NewReader(b)); len(recs) != stages {
+		t.Fatalf("journal holds %d flight records, runtime executed %d stages", len(recs), stages)
 	}
-	// The offline feedback loop: the file alone rebuilds a calibration report.
-	rep := obs.CalibrationFromFlight(recs).Report(obs.ClusterModel{Nodes: cfg.Nodes, NetBandwidth: cfg.NetBandwidth, CompBandwidth: cfg.CompBandwidth})
-	if len(rep.Rows) == 0 {
-		t.Fatal("flight file rebuilt an empty calibration report")
+	events, err := obs.ReadEvents(bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The offline feedback loop: the file alone rebuilds the report the live
+	// session renders.
+	if got, want := obs.CalibrationFromEvents(events).Report(sess.cc).String(), sess.Report(); got != want {
+		t.Fatalf("journal file rebuilt another calibration report:\n%s\nlive:\n%s", got, want)
 	}
 }
 
 // TestFlightPeakMemIsPerStage: meas_peak_task_mem_bytes is the stage's own
 // per-task high-water mark, not the query's running maximum — a small
-// operator after a large one reports a strictly smaller peak, in the flight
-// line and in the calibration row, on both runtimes.
+// operator after a large one reports a strictly smaller peak, in the
+// stage_end flight record and in the calibration row, on both runtimes.
 func TestFlightPeakMemIsPerStage(t *testing.T) {
 	for _, runtime := range []string{"sim", "tcp"} {
 		t.Run(runtime, func(t *testing.T) {
-			var flight bytes.Buffer
+			var journal bytes.Buffer
 			cfg := LocalClusterConfig()
 			cfg.BlockSize = 16
 			if cfg.Runtime = runtime; runtime == "tcp" {
 				cfg.Workers = startWorkers(t, 2)
 			}
-			sess, err := NewSession(cfg, WithFlightRecorder(&flight))
+			sess, err := NewSession(cfg, WithJournal(NewJournal(0, &journal)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -188,9 +211,9 @@ func TestFlightPeakMemIsPerStage(t *testing.T) {
 			if err := sess.Close(); err != nil {
 				t.Fatal(err)
 			}
-			recs, err := obs.ReadFlightRecords(&flight)
-			if err != nil || len(recs) < 2 {
-				t.Fatalf("flight records = %+v, %v; want one per stage of two operators", recs, err)
+			recs := stageFlights(t, &journal)
+			if len(recs) < 2 {
+				t.Fatalf("flight records = %+v; want one per stage of two operators", recs)
 			}
 			big, small := recs[0], recs[len(recs)-1]
 			if big.Op == small.Op {
