@@ -1,14 +1,18 @@
 package fuseme
 
 import (
+	"io"
 	"math"
+	"net"
 	"os"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"fuseme/internal/cluster"
+	"fuseme/internal/membership"
 	"fuseme/internal/rt/remote"
 )
 
@@ -255,7 +259,7 @@ func TestTCPStealAndDeathLeaveNoGoroutines(t *testing.T) {
 	if _, err := sess.Query(script); err != nil {
 		t.Fatalf("query did not finish on the survivor: %v", err)
 	}
-	if n := co.AliveWorkers(); n != 1 {
+	if n := co.ActiveCount(); n != 1 {
 		t.Fatalf("%d workers alive after the kill, want 1", n)
 	}
 
@@ -272,8 +276,7 @@ func TestTCPStealAndDeathLeaveNoGoroutines(t *testing.T) {
 }
 
 // waitNoGoroutine polls until no goroutine's stack mentions frame, up to a
-// deadline: goroutines that are fired and forgotten (the coordinator's
-// membership broadcasts) or that are unwinding after a hang-up need a moment.
+// deadline: goroutines that are unwinding after a hang-up need a moment.
 func waitNoGoroutine(t *testing.T, frame string) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -293,4 +296,209 @@ func waitNoGoroutine(t *testing.T, frame string) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// blipProxy forwards TCP connections to a worker and can sever every
+// established one at once while it keeps accepting new ones: a network blip,
+// which the coordinator sees as suspect, then (its probe dials through) active.
+type blipProxy struct {
+	ln     net.Listener
+	wg     sync.WaitGroup
+	mu     sync.Mutex
+	conns  []net.Conn
+	closed bool
+}
+
+func newBlipProxy(t *testing.T, target string) *blipProxy {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &blipProxy{ln: ln}
+	p.wg.Add(1)
+	go func() {
+		defer p.wg.Done()
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			up, err := net.Dial("tcp", target)
+			if err != nil {
+				c.Close()
+				continue
+			}
+			p.mu.Lock()
+			if p.closed {
+				p.mu.Unlock()
+				c.Close()
+				up.Close()
+				return
+			}
+			p.conns = append(p.conns, c, up)
+			p.mu.Unlock()
+			p.wg.Add(2)
+			go func() { defer p.wg.Done(); io.Copy(up, c); up.Close() }()
+			go func() { defer p.wg.Done(); io.Copy(c, up); c.Close() }()
+		}
+	}()
+	t.Cleanup(func() {
+		p.mu.Lock()
+		p.closed = true
+		p.mu.Unlock()
+		ln.Close()
+		p.sever()
+		p.wg.Wait()
+	})
+	return p
+}
+
+func (p *blipProxy) Addr() string { return p.ln.Addr().String() }
+
+// sever closes every proxied connection.
+func (p *blipProxy) sever() {
+	p.mu.Lock()
+	conns := p.conns
+	p.conns = nil
+	p.mu.Unlock()
+	for _, c := range conns {
+		c.Close()
+	}
+}
+
+// blip severs the connections to worker id through p and waits until the
+// coordinator has routed the worker through suspect and back to active.
+func blip(t *testing.T, co *remote.Coordinator, p *blipProxy, id int) {
+	t.Helper()
+	e0 := co.ClusterEpoch()
+	p.sever()
+	waitMembership(t, co, func() bool { return co.ClusterEpoch() >= e0+2 && co.Members()[id].State == membership.Active })
+}
+
+// waitMembership blocks until cond holds, woken by each membership change.
+func waitMembership(t *testing.T, co *remote.Coordinator, cond func() bool) {
+	t.Helper()
+	deadline := time.After(10 * time.Second)
+	for {
+		changed := co.MembershipWatch()
+		if cond() {
+			return
+		}
+		select {
+		case <-changed:
+		case <-deadline:
+			t.Fatalf("membership never settled: epoch %d, table %+v", co.ClusterEpoch(), co.Members())
+		}
+	}
+}
+
+// tcpSessionVia returns a TCP session over the given worker addresses with a
+// plan cache, its inputs bound, and its coordinator after a first query.
+func tcpSessionVia(t *testing.T, addrs []string, script string) (*Session, *remote.Coordinator) {
+	t.Helper()
+	cfg := LocalClusterConfig()
+	cfg.BlockSize = 16
+	cfg.Runtime = "tcp"
+	cfg.Workers = addrs
+	sess, err := NewSession(cfg, WithPlanCache(NewPlanCache(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sess.Close() })
+	bindTestInputs(sess)
+	if _, err := sess.Query(script); err != nil {
+		t.Fatal(err)
+	}
+	return sess, sess.rtm.(*remote.Coordinator)
+}
+
+// TestTCPPlanCacheHitsAfterBlip: a worker's suspect → active blip does not
+// move the plan-cache key. The coordinator's Config — the only cluster input
+// to Compile — is the seed cluster's shape, so the plan after the blip is a
+// hit and prints byte for byte as the plan before it.
+func TestTCPPlanCacheHitsAfterBlip(t *testing.T) {
+	const script = "O = X * log(U %*% t(V) + 1e-3)"
+	addrs := startWorkers(t, 2)
+	proxy := newBlipProxy(t, addrs[1])
+	sess, co := tcpSessionVia(t, []string{addrs[0], proxy.Addr()}, script)
+	before, err := sess.Explain(script)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blip(t, co, proxy, 1)
+	after, err := sess.Explain(script)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sess.LastPlanCacheHit() {
+		t.Error("the plan after a suspect → active blip missed the plan cache")
+	}
+	if after != before {
+		t.Errorf("plan after the blip differs:\n%s\nbefore:\n%s", after, before)
+	}
+	if _, err := sess.Query(script); err != nil {
+		t.Fatalf("query after the blip: %v", err)
+	}
+}
+
+// TestTCPMembershipChurnLeavesNoGoroutines is the leak check after the
+// membership paths: a worker joins through the listener, joins again (a
+// no-op), runs tasks and leaves, and a seed worker blips through suspect back
+// to active. Once the session and the workers close, no goroutine with a
+// frame of internal/rt/remote on its stack remains.
+func TestTCPMembershipChurnLeavesNoGoroutines(t *testing.T) {
+	const script = "l = sum((X - U %*% t(V))^2)"
+	workers := make([]*remote.Worker, 3)
+	for i := range workers {
+		w, err := remote.NewWorker("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		workers[i] = w
+	}
+	proxy := newBlipProxy(t, workers[1].Addr())
+	sess, co := tcpSessionVia(t, []string{workers[0].Addr(), proxy.Addr()}, script)
+	joinAddr, err := sess.ServeJoin("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	joiner := workers[2].Addr()
+	if _, err := remote.Register(joinAddr, joiner, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	epoch := co.ClusterEpoch()
+	if _, err := remote.Register(joinAddr, joiner, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got := co.ClusterEpoch(); got != epoch {
+		t.Fatalf("re-joining a member moved the epoch %d -> %d", epoch, got)
+	}
+	if n := co.ActiveCount(); n != 3 {
+		t.Fatalf("ActiveCount = %d after the join, want 3", n)
+	}
+	if _, err := sess.Query(script); err != nil {
+		t.Fatal(err)
+	}
+	if err := remote.Leave(joinAddr, joiner, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	waitMembership(t, co, func() bool { return co.Members()[2].State == membership.Left })
+	blip(t, co, proxy, 1)
+	if _, err := sess.Query(script); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := sess.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitNoGoroutine(t, "remote.(*Worker).serveStream")
+	waitNoGoroutine(t, "remote.(*Worker).controlLoop")
+	for _, w := range workers {
+		w.Close()
+		w.Wait()
+	}
+	waitNoGoroutine(t, "fuseme/internal/rt/remote.")
 }

@@ -12,15 +12,12 @@
 // Transitions outside that graph are rejected — a dead or left member never
 // comes back; a healthy process that wants back in joins again as a NEW
 // member with a fresh ID. Every accepted transition bumps the table's
-// cluster epoch, so the epoch doubles as a cheap fingerprint of "which
-// workers can run tasks right now": compiled plans cache against it and are
-// re-derived the moment membership changes.
+// cluster epoch. The table is the coordinator's one record of its workers:
+// dispatch asks it which members are Active, and nothing else keeps a copy.
 package membership
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 )
 
@@ -29,8 +26,7 @@ type State int
 
 // The liveness states, in lifecycle order.
 const (
-	// None is the pseudo-state before a member exists; it only appears as
-	// the From field of a join Event.
+	// None is the pseudo-state before a member exists.
 	None State = iota - 1
 	// Joining: the join request arrived, the control handshake is underway.
 	Joining
@@ -66,9 +62,9 @@ func (s State) String() string {
 	}
 }
 
-// States lists every real state, in lifecycle order — handy for metrics
-// enumeration so gauges exist (at zero) before a state is ever entered.
-func States() []State { return []State{Joining, Active, Suspect, Dead, Left} }
+// states lists every real state, in lifecycle order, so the counts (and the
+// gauges fed from them) exist at zero before a state is ever entered.
+func states() []State { return []State{Joining, Active, Suspect, Dead, Left} }
 
 // legal is the transition graph. Dead and Left are terminal.
 var legal = map[State][]State{
@@ -79,8 +75,8 @@ var legal = map[State][]State{
 	Left:    {},
 }
 
-// CanTransition reports whether from → to is a legal edge.
-func CanTransition(from, to State) bool {
+// canTransition reports whether from → to is a legal edge.
+func canTransition(from, to State) bool {
 	for _, s := range legal[from] {
 		if s == to {
 			return true
@@ -101,16 +97,6 @@ type Member struct {
 	Epoch uint64
 }
 
-// Event describes one accepted membership change.
-type Event struct {
-	// Member is the post-transition row.
-	Member Member
-	// From and To are the transition's endpoints (From == None for a join).
-	From, To State
-	// Epoch is the cluster epoch after the change.
-	Epoch uint64
-}
-
 // Table is the coordinator-side membership table. All methods are safe for
 // concurrent use; the change callback runs outside the table lock, so it may
 // call back into the table.
@@ -118,8 +104,7 @@ type Table struct {
 	mu       sync.Mutex
 	members  []Member
 	epoch    uint64
-	changes  int64
-	onChange func(Event)
+	onChange func()
 	watch    chan struct{}
 }
 
@@ -140,18 +125,24 @@ func (t *Table) Watch() <-chan struct{} {
 	return t.watch
 }
 
-// notifyLocked wakes Watch waiters; the caller holds t.mu.
-func (t *Table) notifyLocked() {
+// commitLocked publishes an accepted change: it wakes Watch waiters,
+// releases t.mu (which the caller holds) and runs the change callback.
+func (t *Table) commitLocked() {
 	if t.watch != nil {
 		close(t.watch)
 		t.watch = nil
+	}
+	fn := t.onChange
+	t.mu.Unlock()
+	if fn != nil {
+		fn()
 	}
 }
 
 // OnChange installs the callback invoked (synchronously, outside the table
 // lock) after every accepted change. Install it before the first Join; a
 // second call replaces the first.
-func (t *Table) OnChange(fn func(Event)) {
+func (t *Table) OnChange(fn func()) {
 	t.mu.Lock()
 	t.onChange = fn
 	t.mu.Unlock()
@@ -162,16 +153,9 @@ func (t *Table) OnChange(fn func(Event)) {
 func (t *Table) Join(addr string) Member {
 	t.mu.Lock()
 	t.epoch++
-	t.changes++
 	m := Member{ID: len(t.members), Addr: addr, State: Joining, Epoch: t.epoch}
 	t.members = append(t.members, m)
-	ev := Event{Member: m, From: None, To: Joining, Epoch: t.epoch}
-	fn := t.onChange
-	t.notifyLocked()
-	t.mu.Unlock()
-	if fn != nil {
-		fn(ev)
-	}
+	t.commitLocked()
 	return m
 }
 
@@ -186,22 +170,15 @@ func (t *Table) Transition(id int, to State) (Member, error) {
 		return Member{}, fmt.Errorf("membership: no member %d", id)
 	}
 	from := t.members[id].State
-	if !CanTransition(from, to) {
+	if !canTransition(from, to) {
 		t.mu.Unlock()
 		return Member{}, fmt.Errorf("membership: illegal transition %s -> %s for member %d", from, to, id)
 	}
 	t.epoch++
-	t.changes++
 	t.members[id].State = to
 	t.members[id].Epoch = t.epoch
 	m := t.members[id]
-	ev := Event{Member: m, From: from, To: to, Epoch: t.epoch}
-	fn := t.onChange
-	t.notifyLocked()
-	t.mu.Unlock()
-	if fn != nil {
-		fn(ev)
-	}
+	t.commitLocked()
 	return m, nil
 }
 
@@ -248,11 +225,12 @@ func (t *Table) Epoch() uint64 {
 	return t.epoch
 }
 
-// Changes returns the total number of accepted membership changes.
-func (t *Table) Changes() int64 {
+// IsActive reports whether member id is Active: the one test of whether a
+// worker takes tasks.
+func (t *Table) IsActive(id int) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.changes
+	return id >= 0 && id < len(t.members) && t.members[id].State == Active
 }
 
 // ActiveCount returns how many members are currently active.
@@ -272,7 +250,7 @@ func (t *Table) ActiveCount() int {
 // state is present in the result, possibly at zero.
 func (t *Table) CountByState() map[State]int {
 	out := make(map[State]int, len(legal))
-	for _, s := range States() {
+	for _, s := range states() {
 		out[s] = 0
 	}
 	t.mu.Lock()
@@ -281,28 +259,4 @@ func (t *Table) CountByState() map[State]int {
 	}
 	t.mu.Unlock()
 	return out
-}
-
-// Fingerprint returns a compact string identifying the current dispatchable
-// membership, e.g. "e7:a0,2,3". Compiled-plan cache keys embed it so a plan
-// built for one worker set is never replayed against another.
-func (t *Table) Fingerprint() string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	ids := make([]int, 0, len(t.members))
-	for _, m := range t.members {
-		if m.State == Active {
-			ids = append(ids, m.ID)
-		}
-	}
-	sort.Ints(ids)
-	var b strings.Builder
-	fmt.Fprintf(&b, "e%d:a", t.epoch)
-	for i, id := range ids {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%d", id)
-	}
-	return b.String()
 }

@@ -313,8 +313,8 @@ func TestRemoteCacheWorkerDeath(t *testing.T) {
 	}
 	compareMatrices(t, "U after worker death", res.U, ref.U)
 	compareMatrices(t, "V after worker death", res.V, ref.V)
-	if co.AliveWorkers() != 2 {
-		t.Errorf("AliveWorkers = %d, want 2", co.AliveWorkers())
+	if co.ActiveCount() != 2 {
+		t.Errorf("ActiveCount = %d, want 2", co.ActiveCount())
 	}
 	last := res.PerIter[iters-1]
 	if last.CacheHits == 0 {

@@ -24,15 +24,19 @@ import (
 // embedded local cluster whose Nodes count is the number of workers.
 //
 // Membership is elastic: each worker is a row in a membership.Table with a
-// liveness state machine (joining → active → suspect → dead → left). The
-// initial worker set is dialed at construction; further workers join at any
-// time through the join listener (ServeJoin / AddWorker) and drain away
-// voluntarily (msgLeave). A transport failure no longer kills a worker
+// liveness state machine (joining → active → suspect → dead → left), and that
+// table is the coordinator's one record of which workers exist and which take
+// tasks — a worker runs tasks exactly while its row is Active. The initial
+// worker set is dialed at construction; further workers join at any time
+// through the join listener (ServeJoin / AddWorker) and drain away
+// voluntarily (msgLeave). A transport failure does not kill a worker
 // outright: the worker turns suspect, dispatch pauses, and one fresh-dial
 // probe decides between recovery and eviction. Every accepted membership
-// change rebalances the dispatch scheduler to alive-workers x TasksPerNode
-// slots, bumps the cluster epoch (which compiled-plan cache keys embed via
-// ClusterFingerprint), and pushes the new table to the workers.
+// change resizes the dispatch scheduler to active-workers x TasksPerNode
+// slots and refreshes the membership metrics. Workers are not told: nothing
+// on a worker depends on who else is in the cluster. Plans compile for the
+// seed cluster shape (Config), and placement follows the active workers per
+// stage.
 //
 // Scheduling is the stage driver both backends share (sched.Run: home
 // queues, TasksPerNode lanes per live worker, the one steal rule, retries);
@@ -57,14 +61,14 @@ import (
 type Coordinator struct {
 	local *cluster.Cluster
 	rcfg  Config            // transport tuning, validated and defaulted
-	mem   *membership.Table // worker liveness
+	mem   *membership.Table // the one record of the workers and their liveness
 
 	// addMu serializes membership-mutating operations (AddWorker, leave) so
 	// member IDs always equal their slot in the workers slice.
 	addMu sync.Mutex
 
 	// wmu guards the workers slice itself. Slots are append-only: a dead or
-	// departed worker keeps its slot (flagged !alive) so IDs stay stable.
+	// departed worker keeps its slot (its row is terminal) so IDs stay stable.
 	wmu     sync.RWMutex
 	workers []*workerConn
 
@@ -94,10 +98,7 @@ type Coordinator struct {
 func (c *Coordinator) SetObs(o *obs.Obs) {
 	c.obs.Store(o)
 	if o != nil {
-		o.Gauge(obs.MWorkersAlive).Set(float64(c.AliveWorkers()))
-		for st, n := range c.mem.CountByState() {
-			o.Gauge(obs.ClusterWorkersGauge(st.String())).Set(float64(n))
-		}
+		c.publishMembership(o)
 		// Catch the counter up to the epoch: the seed workers joined during
 		// construction, before any bundle was attached, and the counter is
 		// documented to equal the epoch. Registries are shared across a
@@ -109,12 +110,21 @@ func (c *Coordinator) SetObs(o *obs.Obs) {
 	}
 }
 
+// publishMembership sets the membership gauges from the table: workers per
+// state, and the active count.
+func (c *Coordinator) publishMembership(o *obs.Obs) {
+	for st, n := range c.mem.CountByState() {
+		o.Gauge(obs.ClusterWorkersGauge(st.String())).Set(float64(n))
+	}
+	o.Gauge(obs.MWorkersAlive).Set(float64(c.ActiveCount()))
+}
+
 // getObs returns the attached observability bundle (nil-safe to use).
 func (c *Coordinator) getObs() *obs.Obs { return c.obs.Load() }
 
 // SetScheduler installs a shared task-dispatch scheduler (nil is ignored).
 // Call before running stages. The coordinator dispatches through its
-// embedded cluster's, which starts as one of live workers x TasksPerNode
+// embedded cluster's, which starts as one of active workers x TasksPerNode
 // slots; membership changes resize whichever scheduler is installed — with a
 // shared scheduler that is a cluster-wide capacity change, which is exactly
 // right: the slots model the one physical cluster every tenant runs on.
@@ -124,18 +134,18 @@ func (c *Coordinator) SetScheduler(s *sched.Scheduler) { c.local.SetScheduler(s)
 // scheduling weight for the (shared) dispatch scheduler.
 func (c *Coordinator) SetTenant(name string, weight int) { c.local.SetTenant(name, weight) }
 
+// workerConn is the coordinator's connection state for one worker; whether
+// the worker takes tasks is its membership row's state, not a field here.
 type workerConn struct {
-	id    int
-	addr  string
-	alive atomic.Bool
+	id   int
+	addr string
 
-	// ctrlMu serializes control-connection exchanges (heartbeat ping/pong,
-	// membership updates); each holder sets its own deadline. ptrMu guards
-	// the conn pointer itself, so a probe can swap in a fresh connection
+	// ctrl is the control connection. Only the ping/pong exchange uses it —
+	// AddWorker's first ping, then the worker's heartbeat goroutine alone.
+	// ptrMu guards the pointer, so a probe can swap in a fresh connection
 	// while Close interrupts a blocked exchange by closing the old one.
-	ctrlMu sync.Mutex
-	ptrMu  sync.Mutex
-	ctrl   net.Conn
+	ptrMu sync.Mutex
+	ctrl  net.Conn
 
 	// probeMu serializes suspect-state probes for this worker.
 	probeMu sync.Mutex
@@ -187,7 +197,7 @@ func (w *workerConn) takeIdle() *stream {
 // lane already has one parked.
 func (c *Coordinator) putIdle(w *workerConn, s *stream) {
 	w.idleMu.Lock()
-	keep := !c.closed.Load() && w.alive.Load() && len(w.idle) < c.taskSlots
+	keep := !c.closed.Load() && c.mem.IsActive(w.id) && len(w.idle) < c.taskSlots
 	if keep {
 		w.idle = append(w.idle, s)
 	}
@@ -233,8 +243,8 @@ func (e transportError) Unwrap() error { return e.err }
 
 // NewCoordinator connects to every worker address and returns a runtime
 // backed by them, with default transport tuning. cfg.Nodes is overridden with
-// the worker count, so planners compile for the parallelism that actually
-// exists.
+// the worker count, so planners compile for the parallelism that exists at
+// construction; Config keeps that shape when workers later join or leave.
 func NewCoordinator(cfg cluster.Config, addrs []string) (*Coordinator, error) {
 	return NewCoordinatorConfig(cfg, addrs, DefaultConfig())
 }
@@ -335,7 +345,6 @@ func (c *Coordinator) AddWorker(addr string) (int, error) {
 		c.mem.MarkDead(m.ID)
 		return -1, err
 	}
-	w.alive.Store(true)
 	if _, err := c.mem.Activate(m.ID); err != nil {
 		return -1, err
 	}
@@ -357,7 +366,6 @@ func (c *Coordinator) removeWorker(addr string) error {
 		if w == nil {
 			continue
 		}
-		w.alive.Store(false)
 		if _, err := c.mem.Leave(m.ID); err != nil {
 			return err
 		}
@@ -370,51 +378,13 @@ func (c *Coordinator) removeWorker(addr string) error {
 	return fmt.Errorf("remote: no live worker at %s", addr)
 }
 
-// onMembershipChange is the membership.Table change hook: rebalance the
-// dispatch scheduler, refresh metrics, and push the new table to the
-// workers.
-func (c *Coordinator) onMembershipChange(ev membership.Event) {
+// onMembershipChange is the membership.Table change hook: resize the
+// dispatch scheduler and refresh the membership metrics.
+func (c *Coordinator) onMembershipChange() {
 	c.local.Scheduler().Resize(c.mem.ActiveCount() * c.taskSlots)
 	if o := c.getObs(); o.Enabled() {
 		o.Counter(obs.MMembershipChanges).Inc()
-		for st, n := range c.mem.CountByState() {
-			o.Gauge(obs.ClusterWorkersGauge(st.String())).Set(float64(n))
-		}
-		o.Gauge(obs.MWorkersAlive).Set(float64(c.AliveWorkers()))
-	}
-	if !c.closed.Load() {
-		go c.broadcastMembers()
-	}
-}
-
-// memberUpdateMsg snapshots the table into the wire form.
-func (c *Coordinator) memberUpdateMsg() memberUpdate {
-	members := c.mem.Members()
-	upd := memberUpdate{Epoch: c.mem.Epoch(), Members: make([]MemberInfo, len(members))}
-	for i, m := range members {
-		upd.Members[i] = MemberInfo{ID: m.ID, Addr: m.Addr, State: m.State.String(), Epoch: m.Epoch}
-	}
-	return upd
-}
-
-// broadcastMembers pushes the membership table to every live worker.
-func (c *Coordinator) broadcastMembers() {
-	if c.closed.Load() {
-		return
-	}
-	upd := c.memberUpdateMsg()
-	for _, w := range c.snapshotWorkers() {
-		if !w.alive.Load() {
-			continue
-		}
-		w.ctrlMu.Lock()
-		cn := w.conn()
-		cn.SetDeadline(time.Now().Add(c.rcfg.HeartbeatTimeout))
-		err := writeGob(cn, msgMemberUpdate, upd)
-		w.ctrlMu.Unlock()
-		if err != nil {
-			c.suspectAndProbe(w)
-		}
+		c.publishMembership(o)
 	}
 }
 
@@ -423,15 +393,12 @@ func (c *Coordinator) broadcastMembers() {
 // clock-skew estimate.
 func (c *Coordinator) pingWorker(w *workerConn) error {
 	sent := time.Now()
-	w.ctrlMu.Lock()
 	cn := w.conn()
 	cn.SetDeadline(sent.Add(c.rcfg.HeartbeatTimeout))
 	if err := writeFrame(cn, msgPing, nil); err != nil {
-		w.ctrlMu.Unlock()
 		return err
 	}
 	payload, err := expectFrame(cn, msgPong, maxControlFrame)
-	w.ctrlMu.Unlock()
 	if err != nil {
 		return err
 	}
@@ -499,9 +466,8 @@ func (c *Coordinator) suspectAndProbe(w *workerConn) bool {
 	switch m.State {
 	case membership.Active:
 		if _, err := c.mem.Suspect(w.id); err != nil {
-			return w.alive.Load()
+			return c.mem.IsActive(w.id)
 		}
-		w.alive.Store(false)
 		// Whatever broke the worker's channel very likely broke its parked
 		// streams too; the lanes dial fresh ones if the probe recovers it.
 		w.closeIdle()
@@ -512,40 +478,21 @@ func (c *Coordinator) suspectAndProbe(w *workerConn) bool {
 	}
 	conn, err := c.dialHandshake(w.addr)
 	if err != nil {
-		c.markDead(w)
+		c.mem.MarkDead(w.id)
 		return false
 	}
 	if old := w.setConn(conn); old != nil {
 		old.Close()
 	}
-	// Alive before the table says active, as on the join path: whoever the
-	// membership change wakes must not count the worker out.
-	w.alive.Store(true)
 	if _, err := c.mem.Confirm(w.id); err != nil {
-		w.alive.Store(false)
 		conn.Close()
 		return false
 	}
 	return true
 }
 
-// markDead evicts a suspect worker whose probe failed. The metric refresh
-// happens in the membership-change hook.
-func (c *Coordinator) markDead(w *workerConn) {
-	w.alive.Store(false)
-	c.mem.MarkDead(w.id)
-}
-
-// AliveWorkers reports how many workers still answer.
-func (c *Coordinator) AliveWorkers() int {
-	n := 0
-	for _, w := range c.snapshotWorkers() {
-		if w.alive.Load() {
-			n++
-		}
-	}
-	return n
-}
+// ActiveCount reports how many workers take tasks (are Active in the table).
+func (c *Coordinator) ActiveCount() int { return c.mem.ActiveCount() }
 
 // Members returns the membership table snapshot, in ID order.
 func (c *Coordinator) Members() []membership.Member { return c.mem.Members() }
@@ -558,11 +505,6 @@ func (c *Coordinator) ClusterEpoch() uint64 { return c.mem.Epoch() }
 // channel only if the awaited condition does not hold yet — the event-driven
 // replacement for sleep-polling the table.
 func (c *Coordinator) MembershipWatch() <-chan struct{} { return c.mem.Watch() }
-
-// ClusterFingerprint identifies the current dispatchable worker set.
-// Compiled-plan cache keys embed it, so a membership change re-derives
-// every cached plan rather than replaying one that pins dead workers.
-func (c *Coordinator) ClusterFingerprint() string { return c.mem.Fingerprint() }
 
 // snapshotWorkers returns the worker slice under the read lock. Slot i is
 // member ID i, always.
@@ -660,11 +602,11 @@ func (m *wireMeter) countResult(ob spec.OutBlock) {
 	}
 }
 
-// RunSpecStage distributes one descriptor stage over the live workers on the
-// stage driver (the embedded cluster's Dispatch), whose home of a task,
-// taskID mod workers, is the simulated backend's cache home too. Liveness is
-// read once: a worker that dies before its lanes start has them run its
-// tasks elsewhere (attemptWorker).
+// RunSpecStage distributes one descriptor stage over the active workers on
+// the stage driver (the embedded cluster's Dispatch), whose home of a task,
+// taskID mod workers, is the simulated backend's cache home too. The table is
+// read once for the lanes: a worker that leaves the Active state before its
+// lanes start has them run its tasks elsewhere (attemptWorker).
 func (c *Coordinator) RunSpecStage(st *rt.Stage) error {
 	sp := st.Spec
 	if sp == nil || st.Fetch == nil || st.Collect == nil {
@@ -681,9 +623,9 @@ func (c *Coordinator) RunSpecStage(st *rt.Stage) error {
 		colocated[id] = true
 	}
 	ws := c.snapshotWorkers()
-	alive := make([]bool, len(ws))
-	for i, w := range ws {
-		alive[i] = w.alive.Load()
+	active := make([]bool, len(ws))
+	for i := range ws {
+		active[i] = c.mem.IsActive(i)
 	}
 
 	var (
@@ -701,7 +643,7 @@ func (c *Coordinator) RunSpecStage(st *rt.Stage) error {
 			o.Trace.SetProcessName(obs.PIDWorkerBase+w.id, fmt.Sprintf("worker %d (%s)", w.id, w.addr))
 		}
 	}
-	steals, err := c.local.Dispatch(sp.Name, sp.NumTasks, alive, func(node, taskID, attempt int) error {
+	steals, err := c.local.Dispatch(sp.Name, sp.NumTasks, active, func(node, taskID, attempt int) error {
 		if attempt > 0 {
 			o.Counter(obs.MRetriesTotal).Inc()
 		}
@@ -774,15 +716,16 @@ func (c *Coordinator) RunSpecStage(st *rt.Stage) error {
 
 // attemptWorker picks the worker for one attempt of a task on lane node: the
 // lane's own for the first attempt (the home, or a stolen task's thief), else
-// the first live one from (taskID + attempt) mod workers on, so a retry moves
-// off a failed worker. It returns nil when no worker is live.
+// the first active one from (taskID + attempt) mod workers on, so a retry
+// moves off a failed worker. It returns nil when no worker is active.
 func (c *Coordinator) attemptWorker(node, taskID, attempt int) *workerConn {
-	ws := c.snapshotWorkers()
-	if attempt == 0 && ws[node].alive.Load() {
-		return ws[node]
+	if attempt == 0 && c.mem.IsActive(node) {
+		return c.workerByID(node)
 	}
-	for i := range ws {
-		if w := ws[(taskID+attempt+i)%len(ws)]; w.alive.Load() {
+	c.wmu.RLock()
+	defer c.wmu.RUnlock()
+	for i := range c.workers {
+		if w := c.workers[(taskID+attempt+i)%len(c.workers)]; c.mem.IsActive(w.id) {
 			return w
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"os"
+	"path/filepath"
 	"regexp"
 	"slices"
 	"strconv"
@@ -95,5 +96,34 @@ func TestDocDriftFrames(t *testing.T) {
 		if slices.Contains([]int{10, 11, 15, 16, 17, 18}, n) {
 			t.Errorf("frame %s reuses retired number %d", name, n)
 		}
+	}
+}
+
+// TestDocDriftProtocolVersion: a document states the protocol in force as
+// "protocol vN", "proto vN" or "(vN)", and every such statement in README,
+// DESIGN and docs/*.md names protoVersion. Earlier versions are history and
+// are written "version N".
+func TestDocDriftProtocolVersion(t *testing.T) {
+	docs, err := filepath.Glob("../../../docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs = append(docs, "../../../README.md", "../../../DESIGN.md")
+	stated := regexp.MustCompile(`(?i)\bproto(?:col)? v(\d+)\b|\(v(\d+)\)`)
+	want, n := strconv.Itoa(protoVersion), 0
+	for _, doc := range docs {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range stated.FindAllSubmatch(text, -1) {
+			n++
+			if got := string(m[1]) + string(m[2]); got != want {
+				t.Errorf("%s states %q; the protocol is v%s", filepath.Base(doc), m[0], want)
+			}
+		}
+	}
+	if n == 0 {
+		t.Fatal("no document states the protocol version")
 	}
 }

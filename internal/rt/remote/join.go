@@ -96,6 +96,16 @@ func (c *Coordinator) handleJoin(conn net.Conn) {
 	}
 }
 
+// memberUpdateMsg snapshots the table into the join listener's reply.
+func (c *Coordinator) memberUpdateMsg() memberUpdate {
+	members := c.mem.Members()
+	upd := memberUpdate{Epoch: c.mem.Epoch(), Members: make([]MemberInfo, len(members))}
+	for i, m := range members {
+		upd.Members[i] = MemberInfo{ID: m.ID, Addr: m.Addr, State: m.State.String(), Epoch: m.Epoch}
+	}
+	return upd
+}
+
 // Register dials a coordinator's join listener and registers the worker
 // listening on workerAddr. On success it returns the coordinator's
 // post-join membership view. The whole exchange is bounded by timeout.

@@ -5,20 +5,20 @@
 // Every connection carries length-framed messages
 // ([type byte][uint32 big-endian length][payload]), each sent with one Write.
 // The coordinator opens one persistent control connection per worker for the
-// handshake, heartbeats and membership pushes, and keeps a small set of
+// handshake and heartbeats, and keeps a small set of
 // persistent task streams per worker — at most TasksPerNode idle ones, the
 // lanes that exist — each carrying one task at a time, any number in
 // sequence.
 //
-// Frame table, protocol v9 (C = coordinator, W = worker; "gob" = encoded by
+// Frame table, protocol v10 (C = coordinator, W = worker; "gob" = encoded by
 // the connection's gob stream, "raw" = fixed binary layout):
 //
-//	control connection (C dials; per-message gob, low rate, no block)
+//	control connection (C dials; per-message gob, low rate, no block; any
+//	other frame after the handshake ends it)
 //	  C→W msgHello        gob(hello)         opens the connection
 //	  W→C msgHelloAck     gob(helloAck)
 //	  C→W msgPing         empty
 //	  W→C msgPong         gob(pong)
-//	  C→W msgMemberUpdate gob(memberUpdate)                   no reply
 //
 //	task stream (C dials; ONE gob.Encoder/Decoder pair per direction for the
 //	stream's lifetime, so type descriptors travel once)
@@ -32,7 +32,9 @@
 //	  W→C msgFail         gob(taskFail)      ends the task; the stream is idle
 //
 //	join listener (W dials C; one exchange per connection, per-message gob)
-//	  W→C msgJoin / msgLeave, C→W msgMemberUpdate or msgFail
+//	  W→C msgJoin / msgLeave
+//	  C→W msgMemberUpdate gob(memberUpdate)  the membership after the change
+//	  C→W msgFail         gob(taskFail)      refused
 //
 //	retired, never reused: 10 (cache advert), 11 (cache invalidation push),
 //	15 (cache replica put) and 16–18 (proto v5's prefetch and steal frames)
@@ -95,8 +97,10 @@ import (
 // cache frames of versions 2 and 4 — the advert, the invalidation push and
 // the replica put — and retires frame types 10, 11 and 15: a worker drops
 // stale epochs itself, as the stage descriptor names them, and no control
-// frame carries a block any more.
-const protoVersion = 9
+// frame carries a block any more. Version 10 removes the membership push on
+// the control connection: msgMemberUpdate is only the join listener's reply,
+// and a worker ends a control connection on any frame but msgPing.
+const protoVersion = 10
 
 // Frame types.
 const (
@@ -115,7 +119,7 @@ const (
 	// Elastic-membership frames (proto v4).
 	msgJoin         = byte(12) // worker → coordinator: gob(joinReq), on join listener
 	msgLeave        = byte(13) // worker → coordinator: gob(leaveReq), on join listener
-	msgMemberUpdate = byte(14) // coordinator → worker: gob(memberUpdate); join/leave ack and control-conn push
+	msgMemberUpdate = byte(14) // coordinator → worker: gob(memberUpdate); join/leave ack on the join listener
 
 	// 15 was the cache replica put, 16–18 proto v5's prefetch and steal
 	// frames; retired, not reused.
@@ -242,8 +246,7 @@ type MemberInfo struct {
 }
 
 // memberUpdate carries the coordinator's membership table: the cluster
-// epoch and every member row. Pushed on control connections after each
-// membership change and returned as the join/leave acknowledgement.
+// epoch and every member row. It is the join/leave acknowledgement.
 type memberUpdate struct {
 	Epoch   uint64
 	Members []MemberInfo

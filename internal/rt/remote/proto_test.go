@@ -3,7 +3,6 @@ package remote
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"io"
 	"net"
@@ -165,7 +164,7 @@ func TestFrameLimits(t *testing.T) {
 // loop ends on it before allocating the payload, and a real worker hangs up.
 func TestControlFrameCap(t *testing.T) {
 	over := uint32(maxControlFrame + 1)
-	hdr := []byte{msgMemberUpdate, byte(over >> 24), byte(over >> 16), byte(over >> 8), byte(over)}
+	hdr := []byte{msgPing, byte(over >> 24), byte(over >> 16), byte(over >> 8), byte(over)}
 	var err error
 	loop := func() { err = (&Worker{}).controlLoop(replayConn{r: bytes.NewReader(hdr)}) }
 	if got := allocPerOp(20, loop); got > 1024 {
@@ -209,17 +208,19 @@ func dialControl(t testing.TB, w *Worker) net.Conn {
 
 // FuzzControlLoop: whatever frames follow the handshake on a worker's control
 // connection, the worker does not panic, and once the coordinator's end is
-// closed no goroutine of the worker keeps the connection.
+// closed no goroutine of the worker keeps the connection. Every frame but
+// msgPing ends the connection; TestControlLoopRefusesOtherFrames checks that
+// it ends without waiting for the coordinator.
 func FuzzControlLoop(f *testing.F) {
-	var upd bytes.Buffer
-	gob.NewEncoder(&upd).Encode(memberUpdate{Epoch: 3, Members: []MemberInfo{{ID: 0, Addr: "a:1", State: "active", Epoch: 3}}})
+	upd := gobBytes(f, memberUpdate{Epoch: 3, Members: []MemberInfo{{ID: 0, Addr: "a:1", State: "active", Epoch: 3}}})
 	f.Add([]byte{})
 	f.Add(frame(msgPing, nil))
-	f.Add(append(frame(msgPing, nil), frame(msgMemberUpdate, upd.Bytes())...))
-	f.Add(frame(msgMemberUpdate, upd.Bytes()[:upd.Len()/2]))
-	f.Add(frame(msgStage, []byte{1, 2, 3}))       // not a control frame: skipped
-	f.Add([]byte{msgMemberUpdate, 0x01, 0, 0, 1}) // above maxControlFrame
-	f.Add([]byte{msgPing, 0, 0})                  // a cut header
+	f.Add(append(frame(msgPing, nil), frame(msgMemberUpdate, upd)...)) // the retired push: refused
+	f.Add(append(frame(msgPing, nil), frame(msgPing, nil)...))
+	f.Add(frame(msgStage, []byte{1, 2, 3}))                 // a task stream's frame: refused
+	f.Add([]byte{msgPing, 0x01, 0, 0, 1})                   // above maxControlFrame
+	f.Add([]byte{msgPing, 0, 0})                            // a cut header
+	f.Add(append(frame(0xff, nil), frame(msgPing, nil)...)) // junk, then a ping that is never answered
 	w, err := NewWorker("127.0.0.1:0")
 	if err != nil {
 		f.Fatal(err)
@@ -237,6 +238,43 @@ func FuzzControlLoop(f *testing.F) {
 			t.Fatal("the worker still holds the control connection after it closed")
 		}
 	})
+}
+
+// TestControlLoopRefusesOtherFrames: after the handshake only msgPing is a
+// control frame. Any other — the membership push retired in v10, a task
+// stream's msgStage, junk — ends the connection from the worker's side: the
+// worker hangs up and ControlDrop fires while the coordinator's end is still
+// open.
+func TestControlLoopRefusesOtherFrames(t *testing.T) {
+	upd := gobBytes(t, memberUpdate{Epoch: 1, Members: []MemberInfo{{ID: 0, Addr: "a:1", State: "active", Epoch: 1}}})
+	for name, data := range map[string][]byte{
+		"membership push": frame(msgMemberUpdate, upd),
+		"stage":           frame(msgStage, []byte{1, 2, 3}),
+		"junk":            frame(0xff, []byte("junk")),
+	} {
+		t.Run(name, func(t *testing.T) {
+			w, err := NewWorker("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { w.Close(); w.Wait() }()
+			conn := dialControl(t, w)
+			if _, err := conn.Write(append(frame(msgPing, nil), data...)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := expectFrame(conn, msgPong, maxControlFrame); err != nil {
+				t.Fatalf("the ping before the frame went unanswered: %v", err)
+			}
+			select {
+			case <-w.ControlDrop():
+			case <-time.After(5 * time.Second):
+				t.Fatal("the worker kept the control connection after a frame that is not a ping")
+			}
+			if _, _, err := readFrame(conn, maxControlFrame); !errors.Is(err, io.EOF) {
+				t.Errorf("after the frame: read err = %v, want EOF", err)
+			}
+		})
+	}
 }
 
 // loopbackStreams returns the two ends of one real TCP connection.
@@ -528,15 +566,15 @@ func TestDrainWakesOnTaskCompletion(t *testing.T) {
 	}
 }
 
-// TestHandshakeRefusesOtherVersions: protocol v9 does not interoperate with
-// v8 in either direction, and both ends say so at the handshake.
+// TestHandshakeRefusesOtherVersions: protocol v10 does not interoperate with
+// v9 in either direction, and both ends say so at the handshake.
 func TestHandshakeRefusesOtherVersions(t *testing.T) {
-	if protoVersion != 9 {
-		t.Fatalf("protoVersion = %d, want 9", protoVersion)
+	if protoVersion != 10 {
+		t.Fatalf("protoVersion = %d, want 10", protoVersion)
 	}
 	cfg := cluster.Config{TasksPerNode: 1, TaskMemBytes: 1 << 30, NetBandwidth: 1e9, CompBandwidth: 50e9, BlockSize: 16}
 
-	// A v8 worker: acknowledges with its own version.
+	// A v9 worker: acknowledges with its own version.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -549,16 +587,16 @@ func TestHandshakeRefusesOtherVersions(t *testing.T) {
 				return
 			}
 			if _, err := expectFrame(conn, msgHello, maxControlFrame); err == nil {
-				writeGob(conn, msgHelloAck, helloAck{Proto: 8})
+				writeGob(conn, msgHelloAck, helloAck{Proto: 9})
 			}
 			conn.Close()
 		}
 	}()
 	if _, err := NewCoordinatorConfig(cfg, []string{ln.Addr().String()}, DefaultConfig()); err == nil || !strings.Contains(err.Error(), "protocol mismatch") {
-		t.Errorf("coordinator against a v8 worker: err = %v, want protocol mismatch", err)
+		t.Errorf("coordinator against a v9 worker: err = %v, want protocol mismatch", err)
 	}
 
-	// A v8 coordinator against this worker: told the worker's version, then
+	// A v9 coordinator against this worker: told the worker's version, then
 	// hung up on.
 	w, err := NewWorker("127.0.0.1:0")
 	if err != nil {
@@ -571,7 +609,7 @@ func TestHandshakeRefusesOtherVersions(t *testing.T) {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	if err := writeGob(conn, msgHello, hello{Proto: 8}); err != nil {
+	if err := writeGob(conn, msgHello, hello{Proto: 9}); err != nil {
 		t.Fatal(err)
 	}
 	payload, err := expectFrame(conn, msgHelloAck, maxControlFrame)
@@ -583,10 +621,10 @@ func TestHandshakeRefusesOtherVersions(t *testing.T) {
 		t.Errorf("ack = %+v, err %v; want the worker's version %d", ack, err, protoVersion)
 	}
 	if _, _, err := readFrame(conn, maxControlFrame); !errors.Is(err, io.EOF) {
-		t.Errorf("after a v8 hello: read err = %v, want EOF", err)
+		t.Errorf("after a v9 hello: read err = %v, want EOF", err)
 	}
 
-	// A v8 worker registering at the join listener.
+	// A v9 worker registering at the join listener.
 	co, err := NewCoordinatorConfig(cfg, []string{w.Addr()}, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -596,7 +634,7 @@ func TestHandshakeRefusesOtherVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := joinExchange(joinAddr, 5*time.Second, msgJoin, joinReq{Proto: 8, Addr: "127.0.0.1:1"}); err == nil || !strings.Contains(err.Error(), "protocol mismatch") {
-		t.Errorf("v8 join: err = %v, want protocol mismatch", err)
+	if _, err := joinExchange(joinAddr, 5*time.Second, msgJoin, joinReq{Proto: 9, Addr: "127.0.0.1:1"}); err == nil || !strings.Contains(err.Error(), "protocol mismatch") {
+		t.Errorf("v9 join: err = %v, want protocol mismatch", err)
 	}
 }

@@ -202,8 +202,8 @@ func TestWorkerDeathRetries(t *testing.T) {
 	for name, want := range simOut {
 		compareMatrices(t, name, remOut[name], want)
 	}
-	if alive := co.AliveWorkers(); alive != 2 {
-		t.Errorf("AliveWorkers = %d, want 2 after one death", alive)
+	if alive := co.ActiveCount(); alive != 2 {
+		t.Errorf("ActiveCount = %d, want 2 after one death", alive)
 	}
 }
 

@@ -52,16 +52,6 @@ type Worker struct {
 	activeTasks int
 	taskWatch   chan struct{}
 
-	// view is the latest membership table pushed by the coordinator
-	// (msgMemberUpdate), nil before the first push. ctrlWatch (same lock) is
-	// closed whenever the control loop applies a membership update, so
-	// waiters can block for control-plane convergence instead of
-	// sleep-polling.
-	viewMu    sync.Mutex
-	view      []MemberInfo
-	epoch     uint64
-	ctrlWatch chan struct{}
-
 	// killAfter, when positive, makes the worker die (close its listener and
 	// every connection) as the (killAfter+1)-th task arrives. Fault-injection
 	// tests use this to exercise the coordinator's retry path.
@@ -285,38 +275,6 @@ func (w *Worker) Drain(timeout time.Duration) bool {
 	}
 }
 
-// ClusterView returns the latest membership table the coordinator pushed
-// (msgMemberUpdate) and its cluster epoch; nil before the first push.
-func (w *Worker) ClusterView() ([]MemberInfo, uint64) {
-	w.viewMu.Lock()
-	defer w.viewMu.Unlock()
-	out := make([]MemberInfo, len(w.view))
-	copy(out, w.view)
-	return out, w.epoch
-}
-
-// ControlWatch returns a channel closed the next time the control loop
-// applies a membership update. Snapshot the channel, check the awaited
-// ClusterView, and block on the channel only if it does not hold yet.
-func (w *Worker) ControlWatch() <-chan struct{} {
-	w.viewMu.Lock()
-	defer w.viewMu.Unlock()
-	if w.ctrlWatch == nil {
-		w.ctrlWatch = make(chan struct{})
-	}
-	return w.ctrlWatch
-}
-
-// ctrlNotify wakes ControlWatch waiters after an applied membership update.
-func (w *Worker) ctrlNotify() {
-	w.viewMu.Lock()
-	if w.ctrlWatch != nil {
-		close(w.ctrlWatch)
-		w.ctrlWatch = nil
-	}
-	w.viewMu.Unlock()
-}
-
 func (w *Worker) acceptLoop() {
 	defer w.wg.Done()
 	for {
@@ -425,34 +383,22 @@ func (w *Worker) serveStream(s *stream, firstStage []byte) {
 	}
 }
 
-// controlLoop answers heartbeats and applies membership updates until the
-// connection drops, a frame exceeds maxControlFrame (no control frame carries
-// a block) or a payload does not decode, and returns what ended it.
+// controlLoop answers heartbeats until the connection drops or a frame other
+// than msgPing arrives — a frame above maxControlFrame is refused before its
+// payload is read — and returns what ended it. After the handshake the
+// coordinator sends nothing else on a control connection, so any other frame
+// means the two ends no longer agree on the protocol.
 func (w *Worker) controlLoop(conn net.Conn) error {
 	for {
-		typ, payload, err := readFrame(conn, maxControlFrame)
+		typ, _, err := readFrame(conn, maxControlFrame)
 		if err != nil {
 			return err
 		}
-		switch typ {
-		case msgPing:
-			if err := writeGob(conn, msgPong, pong{UnixNano: time.Now().UnixNano()}); err != nil {
-				return err
-			}
-		case msgMemberUpdate:
-			// Coordinator push after a membership change: remember the
-			// table so operators (and the reconnect loop) can inspect the
-			// worker's view of the cluster. No reply.
-			var upd memberUpdate
-			if err := decodeGob(payload, &upd); err != nil {
-				return err
-			}
-			w.viewMu.Lock()
-			if upd.Epoch >= w.epoch {
-				w.view, w.epoch = upd.Members, upd.Epoch
-			}
-			w.viewMu.Unlock()
-			w.ctrlNotify()
+		if typ != msgPing {
+			return fmt.Errorf("remote: unexpected frame type %d on the control connection", typ)
+		}
+		if err := writeGob(conn, msgPong, pong{UnixNano: time.Now().UnixNano()}); err != nil {
+			return err
 		}
 	}
 }

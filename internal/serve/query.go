@@ -177,11 +177,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return float64(q)
 	}())
 	if err != nil {
-		s.reg.Counter(obs.TenantSeries(obs.MTenantRejects, tenant.Name)).Inc()
-		c := s.counters(tenant.Name)
-		s.tmu.Lock()
-		c.rejects++
-		s.tmu.Unlock()
+		s.tenantCounter(obs.MTenantRejects, tenant.Name).Inc()
 		qlog.Emit(obs.Event{Type: obs.EvFailed, Cause: "admission", Error: err.Error()})
 		s.queries.finish(rec, "rejected", func(r *QueryRecord) { r.Error = err.Error() })
 		code := http.StatusTooManyRequests
@@ -229,15 +225,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.reg.Counter(obs.MServeQueries).Inc()
 	s.reg.Histogram(obs.MServeQuerySeconds).Observe(execDur.Seconds())
 	s.reg.Histogram(obs.TenantSeries(obs.MTenantQuerySeconds, tenant.Name)).Observe(queued.Seconds() + execDur.Seconds())
-	s.reg.Counter(obs.TenantSeries(obs.MTenantQueries, tenant.Name)).Inc()
-
-	c := s.counters(tenant.Name)
+	s.tenantCounter(obs.MTenantQueries, tenant.Name).Inc()
 	if err != nil {
-		s.reg.Counter(obs.TenantSeries(obs.MTenantErrors, tenant.Name)).Inc()
-		s.tmu.Lock()
-		c.queries++
-		c.errors++
-		s.tmu.Unlock()
+		s.tenantCounter(obs.MTenantErrors, tenant.Name).Inc()
 		s.queries.finish(rec, "failed", func(r *QueryRecord) {
 			r.ExecMillis = float64(execDur.Nanoseconds()) / 1e6
 			r.Error = err.Error()
@@ -256,19 +246,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		r.ExecMillis = float64(execDur.Nanoseconds()) / 1e6
 		r.PlanCacheHit = hit
 	})
-	s.reg.Counter(obs.TenantSeries(obs.MTenantTasks, tenant.Name)).Add(int64(stats.Tasks))
-	s.reg.Counter(obs.TenantSeries(obs.MTenantBytes, tenant.Name)).Add(stats.TotalCommBytes() + stats.ExtraWireBytes)
+	s.tenantCounter(obs.MTenantTasks, tenant.Name).Add(int64(stats.Tasks))
+	s.tenantCounter(obs.MTenantBytes, tenant.Name).Add(stats.TotalCommBytes() + stats.ExtraWireBytes)
 	if hit {
-		s.reg.Counter(obs.TenantSeries(obs.MTenantPlanHits, tenant.Name)).Inc()
+		s.tenantCounter(obs.MTenantPlanHits, tenant.Name).Inc()
 	}
-	s.tmu.Lock()
-	c.queries++
-	c.tasks += int64(stats.Tasks)
-	c.bytes += stats.TotalCommBytes() + stats.ExtraWireBytes
-	if hit {
-		c.planHits++
-	}
-	s.tmu.Unlock()
 
 	resp := QueryResponse{
 		Tenant:       tenant.Name,

@@ -128,9 +128,6 @@ type Server struct {
 	dsMu     sync.Mutex
 	datasets map[string]*fuseme.Matrix
 
-	tmu          sync.Mutex
-	tenantCounts map[string]*tenantCounters
-
 	// Per-query observability: the shared event journal every lifecycle
 	// event lands in, and the registry backing GET /v1/queries.
 	journal     *obs.Journal
@@ -138,9 +135,12 @@ type Server struct {
 	queries     *queryRegistry
 }
 
-// tenantCounters mirrors the per-tenant metric families for /v1/status.
-type tenantCounters struct {
-	queries, errors, rejects, planHits, tasks, bytes int64
+// tenantCounters are the per-tenant counter families /v1/status reports.
+// New creates each tenant's series, so a tenant's row and /metrics read the
+// same counters, at zero before its first query.
+var tenantCounters = []string{
+	obs.MTenantQueries, obs.MTenantErrors, obs.MTenantRejects,
+	obs.MTenantPlanHits, obs.MTenantTasks, obs.MTenantBytes,
 }
 
 // New builds a Server. It does not listen; mount Handler on an http.Server
@@ -165,13 +165,12 @@ func New(cfg Config) (*Server, error) {
 		return nil, errors.New("serve: cluster memory budget is zero (set Config.BudgetBytes or the cluster dimensions)")
 	}
 	s := &Server{
-		cfg:          cfg,
-		reg:          cfg.Registry,
-		byToken:      map[string]*Tenant{},
-		datasets:     map[string]*fuseme.Matrix{},
-		tenantCounts: map[string]*tenantCounters{},
-		free:         make(chan *fuseme.Session, cfg.Sessions),
-		queries:      newQueryRegistry(),
+		cfg:      cfg,
+		reg:      cfg.Registry,
+		byToken:  map[string]*Tenant{},
+		datasets: map[string]*fuseme.Matrix{},
+		free:     make(chan *fuseme.Session, cfg.Sessions),
+		queries:  newQueryRegistry(),
 	}
 	if s.reg == nil {
 		s.reg = obs.NewRegistry()
@@ -225,8 +224,10 @@ func New(cfg Config) (*Server, error) {
 	s.tenants = tenants
 	for i := range s.tenants {
 		t := &s.tenants[i]
-		s.tenantCounts[t.Name] = &tenantCounters{}
 		s.reg.Gauge(obs.TenantSeries(obs.MTenantReservedByte, t.Name)).Set(float64(t.QuotaBytes))
+		for _, family := range tenantCounters {
+			s.tenantCounter(family, t.Name)
+		}
 		if t.Token != "" {
 			if _, dup := s.byToken[t.Token]; dup {
 				return nil, fmt.Errorf("serve: tenants share a token")
@@ -462,16 +463,9 @@ func writeRetryable(w http.ResponseWriter, code int, msg string) {
 	writeJSON(w, code, httpError{Error: msg})
 }
 
-// counters returns the tenant's status mirror.
-func (s *Server) counters(tenant string) *tenantCounters {
-	s.tmu.Lock()
-	defer s.tmu.Unlock()
-	c := s.tenantCounts[tenant]
-	if c == nil {
-		c = &tenantCounters{}
-		s.tenantCounts[tenant] = c
-	}
-	return c
+// tenantCounter returns the tenant's series of a counter family.
+func (s *Server) tenantCounter(family, tenant string) *obs.Counter {
+	return s.reg.Counter(obs.TenantSeries(family, tenant))
 }
 
 // TenantStatus is one tenant's row in the /v1/status document.
@@ -516,16 +510,13 @@ func (s *Server) status() Status {
 	st.Scheduler, st.RunningTasks = s.sched.TenantStats()
 	for _, t := range s.tenants {
 		used, queued := s.adm.Usage(t.Name)
-		c := s.counters(t.Name)
-		s.tmu.Lock()
-		row := TenantStatus{
+		n := func(family string) int64 { return s.tenantCounter(family, t.Name).Value() }
+		st.Tenants = append(st.Tenants, TenantStatus{
 			Name: t.Name, Weight: t.Weight, ReservedBytes: t.QuotaBytes,
 			InFlightBytes: used, QueueDepth: queued,
-			Queries: c.queries, Errors: c.errors, Rejects: c.rejects,
-			PlanCacheHits: c.planHits, Tasks: c.tasks, WireBytes: c.bytes,
-		}
-		s.tmu.Unlock()
-		st.Tenants = append(st.Tenants, row)
+			Queries: n(obs.MTenantQueries), Errors: n(obs.MTenantErrors), Rejects: n(obs.MTenantRejects),
+			PlanCacheHits: n(obs.MTenantPlanHits), Tasks: n(obs.MTenantTasks), WireBytes: n(obs.MTenantBytes),
+		})
 	}
 	sort.Slice(st.Tenants, func(i, j int) bool { return st.Tenants[i].Name < st.Tenants[j].Name })
 	s.sessMu.Lock()

@@ -159,27 +159,23 @@ type schedSetter interface{ SetScheduler(s *sched.Scheduler) }
 // parameters are taken from the resolved configuration the compiler is handed
 // (rtm.Config(): worker count as connected, kernel threads as resolved), not
 // from the ClusterConfig the caller wrote. Engine structs print
-// deterministically. Elastic backends contribute their membership
-// fingerprint, so a plan compiled against one active worker set is never
-// replayed against another: every accepted join/leave/death bumps the
-// cluster epoch and therefore re-keys the cache.
+// deterministically. Membership is not part of the key: the TCP runtime's
+// Config is the seed cluster's shape whatever joins or leaves later, so a
+// membership change compiles the same plan, and placement follows the active
+// workers per stage.
 func (s *Session) planFingerprint(rtm rt.Runtime) string {
 	cc := rtm.Config()
-	fp := fmt.Sprintf("eng=%T%+v|cl=N%d,slots%d,M%d,B%d,net%g,comp%g,rt=%s",
+	return fmt.Sprintf("eng=%T%+v|cl=N%d,slots%d,M%d,B%d,net%g,comp%g,rt=%s",
 		s.engine, s.engine,
 		cc.Nodes, cc.TotalSlots(), cc.TaskMemBytes, cc.BlockSize,
 		cc.NetBandwidth, cc.EffectiveCompBandwidth(), s.cfg.Runtime)
-	if cf, ok := rtm.(interface{ ClusterFingerprint() string }); ok {
-		fp += "|mem=" + cf.ClusterFingerprint()
-	}
-	return fp
 }
 
 // ServeJoin starts the TCP runtime's join listener on addr (host:port; ":0"
 // picks an ephemeral port) and returns the bound address. Workers register
 // with it at any time — `fuseme-worker -join <addr>` — and announce
-// voluntary departure when draining; every accepted change rebalances
-// scheduling, reconciles cache residency and re-keys cached plans. The
+// voluntary departure when draining; every accepted change resizes
+// scheduling, and the next stage places its tasks on the active workers. The
 // backend is constructed on demand, so the configured seed workers must be
 // reachable. Errors under the simulated runtime, whose workers are implicit.
 func (s *Session) ServeJoin(addr string) (string, error) {
