@@ -10,9 +10,11 @@
 package fuseme_test
 
 import (
+	"bufio"
 	"io"
 	"net"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"fuseme"
@@ -286,9 +288,11 @@ func BenchmarkCompileGNMF(b *testing.B) {
 
 // BenchmarkBlockWire measures FME1 encode+decode throughput for the block
 // shapes the TCP runtime ships — dense and CSR at typical block sizes — in
-// memory and, in the "-socket" arm, with a real loopback TCP connection
-// between the encode and the decode (the frame written with one Write and
-// read back into a reused buffer, as a task stream does).
+// memory and over a real loopback TCP connection, the way a task stream
+// moves a block: the "-socket" arm writes the frame's headers and the
+// block's own memory with one writev and reads the payload straight into
+// fresh storage; the "-arena" arm reads into an arena reset per block, as a
+// worker's task stream does per task, and must allocate nothing once warm.
 // b.SetBytes reports MB/s of in-memory block data moved through the format.
 func BenchmarkBlockWire(b *testing.B) {
 	cases := []struct {
@@ -318,39 +322,68 @@ func BenchmarkBlockWire(b *testing.B) {
 			}
 			b.ReportMetric(wire, "wire-bytes")
 		})
-		b.Run(c.name+"-socket", func(b *testing.B) {
-			send, recv := loopbackPair(b)
-			out := make([]byte, 0, int(wire))
-			in := make([]byte, int(wire))
-			// The sending end runs on its own goroutine, as it does in the
-			// runtime: a block larger than the socket buffer cannot be written
-			// and read back from one.
-			kick, sent := make(chan struct{}), make(chan error)
-			defer close(kick)
-			go func() {
-				for range kick {
-					_, err := send.Write(matrix.AppendTo(out, c.m))
-					sent <- err
-				}
-			}()
-			b.SetBytes(c.m.SizeBytes())
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				kick <- struct{}{}
-				if _, err := io.ReadFull(recv, in); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := spec.DecodeBlock(in); err != nil {
-					b.Fatal(err)
-				}
-				if err := <-sent; err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(wire, "wire-bytes")
-		})
+		b.Run(c.name+"-socket", func(b *testing.B) { blockOverSocket(b, c.m, nil) })
+		b.Run(c.name+"-arena", func(b *testing.B) { blockOverSocket(b, c.m, new(matrix.Arena)) })
 	}
+}
+
+// blockOverSocket sends m across a loopback TCP connection and reads it back
+// per iteration, the way a task stream does: the sender on its own
+// goroutine (a block larger than the socket buffer cannot be written and
+// read back from one), the header through a small read buffer and the
+// payload into storage from a (nil: fresh). With an arena, a round trip
+// that allocates a KiB or more fails the benchmark: it should allocate
+// nothing.
+func blockOverSocket(b *testing.B, m matrix.Mat, a *matrix.Arena) {
+	send, recv := loopbackPair(b)
+	wire := matrix.EncodedSize(m)
+	rows, cols := m.Dims()
+	kick, sent := make(chan struct{}), make(chan error)
+	defer close(kick)
+	go func() {
+		var (
+			hdr   []byte
+			views [3][]byte
+			out   net.Buffers
+			iov   [4][]byte
+		)
+		for range kick {
+			var vs [][]byte
+			hdr, vs = matrix.AppendViews(hdr[:0], views[:0], m)
+			out = append(append(iov[:0], hdr), vs...)
+			_, err := out.WriteTo(send)
+			sent <- err
+		}
+	}()
+	r := bufio.NewReaderSize(recv, 4<<10)
+	one := func() {
+		kick <- struct{}{}
+		if _, err := matrix.ReadBlock(r, wire, max(rows, cols), a); err != nil {
+			b.Fatal(err)
+		}
+		if err := <-sent; err != nil {
+			b.Fatal(err)
+		}
+		if a != nil {
+			a.Reset()
+		}
+	}
+	one() // buffers and the arena reach their size
+	b.SetBytes(m.SizeBytes())
+	b.ReportAllocs()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		one()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&m1)
+	// The runtime allocates a few bytes now and then on its own account.
+	if perOp := (m1.TotalAlloc - m0.TotalAlloc) / uint64(b.N); a != nil && perOp >= 1024 {
+		b.Errorf("a warm arena round trip allocates %d B", perOp)
+	}
+	b.ReportMetric(float64(wire), "wire-bytes")
 }
 
 // loopbackPair returns the two ends of one loopback TCP connection.

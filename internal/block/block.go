@@ -93,23 +93,34 @@ func (m *Matrix) BlockDims(bi, bj int) (rows, cols int) {
 // all-zero.
 func (m *Matrix) Block(bi, bj int) matrix.Mat { return m.blocks[Key{bi, bj}] }
 
-// SetBlock stores blk at grid position (bi, bj) after validating its shape.
-// A nil blk deletes the block (all-zero).
-func (m *Matrix) SetBlock(bi, bj int, blk matrix.Mat) {
+// CheckBlock reports why blk may not be stored at grid position (bi, bj):
+// the key lies outside the grid, or the block is not shaped as the grid's
+// block there. A nil blk fits any key inside the grid.
+func (m *Matrix) CheckBlock(bi, bj int, blk matrix.Mat) error {
 	if bi < 0 || bj < 0 || bi >= m.BlockRows() || bj >= m.BlockCols() {
-		panic(fmt.Sprintf("block: key (%d,%d) outside %dx%d grid", bi, bj, m.BlockRows(), m.BlockCols()))
+		return fmt.Errorf("block: key (%d,%d) outside %dx%d grid", bi, bj, m.BlockRows(), m.BlockCols())
+	}
+	if blk == nil {
+		return nil
+	}
+	wr, wc := m.BlockDims(bi, bj)
+	if br, bc := blk.Dims(); br != wr || bc != wc {
+		return fmt.Errorf("block: block (%d,%d) has shape %dx%d, want %dx%d", bi, bj, br, bc, wr, wc)
+	}
+	return nil
+}
+
+// SetBlock stores blk at grid position (bi, bj); it panics where CheckBlock
+// reports an error. A nil blk deletes the block (all-zero).
+func (m *Matrix) SetBlock(bi, bj int, blk matrix.Mat) {
+	if err := m.CheckBlock(bi, bj, blk); err != nil {
+		panic(err.Error())
 	}
 	if blk == nil {
 		delete(m.blocks, Key{bi, bj})
-		m.restamp()
-		return
+	} else {
+		m.blocks[Key{bi, bj}] = blk
 	}
-	wr, wc := m.BlockDims(bi, bj)
-	br, bc := blk.Dims()
-	if br != wr || bc != wc {
-		panic(fmt.Sprintf("block: block (%d,%d) has shape %dx%d, want %dx%d", bi, bj, br, bc, wr, wc))
-	}
-	m.blocks[Key{bi, bj}] = blk
 	m.restamp()
 }
 

@@ -34,7 +34,12 @@
 // and bindings without copying (matrix.ToDense and ToCSR may return their
 // argument; an output may be one of its inputs' blocks, or share its
 // pattern). The sinks own what tasks emitted and fold partials into it in
-// place.
+// place. On a worker, the blocks a task fetched live in its task stream's
+// arena only until the task's done frame is written: a result that is, or
+// shares memory with, a fetched block has gone out before then, and a block
+// a task caches was fetched into storage of its own. Results that come off
+// the wire are checked against the sinks — kind, key, shape — before any is
+// routed (ErrMalformedResult).
 //
 // Three consolidation strategies share this machinery:
 //
@@ -228,10 +233,11 @@ func (s *aggSink) combine(bi, bj int, blk matrix.Mat) {
 }
 
 // mmPartialSink accumulates partial main-multiplication blocks shuffled out
-// of stage-one tasks (the matrix aggregation step).
+// of stage-one tasks (the matrix aggregation step) over the main
+// multiplication's block grid.
 type mmPartialSink struct {
-	mu     sync.Mutex
-	blocks map[block.Key]matrix.Mat
+	mu  sync.Mutex
+	out *block.Matrix
 }
 
 func (s *mmPartialSink) add(bi, bj int, blk matrix.Mat) {
@@ -240,13 +246,11 @@ func (s *mmPartialSink) add(bi, bj int, blk matrix.Mat) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	k := block.Key{Row: bi, Col: bj}
-	if cur, ok := s.blocks[k]; ok {
+	if cur := s.out.Block(bi, bj); cur != nil {
 		// The sink owns what tasks emitted: the sum folds into cur in place.
-		s.blocks[k] = matrix.AddAcc(cur, blk)
-	} else {
-		s.blocks[k] = blk
+		blk = matrix.AddAcc(cur, blk)
 	}
+	s.out.SetBlock(bi, bj, blk)
 }
 
 // get returns the aggregated partial for output block (bi, bj); nil means
@@ -254,7 +258,7 @@ func (s *mmPartialSink) add(bi, bj int, blk matrix.Mat) {
 func (s *mmPartialSink) get(bi, bj int) matrix.Mat {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.blocks[block.Key{Row: bi, Col: bj}]
+	return s.out.Block(bi, bj)
 }
 
 // aggregateLocal folds a computed block into a task-local partial aggregate,

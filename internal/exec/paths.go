@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 
 	"fuseme/internal/block"
@@ -41,41 +42,86 @@ func (lo *Operator) Run(rtm rt.Runtime, bind Bindings, o *obs.Obs) ([]*block.Mat
 	if err := lo.checkBindings(bind, bs); err != nil {
 		return nil, err
 	}
-	final := &resultSink{}
-	aggs := make([]*aggSink, len(lo.outs))
+	sk := &sinks{aggs: make([]*aggSink, len(lo.outs))}
 	results := make([]*block.Matrix, len(lo.outs))
 	for i, pc := range lo.outs {
 		if pc.agg != nil {
-			aggs[i] = &aggSink{agg: pc.agg.Agg, out: block.New(pc.agg.Rows, pc.agg.Cols, bs)}
-			results[i] = aggs[i].out
+			sk.aggs[i] = &aggSink{agg: pc.agg.Agg, out: block.New(pc.agg.Rows, pc.agg.Cols, bs)}
+			results[i] = sk.aggs[i].out
 		} else { // only a single-output operator emits final blocks
-			final.out = block.New(pc.root.Rows, pc.root.Cols, bs)
-			results[i] = final.out
+			sk.final = &resultSink{out: block.New(pc.root.Rows, pc.root.Cols, bs)}
+			results[i] = sk.final.out
 		}
 	}
 	src := bindSource{bind: bind}
 	if len(lo.Stages) > 1 {
-		src.partials = &mmPartialSink{blocks: make(map[block.Key]matrix.Mat)}
-	}
-	// Final blocks land in the result sink, task aggregates fold into their
-	// output's aggregation sink, and partial main-multiplication blocks
-	// accumulate in the shuffle sink.
-	route := func(kind uint8, bi, bj int, blk matrix.Mat) {
-		switch outKind(kind) {
-		case spec.OutFinal:
-			final.put(bi, bj, blk)
-		case spec.OutAgg:
-			aggs[aggOutput(kind)].combine(bi, bj, blk)
-		case spec.OutPartial:
-			src.partials.add(bi, bj, blk)
-		}
+		mm := lo.outs[0].plan.MainMM
+		sk.partials = &mmPartialSink{out: block.New(mm.Rows, mm.Cols, bs)}
+		src.partials = sk.partials
 	}
 	for _, st := range lo.bound(rtm, bind) {
-		if err := dispatch(rtm, o, lo.pred, st, src, route); err != nil {
+		if err := dispatch(rtm, o, lo.pred, st, src, sk); err != nil {
 			return nil, err
 		}
 	}
 	return results, nil
+}
+
+// sinks are where an operator's results land: final blocks in the result
+// sink, task aggregates in their output's aggregation sink, and partial
+// main-multiplication blocks in the shuffle sink. Each sink an operator
+// does not produce is nil.
+type sinks struct {
+	final    *resultSink
+	aggs     []*aggSink
+	partials *mmPartialSink
+}
+
+// route folds one result block into its sink.
+func (k *sinks) route(kind uint8, bi, bj int, blk matrix.Mat) {
+	switch outKind(kind) {
+	case spec.OutFinal:
+		k.final.put(bi, bj, blk)
+	case spec.OutAgg:
+		k.aggs[aggOutput(kind)].combine(bi, bj, blk)
+	case spec.OutPartial:
+		k.partials.add(bi, bj, blk)
+	}
+}
+
+// ErrMalformedResult is a result block a remote task sent that route cannot
+// take: a kind the stage does not emit, a key outside the target grid, or a
+// block not shaped as the grid's block there. The attempt fails, and the
+// task is retried.
+var ErrMalformedResult = errors.New("exec: malformed result block")
+
+// check validates a result block that came off the wire against the sinks
+// before route sees it: the kind a stage of this phase emits, into a sink
+// the operator has, at a key and in a shape that sink's grid takes.
+func (k *sinks) check(phase string, kind uint8, bi, bj int, blk matrix.Mat) error {
+	var target *block.Matrix
+	out, partial := aggOutput(kind), phase == spec.PhasePartial
+	switch outKind(kind) {
+	case spec.OutPartial:
+		if partial && out == 0 && k.partials != nil {
+			target = k.partials.out
+		}
+	case spec.OutFinal:
+		if !partial && out == 0 && k.final != nil {
+			target = k.final.out
+		}
+	case spec.OutAgg:
+		if !partial && out < len(k.aggs) && k.aggs[out] != nil {
+			target = k.aggs[out].out
+		}
+	}
+	if target == nil {
+		return fmt.Errorf("%w: kind %#x in a %s stage", ErrMalformedResult, kind, phase)
+	}
+	if err := target.CheckBlock(bi, bj, blk); err != nil {
+		return fmt.Errorf("%w: %v", ErrMalformedResult, err)
+	}
+	return nil
 }
 
 // checkBindings checks the bound inputs against the plans: every input bound,
@@ -138,9 +184,9 @@ func (lo *Operator) bound(rtm rt.Runtime, bind Bindings) []*Stage {
 // floating-point results fold in the same order whatever order tasks complete
 // in. Both are wrapped in the operator's observability (spans, metrics,
 // calibration measurement) when enabled.
-func dispatch(rtm rt.Runtime, o *obs.Obs, pred obs.FlightRecord, st *Stage, src blockSource, route emitFn) error {
+func dispatch(rtm rt.Runtime, o *obs.Obs, pred obs.FlightRecord, st *Stage, src blockSource, sk *sinks) error {
 	sp := &st.Spec
-	red := newStageReducer(sp.NumTasks, route)
+	red := newStageReducer(sp.NumTasks, sk.route)
 	return runObservedStage(rtm, o, pred, &rt.Stage{
 		Name:     sp.Name,
 		NumTasks: sp.NumTasks,
@@ -155,14 +201,17 @@ func dispatch(rtm rt.Runtime, o *obs.Obs, pred obs.FlightRecord, st *Stage, src 
 		Spec:  sp,
 		Fetch: src.fetch,
 		Collect: func(taskID int, blocks []spec.OutBlock) error {
+			// Every block is checked before any is routed: final blocks
+			// route at once, so a rejected attempt must leave nothing behind.
+			for _, ob := range blocks {
+				if err := sk.check(sp.Phase, ob.Kind, ob.BI, ob.BJ, ob.Block); err != nil {
+					return fmt.Errorf("task %d result (%d,%d): %w", taskID, ob.BI, ob.BJ, err)
+				}
+			}
 			red.reset(taskID)
 			emit := red.emitFor(taskID)
 			for _, ob := range blocks {
-				blk, err := spec.DecodeBlock(ob.Data)
-				if err != nil {
-					return fmt.Errorf("exec: decoding task %d result block (%d,%d): %w", taskID, ob.BI, ob.BJ, err)
-				}
-				emit(ob.Kind, ob.BI, ob.BJ, blk)
+				emit(ob.Kind, ob.BI, ob.BJ, ob.Block)
 			}
 			red.complete(taskID)
 			return nil

@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -19,18 +20,24 @@ import (
 //	dense payload: rows*cols float64
 //	csr payload:   nnz int64, rowptr (rows+1) int64, col (nnz) int64, val (nnz) float64
 //
-// AppendTo is the only encoder and Decode the only decoder; files
+// One codec, two halves. The writer is AppendViews: it appends the header
+// and returns the payload as views of the block's own slices, so a socket
+// writer sends the block with one writev and no staging copy; AppendTo joins
+// the two. The reader is ReadBlock: it reads the header, validates it and
+// then reads the payload straight into the block's storage, fresh or taken
+// from an Arena; Decode is ReadBlock over a byte slice. Files
 // (WriteTo/ReadFrom), spec.EncodeBlock/DecodeBlock and the TCP runtime's
 // block frames all go through them, so the bytes are the same everywhere.
 //
-// Decode trusts nothing in the header. A payload is accepted only when
-//   - the magic and kind are known and rows, cols (and nnz) are non-negative;
+// The reader trusts nothing in the header. A block is accepted only when
+//   - the magic and kind are known and rows, cols (and nnz) are non-negative
+//     and no larger than the caller's bound;
 //   - its length is exactly the length the header implies — checked by
-//     division before anything is allocated, so a header claiming 2³¹×2³¹
+//     division before any storage is taken, so a header claiming 2³¹×2³¹
 //     costs a comparison, not a makeslice panic or a gigabyte;
 //   - for CSR, RowPtr[0] == 0, RowPtr is non-decreasing, RowPtr[rows] == nnz
 //     and every column index lies in [0, cols), so no kernel indexes out of
-//     range on a block that came off the wire.
+//     range on a block that came off the wire (checked after the read).
 //
 // Anything else is ErrCorruptBlock.
 const (
@@ -40,8 +47,8 @@ const (
 	kindCSR    uint8  = 1
 )
 
-// ErrCorruptBlock is returned (wrapped, with the reason) by Decode and
-// ReadFrom for bytes that are not a well-formed FME1 matrix.
+// ErrCorruptBlock is returned (wrapped, with the reason) by ReadBlock, Decode
+// and ReadFrom for bytes that are not a well-formed FME1 matrix.
 var ErrCorruptBlock = errors.New("matrix: corrupt FME1 block")
 
 func corrupt(format string, args ...any) error {
@@ -62,84 +69,124 @@ func EncodedSize(m Mat) int {
 // AppendTo appends the FME1 encoding of m to dst and returns the extended
 // slice. With cap(dst)-len(dst) >= EncodedSize(m) it allocates nothing.
 func AppendTo(dst []byte, m Mat) []byte {
-	n, size := len(dst), EncodedSize(m)
-	dst = slices.Grow(dst, size)[:n+size]
-	hdr, b := dst[n:n+headerSize], dst[n+headerSize:]
-	rows, cols := m.Dims()
-	binary.LittleEndian.PutUint32(hdr, ioMagic)
-	binary.LittleEndian.PutUint64(hdr[5:], uint64(rows))
-	binary.LittleEndian.PutUint64(hdr[13:], uint64(cols))
-	switch x := m.(type) {
-	case *Dense:
-		hdr[4] = kindDense
-		putFloats(b, x.Data)
-	case *CSR:
-		hdr[4] = kindCSR
-		binary.LittleEndian.PutUint64(b, uint64(len(x.Val)))
-		b = putInts(b[8:], x.RowPtr)
-		b = putInts(b, x.Col)
-		putFloats(b, x.Val)
+	var buf [3][]byte
+	dst, views := AppendViews(slices.Grow(dst, EncodedSize(m)), buf[:0], m)
+	for _, v := range views {
+		dst = append(dst, v...)
 	}
 	return dst
+}
+
+// AppendViews appends the FME1 encoding of m to dst up to its payload words
+// and appends those words to views as m's own memory: the encoding is dst's
+// new bytes followed by the new views, in order, EncodedSize(m) bytes in all.
+// The views alias m, which is immutable once published, so they stay valid
+// as long as m does. On a big-endian or 32-bit target a slice's memory is
+// not its encoding; there the words are encoded into dst and no view is
+// appended.
+func AppendViews(dst []byte, views [][]byte, m Mat) ([]byte, [][]byte) {
+	rows, cols := m.Dims()
+	dst = binary.LittleEndian.AppendUint32(dst, ioMagic)
+	switch x := m.(type) {
+	case *Dense:
+		dst = append(dst, kindDense)
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(rows))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(cols))
+		return appendFloats(dst, views, x.Data)
+	case *CSR:
+		dst = append(dst, kindCSR)
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(rows))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(cols))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(len(x.Val)))
+		dst, views = appendInts(dst, views, x.RowPtr)
+		dst, views = appendInts(dst, views, x.Col)
+		return appendFloats(dst, views, x.Val)
+	}
+	panic(fmt.Sprintf("matrix: unsupported Mat implementation %T", m))
 }
 
 // Decode parses one FME1 matrix that occupies data exactly. The result owns
 // its memory: nothing in it aliases data, so the caller may reuse the buffer
 // at once.
 func Decode(data []byte) (Mat, error) {
-	if len(data) < headerSize {
-		return nil, corrupt("%d bytes, header needs %d", len(data), headerSize)
+	return ReadBlock(bytes.NewReader(data), len(data), math.MaxInt, nil)
+}
+
+// ReadBlock reads one FME1 matrix of exactly size bytes from r, with rows
+// and cols at most maxDim, into storage taken from a — a nil Arena gives
+// fresh storage the block owns. Every header check happens before any
+// storage is taken; the payload is read straight into the block's slices and
+// the CSR structure checked after it. A block that fails a check is
+// ErrCorruptBlock, a payload cut short r's error (io.ErrUnexpectedEOF); in
+// either case r may be left inside the block.
+func ReadBlock(r io.Reader, size, maxDim int, a *Arena) (Mat, error) {
+	if size < headerSize {
+		return nil, corrupt("%d bytes, header needs %d", size, headerSize)
 	}
-	if magic := binary.LittleEndian.Uint32(data); magic != ioMagic {
+	hdr := a.scratch()
+	if _, err := io.ReadFull(r, hdr[:headerSize]); err != nil {
+		return nil, err
+	}
+	if magic := binary.LittleEndian.Uint32(hdr); magic != ioMagic {
 		return nil, corrupt("bad magic %#x", magic)
 	}
-	kind := data[4]
-	rows64 := int64(binary.LittleEndian.Uint64(data[5:]))
-	cols64 := int64(binary.LittleEndian.Uint64(data[13:]))
+	kind := hdr[4]
+	rows64 := int64(binary.LittleEndian.Uint64(hdr[5:]))
+	cols64 := int64(binary.LittleEndian.Uint64(hdr[13:]))
 	if rows64 < 0 || cols64 < 0 || rows64 > math.MaxInt || cols64 > math.MaxInt {
 		return nil, corrupt("dimensions %dx%d", rows64, cols64)
 	}
 	rows, cols := int(rows64), int(cols64)
-	body := data[headerSize:]
-	words := len(body) / 8
-	if len(body)%8 != 0 {
-		return nil, corrupt("%d payload bytes, not a multiple of 8", len(body))
+	if rows > maxDim || cols > maxDim {
+		return nil, corrupt("%dx%d in a block of at most %d", rows, cols, maxDim)
+	}
+	body := size - headerSize
+	words := body / 8
+	if body%8 != 0 {
+		return nil, corrupt("%d payload bytes, not a multiple of 8", body)
 	}
 	switch kind {
 	case kindDense:
 		if !isProduct(words, rows, cols) {
-			return nil, corrupt("dense %dx%d with %d payload bytes", rows, cols, len(body))
+			return nil, corrupt("dense %dx%d with %d payload bytes", rows, cols, body)
 		}
-		d := &Dense{Rows: rows, Cols: cols, Data: make([]float64, words)}
-		getFloats(d.Data, body)
+		d := a.takeDense(rows, cols)
+		if err := readFloats(r, d.Data); err != nil {
+			return nil, err
+		}
 		return d, nil
 	case kindCSR:
-		return decodeCSR(rows, cols, body)
+		return readCSR(r, rows, cols, words, hdr[headerSize:], a)
 	}
 	return nil, corrupt("unknown kind %d", kind)
 }
 
-// decodeCSR parses and validates the CSR payload (a whole number of 8-byte
-// words) of a rows x cols matrix.
-func decodeCSR(rows, cols int, body []byte) (Mat, error) {
-	words := len(body)/8 - 1 // after the nnz field
+// readCSR reads and validates the CSR payload (words 8-byte words) of a
+// rows x cols matrix, reading the nnz field into field.
+func readCSR(r io.Reader, rows, cols, words int, field []byte, a *Arena) (Mat, error) {
+	words-- // after the nnz field
 	if words < 0 {
 		return nil, corrupt("CSR without an nnz field")
 	}
-	nnz64 := int64(binary.LittleEndian.Uint64(body))
+	if _, err := io.ReadFull(r, field[:8]); err != nil {
+		return nil, err
+	}
+	nnz64 := int64(binary.LittleEndian.Uint64(field))
 	// rows+1 + 2*nnz words must remain.
 	if nnz64 < 0 || rows >= words || nnz64 > int64(words) || int64(rows+1)+2*nnz64 != int64(words) {
-		return nil, corrupt("CSR %dx%d nnz %d with %d payload bytes", rows, cols, nnz64, len(body))
+		return nil, corrupt("CSR %dx%d nnz %d with %d payload bytes", rows, cols, nnz64, 8*(words+1))
 	}
 	nnz := int(nnz64)
-	s := &CSR{Rows: rows, Cols: cols,
-		RowPtr: make([]int, rows+1),
-		Col:    make([]int, nnz),
-		Val:    make([]float64, nnz),
+	s := a.takeCSR(rows, cols, nnz)
+	if err := readInts(r, s.RowPtr); err != nil {
+		return nil, err
 	}
-	body = getInts(s.RowPtr, body[8:])
-	body = getInts(s.Col, body)
-	getFloats(s.Val, body)
+	if err := readInts(r, s.Col); err != nil {
+		return nil, err
+	}
+	if err := readFloats(r, s.Val); err != nil {
+		return nil, err
+	}
 	if s.RowPtr[0] != 0 {
 		return nil, corrupt("CSR RowPtr[0] = %d", s.RowPtr[0])
 	}

@@ -5,9 +5,13 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"io"
 	"math"
 	"math/rand"
+	"runtime"
+	"strconv"
 	"testing"
+	"unsafe"
 )
 
 // goldenFME1 pins the format: the hex strings are what matrix.WriteTo wrote
@@ -151,4 +155,116 @@ func TestDecodeRejectsCorrupt(t *testing.T) {
 			t.Errorf("%s: ReadFrom err = %v; want ErrCorruptBlock", name, err)
 		}
 	}
+}
+
+// TestAppendViewsIsAppendTo: the header bytes AppendViews appends followed by
+// its views are AppendTo's bytes, and the views are the block's own memory
+// on a target whose words are (here, when any view is returned).
+func TestAppendViewsIsAppendTo(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 100; trial++ {
+		var m Mat = wireRandDense(r, r.Intn(9), r.Intn(9))
+		if trial%2 == 1 {
+			m = wireRandCSR(r, r.Intn(9), r.Intn(9), r.Float64())
+		}
+		hdr, views := AppendViews([]byte{7}, nil, m)
+		joined := hdr[1:]
+		for _, v := range views {
+			joined = append(joined, v...)
+		}
+		if !bytes.Equal(joined, AppendTo(nil, m)) {
+			t.Fatalf("trial %d: header and views differ from AppendTo", trial)
+		}
+		if d, ok := m.(*Dense); ok && len(views) == 1 && &views[0][0] != (*byte)(unsafe.Pointer(&d.Data[0])) {
+			t.Fatalf("trial %d: the payload view is not the block's memory", trial)
+		}
+	}
+}
+
+// TestReadBlockRefusesBeforeStorage: a header the frame length or the
+// caller's dimension bound contradicts takes no storage and costs no more
+// than its error, and a payload cut short is an error, not a block.
+func TestReadBlockRefusesBeforeStorage(t *testing.T) {
+	full := AppendTo(nil, NewDense(32, 32))
+	for name, c := range map[string]struct {
+		data         []byte
+		size, maxDim int
+	}{
+		"dense 2^31 x 2^31":     {fme1(kindDense, 1<<31, 1<<31), headerSize, math.MaxInt},
+		"claims MaxInt/2 bytes": {full, headerSize + 8*(math.MaxInt/16), math.MaxInt},
+		"csr nnz 2^33":          {fme1(kindCSR, 1, 1, 1<<33, 0, 0), headerSize + 24, math.MaxInt},
+		"above the bound":       {full, len(full), 16},
+		"csr above the bound":   {AppendTo(nil, NewCSR(17, 2)), len(AppendTo(nil, NewCSR(17, 2))), 16},
+	} {
+		var a Arena
+		var err error
+		read := func() { _, err = ReadBlock(bytes.NewReader(c.data), c.size, c.maxDim, &a) }
+		if got := allocBytes(read); got > 1024 {
+			t.Errorf("%s: refusing allocates %d B", name, got)
+		}
+		if !errors.Is(err, ErrCorruptBlock) || a.Words() != 0 {
+			t.Errorf("%s: err = %v, %d words taken; want ErrCorruptBlock before any", name, err, a.Words())
+		}
+	}
+	if _, err := ReadBlock(bytes.NewReader(full[:len(full)-1]), len(full), 32, nil); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("payload cut short: err = %v, want io.ErrUnexpectedEOF", err)
+	}
+}
+
+// TestArenaReusesStorage: after a Reset the arena hands the same storage to
+// blocks of the same shapes, allocates nothing for them, and grows to a
+// larger batch in one chunk.
+func TestArenaReusesStorage(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	blocks := []Mat{wireRandDense(r, 16, 16), wireRandCSR(r, 16, 16, 0.3), wireRandDense(r, 8, 16)}
+	var encs [][]byte
+	for _, m := range blocks {
+		encs = append(encs, AppendTo(nil, m))
+	}
+	var a Arena
+	batch := func() []Mat {
+		a.Reset()
+		var out []Mat
+		for i, enc := range encs {
+			m, err := ReadBlock(bytes.NewReader(enc), len(enc), 16, &a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wireCheckEqual(t, m, blocks[i])
+			out = append(out, m)
+		}
+		return out
+	}
+	first := batch()
+	second := batch()
+	if &first[0].(*Dense).Data[0] != &second[0].(*Dense).Data[0] || first[1] != second[1] {
+		t.Error("a second batch of the same shapes did not reuse the first's storage")
+	}
+	allowed := float64(len(encs)) // the bytes.Readers
+	if strconv.IntSize == 32 {
+		allowed += 2 // the CSR's int slices, each through a chunk
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		a.Reset()
+		for _, enc := range encs {
+			ReadBlock(bytes.NewReader(enc), len(enc), 16, &a)
+		}
+	}); n > allowed {
+		t.Errorf("a warm arena batch allocates %.0f times", n)
+	}
+	blocks = append(blocks, wireRandDense(r, 16, 16))
+	encs = append(encs, AppendTo(nil, blocks[3]))
+	batch()
+	if got := batch(); len(got) != 4 || a.floats.off != a.floats.used || a.floats.used > len(a.floats.buf) {
+		t.Errorf("a larger batch is not served from one chunk: off %d, used %d, chunk %d", a.floats.off, a.floats.used, len(a.floats.buf))
+	}
+}
+
+// allocBytes returns the bytes op allocates.
+func allocBytes(op func()) uint64 {
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	op()
+	runtime.ReadMemStats(&m1)
+	return m1.TotalAlloc - m0.TotalAlloc
 }

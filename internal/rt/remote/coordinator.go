@@ -592,7 +592,7 @@ func (m *wireMeter) countFetch(ref spec.BlockRef, n int64, colocated map[int]boo
 }
 
 func (m *wireMeter) countResult(ob spec.OutBlock) {
-	n := int64(len(ob.Data))
+	n := int64(ob.WireBytes)
 	// Everything but a final block is shuffled: a partial product, or a
 	// task-local aggregate of whichever output its kind byte names.
 	if ob.Kind == spec.OutFinal {
@@ -694,9 +694,7 @@ func (c *Coordinator) RunSpecStage(st *rt.Stage) error {
 		mu.Lock()
 		stage.AddTask(done.Metrics)
 		mu.Unlock()
-		err = st.Collect(taskID, done.blocks)
-		done.release() // the blocks' Data was valid until Collect returned
-		return err
+		return st.Collect(taskID, done.blocks)
 	})
 	if err != nil {
 		return err
@@ -733,21 +731,11 @@ func (c *Coordinator) attemptWorker(node, taskID, attempt int) *workerConn {
 }
 
 // taskResult is a completed task as the coordinator holds it: the worker's
-// completion report plus the result blocks that arrived ahead of it. Each
-// block's Data sits in a pooled frame buffer, so it is valid only until
-// release — which the caller invokes once rt.Stage.Collect has returned.
+// completion report plus the result blocks that arrived ahead of it, each
+// decoded as it arrived.
 type taskResult struct {
 	taskDone
 	blocks []spec.OutBlock
-	bufs   []*[]byte
-}
-
-// release recycles the buffers behind the result blocks.
-func (r *taskResult) release() {
-	for _, b := range r.bufs {
-		framePool.Put(b)
-	}
-	r.blocks, r.bufs = nil, nil
 }
 
 // taskError is a failure the worker reported with msgFail: the task body
@@ -801,11 +789,6 @@ func (c *Coordinator) runTaskOn(w *workerConn, st *rt.Stage, taskID int, gen uin
 // or failed. heard reports whether the worker sent anything at all in reply.
 func (c *Coordinator) serveTask(s *stream, st *rt.Stage, taskID int, gen uint64, wire *wireMeter, colocated map[int]bool) (res *taskResult, heard bool, err error) {
 	res = &taskResult{}
-	defer func() {
-		if err != nil {
-			res.release()
-		}
-	}()
 	if s.gen != gen {
 		if err := s.writeGob(msgStage, stageAssign{
 			Stage:         *st.Spec,
@@ -825,11 +808,25 @@ func (c *Coordinator) serveTask(s *stream, st *rt.Stage, taskID int, gen uint64,
 		return res, false, transportError{err}
 	}
 	for {
-		typ, payload, err := s.readFrame()
+		typ, n, err := s.next()
 		if err != nil {
 			return res, heard, transportError{err}
 		}
 		heard = true
+		if typ == msgResult {
+			// A result frame that does not read whole ends the stream like
+			// any other failed read.
+			ob, err := s.readResult(n)
+			if err != nil {
+				return res, true, transportError{err}
+			}
+			res.blocks = append(res.blocks, ob)
+			continue
+		}
+		payload, err := s.payload(n)
+		if err != nil {
+			return res, true, transportError{err}
+		}
 		switch typ {
 		case msgFetch:
 			ref, err := decodeRef(payload)
@@ -841,15 +838,6 @@ func (c *Coordinator) serveTask(s *stream, st *rt.Stage, taskID int, gen uint64,
 				return res, true, transportError{err}
 			}
 			wire.countFetch(ref, n, colocated)
-		case msgResult:
-			ob, err := decodeResult(payload)
-			if err != nil {
-				return res, true, err
-			}
-			// The frame stays where it was read, in a buffer that goes back
-			// to the pool after Collect; the stream reads on into another.
-			res.blocks = append(res.blocks, ob)
-			res.bufs = append(res.bufs, s.takeRead())
 		case msgDone:
 			if err := s.decodeGob(payload, &res.taskDone); err != nil {
 				return res, true, err

@@ -3,7 +3,9 @@
 // processes, and the worker loop those processes run.
 //
 // Every connection carries length-framed messages
-// ([type byte][uint32 big-endian length][payload]), each sent with one Write.
+// ([type byte][uint32 big-endian length][payload]), each sent with one write
+// system call — on a task stream a writev, which sends a block frame's
+// payload from the block's own memory.
 // The coordinator opens one persistent control connection per worker for the
 // handshake and heartbeats, and keeps a small set of
 // persistent task streams per worker — at most TasksPerNode idle ones, the
@@ -48,18 +50,26 @@
 // That body also keeps a worker's block cache coherent: it drops the stale
 // epochs the stage descriptor names, so no frame carries cache state.
 //
-// Buffer ownership. A block crosses each hop with one copy: the sender
-// encodes it straight into the stream's write buffer behind the frame header
-// (matrix.AppendTo), the receiver reads the frame into reusable scratch and
-// matrix.Decode converts it into the block's own slices before the next
-// read. So a decoded block owns its memory and never aliases a buffer.
-// Result frames are the one exception to "decode before the next read": the
-// coordinator keeps each in a pooled buffer and hands them to
-// rt.Stage.Collect as spec.OutBlock.Data, which is valid until Collect
-// returns and recycled after.
+// Buffer ownership. A block's bytes cross each hop once in user space. The
+// sender assembles the frame header, status byte or result header and FME1
+// header in the stream's write buffer and sends them and the block's own
+// slices with one writev (matrix.AppendViews); the block is immutable, and
+// the write returns only once the kernel has the bytes. The receiver reads
+// the headers out of a small read buffer, validates the FME1 header against
+// the frame length and the stage's block size before it takes any storage
+// (matrix.ReadBlock), then reads the payload straight into the block's
+// slices. A worker takes that storage from its stream's arena (matrix.Arena):
+// the blocks a task fetched live until the task's msgDone or msgFail is
+// written — every result block went out before it, synchronously, so a
+// result that is a fetched block is already on the wire — and the next task
+// reuses the memory. A task bound to a block cache fetches into storage of
+// its own, because a cached block outlives the task. The coordinator decodes
+// each msgResult as it arrives into fresh storage, because results live on
+// in the stage's sinks; rt.Stage.Collect receives them as blocks.
 package remote
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
@@ -353,26 +363,15 @@ func appendResultHeader(b []byte, kind uint8, bi, bj int) []byte {
 	return binary.BigEndian.AppendUint64(b, uint64(bj))
 }
 
-// decodeResult splits a msgResult payload; the returned Data aliases b.
-func decodeResult(b []byte) (spec.OutBlock, error) {
-	if len(b) < resultHeaderSize {
-		return spec.OutBlock{}, fmt.Errorf("remote: result frame of %d bytes, header needs %d", len(b), resultHeaderSize)
-	}
-	ob := spec.OutBlock{
-		Kind: b[0],
-		BI:   int(int64(binary.BigEndian.Uint64(b[1:]))),
-		BJ:   int(int64(binary.BigEndian.Uint64(b[9:]))),
-	}
-	if len(b) > resultHeaderSize {
-		ob.Data = b[resultHeaderSize:]
-	}
-	return ob, nil
-}
-
-// framePool recycles frame buffers: every stream's read scratch and write
-// buffer, and the buffers result frames wait in until Collect has consumed
-// them. Buffers grow to the largest frame they have carried.
+// framePool recycles the frame buffers of closed streams: read scratch and
+// write buffers, which grow to the largest frame they have carried.
 var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// readBufferSize is the size of a stream's read buffer. Frame headers and
+// the small frames are parsed out of it; a block's payload is read through
+// it only up to what one socket read brought in with the header, the rest
+// straight into the block.
+const readBufferSize = 4 << 10
 
 // stream is one persistent task connection, as either end holds it: the
 // socket, the reusable frame buffers and the connection's gob stream. One
@@ -380,11 +379,23 @@ var framePool = sync.Pool{New: func() any { return new([]byte) }}
 // body on it at a time; the coordinator serves a stream from one lane).
 type stream struct {
 	conn net.Conn
+	r    *bufio.Reader // every read of conn
 
-	// rbuf is read scratch: the payload readFrame returns lives here until
-	// the next readFrame. wbuf is where a frame is assembled, header first,
-	// to be sent with one Write.
+	// rbuf is read scratch: what payload returns lives here until the next
+	// read. wbuf is where a frame is assembled, header first; a block frame
+	// goes out as wbuf's bytes followed by the block's own memory (out, one
+	// writev). hdr takes the frame and result headers next and readResult
+	// read.
 	rbuf, wbuf *[]byte
+	views      [3][]byte // a block's payload views (matrix.AppendViews)
+	out        net.Buffers
+	iov        [4][]byte // out's backing array: the frame, then the views
+	hdr        [resultHeaderSize]byte
+
+	// arena holds the blocks the worker's current task fetched; the worker
+	// resets it once the task's msgDone or msgFail is written. The
+	// coordinator decodes results into fresh storage and leaves it empty.
+	arena matrix.Arena
 
 	// One gob stream per direction for the connection's lifetime. enc writes
 	// into encBuf, whose contents become a frame payload; dec reads the
@@ -402,12 +413,13 @@ type stream struct {
 
 	// err is the first transport or framing error. It is sticky: after a
 	// failed or refused read the byte stream is no longer aligned on frame
-	// boundaries, so every later send and readFrame fails with it too.
+	// boundaries, so every later send and read fails with it too.
 	err error
 }
 
 func newStream(conn net.Conn) *stream {
-	s := &stream{conn: conn, rbuf: framePool.Get().(*[]byte), wbuf: framePool.Get().(*[]byte)}
+	s := &stream{conn: conn, r: bufio.NewReaderSize(conn, readBufferSize),
+		rbuf: framePool.Get().(*[]byte), wbuf: framePool.Get().(*[]byte)}
 	s.enc = gob.NewEncoder(&s.encBuf)
 	s.dec = gob.NewDecoder(&s.decSrc)
 	return s
@@ -422,6 +434,15 @@ func (s *stream) close() {
 	s.rbuf, s.wbuf = nil, nil
 }
 
+// fail records err as the stream's sticky error, unless it has one already,
+// and returns it.
+func (s *stream) fail(err error) error {
+	if s.err == nil {
+		s.err = err
+	}
+	return err
+}
+
 // begin starts a frame of the given type in the write buffer; the caller
 // appends the payload and passes the result to send.
 func (s *stream) begin(typ byte) []byte {
@@ -430,13 +451,29 @@ func (s *stream) begin(typ byte) []byte {
 
 // send fills in the length of the frame begun with begin and writes it.
 func (s *stream) send(frame []byte) error {
+	return s.sendViews(frame, nil)
+}
+
+// sendViews fills in the length of the frame begun with begin, whose payload
+// is frame's bytes followed by views, and writes it with one writev.
+func (s *stream) sendViews(frame []byte, views [][]byte) error {
 	*s.wbuf = frame[:0] // keep whatever growth appending caused
 	if s.err != nil {
 		return s.err
 	}
-	binary.BigEndian.PutUint32(frame[1:], uint32(len(frame)-frameHeaderSize))
-	_, s.err = s.conn.Write(frame)
-	return s.err
+	n := len(frame) - frameHeaderSize
+	for _, v := range views {
+		n += len(v)
+	}
+	binary.BigEndian.PutUint32(frame[1:], uint32(n))
+	s.out = append(append(s.iov[:0], frame), views...)
+	_, err := s.out.WriteTo(s.conn)
+	clear(s.iov[:]) // the views alias a block; hold none past the write
+	clear(s.views[:])
+	if err != nil {
+		return s.fail(err)
+	}
+	return nil
 }
 
 func (s *stream) writeFrame(typ byte, payload []byte) error {
@@ -447,8 +484,7 @@ func (s *stream) writeFrame(typ byte, payload []byte) error {
 func (s *stream) writeGob(typ byte, v any) error {
 	s.encBuf.Reset()
 	if err := s.enc.Encode(v); err != nil {
-		s.err = err // the encoder may have sent half a type descriptor
-		return err
+		return s.fail(err) // the encoder may have sent half a type descriptor
 	}
 	return s.writeFrame(typ, s.encBuf.Bytes())
 }
@@ -458,8 +494,7 @@ func (s *stream) writeGob(typ byte, v any) error {
 func (s *stream) decodeGob(payload []byte, v any) error {
 	s.decSrc.Reset(payload)
 	if err := s.dec.Decode(v); err != nil {
-		s.err = err // the decoder's type table can no longer be trusted
-		return err
+		return s.fail(err) // the decoder's type table can no longer be trusted
 	}
 	return nil
 }
@@ -469,28 +504,31 @@ func (s *stream) writeBlock(m matrix.Mat) error {
 	if m == nil {
 		return s.send(append(s.begin(msgBlock), blockNil))
 	}
-	return s.send(matrix.AppendTo(append(s.begin(msgBlock), blockData), m))
+	return s.sendViews(matrix.AppendViews(append(s.begin(msgBlock), blockData), s.views[:0], m))
 }
 
-// writeResult sends one result block of a task.
+// writeResult sends one result block of a task. It returns once the block
+// is on the wire, so the caller may drop or reuse its memory.
 func (s *stream) writeResult(kind uint8, bi, bj int, m matrix.Mat) error {
 	b := appendResultHeader(s.begin(msgResult), kind, bi, bj)
-	if m != nil {
-		b = matrix.AppendTo(b, m)
+	if m == nil {
+		return s.send(b)
 	}
-	return s.send(b)
+	return s.sendViews(matrix.AppendViews(b, s.views[:0], m))
 }
 
-// readFrame reads the next frame into the stream's scratch. The payload is
-// valid until the next readFrame (or takeRead).
-func (s *stream) readFrame() (typ byte, payload []byte, err error) {
+// next reads the header of the next frame: its type and payload length,
+// held to the limit of the type before anything else is read. The caller
+// reads the payload — payload, readBlock or readResult — before the next
+// call.
+func (s *stream) next() (typ byte, n int, err error) {
 	if s.err != nil {
-		return 0, nil, s.err
+		return 0, 0, s.err
 	}
-	typ, n, err := readFrameHeader(s.conn)
-	if err != nil {
-		return s.failRead(err)
+	if _, err := io.ReadFull(s.r, s.hdr[:frameHeaderSize]); err != nil {
+		return 0, 0, s.fail(err)
 	}
+	typ, n = s.hdr[0], int(binary.BigEndian.Uint32(s.hdr[1:]))
 	limit := maxControlFrame
 	switch typ {
 	case msgBlock, msgResult:
@@ -499,49 +537,89 @@ func (s *stream) readFrame() (typ byte, payload []byte, err error) {
 		limit = refSize
 	}
 	if n > limit {
-		return s.failRead(fmt.Errorf("%w: type %d, %d bytes, limit %d", ErrFrameTooLarge, typ, n, limit))
+		return 0, 0, s.fail(fmt.Errorf("%w: type %d, %d bytes, limit %d", ErrFrameTooLarge, typ, n, limit))
 	}
+	return typ, n, nil
+}
+
+// payload reads a frame's n payload bytes into the stream's scratch, where
+// they stay valid until the next read.
+func (s *stream) payload(n int) ([]byte, error) {
 	*s.rbuf = slices.Grow((*s.rbuf)[:0], n)[:n]
-	if _, err := io.ReadFull(s.conn, *s.rbuf); err != nil {
-		return s.failRead(err)
+	if _, err := io.ReadFull(s.r, *s.rbuf); err != nil {
+		return nil, s.fail(err)
 	}
-	return typ, *s.rbuf, nil
+	return *s.rbuf, nil
 }
 
-func (s *stream) failRead(err error) (byte, []byte, error) {
-	s.err = err
-	return 0, nil, err
-}
-
-// takeRead hands the caller the buffer holding the last payload read (to be
-// returned to framePool when done with) and gives the stream another.
-func (s *stream) takeRead() *[]byte {
-	held := s.rbuf
-	s.rbuf = framePool.Get().(*[]byte)
-	return held
-}
-
-// decodeBlock parses a msgBlock payload into a block that owns its memory.
-// A block larger than the stage's block size is refused: nothing the
-// coordinator serves is.
-func (s *stream) decodeBlock(payload []byte) (matrix.Mat, error) {
-	if len(payload) == 0 {
-		return nil, errors.New("remote: empty block payload")
+// readFrame reads the next frame whole into the stream's scratch: the
+// frames that carry no block. The payload is valid until the next read.
+func (s *stream) readFrame() (typ byte, payload []byte, err error) {
+	typ, n, err := s.next()
+	if err != nil {
+		return 0, nil, err
 	}
-	switch payload[0] {
+	payload, err = s.payload(n)
+	return typ, payload, err
+}
+
+// readBlock reads the n-byte payload of a msgBlock frame: the status byte,
+// then the block straight into storage taken from a (nil: fresh storage).
+// A block larger than the stage's block size is refused before anything is
+// taken: nothing the coordinator serves is. A served error keeps the stream
+// usable; anything malformed ends it.
+func (s *stream) readBlock(n int, a *matrix.Arena) (matrix.Mat, error) {
+	if n == 0 {
+		return nil, s.fail(errors.New("remote: empty block payload"))
+	}
+	status, err := s.r.ReadByte()
+	if err != nil {
+		return nil, s.fail(err)
+	}
+	switch status {
 	case blockNil:
+		if n != 1 {
+			return nil, s.fail(fmt.Errorf("remote: all-zero block with %d payload bytes", n))
+		}
 		return nil, nil
 	case blockData:
-		blk, err := matrix.Decode(payload[1:])
+		blk, err := matrix.ReadBlock(s.r, n-1, s.blockSize, a)
 		if err != nil {
-			return nil, err
-		}
-		if r, c := blk.Dims(); r > s.blockSize || c > s.blockSize {
-			return nil, fmt.Errorf("%w: %dx%d in a stage of block size %d", matrix.ErrCorruptBlock, r, c, s.blockSize)
+			return nil, s.fail(err)
 		}
 		return blk, nil
 	case blockError:
-		return nil, errors.New(string(payload[1:]))
+		msg, err := s.payload(n - 1)
+		if err != nil {
+			return nil, err
+		}
+		return nil, errors.New(string(msg))
 	}
-	return nil, fmt.Errorf("remote: unknown block status %d", payload[0])
+	return nil, s.fail(fmt.Errorf("remote: unknown block status %d", status))
+}
+
+// readResult reads the n-byte payload of a msgResult frame: the result
+// header, then the block into fresh storage — a result outlives the frame,
+// in the stage's sinks.
+func (s *stream) readResult(n int) (spec.OutBlock, error) {
+	if n < resultHeaderSize {
+		return spec.OutBlock{}, s.fail(fmt.Errorf("remote: result frame of %d bytes, header needs %d", n, resultHeaderSize))
+	}
+	if _, err := io.ReadFull(s.r, s.hdr[:]); err != nil {
+		return spec.OutBlock{}, s.fail(err)
+	}
+	ob := spec.OutBlock{
+		Kind:      s.hdr[0],
+		BI:        int(int64(binary.BigEndian.Uint64(s.hdr[1:]))),
+		BJ:        int(int64(binary.BigEndian.Uint64(s.hdr[9:]))),
+		WireBytes: n - resultHeaderSize,
+	}
+	if ob.WireBytes > 0 {
+		blk, err := matrix.ReadBlock(s.r, ob.WireBytes, s.blockSize, nil)
+		if err != nil {
+			return spec.OutBlock{}, s.fail(err)
+		}
+		ob.Block = blk
+	}
+	return ob, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"runtime"
@@ -33,10 +34,13 @@ func frame(typ byte, payload []byte) []byte {
 	return append(b, payload...)
 }
 
-// FuzzReadFrame: whatever bytes a peer sends, a stream's readFrame returns
-// either a payload within the limit of its frame type or an error — a length
-// prefix above the limit is ErrFrameTooLarge before anything is allocated —
-// and after an error the stream stays failed.
+// FuzzReadFrame: whatever bytes a peer sends, a stream reads each frame
+// either whole within the limit of its frame type or with an error — a
+// length prefix above the limit is ErrFrameTooLarge before anything is
+// allocated — and after an error the stream stays failed. A block frame is
+// read by the streamed reader, which returns what matrix.Decode makes of the
+// frame's bytes, or an error; a hostile FME1 header takes no storage, and a
+// frame cut short leaves the stream failed.
 func FuzzReadFrame(f *testing.F) {
 	dense, _ := spec.EncodeBlock(matrix.RandomDense(4, 4, -1, 1, 1))
 	sparse, _ := spec.EncodeBlock(matrix.RandomSparse(4, 4, 0.5, -1, 1, 2))
@@ -44,7 +48,10 @@ func FuzzReadFrame(f *testing.F) {
 		frame(msgBlock, append([]byte{blockData}, dense...)),
 		frame(msgBlock, append([]byte{blockData}, sparse...)),
 		frame(msgBlock, []byte{blockNil}),
+		frame(msgBlock, append([]byte{blockError}, "no such block"...)),
 		frame(msgResult, matrix.AppendTo(appendResultHeader(nil, spec.OutFinal, 1, 2), matrix.NewDense(1, 1))),
+		frame(msgResult, matrix.AppendTo(appendResultHeader(nil, spec.OutAgg, 0, 0), matrix.RandomSparse(4, 4, 0.5, -1, 1, 3))),
+		frame(msgResult, appendResultHeader(nil, spec.OutPartial, 3, 1)),
 		frame(msgFetch, appendRef(nil, spec.BlockRef{Kind: spec.RefInput, Node: 3, BI: 1, BJ: 2})),
 		frame(msgPing, nil),
 	}
@@ -57,14 +64,16 @@ func FuzzReadFrame(f *testing.F) {
 	}
 	f.Add([]byte{msgBlock, 0x40, 0, 0, 0})         // 1 GiB block frame, no payload
 	f.Add([]byte{msgDone, 0xff, 0xff, 0xff, 0xff}) // 4 GiB control frame
+	// A block frame within the bound whose FME1 header claims 2^31 x 2^31.
+	f.Add(frame(msgBlock, []byte("\x011EMF\x00\x00\x00\x00\x80\x00\x00\x00\x00\x00\x00\x00\x80\x00\x00\x00\x00")))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := newStream(replayConn{r: bytes.NewReader(data)})
 		defer s.close()
 		s.blockSize = 4
-		for {
-			typ, payload, err := s.readFrame()
+		for rest := data; ; {
+			typ, n, err := s.next()
 			if err != nil {
-				if _, _, again := s.readFrame(); again == nil {
+				if _, _, again := s.next(); again == nil {
 					t.Fatal("stream readable again after an error")
 				}
 				return
@@ -76,22 +85,88 @@ func FuzzReadFrame(f *testing.F) {
 			case msgFetch:
 				limit = refSize
 			}
-			if len(payload) > limit {
-				t.Fatalf("frame type %d: %d payload bytes, limit %d", typ, len(payload), limit)
+			if n > limit {
+				t.Fatalf("frame type %d: %d payload bytes, limit %d", typ, n, limit)
 			}
-			// What the two ends do with a payload must not panic either.
+			body := rest[frameHeaderSize:]
+			short := len(body) < n
+			if !short {
+				body, rest = body[:n], body[n:]
+			}
 			switch typ {
 			case msgBlock:
-				s.decodeBlock(payload)
-			case msgResult:
-				if ob, err := decodeResult(payload); err == nil {
-					spec.DecodeBlock(ob.Data)
+				var arena matrix.Arena
+				got, err := s.readBlock(n, &arena)
+				checkStreamedBlock(t, s, body, 1, short, got, err)
+				if err == nil && 8*arena.Words() > n {
+					t.Fatalf("%d words of storage for a %d-byte frame", arena.Words(), n)
 				}
-			case msgFetch:
-				decodeRef(payload)
+				if len(body) > 0 && body[0] == blockError && !short {
+					if err == nil || err.Error() != string(body[1:]) || s.err != nil {
+						t.Fatalf("served error %q read as %v (stream err %v)", body[1:], err, s.err)
+					}
+				}
+			case msgResult:
+				ob, err := s.readResult(n)
+				checkStreamedBlock(t, s, body, resultHeaderSize, short, ob.Block, err)
+			default:
+				payload, err := s.payload(n)
+				if short != (err != nil) || (err == nil && !bytes.Equal(payload, body)) {
+					t.Fatalf("frame type %d: payload %x, err %v; sent %x", typ, payload, err, body)
+				}
+				if typ == msgFetch && err == nil {
+					decodeRef(payload)
+				}
 			}
 		}
 	})
+}
+
+// checkStreamedBlock holds a block a stream read from a frame with payload
+// body — skip header bytes, then the FME1 bytes, if any — to what
+// matrix.Decode makes of those bytes: the same block bit for bit, or an
+// error that leaves the stream failed. A cut-short frame is always an error.
+func checkStreamedBlock(t *testing.T, s *stream, body []byte, skip int, short bool, got matrix.Mat, err error) {
+	t.Helper()
+	if short {
+		if err == nil || s.err == nil {
+			t.Fatalf("a frame cut short read as %v, err %v, stream err %v", got, err, s.err)
+		}
+		return
+	}
+	var want matrix.Mat
+	var werr error
+	fme1 := body[min(skip, len(body)):]
+	switch {
+	case len(body) < skip || len(body) == 0:
+		werr = errors.New("short header")
+	case skip == 1 && body[0] == blockNil:
+		if len(body) > 1 {
+			werr = errors.New("all-zero block with data")
+		}
+	case skip == 1 && body[0] == blockError:
+		return // a served error, checked by the caller
+	case skip == 1 && body[0] != blockData:
+		werr = errors.New("unknown status")
+	case skip == 1 || len(fme1) > 0:
+		if want, werr = matrix.Decode(fme1); werr == nil {
+			if r, c := want.Dims(); r > s.blockSize || c > s.blockSize {
+				werr = errors.New("larger than the stage's blocks")
+			}
+		}
+	}
+	if werr != nil {
+		if err == nil || s.err == nil {
+			t.Fatalf("streamed read accepted what Decode refuses (%v): %v, stream err %v", werr, got, s.err)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("streamed read refused what Decode accepts: %v", err)
+	}
+	if (got == nil) != (want == nil) || got != nil && !bytes.Equal(matrix.AppendTo(nil, got), matrix.AppendTo(nil, want)) {
+		t.Fatalf("streamed read gave %v, Decode %v", got, want)
+	}
 }
 
 // FuzzFetchRequest: a block reference is exactly refSize bytes, decodes
@@ -308,10 +383,23 @@ func fetchStage(blocks ...matrix.Mat) *rt.Stage {
 	return &rt.Stage{Fetch: func(ref spec.BlockRef) (matrix.Mat, error) { return blocks[ref.BI], nil }}
 }
 
+// readReply reads a msgBlock reply into storage from a, as a worker's fetch
+// does.
+func readReply(s *stream, a *matrix.Arena) (matrix.Mat, error) {
+	typ, n, err := s.next()
+	if err != nil {
+		return nil, err
+	}
+	if typ != msgBlock {
+		return nil, fmt.Errorf("frame type %d, want msgBlock", typ)
+	}
+	return s.readBlock(n, a)
+}
+
 // fetchOver runs one fetch round trip the way the two ends do: the worker
-// end sends the reference and decodes the reply, the coordinator end (on its
-// own goroutine, as in production) serves it.
-func fetchOver(t testing.TB, worker, coord *stream, st *rt.Stage, bi int) matrix.Mat {
+// end sends the reference and reads the reply into storage from arena, the
+// coordinator end (on its own goroutine, as in production) serves it.
+func fetchOver(t testing.TB, worker, coord *stream, st *rt.Stage, bi int, arena *matrix.Arena) matrix.Mat {
 	t.Helper()
 	served := make(chan error, 1)
 	go func() {
@@ -327,11 +415,7 @@ func fetchOver(t testing.TB, worker, coord *stream, st *rt.Stage, bi int) matrix
 	if err := worker.send(appendRef(worker.begin(msgFetch), spec.BlockRef{Kind: spec.RefInput, BI: bi})); err != nil {
 		t.Fatal(err)
 	}
-	_, payload, err := worker.readFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	blk, err := worker.decodeBlock(payload)
+	blk, err := readReply(worker, arena)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,8 +435,8 @@ func TestFetchedBlocksOwnTheirMemory(t *testing.T) {
 	a, b := matrix.RandomDense(32, 32, -1, 1, 1), matrix.RandomSparse(32, 32, 0.3, -1, 1, 2)
 	st := fetchStage(a, b)
 
-	gotA := fetchOver(t, worker, coord, st, 0)
-	gotB := fetchOver(t, worker, coord, st, 1)
+	gotA := fetchOver(t, worker, coord, st, 0, nil)
+	gotB := fetchOver(t, worker, coord, st, 1, nil)
 	for _, s := range []*stream{worker, coord} {
 		for _, buf := range []*[]byte{s.rbuf, s.wbuf} {
 			full := (*buf)[:cap(*buf)]
@@ -372,10 +456,45 @@ func TestFetchedBlocksOwnTheirMemory(t *testing.T) {
 	}
 }
 
+// TestAliasedResultLeavesBeforeReuse: a worker's result block may be a block
+// it fetched, in arena storage the next task reuses. writeResult returns
+// only once the bytes are on the wire, so refilling that storage at once —
+// as the next task's first fetch does — cannot change what the coordinator
+// reads.
+func TestAliasedResultLeavesBeforeReuse(t *testing.T) {
+	worker, coord := loopbackStreams(t)
+	worker.blockSize, coord.blockSize = 32, 32
+	a, b := matrix.RandomDense(32, 32, -1, 1, 1), matrix.RandomDense(32, 32, -1, 1, 2)
+	got := fetchOver(t, worker, coord, fetchStage(a), 0, &worker.arena)
+	if err := worker.writeResult(spec.OutFinal, 0, 0, got); err != nil {
+		t.Fatal(err)
+	}
+	worker.arena.Reset() // the task's msgDone went out
+	enc := matrix.AppendTo(nil, b)
+	next, err := matrix.ReadBlock(bytes.NewReader(enc), len(enc), 32, &worker.arena)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &next.(*matrix.Dense).Data[0] != &got.(*matrix.Dense).Data[0] {
+		t.Fatal("the next fetch did not reuse the storage of the last task's")
+	}
+	typ, n, err := coord.next()
+	if err != nil || typ != msgResult {
+		t.Fatalf("frame type %d, err %v; want msgResult", typ, err)
+	}
+	ob, err := coord.readResult(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(matrix.AppendTo(nil, ob.Block), matrix.AppendTo(nil, a)) || ob.WireBytes != matrix.EncodedSize(a) {
+		t.Error("the result read is not the block that was fetched and sent")
+	}
+}
+
 // TestWireAllocBudget: in steady state a block fetched over a real loopback
 // task stream costs the receiving side the block itself (within the
-// allocator's size-class rounding) and the sending side nothing that grows
-// with the block. The other end of each measurement is allocation-free by
+// allocator's size-class rounding) — nothing at all when it lands in an
+// arena — and the sending side nothing that grows with the block. The other end of each measurement is allocation-free by
 // construction, so the MemStats delta belongs to the side under test.
 func TestWireAllocBudget(t *testing.T) {
 	const fetches = 200
@@ -408,16 +527,26 @@ func TestWireAllocBudget(t *testing.T) {
 			if err := worker.send(appendRef(worker.begin(msgFetch), ref)); err != nil {
 				t.Fatal(err)
 			}
-			_, payload, err := worker.readFrame()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := worker.decodeBlock(payload); err != nil {
+			if _, err := readReply(worker, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if got, budget := allocPerOp(fetches, receive), 1.15*float64(blk.SizeBytes()); got > budget {
 			t.Errorf("%s: receiving side allocates %.0f B per fetch, budget %.0f (block is %d B)", name, got, budget, blk.SizeBytes())
+		}
+		// Into an arena reset per fetch, as a worker's does per task, a
+		// fetch allocates nothing that grows with the block.
+		intoArena := func() {
+			if err := worker.send(appendRef(worker.begin(msgFetch), ref)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := readReply(worker, &worker.arena); err != nil {
+				t.Fatal(err)
+			}
+			worker.arena.Reset()
+		}
+		if got := allocPerOp(fetches, intoArena); got > 256 {
+			t.Errorf("%s: receiving into an arena allocates %.0f B per fetch, budget 256", name, got)
 		}
 
 		// Sending side: the peer sends requests and drains the replies into

@@ -416,6 +416,8 @@ func (w *Worker) runTask(s *stream, st *workerStage, assign *taskAssign) bool {
 	w.activeTasks++
 	w.taskMu.Unlock()
 	defer w.taskFinished()
+	// Deferred, so it runs after the msgDone or msgFail that returns.
+	defer s.arena.Reset()
 	if st.buildErr != nil {
 		return s.writeGob(msgFail, taskFail{Err: st.buildErr.Error()}) == nil
 	}
@@ -428,10 +430,15 @@ func (w *Worker) runTask(s *stream, st *workerStage, assign *taskAssign) bool {
 	}
 	cache := w.cache.Load()
 	task.SetCache(cache, assign.Gen)
+	// Fetched blocks live in the stream's arena until the task ends, unless
+	// the task may cache them: a cached block outlives its task.
+	arena := &s.arena
+	if cache != nil {
+		arena = nil
+	}
 
 	// The task body fetches and emits from this goroutine alone, so each
-	// request/response pair on the stream is atomic; the reply is decoded
-	// before the next read reuses the scratch it sits in.
+	// request/response pair on the stream is atomic.
 	var fetchSecs float64 // wire wait inside the task body
 	fetch := func(ref spec.BlockRef) (matrix.Mat, error) {
 		fetchStart := time.Now()
@@ -439,14 +446,14 @@ func (w *Worker) runTask(s *stream, st *workerStage, assign *taskAssign) bool {
 		if err := s.send(appendRef(s.begin(msgFetch), ref)); err != nil {
 			return nil, err
 		}
-		typ, payload, err := s.readFrame()
+		typ, n, err := s.next()
 		if err != nil {
 			return nil, err
 		}
 		if typ != msgBlock {
-			return nil, fmt.Errorf("remote: expected frame type %d, got %d", msgBlock, typ)
+			return nil, s.fail(fmt.Errorf("remote: expected frame type %d, got %d", msgBlock, typ))
 		}
-		return s.decodeBlock(payload)
+		return s.readBlock(n, arena)
 	}
 
 	start := time.Now()

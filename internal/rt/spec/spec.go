@@ -7,9 +7,9 @@
 // distributed-runtime equivalent of shipping the stage closure.
 //
 // Descriptors carry no matrix data. Blocks travel separately in the FME1
-// binary format (matrix.AppendTo/Decode), so the wire cost of a block is
-// within a few header bytes of its in-memory size — which is what lets the
-// coordinator's measured wire bytes be compared against the simulated
+// binary format (matrix.AppendViews/ReadBlock), so the wire cost of a block
+// is within a few header bytes of its in-memory size — which is what lets
+// the coordinator's measured wire bytes be compared against the simulated
 // cluster's metered communication for the same plan.
 package spec
 
@@ -221,11 +221,14 @@ const (
 	OutPartial = uint8(2) // a partial main-multiplication block (PhasePartial)
 )
 
-// OutBlock is one result block produced by a task. Data is FME1-encoded.
+// OutBlock is one result block produced by a task, as it came off the wire:
+// the block (nil for an all-zero one), decoded into storage of its own, and
+// the size of its FME1 encoding.
 type OutBlock struct {
-	Kind   uint8
-	BI, BJ int
-	Data   []byte
+	Kind      uint8
+	BI, BJ    int
+	Block     matrix.Mat
+	WireBytes int
 }
 
 // TaskMetrics is the wire name of a remote task's metering report; cluster

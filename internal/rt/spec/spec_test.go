@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
+	"testing/iotest"
 
 	"fuseme/internal/cluster"
 	"fuseme/internal/core"
@@ -172,6 +174,8 @@ func TestBuildRejectsCorruptSpecs(t *testing.T) {
 // bytes (a bad block is matrix.ErrCorruptBlock), and because the decoder
 // accepts only the exact length a header implies, whatever it accepts
 // re-encodes to the same bytes and is structurally safe to hand a kernel.
+// The streamed reader a task stream runs returns the same on the same bytes
+// however they arrive, and an error when they stop short.
 func FuzzDecodeBlock(f *testing.F) {
 	seeds := []matrix.Mat{
 		matrix.RandomDense(3, 5, -1, 1, 1),
@@ -197,8 +201,31 @@ func FuzzDecodeBlock(f *testing.F) {
 	// A 21-byte header claiming 2^31 x 2^31, and a CSR claiming 2^33 non-zeros.
 	f.Add([]byte("1EMF\x00\x00\x00\x00\x80\x00\x00\x00\x00\x00\x00\x00\x80\x00\x00\x00\x00"))
 	f.Add([]byte("1EMF\x01\x01\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00"))
+	// CSR blocks that pass the header checks and fail the structure checks
+	// after the read: a column outside the block, RowPtr decreasing.
+	bad := &matrix.CSR{Rows: 2, Cols: 2, RowPtr: []int{0, 1, 2}, Col: []int{0, 2}, Val: []float64{1, 2}}
+	f.Add(matrix.AppendTo(nil, bad))
+	bad.Col[1], bad.RowPtr[1] = 1, 3
+	f.Add(matrix.AppendTo(nil, bad))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := spec.DecodeBlock(data)
+		if len(data) > 0 {
+			// The streamed reader, fed one byte per read, agrees with
+			// DecodeBlock, and takes storage only once the header agrees
+			// with the length: never more words than the bytes carry.
+			var a matrix.Arena
+			sm, serr := matrix.ReadBlock(iotest.OneByteReader(bytes.NewReader(data)), len(data), math.MaxInt, &a)
+			if (serr == nil) != (err == nil) || serr == nil && !bytes.Equal(matrix.AppendTo(nil, sm), data) {
+				t.Fatalf("streamed read: %v, %v; DecodeBlock: %v", sm, serr, err)
+			}
+			if 8*a.Words() > len(data) {
+				t.Fatalf("%d words of storage for %d bytes", a.Words(), len(data))
+			}
+			// Claimed a word longer than it is, the block comes up short.
+			if _, err := matrix.ReadBlock(bytes.NewReader(data), len(data)+8, math.MaxInt, nil); err == nil {
+				t.Fatal("a block read whole from bytes one word short of its claimed length")
+			}
+		}
 		if err != nil {
 			if !errors.Is(err, matrix.ErrCorruptBlock) {
 				t.Fatalf("untyped error %v", err)
