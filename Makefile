@@ -1,10 +1,11 @@
 GO ?= go
 
-.PHONY: check fmtcheck vet docscheck build race covercheck test bench bins clean
+.PHONY: check fmtcheck vet docscheck build race covercheck benchtest test bench bins clean
 
 ## check: the one verification gate — gofmt, vet, docs lint, build,
-## race-enabled tests with a coverage profile, and the ratcheted coverage gate
-check: fmtcheck vet docscheck build race covercheck
+## race-enabled tests with a coverage profile, the ratcheted coverage gate
+## and the benchmark module's own tests
+check: fmtcheck vet docscheck build race covercheck benchtest
 
 ## fmtcheck: fail when any file needs gofmt
 fmtcheck:
@@ -53,6 +54,12 @@ race:
 ## baseline only ratchets up: PRs that add coverage bump it.
 covercheck:
 	$(GO) run ./tools/covercheck coverage.out
+
+## benchtest: bench/'s own tests — TestWorkloads checks every workload's
+## result digest against its ⅛-scale internal/ref twin, the end-to-end
+## guard on a change of plan (e.g. a chain's association)
+benchtest:
+	$(GO) -C bench test ./...
 
 test:
 	$(GO) test ./...

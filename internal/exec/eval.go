@@ -272,8 +272,8 @@ func (ev *evaluator) scalarValue(n *dag.Node) float64 {
 // t(A) node as it is (t(A)'s blocks are never built), else a copy the task
 // keeps, and is charged for, across its output blocks. A dense pair under a
 // member t(A) runs the dense kernel on A's block through swapped strides
-// (GNMF's t(V) %*% (V %*% U), the AutoEncoder's t(W) %*% D); only a CSR block
-// under t(A) against a dense one still has its transpose built.
+// (the AutoEncoder's t(W) %*% D); only a CSR block under t(A) against a
+// dense one still has its transpose built.
 //
 // A sum of CSR x CSR products is stored by its own density, like a single
 // product; the other pairs give a dense block.

@@ -1,6 +1,9 @@
 package lang
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -341,8 +344,10 @@ func TestMatrixChainReordering(t *testing.T) {
 }
 
 func TestMatrixChainSparseAware(t *testing.T) {
-	// t(V) %*% X %*% D with sparse X: the DP must keep the cheap ordering
-	// and estimate sparsity through the chain without error.
+	// t(V) %*% X %*% D with sparse X: (t(V) %*% X) %*% D is estimated at
+	// 2e9 + 4e9 = 6e9 flops against 2e9 + 8e9 = 1e10 for t(V) %*% (X %*% D),
+	// whose X %*% D is a dense 100000x200 product. The DP must keep the
+	// cheap ordering.
 	inputs := map[string]InputDecl{
 		"V": {100_000, 200, 1},
 		"X": {100_000, 50_000, 0.001},
@@ -352,6 +357,177 @@ func TestMatrixChainSparseAware(t *testing.T) {
 	root := g.Outputs()["O"]
 	if root.Rows != 200 || root.Cols != 200 {
 		t.Fatalf("shape %dx%d", root.Rows, root.Cols)
+	}
+	if got, want := chainString(root), "((t(V) X) D)"; got != want {
+		t.Fatalf("parsed as %s, want %s", got, want)
+	}
+}
+
+func TestMatrixChainLeftOptimal(t *testing.T) {
+	// The GNMF U-update's denominator: t(V) %*% V %*% U must become
+	// (t(V) %*% V) %*% U, a k x k product times U, never t(V) %*% (V %*% U),
+	// whose V %*% U is a dense users x items matrix.
+	inputs := map[string]InputDecl{
+		"V": {8000, 64, 1},
+		"U": {64, 4000, 1},
+	}
+	g := mustParse(t, "O = t(V) %*% V %*% U", inputs)
+	if got, want := chainString(g.Outputs()["O"]), "((t(V) V) U)"; got != want {
+		t.Fatalf("parsed as %s, want %s", got, want)
+	}
+}
+
+// chainString renders a multiplication tree with one pair of parentheses
+// per product, naming inputs and their transposes.
+func chainString(n *dag.Node) string {
+	switch n.Op {
+	case dag.OpMatMul:
+		return "(" + chainString(n.Inputs[0]) + " " + chainString(n.Inputs[1]) + ")"
+	case dag.OpTranspose:
+		return "t(" + chainString(n.Inputs[0]) + ")"
+	}
+	return n.Name
+}
+
+// productEstimate is the flops and the estimated density of one product of
+// a rows x inner and an inner x cols operand with densities ld and rd.
+func productEstimate(rows, inner, cols int, ld, rd float64) (flops, density float64) {
+	return 2 * float64(rows) * float64(inner) * float64(cols) * ld * rd,
+		1 - math.Pow(1-ld*rd, float64(inner))
+}
+
+// chainCost is the estimate the chain DP minimises: the flops of every
+// product in the tree, each priced by its operands' estimated densities,
+// and the density of the tree's result.
+func chainCost(n *dag.Node) (flops, density float64) {
+	if n.Op != dag.OpMatMul {
+		return 0, n.Sparsity
+	}
+	lf, ld := chainCost(n.Inputs[0])
+	rf, rd := chainCost(n.Inputs[1])
+	mul, d := productEstimate(n.Rows, n.Inputs[0].Cols, n.Cols, ld, rd)
+	return lf + rf + mul, d
+}
+
+// bruteChainCost is the least chainCost over every parenthesisation of
+// ops[i..j], with the density of a sub-product taken from the same tree.
+// It returns, for each reachable density of the product, its least cost.
+func bruteChainCost(ops []InputDecl, i, j int) map[float64]float64 {
+	if i == j {
+		return map[float64]float64{ops[i].Sparsity: 0}
+	}
+	out := map[float64]float64{}
+	for k := i; k < j; k++ {
+		for ld, lf := range bruteChainCost(ops, i, k) {
+			for rd, rf := range bruteChainCost(ops, k+1, j) {
+				mul, d := productEstimate(ops[i].Rows, ops[k].Cols, ops[j].Cols, ld, rd)
+				if old, ok := out[d]; !ok || lf+rf+mul < old {
+					out[d] = lf + rf + mul
+				}
+			}
+		}
+	}
+	return out
+}
+
+// randomChain parses "O = A0 %*% ... %*% A(n-1)" over random conforming
+// operands and checks that the tree multiplies them in their written order
+// with every product's shape right.
+func randomChain(t *testing.T, rng *rand.Rand, n int, dims []int, densities []float64) ([]InputDecl, *dag.Node) {
+	t.Helper()
+	ops := make([]InputDecl, n)
+	inputs := map[string]InputDecl{}
+	names := make([]string, n)
+	rows := dims[rng.Intn(len(dims))]
+	for i := range ops {
+		cols := dims[rng.Intn(len(dims))]
+		ops[i] = InputDecl{rows, cols, densities[rng.Intn(len(densities))]}
+		names[i] = fmt.Sprintf("A%d", i)
+		inputs[names[i]] = ops[i]
+		rows = cols
+	}
+	src := "O = " + strings.Join(names, " %*% ")
+	root := mustParse(t, src, inputs).Outputs()["O"]
+	var leaves []string
+	var walk func(*dag.Node)
+	walk = func(n *dag.Node) {
+		if n.Op != dag.OpMatMul {
+			leaves = append(leaves, n.Name)
+			return
+		}
+		if n.Inputs[0].Cols != n.Inputs[1].Rows ||
+			n.Rows != n.Inputs[0].Rows || n.Cols != n.Inputs[1].Cols {
+			t.Fatalf("%s: product %dx%d of %dx%d and %dx%d", src, n.Rows, n.Cols,
+				n.Inputs[0].Rows, n.Inputs[0].Cols, n.Inputs[1].Rows, n.Inputs[1].Cols)
+		}
+		walk(n.Inputs[0])
+		walk(n.Inputs[1])
+	}
+	walk(root)
+	if strings.Join(leaves, ",") != strings.Join(names, ",") {
+		t.Fatalf("%s: leaves %v", src, leaves)
+	}
+	if root.Rows != ops[0].Rows || root.Cols != ops[n-1].Cols {
+		t.Fatalf("%s: result %dx%d", src, root.Rows, root.Cols)
+	}
+	return ops, root
+}
+
+func TestMatrixChainDPIsOptimal(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	dims := []int{1, 7, 40, 300, 2000}
+	densities := []float64{1, 1, 0.3, 0.01, 0.0005}
+	for trial := 0; trial < 400; trial++ {
+		ops, root := randomChain(t, rng, 3+rng.Intn(4), dims, densities)
+		got, _ := chainCost(root)
+		best := math.Inf(1)
+		for _, c := range bruteChainCost(ops, 0, len(ops)-1) {
+			best = min(best, c)
+		}
+		if math.Abs(got-best) > 1e-9*best {
+			t.Fatalf("%v: built %s costs %g, best parenthesisation %g",
+				ops, chainString(root), got, best)
+		}
+	}
+}
+
+// classicChainCost is the cost of the tree the textbook DP builds, which
+// keeps only the cheapest way to compute each sub-product.
+func classicChainCost(ops []InputDecl) float64 {
+	n := len(ops)
+	cost := make([][]float64, n)
+	density := make([][]float64, n)
+	for i := range ops {
+		cost[i], density[i] = make([]float64, n), make([]float64, n)
+		density[i][i] = ops[i].Sparsity
+	}
+	for length := 2; length <= n; length++ {
+		for i := 0; i+length-1 < n; i++ {
+			j := i + length - 1
+			cost[i][j] = math.Inf(1)
+			for k := i; k < j; k++ {
+				mul, d := productEstimate(ops[i].Rows, ops[k].Cols, ops[j].Cols, density[i][k], density[k+1][j])
+				if c := cost[i][k] + cost[k+1][j] + mul; c < cost[i][j] {
+					cost[i][j], density[i][j] = c, d
+				}
+			}
+		}
+	}
+	return cost[0][n-1]
+}
+
+func TestMatrixChainLongSparseNeverDearerThanClassic(t *testing.T) {
+	// Twenty very sparse operands overflow the per-interval cap; the tree
+	// must still be at least as cheap as the textbook DP's.
+	rng := rand.New(rand.NewSource(7))
+	dims := []int{5, 50, 500, 5000, 50000}
+	densities := []float64{1, 0.3, 0.01, 0.001, 0.0001, 0.00001}
+	for trial := 0; trial < 10; trial++ {
+		ops, root := randomChain(t, rng, 20, dims, densities)
+		got, _ := chainCost(root)
+		if classic := classicChainCost(ops); got > classic*(1+1e-9) {
+			t.Fatalf("%v: built %s costs %g, textbook DP %g", ops, chainString(root), got, classic)
+		}
 	}
 }
 
