@@ -266,8 +266,9 @@ func (ev *evaluator) scalarValue(n *dag.Node) float64 {
 // R > 1); nested multiplications use their full inner dimension.
 //
 // A dense left block against a CSR right block (GNMF's t(V) %*% X) runs the
-// transposed kernel — one contiguous axpy per non-zero — accumulating in a
-// scratch the task reuses across output blocks and transposes once per sum.
+// transposed kernel — the dense row held in registers, added into the row of
+// each non-zero — accumulating in a scratch the task reuses across output
+// blocks and transposes once per sum.
 // The kernel reads the left block's transpose: the operand under a member
 // t(A) node as it is (t(A)'s blocks are never built), else a copy the task
 // keeps, and is charged for, across its output blocks. A dense pair under a

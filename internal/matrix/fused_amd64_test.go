@@ -19,12 +19,12 @@ import (
 // NMF kernel X * log(V %*% t(F) + eps) and the AutoEncoder layer
 // sigmoid(V %*% U - 16 + b), planned as one fused operator each and run
 // through the executor on 128-wide blocks — GEMM as stored and through
-// swapped strides, SDDMM, both axpy kernels, dense strips and masked passes,
-// the log and sigmoid strip kernels — give, with the assembly kernels off and
-// (on a machine with the ZMM micro-kernel) held at the AVX2 forms, at 1, 2
-// and 4 kernel threads, the bits the machine's own kernels give. So the
-// portable twins, and every assembly form, run end to end on the machine that
-// runs the tests.
+// swapped strides, SDDMM, both sparse x dense row kernels, dense strips and
+// masked passes, the log and sigmoid strip kernels — give, with the assembly
+// kernels off and (on a machine with the ZMM micro-kernel) held at the AVX2
+// forms, at 1, 2 and 4 kernel threads, the bits the machine's own kernels
+// give. So the portable twins, and every assembly form, run end to end on the
+// machine that runs the tests.
 func TestFusedTaskPortableKernels(t *testing.T) {
 	if matrix.Level() == matrix.LevelPortable {
 		t.Skip("CPU lacks AVX or FMA3: the portable kernels are the only ones")

@@ -5,6 +5,7 @@ package matrix
 import (
 	"math/rand"
 	"runtime/debug"
+	"slices"
 	"syscall"
 	"testing"
 	"unsafe"
@@ -37,9 +38,10 @@ func guardedCopy[T float64 | int](t *testing.T, src []T) []T {
 // TestAssemblyStaysInBounds runs the assembly kernels on operands each of
 // which ends at an unreadable page — the last a and bt rows, the values
 // buffer, the pattern's Col (the SDDMM's prefetch looks one position ahead
-// and must not read Col[nnz]), axpy's vectors and the unary strips at every
-// length, GEMM tiles with every edge under both micro-kernels and both stride
-// orders of the left operand — and requires the results of ordinary memory.
+// and must not read Col[nnz]), the sparse x dense row kernels' operands and
+// accumulators and the unary strips at every length, GEMM tiles with every
+// edge under both micro-kernels and both stride orders of the left operand —
+// and requires the results of ordinary memory.
 func TestAssemblyStaysInBounds(t *testing.T) {
 	if simdLevel < levelAVX2 {
 		t.Skip("CPU lacks AVX, FMA3 or AVX2")
@@ -63,13 +65,32 @@ func TestAssemblyStaysInBounds(t *testing.T) {
 		}
 	}
 
-	for n := 0; n <= 70; n++ {
-		x, dst := special(rng, make([]float64, n)), special(rng, make([]float64, n))
-		gdst := guardedCopy(t, dst)
-		axpy(dst, 1.5, x)
-		axpy(gdst, 1.5, guardedCopy(t, x))
-		if !sameFloats(gdst, dst) {
-			t.Errorf("axpy, n=%d: guarded operands give other values", n)
+	// The row kernels: a pattern whose last row and last column hold values,
+	// so the last rows of the dense operand and of both accumulators are read
+	// or written, at every width.
+	d := NewDense(rows, cols)
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			if i != 2 && (i*j)%4 != 1 {
+				d.Data[i*cols+j] = float64(1 + i + j)
+			}
+		}
+	}
+	x := ToCSR(d)
+	gx := &CSR{Rows: rows, Cols: cols, RowPtr: guardedCopy(t, x.RowPtr), Col: guardedCopy(t, x.Col), Val: guardedCopy(t, x.Val)}
+	for n := 1; n <= 70; n++ {
+		y, acc := special(rng, make([]float64, cols*n)), special(rng, make([]float64, rows*n))
+		want := MatMulAccWith(nil, NewDenseData(rows, n, slices.Clone(acc)), x, NewDenseData(cols, n, y))
+		got := MatMulAccWith(nil, NewDenseData(rows, n, guardedCopy(t, acc)), gx, NewDenseData(cols, n, guardedCopy(t, y)))
+		if !sameFloats(got.Data, want.Data) {
+			t.Errorf("csr x dense, n=%d: guarded operands give other values", n)
+		}
+		a, accT := special(rng, make([]float64, rows*n)), special(rng, make([]float64, cols*n))
+		wantT, gotT := NewDenseData(cols, n, slices.Clone(accT)), NewDenseData(cols, n, guardedCopy(t, accT))
+		MatMulTransAccWith(nil, wantT, NewDenseData(rows, n, a), x)
+		MatMulTransAccWith(nil, gotT, NewDenseData(rows, n, guardedCopy(t, a)), gx)
+		if !sameFloats(gotT.Data, wantT.Data) {
+			t.Errorf("dense x csr, n=%d: guarded operands give other values", n)
 		}
 	}
 

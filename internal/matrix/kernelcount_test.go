@@ -8,15 +8,16 @@ import "testing"
 // benchmark's block shapes, by counting entries into each assembly arm
 // (kernelCalls, compiled in by the kernelcount tag only): the dense/dense
 // SDDMM of a 256x256 mask block at density 0.005 against 256x64 factor
-// blocks is one kernel call per row range; the dense x CSR and CSR x dense
-// products of those blocks are one assembly axpy per stored value; a 128x128
-// dense product is one assembly tile per (i, k, j) tile and nothing beside;
-// the NMF kernel's log pass over that mask block's values is one strip kernel
-// call, the AutoEncoder's sigmoid over a 128x128 block one per row. With the
-// assembly switched off, nothing is counted. And at every level the machine
-// has, the dense products of the benchmark's blocks — 256 and 128 wide, the
-// factors' 64, the twins' 64 and 32, left operand as stored and transposed —
-// are micro-kernel strips alone: the scalar edge loop is never entered.
+// blocks is one kernel call per row range; the CSR x dense product of those
+// blocks is one row kernel call per row range, the dense x CSR product one
+// per non-empty row of the mask; a 128x128 dense product is one assembly tile
+// per (i, k, j) tile and nothing beside; the NMF kernel's log pass over that
+// mask block's values is one strip kernel call, the AutoEncoder's sigmoid
+// over a 128x128 block one per row. With the assembly switched off, nothing
+// is counted. And at every level the machine has, the dense products of the
+// benchmark's blocks — 256 and 128 wide, the factors' 64, the twins' 64 and
+// 32, left operand as stored and transposed — are micro-kernel strips alone:
+// the scalar edge loop is never entered.
 func TestFastPathIsThePath(t *testing.T) {
 	mask := RandomSparse(benchBlock, benchBlock, 0.005, 1, 5, 4)
 	u, v := RandomDense(benchBlock, benchK, 0.1, 0.9, 5), RandomDense(benchBlock, benchK, 0.1, 0.9, 6)
@@ -29,7 +30,7 @@ func TestFastPathIsThePath(t *testing.T) {
 		counts[kernelSDDMM] = kernelCalls[kernelSDDMM].Load()
 		MatMulTransAccWith(nil, NewDense(benchBlock, benchK), u, mask)
 		MatMulAccWith(nil, NewDense(benchBlock, benchK), mask, v)
-		counts[kernelAxpy] = kernelCalls[kernelAxpy].Load()
+		counts[kernelSpMM] = kernelCalls[kernelSpMM].Load()
 		MatMulAccWith(nil, NewDense(128, 128), a, b)
 		counts[kernelGEMM] = kernelCalls[kernelGEMM].Load()
 		counts[kernelGEMMEdge] = kernelCalls[kernelGEMMEdge].Load()
@@ -43,15 +44,21 @@ func TestFastPathIsThePath(t *testing.T) {
 		counts[kernelSigmoid] = kernelCalls[kernelSigmoid].Load()
 		return counts
 	}
+	nonEmpty := int64(0)
+	for i := 0; i < mask.Rows; i++ {
+		if mask.RowPtr[i+1] > mask.RowPtr[i] {
+			nonEmpty++
+		}
+	}
 	want := [numKernels]int64{
-		kernelGEMM: (128 / tileI) * (128 / tileK) * (128 / tileJ), kernelSDDMM: 1, kernelAxpy: 2 * int64(mask.NNZ()),
+		kernelGEMM: (128 / tileI) * (128 / tileK) * (128 / tileJ), kernelSDDMM: 1, kernelSpMM: 1 + nonEmpty,
 		kernelLog: 1, kernelSigmoid: 128,
 	}
 	if simdLevel < levelAVX2 {
 		want = [numKernels]int64{}
 	}
 	if got := run(); got != want {
-		t.Errorf("assembly kernel calls (gemm, gemm edge, sddmm, axpy, log, exp, sigmoid) = %v, want %v", got, want)
+		t.Errorf("assembly kernel calls (gemm, gemm edge, sddmm, spmm, log, exp, sigmoid) = %v, want %v", got, want)
 	}
 	if simdLevel >= levelAVX2 {
 		portably(func() {

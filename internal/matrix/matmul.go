@@ -25,9 +25,10 @@ const (
 
 // The levels of assembly support, in order: a machine runs the widest form a
 // kernel has at or below its simdLevel. Only the dense GEMM has a form at
-// levelAVX512; the SDDMM, axpy and the unary strips stop at levelAVX2 — their
-// bits are defined by four lanes, and they wait on cache fills, not on
-// arithmetic.
+// levelAVX512; the SDDMM, the sparse x dense row kernels and the unary strips
+// stop at levelAVX2 — they wait on cache fills, not on arithmetic (a ZMM form
+// of the row kernels was measured on the benchmark's blocks and gained
+// nothing), and the SDDMM's and the strips' bits are defined by four lanes.
 const (
 	levelPortable = iota
 	levelAVX2
@@ -44,7 +45,7 @@ const (
 	kernelGEMM = iota
 	kernelGEMMEdge
 	kernelSDDMM
-	kernelAxpy
+	kernelSpMM
 	kernelLog
 	kernelExp
 	kernelSigmoid
@@ -75,11 +76,11 @@ func MatMulWith(p *parallel.Pool, a, b Mat) Mat {
 // dense x CSR runs MatMulTransAccWith on a transposed copy of a.
 //
 // Every kernel sums the product of one element first and adds it to acc
-// once — aside, or in place where acc is still zero, which gives the same
-// bits — so the result is bit-identical to adding a separately computed
-// MatMulWith product, and at every thread count: each output element is
-// computed by exactly one goroutine, and the per-element accumulation order
-// is fixed by the tile grid, not by the partition.
+// once — in registers, aside, or in place where acc is still +0, which gives
+// the same bits — so the result is bit-identical to adding a separately
+// computed MatMulWith product, and at every thread count: each output element
+// is computed by exactly one goroutine, and the per-element accumulation
+// order is fixed by the tile grid, not by the partition.
 func MatMulAccWith(p *parallel.Pool, acc *Dense, a, b Mat) *Dense {
 	ar, ak := a.Dims()
 	bk, bc := b.Dims()
@@ -106,25 +107,18 @@ func MatMulAccWith(p *parallel.Pool, acc *Dense, a, b Mat) *Dense {
 	case *CSR:
 		switch y := b.(type) {
 		case *Dense:
-			accRows(p, acc, fresh, func(i int, row []float64) bool {
-				cols, vals := x.RowNNZ(i)
-				for q, k := range cols {
-					axpy(row, vals[q], y.Row(k))
-				}
-				return len(cols) > 0
-			})
+			p.For(acc.Rows, rowGrain, func(lo, hi int) { spmmRows(x, y, acc, lo, hi) })
 			return acc
 		case *CSR:
-			accRows(p, acc, fresh, func(i int, row []float64) bool {
+			accRows(p, acc, fresh, func(i int, row []float64) {
 				acols, avals := x.RowNNZ(i)
 				for q, k := range acols {
 					av := avals[q]
 					bcols, bvals := y.RowNNZ(k)
 					for r, j := range bcols {
-						row[j] += av * bvals[r]
+						row[j] += float64(av * bvals[r])
 					}
 				}
-				return len(acols) > 0
 			})
 			return acc
 		}
@@ -136,22 +130,24 @@ func MatMulAccWith(p *parallel.Pool, acc *Dense, a, b Mat) *Dense {
 // are stored in CSR form.
 const SparseResultThreshold = 0.25
 
-// accRows is the row-parallel driver of the sparse kernels: fill sums row i
-// of the product into a zeroed row (reporting whether it touched it) — acc's
-// own row while that is still zero, otherwise a scratch row which is then
-// added to acc's row and re-zeroed.
-func accRows(p *parallel.Pool, acc *Dense, fresh bool, fill func(i int, row []float64) bool) {
+// accRows is the row-parallel driver of the CSR x CSR kernel: fill sums row i
+// of the product into a zeroed row — acc's own row while that is still +0,
+// otherwise a scratch row which is then added to acc's row and re-zeroed. Each
+// step of fill is a rounded multiply then an add, so a sum from +0 is never
+// -0 and filling in place gives the bits of adding once.
+func accRows(p *parallel.Pool, acc *Dense, fresh bool, fill func(i int, row []float64)) {
 	p.For(acc.Rows, rowGrain, func(lo, hi int) {
-		row := make([]float64, acc.Cols)
+		var row []float64
 		for i := lo; i < hi; i++ {
 			orow := acc.Row(i)
 			if fresh || allZero(orow) {
 				fill(i, orow)
 				continue
 			}
-			if !fill(i, row) {
-				continue
+			if row == nil {
+				row = make([]float64, acc.Cols)
 			}
+			fill(i, row)
 			for j, v := range row {
 				orow[j] += v
 				row[j] = 0
@@ -160,44 +156,117 @@ func accRows(p *parallel.Pool, acc *Dense, fresh bool, fill func(i int, row []fl
 	})
 }
 
-// axpy computes dst += s * x over len(x) elements: per element one multiply,
-// rounded, then one add — never fused, which the conversion states for the
-// architectures whose compiler would. axpyAVX is the same arithmetic.
-func axpy(dst []float64, s float64, x []float64) {
-	dst = dst[:len(x)]
-	if simdLevel >= levelAVX2 && len(x) > 0 {
-		countKernel(kernelAxpy)
-		axpyAVX(&dst[0], &x[0], len(x), s)
+// spmmRows is the CSR x dense kernel over rows [rLo, rHi) of x: for each
+// element of acc's row i, s = +0, then s += round(v * y[k][j]) over the row's
+// stored (k, v) in order — multiply, rounded, then add, never fused, which
+// the conversions state for the architectures whose compiler would — and
+// acc[i][j] += s once. So the product is summed aside and added once without
+// a scratch row, and an empty row adds +0. spmmRowsAVX walks the row range
+// itself in 16-column strips, then 4, then single columns; the portable loops
+// take 4 columns at a time — per element the same arithmetic, so the bits
+// agree.
+func spmmRows(x *CSR, y, acc *Dense, rLo, rHi int) {
+	n := y.Cols
+	if simdLevel >= levelAVX2 && n > 0 && len(x.Col) > 0 {
+		countKernel(kernelSpMM)
+		spmmRowsAVX(&x.RowPtr[0], &x.Col[0], &x.Val[0], rLo, rHi, &y.Data[0], &acc.Data[0], n)
 		return
 	}
-	for j, v := range x {
-		dst[j] += float64(s * v)
+	for i := rLo; i < rHi; i++ {
+		cols, vals := x.RowNNZ(i)
+		orow := acc.Row(i)
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			var s0, s1, s2, s3 float64
+			for q, k := range cols {
+				v, b := vals[q], y.Data[k*n+j:k*n+j+4]
+				s0 += float64(v * b[0])
+				s1 += float64(v * b[1])
+				s2 += float64(v * b[2])
+				s3 += float64(v * b[3])
+			}
+			o := orow[j : j+4]
+			o[0] += s0
+			o[1] += s1
+			o[2] += s2
+			o[3] += s3
+		}
+		for ; j < n; j++ {
+			var s float64
+			for q, k := range cols {
+				s += float64(vals[q] * y.Data[k*n+j])
+			}
+			orow[j] += s
+		}
 	}
 }
+
+// spmmStrip is the column strip of the row kernels' assembly forms: the
+// columns whose row segment stays in four YMM registers. Kernel threads split
+// the dense x CSR product's columns at its multiples.
+const spmmStrip = 16
 
 // MatMulTransAccWith is the dense x CSR kernel. It accumulates
 // accT += t(b) x a for dense a (K x m) and CSR b (K x n): the transpose of
 // t(a) x b, so GNMF's t(V) %*% X is taken straight from the untransposed
-// factor block. It walks b's rows and does one contiguous m-wide axpy per
-// non-zero, where a row-major accumulator would take a scatter of b's ~nnz/K
-// entries per inner iteration. Kernel threads split the m columns, so each
-// element is still summed by one goroutine in k order. accT (n x m) must be
-// owned by the caller, which transposes it once when the sum is complete.
+// factor block. It walks b's rows k ascending; for each, a's row k stays in
+// registers while accT[j] += round(v * a[k]) is scattered to the row's stored
+// (j, v) — contiguous m-wide rows, where a row-major accumulator would take a
+// scatter of b's ~nnz/K entries per inner iteration. Kernel threads split the
+// m columns at spmmStrip boundaries, so each element is still summed by one
+// goroutine in k order. accT (n x m) must be owned by the caller, which
+// transposes it once when the sum is complete.
 func MatMulTransAccWith(p *parallel.Pool, accT *Dense, a *Dense, b *CSR) {
 	m := a.Cols
 	if a.Rows != b.Rows || accT.Rows != b.Cols || accT.Cols != m {
 		panic(fmt.Sprintf("matrix: transposed matmul shape mismatch t(%dx%d) x %dx%d into t(%dx%d)",
 			a.Rows, m, b.Rows, b.Cols, accT.Rows, accT.Cols))
 	}
-	p.For(m, rowGrain, func(lo, hi int) {
-		for k := 0; k < b.Rows; k++ {
-			cols, vals := b.RowNNZ(k)
-			arow := a.Data[k*m+lo : k*m+hi]
+	if p == nil { // no closure for the serial path: the call allocates nothing
+		spmmTCols(accT, a, b, 0, m)
+		return
+	}
+	p.For((m+spmmStrip-1)/spmmStrip, 1, func(lo, hi int) {
+		spmmTCols(accT, a, b, lo*spmmStrip, min(hi*spmmStrip, m))
+	})
+}
+
+// spmmTCols is MatMulTransAccWith over columns [lo, hi): one call of the
+// assembly kernel per non-empty row of b, or the same arithmetic in portable
+// loops, 4 columns of a's row held at a time.
+func spmmTCols(accT, a *Dense, b *CSR, lo, hi int) {
+	if lo == hi {
+		return
+	}
+	m := a.Cols
+	for k := 0; k < b.Rows; k++ {
+		cols, vals := b.RowNNZ(k)
+		if len(cols) == 0 {
+			continue
+		}
+		arow := a.Data[k*m+lo : k*m+hi]
+		if simdLevel >= levelAVX2 {
+			countKernel(kernelSpMM)
+			spmmTRowAVX(&arow[0], &cols[0], &vals[0], len(cols), &accT.Data[lo], m, hi-lo)
+			continue
+		}
+		c := 0
+		for ; c+4 <= len(arow); c += 4 {
+			a0, a1, a2, a3 := arow[c], arow[c+1], arow[c+2], arow[c+3]
 			for q, j := range cols {
-				axpy(accT.Data[j*m+lo:j*m+hi], vals[q], arow)
+				v, o := vals[q], accT.Data[j*m+lo+c:j*m+lo+c+4]
+				o[0] += float64(v * a0)
+				o[1] += float64(v * a1)
+				o[2] += float64(v * a2)
+				o[3] += float64(v * a3)
 			}
 		}
-	})
+		for ; c < len(arow); c++ {
+			for q, j := range cols {
+				accT.Data[j*m+lo+c] += float64(vals[q] * arow[c])
+			}
+		}
+	}
 }
 
 // MatMulTNAccWith is MatMulAccWith for dense blocks with the left operand
@@ -275,9 +344,11 @@ func matMulDDPanel(a strided, b, acc *Dense, rLo, rHi int, fresh bool) {
 	}
 }
 
+// allZero reports whether every value of s is +0: a -0 is not, since adding
+// a sum to it is not filling in the sum.
 func allZero(s []float64) bool {
 	for _, v := range s {
-		if v != 0 {
+		if math.Float64bits(v) != 0 {
 			return false
 		}
 	}

@@ -39,11 +39,22 @@ func microAVX512x8x16(a, b, out *float64, kn, ldaB, ldkB, ldbB, ldoB uintptr)
 //go:noescape
 func sddmmAVX(rowPtr, col *int, rLo, rHi, nnz int, a, bt, acc *float64, k int)
 
-// axpyAVX computes dst[j] += s * x[j] for j < n with axpy's arithmetic.
+// spmmRowsAVX is spmmRows on raw storage: for the CSR pattern rowPtr/col with
+// values val and rows [rLo, rHi), acc[i][:n] += the product of row i with
+// b (n columns), each element summed from +0 in the row's stored order and
+// added once, with spmmRows's arithmetic. n must be positive. Implemented in
+// matmul_amd64.s.
+//
+//go:noescape
+func spmmRowsAVX(rowPtr, col *int, val *float64, rLo, rHi int, b, acc *float64, n int)
+
+// spmmTRowAVX is one row of spmmTCols on raw storage: accT[col[q]][:m] +=
+// val[q] * a[:m] for the nnz stored positions of a CSR row, accT's rows ldT
+// elements apart, with spmmTCols's arithmetic. nnz and m must be positive.
 // Implemented in matmul_amd64.s.
 //
 //go:noescape
-func axpyAVX(dst, x *float64, n int, s float64)
+func spmmTRowAVX(a *float64, col *int, val *float64, nnz int, accT *float64, ldT, m int)
 
 // fmaPeakAVX2 and fmaPeakAVX512 run n rounds of twelve (YMM) and sixteen (ZMM)
 // independent fused multiply-adds on registers alone — the ceiling

@@ -315,39 +315,215 @@ done:
 	VZEROUPPER
 	RET
 
-// func axpyAVX(dst, x *float64, n int, s float64)
+// func spmmRowsAVX(rowPtr, col *int, val *float64, rLo, rHi int, b, acc *float64, n int)
 //
-// dst[j] += s * x[j] for j < n: multiply, then add (not fused), four lanes at
-// a time and a scalar tail — the arithmetic of axpy's portable loop.
-TEXT ·axpyAVX(SB), NOSPLIT, $0-32
-	MOVQ	dst+0(FP), DI
-	MOVQ	x+8(FP), SI
-	MOVQ	n+16(FP), CX
-	VBROADCASTSD	s+24(FP), Y0
-	MOVQ	CX, DX
-	ANDQ	$3, CX
-	SHRQ	$2, DX
-	JZ	axtail
-axloop:
-	VMULPD	(SI), Y0, Y1
-	VADDPD	(DI), Y1, Y1
-	VMOVUPD	Y1, (DI)
-	ADDQ	$32, SI
-	ADDQ	$32, DI
-	DECQ	DX
-	JNZ	axloop
-axtail:
-	TESTQ	CX, CX
-	JZ	axdone
-axtailloop:
-	VMULSD	(SI), X0, X1
-	VADDSD	(DI), X1, X1
-	VMOVSD	X1, (DI)
-	ADDQ	$8, SI
-	ADDQ	$8, DI
-	DECQ	CX
-	JNZ	axtailloop
-axdone:
+// CSR x dense over rows [rLo, rHi) of the CSR operand (rowPtr, col, val): for
+// each row i and output column j, s = +0, then s += val[q] * b[col[q]][j]
+// (multiply, then add — not fused) over the row's stored positions in order,
+// and acc[i][j] += s once. Columns go sixteen at a time (Y0..Y3 hold the
+// strip's sums), then four (Y0), then one (lane 0): per element the
+// arithmetic of spmmRows's portable loops.
+//
+// Registers: R8 rowPtr, R9 col, R10 val, R11 i, R12 rHi, R13 b, R14 &acc[i][0],
+// DI row bytes, SI/CX row i's first and end position, AX position, BX strip
+// byte offset, DX &b[col[q]][0] (and scratch).
+TEXT ·spmmRowsAVX(SB), NOSPLIT, $0-64
+	MOVQ	rowPtr+0(FP), R8
+	MOVQ	col+8(FP), R9
+	MOVQ	val+16(FP), R10
+	MOVQ	rLo+24(FP), R11
+	MOVQ	rHi+32(FP), R12
+	MOVQ	b+40(FP), R13
+	MOVQ	acc+48(FP), R14
+	MOVQ	n+56(FP), DI
+	SHLQ	$3, DI
+	MOVQ	R11, AX
+	IMULQ	DI, AX
+	ADDQ	AX, R14
+srow:
+	CMPQ	R11, R12
+	JGE	sdone
+	MOVQ	(R8)(R11*8), SI
+	MOVQ	8(R8)(R11*8), CX
+	XORQ	BX, BX
+s16:
+	LEAQ	128(BX), DX
+	CMPQ	DX, DI
+	JGT	s4
+	VXORPD	Y0, Y0, Y0
+	VXORPD	Y1, Y1, Y1
+	VXORPD	Y2, Y2, Y2
+	VXORPD	Y3, Y3, Y3
+	MOVQ	SI, AX
+	JMP	s16check
+s16nz:
+	MOVQ	(R9)(AX*8), DX
+	IMULQ	DI, DX
+	ADDQ	R13, DX
+	VBROADCASTSD	(R10)(AX*8), Y4
+	VMULPD	(DX)(BX*1), Y4, Y5
+	VADDPD	Y5, Y0, Y0
+	VMULPD	32(DX)(BX*1), Y4, Y6
+	VADDPD	Y6, Y1, Y1
+	VMULPD	64(DX)(BX*1), Y4, Y7
+	VADDPD	Y7, Y2, Y2
+	VMULPD	96(DX)(BX*1), Y4, Y8
+	VADDPD	Y8, Y3, Y3
+	INCQ	AX
+s16check:
+	CMPQ	AX, CX
+	JLT	s16nz
+	VADDPD	(R14)(BX*1), Y0, Y0
+	VMOVUPD	Y0, (R14)(BX*1)
+	VADDPD	32(R14)(BX*1), Y1, Y1
+	VMOVUPD	Y1, 32(R14)(BX*1)
+	VADDPD	64(R14)(BX*1), Y2, Y2
+	VMOVUPD	Y2, 64(R14)(BX*1)
+	VADDPD	96(R14)(BX*1), Y3, Y3
+	VMOVUPD	Y3, 96(R14)(BX*1)
+	ADDQ	$128, BX
+	JMP	s16
+s4:
+	LEAQ	32(BX), DX
+	CMPQ	DX, DI
+	JGT	s1
+	VXORPD	Y0, Y0, Y0
+	MOVQ	SI, AX
+	JMP	s4check
+s4nz:
+	MOVQ	(R9)(AX*8), DX
+	IMULQ	DI, DX
+	ADDQ	R13, DX
+	VBROADCASTSD	(R10)(AX*8), Y4
+	VMULPD	(DX)(BX*1), Y4, Y5
+	VADDPD	Y5, Y0, Y0
+	INCQ	AX
+s4check:
+	CMPQ	AX, CX
+	JLT	s4nz
+	VADDPD	(R14)(BX*1), Y0, Y0
+	VMOVUPD	Y0, (R14)(BX*1)
+	ADDQ	$32, BX
+	JMP	s4
+s1:
+	CMPQ	BX, DI
+	JGE	snext
+	VXORPD	X0, X0, X0
+	MOVQ	SI, AX
+	JMP	s1check
+s1nz:
+	MOVQ	(R9)(AX*8), DX
+	IMULQ	DI, DX
+	ADDQ	R13, DX
+	VMOVSD	(R10)(AX*8), X4
+	VMULSD	(DX)(BX*1), X4, X5
+	VADDSD	X5, X0, X0
+	INCQ	AX
+s1check:
+	CMPQ	AX, CX
+	JLT	s1nz
+	VADDSD	(R14)(BX*1), X0, X0
+	VMOVSD	X0, (R14)(BX*1)
+	ADDQ	$8, BX
+	JMP	s1
+snext:
+	ADDQ	DI, R14
+	INCQ	R11
+	JMP	srow
+sdone:
+	VZEROUPPER
+	RET
+
+// func spmmTRowAVX(a *float64, col *int, val *float64, nnz int, accT *float64, ldT, m int)
+//
+// One row k of the dense x CSR product: for the row's nnz stored positions
+// (col, val) and columns c < m, accT[col[q]][c] += val[q] * a[c] (multiply,
+// then add — not fused), accT's rows ldT elements apart. The row of a stays
+// in registers while the positions stream past: sixteen columns at a time
+// (Y0..Y3), then four (Y0), then one (lane 0). nnz must be positive.
+//
+// Registers: SI a, R9 col, R10 val, CX nnz, R14 accT, R8 accT's row bytes,
+// DI m in bytes, AX position, BX strip byte offset, DX &accT[col[q]][0].
+TEXT ·spmmTRowAVX(SB), NOSPLIT, $0-56
+	MOVQ	a+0(FP), SI
+	MOVQ	col+8(FP), R9
+	MOVQ	val+16(FP), R10
+	MOVQ	nnz+24(FP), CX
+	MOVQ	accT+32(FP), R14
+	MOVQ	ldT+40(FP), R8
+	SHLQ	$3, R8
+	MOVQ	m+48(FP), DI
+	SHLQ	$3, DI
+	XORQ	BX, BX
+t16:
+	LEAQ	128(BX), DX
+	CMPQ	DX, DI
+	JGT	t4
+	VMOVUPD	(SI)(BX*1), Y0
+	VMOVUPD	32(SI)(BX*1), Y1
+	VMOVUPD	64(SI)(BX*1), Y2
+	VMOVUPD	96(SI)(BX*1), Y3
+	XORQ	AX, AX
+t16nz:
+	MOVQ	(R9)(AX*8), DX
+	IMULQ	R8, DX
+	ADDQ	R14, DX
+	VBROADCASTSD	(R10)(AX*8), Y4
+	VMULPD	Y0, Y4, Y5
+	VADDPD	(DX)(BX*1), Y5, Y5
+	VMOVUPD	Y5, (DX)(BX*1)
+	VMULPD	Y1, Y4, Y6
+	VADDPD	32(DX)(BX*1), Y6, Y6
+	VMOVUPD	Y6, 32(DX)(BX*1)
+	VMULPD	Y2, Y4, Y7
+	VADDPD	64(DX)(BX*1), Y7, Y7
+	VMOVUPD	Y7, 64(DX)(BX*1)
+	VMULPD	Y3, Y4, Y8
+	VADDPD	96(DX)(BX*1), Y8, Y8
+	VMOVUPD	Y8, 96(DX)(BX*1)
+	INCQ	AX
+	CMPQ	AX, CX
+	JLT	t16nz
+	ADDQ	$128, BX
+	JMP	t16
+t4:
+	LEAQ	32(BX), DX
+	CMPQ	DX, DI
+	JGT	t1
+	VMOVUPD	(SI)(BX*1), Y0
+	XORQ	AX, AX
+t4nz:
+	MOVQ	(R9)(AX*8), DX
+	IMULQ	R8, DX
+	ADDQ	R14, DX
+	VBROADCASTSD	(R10)(AX*8), Y4
+	VMULPD	Y0, Y4, Y5
+	VADDPD	(DX)(BX*1), Y5, Y5
+	VMOVUPD	Y5, (DX)(BX*1)
+	INCQ	AX
+	CMPQ	AX, CX
+	JLT	t4nz
+	ADDQ	$32, BX
+	JMP	t4
+t1:
+	CMPQ	BX, DI
+	JGE	tdone
+	VMOVSD	(SI)(BX*1), X0
+	XORQ	AX, AX
+t1nz:
+	MOVQ	(R9)(AX*8), DX
+	IMULQ	R8, DX
+	ADDQ	R14, DX
+	VMOVSD	(R10)(AX*8), X4
+	VMULSD	X0, X4, X5
+	VADDSD	(DX)(BX*1), X5, X5
+	VMOVSD	X5, (DX)(BX*1)
+	INCQ	AX
+	CMPQ	AX, CX
+	JLT	t1nz
+	ADDQ	$8, BX
+	JMP	t1
+tdone:
 	VZEROUPPER
 	RET
 

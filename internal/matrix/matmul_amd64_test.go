@@ -6,8 +6,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"unsafe"
+
+	"fuseme/internal/parallel"
 )
 
 // atLevel runs fn with the kernels held at level n or below.
@@ -207,20 +210,6 @@ func TestAVXMatchesScalar(t *testing.T) {
 		}
 	})
 
-	t.Run("axpy", func(t *testing.T) {
-		for n := 0; n <= 70; n++ {
-			for _, s := range []float64{0.75, -3, 0, math.Copysign(0, -1), 0x1p-1040, 0x1p600, math.Inf(1), math.NaN()} {
-				x, dst := within(rng, n, 2), within(rng, n+3, 4) // dst is longer than x: its tail must not change
-				asm, twin := append([]float64(nil), dst...), append([]float64(nil), dst...)
-				axpy(asm, s, x)
-				portably(func() { axpy(twin, s, x) })
-				if !sameFloats(asm, twin) || !sameFloats(asm[n:], dst[n:]) {
-					t.Fatalf("n=%d s=%v: assembly and portable kernels disagree", n, s)
-				}
-			}
-		}
-	})
-
 	// The strip kernels: every length, windows at each 8-byte phase of a
 	// 32-byte line, out of place and in place (the masked pass rewrites its
 	// values buffer), operands in special's regimes plus each kernel's edges.
@@ -260,6 +249,135 @@ func TestAVXMatchesScalar(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestSpMMFormsAgree holds the two sparse x dense row kernels to their
+// reference formulas, bit for bit: CSR x dense sums each output element from
+// +0 over the row's stored values in order (a rounded multiply, then an add)
+// and adds the sum to acc once; dense x CSR adds each rounded product into
+// accT in place, b's rows ascending. Random widths 1..200 (so every mix of
+// 16-column strips, 4-column strips and single columns), rows left empty,
+// acc given and absent, special values; the assembly form and the portable
+// twin, each run on a pool of 1, 2 and 3 kernel threads.
+func TestSpMMFormsAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	pools := []*parallel.Pool{nil, parallel.New(1, 1), parallel.New(2, 1), parallel.New(3, 1)}
+	levels := []kernelLevel{{name: "portable", level: levelPortable}, asmLevels[0]}
+	randCSR := func(rows, cols int) *CSR {
+		d := NewDense(rows, cols)
+		density := rng.Float64() * 0.5
+		for i := 0; i < rows; i++ {
+			if rng.Intn(4) == 0 {
+				continue // an empty row
+			}
+			for j := 0; j < cols; j++ {
+				if rng.Float64() < density {
+					d.Data[i*cols+j] = special(rng, make([]float64, 1))[0]
+				}
+			}
+		}
+		return ToCSR(d)
+	}
+	for trial := 0; trial < 120; trial++ {
+		rows, inner, n := 1+rng.Intn(40), 1+rng.Intn(40), 1+rng.Intn(200)
+		x := randCSR(rows, inner)
+		y := NewDenseData(inner, n, special(rng, make([]float64, inner*n)))
+		acc := NewDenseData(rows, n, special(rng, make([]float64, rows*n)))
+		want, wantFresh := acc.Clone().(*Dense), NewDense(rows, n)
+		for i := 0; i < rows; i++ {
+			cols, vals := x.RowNNZ(i)
+			for j := 0; j < n; j++ {
+				var s float64
+				for q, k := range cols {
+					s += float64(vals[q] * y.At(k, j))
+				}
+				want.Data[i*n+j] += s
+				wantFresh.Data[i*n+j] += s
+			}
+		}
+		a := NewDenseData(rows, n, special(rng, make([]float64, rows*n))) // K = rows, m = n
+		accT := NewDenseData(inner, n, special(rng, make([]float64, inner*n)))
+		wantT := accT.Clone().(*Dense)
+		for k := 0; k < rows; k++ {
+			cols, vals := x.RowNNZ(k)
+			for q, j := range cols {
+				for c := 0; c < n; c++ {
+					wantT.Data[j*n+c] += float64(vals[q] * a.At(k, c))
+				}
+			}
+		}
+		for _, lv := range levels {
+			if simdLevel < lv.level {
+				continue
+			}
+			atLevel(lv.level, func() {
+				for threads, p := range pools {
+					got := MatMulAccWith(p, acc.Clone().(*Dense), x, y)
+					gotFresh := MatMulAccWith(p, nil, x, y)
+					gotT := accT.Clone().(*Dense)
+					MatMulTransAccWith(p, gotT, a, x)
+					for name, pair := range map[string][2]*Dense{"csr x dense": {got, want}, "csr x dense, no accumulator": {gotFresh, wantFresh}, "dense x csr": {gotT, wantT}} {
+						if !sameFloats(pair[0].Data, pair[1].Data) {
+							t.Fatalf("%s, %s, %d threads, %dx%d (%d stored) and %d columns: differs from the reference formula",
+								name, lv.name, threads, rows, inner, x.NNZ(), n)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestSparseProductAddsOnce pins the sparse arms of MatMulAccWith to their
+// contract where only the sign of a zero tells: acc += a x b has the bits of
+// acc + MatMulWith(a, b), element by element, when acc holds -0 and +0 and
+// products underflow to ±0, cancel, or meet an empty row — at every level
+// the machine has. Filling a row in place from acc's -0 would keep a -0 that
+// adding the product's +0 does not.
+func TestSparseProductAddsOnce(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	const n = 21 // a 16-column strip, a 4-column one and a single column
+	yv := make([]float64, 4*n)
+	for j := 0; j < n; j++ {
+		yv[j] = []float64{1e-200, 1, 2, 3}[j%4]
+		yv[n+j] = []float64{-1e-200, 0, negZero, 1e-200}[j%4]
+		yv[2*n+j] = 1
+		yv[3*n+j] = []float64{negZero, 1e-300, 5, 0}[j%4]
+	}
+	y := NewDenseData(4, n, yv)
+	x := ToCSR(NewDenseData(6, 4, []float64{
+		-1e-200, 0, 0, 0, // underflows to -0 against y's 1e-200
+		0, 1e-200, 0, 0, // ±0 and ±tiny products
+		0, 0, 0, 0, // an empty row
+		0, 0, 1, 0, // exact products
+		1, 0, -1, 0, // 1e-200 - 1 and the like; row 2 of y cancels
+		0, 0, 0, -1e-300, // -0 × -1e-300, 1e-300 × -1e-300
+	}))
+	repeat := func(pattern ...float64) []float64 {
+		v := make([]float64, 6*n)
+		for i := range v {
+			v[i] = pattern[i%len(pattern)]
+		}
+		return v
+	}
+	for name, acc := range map[string][]float64{"-0": repeat(negZero), "+0": repeat(0), "mixed": repeat(negZero, 0, negZero, 1e-300, -1)} {
+		for _, lv := range append([]kernelLevel{{name: "portable", level: levelPortable}}, asmLevels...) {
+			if simdLevel < lv.level {
+				continue
+			}
+			atLevel(lv.level, func() {
+				for arm, b := range map[string]Mat{"csr x dense": y, "csr x csr": ToCSR(y)} {
+					prod := MatMulWith(nil, x, b)
+					got := MatMulAccWith(nil, NewDenseData(6, n, slices.Clone(acc)), x, b)
+					for e, v := range acc {
+						if want := v + prod.At(e/n, e%n); math.Float64bits(got.Data[e]) != math.Float64bits(want) {
+							t.Fatalf("%s, %s, acc %s: element (%d, %d) is %v, acc + product is %v", arm, lv.name, name, e/n, e%n, got.Data[e], want)
+						}
+					}
+				}
+			})
+		}
+	}
 }
 
 // phased returns an n-long window of a fresh array that starts phase*8 bytes

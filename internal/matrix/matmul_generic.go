@@ -20,7 +20,11 @@ func sddmmAVX(rowPtr, col *int, rLo, rHi, nnz int, a, bt, acc *float64, k int) {
 	panic("matrix: AVX kernel called on non-amd64")
 }
 
-func axpyAVX(dst, x *float64, n int, s float64) {
+func spmmRowsAVX(rowPtr, col *int, val *float64, rLo, rHi int, b, acc *float64, n int) {
+	panic("matrix: AVX kernel called on non-amd64")
+}
+
+func spmmTRowAVX(a *float64, col *int, val *float64, nnz int, accT *float64, ldT, m int) {
 	panic("matrix: AVX kernel called on non-amd64")
 }
 

@@ -29,9 +29,10 @@
 // operand is read through a row and a k stride, so t(A) x B (MatMulTNAccWith)
 // is the same kernels on A's block as it lies. The dense
 // SDDMM (sddmmAVX; dot) is four interleaved partial sums, each step a rounded
-// multiply then an add, combined pairwise as (s0+s1)+(s2+s3); axpy (axpyAVX;
-// the loop in axpy), under the CSR x dense and dense x CSR kernels, is a
-// rounded multiply then an add per element. NaN payloads aside, their results
+// multiply then an add, combined pairwise as (s0+s1)+(s2+s3); the CSR x dense
+// and dense x CSR row kernels (spmmRowsAVX, spmmTRowAVX; spmmRows, spmmTCols)
+// are a rounded multiply then an add per element, summed from +0 and added
+// once, and summed in place k ascending, respectively. NaN payloads aside, their results
 // are therefore equal bit for bit between assembly and portable forms, strips
 // and edges, thread counts and machines. log, exp and sigmoid are what the
 // machine's math.Log and math.Exp are; from the AVX2 level up a strip of them
