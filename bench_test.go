@@ -11,6 +11,8 @@ package fuseme_test
 
 import (
 	"bufio"
+	"encoding/binary"
+	"fmt"
 	"io"
 	"net"
 	"reflect"
@@ -23,6 +25,7 @@ import (
 	"fuseme/internal/core"
 	"fuseme/internal/experiments"
 	"fuseme/internal/matrix"
+	"fuseme/internal/rt/remote"
 	"fuseme/internal/rt/spec"
 	"fuseme/internal/workloads"
 )
@@ -294,6 +297,8 @@ func BenchmarkCompileGNMF(b *testing.B) {
 // fresh storage; the "-arena" arm reads into an arena reset per block, as a
 // worker's task stream does per task, and must allocate nothing once warm.
 // b.SetBytes reports MB/s of in-memory block data moved through the format.
+// The "panel" arms time a task's fetch list instead (fetchPanel): the
+// synchronous fetch at depth 1, read-ahead at remote.FetchDepth.
 func BenchmarkBlockWire(b *testing.B) {
 	cases := []struct {
 		name string
@@ -325,6 +330,83 @@ func BenchmarkBlockWire(b *testing.B) {
 		b.Run(c.name+"-socket", func(b *testing.B) { blockOverSocket(b, c.m, nil) })
 		b.Run(c.name+"-arena", func(b *testing.B) { blockOverSocket(b, c.m, new(matrix.Arena)) })
 	}
+	x := csrBlock(256, 256, 0.01) // a block of the repo benchmark's GNMF X
+	for _, depth := range []int{1, remote.FetchDepth} {
+		b.Run(fmt.Sprintf("panel-csr-256-d01-depth%d", depth), func(b *testing.B) { fetchPanel(b, x, depth) })
+	}
+}
+
+// fetchPanel moves a task's fetch list — panelBlocks blocks m — over one
+// loopback connection the way a worker's task stream does: a request frame
+// of the stream's 30 bytes per block, answered in request order by a frame
+// of a 6-byte header and m's FME1 bytes, written with one writev from the
+// block's memory; the reader keeps depth requests outstanding, sending the
+// next as it takes a reply, and reads each block into an arena reset per
+// list. It reports µs per block.
+func fetchPanel(b *testing.B, m matrix.Mat, depth int) {
+	const panelBlocks, reqSize = 16, 5 + 25
+	cli, srv := loopbackPair(b)
+	wire := matrix.EncodedSize(m)
+	rows, cols := m.Dims()
+	go func() { // the coordinator's side: one reply per request, in order
+		r := bufio.NewReaderSize(srv, 4<<10)
+		var (
+			req   [reqSize]byte
+			hdr   []byte
+			views [3][]byte
+			out   net.Buffers
+			iov   [4][]byte
+		)
+		for {
+			if _, err := io.ReadFull(r, req[:]); err != nil {
+				return // the benchmark closed the connection
+			}
+			var vs [][]byte
+			hdr = append(binary.BigEndian.AppendUint32(append(hdr[:0], 7), uint32(1+wire)), 1)
+			hdr, vs = matrix.AppendViews(hdr, views[:0], m)
+			out = append(append(iov[:0], hdr), vs...)
+			if _, err := out.WriteTo(srv); err != nil {
+				return
+			}
+		}
+	}()
+	r := bufio.NewReaderSize(cli, 4<<10)
+	reqs := make([]byte, panelBlocks*reqSize)
+	var (
+		hdr [6]byte
+		a   matrix.Arena
+	)
+	list := func() {
+		sent := 0
+		send := func(n int) {
+			if _, err := cli.Write(reqs[:n*reqSize]); err != nil {
+				b.Fatal(err)
+			}
+			sent += n
+		}
+		send(min(depth, panelBlocks))
+		for range panelBlocks {
+			if _, err := io.ReadFull(r, hdr[:]); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := matrix.ReadBlock(r, wire, max(rows, cols), &a); err != nil {
+				b.Fatal(err)
+			}
+			if sent < panelBlocks {
+				send(1)
+			}
+		}
+		a.Reset()
+	}
+	list() // buffers and the arena reach their size
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		list()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N*panelBlocks), "µs/block")
+	b.ReportMetric(float64(wire), "wire-bytes")
 }
 
 // blockOverSocket sends m across a loopback TCP connection and reads it back

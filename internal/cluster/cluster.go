@@ -189,7 +189,8 @@ type Stats struct {
 	// counters, measured by the TCP runtime and zero under simulation,
 	// decompose task time: FetchSeconds is wire-wait inside task bodies,
 	// TaskSeconds total task wall time. PrefetchSeconds is always zero —
-	// nothing prefetches; the field stays only because bench/ reads it.
+	// nothing prefetches across tasks; the field stays only because bench/
+	// reads it.
 	StealTasks      int64
 	FetchSeconds    float64
 	PrefetchSeconds float64

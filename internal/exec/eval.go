@@ -236,6 +236,24 @@ func (ev *evaluator) fetchExternal(n *dag.Node, bi, bj int) matrix.Mat {
 	return blk
 }
 
+// appendExternal appends to refs the external block that evaluating block
+// (bi, bj) of n fetches — n's own when n is an input outside the plan, its
+// child's under a member transpose — unless the task holds that block
+// already or refs names it.
+func (ev *evaluator) appendExternal(refs []spec.BlockRef, n *dag.Node, bi, bj int) []spec.BlockRef {
+	if n.Op == dag.OpTranspose && ev.pc.plan.Contains(n) {
+		n, bi, bj = n.Inputs[0], bj, bi
+	}
+	if ev.pc.plan.Contains(n) || n.Op == dag.OpScalar || ev.fetched[memoKey{n.ID, bi, bj}] {
+		return refs
+	}
+	ref := spec.BlockRef{Kind: spec.RefInput, Node: n.ID, BI: bi, BJ: bj}
+	if slices.Contains(refs, ref) {
+		return refs
+	}
+	return append(refs, ref)
+}
+
 // operandCoords maps the output block coordinate of an element-wise operator
 // to the coordinate of an operand, which may be a scalar (1x1), row-vector or
 // column-vector broadcast: a single row or column has only block 0.
@@ -278,6 +296,9 @@ func (ev *evaluator) scalarValue(n *dag.Node) float64 {
 //
 // A sum of CSR x CSR products is stored by its own density, like a single
 // product; the other pairs give a dense block.
+//
+// Before the k loop, a source that reads ahead is told the external blocks
+// the loop fetches, in the order it fetches them (appendExternal).
 func (ev *evaluator) evalMatMul(n *dag.Node, bi, bj int) matrix.Mat {
 	left, right := n.Inputs[0], n.Inputs[1]
 	lo, hi := 0, (left.Cols+ev.blockSize-1)/ev.blockSize
@@ -286,6 +307,16 @@ func (ev *evaluator) evalMatMul(n *dag.Node, bi, bj int) matrix.Mat {
 	}
 	rows, cols := ev.blockDims(n, bi, bj)
 	folded := left.Op == dag.OpTranspose && ev.pc.plan.Contains(left)
+	if ra := ev.src.ahead(); ra != nil {
+		refs := ra.refs[:0]
+		for bk := lo; bk < hi; bk++ {
+			refs = ev.appendExternal(refs, left, bi, bk)
+			refs = ev.appendExternal(refs, right, bk, bj)
+		}
+		if ra.refs = refs; len(refs) > 0 {
+			ra.hint(refs)
+		}
+	}
 	var acc, accT *matrix.Dense
 	sparse := true
 	for bk := lo; bk < hi; bk++ {

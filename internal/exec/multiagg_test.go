@@ -131,7 +131,7 @@ func TestMultiAggSpecStageFetchesSharedInputOnce(t *testing.T) {
 			sinks[aggOutput(kind)].combine(bi, bj, blk)
 			return nil
 		}
-		if err := stage.RunTask(&cluster.Task{ID: task}, fetch, emit); err != nil {
+		if err := stage.RunTask(&cluster.Task{ID: task}, fetch, nil, emit); err != nil {
 			t.Fatal(err)
 		}
 		blocks := (sp.GI*sp.GJ - task + sp.NumTasks - 1) / sp.NumTasks

@@ -9,7 +9,8 @@ import (
 
 // This file is the executor side of pipelined stage execution: the
 // task-index-ordered stage reducer, which streams partial aggregation while
-// tasks are still running yet folds in one fixed order. Nothing prefetches;
+// tasks are still running yet folds in one fixed order. Nothing prefetches
+// across tasks (within one, blockSource.ahead names a loop's blocks);
 // work-stealing, the other half of the pipeline, exists only where tasks
 // queue per worker: in internal/rt/remote.
 

@@ -20,8 +20,23 @@ import (
 // blockSource resolves a task's external block references: bound input
 // blocks and, in the fuse phase, aggregated main-multiplication partials.
 // A nil matrix with nil error is an all-zero block.
+//
+// ahead returns the task's read-ahead hook, or nil when the source takes
+// none. A task hands the hook, before a loop whose fetches it knows — a
+// multiplication's k loop, a fuse task's partials — those references in the
+// order the loop fetches them; the source may start moving them then. A hint
+// is never a fetch: the task still fetches each reference it named, and may
+// fetch others between them.
 type blockSource interface {
 	fetch(ref spec.BlockRef) (matrix.Mat, error)
+	ahead() *readAhead
+}
+
+// readAhead is a task's read-ahead hook and the list the task builds for it,
+// reused from loop to loop.
+type readAhead struct {
+	hint func(refs []spec.BlockRef)
+	refs []spec.BlockRef
 }
 
 // bindSource serves blocks from coordinator-side state: the operator's
@@ -48,12 +63,19 @@ func (s bindSource) fetch(ref spec.BlockRef) (matrix.Mat, error) {
 	return nil, fmt.Errorf("exec: unknown block reference kind %d", ref.Kind)
 }
 
-// fetchSource adapts a remote fetch callback (a network pull on a worker).
+// ahead is nil: a binding lookup has nothing to overlap, so an in-process
+// task builds no hint list.
+func (s bindSource) ahead() *readAhead { return nil }
+
+// fetchSource adapts a remote fetch callback (a network pull on a worker)
+// and its read-ahead hook (nil: none).
 type fetchSource struct {
-	fn func(ref spec.BlockRef) (matrix.Mat, error)
+	fn    func(ref spec.BlockRef) (matrix.Mat, error)
+	hints *readAhead
 }
 
 func (s fetchSource) fetch(ref spec.BlockRef) (matrix.Mat, error) { return s.fn(ref) }
+func (s fetchSource) ahead() *readAhead                           { return s.hints }
 
 // tracedSource wraps a blockSource so every resolved block reference records
 // a "fetch" sub-span on the task's trace. Both backends share the wrapper, so
@@ -70,6 +92,8 @@ func (s tracedSource) fetch(ref spec.BlockRef) (matrix.Mat, error) {
 	end()
 	return m, err
 }
+
+func (s tracedSource) ahead() *readAhead { return s.src.ahead() }
 
 // tracedEmit wraps an emitFn so every emitted result block records a "send"
 // sub-span (the block leaving the task: an encode+upload on a worker, a sink
@@ -239,6 +263,16 @@ func (st *Stage) runFuseTask(task *cluster.Task, src blockSource, emit emitFn) e
 	pi, qi := task.ID/q, task.ID%q
 	out := &st.outputs(task, src, sp.GK)[0]
 	ri, rj := sp.IRanges[pi], sp.JRanges[qi]
+	if ra := src.ahead(); ra != nil {
+		refs := ra.refs[:0]
+		for bi := ri.Lo; bi < ri.Hi; bi++ {
+			for bj := rj.Lo; bj < rj.Hi; bj++ {
+				refs = append(refs, spec.BlockRef{Kind: spec.RefPartial, BI: bi, BJ: bj})
+			}
+		}
+		ra.refs = refs
+		ra.hint(refs)
+	}
 	for bi := ri.Lo; bi < ri.Hi; bi++ {
 		for bj := rj.Lo; bj < rj.Hi; bj++ {
 			blk, err := src.fetch(spec.BlockRef{Kind: spec.RefPartial, BI: bi, BJ: bj})
@@ -335,14 +369,20 @@ func NewSpecStage(sp *spec.Stage) (*Stage, error) {
 
 // RunTask runs task.ID of the stage on a worker: blocks are pulled through
 // fetch and result blocks handed to emit as they are produced (an emit error
-// fails the task). Metering lands on task and is reported back to the
-// coordinator by the caller; the worker hands the task its block cache
-// (cluster.Task.SetCache).
-func (st *Stage) RunTask(task *cluster.Task, fetch func(spec.BlockRef) (matrix.Mat, error), emit func(kind uint8, bi, bj int, blk matrix.Mat) error) error {
+// fails the task). ahead, when not nil, is told before a loop which blocks
+// the loop will fetch, in fetch order (blockSource.ahead); a task bound to a
+// block cache never calls it, since a hit must not be fetched. Metering lands
+// on task and is reported back to the coordinator by the caller; the worker
+// hands the task its block cache (cluster.Task.SetCache).
+func (st *Stage) RunTask(task *cluster.Task, fetch func(spec.BlockRef) (matrix.Mat, error), ahead func([]spec.BlockRef), emit func(kind uint8, bi, bj int, blk matrix.Mat) error) error {
 	if sp := &st.Spec; task.ID < 0 || task.ID >= sp.NumTasks {
 		return fmt.Errorf("exec: task %d outside stage %q (%d tasks)", task.ID, sp.Name, sp.NumTasks)
 	}
-	return runStageTask(st, task, fetchSource{fetch}, func(kind uint8, bi, bj int, blk matrix.Mat) {
+	src := fetchSource{fn: fetch}
+	if cache, _ := task.Cache(); ahead != nil && cache == nil {
+		src.hints = &readAhead{hint: ahead}
+	}
+	return runStageTask(st, task, src, func(kind uint8, bi, bj int, blk matrix.Mat) {
 		if err := emit(kind, bi, bj, blk); err != nil {
 			panic(execPanic{fmt.Errorf("exec: sending result block (%d,%d): %w", bi, bj, err)})
 		}

@@ -5,7 +5,8 @@
 // Every connection carries length-framed messages
 // ([type byte][uint32 big-endian length][payload]), each sent with one write
 // system call — on a task stream a writev, which sends a block frame's
-// payload from the block's own memory.
+// payload from the block's own memory; the msgFetch requests a worker sends
+// ahead share one write.
 // The coordinator opens one persistent control connection per worker for the
 // handshake and heartbeats, and keeps a small set of
 // persistent task streams per worker — at most TasksPerNode idle ones, the
@@ -42,8 +43,15 @@
 //	15 (cache replica put) and 16–18 (proto v5's prefetch and steal frames)
 //
 // Between msgTask and msgDone the stream is a private request/response
-// channel: the coordinator serves the worker's block fetches, one at a time,
-// and takes its result blocks as they are produced.
+// channel: the coordinator serves the worker's block fetches in the order
+// they arrive and takes its result blocks as they are produced. A task names
+// the blocks of its next loop ahead (a multiplication's k loop, a fuse
+// task's partials), so the worker keeps up to FetchDepth msgFetch requests
+// outstanding; a msgBlock reply carries no reference and is matched to its
+// request by position. The worker reads every outstanding reply before it
+// writes anything but a request — msgResult, msgDone, msgFail — so a task
+// leaves no reply behind for the next, and neither end ever writes while the
+// other is blocked writing to it (fetchQueue).
 // Pull-based fetching means the worker discovers exactly the blocks the
 // fused kernel needs — the same dedup and colocation accounting as the
 // simulated backend, because both run the identical executor task body.
@@ -471,6 +479,22 @@ func (s *stream) sendViews(frame []byte, views [][]byte) error {
 	clear(s.iov[:]) // the views alias a block; hold none past the write
 	clear(s.views[:])
 	if err != nil {
+		return s.fail(err)
+	}
+	return nil
+}
+
+// sendFetches writes one msgFetch frame per reference with one write.
+func (s *stream) sendFetches(refs []spec.BlockRef) error {
+	b := (*s.wbuf)[:0]
+	for _, ref := range refs {
+		b = appendRef(binary.BigEndian.AppendUint32(append(b, msgFetch), refSize), ref)
+	}
+	*s.wbuf = b[:0]
+	if s.err != nil {
+		return s.err
+	}
+	if _, err := s.conn.Write(b); err != nil {
 		return s.fail(err)
 	}
 	return nil

@@ -548,6 +548,29 @@ func TestWireAllocBudget(t *testing.T) {
 		if got := allocPerOp(fetches, intoArena); got > 256 {
 			t.Errorf("%s: receiving into an arena allocates %.0f B per fetch, budget 256", name, got)
 		}
+		// A list named ahead and fetched through the stream's queue costs
+		// no more: neither the hint nor the fetches allocate once warm.
+		q := fetchQueue{s: worker}
+		list := make([]spec.BlockRef, 8)
+		for i := range list {
+			list[i] = spec.BlockRef{Kind: spec.RefInput, BI: i}
+		}
+		ahead := func() {
+			q.arena = &worker.arena // as a worker's task does
+			q.ahead(list)
+			for _, r := range list {
+				if _, err := q.fetch(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := q.finish(); err != nil {
+				t.Fatal(err)
+			}
+			worker.arena.Reset()
+		}
+		if got := allocPerOp(fetches/len(list), ahead) / float64(len(list)); got > 256 {
+			t.Errorf("%s: a list read ahead into an arena allocates %.0f B per fetch, budget 256", name, got)
+		}
 
 		// Sending side: the peer sends requests and drains the replies into
 		// a fixed buffer.

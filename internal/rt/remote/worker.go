@@ -349,6 +349,7 @@ type workerStage struct {
 func (w *Worker) serveStream(s *stream, firstStage []byte) {
 	typ, payload := msgStage, firstStage
 	var st *workerStage
+	q := &fetchQueue{s: s}
 	for {
 		switch typ {
 		case msgStage:
@@ -370,7 +371,7 @@ func (w *Worker) serveStream(s *stream, firstStage []byte) {
 					"remote: task of stage generation %d on a stream holding generation %d", assign.Gen, st.Gen)})
 				return
 			}
-			if !w.runTask(s, st, &assign) {
+			if !w.runTask(s, q, st, &assign) {
 				return
 			}
 		default:
@@ -404,9 +405,9 @@ func (w *Worker) controlLoop(conn net.Conn) error {
 }
 
 // runTask executes one assigned task of the stream's stage, pulling blocks
-// and sending result blocks over s, and reports the outcome. It returns false
-// when the stream is no longer usable.
-func (w *Worker) runTask(s *stream, st *workerStage, assign *taskAssign) bool {
+// through the stream's fetch queue q and sending result blocks over s, and
+// reports the outcome. It returns false when the stream is no longer usable.
+func (w *Worker) runTask(s *stream, q *fetchQueue, st *workerStage, assign *taskAssign) bool {
 	if kill := w.killAfter.Load(); kill >= 0 && w.started.Add(1) > kill {
 		// Fault injection: die abruptly, mid-stage, without a reply.
 		w.Close()
@@ -437,23 +438,27 @@ func (w *Worker) runTask(s *stream, st *workerStage, assign *taskAssign) bool {
 		arena = nil
 	}
 
-	// The task body fetches and emits from this goroutine alone, so each
-	// request/response pair on the stream is atomic.
+	// The task body fetches and emits from this goroutine alone. Its
+	// requests run ahead of its fetches (fetchQueue); a result goes out only
+	// once every reply it asked for is read, and so do msgDone and msgFail.
+	q.arena = arena
 	var fetchSecs float64 // wire wait inside the task body
 	fetch := func(ref spec.BlockRef) (matrix.Mat, error) {
 		fetchStart := time.Now()
-		defer func() { fetchSecs += time.Since(fetchStart).Seconds() }()
-		if err := s.send(appendRef(s.begin(msgFetch), ref)); err != nil {
-			return nil, err
+		blk, err := q.fetch(ref)
+		fetchSecs += time.Since(fetchStart).Seconds()
+		return blk, err
+	}
+	ahead := func(refs []spec.BlockRef) {
+		aheadStart := time.Now()
+		q.ahead(refs)
+		fetchSecs += time.Since(aheadStart).Seconds()
+	}
+	emit := func(kind uint8, bi, bj int, m matrix.Mat) error {
+		if err := q.drain(); err != nil {
+			return err
 		}
-		typ, n, err := s.next()
-		if err != nil {
-			return nil, err
-		}
-		if typ != msgBlock {
-			return nil, s.fail(fmt.Errorf("remote: expected frame type %d, got %d", msgBlock, typ))
-		}
-		return s.readBlock(n, arena)
+		return s.writeResult(kind, bi, bj, m)
 	}
 
 	start := time.Now()
@@ -462,7 +467,7 @@ func (w *Worker) runTask(s *stream, st *workerStage, assign *taskAssign) bool {
 		// time, exactly as a real computation would.
 		time.Sleep(time.Duration(d))
 	}
-	err := st.exec.RunTask(task, fetch, s.writeResult)
+	err := st.exec.RunTask(task, fetch, ahead, emit)
 	taskDur := time.Since(start)
 	m := task.Metrics()
 	m.FetchSeconds, m.TaskSeconds = fetchSecs, taskDur.Seconds()
@@ -482,6 +487,9 @@ func (w *Worker) runTask(s *stream, st *workerStage, assign *taskAssign) bool {
 		o.Counter(obs.MKernelParallelCalls).Add(delta.ParallelCalls)
 		o.Counter(obs.MKernelSerialCalls).Add(delta.SerialCalls)
 		o.Counter(obs.MKernelHelperRuns).Add(delta.HelperRuns)
+	}
+	if q.finish() != nil {
+		return false // the stream is dead: no msgDone or msgFail can follow
 	}
 	if err != nil {
 		return s.writeGob(msgFail, taskFail{Err: err.Error()}) == nil

@@ -18,7 +18,8 @@
 // Both backends also schedule a stage on the one stage driver, sched.Run, and
 // differ only in one attempt of a task: a call of the task body in-process,
 // or a task stream to a worker, which is where blocks cross a wire. Nothing
-// prefetches on either. The conformance tests in this package pin flops,
+// prefetches across tasks on either; within a task a worker requests the
+// blocks its next loop reads ahead of the loop. The conformance tests in this package pin flops,
 // cache hits and misses, stage and task counts, span taxonomy, journal
 // sequences and injected retries to be equal across backends.
 package rt
