@@ -374,9 +374,12 @@ func TestDocDriftClusterConfig(t *testing.T) {
 	}
 }
 
-// TestDocDriftFlags checks that every flag a cmd/*/main.go declares is named,
-// as `-name`, in its command's part of docs/OPERATIONS.md: the section under
-// a "### `cmd`" heading, or the "- `cmd`" bullet under "Others".
+// TestDocDriftFlags checks that every flag a command declares is named, as
+// `-name`, in its command's section of docs/OPERATIONS.md, the one under a
+// "### `cmd`" heading. A flag is declared by a flag.X call in a non-test file
+// of cmd/*/, whose section is the directory's, or by a method of a FlagSet
+// made in that file, whose section is the name the FlagSet was made with
+// ("fuseme gen").
 func TestDocDriftFlags(t *testing.T) {
 	doc, err := os.ReadFile("docs/OPERATIONS.md")
 	if err != nil {
@@ -385,61 +388,111 @@ func TestDocDriftFlags(t *testing.T) {
 	lines := strings.Split(string(doc), "\n")
 	section := func(cmd string) string {
 		for i, l := range lines {
-			heading := strings.HasPrefix(l, "### `"+cmd+"`")
-			if !heading && !strings.HasPrefix(l, "- `"+cmd+"`") {
+			if !strings.HasPrefix(l, "### `"+cmd+"`") {
 				continue
 			}
 			end := i + 1
-			for end < len(lines) && !strings.HasPrefix(lines[end], "#") && (heading || !strings.HasPrefix(lines[end], "- ")) {
+			for end < len(lines) && !strings.HasPrefix(lines[end], "#") {
 				end++
 			}
 			return strings.Join(lines[i:end], "\n")
 		}
 		return ""
 	}
-	paths, err := filepath.Glob("cmd/*/main.go")
-	if err != nil || len(paths) == 0 {
-		t.Fatalf("no cmd/*/main.go (err %v)", err)
+	// declares lists the methods that declare a flag; the name is their first
+	// argument, or their second for the XxxVar forms and Var.
+	declares := map[string]bool{}
+	for _, typ := range []string{"Bool", "Duration", "Float64", "Int", "Int64", "String", "Uint", "Uint64"} {
+		declares[typ], declares[typ+"Var"] = true, true
 	}
-	total := 0
+	for _, m := range []string{"Var", "TextVar", "Func", "BoolFunc"} {
+		declares[m] = true
+	}
+	stringArg := func(call *ast.CallExpr, i int) (string, bool) {
+		if len(call.Args) <= i {
+			return "", false
+		}
+		lit, ok := call.Args[i].(*ast.BasicLit)
+		if !ok || lit.Kind != token.STRING {
+			return "", false
+		}
+		s, err := strconv.Unquote(lit.Value)
+		return s, err == nil
+	}
+	paths, err := filepath.Glob("cmd/*/*.go")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no cmd/*/*.go (err %v)", err)
+	}
+	perSection := map[string]int{}
 	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
 		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cmd := filepath.Base(filepath.Dir(path))
-		text := section(cmd)
+		dir := filepath.Base(filepath.Dir(path))
+		sets := map[string]string{} // FlagSet variable → the name it was made with
 		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
-				return true
-			}
-			arg := 0 // flag.String("name", …); flag.Var(&v, "name", …) and flag.XxxVar
-			if strings.HasSuffix(sel.Sel.Name, "Var") {
-				arg = 1
-			}
-			if len(call.Args) <= arg {
-				return true
-			}
-			lit, ok := call.Args[arg].(*ast.BasicLit)
-			if !ok || lit.Kind != token.STRING {
-				return true
-			}
-			name, _ := strconv.Unquote(lit.Value)
-			total++
-			if !regexp.MustCompile("`-" + regexp.QuoteMeta(name) + "[`\\s=]").MatchString(text) {
-				t.Errorf("%s declares -%s, which its section of docs/OPERATIONS.md does not name", path, name)
+			switch n := n.(type) {
+			case *ast.AssignStmt: // fs := flag.NewFlagSet("fuseme gen", …)
+				if len(n.Lhs) != 1 || len(n.Rhs) != 1 {
+					return true
+				}
+				id, _ := n.Lhs[0].(*ast.Ident)
+				made, _ := n.Rhs[0].(*ast.CallExpr)
+				if id == nil || made == nil {
+					return true
+				}
+				if sel, ok := made.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "NewFlagSet" {
+					name, ok := stringArg(made, 0)
+					if !ok {
+						t.Errorf("%s: a FlagSet's name is not a string literal, so its flags have no section", path)
+					}
+					sets[id.Name] = name
+					perSection[name] += 0 // a set none of whose flags is seen fails below
+				}
+			case *ast.CallExpr: // flag.Int("block", …), fs.Int("block", …)
+				sel, ok := n.Fun.(*ast.SelectorExpr)
+				if !ok || !declares[sel.Sel.Name] {
+					return true
+				}
+				recv, _ := sel.X.(*ast.Ident)
+				if recv == nil {
+					return true
+				}
+				cmd, isSet := sets[recv.Name]
+				if !isSet && recv.Name != "flag" {
+					return true
+				}
+				if !isSet {
+					cmd = dir
+				}
+				arg := 0
+				if strings.HasSuffix(sel.Sel.Name, "Var") {
+					arg = 1
+				}
+				name, ok := stringArg(n, arg)
+				if !ok {
+					return true
+				}
+				perSection[cmd]++
+				if !regexp.MustCompile("`-" + regexp.QuoteMeta(name) + "[`\\s=]").MatchString(section(cmd)) {
+					t.Errorf("%s declares -%s, which the `%s` section of docs/OPERATIONS.md does not name", path, name, cmd)
+				}
 			}
 			return true
 		})
 	}
+	total := 0
+	for cmd, n := range perSection {
+		if n == 0 {
+			t.Errorf("found no flag of the FlagSet %q — parsing broken", cmd)
+		}
+		total += n
+	}
+	t.Logf("checked %d flags: %v", total, perSection)
 	if total == 0 {
 		t.Fatal("found no flag declarations under cmd/ — parsing broken")
 	}

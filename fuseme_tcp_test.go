@@ -1,16 +1,12 @@
 package fuseme
 
 import (
-	"io"
 	"math"
-	"net"
 	"os"
-	"runtime"
-	"strings"
-	"sync"
 	"testing"
 	"time"
 
+	"fuseme/internal/chaos/chaostest"
 	"fuseme/internal/cluster"
 	"fuseme/internal/membership"
 	"fuseme/internal/rt/remote"
@@ -191,13 +187,13 @@ V2 = V * (X %*% t(U)) / (V %*% (U %*% t(U)))`)
 	}
 	// Closing the session hangs up every parked stream and the control
 	// connections, so the workers' handlers return on their own.
-	waitNoGoroutine(t, "remote.(*Worker).serveStream")
-	waitNoGoroutine(t, "remote.(*Worker).controlLoop")
+	chaostest.WaitNoGoroutine(t, "remote.(*Worker).serveStream")
+	chaostest.WaitNoGoroutine(t, "remote.(*Worker).controlLoop")
 	for _, w := range workers {
 		w.Close()
 		w.Wait()
 	}
-	waitNoGoroutine(t, "fuseme/internal/rt/remote.")
+	chaostest.WaitNoGoroutine(t, "fuseme/internal/rt/remote.")
 }
 
 // wideRuntime is a coordinator that reports a wider cluster than it
@@ -266,113 +262,21 @@ func TestTCPStealAndDeathLeaveNoGoroutines(t *testing.T) {
 	if err := sess.Close(); err != nil {
 		t.Fatal(err)
 	}
-	waitNoGoroutine(t, "remote.(*Worker).serveStream")
-	waitNoGoroutine(t, "remote.(*Worker).controlLoop")
+	chaostest.WaitNoGoroutine(t, "remote.(*Worker).serveStream")
+	chaostest.WaitNoGoroutine(t, "remote.(*Worker).controlLoop")
 	for _, w := range workers {
 		w.Close()
 		w.Wait()
 	}
-	waitNoGoroutine(t, "fuseme/internal/rt/remote.")
-}
-
-// waitNoGoroutine polls until no goroutine's stack mentions frame, up to a
-// deadline: goroutines that are unwinding after a hang-up need a moment.
-func waitNoGoroutine(t *testing.T, frame string) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	buf := make([]byte, 1<<20)
-	for {
-		var leaked []string
-		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
-			if strings.Contains(g, frame) {
-				leaked = append(leaked, g)
-			}
-		}
-		if len(leaked) == 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutine(s) still in %s:\n\n%s", len(leaked), frame, strings.Join(leaked, "\n\n"))
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// blipProxy forwards TCP connections to a worker and can sever every
-// established one at once while it keeps accepting new ones: a network blip,
-// which the coordinator sees as suspect, then (its probe dials through) active.
-type blipProxy struct {
-	ln     net.Listener
-	wg     sync.WaitGroup
-	mu     sync.Mutex
-	conns  []net.Conn
-	closed bool
-}
-
-func newBlipProxy(t *testing.T, target string) *blipProxy {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := &blipProxy{ln: ln}
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			up, err := net.Dial("tcp", target)
-			if err != nil {
-				c.Close()
-				continue
-			}
-			p.mu.Lock()
-			if p.closed {
-				p.mu.Unlock()
-				c.Close()
-				up.Close()
-				return
-			}
-			p.conns = append(p.conns, c, up)
-			p.mu.Unlock()
-			p.wg.Add(2)
-			go func() { defer p.wg.Done(); io.Copy(up, c); up.Close() }()
-			go func() { defer p.wg.Done(); io.Copy(c, up); c.Close() }()
-		}
-	}()
-	t.Cleanup(func() {
-		p.mu.Lock()
-		p.closed = true
-		p.mu.Unlock()
-		ln.Close()
-		p.sever()
-		p.wg.Wait()
-	})
-	return p
-}
-
-func (p *blipProxy) Addr() string { return p.ln.Addr().String() }
-
-// sever closes every proxied connection.
-func (p *blipProxy) sever() {
-	p.mu.Lock()
-	conns := p.conns
-	p.conns = nil
-	p.mu.Unlock()
-	for _, c := range conns {
-		c.Close()
-	}
+	chaostest.WaitNoGoroutine(t, "fuseme/internal/rt/remote.")
 }
 
 // blip severs the connections to worker id through p and waits until the
 // coordinator has routed the worker through suspect and back to active.
-func blip(t *testing.T, co *remote.Coordinator, p *blipProxy, id int) {
+func blip(t *testing.T, co *remote.Coordinator, p *chaostest.Proxy, id int) {
 	t.Helper()
 	e0 := co.ClusterEpoch()
-	p.sever()
+	p.DropAll()
 	waitMembership(t, co, func() bool { return co.ClusterEpoch() >= e0+2 && co.Members()[id].State == membership.Active })
 }
 
@@ -420,7 +324,7 @@ func tcpSessionVia(t *testing.T, addrs []string, script string) (*Session, *remo
 func TestTCPPlanCacheHitsAfterBlip(t *testing.T) {
 	const script = "O = X * log(U %*% t(V) + 1e-3)"
 	addrs := startWorkers(t, 2)
-	proxy := newBlipProxy(t, addrs[1])
+	proxy := chaostest.NewProxy(t, addrs[1])
 	sess, co := tcpSessionVia(t, []string{addrs[0], proxy.Addr()}, script)
 	before, err := sess.Explain(script)
 	if err != nil {
@@ -458,7 +362,7 @@ func TestTCPMembershipChurnLeavesNoGoroutines(t *testing.T) {
 		defer w.Close()
 		workers[i] = w
 	}
-	proxy := newBlipProxy(t, workers[1].Addr())
+	proxy := chaostest.NewProxy(t, workers[1].Addr())
 	sess, co := tcpSessionVia(t, []string{workers[0].Addr(), proxy.Addr()}, script)
 	joinAddr, err := sess.ServeJoin("127.0.0.1:0")
 	if err != nil {
@@ -494,11 +398,11 @@ func TestTCPMembershipChurnLeavesNoGoroutines(t *testing.T) {
 	if err := sess.Close(); err != nil {
 		t.Fatal(err)
 	}
-	waitNoGoroutine(t, "remote.(*Worker).serveStream")
-	waitNoGoroutine(t, "remote.(*Worker).controlLoop")
+	chaostest.WaitNoGoroutine(t, "remote.(*Worker).serveStream")
+	chaostest.WaitNoGoroutine(t, "remote.(*Worker).controlLoop")
 	for _, w := range workers {
 		w.Close()
 		w.Wait()
 	}
-	waitNoGoroutine(t, "fuseme/internal/rt/remote.")
+	chaostest.WaitNoGoroutine(t, "fuseme/internal/rt/remote.")
 }

@@ -1,12 +1,10 @@
 package remote_test
 
 import (
-	"io"
-	"net"
-	"sync"
 	"testing"
 	"time"
 
+	"fuseme/internal/chaos/chaostest"
 	"fuseme/internal/core"
 	"fuseme/internal/lang"
 	"fuseme/internal/membership"
@@ -137,84 +135,6 @@ func TestElasticJoinAndLeave(t *testing.T) {
 	}
 }
 
-// flakyProxy forwards TCP connections to a target and can sever every
-// established connection at once while continuing to accept new ones — a
-// network blip, as seen from the coordinator.
-type flakyProxy struct {
-	ln       net.Listener
-	target   string
-	mu       sync.Mutex
-	conns    []net.Conn
-	accepted int
-	closed   bool
-}
-
-func newFlakyProxy(t *testing.T, target string) *flakyProxy {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := &flakyProxy{ln: ln, target: target}
-	go p.accept()
-	t.Cleanup(p.Close)
-	return p
-}
-
-func (p *flakyProxy) Addr() string { return p.ln.Addr().String() }
-
-func (p *flakyProxy) accept() {
-	for {
-		c, err := p.ln.Accept()
-		if err != nil {
-			return
-		}
-		up, err := net.Dial("tcp", p.target)
-		if err != nil {
-			c.Close()
-			continue
-		}
-		p.mu.Lock()
-		if p.closed {
-			p.mu.Unlock()
-			c.Close()
-			up.Close()
-			return
-		}
-		p.conns = append(p.conns, c, up)
-		p.accepted++
-		p.mu.Unlock()
-		go func() { io.Copy(up, c); up.Close() }()
-		go func() { io.Copy(c, up); c.Close() }()
-	}
-}
-
-// Accepted returns how many connections the proxy has forwarded so far.
-func (p *flakyProxy) Accepted() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.accepted
-}
-
-// DropAll severs every live proxied connection.
-func (p *flakyProxy) DropAll() {
-	p.mu.Lock()
-	conns := p.conns
-	p.conns = nil
-	p.mu.Unlock()
-	for _, c := range conns {
-		c.Close()
-	}
-}
-
-func (p *flakyProxy) Close() {
-	p.mu.Lock()
-	p.closed = true
-	p.mu.Unlock()
-	p.ln.Close()
-	p.DropAll()
-}
-
 // TestSuspectProbeRecovery breaks a worker's connections without killing the
 // worker: the heartbeat must route it through suspect, and the probe's fresh
 // dial must return it to active rather than evicting it.
@@ -229,7 +149,7 @@ func TestSuspectProbeRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { w2.Close() })
-	proxy := newFlakyProxy(t, w2.Addr())
+	proxy := chaostest.NewProxy(t, w2.Addr())
 
 	co, err := remote.NewCoordinatorConfig(testConfig(), []string{w1.Addr(), proxy.Addr()}, fastConfig())
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"fuseme/internal/block"
+	"fuseme/internal/chaos/chaostest"
 	"fuseme/internal/cluster"
 	"fuseme/internal/core"
 	"fuseme/internal/dag"
@@ -169,7 +170,7 @@ V2 = V * (X %*% t(U)) / (V %*% (U %*% t(U)))`, map[string]lang.InputDecl{
 			w.Close()
 			w.Wait()
 			for _, frame := range []string{"remote.(*Coordinator)", "remote.(*Worker)", "remote.(*stream)", "remote.(*fetchQueue)"} {
-				waitNoGoroutine(t, frame)
+				chaostest.WaitNoGoroutine(t, frame)
 			}
 		})
 	}

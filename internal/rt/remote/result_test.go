@@ -3,13 +3,12 @@ package remote
 import (
 	"errors"
 	"net"
-	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"fuseme/internal/block"
+	"fuseme/internal/chaos/chaostest"
 	"fuseme/internal/cluster"
 	"fuseme/internal/core"
 	"fuseme/internal/exec"
@@ -141,30 +140,7 @@ func TestMalformedResultsFailTheAttempt(t *testing.T) {
 				t.Errorf("query over a worker sending malformed results: err = %v, want ErrMalformedResult", err)
 			}
 			co.Close()
-			waitNoGoroutine(t, "remote.(*Coordinator)")
+			chaostest.WaitNoGoroutine(t, "remote.(*Coordinator)")
 		})
-	}
-}
-
-// waitNoGoroutine polls until no goroutine's stack mentions frame, up to a
-// deadline: goroutines that are unwinding after a hang-up need a moment.
-func waitNoGoroutine(t *testing.T, frame string) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	buf := make([]byte, 1<<20)
-	for {
-		var leaked []string
-		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
-			if strings.Contains(g, frame) {
-				leaked = append(leaked, g)
-			}
-		}
-		if len(leaked) == 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutine(s) still in %s:\n\n%s", len(leaked), frame, strings.Join(leaked, "\n\n"))
-		}
-		time.Sleep(time.Millisecond)
 	}
 }

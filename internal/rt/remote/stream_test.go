@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"fuseme/internal/chaos/chaostest"
 	"fuseme/internal/cluster"
 	"fuseme/internal/core"
 	"fuseme/internal/lang"
@@ -28,7 +29,7 @@ func TestStaleIdleStreamRedials(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { w2.Close() })
-	proxy := newFlakyProxy(t, w2.Addr())
+	proxy := chaostest.NewProxy(t, w2.Addr())
 
 	rcfg := remote.Config{HeartbeatInterval: time.Hour, HeartbeatTimeout: 2 * time.Hour, DialTimeout: 2 * time.Second}
 	co, err := remote.NewCoordinatorConfig(testConfig(), []string{w1.Addr(), proxy.Addr()}, rcfg)
