@@ -63,6 +63,22 @@ func Generate(g *dag.Graph, cc cluster.Config) (*Result, error) {
 	return res, nil
 }
 
+// SplitInputTransposes gives each consumer of a shared transpose of a query
+// input, such as GNMF's twice-written t(V), a t(A) node of its own
+// (dag.Graph.Unshare). The transpose then no longer terminates fusion: it
+// joins each consuming operator as a member, which reads A's blocks where
+// they lie, instead of running as a Map stage of its own as the paper's
+// Figure 10(b) v0 does. A shared transpose of a computed intermediate stays
+// one node, since each copy would recompute it. FuseME's Compile calls this
+// before Generate; the baselines plan the graph as written.
+func SplitInputTransposes(g *dag.Graph) *dag.Graph {
+	return g.Unshare(isInputTranspose)
+}
+
+func isInputTranspose(n *dag.Node) bool {
+	return n.Op == dag.OpTranspose && n.Inputs[0].Op == dag.OpInput
+}
+
 // ExplorationPhase is Algorithm 2: starting from each matrix multiplication,
 // grow a candidate plan through adjacent non-termination operators; a
 // termination operator may join only as the plan's top. Aggregations always

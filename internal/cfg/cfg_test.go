@@ -236,3 +236,83 @@ func TestSecondaryMatMulsSortedByDistance(t *testing.T) {
 		}
 	}
 }
+
+// TestSplitInputTransposesGNMF: each of GNMF's four transpose reads gets a
+// t(V) or t(U) of its own, which CFG then fuses into the consuming CFO, so
+// no plan is left without a multiplication (Figure 10(b)'s v0 is gone).
+func TestSplitInputTransposesGNMF(t *testing.T) {
+	g := gnmfGraph(t, 2000, 1500, 32, 0.01)
+	sg := SplitInputTransposes(g)
+	if sg == g {
+		t.Fatal("GNMF's shared t(V) and t(U) came back shared")
+	}
+	transposes := 0
+	for _, n := range sg.Nodes() {
+		if n.Op == dag.OpTranspose {
+			transposes++
+			if n.NumConsumers() != 1 || n.Inputs[0].Op != dag.OpInput {
+				t.Fatalf("t(%s)#%d has %d consumers", n.Inputs[0].Label(), n.ID, n.NumConsumers())
+			}
+		}
+	}
+	if transposes != 4 {
+		t.Fatalf("%d transposes, want one per read: 4", transposes)
+	}
+	res, err := Generate(sg, paperModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Set.Plans) != 4 {
+		t.Fatalf("%d plans, want 4 CFOs", len(res.Set.Plans))
+	}
+	for _, p := range res.Set.Plans {
+		if p.MainMM == nil {
+			t.Fatalf("plan %v has no multiplication: a transpose still runs on its own", p)
+		}
+	}
+}
+
+// TestSplitInputTransposesLeavesOtherGraphs: a single-use input transpose,
+// one that is also a named output, and a shared transpose of a computed
+// intermediate leave the graph as it is — the same pointer, and for the
+// single-use case (every NMF-kernel, AutoEncoder and serving compile) no
+// allocation.
+func TestSplitInputTransposesLeavesOtherGraphs(t *testing.T) {
+	decls := map[string]lang.InputDecl{
+		"X": {Rows: 60, Cols: 40, Sparsity: 0.1},
+		"W": {Rows: 60, Cols: 40, Sparsity: 1},
+		"U": {Rows: 60, Cols: 8, Sparsity: 1},
+		"V": {Rows: 40, Cols: 8, Sparsity: 1},
+	}
+	// A script's consumed variable is no output, so the named-output case
+	// is built directly: T = t(V) is an output and read by two products.
+	named := dag.NewGraph()
+	v := named.Input("V", 40, 8, 1)
+	tv := named.Transpose(v)
+	named.SetOutput("T", tv)
+	named.SetOutput("A", named.MatMul(tv, named.Input("X2", 40, 60, 0.1)))
+	named.SetOutput("B", named.MatMul(tv, v))
+	for _, c := range []struct {
+		name string
+		g    *dag.Graph
+	}{
+		{"single-use", mustParse(t, "O = X * log(U %*% t(V) + 1e-3)", decls)},
+		{"named output", named},
+		{"computed intermediate", mustParse(t, "A = t(U %*% t(V)) %*% X\nB = t(U %*% t(V)) %*% W", decls)},
+	} {
+		if sg := SplitInputTransposes(c.g); sg != c.g {
+			t.Errorf("%s: the graph was rewritten", c.name)
+		}
+	}
+	shared := false
+	for _, n := range mustParse(t, "A = t(U %*% t(V)) %*% X\nB = t(U %*% t(V)) %*% W", decls).Nodes() {
+		shared = shared || n.Op == dag.OpTranspose && n.NumConsumers() > 1 && n.Inputs[0].Op == dag.OpMatMul
+	}
+	if !shared {
+		t.Fatal("the computed-intermediate script has no shared t(U %*% t(V))")
+	}
+	g := nmfGraph(t, 4000, 3000, 32, 0.01)
+	if allocs := testing.AllocsPerRun(100, func() { SplitInputTransposes(g) }); allocs != 0 {
+		t.Fatalf("%v allocations on a graph without a shared input transpose", allocs)
+	}
+}

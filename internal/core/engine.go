@@ -69,7 +69,7 @@ func (pp *PhysPlan) PredictedSeconds(cfg cluster.Config) float64 {
 // PhysPlan is a compiled query: fused operators in execution (topological)
 // order.
 type PhysPlan struct {
-	Graph *dag.Graph
+	Graph *dag.Graph // the graph the operators run: the caller's, or FuseME's copy of it
 	Ops   []*PhysOp
 }
 

@@ -45,7 +45,10 @@ func (f FuseME) Name() string {
 }
 
 // Compile implements Engine.
+// It plans a copy of g in which each consumer of a shared input transpose
+// has its own (cfg.SplitInputTransposes); the plan's Graph is that copy.
 func (f FuseME) Compile(g *dag.Graph, cc cluster.Config) (*PhysPlan, error) {
+	g = cfg.SplitInputTransposes(g)
 	res, err := cfg.Generate(g, cc)
 	if err != nil {
 		return nil, err

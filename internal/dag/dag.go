@@ -432,6 +432,77 @@ func (g *Graph) SetOutput(name string, n *Node) {
 	g.outputs[name] = n
 }
 
+// Unshare returns a graph in which every consumer of a node that split
+// selects reads a node of its own. A copy repeats the node over the same
+// inputs and is not hash-consed, so each copy has one consumer and no
+// longer terminates fusion. A node with one consumer, or one that is a named
+// output, stays one node. Nodes are renumbered in creation order with each
+// copy just before its consumer, so IDs still increase along data flow.
+//
+// g itself is never changed. When split selects no node with more than one
+// consumer, Unshare returns g and allocates nothing.
+func (g *Graph) Unshare(split func(*Node) bool) *Graph {
+	shared := func(n *Node) bool {
+		if n.NumConsumers() < 2 || !split(n) {
+			return false
+		}
+		for _, out := range g.outputs {
+			if out == n {
+				return false
+			}
+		}
+		return true
+	}
+	found := false
+	for _, n := range g.nodes {
+		found = found || shared(n)
+	}
+	if !found {
+		return g
+	}
+	ng := NewGraph()
+	next := make(map[*Node]*Node, len(g.nodes))
+	emit := func(n *Node, inputs []*Node, intern bool) *Node {
+		c := *n
+		c.ID, c.Inputs, c.consumers = ng.nextID, inputs, nil
+		ng.nextID++
+		ng.nodes = append(ng.nodes, &c)
+		for _, in := range inputs {
+			in.consumers = append(in.consumers, &c)
+		}
+		if intern {
+			ng.interned[internKey(&c)] = &c
+		}
+		return &c
+	}
+	// read resolves one input edge: a shared node is copied for the edge.
+	var read func(in *Node) *Node
+	read = func(in *Node) *Node {
+		if !shared(in) {
+			return next[in]
+		}
+		inputs := make([]*Node, len(in.Inputs))
+		for i, x := range in.Inputs {
+			inputs[i] = read(x)
+		}
+		return emit(in, inputs, false)
+	}
+	for _, n := range g.nodes {
+		if shared(n) {
+			continue // every consumer reads a copy
+		}
+		inputs := make([]*Node, len(n.Inputs))
+		for i, in := range n.Inputs {
+			inputs[i] = read(in)
+		}
+		next[n] = emit(n, inputs, true)
+	}
+	for name, out := range g.outputs {
+		ng.outputs[name] = next[out]
+	}
+	return ng
+}
+
 // Inputs returns all OpInput nodes in creation order.
 func (g *Graph) InputNodes() []*Node {
 	var ins []*Node

@@ -312,3 +312,67 @@ func TestPeepholeSimplifications(t *testing.T) {
 		t.Error("t(scalar) not simplified")
 	}
 }
+
+// TestUnshareCopiesPerConsumer: every consumer of a selected shared node
+// reads a copy of its own, the caller's graph keeps its nodes and links,
+// and the copy is a valid graph whose IDs still increase along data flow.
+func TestUnshareCopiesPerConsumer(t *testing.T) {
+	g := NewGraph()
+	x := g.Input("X", 6, 4, 0.5)
+	v := g.Input("V", 6, 3, 1)
+	tv := g.Transpose(v)
+	a := g.MatMul(tv, x)
+	b := g.MatMul(tv, v)
+	g.SetOutput("A", a)
+	g.SetOutput("B", b)
+	before := len(g.Nodes())
+
+	ng := g.Unshare(func(n *Node) bool { return n.Op == OpTranspose })
+	if ng == g {
+		t.Fatal("a shared transpose came back shared")
+	}
+	if len(g.Nodes()) != before || tv.NumConsumers() != 2 || a.Inputs[0] != tv || b.Inputs[0] != tv {
+		t.Fatal("Unshare changed the caller's graph")
+	}
+	if err := ng.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(ng.Nodes()); got != before+1 {
+		t.Fatalf("%d nodes, want %d: one t(V) per consumer", got, before+1)
+	}
+	na, nb := ng.Outputs()["A"], ng.Outputs()["B"]
+	if na.Inputs[0] == nb.Inputs[0] {
+		t.Fatal("the two products read one t(V)")
+	}
+	for _, c := range []*Node{na.Inputs[0], nb.Inputs[0]} {
+		if c.Op != OpTranspose || c.Inputs[0].Name != "V" || c.NumConsumers() != 1 || c.Rows != 3 || c.Cols != 6 {
+			t.Fatalf("copy %s#%d: %dx%d over %s with %d consumers", c.Label(), c.ID, c.Rows, c.Cols, c.Inputs[0].Label(), c.NumConsumers())
+		}
+	}
+	for i, n := range ng.Nodes() {
+		if n.ID != i {
+			t.Fatalf("node %d has ID %d", i, n.ID)
+		}
+	}
+	if nv := nb.Inputs[1]; nv.Name != "V" || nv.NumConsumers() != 3 {
+		t.Fatalf("V is read by %d operators in the copy, want 3", nv.NumConsumers())
+	}
+}
+
+// TestUnshareKeepsOutputsAndUnselected: a selected node that is a named
+// output, and a shared node split does not select, stay one node; then the
+// graph comes back as it is.
+func TestUnshareKeepsOutputsAndUnselected(t *testing.T) {
+	g := NewGraph()
+	v := g.Input("V", 6, 3, 1)
+	tv := g.Transpose(v)
+	g.SetOutput("T", tv)
+	g.SetOutput("A", g.MatMul(tv, v))
+	g.SetOutput("B", g.Binary(matrix.Mul, tv, tv))
+	if ng := g.Unshare(func(n *Node) bool { return n.Op == OpTranspose }); ng != g {
+		t.Fatal("a transpose that is a named output was split")
+	}
+	if ng := g.Unshare(func(n *Node) bool { return n.Op == OpMatMul }); ng != g {
+		t.Fatal("a shared node split does not select was split")
+	}
+}

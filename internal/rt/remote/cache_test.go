@@ -254,8 +254,13 @@ func TestRebindLeavesNoStaleEpoch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// The cache keys X by its node in the graph FuseME plans.
+			pp, err := core.FuseME{}.Compile(workloads.GNMF(x.Rows, x.Cols, u.Rows, x.Density()), rtm.Config())
+			if err != nil {
+				t.Fatal(err)
+			}
 			var xNode int
-			for _, in := range workloads.GNMF(x.Rows, x.Cols, u.Rows, x.Density()).InputNodes() {
+			for _, in := range pp.Graph.InputNodes() {
 				if in.Name == "X" {
 					xNode = in.ID
 				}
@@ -319,5 +324,38 @@ func TestRemoteCacheWorkerDeath(t *testing.T) {
 	last := res.PerIter[iters-1]
 	if last.CacheHits == 0 {
 		t.Error("no cache hits after the survivors repopulated")
+	}
+}
+
+// TestGNMFTransposeMembersSimEqualsTCP: under FuseME's plan, whose CFOs read
+// GNMF's t(V) and t(U) as members instead of a Map stage's output, three
+// iterations over TCP workers give the in-process run's factors bit for bit.
+func TestGNMFTransposeMembersSimEqualsTCP(t *testing.T) {
+	const iters = 3
+	bs := testConfig().BlockSize
+	x, u, v := gnmfInputs(bs)
+	sim, err := workloads.RunGNMF(core.FuseME{}, cluster.MustNew(testConfig()), x, u.Clone(), v.Clone(), iters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	co, _ := startCluster(t, 2)
+	rem, err := workloads.RunGNMF(core.FuseME{}, co, x, u, v, iters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []struct {
+		name     string
+		sim, rem *block.Matrix
+	}{{"U", sim.U, rem.U}, {"V", sim.V, rem.V}} {
+		for i := 0; i < m.sim.Rows; i++ {
+			for j := 0; j < m.sim.Cols; j++ {
+				if s, r := m.sim.At(i, j), m.rem.At(i, j); math.Float64bits(s) != math.Float64bits(r) {
+					t.Fatalf("%s(%d,%d): tcp %v, sim %v", m.name, i, j, r, s)
+				}
+			}
+		}
+	}
+	if s, r := sim.Total.Stages, rem.Total.Stages; s != r || s != iters*8 {
+		t.Errorf("stages: sim %d, tcp %d, want %d: four CFOs of two phases each per iteration", s, r, iters*8)
 	}
 }
