@@ -124,3 +124,52 @@ func TestWithBlockCacheRejectsNegative(t *testing.T) {
 		t.Error("negative cache budget accepted")
 	}
 }
+
+// TestTCPSessionBlockCacheMatchesSim: a WithBlockCache session over workers
+// started without any cache setting — the budget travels with every stage —
+// hits, misses and saves exactly what the same session on the simulated
+// backend does, query by query, and its results equal an uncached TCP
+// session's bit for bit.
+func TestTCPSessionBlockCacheMatchesSim(t *testing.T) {
+	tcp := LocalClusterConfig()
+	tcp.BlockSize = 16
+	tcp.Runtime = "tcp"
+	tcp.Workers = startWorkers(t, 2)
+	run := func(cfg ClusterConfig, opts ...Option) (outs [][]float64, stats []Stats) {
+		t.Helper()
+		sess, err := NewSession(cfg, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		bindTestInputs(sess)
+		for range 3 {
+			out, err := sess.Query(cacheScript)
+			if err != nil {
+				t.Fatal(err)
+			}
+			outs, stats = append(outs, out["O"].Dense()), append(stats, sess.LastStats())
+		}
+		return outs, stats
+	}
+	sim := tcp
+	sim.Runtime, sim.Workers = "", nil
+	_, simStats := run(sim, WithBlockCache(1<<30))
+	cachedOuts, tcpStats := run(tcp, WithBlockCache(1<<30))
+	plainOuts, _ := run(tcp)
+	for q := range simStats {
+		s, r := simStats[q], tcpStats[q]
+		if s.CacheHits != r.CacheHits || s.CacheMisses != r.CacheMisses || s.CacheSavedBytes != r.CacheSavedBytes {
+			t.Errorf("query %d: sim hits/misses/saved %d/%d/%d, tcp %d/%d/%d",
+				q, s.CacheHits, s.CacheMisses, s.CacheSavedBytes, r.CacheHits, r.CacheMisses, r.CacheSavedBytes)
+		}
+		if q > 0 && r.CacheHits == 0 {
+			t.Errorf("query %d over unchanged bindings hit nothing over TCP", q)
+		}
+		for i, want := range plainOuts[q] {
+			if got := cachedOuts[q][i]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("query %d: cached O[%d] = %g over TCP, uncached %g", q, i, got, want)
+			}
+		}
+	}
+}

@@ -3,7 +3,9 @@
 // the -runtime=tcp flag of cmd/fuseme and the examples) connects to the
 // worker's address, ships stage task descriptors, serves the worker's input
 // block fetches, and collects result blocks. Workers are stateless between
-// tasks and can serve successive coordinators; kill them with SIGINT.
+// tasks and can serve successive coordinators; kill them with SIGINT. A
+// worker has no settings of its own: its kernel threads follow its
+// GOMAXPROCS, and its block cache the budget each stage ships.
 //
 // Run a two-worker cluster on one machine:
 //
@@ -18,7 +20,6 @@ import (
 	"math/rand"
 	"os"
 	"os/signal"
-	"strconv"
 	"syscall"
 	"time"
 
@@ -29,51 +30,16 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7070", "address to listen on (host:port; port 0 for ephemeral)")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus /metrics and JSON /debug/stats on this address")
-	cacheBytes := flag.Int64("cache-bytes", -1, "block-cache budget in bytes for loop-invariant inputs (0 disables; default FUSEME_CACHE_BYTES or 0)")
-	kernelThreads := flag.Int("kernel-threads", -1, "pin the intra-task kernel thread count on this worker (0 = auto-size against local cores; default FUSEME_KERNEL_THREADS or follow the coordinator)")
 	exitOnDisconnect := flag.Bool("exit-on-disconnect", false, "exit cleanly when the last coordinator disconnects instead of lingering for successive coordinators (for clusters whose lifecycle is tied to one fuseme-serve instance)")
 	joinAddr := flag.String("join", "", "coordinator join-listener address to register with; the worker re-registers with jittered exponential backoff whenever the coordinator is lost")
 	drain := flag.Bool("drain", false, "on SIGTERM/SIGINT announce departure to the coordinator (-join), finish in-flight tasks (up to -drain-timeout), then exit")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long -drain waits for in-flight tasks to finish")
 	flag.Parse()
 
-	budget := *cacheBytes
-	if budget < 0 {
-		budget = 0
-		if env := os.Getenv("FUSEME_CACHE_BYTES"); env != "" {
-			n, err := strconv.ParseInt(env, 10, 64)
-			if err != nil || n < 0 {
-				fmt.Fprintf(os.Stderr, "fuseme-worker: FUSEME_CACHE_BYTES=%q: want a non-negative byte count\n", env)
-				os.Exit(1)
-			}
-			budget = n
-		}
-	}
-
-	threads := *kernelThreads
-	if threads < 0 {
-		if env := os.Getenv("FUSEME_KERNEL_THREADS"); env != "" {
-			n, err := strconv.Atoi(env)
-			if err != nil || n < 0 {
-				fmt.Fprintf(os.Stderr, "fuseme-worker: FUSEME_KERNEL_THREADS=%q: want a non-negative integer\n", env)
-				os.Exit(1)
-			}
-			threads = n
-		}
-	}
-
 	w, err := remote.NewWorker(*addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fuseme-worker:", err)
 		os.Exit(1)
-	}
-	if budget > 0 {
-		w.SetCacheBytes(budget)
-		fmt.Println("fuseme-worker block cache:", budget, "bytes")
-	}
-	if threads >= 0 {
-		w.SetKernelThreads(threads)
-		fmt.Println("fuseme-worker kernel threads pinned to", threads)
 	}
 	fmt.Println("fuseme-worker listening on", w.Addr())
 

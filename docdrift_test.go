@@ -288,9 +288,11 @@ func nonTestGoFiles(t *testing.T) []string {
 // both directions for environment variables — every "FUSEME_*" string literal
 // in non-test Go source outside bench/ is a row of the variable table, and
 // every row is read somewhere — and checks that every command under cmd/ is
-// named there.
+// named there. A worker has no setting of its own: cmd/fuseme-worker reads
+// no environment variable at all.
 func TestDocDriftVariablesAndCommands(t *testing.T) {
 	literal := regexp.MustCompile(`"(FUSEME_[A-Z_]+)"`)
+	envRead := regexp.MustCompile(`\bos\.(Getenv|LookupEnv|Environ)\(`)
 	read := map[string]bool{}
 	for _, path := range nonTestGoFiles(t) {
 		src, err := os.ReadFile(path)
@@ -299,6 +301,14 @@ func TestDocDriftVariablesAndCommands(t *testing.T) {
 		}
 		for _, m := range literal.FindAllSubmatch(src, -1) {
 			read[string(m[1])] = true
+		}
+		if filepath.Dir(path) == filepath.Join("cmd", "fuseme-worker") {
+			if m := literal.Find(src); m != nil {
+				t.Errorf("%s names %s: fuseme-worker reads no FUSEME_* variable", path, m)
+			}
+			if m := envRead.Find(src); m != nil {
+				t.Errorf("%s calls %s: fuseme-worker reads no environment variable", path, m)
+			}
 		}
 	}
 	doc, err := os.ReadFile("docs/OPERATIONS.md")
@@ -312,8 +322,8 @@ func TestDocDriftVariablesAndCommands(t *testing.T) {
 	if len(read) == 0 || len(rows) == 0 {
 		t.Fatalf("found %d variables in source and %d table rows — extraction broken", len(read), len(rows))
 	}
-	if len(read) != 5 {
-		t.Errorf("the source reads %d FUSEME_* variables, want 5: a new variable needs a reason in ROADMAP", len(read))
+	if len(read) != 4 {
+		t.Errorf("the source reads %d FUSEME_* variables, want 4: a new variable needs a reason in ROADMAP", len(read))
 	}
 	for name := range read {
 		if !rows[name] {
@@ -496,6 +506,9 @@ func TestDocDriftFlags(t *testing.T) {
 	if total == 0 {
 		t.Fatal("found no flag declarations under cmd/ — parsing broken")
 	}
+	if total != 60 {
+		t.Errorf("the commands declare %d flags, want 60: a new flag needs a reason in ROADMAP", total)
+	}
 }
 
 // declName names a function declaration as Recv.Name for a method, Name
@@ -631,12 +644,12 @@ func TestOneStageConstructor(t *testing.T) {
 }
 
 // TestEq2PricedOnce holds the cost model to one pricing function. Non-test Go
-// outside bench/ divides by a bandwidth — NetBandwidth, CompBandwidth or
-// EffectiveCompBandwidth() — only in cluster.Config.Eq2, and multiplies
+// outside bench/ divides by a bandwidth — NetBandwidth or CompBandwidth —
+// only in cluster.Config.Eq2, and multiplies
 // TaskOverhead only in cluster.Config.WaveOverhead and in fig15's per-step
 // TensorFlow model, tfEpoch.
 func TestEq2PricedOnce(t *testing.T) {
-	bandwidths := map[string]bool{"NetBandwidth": true, "CompBandwidth": true, "EffectiveCompBandwidth": true}
+	bandwidths := map[string]bool{"NetBandwidth": true, "CompBandwidth": true}
 	allowed := map[string]map[string]bool{
 		"divides":    {"internal/cluster/cluster.go:Config.Eq2": true},
 		"multiplies": {"internal/cluster/cluster.go:Config.WaveOverhead": true, "internal/experiments/fig15.go:tfEpoch": true},

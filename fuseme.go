@@ -54,15 +54,6 @@ type ClusterConfig struct {
 	BlockSize     int     // block width/height (paper: 1000)
 	SimTimeLimit  float64 // simulated-seconds limit before ErrTimeout; 0 = none
 
-	// KernelThreads is the intra-task kernel thread count: how many goroutines
-	// one task's matmul and element-wise kernels may fan out across. Zero (the
-	// default) auto-sizes against the machine's cores without touching the
-	// cost model; an explicit count also scales the modelled compute bandwidth
-	// B̂c (and the worker pools under the TCP runtime). Keep
-	// KernelThreads x TasksPerNode at or below the node's core count.
-	// FUSEME_KERNEL_THREADS overrides this field.
-	KernelThreads int
-
 	// Runtime selects the execution backend: "sim" (default) runs stages
 	// in-process on the simulated cluster; "tcp" distributes them over
 	// fuseme-worker processes.
@@ -101,7 +92,6 @@ func fromInternal(c cluster.Config) ClusterConfig {
 		CompBandwidth: c.CompBandwidth,
 		BlockSize:     c.BlockSize,
 		SimTimeLimit:  c.SimTimeLimit,
-		KernelThreads: c.KernelThreads,
 	}
 }
 
@@ -118,7 +108,6 @@ func (c ClusterConfig) internal() cluster.Config {
 		CompBandwidth:  c.CompBandwidth,
 		BlockSize:      c.BlockSize,
 		SimTimeLimit:   c.SimTimeLimit,
-		KernelThreads:  c.KernelThreads,
 		TaskOverhead:   0.005,
 		MaxTaskRetries: defaultMaxTaskRetries,
 	}
@@ -153,6 +142,14 @@ const (
 	EngineMatFast    Engine = "matfast"    // folded element-wise operators
 	EngineTensorFlow Engine = "tensorflow" // XLA-style element-wise fusion
 )
+
+// Validate reports an error unless e names an available engine (the empty
+// Engine is FuseME), so a caller can reject a configuration before it
+// creates a session.
+func (e Engine) Validate() error {
+	_, err := e.internal()
+	return err
+}
 
 func (e Engine) internal() (core.Engine, error) {
 	switch e {
@@ -380,7 +377,7 @@ func NewSession(cfg ClusterConfig, opts ...Option) (*Session, error) {
 			return nil, err
 		}
 	}
-	if err := s.resolveSettings(); err != nil {
+	if err := s.resolveCacheBytes(); err != nil {
 		return nil, err
 	}
 	if err := s.resolveJournal(); err != nil {

@@ -59,14 +59,14 @@ type Event struct {
 type Config struct {
 	// Workers is the initial worker-process count.
 	Workers int
-	// Cluster is the cluster shape (Nodes is overridden by Workers).
+	// Cluster is the cluster shape (Nodes is overridden by Workers). A
+	// positive CacheBytes enables the loop-invariant block cache on the
+	// reference run and, through the stages the coordinator ships, on every
+	// worker, including ones added mid-run.
 	Cluster cluster.Config
 	// Transport tunes the coordinator; tests use a tight heartbeat so
 	// liveness transitions resolve quickly.
 	Transport remote.Config
-	// CacheBytes, when positive, enables the loop-invariant block cache on
-	// every worker (including ones added mid-run) and on the reference run.
-	CacheBytes int64
 	// Events is the fault schedule.
 	Events []Event
 	// Tolerance is the maximum relative element difference accepted between
@@ -171,7 +171,6 @@ func Run(cfg Config, wl Workload) (*Report, error) {
 func referenceRun(cfg Config, wl Workload) (map[string]*block.Matrix, error) {
 	simCfg := cfg.Cluster
 	simCfg.Nodes = cfg.Workers
-	simCfg.CacheBytes = cfg.CacheBytes
 	cl, err := cluster.New(simCfg)
 	if err != nil {
 		return nil, err
@@ -207,9 +206,7 @@ func newHarness(cfg Config) (*harness, error) {
 		}
 		addrs[i] = w.Addr()
 	}
-	ccfg := cfg.Cluster
-	ccfg.CacheBytes = cfg.CacheBytes
-	co, err := remote.NewCoordinatorConfig(ccfg, addrs, cfg.Transport)
+	co, err := remote.NewCoordinatorConfig(cfg.Cluster, addrs, cfg.Transport)
 	if err != nil {
 		h.close()
 		return nil, err
@@ -228,9 +225,6 @@ func (h *harness) spawnWorker() (*remote.Worker, error) {
 	w, err := remote.NewWorker("127.0.0.1:0")
 	if err != nil {
 		return nil, err
-	}
-	if h.cfg.CacheBytes > 0 {
-		w.SetCacheBytes(h.cfg.CacheBytes)
 	}
 	h.workers = append(h.workers, w)
 	return w, nil

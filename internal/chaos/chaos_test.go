@@ -34,11 +34,12 @@ func fastTransport() remote.Config {
 // partial-aggregate merges by at most a ULP), and its last iteration must
 // still read X from the caches it has rebuilt.
 func TestChaosGNMFSoak(t *testing.T) {
+	cached := testCluster()
+	cached.CacheBytes = 64 << 20
 	cfg := Config{
-		Workers:    4,
-		Cluster:    testCluster(),
-		Transport:  fastTransport(),
-		CacheBytes: 64 << 20,
+		Workers:   4,
+		Cluster:   cached,
+		Transport: fastTransport(),
 		Events: []Event{
 			{Before: 1, Kind: Kill, Worker: 1},
 			{Before: 2, Kind: Add},

@@ -49,19 +49,10 @@ type Config struct {
 
 	// CacheBytes is the per-node block-cache budget for loop-invariant
 	// inputs. Zero disables caching (the default), reproducing the uncached
-	// runtime exactly. The effective budget is clamped to TaskMemBytes so
-	// the cache respects the paper's per-task memory budget θt.
+	// runtime exactly. The effective budget, CacheBudget, is clamped to
+	// TaskMemBytes so the cache respects the paper's per-task memory budget
+	// θt.
 	CacheBytes int64
-
-	// KernelThreads is the intra-task kernel thread count. Zero (the
-	// default) auto-sizes the local goroutine pool to
-	// min(NumCPU/slots, parallel.DefaultMaxThreads) without touching the
-	// simulated cost model, so default simulated numbers stay
-	// machine-independent. An explicit positive value both sizes the pool
-	// and scales the modelled B̂c (see EffectiveCompBandwidth). Keep
-	// KernelThreads x TasksPerNode at or below the node's core count:
-	// oversubscribed kernel threads only add scheduler churn.
-	KernelThreads int
 
 	// MaxTaskRetries is how many times a failed task is re-attempted before
 	// the stage fails (Spark's task retry). Zero means no retries.
@@ -106,8 +97,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster: bandwidths must be positive")
 	case c.BlockSize <= 0:
 		return fmt.Errorf("cluster: BlockSize = %d, must be positive", c.BlockSize)
-	case c.KernelThreads < 0:
-		return fmt.Errorf("cluster: KernelThreads = %d, must be >= 0", c.KernelThreads)
 	}
 	return nil
 }
@@ -115,21 +104,18 @@ func (c Config) Validate() error {
 // TotalSlots returns N * Tc, the maximum parallelism of the cluster.
 func (c Config) TotalSlots() int { return c.Nodes * c.TasksPerNode }
 
-// EffectiveCompBandwidth returns the modelled per-node compute bandwidth:
-// B̂c scaled by the explicit kernel thread count. With KernelThreads zero
-// (auto) it equals CompBandwidth exactly, keeping every default simulated
-// number machine-independent — auto-sized local pools speed up wall-clock
-// execution but never alter the model.
-func (c Config) EffectiveCompBandwidth() float64 {
-	if c.KernelThreads > 1 {
-		return c.CompBandwidth * float64(c.KernelThreads)
-	}
-	return c.CompBandwidth
+// CacheBudget is the block-cache budget a node runs with: CacheBytes clamped
+// to the per-task memory budget θt, and zero when caching is off. The
+// simulated cluster sizes its caches with it, and the TCP coordinator ships
+// it to the workers in every stage.
+func (c Config) CacheBudget() int64 {
+	return max(min(c.CacheBytes, c.TaskMemBytes), 0)
 }
 
 // Eq2 prices the two terms of the paper's Eq. 2 on this cluster: netBytes of
-// cluster-wide traffic over N × B̂n and flops over N × B̂c, with B̂c scaled by
-// explicit kernel threads (EffectiveCompBandwidth). Computation and
+// cluster-wide traffic over N × B̂n and flops over N × B̂c, both per-node
+// constants as configured (kernel threads are part of what a node achieves,
+// not a factor on B̂c). Computation and
 // communication overlap, so a stage takes the larger of the two. This is the
 // one place the model prices a term: the optimizer's objective, the simulated
 // clock, -explain and the calibration report all call it. A non-positive
@@ -139,8 +125,8 @@ func (c Config) Eq2(netBytes, flops float64) (netSec, compSec float64) {
 	if c.NetBandwidth > 0 {
 		netSec = netBytes / (n * c.NetBandwidth)
 	}
-	if bc := c.EffectiveCompBandwidth(); bc > 0 {
-		compSec = flops / (n * bc)
+	if c.CompBandwidth > 0 {
+		compSec = flops / (n * c.CompBandwidth)
 	}
 	return netSec, compSec
 }
@@ -406,13 +392,9 @@ func New(cfg Config) (*Cluster, error) {
 	if n := runtime.GOMAXPROCS(0); n < localSlots {
 		localSlots = n
 	}
-	c.pool = parallel.New(parallel.Resolve(cfg.KernelThreads, localSlots), localSlots)
+	c.pool = parallel.New(parallel.Resolve(localSlots), localSlots)
 	c.sched = sched.New(localSlots)
-	if cfg.CacheBytes > 0 {
-		budget := cfg.CacheBytes
-		if budget > cfg.TaskMemBytes {
-			budget = cfg.TaskMemBytes
-		}
+	if budget := cfg.CacheBudget(); budget > 0 {
 		c.caches = make([]*blockcache.Cache, cfg.Nodes)
 		for i := range c.caches {
 			c.caches[i] = blockcache.New(budget)

@@ -38,15 +38,10 @@ func TestEq2NetBound(t *testing.T) {
 	checkEq2(t, []eq2Case{{"net-bound", eq2Base, 8e8, 4e10, 2, 1}})
 }
 
-// TestEq2CompBound prices a compute-dominated stage and scales B̂c by the
-// kernel threads: one thread is the auto default, two double it.
+// TestEq2CompBound prices a compute-dominated stage:
+// 6e10 / (4 × 1e10) = 1.5 s against 2e7 / (4 × 1e8) = 0.05 s.
 func TestEq2CompBound(t *testing.T) {
-	withThreads := func(k int) Config { c := eq2Base; c.KernelThreads = k; return c }
-	checkEq2(t, []eq2Case{
-		{"compute-bound", eq2Base, 2e7, 6e10, 0.05, 1.5},
-		{"compute-bound/1-thread", withThreads(1), 2e7, 6e10, 0.05, 1.5},
-		{"compute-bound/2-threads", withThreads(2), 2e7, 6e10, 0.05, 0.75},
-	})
+	checkEq2(t, []eq2Case{{"compute-bound", eq2Base, 2e7, 6e10, 0.05, 1.5}})
 }
 
 // TestEq2ZeroBandwidths requires a cluster without bandwidths, and a stage

@@ -25,8 +25,7 @@ func localConfig() cluster.Config {
 // TestGoldenPricedOutputs pins every number the Eq. 2 model prices — the
 // -explain text (DescribeCosts), PredictedSeconds and the core.Simulate dry
 // run — for the GNMF, AutoEncoder and NMF-kernel graphs under the local and
-// the paper cluster, each with kernel threads auto and 2, to
-// testdata/costs.golden. Floats print in full so a moved bit shows.
+// the paper cluster to testdata/costs.golden. Floats print in full so a moved bit shows.
 func TestGoldenPricedOutputs(t *testing.T) {
 	local := func() map[string]*dag.Graph {
 		return map[string]*dag.Graph{
@@ -52,29 +51,26 @@ func TestGoldenPricedOutputs(t *testing.T) {
 	}
 	var b strings.Builder
 	for _, cl := range clusters {
-		for _, threads := range []int{0, 2} {
-			cfg := cl.cfg
-			cfg.KernelThreads = threads
-			for _, name := range []string{"gnmf", "autoencoder", "nmf-kernel"} {
-				for _, e := range []core.Engine{core.FuseME{}, core.SystemDSSim{}} {
-					// A fresh graph per compile: engines annotate the nodes.
-					g := cl.graphs()[name]
-					fmt.Fprintf(&b, "# %s kernel-threads=%d %s (%s)\n", cl.name, threads, name, e.Name())
-					pp, err := e.Compile(g, cfg)
-					if err != nil {
-						fmt.Fprintf(&b, "compile: %v\n", err)
-						continue
-					}
-					b.WriteString(pp.DescribeCosts(cfg))
-					fmt.Fprintf(&b, "predicted seconds: %v\n", pp.PredictedSeconds(cfg))
-					// The simulated clock to 12 digits: the golden was written
-					// when Simulate summed its dependency levels in map order,
-					// which moved the last bit between runs.
-					s, err := core.Simulate(pp, cfg)
-					sim := s.SimSeconds
-					s.SimSeconds = 0
-					fmt.Fprintf(&b, "simulate: %.12g s %+v err=%v\n", sim, s, err)
+		cfg := cl.cfg
+		for _, name := range []string{"gnmf", "autoencoder", "nmf-kernel"} {
+			for _, e := range []core.Engine{core.FuseME{}, core.SystemDSSim{}} {
+				// A fresh graph per compile: engines annotate the nodes.
+				g := cl.graphs()[name]
+				fmt.Fprintf(&b, "# %s %s (%s)\n", cl.name, name, e.Name())
+				pp, err := e.Compile(g, cfg)
+				if err != nil {
+					fmt.Fprintf(&b, "compile: %v\n", err)
+					continue
 				}
+				b.WriteString(pp.DescribeCosts(cfg))
+				fmt.Fprintf(&b, "predicted seconds: %v\n", pp.PredictedSeconds(cfg))
+				// The simulated clock to 12 digits: the golden was written
+				// when Simulate summed its dependency levels in map order,
+				// which moved the last bit between runs.
+				s, err := core.Simulate(pp, cfg)
+				sim := s.SimSeconds
+				s.SimSeconds = 0
+				fmt.Fprintf(&b, "simulate: %.12g s %+v err=%v\n", sim, s, err)
 			}
 		}
 	}

@@ -122,7 +122,7 @@ func (pp *PhysPlan) Describe() string {
 func (pp *PhysPlan) DescribeCosts(cfg cluster.Config) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "predicted costs (N=%d, B̂n=%.3g B/s, B̂c=%.3g flop/s, θt=%s):\n",
-		cfg.Nodes, cfg.NetBandwidth, cfg.EffectiveCompBandwidth(), cluster.FormatBytes(cfg.TaskMemBytes))
+		cfg.Nodes, cfg.NetBandwidth, cfg.CompBandwidth, cluster.FormatBytes(cfg.TaskMemBytes))
 	for i, op := range pp.Ops {
 		pqr := "-"
 		if op.Strategy == exec.Cuboid && op.Plan.MainMM != nil {

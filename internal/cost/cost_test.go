@@ -135,11 +135,6 @@ func TestModelCostIsMax(t *testing.T) {
 	if got := Cost(cc, e, 2, 2, 1); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("Cost = %v, want %v", got, want)
 	}
-	// Explicit kernel threads scale B̂c, so the compute term halves.
-	cc.KernelThreads = 2
-	if got := Cost(cc, e, 2, 2, 1); math.Abs(got-math.Max(net, com/2)) > 1e-12 {
-		t.Fatalf("Cost at 2 kernel threads = %v, want %v", got, math.Max(net, com/2))
-	}
 }
 
 func TestMemOK(t *testing.T) {

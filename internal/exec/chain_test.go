@@ -17,6 +17,7 @@ import (
 	"fuseme/internal/fusion"
 	"fuseme/internal/lang"
 	"fuseme/internal/matrix"
+	"fuseme/internal/parallel/paralleltest"
 	"fuseme/internal/ref"
 )
 
@@ -403,9 +404,10 @@ func TestFusedTaskThreadInvariance(t *testing.T) {
 		plan, bind := fusedOp(t, flats, bs, build)
 		var serial *block.Matrix
 		for _, threads := range []int{1, 2, 4} {
+			paralleltest.ForceThreads(t, threads, 1)
 			cl := cluster.MustNew(cluster.Config{
 				Nodes: 1, TasksPerNode: 1, TaskMemBytes: 1 << 40, NetBandwidth: 1e9, CompBandwidth: 1e12,
-				BlockSize: bs, KernelThreads: threads,
+				BlockSize: bs,
 			})
 			out, err := (&FusedOp{Plan: plan, P: 2, Q: 1, R: 1}).Execute(cl, bind)
 			if err != nil {
@@ -862,9 +864,10 @@ func TestMaskedPassesMatchClosures(t *testing.T) {
 			{1, 1, 1, 1}, {2, 2, 1, 1}, {1, 1, 1, 2}, {1, 1, 1, 4},
 			{2, 2, 3, 1}, {1, 1, 3, 2}, {1, 1, 3, 4},
 		} {
+			paralleltest.ForceThreads(t, run.threads, 4)
 			cl := cluster.MustNew(cluster.Config{
 				Nodes: 2, TasksPerNode: 2, TaskMemBytes: 1 << 40, NetBandwidth: 1e9, CompBandwidth: 1e12,
-				BlockSize: bs, KernelThreads: run.threads,
+				BlockSize: bs,
 			})
 			out, err := (&FusedOp{Plan: plan, P: run.p, Q: run.q, R: run.r}).Execute(cl, bind)
 			if err != nil {

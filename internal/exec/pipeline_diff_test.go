@@ -29,7 +29,8 @@ func pipelineTestConfig(nodes int) cluster.Config {
 }
 
 // openBackend constructs one runtime: "sim" in-process, "tcp" over n
-// in-process workers (each with the config's cache budget, when set).
+// in-process workers (which cache with the config's budget, when set: every
+// stage ships it).
 func openBackend(t *testing.T, backend string, cfg cluster.Config) rt.Runtime {
 	t.Helper()
 	switch backend {
@@ -43,9 +44,6 @@ func openBackend(t *testing.T, backend string, cfg cluster.Config) rt.Runtime {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { w.Close() })
-			if cfg.CacheBytes > 0 {
-				w.SetCacheBytes(cfg.CacheBytes)
-			}
 			addrs[i] = w.Addr()
 		}
 		co, err := remote.NewCoordinatorConfig(cfg, addrs, remote.Config{})

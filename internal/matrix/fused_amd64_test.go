@@ -11,6 +11,7 @@ import (
 	"fuseme/internal/exec"
 	"fuseme/internal/fusion"
 	"fuseme/internal/matrix"
+	"fuseme/internal/parallel/paralleltest"
 )
 
 // TestFusedTaskPortableKernels is the forced-level arm of the executor's
@@ -75,10 +76,11 @@ func TestFusedTaskPortableKernels(t *testing.T) {
 			for _, n := range g.InputNodes() {
 				bind[n.ID] = block.FromMat(flats[n.Name], bs)
 			}
-			run := func(threads int) *block.Matrix {
+			run := func(t *testing.T, threads int) *block.Matrix {
+				paralleltest.ForceThreads(t, threads, 1)
 				cl := cluster.MustNew(cluster.Config{
 					Nodes: 1, TasksPerNode: 1, TaskMemBytes: 1 << 40, NetBandwidth: 1e9, CompBandwidth: 1e12,
-					BlockSize: bs, KernelThreads: threads,
+					BlockSize: bs,
 				})
 				out, err := (&exec.FusedOp{Plan: plan, P: 2, Q: 1, R: 1}).Execute(cl, bind)
 				if err != nil {
@@ -86,7 +88,7 @@ func TestFusedTaskPortableKernels(t *testing.T) {
 				}
 				return out
 			}
-			want := run(1)
+			want := run(t, 1)
 			arms := []struct {
 				name  string
 				level int
@@ -98,7 +100,7 @@ func TestFusedTaskPortableKernels(t *testing.T) {
 					}
 					matrix.ForceLevel(t, arm.level)
 					for _, threads := range []int{1, 2, 4} {
-						got := run(threads)
+						got := run(t, threads)
 						want.ForEach(func(key block.Key, w matrix.Mat) {
 							if !matrix.BitEqual(w, got.Block(key.Row, key.Col)) {
 								t.Errorf("block (%d,%d): %s kernels at %d threads differ from the machine's own", key.Row, key.Col, arm.name, threads)

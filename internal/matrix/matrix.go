@@ -14,7 +14,7 @@
 // MaskedMatMul, Transpose) are the same code on a nil pool. Task-level
 // parallelism still lives in the cluster layer; the pool only adds intra-task
 // threads, and its size is chosen so kernel threads x worker slots stays at
-// or below NumCPU (see internal/parallel).
+// or below GOMAXPROCS (see internal/parallel).
 //
 // One arithmetic per kernel. The three product loops have an assembly form on
 // amd64 (matmul_amd64.s) and a portable Go twin that computes the same bits,

@@ -185,7 +185,7 @@ func backSolve(total, seconds float64, nodes int) float64 {
 // bandwidths and a ready-to-paste configuration suggestion.
 func (r *Report) String() string {
 	var b strings.Builder
-	compBW := r.Cluster.EffectiveCompBandwidth()
+	compBW := r.Cluster.CompBandwidth
 	fmt.Fprintf(&b, "cost-model calibration: N=%d, configured B̂n=%s, B̂c=%s\n",
 		r.Cluster.Nodes, fmtRate(r.Cluster.NetBandwidth, "B/s"), fmtRate(compBW, "flop/s"))
 	if len(r.Rows) == 0 {
@@ -221,11 +221,8 @@ func (r *Report) String() string {
 			fmt.Fprintf(&b, " B̂c ≈ %s (x%.2f of configured)", fmtRate(r.EffCompBW, "flop/s"), ratio(r.EffCompBW, compBW))
 		}
 		b.WriteString("\n")
-		// ClusterConfig.CompBandwidth is per kernel thread: a session scales
-		// it by KernelThreads again, so the line divides the effective B̂c.
-		threads := float64(max(r.Cluster.KernelThreads, 1))
 		fmt.Fprintf(&b, "feed back with: ClusterConfig{NetBandwidth: %.3g, CompBandwidth: %.3g}\n",
-			nonZero(r.EffNetBW, r.Cluster.NetBandwidth), nonZero(r.EffCompBW/threads, r.Cluster.CompBandwidth))
+			nonZero(r.EffNetBW, r.Cluster.NetBandwidth), nonZero(r.EffCompBW, compBW))
 	}
 	if tl := r.TaskLatency; tl != nil && tl.Count > 0 {
 		fmt.Fprintf(&b, "task latency: n=%d p50=%.3gs p95=%.3gs p99=%.3gs max=%.3gs\n",

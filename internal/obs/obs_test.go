@@ -248,13 +248,11 @@ func TestCalibrationReport(t *testing.T) {
 	}
 }
 
-// TestCalibrationFeedBackIsPerThread: ClusterConfig.CompBandwidth is per
-// kernel thread, so under KernelThreads = 2 the paste-ready line halves the
-// effective B̂c the report judged against — the back-solved one, or the
-// configured one when no row was compute-bound — while the header shows the
-// effective value.
-func TestCalibrationFeedBackIsPerThread(t *testing.T) {
-	cc := cluster.Config{Nodes: 4, NetBandwidth: 125e6, CompBandwidth: 546e9, KernelThreads: 2}
+// TestCalibrationFeedBackIsJudgedBandwidth: the paste-ready line carries the
+// B̂c the report judged against — the back-solved one, or the configured one
+// when no row was compute-bound — and the header the configured value.
+func TestCalibrationFeedBackIsJudgedBandwidth(t *testing.T) {
+	cc := cluster.Config{Nodes: 4, NetBandwidth: 125e6, CompBandwidth: 546e9}
 	netBound := FlightRecord{Stage: "s1", Op: "CFO mul#1", PredNetBytes: 8e9, PredComFlops: 4e9,
 		MeasConsolidationBytes: 4e9, MeasFlops: 4e9, MeasWallSeconds: 10}
 	compBound := FlightRecord{Stage: "s2", Op: "CFO mul#2", PredNetBytes: 1e6, PredComFlops: 8e12,
@@ -264,7 +262,7 @@ func TestCalibrationFeedBackIsPerThread(t *testing.T) {
 		recs []FlightRecord
 		want string
 	}{
-		{"back-solved", []FlightRecord{netBound, compBound}, "CompBandwidth: 2e+11}"},
+		{"back-solved", []FlightRecord{netBound, compBound}, "CompBandwidth: 4e+11}"},
 		{"configured", []FlightRecord{netBound}, "CompBandwidth: 5.46e+11}"},
 	} {
 		cal := NewCalibration()
@@ -272,8 +270,8 @@ func TestCalibrationFeedBackIsPerThread(t *testing.T) {
 			cal.Measure(r)
 		}
 		out := cal.Report(cc).String()
-		if !strings.Contains(out, "B̂c=1.09 Tflop/s") || !strings.Contains(out, c.want) {
-			t.Errorf("%s: want the effective B̂c=1.09 Tflop/s in the header and %q in:\n%s", c.name, c.want, out)
+		if !strings.Contains(out, "B̂c=546 Gflop/s") || !strings.Contains(out, c.want) {
+			t.Errorf("%s: want the configured B̂c=546 Gflop/s in the header and %q in:\n%s", c.name, c.want, out)
 		}
 	}
 }

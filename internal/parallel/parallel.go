@@ -13,8 +13,8 @@
 //
 // so a worker running `slots` concurrent tasks with `threads` kernel threads
 // each never exceeds slots*threads kernel goroutines. Configure threads so
-// that product stays at or below NumCPU; oversubscribing cores only adds
-// scheduler churn.
+// that product stays at or below GOMAXPROCS (Resolve does); oversubscribing
+// cores only adds scheduler churn.
 //
 // Helper acquisition never blocks: when the budget is exhausted (all other
 // tasks are fanning out too) the caller simply runs its loop inline. Results
@@ -34,24 +34,12 @@ import (
 // slots are the primary parallelism axis.
 const DefaultMaxThreads = 4
 
-// Resolve returns the kernel thread count for a worker running slots
-// concurrent tasks: explicit when positive, otherwise the auto default
-// min(DefaultMaxThreads, NumCPU/slots) with a floor of one.
-func Resolve(explicit, slots int) int {
-	if explicit > 0 {
-		return explicit
-	}
-	if slots < 1 {
-		slots = 1
-	}
-	t := runtime.NumCPU() / slots
-	if t > DefaultMaxThreads {
-		t = DefaultMaxThreads
-	}
-	if t < 1 {
-		t = 1
-	}
-	return t
+// Resolve returns the kernel thread count for a process running slots
+// concurrent tasks: GOMAXPROCS/slots, at least one and at most
+// DefaultMaxThreads. Kernel threads are a property of the process that runs
+// the kernels — the simulated cluster or a worker — not of the session.
+func Resolve(slots int) int {
+	return min(max(runtime.GOMAXPROCS(0)/max(slots, 1), 1), DefaultMaxThreads)
 }
 
 // Pool is a bounded helper-goroutine pool. The zero value is unusable; a nil

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"fuseme/internal/parallel/paralleltest"
 )
 
 // TestForCoversRange checks every index is visited exactly once, for a
@@ -168,16 +170,16 @@ func TestPanicPropagates(t *testing.T) {
 	})
 }
 
-// TestResolve checks explicit and auto thread resolution.
+// TestResolve checks the auto rule against GOMAXPROCS: GOMAXPROCS/slots,
+// at least one and at most DefaultMaxThreads.
 func TestResolve(t *testing.T) {
-	if got := Resolve(3, 99); got != 3 {
-		t.Fatalf("explicit Resolve = %d, want 3", got)
-	}
-	if got := Resolve(0, 1<<20); got != 1 {
-		t.Fatalf("huge-slots Resolve = %d, want 1", got)
-	}
-	if got := Resolve(0, 0); got < 1 || got > DefaultMaxThreads {
-		t.Fatalf("auto Resolve = %d outside [1,%d]", got, DefaultMaxThreads)
+	paralleltest.ForceThreads(t, 2, 4) // GOMAXPROCS 8
+	for _, c := range []struct{ slots, want int }{
+		{0, DefaultMaxThreads}, {1, DefaultMaxThreads}, {2, 4}, {3, 2}, {4, 2}, {8, 1}, {1 << 20, 1},
+	} {
+		if got := Resolve(c.slots); got != c.want {
+			t.Errorf("Resolve(%d) at GOMAXPROCS 8 = %d, want %d", c.slots, got, c.want)
+		}
 	}
 }
 

@@ -36,8 +36,8 @@ func backends() map[string]func(t *testing.T) rt.Runtime {
 	return backendsWith(conformanceConfig())
 }
 
-// backendsWith returns the runtime constructors over cluster shape cfg, the
-// TCP backend's workers each with cfg.CacheBytes of block cache.
+// backendsWith returns the runtime constructors over cluster shape cfg; the
+// TCP backend's workers cache with cfg.CacheBytes, which every stage ships.
 func backendsWith(cfg cluster.Config) map[string]func(t *testing.T) rt.Runtime {
 	return map[string]func(t *testing.T) rt.Runtime{
 		"sim": func(t *testing.T) rt.Runtime {
@@ -51,7 +51,6 @@ func backendsWith(cfg cluster.Config) map[string]func(t *testing.T) rt.Runtime {
 					t.Fatal(err)
 				}
 				t.Cleanup(func() { w.Close() })
-				w.SetCacheBytes(cfg.CacheBytes)
 				addrs[i] = w.Addr()
 			}
 			co, err := remote.NewCoordinatorConfig(cfg, addrs, remote.Config{})

@@ -7,6 +7,8 @@
 // The cluster is pinned to one slot so task scheduling — whose partial-
 // aggregation arrival order is the one pre-existing source of run-to-run
 // float reordering — is deterministic, isolating the property under test.
+// Kernel threads follow GOMAXPROCS in the simulated cluster and on the
+// worker alike, so the tests force a count by setting it.
 package rt_test
 
 import (
@@ -16,26 +18,27 @@ import (
 	"fuseme/internal/block"
 	"fuseme/internal/cluster"
 	"fuseme/internal/core"
+	"fuseme/internal/parallel/paralleltest"
 	"fuseme/internal/rt"
 	"fuseme/internal/rt/remote"
 	"fuseme/internal/workloads"
 )
 
 // kernelThreadsConfig is deterministic by construction: one node, one slot.
-func kernelThreadsConfig(threads int) cluster.Config {
+func kernelThreadsConfig() cluster.Config {
 	return cluster.Config{
 		Nodes: 1, TasksPerNode: 1, TaskMemBytes: 1 << 30,
 		NetBandwidth: 1e9, CompBandwidth: 50e9, BlockSize: 16,
-		MaxTaskRetries: 2, KernelThreads: threads,
+		MaxTaskRetries: 2,
 	}
 }
 
-// kernelBackends opens the sim and TCP backends with the given intra-task
-// thread count. The TCP worker receives the count through taskAssign, the
-// same path production coordinators use.
-func kernelBackends(t *testing.T, threads int) map[string]rt.Runtime {
+// kernelBackends opens the sim and TCP backends. Both size their kernel
+// pools from GOMAXPROCS: the simulated cluster now, the in-process worker at
+// each task, as a worker process does.
+func kernelBackends(t *testing.T) map[string]rt.Runtime {
 	t.Helper()
-	cfg := kernelThreadsConfig(threads)
+	cfg := kernelThreadsConfig()
 	w, err := remote.NewWorker("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -101,11 +104,16 @@ func requireBitIdentical(t *testing.T, label string, ref, got map[string]*block.
 // 3-thread kernel pool on both backends and requires all four executions to
 // agree bit for bit.
 func TestKernelThreadsBitIdentical(t *testing.T) {
-	serial := kernelBackends(t, 0)
-	threaded := kernelBackends(t, 3)
-
+	paralleltest.ForceThreads(t, 1, 1)
+	serial := kernelBackends(t)
 	ref := runKernelPlan(t, serial["sim"])
-	requireBitIdentical(t, "sim threads=3 vs sim serial", ref, runKernelPlan(t, threaded["sim"]))
 	requireBitIdentical(t, "tcp serial vs sim serial", ref, runKernelPlan(t, serial["tcp"]))
+
+	paralleltest.ForceThreads(t, 3, 1)
+	threaded := kernelBackends(t)
+	requireBitIdentical(t, "sim threads=3 vs sim serial", ref, runKernelPlan(t, threaded["sim"]))
 	requireBitIdentical(t, "tcp threads=3 vs sim serial", ref, runKernelPlan(t, threaded["tcp"]))
+	if threads := threaded["sim"].(*cluster.Cluster).KernelPool().Threads(); threads != 3 {
+		t.Errorf("simulated cluster resolved %d kernel threads at GOMAXPROCS 3, want 3", threads)
+	}
 }

@@ -11,11 +11,11 @@ import (
 	"fuseme/internal/rt/remote"
 )
 
-// oneStreamRuntime starts one worker (with a block cache of cacheBytes, 0 for
-// none) and a coordinator with one dispatch lane over it, so every task runs
-// on the same task stream, one after the other. Plans compile for six lanes,
-// so a stage has several tasks, each fetching its own blocks into the
-// storage the task before it fetched into.
+// oneStreamRuntime starts one worker and a coordinator with one dispatch lane
+// over it, whose stages ship a block-cache budget of cacheBytes (0 for
+// none), so every task runs on the same task stream, one after the other.
+// Plans compile for six lanes, so a stage has several tasks, each fetching
+// its own blocks into the storage the task before it fetched into.
 func oneStreamRuntime(t *testing.T, cacheBytes int64) (wideRuntime, *remote.Worker) {
 	t.Helper()
 	w, err := remote.NewWorker("127.0.0.1:0")
@@ -23,7 +23,6 @@ func oneStreamRuntime(t *testing.T, cacheBytes int64) (wideRuntime, *remote.Work
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { w.Close() })
-	w.SetCacheBytes(cacheBytes)
 	cfg := testConfig()
 	cfg.TasksPerNode, cfg.CacheBytes = 1, cacheBytes
 	co, err := remote.NewCoordinator(cfg, []string{w.Addr()})

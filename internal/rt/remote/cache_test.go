@@ -16,9 +16,9 @@ import (
 
 const testCacheBudget = 64 << 20
 
-// startCachedCluster is startCluster with the block cache enabled on both
-// sides: each worker gets a budget, and the coordinator's configuration
-// carries the same budget so planners attach stage epochs.
+// startCachedCluster is startCluster with the block cache enabled: the
+// coordinator's configuration carries the budget, so planners attach stage
+// epochs and every stage ships it to the workers, which start without one.
 func startCachedCluster(t *testing.T, n int) (*remote.Coordinator, []*remote.Worker) {
 	t.Helper()
 	workers := make([]*remote.Worker, n)
@@ -29,7 +29,6 @@ func startCachedCluster(t *testing.T, n int) (*remote.Coordinator, []*remote.Wor
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { w.Close() })
-		w.SetCacheBytes(testCacheBudget)
 		workers[i] = w
 		addrs[i] = w.Addr()
 	}
@@ -229,6 +228,7 @@ func TestRebindLeavesNoStaleEpoch(t *testing.T) {
 		t.Run(backend, func(t *testing.T) {
 			var rtm rt.Runtime
 			var caches []*blockcache.Cache
+			var workers []*remote.Worker
 			if backend == "sim" {
 				cfg := testConfig()
 				cfg.CacheBytes = testCacheBudget
@@ -243,16 +243,17 @@ func TestRebindLeavesNoStaleEpoch(t *testing.T) {
 				}
 				rtm = cl
 			} else {
-				co, workers := startCachedCluster(t, 2)
-				for _, w := range workers {
-					caches = append(caches, w.BlockCache())
-				}
-				rtm = co
+				rtm, workers = startCachedCluster(t, 2)
 			}
 			x, u, v := gnmfInputs(bs)
 			res, err := workloads.RunGNMF(core.FuseME{}, rtm, x, u, v, 2)
 			if err != nil {
 				t.Fatal(err)
+			}
+			// A worker builds its cache from the first stage that ships a
+			// budget, and keeps it while the budget stays the same.
+			for _, w := range workers {
+				caches = append(caches, w.BlockCache())
 			}
 			// The cache keys X by its node in the graph FuseME plans.
 			pp, err := core.FuseME{}.Compile(workloads.GNMF(x.Rows, x.Cols, u.Rows, x.Density()), rtm.Config())

@@ -81,13 +81,13 @@ type Coordinator struct {
 	joinLn net.Listener
 	joinWG sync.WaitGroup
 
-	// Intra-task parallelism settings shipped verbatim in every stageAssign.
-	// kernelThreads is the cluster config's explicit count (0 = each worker
-	// auto-sizes against its own core count — worker machines need not match
-	// the coordinator's); taskSlots is TasksPerNode, which bounds the pool's
-	// shared helper budget on the worker.
-	kernelThreads int
-	taskSlots     int
+	// Settings shipped verbatim in every stageAssign: the session's block-cache
+	// budget (cluster.Config.CacheBudget, zero without a cache) and
+	// TasksPerNode, which bounds the kernel pool's shared helper budget on
+	// the worker. Each worker sizes its kernel threads against its own
+	// GOMAXPROCS — worker machines need not match the coordinator's.
+	cacheBytes int64
+	taskSlots  int
 
 	obs atomic.Pointer[obs.Obs] // session observability; nil disables
 }
@@ -265,12 +265,12 @@ func NewCoordinatorConfig(cfg cluster.Config, addrs []string, rcfg Config) (*Coo
 		return nil, err
 	}
 	c := &Coordinator{
-		local:         local,
-		rcfg:          rcfg,
-		mem:           membership.NewTable(),
-		hbStop:        make(chan struct{}),
-		kernelThreads: cfg.KernelThreads,
-		taskSlots:     cfg.TasksPerNode,
+		local:      local,
+		rcfg:       rcfg,
+		mem:        membership.NewTable(),
+		hbStop:     make(chan struct{}),
+		cacheBytes: cfg.CacheBudget(),
+		taskSlots:  cfg.TasksPerNode,
 	}
 	local.SetScheduler(sched.New(len(addrs) * cfg.TasksPerNode))
 	c.mem.OnChange(c.onMembershipChange)
@@ -791,10 +791,10 @@ func (c *Coordinator) serveTask(s *stream, st *rt.Stage, taskID int, gen uint64,
 	res = &taskResult{}
 	if s.gen != gen {
 		if err := s.writeGob(msgStage, stageAssign{
-			Stage:         *st.Spec,
-			Gen:           gen,
-			KernelThreads: c.kernelThreads,
-			TaskSlots:     c.taskSlots,
+			Stage:      *st.Spec,
+			Gen:        gen,
+			CacheBytes: c.cacheBytes,
+			TaskSlots:  c.taskSlots,
 		}); err != nil {
 			return res, false, transportError{err}
 		}

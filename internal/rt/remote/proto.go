@@ -13,7 +13,7 @@
 // lanes that exist — each carrying one task at a time, any number in
 // sequence.
 //
-// Frame table, protocol v10 (C = coordinator, W = worker; "gob" = encoded by
+// Frame table, protocol v11 (C = coordinator, W = worker; "gob" = encoded by
 // the connection's gob stream, "raw" = fixed binary layout):
 //
 //	control connection (C dials; per-message gob, low rate, no block; any
@@ -117,8 +117,11 @@ import (
 // stale epochs itself, as the stage descriptor names them, and no control
 // frame carries a block any more. Version 10 removes the membership push on
 // the control connection: msgMemberUpdate is only the join listener's reply,
-// and a worker ends a control connection on any frame but msgPing.
-const protoVersion = 10
+// and a worker ends a control connection on any frame but msgPing. Version 11
+// ships the session's block-cache budget in stageAssign in place of a kernel
+// thread count: a worker sizes its kernel pool from its own GOMAXPROCS and
+// gives a task its block cache only when the task's stage carries a budget.
+const protoVersion = 11
 
 // Frame types.
 const (
@@ -189,15 +192,15 @@ type helloAck struct {
 // per (stream, generation); every msgTask until the next msgStage names a
 // task of it by id, and the worker rebuilds the plan once for all of them.
 //
-// KernelThreads/TaskSlots carry the coordinator's intra-task parallelism
-// settings: the kernel-thread count resolved from the cluster config (0 means
-// "worker decides") and the per-worker slot count the pool's helper budget is
-// sized against.
+// CacheBytes is the session's block-cache budget (cluster.Config.CacheBudget;
+// zero for a session without a cache): the worker's one cache is built with
+// it, and a task of a stage without one runs uncached. TaskSlots is the
+// per-worker slot count the kernel pool's helper budget is sized against.
 type stageAssign struct {
-	Stage         spec.Stage
-	Gen           uint64
-	KernelThreads int
-	TaskSlots     int
+	Stage      spec.Stage
+	Gen        uint64
+	CacheBytes int64
+	TaskSlots  int
 }
 
 // taskAssign assigns one task of the stream's current stage. Gen repeats

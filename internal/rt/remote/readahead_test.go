@@ -3,10 +3,12 @@ package remote
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
 	"fuseme/internal/block"
+	"fuseme/internal/blockcache"
 	"fuseme/internal/chaos/chaostest"
 	"fuseme/internal/cluster"
 	"fuseme/internal/core"
@@ -186,16 +188,31 @@ V2 = V * (X %*% t(U)) / (V %*% (U %*% t(U)))`, map[string]lang.InputDecl{
 // t(V) and t(U) as Map stages: no t(V) or t(U) crosses the wire any more,
 // only V and U, which the CFOs read in place.
 func TestReadAheadKeepsTheWire(t *testing.T) {
+	for _, c := range wireCases() {
+		t.Run(c.name, func(t *testing.T) {
+			if got := c.run(t, coordinate(t, wireConfig(), startWorkers(t, 2))); got != c.want {
+				t.Errorf("consolidation, aggregation, extra wire bytes and requests served: %v, want %v", got, c.want)
+			}
+		})
+	}
+}
+
+// wireCase is one workload TestReadAheadKeepsTheWire pins, with its counts:
+// consolidation, aggregation and extra wire bytes, and requests served.
+type wireCase struct {
+	name   string
+	graph  *dag.Graph
+	inputs map[string]*block.Matrix
+	want   [4]int64
+}
+
+// wireCases returns the GNMF and AutoEncoder train step at test shapes.
+func wireCases() []wireCase {
 	const bs = 16
 	x := block.RandomSparse(96, 80, bs, 0.1, 1, 5, 1)
 	ae := workloads.AutoEncoderConfig{Features: 40, Batch: 24, H1: 20, H2: 8}
 	st := workloads.InitAutoEncoder(ae, bs, 7)
-	for _, c := range []struct {
-		name   string
-		graph  *dag.Graph
-		inputs map[string]*block.Matrix
-		want   [4]int64 // consolidation, aggregation, extra wire bytes; requests served
-	}{
+	return []wireCase{
 		{"gnmf", workloads.GNMF(96, 80, 8, x.Density()), map[string]*block.Matrix{
 			"X": x,
 			"U": block.RandomDense(8, 80, bs, 0.2, 0.8, 2),
@@ -206,34 +223,125 @@ func TestReadAheadKeepsTheWire(t *testing.T) {
 			"W1": st.W1, "b1": st.B1, "W2": st.W2, "b2": st.B2,
 			"W3": st.W3, "b3": st.B3, "W4": st.W4, "b4": st.B4,
 		}, [4]int64{134564, 55260, 150354, 232}},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			cfg := cluster.Config{Nodes: 2, TasksPerNode: 2, TaskMemBytes: 1 << 30, NetBandwidth: 1e9,
-				CompBandwidth: 50e9, BlockSize: bs, MaxTaskRetries: 2}
-			addrs := make([]string, cfg.Nodes)
-			for i := range addrs {
-				w, err := NewWorker("127.0.0.1:0")
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { w.Close() })
-				addrs[i] = w.Addr()
-			}
-			co, err := NewCoordinator(cfg, addrs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { co.Close() })
-			rtm := &servedFetches{Coordinator: co, cfg: co.Config()}
-			_, stats, err := core.Run(core.FuseME{}, c.graph, rtm, c.inputs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := [4]int64{stats.ConsolidationBytes, stats.AggregationBytes, stats.ExtraWireBytes, int64(rtm.served)}
-			if got != c.want {
+	}
+}
+
+// wireConfig is the two-worker cluster the wire counts are pinned on.
+func wireConfig() cluster.Config {
+	return cluster.Config{Nodes: 2, TasksPerNode: 2, TaskMemBytes: 1 << 30, NetBandwidth: 1e9,
+		CompBandwidth: 50e9, BlockSize: 16, MaxTaskRetries: 2}
+}
+
+// startWorkers starts n in-process workers, closed when t ends.
+func startWorkers(t *testing.T, n int) []*Worker {
+	t.Helper()
+	workers := make([]*Worker, n)
+	for i := range workers {
+		w, err := NewWorker("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { w.Close() })
+		workers[i] = w
+	}
+	return workers
+}
+
+// coordinate returns a coordinator under cfg over workers, closed when t
+// ends.
+func coordinate(t *testing.T, cfg cluster.Config, workers []*Worker) *Coordinator {
+	t.Helper()
+	addrs := make([]string, len(workers))
+	for i, w := range workers {
+		addrs[i] = w.Addr()
+	}
+	co, err := NewCoordinator(cfg, addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { co.Close() })
+	return co
+}
+
+// run executes the case once on co and returns its counts.
+func (c wireCase) run(t *testing.T, co *Coordinator) [4]int64 {
+	t.Helper()
+	co.ResetStats()
+	rtm := &servedFetches{Coordinator: co, cfg: co.Config()}
+	_, stats, err := core.Run(core.FuseME{}, c.graph, rtm, c.inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return [4]int64{stats.ConsolidationBytes, stats.AggregationBytes, stats.ExtraWireBytes, int64(rtm.served)}
+}
+
+// TestUncachedStageSkipsTheWorkersCache: a worker that just served a cached
+// session runs an uncached session's GNMF as a worker that never cached
+// does. TestReadAheadKeepsTheWire's counts hold on it, its cache is neither
+// read nor filled, and the blocks its tasks fetch go into the streams'
+// arenas again instead of storage of their own: the runs allocate what they
+// allocate on fresh workers, give or take the spread of identical runs
+// (a few percent), where a task bound to the cache allocates a quarter more.
+func TestUncachedStageSkipsTheWorkersCache(t *testing.T) {
+	c := wireCases()[0]
+	fresh, caching := startWorkers(t, 2), startWorkers(t, 2)
+	cached := wireConfig()
+	cached.CacheBytes = 64 << 20
+	c.run(t, coordinate(t, cached, caching))
+	before := make([]blockcache.Stats, len(caching))
+	for i, w := range caching {
+		if before[i] = w.CacheStats(); before[i].ResidentBytes == 0 {
+			t.Fatalf("worker %d: the cached session filled no cache", i)
+		}
+	}
+
+	// The fewest bytes one of three runs allocates, after a run that dials
+	// the streams.
+	minAlloc := func(workers []*Worker) uint64 {
+		co := coordinate(t, wireConfig(), workers)
+		c.run(t, co)
+		least := uint64(math.MaxUint64)
+		for range 3 {
+			var a, b runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&a)
+			if got := c.run(t, co); got != c.want {
 				t.Errorf("consolidation, aggregation, extra wire bytes and requests served: %v, want %v", got, c.want)
 			}
-		})
+			runtime.ReadMemStats(&b)
+			least = min(least, b.TotalAlloc-a.TotalAlloc)
+		}
+		return least
+	}
+	onFresh, onCaching := minAlloc(fresh), minAlloc(caching)
+	for i, w := range caching {
+		if got := w.CacheStats(); got != before[i] {
+			t.Errorf("worker %d: uncached runs moved its cache's counters from %+v to %+v", i, before[i], got)
+		}
+	}
+	if float64(onCaching) > 1.1*float64(onFresh) {
+		t.Errorf("an uncached GNMF allocates %d bytes on workers that served a cached session, %d on fresh ones: its tasks are bound to the cache", onCaching, onFresh)
+	}
+	t.Logf("allocated: %d bytes on fresh workers, %d on workers that served a cached session", onFresh, onCaching)
+}
+
+// TestWorkerCacheFollowsTheShippedBudget: a stage without a budget gets no
+// cache and leaves the worker's alone; the first budget builds the one
+// cache, the same budget keeps it, and a different one rebuilds it.
+func TestWorkerCacheFollowsTheShippedBudget(t *testing.T) {
+	w := &Worker{}
+	if c := w.blockCache(0); c != nil || w.BlockCache() != nil {
+		t.Fatal("a stage without a budget built a cache")
+	}
+	first := w.blockCache(1 << 20)
+	if first == nil || w.blockCache(1<<20) != first {
+		t.Fatal("the same budget did not keep the worker's one cache")
+	}
+	if w.blockCache(0) != nil || w.BlockCache() != first {
+		t.Fatal("a stage without a budget was handed the cache, or dropped it")
+	}
+	if second := w.blockCache(2 << 20); second == nil || second == first || w.BlockCache() != second {
+		t.Fatal("a different budget did not rebuild the cache")
 	}
 }
 

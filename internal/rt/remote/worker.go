@@ -60,10 +60,12 @@ type Worker struct {
 
 	obs atomic.Pointer[obs.Obs] // process-local metrics; nil disables
 
-	// cache is the worker-resident block cache for loop-invariant inputs;
-	// nil (the default) disables caching. Set with SetCacheBytes before the
-	// worker serves tasks.
-	cache atomic.Pointer[blockcache.Cache]
+	// cache is the worker-resident block cache for loop-invariant inputs,
+	// built with the budget cacheBytes a stage shipped (see blockCache); nil
+	// until a stage ships one.
+	cacheMu    sync.Mutex
+	cache      *blockcache.Cache
+	cacheBytes int64
 
 	// taskDelay, when positive, stalls every task body by that duration at
 	// the start of the timed task section, like a long kernel — a
@@ -72,18 +74,15 @@ type Worker struct {
 	taskDelay atomic.Int64
 
 	// Kernel-pool state. The pool is built lazily from the first stageAssign
-	// (its KernelThreads/TaskSlots fields) and rebuilt only when those
-	// settings change; kernelOverride, when >= 0, pins the thread count
-	// locally (-kernel-threads / FUSEME_KERNEL_THREADS on the worker
-	// process) regardless of what the coordinator ships. poolStats holds the
-	// last snapshot reported to obs so per-task metric deltas stay exact
-	// even with concurrent tasks sharing the pool.
-	kernelOverride atomic.Int64
-	poolMu         sync.Mutex
-	pool           *parallel.Pool
-	poolThreads    int
-	poolSlots      int
-	poolStats      parallel.Stats
+	// (its TaskSlots field) and this process's GOMAXPROCS, and rebuilt only
+	// when those change. poolStats holds the last snapshot reported to obs
+	// so per-task metric deltas stay exact even with concurrent tasks
+	// sharing the pool.
+	poolMu      sync.Mutex
+	pool        *parallel.Pool
+	poolThreads int
+	poolSlots   int
+	poolStats   parallel.Stats
 }
 
 // SetObs attaches an observability bundle: each executed task records its
@@ -104,7 +103,6 @@ func NewWorker(addr string) (*Worker, error) {
 		drop: make(chan struct{}, 1),
 	}
 	w.killAfter.Store(-1)
-	w.kernelOverride.Store(-1)
 	w.wg.Add(1)
 	go w.acceptLoop()
 	return w, nil
@@ -117,38 +115,34 @@ func (w *Worker) Addr() string { return w.ln.Addr().String() }
 // number n (0-based) arrives. Negative disarms.
 func (w *Worker) KillAfterTasks(n int) { w.killAfter.Store(int64(n)) }
 
-// SetCacheBytes gives the worker a block cache with the given byte budget
-// for loop-invariant inputs (n <= 0 disables caching). Replacing the budget
-// drops all cached blocks.
-func (w *Worker) SetCacheBytes(n int64) {
-	if n <= 0 {
-		w.cache.Store(nil)
-		return
+// blockCache returns the cache a task of a stage with the given budget runs
+// with: none when the stage ships no budget, else the worker's one cache,
+// which is built from the first budget a stage ships and rebuilt — dropping
+// every cached block — when a stage ships a different one.
+func (w *Worker) blockCache(budget int64) *blockcache.Cache {
+	if budget <= 0 {
+		return nil
 	}
-	w.cache.Store(blockcache.New(n))
+	w.cacheMu.Lock()
+	defer w.cacheMu.Unlock()
+	if w.cacheBytes != budget {
+		w.cache, w.cacheBytes = blockcache.New(budget), budget
+	}
+	return w.cache
 }
 
 // CacheStats returns the worker cache's counters; zeroes with no cache.
-func (w *Worker) CacheStats() blockcache.Stats { return w.cache.Load().Snapshot() }
+func (w *Worker) CacheStats() blockcache.Stats {
+	w.cacheMu.Lock()
+	defer w.cacheMu.Unlock()
+	return w.cache.Snapshot()
+}
 
 // SetTaskDelay stalls every subsequent task body by d inside the timed task
 // section, behaving like a long kernel — a fault-injection hook that makes
 // this worker a straggler (forcing the coordinator's steal path
 // deterministically). Zero disables.
 func (w *Worker) SetTaskDelay(d time.Duration) { w.taskDelay.Store(int64(d)) }
-
-// SetKernelThreads pins this worker's intra-task kernel thread count,
-// overriding whatever each stageAssign ships: n > 0 is an explicit count,
-// n == 0 restores auto-sizing against the worker's own cores, and a negative
-// n removes the override (coordinator settings apply again). Keep explicit
-// counts x the coordinator's TasksPerNode at or below this machine's cores —
-// see internal/parallel for the oversubscription contract.
-func (w *Worker) SetKernelThreads(n int) {
-	if n < 0 {
-		n = -1
-	}
-	w.kernelOverride.Store(int64(n))
-}
 
 // KernelPool returns the worker's current kernel pool (nil before the first
 // task, or when the resolved thread count is 1).
@@ -158,23 +152,15 @@ func (w *Worker) KernelPool() *parallel.Pool {
 	return w.pool
 }
 
-// kernelPool returns the pool matching the assignment's parallelism
-// settings, rebuilding the cached one only when they change. The slot count
-// is clamped to this machine's GOMAXPROCS so the helper budget never assumes
-// more cores than exist, whatever the coordinator's TasksPerNode says.
-func (w *Worker) kernelPool(assign *stageAssign) *parallel.Pool {
-	threads := assign.KernelThreads
-	if ov := w.kernelOverride.Load(); ov >= 0 {
-		threads = int(ov)
-	}
-	slots := assign.TaskSlots
-	if slots <= 0 {
-		slots = 1
-	}
-	if n := runtime.GOMAXPROCS(0); slots > n {
-		slots = n
-	}
-	resolved := parallel.Resolve(threads, slots)
+// kernelPool returns the pool for a stage that runs slots tasks at once on
+// this worker, rebuilding the current one only when its shape changes. The
+// slot count is clamped to this machine's GOMAXPROCS so the helper budget
+// never assumes more cores than exist, whatever the coordinator's
+// TasksPerNode says, and the thread count follows the same GOMAXPROCS
+// (parallel.Resolve).
+func (w *Worker) kernelPool(slots int) *parallel.Pool {
+	slots = min(max(slots, 1), runtime.GOMAXPROCS(0))
+	resolved := parallel.Resolve(slots)
 	w.poolMu.Lock()
 	defer w.poolMu.Unlock()
 	if w.poolThreads != resolved || w.poolSlots != slots {
@@ -423,13 +409,13 @@ func (w *Worker) runTask(s *stream, q *fetchQueue, st *workerStage, assign *task
 		return s.writeGob(msgFail, taskFail{Err: st.buildErr.Error()}) == nil
 	}
 	task := &cluster.Task{ID: assign.TaskID}
-	task.SetPool(w.kernelPool(&st.stageAssign))
+	task.SetPool(w.kernelPool(st.TaskSlots))
 	var tt *cluster.TaskTrace
 	if assign.Trace {
 		tt = &cluster.TaskTrace{}
 		task.SetTrace(tt)
 	}
-	cache := w.cache.Load()
+	cache := w.blockCache(st.CacheBytes)
 	task.SetCache(cache, assign.Gen)
 	// Fetched blocks live in the stream's arena until the task ends, unless
 	// the task may cache them: a cached block outlives its task.

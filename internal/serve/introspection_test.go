@@ -8,9 +8,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
+	"fuseme"
 	"fuseme/internal/obs"
 	"fuseme/internal/serve"
 )
@@ -277,5 +279,82 @@ func TestStatusUnderConcurrentQueries(t *testing.T) {
 	}
 	if total != 2*perTenant {
 		t.Fatalf("tenant query counters sum to %d, want %d", total, 2*perTenant)
+	}
+}
+
+// TestServeSessionsShareTheServersJournal: with FUSEME_JOURNAL set, a pooled
+// session journals into the server's journal and opens no file of its own —
+// at the variable's path, a session used to truncate whatever was there,
+// the server's own -journal file included.
+func TestServeSessionsShareTheServersJournal(t *testing.T) {
+	dir := t.TempDir()
+	t.Setenv(fuseme.EnvJournal, filepath.Join(dir, "session.jsonl"))
+	srv, err := serve.New(serve.Config{Cluster: testClusterConfig(), Sessions: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	specs, _ := nmfInputs(1)
+	for range 2 {
+		if code, _, raw := postQuery(t, ts.URL, "", serve.QueryRequest{Script: nmfScript, Inputs: specs, OmitValues: true}); code != http.StatusOK {
+			t.Fatalf("query: status %d: %s", code, raw)
+		}
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Errorf("serving created %d files under FUSEME_JOURNAL's directory (err %v), want none", len(entries), err)
+	}
+	var list serve.QueryList
+	if code := getJSON(t, ts.URL+"/v1/queries", &list); code != http.StatusOK || len(list.Recent) != 2 {
+		t.Fatalf("/v1/queries: status %d, %d recent, want 2", code, len(list.Recent))
+	}
+	for _, rec := range list.Recent {
+		evs := srv.Journal().Events(rec.ID)
+		if len(evs) == 0 || evs[len(evs)-1].Type != obs.EvDone {
+			t.Errorf("query %s: journal ends %v, want a done event", rec.ID, evs)
+		}
+	}
+}
+
+// TestServeSessionFailureEndsTheJournal: a query whose pooled session
+// cannot be created is recorded failed, and its journal ends with a failed
+// event instead of stopping at admitted.
+func TestServeSessionFailureEndsTheJournal(t *testing.T) {
+	srv, err := serve.New(serve.Config{
+		Cluster:        testClusterConfig(),
+		Sessions:       1,
+		SessionOptions: []fuseme.Option{fuseme.WithBlockCache(-1)}, // NewSession refuses it
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	specs, _ := nmfInputs(1)
+	if code, _, raw := postQuery(t, ts.URL, "", serve.QueryRequest{Script: nmfScript, Inputs: specs, OmitValues: true}); code != http.StatusInternalServerError {
+		t.Fatalf("query: status %d, want 500: %s", code, raw)
+	}
+	var list serve.QueryList
+	if code := getJSON(t, ts.URL+"/v1/queries", &list); code != http.StatusOK || len(list.Recent) != 1 {
+		t.Fatalf("/v1/queries: status %d, %d recent, want 1", code, len(list.Recent))
+	}
+	rec := list.Recent[0]
+	evs := srv.Journal().Events(rec.ID)
+	if rec.State != "failed" || len(evs) == 0 {
+		t.Fatalf("record %+v, events %v", rec, evs)
+	}
+	if last := evs[len(evs)-1]; last.Type != obs.EvFailed || last.Error == "" {
+		t.Errorf("journal ends with %+v, want a failed event with the error", last)
+	}
+}
+
+// TestServeRejectsUnknownEngine: an engine name no session can run is a
+// start-up error, not a 500 on every query.
+func TestServeRejectsUnknownEngine(t *testing.T) {
+	if _, err := serve.New(serve.Config{Cluster: testClusterConfig(), Engine: "spark"}); err == nil || !strings.Contains(err.Error(), "spark") {
+		t.Errorf("serve.New with engine %q: err = %v, want one naming it", "spark", err)
+	}
+	if _, err := serve.New(serve.Config{Cluster: testClusterConfig(), Engine: fuseme.EngineSystemDS}); err != nil {
+		t.Errorf("serve.New with engine %q: %v", fuseme.EngineSystemDS, err)
 	}
 }

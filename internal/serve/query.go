@@ -200,6 +200,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	sess, err := s.acquireSession()
 	if err != nil {
+		qlog.Emit(obs.Event{Type: obs.EvFailed, Cause: "session", Error: err.Error()})
 		s.queries.finish(rec, "failed", func(r *QueryRecord) { r.Error = err.Error() })
 		writeJSON(w, http.StatusInternalServerError, httpError{Error: err.Error()})
 		return

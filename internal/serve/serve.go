@@ -57,7 +57,8 @@ type Tenant struct {
 type Config struct {
 	// Cluster is the warm cluster every tenant session runs on.
 	Cluster fuseme.ClusterConfig
-	// Engine selects the planning engine (default EngineFuseME).
+	// Engine selects the planning engine (default EngineFuseME); New
+	// rejects one that does not exist.
 	Engine fuseme.Engine
 	// Tenants lists the accepted tenants. Empty runs the service open: one
 	// implicit "default" tenant owning the whole budget, no token required.
@@ -163,6 +164,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.BudgetBytes <= 0 {
 		return nil, errors.New("serve: cluster memory budget is zero (set Config.BudgetBytes or the cluster dimensions)")
+	}
+	if err := cfg.Engine.Validate(); err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
 	s := &Server{
 		cfg:      cfg,
@@ -307,7 +311,9 @@ func (s *Server) acquireSession() (*fuseme.Session, error) {
 	if s.created < s.cfg.Sessions {
 		s.created++
 		s.sessMu.Unlock()
-		opts := []fuseme.Option{fuseme.WithRegistry(s.reg), fuseme.WithScheduler(s.sched)}
+		// The server's journal, so a session never opens FUSEME_JOURNAL's
+		// file itself: served queries log through SetQueryLog into it.
+		opts := []fuseme.Option{fuseme.WithRegistry(s.reg), fuseme.WithScheduler(s.sched), fuseme.WithJournal(s.journal)}
 		if s.pc != nil {
 			opts = append(opts, fuseme.WithPlanCache(s.pc))
 		}
@@ -319,15 +325,7 @@ func (s *Server) acquireSession() (*fuseme.Session, error) {
 			s.sessMu.Unlock()
 			return nil, err
 		}
-		if s.cfg.Engine != "" {
-			if err := sess.SetEngine(s.cfg.Engine); err != nil {
-				sess.Close()
-				s.sessMu.Lock()
-				s.created--
-				s.sessMu.Unlock()
-				return nil, err
-			}
-		}
+		_ = sess.SetEngine(s.cfg.Engine) // New validated it: it cannot fail
 		s.sessMu.Lock()
 		s.sessions = append(s.sessions, sess)
 		s.sessMu.Unlock()

@@ -17,11 +17,6 @@ type Option func(*Session) error
 // WithBlockCache). Zero or unset disables caching.
 const EnvCacheBytes = "FUSEME_CACHE_BYTES"
 
-// EnvKernelThreads overrides the intra-task kernel thread count (see
-// ClusterConfig.KernelThreads). Zero means auto-size against the machine's
-// cores.
-const EnvKernelThreads = "FUSEME_KERNEL_THREADS"
-
 // EnvJournal names a JSONL file to sink the query event journal to (see
 // WithJournal). Unset leaves journaling off.
 const EnvJournal = "FUSEME_JOURNAL"
@@ -108,9 +103,10 @@ func WithMetricsAddr(addr string) Option {
 // clamped to the per-task memory budget θt). Iterative workloads whose
 // queries re-consume an unchanged input (e.g. the data matrix X in GNMF)
 // skip re-shipping its blocks from the second iteration on; results are
-// bit-identical with the cache on or off. Under the TCP runtime the session
-// budget must match the budget the workers were started with
-// (fuseme-worker -cache-bytes) for hit accounting to line up. Default 0, or
+// bit-identical with the cache on or off. Under the TCP runtime every stage
+// carries the budget to the workers, which size their one cache from it, so
+// hits count as they do on the simulated cluster; a worker running a stage
+// of a session without a budget uses no cache. Default 0, or
 // FUSEME_CACHE_BYTES.
 func WithBlockCache(bytes int64) Option {
 	return func(s *Session) error {
@@ -122,40 +118,20 @@ func WithBlockCache(bytes int64) Option {
 	}
 }
 
-// resolveSettings fixes the two settings with more than one source, after
-// the options ran: cache bytes (option > environment > off) and kernel
-// threads (environment > ClusterConfig field).
-func (s *Session) resolveSettings() error {
-	cacheBytes, _, err := envInt(EnvCacheBytes, 0, "a non-negative byte count")
-	if err != nil {
-		return err
+// resolveCacheBytes fixes the one setting with more than one source, after
+// the options ran: cache bytes (option > environment > off).
+func (s *Session) resolveCacheBytes() error {
+	var n int64
+	if env := os.Getenv(EnvCacheBytes); env != "" {
+		var err error
+		if n, err = strconv.ParseInt(env, 10, 64); err != nil || n < 0 {
+			return fmt.Errorf("fuseme: %s=%q: want a non-negative byte count", EnvCacheBytes, env)
+		}
 	}
 	if s.cc.CacheBytes < 0 {
-		s.cc.CacheBytes = cacheBytes
-	}
-	threads, ok, err := envInt(EnvKernelThreads, 0, "a non-negative integer")
-	if err != nil {
-		return err
-	}
-	if ok {
-		s.cc.KernelThreads = int(threads)
+		s.cc.CacheBytes = n
 	}
 	return nil
-}
-
-// envInt reads an integer setting from the environment. ok is false when the
-// variable is unset; a value that does not parse or is below min is an error
-// naming the variable.
-func envInt(name string, min int64, want string) (n int64, ok bool, err error) {
-	env := os.Getenv(name)
-	if env == "" {
-		return 0, false, nil
-	}
-	n, err = strconv.ParseInt(env, 10, 64)
-	if err != nil || n < min {
-		return 0, false, fmt.Errorf("fuseme: %s=%q: want %s", name, env, want)
-	}
-	return n, true, nil
 }
 
 // startMetricsServer starts the /metrics + /debug/stats endpoint if

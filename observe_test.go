@@ -225,7 +225,6 @@ func TestSessionOptionValidation(t *testing.T) {
 		t.Error("WithBlockCache(-1) accepted")
 	}
 	for _, c := range []struct{ env, bad, good string }{
-		{EnvKernelThreads, "many", "2"},
 		{EnvCacheBytes, "-1", "0"},
 	} {
 		t.Setenv(c.env, c.bad)
@@ -241,87 +240,39 @@ func TestSessionOptionValidation(t *testing.T) {
 }
 
 // TestSessionSettingsAreSnapshotted: NewSession reads the environment once.
-// A session built under FUSEME_KERNEL_THREADS=2 keeps planning, reporting and
-// — after Close rebuilds the backend — running under 2 when the variable is
-// gone.
+// A session built under FUSEME_CACHE_BYTES keeps its cache — after Close
+// rebuilds the backend too — when the variable is gone.
 func TestSessionSettingsAreSnapshotted(t *testing.T) {
-	t.Setenv(EnvKernelThreads, "2")
+	t.Setenv(EnvCacheBytes, "1073741824")
 	sess := newTestSession(t)
-	os.Unsetenv(EnvKernelThreads)
+	os.Unsetenv(EnvCacheBytes)
 	bindTestInputs(sess)
-	const header = "B̂c=1e+11 flop/s" // LocalClusterConfig's 50 GFLOP/s x 2 threads
 	if err := sess.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.Query(obsTestScript); err != nil {
-		t.Fatal(err)
+	for range 2 {
+		if _, err := sess.Query(obsTestScript); err != nil {
+			t.Fatal(err)
+		}
 	}
 	rtm, err := sess.runtime()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kt := rtm.Config().KernelThreads; kt != 2 {
-		t.Errorf("rebuilt backend runs with KernelThreads = %d, want the 2 read at NewSession", kt)
+	if cb := rtm.Config().CacheBytes; cb != 1<<30 {
+		t.Errorf("rebuilt backend runs with CacheBytes = %d, want the 1 GiB read at NewSession", cb)
 	}
-	desc, err := sess.ExplainCosts(obsTestScript)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(desc, header) {
-		t.Errorf("ExplainCosts lost the snapshotted kernel threads (want %q):\n%s", header, desc)
-	}
-	if rep := sess.Report(); !strings.Contains(rep, "B̂c=100 Gflop/s") {
-		t.Errorf("Report judged against another B̂c than the plan's:\n%s", rep)
+	if sess.LastStats().CacheHits == 0 {
+		t.Error("the repeat query on the rebuilt backend hit nothing")
 	}
 }
 
-// TestSimulateUsesResolvedSettings: Simulate plans and clocks under the
-// settings NewSession resolved, like Query and ExplainCosts of the same
-// session — a session that got its kernel threads from the environment and one
-// that got them from ClusterConfig show the same plan and the same dry run.
-func TestSimulateUsesResolvedSettings(t *testing.T) {
-	const script = "O = U %*% t(V)" // compute-bound under LocalClusterConfig: B̂c sets the clock
-	shapes := map[string]Shape{"U": {Rows: 20_000, Cols: 200}, "V": {Rows: 20_000, Cols: 200}}
-	cfg := LocalClusterConfig()
-	t.Setenv(EnvKernelThreads, "4")
-	fromEnv, err := NewSession(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Unsetenv(EnvKernelThreads)
-	cfg.KernelThreads = 4
-	fromField, err := NewSession(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var plans [2]string
-	var stats [2]Stats
-	for i, sess := range []*Session{fromEnv, fromField} {
-		sess.RandomDense("U", 200, 20, 0, 1, 1)
-		sess.RandomDense("V", 200, 20, 0, 1, 2)
-		if plans[i], err = sess.Explain(script); err != nil {
-			t.Fatal(err)
-		}
-		if stats[i], err = sess.Simulate(script, shapes); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if plans[0] != plans[1] {
-		t.Errorf("plans differ:\nenv:   %s\nfield: %s", plans[0], plans[1])
-	}
-	if stats[0] != stats[1] {
-		t.Errorf("Simulate under FUSEME_KERNEL_THREADS=4: %+v\nunder KernelThreads: 4: %+v", stats[0], stats[1])
-	}
-}
-
-// TestReportFeedBackRoundTrips: the report's paste-ready ClusterConfig line
-// is per kernel thread. A session built from it with the same thread count
-// plans with the effective B̂c the report judged against, not KernelThreads
-// times it.
+// TestReportFeedBackRoundTrips: a session built from the report's
+// paste-ready ClusterConfig line plans with the B̂c the report judged
+// against.
 func TestReportFeedBackRoundTrips(t *testing.T) {
 	cfg := LocalClusterConfig()
 	cfg.BlockSize = 16
-	cfg.KernelThreads = 2
 	sess, err := NewSession(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -334,7 +285,7 @@ func TestReportFeedBackRoundTrips(t *testing.T) {
 	rep := sess.CalibrationReport()
 	judged := rep.EffCompBW // the back-solved B̂c, else the configured one
 	if judged == 0 {
-		judged = sess.cc.EffectiveCompBandwidth()
+		judged = cfg.CompBandwidth
 	}
 	line := regexp.MustCompile(`ClusterConfig\{NetBandwidth: (\S+), CompBandwidth: (\S+)\}`).FindStringSubmatch(rep.String())
 	if line == nil {

@@ -157,8 +157,8 @@ type schedSetter interface{ SetScheduler(s *sched.Scheduler) }
 // parameter the compile reads to the canonical DAG key, so plans compiled
 // under different configurations never collide in a shared cache. The
 // parameters are taken from the resolved configuration the compiler is handed
-// (rtm.Config(): worker count as connected, kernel threads as resolved), not
-// from the ClusterConfig the caller wrote. Engine structs print
+// (rtm.Config(): worker count as connected), not from the ClusterConfig the
+// caller wrote. Engine structs print
 // deterministically. Membership is not part of the key: the TCP runtime's
 // Config is the seed cluster's shape whatever joins or leaves later, so a
 // membership change compiles the same plan, and placement follows the active
@@ -168,7 +168,7 @@ func (s *Session) planFingerprint(rtm rt.Runtime) string {
 	return fmt.Sprintf("eng=%T%+v|cl=N%d,slots%d,M%d,B%d,net%g,comp%g,rt=%s",
 		s.engine, s.engine,
 		cc.Nodes, cc.TotalSlots(), cc.TaskMemBytes, cc.BlockSize,
-		cc.NetBandwidth, cc.EffectiveCompBandwidth(), s.cfg.Runtime)
+		cc.NetBandwidth, cc.CompBandwidth, s.cfg.Runtime)
 }
 
 // ServeJoin starts the TCP runtime's join listener on addr (host:port; ":0"
