@@ -347,6 +347,67 @@ func TestDocDriftVariablesAndCommands(t *testing.T) {
 	}
 }
 
+// TestDocDriftMetrics holds docs/OPERATIONS.md's metric table to the metric
+// families internal/obs declares, in both directions: every "fuseme_*" string
+// constant there (a family, or a series of one: the name before its "{") has a
+// row, and every name in a row's first cell is a declared family — a
+// wildcard such as `fuseme_worker_*` names none.
+func TestDocDriftMetrics(t *testing.T) {
+	pkgs, err := parser.ParseDir(token.NewFileSet(), "internal/obs", func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	familyOf := func(name string) string { return strings.SplitN(name, "{", 2)[0] }
+	declared := map[string]bool{}
+	for _, f := range pkgs["obs"].Files {
+		for _, d := range f.Decls {
+			if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.CONST {
+				for _, spec := range gd.Specs {
+					for _, v := range spec.(*ast.ValueSpec).Values {
+						lit, ok := v.(*ast.BasicLit)
+						if !ok || lit.Kind != token.STRING {
+							continue
+						}
+						if name, err := strconv.Unquote(lit.Value); err == nil && strings.HasPrefix(name, "fuseme_") {
+							declared[familyOf(name)] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	doc, err := os.ReadFile("docs/OPERATIONS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, _ := strings.Cut(string(doc), "\n## Metric names\n")
+	table, _, _ = strings.Cut(table, "\n## ")
+	rows := map[string]bool{}
+	for _, line := range strings.Split(table, "\n") {
+		if !strings.HasPrefix(line, "| `") {
+			continue
+		}
+		cell, _, _ := strings.Cut(line[1:], " | ")
+		for _, m := range regexp.MustCompile("`([^`]+)`").FindAllStringSubmatch(cell, -1) {
+			name := familyOf(m[1])
+			rows[name] = true
+			if !declared[name] {
+				t.Errorf("docs/OPERATIONS.md's metric table names %q, which internal/obs does not declare", m[1])
+			}
+		}
+	}
+	if len(declared) == 0 || len(rows) == 0 {
+		t.Fatalf("found %d declared families and %d documented names — extraction broken", len(declared), len(rows))
+	}
+	for name := range declared {
+		if !rows[name] {
+			t.Errorf("metric family %s has no row in docs/OPERATIONS.md's metric table", name)
+		}
+	}
+}
+
 // TestDocDriftClusterConfig holds docs/OPERATIONS.md to ClusterConfig in both
 // directions: every exported field has a row in the field table, and every
 // field the document names — a table row or a ClusterConfig.Field mention —

@@ -3,13 +3,15 @@ package cluster
 import "time"
 
 // TaskSpan is one completed sub-span recorded while a task body ran: a fetch,
-// kernel, cache lookup or result send. Times are the recording process's
-// monotonic wall clock.
+// kernel, cache lookup or result send. It is placed relative to the body, on
+// the recording process's monotonic clock: Offset from the body's start, Dur
+// long. Relative times need no clock agreement between processes, so a
+// worker ships its spans as they are and the receiver places them.
 type TaskSpan struct {
-	Name  string
-	Cat   string
-	Start time.Time
-	End   time.Time
+	Name   string
+	Cat    string
+	Offset time.Duration
+	Dur    time.Duration
 }
 
 // TaskTrace collects the sub-spans of one task execution. Like the Task that
@@ -17,8 +19,13 @@ type TaskSpan struct {
 // and the backend drains it after the body returns. A nil *TaskTrace absorbs
 // every call, so untraced runs pay only a pointer check.
 type TaskTrace struct {
+	start time.Time
 	spans []TaskSpan
 }
+
+// NewTaskTrace returns a collector for a task body that started at start;
+// every span's Offset is measured from it.
+func NewTaskTrace(start time.Time) *TaskTrace { return &TaskTrace{start: start} }
 
 // noopEnd is the closer Begin hands out when tracing is off.
 func noopEnd() {}
@@ -28,9 +35,9 @@ func (tt *TaskTrace) Begin(name, cat string) func() {
 	if tt == nil {
 		return noopEnd
 	}
-	start := time.Now()
+	from := time.Since(tt.start)
 	return func() {
-		tt.spans = append(tt.spans, TaskSpan{Name: name, Cat: cat, Start: start, End: time.Now()})
+		tt.spans = append(tt.spans, TaskSpan{Name: name, Cat: cat, Offset: from, Dur: time.Since(tt.start) - from})
 	}
 }
 

@@ -98,25 +98,16 @@ func wrapTaskFn(o *obs.Obs, inner func(*cluster.Task) error, stageStart time.Tim
 	nodes = max(nodes, 1)
 	return func(task *cluster.Task) error {
 		start := time.Now()
-		var tt *cluster.TaskTrace
 		if o.Tracing() {
-			tt = &cluster.TaskTrace{}
-			task.SetTrace(tt)
+			task.SetTrace(cluster.NewTaskTrace(start))
 		}
 		err := inner(task)
 		m := task.Metrics()
-		o.TaskDone(obs.TaskSample{ID: task.ID, Worker: task.ID % nodes, Cat: "task",
-			StageStart: stageStart, Start: start, Err: err,
+		o.TaskDone(obs.TaskSample{ID: task.ID, Worker: task.ID % nodes,
+			StageStart: stageStart, Start: start, Spans: task.Trace().Spans(), Err: err,
 			ConsolidationBytes: m.ConsolidationBytes, AggregationBytes: m.AggregationBytes,
 			Flops: m.Flops, PeakMemBytes: m.MemPeakBytes})
-		if tt != nil {
-			// Replay the task body's sub-spans onto the local process track,
-			// same taxonomy the TCP workers ship back over the wire.
-			for _, s := range tt.Spans() {
-				o.Trace.AddSpanAt(s.Name, s.Cat, obs.PIDLocal, 1+task.ID%64, s.Start, s.End.Sub(s.Start), nil)
-			}
-			task.SetTrace(nil)
-		}
+		task.SetTrace(nil)
 		return err
 	}
 }

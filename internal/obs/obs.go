@@ -21,6 +21,8 @@ package obs
 import (
 	"fmt"
 	"time"
+
+	"fuseme/internal/cluster"
 )
 
 // Obs bundles one session's observability components. Any field may be nil;
@@ -136,13 +138,19 @@ func (o *Obs) StageDone(rec FlightRecord, err error) {
 type TaskSample struct {
 	ID     int
 	Worker int // worker that ran the task; negative = none to attribute (no skew sample)
-	// Cat is the span category: "task" when the body ran in this process,
-	// "sched" for the coordinator's dispatch view of a remote task (whose
-	// execution view the worker ships back itself).
-	Cat string
+	// Remote marks a body that ran in worker Worker's process: the task's span
+	// on this process's track is the dispatch view (cat "sched"), and the body
+	// span (cat "task") with its sub-spans goes on the worker's track.
+	Remote bool
 
 	StageStart time.Time // when the stage was dispatched; Start - StageStart is the queue wait
-	Start      time.Time // when the task started
+	Start      time.Time // when the task was started (remote: dispatched)
+
+	// Body is how long a remote body ran, by the worker's clock; a local
+	// body fills the whole window from Start. Spans are the body's sub-spans,
+	// placed relative to its start.
+	Body  time.Duration
+	Spans []cluster.TaskSpan
 
 	ConsolidationBytes, AggregationBytes, Flops, PeakMemBytes int64
 
@@ -151,7 +159,7 @@ type TaskSample struct {
 
 // TaskDone is the one emit point of a finished task, called as it returns:
 // queue-wait and latency histograms, fuseme_tasks_total, the skew detector's
-// sample and the task span.
+// sample and the task's spans.
 func (o *Obs) TaskDone(t TaskSample) {
 	if !o.PerTask() {
 		return
@@ -163,18 +171,52 @@ func (o *Obs) TaskDone(t TaskSample) {
 	if t.Worker >= 0 {
 		o.Skew.ObserveTask(t.Worker, elapsed.Seconds())
 	}
-	if o.Trace != nil {
-		args := map[string]any{
-			"consolidation_bytes": t.ConsolidationBytes,
-			"aggregation_bytes":   t.AggregationBytes,
-			"flops":               t.Flops,
-			"peak_mem_bytes":      t.PeakMemBytes,
-		}
+	if o.Trace == nil {
+		return
+	}
+	args := map[string]any{
+		"consolidation_bytes": t.ConsolidationBytes,
+		"aggregation_bytes":   t.AggregationBytes,
+		"flops":               t.Flops,
+		"peak_mem_bytes":      t.PeakMemBytes,
+	}
+	if t.Err != nil {
+		args["error"] = t.Err.Error()
+	}
+	// Task tracks are 1-based: track 0 is the plan/stage track.
+	name, track := fmt.Sprintf("task %d", t.ID), 1+t.ID%64
+	pid, body := PIDLocal, elapsed
+	if t.Remote {
+		o.Trace.AddSpanAt(name, "sched", PIDLocal, track, t.Start, elapsed, args)
 		if t.Err != nil {
-			args["error"] = t.Err.Error()
+			return // no body reported
 		}
-		// Task tracks are 1-based: track 0 is the plan/stage track.
-		o.Trace.AddSpanAt(fmt.Sprintf("task %d", t.ID), t.Cat, PIDLocal, 1+t.ID%64, t.Start, elapsed, args)
+		pid, body, args = PIDWorkerBase+t.Worker, t.Body, nil
+	}
+	place := placeBody(elapsed, body)
+	at, dur := place(0, body)
+	o.Trace.AddSpanAt(name, "task", pid, track, t.Start.Add(at), dur, args)
+	for _, s := range t.Spans {
+		at, dur := place(s.Offset, s.Dur)
+		o.Trace.AddSpanAt(s.Name, s.Cat, pid, track, t.Start.Add(at), dur, nil)
+	}
+}
+
+// placeBody places a task body of length body in the window of length window
+// its dispatcher observed, and returns the map from a span relative to the
+// body's start to the same span relative to the window's start. The body is
+// centred: the window is the dispatch, the body and the reply, and the
+// midpoint rule takes the two legs as equally long, as NTP does with a round
+// trip. Every span is clamped into the window, so one that would reach past
+// it — a body longer than its window, a sub-span past its body — ends at the
+// window's edge, and no duration is negative. A body that fills its window
+// (the sim's) lands at the window's start, every span at its own offset.
+func placeBody(window, body time.Duration) func(off, dur time.Duration) (at, d time.Duration) {
+	shift := (window - body) / 2
+	clamp := func(d time.Duration) time.Duration { return min(max(d, 0), window) }
+	return func(off, dur time.Duration) (time.Duration, time.Duration) {
+		from := clamp(shift + off)
+		return from, max(clamp(shift+off+dur), from) - from
 	}
 }
 
@@ -203,8 +245,7 @@ const (
 
 	// TCP-runtime coordinator metrics. MWorkerRTT is a per-worker gauge
 	// series (label the worker id with WorkerRTTGauge) holding the latest
-	// control-connection round trip — the same sample the span merger's
-	// clock-skew estimator consumes.
+	// heartbeat round trip on the worker's control connection.
 	MRemoteTasksTotal = "fuseme_remote_tasks_total"
 	MRetriesTotal     = "fuseme_task_retries_total"
 	MHeartbeatRTT     = "fuseme_heartbeat_rtt_seconds"

@@ -2,8 +2,11 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
+	"math/rand"
 	"net/http"
 	"strings"
 	"testing"
@@ -439,4 +442,78 @@ func absf(v float64) float64 {
 		return -v
 	}
 	return v
+}
+
+// TestPlaceBody: a body shorter than its dispatch window is centred in it
+// and its sub-spans keep their offsets from its start; a body longer than its
+// window, or a sub-span past its body, is clamped to the window's edges; a
+// body that fills its window (the sim's) places every span at its own offset.
+func TestPlaceBody(t *testing.T) {
+	const ms = time.Millisecond
+	for _, tc := range []struct {
+		name            string
+		window, body    time.Duration
+		off, dur        time.Duration
+		wantAt, wantDur time.Duration
+	}{
+		{"short body centred", 10 * ms, 4 * ms, 0, 4 * ms, 3 * ms, 4 * ms},
+		{"sub-span keeps its offset", 10 * ms, 4 * ms, 1 * ms, 2 * ms, 4 * ms, 2 * ms},
+		{"sub-span past its body", 10 * ms, 4 * ms, 3 * ms, 9 * ms, 6 * ms, 4 * ms},
+		{"long body clamped", 4 * ms, 10 * ms, 0, 10 * ms, 0, 4 * ms},
+		{"sub-span before the window", 4 * ms, 10 * ms, 1 * ms, 1 * ms, 0, 0},
+		{"sub-span across the window's start", 4 * ms, 10 * ms, 2 * ms, 2 * ms, 0, 1 * ms},
+		{"sub-span after the window", 4 * ms, 10 * ms, 8 * ms, 1 * ms, 4 * ms, 0},
+		{"body fills its window", 10 * ms, 10 * ms, 2 * ms, 5 * ms, 2 * ms, 5 * ms},
+	} {
+		at, dur := placeBody(tc.window, tc.body)(tc.off, tc.dur)
+		if at != tc.wantAt || dur != tc.wantDur {
+			t.Errorf("%s: placed at %v for %v, want %v for %v", tc.name, at, dur, tc.wantAt, tc.wantDur)
+		}
+	}
+
+	// Whatever the window, body and span, the span lies in the window with a
+	// non-negative duration.
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 10000; i++ {
+		window, body := time.Duration(rng.Int63n(1e6)), time.Duration(rng.Int63n(2e6))
+		off, dur := time.Duration(rng.Int63n(3e6)-5e5), time.Duration(rng.Int63n(2e6))
+		at, d := placeBody(window, body)(off, dur)
+		if at < 0 || d < 0 || at+d > window {
+			t.Fatalf("window %v body %v span %v+%v: placed at %v for %v", window, body, off, dur, at, d)
+		}
+	}
+}
+
+// TestTaskDoneDrawsARemoteBodyInItsWindow: a remote task draws its dispatch
+// window on the local track (cat "sched") and its body and sub-spans on its
+// worker's track, inside that window; a failed remote task draws the window
+// alone.
+func TestTaskDoneDrawsARemoteBodyInItsWindow(t *testing.T) {
+	o := &Obs{Trace: NewRecorder()}
+	start := time.Now().Add(-10 * time.Millisecond)
+	o.TaskDone(TaskSample{ID: 3, Worker: 1, Remote: true, StageStart: start, Start: start,
+		Body: 2 * time.Millisecond, Spans: []cluster.TaskSpan{
+			{Name: "fetch", Cat: "taskop", Offset: 0, Dur: time.Millisecond},
+			{Name: "send", Cat: "taskop", Offset: time.Millisecond, Dur: time.Hour},
+		}})
+	o.TaskDone(TaskSample{ID: 4, Worker: -1, Remote: true, StageStart: start, Start: start, Err: errors.New("gone")})
+	ev := o.Trace.Events()
+	if len(ev) != 5 {
+		t.Fatalf("recorded %d spans, want sched, task, two sub-spans and a failed sched: %+v", len(ev), ev)
+	}
+	sched, body := ev[0], ev[1]
+	if sched.Cat != "sched" || sched.PID != PIDLocal || body.Name != "task 3" || body.Cat != "task" || body.PID != PIDWorkerBase+1 {
+		t.Fatalf("window %+v, body %+v", sched, body)
+	}
+	if mid := body.TS + body.Dur/2 - (sched.TS + sched.Dur/2); math.Abs(mid) > 1e-3 || body.Dur != 2000 {
+		t.Errorf("body %+v is not centred, 2 ms long, in window %+v", body, sched)
+	}
+	for _, sub := range ev[2:4] {
+		if sub.PID != body.PID || sub.TID != body.TID || sub.Dur < 0 || sub.TS < body.TS || sub.TS+sub.Dur > sched.TS+sched.Dur+1e-3 {
+			t.Errorf("sub-span %+v is not on the body's track inside the window %+v", sub, sched)
+		}
+	}
+	if failed := ev[4]; failed.Cat != "sched" || failed.Args["error"] != "gone" {
+		t.Errorf("failed task drew %+v, want its window with the error", failed)
+	}
 }

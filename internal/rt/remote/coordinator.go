@@ -140,8 +140,8 @@ type workerConn struct {
 	id   int
 	addr string
 
-	// ctrl is the control connection. Only the ping/pong exchange uses it —
-	// AddWorker's first ping, then the worker's heartbeat goroutine alone.
+	// ctrl is the control connection. Only the ping/pong exchange uses it,
+	// from the worker's heartbeat goroutine alone.
 	// ptrMu guards the pointer, so a probe can swap in a fresh connection
 	// while Close interrupts a blocked exchange by closing the old one.
 	ptrMu sync.Mutex
@@ -155,13 +155,6 @@ type workerConn struct {
 	// and puts it back when the task ended cleanly.
 	idleMu sync.Mutex
 	idle   []*stream
-
-	// Clock-skew estimate for this worker, fed by ping/pong samples. The
-	// lowest-RTT sample wins (see skew.go); sampled guards the first write.
-	clockMu  sync.Mutex
-	rttBest  time.Duration
-	clockOff time.Duration
-	sampled  bool
 }
 
 // conn returns the current control connection.
@@ -216,22 +209,6 @@ func (w *workerConn) closeIdle() {
 	for _, s := range idle {
 		s.close()
 	}
-}
-
-// recordClock folds one ping/pong sample into the skew estimate.
-func (w *workerConn) recordClock(rtt, offset time.Duration) {
-	w.clockMu.Lock()
-	if !w.sampled || rtt < w.rttBest {
-		w.rttBest, w.clockOff, w.sampled = rtt, offset, true
-	}
-	w.clockMu.Unlock()
-}
-
-// clockOffset returns the current worker-minus-coordinator clock estimate.
-func (w *workerConn) clockOffset() time.Duration {
-	w.clockMu.Lock()
-	defer w.clockMu.Unlock()
-	return w.clockOff
 }
 
 // transportError marks failures of the coordinator↔worker channel (dial,
@@ -337,14 +314,6 @@ func (c *Coordinator) AddWorker(addr string) (int, error) {
 	c.wmu.Lock()
 	c.workers = append(c.workers, w)
 	c.wmu.Unlock()
-	// Prime the clock-skew estimator with one ping before the worker takes
-	// tasks, so even a trace captured immediately after the join merges
-	// against a real offset sample rather than zero.
-	if err := c.pingWorker(w); err != nil {
-		conn.Close()
-		c.mem.MarkDead(m.ID)
-		return -1, err
-	}
 	if _, err := c.mem.Activate(m.ID); err != nil {
 		return -1, err
 	}
@@ -388,9 +357,9 @@ func (c *Coordinator) onMembershipChange() {
 	}
 }
 
-// pingWorker runs one ping/pong exchange on the control connection: it feeds
-// the heartbeat RTT histogram, the per-worker RTT gauge and the worker's
-// clock-skew estimate.
+// pingWorker runs one ping/pong exchange on the control connection and
+// feeds the heartbeat RTT histogram and the per-worker RTT gauge. A pong is
+// an empty frame: one with a payload is refused.
 func (c *Coordinator) pingWorker(w *workerConn) error {
 	sent := time.Now()
 	cn := w.conn()
@@ -398,17 +367,10 @@ func (c *Coordinator) pingWorker(w *workerConn) error {
 	if err := writeFrame(cn, msgPing, nil); err != nil {
 		return err
 	}
-	payload, err := expectFrame(cn, msgPong, maxControlFrame)
-	if err != nil {
+	if _, err := expectFrame(cn, msgPong, 0); err != nil {
 		return err
 	}
-	recv := time.Now()
-	var p pong
-	if err := decodeGob(payload, &p); err != nil {
-		return err
-	}
-	rtt, offset := clockOffsetSample(sent, recv, p.UnixNano)
-	w.recordClock(rtt, offset)
+	rtt := time.Since(sent)
 	if o := c.getObs(); o.Enabled() {
 		o.Histogram(obs.MHeartbeatRTT).Observe(rtt.Seconds())
 		o.Gauge(obs.WorkerRTTGauge(w.id)).Set(rtt.Seconds())
@@ -659,37 +621,26 @@ func (c *Coordinator) RunSpecStage(st *rt.Stage) error {
 		}
 		if perTask {
 			// The executor's per-task wrapper only fires for in-process
-			// closures, so remote task telemetry is reported here. The
-			// coordinator's own span is the scheduling view (cat "sched");
-			// the execution view (cat "task" with its sub-spans) arrives
-			// worker-side in done.Spans and merges onto the worker's track.
-			// The dispatch-to-done latency is attributed to the worker that
-			// ran the attempt (the thief under work-stealing, the retry
-			// target after a death) for straggler detection.
+			// closures, so remote task telemetry is reported here: the
+			// dispatch-to-done window, and the body the worker timed and
+			// traced, which TaskDone places inside that window. The latency
+			// is attributed to the worker that ran the attempt (the thief
+			// under work-stealing, the retry target after a death) for
+			// straggler detection.
 			worker := w.id
 			if err != nil {
 				worker = -1
 			}
 			m := done.Metrics
-			o.TaskDone(obs.TaskSample{ID: taskID, Worker: worker, Cat: "sched",
-				StageStart: start, Start: taskStart, Err: err,
+			o.TaskDone(obs.TaskSample{ID: taskID, Worker: worker, Remote: true,
+				StageStart: start, Start: taskStart,
+				Body: time.Duration(m.TaskSeconds * float64(time.Second)), Spans: done.Spans, Err: err,
 				ConsolidationBytes: m.ConsolidationBytes, AggregationBytes: m.AggregationBytes,
 				Flops: m.Flops, PeakMemBytes: m.MemPeakBytes})
 			o.Counter(obs.MRemoteTasksTotal).Inc()
 		}
 		if err != nil {
 			return err
-		}
-		if len(done.Spans) > 0 && o.Tracing() {
-			// Skew-correct the worker's span batch into the coordinator
-			// clock and clamp it into the dispatch window this goroutine
-			// observed, then merge onto the worker's process track.
-			aligned := AlignSpans(done.Spans, w.clockOffset(), taskStart, time.Now())
-			pid := obs.PIDWorkerBase + w.id
-			for _, s := range aligned {
-				o.Trace.AddSpanAt(s.Name, s.Cat, pid, 1+taskID%64,
-					time.Unix(0, s.StartUnixNano), time.Duration(s.DurNanos), nil)
-			}
 		}
 		mu.Lock()
 		stage.AddTask(done.Metrics)

@@ -13,7 +13,7 @@
 // lanes that exist — each carrying one task at a time, any number in
 // sequence.
 //
-// Frame table, protocol v11 (C = coordinator, W = worker; "gob" = encoded by
+// Frame table, protocol v12 (C = coordinator, W = worker; "gob" = encoded by
 // the connection's gob stream, "raw" = fixed binary layout):
 //
 //	control connection (C dials; per-message gob, low rate, no block; any
@@ -21,7 +21,7 @@
 //	  C→W msgHello        gob(hello)         opens the connection
 //	  W→C msgHelloAck     gob(helloAck)
 //	  C→W msgPing         empty
-//	  W→C msgPong         gob(pong)
+//	  W→C msgPong         empty
 //
 //	task stream (C dials; ONE gob.Encoder/Decoder pair per direction for the
 //	stream's lifetime, so type descriptors travel once)
@@ -88,6 +88,7 @@ import (
 	"slices"
 	"sync"
 
+	"fuseme/internal/cluster"
 	"fuseme/internal/matrix"
 	"fuseme/internal/rt/spec"
 )
@@ -121,14 +122,17 @@ import (
 // ships the session's block-cache budget in stageAssign in place of a kernel
 // thread count: a worker sizes its kernel pool from its own GOMAXPROCS and
 // gives a task its block cache only when the task's stage carries a budget.
-const protoVersion = 11
+// Version 12 drops the worker clock from the pong, which is an empty frame
+// now, and ships a task's spans relative to its body's start: the coordinator
+// places them in the task's own dispatch window, with no clock estimate.
+const protoVersion = 12
 
 // Frame types.
 const (
 	msgHello    = byte(1) // coordinator → worker: gob(hello), opens control conn
 	msgHelloAck = byte(2) // worker → coordinator: gob(helloAck)
 	msgPing     = byte(3) // coordinator → worker: empty
-	msgPong     = byte(4) // worker → coordinator: gob(pong)
+	msgPong     = byte(4) // worker → coordinator: empty
 	msgTask     = byte(5) // coordinator → worker: gob(taskAssign), on a task stream after its msgStage
 	msgFetch    = byte(6) // worker → coordinator: block reference (appendRef)
 	msgBlock    = byte(7) // coordinator → worker: block payload (see below)
@@ -219,19 +223,12 @@ type taskAssign struct {
 
 // taskDone reports a completed task: the metering the worker-side
 // cluster.Task accumulated (the result blocks went ahead of it as msgResult
-// frames). Spans carries the worker's span batch (worker-clock timestamps;
-// the coordinator skew-corrects them) when the assignment requested tracing,
-// led by the enclosing whole-task span.
+// frames). Spans carries the task body's sub-spans, relative to the body's
+// start, when the assignment requested tracing; the coordinator places the
+// body, Metrics.TaskSeconds long, inside the dispatch window it observed.
 type taskDone struct {
 	Metrics spec.TaskMetrics
-	Spans   []spec.SpanRec
-}
-
-// pong is the heartbeat reply. UnixNano is the worker's wall clock at reply
-// time; with the coordinator's send/receive timestamps it yields one NTP-style
-// clock-offset sample (offset ≈ workerT − (sent + RTT/2)).
-type pong struct {
-	UnixNano int64
+	Spans   []cluster.TaskSpan
 }
 
 // taskFail reports a task whose body returned an error. This is an

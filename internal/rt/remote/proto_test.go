@@ -292,10 +292,11 @@ func FuzzControlLoop(f *testing.F) {
 	f.Add(frame(msgPing, nil))
 	f.Add(append(frame(msgPing, nil), frame(msgMemberUpdate, upd)...)) // the retired push: refused
 	f.Add(append(frame(msgPing, nil), frame(msgPing, nil)...))
-	f.Add(frame(msgStage, []byte{1, 2, 3}))                 // a task stream's frame: refused
-	f.Add([]byte{msgPing, 0x01, 0, 0, 1})                   // above maxControlFrame
-	f.Add([]byte{msgPing, 0, 0})                            // a cut header
-	f.Add(append(frame(0xff, nil), frame(msgPing, nil)...)) // junk, then a ping that is never answered
+	f.Add(append(frame(msgPing, nil), frame(msgPong, nil)...)) // the worker's own reply: refused
+	f.Add(frame(msgStage, []byte{1, 2, 3}))                    // a task stream's frame: refused
+	f.Add([]byte{msgPing, 0x01, 0, 0, 1})                      // above maxControlFrame
+	f.Add([]byte{msgPing, 0, 0})                               // a cut header
+	f.Add(append(frame(0xff, nil), frame(msgPing, nil)...))    // junk, then a ping that is never answered
 	w, err := NewWorker("127.0.0.1:0")
 	if err != nil {
 		f.Fatal(err)
@@ -718,15 +719,15 @@ func TestDrainWakesOnTaskCompletion(t *testing.T) {
 	}
 }
 
-// TestHandshakeRefusesOtherVersions: protocol v11 does not interoperate with
-// v10 in either direction, and both ends say so at the handshake.
+// TestHandshakeRefusesOtherVersions: protocol v12 does not interoperate with
+// v11 in either direction, and both ends say so at the handshake.
 func TestHandshakeRefusesOtherVersions(t *testing.T) {
-	if protoVersion != 11 {
-		t.Fatalf("protoVersion = %d, want 11", protoVersion)
+	if protoVersion != 12 {
+		t.Fatalf("protoVersion = %d, want 12", protoVersion)
 	}
 	cfg := cluster.Config{TasksPerNode: 1, TaskMemBytes: 1 << 30, NetBandwidth: 1e9, CompBandwidth: 50e9, BlockSize: 16}
 
-	// A v10 worker: acknowledges with its own version.
+	// A v11 worker: acknowledges with its own version.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -739,16 +740,16 @@ func TestHandshakeRefusesOtherVersions(t *testing.T) {
 				return
 			}
 			if _, err := expectFrame(conn, msgHello, maxControlFrame); err == nil {
-				writeGob(conn, msgHelloAck, helloAck{Proto: 10})
+				writeGob(conn, msgHelloAck, helloAck{Proto: 11})
 			}
 			conn.Close()
 		}
 	}()
 	if _, err := NewCoordinatorConfig(cfg, []string{ln.Addr().String()}, DefaultConfig()); err == nil || !strings.Contains(err.Error(), "protocol mismatch") {
-		t.Errorf("coordinator against a v10 worker: err = %v, want protocol mismatch", err)
+		t.Errorf("coordinator against a v11 worker: err = %v, want protocol mismatch", err)
 	}
 
-	// A v10 coordinator against this worker: told the worker's version, then
+	// A v11 coordinator against this worker: told the worker's version, then
 	// hung up on.
 	w, err := NewWorker("127.0.0.1:0")
 	if err != nil {
@@ -761,7 +762,7 @@ func TestHandshakeRefusesOtherVersions(t *testing.T) {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	if err := writeGob(conn, msgHello, hello{Proto: 10}); err != nil {
+	if err := writeGob(conn, msgHello, hello{Proto: 11}); err != nil {
 		t.Fatal(err)
 	}
 	payload, err := expectFrame(conn, msgHelloAck, maxControlFrame)
@@ -773,10 +774,10 @@ func TestHandshakeRefusesOtherVersions(t *testing.T) {
 		t.Errorf("ack = %+v, err %v; want the worker's version %d", ack, err, protoVersion)
 	}
 	if _, _, err := readFrame(conn, maxControlFrame); !errors.Is(err, io.EOF) {
-		t.Errorf("after a v10 hello: read err = %v, want EOF", err)
+		t.Errorf("after a v11 hello: read err = %v, want EOF", err)
 	}
 
-	// A v10 worker registering at the join listener.
+	// A v11 worker registering at the join listener.
 	co, err := NewCoordinatorConfig(cfg, []string{w.Addr()}, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -786,7 +787,7 @@ func TestHandshakeRefusesOtherVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := joinExchange(joinAddr, 5*time.Second, msgJoin, joinReq{Proto: 10, Addr: "127.0.0.1:1"}); err == nil || !strings.Contains(err.Error(), "protocol mismatch") {
-		t.Errorf("v10 join: err = %v, want protocol mismatch", err)
+	if _, err := joinExchange(joinAddr, 5*time.Second, msgJoin, joinReq{Proto: 11, Addr: "127.0.0.1:1"}); err == nil || !strings.Contains(err.Error(), "protocol mismatch") {
+		t.Errorf("v11 join: err = %v, want protocol mismatch", err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"net"
 	"sync"
 	"testing"
-	"time"
 
 	"fuseme/internal/block"
 	"fuseme/internal/chaos/chaostest"
@@ -47,7 +46,7 @@ func fakeWorker(t *testing.T, reply func(s *stream)) string {
 				if _, _, err := readFrame(conn, maxControlFrame); err != nil {
 					return
 				}
-				if writeGob(conn, msgPong, pong{UnixNano: time.Now().UnixNano()}) != nil {
+				if writeFrame(conn, msgPong, nil) != nil {
 					return
 				}
 			}

@@ -384,7 +384,7 @@ func (w *Worker) controlLoop(conn net.Conn) error {
 		if typ != msgPing {
 			return fmt.Errorf("remote: unexpected frame type %d on the control connection", typ)
 		}
-		if err := writeGob(conn, msgPong, pong{UnixNano: time.Now().UnixNano()}); err != nil {
+		if err := writeFrame(conn, msgPong, nil); err != nil {
 			return err
 		}
 	}
@@ -410,11 +410,6 @@ func (w *Worker) runTask(s *stream, q *fetchQueue, st *workerStage, assign *task
 	}
 	task := &cluster.Task{ID: assign.TaskID}
 	task.SetPool(w.kernelPool(st.TaskSlots))
-	var tt *cluster.TaskTrace
-	if assign.Trace {
-		tt = &cluster.TaskTrace{}
-		task.SetTrace(tt)
-	}
 	cache := w.blockCache(st.CacheBytes)
 	task.SetCache(cache, assign.Gen)
 	// Fetched blocks live in the stream's arena until the task ends, unless
@@ -448,6 +443,9 @@ func (w *Worker) runTask(s *stream, q *fetchQueue, st *workerStage, assign *task
 	}
 
 	start := time.Now()
+	if assign.Trace {
+		task.SetTrace(cluster.NewTaskTrace(start))
+	}
 	if d := w.taskDelay.Load(); d > 0 {
 		// The injected stall behaves like a long kernel: it counts as task
 		// time, exactly as a real computation would.
@@ -480,26 +478,5 @@ func (w *Worker) runTask(s *stream, q *fetchQueue, st *workerStage, assign *task
 	if err != nil {
 		return s.writeGob(msgFail, taskFail{Err: err.Error()}) == nil
 	}
-	var spans []spec.SpanRec
-	if tt != nil {
-		// Whole-task span first, then the body's sub-spans, all on the
-		// worker's clock; the coordinator aligns them to its own.
-		sub := tt.Spans()
-		spans = make([]spec.SpanRec, 0, 1+len(sub))
-		spans = append(spans, spec.SpanRec{
-			Name:          fmt.Sprintf("task %d", assign.TaskID),
-			Cat:           "task",
-			StartUnixNano: start.UnixNano(),
-			DurNanos:      taskDur.Nanoseconds(),
-		})
-		for _, sp := range sub {
-			spans = append(spans, spec.SpanRec{
-				Name:          sp.Name,
-				Cat:           sp.Cat,
-				StartUnixNano: sp.Start.UnixNano(),
-				DurNanos:      sp.End.Sub(sp.Start).Nanoseconds(),
-			})
-		}
-	}
-	return s.writeGob(msgDone, taskDone{Metrics: m, Spans: spans}) == nil
+	return s.writeGob(msgDone, taskDone{Metrics: m, Spans: task.Trace().Spans()}) == nil
 }

@@ -67,7 +67,12 @@ type QueryResponse struct {
 	ExecMillis   float64                 `json:"exec_ms"`
 }
 
-// demand estimates the submission's memory demand for admission control.
+// minDemandBytes is the memory demand of a submission whose inputs are
+// small and which names no mem_bytes.
+const minDemandBytes = 16 << 20
+
+// demand estimates the submission's memory demand for admission control:
+// the request's mem_bytes, else max(16 MiB, 2 x total input bytes).
 func (s *Server) demand(req *QueryRequest, inputs map[string]*fuseme.Matrix) int64 {
 	if req.MemBytes > 0 {
 		return req.MemBytes
@@ -76,11 +81,7 @@ func (s *Server) demand(req *QueryRequest, inputs map[string]*fuseme.Matrix) int
 	for _, m := range inputs {
 		in += m.SizeBytes()
 	}
-	d := 2 * in
-	if d < s.cfg.DefaultMemBytes {
-		d = s.cfg.DefaultMemBytes
-	}
-	return d
+	return max(2*in, minDemandBytes)
 }
 
 // materializeInputs resolves every input spec into a matrix.

@@ -25,6 +25,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"sort"
@@ -74,27 +75,15 @@ type Config struct {
 	// QueueWait bounds how long a queued submission waits for memory before
 	// 429 (default 10s).
 	QueueWait time.Duration
-	// DefaultMemBytes is the per-query memory-demand floor used when a
-	// request carries no explicit mem_bytes (default 16 MiB). The estimate
-	// is max(floor, 2 x total input bytes).
-	DefaultMemBytes int64
 	// PlanCacheEntries sizes the shared plan cache; 0 uses the default
 	// (256), negative disables plan caching.
 	PlanCacheEntries int
-	// Registry, when non-nil, is the metrics registry to aggregate into
-	// (default: a fresh one).
-	Registry *obs.Registry
 	// SessionOptions are applied to every pooled session (e.g.
 	// fuseme.WithBlockCache).
 	SessionOptions []fuseme.Option
-	// Journal, when non-nil, is the shared query event journal (the caller
-	// owns its lifetime). Nil creates one sized JournalRing (default 4096).
-	Journal *obs.Journal
-	// JournalRing sizes the in-memory event ring of a server-created journal.
-	JournalRing int
-	// JournalPath, when non-empty, makes the server-created journal also sink
-	// events to a JSONL file at this path (flushed on Shutdown). Ignored when
-	// Journal is set.
+	// JournalPath, when non-empty, makes the server's query event journal
+	// (obs.DefaultJournalRing events in memory) also sink events to a JSONL
+	// file at this path (flushed on Shutdown).
 	JournalPath string
 }
 
@@ -156,9 +145,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.QueueWait <= 0 {
 		cfg.QueueWait = 10 * time.Second
 	}
-	if cfg.DefaultMemBytes <= 0 {
-		cfg.DefaultMemBytes = 16 << 20
-	}
 	if cfg.BudgetBytes <= 0 {
 		cfg.BudgetBytes = int64(cfg.Cluster.Nodes) * int64(cfg.Cluster.TasksPerNode) * cfg.Cluster.TaskMemBytes
 	}
@@ -170,27 +156,21 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:      cfg,
-		reg:      cfg.Registry,
+		reg:      obs.NewRegistry(),
 		byToken:  map[string]*Tenant{},
 		datasets: map[string]*fuseme.Matrix{},
 		free:     make(chan *fuseme.Session, cfg.Sessions),
 		queries:  newQueryRegistry(),
 	}
-	if s.reg == nil {
-		s.reg = obs.NewRegistry()
-	}
-	switch {
-	case cfg.Journal != nil:
-		s.journal = cfg.Journal
-	case cfg.JournalPath != "":
+	var sink io.Writer
+	if cfg.JournalPath != "" {
 		f, err := os.Create(cfg.JournalPath)
 		if err != nil {
 			return nil, fmt.Errorf("serve: journal: %w", err)
 		}
-		s.journal, s.journalFile = obs.NewJournal(cfg.JournalRing, f), f
-	default:
-		s.journal = obs.NewJournal(cfg.JournalRing, nil)
+		sink, s.journalFile = f, f
 	}
+	s.journal = obs.NewJournal(obs.DefaultJournalRing, sink)
 	if cfg.PlanCacheEntries >= 0 {
 		s.pc = fuseme.NewPlanCache(cfg.PlanCacheEntries)
 	}
