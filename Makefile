@@ -36,8 +36,8 @@ build:
 ## output goes to race.log, whose last 200 lines are printed when it fails —
 ## then the one test that needs the kernelcount tag (the assembly kernels are
 ## the path at the benchmark's block shapes; the tag compiles call counters
-## in), the kernel and fused-task micro-benchmarks (BenchmarkUnaryStrip among
-## them), the two observability overhead guards (disabled fast path,
+## in), the kernel, fused-task and block-grid micro-benchmarks
+## (BenchmarkUnaryStrip and BenchmarkMatrixGrid among them), the two observability overhead guards (disabled fast path,
 ## journal < 2 %) and the FME1 wire benchmark (codec, loopback-socket and
 ## arena arms) once each so they cannot rot
 race:
@@ -45,7 +45,7 @@ race:
 	@$(GO) test -race -count=1 -coverprofile=coverage.out -covermode=atomic ./... > race.log 2>&1 || \
 		{ echo "go test -race failed; the last 200 lines of race.log:"; tail -n 200 race.log; exit 1; }
 	$(GO) test -tags kernelcount -run FastPathIsThePath ./internal/matrix
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/matrix ./internal/exec
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/matrix ./internal/exec ./internal/block
 	$(GO) test -run '^$$' -bench 'Overhead$$|BlockWire' -benchtime 1x .
 
 ## covercheck: parse coverage.out (written by `make race`), print the

@@ -7,6 +7,18 @@
 // A missing block is an all-zero block; sparse matrices therefore only store
 // the blocks that carry non-zeros.
 //
+// Storage: a Matrix holds its grid as one row-major slice of
+// BlockRows()×BlockCols() cells, a nil cell being an all-zero block, so a
+// block is found by its position — Block and SetBlock index the slice, Keys
+// and ForEach walk it in row-major order without sorting, and
+// NumStoredBlocks is a counter. Every cell costs 16 B (one interface value)
+// whether or not a block is stored there, so a grid is paid for in full when
+// the matrix is made. The largest grid any test, experiment, example or
+// command in this repository builds at its defaults is examples/als's
+// 6000×5000 X at block 64: 94×79 = 7426 cells, 116 KiB. The repository
+// benchmark's largest, nmfk_sim's 20000×20000 X at block 256, is 79×79 =
+// 6241 cells, 98 KiB.
+//
 // Ownership: a stored block is immutable. A Matrix changes only by having a
 // block replaced (SetBlock, AddInto), which restamps its content epoch; the
 // contents of a block it holds, or ever held, are never written. That is
@@ -19,7 +31,6 @@ package block
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync/atomic"
 
 	"fuseme/internal/matrix"
@@ -46,7 +57,9 @@ func (k Key) String() string { return fmt.Sprintf("(%d,%d)", k.Row, k.Col) }
 type Matrix struct {
 	Rows, Cols int // element-level dimensions
 	BlockSize  int
-	blocks     map[Key]matrix.Mat
+	br, bc     int          // grid dimensions: BlockRows(), BlockCols()
+	grid       []matrix.Mat // br×bc cells, row-major; nil = all-zero block
+	stored     int          // non-nil cells of grid
 	epoch      uint64       // content version; see epochCounter
 	nnz        atomic.Int64 // NNZ()+1 once counted; 0 until then and after restamp
 }
@@ -56,8 +69,9 @@ func New(rows, cols, blockSize int) *Matrix {
 	if rows < 0 || cols < 0 || blockSize <= 0 {
 		panic(fmt.Sprintf("block: invalid shape %dx%d bs=%d", rows, cols, blockSize))
 	}
+	br, bc := ceilDiv(rows, blockSize), ceilDiv(cols, blockSize)
 	return &Matrix{Rows: rows, Cols: cols, BlockSize: blockSize,
-		blocks: make(map[Key]matrix.Mat), epoch: nextEpoch()}
+		br: br, bc: bc, grid: make([]matrix.Mat, br*bc), epoch: nextEpoch()}
 }
 
 // Epoch returns the matrix's content version: a globally-unique counter value
@@ -70,10 +84,10 @@ func (m *Matrix) Epoch() uint64 { return m.epoch }
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // BlockRows returns the number of block rows (the paper's I, J or K).
-func (m *Matrix) BlockRows() int { return ceilDiv(m.Rows, m.BlockSize) }
+func (m *Matrix) BlockRows() int { return m.br }
 
 // BlockCols returns the number of block columns.
-func (m *Matrix) BlockCols() int { return ceilDiv(m.Cols, m.BlockSize) }
+func (m *Matrix) BlockCols() int { return m.bc }
 
 // BlockDims returns the element dimensions of block (bi, bj); edge blocks may
 // be smaller than BlockSize.
@@ -90,15 +104,33 @@ func (m *Matrix) BlockDims(bi, bj int) (rows, cols int) {
 }
 
 // Block returns the block at grid position (bi, bj), or nil when the block is
-// all-zero.
-func (m *Matrix) Block(bi, bj int) matrix.Mat { return m.blocks[Key{bi, bj}] }
+// all-zero or the position lies outside the grid.
+func (m *Matrix) Block(bi, bj int) matrix.Mat {
+	if uint(bi) >= uint(m.br) || uint(bj) >= uint(m.bc) {
+		return nil
+	}
+	return m.grid[bi*m.bc+bj]
+}
+
+// put stores blk (nil: none) in the cell of grid position (bi, bj), which
+// must lie inside the grid, and keeps the stored-block count.
+func (m *Matrix) put(bi, bj int, blk matrix.Mat) {
+	cell := &m.grid[bi*m.bc+bj]
+	switch {
+	case *cell == nil && blk != nil:
+		m.stored++
+	case *cell != nil && blk == nil:
+		m.stored--
+	}
+	*cell = blk
+}
 
 // CheckBlock reports why blk may not be stored at grid position (bi, bj):
 // the key lies outside the grid, or the block is not shaped as the grid's
 // block there. A nil blk fits any key inside the grid.
 func (m *Matrix) CheckBlock(bi, bj int, blk matrix.Mat) error {
-	if bi < 0 || bj < 0 || bi >= m.BlockRows() || bj >= m.BlockCols() {
-		return fmt.Errorf("block: key (%d,%d) outside %dx%d grid", bi, bj, m.BlockRows(), m.BlockCols())
+	if uint(bi) >= uint(m.br) || uint(bj) >= uint(m.bc) {
+		return fmt.Errorf("block: key (%d,%d) outside %dx%d grid", bi, bj, m.br, m.bc)
 	}
 	if blk == nil {
 		return nil
@@ -116,15 +148,11 @@ func (m *Matrix) SetBlock(bi, bj int, blk matrix.Mat) {
 	if err := m.CheckBlock(bi, bj, blk); err != nil {
 		panic(err.Error())
 	}
-	if blk == nil {
-		delete(m.blocks, Key{bi, bj})
-	} else {
-		m.blocks[Key{bi, bj}] = blk
-	}
+	m.put(bi, bj, blk)
 	m.restamp()
 }
 
-// restamp marks a change of the block map: a fresh content epoch, and the
+// restamp marks a change of the block grid: a fresh content epoch, and the
 // non-zero count is no longer known.
 func (m *Matrix) restamp() {
 	m.epoch = nextEpoch()
@@ -132,27 +160,23 @@ func (m *Matrix) restamp() {
 }
 
 // NumStoredBlocks returns the number of explicitly stored (non-zero) blocks.
-func (m *Matrix) NumStoredBlocks() int { return len(m.blocks) }
+func (m *Matrix) NumStoredBlocks() int { return m.stored }
 
 // Keys returns the stored block keys in row-major order.
 func (m *Matrix) Keys() []Key {
-	ks := make([]Key, 0, len(m.blocks))
-	for k := range m.blocks {
-		ks = append(ks, k)
-	}
-	sort.Slice(ks, func(a, b int) bool {
-		if ks[a].Row != ks[b].Row {
-			return ks[a].Row < ks[b].Row
-		}
-		return ks[a].Col < ks[b].Col
-	})
+	ks := make([]Key, 0, m.stored)
+	m.ForEach(func(k Key, _ matrix.Mat) { ks = append(ks, k) })
 	return ks
 }
 
 // ForEach calls fn for every stored block in row-major order.
 func (m *Matrix) ForEach(fn func(k Key, blk matrix.Mat)) {
-	for _, k := range m.Keys() {
-		fn(k, m.blocks[k])
+	for bi := 0; bi < m.br; bi++ {
+		for bj, blk := range m.grid[bi*m.bc : (bi+1)*m.bc] {
+			if blk != nil {
+				fn(Key{bi, bj}, blk)
+			}
+		}
 	}
 }
 
@@ -174,8 +198,10 @@ func (m *Matrix) NNZ() int {
 		return int(n - 1)
 	}
 	n := 0
-	for _, b := range m.blocks {
-		n += b.NNZ()
+	for _, b := range m.grid {
+		if b != nil {
+			n += b.NNZ()
+		}
 	}
 	m.nnz.Store(int64(n) + 1)
 	return n
@@ -184,8 +210,10 @@ func (m *Matrix) NNZ() int {
 // SizeBytes returns the total in-memory footprint of the stored blocks.
 func (m *Matrix) SizeBytes() int64 {
 	var n int64
-	for _, b := range m.blocks {
-		n += b.SizeBytes()
+	for _, b := range m.grid {
+		if b != nil {
+			n += b.SizeBytes()
+		}
 	}
 	return n
 }
@@ -201,9 +229,12 @@ func (m *Matrix) Density() float64 {
 // Clone returns a deep copy.
 func (m *Matrix) Clone() *Matrix {
 	out := New(m.Rows, m.Cols, m.BlockSize)
-	for k, b := range m.blocks {
-		out.blocks[k] = b.Clone()
+	for i, b := range m.grid {
+		if b != nil {
+			out.grid[i] = b.Clone()
+		}
 	}
+	out.stored = m.stored
 	return out
 }
 
@@ -230,7 +261,7 @@ func FromMat(src matrix.Mat, blockSize int) *Matrix {
 			if nnz == 0 {
 				continue
 			}
-			out.blocks[Key{bi, bj}] = matrix.MaybeCompress(blk, matrix.SparseResultThreshold)
+			out.put(bi, bj, matrix.MaybeCompress(blk, matrix.SparseResultThreshold))
 		}
 	}
 	return out
@@ -278,12 +309,12 @@ func AddInto(dst, src *Matrix) {
 		panic("block: AddInto shape mismatch")
 	}
 	src.ForEach(func(k Key, blk matrix.Mat) {
-		cur := dst.blocks[k]
+		cur := dst.Block(k.Row, k.Col)
 		if cur == nil {
-			dst.blocks[k] = blk.Clone()
+			dst.put(k.Row, k.Col, blk.Clone())
 			return
 		}
-		dst.blocks[k] = matrix.Binary(matrix.Add, cur, blk)
+		dst.put(k.Row, k.Col, matrix.Binary(matrix.Add, cur, blk))
 	})
 	dst.restamp()
 }
@@ -296,7 +327,7 @@ func RandomDense(rows, cols, blockSize int, lo, hi float64, seed int64) *Matrix 
 		for bj := 0; bj < out.BlockCols(); bj++ {
 			br, bc := out.BlockDims(bi, bj)
 			s := seed*1_000_003 + int64(bi)*131 + int64(bj)
-			out.blocks[Key{bi, bj}] = matrix.RandomDense(br, bc, lo, hi, s)
+			out.put(bi, bj, matrix.RandomDense(br, bc, lo, hi, s))
 		}
 	}
 	return out
@@ -315,7 +346,7 @@ func RandomSparse(rows, cols, blockSize int, density, lo, hi float64, seed int64
 			if blk.NNZ() == 0 {
 				continue
 			}
-			out.blocks[Key{bi, bj}] = blk
+			out.put(bi, bj, blk)
 		}
 	}
 	return out
@@ -326,7 +357,7 @@ func RandomSparse(rows, cols, blockSize int, density, lo, hi float64, seed int64
 func Transpose(m *Matrix) *Matrix {
 	out := New(m.Cols, m.Rows, m.BlockSize)
 	m.ForEach(func(k Key, blk matrix.Mat) {
-		out.blocks[Key{k.Col, k.Row}] = matrix.Transpose(blk)
+		out.put(k.Col, k.Row, matrix.Transpose(blk))
 	})
 	return out
 }
@@ -357,7 +388,7 @@ func RandomSparseSkewed(rows, cols, blockSize int, density, skew, lo, hi float64
 			if blk.NNZ() == 0 {
 				continue
 			}
-			out.blocks[Key{bi, bj}] = blk
+			out.put(bi, bj, blk)
 		}
 	}
 	return out

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -27,19 +28,44 @@ type evaluator struct {
 	kLo, kHi  int            // main multiplication k-block range
 	blockSize int
 
-	memo      map[memoKey]matrix.Mat
-	fetched   map[memoKey]bool
-	charged   map[memoKey]bool          // retained transposes already charged, built or folded
-	leftT     map[memoKey]*matrix.Dense // retained, charged transposes of dense left blocks (evalMatMul)
-	accT      *matrix.Dense             // scratch: evalMatMul's transposed accumulator
-	colocated []int                     // inputs co-partitioned with the output: no fetch cost
-	trace     *cluster.TaskTrace        // per-task sub-spans; nil when tracing is off
-	epochs    *spec.Stage               // the stage naming the bound inputs' content epochs: the cacheable ones
+	memo      memoTable
+	pinned    bool               // the task pinned the main multiplication's aggregated partials (a fuse task)
+	accT      *matrix.Dense      // scratch: evalMatMul's transposed accumulator
+	colocated []int              // inputs co-partitioned with the output: no fetch cost
+	trace     *cluster.TaskTrace // per-task sub-spans; nil when tracing is off
+	epochs    *spec.Stage        // the stage naming the bound inputs' content epochs: the cacheable ones
 }
 
-type memoKey struct {
-	node   int
-	bi, bj int
+// memoTable is what a task holds of the blocks it met: one entry per (node,
+// block), keyed by the one word memoKey packs them into.
+type memoTable map[uint64]memoEntry
+
+// memoEntry is the task's state of one block of one node.
+type memoEntry struct {
+	blk     matrix.Mat    // the block, when held; nil is an all-zero block
+	leftT   *matrix.Dense // its retained, charged transpose as a dense left operand (evalMatMul)
+	held    bool          // blk is memoised, pinned or fetched
+	fetched bool          // the block was fetched and metered (or broadcast, or a cache hit)
+	charged bool          // a retained transpose: charged once, built or folded
+}
+
+// A memo key packs (node ID, block row, block column) into one word: the
+// node in the top memoNodeBits, each coordinate in memoCoordBits below it.
+// Anything wider fails the task with errMemoKeyRange rather than alias
+// another block.
+const (
+	memoCoordBits = 20
+	memoNodeBits  = 64 - 2*memoCoordBits
+)
+
+var errMemoKeyRange = errors.New("exec: node or block coordinate too large for a memo key")
+
+// memoKey returns the memo key of block (bi, bj) of node id.
+func (ev *evaluator) memoKey(id, bi, bj int) uint64 {
+	if uint(id) >= 1<<memoNodeBits || uint(bi) >= 1<<memoCoordBits || uint(bj) >= 1<<memoCoordBits {
+		ev.fail(fmt.Errorf("%w: node %d block (%d,%d)", errMemoKeyRange, id, bi, bj))
+	}
+	return uint64(id)<<(2*memoCoordBits) | uint64(bi)<<memoCoordBits | uint64(bj)
 }
 
 func newEvaluator(pc *planCtx, task *cluster.Task, src blockSource, blockSize, kLo, kHi int) *evaluator {
@@ -51,10 +77,7 @@ func newEvaluator(pc *planCtx, task *cluster.Task, src blockSource, blockSize, k
 		kLo:       kLo,
 		kHi:       kHi,
 		blockSize: blockSize,
-		memo:      make(map[memoKey]matrix.Mat),
-		fetched:   make(map[memoKey]bool),
-		charged:   make(map[memoKey]bool),
-		leftT:     make(map[memoKey]*matrix.Dense),
+		memo:      memoTable{},
 		trace:     task.Trace(),
 	}
 }
@@ -65,7 +88,7 @@ func (ev *evaluator) reachesMM(n *dag.Node) bool {
 	if n == ev.pc.plan.MainMM {
 		return true
 	}
-	if !ev.pc.plan.Contains(n) {
+	if !ev.pc.member(n) {
 		return false
 	}
 	for _, in := range n.Inputs {
@@ -93,36 +116,44 @@ func (ev *evaluator) blockDims(n *dag.Node, bi, bj int) (rows, cols int) {
 }
 
 // shouldMemo reports whether the node's block values are retained for reuse
-// within the task: external inputs always, member nodes per the plan's
-// memoNode; never other O-space intermediates, which stream through one
+// within the task: external inputs always, member nodes when their role is
+// retained; never other O-space intermediates, which stream through one
 // compiled chain (the fused, no-materialisation property).
 func (ev *evaluator) shouldMemo(n *dag.Node) bool {
-	return !ev.pc.plan.Contains(n) || ev.pc.memoNode[n.ID]
+	r := ev.pc.role(n.ID)
+	return r&roleMember == 0 || r&roleRetained != 0
 }
 
 // evalBlock computes block (bi, bj) of node n. A nil return is an all-zero
-// block.
+// block. Only a retained member's block, or a pinned partial of the main
+// multiplication, can be held already: the memo is not asked for another
+// member's, and an input's is fetchExternal's to find.
 func (ev *evaluator) evalBlock(n *dag.Node, bi, bj int) matrix.Mat {
-	key := memoKey{n.ID, bi, bj}
-	if blk, ok := ev.memo[key]; ok {
-		return blk
+	if !ev.pc.member(n) {
+		return ev.fetchExternal(n, bi, bj)
+	}
+	retained := ev.pc.role(n.ID)&roleRetained != 0
+	var key uint64
+	if retained || ev.pinned && n == ev.pc.plan.MainMM {
+		key = ev.memoKey(n.ID, bi, bj)
+		if e := ev.memo[key]; e.held {
+			return e.blk
+		}
 	}
 	blk := ev.computeBlock(n, bi, bj)
-	if ev.shouldMemo(n) && !n.IsLeaf() {
-		// Leaves are memoised by fetchExternal itself.
-		ev.memo[key] = blk
-		memberT := n.Op == dag.OpTranspose && ev.pc.plan.Contains(n) // transposedChild charged it
-		if blk != nil && !memberT {
+	if retained {
+		e := ev.memo[key] // a retained transpose's entry holds its charge already
+		e.blk, e.held = blk, true
+		ev.memo[key] = e
+		if blk != nil && n.Op != dag.OpTranspose { // transposedChild charged it
 			ev.task.GrowMem(blk.SizeBytes())
 		}
 	}
 	return blk
 }
 
+// computeBlock computes block (bi, bj) of the member n.
 func (ev *evaluator) computeBlock(n *dag.Node, bi, bj int) matrix.Mat {
-	if !ev.pc.plan.Contains(n) {
-		return ev.fetchExternal(n, bi, bj)
-	}
 	switch n.Op {
 	case dag.OpUnary, dag.OpBinary:
 		if ev.pc.mask != nil && n == ev.pc.mask.Mul {
@@ -149,13 +180,18 @@ func (ev *evaluator) computeBlock(n *dag.Node, bi, bj int) matrix.Mat {
 // reads c directly, so the transposed block is never built.
 func (ev *evaluator) transposedChild(n *dag.Node, bi, bj int) matrix.Mat {
 	c := ev.evalBlock(n.Inputs[0], bj, bi)
-	key := memoKey{n.ID, bi, bj}
-	if c == nil || ev.charged[key] {
+	if c == nil {
+		return c
+	}
+	key := ev.memoKey(n.ID, bi, bj)
+	e := ev.memo[key]
+	if e.charged {
 		return c
 	}
 	ev.task.AddFlops(int64(c.NNZ()))
 	if ev.shouldMemo(n) {
-		ev.charged[key] = true
+		e.charged = true
+		ev.memo[key] = e
 		size := c.SizeBytes()
 		if s, ok := c.(*matrix.CSR); ok {
 			size += int64(s.Cols-s.Rows) * 8 // the transposed row-pointer array
@@ -169,16 +205,17 @@ func (ev *evaluator) transposedChild(n *dag.Node, bi, bj int) matrix.Mat {
 // within the task (each distinct block is consolidated once per task). The
 // block comes from the task's blockSource — the coordinator's bindings when
 // running in-process, or a network pull on a remote worker — and is retained
-// in the memo so remote tasks move each block at most once.
+// in the memo so remote tasks move each block at most once. The block of an
+// input that is not a leaf (an earlier operator's result) is charged to task
+// memory once more, as held, like a retained member's.
 func (ev *evaluator) fetchExternal(n *dag.Node, bi, bj int) matrix.Mat {
 	if n.Op == dag.OpScalar {
 		return matrix.NewDenseData(1, 1, []float64{n.Scalar})
 	}
-	key := memoKey{n.ID, bi, bj}
-	if ev.fetched[key] {
-		if blk, ok := ev.memo[key]; ok {
-			return blk
-		}
+	key := ev.memoKey(n.ID, bi, bj)
+	e := ev.memo[key]
+	if e.fetched {
+		return e.blk
 	}
 	// A task without a cache, or an input its stage names no epoch for,
 	// takes the uncached fetch path exactly.
@@ -191,31 +228,29 @@ func (ev *evaluator) fetchExternal(n *dag.Node, bi, bj int) matrix.Mat {
 			cacheable = true
 		}
 	}
-	if cacheable && !ev.fetched[key] {
+	var blk matrix.Mat
+	hit := false
+	if cacheable {
 		endCache := ev.trace.Begin("cache", "taskop")
-		blk, hit := cache.Get(ck, gen)
+		blk, hit = cache.Get(ck, gen)
 		endCache()
-		if hit {
-			// Served from the node/worker-resident cache: no wire fetch,
-			// but the block occupies task memory like any local read.
-			// Colocated inputs never ship in the simulated model, so a hit
-			// on one saves no consolidation bytes.
-			ev.fetched[key] = true
-			saved := blk.SizeBytes()
-			if slices.Contains(ev.colocated, n.ID) {
-				saved = 0
-			}
-			ev.task.CacheHit(blk.SizeBytes(), saved)
-			ev.memo[key] = blk
-			return blk
+	}
+	if hit {
+		// Served from the node/worker-resident cache: no wire fetch,
+		// but the block occupies task memory like any local read.
+		// Colocated inputs never ship in the simulated model, so a hit
+		// on one saves no consolidation bytes.
+		saved := blk.SizeBytes()
+		if slices.Contains(ev.colocated, n.ID) {
+			saved = 0
 		}
-	}
-	blk, err := ev.src.fetch(spec.BlockRef{Kind: spec.RefInput, Node: n.ID, BI: bi, BJ: bj})
-	if err != nil {
-		ev.fail(fmt.Errorf("exec: input %d (%s) block (%d,%d): %w", n.ID, n.Label(), bi, bj, err))
-	}
-	if !ev.fetched[key] {
-		ev.fetched[key] = true
+		ev.task.CacheHit(blk.SizeBytes(), saved)
+	} else {
+		var err error
+		blk, err = ev.src.fetch(spec.BlockRef{Kind: spec.RefInput, Node: n.ID, BI: bi, BJ: bj})
+		if err != nil {
+			ev.fail(fmt.Errorf("exec: input %d (%s) block (%d,%d): %w", n.ID, n.Label(), bi, bj, err))
+		}
 		if slices.Contains(ev.colocated, n.ID) {
 			// Co-partitioned input: the task already owns the block; it
 			// occupies memory but moves no bytes.
@@ -232,7 +267,11 @@ func (ev *evaluator) fetchExternal(n *dag.Node, bi, bj int) matrix.Mat {
 			ev.task.AddCacheEvictions(cache.Put(ck, blk, blk.SizeBytes(), gen))
 		}
 	}
-	ev.memo[key] = blk
+	if blk != nil && !n.IsLeaf() {
+		ev.task.GrowMem(blk.SizeBytes())
+	}
+	e.blk, e.held, e.fetched = blk, true, true
+	ev.memo[key] = e
 	return blk
 }
 
@@ -241,10 +280,10 @@ func (ev *evaluator) fetchExternal(n *dag.Node, bi, bj int) matrix.Mat {
 // child's under a member transpose — unless the task holds that block
 // already or refs names it.
 func (ev *evaluator) appendExternal(refs []spec.BlockRef, n *dag.Node, bi, bj int) []spec.BlockRef {
-	if n.Op == dag.OpTranspose && ev.pc.plan.Contains(n) {
+	if n.Op == dag.OpTranspose && ev.pc.member(n) {
 		n, bi, bj = n.Inputs[0], bj, bi
 	}
-	if ev.pc.plan.Contains(n) || n.Op == dag.OpScalar || ev.fetched[memoKey{n.ID, bi, bj}] {
+	if ev.pc.member(n) || n.Op == dag.OpScalar || ev.memo[ev.memoKey(n.ID, bi, bj)].fetched {
 		return refs
 	}
 	ref := spec.BlockRef{Kind: spec.RefInput, Node: n.ID, BI: bi, BJ: bj}
@@ -306,7 +345,7 @@ func (ev *evaluator) evalMatMul(n *dag.Node, bi, bj int) matrix.Mat {
 		lo, hi = ev.kLo, ev.kHi
 	}
 	rows, cols := ev.blockDims(n, bi, bj)
-	folded := left.Op == dag.OpTranspose && ev.pc.plan.Contains(left)
+	folded := left.Op == dag.OpTranspose && ev.pc.member(left)
 	if ra := ev.src.ahead(); ra != nil {
 		refs := ra.refs[:0]
 		for bk := lo; bk < hi; bk++ {
@@ -332,12 +371,14 @@ func (ev *evaluator) evalMatMul(n *dag.Node, bi, bj int) matrix.Mat {
 		}
 		if b, ok := rb.(*matrix.CSR); ok {
 			if d, ok := la.(*matrix.Dense); ok {
-				key := memoKey{left.ID, bi, bk}
-				if ev.leftT[key] == nil { // built once per task, held against its memory
-					ev.leftT[key] = matrix.TransposeWith(ev.pool, d).(*matrix.Dense)
+				key := ev.memoKey(left.ID, bi, bk)
+				e := ev.memo[key]
+				if e.leftT == nil { // built once per task, held against its memory
+					e.leftT = matrix.TransposeWith(ev.pool, d).(*matrix.Dense)
+					ev.memo[key] = e
 					ev.task.GrowMem(d.SizeBytes())
 				}
-				lt = ev.leftT[key]
+				lt = e.leftT
 			}
 			if a, ok := lt.(*matrix.Dense); ok {
 				if accT == nil {

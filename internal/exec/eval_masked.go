@@ -38,13 +38,13 @@ func (ev *evaluator) evalChain(n *dag.Node, bi, bj int) matrix.Mat {
 // or a vector operand of another shape.
 func (c *chain) operand(n *dag.Node) matrix.Value {
 	ev := c.ev
-	if ev.pc.plan.Contains(n) && (n.Op == dag.OpUnary || n.Op == dag.OpBinary) &&
+	if ev.pc.member(n) && (n.Op == dag.OpUnary || n.Op == dag.OpBinary) &&
 		n.Rows == c.root.Rows && n.Cols == c.root.Cols && !ev.shouldMemo(n) &&
 		(ev.pc.mask == nil || n != ev.pc.mask.Mul) {
 		return c.node(n)
 	}
 	oi, oj := operandCoords(n, c.bi, c.bj)
-	if _, pinned := ev.memo[memoKey{n.ID, oi, oj}]; n.Op == dag.OpMatMul && !pinned && !ev.shouldMemo(n) {
+	if n.Op == dag.OpMatMul && !ev.shouldMemo(n) && !ev.memo[ev.memoKey(n.ID, oi, oj)].held {
 		return c.Owned(ev.evalBlock(n, oi, oj)) // a fresh accumulator nobody else holds
 	}
 	return c.Leaf(ev.evalBlock(n, oi, oj))
@@ -81,10 +81,10 @@ func (ev *evaluator) evalMaskedMul(bi, bj int) matrix.Mat {
 	var pattern *matrix.CSR
 	var vals []float64
 	mm := ev.pc.plan.MainMM
-	if blk, pinned := ev.memo[memoKey{mm.ID, bi, bj}]; pinned {
+	if ev.pinned {
 		// Stage two: the aggregated partials are pinned; the first pass samples them.
 		pattern, vals = ev.driverPattern(bi, bj)
-		passes.Sample(blk)
+		passes.Sample(ev.memo[ev.memoKey(mm.ID, bi, bj)].blk)
 	} else {
 		pattern, vals = ev.maskedMM(bi, bj)
 	}
@@ -151,7 +151,7 @@ func (ev *evaluator) maskedMM(bi, bj int) (*matrix.CSR, []float64) {
 	}
 	mm := ev.pc.plan.MainMM
 	left, right := mm.Inputs[0], mm.Inputs[1]
-	folded := right.Op == dag.OpTranspose && ev.pc.plan.Contains(right)
+	folded := right.Op == dag.OpTranspose && ev.pc.member(right)
 	for bk := ev.kLo; bk < ev.kHi; bk++ {
 		// The SDDMM takes dot(A[i,:], Bt[j,:]), its right operand transposed:
 		// under a member t(B) that is B's own row-major block, read where it

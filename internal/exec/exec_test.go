@@ -223,8 +223,17 @@ func TestGNMFUpdateNestedMM(t *testing.T) {
 	if plan.MainMM != v1 {
 		t.Fatalf("main mm #%d, want #%d", plan.MainMM.ID, v1.ID)
 	}
-	for _, c := range []struct{ p, q, r int }{{1, 1, 1}, {1, 3, 2}, {2, 5, 6}} {
-		runAndCompare(t, g, flats, &FusedOp{Plan: plan, P: c.p, Q: c.q, R: c.r}, bs)
+	// The charged flops, measured at c238734, count each retained block —
+	// the nested t(W) %*% W above all — once per task, however many of the
+	// task's output blocks read it.
+	for _, c := range []struct {
+		p, q, r int
+		flops   int64
+	}{{1, 1, 1, 10632}, {1, 3, 2, 15000}, {2, 5, 6, 19368}} {
+		cl := runAndCompare(t, g, flats, &FusedOp{Plan: plan, P: c.p, Q: c.q, R: c.r}, bs)
+		if got := cl.Stats().Flops; got != c.flops {
+			t.Errorf("P=%d Q=%d R=%d: charged %d flops, want %d", c.p, c.q, c.r, got, c.flops)
+		}
 	}
 }
 

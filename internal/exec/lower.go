@@ -44,20 +44,39 @@ type Stage struct {
 // planCtx is what the tasks of a stage read of one output plan, derived from
 // the plan once per stage and never written after.
 type planCtx struct {
-	plan     *fusion.Plan
-	root     *dag.Node         // evaluated per output block
-	agg      *dag.Node         // the root aggregation; nil emits final blocks
-	mask     *fusion.OuterMask // outer-fusion pattern; nil if none or under NoMask
-	tree     *fusion.SpaceTree // nil for a plan without multiplication
-	memoNode map[int]bool      // members whose blocks a task retains
+	plan  *fusion.Plan
+	root  *dag.Node         // evaluated per output block
+	agg   *dag.Node         // the root aggregation; nil emits final blocks
+	mask  *fusion.OuterMask // outer-fusion pattern; nil if none or under NoMask
+	tree  *fusion.SpaceTree // nil for a plan without multiplication
+	roles []role            // by node ID; an ID past the slice has no role
 }
+
+// role is what a plan makes of one node, read on the per-block path.
+type role uint8
+
+const (
+	roleMember   role = 1 << iota // a member of the plan (Plan.Contains)
+	roleRetained                  // a task retains the node's blocks (an input's always are)
+)
+
+// role returns node id's role in the plan.
+func (pc *planCtx) role(id int) role {
+	if uint(id) < uint(len(pc.roles)) {
+		return pc.roles[id]
+	}
+	return 0
+}
+
+// member reports whether n is a member of the plan.
+func (pc *planCtx) member(n *dag.Node) bool { return pc.role(n.ID)&roleMember != 0 }
 
 // newPlanCtx derives the context of plan p: the stage-context constructor's
 // half that reads the plan. It is the only place the executor asks a plan for
 // its space tree, node spaces, outer mask or multiplications; lowering calls
 // it once per operator and a worker once per shipped stage.
 func newPlanCtx(p *fusion.Plan, noMask bool) *planCtx {
-	pc := &planCtx{plan: p, root: p.Root, tree: p.Spaces(), memoNode: map[int]bool{}}
+	pc := &planCtx{plan: p, root: p.Root, tree: p.Spaces()}
 	if p.Root.Op == dag.OpUnaryAgg {
 		pc.root, pc.agg = p.Root.Inputs[0], p.Root
 	}
@@ -67,14 +86,23 @@ func newPlanCtx(p *fusion.Plan, noMask bool) *planCtx {
 	// Retained within the task: L/R-space results (reused across the task's
 	// output blocks) and the operands of every multiplication — a nested
 	// one's coordinates repeat across output blocks by construction.
+	mark := func(id int, r role) {
+		if id >= len(pc.roles) {
+			pc.roles = append(pc.roles, make([]role, id+1-len(pc.roles))...)
+		}
+		pc.roles[id] |= r
+	}
+	for id := range p.Members {
+		mark(id, roleMember)
+	}
 	for id, s := range p.NodeSpaces() {
 		if s == fusion.SpaceL || s == fusion.SpaceR {
-			pc.memoNode[id] = true
+			mark(id, roleRetained)
 		}
 	}
 	for _, mm := range p.MatMuls() {
 		for _, in := range mm.Inputs {
-			pc.memoNode[in.ID] = true
+			mark(in.ID, roleRetained)
 		}
 	}
 	return pc

@@ -147,7 +147,7 @@ func (st *Stage) outputs(task *cluster.Task, src blockSource, kHi int) []taskOut
 	for i, pc := range st.outs {
 		o := &outs[i]
 		o.ev, o.kind = st.evaluator(pc, task, src, 0, kHi), aggKind(i)
-		o.ev.memo, o.ev.fetched = outs[0].ev.memo, outs[0].ev.fetched
+		o.ev.memo = outs[0].ev.memo
 		if pc.agg != nil {
 			o.partial = block.New(pc.agg.Rows, pc.agg.Cols, st.Spec.BlockSize)
 		}
@@ -262,6 +262,7 @@ func (st *Stage) runFuseTask(task *cluster.Task, src blockSource, emit emitFn) e
 	q := len(sp.JRanges)
 	pi, qi := task.ID/q, task.ID%q
 	out := &st.outputs(task, src, sp.GK)[0]
+	out.ev.pinned = true
 	ri, rj := sp.IRanges[pi], sp.JRanges[qi]
 	if ra := src.ahead(); ra != nil {
 		refs := ra.refs[:0]
@@ -279,7 +280,7 @@ func (st *Stage) runFuseTask(task *cluster.Task, src blockSource, emit emitFn) e
 			if err != nil {
 				return fmt.Errorf("exec: partial block (%d,%d): %w", bi, bj, err)
 			}
-			out.ev.memo[memoKey{out.ev.pc.plan.MainMM.ID, bi, bj}] = blk // maskedMM / evalBlock find it pinned
+			out.ev.memo[out.ev.memoKey(out.ev.pc.plan.MainMM.ID, bi, bj)] = memoEntry{blk: blk, held: true} // maskedMM / evalBlock find it pinned
 			if blk != nil {
 				task.GrowMem(blk.SizeBytes())
 			}
@@ -342,9 +343,7 @@ func broadcastSides(sides []*dag.Node, src blockSource, ev *evaluator, task *clu
 					ev.fail(fmt.Errorf("exec: broadcast input %d block (%d,%d): %w", in.ID, bi, bj, err))
 				}
 				task.FetchBlock(blk)
-				key := memoKey{in.ID, bi, bj}
-				ev.fetched[key] = true
-				ev.memo[key] = blk
+				ev.memo[ev.memoKey(in.ID, bi, bj)] = memoEntry{blk: blk, held: true, fetched: true}
 			}
 		}
 	}
@@ -354,10 +353,16 @@ func broadcastSides(sides []*dag.Node, src blockSource, ev *evaluator, task *clu
 // worker: it rebuilds the plan — of a multi-aggregation, the plans — sp
 // describes, and the stage's context over them with the constructor lowering
 // uses, once; every task of the stage the worker is assigned runs against
-// the result.
+// the result. A node ID the memo key cannot hold is refused here, before the
+// context sizes a role slice by it.
 func NewSpecStage(sp *spec.Stage) (*Stage, error) {
 	outs := make([]*planCtx, 1+len(sp.Group))
 	for i, ps := range append([]spec.PlanSpec{sp.Plan}, sp.Group...) {
+		for _, ns := range ps.Nodes {
+			if uint(ns.ID) >= 1<<memoNodeBits {
+				return nil, fmt.Errorf("%w: node %d", errMemoKeyRange, ns.ID)
+			}
+		}
 		p, err := ps.Build()
 		if err != nil {
 			return nil, err
