@@ -16,16 +16,20 @@
 //     drops older epochs only, so it never drops what a concurrent task of
 //     the same stage has just cached.
 //
-//   - Generation visibility: entries inserted during stage generation g only
-//     become hit-visible to stages with a generation > g. Tasks of one stage
-//     race to populate the cache, but none of them can observe another's
-//     insertions, which makes per-stage hit counts deterministic regardless
-//     of scheduling order.
+//   - Plan visibility: an entry carries the generation of every stage that
+//     inserted it, and a stage hits it only when one of those stages is an
+//     ancestor of it in its query's plan or belongs to an earlier query
+//     (Scope). Tasks of one stage race to populate the cache, and stages of
+//     one query that do not depend on each other run at the same time, but
+//     no stage observes an insertion it does not depend on — so per-stage
+//     hit counts are deterministic whatever the scheduling order.
 package blockcache
 
 import (
 	"container/list"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"fuseme/internal/matrix"
 )
@@ -43,8 +47,24 @@ type entry struct {
 	key   Key
 	blk   matrix.Mat
 	bytes int64
-	gen   uint64 // stage generation the entry was inserted in
+	gens  []uint64 // generations of the stages that inserted the entry
 }
+
+// Scope is a stage's place in the visibility order: the generation its
+// insertions carry, and which inserting generations it may hit. Generations
+// are drawn per query (Scopes), so every stage of an earlier query has one
+// below a later query's Floor.
+type Scope struct {
+	Gen   uint64   // the generation the stage's insertions carry
+	Floor uint64   // the first generation of the stage's query: every one below is visible
+	Sees  []uint64 // the generations of the stage's ancestors in its query, visible too
+}
+
+// sees reports whether an entry inserted at generation g is visible to s.
+func (s *Scope) sees(g uint64) bool { return g < s.Floor || slices.Contains(s.Sees, g) }
+
+// genSeq is the process-wide generation counter Scopes draws from.
+var genSeq atomic.Uint64
 
 // Stats is a snapshot of a cache's counters.
 type Stats struct {
@@ -70,12 +90,32 @@ func New(budget int64) *Cache {
 	return &Cache{budget: budget, lru: list.New(), items: make(map[Key]*list.Element)}
 }
 
-// Get returns the cached block for k if it was inserted in a generation
-// strictly before gen. A nil block is a valid cached value (an all-zero
+// Scopes reserves the generations of one query of len(ancestors) stages —
+// consecutive ones, the first of which is the query's Floor: every
+// generation drawn before it belongs to an earlier query — and returns each
+// stage's scope: stage i's generation is Floor+i, and it sees the stages
+// ancestors[i] names by index — every stage it depends on, not only the ones
+// it reads directly.
+func Scopes(ancestors [][]int) []Scope {
+	n := uint64(len(ancestors))
+	floor := genSeq.Add(n) - n + 1
+	out := make([]Scope, len(ancestors))
+	for i, anc := range ancestors {
+		sees := make([]uint64, len(anc))
+		for j, a := range anc {
+			sees[j] = floor + uint64(a)
+		}
+		out[i] = Scope{Gen: floor + uint64(i), Floor: floor, Sees: sees}
+	}
+	return out
+}
+
+// Get returns the cached block for k if a stage visible to s inserted it
+// (Scope). A nil block is a valid cached value (an all-zero
 // block), so the boolean carries the hit/miss outcome. Hits refresh LRU
 // recency; misses are not counted here (the caller counts a miss only when
 // it actually fetched something) — Get only counts hits.
-func (c *Cache) Get(k Key, gen uint64) (matrix.Mat, bool) {
+func (c *Cache) Get(k Key, s Scope) (matrix.Mat, bool) {
 	if c == nil {
 		return nil, false
 	}
@@ -86,8 +126,9 @@ func (c *Cache) Get(k Key, gen uint64) (matrix.Mat, bool) {
 		return nil, false
 	}
 	e := el.Value.(*entry)
-	if e.gen >= gen {
-		// Inserted by a concurrent task of the same (or a later) stage:
+	if !slices.ContainsFunc(e.gens, s.sees) {
+		// Inserted only by stages s does not depend on — a concurrent task
+		// of the same stage, a stage running beside it, a later query:
 		// invisible, so every task of a stage sees the same cache state.
 		return nil, false
 	}
@@ -99,18 +140,25 @@ func (c *Cache) Get(k Key, gen uint64) (matrix.Mat, bool) {
 // Put inserts blk under k, charging bytes against the budget and evicting
 // least-recently-used entries as needed. It returns how many entries it
 // evicted to make room. Entries larger than the whole budget are not cached.
-// Re-putting an existing key refreshes its recency but keeps its generation,
-// and never double-charges bytes.
-func (c *Cache) Put(k Key, blk matrix.Mat, bytes int64, gen uint64) (evicted int) {
+// The entry carries s.Gen. Re-putting an existing key refreshes its recency
+// and adds s.Gen to the entry's generations, unless an earlier query's stage
+// inserted it already (every stage s.Gen could be visible to sees that one
+// too), and never double-charges bytes.
+func (c *Cache) Put(k Key, blk matrix.Mat, bytes int64, s Scope) (evicted int) {
 	if c == nil || c.budget <= 0 || bytes > c.budget || bytes < 0 {
 		return 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[k]; ok {
-		// Same key means same content (epochs are unique); keep the original
-		// generation so the first insertion wins visibility.
-		el.Value.(*entry).blk = blk
+		// Same key means same content (epochs are unique). The entry stays
+		// visible to whoever saw it and becomes visible to s's dependents:
+		// which of two unrelated stages inserted it first must not matter.
+		e := el.Value.(*entry)
+		e.blk = blk
+		if !slices.Contains(e.gens, s.Gen) && slices.Min(e.gens) >= s.Floor {
+			e.gens = append(e.gens, s.Gen)
+		}
 		c.lru.MoveToFront(el)
 		return 0
 	}
@@ -118,7 +166,7 @@ func (c *Cache) Put(k Key, blk matrix.Mat, bytes int64, gen uint64) (evicted int
 		c.remove(c.lru.Back())
 		c.evictions++
 	}
-	el := c.lru.PushFront(&entry{key: k, blk: blk, bytes: bytes, gen: gen})
+	el := c.lru.PushFront(&entry{key: k, blk: blk, bytes: bytes, gens: []uint64{s.Gen}})
 	c.items[k] = el
 	c.bytes += bytes
 	return evicted

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"fuseme/internal/blockcache"
@@ -339,8 +338,9 @@ func (s *Stats) AddTask(m TaskMetrics) {
 	}
 }
 
-// Cluster is a simulated cluster instance. It is safe for use by one
-// execution at a time; stats reads are safe concurrently with stages.
+// Cluster is a simulated cluster instance. Stages may run concurrently —
+// the operators of one plan that do not depend on each other do — and share
+// its nodes' lanes; stats reads are safe concurrently with stages.
 type Cluster struct {
 	cfg Config
 
@@ -350,9 +350,8 @@ type Cluster struct {
 	// kernel threads x local slots never oversubscribes the machine.
 	pool *parallel.Pool
 
-	mu        sync.Mutex
-	stats     Stats
-	lastStage Stats // the latest stage's own metrics; see LastStageStats
+	mu    sync.Mutex
+	stats Stats
 
 	// caches holds one block cache per simulated node (empty when caching
 	// is disabled). A task reads its home node's, taskID % Nodes —
@@ -361,6 +360,10 @@ type Cluster struct {
 	caches []*blockcache.Cache
 
 	alive []bool // every simulated node, live, for Dispatch
+
+	// lanes bounds the tasks each node runs at once, TasksPerNode, across
+	// every stage in flight.
+	lanes *sched.NodeLanes
 
 	// sched gates task dispatch. By default each cluster owns a private
 	// scheduler sized like the old inline worker pool
@@ -371,12 +374,6 @@ type Cluster struct {
 	tenantMu     sync.Mutex
 	tenant       string
 	tenantWeight int
-
-	// stageSeq is the stage-generation counter driving cache visibility:
-	// blocks cached during generation g only become hits in generations > g,
-	// making hit counts independent of in-stage scheduling order. It is
-	// never reset (ResetStats keeps it), so caching works across queries.
-	stageSeq atomic.Uint64
 }
 
 // New creates a cluster from cfg.
@@ -384,7 +381,7 @@ func New(cfg Config) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Cluster{cfg: cfg, alive: make([]bool, cfg.Nodes)}
+	c := &Cluster{cfg: cfg, alive: make([]bool, cfg.Nodes), lanes: sched.NewNodeLanes(cfg.TasksPerNode)}
 	for i := range c.alive {
 		c.alive[i] = true
 	}
@@ -427,16 +424,6 @@ func (c *Cluster) Stats() Stats {
 	return c.stats
 }
 
-// LastStageStats returns the metrics of the most recent stage alone — what
-// that stage added to Stats, with its own peak task memory rather than the
-// running maximum. It is zero from the moment a stage starts until the stage
-// folds its metrics, so a stage that fails before folding reports zeros.
-func (c *Cluster) LastStageStats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lastStage
-}
-
 // ResetStats clears accumulated metrics (between experiments).
 func (c *Cluster) ResetStats() {
 	c.mu.Lock()
@@ -448,25 +435,12 @@ func (c *Cluster) ResetStats() {
 // method exists so *Cluster satisfies the rt.Runtime interface.
 func (c *Cluster) Close() error { return nil }
 
-// NextStageGen begins a stage: it clears LastStageStats, advances the
-// stage-generation counter and returns the new value, the generation the
-// stage's tasks carry to their block caches. RunStage calls it internally;
-// backends that execute stages without going through RunStage (the TCP
-// coordinator) call it per spec stage.
-func (c *Cluster) NextStageGen() uint64 {
-	c.mu.Lock()
-	c.lastStage = Stats{}
-	c.mu.Unlock()
-	return c.stageSeq.Add(1)
-}
-
 // AddStats folds one stage's externally measured metrics (a remote backend's
 // wire accounting) into the cluster's totals.
 func (c *Cluster) AddStats(s Stats) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.stats.Add(s)
-	c.lastStage = s
 }
 
 // CheckAdmission rejects an operator whose estimated per-task memory exceeds
@@ -493,11 +467,14 @@ type Task struct {
 	// nil means tracing is off. Set by the backend that runs the task.
 	trace *TaskTrace
 
-	// cache is the block cache of the task's node, gen the stage generation
-	// (blocks cached at g are hit-visible only to later stages); nil means
-	// uncached. Set by the backend that runs the task.
+	// cache is the block cache of the task's node; nil means uncached. Set
+	// by the backend that runs the task. Which entries the task may hit is
+	// its stage's (spec.Stage.Scope).
 	cache *blockcache.Cache
-	gen   uint64
+
+	// stage is the stats of the stage the task belongs to, filled in by the
+	// simulated cluster once the stage folded its tasks (StageStats).
+	stage *Stats
 
 	consolidationBytes int64
 	aggregationBytes   int64
@@ -518,13 +495,19 @@ func (t *Task) SetPool(p *parallel.Pool) { t.pool = p }
 // Pool returns the task's kernel pool; nil means serial kernels.
 func (t *Task) Pool() *parallel.Pool { return t.pool }
 
-// SetCache hands the task its node's block cache (nil, the default: none) and
-// the stage generation. Backends call it before running the task body.
-func (t *Task) SetCache(c *blockcache.Cache, gen uint64) { t.cache, t.gen = c, gen }
+// SetCache hands the task its node's block cache (nil, the default: none).
+// Backends call it before running the task body.
+func (t *Task) SetCache(c *blockcache.Cache) { t.cache = c }
 
-// Cache returns the task's block cache (nil when uncached) and the stage
-// generation.
-func (t *Task) Cache() (*blockcache.Cache, uint64) { return t.cache, t.gen }
+// Cache returns the task's block cache (nil when uncached).
+func (t *Task) Cache() *blockcache.Cache { return t.cache }
+
+// StageStats returns the stats of the stage a task of Cluster.RunStage
+// belongs to — that stage's own, whatever other stages run beside it. They
+// are complete once RunStage has returned, and zero (Stages 0) when the
+// stage failed before its tasks were folded; a task run by any other
+// backend has none (nil).
+func (t *Task) StageStats() *Stats { return t.stage }
 
 // FetchBlock meters a block moved to this task during matrix consolidation
 // and counts it against the task's live memory.
@@ -631,10 +614,12 @@ func (c *Cluster) Scheduler() *sched.Scheduler {
 // Dispatch runs one stage of numTasks tasks on the stage driver over the
 // nodes alive names — RunStage over the simulated nodes, the TCP coordinator
 // over its workers — with this cluster's dispatch scheduler, tenant tag,
-// TasksPerNode lanes and retry policy, and returns the stage's steal count.
+// node lanes (TasksPerNode per node, shared by every stage in flight) and
+// retry policy, and returns the stage's steal count.
 func (c *Cluster) Dispatch(name string, numTasks int, alive []bool, run func(node, taskID, attempt int) error) (int64, error) {
 	c.tenantMu.Lock()
-	s, st := c.sched, sched.Stage{Name: name, Tasks: numTasks, Alive: alive, Lanes: c.cfg.TasksPerNode,
+	s, st := c.sched, sched.Stage{Name: name, Tasks: numTasks, Alive: alive, Lanes: c.cfg.TasksPerNode, Nodes: c.lanes,
+		Pinned: c.cfg.CacheBudget() > 0,
 		Tenant: c.tenant, Weight: c.tenantWeight, Retries: c.cfg.MaxTaskRetries, Inject: c.cfg.InjectTaskFailure}
 	c.tenantMu.Unlock()
 	return s.Run(st, run)
@@ -643,24 +628,25 @@ func (c *Cluster) Dispatch(name string, numTasks int, alive []bool, run func(nod
 // RunStage executes numTasks tasks as one distributed stage over the
 // simulated nodes (Dispatch), each running task holding a slot of the
 // dispatch scheduler — by default min(TotalSlots, GOMAXPROCS) of them. fn runs
-// once per task attempt, on a Task carrying the kernel pool and the block
-// cache of the task's home node (task ID mod Nodes, whichever lane runs it,
-// so cache hits do not depend on steals). Task metrics are folded into the
-// cluster stats and the simulated clock advances per Eq. 2. The first error
-// aborts the stage once in-flight tasks finish; a simulated-time overrun
-// returns a wrapped ErrTimeout.
+// once per task attempt, on a Task carrying the kernel pool, the block cache
+// of the task's home node (task ID mod Nodes, whichever lane runs it, so
+// cache hits do not depend on steals) and the stage's own stats
+// (Task.StageStats). Task metrics are folded into those and into the cluster
+// stats, and the simulated clock advances per Eq. 2. The first error aborts
+// the stage once in-flight tasks finish; a simulated-time overrun returns a
+// wrapped ErrTimeout.
 func (c *Cluster) RunStage(name string, numTasks int, fn func(t *Task) error) error {
 	if numTasks < 0 {
 		return fmt.Errorf("cluster: stage %q: negative task count", name)
 	}
 	start := time.Now()
-	gen := c.NextStageGen()
+	stage := &Stats{}
 	tasks := make([]Task, numTasks)
 	steals, err := c.Dispatch(name, numTasks, c.alive, func(_, id, _ int) error {
 		// A retried task restarts with clean metering: the failed attempt's
 		// partial work is discarded, exactly as a re-executed Spark task
 		// recomputes its partition.
-		tasks[id] = Task{ID: id, pool: c.pool, gen: gen}
+		tasks[id] = Task{ID: id, pool: c.pool, stage: stage}
 		if len(c.caches) > 0 {
 			tasks[id].cache = c.caches[id%len(c.caches)] // the home node's
 		}
@@ -670,7 +656,7 @@ func (c *Cluster) RunStage(name string, numTasks int, fn func(t *Task) error) er
 		return err
 	}
 
-	stage := Stats{Stages: 1, Tasks: numTasks, StealTasks: steals}
+	stage.Stages, stage.Tasks, stage.StealTasks = 1, numTasks, steals
 	for i := range tasks {
 		stage.AddTask(tasks[i].Metrics())
 	}
@@ -679,8 +665,7 @@ func (c *Cluster) RunStage(name string, numTasks int, fn func(t *Task) error) er
 	stage.WallSeconds = time.Since(start).Seconds()
 
 	c.mu.Lock()
-	c.stats.Add(stage)
-	c.lastStage = stage
+	c.stats.Add(*stage)
 	over := c.cfg.SimTimeLimit > 0 && c.stats.SimSeconds > c.cfg.SimTimeLimit
 	total := c.stats.SimSeconds
 	c.mu.Unlock()

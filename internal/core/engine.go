@@ -8,9 +8,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"fuseme/internal/block"
+	"fuseme/internal/blockcache"
 	"fuseme/internal/cluster"
 	"fuseme/internal/dag"
 	"fuseme/internal/exec"
@@ -66,18 +68,30 @@ func (pp *PhysPlan) PredictedSeconds(cfg cluster.Config) float64 {
 	return total
 }
 
-// PhysPlan is a compiled query: fused operators in execution (topological)
-// order.
+// PhysPlan is a compiled query: fused operators in a topological order, and
+// the dependency edges between them, which Execute walks.
 type PhysPlan struct {
 	Graph *dag.Graph // the graph the operators run: the caller's, or FuseME's copy of it
 	Ops   []*PhysOp
+
+	// producers[i] lists, by index, the operators whose results operator i
+	// reads; ancestors[s] lists, by position in the plan's stage list (every
+	// operator's lowered stages, in operator order), every stage stage s
+	// depends on. Lower computes both, so they travel with a cached plan.
+	producers [][]int
+	ancestors [][]int
 }
+
+// Producers returns the indices of the operators whose results operator i
+// reads: the operators it waits for.
+func (pp *PhysPlan) Producers(i int) []int { return pp.producers[i] }
 
 // Lower lowers every operator to its stages for a cluster of shape cfg: the
 // last step of every Compile, and the one to repeat after editing an
 // operator's strategy or (P,Q,R). From then on the lowered stages are the
 // plan — Execute runs them as they are, and a plan cache shares them — so a
-// plan executes only on a runtime of cfg's block size.
+// plan executes only on a runtime of cfg's block size. Lower also derives
+// the operators' dependency edges (Producers) and the stages' ancestors.
 func (pp *PhysPlan) Lower(cfg cluster.Config) error {
 	for _, op := range pp.Ops {
 		var err error
@@ -90,6 +104,48 @@ func (pp *PhysPlan) Lower(cfg cluster.Config) error {
 		}
 		if err != nil {
 			return fmt.Errorf("core: lowering %s %s: %w", op.Kind, op.Plan, err)
+		}
+	}
+	return pp.link()
+}
+
+// link derives the dependency edges of the lowered operators: operator i
+// depends on the operator that materialises each of its inputs, and a stage
+// on the stages before it in its operator and on every stage of the
+// operators its operator depends on, transitively.
+func (pp *PhysPlan) link() error {
+	producedBy := map[int]int{} // node ID -> index of the operator materialising it
+	pp.producers = make([][]int, len(pp.Ops))
+	pp.ancestors = nil
+	opStages := make([][]int, len(pp.Ops)) // each operator's stages and all their ancestors
+	for i, op := range pp.Ops {
+		for _, in := range op.Lowered.Inputs() {
+			j, ok := producedBy[in.ID]
+			if !ok {
+				if in.Op != dag.OpInput {
+					return fmt.Errorf("core: operator %d (%s) reads node %d (%s), which no earlier operator materialises",
+						i, op.Kind, in.ID, in.Label())
+				}
+				continue
+			}
+			if !slices.Contains(pp.producers[i], j) {
+				pp.producers[i] = append(pp.producers[i], j)
+			}
+		}
+		slices.Sort(pp.producers[i])
+		var anc []int // every stage of every operator i depends on
+		for _, j := range pp.producers[i] {
+			anc = append(anc, opStages[j]...)
+		}
+		slices.Sort(anc)
+		anc = slices.Compact(anc)
+		for range op.Lowered.Stages {
+			pp.ancestors = append(pp.ancestors, slices.Clone(anc))
+			anc = append(anc, len(pp.ancestors)-1)
+		}
+		opStages[i] = anc
+		for _, root := range op.Lowered.Roots() {
+			producedBy[root.ID] = i
 		}
 	}
 	return nil
@@ -153,11 +209,14 @@ type Engine interface {
 }
 
 // Execute runs a compiled plan on a runtime (the in-process simulated
-// cluster or a remote coordinator): fused operators execute in order, each
-// running its lowered stages and materialising its roots' values, which
-// later operators consume as external inputs. Admission control rejects
+// cluster or a remote coordinator) as the DAG its operators form: every
+// operator whose inputs are materialised runs at once, each running its
+// lowered stages and materialising its roots' values, which the operators
+// depending on it consume as external inputs. Admission control rejects
 // operators whose estimated per-task memory exceeds the budget (the O.O.M.
-// of the paper's figures).
+// of the paper's figures). The first error wins: operators already running
+// finish, no operator starts after it, and Execute returns it once none is
+// running.
 func Execute(pp *PhysPlan, rtm rt.Runtime, inputs map[string]*block.Matrix) (map[string]*block.Matrix, error) {
 	return ExecuteObs(pp, rtm, inputs, nil)
 }
@@ -184,31 +243,8 @@ func ExecuteObs(pp *PhysPlan, rtm rt.Runtime, inputs map[string]*block.Matrix, o
 		}
 		values[in.ID] = m
 	}
-	for _, op := range pp.Ops {
-		desc := fmt.Sprintf("%s %s", op.Kind, op.Plan)
-		if err := rtm.CheckAdmission(op.EstMemPerTask, desc); err != nil {
-			return nil, err
-		}
-		lo := op.Lowered
-		if lo == nil {
-			return nil, fmt.Errorf("core: %s was never lowered (PhysPlan.Lower)", desc)
-		}
-		bind := exec.Bindings{}
-		for _, in := range lo.Inputs() {
-			v, ok := values[in.ID]
-			if !ok {
-				return nil, fmt.Errorf("core: operator %s needs unmaterialised value of node %d (%s)",
-					op.Kind, in.ID, in.Label())
-			}
-			bind[in.ID] = v
-		}
-		outs, err := lo.Run(rtm, bind, o)
-		if err != nil {
-			return nil, fmt.Errorf("core: %s failed: %w", desc, err)
-		}
-		for i, root := range lo.Roots() {
-			values[root.ID] = outs[i]
-		}
+	if err := pp.walk(rtm, values, o); err != nil {
+		return nil, err
 	}
 	outputs := make(map[string]*block.Matrix, len(pp.Graph.Outputs()))
 	for name, n := range pp.Graph.Outputs() {
@@ -219,6 +255,109 @@ func ExecuteObs(pp *PhysPlan, rtm rt.Runtime, inputs map[string]*block.Matrix, o
 		outputs[name] = v
 	}
 	return outputs, nil
+}
+
+// walk runs the plan's operators as their dependency edges allow, reading
+// inputs from and materialising results into values. This goroutine owns
+// values: it binds an operator's inputs before the operator starts and files
+// its results when it ends, and one goroutine per running operator does the
+// rest. Operators that become ready together start in plan order. Each
+// operator journals through its own part of the query log (QueryLog.Parts),
+// so the journal keeps plan order while stages overlap, and when the runtime
+// caches blocks each stage runs in the cache scope its ancestors give it.
+func (pp *PhysPlan) walk(rtm rt.Runtime, values map[int]*block.Matrix, o *obs.Obs) error {
+	if len(pp.producers) != len(pp.Ops) {
+		return fmt.Errorf("core: plan was never lowered (PhysPlan.Lower)")
+	}
+	var qlog *obs.QueryLog
+	if o != nil {
+		qlog = o.QLog
+	}
+	logs := qlog.Parts(len(pp.Ops))
+	scopes := make([][]blockcache.Scope, len(pp.Ops)) // per operator, its stages' (none uncached)
+	if rtm.Config().CacheBytes > 0 {
+		all := blockcache.Scopes(pp.ancestors)
+		for i, op := range pp.Ops {
+			scopes[i], all = all[:len(op.Lowered.Stages)], all[len(op.Lowered.Stages):]
+		}
+	}
+	type ended struct {
+		i    int
+		outs []*block.Matrix
+		err  error
+	}
+	var (
+		done     = make(chan ended)
+		waiting  = make([]int, len(pp.Ops))   // per operator: producers not ended yet
+		users    = make([][]int, len(pp.Ops)) // per operator: the operators reading its results
+		running  int
+		firstErr error
+	)
+	for i := range pp.Ops {
+		waiting[i] = len(pp.producers[i])
+		for _, j := range pp.producers[i] {
+			users[j] = append(users[j], i)
+		}
+	}
+	// start starts operator i, unless an operator failed already or i's
+	// admission fails, which fails the query.
+	start := func(i int) {
+		if firstErr != nil {
+			return
+		}
+		op := pp.Ops[i]
+		desc := fmt.Sprintf("%s %s", op.Kind, op.Plan)
+		if firstErr = rtm.CheckAdmission(op.EstMemPerTask, desc); firstErr != nil {
+			return
+		}
+		lo := op.Lowered
+		bind := exec.Bindings{}
+		for _, in := range lo.Inputs() {
+			bind[in.ID] = values[in.ID] // Lower checked that a producer or the caller provides it
+		}
+		opObs := o
+		if o != nil {
+			cp := *o
+			cp.QLog = logs[i]
+			opObs = &cp
+		}
+		running++
+		go func() {
+			outs, err := lo.Run(rtm, bind, opObs, scopes[i])
+			if err != nil {
+				err = fmt.Errorf("core: %s failed: %w", desc, err)
+			}
+			done <- ended{i, outs, err}
+		}()
+	}
+	for i := range pp.Ops {
+		if waiting[i] == 0 {
+			start(i)
+		}
+	}
+	for running > 0 {
+		e := <-done
+		running--
+		logs[e.i].Close()
+		if e.err != nil {
+			if firstErr == nil {
+				firstErr = e.err
+			}
+			continue
+		}
+		for k, root := range pp.Ops[e.i].Lowered.Roots() {
+			values[root.ID] = e.outs[k]
+		}
+		for _, u := range users[e.i] {
+			if waiting[u]--; waiting[u] == 0 {
+				start(u)
+			}
+		}
+	}
+	for _, l := range logs {
+		l.Close() // the parts of operators that never ran
+	}
+	return firstErr
 }
 
 // Run compiles and executes a query with the given engine, returning the

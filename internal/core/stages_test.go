@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 
 	"fuseme/internal/block"
@@ -21,16 +22,81 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite testdata/stages.golden from this run")
 
 // recorder is the in-process cluster with every dispatched stage descriptor
-// recorded: it takes the descriptor path of rt.RunStage and runs the stage's
-// closure on the embedded cluster.
+// recorded, with when it started and ended on one logical clock: it takes
+// the descriptor path of rt.RunStage and runs the stage's closure on the
+// embedded cluster. Stages of independent operators run at once, so the
+// recorder is safe for concurrent use.
 type recorder struct {
 	*cluster.Cluster
-	stages []spec.Stage
+	mu     sync.Mutex
+	clock  int
+	stages []recorded
+}
+
+// recorded is one dispatched stage: its descriptor and the clock readings
+// at its start and end.
+type recorded struct {
+	spec       spec.Stage
+	start, end int
+}
+
+func (r *recorder) tick() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.clock++
+	return r.clock
 }
 
 func (r *recorder) RunSpecStage(st *rt.Stage) error {
-	r.stages = append(r.stages, *st.Spec)
-	return r.Cluster.RunStage(st.Name, st.NumTasks, st.Fn)
+	start := r.tick()
+	err := rt.RunStage(r.Cluster, &rt.Stage{Name: st.Name, NumTasks: st.NumTasks, Fn: st.Fn, Report: st.Report})
+	end := r.tick()
+	r.mu.Lock()
+	r.stages = append(r.stages, recorded{spec: *st.Spec, start: start, end: end})
+	r.mu.Unlock()
+	return err
+}
+
+// planOrder returns the recorded stages in plan order — operator by
+// operator, each operator's stages in its order — and fails t unless every
+// stage of the plan ran once and none started before the stages it depends
+// on ended: the stage before it in its operator, and every stage of the
+// operators its operator reads.
+func planOrder(t *testing.T, pp *core.PhysPlan, stages []recorded) []spec.Stage {
+	t.Helper()
+	byName := map[string]recorded{}
+	for _, r := range stages {
+		if _, dup := byName[r.spec.Name]; dup {
+			t.Fatalf("stage %s dispatched twice", r.spec.Name)
+		}
+		byName[r.spec.Name] = r
+	}
+	var out []spec.Stage
+	opEnd := make([]int, len(pp.Ops)) // when each operator's last stage ended
+	for i, op := range pp.Ops {
+		prevEnd := 0
+		for _, st := range op.Lowered.Stages {
+			r, ok := byName[st.Spec.Name]
+			if !ok {
+				t.Fatalf("stage %s never dispatched", st.Spec.Name)
+			}
+			if r.start < prevEnd {
+				t.Errorf("stage %s started before the stage before it in its operator ended", st.Spec.Name)
+			}
+			for _, j := range pp.Producers(i) {
+				if r.start < opEnd[j] {
+					t.Errorf("stage %s of operator %d started before its producer, operator %d, ended", st.Spec.Name, i, j)
+				}
+			}
+			prevEnd = r.end
+			out = append(out, r.spec)
+		}
+		opEnd[i] = prevEnd
+	}
+	if len(out) != len(stages) {
+		t.Fatalf("dispatched %d stages, the plan holds %d", len(stages), len(out))
+	}
+	return out
 }
 
 func mustParse(src string, decls map[string]lang.InputDecl) *dag.Graph {
@@ -123,7 +189,9 @@ func goldenCases() []struct {
 
 // TestGoldenStageLists pins the stages each workload dispatches — name,
 // phase, task count, partition ranges, grid, colocated inputs, plane swap,
-// broadcast and multi-aggregation group — to testdata/stages.golden.
+// broadcast and multi-aggregation group — to testdata/stages.golden, in plan
+// order, and checks that each started only after the stages it depends on
+// ended (planOrder).
 func TestGoldenStageLists(t *testing.T) {
 	var b strings.Builder
 	for _, c := range goldenCases() {
@@ -136,7 +204,7 @@ func TestGoldenStageLists(t *testing.T) {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		fmt.Fprintf(&b, "# %s (%s)\n", c.name, c.engine.Name())
-		for _, sp := range rec.stages {
+		for _, sp := range planOrder(t, pp, rec.stages) {
 			b.WriteString(stageLine(sp) + "\n")
 		}
 	}

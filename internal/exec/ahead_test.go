@@ -3,6 +3,7 @@ package exec_test
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
 
 	"fuseme/internal/block"
@@ -22,10 +23,12 @@ import (
 // rebuilt, each task through Stage.RunTask, blocks from the coordinator-side
 // Fetch, results through Collect — and checks each task's hint lists
 // against the fetches that follow them (checkAhead). Each task runs a second
-// time bound to a block cache, which must name nothing ahead.
+// time bound to a block cache, which must name nothing ahead. Stages of
+// independent operators run at once, so hinted is under mu.
 type aheadRecorder struct {
 	*cluster.Cluster
 	t      *testing.T
+	mu     sync.Mutex
 	hinted map[string]int // hinted references per stage phase
 }
 
@@ -60,12 +63,14 @@ func (r *aheadRecorder) RunSpecStage(st *rt.Stage) error {
 		}
 		what := fmt.Sprintf("%s task %d", st.Name, id)
 		checkAhead(r.t, what, hints, fetched)
+		r.mu.Lock()
 		for _, h := range hints {
 			r.hinted[st.Spec.Phase] += len(h.refs)
 		}
+		r.mu.Unlock()
 
 		cached := &cluster.Task{ID: id}
-		cached.SetCache(blockcache.New(1<<20), 1)
+		cached.SetCache(blockcache.New(1 << 20))
 		hints = nil
 		if err := stage.RunTask(cached, st.Fetch, ahead, func(uint8, int, int, matrix.Mat) error { return nil }); err != nil {
 			return err

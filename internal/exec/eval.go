@@ -33,7 +33,7 @@ type evaluator struct {
 	accT      *matrix.Dense      // scratch: evalMatMul's transposed accumulator
 	colocated []int              // inputs co-partitioned with the output: no fetch cost
 	trace     *cluster.TaskTrace // per-task sub-spans; nil when tracing is off
-	epochs    *spec.Stage        // the stage naming the bound inputs' content epochs: the cacheable ones
+	caching   *spec.Stage        // the stage naming the cacheable inputs' content epochs and its cache scope
 }
 
 // memoTable is what a task holds of the blocks it met: one entry per (node,
@@ -219,11 +219,11 @@ func (ev *evaluator) fetchExternal(n *dag.Node, bi, bj int) matrix.Mat {
 	}
 	// A task without a cache, or an input its stage names no epoch for,
 	// takes the uncached fetch path exactly.
-	cache, gen := ev.task.Cache()
+	cache := ev.task.Cache()
 	var ck blockcache.Key
 	cacheable := false
 	if cache != nil {
-		if ep, ok := ev.epochs.EpochOf(n.ID); ok {
+		if ep, ok := ev.caching.EpochOf(n.ID); ok {
 			ck = blockcache.Key{Node: n.ID, Epoch: ep, BI: bi, BJ: bj}
 			cacheable = true
 		}
@@ -232,7 +232,7 @@ func (ev *evaluator) fetchExternal(n *dag.Node, bi, bj int) matrix.Mat {
 	hit := false
 	if cacheable {
 		endCache := ev.trace.Begin("cache", "taskop")
-		blk, hit = cache.Get(ck, gen)
+		blk, hit = cache.Get(ck, ev.caching.Scope)
 		endCache()
 	}
 	if hit {
@@ -264,7 +264,7 @@ func (ev *evaluator) fetchExternal(n *dag.Node, bi, bj int) matrix.Mat {
 			// Only materialised blocks are cached (and counted as misses):
 			// all-zero blocks cost nothing to refetch on either backend.
 			ev.task.CacheMiss()
-			ev.task.AddCacheEvictions(cache.Put(ck, blk, blk.SizeBytes(), gen))
+			ev.task.AddCacheEvictions(cache.Put(ck, blk, blk.SizeBytes(), ev.caching.Scope))
 		}
 	}
 	if blk != nil && !n.IsLeaf() {
@@ -389,7 +389,7 @@ func (ev *evaluator) evalMatMul(n *dag.Node, bi, bj int) matrix.Mat {
 					}
 					clear(accT.Data)
 				}
-				ev.task.AddFlops(2 * int64(rows) * int64(a.Rows) * int64(cols))
+				ev.task.AddFlops(2 * int64(rows) * int64(b.NNZ())) // one row update per output row and non-zero, as MatMulFlops
 				matrix.MatMulTransAccWith(ev.pool, accT, a, b)
 				continue
 			}

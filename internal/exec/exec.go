@@ -117,7 +117,7 @@ func (op *FusedOp) Execute(rtm rt.Runtime, bind Bindings) (*block.Matrix, error)
 	if err != nil {
 		return nil, err
 	}
-	outs, err := lo.Run(rtm, bind, nil)
+	outs, err := lo.Run(rtm, bind, nil, nil)
 	if err != nil {
 		return nil, err
 	}

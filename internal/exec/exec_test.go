@@ -225,11 +225,15 @@ func TestGNMFUpdateNestedMM(t *testing.T) {
 	}
 	// The charged flops, measured at c238734, count each retained block —
 	// the nested t(W) %*% W above all — once per task, however many of the
-	// task's output blocks read it.
+	// task's output blocks read it. The main product t(V) %*% X runs a dense
+	// block against each of X's 10 CSR blocks, which hold 154 zeros between
+	// them; each such block meets the 6 output rows once, and is charged
+	// 2·rows·nnz, not 2·rows·k·cols: 2·6·154 = 1848 below the pins of c238734
+	// (10632, 15000, 19368) at every (P,Q,R).
 	for _, c := range []struct {
 		p, q, r int
 		flops   int64
-	}{{1, 1, 1, 10632}, {1, 3, 2, 15000}, {2, 5, 6, 19368}} {
+	}{{1, 1, 1, 10632 - 1848}, {1, 3, 2, 15000 - 1848}, {2, 5, 6, 19368 - 1848}} {
 		cl := runAndCompare(t, g, flats, &FusedOp{Plan: plan, P: c.p, Q: c.q, R: c.r}, bs)
 		if got := cl.Stats().Flops; got != c.flops {
 			t.Errorf("P=%d Q=%d R=%d: charged %d flops, want %d", c.p, c.q, c.r, got, c.flops)

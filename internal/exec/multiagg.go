@@ -56,5 +56,5 @@ func (op *MultiAggOp) Execute(rtm rt.Runtime, bind Bindings) ([]*block.Matrix, e
 	if err != nil {
 		return nil, err
 	}
-	return lo.Run(rtm, bind, nil)
+	return lo.Run(rtm, bind, nil, nil)
 }

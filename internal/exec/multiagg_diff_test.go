@@ -78,7 +78,7 @@ func TestMultiAggBitStable(t *testing.T) {
 	for _, backend := range []string{"sim", "tcp"} {
 		rtm := openBackend(t, backend, cfg)
 		first[backend] = sumBits(t, pp, rtm, inputs)
-		if tasks := rtm.LastStageStats().Tasks; tasks != 8 {
+		if tasks := rtm.Stats().Tasks; tasks != 8 { // the fresh runtime's one stage
 			t.Fatalf("%s: stage ran %d tasks, want 8", backend, tasks)
 		}
 		for run := 1; run < runs; run++ {
@@ -111,12 +111,13 @@ func TestMultiAggBlockCache(t *testing.T) {
 	for _, backend := range []string{"sim", "tcp"} {
 		rtm := openBackend(t, backend, cfg)
 		for iter := 0; iter < 2; iter++ {
+			before := rtm.Stats()
 			if got := sumBits(t, pp, rtm, inputs); got != cold {
 				t.Errorf("%s iteration %d with the cache on: %x, cache off %x", backend, iter, got, cold)
 			}
 			// Each task reads its 32 blocks of X and of Y once, for three sums.
 			// Exact only with every task at its home: none may be stolen.
-			s := rtm.LastStageStats()
+			s := rtm.Stats().Sub(before)
 			if want := int64(iter) * 2 * 256; s.CacheHits != want || s.CacheHits+s.CacheMisses != 2*256 || s.StealTasks != 0 {
 				t.Errorf("%s iteration %d: %d hits, %d misses, %d steals; want %d hits of 512 reads, no steals",
 					backend, iter, s.CacheHits, s.CacheMisses, s.StealTasks, want)

@@ -14,7 +14,8 @@ import (
 // wrapped around it: a stage span carrying the cuboid attributes, the
 // journal's stage_start, per-task instrumentation when it is on, and — the
 // one place a FlightRecord is built from live execution — the operator's
-// prediction pred joined to the runtime's own stats of this stage, handed to
+// prediction pred joined to the stats the runtime reports for this stage
+// (rt.Stage.Report: this stage's own, whatever runs beside it), handed to
 // Obs.StageDone for every output derived from it.
 //
 // The disabled path is one nil check and a plain rt.RunStage — that is the
@@ -35,28 +36,22 @@ func runObservedStage(rtm rt.Runtime, o *obs.Obs, pred obs.FlightRecord, st *rt.
 		span.Arg("grid", fmt.Sprintf("%dx%dx%d", sp.GI, sp.GJ, sp.GK))
 	}
 	if o.PerTask() {
-		st.Fn = wrapTaskFn(o, st.Fn, time.Now(), rtm.Config().Nodes)
+		st.Fn = wrapTaskFn(o, st.Name, st.Fn, time.Now(), rtm.Config().Nodes)
 	}
 	if o.QLog != nil {
 		o.QLog.Emit(obs.Event{Type: obs.EvStageStart, Stage: st.Name, Op: pred.Op, Tasks: st.NumTasks})
 	}
-	// The kernel pool is process-local (the sim cluster's; TCP workers report
-	// their own), so its counters are no part of the runtime's stage stats.
-	pooled, hasPool := rtm.(interface{ KernelPool() *parallel.Pool })
-	var poolBefore parallel.Stats
-	if hasPool {
-		poolBefore = pooled.KernelPool().Stats()
-	}
-
+	// The runtime folds every task's metering (and, for the TCP backend, the
+	// coordinator's wire accounting) into this stage's own stats and reports
+	// them before returning; a stage that failed before folding reports
+	// none, and its record carries zeros. SimSeconds is the stage clock: the
+	// Eq. 2 model under simulation, real wall under TCP. Steals are counted
+	// by the stage driver on both; the phase-seconds fields are zero under
+	// simulation.
+	var m cluster.Stats
+	st.Report = func(s cluster.Stats) { m = s }
 	err := rt.RunStage(rtm, st)
 
-	// The runtime folded every task's metering (and, for the TCP backend, the
-	// coordinator's wire accounting) into this stage's own stats before
-	// returning; a stage that failed before folding reports zeros. SimSeconds
-	// is the stage clock: the Eq. 2 model under simulation, real wall under
-	// TCP. Steals are counted by the stage driver on both; the phase-seconds
-	// fields are zero under simulation.
-	m := rtm.LastStageStats()
 	rec := pred
 	rec.Stage, rec.Tasks = st.Name, st.NumTasks
 	rec.MeasWallSeconds = m.SimSeconds
@@ -69,13 +64,14 @@ func runObservedStage(rtm rt.Runtime, o *obs.Obs, pred obs.FlightRecord, st *rt.
 
 	o.Counter(obs.MCacheEvictions).Add(m.CacheEvictions)
 	o.Counter(obs.MStealTasks).Add(m.StealTasks)
-	if hasPool {
-		pool := pooled.KernelPool()
-		after := pool.Stats()
-		o.Gauge(obs.MKernelThreads).Set(float64(pool.Threads()))
-		o.Counter(obs.MKernelParallelCalls).Add(after.ParallelCalls - poolBefore.ParallelCalls)
-		o.Counter(obs.MKernelSerialCalls).Add(after.SerialCalls - poolBefore.SerialCalls)
-		o.Counter(obs.MKernelHelperRuns).Add(after.HelperRuns - poolBefore.HelperRuns)
+	// The kernel pool is process-local (the sim cluster's; TCP workers report
+	// their own), so its counters are no part of the runtime's stage stats.
+	if pooled, ok := rtm.(interface{ KernelPool() *parallel.Pool }); ok {
+		delta, threads := pooled.KernelPool().Unreported()
+		o.Gauge(obs.MKernelThreads).Set(float64(threads))
+		o.Counter(obs.MKernelParallelCalls).Add(delta.ParallelCalls)
+		o.Counter(obs.MKernelSerialCalls).Add(delta.SerialCalls)
+		o.Counter(obs.MKernelHelperRuns).Add(delta.HelperRuns)
 	}
 	if span != nil {
 		span.Arg("consolidation_bytes", rec.MeasConsolidationBytes).
@@ -94,7 +90,7 @@ func runObservedStage(rtm rt.Runtime, o *obs.Obs, pred obs.FlightRecord, st *rt.
 // nodes is the simulated worker count, attributing task ID to its home node
 // the same way the sim cluster places tasks. Only the sim backend executes
 // Fn; the TCP coordinator reports its tasks from its dispatch lanes.
-func wrapTaskFn(o *obs.Obs, inner func(*cluster.Task) error, stageStart time.Time, nodes int) func(*cluster.Task) error {
+func wrapTaskFn(o *obs.Obs, stage string, inner func(*cluster.Task) error, stageStart time.Time, nodes int) func(*cluster.Task) error {
 	nodes = max(nodes, 1)
 	return func(task *cluster.Task) error {
 		start := time.Now()
@@ -103,7 +99,7 @@ func wrapTaskFn(o *obs.Obs, inner func(*cluster.Task) error, stageStart time.Tim
 		}
 		err := inner(task)
 		m := task.Metrics()
-		o.TaskDone(obs.TaskSample{ID: task.ID, Worker: task.ID % nodes,
+		o.TaskDone(obs.TaskSample{Stage: stage, ID: task.ID, Worker: task.ID % nodes,
 			StageStart: stageStart, Start: start, Spans: task.Trace().Spans(), Err: err,
 			ConsolidationBytes: m.ConsolidationBytes, AggregationBytes: m.AggregationBytes,
 			Flops: m.Flops, PeakMemBytes: m.MemPeakBytes})

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"fuseme/internal/block"
+	"fuseme/internal/blockcache"
 	"fuseme/internal/cluster"
 	"fuseme/internal/dag"
 	"fuseme/internal/fusion"
@@ -33,8 +34,11 @@ func runTask(fn func() error) (err error) {
 // cluster or a remote coordinator — reading its inputs from bind, and returns
 // one matrix per output in Roots' order. Every stage goes through dispatch;
 // o receives spans, metrics and one flight record per stage (nil disables
-// all instrumentation).
-func (lo *Operator) Run(rtm rt.Runtime, bind Bindings, o *obs.Obs) ([]*block.Matrix, error) {
+// all instrumentation). When the runtime caches blocks, scopes holds each
+// stage's place in the cache's visibility order, as the plan executor
+// derives it from the operators the stage depends on; nil runs the operator
+// as a query of its own, each stage seeing its operator's earlier stages.
+func (lo *Operator) Run(rtm rt.Runtime, bind Bindings, o *obs.Obs, scopes []blockcache.Scope) ([]*block.Matrix, error) {
 	bs := rtm.Config().BlockSize
 	if lowered := lo.Stages[0].Spec.BlockSize; lowered != bs {
 		return nil, fmt.Errorf("exec: operator lowered for block size %d, runtime uses %d", lowered, bs)
@@ -59,7 +63,7 @@ func (lo *Operator) Run(rtm rt.Runtime, bind Bindings, o *obs.Obs) ([]*block.Mat
 		sk.partials = &mmPartialSink{out: block.New(mm.Rows, mm.Cols, bs)}
 		src.partials = sk.partials
 	}
-	for _, st := range lo.bound(rtm, bind) {
+	for _, st := range lo.bound(rtm, bind, scopes) {
 		if err := dispatch(rtm, o, lo.pred, st, src, sk); err != nil {
 			return nil, err
 		}
@@ -144,16 +148,26 @@ func (lo *Operator) checkBindings(bind Bindings, bs int) error {
 	return nil
 }
 
-// bound returns the stages as this execution runs them. Two fields depend on
-// the bound data rather than the plan: the input epochs, when the runtime
-// caches blocks, and the i/j ranges of a balanced operator, which follow the
-// non-zeros of the bound driver. Without either, the lowered stages run as
-// they are; otherwise each runs as a copy with them filled in.
-func (lo *Operator) bound(rtm rt.Runtime, bind Bindings) []*Stage {
+// bound returns the stages as this execution runs them. Three fields depend
+// on the execution rather than the plan: the input epochs and the cache
+// scopes, when the runtime caches blocks, and the i/j ranges of a balanced
+// operator, which follow the non-zeros of the bound driver. Without either,
+// the lowered stages run as they are; otherwise each runs as a copy with
+// them filled in.
+func (lo *Operator) bound(rtm rt.Runtime, bind Bindings, scopes []blockcache.Scope) []*Stage {
 	var epochs []spec.NodeEpoch // the cache keys' version component, in node-ID order
 	if rtm.Config().CacheBytes > 0 {
 		for _, in := range lo.inputs {
 			epochs = append(epochs, spec.NodeEpoch{Node: in.ID, Epoch: bind[in.ID].Epoch()})
+		}
+		if scopes == nil { // a query of its own: each stage depends on the ones before
+			anc := make([][]int, len(lo.Stages))
+			for i := range anc {
+				for j := range i {
+					anc[i] = append(anc[i], j)
+				}
+			}
+			scopes = blockcache.Scopes(anc)
 		}
 	}
 	var rowW, colW []int64
@@ -166,7 +180,9 @@ func (lo *Operator) bound(rtm rt.Runtime, bind Bindings) []*Stage {
 	out := make([]*Stage, len(lo.Stages))
 	for i, st := range lo.Stages {
 		sp := st.Spec
-		sp.Epochs = epochs
+		if epochs != nil {
+			sp.Epochs, sp.Scope = epochs, scopes[i]
+		}
 		if rowW != nil {
 			sp.IRanges = weightedRanges(rowW, len(sp.IRanges))
 			sp.JRanges = weightedRanges(colW, len(sp.JRanges))

@@ -122,10 +122,10 @@ const maxOutputs = 1 << 6
 
 // evaluator builds a task's evaluator of output plan pc over the main
 // multiplication's k-block range [kLo, kHi), wired to the stage's
-// co-partitioned inputs and input epochs.
+// co-partitioned inputs, input epochs and cache scope.
 func (st *Stage) evaluator(pc *planCtx, task *cluster.Task, src blockSource, kLo, kHi int) *evaluator {
 	ev := newEvaluator(pc, task, src, st.Spec.BlockSize, kLo, kHi)
-	ev.colocated, ev.epochs = st.Spec.Colocated, &st.Spec
+	ev.colocated, ev.caching = st.Spec.Colocated, &st.Spec
 	return ev
 }
 
@@ -185,7 +185,7 @@ func (o *taskOut) flush(emit emitFn) {
 // epoch — rebound since, they can never hit again — so a cache is coherent
 // with the stage it serves without anyone tracking what it holds.
 func runStageTask(st *Stage, task *cluster.Task, src blockSource, emit emitFn) error {
-	if cache, _ := task.Cache(); cache != nil {
+	if cache := task.Cache(); cache != nil {
 		for _, ne := range st.Spec.Epochs {
 			cache.InvalidateStale(ne.Node, ne.Epoch)
 		}
@@ -384,7 +384,7 @@ func (st *Stage) RunTask(task *cluster.Task, fetch func(spec.BlockRef) (matrix.M
 		return fmt.Errorf("exec: task %d outside stage %q (%d tasks)", task.ID, sp.Name, sp.NumTasks)
 	}
 	src := fetchSource{fn: fetch}
-	if cache, _ := task.Cache(); ahead != nil && cache == nil {
+	if ahead != nil && task.Cache() == nil {
 		src.hints = &readAhead{hint: ahead}
 	}
 	return runStageTask(st, task, src, func(kind uint8, bi, bj int, blk matrix.Mat) {

@@ -554,13 +554,17 @@ func AddAcc(acc, x Mat) Mat {
 	return Binary(Add, acc, x)
 }
 
-// MatMulFlops returns the flop count charged for a x b: 2*nnz(a)*cols(b) for
-// a sparse left operand, otherwise 2*rows*inner*cols.
+// MatMulFlops returns the flop count charged for a x b, what the kernels
+// execute: 2*nnz(a)*cols(b) for a sparse left operand, 2*rows*nnz(b) for a
+// dense one times a sparse right operand, otherwise 2*rows*inner*cols.
 func MatMulFlops(a, b Mat) int64 {
 	ar, ak := a.Dims()
 	_, bc := b.Dims()
-	if a.IsSparse() {
+	switch {
+	case a.IsSparse():
 		return 2 * int64(a.NNZ()) * int64(bc)
+	case b.IsSparse():
+		return 2 * int64(ar) * int64(b.NNZ())
 	}
 	return 2 * int64(ar) * int64(ak) * int64(bc)
 }

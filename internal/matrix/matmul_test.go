@@ -89,6 +89,15 @@ func TestMatMulFlops(t *testing.T) {
 	if got := MatMulFlops(s, e); got != 2*int64(s.NNZ())*30 {
 		t.Fatalf("sparse flops = %d", got)
 	}
+	// Dense x CSR: the kernel runs one row update per output row and
+	// non-zero of the right operand.
+	r := randSparse(t, 20, 30, 0.1, 9)
+	if got := MatMulFlops(d, r); got != 2*10*int64(r.NNZ()) {
+		t.Fatalf("dense x sparse flops = %d, want 2*10*%d", got, r.NNZ())
+	}
+	if got := MatMulFlops(s, r); got != 2*int64(s.NNZ())*30 {
+		t.Fatalf("sparse x sparse flops = %d", got)
+	}
 }
 
 func TestMaskedMatMulEqualsMaskedFull(t *testing.T) {

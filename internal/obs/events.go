@@ -170,11 +170,77 @@ type QueryLog struct {
 	tenant string
 	mu     sync.Mutex
 	seq    int64
+
+	// parts, when set, makes this log part part of an ordered group (Parts):
+	// its events reach the journal through the group.
+	parts *logParts
+	part  int
+}
+
+// logParts is a group of logs that emit into one query log in part order.
+type logParts struct {
+	q      *QueryLog
+	mu     sync.Mutex
+	cur    int       // the part whose events go straight through
+	held   [][]Event // per part: events emitted before it was cur
+	closed []bool
+}
+
+// Parts returns n logs that emit into q in part order: part i's events go
+// straight through once parts 0..i-1 are closed (Close), and are held until
+// then, each with the time it was emitted at. The plan executor gives each
+// operator a part, so a query's stage events keep plan order in the
+// journal's sequence however its operators overlap in time; their
+// timestamps show the overlap. A nil q returns n nil logs.
+func (q *QueryLog) Parts(n int) []*QueryLog {
+	out := make([]*QueryLog, n)
+	if q == nil {
+		return out
+	}
+	g := &logParts{q: q, held: make([][]Event, n), closed: make([]bool, n)}
+	for i := range out {
+		out[i] = &QueryLog{parts: g, part: i}
+	}
+	return out
+}
+
+// Close ends a part of Parts: once every earlier part is closed too, the
+// events the next parts held follow. It does nothing on a log that is not
+// a part, and on nil.
+func (q *QueryLog) Close() {
+	if q == nil || q.parts == nil {
+		return
+	}
+	g := q.parts
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.closed[q.part] = true
+	for g.cur < len(g.closed) && g.closed[g.cur] {
+		if g.cur++; g.cur < len(g.held) {
+			for _, e := range g.held[g.cur] {
+				g.q.Emit(e)
+			}
+			g.held[g.cur] = nil
+		}
+	}
 }
 
 // Emit appends one event, filling in the query id, tenant and sequence.
 func (q *QueryLog) Emit(e Event) {
 	if q == nil {
+		return
+	}
+	if g := q.parts; g != nil {
+		if e.UnixNano == 0 {
+			e.UnixNano = time.Now().UnixNano()
+		}
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		if q.part == g.cur {
+			g.q.Emit(e)
+		} else {
+			g.held[q.part] = append(g.held[q.part], e)
+		}
 		return
 	}
 	e.Query = q.query

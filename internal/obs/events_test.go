@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -206,3 +207,46 @@ func TestReadEventsSkipsBlankLinesAndRejectsGarbage(t *testing.T) {
 type failWriter struct{}
 
 func (failWriter) Write([]byte) (int, error) { return 0, fmt.Errorf("sink broken") }
+
+// TestQueryLogPartsKeepOrder: events of part 1 emitted while part 0 is open
+// are held, with the time they were emitted at, and follow part 0's once it
+// closes; part 2, closed before part 1, follows part 1; an unopened part
+// that is closed holds nothing up.
+func TestQueryLogPartsKeepOrder(t *testing.T) {
+	j := NewJournal(0, nil)
+	parts := j.Begin("q1", "acme").Parts(4)
+	parts[1].Emit(Event{Type: EvStageStart, Stage: "b"})
+	held := j.Events("q1")
+	parts[0].Emit(Event{Type: EvStageStart, Stage: "a"})
+	parts[2].Emit(Event{Type: EvStageStart, Stage: "c"})
+	parts[2].Close()
+	parts[0].Emit(Event{Type: EvStageEnd, Stage: "a"})
+	parts[0].Close()
+	parts[1].Emit(Event{Type: EvStageEnd, Stage: "b"})
+	parts[1].Close()
+	parts[3].Close()
+	if len(held) != 0 {
+		t.Fatalf("part 1 reached the journal while part 0 was open: %+v", held)
+	}
+	var got []string
+	var stamps []int64
+	for i, e := range j.Events("q1") {
+		if e.Seq != int64(i+1) || e.Tenant != "acme" || e.UnixNano == 0 {
+			t.Errorf("event %d = %+v, want seq %d, the query's tenant and a time", i, e, i+1)
+		}
+		got = append(got, string(e.Type)+":"+e.Stage)
+		stamps = append(stamps, e.UnixNano)
+	}
+	want := []string{"stage_start:a", "stage_end:a", "stage_start:b", "stage_end:b", "stage_start:c"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("journal order %v, want %v", got, want)
+	}
+	if stamps[2] > stamps[0] {
+		t.Errorf("b's held start is stamped %d, after a's start %d: it was emitted first", stamps[2], stamps[0])
+	}
+	var none *QueryLog
+	for _, p := range none.Parts(2) {
+		p.Emit(Event{Type: EvStageStart})
+		p.Close()
+	}
+}

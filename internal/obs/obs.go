@@ -136,6 +136,7 @@ func (o *Obs) StageDone(rec FlightRecord, err error) {
 // executor's task wrapper and the TCP coordinator's dispatch lane both fill
 // one and hand it to Obs.TaskDone.
 type TaskSample struct {
+	Stage  string // the name of the task's stage, which keys its skew sample
 	ID     int
 	Worker int // worker that ran the task; negative = none to attribute (no skew sample)
 	// Remote marks a body that ran in worker Worker's process: the task's span
@@ -169,7 +170,7 @@ func (o *Obs) TaskDone(t TaskSample) {
 	o.Histogram(MTaskSeconds).Observe(elapsed.Seconds())
 	o.Counter(MTasksTotal).Inc()
 	if t.Worker >= 0 {
-		o.Skew.ObserveTask(t.Worker, elapsed.Seconds())
+		o.Skew.ObserveTask(t.Stage, t.Worker, elapsed.Seconds())
 	}
 	if o.Trace == nil {
 		return

@@ -76,7 +76,7 @@ func TestStageDoneFanOut(t *testing.T) {
 		Skew: NewSkewDetector(), QLog: j.Begin("q1", "acme"),
 	}
 	for id := 0; id < 3; id++ {
-		o.TaskDone(TaskSample{ID: id, Worker: id % 2, StageStart: time.Now(), Start: time.Now()})
+		o.TaskDone(TaskSample{Stage: rec.Stage, ID: id, Worker: id % 2, StageStart: time.Now(), Start: time.Now()})
 	}
 	o.StageDone(rec, errors.New("boom"))
 

@@ -32,70 +32,84 @@ type StageSkew struct {
 // that a worker turning slow is flagged within a few stages.
 const slowdownAlpha = 0.3
 
-// SkewDetector accumulates per-task durations during a stage and, at stage
-// end, computes the stage's duration imbalance plus per-worker slowdown
-// scores (each worker's EWMA mean task duration relative to the fleet
-// median EWMA — a healthy worker sits near 1.0, a straggler drifts above).
-// Safe for concurrent use by task goroutines; a nil detector absorbs every
-// call, keeping the executor's hot path a pointer check.
+// SkewDetector accumulates per-task durations per running stage and, at
+// stage end, computes the stage's duration imbalance plus per-worker
+// slowdown scores (each worker's EWMA mean task duration relative to the
+// fleet median EWMA — a healthy worker sits near 1.0, a straggler drifts
+// above). Stages that run at the same time keep their samples apart, keyed
+// by stage name. Safe for concurrent use by task goroutines; a nil detector
+// absorbs every call, keeping the executor's hot path a pointer check.
 type SkewDetector struct {
-	mu      sync.Mutex
-	samples []float64           // current stage's task durations
-	byWkr   map[int]*WorkerLoad // current stage's per-worker tallies
-	ewma    map[int]float64     // per-worker EWMA mean task seconds
+	mu     sync.Mutex
+	stages map[string]*stageSamples // running stages' samples, by name
+	ewma   map[int]float64          // per-worker EWMA mean task seconds
+}
+
+// stageSamples is what one running stage's tasks reported.
+type stageSamples struct {
+	samples []float64           // task durations
+	byWkr   map[int]*WorkerLoad // per-worker tallies
 }
 
 // NewSkewDetector returns an empty detector.
 func NewSkewDetector() *SkewDetector {
-	return &SkewDetector{byWkr: map[int]*WorkerLoad{}, ewma: map[int]float64{}}
+	return &SkewDetector{stages: map[string]*stageSamples{}, ewma: map[int]float64{}}
 }
 
-// ObserveTask records one completed task: which worker ran it and how long
-// it took. Called from task goroutines on both runtimes.
-func (d *SkewDetector) ObserveTask(worker int, seconds float64) {
+// ObserveTask records one completed task of stage: which worker ran it and
+// how long it took. Called from task goroutines on both runtimes.
+func (d *SkewDetector) ObserveTask(stage string, worker int, seconds float64) {
 	if d == nil {
 		return
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.samples = append(d.samples, seconds)
-	w := d.byWkr[worker]
+	st := d.stages[stage]
+	if st == nil {
+		st = &stageSamples{byWkr: map[int]*WorkerLoad{}}
+		d.stages[stage] = st
+	}
+	st.samples = append(st.samples, seconds)
+	w := st.byWkr[worker]
 	if w == nil {
 		w = &WorkerLoad{Worker: worker}
-		d.byWkr[worker] = w
+		st.byWkr[worker] = w
 	}
 	w.Tasks++
 	w.Seconds += seconds
 }
 
 // FinishStage folds the stage's samples into a StageSkew, updates each
-// participating worker's EWMA, and resets for the next stage. The zero
-// StageSkew (Tasks == 0) is returned when nothing was observed — e.g. local
-// stages that never went per-task.
+// participating worker's EWMA, and forgets the stage. The zero StageSkew
+// (Tasks == 0) is returned when nothing was observed — e.g. local stages
+// that never went per-task.
 func (d *SkewDetector) FinishStage(stage string) StageSkew {
 	if d == nil {
 		return StageSkew{}
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	sk := StageSkew{Stage: stage, Tasks: len(d.samples)}
-	if len(d.samples) == 0 {
+	st := d.stages[stage]
+	delete(d.stages, stage)
+	sk := StageSkew{Stage: stage}
+	if st == nil {
 		return sk
 	}
-	sk.MedianSeconds = median(d.samples)
-	sk.MaxSeconds = d.samples[len(d.samples)-1]
+	sk.Tasks = len(st.samples)
+	sk.MedianSeconds = median(st.samples)
+	sk.MaxSeconds = st.samples[len(st.samples)-1]
 	if sk.MedianSeconds > 0 {
 		sk.Imbalance = sk.MaxSeconds / sk.MedianSeconds
 	} else if sk.MaxSeconds > 0 {
 		sk.Imbalance = 1
 	}
-	workers := make([]int, 0, len(d.byWkr))
-	for id := range d.byWkr {
+	workers := make([]int, 0, len(st.byWkr))
+	for id := range st.byWkr {
 		workers = append(workers, id)
 	}
 	sort.Ints(workers)
 	for _, id := range workers {
-		w := d.byWkr[id]
+		w := st.byWkr[id]
 		sk.Workers = append(sk.Workers, *w)
 		mean := w.Seconds / float64(w.Tasks)
 		if prev, ok := d.ewma[id]; ok {
@@ -104,8 +118,6 @@ func (d *SkewDetector) FinishStage(stage string) StageSkew {
 			d.ewma[id] = mean
 		}
 	}
-	d.samples = d.samples[:0]
-	d.byWkr = map[int]*WorkerLoad{}
 	return sk
 }
 

@@ -8,7 +8,7 @@ import (
 func TestSkewDetectorBalancedStage(t *testing.T) {
 	d := NewSkewDetector()
 	for i := 0; i < 4; i++ {
-		d.ObserveTask(i%2, 0.1)
+		d.ObserveTask("s0", i%2, 0.1)
 	}
 	sk := d.FinishStage("s0")
 	if sk.Stage != "s0" || sk.Tasks != 4 {
@@ -27,7 +27,7 @@ func TestSkewDetectorImbalance(t *testing.T) {
 	// Three quick tasks and one 4x straggler: median (even count) averages
 	// the middle two samples, so max/median = 0.4 / 0.1 = 4.
 	for _, s := range []float64{0.1, 0.1, 0.1, 0.4} {
-		d.ObserveTask(0, s)
+		d.ObserveTask("s1", 0, s)
 	}
 	sk := d.FinishStage("s1")
 	if math.Abs(sk.Imbalance-4) > 1e-9 {
@@ -44,16 +44,31 @@ func TestSkewDetectorImbalance(t *testing.T) {
 
 func TestSkewDetectorZeroDurations(t *testing.T) {
 	d := NewSkewDetector()
-	d.ObserveTask(0, 0)
-	d.ObserveTask(0, 0.2)
+	d.ObserveTask("s0", 0, 0)
+	d.ObserveTask("s0", 0, 0.2)
 	sk := d.FinishStage("s0")
 	if sk.MedianSeconds != 0.1 {
 		t.Fatalf("median = %g, want 0.1", sk.MedianSeconds)
 	}
 	d2 := NewSkewDetector()
-	d2.ObserveTask(0, 0)
+	d2.ObserveTask("s", 0, 0)
 	if sk := d2.FinishStage("s"); sk.Imbalance != 0 {
 		t.Fatalf("all-zero stage imbalance = %g, want 0", sk.Imbalance)
+	}
+}
+
+// TestSkewDetectorKeepsStagesApart: two stages running at once each fold
+// only their own samples, whichever finishes first.
+func TestSkewDetectorKeepsStagesApart(t *testing.T) {
+	d := NewSkewDetector()
+	d.ObserveTask("a", 0, 0.1)
+	d.ObserveTask("b", 1, 0.4)
+	d.ObserveTask("a", 0, 0.1)
+	if sk := d.FinishStage("b"); sk.Tasks != 1 || sk.MaxSeconds != 0.4 {
+		t.Fatalf("stage b = %+v, want its one sample", sk)
+	}
+	if sk := d.FinishStage("a"); sk.Tasks != 2 || sk.Imbalance != 1 {
+		t.Fatalf("stage a = %+v, want its two equal samples", sk)
 	}
 }
 
@@ -65,9 +80,9 @@ func TestSlowdownsFlagStraggler(t *testing.T) {
 	// Three healthy workers at ~0.1s mean, one consistently 3x slower.
 	for stage := 0; stage < 4; stage++ {
 		for w := 0; w < 3; w++ {
-			d.ObserveTask(w, 0.1)
+			d.ObserveTask("s", w, 0.1)
 		}
-		d.ObserveTask(3, 0.3)
+		d.ObserveTask("s", 3, 0.3)
 		d.FinishStage("s")
 	}
 	scores := d.Slowdowns()
@@ -86,14 +101,14 @@ func TestSlowdownEWMAConverges(t *testing.T) {
 	// A worker that was fast turns slow: EWMA should cross 1.5x the fleet
 	// median within a few stages (alpha = 0.3).
 	for i := 0; i < 3; i++ {
-		d.ObserveTask(0, 0.1)
-		d.ObserveTask(1, 0.1)
+		d.ObserveTask("warm", 0, 0.1)
+		d.ObserveTask("warm", 1, 0.1)
 		d.FinishStage("warm")
 	}
 	stagesToFlag := 0
 	for i := 0; i < 20; i++ {
-		d.ObserveTask(0, 0.1)
-		d.ObserveTask(1, 1.0)
+		d.ObserveTask("slow", 0, 0.1)
+		d.ObserveTask("slow", 1, 1.0)
 		d.FinishStage("slow")
 		stagesToFlag++
 		if d.Slowdowns()[1] >= 1.5 {
@@ -110,7 +125,7 @@ func TestSlowdownEWMAConverges(t *testing.T) {
 
 func TestSkewDetectorNilSafety(t *testing.T) {
 	var d *SkewDetector
-	d.ObserveTask(0, 1)
+	d.ObserveTask("s", 0, 1)
 	if sk := d.FinishStage("s"); sk.Tasks != 0 {
 		t.Fatal("nil detector should return the zero StageSkew")
 	}

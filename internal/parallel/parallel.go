@@ -52,6 +52,9 @@ type Pool struct {
 	parallelCalls atomic.Int64
 	serialCalls   atomic.Int64
 	helperRuns    atomic.Int64
+
+	reportMu sync.Mutex
+	reported Stats // what Unreported has handed out so far
 }
 
 // Stats is a snapshot of a pool's utilization counters.
@@ -96,6 +99,26 @@ func (p *Pool) Stats() Stats {
 		SerialCalls:   p.serialCalls.Load(),
 		HelperRuns:    p.helperRuns.Load(),
 	}
+}
+
+// Unreported returns what the counters gained since the previous call (all of
+// them at the first), and the per-call fan-out limit: the increments of the
+// fuseme_kernel_* metrics. Concurrent callers — tasks or stages finishing at
+// once — get disjoint windows, so their increments add up to the counters.
+// Zeroes and 1 for nil.
+func (p *Pool) Unreported() (Stats, int) {
+	if p == nil {
+		return Stats{}, 1
+	}
+	p.reportMu.Lock()
+	defer p.reportMu.Unlock()
+	cur, prev := p.Stats(), p.reported
+	p.reported = cur
+	return Stats{
+		ParallelCalls: cur.ParallelCalls - prev.ParallelCalls,
+		SerialCalls:   cur.SerialCalls - prev.SerialCalls,
+		HelperRuns:    cur.HelperRuns - prev.HelperRuns,
+	}, p.threads
 }
 
 // For executes body over the disjoint cover of [0, n): body(lo, hi) is called

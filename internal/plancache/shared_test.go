@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -17,16 +18,31 @@ import (
 )
 
 // dispatchRecorder is the in-process cluster with the descriptor of every
-// dispatched stage recorded: it takes the descriptor path of rt.RunStage and
-// runs the stage's closure on the embedded cluster.
+// dispatched stage recorded, with the descriptors of the stages that had
+// ended when it started: it takes the descriptor path of rt.RunStage and
+// runs the stage's closure on the embedded cluster. Stages of independent
+// operators run at once, so it is safe for concurrent use.
 type dispatchRecorder struct {
 	*cluster.Cluster
+	mu    sync.Mutex
 	specs []*spec.Stage
+	after map[*spec.Stage][]*spec.Stage // per dispatched stage: the stages ended before it started
+	ended []*spec.Stage
 }
 
 func (r *dispatchRecorder) RunSpecStage(st *rt.Stage) error {
+	r.mu.Lock()
+	if r.after == nil {
+		r.after = map[*spec.Stage][]*spec.Stage{}
+	}
 	r.specs = append(r.specs, st.Spec)
-	return r.Cluster.RunStage(st.Name, st.NumTasks, st.Fn)
+	r.after[st.Spec] = slices.Clone(r.ended)
+	r.mu.Unlock()
+	err := r.Cluster.RunStage(st.Name, st.NumTasks, st.Fn)
+	r.mu.Lock()
+	r.ended = append(r.ended, st.Spec)
+	r.mu.Unlock()
+	return err
 }
 
 func sharedConfig() cluster.Config {
@@ -124,7 +140,8 @@ func TestSharedPlanConcurrentExecutions(t *testing.T) {
 }
 
 // TestHitDispatchesCachedStages: a plan-cache hit runs the stages the miss
-// lowered — the very descriptors, in order — and builds none of its own.
+// lowered — the very descriptors, each once, each after the stages it
+// depends on ended — and builds none of its own.
 func TestHitDispatchesCachedStages(t *testing.T) {
 	c := New(0)
 	canon, _, compile := gnmfQuery(t, "X", "U", "V")
@@ -141,8 +158,17 @@ func TestHitDispatchesCachedStages(t *testing.T) {
 		t.Fatalf("warm Get: hit=%t same plan=%t err=%v", hit, h.PP == cold.PP, err)
 	}
 	var lowered []*spec.Stage
-	for _, op := range h.PP.Ops {
+	deps := map[*spec.Stage][]*spec.Stage{} // per lowered stage: the stages it depends on
+	opStages := make([][]*spec.Stage, len(h.PP.Ops))
+	for i, op := range h.PP.Ops {
+		var before []*spec.Stage
+		for _, j := range h.PP.Producers(i) {
+			before = append(before, opStages[j]...)
+		}
 		for _, st := range op.Lowered.Stages {
+			deps[&st.Spec] = slices.Clone(before)
+			before = append(before, &st.Spec)
+			opStages[i] = append(opStages[i], &st.Spec)
 			lowered = append(lowered, &st.Spec)
 		}
 	}
@@ -158,8 +184,14 @@ func TestHitDispatchesCachedStages(t *testing.T) {
 		t.Fatalf("dispatched %d stages, the cached plan holds %d", len(rec.specs), len(lowered))
 	}
 	for i, sp := range rec.specs {
-		if sp != lowered[i] {
-			t.Errorf("stage %d (%s) is not the cached descriptor", i, sp.Name)
+		if !slices.Contains(lowered, sp) || slices.Index(rec.specs, sp) != i {
+			t.Errorf("stage %d (%s) is not a cached descriptor, or ran twice", i, sp.Name)
+			continue
+		}
+		for _, dep := range deps[sp] {
+			if !slices.Contains(rec.after[sp], dep) {
+				t.Errorf("stage %s started before %s, which it depends on, ended", sp.Name, dep.Name)
+			}
 		}
 	}
 }

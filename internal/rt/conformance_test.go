@@ -538,7 +538,7 @@ func TestRuntimeConformanceMultiAgg(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		runs[name] = planRun{out: out, stats: rtm.LastStageStats()}
+		runs[name] = planRun{out: out, stats: rtm.Stats()} // the one stage the fresh runtime ran
 	}
 	sim, tcp := runs["sim"].stats, runs["tcp"].stats
 	if sim.Stages != 1 || tcp.Stages != 1 || tcp.Tasks != sim.Tasks || tcp.Flops != sim.Flops || tcp.MaxTaskFlops != sim.MaxTaskFlops {

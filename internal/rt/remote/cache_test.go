@@ -236,7 +236,7 @@ func TestRebindLeavesNoStaleEpoch(t *testing.T) {
 				// Task i of a stage carries node i's cache (its home).
 				caches = make([]*blockcache.Cache, cfg.Nodes)
 				if err := cl.RunStage("caches", cfg.Nodes, func(task *cluster.Task) error {
-					caches[task.ID], _ = task.Cache()
+					caches[task.ID] = task.Cache()
 					return nil
 				}); err != nil {
 					t.Fatal(err)
@@ -269,7 +269,7 @@ func TestRebindLeavesNoStaleEpoch(t *testing.T) {
 			holdsOldX := func(c *blockcache.Cache) (n int) {
 				for bi := 0; bi < x.BlockRows(); bi++ {
 					for bj := 0; bj < x.BlockCols(); bj++ {
-						if _, ok := c.Get(blockcache.Key{Node: xNode, Epoch: x.Epoch(), BI: bi, BJ: bj}, math.MaxUint64); ok {
+						if _, ok := c.Get(blockcache.Key{Node: xNode, Epoch: x.Epoch(), BI: bi, BJ: bj}, blockcache.Scope{Floor: math.MaxUint64}); ok {
 							n++
 						}
 					}

@@ -43,8 +43,10 @@ import (
 // the coordinator supplies one attempt of a task, which runs over a
 // persistent task stream taken from the worker's idle list (dialled only when
 // the list is empty, re-dialled once when an idle stream turns out to have
-// died). A stream is handed the stage descriptor once per stage generation
-// and tasks by id after that. A retry moves to another live worker.
+// died). A stream is handed the stage descriptor once per stage it carries
+// and tasks by id after that. A retry moves to another live worker. Stages of
+// independent operators run at once and share the workers' lanes, so a
+// worker runs at most TasksPerNode tasks whatever is in flight.
 //
 // The coordinator keeps no record of what the workers' block caches hold:
 // each task keeps its worker's cache coherent from the stage descriptor
@@ -88,6 +90,11 @@ type Coordinator struct {
 	// GOMAXPROCS — worker machines need not match the coordinator's.
 	cacheBytes int64
 	taskSlots  int
+
+	// stageSeq numbers the stages this coordinator runs: a task stream is
+	// shipped a stage's descriptor once, the first time it carries one of
+	// the stage's tasks.
+	stageSeq atomic.Uint64
 
 	obs atomic.Pointer[obs.Obs] // session observability; nil disables
 }
@@ -151,10 +158,13 @@ type workerConn struct {
 	probeMu sync.Mutex
 
 	// idle holds the worker's task streams that are not running a task, at
-	// most one per dispatch lane (TasksPerNode). A lane takes one per task
-	// and puts it back when the task ended cleanly.
-	idleMu sync.Mutex
-	idle   []*stream
+	// most as many as it ever ran tasks at once (peak; at least
+	// TasksPerNode). A task takes one and puts it back when it ended
+	// cleanly, so a stream and its arena serve task after task.
+	idleMu  sync.Mutex
+	idle    []*stream
+	running int // tasks in flight on the worker, under idleMu
+	peak    int // the most tasks ever in flight at once, under idleMu
 }
 
 // conn returns the current control connection.
@@ -173,10 +183,13 @@ func (w *workerConn) setConn(c net.Conn) net.Conn {
 	return old
 }
 
-// takeIdle pops an idle task stream, or returns nil.
+// takeIdle counts a task in flight on w and pops an idle task stream for it,
+// or returns nil.
 func (w *workerConn) takeIdle() *stream {
 	w.idleMu.Lock()
 	defer w.idleMu.Unlock()
+	w.running++
+	w.peak = max(w.peak, w.running)
 	if n := len(w.idle); n > 0 {
 		s := w.idle[n-1]
 		w.idle = w.idle[:n-1]
@@ -185,17 +198,20 @@ func (w *workerConn) takeIdle() *stream {
 	return nil
 }
 
-// putIdle parks a stream whose task ended cleanly; it is closed instead when
-// the coordinator is closing, the worker no longer takes tasks or every
-// lane already has one parked.
+// putIdle ends a task in flight on w (takeIdle) and parks its stream s when
+// the task ended cleanly (s not nil). The stream is closed instead when the
+// coordinator is closing, the worker no longer takes tasks or as many
+// streams are parked as the worker ever ran tasks at once (and at least
+// TasksPerNode): that many can be in use together again.
 func (c *Coordinator) putIdle(w *workerConn, s *stream) {
 	w.idleMu.Lock()
-	keep := !c.closed.Load() && c.mem.IsActive(w.id) && len(w.idle) < c.taskSlots
+	w.running--
+	keep := s != nil && !c.closed.Load() && c.mem.IsActive(w.id) && len(w.idle) < max(w.peak, c.taskSlots)
 	if keep {
 		w.idle = append(w.idle, s)
 	}
 	w.idleMu.Unlock()
-	if !keep {
+	if !keep && s != nil {
 		s.close()
 	}
 }
@@ -494,9 +510,6 @@ func (c *Coordinator) Config() cluster.Config { return c.local.Config() }
 // Stats returns accumulated metrics (local stages + remote wire metering).
 func (c *Coordinator) Stats() cluster.Stats { return c.local.Stats() }
 
-// LastStageStats returns the most recent stage's own metrics.
-func (c *Coordinator) LastStageStats() cluster.Stats { return c.local.LastStageStats() }
-
 // ResetStats clears accumulated metrics.
 func (c *Coordinator) ResetStats() { c.local.ResetStats() }
 
@@ -568,18 +581,15 @@ func (m *wireMeter) countResult(ob spec.OutBlock) {
 // the stage driver (the embedded cluster's Dispatch), whose home of a task,
 // taskID mod workers, is the simulated backend's cache home too. The table is
 // read once for the lanes: a worker that leaves the Active state before its
-// lanes start has them run its tasks elsewhere (attemptWorker).
+// lanes start has them run its tasks elsewhere (attemptWorker). Stages may
+// run concurrently; each reports its own stats through st.Report.
 func (c *Coordinator) RunSpecStage(st *rt.Stage) error {
 	sp := st.Spec
 	if sp == nil || st.Fetch == nil || st.Collect == nil {
 		return errors.New("remote: stage without descriptor/fetch/collect")
 	}
 	start := time.Now()
-	// One generation per stage: blocks cached by this stage's tasks become
-	// hit-visible only to later stages, keeping hit counts deterministic
-	// under concurrent task scheduling. Drawn from the embedded cluster's
-	// counter so closure stages and descriptor stages share one sequence.
-	gen := c.local.NextStageGen()
+	gen := c.stageSeq.Add(1)
 	colocated := make(map[int]bool, len(sp.Colocated))
 	for _, id := range sp.Colocated {
 		colocated[id] = true
@@ -632,7 +642,7 @@ func (c *Coordinator) RunSpecStage(st *rt.Stage) error {
 				worker = -1
 			}
 			m := done.Metrics
-			o.TaskDone(obs.TaskSample{ID: taskID, Worker: worker, Remote: true,
+			o.TaskDone(obs.TaskSample{Stage: sp.Name, ID: taskID, Worker: worker, Remote: true,
 				StageStart: start, Start: taskStart,
 				Body: time.Duration(m.TaskSeconds * float64(time.Second)), Spans: done.Spans, Err: err,
 				ConsolidationBytes: m.ConsolidationBytes, AggregationBytes: m.AggregationBytes,
@@ -660,6 +670,9 @@ func (c *Coordinator) RunSpecStage(st *rt.Stage) error {
 	stage.WallSeconds = time.Since(start).Seconds()
 	stage.SimSeconds = stage.WallSeconds
 	c.local.AddStats(stage)
+	if st.Report != nil {
+		st.Report(stage)
+	}
 	return nil
 }
 
@@ -717,6 +730,7 @@ func (c *Coordinator) runTaskOn(w *workerConn, st *rt.Stage, taskID int, gen uin
 		if s == nil {
 			var err error
 			if s, err = c.dialStream(w); err != nil {
+				c.putIdle(w, nil)
 				return &taskResult{}, err
 			}
 		}
@@ -728,6 +742,7 @@ func (c *Coordinator) runTaskOn(w *workerConn, st *rt.Stage, taskID int, gen uin
 		}
 		s.close()
 		if !parked || heard {
+			c.putIdle(w, nil)
 			return done, err
 		}
 		s, parked = nil, false

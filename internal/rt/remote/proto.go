@@ -26,7 +26,7 @@
 //	task stream (C dials; ONE gob.Encoder/Decoder pair per direction for the
 //	stream's lifetime, so type descriptors travel once)
 //	  C→W msgStage        gob(stageAssign)   opens the stream; again whenever
-//	                                         the stage generation changes
+//	                                         the stream carries another stage
 //	  C→W msgTask         gob(taskAssign)    a task of the shipped stage, by id
 //	  W→C msgFetch        raw  25-byte block reference
 //	  C→W msgBlock        raw  status byte + FME1 block       the reply
@@ -125,7 +125,13 @@ import (
 // Version 12 drops the worker clock from the pong, which is an empty frame
 // now, and ships a task's spans relative to its body's start: the coordinator
 // places them in the task's own dispatch window, with no clock estimate.
-const protoVersion = 12
+// Version 13 moves block-cache visibility into the stage descriptor: its
+// Scope names the generation the stage's insertions carry and the ones it
+// may hit — its ancestors in its query's plan, and every earlier query — so
+// the stages of independent operators can run at once with deterministic
+// hits; the generation in stageAssign and taskAssign only names the stage on
+// its stream.
+const protoVersion = 13
 
 // Frame types.
 const (
@@ -150,7 +156,7 @@ const (
 	// frames; retired, not reused.
 
 	// Persistent-stream frames (proto v6).
-	msgStage  = byte(19) // coordinator → worker: gob(stageAssign); opens a task stream, re-sent per stage generation
+	msgStage  = byte(19) // coordinator → worker: gob(stageAssign); opens a task stream, re-sent per stage
 	msgResult = byte(20) // worker → coordinator: result header (appendResultHeader) + FME1 block, before msgDone
 )
 
@@ -190,11 +196,11 @@ type helloAck struct {
 	Proto int
 }
 
-// stageAssign ships a stage to a task stream: the descriptor and the
-// stage's cache generation (blocks a worker cached at generation g are only
-// hit-visible to tasks with a strictly greater generation). It is sent once
-// per (stream, generation); every msgTask until the next msgStage names a
-// task of it by id, and the worker rebuilds the plan once for all of them.
+// stageAssign ships a stage to a task stream: the descriptor — which
+// carries the stage's block-cache scope — and Gen, the coordinator's number
+// for the stage. It is sent once per (stream, stage); every msgTask until the
+// next msgStage names a task of it by id, and the worker rebuilds the plan
+// once for all of them.
 //
 // CacheBytes is the session's block-cache budget (cluster.Config.CacheBudget;
 // zero for a session without a cache): the worker's one cache is built with
@@ -208,8 +214,8 @@ type stageAssign struct {
 }
 
 // taskAssign assigns one task of the stream's current stage. Gen repeats
-// the stage generation so a worker never runs a task against a descriptor
-// it was not meant for.
+// the stage's number so a worker never runs a task against a descriptor it
+// was not meant for.
 type taskAssign struct {
 	TaskID int
 	Gen    uint64

@@ -75,14 +75,11 @@ type Worker struct {
 
 	// Kernel-pool state. The pool is built lazily from the first stageAssign
 	// (its TaskSlots field) and this process's GOMAXPROCS, and rebuilt only
-	// when those change. poolStats holds the last snapshot reported to obs
-	// so per-task metric deltas stay exact even with concurrent tasks
-	// sharing the pool.
+	// when those change.
 	poolMu      sync.Mutex
 	pool        *parallel.Pool
 	poolThreads int
 	poolSlots   int
-	poolStats   parallel.Stats
 }
 
 // SetObs attaches an observability bundle: each executed task records its
@@ -166,25 +163,8 @@ func (w *Worker) kernelPool(slots int) *parallel.Pool {
 	if w.poolThreads != resolved || w.poolSlots != slots {
 		w.pool = parallel.New(resolved, slots)
 		w.poolThreads, w.poolSlots = resolved, slots
-		w.poolStats = parallel.Stats{}
 	}
 	return w.pool
-}
-
-// kernelStatsDelta returns the pool counters accumulated since the previous
-// call. Serialized under poolMu so concurrent finishing tasks never report
-// overlapping windows.
-func (w *Worker) kernelStatsDelta() (delta parallel.Stats, threads int) {
-	w.poolMu.Lock()
-	defer w.poolMu.Unlock()
-	cur := w.pool.Stats()
-	delta = parallel.Stats{
-		ParallelCalls: cur.ParallelCalls - w.poolStats.ParallelCalls,
-		SerialCalls:   cur.SerialCalls - w.poolStats.SerialCalls,
-		HelperRuns:    cur.HelperRuns - w.poolStats.HelperRuns,
-	}
-	w.poolStats = cur
-	return delta, w.pool.Threads()
 }
 
 // Close shuts the worker down: the listener and every open connection are
@@ -411,7 +391,7 @@ func (w *Worker) runTask(s *stream, q *fetchQueue, st *workerStage, assign *task
 	task := &cluster.Task{ID: assign.TaskID}
 	task.SetPool(w.kernelPool(st.TaskSlots))
 	cache := w.blockCache(st.CacheBytes)
-	task.SetCache(cache, assign.Gen)
+	task.SetCache(cache)
 	// Fetched blocks live in the stream's arena until the task ends, unless
 	// the task may cache them: a cached block outlives its task.
 	arena := &s.arena
@@ -466,7 +446,7 @@ func (w *Worker) runTask(s *stream, q *fetchQueue, st *workerStage, assign *task
 			o.Counter(obs.MCacheEvictions).Add(m.CacheEvictions)
 			o.Gauge(obs.MCacheResidentBytes).Set(float64(cache.ResidentBytes()))
 		}
-		delta, threads := w.kernelStatsDelta()
+		delta, threads := w.KernelPool().Unreported()
 		o.Gauge(obs.MKernelThreads).Set(float64(threads))
 		o.Counter(obs.MKernelParallelCalls).Add(delta.ParallelCalls)
 		o.Counter(obs.MKernelSerialCalls).Add(delta.SerialCalls)

@@ -15,6 +15,12 @@
 // (internal/exec/paths.go is the one place a Stage is constructed); a
 // runtime still accepts a bare closure through Runtime.RunStage.
 //
+// A runtime runs stages concurrently: the plan executor dispatches every
+// operator whose inputs are materialised at once, so the stages of
+// independent operators overlap, on node lanes they share (sched.NodeLanes).
+// Nothing in a runtime is "the current stage": each stage's own
+// cluster.Stats reaches its caller through the stage (Stage.Report).
+//
 // Both backends also schedule a stage on the one stage driver, sched.Run, and
 // differ only in one attempt of a task: a call of the task body in-process,
 // or a task stream to a worker, which is where blocks cross a wire. Nothing
@@ -25,6 +31,8 @@
 package rt
 
 import (
+	"sync/atomic"
+
 	"fuseme/internal/cluster"
 	"fuseme/internal/matrix"
 	"fuseme/internal/rt/spec"
@@ -32,16 +40,13 @@ import (
 
 // Runtime is the execution backend of a session: the in-process simulated
 // cluster or a remote coordinator. Implementations accumulate cluster.Stats
-// across stages and are used by one query execution at a time.
+// across stages, and run any number of stages at once.
 type Runtime interface {
 	// Config returns the cluster shape (node count, slots, budgets) the
 	// planners compile against.
 	Config() cluster.Config
 	// Stats returns a snapshot of accumulated metrics.
 	Stats() cluster.Stats
-	// LastStageStats returns the metrics of the most recent stage alone:
-	// zero while a stage runs and for a stage that failed before folding.
-	LastStageStats() cluster.Stats
 	// ResetStats clears accumulated metrics.
 	ResetStats()
 	// CheckAdmission rejects an operator whose estimated per-task memory
@@ -77,13 +82,33 @@ type Stage struct {
 
 	// Collect folds one remote task's result blocks into the stage sinks.
 	Collect func(taskID int, blocks []spec.OutBlock) error
+
+	// Report, when not nil, receives the stage's own stats once its tasks
+	// are folded — before the run returns, and only if it got that far: a
+	// stage that failed before folding reports nothing. It is a field of the
+	// stage, not a value the runtime writes into it, so it survives a
+	// runtime decorator that runs a copy of the stage.
+	Report func(cluster.Stats)
 }
 
 // RunStage dispatches st to r: descriptor-capable runtimes execute the spec
-// remotely, everything else runs the closure in-process.
+// remotely and call st.Report themselves; everything else runs the closure
+// in-process, and the stats its tasks carry (cluster.Task.StageStats) are
+// reported.
 func RunStage(r Runtime, st *Stage) error {
 	if sr, ok := r.(SpecRunner); ok {
 		return sr.RunSpecStage(st)
 	}
-	return r.RunStage(st.Name, st.NumTasks, st.Fn)
+	if st.Report == nil {
+		return r.RunStage(st.Name, st.NumTasks, st.Fn)
+	}
+	var stats atomic.Pointer[cluster.Stats]
+	err := r.RunStage(st.Name, st.NumTasks, func(t *cluster.Task) error {
+		stats.CompareAndSwap(nil, t.StageStats())
+		return st.Fn(t)
+	})
+	if s := stats.Load(); s != nil && (err == nil || s.Stages > 0) {
+		st.Report(*s)
+	}
+	return err
 }

@@ -16,6 +16,7 @@ package spec
 import (
 	"fmt"
 
+	"fuseme/internal/blockcache"
 	"fuseme/internal/cluster"
 	"fuseme/internal/dag"
 	"fuseme/internal/fusion"
@@ -177,6 +178,10 @@ type Stage struct {
 	// Empty means block caching is disabled for the stage, reproducing the
 	// uncached runtime byte-for-byte.
 	Epochs []NodeEpoch
+	// Scope is the stage's place in the block cache's visibility order: the
+	// generation its insertions carry and the ones it may hit. Filled in
+	// with Epochs, per execution.
+	Scope blockcache.Scope
 }
 
 // NodeEpoch binds an external input node ID to the content epoch of the

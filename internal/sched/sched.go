@@ -1,7 +1,8 @@
 // Package sched is the one stage driver of both execution backends
-// (Scheduler.Run: home queues, TasksPerNode lanes per node, the steal rule,
-// retries, first-error abort; a runtime supplies one attempt of a task), and
-// the slot gate it dispatches through.
+// (Scheduler.Run: home queues, TasksPerNode lanes per node shared by every
+// stage in flight (NodeLanes), the steal rule, retries, first-error abort; a
+// runtime supplies one attempt of a task), and the slot gate it dispatches
+// through.
 //
 // Every task holds a slot of the Scheduler while it runs, so several
 // concurrently executing plans interleave their tasks on one cluster: when

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -184,8 +186,8 @@ func TestStealQueueVictimChoice(t *testing.T) {
 
 // tryTake is one attempt of next that never waits.
 func tryTake(q *taskQueues, n int) (task, victim int, ok bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
+	q.nodes.mu.Lock()
+	defer q.nodes.mu.Unlock()
 	return q.take(n)
 }
 
@@ -369,5 +371,58 @@ func TestRunDeadHomesFallForward(t *testing.T) {
 		return nil
 	}); err == nil {
 		t.Fatal("a stage with no live node succeeded")
+	}
+}
+
+// TestRunSharesNodeLanes: stages in flight at once share their nodes' lanes.
+// Three stages of a task per node run together on two one-lane nodes: no
+// node ever runs two tasks at once, though each stage starts a lane on each
+// node. Pinned, every task runs at its home; unpinned, an idle node may
+// take a task queued behind the other, busy one.
+func TestRunSharesNodeLanes(t *testing.T) {
+	for _, pinned := range []bool{true, false} {
+		lanes := NewNodeLanes(1)
+		s := New(8)
+		var (
+			mu      sync.Mutex
+			running [2]int
+			peak    [2]int
+			away    []int
+			ran     int
+			stolen  atomic.Int64
+		)
+		var wg sync.WaitGroup
+		for stage := 0; stage < 3; stage++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				steals, err := s.Run(Stage{Tasks: 2, Alive: []bool{true, true}, Lanes: 1, Nodes: lanes, Pinned: pinned}, func(node, task, _ int) error {
+					mu.Lock()
+					running[node]++
+					ran++
+					peak[node] = max(peak[node], running[node])
+					if node != task%2 {
+						away = append(away, task)
+					}
+					mu.Unlock()
+					runtime.Gosched()
+					mu.Lock()
+					running[node]--
+					mu.Unlock()
+					return nil
+				})
+				if err != nil {
+					t.Errorf("stage %d: %v", stage, err)
+				}
+				stolen.Add(steals)
+			}()
+		}
+		wg.Wait()
+		if peak != [2]int{1, 1} || ran != 6 {
+			t.Errorf("pinned=%t: peak tasks per node %v, want [1 1]; %d tasks ran, want 6", pinned, peak, ran)
+		}
+		if int64(len(away)) != stolen.Load() || pinned && len(away) > 0 {
+			t.Errorf("pinned=%t: tasks %v ran away from home, %d steals counted", pinned, away, stolen.Load())
+		}
 	}
 }
