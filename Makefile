@@ -42,15 +42,22 @@ build:
 ## arena arms) once each so they cannot rot. The tests of what runs
 ## concurrently since the executor walks the plan DAG — the executor itself,
 ## stage lists and journals kept in plan order, per-stage stats, shared node
-## lanes and block-cache visibility — run again ten times at GOMAXPROCS=2, so
-## an ordering flake shows here rather than in a single tier-1 run
-DAGTESTS = Executor|GoldenStageLists|HitDispatches|ConformanceJournal|ConformanceBlockCache|FlightPeakMem|PipelineDiffGNMF|RemoteCache|RemoteGNMFCache|BlockCacheMatchesSim|MultiAggBlockCache|Visibility|Scopes|Overlapping|SharesNodeLanes|QueryLogParts|KeepsStagesApart
+## lanes, block-cache visibility and the task samples each stage is handed —
+## run again ten times at GOMAXPROCS=2, so an ordering flake shows here
+## rather than in a single tier-1 run. Every alternative of DAGTESTS must
+## name a test of DAGPKGS: one that matches none fails the target before
+## anything runs, so a renamed test cannot drop out of the rerun unnoticed
+DAGTESTS = Executor|GoldenStageLists|HitDispatches|ConformanceJournal|ConformanceBlockCache|FlightPeakMem|PipelineDiffGNMF|RemoteCache|RemoteGNMFCache|BlockCacheMatchesSim|MultiAggBlockCache|Visibility|Scopes|Overlapping|SharesNodeLanes|QueryLogParts|OwnTaskSamples
+DAGPKGS = . ./internal/core ./internal/exec ./internal/rt/... ./internal/blockcache ./internal/obs ./internal/sched ./internal/plancache
 race:
+	@listed="$$($(GO) test -list '$(DAGTESTS)' $(DAGPKGS))" || { echo "$$listed"; exit 1; }; \
+	for alt in $$(echo '$(DAGTESTS)' | tr '|' ' '); do \
+		echo "$$listed" | grep -Eq "^Test.*$$alt" || { echo "DAGTESTS: $$alt matches no test in $(DAGPKGS)"; exit 1; }; \
+	done
 	@echo "$(GO) test -race -count=1 -coverprofile=coverage.out -covermode=atomic ./... > race.log"
 	@$(GO) test -race -count=1 -coverprofile=coverage.out -covermode=atomic ./... > race.log 2>&1 || \
 		{ echo "go test -race failed; the last 200 lines of race.log:"; tail -n 200 race.log; exit 1; }
-	GOMAXPROCS=2 $(GO) test -race -count=10 -run '$(DAGTESTS)' . ./internal/core ./internal/exec ./internal/rt/... \
-		./internal/blockcache ./internal/obs ./internal/sched ./internal/plancache
+	GOMAXPROCS=2 $(GO) test -race -count=10 -run '$(DAGTESTS)' $(DAGPKGS)
 	$(GO) test -tags kernelcount -run FastPathIsThePath ./internal/matrix
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/matrix ./internal/exec ./internal/block
 	$(GO) test -run '^$$' -bench 'Overhead$$|BlockWire' -benchtime 1x .

@@ -406,3 +406,42 @@ func TestTCPMembershipChurnLeavesNoGoroutines(t *testing.T) {
 	}
 	chaostest.WaitNoGoroutine(t, "fuseme/internal/rt/remote.")
 }
+
+// TestMeanOverManyBlocks: mean over a matrix of several blocks is the sum
+// over the cell count, on every engine and on both runtimes. The partials of
+// a mean used to be per-block means that the aggregation added up, so mean
+// over nine 8x8 blocks of ones read 9.
+func TestMeanOverManyBlocks(t *testing.T) {
+	sessions := map[string]ClusterConfig{"sim": LocalClusterConfig(), "tcp": LocalClusterConfig()}
+	tcp := sessions["tcp"]
+	tcp.Runtime, tcp.Workers = "tcp", startWorkers(t, 2)
+	sessions["tcp"] = tcp
+	for name, cfg := range sessions {
+		cfg.BlockSize = 8
+		sess, err := NewSession(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sess.Close() })
+		x := sess.RandomDense("X", 20, 20, 0.5, 1.5, 4)
+		var sum float64
+		for _, v := range x.Dense() {
+			sum += v
+		}
+		for _, eng := range []Engine{EngineFuseME, EngineSystemDS, EngineDistME, EngineMatFast, EngineTensorFlow} {
+			if err := sess.SetEngine(eng); err != nil {
+				t.Fatal(err)
+			}
+			out, err := sess.Query("M = mean(X * 0 + 1)\nA = mean(X)")
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, eng, err)
+			}
+			if got := out["M"].Dense()[0]; got != 1 {
+				t.Errorf("%s/%s: mean of ones over 3x3 blocks = %g, want 1", name, eng, got)
+			}
+			if got, want := out["A"].Dense()[0], sum/400; math.Abs(got-want) > 1e-12 {
+				t.Errorf("%s/%s: mean(X) = %g, want %g", name, eng, got, want)
+			}
+		}
+	}
+}

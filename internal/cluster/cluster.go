@@ -141,7 +141,10 @@ func (c Config) WaveOverhead(tasks int) float64 {
 }
 
 // Stats accumulates execution metrics across stages. All byte counts are the
-// "amount of transferred data" the paper reports as communication cost.
+// "amount of transferred data" the paper reports as communication cost. It is
+// also the one record of a single task's metering (Task.Metrics), which a
+// remote worker ships back in its done frame and both runtimes fold into
+// their stage with Add.
 type Stats struct {
 	ConsolidationBytes int64   // matrix consolidation step: inputs to tasks
 	AggregationBytes   int64   // matrix aggregation step: shuffled partials
@@ -295,49 +298,6 @@ func (s Stats) Sub(prev Stats) Stats {
 	return s
 }
 
-// TaskMetrics is one finished task's metering: what Task.Metrics reports
-// in-process and what a remote worker sends back to its coordinator (the wire
-// name is spec.TaskMetrics). Byte counters are the task's own SizeBytes
-// accounting; the TCP coordinator separately measures actual wire bytes.
-type TaskMetrics struct {
-	ConsolidationBytes int64
-	AggregationBytes   int64
-	Flops              int64
-	MemPeakBytes       int64
-
-	// Block-cache counters for the task (see internal/blockcache).
-	CacheHits       int64
-	CacheMisses     int64
-	CacheEvictions  int64
-	CacheSavedBytes int64
-
-	// Wall-clock metering, filled by a remote worker and zero in-process.
-	// FetchSeconds is the wire wait inside the task body (time blocked on
-	// msgFetch round-trips); TaskSeconds the task's wall time on the worker.
-	FetchSeconds float64
-	TaskSeconds  float64
-}
-
-// AddTask folds one finished task into the stage's stats: the one place a
-// task counter becomes a stage counter, on both runtimes.
-func (s *Stats) AddTask(m TaskMetrics) {
-	s.ConsolidationBytes += m.ConsolidationBytes
-	s.AggregationBytes += m.AggregationBytes
-	s.Flops += m.Flops
-	s.CacheHits += m.CacheHits
-	s.CacheMisses += m.CacheMisses
-	s.CacheEvictions += m.CacheEvictions
-	s.CacheSavedBytes += m.CacheSavedBytes
-	s.FetchSeconds += m.FetchSeconds
-	s.TaskSeconds += m.TaskSeconds
-	if m.MemPeakBytes > s.PeakTaskMemBytes {
-		s.PeakTaskMemBytes = m.MemPeakBytes
-	}
-	if m.Flops > s.MaxTaskFlops {
-		s.MaxTaskFlops = m.Flops
-	}
-}
-
 // Cluster is a simulated cluster instance. Stages may run concurrently —
 // the operators of one plan that do not depend on each other do — and share
 // its nodes' lanes; stats reads are safe concurrently with stages.
@@ -476,16 +436,10 @@ type Task struct {
 	// simulated cluster once the stage folded its tasks (StageStats).
 	stage *Stats
 
-	consolidationBytes int64
-	aggregationBytes   int64
-	flops              int64
-	memBytes           int64
-	memPeak            int64
-
-	cacheHits       int64
-	cacheMisses     int64
-	cacheEvictions  int64
-	cacheSavedBytes int64
+	// stats is the task's metering: the byte, flop and cache counters, and
+	// in PeakTaskMemBytes the high-water mark of memBytes, its live memory.
+	stats    Stats
+	memBytes int64
 }
 
 // SetPool hands the task a kernel pool for intra-task parallelism. Backends
@@ -516,14 +470,14 @@ func (t *Task) FetchBlock(m matrix.Mat) {
 		return
 	}
 	n := m.SizeBytes()
-	t.consolidationBytes += n
+	t.stats.ConsolidationBytes += n
 	t.GrowMem(n)
 }
 
 // FetchBytes meters raw consolidation traffic (for metadata or pre-sized
 // estimates) without a concrete block.
 func (t *Task) FetchBytes(n int64) {
-	t.consolidationBytes += n
+	t.stats.ConsolidationBytes += n
 	t.GrowMem(n)
 }
 
@@ -533,18 +487,16 @@ func (t *Task) SendBlock(m matrix.Mat) {
 	if m == nil {
 		return
 	}
-	t.aggregationBytes += m.SizeBytes()
+	t.stats.AggregationBytes += m.SizeBytes()
 }
 
 // AddFlops meters floating-point work executed by this task.
-func (t *Task) AddFlops(n int64) { t.flops += n }
+func (t *Task) AddFlops(n int64) { t.stats.Flops += n }
 
 // GrowMem increases the task's live-memory estimate and updates its peak.
 func (t *Task) GrowMem(n int64) {
 	t.memBytes += n
-	if t.memBytes > t.memPeak {
-		t.memPeak = t.memBytes
-	}
+	t.stats.PeakTaskMemBytes = max(t.stats.PeakTaskMemBytes, t.memBytes)
 }
 
 // ShrinkMem decreases the live-memory estimate (a block was released).
@@ -557,30 +509,25 @@ func (t *Task) ShrinkMem(n int64) { t.memBytes -= n }
 // model, so CacheSavedBytes exactly equals the consolidation-byte drop
 // versus an uncached run on both backends.
 func (t *Task) CacheHit(blockBytes, savedBytes int64) {
-	t.cacheHits++
-	t.cacheSavedBytes += savedBytes
+	t.stats.CacheHits++
+	t.stats.CacheSavedBytes += savedBytes
 	t.GrowMem(blockBytes)
 }
 
 // CacheMiss meters a cache-eligible fetch that had to ship the block.
-func (t *Task) CacheMiss() { t.cacheMisses++ }
+func (t *Task) CacheMiss() { t.stats.CacheMisses++ }
 
 // AddCacheEvictions meters entries the task's insertions evicted.
-func (t *Task) AddCacheEvictions(n int) { t.cacheEvictions += int64(n) }
+func (t *Task) AddCacheEvictions(n int) { t.stats.CacheEvictions += int64(n) }
 
-// Metrics returns the task's accumulated metering. The seconds fields are
-// the caller's to fill: only a remote worker times its tasks.
-func (t *Task) Metrics() TaskMetrics {
-	return TaskMetrics{
-		ConsolidationBytes: t.consolidationBytes,
-		AggregationBytes:   t.aggregationBytes,
-		Flops:              t.flops,
-		MemPeakBytes:       t.memPeak,
-		CacheHits:          t.cacheHits,
-		CacheMisses:        t.cacheMisses,
-		CacheEvictions:     t.cacheEvictions,
-		CacheSavedBytes:    t.cacheSavedBytes,
-	}
+// Metrics returns the task's accumulated metering as the Stats of one task:
+// its counters, its memory high-water mark as PeakTaskMemBytes and its flops
+// as MaxTaskFlops, so Stats.Add folds tasks into a stage. The seconds fields
+// are the caller's to fill: only a remote worker times its tasks.
+func (t *Task) Metrics() Stats {
+	m := t.stats
+	m.MaxTaskFlops = m.Flops
+	return m
 }
 
 // SetScheduler installs a shared task-dispatch scheduler; nil is ignored (the
@@ -656,10 +603,10 @@ func (c *Cluster) RunStage(name string, numTasks int, fn func(t *Task) error) er
 		return err
 	}
 
-	stage.Stages, stage.Tasks, stage.StealTasks = 1, numTasks, steals
 	for i := range tasks {
-		stage.AddTask(tasks[i].Metrics())
+		stage.Add(tasks[i].Metrics())
 	}
+	stage.Stages, stage.Tasks, stage.StealTasks = 1, numTasks, steals
 	stage.SimSeconds = max(c.cfg.Eq2(float64(stage.TotalCommBytes()), float64(stage.Flops))) +
 		c.cfg.WaveOverhead(numTasks)
 	stage.WallSeconds = time.Since(start).Seconds()

@@ -11,6 +11,7 @@ package dag
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"fuseme/internal/matrix"
 )
@@ -501,6 +502,29 @@ func (g *Graph) Unshare(split func(*Node) bool) *Graph {
 		ng.outputs[name] = next[out]
 	}
 	return ng
+}
+
+// Prune drops every node no output reaches, and every consumer link from
+// one, so the consumers of a node left are exactly the live nodes that read
+// it. Node IDs are kept: they still increase along data flow.
+func (g *Graph) Prune() {
+	live := g.ReachableFromOutputs()
+	if len(live) == len(g.nodes) {
+		return
+	}
+	kept := g.nodes[:0]
+	for _, n := range g.nodes {
+		if live[n.ID] {
+			kept = append(kept, n)
+		} else {
+			delete(g.interned, internKey(n))
+		}
+	}
+	clear(g.nodes[len(kept):])
+	g.nodes = kept
+	for _, n := range kept {
+		n.consumers = slices.DeleteFunc(n.consumers, func(c *Node) bool { return !live[c.ID] })
+	}
 }
 
 // Inputs returns all OpInput nodes in creation order.

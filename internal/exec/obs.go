@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"fuseme/internal/cluster"
@@ -16,7 +17,10 @@ import (
 // one place a FlightRecord is built from live execution — the operator's
 // prediction pred joined to the stats the runtime reports for this stage
 // (rt.Stage.Report: this stage's own, whatever runs beside it), handed to
-// Obs.StageDone for every output derived from it.
+// Obs.StageDone for every output derived from it. With per-task
+// instrumentation on, the stage keeps the samples of its own task attempts
+// — the sim's through the wrapped Fn, a descriptor runtime's through
+// rt.Stage.TaskDone — and hands their skew to Obs.StageDone too.
 //
 // The disabled path is one nil check and a plain rt.RunStage — that is the
 // fast path BenchmarkTraceOverhead guards.
@@ -35,8 +39,24 @@ func runObservedStage(rtm rt.Runtime, o *obs.Obs, pred obs.FlightRecord, st *rt.
 		}
 		span.Arg("grid", fmt.Sprintf("%dx%dx%d", sp.GI, sp.GJ, sp.GK))
 	}
+	// The samples live inside the branch, so a stage without per-task
+	// instrumentation (calibration alone, the default) allocates none.
+	skew := func() obs.StageSkew { return obs.StageSkew{} }
 	if o.PerTask() {
-		st.Fn = wrapTaskFn(o, st.Name, st.Fn, time.Now(), rtm.Config().Nodes)
+		var mu sync.Mutex
+		var samples []obs.TaskSample // this stage's task attempts, under mu
+		st.TaskDone = func(t obs.TaskSample) {
+			o.TaskDone(t)
+			mu.Lock()
+			samples = append(samples, t)
+			mu.Unlock()
+		}
+		skew = func() obs.StageSkew {
+			mu.Lock()
+			defer mu.Unlock()
+			return obs.StageSkewOf(st.Name, samples)
+		}
+		st.Fn = wrapTaskFn(o.Tracing(), st.Fn, time.Now(), rtm.Config().Nodes, st.TaskDone)
 	}
 	if o.QLog != nil {
 		o.QLog.Emit(obs.Event{Type: obs.EvStageStart, Stage: st.Name, Op: pred.Op, Tasks: st.NumTasks})
@@ -60,7 +80,7 @@ func runObservedStage(rtm rt.Runtime, o *obs.Obs, pred obs.FlightRecord, st *rt.
 	rec.MeasPeakTaskMemBytes = m.PeakTaskMemBytes
 	rec.CacheHits, rec.CacheMisses, rec.CacheSavedBytes = m.CacheHits, m.CacheMisses, m.CacheSavedBytes
 	rec.StealTasks, rec.MeasFetchSeconds, rec.MeasTaskSeconds = m.StealTasks, m.FetchSeconds, m.TaskSeconds
-	o.StageDone(rec, err)
+	o.StageDone(rec, skew(), err)
 
 	o.Counter(obs.MCacheEvictions).Add(m.CacheEvictions)
 	o.Counter(obs.MStealTasks).Add(m.StealTasks)
@@ -86,23 +106,21 @@ func runObservedStage(rtm rt.Runtime, o *obs.Obs, pred obs.FlightRecord, st *rt.
 	return err
 }
 
-// wrapTaskFn reports every run of the in-process task body to Obs.TaskDone;
-// nodes is the simulated worker count, attributing task ID to its home node
-// the same way the sim cluster places tasks. Only the sim backend executes
-// Fn; the TCP coordinator reports its tasks from its dispatch lanes.
-func wrapTaskFn(o *obs.Obs, stage string, inner func(*cluster.Task) error, stageStart time.Time, nodes int) func(*cluster.Task) error {
+// wrapTaskFn hands every run of the in-process task body to done, tracing
+// the body's sub-spans when trace is set; nodes is the simulated worker
+// count, attributing task ID to its home node the same way the sim cluster
+// places tasks. Only the sim backend executes Fn; the TCP coordinator hands
+// its attempts to rt.Stage.TaskDone from its dispatch lanes.
+func wrapTaskFn(trace bool, inner func(*cluster.Task) error, stageStart time.Time, nodes int, done func(obs.TaskSample)) func(*cluster.Task) error {
 	nodes = max(nodes, 1)
 	return func(task *cluster.Task) error {
 		start := time.Now()
-		if o.Tracing() {
+		if trace {
 			task.SetTrace(cluster.NewTaskTrace(start))
 		}
 		err := inner(task)
-		m := task.Metrics()
-		o.TaskDone(obs.TaskSample{Stage: stage, ID: task.ID, Worker: task.ID % nodes,
-			StageStart: stageStart, Start: start, Spans: task.Trace().Spans(), Err: err,
-			ConsolidationBytes: m.ConsolidationBytes, AggregationBytes: m.AggregationBytes,
-			Flops: m.Flops, PeakMemBytes: m.MemPeakBytes})
+		done(obs.TaskSample{ID: task.ID, Worker: task.ID % nodes, StageStart: stageStart,
+			Start: start, End: time.Now(), Spans: task.Trace().Spans(), Metrics: task.Metrics(), Err: err})
 		task.SetTrace(nil)
 		return err
 	}

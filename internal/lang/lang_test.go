@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	"fuseme/internal/cluster"
+	"fuseme/internal/core"
 	"fuseme/internal/dag"
 	"fuseme/internal/matrix"
 )
@@ -198,6 +200,52 @@ func TestRebinding(t *testing.T) {
 	// outputs include whichever names remain unconsumed.
 	if len(g.Outputs()) == 0 {
 		t.Fatal("no outputs")
+	}
+}
+
+// TestDoubleTransposeLeavesNoPhantom: t(t(E)) folds to E and leaves no
+// t(E) behind that would still read E, and a binding is an output unless a
+// later statement reads it by name.
+func TestDoubleTransposeLeavesNoPhantom(t *testing.T) {
+	inputs := map[string]InputDecl{"A": {20, 12, 1}, "B": {12, 20, 1}, "X": {20, 20, 1}}
+	live := func(g *dag.Graph) {
+		t.Helper()
+		for _, n := range g.Nodes() {
+			if n.Op == dag.OpTranspose {
+				t.Errorf("node %d (%s) survived the fold", n.ID, n.Label())
+			}
+		}
+	}
+
+	g := mustParse(t, "O = t(t(A %*% B))", inputs)
+	if names := g.OutputNames(); len(names) != 1 || names[0] != "O" || g.Outputs()["O"].Op != dag.OpMatMul {
+		t.Errorf("outputs %v, want O, the product", names)
+	}
+	live(g)
+
+	g = mustParse(t, "O = t(t(X))\nQ = sum(X)", inputs)
+	if names := g.OutputNames(); len(names) != 2 || g.Outputs()["O"] != g.Outputs()["Q"].Inputs[0] {
+		t.Errorf("outputs %v, want O (the input X) beside Q", names)
+	}
+	live(g)
+
+	g = mustParse(t, "P = A %*% B\nO = t(t(P)) * 2", inputs)
+	if names := g.OutputNames(); len(names) != 1 || names[0] != "O" {
+		t.Errorf("outputs %v, want O alone", names)
+	}
+	live(g)
+	p := g.Outputs()["O"].Inputs[0]
+	if p.Op != dag.OpMatMul || p.NumConsumers() != 1 {
+		t.Fatalf("P has %d consumers, want the multiplication by 2 alone", p.NumConsumers())
+	}
+	cc := cluster.Config{Nodes: 2, TasksPerNode: 2, TaskMemBytes: 1 << 30, NetBandwidth: 1e9,
+		CompBandwidth: 50e9, BlockSize: 8}
+	pp, err := core.FuseME{}.Compile(g, cc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pp.Ops) != 1 || pp.Ops[0].Kind != "CFO" {
+		t.Errorf("plan:\n%swant one CFO", pp.Describe())
 	}
 }
 

@@ -16,14 +16,15 @@ type InputDecl struct {
 }
 
 // Parse compiles a script into a query DAG. The inputs map declares every
-// free variable of the script. Every final binding that is not consumed by a
-// later expression becomes a named output.
+// free variable of the script. Every final binding that no later statement
+// reads becomes a named output.
 func Parse(src string, inputs map[string]InputDecl) (g *dag.Graph, err error) {
 	toks, err := lex(src)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, g: dag.NewGraph(), env: make(map[string]*dag.Node), decls: inputs}
+	p := &parser{toks: toks, g: dag.NewGraph(), env: make(map[string]*dag.Node), decls: inputs,
+		read: make(map[string]bool)}
 	defer func() {
 		// The dag builder panics on shape errors; surface them as errors
 		// with position context.
@@ -34,18 +35,23 @@ func Parse(src string, inputs map[string]InputDecl) (g *dag.Graph, err error) {
 	if err := p.parseProgram(); err != nil {
 		return nil, err
 	}
-	// Outputs: final bindings that are DAG roots (no consumers).
+	// Outputs: final bindings no later statement reads. A binding is read by
+	// name, not by node: one that a rewrite such as t(t(E)) -> E folded into
+	// another node, or that names an input, is an output all the same.
 	n := 0
 	for _, name := range p.assignOrder {
-		node := p.env[name]
-		if node.NumConsumers() == 0 {
-			p.g.SetOutput(name, node)
+		if !p.read[name] {
+			p.g.SetOutput(name, p.env[name])
 			n++
 		}
 	}
 	if n == 0 {
 		return nil, fmt.Errorf("script defines no outputs (every assignment is consumed)")
 	}
+	// Drop what no output reaches — a rewrite's leftover such as the inner
+	// t(E) of t(t(E)), a replaced binding — so no planner counts a consumer
+	// that is not there.
+	p.g.Prune()
 	if err := p.g.Validate(); err != nil {
 		return nil, err
 	}
@@ -59,6 +65,7 @@ type parser struct {
 	env         map[string]*dag.Node
 	decls       map[string]InputDecl
 	assignOrder []string
+	read        map[string]bool // a binding a later statement has read
 }
 
 func (p *parser) cur() token  { return p.toks[p.pos] }
@@ -111,6 +118,7 @@ func (p *parser) parseStmt() error {
 		p.assignOrder = append(p.assignOrder, name.text)
 	}
 	p.env[name.text] = node
+	p.read[name.text] = false
 	return nil
 }
 
@@ -281,6 +289,7 @@ func (p *parser) parseAtom() (*dag.Node, error) {
 
 func (p *parser) resolve(t token) (*dag.Node, error) {
 	if n, ok := p.env[t.text]; ok {
+		p.read[t.text] = true
 		return n, nil
 	}
 	if d, ok := p.decls[t.text]; ok {
@@ -332,6 +341,14 @@ func (p *parser) parseCall(name token) (*dag.Node, error) {
 			return p.g.Binary(op, args[0], args[1]), nil
 		}
 		return nil, fmt.Errorf("line %d: %s() takes 1 or 2 arguments", name.line, fn)
+	case fn == "mean":
+		if len(args) != 1 {
+			return nil, fmt.Errorf("line %d: mean() takes 1 argument", name.line)
+		}
+		// The full sum over the cell count: partial sums combine across
+		// blocks and tasks, and the result divides once.
+		e := args[0]
+		return p.g.Binary(matrix.Mul, p.g.Agg(matrix.SumAll, e), p.g.Scalar(1/float64(e.Rows*e.Cols))), nil
 	case fn == "pow":
 		if len(args) != 2 {
 			return nil, fmt.Errorf("line %d: pow() takes 2 arguments", name.line)

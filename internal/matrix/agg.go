@@ -12,12 +12,11 @@ const (
 	ColSum                // per-column sum -> 1xC
 	MinAll                // full min -> 1x1
 	MaxAll                // full max -> 1x1
-	Mean                  // full mean -> 1x1
 )
 
 var aggNames = map[AggFunc]string{
 	SumAll: "sum", RowSum: "rowSums", ColSum: "colSums",
-	MinAll: "min", MaxAll: "max", Mean: "mean",
+	MinAll: "min", MaxAll: "max",
 }
 
 // String returns the surface name of the aggregation.
@@ -56,11 +55,6 @@ func Aggregate(a AggFunc, m Mat) *Dense {
 	switch a {
 	case SumAll:
 		return scalarMat(sumAll(m))
-	case Mean:
-		if rows*cols == 0 {
-			return scalarMat(0)
-		}
-		return scalarMat(sumAll(m) / float64(rows*cols))
 	case MinAll, MaxAll:
 		return scalarMat(minMaxAll(a, m))
 	case RowSum:
@@ -112,7 +106,7 @@ func Aggregate(a AggFunc, m Mat) *Dense {
 // by the distributed aggregation stage.
 func (a AggFunc) Combine(x, y Mat) Mat {
 	switch a {
-	case SumAll, RowSum, ColSum, Mean:
+	case SumAll, RowSum, ColSum:
 		return Binary(Add, x, y)
 	case MinAll:
 		return Binary(MinOp, x, y)
@@ -125,7 +119,7 @@ func (a AggFunc) Combine(x, y Mat) Mat {
 // IsAssociativeSum reports whether partial results combine by addition,
 // which permits pre-aggregation inside tasks.
 func (a AggFunc) IsAssociativeSum() bool {
-	return a == SumAll || a == RowSum || a == ColSum || a == Mean
+	return a == SumAll || a == RowSum || a == ColSum
 }
 
 func scalarMat(v float64) *Dense {

@@ -25,9 +25,6 @@ func TestAggregateSumRowCol(t *testing.T) {
 	if cs.At(0, 0) != 5 || cs.At(0, 1) != 7 || cs.At(0, 2) != 9 {
 		t.Fatalf("colSums = %v", cs.Data)
 	}
-	if got := Aggregate(Mean, d).At(0, 0); got != 3.5 {
-		t.Fatalf("mean = %v", got)
-	}
 	if got := Aggregate(MinAll, d).At(0, 0); got != 1 {
 		t.Fatalf("min = %v", got)
 	}
@@ -39,7 +36,7 @@ func TestAggregateSumRowCol(t *testing.T) {
 func TestAggregateSparseMatchesDense(t *testing.T) {
 	s := randSparse(t, 20, 15, 0.2, 60)
 	d := ToDense(s)
-	for _, a := range []AggFunc{SumAll, RowSum, ColSum, MinAll, MaxAll, Mean} {
+	for _, a := range []AggFunc{SumAll, RowSum, ColSum, MinAll, MaxAll} {
 		gs := Aggregate(a, s)
 		gd := Aggregate(a, d)
 		if !EqualApprox(gs, gd, 1e-12) {
@@ -63,7 +60,7 @@ func TestAggOutDims(t *testing.T) {
 		a            AggFunc
 		wantR, wantC int
 	}{
-		{SumAll, 1, 1}, {RowSum, 7, 1}, {ColSum, 1, 9}, {Mean, 1, 1},
+		{SumAll, 1, 1}, {RowSum, 7, 1}, {ColSum, 1, 9},
 	}
 	for _, c := range cases {
 		r, cc := c.a.OutDims(7, 9)
@@ -74,7 +71,7 @@ func TestAggOutDims(t *testing.T) {
 }
 
 func TestAggParseRoundTrip(t *testing.T) {
-	for _, a := range []AggFunc{SumAll, RowSum, ColSum, MinAll, MaxAll, Mean} {
+	for _, a := range []AggFunc{SumAll, RowSum, ColSum, MinAll, MaxAll} {
 		got, ok := ParseAggFunc(a.String())
 		if !ok || got != a {
 			t.Errorf("ParseAggFunc(%q) = %v %v", a.String(), got, ok)

@@ -31,7 +31,7 @@ func TestFlightRecorderRoundTrip(t *testing.T) {
 	o := &Obs{QLog: j.Begin("q1", "")}
 	want := []FlightRecord{sampleRecord("cuboid:mul#3"), sampleRecord("fuse:mul#3")}
 	for _, r := range want {
-		o.StageDone(r, nil)
+		o.StageDone(r, StageSkew{}, nil)
 	}
 	if err := j.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
@@ -58,8 +58,8 @@ func TestFlightRecorderRoundTrip(t *testing.T) {
 func TestFlightRecorderNilSafe(t *testing.T) {
 	var j *Journal
 	o := &Obs{QLog: j.Begin("q1", "")}
-	o.StageDone(sampleRecord("s"), nil)
-	(&Obs{}).StageDone(sampleRecord("s"), nil)
+	o.StageDone(sampleRecord("s"), StageSkew{}, nil)
+	(&Obs{}).StageDone(sampleRecord("s"), StageSkew{}, nil)
 	if j.Flush() != nil || j.Events("q1") != nil {
 		t.Fatal("nil journal must absorb every call")
 	}

@@ -7,9 +7,12 @@
 // The rule of the package: one FlightRecord per executed stage, built by the
 // executor from the runtime's stage stats; every other output — calibration
 // rows, the fuseme_* stage counters, the journal's stage_end event — is
-// derived from it in Obs.StageDone. One level down,
-// Obs.TaskDone is the same single emit point for a finished task on either
-// runtime.
+// derived from it in Obs.StageDone. One level down, a TaskSample is the one
+// record of a finished task attempt on either runtime, carrying the task's
+// own cluster.Stats. The dispatcher hands it to the stage that ran it, which
+// reports it to Obs.TaskDone and folds its own samples into the StageSkew it
+// passes to Obs.StageDone (StageSkewOf); the SkewDetector keeps only the
+// per-worker EWMA across stages.
 //
 // Everything is nil-safe by design: a nil *Obs (or a nil component inside a
 // non-nil Obs) turns every instrumentation call into a pointer check and an
@@ -90,9 +93,11 @@ func (o *Obs) Histogram(name string) *Histogram {
 // operator's prediction next to what the runtime measured — is folded into
 // the calibration rows, added to the stage counters and embedded, together
 // with the stage's task-duration skew, in the journal's stage_end event, so
-// the three outputs can never disagree. err is the stage's failure, if any.
-// A nil Obs or any nil component absorbs its share.
-func (o *Obs) StageDone(rec FlightRecord, err error) {
+// the three outputs can never disagree. skew is StageSkewOf the task samples
+// the stage received (zero when it took none); it is published only when the
+// skew detector is on. err is the stage's failure, if any. A nil Obs or any
+// nil component absorbs its share.
+func (o *Obs) StageDone(rec FlightRecord, skew StageSkew, err error) {
 	if o == nil {
 		return
 	}
@@ -108,12 +113,13 @@ func (o *Obs) StageDone(rec FlightRecord, err error) {
 	saved := o.Gauge(MCacheSavedBytes)
 	saved.Set(saved.Value() + float64(rec.CacheSavedBytes))
 
-	// Straggler/skew: fold the stage's per-task samples, publish the stage
-	// imbalance and the refreshed per-worker slowdown scores.
-	var skew *StageSkew
-	if sk := o.Skew.FinishStage(rec.Stage); sk.Tasks > 0 {
-		skew = &sk
-		o.Gauge(MStageSkew).Set(sk.Imbalance)
+	// Straggler/skew: publish the stage imbalance, fold the stage into the
+	// per-worker EWMAs and publish the refreshed slowdown scores.
+	var sk *StageSkew
+	if o.Skew != nil && skew.Tasks > 0 {
+		sk = &skew
+		o.Gauge(MStageSkew).Set(skew.Imbalance)
+		o.Skew.Observe(skew)
 		for worker, score := range o.Skew.Slowdowns() {
 			o.Gauge(WorkerSlowdownGauge(worker)).Set(score)
 		}
@@ -124,7 +130,7 @@ func (o *Obs) StageDone(rec FlightRecord, err error) {
 	if o.QLog != nil {
 		flight := rec
 		end := Event{Type: EvStageEnd, Stage: rec.Stage, Op: rec.Op, Tasks: rec.Tasks,
-			Seconds: rec.MeasWallSeconds, Flight: &flight, Skew: skew}
+			Seconds: rec.MeasWallSeconds, Flight: &flight, Skew: sk}
 		if err != nil {
 			end.Error = err.Error()
 		}
@@ -132,11 +138,11 @@ func (o *Obs) StageDone(rec FlightRecord, err error) {
 	}
 }
 
-// TaskSample is one finished task as its dispatcher saw it: the sim
+// TaskSample is one finished task attempt as its dispatcher saw it: the sim
 // executor's task wrapper and the TCP coordinator's dispatch lane both fill
-// one and hand it to Obs.TaskDone.
+// one and hand it to the stage that ran it, which reports it to Obs.TaskDone
+// and folds its stage's samples with StageSkewOf.
 type TaskSample struct {
-	Stage  string // the name of the task's stage, which keys its skew sample
 	ID     int
 	Worker int // worker that ran the task; negative = none to attribute (no skew sample)
 	// Remote marks a body that ran in worker Worker's process: the task's span
@@ -146,40 +152,43 @@ type TaskSample struct {
 
 	StageStart time.Time // when the stage was dispatched; Start - StageStart is the queue wait
 	Start      time.Time // when the task was started (remote: dispatched)
+	End        time.Time // when the attempt ended (remote: its reply arrived)
 
-	// Body is how long a remote body ran, by the worker's clock; a local
-	// body fills the whole window from Start. Spans are the body's sub-spans,
-	// placed relative to its start.
-	Body  time.Duration
+	// Spans are the body's sub-spans, placed relative to its start. A local
+	// body fills the whole window from Start to End; a remote one ran
+	// Metrics.TaskSeconds by the worker's clock.
 	Spans []cluster.TaskSpan
 
-	ConsolidationBytes, AggregationBytes, Flops, PeakMemBytes int64
+	// Metrics is the task's own metering (cluster.Task.Metrics); zero for
+	// an attempt that reported none.
+	Metrics cluster.Stats
 
 	Err error
 }
 
-// TaskDone is the one emit point of a finished task, called as it returns:
-// queue-wait and latency histograms, fuseme_tasks_total, the skew detector's
-// sample and the task's spans.
+// TaskDone is the one emit point of a finished task attempt, called as it
+// returns: queue-wait and latency histograms, fuseme_tasks_total (and
+// fuseme_remote_tasks_total for a remote one) and the task's spans.
 func (o *Obs) TaskDone(t TaskSample) {
 	if !o.PerTask() {
 		return
 	}
-	elapsed := time.Since(t.Start)
+	elapsed := t.End.Sub(t.Start)
 	o.Histogram(MQueueSeconds).Observe(t.Start.Sub(t.StageStart).Seconds())
 	o.Histogram(MTaskSeconds).Observe(elapsed.Seconds())
 	o.Counter(MTasksTotal).Inc()
-	if t.Worker >= 0 {
-		o.Skew.ObserveTask(t.Stage, t.Worker, elapsed.Seconds())
+	if t.Remote {
+		o.Counter(MRemoteTasksTotal).Inc()
 	}
 	if o.Trace == nil {
 		return
 	}
+	m := t.Metrics
 	args := map[string]any{
-		"consolidation_bytes": t.ConsolidationBytes,
-		"aggregation_bytes":   t.AggregationBytes,
-		"flops":               t.Flops,
-		"peak_mem_bytes":      t.PeakMemBytes,
+		"consolidation_bytes": m.ConsolidationBytes,
+		"aggregation_bytes":   m.AggregationBytes,
+		"flops":               m.Flops,
+		"peak_mem_bytes":      m.PeakTaskMemBytes,
 	}
 	if t.Err != nil {
 		args["error"] = t.Err.Error()
@@ -192,7 +201,7 @@ func (o *Obs) TaskDone(t TaskSample) {
 		if t.Err != nil {
 			return // no body reported
 		}
-		pid, body, args = PIDWorkerBase+t.Worker, t.Body, nil
+		pid, body, args = PIDWorkerBase+t.Worker, time.Duration(m.TaskSeconds*float64(time.Second)), nil
 	}
 	place := placeBody(elapsed, body)
 	at, dur := place(0, body)

@@ -28,7 +28,7 @@ func TestNilSafety(t *testing.T) {
 	o.Counter("c").Inc()
 	o.Gauge("g").Set(1.5)
 	o.Histogram("h").Observe(0.1)
-	o.StageDone(FlightRecord{Op: "a"}, nil)
+	o.StageDone(FlightRecord{Op: "a"}, StageSkew{}, nil)
 	o.TaskDone(TaskSample{})
 	o.Reset()
 
@@ -490,13 +490,14 @@ func TestPlaceBody(t *testing.T) {
 // alone.
 func TestTaskDoneDrawsARemoteBodyInItsWindow(t *testing.T) {
 	o := &Obs{Trace: NewRecorder()}
-	start := time.Now().Add(-10 * time.Millisecond)
-	o.TaskDone(TaskSample{ID: 3, Worker: 1, Remote: true, StageStart: start, Start: start,
-		Body: 2 * time.Millisecond, Spans: []cluster.TaskSpan{
+	start := time.Now()
+	end := start.Add(10 * time.Millisecond)
+	o.TaskDone(TaskSample{ID: 3, Worker: 1, Remote: true, StageStart: start, Start: start, End: end,
+		Metrics: cluster.Stats{TaskSeconds: 0.002}, Spans: []cluster.TaskSpan{
 			{Name: "fetch", Cat: "taskop", Offset: 0, Dur: time.Millisecond},
 			{Name: "send", Cat: "taskop", Offset: time.Millisecond, Dur: time.Hour},
 		}})
-	o.TaskDone(TaskSample{ID: 4, Worker: -1, Remote: true, StageStart: start, Start: start, Err: errors.New("gone")})
+	o.TaskDone(TaskSample{ID: 4, Worker: -1, Remote: true, StageStart: start, Start: start, End: end, Err: errors.New("gone")})
 	ev := o.Trace.Events()
 	if len(ev) != 5 {
 		t.Fatalf("recorded %d spans, want sched, task, two sub-spans and a failed sched: %+v", len(ev), ev)

@@ -62,8 +62,9 @@ func TestGoldenStageBytes(t *testing.T) {
 
 // TestStageDoneFanOut: one StageDone call with every component on yields a
 // journal stage_end.flight, a calibration row and counter deltas that all
-// carry the record's numbers; a nil Obs and an Obs with every component nil
-// absorb the same call.
+// carry the record's numbers, and a stage_end.skew folded from the stage's
+// task samples; a nil Obs and an Obs with every component nil absorb the
+// same call.
 func TestStageDoneFanOut(t *testing.T) {
 	rec := fullRecord()
 	rec.PredNetBytes, rec.PredComFlops = 1<<30, 1 // net-bound under the cluster below
@@ -75,10 +76,13 @@ func TestStageDoneFanOut(t *testing.T) {
 		Trace: NewRecorder(), Metrics: NewRegistry(), Calib: NewCalibration(),
 		Skew: NewSkewDetector(), QLog: j.Begin("q1", "acme"),
 	}
+	var samples []TaskSample
 	for id := 0; id < 3; id++ {
-		o.TaskDone(TaskSample{Stage: rec.Stage, ID: id, Worker: id % 2, StageStart: time.Now(), Start: time.Now()})
+		now := time.Now()
+		samples = append(samples, TaskSample{ID: id, Worker: id % 2, StageStart: now, Start: now, End: time.Now()})
+		o.TaskDone(samples[id])
 	}
-	o.StageDone(rec, errors.New("boom"))
+	o.StageDone(rec, StageSkewOf(rec.Stage, samples), errors.New("boom"))
 
 	if err := j.Flush(); err != nil {
 		t.Fatal(err)
@@ -141,8 +145,8 @@ func TestStageDoneFanOut(t *testing.T) {
 	}
 
 	var none *Obs
-	none.StageDone(rec, nil)
+	none.StageDone(rec, StageSkewOf(rec.Stage, samples), nil)
 	none.TaskDone(TaskSample{})
-	(&Obs{}).StageDone(rec, errors.New("boom"))
+	(&Obs{}).StageDone(rec, StageSkewOf(rec.Stage, samples), errors.New("boom"))
 	(&Obs{}).TaskDone(TaskSample{})
 }

@@ -32,93 +32,77 @@ type StageSkew struct {
 // that a worker turning slow is flagged within a few stages.
 const slowdownAlpha = 0.3
 
-// SkewDetector accumulates per-task durations per running stage and, at
-// stage end, computes the stage's duration imbalance plus per-worker
-// slowdown scores (each worker's EWMA mean task duration relative to the
-// fleet median EWMA — a healthy worker sits near 1.0, a straggler drifts
-// above). Stages that run at the same time keep their samples apart, keyed
-// by stage name. Safe for concurrent use by task goroutines; a nil detector
-// absorbs every call, keeping the executor's hot path a pointer check.
-type SkewDetector struct {
-	mu     sync.Mutex
-	stages map[string]*stageSamples // running stages' samples, by name
-	ewma   map[int]float64          // per-worker EWMA mean task seconds
-}
-
-// stageSamples is what one running stage's tasks reported.
-type stageSamples struct {
-	samples []float64           // task durations
-	byWkr   map[int]*WorkerLoad // per-worker tallies
-}
-
-// NewSkewDetector returns an empty detector.
-func NewSkewDetector() *SkewDetector {
-	return &SkewDetector{stages: map[string]*stageSamples{}, ewma: map[int]float64{}}
-}
-
-// ObserveTask records one completed task of stage: which worker ran it and
-// how long it took. Called from task goroutines on both runtimes.
-func (d *SkewDetector) ObserveTask(stage string, worker int, seconds float64) {
-	if d == nil {
-		return
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	st := d.stages[stage]
-	if st == nil {
-		st = &stageSamples{byWkr: map[int]*WorkerLoad{}}
-		d.stages[stage] = st
-	}
-	st.samples = append(st.samples, seconds)
-	w := st.byWkr[worker]
-	if w == nil {
-		w = &WorkerLoad{Worker: worker}
-		st.byWkr[worker] = w
-	}
-	w.Tasks++
-	w.Seconds += seconds
-}
-
-// FinishStage folds the stage's samples into a StageSkew, updates each
-// participating worker's EWMA, and forgets the stage. The zero StageSkew
-// (Tasks == 0) is returned when nothing was observed — e.g. local stages
-// that never went per-task.
-func (d *SkewDetector) FinishStage(stage string) StageSkew {
-	if d == nil {
-		return StageSkew{}
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	st := d.stages[stage]
-	delete(d.stages, stage)
+// StageSkewOf folds one stage's task samples into its StageSkew: the
+// duration imbalance of the samples that name a worker, and each worker's
+// task count and seconds. A pure function of its arguments; samples without
+// a worker (Worker < 0) are left out, and the zero StageSkew (Tasks == 0)
+// is returned when none names one.
+func StageSkewOf(stage string, samples []TaskSample) StageSkew {
 	sk := StageSkew{Stage: stage}
-	if st == nil {
+	var secs []float64
+	byWkr := map[int]*WorkerLoad{}
+	for _, t := range samples {
+		if t.Worker < 0 {
+			continue
+		}
+		s := t.End.Sub(t.Start).Seconds()
+		secs = append(secs, s)
+		w := byWkr[t.Worker]
+		if w == nil {
+			w = &WorkerLoad{Worker: t.Worker}
+			byWkr[t.Worker] = w
+		}
+		w.Tasks++
+		w.Seconds += s
+	}
+	if len(secs) == 0 {
 		return sk
 	}
-	sk.Tasks = len(st.samples)
-	sk.MedianSeconds = median(st.samples)
-	sk.MaxSeconds = st.samples[len(st.samples)-1]
+	sk.Tasks = len(secs)
+	sk.MedianSeconds = median(secs)
+	sk.MaxSeconds = secs[len(secs)-1]
 	if sk.MedianSeconds > 0 {
 		sk.Imbalance = sk.MaxSeconds / sk.MedianSeconds
 	} else if sk.MaxSeconds > 0 {
 		sk.Imbalance = 1
 	}
-	workers := make([]int, 0, len(st.byWkr))
-	for id := range st.byWkr {
-		workers = append(workers, id)
-	}
-	sort.Ints(workers)
-	for _, id := range workers {
-		w := st.byWkr[id]
+	for _, w := range byWkr {
 		sk.Workers = append(sk.Workers, *w)
+	}
+	sort.Slice(sk.Workers, func(i, j int) bool { return sk.Workers[i].Worker < sk.Workers[j].Worker })
+	return sk
+}
+
+// SkewDetector keeps each worker's EWMA mean task duration across stages,
+// folded from every finished stage's StageSkew, and scores each worker
+// against the fleet median (Slowdowns): a healthy worker sits near 1.0, a
+// straggler drifts above. Safe for concurrent use; a nil detector absorbs
+// every call.
+type SkewDetector struct {
+	mu   sync.Mutex
+	ewma map[int]float64 // per-worker EWMA mean task seconds
+}
+
+// NewSkewDetector returns an empty detector.
+func NewSkewDetector() *SkewDetector {
+	return &SkewDetector{ewma: map[int]float64{}}
+}
+
+// Observe folds a finished stage's per-worker loads into each worker's EWMA.
+func (d *SkewDetector) Observe(sk StageSkew) {
+	if d == nil {
+		return
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, w := range sk.Workers {
 		mean := w.Seconds / float64(w.Tasks)
-		if prev, ok := d.ewma[id]; ok {
-			d.ewma[id] = prev + slowdownAlpha*(mean-prev)
+		if prev, ok := d.ewma[w.Worker]; ok {
+			d.ewma[w.Worker] = prev + slowdownAlpha*(mean-prev)
 		} else {
-			d.ewma[id] = mean
+			d.ewma[w.Worker] = mean
 		}
 	}
-	return sk
 }
 
 // Slowdowns returns each worker's slowdown score: its EWMA mean task

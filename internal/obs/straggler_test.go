@@ -3,14 +3,23 @@ package obs
 import (
 	"math"
 	"testing"
+	"time"
 )
 
-func TestSkewDetectorBalancedStage(t *testing.T) {
-	d := NewSkewDetector()
-	for i := 0; i < 4; i++ {
-		d.ObserveTask("s0", i%2, 0.1)
+// samplesOf returns one task sample per duration, the i-th run by worker
+// workers[i % len(workers)].
+func samplesOf(workers []int, secs ...float64) []TaskSample {
+	t0 := time.Unix(0, 0)
+	out := make([]TaskSample, len(secs))
+	for i, s := range secs {
+		out[i] = TaskSample{ID: i, Worker: workers[i%len(workers)], Start: t0,
+			End: t0.Add(time.Duration(s * float64(time.Second)))}
 	}
-	sk := d.FinishStage("s0")
+	return out
+}
+
+func TestSkewDetectorBalancedStage(t *testing.T) {
+	sk := StageSkewOf("s0", samplesOf([]int{0, 1}, 0.1, 0.1, 0.1, 0.1))
 	if sk.Stage != "s0" || sk.Tasks != 4 {
 		t.Fatalf("skew = %+v", sk)
 	}
@@ -23,52 +32,31 @@ func TestSkewDetectorBalancedStage(t *testing.T) {
 }
 
 func TestSkewDetectorImbalance(t *testing.T) {
-	d := NewSkewDetector()
 	// Three quick tasks and one 4x straggler: median (even count) averages
 	// the middle two samples, so max/median = 0.4 / 0.1 = 4.
-	for _, s := range []float64{0.1, 0.1, 0.1, 0.4} {
-		d.ObserveTask("s1", 0, s)
-	}
-	sk := d.FinishStage("s1")
+	sk := StageSkewOf("s1", samplesOf([]int{0}, 0.1, 0.1, 0.1, 0.4))
 	if math.Abs(sk.Imbalance-4) > 1e-9 {
 		t.Fatalf("imbalance = %g, want 4", sk.Imbalance)
 	}
 	if sk.MaxSeconds != 0.4 || sk.MedianSeconds != 0.1 {
 		t.Fatalf("max/median = %g/%g", sk.MaxSeconds, sk.MedianSeconds)
 	}
-	// The stage reset: a second FinishStage with no samples is empty.
-	if sk := d.FinishStage("s2"); sk.Tasks != 0 {
-		t.Fatalf("detector did not reset: %+v", sk)
+	// A stage without samples, or with none naming a worker, is empty.
+	if sk := StageSkewOf("s2", nil); sk.Tasks != 0 {
+		t.Fatalf("empty stage folded to %+v", sk)
+	}
+	if sk := StageSkewOf("s3", samplesOf([]int{-1}, 0.1, 0.4)); sk.Tasks != 0 {
+		t.Fatalf("unattributed samples folded to %+v", sk)
 	}
 }
 
 func TestSkewDetectorZeroDurations(t *testing.T) {
-	d := NewSkewDetector()
-	d.ObserveTask("s0", 0, 0)
-	d.ObserveTask("s0", 0, 0.2)
-	sk := d.FinishStage("s0")
+	sk := StageSkewOf("s0", samplesOf([]int{0}, 0, 0.2))
 	if sk.MedianSeconds != 0.1 {
 		t.Fatalf("median = %g, want 0.1", sk.MedianSeconds)
 	}
-	d2 := NewSkewDetector()
-	d2.ObserveTask("s", 0, 0)
-	if sk := d2.FinishStage("s"); sk.Imbalance != 0 {
+	if sk := StageSkewOf("s", samplesOf([]int{0}, 0)); sk.Imbalance != 0 {
 		t.Fatalf("all-zero stage imbalance = %g, want 0", sk.Imbalance)
-	}
-}
-
-// TestSkewDetectorKeepsStagesApart: two stages running at once each fold
-// only their own samples, whichever finishes first.
-func TestSkewDetectorKeepsStagesApart(t *testing.T) {
-	d := NewSkewDetector()
-	d.ObserveTask("a", 0, 0.1)
-	d.ObserveTask("b", 1, 0.4)
-	d.ObserveTask("a", 0, 0.1)
-	if sk := d.FinishStage("b"); sk.Tasks != 1 || sk.MaxSeconds != 0.4 {
-		t.Fatalf("stage b = %+v, want its one sample", sk)
-	}
-	if sk := d.FinishStage("a"); sk.Tasks != 2 || sk.Imbalance != 1 {
-		t.Fatalf("stage a = %+v, want its two equal samples", sk)
 	}
 }
 
@@ -79,11 +67,7 @@ func TestSlowdownsFlagStraggler(t *testing.T) {
 	}
 	// Three healthy workers at ~0.1s mean, one consistently 3x slower.
 	for stage := 0; stage < 4; stage++ {
-		for w := 0; w < 3; w++ {
-			d.ObserveTask("s", w, 0.1)
-		}
-		d.ObserveTask("s", 3, 0.3)
-		d.FinishStage("s")
+		d.Observe(StageSkewOf("s", samplesOf([]int{0, 1, 2, 3}, 0.1, 0.1, 0.1, 0.3)))
 	}
 	scores := d.Slowdowns()
 	for w := 0; w < 3; w++ {
@@ -101,15 +85,11 @@ func TestSlowdownEWMAConverges(t *testing.T) {
 	// A worker that was fast turns slow: EWMA should cross 1.5x the fleet
 	// median within a few stages (alpha = 0.3).
 	for i := 0; i < 3; i++ {
-		d.ObserveTask("warm", 0, 0.1)
-		d.ObserveTask("warm", 1, 0.1)
-		d.FinishStage("warm")
+		d.Observe(StageSkewOf("warm", samplesOf([]int{0, 1}, 0.1, 0.1)))
 	}
 	stagesToFlag := 0
 	for i := 0; i < 20; i++ {
-		d.ObserveTask("slow", 0, 0.1)
-		d.ObserveTask("slow", 1, 1.0)
-		d.FinishStage("slow")
+		d.Observe(StageSkewOf("slow", samplesOf([]int{0, 1}, 0.1, 1.0)))
 		stagesToFlag++
 		if d.Slowdowns()[1] >= 1.5 {
 			break
@@ -125,10 +105,7 @@ func TestSlowdownEWMAConverges(t *testing.T) {
 
 func TestSkewDetectorNilSafety(t *testing.T) {
 	var d *SkewDetector
-	d.ObserveTask("s", 0, 1)
-	if sk := d.FinishStage("s"); sk.Tasks != 0 {
-		t.Fatal("nil detector should return the zero StageSkew")
-	}
+	d.Observe(StageSkewOf("s", samplesOf([]int{0}, 1)))
 	if d.Slowdowns() != nil {
 		t.Fatal("nil detector should return nil slowdowns")
 	}

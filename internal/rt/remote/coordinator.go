@@ -100,8 +100,9 @@ type Coordinator struct {
 }
 
 // SetObs attaches the session's observability bundle: heartbeat RTT, retry
-// and worker-liveness metrics plus per-task spans for remote executions
-// (whose in-process task closures never run here). Safe to call anytime.
+// and membership metrics, and whether workers trace their task bodies. Tasks
+// are not reported here: each attempt goes to its own stage
+// (rt.Stage.TaskDone). Safe to call anytime.
 func (c *Coordinator) SetObs(o *obs.Obs) {
 	c.obs.Store(o)
 	if o != nil {
@@ -606,7 +607,6 @@ func (c *Coordinator) RunSpecStage(st *rt.Stage) error {
 		stage = cluster.Stats{Stages: 1, Tasks: sp.NumTasks} // the tasks' metering, under mu
 	)
 	o := c.getObs()
-	perTask := o.PerTask()
 	if o.Tracing() {
 		// Label the merged timeline's process tracks: the coordinator's own
 		// spans on PIDLocal, each worker's shipped spans on its own track.
@@ -629,31 +629,25 @@ func (c *Coordinator) RunSpecStage(st *rt.Stage) error {
 		if errors.As(err, &te) {
 			c.suspectAndProbe(w)
 		}
-		if perTask {
-			// The executor's per-task wrapper only fires for in-process
-			// closures, so remote task telemetry is reported here: the
-			// dispatch-to-done window, and the body the worker timed and
-			// traced, which TaskDone places inside that window. The latency
-			// is attributed to the worker that ran the attempt (the thief
+		if st.TaskDone != nil {
+			// The attempt goes to its stage: the dispatch-to-done window,
+			// and the body the worker timed and traced inside it. Its
+			// latency is attributed to the worker that ran it (the thief
 			// under work-stealing, the retry target after a death) for
-			// straggler detection.
+			// straggler detection; a failed attempt to none.
 			worker := w.id
 			if err != nil {
 				worker = -1
 			}
-			m := done.Metrics
-			o.TaskDone(obs.TaskSample{Stage: sp.Name, ID: taskID, Worker: worker, Remote: true,
-				StageStart: start, Start: taskStart,
-				Body: time.Duration(m.TaskSeconds * float64(time.Second)), Spans: done.Spans, Err: err,
-				ConsolidationBytes: m.ConsolidationBytes, AggregationBytes: m.AggregationBytes,
-				Flops: m.Flops, PeakMemBytes: m.MemPeakBytes})
-			o.Counter(obs.MRemoteTasksTotal).Inc()
+			st.TaskDone(obs.TaskSample{ID: taskID, Worker: worker, Remote: true,
+				StageStart: start, Start: taskStart, End: time.Now(),
+				Spans: done.Spans, Metrics: done.Metrics, Err: err})
 		}
 		if err != nil {
 			return err
 		}
 		mu.Lock()
-		stage.AddTask(done.Metrics)
+		stage.Add(done.Metrics)
 		mu.Unlock()
 		return st.Collect(taskID, done.blocks)
 	})

@@ -13,7 +13,7 @@
 // lanes that exist — each carrying one task at a time, any number in
 // sequence.
 //
-// Frame table, protocol v12 (C = coordinator, W = worker; "gob" = encoded by
+// Frame table, protocol v14 (C = coordinator, W = worker; "gob" = encoded by
 // the connection's gob stream, "raw" = fixed binary layout):
 //
 //	control connection (C dials; per-message gob, low rate, no block; any
@@ -130,8 +130,10 @@ import (
 // may hit — its ancestors in its query's plan, and every earlier query — so
 // the stages of independent operators can run at once with deterministic
 // hits; the generation in stageAssign and taskAssign only names the stage on
-// its stream.
-const protoVersion = 13
+// its stream. Version 14 ships a finished task's metering in taskDone as
+// the cluster.Stats of that one task, the record both runtimes fold into
+// their stage.
+const protoVersion = 14
 
 // Frame types.
 const (
@@ -227,13 +229,15 @@ type taskAssign struct {
 	Trace bool
 }
 
-// taskDone reports a completed task: the metering the worker-side
-// cluster.Task accumulated (the result blocks went ahead of it as msgResult
-// frames). Spans carries the task body's sub-spans, relative to the body's
-// start, when the assignment requested tracing; the coordinator places the
-// body, Metrics.TaskSeconds long, inside the dispatch window it observed.
+// taskDone reports a completed task: the worker-side cluster.Task's
+// metering as the Stats of that one task (Task.Metrics), with the fetch wait
+// and task wall time the worker measured (the result blocks went ahead of it
+// as msgResult frames). Spans carries the task body's sub-spans, relative to
+// the body's start, when the assignment requested tracing; the coordinator
+// places the body, Metrics.TaskSeconds long, inside the dispatch window it
+// observed.
 type taskDone struct {
-	Metrics spec.TaskMetrics
+	Metrics cluster.Stats
 	Spans   []cluster.TaskSpan
 }
 

@@ -719,15 +719,15 @@ func TestDrainWakesOnTaskCompletion(t *testing.T) {
 	}
 }
 
-// TestHandshakeRefusesOtherVersions: protocol v13 does not interoperate with
-// v12 in either direction, and both ends say so at the handshake.
+// TestHandshakeRefusesOtherVersions: protocol v14 does not interoperate with
+// v13 in either direction, and both ends say so at the handshake.
 func TestHandshakeRefusesOtherVersions(t *testing.T) {
-	if protoVersion != 13 {
-		t.Fatalf("protoVersion = %d, want 13", protoVersion)
+	if protoVersion != 14 {
+		t.Fatalf("protoVersion = %d, want 14", protoVersion)
 	}
 	cfg := cluster.Config{TasksPerNode: 1, TaskMemBytes: 1 << 30, NetBandwidth: 1e9, CompBandwidth: 50e9, BlockSize: 16}
 
-	// A v12 worker: acknowledges with its own version.
+	// A v13 worker: acknowledges with its own version.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -740,16 +740,16 @@ func TestHandshakeRefusesOtherVersions(t *testing.T) {
 				return
 			}
 			if _, err := expectFrame(conn, msgHello, maxControlFrame); err == nil {
-				writeGob(conn, msgHelloAck, helloAck{Proto: 12})
+				writeGob(conn, msgHelloAck, helloAck{Proto: 13})
 			}
 			conn.Close()
 		}
 	}()
 	if _, err := NewCoordinatorConfig(cfg, []string{ln.Addr().String()}, DefaultConfig()); err == nil || !strings.Contains(err.Error(), "protocol mismatch") {
-		t.Errorf("coordinator against a v12 worker: err = %v, want protocol mismatch", err)
+		t.Errorf("coordinator against a v13 worker: err = %v, want protocol mismatch", err)
 	}
 
-	// A v12 coordinator against this worker: told the worker's version, then
+	// A v13 coordinator against this worker: told the worker's version, then
 	// hung up on.
 	w, err := NewWorker("127.0.0.1:0")
 	if err != nil {
@@ -762,7 +762,7 @@ func TestHandshakeRefusesOtherVersions(t *testing.T) {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	if err := writeGob(conn, msgHello, hello{Proto: 12}); err != nil {
+	if err := writeGob(conn, msgHello, hello{Proto: 13}); err != nil {
 		t.Fatal(err)
 	}
 	payload, err := expectFrame(conn, msgHelloAck, maxControlFrame)
@@ -774,10 +774,10 @@ func TestHandshakeRefusesOtherVersions(t *testing.T) {
 		t.Errorf("ack = %+v, err %v; want the worker's version %d", ack, err, protoVersion)
 	}
 	if _, _, err := readFrame(conn, maxControlFrame); !errors.Is(err, io.EOF) {
-		t.Errorf("after a v12 hello: read err = %v, want EOF", err)
+		t.Errorf("after a v13 hello: read err = %v, want EOF", err)
 	}
 
-	// A v12 worker registering at the join listener.
+	// A v13 worker registering at the join listener.
 	co, err := NewCoordinatorConfig(cfg, []string{w.Addr()}, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -787,7 +787,7 @@ func TestHandshakeRefusesOtherVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := joinExchange(joinAddr, 5*time.Second, msgJoin, joinReq{Proto: 12, Addr: "127.0.0.1:1"}); err == nil || !strings.Contains(err.Error(), "protocol mismatch") {
-		t.Errorf("v12 join: err = %v, want protocol mismatch", err)
+	if _, err := joinExchange(joinAddr, 5*time.Second, msgJoin, joinReq{Proto: 13, Addr: "127.0.0.1:1"}); err == nil || !strings.Contains(err.Error(), "protocol mismatch") {
+		t.Errorf("v13 join: err = %v, want protocol mismatch", err)
 	}
 }

@@ -19,7 +19,10 @@
 // operator whose inputs are materialised at once, so the stages of
 // independent operators overlap, on node lanes they share (sched.NodeLanes).
 // Nothing in a runtime is "the current stage": each stage's own
-// cluster.Stats reaches its caller through the stage (Stage.Report).
+// cluster.Stats reaches its caller through the stage (Stage.Report), and so
+// does each of its task attempts, as an obs.TaskSample carrying the task's
+// own cluster.Stats: from the wrapped closure on the in-process path, from a
+// descriptor runtime's dispatch lane through Stage.TaskDone.
 //
 // Both backends also schedule a stage on the one stage driver, sched.Run, and
 // differ only in one attempt of a task: a call of the task body in-process,
@@ -35,6 +38,7 @@ import (
 
 	"fuseme/internal/cluster"
 	"fuseme/internal/matrix"
+	"fuseme/internal/obs"
 	"fuseme/internal/rt/spec"
 )
 
@@ -89,6 +93,12 @@ type Stage struct {
 	// stage, not a value the runtime writes into it, so it survives a
 	// runtime decorator that runs a copy of the stage.
 	Report func(cluster.Stats)
+
+	// TaskDone, when not nil, receives every task attempt a descriptor
+	// runtime ran for this stage, failed ones included, as the attempt ends
+	// and on the lane that ran it. The closure path never calls it: there Fn
+	// is the task, and its caller wraps Fn to report the attempt.
+	TaskDone func(obs.TaskSample)
 }
 
 // RunStage dispatches st to r: descriptor-capable runtimes execute the spec

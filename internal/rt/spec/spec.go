@@ -17,7 +17,6 @@ import (
 	"fmt"
 
 	"fuseme/internal/blockcache"
-	"fuseme/internal/cluster"
 	"fuseme/internal/dag"
 	"fuseme/internal/fusion"
 	"fuseme/internal/matrix"
@@ -235,10 +234,6 @@ type OutBlock struct {
 	Block     matrix.Mat
 	WireBytes int
 }
-
-// TaskMetrics is the wire name of a remote task's metering report; cluster
-// owns the type, next to the Stats it folds into.
-type TaskMetrics = cluster.TaskMetrics
 
 // EncodeBlock serialises a block in the FME1 format, in one exactly-sized
 // allocation. Encoding nil (an all-zero block) returns nil bytes.
