@@ -26,8 +26,8 @@ func main() {
 	exp := flag.String("exp", "all", "experiment ID to run (see -list)")
 	scale := flag.Float64("scale", 1, "dimension scale factor in (0,1]")
 	nodes := flag.Int("nodes", 0, "override worker node count (default: paper's 8)")
-	traceOut := flag.String("trace-out", "", "write a Chrome trace_event JSON file of the bench run (per-experiment spans; stage/task detail for real executions)")
-	journalOut := flag.String("journal-out", "", "write a JSONL event journal of the bench run (one stage_end line per executed stage, carrying its predicted-vs-measured flight record)")
+	traceOut := flag.String("trace-out", "", "write a Chrome trace_event JSON file of the bench run's real executions (plan, stage and task spans, rendered from their journal events)")
+	journalOut := flag.String("journal-out", "", "write a JSONL event journal of the bench run's real executions (one query per run: planned, stage_start/stage_end with each stage's predicted-vs-measured flight record, done)")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
 	flag.Parse()
 
@@ -36,36 +36,37 @@ func main() {
 		return
 	}
 	opts := experiments.Options{Scale: *scale, Nodes: *nodes}
-	var journal *obs.Journal
+	// One record feeds both files: every real execution emits its events
+	// into the journal's sink and, for the trace, onto a timeline.
 	var journalFile *os.File
-	if *traceOut != "" || *journalOut != "" {
-		opts.Obs = &obs.Obs{}
-		if *traceOut != "" {
-			opts.Obs.Trace = obs.NewRecorder()
+	if *journalOut != "" {
+		f, ferr := os.Create(*journalOut)
+		if ferr != nil {
+			fmt.Fprintln(os.Stderr, "fuseme-bench:", ferr)
+			os.Exit(1)
 		}
-		if *journalOut != "" {
-			f, ferr := os.Create(*journalOut)
-			if ferr != nil {
-				fmt.Fprintln(os.Stderr, "fuseme-bench:", ferr)
-				os.Exit(1)
-			}
-			journal, journalFile = obs.NewJournal(0, f), f
-			opts.Obs.QLog = journal.Begin("bench", "")
-		}
+		opts.Journal, journalFile = obs.NewJournal(0, f), f
+	}
+	if *traceOut != "" {
+		opts.Timeline = new(obs.Timeline)
 	}
 	tables, err := experiments.Run(*exp, opts)
 	for _, t := range tables {
 		fmt.Println(t.Render())
 	}
-	if *traceOut != "" {
-		if werr := writeTrace(*traceOut, opts.Obs.Trace); werr != nil {
+	if opts.Timeline != nil {
+		doc, werr := obs.ChromeTrace(opts.Timeline.Events())
+		if werr == nil {
+			werr = os.WriteFile(*traceOut, doc, 0o666)
+		}
+		if werr != nil {
 			fmt.Fprintln(os.Stderr, "fuseme-bench:", werr)
 			os.Exit(1)
 		}
 		fmt.Println("trace:", *traceOut)
 	}
-	if journal != nil {
-		werr := journal.Flush()
+	if opts.Journal != nil {
+		werr := opts.Journal.Flush()
 		if cerr := journalFile.Close(); werr == nil {
 			werr = cerr
 		}
@@ -84,16 +85,4 @@ func main() {
 // listLine is what -list prints: the registered experiment ids plus "all".
 func listLine() string {
 	return "experiments: " + strings.Join(experiments.IDs(), " ") + " all"
-}
-
-func writeTrace(path string, rec *obs.Recorder) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rec.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

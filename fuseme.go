@@ -342,6 +342,7 @@ type Session struct {
 	lastPlanHit bool       // most recent compile came from the plan cache
 
 	journal     *obs.Journal  // WithJournal/FUSEME_JOURNAL; nil = off
+	timeline    *obs.Timeline // WithTracing: every event since ResetObservations; nil = off
 	journalFile *os.File      // FUSEME_JOURNAL sink, the one file the session opens and closes
 	pendingQLog *obs.QueryLog // SetQueryLog target consumed by the next Query
 	queryCount  int64         // auto-assigned query ids (q1, q2, ...)
@@ -574,7 +575,8 @@ type compiled struct {
 	rtm      rt.Runtime
 	inNames  map[string]string // plan-graph input name -> this script's name
 	outNames map[string]string // plan-graph output name -> this script's name
-	cacheHit bool
+	parseS   float64           // lang.Parse
+	compileS float64           // the engine's compile, or the plan-cache lookup
 }
 
 // bindingName maps a plan-graph input name to the caller's binding name.
@@ -601,15 +603,24 @@ func (c *compiled) outputName(planName string) string {
 
 // compile parses a script against the session's bound inputs and compiles
 // it, consulting the plan cache when one is attached.
-func (s *Session) compile(script string) (*compiled, error) {
-	g, err := lang.Parse(script, s.decls())
+func (s *Session) compile(script string) (cq *compiled, err error) {
+	decls := s.decls()
+	from := time.Now()
+	g, err := lang.Parse(script, decls)
 	if err != nil {
 		return nil, err
 	}
+	parseS := time.Since(from).Seconds()
 	rtm, err := s.runtime()
 	if err != nil {
 		return nil, err
 	}
+	from = time.Now()
+	defer func() {
+		if cq != nil {
+			cq.parseS, cq.compileS = parseS, time.Since(from).Seconds()
+		}
+	}()
 	s.lastPlanHit = false
 	cc := rtm.Config()
 	if s.planCache == nil {
@@ -630,7 +641,7 @@ func (s *Session) compile(script string) (*compiled, error) {
 	if ok {
 		s.lastPlanHit = true
 		s.obs.Counter(obs.MPlanCacheHits).Inc()
-		return &compiled{pp: hit.PP, rtm: rtm, inNames: hit.InputNames, outNames: hit.OutputNames, cacheHit: true}, nil
+		return &compiled{pp: hit.PP, rtm: rtm, inNames: hit.InputNames, outNames: hit.OutputNames}, nil
 	}
 	s.obs.Counter(obs.MPlanCacheMisses).Inc()
 	_, _, entries := s.planCache.c.Stats()
@@ -674,12 +685,9 @@ func (s *Session) Query(script string) (map[string]*Matrix, error) {
 		needed[in.Name] = b
 	}
 	if qlog != nil {
-		qlog.Emit(obs.Event{Type: obs.EvPlanned,
-			Engine:       s.engine.Name(),
-			Plan:         cq.pp.Describe(),
-			PlanCacheHit: s.lastPlanHit,
-			Operators:    len(cq.pp.Ops),
-			PredSeconds:  cq.pp.PredictedSeconds(cq.rtm.Config())})
+		planned := cq.pp.Planned(s.engine.Name(), cq.rtm.Config())
+		planned.PlanCacheHit, planned.ParseSeconds, planned.CompileSeconds = s.lastPlanHit, cq.parseS, cq.compileS
+		qlog.Emit(planned)
 	}
 	cq.rtm.ResetStats()
 	out, err := core.ExecuteObs(cq.pp, cq.rtm, needed, s.obs)
@@ -700,19 +708,18 @@ func (s *Session) Query(script string) (map[string]*Matrix, error) {
 
 // beginQueryLog resolves the event-journal log for one Query call: the
 // pending SetQueryLog target when a front-end (the serve daemon) opened one,
-// otherwise a fresh auto-numbered log on the session's journal. Nil when
-// journaling is off. Called under queryMu.
+// otherwise a fresh auto-numbered log on the session's journal. A traced
+// session also records the log's events on its timeline. Nil when neither
+// journaling nor tracing is on. Called under queryMu.
 func (s *Session) beginQueryLog() *obs.QueryLog {
-	if q := s.pendingQLog; q != nil {
-		s.pendingQLog = nil
-		return q
+	q := s.pendingQLog
+	s.pendingQLog = nil
+	if q == nil && (s.journal != nil || s.timeline != nil) {
+		s.queryCount++
+		name, _ := s.tenantTag()
+		q = obs.NewQueryLog(s.journal, fmt.Sprintf("q%d", s.queryCount), name)
 	}
-	if s.journal == nil {
-		return nil
-	}
-	s.queryCount++
-	name, _ := s.tenantTag()
-	return s.journal.Begin(fmt.Sprintf("q%d", s.queryCount), name)
+	return q.Tee(s.timeline)
 }
 
 // Explain compiles a script and returns the physical plan description —

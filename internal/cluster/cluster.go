@@ -144,33 +144,33 @@ func (c Config) WaveOverhead(tasks int) float64 {
 // "amount of transferred data" the paper reports as communication cost. It is
 // also the one record of a single task's metering (Task.Metrics), which a
 // remote worker ships back in its done frame and both runtimes fold into
-// their stage with Add.
+// their stage with Add; its JSON form is a journal task event's metrics.
 type Stats struct {
-	ConsolidationBytes int64   // matrix consolidation step: inputs to tasks
-	AggregationBytes   int64   // matrix aggregation step: shuffled partials
-	Flops              int64   // floating-point operations executed
-	Stages             int     // distributed stages launched
-	Tasks              int     // tasks launched across all stages
-	SimSeconds         float64 // simulated elapsed time (Eq. 2 per stage)
-	WallSeconds        float64 // real wall-clock time of local execution
-	PeakTaskMemBytes   int64   // max per-task memory high-water mark
-	MaxTaskFlops       int64   // heaviest single task (load-balance metric)
+	ConsolidationBytes int64   `json:"consolidation_bytes,omitempty"` // matrix consolidation step: inputs to tasks
+	AggregationBytes   int64   `json:"aggregation_bytes,omitempty"`   // matrix aggregation step: shuffled partials
+	Flops              int64   `json:"flops,omitempty"`               // floating-point operations executed
+	Stages             int     `json:"stages,omitempty"`              // distributed stages launched
+	Tasks              int     `json:"tasks,omitempty"`               // tasks launched across all stages
+	SimSeconds         float64 `json:"sim_seconds,omitempty"`         // simulated elapsed time (Eq. 2 per stage)
+	WallSeconds        float64 `json:"wall_seconds,omitempty"`        // real wall-clock time of local execution
+	PeakTaskMemBytes   int64   `json:"peak_task_mem_bytes,omitempty"` // max per-task memory high-water mark
+	MaxTaskFlops       int64   `json:"max_task_flops,omitempty"`      // heaviest single task (load-balance metric)
 
 	// ExtraWireBytes is traffic measured by a real (remote) backend that has
 	// no counterpart in the simulated communication model: co-partitioned
 	// input blocks shipped to workers (local reads in a real deployment),
 	// aggregated partials re-delivered through the coordinator, and final
 	// result blocks returned to the driver. Always zero under simulation.
-	ExtraWireBytes int64
+	ExtraWireBytes int64 `json:"extra_wire_bytes,omitempty"`
 
 	// Block-cache counters (zero unless Config.CacheBytes > 0). Hits are
 	// fetches served from a node/worker-resident cache without touching the
 	// wire; CacheSavedBytes is the in-memory size of those blocks (the
 	// traffic the cache avoided).
-	CacheHits       int64
-	CacheMisses     int64
-	CacheEvictions  int64
-	CacheSavedBytes int64
+	CacheHits       int64 `json:"cache_hits,omitempty"`
+	CacheMisses     int64 `json:"cache_misses,omitempty"`
+	CacheEvictions  int64 `json:"cache_evictions,omitempty"`
+	CacheSavedBytes int64 `json:"cache_saved_bytes,omitempty"`
 
 	// Dispatch counters. A steal is a queued task executed by a node other
 	// than its home (sched.Run counts them on both runtimes). The seconds
@@ -179,10 +179,18 @@ type Stats struct {
 	// TaskSeconds total task wall time. PrefetchSeconds is always zero —
 	// nothing prefetches across tasks; the field stays only because bench/
 	// reads it.
-	StealTasks      int64
-	FetchSeconds    float64
-	PrefetchSeconds float64
-	TaskSeconds     float64
+	StealTasks      int64   `json:"steal_tasks,omitempty"`
+	FetchSeconds    float64 `json:"fetch_seconds,omitempty"`
+	PrefetchSeconds float64 `json:"prefetch_seconds,omitempty"`
+	TaskSeconds     float64 `json:"task_seconds,omitempty"`
+
+	// The TCP coordinator's side of the wire, zero under simulation:
+	// FetchCalls block requests served to workers, FetchServeSeconds spent
+	// resolving them (rt.Stage.Fetch), CollectSeconds spent taking task
+	// results in (rt.Stage.Collect).
+	FetchCalls        int64   `json:"fetch_calls,omitempty"`
+	FetchServeSeconds float64 `json:"fetch_serve_seconds,omitempty"`
+	CollectSeconds    float64 `json:"collect_seconds,omitempty"`
 }
 
 // TotalCommBytes is consolidation plus aggregation traffic.
@@ -268,6 +276,9 @@ func (s *Stats) Add(other Stats) {
 	s.StealTasks += other.StealTasks
 	s.FetchSeconds += other.FetchSeconds
 	s.TaskSeconds += other.TaskSeconds
+	s.FetchCalls += other.FetchCalls
+	s.FetchServeSeconds += other.FetchServeSeconds
+	s.CollectSeconds += other.CollectSeconds
 	if other.PeakTaskMemBytes > s.PeakTaskMemBytes {
 		s.PeakTaskMemBytes = other.PeakTaskMemBytes
 	}
@@ -295,6 +306,9 @@ func (s Stats) Sub(prev Stats) Stats {
 	s.StealTasks -= prev.StealTasks
 	s.FetchSeconds -= prev.FetchSeconds
 	s.TaskSeconds -= prev.TaskSeconds
+	s.FetchCalls -= prev.FetchCalls
+	s.FetchServeSeconds -= prev.FetchServeSeconds
+	s.CollectSeconds -= prev.CollectSeconds
 	return s
 }
 

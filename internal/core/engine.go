@@ -170,6 +170,14 @@ func (pp *PhysPlan) Describe() string {
 	return b.String()
 }
 
+// Planned is the journal's planned event of the plan, compiled by the engine
+// named engine for cfg's cluster: the plan text, its operator count and the
+// Eq. 2 prediction. The caller adds what it timed (parse, compile).
+func (pp *PhysPlan) Planned(engine string, cfg cluster.Config) obs.Event {
+	return obs.Event{Type: obs.EvPlanned, Engine: engine, Plan: pp.Describe(),
+		Operators: len(pp.Ops), PredSeconds: pp.PredictedSeconds(cfg)}
+}
+
 // DescribeCosts renders the plan's per-operator cost predictions: each fused
 // operator's chosen (P,Q,R) with its predicted network, computation and
 // per-task memory terms and the Eq. 2 time decomposition under cfg's cluster
@@ -221,16 +229,11 @@ func Execute(pp *PhysPlan, rtm rt.Runtime, inputs map[string]*block.Matrix) (map
 	return ExecuteObs(pp, rtm, inputs, nil)
 }
 
-// ExecuteObs is Execute with observability: when o is enabled it opens a
-// plan span and threads o into every operator, so stages and tasks are
-// instrumented and every stage's flight record carries the operator's
-// compile-time cost prediction. A nil o is exactly Execute.
+// ExecuteObs is Execute with observability: it threads o into every
+// operator, so stages and tasks are instrumented and every stage's flight
+// record carries the operator's compile-time cost prediction. A nil o is
+// exactly Execute.
 func ExecuteObs(pp *PhysPlan, rtm rt.Runtime, inputs map[string]*block.Matrix, o *obs.Obs) (map[string]*block.Matrix, error) {
-	planSpan := o.StartSpan("plan", "plan", 0)
-	if planSpan != nil {
-		planSpan.Arg("operators", len(pp.Ops))
-		defer planSpan.End()
-	}
 	values := map[int]*block.Matrix{}
 	for _, in := range pp.Graph.InputNodes() {
 		m, ok := inputs[in.Name]
@@ -367,8 +370,8 @@ func Run(e Engine, g *dag.Graph, rtm rt.Runtime, inputs map[string]*block.Matrix
 }
 
 // RunObs is Run with an observability bundle threaded through execution:
-// spans, metrics and calibration records are collected for each stage the
-// plan runs. A nil bundle behaves exactly like Run.
+// journal events, metrics and calibration records are collected for each
+// stage the plan runs. A nil bundle behaves exactly like Run.
 func RunObs(e Engine, g *dag.Graph, rtm rt.Runtime, inputs map[string]*block.Matrix, o *obs.Obs) (map[string]*block.Matrix, cluster.Stats, error) {
 	pp, err := e.Compile(g, rtm.Config())
 	if err != nil {

@@ -12,9 +12,9 @@ import (
 )
 
 // runObservedStage dispatches st through the runtime with observability
-// wrapped around it: a stage span carrying the cuboid attributes, the
-// journal's stage_start, per-task instrumentation when it is on, and — the
-// one place a FlightRecord is built from live execution — the operator's
+// wrapped around it: the journal's stage_start, carrying the stage's phase,
+// grid and cuboid partitioning, per-task instrumentation when it is on, and
+// — the one place a FlightRecord is built from live execution — the operator's
 // prediction pred joined to the stats the runtime reports for this stage
 // (rt.Stage.Report: this stage's own, whatever runs beside it), handed to
 // Obs.StageDone for every output derived from it. With per-task
@@ -29,16 +29,6 @@ func runObservedStage(rtm rt.Runtime, o *obs.Obs, pred obs.FlightRecord, st *rt.
 		return rt.RunStage(rtm, st)
 	}
 
-	span := o.StartSpan(st.Name, "stage", 0)
-	if span != nil {
-		sp := st.Spec
-		span.Arg("tasks", st.NumTasks).Arg("phase", string(sp.Phase))
-		// Cuboid stages carry their partitioning; grid stages have none.
-		if p, q := len(sp.IRanges), len(sp.JRanges); p > 0 && q > 0 {
-			span.Arg("P", p).Arg("Q", q).Arg("R", max(len(sp.KRanges), 1))
-		}
-		span.Arg("grid", fmt.Sprintf("%dx%dx%d", sp.GI, sp.GJ, sp.GK))
-	}
 	// The samples live inside the branch, so a stage without per-task
 	// instrumentation (calibration alone, the default) allocates none.
 	skew := func() obs.StageSkew { return obs.StageSkew{} }
@@ -59,7 +49,14 @@ func runObservedStage(rtm rt.Runtime, o *obs.Obs, pred obs.FlightRecord, st *rt.
 		st.Fn = wrapTaskFn(o.Tracing(), st.Fn, time.Now(), rtm.Config().Nodes, st.TaskDone)
 	}
 	if o.QLog != nil {
-		o.QLog.Emit(obs.Event{Type: obs.EvStageStart, Stage: st.Name, Op: pred.Op, Tasks: st.NumTasks})
+		sp := st.Spec
+		start := obs.Event{Type: obs.EvStageStart, Stage: st.Name, Op: pred.Op, Tasks: st.NumTasks,
+			Phase: string(sp.Phase), Grid: fmt.Sprintf("%dx%dx%d", sp.GI, sp.GJ, sp.GK)}
+		// Cuboid stages carry their partitioning; grid stages have none.
+		if p, q := len(sp.IRanges), len(sp.JRanges); p > 0 && q > 0 {
+			start.PQR = []int{p, q, max(len(sp.KRanges), 1)}
+		}
+		o.QLog.Emit(start)
 	}
 	// The runtime folds every task's metering (and, for the TCP backend, the
 	// coordinator's wire accounting) into this stage's own stats and reports
@@ -80,6 +77,7 @@ func runObservedStage(rtm rt.Runtime, o *obs.Obs, pred obs.FlightRecord, st *rt.
 	rec.MeasPeakTaskMemBytes = m.PeakTaskMemBytes
 	rec.CacheHits, rec.CacheMisses, rec.CacheSavedBytes = m.CacheHits, m.CacheMisses, m.CacheSavedBytes
 	rec.StealTasks, rec.MeasFetchSeconds, rec.MeasTaskSeconds = m.StealTasks, m.FetchSeconds, m.TaskSeconds
+	rec.FetchCalls, rec.FetchServeSeconds, rec.CollectSeconds = m.FetchCalls, m.FetchServeSeconds, m.CollectSeconds
 	o.StageDone(rec, skew(), err)
 
 	o.Counter(obs.MCacheEvictions).Add(m.CacheEvictions)
@@ -93,20 +91,10 @@ func runObservedStage(rtm rt.Runtime, o *obs.Obs, pred obs.FlightRecord, st *rt.
 		o.Counter(obs.MKernelSerialCalls).Add(delta.SerialCalls)
 		o.Counter(obs.MKernelHelperRuns).Add(delta.HelperRuns)
 	}
-	if span != nil {
-		span.Arg("consolidation_bytes", rec.MeasConsolidationBytes).
-			Arg("aggregation_bytes", rec.MeasAggregationBytes).
-			Arg("flops", rec.MeasFlops).
-			Arg("stage_seconds", rec.MeasWallSeconds)
-		if err != nil {
-			span.Arg("error", err.Error())
-		}
-		span.End()
-	}
 	return err
 }
 
-// wrapTaskFn hands every run of the in-process task body to done, tracing
+// wrapTaskFn hands every run of the in-process task body to done, recording
 // the body's sub-spans when trace is set; nodes is the simulated worker
 // count, attributing task ID to its home node the same way the sim cluster
 // places tasks. Only the sim backend executes Fn; the TCP coordinator hands

@@ -53,7 +53,7 @@ func Ablation(opts Options) ([]*Table, error) {
 	}
 	for _, e := range engines {
 		cl := cluster.MustNew(clCfg)
-		if _, _, err := core.RunObs(e, g, cl, inputs, opts.Obs); err != nil {
+		if err := opts.execute("ablation/"+e.Name(), e, g, cl, inputs); err != nil {
 			return nil, fmt.Errorf("%s: %w", e.Name(), err)
 		}
 		s := cl.Stats()

@@ -4,11 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"time"
 
+	"fuseme/internal/block"
 	"fuseme/internal/cluster"
 	"fuseme/internal/core"
 	"fuseme/internal/dag"
 	"fuseme/internal/obs"
+	"fuseme/internal/rt"
 )
 
 // Options configures an experiment run.
@@ -19,10 +22,36 @@ type Options struct {
 	Scale float64
 	// Nodes overrides the cluster size (default: the paper's 8 workers).
 	Nodes int
-	// Obs, when non-nil, collects spans and metrics: each experiment gets a
-	// top-level span and real executions (the ablation) record full
-	// stage/task detail. fuseme-bench -trace-out wires this up.
-	Obs *obs.Obs
+	// Journal and Timeline, when set, record every real execution (each run
+	// of the ablation is a query of its own); a Timeline also asks the runs
+	// for task events. fuseme-bench -journal-out and -trace-out set them.
+	Journal  *obs.Journal
+	Timeline *obs.Timeline
+}
+
+// execute compiles g with e and runs it on rtm, recording it as query id:
+// planned, its stages (and tasks, with a Timeline), then done or failed.
+func (o Options) execute(id string, e core.Engine, g *dag.Graph, rtm rt.Runtime, inputs map[string]*block.Matrix) error {
+	var qlog *obs.QueryLog
+	if o.Journal != nil || o.Timeline != nil {
+		qlog = obs.NewQueryLog(o.Journal, id, "").Tee(o.Timeline)
+	}
+	start := time.Now()
+	pp, err := e.Compile(g, rtm.Config())
+	if err == nil {
+		if qlog != nil {
+			planned := pp.Planned(e.Name(), rtm.Config())
+			planned.CompileSeconds = time.Since(start).Seconds()
+			qlog.Emit(planned)
+		}
+		_, err = core.ExecuteObs(pp, rtm, inputs, &obs.Obs{Trace: o.Timeline != nil, QLog: qlog})
+	}
+	end := obs.Event{Type: obs.EvDone, Seconds: time.Since(start).Seconds()}
+	if err != nil {
+		end.Type, end.Error = obs.EvFailed, err.Error()
+	}
+	qlog.Emit(end)
+	return err
 }
 
 func (o Options) scale() float64 {
@@ -133,7 +162,7 @@ func Run(id string, opts Options) ([]*Table, error) {
 	if id == "all" {
 		var all []*Table
 		for _, key := range IDs() {
-			ts, err := runSpanned(key, registry[key], opts)
+			ts, err := registry[key](opts)
 			if err != nil {
 				return all, fmt.Errorf("%s: %w", key, err)
 			}
@@ -145,16 +174,5 @@ func Run(id string, opts Options) ([]*Table, error) {
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (known: %v)", id, IDs())
 	}
-	return runSpanned(id, r, opts)
-}
-
-// runSpanned invokes a runner under a per-experiment span.
-func runSpanned(id string, r Runner, opts Options) ([]*Table, error) {
-	sp := opts.Obs.StartSpan("exp:"+id, "experiment", 0)
-	ts, err := r(opts)
-	if err != nil {
-		sp.Arg("error", err.Error())
-	}
-	sp.End()
-	return ts, err
+	return r(opts)
 }

@@ -22,6 +22,7 @@ const (
 	EvPlanned    EventType = "planned"     // plan chosen; Plan/PredSeconds describe it
 	EvStageStart EventType = "stage_start" // one distributed stage began
 	EvStageEnd   EventType = "stage_end"   // stage finished; Flight carries pred vs meas
+	EvTask       EventType = "task"        // one task attempt, when tracing is on; Task carries it
 	EvDone       EventType = "done"        // query completed; Seconds is end-to-end
 	EvFailed     EventType = "failed"      // query failed; Error says why
 )
@@ -43,18 +44,31 @@ type Event struct {
 	Cause string `json:"cause,omitempty"` // what a queued submission waits on
 
 	// Planning (planned).
-	Engine       string  `json:"engine,omitempty"`
-	Plan         string  `json:"plan,omitempty"` // PhysPlan.Describe text
-	PlanCacheHit bool    `json:"plan_cache_hit,omitempty"`
-	Operators    int     `json:"operators,omitempty"`
-	PredSeconds  float64 `json:"pred_seconds,omitempty"` // Eq. 2 total across operators
+	Engine         string  `json:"engine,omitempty"`
+	Plan           string  `json:"plan,omitempty"` // PhysPlan.Describe text
+	PlanCacheHit   bool    `json:"plan_cache_hit,omitempty"`
+	Operators      int     `json:"operators,omitempty"`
+	PredSeconds    float64 `json:"pred_seconds,omitempty"` // Eq. 2 total across operators
+	ParseSeconds   float64 `json:"parse_s,omitempty"`      // script text to DAG
+	CompileSeconds float64 `json:"compile_s,omitempty"`    // the engine's compile, or on a plan-cache hit the lookup
 
-	// Stages (stage_start/stage_end).
+	// Stages (stage_start/stage_end). Phase, Grid (GIxGJxGK blocks) and PQR
+	// (the cuboid partitioning, absent on a grid stage) describe the stage
+	// on its start event.
 	Stage  string        `json:"stage,omitempty"`
 	Op     string        `json:"op,omitempty"`
 	Tasks  int           `json:"tasks,omitempty"`
+	Phase  string        `json:"phase,omitempty"`
+	Grid   string        `json:"grid,omitempty"`
+	PQR    []int         `json:"pqr,omitempty"`
 	Flight *FlightRecord `json:"flight,omitempty"`
 	Skew   *StageSkew    `json:"skew,omitempty"`
+
+	// Tasks (task). Part numbers the events of one attempt whose sub-spans
+	// did not fit one event (taskEventSpans); each carries the whole sample
+	// but its own share of the spans.
+	Task *TaskSample `json:"task,omitempty"`
+	Part int         `json:"part,omitempty"`
 
 	// Completion (done/failed) and waits (admitted).
 	Seconds float64 `json:"seconds,omitempty"`
@@ -94,16 +108,13 @@ func NewJournal(ring int, sink io.Writer) *Journal {
 	return j
 }
 
-// append stamps and stores one event, mirroring it to the sink.
+// append stores one stamped event, mirroring it to the sink.
 func (j *Journal) append(e Event) {
 	if j == nil {
 		return
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if e.UnixNano == 0 {
-		e.UnixNano = time.Now().UnixNano()
-	}
 	if len(j.ring) < cap(j.ring) {
 		j.ring = append(j.ring, e)
 	} else {
@@ -158,7 +169,55 @@ func (j *Journal) Begin(query, tenant string) *QueryLog {
 	if j == nil {
 		return nil
 	}
+	return NewQueryLog(j, query, tenant)
+}
+
+// NewQueryLog is Begin on a journal that may be nil: the log is never nil,
+// so a Tee can record a query no journal keeps.
+func NewQueryLog(j *Journal, query, tenant string) *QueryLog {
 	return &QueryLog{j: j, query: query, tenant: tenant}
+}
+
+// Tee makes q record every event it emits from now on into t as well, and
+// returns q. A nil t leaves q as it is; a nil q stays nil.
+func (q *QueryLog) Tee(t *Timeline) *QueryLog {
+	if q != nil && t != nil {
+		q.mu.Lock()
+		q.tl = t
+		q.mu.Unlock()
+	}
+	return q
+}
+
+// Timeline keeps every event it is given, in emission order, until Reset:
+// the record a traced session renders its trace from (ChromeTrace). Unlike
+// a journal's ring it drops nothing, so the trace covers every query since
+// the last Reset whatever journal the queries also went to. The zero value
+// is empty and ready; safe for concurrent use; a nil *Timeline absorbs
+// every call.
+type Timeline struct {
+	mu     sync.Mutex
+	events []Event
+}
+
+// Events returns a copy of the recorded events.
+func (t *Timeline) Events() []Event {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return append([]Event(nil), t.events...)
+}
+
+// Reset discards the recorded events.
+func (t *Timeline) Reset() {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	t.events = nil
+	t.mu.Unlock()
 }
 
 // QueryLog emits one query's events into its journal with a shared sequence
@@ -170,6 +229,7 @@ type QueryLog struct {
 	tenant string
 	mu     sync.Mutex
 	seq    int64
+	tl     *Timeline // Tee target, under mu
 
 	// parts, when set, makes this log part part of an ordered group (Parts):
 	// its events reach the journal through the group.
@@ -225,15 +285,16 @@ func (q *QueryLog) Close() {
 	}
 }
 
-// Emit appends one event, filling in the query id, tenant and sequence.
+// Emit appends one event, filling in the time, query id, tenant and
+// sequence.
 func (q *QueryLog) Emit(e Event) {
 	if q == nil {
 		return
 	}
+	if e.UnixNano == 0 {
+		e.UnixNano = time.Now().UnixNano()
+	}
 	if g := q.parts; g != nil {
-		if e.UnixNano == 0 {
-			e.UnixNano = time.Now().UnixNano()
-		}
 		g.mu.Lock()
 		defer g.mu.Unlock()
 		if q.part == g.cur {
@@ -247,11 +308,18 @@ func (q *QueryLog) Emit(e Event) {
 	if e.Tenant == "" {
 		e.Tenant = q.tenant
 	}
+	// One lock over both appends, so the journal and the timeline hold this
+	// query's events in the same order.
 	q.mu.Lock()
+	defer q.mu.Unlock()
 	q.seq++
 	e.Seq = q.seq
-	q.mu.Unlock()
 	q.j.append(e)
+	if t := q.tl; t != nil {
+		t.mu.Lock()
+		t.events = append(t.events, e)
+		t.mu.Unlock()
+	}
 }
 
 // ReadEvents parses a JSONL stream of journal events (the sink's format),

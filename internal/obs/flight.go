@@ -37,11 +37,17 @@ type FlightRecord struct {
 
 	// Dispatch: StealTasks counts tasks run away from their home node (on
 	// either runtime), MeasFetchSeconds is wire wait inside task bodies
-	// (summed over tasks), MeasTaskSeconds total task wall; the two seconds
-	// fields are TCP-runtime measurements and zero under simulation.
-	StealTasks       int64   `json:"steal_tasks,omitempty"`
-	MeasFetchSeconds float64 `json:"meas_fetch_seconds,omitempty"`
-	MeasTaskSeconds  float64 `json:"meas_task_seconds,omitempty"`
+	// (summed over tasks), MeasTaskSeconds total task wall. The rest is the
+	// coordinator's side of the wire: FetchCalls block requests it served,
+	// FetchServeSeconds spent resolving them (rt.Stage.Fetch) and
+	// CollectSeconds taking results in (rt.Stage.Collect). Every field but
+	// StealTasks is a TCP-runtime measurement, zero under simulation.
+	StealTasks        int64   `json:"steal_tasks,omitempty"`
+	MeasFetchSeconds  float64 `json:"meas_fetch_seconds,omitempty"`
+	MeasTaskSeconds   float64 `json:"meas_task_seconds,omitempty"`
+	FetchCalls        int64   `json:"fetch_calls,omitempty"`
+	FetchServeSeconds float64 `json:"fetch_serve_seconds,omitempty"`
+	CollectSeconds    float64 `json:"collect_seconds,omitempty"`
 }
 
 // NetBytes is the measured traffic comparable to the predicted NetEst:

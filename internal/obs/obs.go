@@ -1,5 +1,5 @@
-// Package obs is the observability subsystem: a lightweight span/trace
-// recorder exporting Chrome trace_event JSON, a metrics registry with
+// Package obs is the observability subsystem: the per-query event journal,
+// its Chrome trace_event rendering (ChromeTrace), a metrics registry with
 // Prometheus-text and JSON endpoints, and a cost-model calibration store that
 // joins the planner's NetEst/ComEst/MemEst predictions against measured
 // execution so effective cluster bandwidths can be back-solved.
@@ -12,7 +12,9 @@
 // own cluster.Stats. The dispatcher hands it to the stage that ran it, which
 // reports it to Obs.TaskDone and folds its own samples into the StageSkew it
 // passes to Obs.StageDone (StageSkewOf); the SkewDetector keeps only the
-// per-worker EWMA across stages.
+// per-worker EWMA across stages. With tracing on, TaskDone journals the
+// sample as a task event, so the journal is the one per-query timeline: a
+// trace is ChromeTrace over its events, live or read back from a sink.
 //
 // Everything is nil-safe by design: a nil *Obs (or a nil component inside a
 // non-nil Obs) turns every instrumentation call into a pointer check and an
@@ -31,7 +33,7 @@ import (
 // Obs bundles one session's observability components. Any field may be nil;
 // the whole struct may be nil. Helper methods absorb both.
 type Obs struct {
-	Trace   *Recorder     // span recorder; nil disables tracing
+	Trace   bool          // journal a task event per attempt, with the body's sub-spans
 	Metrics *Registry     // metrics registry; nil disables metrics
 	Calib   *Calibration  // prediction/measurement join; nil disables calibration
 	QLog    *QueryLog     // current query's event-journal log (stage_end carries the flight record); nil disables journaling
@@ -40,29 +42,21 @@ type Obs struct {
 
 // Enabled reports whether any component is active (stage-level hooks run).
 func (o *Obs) Enabled() bool {
-	return o != nil && (o.Trace != nil || o.Metrics != nil || o.Calib != nil ||
+	return o != nil && (o.Trace || o.Metrics != nil || o.Calib != nil ||
 		o.QLog != nil || o.Skew != nil)
 }
 
-// Tracing reports whether the span recorder is active — the signal backends
-// use to decide whether task bodies should collect sub-spans.
+// Tracing reports whether tracing is on — the signal backends use to decide
+// whether task bodies should collect sub-spans.
 func (o *Obs) Tracing() bool {
-	return o != nil && o.Trace != nil
+	return o != nil && o.Trace
 }
 
-// PerTask reports whether per-task instrumentation (spans, latency
+// PerTask reports whether per-task instrumentation (task events, latency
 // histograms, skew samples) should run. Calibration alone is stage-level and
 // does not require the per-task wrapper.
 func (o *Obs) PerTask() bool {
-	return o != nil && (o.Trace != nil || o.Metrics != nil || o.Skew != nil)
-}
-
-// StartSpan opens a span on the recorder; nil when tracing is off.
-func (o *Obs) StartSpan(name, cat string, tid int) *Span {
-	if o == nil {
-		return nil
-	}
-	return o.Trace.Start(name, cat, tid)
+	return o != nil && (o.Trace || o.Metrics != nil || o.Skew != nil)
 }
 
 // Counter returns the named counter; nil when metrics are off.
@@ -141,104 +135,79 @@ func (o *Obs) StageDone(rec FlightRecord, skew StageSkew, err error) {
 // TaskSample is one finished task attempt as its dispatcher saw it: the sim
 // executor's task wrapper and the TCP coordinator's dispatch lane both fill
 // one and hand it to the stage that ran it, which reports it to Obs.TaskDone
-// and folds its stage's samples with StageSkewOf.
+// and folds its stage's samples with StageSkewOf. The JSON form is the
+// journal's task event; Err travels as the event's error text.
 type TaskSample struct {
-	ID     int
-	Worker int // worker that ran the task; negative = none to attribute (no skew sample)
-	// Remote marks a body that ran in worker Worker's process: the task's span
-	// on this process's track is the dispatch view (cat "sched"), and the body
-	// span (cat "task") with its sub-spans goes on the worker's track.
-	Remote bool
+	ID     int `json:"id"`
+	Worker int `json:"worker"` // worker that ran the task; negative = none to attribute (no skew sample)
+	// Remote marks a body that ran in worker Worker's process: the trace
+	// draws the attempt's window on this process's track (cat "sched"), and
+	// the body (cat "task") with its sub-spans on the worker's track.
+	Remote bool `json:"remote,omitempty"`
 
-	StageStart time.Time // when the stage was dispatched; Start - StageStart is the queue wait
-	Start      time.Time // when the task was started (remote: dispatched)
-	End        time.Time // when the attempt ended (remote: its reply arrived)
+	StageStart time.Time `json:"stage_start"` // when the stage was dispatched; Start - StageStart is the queue wait
+	Start      time.Time `json:"start"`       // when the task was started (remote: dispatched)
+	End        time.Time `json:"end"`         // when the attempt ended (remote: its reply arrived)
 
 	// Spans are the body's sub-spans, placed relative to its start. A local
 	// body fills the whole window from Start to End; a remote one ran
 	// Metrics.TaskSeconds by the worker's clock.
-	Spans []cluster.TaskSpan
+	Spans []cluster.TaskSpan `json:"spans,omitempty"`
 
 	// Metrics is the task's own metering (cluster.Task.Metrics); zero for
 	// an attempt that reported none.
-	Metrics cluster.Stats
+	Metrics cluster.Stats `json:"metrics"`
 
-	Err error
+	Err error `json:"-"`
 }
+
+// taskEventSpans bounds the sub-spans one task event carries, so that a
+// journal line stays far below ReadEvents' 1 MiB cap (a span is about 60
+// bytes of JSON). An attempt with more is journaled as several task events,
+// Part 1, 2, ... carrying the further spans.
+const taskEventSpans = 1024
 
 // TaskDone is the one emit point of a finished task attempt, called as it
 // returns: queue-wait and latency histograms, fuseme_tasks_total (and
-// fuseme_remote_tasks_total for a remote one) and the task's spans.
+// fuseme_remote_tasks_total for a remote one) and, with tracing on, the
+// journal's task event.
 func (o *Obs) TaskDone(t TaskSample) {
 	if !o.PerTask() {
 		return
 	}
-	elapsed := t.End.Sub(t.Start)
 	o.Histogram(MQueueSeconds).Observe(t.Start.Sub(t.StageStart).Seconds())
-	o.Histogram(MTaskSeconds).Observe(elapsed.Seconds())
+	o.Histogram(MTaskSeconds).Observe(t.End.Sub(t.Start).Seconds())
 	o.Counter(MTasksTotal).Inc()
 	if t.Remote {
 		o.Counter(MRemoteTasksTotal).Inc()
 	}
-	if o.Trace == nil {
+	if !o.Trace || o.QLog == nil {
 		return
 	}
-	m := t.Metrics
-	args := map[string]any{
-		"consolidation_bytes": m.ConsolidationBytes,
-		"aggregation_bytes":   m.AggregationBytes,
-		"flops":               m.Flops,
-		"peak_mem_bytes":      m.PeakTaskMemBytes,
-	}
+	ev := Event{Type: EvTask}
 	if t.Err != nil {
-		args["error"] = t.Err.Error()
+		ev.Error = t.Err.Error()
 	}
-	// Task tracks are 1-based: track 0 is the plan/stage track.
-	name, track := fmt.Sprintf("task %d", t.ID), 1+t.ID%64
-	pid, body := PIDLocal, elapsed
-	if t.Remote {
-		o.Trace.AddSpanAt(name, "sched", PIDLocal, track, t.Start, elapsed, args)
-		if t.Err != nil {
-			return // no body reported
-		}
-		pid, body, args = PIDWorkerBase+t.Worker, time.Duration(m.TaskSeconds*float64(time.Second)), nil
-	}
-	place := placeBody(elapsed, body)
-	at, dur := place(0, body)
-	o.Trace.AddSpanAt(name, "task", pid, track, t.Start.Add(at), dur, args)
-	for _, s := range t.Spans {
-		at, dur := place(s.Offset, s.Dur)
-		o.Trace.AddSpanAt(s.Name, s.Cat, pid, track, t.Start.Add(at), dur, nil)
+	spans := t.Spans
+	for part := 0; part == 0 || len(spans) > 0; part++ {
+		n := min(len(spans), taskEventSpans)
+		sample := t
+		sample.Spans, spans = spans[:n:n], spans[n:]
+		ev.Task, ev.Part = &sample, part
+		o.QLog.Emit(ev)
 	}
 }
 
-// placeBody places a task body of length body in the window of length window
-// its dispatcher observed, and returns the map from a span relative to the
-// body's start to the same span relative to the window's start. The body is
-// centred: the window is the dispatch, the body and the reply, and the
-// midpoint rule takes the two legs as equally long, as NTP does with a round
-// trip. Every span is clamped into the window, so one that would reach past
-// it — a body longer than its window, a sub-span past its body — ends at the
-// window's edge, and no duration is negative. A body that fills its window
-// (the sim's) lands at the window's start, every span at its own offset.
-func placeBody(window, body time.Duration) func(off, dur time.Duration) (at, d time.Duration) {
-	shift := (window - body) / 2
-	clamp := func(d time.Duration) time.Duration { return min(max(d, 0), window) }
-	return func(off, dur time.Duration) (time.Duration, time.Duration) {
-		from := clamp(shift + off)
-		return from, max(clamp(shift+off+dur), from) - from
-	}
-}
-
-// Reset clears accumulated spans, calibration records and metric values
-// (counters and histograms restart at zero; gauges keep their last value).
+// Reset clears calibration records, metric values (counters and histograms
+// restart at zero; gauges keep their last value) and the skew detector's
+// per-worker history.
 func (o *Obs) Reset() {
 	if o == nil {
 		return
 	}
-	o.Trace.Reset()
 	o.Calib.Reset()
 	o.Metrics.Reset()
+	o.Skew.Reset()
 }
 
 // Metric names. Wire-byte counters carry a class label matching the

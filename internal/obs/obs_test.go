@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -21,9 +22,6 @@ func TestNilSafety(t *testing.T) {
 	if o.Enabled() || o.PerTask() {
 		t.Fatal("nil Obs should report disabled")
 	}
-	sp := o.StartSpan("x", "stage", 0)
-	sp.Arg("k", 1)
-	sp.End()
 	o.Counter("c").Add(3)
 	o.Counter("c").Inc()
 	o.Gauge("g").Set(1.5)
@@ -32,11 +30,11 @@ func TestNilSafety(t *testing.T) {
 	o.TaskDone(TaskSample{})
 	o.Reset()
 
-	var r *Recorder
-	if r.Len() != 0 || r.Events() != nil {
-		t.Fatal("nil recorder should be empty")
+	var tl *Timeline
+	if tl.Events() != nil {
+		t.Fatal("nil timeline should be empty")
 	}
-	r.Reset()
+	tl.Reset()
 
 	var c *Calibration
 	c.Measure(FlightRecord{})
@@ -60,70 +58,158 @@ func TestNilSafety(t *testing.T) {
 	if partial.PerTask() {
 		t.Fatal("calib-only Obs should not run per-task instrumentation")
 	}
-	partial.StartSpan("x", "stage", 0).End()
 	partial.Counter("c").Inc()
 }
 
-func TestRecorderChromeTrace(t *testing.T) {
-	r := NewRecorder()
-	outer := r.Start("stage:mul#1", "stage", 0).
-		Arg("phase", "cuboid").Arg("P", 2).Arg("Q", 2).Arg("R", 1)
-	inner := r.Start("task 3", "task", 1)
-	time.Sleep(time.Millisecond)
-	inner.End()
-	outer.End()
+// traced returns an Obs that journals task events onto a fresh timeline, and
+// the timeline.
+func traced() (*Obs, *Timeline) {
+	tl := new(Timeline)
+	return &Obs{Trace: true, QLog: NewQueryLog(nil, "q1", "").Tee(tl)}, tl
+}
 
-	if r.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", r.Len())
-	}
-	var b strings.Builder
-	if err := r.WriteChromeTrace(&b); err != nil {
+// renderSpans renders events and returns the trace's "X" spans in order.
+func renderSpans(t *testing.T, events []Event) []TraceEvent {
+	t.Helper()
+	doc, err := ChromeTrace(events)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var doc struct {
-		TraceEvents []struct {
-			Name string         `json:"name"`
-			Cat  string         `json:"cat"`
-			Ph   string         `json:"ph"`
-			TS   float64        `json:"ts"`
-			Dur  float64        `json:"dur"`
-			TID  int            `json:"tid"`
-			Args map[string]any `json:"args"`
-		} `json:"traceEvents"`
-		DisplayTimeUnit string `json:"displayTimeUnit"`
-	}
-	if err := json.Unmarshal([]byte(b.String()), &doc); err != nil {
+	var trace chromeTrace
+	if err := json.Unmarshal(doc, &trace); err != nil {
 		t.Fatalf("not valid JSON: %v", err)
 	}
-	if doc.DisplayTimeUnit != "ms" {
-		t.Fatalf("displayTimeUnit = %q", doc.DisplayTimeUnit)
+	if trace.DisplayTimeUnit != "ms" {
+		t.Fatalf("displayTimeUnit = %q", trace.DisplayTimeUnit)
 	}
-	if len(doc.TraceEvents) != 2 {
-		t.Fatalf("events = %d, want 2", len(doc.TraceEvents))
+	var spans []TraceEvent
+	for _, ev := range trace.TraceEvents {
+		if ev.Ph == "X" {
+			spans = append(spans, ev)
+		}
 	}
-	// Inner (task) span ends first so it is recorded first.
-	task, stage := doc.TraceEvents[0], doc.TraceEvents[1]
-	if task.Name != "task 3" || task.Cat != "task" || task.TID != 1 {
-		t.Fatalf("task event wrong: %+v", task)
+	return spans
+}
+
+// TestChromeTraceRendersQueryStagesAndTasks: a query's planned and done
+// events draw its plan span, a stage's start and end events its stage span
+// with the partitioning and measured totals, and a task event its task span
+// with its sub-spans, all on the local process and nested in time; a stage
+// that failed carries its error.
+func TestChromeTraceRendersQueryStagesAndTasks(t *testing.T) {
+	o, tl := traced()
+	o.QLog.Emit(Event{Type: EvPlanned, Operators: 2})
+	o.QLog.Emit(Event{Type: EvStageStart, Stage: "cuboid:mul#1", Tasks: 1, Phase: "cuboid", Grid: "4x4x2", PQR: []int{2, 2, 1}})
+	start := time.Now()
+	time.Sleep(time.Millisecond)
+	o.TaskDone(TaskSample{ID: 3, Worker: 1, StageStart: start, Start: start, End: time.Now(),
+		Metrics: cluster.Stats{Flops: 7}, Spans: []cluster.TaskSpan{{Name: "kernel", Cat: "taskop", Offset: 0, Dur: time.Microsecond}}})
+	o.StageDone(FlightRecord{Stage: "cuboid:mul#1", Tasks: 1, MeasFlops: 7, MeasWallSeconds: 0.001}, StageSkew{}, errors.New("boom"))
+	o.QLog.Emit(Event{Type: EvDone})
+
+	spans := renderSpans(t, tl.Events())
+	if len(spans) != 4 {
+		t.Fatalf("spans = %+v, want task, sub-span, stage and plan", spans)
 	}
-	if stage.Name != "stage:mul#1" || stage.Ph != "X" {
-		t.Fatalf("stage event wrong: %+v", stage)
+	task, sub, stage, plan := spans[0], spans[1], spans[2], spans[3]
+	if task.Name != "task 3" || task.Cat != "task" || task.TID != 4 || task.Args["flops"] != float64(7) {
+		t.Fatalf("task span wrong: %+v", task)
 	}
-	if stage.Args["phase"] != "cuboid" || stage.Args["P"] != float64(2) {
-		t.Fatalf("stage args wrong: %v", stage.Args)
+	if sub.Name != "kernel" || sub.TID != task.TID || sub.TS != task.TS {
+		t.Fatalf("sub-span wrong: %+v", sub)
 	}
-	// Nesting: the stage span must enclose the task span in time.
-	if !(stage.TS <= task.TS && stage.TS+stage.Dur >= task.TS+task.Dur) {
-		t.Fatalf("stage [%g,%g] does not enclose task [%g,%g]",
-			stage.TS, stage.TS+stage.Dur, task.TS, task.TS+task.Dur)
+	if stage.Name != "cuboid:mul#1" || stage.Cat != "stage" || stage.TID != 0 ||
+		stage.Args["phase"] != "cuboid" || stage.Args["P"] != float64(2) || stage.Args["R"] != float64(1) ||
+		stage.Args["grid"] != "4x4x2" || stage.Args["flops"] != float64(7) || stage.Args["error"] != "boom" {
+		t.Fatalf("stage span wrong: %+v", stage)
+	}
+	if plan.Name != "plan" || plan.Cat != "plan" || plan.TS != 0 || plan.Args["operators"] != float64(2) {
+		t.Fatalf("plan span wrong: %+v", plan)
+	}
+	for _, sp := range spans {
+		if sp.PID != PIDLocal {
+			t.Errorf("span %q on pid %d, want the local process", sp.Name, sp.PID)
+		}
+	}
+	// Nesting: the plan encloses the stage, the stage the task.
+	encloses := func(out, in TraceEvent) bool { return out.TS <= in.TS && out.TS+out.Dur >= in.TS+in.Dur }
+	if !encloses(plan, stage) || !encloses(stage, task) {
+		t.Fatalf("plan %+v, stage %+v, task %+v do not nest", plan, stage, task)
 	}
 	if task.Dur < 900 { // slept 1ms; durations are µs
 		t.Fatalf("task dur = %gµs, want ≥ 900", task.Dur)
 	}
+}
 
-	r.Reset()
-	if r.Len() != 0 {
-		t.Fatal("Reset should discard events")
+// TestTaskEventsStayUnderTheLineCap: an attempt with many sub-spans is
+// journaled as several task events, each line far below ReadEvents' 1 MiB
+// cap, and the sink read back renders the same bytes as the live timeline,
+// every sub-span included.
+func TestTaskEventsStayUnderTheLineCap(t *testing.T) {
+	const subSpans = 50_000
+	var sink bytes.Buffer
+	tl := new(Timeline)
+	j := NewJournal(0, &sink)
+	o := &Obs{Trace: true, QLog: j.Begin("q1", "").Tee(tl)}
+	start := time.Now()
+	spans := make([]cluster.TaskSpan, subSpans)
+	for i := range spans {
+		spans[i] = cluster.TaskSpan{Name: "fetch", Cat: "taskop", Offset: time.Duration(i), Dur: 1}
+	}
+	o.TaskDone(TaskSample{ID: 1, Worker: 0, StageStart: start, Start: start, End: start.Add(time.Millisecond), Spans: spans})
+	if err := j.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(sink.String(), "\n"), "\n")
+	if want := (subSpans + taskEventSpans - 1) / taskEventSpans; len(lines) != want {
+		t.Fatalf("journaled %d lines, want %d", len(lines), want)
+	}
+	for i, line := range lines {
+		if len(line) >= 1<<18 {
+			t.Fatalf("line %d is %d bytes, want well below the 1 MiB cap", i, len(line))
+		}
+	}
+	back, err := ReadEvents(&sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := ChromeTrace(tl.Events())
+	if err != nil {
+		t.Fatal(err)
+	}
+	offline, err := ChromeTrace(back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(live, offline) {
+		t.Fatal("the sink read back renders another trace than the live timeline")
+	}
+	if got := len(renderSpans(t, back)); got != subSpans+1 {
+		t.Fatalf("rendered %d spans, want the task and its %d sub-spans", got, subSpans)
+	}
+}
+
+// TestResetForgetsSlowdowns: after Reset, the slowdown scores are those of a
+// fresh Obs fed the same stages — nothing from before the reset blends in.
+func TestResetForgetsSlowdowns(t *testing.T) {
+	stage := func(w0, w1 float64) StageSkew {
+		return StageSkew{Tasks: 2, Workers: []WorkerLoad{{Worker: 0, Tasks: 1, Seconds: w0}, {Worker: 1, Tasks: 1, Seconds: w1}}}
+	}
+	reset := &Obs{Metrics: NewRegistry(), Skew: NewSkewDetector()}
+	reset.StageDone(FlightRecord{}, stage(9, 1), nil)
+	reset.Reset()
+	fresh := &Obs{Metrics: NewRegistry(), Skew: NewSkewDetector()}
+	for _, o := range []*Obs{reset, fresh} {
+		o.StageDone(FlightRecord{}, stage(1, 2), nil)
+	}
+	got, want := reset.Skew.Slowdowns(), fresh.Skew.Slowdowns()
+	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("slowdowns after a reset = %v, a fresh detector's = %v", got, want)
+	}
+	for w, score := range want {
+		if g := reset.Metrics.Snapshot().Gauges[WorkerSlowdownGauge(w)]; g != score {
+			t.Errorf("worker %d gauge = %g, want %g", w, g, score)
+		}
 	}
 }
 
@@ -489,7 +575,7 @@ func TestPlaceBody(t *testing.T) {
 // worker's track, inside that window; a failed remote task draws the window
 // alone.
 func TestTaskDoneDrawsARemoteBodyInItsWindow(t *testing.T) {
-	o := &Obs{Trace: NewRecorder()}
+	o, tl := traced()
 	start := time.Now()
 	end := start.Add(10 * time.Millisecond)
 	o.TaskDone(TaskSample{ID: 3, Worker: 1, Remote: true, StageStart: start, Start: start, End: end,
@@ -498,7 +584,7 @@ func TestTaskDoneDrawsARemoteBodyInItsWindow(t *testing.T) {
 			{Name: "send", Cat: "taskop", Offset: time.Millisecond, Dur: time.Hour},
 		}})
 	o.TaskDone(TaskSample{ID: 4, Worker: -1, Remote: true, StageStart: start, Start: start, End: end, Err: errors.New("gone")})
-	ev := o.Trace.Events()
+	ev := renderSpans(t, tl.Events())
 	if len(ev) != 5 {
 		t.Fatalf("recorded %d spans, want sched, task, two sub-spans and a failed sched: %+v", len(ev), ev)
 	}

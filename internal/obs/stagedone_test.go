@@ -21,6 +21,7 @@ func fullRecord() FlightRecord {
 		MeasExtraWireBytes: 2003, MeasFlops: 2004, MeasPeakTaskMemBytes: 2005,
 		CacheHits: 31, CacheMisses: 32, CacheSavedBytes: 33,
 		StealTasks: 43, MeasFetchSeconds: 0.25, MeasTaskSeconds: 1.5,
+		FetchCalls: 44, FetchServeSeconds: 0.375, CollectSeconds: 0.0625,
 	}
 }
 
@@ -28,16 +29,17 @@ func fullRecord() FlightRecord {
 // /v1/queries/{id}: these strings were marshalled by the commit before
 // FlightRecord became the only per-stage type (8b2b7b6), less the four
 // prefetch keys protocol v8 removed (omitempty and never set, so no record
-// ever carried them). A renamed tag, a reordered or dropped field fails here.
+// ever carried them), plus the coordinator's three fetch/collect keys
+// appended since. A renamed tag, a reordered or dropped field fails here.
 const (
-	goldenFlight = `{"stage":"partial:mul#12","op":"CFO mul#12","kind":"CFO","p":2,"q":3,"r":4,"tasks":24,"pred_net_bytes":1001,"pred_com_flops":1002,"pred_mem_bytes":1003,"meas_wall_seconds":0.125,"meas_consolidation_bytes":2001,"meas_aggregation_bytes":2002,"meas_extra_wire_bytes":2003,"meas_flops":2004,"meas_peak_task_mem_bytes":2005,"cache_hits":31,"cache_misses":32,"cache_saved_bytes":33,"steal_tasks":43,"meas_fetch_seconds":0.25,"meas_task_seconds":1.5}`
+	goldenFlight = `{"stage":"partial:mul#12","op":"CFO mul#12","kind":"CFO","p":2,"q":3,"r":4,"tasks":24,"pred_net_bytes":1001,"pred_com_flops":1002,"pred_mem_bytes":1003,"meas_wall_seconds":0.125,"meas_consolidation_bytes":2001,"meas_aggregation_bytes":2002,"meas_extra_wire_bytes":2003,"meas_flops":2004,"meas_peak_task_mem_bytes":2005,"cache_hits":31,"cache_misses":32,"cache_saved_bytes":33,"steal_tasks":43,"meas_fetch_seconds":0.25,"meas_task_seconds":1.5,"fetch_calls":44,"fetch_serve_seconds":0.375,"collect_seconds":0.0625}`
 	goldenEvent  = `{"query":"q7","seq":5,"type":"stage_end","t_unix_nano":1700000000000000000,"tenant":"acme","stage":"partial:mul#12","op":"CFO mul#12","tasks":24,"flight":` + goldenFlight + `,"skew":{"stage":"partial:mul#12","tasks":24,"max_seconds":0.5,"median_seconds":0.25,"imbalance":2,"workers":[{"worker":0,"tasks":12,"seconds":3},{"worker":1,"tasks":12,"seconds":4.5}]},"seconds":0.125,"error":"boom"}`
 )
 
 func TestGoldenStageBytes(t *testing.T) {
 	rec := fullRecord()
-	if v := reflect.ValueOf(rec); v.NumField() != 22 {
-		t.Fatalf("FlightRecord has %d fields, the golden line covers 22: extend fullRecord and re-check the format", v.NumField())
+	if v := reflect.ValueOf(rec); v.NumField() != 25 {
+		t.Fatalf("FlightRecord has %d fields, the golden line covers 25: extend fullRecord and re-check the format", v.NumField())
 	} else {
 		for i := 0; i < v.NumField(); i++ {
 			if v.Field(i).IsZero() {
@@ -73,7 +75,7 @@ func TestStageDoneFanOut(t *testing.T) {
 	var sink bytes.Buffer
 	j := NewJournal(0, &sink)
 	o := &Obs{
-		Trace: NewRecorder(), Metrics: NewRegistry(), Calib: NewCalibration(),
+		Trace: true, Metrics: NewRegistry(), Calib: NewCalibration(),
 		Skew: NewSkewDetector(), QLog: j.Begin("q1", "acme"),
 	}
 	var samples []TaskSample
@@ -88,10 +90,10 @@ func TestStageDoneFanOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	events, err := ReadEvents(&sink)
-	if err != nil || len(events) != 1 {
-		t.Fatalf("journal sink = %+v, %v; want one event", events, err)
+	if err != nil || len(events) != 4 {
+		t.Fatalf("journal sink = %+v, %v; want three task events and the stage_end", events, err)
 	}
-	end := events[0]
+	end := events[3]
 	if end.Type != EvStageEnd || end.Flight == nil || *end.Flight != rec {
 		t.Errorf("stage_end.flight = %+v, want the record", end.Flight)
 	}
@@ -135,7 +137,7 @@ func TestStageDoneFanOut(t *testing.T) {
 		t.Errorf("task histograms = %+v", snap.Histograms)
 	}
 	spans := 0
-	for _, ev := range o.Trace.Events() {
+	for _, ev := range renderSpans(t, events) {
 		if ev.Cat == "task" && strings.HasPrefix(ev.Name, "task ") {
 			spans++
 		}

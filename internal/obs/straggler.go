@@ -105,6 +105,16 @@ func (d *SkewDetector) Observe(sk StageSkew) {
 	}
 }
 
+// Reset forgets every worker's history, as if no stage had been observed.
+func (d *SkewDetector) Reset() {
+	if d == nil {
+		return
+	}
+	d.mu.Lock()
+	d.ewma = map[int]float64{}
+	d.mu.Unlock()
+}
+
 // Slowdowns returns each worker's slowdown score: its EWMA mean task
 // duration divided by the fleet's median EWMA. Scores near 1.0 are healthy;
 // a worker consistently above (say ≥1.5) is a straggler. Empty until a

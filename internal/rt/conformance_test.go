@@ -5,6 +5,7 @@
 package rt_test
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
 	"sync/atomic"
@@ -315,9 +316,9 @@ func pipelineBackends() map[string]func(t *testing.T) rt.Runtime {
 }
 
 // runTracedPlan executes the reference plan with tracing enabled and returns
-// the recorded events. For the TCP backend the coordinator must already have
-// the obs bundle attached (SetObs) before stages run.
-func runTracedPlan(t *testing.T, rtm rt.Runtime, o *obs.Obs) []obs.TraceEvent {
+// the spans of its rendered trace. For the TCP backend the coordinator must
+// already have the obs bundle attached (SetObs) before stages run.
+func runTracedPlan(t *testing.T, rtm rt.Runtime, o *obs.Obs, tl *obs.Timeline) []obs.TraceEvent {
 	t.Helper()
 	const rows, cols, k = 96, 80, 8
 	inputs := map[string]*block.Matrix{
@@ -329,7 +330,24 @@ func runTracedPlan(t *testing.T, rtm rt.Runtime, o *obs.Obs) []obs.TraceEvent {
 	if _, _, err := core.RunObs(core.FuseME{}, g, rtm, inputs, o); err != nil {
 		t.Fatal(err)
 	}
-	return o.Trace.Events()
+	doc, err := obs.ChromeTrace(tl.Events())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace struct {
+		TraceEvents []obs.TraceEvent `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(doc, &trace); err != nil {
+		t.Fatal(err)
+	}
+	return trace.TraceEvents
+}
+
+// tracedObs returns an Obs that traces onto a timeline of its own, and the
+// timeline.
+func tracedObs() (*obs.Obs, *obs.Timeline) {
+	tl := new(obs.Timeline)
+	return &obs.Obs{Trace: true, QLog: obs.NewQueryLog(nil, "q1", "").Tee(tl)}, tl
 }
 
 // spanCounts tallies events by "cat/name", restricted to the task-execution
@@ -355,8 +373,8 @@ func spanCounts(events []obs.TraceEvent) map[string]int {
 // block cache armed, which this plan does not enable.)
 func TestRuntimeConformanceSpans(t *testing.T) {
 	ctors := backends()
-	simObs := &obs.Obs{Trace: obs.NewRecorder()}
-	simCounts := spanCounts(runTracedPlan(t, ctors["sim"](t), simObs))
+	simObs, simTL := tracedObs()
+	simCounts := spanCounts(runTracedPlan(t, ctors["sim"](t), simObs, simTL))
 	if len(simCounts) == 0 {
 		t.Fatal("sim backend recorded no task spans")
 	}
@@ -371,11 +389,11 @@ func TestRuntimeConformanceSpans(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			rtm := open(t)
-			o := &obs.Obs{Trace: obs.NewRecorder()}
+			o, tl := tracedObs()
 			if co, ok := rtm.(*remote.Coordinator); ok {
 				co.SetObs(o)
 			}
-			got := spanCounts(runTracedPlan(t, rtm, o))
+			got := spanCounts(runTracedPlan(t, rtm, o, tl))
 			if len(got) != len(simCounts) {
 				t.Errorf("span kinds = %d, sim recorded %d:\n got %v\n sim %v",
 					len(got), len(simCounts), got, simCounts)

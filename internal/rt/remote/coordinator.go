@@ -551,20 +551,17 @@ func (c *Coordinator) Close() error {
 }
 
 // wireMeter accumulates one stage's measured wire traffic, classified to
-// match the simulated communication model.
+// match the simulated communication model, and the coordinator's share of
+// moving it: the block requests it served and the time inside rt.Stage's
+// Fetch and Collect.
 type wireMeter struct {
 	consolidation atomic.Int64 // non-colocated input fetches
 	aggregation   atomic.Int64 // partial/aggregate result uploads
 	extra         atomic.Int64 // traffic the simulation does not model
-}
 
-func (m *wireMeter) countFetch(ref spec.BlockRef, n int64, colocated map[int]bool) {
-	switch {
-	case ref.Kind == spec.RefInput && !colocated[ref.Node]:
-		m.consolidation.Add(n)
-	default:
-		m.extra.Add(n)
-	}
+	fetches      atomic.Int64 // block requests served
+	fetchNanos   atomic.Int64 // inside rt.Stage.Fetch
+	collectNanos atomic.Int64 // inside rt.Stage.Collect
 }
 
 func (m *wireMeter) countResult(ob spec.OutBlock) {
@@ -607,14 +604,6 @@ func (c *Coordinator) RunSpecStage(st *rt.Stage) error {
 		stage = cluster.Stats{Stages: 1, Tasks: sp.NumTasks} // the tasks' metering, under mu
 	)
 	o := c.getObs()
-	if o.Tracing() {
-		// Label the merged timeline's process tracks: the coordinator's own
-		// spans on PIDLocal, each worker's shipped spans on its own track.
-		o.Trace.SetProcessName(obs.PIDLocal, "coordinator")
-		for _, w := range ws {
-			o.Trace.SetProcessName(obs.PIDWorkerBase+w.id, fmt.Sprintf("worker %d (%s)", w.id, w.addr))
-		}
-	}
 	steals, err := c.local.Dispatch(sp.Name, sp.NumTasks, active, func(node, taskID, attempt int) error {
 		if attempt > 0 {
 			o.Counter(obs.MRetriesTotal).Inc()
@@ -649,7 +638,10 @@ func (c *Coordinator) RunSpecStage(st *rt.Stage) error {
 		mu.Lock()
 		stage.Add(done.Metrics)
 		mu.Unlock()
-		return st.Collect(taskID, done.blocks)
+		collect := time.Now()
+		err = st.Collect(taskID, done.blocks)
+		wire.collectNanos.Add(int64(time.Since(collect)))
+		return err
 	})
 	if err != nil {
 		return err
@@ -661,6 +653,9 @@ func (c *Coordinator) RunSpecStage(st *rt.Stage) error {
 	stage.AggregationBytes = wire.aggregation.Load()
 	stage.ExtraWireBytes = wire.extra.Load()
 	stage.StealTasks = steals
+	stage.FetchCalls = wire.fetches.Load()
+	stage.FetchServeSeconds = time.Duration(wire.fetchNanos.Load()).Seconds()
+	stage.CollectSeconds = time.Duration(wire.collectNanos.Load()).Seconds()
 	stage.WallSeconds = time.Since(start).Seconds()
 	stage.SimSeconds = stage.WallSeconds
 	c.local.AddStats(stage)
@@ -793,11 +788,9 @@ func (c *Coordinator) serveTask(s *stream, st *rt.Stage, taskID int, gen uint64,
 			if err != nil {
 				return res, true, err
 			}
-			n, err := serveFetch(s, st, ref)
-			if err != nil {
+			if err := wire.serveFetch(s, st, ref, colocated); err != nil {
 				return res, true, transportError{err}
 			}
-			wire.countFetch(ref, n, colocated)
 		case msgDone:
 			if err := s.decodeGob(payload, &res.taskDone); err != nil {
 				return res, true, err
@@ -818,17 +811,33 @@ func (c *Coordinator) serveTask(s *stream, st *rt.Stage, taskID int, gen uint64,
 	}
 }
 
-// serveFetch resolves one block request and sends the msgBlock reply. n is
-// the reply's metered wire size (the FME1 bytes, or the error text); err is a
-// transport failure of the reply itself.
-func serveFetch(s *stream, st *rt.Stage, ref spec.BlockRef) (n int64, err error) {
-	m, ferr := st.Fetch(ref)
-	if ferr != nil {
+// serveFetch resolves one block request, sends the msgBlock reply and meters
+// it: the call, the time inside st.Fetch and the reply's wire size (the FME1
+// bytes, or the error text) — consolidation for a non-colocated input, extra
+// otherwise. err is a transport failure of the reply itself.
+func (m *wireMeter) serveFetch(s *stream, st *rt.Stage, ref spec.BlockRef, colocated map[int]bool) error {
+	from := time.Now()
+	blk, ferr := st.Fetch(ref)
+	m.fetchNanos.Add(int64(time.Since(from)))
+	m.fetches.Add(1)
+	var n int64
+	var err error
+	switch {
+	case ferr != nil:
 		msg := ferr.Error()
-		return int64(len(msg)), s.send(append(append(s.begin(msgBlock), blockError), msg...))
+		n, err = int64(len(msg)), s.send(append(append(s.begin(msgBlock), blockError), msg...))
+	case blk == nil:
+		err = s.writeBlock(nil)
+	default:
+		n, err = int64(matrix.EncodedSize(blk)), s.writeBlock(blk)
 	}
-	if m == nil {
-		return 0, s.writeBlock(nil)
+	if err != nil {
+		return err
 	}
-	return int64(matrix.EncodedSize(m)), s.writeBlock(m)
+	if ref.Kind == spec.RefInput && !colocated[ref.Node] {
+		m.consolidation.Add(n)
+	} else {
+		m.extra.Add(n)
+	}
+	return nil
 }

@@ -408,7 +408,7 @@ func fetchOver(t testing.TB, worker, coord *stream, st *rt.Stage, bi int, arena 
 		if err == nil {
 			var ref spec.BlockRef
 			if ref, err = decodeRef(payload); err == nil {
-				_, err = serveFetch(coord, st, ref)
+				err = new(wireMeter).serveFetch(coord, st, ref, nil)
 			}
 		}
 		served <- err
@@ -590,7 +590,7 @@ func TestWireAllocBudget(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := serveFetch(coord, st, got); err != nil {
+			if err := new(wireMeter).serveFetch(coord, st, got, nil); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := io.ReadFull(peer2.conn, sink); err != nil {

@@ -22,7 +22,8 @@
 // cluster.Stats reaches its caller through the stage (Stage.Report), and so
 // does each of its task attempts, as an obs.TaskSample carrying the task's
 // own cluster.Stats: from the wrapped closure on the in-process path, from a
-// descriptor runtime's dispatch lane through Stage.TaskDone.
+// descriptor runtime's dispatch lane through Stage.TaskDone; traced, the
+// sample is the journal task event a trace renders (obs.ChromeTrace).
 //
 // Both backends also schedule a stage on the one stage driver, sched.Run, and
 // differ only in one attempt of a task: a call of the task body in-process,

@@ -21,12 +21,14 @@ const EnvCacheBytes = "FUSEME_CACHE_BYTES"
 // WithJournal). Unset leaves journaling off.
 const EnvJournal = "FUSEME_JOURNAL"
 
-// WithTracing enables the span recorder: plan, stage and task spans are
-// collected and can be exported with Session.WriteTrace. Without this option
-// the recorder is nil and the instrumentation reduces to pointer checks.
+// WithTracing keeps every query's journal events, plus a task event per task
+// attempt with the body's fetch/kernel/cache/send sub-spans, until
+// ResetObservations; Session.WriteTrace renders them (obs.ChromeTrace). A
+// WithJournal sink receives the same events, so it renders the same trace
+// offline. Without this option the instrumentation reduces to pointer checks.
 func WithTracing() Option {
 	return func(s *Session) error {
-		s.obs.Trace = obs.NewRecorder()
+		s.obs.Trace, s.timeline = true, new(obs.Timeline)
 		return nil
 	}
 }
@@ -170,27 +172,34 @@ func (s *Session) MetricsSnapshot() (obs.Snapshot, error) {
 	return s.obs.Metrics.Snapshot(), nil
 }
 
-// WriteTrace exports the recorded spans as Chrome trace_event JSON, loadable
+// WriteTrace renders the events of every query since the last
+// ResetObservations as Chrome trace_event JSON (obs.ChromeTrace), loadable
 // in chrome://tracing or ui.perfetto.dev. Tracing must be enabled with
 // WithTracing.
 func (s *Session) WriteTrace(w io.Writer) error {
-	if s.obs.Trace == nil {
-		return errors.New("fuseme: tracing not enabled (use WithTracing)")
+	doc, err := s.chromeTrace()
+	if err == nil {
+		_, err = w.Write(doc)
 	}
-	return s.obs.Trace.WriteChromeTrace(w)
+	return err
 }
 
-// WriteTraceFile is WriteTrace to a file path.
+// WriteTraceFile is WriteTrace to a file path. An untraced session creates
+// no file.
 func (s *Session) WriteTraceFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+	doc, err := s.chromeTrace()
+	if err == nil {
+		err = os.WriteFile(path, doc, 0o666)
 	}
-	if err := s.WriteTrace(f); err != nil {
-		f.Close()
-		return err
+	return err
+}
+
+// chromeTrace renders the session's timeline.
+func (s *Session) chromeTrace() ([]byte, error) {
+	if s.timeline == nil {
+		return nil, errors.New("fuseme: tracing not enabled (use WithTracing)")
 	}
-	return f.Close()
+	return obs.ChromeTrace(s.timeline.Events())
 }
 
 // Report renders the cost-model calibration report: every executed
@@ -216,9 +225,13 @@ func (s *Session) CalibrationReport() *obs.Report {
 	return rep
 }
 
-// ResetObservations clears accumulated spans, calibration records and metric
-// counters (gauges keep their last value).
-func (s *Session) ResetObservations() { s.obs.Reset() }
+// ResetObservations clears the traced events, calibration records, metric
+// counters (gauges keep their last value) and the per-worker slowdown
+// history.
+func (s *Session) ResetObservations() {
+	s.obs.Reset()
+	s.timeline.Reset()
+}
 
 // ExplainCosts compiles a script and returns the physical plan description
 // followed by each fused operator's predicted cost breakdown — the chosen

@@ -36,7 +36,7 @@ func TestSessionTracingAndMetricsSim(t *testing.T) {
 
 	// Span structure: one plan span, at least one stage span carrying the
 	// cuboid (P,Q,R) attributes, and task spans nested inside stages.
-	events := sess.obs.Trace.Events()
+	events := traceSpans(t, sess)
 	var plan, stages, tasks int
 	var cuboidStage *obs.TraceEvent
 	for i, ev := range events {
@@ -118,7 +118,7 @@ func TestSessionTracingAndMetricsSim(t *testing.T) {
 
 	// ResetObservations clears all three collectors.
 	sess.ResetObservations()
-	if n := sess.obs.Trace.Len(); n != 0 {
+	if n := len(traceSpans(t, sess)); n != 0 {
 		t.Errorf("trace has %d events after reset", n)
 	}
 	snap, _ = sess.MetricsSnapshot()
