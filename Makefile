@@ -34,21 +34,24 @@ build:
 
 ## race: every test under the race detector with a coverage profile — the
 ## output goes to race.log, whose last 200 lines are printed when it fails —
-## then the one test that needs the kernelcount tag (the assembly kernels are
-## the path at the benchmark's block shapes; the tag compiles call counters
-## in), the kernel, fused-task and block-grid micro-benchmarks
+## then the two tests that need the kernelcount tag (the tag compiles call
+## counters in: the assembly kernels are the path at the benchmark's block
+## shapes, and a GNMF iteration with rebind counts no dense block twice), the
+## kernel, fused-task and block-grid micro-benchmarks
 ## (BenchmarkUnaryStrip and BenchmarkMatrixGrid among them), the two observability overhead guards (disabled fast path,
 ## journal < 2 %) and the FME1 wire benchmark (codec, loopback-socket and
 ## arena arms) once each so they cannot rot. The tests of what runs
 ## concurrently since the executor walks the plan DAG — the executor itself,
 ## stage lists and journals kept in plan order, per-stage stats, shared node
-## lanes, block-cache visibility and the task samples each stage is handed —
+## lanes, block-cache visibility, the task samples each stage is handed and
+## the non-zero counts concurrent tasks fold into a result under its sink's
+## lock, with the kept total they give a matrix —
 ## run again ten times at GOMAXPROCS=2, so an ordering flake shows here
 ## rather than in a single tier-1 run. Every alternative of DAGTESTS must
 ## name a test of DAGPKGS: one that matches none fails the target before
 ## anything runs, so a renamed test cannot drop out of the rerun unnoticed
-DAGTESTS = Executor|GoldenStageLists|HitDispatches|ConformanceJournal|ConformanceBlockCache|FlightPeakMem|PipelineDiffGNMF|RemoteCache|RemoteGNMFCache|BlockCacheMatchesSim|MultiAggBlockCache|Visibility|Scopes|Overlapping|SharesNodeLanes|QueryLogParts|OwnTaskSamples|TraceShapeUnchanged|OfflineTraceEqualsLive|JournalCarriesLayerMetrics|TraceCoversEveryQuery
-DAGPKGS = . ./internal/core ./internal/exec ./internal/rt/... ./internal/blockcache ./internal/obs ./internal/sched ./internal/plancache
+DAGTESTS = Executor|GoldenStageLists|HitDispatches|ConformanceJournal|ConformanceBlockCache|FlightPeakMem|PipelineDiffGNMF|RemoteCache|RemoteGNMFCache|BlockCacheMatchesSim|MultiAggBlockCache|Visibility|Scopes|Overlapping|SharesNodeLanes|QueryLogParts|OwnTaskSamples|TraceShapeUnchanged|OfflineTraceEqualsLive|JournalCarriesLayerMetrics|TraceCoversEveryQuery|MatrixNNZMatchesScan|ReboundOutputDensityExact
+DAGPKGS = . ./internal/core ./internal/exec ./internal/rt/... ./internal/blockcache ./internal/obs ./internal/sched ./internal/plancache ./internal/block
 race:
 	@listed="$$($(GO) test -list '$(DAGTESTS)' $(DAGPKGS))" || { echo "$$listed"; exit 1; }; \
 	for alt in $$(echo '$(DAGTESTS)' | tr '|' ' '); do \
@@ -58,7 +61,7 @@ race:
 	@$(GO) test -race -count=1 -coverprofile=coverage.out -covermode=atomic ./... > race.log 2>&1 || \
 		{ echo "go test -race failed; the last 200 lines of race.log:"; tail -n 200 race.log; exit 1; }
 	GOMAXPROCS=2 $(GO) test -race -count=10 -run '$(DAGTESTS)' $(DAGPKGS)
-	$(GO) test -tags kernelcount -run FastPathIsThePath ./internal/matrix
+	$(GO) test -tags kernelcount -run 'FastPathIsThePath|NoCountScanOnRebind' . ./internal/matrix
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/matrix ./internal/exec ./internal/block
 	$(GO) test -run '^$$' -bench 'Overhead$$|BlockWire' -benchtime 1x .
 

@@ -26,6 +26,15 @@
 // without copying — an operator's output may hold its input's very block —
 // and what makes (node, epoch, coordinate) a sound cache key. Kernels write
 // only into buffers their task allocated (see internal/matrix, internal/exec).
+//
+// Counts: a Matrix keeps its non-zero total as blocks are stored, so NNZ and
+// Density — asked of every bound input on every query — read a number. The
+// count comes from where the block was made: a CSR block brings its own, the
+// executor's result sink counts each final block once as a task stores it
+// (SetCounted), FromMat counts the values it copies, RandomDense over a range
+// above zero holds no zero, and Clone and Transpose carry the total over. A
+// dense block stored without a count (SetBlock), or replaced, leaves the
+// total to one scan on the next NNZ.
 package block
 
 import (
@@ -61,7 +70,7 @@ type Matrix struct {
 	grid       []matrix.Mat // br×bc cells, row-major; nil = all-zero block
 	stored     int          // non-nil cells of grid
 	epoch      uint64       // content version; see epochCounter
-	nnz        atomic.Int64 // NNZ()+1 once counted; 0 until then and after restamp
+	nnz        atomic.Int64 // NNZ()+1 while the total is kept; 0 when NNZ must scan
 }
 
 // New returns an empty (all-zero) blocked matrix.
@@ -70,8 +79,10 @@ func New(rows, cols, blockSize int) *Matrix {
 		panic(fmt.Sprintf("block: invalid shape %dx%d bs=%d", rows, cols, blockSize))
 	}
 	br, bc := ceilDiv(rows, blockSize), ceilDiv(cols, blockSize)
-	return &Matrix{Rows: rows, Cols: cols, BlockSize: blockSize,
+	m := &Matrix{Rows: rows, Cols: cols, BlockSize: blockSize,
 		br: br, bc: bc, grid: make([]matrix.Mat, br*bc), epoch: nextEpoch()}
+	m.nnz.Store(1) // no blocks, no non-zeros
+	return m
 }
 
 // Epoch returns the matrix's content version: a globally-unique counter value
@@ -112,9 +123,11 @@ func (m *Matrix) Block(bi, bj int) matrix.Mat {
 	return m.grid[bi*m.bc+bj]
 }
 
-// put stores blk (nil: none) in the cell of grid position (bi, bj), which
-// must lie inside the grid, and keeps the stored-block count.
-func (m *Matrix) put(bi, bj int, blk matrix.Mat) {
+// put stores blk (nil: none), holding nnz non-zeros (-1: not known), in the
+// cell of grid position (bi, bj), which must lie inside the grid, and keeps
+// the stored-block count and the non-zero total. The total is dropped, for
+// NNZ to scan, when either blk or the block it replaces has no known count.
+func (m *Matrix) put(bi, bj int, blk matrix.Mat, nnz int) {
 	cell := &m.grid[bi*m.bc+bj]
 	switch {
 	case *cell == nil && blk != nil:
@@ -122,7 +135,27 @@ func (m *Matrix) put(bi, bj int, blk matrix.Mat) {
 	case *cell != nil && blk == nil:
 		m.stored--
 	}
+	if t := m.nnz.Load(); t > 0 {
+		if old := count(*cell); old >= 0 && nnz >= 0 {
+			m.nnz.Store(t - int64(old) + int64(nnz))
+		} else {
+			m.nnz.Store(0)
+		}
+	}
 	*cell = blk
+}
+
+// count returns the non-zero count blk brings with it: none for an all-zero
+// block, the stored values of a CSR block; -1 for a dense block, whose count
+// takes a scan.
+func count(blk matrix.Mat) int {
+	switch b := blk.(type) {
+	case nil:
+		return 0
+	case *matrix.CSR:
+		return b.NNZ()
+	}
+	return -1
 }
 
 // CheckBlock reports why blk may not be stored at grid position (bi, bj):
@@ -145,18 +178,18 @@ func (m *Matrix) CheckBlock(bi, bj int, blk matrix.Mat) error {
 // SetBlock stores blk at grid position (bi, bj); it panics where CheckBlock
 // reports an error. A nil blk deletes the block (all-zero).
 func (m *Matrix) SetBlock(bi, bj int, blk matrix.Mat) {
+	m.SetCounted(bi, bj, blk, count(blk))
+}
+
+// SetCounted is SetBlock for a block whose non-zero count nnz the caller
+// took where the block was made (-1: not known), so NNZ keeps its total
+// rather than scanning the block again.
+func (m *Matrix) SetCounted(bi, bj int, blk matrix.Mat, nnz int) {
 	if err := m.CheckBlock(bi, bj, blk); err != nil {
 		panic(err.Error())
 	}
-	m.put(bi, bj, blk)
-	m.restamp()
-}
-
-// restamp marks a change of the block grid: a fresh content epoch, and the
-// non-zero count is no longer known.
-func (m *Matrix) restamp() {
+	m.put(bi, bj, blk, nnz)
 	m.epoch = nextEpoch()
-	m.nnz.Store(0)
 }
 
 // NumStoredBlocks returns the number of explicitly stored (non-zero) blocks.
@@ -189,10 +222,12 @@ func (m *Matrix) At(i, j int) float64 {
 	return blk.At(i%m.BlockSize, j%m.BlockSize)
 }
 
-// NNZ returns the total number of stored non-zeros across blocks. Blocks are
-// immutable, so the count is taken once per content epoch — a session asks
-// for the density of every bound input on every query — and concurrent
-// readers of one matrix may both take it: they store the same number.
+// NNZ returns the total number of stored non-zeros across blocks. The matrix
+// keeps the total as blocks are stored (put) — a session asks for the density
+// of every bound input on every query — and scans only when a block of
+// unknown count was stored or replaced since the last count. Blocks are
+// immutable, so concurrent readers of one matrix may both scan: they store
+// the same number.
 func (m *Matrix) NNZ() int {
 	if n := m.nnz.Load(); n > 0 {
 		return int(n - 1)
@@ -235,6 +270,7 @@ func (m *Matrix) Clone() *Matrix {
 		}
 	}
 	out.stored = m.stored
+	out.nnz.Store(m.nnz.Load())
 	return out
 }
 
@@ -261,7 +297,7 @@ func FromMat(src matrix.Mat, blockSize int) *Matrix {
 			if nnz == 0 {
 				continue
 			}
-			out.put(bi, bj, matrix.MaybeCompress(blk, matrix.SparseResultThreshold))
+			out.put(bi, bj, matrix.MaybeCompress(blk, matrix.SparseResultThreshold), nnz)
 		}
 	}
 	return out
@@ -311,23 +347,30 @@ func AddInto(dst, src *Matrix) {
 	src.ForEach(func(k Key, blk matrix.Mat) {
 		cur := dst.Block(k.Row, k.Col)
 		if cur == nil {
-			dst.put(k.Row, k.Col, blk.Clone())
+			dst.put(k.Row, k.Col, blk.Clone(), count(blk))
 			return
 		}
-		dst.put(k.Row, k.Col, matrix.Binary(matrix.Add, cur, blk))
+		sum := matrix.Binary(matrix.Add, cur, blk)
+		dst.put(k.Row, k.Col, sum, count(sum))
 	})
-	dst.restamp()
+	dst.epoch = nextEpoch()
 }
 
 // RandomDense generates a blocked dense matrix with entries in [lo, hi),
-// block by block (no full materialisation), deterministically from seed.
+// block by block (no full materialisation), deterministically from seed. A
+// range above zero holds no zero, so every cell is counted without a scan;
+// any other range leaves the count to NNZ.
 func RandomDense(rows, cols, blockSize int, lo, hi float64, seed int64) *Matrix {
 	out := New(rows, cols, blockSize)
 	for bi := 0; bi < out.BlockRows(); bi++ {
 		for bj := 0; bj < out.BlockCols(); bj++ {
 			br, bc := out.BlockDims(bi, bj)
 			s := seed*1_000_003 + int64(bi)*131 + int64(bj)
-			out.put(bi, bj, matrix.RandomDense(br, bc, lo, hi, s))
+			nnz := -1
+			if lo > 0 && hi >= lo { // lo + u·(hi-lo) ≥ lo for u in [0, 1)
+				nnz = br * bc
+			}
+			out.put(bi, bj, matrix.RandomDense(br, bc, lo, hi, s), nnz)
 		}
 	}
 	return out
@@ -346,7 +389,7 @@ func RandomSparse(rows, cols, blockSize int, density, lo, hi float64, seed int64
 			if blk.NNZ() == 0 {
 				continue
 			}
-			out.put(bi, bj, blk)
+			out.put(bi, bj, blk, blk.NNZ())
 		}
 	}
 	return out
@@ -357,8 +400,9 @@ func RandomSparse(rows, cols, blockSize int, density, lo, hi float64, seed int64
 func Transpose(m *Matrix) *Matrix {
 	out := New(m.Cols, m.Rows, m.BlockSize)
 	m.ForEach(func(k Key, blk matrix.Mat) {
-		out.put(k.Col, k.Row, matrix.Transpose(blk))
+		out.put(k.Col, k.Row, matrix.Transpose(blk), -1)
 	})
+	out.nnz.Store(m.nnz.Load()) // a transpose moves every value, zero or not
 	return out
 }
 
@@ -388,7 +432,7 @@ func RandomSparseSkewed(rows, cols, blockSize int, density, skew, lo, hi float64
 			if blk.NNZ() == 0 {
 				continue
 			}
-			out.put(bi, bj, blk)
+			out.put(bi, bj, blk, blk.NNZ())
 		}
 	}
 	return out

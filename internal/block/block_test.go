@@ -198,10 +198,10 @@ func (b countedBlock) NNZ() int {
 }
 
 // TestDensityCachedAndInvalidated: a session asks every bound input for its
-// density on every query, so the blocks are scanned once per content epoch,
-// not once per call — from any number of concurrent sessions — and every way
-// of replacing a block (SetBlock, deleting one, AddInto) makes the next call
-// count again.
+// density on every query, so blocks of unknown count are scanned once per
+// content epoch, not once per call — from any number of concurrent sessions —
+// replacing one (SetBlock with another, deleting it) makes the next call
+// count again, and AddInto's total is exact.
 func TestDensityCachedAndInvalidated(t *testing.T) {
 	const rows, cols, bs = 16, 24, 8
 	var scans atomic.Int64

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"fuseme/internal/matrix"
@@ -228,5 +229,81 @@ func BenchmarkMatrixGrid(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestMatrixNNZMatchesScan holds the non-zero total a Matrix keeps to a fresh
+// block-by-block scan, after every step of seeded random sequences: SetBlock
+// with dense, CSR and nil blocks and over stored ones, SetCounted with a
+// dense block's count (as a result sink stores it), AddInto, Clone, Transpose
+// and the generators. Each step takes one to three changes before the total
+// is read, so changes land on a kept total and on a dropped one. A total kept
+// from counts alone — CSR and SetCounted blocks, RandomDense over a positive
+// range — is read without scanning a block.
+func TestMatrixNNZMatchesScan(t *testing.T) {
+	scan := func(m *Matrix) int {
+		n := 0
+		m.ForEach(func(_ Key, blk matrix.Mat) { n += blk.NNZ() })
+		return n
+	}
+	for seq := 0; seq < 40; seq++ {
+		r := rand.New(rand.NewSource(int64(1000 + seq)))
+		bs := 1 + r.Intn(5)
+		rows, cols := 1+r.Intn(4*bs), 1+r.Intn(4*bs)
+		m := New(rows, cols, bs)
+		for step := 0; step < 30; step++ {
+			var names []string
+			for change := 0; change <= r.Intn(3); change++ {
+				bi, bj := r.Intn(m.BlockRows()), r.Intn(m.BlockCols())
+				switch op := r.Intn(12); {
+				case op < 5:
+					blk := randomBlock(r, m, bi, bj)
+					names = append(names, fmt.Sprintf("SetBlock(%d,%d,%T)", bi, bj, blk))
+					m.SetBlock(bi, bj, blk)
+				case op < 7:
+					br, bc := m.BlockDims(bi, bj)
+					blk := matrix.RandomSparse(br, bc, 0.5, -1, 1, r.Int63()) // zeros among the values
+					d := matrix.ToDense(blk)
+					names = append(names, fmt.Sprintf("SetCounted(%d,%d)", bi, bj))
+					m.SetCounted(bi, bj, d, d.NNZ())
+				case op < 8:
+					names = append(names, "AddInto")
+					src := New(m.Rows, m.Cols, bs)
+					src.SetBlock(bi, bj, randomBlock(r, src, bi, bj))
+					AddInto(m, src)
+				case op < 9:
+					names = append(names, "Clone")
+					m = m.Clone()
+				case op < 10:
+					names = append(names, "Transpose")
+					m = Transpose(m)
+				case op < 11:
+					names = append(names, "RandomSparse")
+					m = RandomSparse(m.Rows, m.Cols, bs, r.Float64(), -1, 1, r.Int63())
+				default:
+					lo := float64(r.Intn(3) - 1) // ranges with zero inside, at an end, and above it
+					names = append(names, fmt.Sprintf("RandomDense(lo=%v)", lo))
+					m = RandomDense(m.Rows, m.Cols, bs, lo, lo+1, r.Int63())
+				}
+			}
+			if got, want := m.NNZ(), scan(m); got != want {
+				t.Fatalf("seq %d step %d %v: NNZ() = %d, a scan counts %d", seq, step, names, got, want)
+			}
+		}
+	}
+
+	var scans atomic.Int64
+	counted := func(blk matrix.Mat) countedBlock { return countedBlock{blk, &scans} }
+	m := New(24, 16, 8)
+	m.SetCounted(0, 0, counted(matrix.RandomDense(8, 8, 1, 2, 1)), 64)
+	m.SetCounted(1, 1, counted(matrix.RandomDense(8, 8, 1, 2, 2)), 64)
+	m.SetBlock(2, 0, matrix.RandomSparse(8, 8, 0.3, 1, 2, 3))
+	for _, k := range []*Matrix{m, m.Clone(), RandomDense(24, 16, 8, 0.1, 0.9, 4), Transpose(RandomDense(16, 24, 8, 0.1, 0.9, 5))} {
+		if got, want := k.NNZ(), scan(k); got != want {
+			t.Errorf("NNZ() = %d, a scan counts %d", got, want)
+		}
+	}
+	if n := scans.Load(); n != 2 { // the test's own scan of m's two counted blocks
+		t.Errorf("kept totals scanned the counted blocks %d times", n-2)
 	}
 }

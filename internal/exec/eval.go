@@ -46,7 +46,7 @@ type memoEntry struct {
 	leftT   *matrix.Dense // its retained, charged transpose as a dense left operand (evalMatMul)
 	held    bool          // blk is memoised, pinned or fetched
 	fetched bool          // the block was fetched and metered (or broadcast, or a cache hit)
-	charged bool          // a retained transpose: charged once, built or folded
+	charged bool          // a retained transpose's memory: charged once, built or folded
 }
 
 // A memo key packs (node ID, block row, block column) into one word: the
@@ -152,7 +152,10 @@ func (ev *evaluator) evalBlock(n *dag.Node, bi, bj int) matrix.Mat {
 	return blk
 }
 
-// computeBlock computes block (bi, bj) of the member n.
+// computeBlock computes block (bi, bj) of the member n. A transpose built
+// here is charged what building it moves (matrix.TransposeFlops): every time
+// for a streamed node, once per task for a retained one, whose block evalBlock
+// holds.
 func (ev *evaluator) computeBlock(n *dag.Node, bi, bj int) matrix.Mat {
 	switch n.Op {
 	case dag.OpUnary, dag.OpBinary:
@@ -165,6 +168,7 @@ func (ev *evaluator) computeBlock(n *dag.Node, bi, bj int) matrix.Mat {
 		if child == nil {
 			return nil
 		}
+		ev.task.AddFlops(matrix.TransposeFlops(child))
 		return matrix.TransposeWith(ev.pool, child)
 	case dag.OpMatMul:
 		return ev.evalMatMul(n, bi, bj)
@@ -174,22 +178,17 @@ func (ev *evaluator) computeBlock(n *dag.Node, bi, bj int) matrix.Mat {
 }
 
 // transposedChild returns the block c whose transpose is block (bi, bj) of
-// the transpose node n, and charges the transpose — flops, and task memory
-// when n is retained — exactly as building it does: every time for a
-// streamed node, once per task for a retained one. A transpose-aware kernel
-// reads c directly, so the transposed block is never built.
+// the transpose node n, and charges a retained n's block to task memory once
+// per task, built or not. It charges no flops: a kernel that reads n in place
+// (a folded n, Plan.Folded) moves nothing, and computeBlock charges the build
+// of any other.
 func (ev *evaluator) transposedChild(n *dag.Node, bi, bj int) matrix.Mat {
 	c := ev.evalBlock(n.Inputs[0], bj, bi)
-	if c == nil {
+	if c == nil || !ev.shouldMemo(n) {
 		return c
 	}
 	key := ev.memoKey(n.ID, bi, bj)
-	e := ev.memo[key]
-	if e.charged {
-		return c
-	}
-	ev.task.AddFlops(int64(c.NNZ()))
-	if ev.shouldMemo(n) {
+	if e := ev.memo[key]; !e.charged {
 		e.charged = true
 		ev.memo[key] = e
 		size := c.SizeBytes()
@@ -345,7 +344,7 @@ func (ev *evaluator) evalMatMul(n *dag.Node, bi, bj int) matrix.Mat {
 		lo, hi = ev.kLo, ev.kHi
 	}
 	rows, cols := ev.blockDims(n, bi, bj)
-	folded := left.Op == dag.OpTranspose && ev.pc.member(left)
+	folded := ev.pc.role(left.ID)&roleFolded != 0
 	if ra := ev.src.ahead(); ra != nil {
 		refs := ra.refs[:0]
 		for bk := lo; bk < hi; bk++ {

@@ -151,7 +151,7 @@ func (ev *evaluator) maskedMM(bi, bj int) (*matrix.CSR, []float64) {
 	}
 	mm := ev.pc.plan.MainMM
 	left, right := mm.Inputs[0], mm.Inputs[1]
-	folded := right.Op == dag.OpTranspose && ev.pc.member(right)
+	folded := ev.pc.role(right.ID)&roleFolded != 0
 	for bk := ev.kLo; bk < ev.kHi; bk++ {
 		// The SDDMM takes dot(A[i,:], Bt[j,:]), its right operand transposed:
 		// under a member t(B) that is B's own row-major block, read where it

@@ -229,11 +229,16 @@ func TestGNMFUpdateNestedMM(t *testing.T) {
 	// block against each of X's 10 CSR blocks, which hold 154 zeros between
 	// them; each such block meets the 6 output rows once, and is charged
 	// 2·rows·nnz, not 2·rows·k·cols: 2·6·154 = 1848 below the pins of c238734
-	// (10632, 15000, 19368) at every (P,Q,R).
+	// (10632, 15000, 19368) at every (P,Q,R). The member transposes t(V) and
+	// t(W) are read in place and charged nothing, where c238734 charged each
+	// of their 156 values to every task that read it: t(V)'s to the Q tasks
+	// of its L-space, t(W)'s — half of it per output block row when P = 2 —
+	// to the P·Q tasks of the output plane: 156+156, 3·156+3·156 and
+	// 5·156+10·78 flops.
 	for _, c := range []struct {
 		p, q, r int
 		flops   int64
-	}{{1, 1, 1, 10632 - 1848}, {1, 3, 2, 15000 - 1848}, {2, 5, 6, 19368 - 1848}} {
+	}{{1, 1, 1, 10632 - 1848 - 312}, {1, 3, 2, 15000 - 1848 - 936}, {2, 5, 6, 19368 - 1848 - 1560}} {
 		cl := runAndCompare(t, g, flats, &FusedOp{Plan: plan, P: c.p, Q: c.q, R: c.r}, bs)
 		if got := cl.Stats().Flops; got != c.flops {
 			t.Errorf("P=%d Q=%d R=%d: charged %d flops, want %d", c.p, c.q, c.r, got, c.flops)

@@ -58,6 +58,7 @@ type role uint8
 const (
 	roleMember   role = 1 << iota // a member of the plan (Plan.Contains)
 	roleRetained                  // a task retains the node's blocks (an input's always are)
+	roleFolded                    // a member transpose its consumer reads in place (Plan.Folded)
 )
 
 // role returns node id's role in the plan.
@@ -92,8 +93,15 @@ func newPlanCtx(p *fusion.Plan, noMask bool) *planCtx {
 		}
 		pc.roles[id] |= r
 	}
-	for id := range p.Members {
+	var masked *dag.Node
+	if pc.mask != nil {
+		masked = p.MainMM
+	}
+	for id, n := range p.Members {
 		mark(id, roleMember)
+		if p.Folded(n, masked) {
+			mark(id, roleFolded)
+		}
 	}
 	for id, s := range p.NodeSpaces() {
 		if s == fusion.SpaceL || s == fusion.SpaceR {

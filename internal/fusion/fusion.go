@@ -116,6 +116,26 @@ func (p *Plan) MatMuls() []*dag.Node {
 	return out
 }
 
+// Folded reports whether the member transpose n is read where its child's
+// blocks lie and never built: its one consumer is a multiplication whose
+// kernel takes that operand transposed — the dense products their left
+// operand, through swapped strides; the masked SDDMM (masked is the main
+// multiplication of an outer-fusion plan, nil for none) its right operand, as
+// the rows of the child. The executor folds exactly these transposes and
+// meters them at no flops (a CSR child block under a folded left operand is
+// still built, and metered, at run time). The cost model keeps Eq. 5's
+// nnz(child) per replica for every member transpose: pricing folded ones at
+// zero removes the only term that tells the NMF kernel's (P,1,1) and (1,Q,1)
+// apart, and moves the repository benchmark's nmfk_sim plan.
+func (p *Plan) Folded(n, masked *dag.Node) bool {
+	cs := n.Consumers()
+	if n.Op != dag.OpTranspose || n == p.Root || !p.Contains(n) || len(cs) != 1 {
+		return false
+	}
+	c := cs[0]
+	return c.Op == dag.OpMatMul && c.Inputs[0] != c.Inputs[1] && (c.Inputs[1] == n) == (c == masked)
+}
+
 // Validate checks the structural invariants of a partial fusion plan:
 // the member set is a tree rooted at Root (every non-root member has exactly
 // one consumer, which is also a member), members are operators (not leaves),

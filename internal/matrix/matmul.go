@@ -24,9 +24,10 @@ const (
 )
 
 // The levels of assembly support, in order: a machine runs the widest form a
-// kernel has at or below its simdLevel. Only the dense GEMM has a form at
-// levelAVX512; the SDDMM, the sparse x dense row kernels and the unary strips
-// stop at levelAVX2 — they wait on cache fills, not on arithmetic (a ZMM form
+// kernel has at or below its simdLevel. Only the dense GEMM and the dense
+// non-zero count (nnzAVX512) have a form at levelAVX512, and the count has
+// none at levelAVX2; the SDDMM, the sparse x dense row kernels and the unary
+// strips stop at levelAVX2 — they wait on cache fills, not on arithmetic (a ZMM form
 // of the row kernels was measured on the benchmark's blocks and gained
 // nothing), and the SDDMM's and the strips' bits are defined by four lanes.
 const (
@@ -668,6 +669,16 @@ const transposeTile = 8
 
 // Transpose is TransposeWith on the serial path.
 func Transpose(a Mat) Mat { return TransposeWith(nil, a) }
+
+// TransposeFlops is what TransposeWith moves, the meter's charge for building
+// a transpose: every cell of a dense block, the stored values of a CSR one.
+func TransposeFlops(a Mat) int64 {
+	if s, ok := a.(*CSR); ok {
+		return int64(len(s.Val))
+	}
+	r, c := a.Dims()
+	return int64(r) * int64(c)
+}
 
 // TransposeWith returns the transpose of a, preserving representation. The
 // dense path copies into disjoint output rows split across p's kernel

@@ -56,6 +56,13 @@ func spmmRowsAVX(rowPtr, col *int, val *float64, rLo, rHi int, b, acc *float64, 
 //go:noescape
 func spmmTRowAVX(a *float64, col *int, val *float64, nnz int, accT *float64, ldT, m int)
 
+// nnzAVX512 is nnzPortable over the n values at x, n a multiple of 8, at
+// levelAVX512: eight compares against zero per instruction and a popcount of
+// the mask. Implemented in matmul_amd64.s.
+//
+//go:noescape
+func nnzAVX512(x *float64, n int) int
+
 // fmaPeakAVX2 and fmaPeakAVX512 run n rounds of twelve (YMM) and sixteen (ZMM)
 // independent fused multiply-adds on registers alone — the ceiling
 // BenchmarkFMAPeak states beside the GEMM's rate. Only that benchmark calls

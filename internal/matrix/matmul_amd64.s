@@ -611,3 +611,53 @@ peakloop512:
 	JNZ	peakloop512
 	VZEROUPPER
 	RET
+
+// func nnzAVX512(x *float64, n int) int
+//
+// The number of the n values at x (n a multiple of 8) that compare unequal
+// to zero: VCMPPD's NEQ_UQ predicate (4) against a zeroed register, so NaN
+// counts and -0 does not, as v != 0 has it in Go. Thirty-two values per step
+// in four compares, then eight per step; each compare's mask is counted by
+// POPCNT, which every AVX-512 machine has.
+TEXT ·nnzAVX512(SB), NOSPLIT, $0-24
+	MOVQ	x+0(FP), SI
+	MOVQ	n+8(FP), CX
+	XORQ	DX, DX
+	VPXORQ	Z0, Z0, Z0
+	CMPQ	CX, $32
+	JLT	nnz8
+nnz32:
+	VCMPPD	$4, (SI), Z0, K1
+	VCMPPD	$4, 64(SI), Z0, K2
+	VCMPPD	$4, 128(SI), Z0, K3
+	VCMPPD	$4, 192(SI), Z0, K4
+	KMOVW	K1, AX
+	KMOVW	K2, BX
+	KMOVW	K3, R8
+	KMOVW	K4, R9
+	POPCNTL	AX, AX
+	POPCNTL	BX, BX
+	POPCNTL	R8, R8
+	POPCNTL	R9, R9
+	ADDQ	AX, DX
+	ADDQ	BX, DX
+	ADDQ	R8, DX
+	ADDQ	R9, DX
+	ADDQ	$256, SI
+	SUBQ	$32, CX
+	CMPQ	CX, $32
+	JGE	nnz32
+nnz8:
+	CMPQ	CX, $8
+	JLT	nnzdone
+	VCMPPD	$4, (SI), Z0, K1
+	KMOVW	K1, AX
+	POPCNTL	AX, AX
+	ADDQ	AX, DX
+	ADDQ	$64, SI
+	SUBQ	$8, CX
+	JMP	nnz8
+nnzdone:
+	VZEROUPPER
+	MOVQ	DX, ret+16(FP)
+	RET

@@ -494,3 +494,65 @@ func BenchmarkFMAPeak(b *testing.B) {
 		})
 	}
 }
+
+// TestDenseNNZKernelMatchesPortable holds (*Dense).NNZ to one count at every
+// level the machine has: for every length 0–67 (the 32- and 8-value steps of
+// nnzAVX512 and every tail) at every start 0–7 values into a larger array,
+// over values where a wrong predicate shows — -0, NaN payloads, ±Inf,
+// subnormals — in each of special's regimes and with every value odd, it
+// counts what nnzPortable counts, and that is the number of values v != 0.
+func TestDenseNNZKernelMatchesPortable(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	check := func(t *testing.T, level int) {
+		atLevel(level, func() {
+			for n := 0; n <= 67; n++ {
+				for off := 0; off < 8; off++ {
+					for _, every := range append(specialRegimes, 1) {
+						x := specialEvery(rng, make([]float64, off+n+9), every, unit, anyOdd)[off : off+n : off+n]
+						want := 0
+						for _, v := range x {
+							if v != 0 {
+								want++
+							}
+						}
+						if p := nnzPortable(x); p != want {
+							t.Fatalf("n=%d off=%d: nnzPortable = %d, want %d", n, off, p, want)
+						}
+						if got := NewDenseData(1, n, x).NNZ(); got != want {
+							t.Fatalf("n=%d off=%d every=%d: NNZ = %d, want %d (values %v)", n, off, every, got, want, x)
+						}
+					}
+				}
+			}
+		})
+	}
+	t.Run("portable", func(t *testing.T) { check(t, levelPortable) })
+	t.Run("avx512", func(t *testing.T) {
+		if simdLevel < levelAVX512 {
+			t.Skip("CPU or OS lacks AVX-512F: the compare-and-popcount cannot run here")
+		}
+		check(t, levelAVX512)
+	})
+}
+
+var sinkNNZ int
+
+// BenchmarkDenseNNZ counts a 256x256 dense block — a result block of the
+// repository benchmark's GNMF and NMF workloads — at each level, in bytes
+// scanned per second.
+func BenchmarkDenseNNZ(b *testing.B) {
+	d := RandomDense(256, 256, -1, 1, 1)
+	for _, lv := range append([]kernelLevel{{"portable", levelPortable, ""}}, asmLevels[1:]...) {
+		b.Run(lv.name, func(b *testing.B) {
+			if simdLevel < lv.level {
+				b.Skip(lv.lacks)
+			}
+			atLevel(lv.level, func() {
+				b.SetBytes(d.SizeBytes())
+				for i := 0; i < b.N; i++ {
+					sinkNNZ = d.NNZ()
+				}
+			})
+		})
+	}
+}

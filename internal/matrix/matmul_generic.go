@@ -39,3 +39,7 @@ func expAVX(dst, src *float64, n int) int {
 func sigmoidAVX(dst, src *float64, n int) int {
 	panic("matrix: AVX kernel called on non-amd64")
 }
+
+func nnzAVX512(x *float64, n int) int {
+	panic("matrix: AVX kernel called on non-amd64")
+}

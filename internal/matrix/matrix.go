@@ -20,7 +20,8 @@
 // amd64 (matmul_amd64.s) and a portable Go twin that computes the same bits,
 // selected by simdLevel, one ordered value — portable, then AVX2 (AVX, FMA3,
 // AVX2 and OS YMM state), then AVX-512F with OS ZMM state; nothing else
-// dispatches, and only the dense GEMM has a form above AVX2. Dense GEMM is
+// dispatches, and only the dense GEMM and (*Dense).NNZ's count have a form
+// above AVX2. Dense GEMM is
 // fused multiply-add: every output element has one accumulator that takes
 // acc = fma(a, b, acc), k ascending, and is added to the output once per
 // k-tile (microAVX512x8x16 and microAVX4x8; micro4x4 and edgeTile through
@@ -122,10 +123,23 @@ func (d *Dense) At(i, j int) float64 { return d.Data[i*d.Cols+j] }
 // Set assigns the element at row i, column j.
 func (d *Dense) Set(i, j int, v float64) { d.Data[i*d.Cols+j] = v }
 
-// NNZ implements Mat; it counts non-zero entries by scanning.
+// NNZ implements Mat; it counts the non-zero entries by scanning, eight at a
+// time on an AVX-512 machine (nnzAVX512). NaN counts and -0 does not, as
+// v != 0 has it, on every path.
 func (d *Dense) NNZ() int {
+	countScan(d)
+	x, n := d.Data, 0
+	if n8 := len(x) &^ 7; simdLevel >= levelAVX512 && n8 > 0 {
+		n, x = nnzAVX512(&x[0], n8), x[n8:]
+	}
+	return n + nnzPortable(x)
+}
+
+// nnzPortable is the portable twin of nnzAVX512: the values of x unequal to
+// zero.
+func nnzPortable(x []float64) int {
 	n := 0
-	for _, v := range d.Data {
+	for _, v := range x {
 		if v != 0 {
 			n++
 		}
