@@ -36,9 +36,11 @@ build:
 ## output goes to race.log, whose last 200 lines are printed when it fails —
 ## then the two tests that need the kernelcount tag (the tag compiles call
 ## counters in: the assembly kernels are the path at the benchmark's block
-## shapes, and a GNMF iteration with rebind counts no dense block twice), the
-## kernel, fused-task and block-grid micro-benchmarks
-## (BenchmarkUnaryStrip and BenchmarkMatrixGrid among them), the two observability overhead guards (disabled fast path,
+## shapes — one sparse x dense call per block in each orientation, one 8x8
+## transpose call per GNMF transpose at AVX-512 — and a GNMF iteration with
+## rebind counts no dense block twice), the kernel, fused-task and block-grid
+## micro-benchmarks (BenchmarkUnaryStrip, BenchmarkSpMMPanel, the GNMF shapes
+## of BenchmarkTransposeDense and BenchmarkMatrixGrid among them), the two observability overhead guards (disabled fast path,
 ## journal < 2 %) and the FME1 wire benchmark (codec, loopback-socket and
 ## arena arms) once each so they cannot rot. The tests of what runs
 ## concurrently since the executor walks the plan DAG — the executor itself,

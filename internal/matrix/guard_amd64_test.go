@@ -39,9 +39,11 @@ func guardedCopy[T float64 | int](t *testing.T, src []T) []T {
 // which ends at an unreadable page — the last a and bt rows, the values
 // buffer, the pattern's Col (the SDDMM's prefetch looks one position ahead
 // and must not read Col[nnz]), the sparse x dense row kernels' operands and
-// accumulators and the unary strips at every length, GEMM tiles with every
-// edge under both micro-kernels and both stride orders of the left operand —
-// and requires the results of ordinary memory.
+// accumulators at every width under both levels' forms (the AVX-512 forms'
+// masked tails among them), the unary strips at every length, GEMM tiles with
+// every edge under both micro-kernels and both stride orders of the left
+// operand, and the 8x8 transpose kernel's source and destination with and
+// without ragged edges — and requires the results of ordinary memory.
 func TestAssemblyStaysInBounds(t *testing.T) {
 	if simdLevel < levelAVX2 {
 		t.Skip("CPU lacks AVX, FMA3 or AVX2")
@@ -65,9 +67,9 @@ func TestAssemblyStaysInBounds(t *testing.T) {
 		}
 	}
 
-	// The row kernels: a pattern whose last row and last column hold values,
-	// so the last rows of the dense operand and of both accumulators are read
-	// or written, at every width.
+	// The row kernels at each level: a pattern whose last row and last column
+	// hold values, so the last rows of the dense operand and of both
+	// accumulators are read or written, at every width.
 	d := NewDense(rows, cols)
 	for i := 0; i < rows; i++ {
 		for j := 0; j < cols; j++ {
@@ -78,21 +80,49 @@ func TestAssemblyStaysInBounds(t *testing.T) {
 	}
 	x := ToCSR(d)
 	gx := &CSR{Rows: rows, Cols: cols, RowPtr: guardedCopy(t, x.RowPtr), Col: guardedCopy(t, x.Col), Val: guardedCopy(t, x.Val)}
-	for n := 1; n <= 70; n++ {
-		y, acc := special(rng, make([]float64, cols*n)), special(rng, make([]float64, rows*n))
-		want := MatMulAccWith(nil, NewDenseData(rows, n, slices.Clone(acc)), x, NewDenseData(cols, n, y))
-		got := MatMulAccWith(nil, NewDenseData(rows, n, guardedCopy(t, acc)), gx, NewDenseData(cols, n, guardedCopy(t, y)))
-		if !sameFloats(got.Data, want.Data) {
-			t.Errorf("csr x dense, n=%d: guarded operands give other values", n)
-		}
-		a, accT := special(rng, make([]float64, rows*n)), special(rng, make([]float64, cols*n))
-		wantT, gotT := NewDenseData(cols, n, slices.Clone(accT)), NewDenseData(cols, n, guardedCopy(t, accT))
-		MatMulTransAccWith(nil, wantT, NewDenseData(rows, n, a), x)
-		MatMulTransAccWith(nil, gotT, NewDenseData(rows, n, guardedCopy(t, a)), gx)
-		if !sameFloats(gotT.Data, wantT.Data) {
-			t.Errorf("dense x csr, n=%d: guarded operands give other values", n)
-		}
+	for _, lv := range asmLevels {
+		t.Run("spmm/"+lv.name, func(t *testing.T) {
+			if simdLevel < lv.level {
+				t.Skip(lv.lacks)
+			}
+			defer failOnFault(t)()
+			atLevel(lv.level, func() {
+				for n := 1; n <= 70; n++ {
+					y, acc := special(rng, make([]float64, cols*n)), special(rng, make([]float64, rows*n))
+					want := MatMulAccWith(nil, NewDenseData(rows, n, slices.Clone(acc)), x, NewDenseData(cols, n, y))
+					got := MatMulAccWith(nil, NewDenseData(rows, n, guardedCopy(t, acc)), gx, NewDenseData(cols, n, guardedCopy(t, y)))
+					if !sameFloats(got.Data, want.Data) {
+						t.Errorf("csr x dense, n=%d: guarded operands give other values", n)
+					}
+					a, accT := special(rng, make([]float64, rows*n)), special(rng, make([]float64, cols*n))
+					wantT, gotT := NewDenseData(cols, n, slices.Clone(accT)), NewDenseData(cols, n, guardedCopy(t, accT))
+					MatMulTransAccWith(nil, wantT, NewDenseData(rows, n, a), x)
+					MatMulTransAccWith(nil, gotT, NewDenseData(rows, n, guardedCopy(t, a)), gx)
+					if !sameFloats(gotT.Data, wantT.Data) {
+						t.Errorf("dense x csr, n=%d: guarded operands give other values", n)
+					}
+				}
+			})
+		})
 	}
+
+	// The transpose: the last tile of an 8-aligned source ends at the page,
+	// and so does the destination's last row.
+	t.Run("transpose/avx512", func(t *testing.T) {
+		if simdLevel < levelAVX512 {
+			t.Skip(asmLevels[1].lacks)
+		}
+		defer failOnFault(t)()
+		for _, sh := range []struct{ r, c int }{{8, 8}, {16, 24}, {24, 16}, {9, 17}, {17, 9}, {64, 256}, {256, 64}} {
+			a := special(rng, make([]float64, sh.r*sh.c))
+			want := Transpose(NewDenseData(sh.r, sh.c, a)).(*Dense)
+			got := NewDenseData(sh.c, sh.r, guarded[float64](t, sh.r*sh.c))
+			transposeDense(NewDenseData(sh.r, sh.c, guardedCopy(t, a)), got, 0, sh.c)
+			if !sameBits(got, want) {
+				t.Errorf("%dx%d: guarded operands give other values", sh.r, sh.c)
+			}
+		}
+	})
 
 	for _, k := range stripKernels {
 		u := unaryFuncs[k.name]

@@ -9,15 +9,18 @@ import "testing"
 // (kernelCalls, compiled in by the kernelcount tag only): the dense/dense
 // SDDMM of a 256x256 mask block at density 0.005 against 256x64 factor
 // blocks is one kernel call per row range; the CSR x dense product of those
-// blocks is one row kernel call per row range, the dense x CSR product one
-// per non-empty row of the mask; a 128x128 dense product is one assembly tile
-// per (i, k, j) tile and nothing beside; the NMF kernel's log pass over that
-// mask block's values is one strip kernel call, the AutoEncoder's sigmoid
-// over a 128x128 block one per row. With the assembly switched off, nothing
-// is counted. And at every level the machine has, the dense products of the
-// benchmark's blocks — 256 and 128 wide, the factors' 64, the twins' 64 and
-// 32, left operand as stored and transposed — are micro-kernel strips alone:
-// the scalar edge loop is never entered.
+// blocks is one row kernel call per row range, and so is the dense x CSR
+// product, which walks the mask's rows inside the kernel; a 128x128 dense
+// product is one assembly tile per (i, k, j) tile and nothing beside; the NMF
+// kernel's log pass over that mask block's values is one strip kernel call,
+// the AutoEncoder's sigmoid over a 128x128 block one per row; at AVX-512 the
+// transposes GNMF builds — a member t(U) of a 256x64 factor block, and the
+// 64x256 accumulator written back — are one 8x8-tile kernel call each. With
+// the assembly switched off, nothing is counted. And at every level the
+// machine has, the dense products of the benchmark's blocks — 256 and 128
+// wide, the factors' 64, the twins' 64 and 32, left operand as stored and
+// transposed — are micro-kernel strips alone: the scalar edge loop is never
+// entered.
 func TestFastPathIsThePath(t *testing.T) {
 	mask := RandomSparse(benchBlock, benchBlock, 0.005, 1, 5, 4)
 	u, v := RandomDense(benchBlock, benchK, 0.1, 0.9, 5), RandomDense(benchBlock, benchK, 0.1, 0.9, 6)
@@ -42,23 +45,26 @@ func TestFastPathIsThePath(t *testing.T) {
 		c := &Chain{Rows: 128, Cols: 128}
 		c.Materialise(nil, c.Unary(unaryFuncs["sigmoid"], 10, c.Binary(Add, c.Owned(a.Clone()), c.Leaf(b))))
 		counts[kernelSigmoid] = kernelCalls[kernelSigmoid].Load()
+		Transpose(Transpose(u))
+		counts[kernelTranspose] = kernelCalls[kernelTranspose].Load()
 		return counts
 	}
-	nonEmpty := int64(0)
-	for i := 0; i < mask.Rows; i++ {
-		if mask.RowPtr[i+1] > mask.RowPtr[i] {
-			nonEmpty++
-		}
-	}
+	// spmm: 1 for the CSR x dense product's one row range, plus 1 for the
+	// dense x CSR product — one call per block and per spmmSplit columns, and
+	// its benchK = 64 columns are one split — where a call per non-empty mask
+	// row made it 1 + ~180.
 	want := [numKernels]int64{
-		kernelGEMM: (128 / tileI) * (128 / tileK) * (128 / tileJ), kernelSDDMM: 1, kernelSpMM: 1 + nonEmpty,
-		kernelLog: 1, kernelSigmoid: 128,
+		kernelGEMM: (128 / tileI) * (128 / tileK) * (128 / tileJ), kernelSDDMM: 1, kernelSpMM: 1 + benchK/spmmSplit,
+		kernelLog: 1, kernelSigmoid: 128, kernelTranspose: 2,
+	}
+	if simdLevel < levelAVX512 {
+		want[kernelTranspose] = 0
 	}
 	if simdLevel < levelAVX2 {
 		want = [numKernels]int64{}
 	}
 	if got := run(); got != want {
-		t.Errorf("assembly kernel calls (gemm, gemm edge, sddmm, spmm, log, exp, sigmoid) = %v, want %v", got, want)
+		t.Errorf("assembly kernel calls (gemm, gemm edge, sddmm, spmm, log, exp, sigmoid, transpose) = %v, want %v", got, want)
 	}
 	if simdLevel >= levelAVX2 {
 		portably(func() {

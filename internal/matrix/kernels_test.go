@@ -58,6 +58,9 @@ func TestMatMulThreadInvariance(t *testing.T) {
 	mask := RandomSparse(150, 133, 0.15, -1, 1, 25)
 	dc := RandomDense(150, 133, -1, 1, 26)
 	row := RandomDense(1, 133, -1, 1, 27)
+	// Large enough for TransposeWith to split where its 8x8 kernel runs, which
+	// splits only blocks of 2*transposeSplitCells cells or more.
+	big := RandomDense(400, 400, -1, 1, 28)
 	f, _ := UnaryFunc("sigmoid")
 	// The element-wise arms run one compiled chain over a 150x133 block, wide
 	// enough for Materialise and MaskedChain.Run to split rows across the pool.
@@ -77,7 +80,7 @@ func TestMatMulThreadInvariance(t *testing.T) {
 		{"ds", func(p *parallel.Pool) Mat { return MatMulWith(p, da, sb) }},
 		{"ss", func(p *parallel.Pool) Mat { return MatMulWith(p, sa, sb) }},
 		{"masked", func(p *parallel.Pool) Mat { return MaskedMatMulWith(p, mask, da, db) }},
-		{"transpose", func(p *parallel.Pool) Mat { return TransposeWith(p, da) }},
+		{"transpose", func(p *parallel.Pool) Mat { return TransposeWith(p, big) }},
 		{"binary", chain(func(c *Chain, _ *parallel.Pool) Value { return c.Binary(Add, c.Leaf(dc), c.Leaf(dc)) })},
 		{"scalar", chain(func(c *Chain, _ *parallel.Pool) Value { return c.Scalar(Mul, c.Leaf(dc), 1.5, false) })},
 		{"apply", chain(func(c *Chain, _ *parallel.Pool) Value { return c.Unary(f, 10, c.Leaf(dc)) })},

@@ -24,12 +24,11 @@ const (
 )
 
 // The levels of assembly support, in order: a machine runs the widest form a
-// kernel has at or below its simdLevel. Only the dense GEMM and the dense
-// non-zero count (nnzAVX512) have a form at levelAVX512, and the count has
-// none at levelAVX2; the SDDMM, the sparse x dense row kernels and the unary
-// strips stop at levelAVX2 — they wait on cache fills, not on arithmetic (a ZMM form
-// of the row kernels was measured on the benchmark's blocks and gained
-// nothing), and the SDDMM's and the strips' bits are defined by four lanes.
+// kernel has at or below its simdLevel. The dense GEMM, the two sparse x
+// dense row kernels and the dense transpose have a form at levelAVX512, and
+// so has the dense non-zero count (nnzAVX512), which has none at levelAVX2;
+// the transpose has no other assembly form either. The SDDMM and the unary
+// strips stop at levelAVX2: their bits are defined by four lanes.
 const (
 	levelPortable = iota
 	levelAVX2
@@ -50,6 +49,7 @@ const (
 	kernelLog
 	kernelExp
 	kernelSigmoid
+	kernelTranspose
 	numKernels
 )
 
@@ -162,15 +162,20 @@ func accRows(p *parallel.Pool, acc *Dense, fresh bool, fill func(i int, row []fl
 // stored (k, v) in order — multiply, rounded, then add, never fused, which
 // the conversions state for the architectures whose compiler would — and
 // acc[i][j] += s once. So the product is summed aside and added once without
-// a scratch row, and an empty row adds +0. spmmRowsAVX walks the row range
-// itself in 16-column strips, then 4, then single columns; the portable loops
-// take 4 columns at a time — per element the same arithmetic, so the bits
-// agree.
+// a scratch row, and an empty row adds +0. The assembly forms walk the row
+// range themselves: spmmRowsAVX512 each row once per 64 columns, then 32, 16,
+// 8 and a masked tail; spmmRowsAVX in 16-column strips, then 4, then single
+// columns. The portable loops take 4 columns at a time — per element the same
+// arithmetic, so the bits agree.
 func spmmRows(x *CSR, y, acc *Dense, rLo, rHi int) {
 	n := y.Cols
 	if simdLevel >= levelAVX2 && n > 0 && len(x.Col) > 0 {
 		countKernel(kernelSpMM)
-		spmmRowsAVX(&x.RowPtr[0], &x.Col[0], &x.Val[0], rLo, rHi, &y.Data[0], &acc.Data[0], n)
+		if simdLevel >= levelAVX512 {
+			spmmRowsAVX512(&x.RowPtr[0], &x.Col[0], &x.Val[0], rLo, rHi, &y.Data[0], &acc.Data[0], n)
+		} else {
+			spmmRowsAVX(&x.RowPtr[0], &x.Col[0], &x.Val[0], rLo, rHi, &y.Data[0], &acc.Data[0], n)
+		}
 		return
 	}
 	for i := rLo; i < rHi; i++ {
@@ -202,10 +207,11 @@ func spmmRows(x *CSR, y, acc *Dense, rLo, rHi int) {
 	}
 }
 
-// spmmStrip is the column strip of the row kernels' assembly forms: the
-// columns whose row segment stays in four YMM registers. Kernel threads split
-// the dense x CSR product's columns at its multiples.
-const spmmStrip = 16
+// spmmSplit is where kernel threads may split the dense x CSR product's
+// columns: the widest strip of its assembly forms, a row segment in eight ZMM
+// registers (four 16-column YMM strips at levelAVX2). A product at most that
+// wide — GNMF's factors are 64 — is one call on the calling goroutine.
+const spmmSplit = 64
 
 // MatMulTransAccWith is the dense x CSR kernel. It accumulates
 // accT += t(b) x a for dense a (K x m) and CSR b (K x n): the transpose of
@@ -214,7 +220,7 @@ const spmmStrip = 16
 // registers while accT[j] += round(v * a[k]) is scattered to the row's stored
 // (j, v) — contiguous m-wide rows, where a row-major accumulator would take a
 // scatter of b's ~nnz/K entries per inner iteration. Kernel threads split the
-// m columns at spmmStrip boundaries, so each element is still summed by one
+// m columns at spmmSplit boundaries, so each element is still summed by one
 // goroutine in k order. accT (n x m) must be owned by the caller, which
 // transposes it once when the sum is complete.
 func MatMulTransAccWith(p *parallel.Pool, accT *Dense, a *Dense, b *CSR) {
@@ -227,30 +233,35 @@ func MatMulTransAccWith(p *parallel.Pool, accT *Dense, a *Dense, b *CSR) {
 		spmmTCols(accT, a, b, 0, m)
 		return
 	}
-	p.For((m+spmmStrip-1)/spmmStrip, 1, func(lo, hi int) {
-		spmmTCols(accT, a, b, lo*spmmStrip, min(hi*spmmStrip, m))
+	p.For((m+spmmSplit-1)/spmmSplit, 1, func(lo, hi int) {
+		spmmTCols(accT, a, b, lo*spmmSplit, min(hi*spmmSplit, m))
 	})
 }
 
 // spmmTCols is MatMulTransAccWith over columns [lo, hi): one call of the
-// assembly kernel per non-empty row of b, or the same arithmetic in portable
+// assembly kernel, which walks b's rows itself — spmmTAVX512 holds a's row
+// 64 columns at a time, spmmTAVX 16 — or the same arithmetic in portable
 // loops, 4 columns of a's row held at a time.
 func spmmTCols(accT, a *Dense, b *CSR, lo, hi int) {
 	if lo == hi {
 		return
 	}
 	m := a.Cols
+	if simdLevel >= levelAVX2 && len(b.Col) > 0 {
+		countKernel(kernelSpMM)
+		if simdLevel >= levelAVX512 {
+			spmmTAVX512(&b.RowPtr[0], &b.Col[0], &b.Val[0], b.Rows, &a.Data[lo], &accT.Data[lo], m, hi-lo)
+		} else {
+			spmmTAVX(&b.RowPtr[0], &b.Col[0], &b.Val[0], b.Rows, &a.Data[lo], &accT.Data[lo], m, hi-lo)
+		}
+		return
+	}
 	for k := 0; k < b.Rows; k++ {
 		cols, vals := b.RowNNZ(k)
 		if len(cols) == 0 {
 			continue
 		}
 		arow := a.Data[k*m+lo : k*m+hi]
-		if simdLevel >= levelAVX2 {
-			countKernel(kernelSpMM)
-			spmmTRowAVX(&arow[0], &cols[0], &vals[0], len(cols), &accT.Data[lo], m, hi-lo)
-			continue
-		}
 		c := 0
 		for ; c+4 <= len(arow); c += 4 {
 			a0, a1, a2, a3 := arow[c], arow[c+1], arow[c+2], arow[c+3]
@@ -363,7 +374,9 @@ func allZero(s []float64) bool {
 // the portable 4x4 — and what is narrower than that to an edge loop. The
 // arithmetic is defined once: every output element has one accumulator, which
 // takes acc = fma(a, b, acc) — one rounding per step — over the tile's k
-// range, k ascending, and is added into out once per tile. Strips of either
+// range, k ascending, and is added into out once per tile as out + (acc + 0):
+// the +0 turns a -0 sum into +0, so an out that holds -0 is left as adding
+// the product's block, whose elements start at +0, would leave it. Strips of either
 // assembly form, portable strips and edge rows therefore match bitwise, on
 // every machine: math.FMA is the hardware instruction on amd64 with FMA3 and
 // on arm64, and exact (and slow) software elsewhere.
@@ -432,7 +445,7 @@ func mulTileAVX2(a strided, b *Dense, out []float64, ldo, iLo, iMax, kLo, kMax, 
 // micro4x4 is the portable twin of the assembly micro-kernels: it accumulates
 // the 4x4 output block at (i0, j0) over k in [kLo, kMax) in sixteen scalar
 // accumulators the compiler keeps in registers, touching out (whose out[0] is
-// element (i0, j0), row stride ldo) only once per tile.
+// element (i0, j0), row stride ldo) only once per tile, as out + (s + 0).
 func micro4x4(a strided, b *Dense, out []float64, ldo, i0, j0, kLo, kMax int) {
 	N := b.Cols
 	ad, rs := a.data, a.rs
@@ -469,25 +482,25 @@ func micro4x4(a strided, b *Dense, out []float64, ldo, i0, j0, kLo, kMax int) {
 		ai += a.ks
 	}
 	o := out
-	o[0] += c00
-	o[1] += c01
-	o[2] += c02
-	o[3] += c03
+	o[0] += c00 + 0
+	o[1] += c01 + 0
+	o[2] += c02 + 0
+	o[3] += c03 + 0
 	o = out[ldo:]
-	o[0] += c10
-	o[1] += c11
-	o[2] += c12
-	o[3] += c13
+	o[0] += c10 + 0
+	o[1] += c11 + 0
+	o[2] += c12 + 0
+	o[3] += c13 + 0
 	o = out[2*ldo:]
-	o[0] += c20
-	o[1] += c21
-	o[2] += c22
-	o[3] += c23
+	o[0] += c20 + 0
+	o[1] += c21 + 0
+	o[2] += c22 + 0
+	o[3] += c23 + 0
 	o = out[3*ldo:]
-	o[0] += c30
-	o[1] += c31
-	o[2] += c32
-	o[3] += c33
+	o[0] += c30 + 0
+	o[1] += c31 + 0
+	o[2] += c32 + 0
+	o[3] += c33 + 0
 }
 
 // edgeTile handles tile remainders narrower than the micro-kernel,
@@ -506,7 +519,7 @@ func edgeTile(a strided, b *Dense, out []float64, ldo, iLo, iMax, kLo, kMax, jLo
 				s = math.FMA(a.data[ai], b.Data[k*N+j], s)
 				ai += a.ks
 			}
-			orow[j-jLo] += s
+			orow[j-jLo] += s + 0
 		}
 	}
 }
@@ -667,6 +680,12 @@ func MaskedMatMulFlops(mask *CSR, inner int) int64 {
 // cache line.
 const transposeTile = 8
 
+// transposeSplitCells is the fewest cells worth a kernel thread of the 8x8
+// transpose kernel: it copies a 64x256 block in ~6 µs, which a split across
+// two threads made ~10 µs on the benchmark's machine; splitting lost up to
+// 256x256 and gained from 500x500.
+const transposeSplitCells = 1 << 16
+
 // Transpose is TransposeWith on the serial path.
 func Transpose(a Mat) Mat { return TransposeWith(nil, a) }
 
@@ -682,33 +701,57 @@ func TransposeFlops(a Mat) int64 {
 
 // TransposeWith returns the transpose of a, preserving representation. The
 // dense path copies into disjoint output rows split across p's kernel
-// threads, in transposeTile-square tiles so that both the reads and the writes
-// of a tile stay within a few cache lines; it is a pure copy, so neither
-// tiling nor parallelism can change the result. The CSR counting sort stays
-// serial.
+// threads (transposeDense) — at levelAVX512 only blocks of at least
+// 2*transposeSplitCells cells are split; it is a pure copy, so neither tiling
+// nor parallelism can change the result. The CSR counting sort stays serial.
 func TransposeWith(p *parallel.Pool, a Mat) Mat {
 	switch x := a.(type) {
 	case *Dense:
 		out := NewDense(x.Cols, x.Rows)
-		p.For(x.Cols, rowGrain, func(lo, hi int) {
-			for i0 := 0; i0 < x.Rows; i0 += transposeTile {
-				iMax := min(i0+transposeTile, x.Rows)
-				for j0 := lo; j0 < hi; j0 += transposeTile {
-					jMax := min(j0+transposeTile, hi)
-					for i := i0; i < iMax; i++ {
-						o := out.Data[j0*x.Rows+i:]
-						for dj, v := range x.Data[i*x.Cols+j0 : i*x.Cols+jMax] {
-							o[dj*x.Rows] = v
-						}
-					}
-				}
-			}
-		})
+		grain := rowGrain
+		if simdLevel >= levelAVX512 {
+			grain = max(grain, transposeSplitCells/max(x.Rows, 1))
+		}
+		p.For(x.Cols, grain, func(lo, hi int) { transposeDense(x, out, lo, hi) })
 		return out
 	case *CSR:
 		return transposeCSR(x)
 	}
 	panic("matrix: unsupported Mat implementation")
+}
+
+// transposeDense writes rows [lo, hi) of out = t(x): at levelAVX512 the
+// interior whose rows and columns are whole multiples of 8 in one call of
+// transposeAVX512, 8x8 tiles in registers, and the ragged edges — x's last
+// Rows%8 rows and the last (hi-lo)%8 output rows — through transposeTiles,
+// which is the whole range below that level.
+func transposeDense(x, out *Dense, lo, hi int) {
+	r8, c8 := x.Rows&^7, (hi-lo)&^7
+	if simdLevel >= levelAVX512 && r8 > 0 && c8 > 0 {
+		countKernel(kernelTranspose)
+		transposeAVX512(&x.Data[lo], x.Cols, &out.Data[lo*x.Rows], x.Rows, r8, c8)
+		transposeTiles(x, out, r8, x.Rows, lo, lo+c8)
+		lo += c8
+	}
+	transposeTiles(x, out, 0, x.Rows, lo, hi)
+}
+
+// transposeTiles copies x's rows [iLo, iHi) of columns [jLo, jHi) into out =
+// t(x) in transposeTile-square tiles, so that both the reads and the writes of
+// a tile stay within a few cache lines.
+func transposeTiles(x, out *Dense, iLo, iHi, jLo, jHi int) {
+	for i0 := iLo; i0 < iHi; i0 += transposeTile {
+		iMax := min(i0+transposeTile, iHi)
+		for j0 := jLo; j0 < jHi; j0 += transposeTile {
+			jMax := min(j0+transposeTile, jHi)
+			for i := i0; i < iMax; i++ {
+				o := out.Data[j0*x.Rows+i:]
+				for dj, v := range x.Data[i*x.Cols+j0 : i*x.Cols+jMax] {
+					o[dj*x.Rows] = v
+				}
+			}
+		}
+	}
 }
 
 func transposeCSR(a *CSR) *CSR {

@@ -48,13 +48,36 @@ func sddmmAVX(rowPtr, col *int, rLo, rHi, nnz int, a, bt, acc *float64, k int)
 //go:noescape
 func spmmRowsAVX(rowPtr, col *int, val *float64, rLo, rHi int, b, acc *float64, n int)
 
-// spmmTRowAVX is one row of spmmTCols on raw storage: accT[col[q]][:m] +=
-// val[q] * a[:m] for the nnz stored positions of a CSR row, accT's rows ldT
-// elements apart, with spmmTCols's arithmetic. nnz and m must be positive.
+// spmmRowsAVX512 is spmmRowsAVX at levelAVX512: each row's stored positions
+// are walked once per 64 output columns instead of once per 16. Implemented
+// in matmul_amd64.s.
+//
+//go:noescape
+func spmmRowsAVX512(rowPtr, col *int, val *float64, rLo, rHi int, b, acc *float64, n int)
+
+// spmmTAVX is spmmTCols on raw storage: for the K rows of the CSR operand
+// rowPtr/col/val, k ascending, accT[col[q]][:m] += val[q] * a[k][:m] for
+// every stored position q of row k, with spmmTCols's arithmetic — one call
+// per CSR block. a and accT point at the columns' first element, and both
+// have rows ld elements apart. K and m must be positive. Implemented in
+// matmul_amd64.s.
+//
+//go:noescape
+func spmmTAVX(rowPtr, col *int, val *float64, K int, a, accT *float64, ld, m int)
+
+// spmmTAVX512 is spmmTAVX at levelAVX512, a's row held 64 columns at a time.
 // Implemented in matmul_amd64.s.
 //
 //go:noescape
-func spmmTRowAVX(a *float64, col *int, val *float64, nnz int, accT *float64, ldT, m int)
+func spmmTAVX512(rowPtr, col *int, val *float64, K int, a, accT *float64, ld, m int)
+
+// transposeAVX512 writes the transpose of the rows x cols block at src
+// (rows lds elements apart) to dst (rows ldd elements apart), 8x8 tiles in
+// registers, at levelAVX512. rows and cols must be positive multiples of 8.
+// Implemented in matmul_amd64.s.
+//
+//go:noescape
+func transposeAVX512(src *float64, lds int, dst *float64, ldd int, rows, cols int)
 
 // nnzAVX512 is nnzPortable over the n values at x, n a multiple of 8, at
 // levelAVX512: eight compares against zero per instruction and a popcount of

@@ -45,8 +45,10 @@ leveldone:
 // func microAVX4x8(a, b, out *float64, kn, ldaB, ldkB, ldbB, ldoB uintptr)
 //
 // Accumulates a 4x8 block: out[r][c] += sum_k a[r][k]*b[k][c], each element
-// in its own accumulator lane as acc = fma(a, b, acc), k ascending — the
-// arithmetic of micro4x4 and edgeTile. a[r][k] lies at a + r*ldaB + k*ldkB.
+// in its own accumulator lane as acc = fma(a, b, acc), k ascending, then
+// out + (acc + 0) — the arithmetic of micro4x4 and edgeTile. Adding +0 first
+// turns a -0 sum into +0, so a -0 in out is left as adding the product's
+// block would leave it. a[r][k] lies at a + r*ldaB + k*ldkB.
 TEXT ·microAVX4x8(SB), NOSPLIT, $0-64
 	MOVQ	a+0(FP), BX
 	MOVQ	b+8(FP), CX
@@ -84,6 +86,15 @@ kloop:
 	ADDQ	R9, CX
 	DECQ	SI
 	JNZ	kloop
+	VXORPD	Y8, Y8, Y8
+	VADDPD	Y8, Y0, Y0
+	VADDPD	Y8, Y1, Y1
+	VADDPD	Y8, Y2, Y2
+	VADDPD	Y8, Y3, Y3
+	VADDPD	Y8, Y4, Y4
+	VADDPD	Y8, Y5, Y5
+	VADDPD	Y8, Y6, Y6
+	VADDPD	Y8, Y7, Y7
 	VADDPD	(DX), Y0, Y0
 	VMOVUPD	Y0, (DX)
 	VADDPD	32(DX), Y1, Y1
@@ -110,8 +121,8 @@ kloop:
 //
 // microAVX4x8 at ZMM width: an 8x16 block in sixteen accumulators (row r in
 // Z(2r), Z(2r+1)), two loads of b and one broadcast of a per row and step —
-// the same acc = fma(a, b, acc) per element, k ascending, and one add into
-// out. Zeroed with VPXORQ: VXORPD on ZMM registers is AVX-512DQ, not F.
+// the same acc = fma(a, b, acc) per element, k ascending, and one add of
+// acc + 0 into out. Zeroed with VPXORQ: VXORPD on ZMM registers is AVX-512DQ, not F.
 //
 // Registers: R8 a's row stride, R11/R12/R13 three, five and seven times it,
 // R14 a's k stride.
@@ -174,6 +185,23 @@ kloop512:
 	ADDQ	R9, CX
 	DECQ	SI
 	JNZ	kloop512
+	VPXORQ	Z16, Z16, Z16
+	VADDPD	Z16, Z0, Z0
+	VADDPD	Z16, Z1, Z1
+	VADDPD	Z16, Z2, Z2
+	VADDPD	Z16, Z3, Z3
+	VADDPD	Z16, Z4, Z4
+	VADDPD	Z16, Z5, Z5
+	VADDPD	Z16, Z6, Z6
+	VADDPD	Z16, Z7, Z7
+	VADDPD	Z16, Z8, Z8
+	VADDPD	Z16, Z9, Z9
+	VADDPD	Z16, Z10, Z10
+	VADDPD	Z16, Z11, Z11
+	VADDPD	Z16, Z12, Z12
+	VADDPD	Z16, Z13, Z13
+	VADDPD	Z16, Z14, Z14
+	VADDPD	Z16, Z15, Z15
 	VADDPD	(DX), Z0, Z0
 	VMOVUPD	Z0, (DX)
 	VADDPD	64(DX), Z1, Z1
@@ -434,26 +462,37 @@ sdone:
 	VZEROUPPER
 	RET
 
-// func spmmTRowAVX(a *float64, col *int, val *float64, nnz int, accT *float64, ldT, m int)
+// func spmmTAVX(rowPtr, col *int, val *float64, K int, a, accT *float64, ld, m int)
 //
-// One row k of the dense x CSR product: for the row's nnz stored positions
-// (col, val) and columns c < m, accT[col[q]][c] += val[q] * a[c] (multiply,
-// then add — not fused), accT's rows ldT elements apart. The row of a stays
-// in registers while the positions stream past: sixteen columns at a time
-// (Y0..Y3), then four (Y0), then one (lane 0). nnz must be positive.
+// The dense x CSR product over the m columns at a and accT, whose rows are ld
+// elements apart, for the CSR operand's K rows (rowPtr, col, val): for each
+// row k that has stored positions and each column c < m, accT[col[q]][c] +=
+// val[q] * a[k][c] (multiply, then add — not fused), q in stored order. The
+// row of a stays in registers while the positions stream past: sixteen
+// columns at a time (Y0..Y3), then four (Y0), then one (lane 0).
 //
-// Registers: SI a, R9 col, R10 val, CX nnz, R14 accT, R8 accT's row bytes,
-// DI m in bytes, AX position, BX strip byte offset, DX &accT[col[q]][0].
-TEXT ·spmmTRowAVX(SB), NOSPLIT, $0-56
-	MOVQ	a+0(FP), SI
+// Registers: R8 rowPtr, R9 col, R10 val, R11 k, R12 K, SI &a[k][0], R14
+// accT, R15 row bytes, DI m in bytes, R13/CX row k's first and end position,
+// AX position, BX strip byte offset, DX &accT[col[q]][0].
+TEXT ·spmmTAVX(SB), NOSPLIT, $0-64
+	MOVQ	rowPtr+0(FP), R8
 	MOVQ	col+8(FP), R9
 	MOVQ	val+16(FP), R10
-	MOVQ	nnz+24(FP), CX
-	MOVQ	accT+32(FP), R14
-	MOVQ	ldT+40(FP), R8
-	SHLQ	$3, R8
-	MOVQ	m+48(FP), DI
+	MOVQ	K+24(FP), R12
+	MOVQ	a+32(FP), SI
+	MOVQ	accT+40(FP), R14
+	MOVQ	ld+48(FP), R15
+	SHLQ	$3, R15
+	MOVQ	m+56(FP), DI
 	SHLQ	$3, DI
+	XORQ	R11, R11
+trow:
+	CMPQ	R11, R12
+	JGE	tdone
+	MOVQ	(R8)(R11*8), R13
+	MOVQ	8(R8)(R11*8), CX
+	CMPQ	R13, CX
+	JGE	tnext
 	XORQ	BX, BX
 t16:
 	LEAQ	128(BX), DX
@@ -463,10 +502,10 @@ t16:
 	VMOVUPD	32(SI)(BX*1), Y1
 	VMOVUPD	64(SI)(BX*1), Y2
 	VMOVUPD	96(SI)(BX*1), Y3
-	XORQ	AX, AX
+	MOVQ	R13, AX
 t16nz:
 	MOVQ	(R9)(AX*8), DX
-	IMULQ	R8, DX
+	IMULQ	R15, DX
 	ADDQ	R14, DX
 	VBROADCASTSD	(R10)(AX*8), Y4
 	VMULPD	Y0, Y4, Y5
@@ -491,10 +530,10 @@ t4:
 	CMPQ	DX, DI
 	JGT	t1
 	VMOVUPD	(SI)(BX*1), Y0
-	XORQ	AX, AX
+	MOVQ	R13, AX
 t4nz:
 	MOVQ	(R9)(AX*8), DX
-	IMULQ	R8, DX
+	IMULQ	R15, DX
 	ADDQ	R14, DX
 	VBROADCASTSD	(R10)(AX*8), Y4
 	VMULPD	Y0, Y4, Y5
@@ -507,12 +546,12 @@ t4nz:
 	JMP	t4
 t1:
 	CMPQ	BX, DI
-	JGE	tdone
+	JGE	tnext
 	VMOVSD	(SI)(BX*1), X0
-	XORQ	AX, AX
+	MOVQ	R13, AX
 t1nz:
 	MOVQ	(R9)(AX*8), DX
-	IMULQ	R8, DX
+	IMULQ	R15, DX
 	ADDQ	R14, DX
 	VMOVSD	(R10)(AX*8), X4
 	VMULSD	X0, X4, X5
@@ -523,7 +562,482 @@ t1nz:
 	JLT	t1nz
 	ADDQ	$8, BX
 	JMP	t1
+tnext:
+	ADDQ	R15, SI
+	INCQ	R11
+	JMP	trow
 tdone:
+	VZEROUPPER
+	RET
+
+// func spmmRowsAVX512(rowPtr, col *int, val *float64, rLo, rHi int, b, acc *float64, n int)
+//
+// spmmRowsAVX at ZMM width: a row's stored positions are walked once per 64
+// output columns, whose sums stay in Z0..Z7; what is left of the row takes
+// one strip each of 32, 16 and 8 columns, then the last n%8 columns under
+// the opmask K1 — the masked loads read nothing past the row and the masked
+// store writes nothing past it. Per element the arithmetic of spmmRows:
+// s = +0, then s += val[q] * b[col[q]][j] (multiply, then add — not fused)
+// in stored order, and acc[i][j] += s once.
+//
+// Registers: as spmmRowsAVX; K1 the tail's lanes, Z16 the broadcast value,
+// Z17..Z24 the products.
+TEXT ·spmmRowsAVX512(SB), NOSPLIT, $0-64
+	MOVQ	rowPtr+0(FP), R8
+	MOVQ	col+8(FP), R9
+	MOVQ	val+16(FP), R10
+	MOVQ	rLo+24(FP), R11
+	MOVQ	rHi+32(FP), R12
+	MOVQ	b+40(FP), R13
+	MOVQ	acc+48(FP), R14
+	MOVQ	n+56(FP), DI
+	MOVQ	DI, CX
+	ANDQ	$7, CX
+	MOVL	$1, AX
+	SHLL	CX, AX
+	DECL	AX
+	KMOVW	AX, K1
+	SHLQ	$3, DI
+	MOVQ	R11, AX
+	IMULQ	DI, AX
+	ADDQ	AX, R14
+zrow:
+	CMPQ	R11, R12
+	JGE	zdone
+	MOVQ	(R8)(R11*8), SI
+	MOVQ	8(R8)(R11*8), CX
+	XORQ	BX, BX
+z64:
+	LEAQ	512(BX), DX
+	CMPQ	DX, DI
+	JGT	z32
+	VPXORQ	Z0, Z0, Z0
+	VPXORQ	Z1, Z1, Z1
+	VPXORQ	Z2, Z2, Z2
+	VPXORQ	Z3, Z3, Z3
+	VPXORQ	Z4, Z4, Z4
+	VPXORQ	Z5, Z5, Z5
+	VPXORQ	Z6, Z6, Z6
+	VPXORQ	Z7, Z7, Z7
+	MOVQ	SI, AX
+	JMP	z64check
+z64nz:
+	MOVQ	(R9)(AX*8), DX
+	IMULQ	DI, DX
+	ADDQ	R13, DX
+	VBROADCASTSD	(R10)(AX*8), Z16
+	VMULPD	(DX)(BX*1), Z16, Z17
+	VADDPD	Z17, Z0, Z0
+	VMULPD	64(DX)(BX*1), Z16, Z18
+	VADDPD	Z18, Z1, Z1
+	VMULPD	128(DX)(BX*1), Z16, Z19
+	VADDPD	Z19, Z2, Z2
+	VMULPD	192(DX)(BX*1), Z16, Z20
+	VADDPD	Z20, Z3, Z3
+	VMULPD	256(DX)(BX*1), Z16, Z21
+	VADDPD	Z21, Z4, Z4
+	VMULPD	320(DX)(BX*1), Z16, Z22
+	VADDPD	Z22, Z5, Z5
+	VMULPD	384(DX)(BX*1), Z16, Z23
+	VADDPD	Z23, Z6, Z6
+	VMULPD	448(DX)(BX*1), Z16, Z24
+	VADDPD	Z24, Z7, Z7
+	INCQ	AX
+z64check:
+	CMPQ	AX, CX
+	JLT	z64nz
+	VADDPD	(R14)(BX*1), Z0, Z0
+	VMOVUPD	Z0, (R14)(BX*1)
+	VADDPD	64(R14)(BX*1), Z1, Z1
+	VMOVUPD	Z1, 64(R14)(BX*1)
+	VADDPD	128(R14)(BX*1), Z2, Z2
+	VMOVUPD	Z2, 128(R14)(BX*1)
+	VADDPD	192(R14)(BX*1), Z3, Z3
+	VMOVUPD	Z3, 192(R14)(BX*1)
+	VADDPD	256(R14)(BX*1), Z4, Z4
+	VMOVUPD	Z4, 256(R14)(BX*1)
+	VADDPD	320(R14)(BX*1), Z5, Z5
+	VMOVUPD	Z5, 320(R14)(BX*1)
+	VADDPD	384(R14)(BX*1), Z6, Z6
+	VMOVUPD	Z6, 384(R14)(BX*1)
+	VADDPD	448(R14)(BX*1), Z7, Z7
+	VMOVUPD	Z7, 448(R14)(BX*1)
+	ADDQ	$512, BX
+	JMP	z64
+z32:
+	LEAQ	256(BX), DX
+	CMPQ	DX, DI
+	JGT	z16
+	VPXORQ	Z0, Z0, Z0
+	VPXORQ	Z1, Z1, Z1
+	VPXORQ	Z2, Z2, Z2
+	VPXORQ	Z3, Z3, Z3
+	MOVQ	SI, AX
+	JMP	z32check
+z32nz:
+	MOVQ	(R9)(AX*8), DX
+	IMULQ	DI, DX
+	ADDQ	R13, DX
+	VBROADCASTSD	(R10)(AX*8), Z16
+	VMULPD	(DX)(BX*1), Z16, Z17
+	VADDPD	Z17, Z0, Z0
+	VMULPD	64(DX)(BX*1), Z16, Z18
+	VADDPD	Z18, Z1, Z1
+	VMULPD	128(DX)(BX*1), Z16, Z19
+	VADDPD	Z19, Z2, Z2
+	VMULPD	192(DX)(BX*1), Z16, Z20
+	VADDPD	Z20, Z3, Z3
+	INCQ	AX
+z32check:
+	CMPQ	AX, CX
+	JLT	z32nz
+	VADDPD	(R14)(BX*1), Z0, Z0
+	VMOVUPD	Z0, (R14)(BX*1)
+	VADDPD	64(R14)(BX*1), Z1, Z1
+	VMOVUPD	Z1, 64(R14)(BX*1)
+	VADDPD	128(R14)(BX*1), Z2, Z2
+	VMOVUPD	Z2, 128(R14)(BX*1)
+	VADDPD	192(R14)(BX*1), Z3, Z3
+	VMOVUPD	Z3, 192(R14)(BX*1)
+	ADDQ	$256, BX
+z16:
+	LEAQ	128(BX), DX
+	CMPQ	DX, DI
+	JGT	z8
+	VPXORQ	Z0, Z0, Z0
+	VPXORQ	Z1, Z1, Z1
+	MOVQ	SI, AX
+	JMP	z16check
+z16nz:
+	MOVQ	(R9)(AX*8), DX
+	IMULQ	DI, DX
+	ADDQ	R13, DX
+	VBROADCASTSD	(R10)(AX*8), Z16
+	VMULPD	(DX)(BX*1), Z16, Z17
+	VADDPD	Z17, Z0, Z0
+	VMULPD	64(DX)(BX*1), Z16, Z18
+	VADDPD	Z18, Z1, Z1
+	INCQ	AX
+z16check:
+	CMPQ	AX, CX
+	JLT	z16nz
+	VADDPD	(R14)(BX*1), Z0, Z0
+	VMOVUPD	Z0, (R14)(BX*1)
+	VADDPD	64(R14)(BX*1), Z1, Z1
+	VMOVUPD	Z1, 64(R14)(BX*1)
+	ADDQ	$128, BX
+z8:
+	LEAQ	64(BX), DX
+	CMPQ	DX, DI
+	JGT	ztail
+	VPXORQ	Z0, Z0, Z0
+	MOVQ	SI, AX
+	JMP	z8check
+z8nz:
+	MOVQ	(R9)(AX*8), DX
+	IMULQ	DI, DX
+	ADDQ	R13, DX
+	VBROADCASTSD	(R10)(AX*8), Z16
+	VMULPD	(DX)(BX*1), Z16, Z17
+	VADDPD	Z17, Z0, Z0
+	INCQ	AX
+z8check:
+	CMPQ	AX, CX
+	JLT	z8nz
+	VADDPD	(R14)(BX*1), Z0, Z0
+	VMOVUPD	Z0, (R14)(BX*1)
+	ADDQ	$64, BX
+ztail:
+	CMPQ	BX, DI
+	JGE	znext
+	VPXORQ	Z0, Z0, Z0
+	MOVQ	SI, AX
+	JMP	ztailcheck
+ztailnz:
+	MOVQ	(R9)(AX*8), DX
+	IMULQ	DI, DX
+	ADDQ	R13, DX
+	VBROADCASTSD	(R10)(AX*8), Z16
+	VMOVUPD.Z	(DX)(BX*1), K1, Z17
+	VMULPD	Z17, Z16, Z17
+	VADDPD	Z17, Z0, Z0
+	INCQ	AX
+ztailcheck:
+	CMPQ	AX, CX
+	JLT	ztailnz
+	VMOVUPD.Z	(R14)(BX*1), K1, Z17
+	VADDPD	Z17, Z0, Z0
+	VMOVUPD	Z0, K1, (R14)(BX*1)
+znext:
+	ADDQ	DI, R14
+	INCQ	R11
+	JMP	zrow
+zdone:
+	VZEROUPPER
+	RET
+
+// func spmmTAVX512(rowPtr, col *int, val *float64, K int, a, accT *float64, ld, m int)
+//
+// spmmTAVX at ZMM width: for each row k of the CSR operand that has stored
+// positions, a's 64-column segments stay in Z0..Z7 while accT[col[q]] +=
+// val[q] * a[k] (multiply, then add — not fused) is scattered to them, q in
+// stored order; then one strip each of 32, 16 and 8 columns, and the last
+// m%8 under the opmask K1, whose loads and store touch nothing past the row.
+//
+// Registers: as spmmTAVX; K1 the tail's lanes, Z16 the broadcast value,
+// Z17..Z24 the sums.
+TEXT ·spmmTAVX512(SB), NOSPLIT, $0-64
+	MOVQ	rowPtr+0(FP), R8
+	MOVQ	col+8(FP), R9
+	MOVQ	val+16(FP), R10
+	MOVQ	K+24(FP), R12
+	MOVQ	a+32(FP), SI
+	MOVQ	accT+40(FP), R14
+	MOVQ	ld+48(FP), R15
+	SHLQ	$3, R15
+	MOVQ	m+56(FP), DI
+	MOVQ	DI, CX
+	ANDQ	$7, CX
+	MOVL	$1, AX
+	SHLL	CX, AX
+	DECL	AX
+	KMOVW	AX, K1
+	SHLQ	$3, DI
+	XORQ	R11, R11
+urow:
+	CMPQ	R11, R12
+	JGE	udone
+	MOVQ	(R8)(R11*8), R13
+	MOVQ	8(R8)(R11*8), CX
+	CMPQ	R13, CX
+	JGE	unext
+	XORQ	BX, BX
+u64:
+	LEAQ	512(BX), DX
+	CMPQ	DX, DI
+	JGT	u32
+	VMOVUPD	(SI)(BX*1), Z0
+	VMOVUPD	64(SI)(BX*1), Z1
+	VMOVUPD	128(SI)(BX*1), Z2
+	VMOVUPD	192(SI)(BX*1), Z3
+	VMOVUPD	256(SI)(BX*1), Z4
+	VMOVUPD	320(SI)(BX*1), Z5
+	VMOVUPD	384(SI)(BX*1), Z6
+	VMOVUPD	448(SI)(BX*1), Z7
+	MOVQ	R13, AX
+u64nz:
+	MOVQ	(R9)(AX*8), DX
+	IMULQ	R15, DX
+	ADDQ	R14, DX
+	VBROADCASTSD	(R10)(AX*8), Z16
+	VMULPD	Z0, Z16, Z17
+	VADDPD	(DX)(BX*1), Z17, Z17
+	VMOVUPD	Z17, (DX)(BX*1)
+	VMULPD	Z1, Z16, Z18
+	VADDPD	64(DX)(BX*1), Z18, Z18
+	VMOVUPD	Z18, 64(DX)(BX*1)
+	VMULPD	Z2, Z16, Z19
+	VADDPD	128(DX)(BX*1), Z19, Z19
+	VMOVUPD	Z19, 128(DX)(BX*1)
+	VMULPD	Z3, Z16, Z20
+	VADDPD	192(DX)(BX*1), Z20, Z20
+	VMOVUPD	Z20, 192(DX)(BX*1)
+	VMULPD	Z4, Z16, Z21
+	VADDPD	256(DX)(BX*1), Z21, Z21
+	VMOVUPD	Z21, 256(DX)(BX*1)
+	VMULPD	Z5, Z16, Z22
+	VADDPD	320(DX)(BX*1), Z22, Z22
+	VMOVUPD	Z22, 320(DX)(BX*1)
+	VMULPD	Z6, Z16, Z23
+	VADDPD	384(DX)(BX*1), Z23, Z23
+	VMOVUPD	Z23, 384(DX)(BX*1)
+	VMULPD	Z7, Z16, Z24
+	VADDPD	448(DX)(BX*1), Z24, Z24
+	VMOVUPD	Z24, 448(DX)(BX*1)
+	INCQ	AX
+	CMPQ	AX, CX
+	JLT	u64nz
+	ADDQ	$512, BX
+	JMP	u64
+u32:
+	LEAQ	256(BX), DX
+	CMPQ	DX, DI
+	JGT	u16
+	VMOVUPD	(SI)(BX*1), Z0
+	VMOVUPD	64(SI)(BX*1), Z1
+	VMOVUPD	128(SI)(BX*1), Z2
+	VMOVUPD	192(SI)(BX*1), Z3
+	MOVQ	R13, AX
+u32nz:
+	MOVQ	(R9)(AX*8), DX
+	IMULQ	R15, DX
+	ADDQ	R14, DX
+	VBROADCASTSD	(R10)(AX*8), Z16
+	VMULPD	Z0, Z16, Z17
+	VADDPD	(DX)(BX*1), Z17, Z17
+	VMOVUPD	Z17, (DX)(BX*1)
+	VMULPD	Z1, Z16, Z18
+	VADDPD	64(DX)(BX*1), Z18, Z18
+	VMOVUPD	Z18, 64(DX)(BX*1)
+	VMULPD	Z2, Z16, Z19
+	VADDPD	128(DX)(BX*1), Z19, Z19
+	VMOVUPD	Z19, 128(DX)(BX*1)
+	VMULPD	Z3, Z16, Z20
+	VADDPD	192(DX)(BX*1), Z20, Z20
+	VMOVUPD	Z20, 192(DX)(BX*1)
+	INCQ	AX
+	CMPQ	AX, CX
+	JLT	u32nz
+	ADDQ	$256, BX
+u16:
+	LEAQ	128(BX), DX
+	CMPQ	DX, DI
+	JGT	u8
+	VMOVUPD	(SI)(BX*1), Z0
+	VMOVUPD	64(SI)(BX*1), Z1
+	MOVQ	R13, AX
+u16nz:
+	MOVQ	(R9)(AX*8), DX
+	IMULQ	R15, DX
+	ADDQ	R14, DX
+	VBROADCASTSD	(R10)(AX*8), Z16
+	VMULPD	Z0, Z16, Z17
+	VADDPD	(DX)(BX*1), Z17, Z17
+	VMOVUPD	Z17, (DX)(BX*1)
+	VMULPD	Z1, Z16, Z18
+	VADDPD	64(DX)(BX*1), Z18, Z18
+	VMOVUPD	Z18, 64(DX)(BX*1)
+	INCQ	AX
+	CMPQ	AX, CX
+	JLT	u16nz
+	ADDQ	$128, BX
+u8:
+	LEAQ	64(BX), DX
+	CMPQ	DX, DI
+	JGT	utail
+	VMOVUPD	(SI)(BX*1), Z0
+	MOVQ	R13, AX
+u8nz:
+	MOVQ	(R9)(AX*8), DX
+	IMULQ	R15, DX
+	ADDQ	R14, DX
+	VBROADCASTSD	(R10)(AX*8), Z16
+	VMULPD	Z0, Z16, Z17
+	VADDPD	(DX)(BX*1), Z17, Z17
+	VMOVUPD	Z17, (DX)(BX*1)
+	INCQ	AX
+	CMPQ	AX, CX
+	JLT	u8nz
+	ADDQ	$64, BX
+utail:
+	CMPQ	BX, DI
+	JGE	unext
+	VMOVUPD.Z	(SI)(BX*1), K1, Z0
+	MOVQ	R13, AX
+utailnz:
+	MOVQ	(R9)(AX*8), DX
+	IMULQ	R15, DX
+	ADDQ	R14, DX
+	VBROADCASTSD	(R10)(AX*8), Z16
+	VMULPD	Z0, Z16, Z17
+	VMOVUPD.Z	(DX)(BX*1), K1, Z18
+	VADDPD	Z18, Z17, Z17
+	VMOVUPD	Z17, K1, (DX)(BX*1)
+	INCQ	AX
+	CMPQ	AX, CX
+	JLT	utailnz
+unext:
+	ADDQ	R15, SI
+	INCQ	R11
+	JMP	urow
+udone:
+	VZEROUPPER
+	RET
+
+// func transposeAVX512(src *float64, lds int, dst *float64, ldd int, rows, cols int)
+//
+// Writes the transpose of the rows x cols block at src (rows lds elements
+// apart) to dst (rows ldd elements apart), rows and cols positive multiples
+// of 8, one 8x8 tile at a time in registers: eight row loads, VUNPCKLPD /
+// VUNPCKHPD pair the rows' even and odd elements, two rounds of VSHUFF64X2
+// gather the 128-bit pairs into columns, eight row stores. A pure copy: no
+// value passes an arithmetic unit, so NaN payloads and -0 come out as they
+// went in. The tiles of one band of 8 output rows are written one after
+// another, so the stores run along those rows.
+//
+// Registers: SI &src[0][j0], DI dst, R8/R9 src/dst row bytes, R12/R13 three
+// times them, R10 rows in bytes, R11 cols, CX j0, DX &dst[j0][0], AX
+// &src[i0][j0], BX i0 in bytes, R14/R15 the fifth source and destination row.
+TEXT ·transposeAVX512(SB), NOSPLIT, $0-48
+	MOVQ	src+0(FP), SI
+	MOVQ	lds+8(FP), R8
+	SHLQ	$3, R8
+	MOVQ	dst+16(FP), DI
+	MOVQ	ldd+24(FP), R9
+	SHLQ	$3, R9
+	MOVQ	rows+32(FP), R10
+	SHLQ	$3, R10
+	MOVQ	cols+40(FP), R11
+	LEAQ	(R8)(R8*2), R12
+	LEAQ	(R9)(R9*2), R13
+	XORQ	CX, CX
+	MOVQ	DI, DX
+trband:
+	MOVQ	SI, AX
+	XORQ	BX, BX
+trtile:
+	LEAQ	(AX)(R8*4), R14
+	VMOVUPD	(AX), Z0
+	VMOVUPD	(AX)(R8*1), Z1
+	VMOVUPD	(AX)(R8*2), Z2
+	VMOVUPD	(AX)(R12*1), Z3
+	VMOVUPD	(R14), Z4
+	VMOVUPD	(R14)(R8*1), Z5
+	VMOVUPD	(R14)(R8*2), Z6
+	VMOVUPD	(R14)(R12*1), Z7
+	VUNPCKLPD	Z1, Z0, Z8
+	VUNPCKHPD	Z1, Z0, Z9
+	VUNPCKLPD	Z3, Z2, Z10
+	VUNPCKHPD	Z3, Z2, Z11
+	VUNPCKLPD	Z5, Z4, Z12
+	VUNPCKHPD	Z5, Z4, Z13
+	VUNPCKLPD	Z7, Z6, Z14
+	VUNPCKHPD	Z7, Z6, Z15
+	VSHUFF64X2	$0x88, Z10, Z8, Z0
+	VSHUFF64X2	$0xDD, Z10, Z8, Z2
+	VSHUFF64X2	$0x88, Z11, Z9, Z1
+	VSHUFF64X2	$0xDD, Z11, Z9, Z3
+	VSHUFF64X2	$0x88, Z14, Z12, Z4
+	VSHUFF64X2	$0xDD, Z14, Z12, Z6
+	VSHUFF64X2	$0x88, Z15, Z13, Z5
+	VSHUFF64X2	$0xDD, Z15, Z13, Z7
+	VSHUFF64X2	$0x88, Z4, Z0, Z16
+	VSHUFF64X2	$0x88, Z5, Z1, Z17
+	VSHUFF64X2	$0x88, Z6, Z2, Z18
+	VSHUFF64X2	$0x88, Z7, Z3, Z19
+	VSHUFF64X2	$0xDD, Z4, Z0, Z20
+	VSHUFF64X2	$0xDD, Z5, Z1, Z21
+	VSHUFF64X2	$0xDD, Z6, Z2, Z22
+	VSHUFF64X2	$0xDD, Z7, Z3, Z23
+	LEAQ	(DX)(BX*1), R15
+	VMOVUPD	Z16, (R15)
+	VMOVUPD	Z17, (R15)(R9*1)
+	VMOVUPD	Z18, (R15)(R9*2)
+	VMOVUPD	Z19, (R15)(R13*1)
+	LEAQ	(R15)(R9*4), R15
+	VMOVUPD	Z20, (R15)
+	VMOVUPD	Z21, (R15)(R9*1)
+	VMOVUPD	Z22, (R15)(R9*2)
+	VMOVUPD	Z23, (R15)(R13*1)
+	LEAQ	(AX)(R8*8), AX
+	ADDQ	$64, BX
+	CMPQ	BX, R10
+	JLT	trtile
+	ADDQ	$64, SI
+	LEAQ	(DX)(R9*8), DX
+	ADDQ	$8, CX
+	CMPQ	CX, R11
+	JLT	trband
 	VZEROUPPER
 	RET
 

@@ -255,14 +255,16 @@ func TestAVXMatchesScalar(t *testing.T) {
 // reference formulas, bit for bit: CSR x dense sums each output element from
 // +0 over the row's stored values in order (a rounded multiply, then an add)
 // and adds the sum to acc once; dense x CSR adds each rounded product into
-// accT in place, b's rows ascending. Random widths 1..200 (so every mix of
-// 16-column strips, 4-column strips and single columns), rows left empty,
-// acc given and absent, special values; the assembly form and the portable
-// twin, each run on a pool of 1, 2 and 3 kernel threads.
+// accT in place, b's rows ascending. Every width 1..200 — every mix of the
+// AVX-512 forms' 64-, 32-, 16- and 8-column strips and masked tails, of the
+// AVX2 forms' 16- and 4-column strips and single columns, and of the kernel
+// threads' 64-column splits — over random row counts with rows left empty,
+// acc given and absent, special values; the portable twin and each assembly
+// level the machine has, each run on a pool of 1, 2 and 3 kernel threads.
 func TestSpMMFormsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	pools := []*parallel.Pool{nil, parallel.New(1, 1), parallel.New(2, 1), parallel.New(3, 1)}
-	levels := []kernelLevel{{name: "portable", level: levelPortable}, asmLevels[0]}
+	levels := append([]kernelLevel{{name: "portable", level: levelPortable}}, asmLevels...)
 	randCSR := func(rows, cols int) *CSR {
 		d := NewDense(rows, cols)
 		density := rng.Float64() * 0.5
@@ -278,8 +280,8 @@ func TestSpMMFormsAgree(t *testing.T) {
 		}
 		return ToCSR(d)
 	}
-	for trial := 0; trial < 120; trial++ {
-		rows, inner, n := 1+rng.Intn(40), 1+rng.Intn(40), 1+rng.Intn(200)
+	for n := 1; n <= 200; n++ {
+		rows, inner := 1+rng.Intn(40), 1+rng.Intn(40)
 		x := randCSR(rows, inner)
 		y := NewDenseData(inner, n, special(rng, make([]float64, inner*n)))
 		acc := NewDenseData(rows, n, special(rng, make([]float64, rows*n)))
@@ -328,15 +330,20 @@ func TestSpMMFormsAgree(t *testing.T) {
 	}
 }
 
-// TestSparseProductAddsOnce pins the sparse arms of MatMulAccWith to their
-// contract where only the sign of a zero tells: acc += a x b has the bits of
-// acc + MatMulWith(a, b), element by element, when acc holds -0 and +0 and
-// products underflow to ±0, cancel, or meet an empty row — at every level
-// the machine has. Filling a row in place from acc's -0 would keep a -0 that
-// adding the product's +0 does not.
+// TestSparseProductAddsOnce pins the arms of MatMulAccWith, and
+// MatMulTNAccWith, to their contract where only the sign of a zero tells:
+// acc += a x b has the bits of acc + MatMulWith(a, b), element by element,
+// when acc holds -0 and +0 and products underflow to ±0, cancel, or meet an
+// empty row — at every level the machine has. Filling a row in place from
+// acc's -0 would keep a -0 that adding the product's +0 does not; so would
+// adding a tile sum that rounded to -0 (row 5 against y's row 3: fma(-1e-300,
+// 1e-300, +0) is -0) onto it as it is; the last arm makes every tile sum -0,
+// in every lane of the GEMM's 8x16, 4x8 and 4x4 strips and its edge rows and
+// columns. n = 85 crosses the row kernels' 64-, 16-, 4- and 1-column strips
+// (at AVX-512 a 5-column masked tail).
 func TestSparseProductAddsOnce(t *testing.T) {
 	negZero := math.Copysign(0, -1)
-	const n = 21 // a 16-column strip, a 4-column one and a single column
+	const n = 85
 	yv := make([]float64, 4*n)
 	for j := 0; j < n; j++ {
 		yv[j] = []float64{1e-200, 1, 2, 3}[j%4]
@@ -345,33 +352,109 @@ func TestSparseProductAddsOnce(t *testing.T) {
 		yv[3*n+j] = []float64{negZero, 1e-300, 5, 0}[j%4]
 	}
 	y := NewDenseData(4, n, yv)
-	x := ToCSR(NewDenseData(6, 4, []float64{
+	xd := NewDenseData(6, 4, []float64{
 		-1e-200, 0, 0, 0, // underflows to -0 against y's 1e-200
 		0, 1e-200, 0, 0, // ±0 and ±tiny products
 		0, 0, 0, 0, // an empty row
 		0, 0, 1, 0, // exact products
 		1, 0, -1, 0, // 1e-200 - 1 and the like; row 2 of y cancels
 		0, 0, 0, -1e-300, // -0 × -1e-300, 1e-300 × -1e-300
-	}))
-	repeat := func(pattern ...float64) []float64 {
-		v := make([]float64, 6*n)
+	})
+	x := ToCSR(xd)
+	zv, yzv := make([]float64, 9*4), make([]float64, 4*n)
+	for i := 0; i < 9; i++ {
+		zv[i*4+3] = -1e-300
+	}
+	for j := range yzv {
+		yzv[j] = 1e-300
+	}
+	xz, yz := NewDenseData(9, 4, zv), NewDenseData(4, n, yzv)
+	repeat := func(rows int, pattern ...float64) []float64 {
+		v := make([]float64, rows*n)
 		for i := range v {
 			v[i] = pattern[i%len(pattern)]
 		}
 		return v
 	}
-	for name, acc := range map[string][]float64{"-0": repeat(negZero), "+0": repeat(0), "mixed": repeat(negZero, 0, negZero, 1e-300, -1)} {
+	arms := []struct {
+		name string
+		a, b Mat
+	}{{"csr x dense", x, y}, {"csr x csr", x, ToCSR(y)}, {"dense x csr", xd, ToCSR(y)}, {"dense x dense", xd, y}, {"dense x dense, every sum -0", xz, yz}}
+	for name, pattern := range map[string][]float64{"-0": {negZero}, "+0": {0}, "mixed": {negZero, 0, negZero, 1e-300, -1}} {
 		for _, lv := range append([]kernelLevel{{name: "portable", level: levelPortable}}, asmLevels...) {
 			if simdLevel < lv.level {
 				continue
 			}
 			atLevel(lv.level, func() {
-				for arm, b := range map[string]Mat{"csr x dense": y, "csr x csr": ToCSR(y)} {
-					prod := MatMulWith(nil, x, b)
-					got := MatMulAccWith(nil, NewDenseData(6, n, slices.Clone(acc)), x, b)
+				check := func(arm string, acc []float64, prod Mat, got *Dense) {
 					for e, v := range acc {
 						if want := v + prod.At(e/n, e%n); math.Float64bits(got.Data[e]) != math.Float64bits(want) {
 							t.Fatalf("%s, %s, acc %s: element (%d, %d) is %v, acc + product is %v", arm, lv.name, name, e/n, e%n, got.Data[e], want)
+						}
+					}
+				}
+				for _, arm := range arms {
+					rows, _ := arm.a.Dims()
+					acc := repeat(rows, pattern...)
+					prod := MatMulWith(nil, arm.a, arm.b)
+					check(arm.name, acc, prod, MatMulAccWith(nil, NewDenseData(rows, n, slices.Clone(acc)), arm.a, arm.b))
+					if at, ok := arm.a.(*Dense); ok && !arm.b.IsSparse() {
+						check(arm.name+", left operand transposed", acc, prod,
+							MatMulTNAccWith(nil, NewDenseData(rows, n, slices.Clone(acc)), Transpose(at).(*Dense), arm.b.(*Dense)))
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestTransposeKernelMatchesPortable holds the dense transpose to a pure
+// copy at every level the machine has and every thread count: for every shape
+// 1..70 x 1..70 — interiors of whole 8x8 tiles with every ragged edge, and
+// none — and the 256x64 and 64x256 blocks GNMF transposes, each a window
+// into a larger array at a start 0..7 values in, so rows begin at every
+// phase of a cache line, TransposeWith on a pool of 1, 2 and 3 kernel threads
+// gives the bits of the portable tiled loop, NaN payloads (a signalling one
+// too), -0, ±Inf and subnormals included, and that is t(a).
+func TestTransposeKernelMatchesPortable(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	sNaN := math.Float64frombits(0x7FF0000000000001)
+	odd := func(rng *rand.Rand) float64 {
+		if rng.Intn(len(oddValues)+1) == 0 {
+			return sNaN
+		}
+		return anyOdd(rng)
+	}
+	type shape struct{ r, c int }
+	shapes := []shape{{256, 64}, {64, 256}}
+	for r := 1; r <= 70; r++ {
+		for c := 1; c <= 70; c++ {
+			shapes = append(shapes, shape{r, c})
+		}
+	}
+	pools := []*parallel.Pool{nil, parallel.New(2, 1), parallel.New(3, 1)}
+	for _, sh := range shapes {
+		off := (sh.r + 3*sh.c) % 8
+		a := NewDenseData(sh.r, sh.c, specialEvery(rng, make([]float64, off+sh.r*sh.c), 4, unit, odd)[off:])
+		var want *Dense
+		portably(func() { want = Transpose(a).(*Dense) })
+		for i := 0; i < sh.r; i++ {
+			for j := 0; j < sh.c; j++ {
+				if math.Float64bits(want.Data[j*sh.r+i]) != math.Float64bits(a.Data[i*sh.c+j]) {
+					t.Fatalf("%dx%d: the portable transpose's (%d, %d) is not a's (%d, %d)", sh.r, sh.c, j, i, i, j)
+				}
+			}
+		}
+		for _, lv := range asmLevels {
+			if simdLevel < lv.level {
+				continue
+			}
+			atLevel(lv.level, func() {
+				for _, p := range pools {
+					got := TransposeWith(p, a).(*Dense)
+					for e, v := range got.Data {
+						if math.Float64bits(v) != math.Float64bits(want.Data[e]) {
+							t.Fatalf("%dx%d, %s, %d threads: element (%d, %d) is %x, the tiled loop's %x", sh.r, sh.c, lv.name, p.Threads(), e/sh.r, e%sh.r, math.Float64bits(v), math.Float64bits(want.Data[e]))
 						}
 					}
 				}
@@ -469,6 +552,49 @@ func BenchmarkMatMulDenseDense(b *testing.B) {
 		}
 		acc := NewDense(sh.m, sh.n)
 		benchKernel(b, name+"acc", nbytes, flops, func() { matMulDD(nil, acc, strided{x.Data, x.Cols, 1}, y, true) })
+	}
+}
+
+// BenchmarkSpMMPanel times both sparse x dense orientations over a panel of
+// GNMF's blocks — sixteen 256x256 CSR blocks at density 0.01 — against 256x64
+// factor blocks, at each level, into one accumulator per orientation: X %*%
+// t(U) as CSR x dense (MatMulAccWith), and t(V) %*% X as the dense x CSR
+// kernel on V's untransposed block (MatMulTransAccWith). GFLOP/s counts the
+// multiply-adds the products need, 2 * 64 per stored value.
+func BenchmarkSpMMPanel(b *testing.B) {
+	const blocks = 16
+	xs := make([]*CSR, blocks)
+	var nbytes, nnz int64
+	for i := range xs {
+		xs[i] = RandomSparse(benchBlock, benchBlock, 0.01, 1, 5, int64(10+i))
+		nbytes += xs[i].SizeBytes()
+		nnz += int64(xs[i].NNZ())
+	}
+	u, v := RandomDense(benchBlock, benchK, 0.1, 0.9, 4), RandomDense(benchBlock, benchK, 0.1, 0.9, 5)
+	nbytes += u.SizeBytes() + v.SizeBytes()
+	acc, accT := NewDense(benchBlock, benchK), NewDense(benchBlock, benchK)
+	flops := 2 * benchK * nnz
+	for _, lv := range append([]kernelLevel{{name: "portable", level: levelPortable}}, asmLevels...) {
+		for _, arm := range []struct {
+			name string
+			run  func(x *CSR)
+		}{
+			{"csr-dense", func(x *CSR) { MatMulAccWith(nil, acc, x, u) }},
+			{"dense-csr", func(x *CSR) { MatMulTransAccWith(nil, accT, v, x) }},
+		} {
+			name := arm.name + "/" + lv.name
+			if simdLevel < lv.level {
+				b.Run(name, func(b *testing.B) { b.Skip(lv.lacks) })
+				continue
+			}
+			atLevel(lv.level, func() {
+				benchKernel(b, name, nbytes, flops, func() {
+					for _, x := range xs {
+						arm.run(x)
+					}
+				})
+			})
+		}
 	}
 }
 

@@ -24,7 +24,19 @@ func spmmRowsAVX(rowPtr, col *int, val *float64, rLo, rHi int, b, acc *float64, 
 	panic("matrix: AVX kernel called on non-amd64")
 }
 
-func spmmTRowAVX(a *float64, col *int, val *float64, nnz int, accT *float64, ldT, m int) {
+func spmmRowsAVX512(rowPtr, col *int, val *float64, rLo, rHi int, b, acc *float64, n int) {
+	panic("matrix: AVX kernel called on non-amd64")
+}
+
+func spmmTAVX(rowPtr, col *int, val *float64, K int, a, accT *float64, ld, m int) {
+	panic("matrix: AVX kernel called on non-amd64")
+}
+
+func spmmTAVX512(rowPtr, col *int, val *float64, K int, a, accT *float64, ld, m int) {
+	panic("matrix: AVX kernel called on non-amd64")
+}
+
+func transposeAVX512(src *float64, lds int, dst *float64, ldd int, rows, cols int) {
 	panic("matrix: AVX kernel called on non-amd64")
 }
 

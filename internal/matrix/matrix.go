@@ -16,24 +16,29 @@
 // threads, and its size is chosen so kernel threads x worker slots stays at
 // or below GOMAXPROCS (see internal/parallel).
 //
-// One arithmetic per kernel. The three product loops have an assembly form on
+// One arithmetic per kernel. The product loops have an assembly form on
 // amd64 (matmul_amd64.s) and a portable Go twin that computes the same bits,
 // selected by simdLevel, one ordered value — portable, then AVX2 (AVX, FMA3,
 // AVX2 and OS YMM state), then AVX-512F with OS ZMM state; nothing else
-// dispatches, and only the dense GEMM and (*Dense).NNZ's count have a form
-// above AVX2. Dense GEMM is
+// dispatches. The dense GEMM, the two sparse x dense row kernels, the dense
+// transpose (transposeAVX512, 8x8 tiles in registers; the tiled loop of
+// transposeTiles below it) and (*Dense).NNZ's count have a form at AVX-512.
+// Dense GEMM is
 // fused multiply-add: every output element has one accumulator that takes
 // acc = fma(a, b, acc), k ascending, and is added to the output once per
-// k-tile (microAVX512x8x16 and microAVX4x8; micro4x4 and edgeTile through
+// k-tile as out + (acc + 0), so a -0 sum leaves a -0 output as adding the
+// product would (microAVX512x8x16 and microAVX4x8; micro4x4 and edgeTile through
 // math.FMA, which is the hardware instruction on amd64 with FMA3 and on
 // arm64, and exact software on an older x86 — identical and slow); its left
 // operand is read through a row and a k stride, so t(A) x B (MatMulTNAccWith)
 // is the same kernels on A's block as it lies. The dense
 // SDDMM (sddmmAVX; dot) is four interleaved partial sums, each step a rounded
 // multiply then an add, combined pairwise as (s0+s1)+(s2+s3); the CSR x dense
-// and dense x CSR row kernels (spmmRowsAVX, spmmTRowAVX; spmmRows, spmmTCols)
-// are a rounded multiply then an add per element, summed from +0 and added
-// once, and summed in place k ascending, respectively. NaN payloads aside, their results
+// and dense x CSR row kernels (spmmRowsAVX512 and spmmRowsAVX, spmmTAVX512
+// and spmmTAVX; spmmRows, spmmTCols) are a rounded multiply then an add per
+// element, summed from +0 and added once, and summed in place k ascending,
+// respectively; each call covers a row range, or a whole CSR block, and the
+// AVX-512 forms walk a row's non-zeros once per 64 columns. NaN payloads aside, their results
 // are therefore equal bit for bit between assembly and portable forms, strips
 // and edges, thread counts and machines. log, exp and sigmoid are what the
 // machine's math.Log and math.Exp are; from the AVX2 level up a strip of them

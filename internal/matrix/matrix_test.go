@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -208,11 +209,32 @@ func TestCSRColumnOrderAfterTranspose(t *testing.T) {
 	}
 }
 
+// BenchmarkTransposeDense transposes a square block and the two blocks GNMF
+// transposes in every task — a member t(U) of a 256x64 factor block and the
+// 64x256 dense x CSR accumulator written back — into a fresh block each time,
+// as the executor does, and the GNMF shapes into one reused block: the copy
+// alone, without the fresh block's clearing.
 func BenchmarkTransposeDense(b *testing.B) {
-	d := RandomDense(500, 500, -1, 1, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Transpose(d)
+	for _, sh := range []struct{ r, c int }{{500, 500}, {256, 64}, {64, 256}} {
+		d := RandomDense(sh.r, sh.c, -1, 1, 1)
+		name := fmt.Sprintf("%dx%d", sh.r, sh.c)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(d.SizeBytes())
+			for i := 0; i < b.N; i++ {
+				sinkMat = Transpose(d)
+			}
+		})
+		if sh.r == sh.c {
+			continue
+		}
+		out := NewDense(sh.c, sh.r)
+		b.Run(name+"/reused", func(b *testing.B) {
+			b.SetBytes(d.SizeBytes())
+			for i := 0; i < b.N; i++ {
+				transposeDense(d, out, 0, d.Cols)
+			}
+		})
 	}
 }
 
