@@ -40,19 +40,23 @@ build:
 ## transpose call per GNMF transpose at AVX-512 — and a GNMF iteration with
 ## rebind counts no dense block twice), the kernel, fused-task and block-grid
 ## micro-benchmarks (BenchmarkUnaryStrip, BenchmarkSpMMPanel, the GNMF shapes
-## of BenchmarkTransposeDense and BenchmarkMatrixGrid among them), the two observability overhead guards (disabled fast path,
-## journal < 2 %) and the FME1 wire benchmark (codec, loopback-socket and
-## arena arms) once each so they cannot rot. The tests of what runs
-## concurrently since the executor walks the plan DAG — the executor itself,
-## stage lists and journals kept in plan order, per-stage stats, shared node
-## lanes, block-cache visibility, the task samples each stage is handed and
-## the non-zero counts concurrent tasks fold into a result under its sink's
-## lock, with the kept total they give a matrix —
+## of BenchmarkTransposeDense with their fresh, reused and arena arms, and
+## BenchmarkMatrixGrid among them), the trace and journal overhead
+## benchmarks (at one iteration they print the off and on timings and the
+## journal's median on/off ratio; no bound is checked there) and the FME1 wire
+## benchmark (codec,
+## loopback-socket and arena arms) once each so they cannot rot. The tests of
+## what runs concurrently since the executor walks the plan DAG — the executor
+## itself, stage lists and journals kept in plan order, per-stage stats,
+## shared node lanes, block-cache visibility, the task samples each stage is
+## handed, the non-zero counts concurrent tasks fold into a result under its
+## sink's lock, with the kept total they give a matrix, and the task arenas
+## that concurrent tasks take from one pool and reset —
 ## run again ten times at GOMAXPROCS=2, so an ordering flake shows here
 ## rather than in a single tier-1 run. Every alternative of DAGTESTS must
 ## name a test of DAGPKGS: one that matches none fails the target before
 ## anything runs, so a renamed test cannot drop out of the rerun unnoticed
-DAGTESTS = Executor|GoldenStageLists|HitDispatches|ConformanceJournal|ConformanceBlockCache|FlightPeakMem|PipelineDiffGNMF|RemoteCache|RemoteGNMFCache|BlockCacheMatchesSim|MultiAggBlockCache|Visibility|Scopes|Overlapping|SharesNodeLanes|QueryLogParts|OwnTaskSamples|TraceShapeUnchanged|OfflineTraceEqualsLive|JournalCarriesLayerMetrics|TraceCoversEveryQuery|MatrixNNZMatchesScan|ReboundOutputDensityExact
+DAGTESTS = Executor|GoldenStageLists|HitDispatches|ConformanceJournal|ConformanceBlockCache|FlightPeakMem|PipelineDiffGNMF|RemoteCache|RemoteGNMFCache|BlockCacheMatchesSim|MultiAggBlockCache|Visibility|Scopes|Overlapping|SharesNodeLanes|QueryLogParts|OwnTaskSamples|TraceShapeUnchanged|OfflineTraceEqualsLive|JournalCarriesLayerMetrics|TraceCoversEveryQuery|MatrixNNZMatchesScan|ReboundOutputDensityExact|TaskArenaNeverEscapes
 DAGPKGS = . ./internal/core ./internal/exec ./internal/rt/... ./internal/blockcache ./internal/obs ./internal/sched ./internal/plancache ./internal/block
 race:
 	@listed="$$($(GO) test -list '$(DAGTESTS)' $(DAGPKGS))" || { echo "$$listed"; exit 1; }; \

@@ -357,11 +357,15 @@ func allocated(t *testing.T, fn func()) int64 {
 // task, at an eighth of the benchmark's scale, to an allocation ceiling, so
 // per-node intermediates cannot creep back unnoticed. The GNMF task may
 // allocate twice its output (the main product's accumulator, which the chain
-// then stores into, and the nested product's) plus the transposes its
-// dense x dense product still builds; the NMF-kernel task, whose output
-// shares the driver's pattern and whose SDDMM reads t(F) as F's own blocks,
-// its output. With one block per node the same two tasks allocated 38.2 MB
-// and 17.3 MB where they now allocate 1.2 MB and 0.5 MB.
+// then stores into, and the nested product's): the ceiling is read after a
+// warm-up call, and a warm task takes the blocks it builds and drops — its
+// retained transposes and the transposed accumulator's scratch — from a task
+// arena. The NMF-kernel task, whose output shares the driver's pattern and
+// whose SDDMM reads t(F) as F's own blocks, may allocate its output. With one
+// block per node the same two tasks allocated 38.2 MB and 17.3 MB; with fresh
+// transposes and scratch 0.64 MB and 0.43 MB; they now allocate 0.58 MB
+// (0.68 MB when the warm-up's arena went to another processor's pool and the
+// task takes a new one) and 0.43 MB.
 func TestTaskAllocationBudget(t *testing.T) {
 	const users, items, k, bs, slack = 1000, 500, 64, 64, 256 << 10 // slack: plan, descriptors, maps, scratch
 	flats := benchFlats(users, items, k, 0.08)
@@ -380,9 +384,8 @@ func TestTaskAllocationBudget(t *testing.T) {
 	}
 
 	alloc, out := run(gnmfUpdate)
-	tvBytes := flats["V"].SizeBytes() // t(V) %*% V is dense x dense: t(V)'s blocks are built
-	t.Logf("GNMF update task: %d bytes allocated, %d-byte output, t(V) %d bytes", alloc, out, tvBytes)
-	if ceiling := 2*out + tvBytes + slack; alloc > ceiling {
+	t.Logf("GNMF update task: %d bytes allocated, %d-byte output", alloc, out)
+	if ceiling := 2*out + slack; alloc > ceiling {
 		t.Errorf("GNMF update task allocated %d bytes for a %d-byte output: ceiling %d", alloc, out, ceiling)
 	}
 
@@ -709,6 +712,7 @@ b4n = b4 - lrm * rowSums(D4)
 					gk = (mm.Inputs[0].Cols + bs - 1) / bs
 				}
 				ev := newEvaluator(newPlanCtx(plan, false), task, bindSource{bind: bind}, bs, 0, gk)
+				ev.arena = new(taskArena)
 				if ev.pc.mask != nil {
 					t.Errorf("%s: %s is masked: its chain walks a pattern, the case is not the one meant", name, plan)
 				}

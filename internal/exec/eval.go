@@ -30,7 +30,8 @@ type evaluator struct {
 
 	memo      memoTable
 	pinned    bool               // the task pinned the main multiplication's aggregated partials (a fuse task)
-	accT      *matrix.Dense      // scratch: evalMatMul's transposed accumulator
+	accT      *matrix.Dense      // scratch: evalMatMul's transposed accumulator, in the arena
+	arena     *taskArena         // where the task's retained transposes and scratch live
 	colocated []int              // inputs co-partitioned with the output: no fetch cost
 	trace     *cluster.TaskTrace // per-task sub-spans; nil when tracing is off
 	caching   *spec.Stage        // the stage naming the cacheable inputs' content epochs and its cache scope
@@ -43,7 +44,7 @@ type memoTable map[uint64]memoEntry
 // memoEntry is the task's state of one block of one node.
 type memoEntry struct {
 	blk     matrix.Mat    // the block, when held; nil is an all-zero block
-	leftT   *matrix.Dense // its retained, charged transpose as a dense left operand (evalMatMul)
+	leftT   *matrix.Dense // its retained, charged transpose as a dense left operand (evalMatMul), in the arena
 	held    bool          // blk is memoised, pinned or fetched
 	fetched bool          // the block was fetched and metered (or broadcast, or a cache hit)
 	charged bool          // a retained transpose's memory: charged once, built or folded
@@ -155,7 +156,7 @@ func (ev *evaluator) evalBlock(n *dag.Node, bi, bj int) matrix.Mat {
 // computeBlock computes block (bi, bj) of the member n. A transpose built
 // here is charged what building it moves (matrix.TransposeFlops): every time
 // for a streamed node, once per task for a retained one, whose block evalBlock
-// holds.
+// holds — a dense one in the task arena, since it dies with the task.
 func (ev *evaluator) computeBlock(n *dag.Node, bi, bj int) matrix.Mat {
 	switch n.Op {
 	case dag.OpUnary, dag.OpBinary:
@@ -169,6 +170,9 @@ func (ev *evaluator) computeBlock(n *dag.Node, bi, bj int) matrix.Mat {
 			return nil
 		}
 		ev.task.AddFlops(matrix.TransposeFlops(child))
+		if d, ok := child.(*matrix.Dense); ok && ev.shouldMemo(n) {
+			return matrix.TransposeInto(ev.pool, ev.arena.dense(d.Cols, d.Rows), d)
+		}
 		return matrix.TransposeWith(ev.pool, child)
 	case dag.OpMatMul:
 		return ev.evalMatMul(n, bi, bj)
@@ -324,10 +328,11 @@ func (ev *evaluator) scalarValue(n *dag.Node) float64 {
 // A dense left block against a CSR right block (GNMF's t(V) %*% X) runs the
 // transposed kernel — the dense row held in registers, added into the row of
 // each non-zero — accumulating in a scratch the task reuses across output
-// blocks and transposes once per sum.
+// blocks and transposes once per sum into a fresh block.
 // The kernel reads the left block's transpose: the operand under a member
 // t(A) node as it is (t(A)'s blocks are never built), else a copy the task
-// keeps, and is charged for, across its output blocks. A dense pair under a
+// keeps, and is charged for, across its output blocks. The scratch and the
+// copies lie in the task arena. A dense pair under a
 // member t(A) runs the dense kernel on A's block through swapped strides
 // (the AutoEncoder's t(W) %*% D); only a CSR block under t(A) against a
 // dense one still has its transpose built.
@@ -373,7 +378,7 @@ func (ev *evaluator) evalMatMul(n *dag.Node, bi, bj int) matrix.Mat {
 				key := ev.memoKey(left.ID, bi, bk)
 				e := ev.memo[key]
 				if e.leftT == nil { // built once per task, held against its memory
-					e.leftT = matrix.TransposeWith(ev.pool, d).(*matrix.Dense)
+					e.leftT = matrix.TransposeInto(ev.pool, ev.arena.dense(d.Cols, d.Rows), d)
 					ev.memo[key] = e
 					ev.task.GrowMem(d.SizeBytes())
 				}
@@ -384,7 +389,7 @@ func (ev *evaluator) evalMatMul(n *dag.Node, bi, bj int) matrix.Mat {
 					// The task's scratch — taken, not shared: an operand may be a product itself.
 					accT, ev.accT = ev.accT, nil
 					if accT == nil || accT.Rows != cols || accT.Cols != rows {
-						accT = matrix.NewDense(cols, rows)
+						accT = ev.arena.dense(cols, rows)
 					}
 					clear(accT.Data)
 				}

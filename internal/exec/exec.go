@@ -37,9 +37,12 @@
 // place. On a worker, the blocks a task fetched live in its task stream's
 // arena only until the task's done frame is written: a result that is, or
 // shares memory with, a fetched block has gone out before then, and a block
-// a task caches was fetched into storage of its own. Results that come off
-// the wire are checked against the sinks — kind, key, shape — before any is
-// routed (ErrMalformedResult).
+// a task caches was fetched into storage of its own. The blocks a task builds
+// for itself and drops — its retained member transposes, the transposed
+// copies and scratch of a dense x CSR product — lie in a task arena that the
+// task's end resets (arena.go); one of them that reaches emit leaves as a
+// clone. Results that come off the wire are checked against the sinks —
+// kind, key, shape — before any is routed (ErrMalformedResult).
 //
 // Three consolidation strategies share this machinery:
 //

@@ -1,10 +1,45 @@
 package exec
 
-import "fuseme/internal/cluster"
+import (
+	"math"
+	"sync/atomic"
+	"testing"
+
+	"fuseme/internal/cluster"
+	"fuseme/internal/matrix"
+)
 
 // BindSourceAhead reports whether the in-process block source, plain and
 // traced, offers a read-ahead hook, for external tests.
 func BindSourceAhead() (plain, traced bool) {
 	src := bindSource{}
 	return src.ahead() != nil, tracedSource{src: src, tt: &cluster.TaskTrace{}}.ahead() != nil
+}
+
+// PoisonTaskArenas makes every task arena reset fill the blocks it takes back
+// with NaN until t ends, and returns the count of blocks filled so far.
+func PoisonTaskArenas(t testing.TB) *atomic.Int64 {
+	var n atomic.Int64
+	poison := func(taken []*matrix.Dense) {
+		for _, d := range taken {
+			for i := range d.Data {
+				d.Data[i] = math.NaN()
+			}
+		}
+		n.Add(int64(len(taken)))
+	}
+	resetHook.Store(&poison)
+	t.Cleanup(func() { resetHook.Store(nil) })
+	return &n
+}
+
+// ArenaBlockLeavesAsClone reports whether a block taken from a task arena
+// leaves its task as an equal copy and a block built elsewhere as itself.
+func ArenaBlockLeavesAsClone() (cloned, kept bool) {
+	ta := new(taskArena)
+	d := ta.dense(2, 3)
+	copy(d.Data, []float64{1, 2, 3, 4, 5, 6})
+	out := ta.escape(d)
+	fresh := matrix.NewDense(2, 3)
+	return out != matrix.Mat(d) && matrix.Equal(out, d), ta.escape(fresh) == matrix.Mat(fresh)
 }

@@ -122,10 +122,11 @@ const maxOutputs = 1 << 6
 
 // evaluator builds a task's evaluator of output plan pc over the main
 // multiplication's k-block range [kLo, kHi), wired to the stage's
-// co-partitioned inputs, input epochs and cache scope.
-func (st *Stage) evaluator(pc *planCtx, task *cluster.Task, src blockSource, kLo, kHi int) *evaluator {
+// co-partitioned inputs, input epochs and cache scope and to the task's
+// arena.
+func (st *Stage) evaluator(pc *planCtx, task *cluster.Task, src blockSource, ta *taskArena, kLo, kHi int) *evaluator {
 	ev := newEvaluator(pc, task, src, st.Spec.BlockSize, kLo, kHi)
-	ev.colocated, ev.caching = st.Spec.Colocated, &st.Spec
+	ev.colocated, ev.caching, ev.arena = st.Spec.Colocated, &st.Spec, ta
 	return ev
 }
 
@@ -142,11 +143,11 @@ type taskOut struct {
 // evaluators read through one memo — a multi-aggregation's plans hold no
 // multiplication, so only leaves are memoised — which makes a block several
 // aggregations consume fetched, metered and cached once per task.
-func (st *Stage) outputs(task *cluster.Task, src blockSource, kHi int) []taskOut {
+func (st *Stage) outputs(task *cluster.Task, src blockSource, ta *taskArena, kHi int) []taskOut {
 	outs := make([]taskOut, len(st.outs))
 	for i, pc := range st.outs {
 		o := &outs[i]
-		o.ev, o.kind = st.evaluator(pc, task, src, 0, kHi), aggKind(i)
+		o.ev, o.kind = st.evaluator(pc, task, src, ta, 0, kHi), aggKind(i)
 		o.ev.memo = outs[0].ev.memo
 		if pc.agg != nil {
 			o.partial = block.New(pc.agg.Rows, pc.agg.Cols, st.Spec.BlockSize)
@@ -183,13 +184,22 @@ func (o *taskOut) flush(emit emitFn) {
 // Results leave through emit; metering lands on task. A task carrying a block
 // cache first drops its entries of each input the stage names at an older
 // epoch — rebound since, they can never hit again — so a cache is coherent
-// with the stage it serves without anyone tracking what it holds.
+// with the stage it serves without anyone tracking what it holds. The blocks
+// the task builds and drops come from a task arena, reset when the attempt
+// ends however it ends; a result block that lies there leaves as a clone.
 func runStageTask(st *Stage, task *cluster.Task, src blockSource, emit emitFn) error {
 	if cache := task.Cache(); cache != nil {
 		for _, ne := range st.Spec.Epochs {
 			cache.InvalidateStale(ne.Node, ne.Epoch)
 		}
 	}
+	ta := taskArenas.Get().(*taskArena)
+	defer func() {
+		ta.reset()
+		taskArenas.Put(ta)
+	}()
+	out := emit
+	emit = func(kind uint8, bi, bj int, blk matrix.Mat) { out(kind, bi, bj, ta.escape(blk)) }
 	if tt := task.Trace(); tt != nil {
 		src = tracedSource{src: src, tt: tt}
 		emit = tracedEmit(tt, emit)
@@ -197,13 +207,13 @@ func runStageTask(st *Stage, task *cluster.Task, src blockSource, emit emitFn) e
 	return runTask(func() error {
 		switch st.Spec.Phase {
 		case spec.PhaseCuboid:
-			return st.runCuboidTask(task, src, emit)
+			return st.runCuboidTask(task, src, ta, emit)
 		case spec.PhasePartial:
-			return st.runPartialTask(task, src, emit)
+			return st.runPartialTask(task, src, ta, emit)
 		case spec.PhaseFuse:
-			return st.runFuseTask(task, src, emit)
+			return st.runFuseTask(task, src, ta, emit)
 		case spec.PhaseGrid:
-			return st.runGridTask(task, src, emit)
+			return st.runGridTask(task, src, ta, emit)
 		}
 		return fmt.Errorf("exec: unknown stage phase %q", st.Spec.Phase)
 	})
@@ -211,14 +221,14 @@ func runStageTask(st *Stage, task *cluster.Task, src blockSource, emit emitFn) e
 
 // runCuboidTask handles the single-stage (R == 1) cuboid execution: the task
 // computes final output blocks of its (p, q) partition.
-func (st *Stage) runCuboidTask(task *cluster.Task, src blockSource, emit emitFn) error {
+func (st *Stage) runCuboidTask(task *cluster.Task, src blockSource, ta *taskArena, emit emitFn) error {
 	q := len(st.Spec.JRanges)
-	return st.evalOutputs(&st.outputs(task, src, st.Spec.GK)[0], task.ID/q, task.ID%q, emit)
+	return st.evalOutputs(&st.outputs(task, src, ta, st.Spec.GK)[0], task.ID/q, task.ID%q, emit)
 }
 
 // runPartialTask handles stage one of an R > 1 execution: partial
 // main-multiplication results over the task's k-range, shuffled out.
-func (st *Stage) runPartialTask(task *cluster.Task, src blockSource, emit emitFn) error {
+func (st *Stage) runPartialTask(task *cluster.Task, src blockSource, ta *taskArena, emit emitFn) error {
 	sp := &st.Spec
 	q, r := len(sp.JRanges), len(sp.KRanges)
 	pi := task.ID / (q * r)
@@ -226,7 +236,7 @@ func (st *Stage) runPartialTask(task *cluster.Task, src blockSource, emit emitFn
 	ri := task.ID % r
 	kr := sp.KRanges[ri]
 	pc := st.outs[0]
-	ev := st.evaluator(pc, task, src, kr.Lo, kr.Hi)
+	ev := st.evaluator(pc, task, src, ta, kr.Lo, kr.Hi)
 	tt := task.Trace()
 	rowsp, colsp := sp.IRanges[pi], sp.JRanges[qi]
 	for bi := rowsp.Lo; bi < rowsp.Hi; bi++ {
@@ -257,11 +267,11 @@ func (st *Stage) runPartialTask(task *cluster.Task, src blockSource, emit emitFn
 // runFuseTask handles stage two of an R > 1 execution: the task pins the
 // aggregated multiplication results of its partition and applies the O-space
 // chain once.
-func (st *Stage) runFuseTask(task *cluster.Task, src blockSource, emit emitFn) error {
+func (st *Stage) runFuseTask(task *cluster.Task, src blockSource, ta *taskArena, emit emitFn) error {
 	sp := &st.Spec
 	q := len(sp.JRanges)
 	pi, qi := task.ID/q, task.ID%q
-	out := &st.outputs(task, src, sp.GK)[0]
+	out := &st.outputs(task, src, ta, sp.GK)[0]
 	out.ev.pinned = true
 	ri, rj := sp.IRanges[pi], sp.JRanges[qi]
 	if ra := src.ahead(); ra != nil {
@@ -292,9 +302,9 @@ func (st *Stage) runFuseTask(task *cluster.Task, src blockSource, emit emitFn) e
 // runGridTask handles matmul-free plans, BFO executions and
 // multi-aggregations: a strided map over the output block grid, every output
 // evaluated per block.
-func (st *Stage) runGridTask(task *cluster.Task, src blockSource, emit emitFn) error {
+func (st *Stage) runGridTask(task *cluster.Task, src blockSource, ta *taskArena, emit emitFn) error {
 	sp := &st.Spec
-	outs := st.outputs(task, src, sp.GK)
+	outs := st.outputs(task, src, ta, sp.GK)
 	if sp.Broadcast {
 		broadcastSides(st.sides, src, outs[0].ev, task)
 	}

@@ -1,12 +1,14 @@
 package matrix
 
-// Arena is storage for decoded blocks that die together, such as the blocks
-// one task fetched: ReadBlock takes each block — its struct and its slices —
-// from the arena, and Reset makes all of it available again. Storage is
-// handed out unzeroed (ReadBlock writes every word it takes) and carved from
-// one chunk per element type, which grows to the largest batch taken between
-// two resets; from then on the arena allocates nothing. The zero value is
-// ready to use. A nil *Arena gives each block fresh storage of its own.
+// Arena is storage for blocks that die together: the blocks one task fetched
+// (ReadBlock takes each block — its struct and its slices — from the arena)
+// and the blocks a task builds for itself and drops when it ends (Dense), and
+// Reset makes all of it available again. Storage is handed out unzeroed
+// (ReadBlock writes every word it takes; a block taken with Dense is the
+// caller's to fill) and carved from one chunk per element type, which grows
+// to the largest batch taken between two resets; from then on the arena
+// allocates nothing. The zero value is ready to use. A nil *Arena gives each
+// block fresh storage of its own.
 //
 // A block taken from an arena is valid until the next Reset; whoever resets
 // must know that no block of the batch is still referenced.
@@ -39,8 +41,9 @@ func (a *Arena) scratch() []byte {
 	return a.hdr[:]
 }
 
-// takeDense returns a rows x cols dense block whose Data is to be filled.
-func (a *Arena) takeDense(rows, cols int) *Dense {
+// Dense returns a rows x cols dense block whose Data is to be filled: its
+// values are whatever the storage last held, zeros only from a nil arena.
+func (a *Arena) Dense(rows, cols int) *Dense {
 	if a == nil {
 		return NewDense(rows, cols)
 	}

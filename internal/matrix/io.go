@@ -150,7 +150,7 @@ func ReadBlock(r io.Reader, size, maxDim int, a *Arena) (Mat, error) {
 		if !isProduct(words, rows, cols) {
 			return nil, corrupt("dense %dx%d with %d payload bytes", rows, cols, body)
 		}
-		d := a.takeDense(rows, cols)
+		d := a.Dense(rows, cols)
 		if err := readFloats(r, d.Data); err != nil {
 			return nil, err
 		}

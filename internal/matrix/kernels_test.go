@@ -254,6 +254,31 @@ func TestMatMulTransAcc(t *testing.T) {
 	}
 }
 
+// TestSerialKernelsIntoGivenBlocksAllocateNothing: on the serial path a
+// CSR x dense product into an accumulator the caller gives, and a dense
+// transpose into a block the caller gives — one taken from an Arena — write
+// where they are told and allocate nothing of their own.
+func TestSerialKernelsIntoGivenBlocksAllocateNothing(t *testing.T) {
+	x := RandomSparse(64, 48, 0.1, -1, 1, 71)
+	y := RandomDense(48, 32, -1, 1, 72)
+	acc := NewDense(64, 32)
+	if n := testing.AllocsPerRun(20, func() { MatMulAccWith(nil, acc, x, y) }); n != 0 {
+		t.Errorf("serial CSR x dense into a given accumulator allocates %.0f times", n)
+	}
+	d := RandomDense(40, 24, -1, 1, 73)
+	var a Arena
+	out := a.Dense(24, 40)
+	for i := range out.Data {
+		out.Data[i] = 7 // what the arena's storage held before: overwritten
+	}
+	if got := TransposeInto(nil, out, d); got != out || !Equal(out, Transpose(d)) {
+		t.Fatal("TransposeInto is not the transpose, in the block it was given")
+	}
+	if n := testing.AllocsPerRun(20, func() { TransposeInto(nil, out, d) }); n != 0 {
+		t.Errorf("serial transpose into a given block allocates %.0f times", n)
+	}
+}
+
 func TestAddAcc(t *testing.T) {
 	d1, d2 := RandomDense(9, 7, -1, 1, 61), RandomDense(9, 7, -1, 1, 62)
 	want := Binary(Add, d1, d2)

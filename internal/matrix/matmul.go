@@ -108,7 +108,7 @@ func MatMulAccWith(p *parallel.Pool, acc *Dense, a, b Mat) *Dense {
 	case *CSR:
 		switch y := b.(type) {
 		case *Dense:
-			p.For(acc.Rows, rowGrain, func(lo, hi int) { spmmRows(x, y, acc, lo, hi) })
+			spmmRowsWith(p, x, y, acc)
 			return acc
 		case *CSR:
 			accRows(p, acc, fresh, func(i int, row []float64) {
@@ -155,6 +155,16 @@ func accRows(p *parallel.Pool, acc *Dense, fresh bool, fill func(i int, row []fl
 			}
 		}
 	})
+}
+
+// spmmRowsWith runs spmmRows over all of acc's rows, split across p's kernel
+// threads; a nil pool takes no closure, so the serial call allocates nothing.
+func spmmRowsWith(p *parallel.Pool, x *CSR, y, acc *Dense) {
+	if p == nil {
+		spmmRows(x, y, acc, 0, acc.Rows)
+		return
+	}
+	p.For(acc.Rows, rowGrain, func(lo, hi int) { spmmRows(x, y, acc, lo, hi) })
 }
 
 // spmmRows is the CSR x dense kernel over rows [rLo, rHi) of x: for each
@@ -707,17 +717,31 @@ func TransposeFlops(a Mat) int64 {
 func TransposeWith(p *parallel.Pool, a Mat) Mat {
 	switch x := a.(type) {
 	case *Dense:
-		out := NewDense(x.Cols, x.Rows)
-		grain := rowGrain
-		if simdLevel >= levelAVX512 {
-			grain = max(grain, transposeSplitCells/max(x.Rows, 1))
-		}
-		p.For(x.Cols, grain, func(lo, hi int) { transposeDense(x, out, lo, hi) })
-		return out
+		return TransposeInto(p, NewDense(x.Cols, x.Rows), x)
 	case *CSR:
 		return transposeCSR(x)
 	}
 	panic("matrix: unsupported Mat implementation")
+}
+
+// TransposeInto writes t(x) into out, a block shaped as t(x) whose values
+// are overwritten — one taken unzeroed from an Arena will do — and returns
+// it; the copy is TransposeWith's, split the same way across p's kernel
+// threads. On a nil pool it allocates nothing.
+func TransposeInto(p *parallel.Pool, out, x *Dense) *Dense {
+	if out.Rows != x.Cols || out.Cols != x.Rows {
+		panic(fmt.Sprintf("matrix: transpose of %dx%d into %dx%d", x.Rows, x.Cols, out.Rows, out.Cols))
+	}
+	if p == nil { // no closure for the serial path
+		transposeDense(x, out, 0, x.Cols)
+		return out
+	}
+	grain := rowGrain
+	if simdLevel >= levelAVX512 {
+		grain = max(grain, transposeSplitCells/max(x.Rows, 1))
+	}
+	p.For(x.Cols, grain, func(lo, hi int) { transposeDense(x, out, lo, hi) })
+	return out
 }
 
 // transposeDense writes rows [lo, hi) of out = t(x): at levelAVX512 the

@@ -212,8 +212,10 @@ func TestCSRColumnOrderAfterTranspose(t *testing.T) {
 // BenchmarkTransposeDense transposes a square block and the two blocks GNMF
 // transposes in every task — a member t(U) of a 256x64 factor block and the
 // 64x256 dense x CSR accumulator written back — into a fresh block each time,
-// as the executor does, and the GNMF shapes into one reused block: the copy
-// alone, without the fresh block's clearing.
+// as the executor does for a result, and the GNMF shapes into one reused
+// block (the copy alone, without the fresh block's clearing) and into a block
+// taken from an arena that is reset after each, as a task takes its retained
+// transposes.
 func BenchmarkTransposeDense(b *testing.B) {
 	for _, sh := range []struct{ r, c int }{{500, 500}, {256, 64}, {64, 256}} {
 		d := RandomDense(sh.r, sh.c, -1, 1, 1)
@@ -233,6 +235,15 @@ func BenchmarkTransposeDense(b *testing.B) {
 			b.SetBytes(d.SizeBytes())
 			for i := 0; i < b.N; i++ {
 				transposeDense(d, out, 0, d.Cols)
+			}
+		})
+		var a Arena
+		b.Run(name+"/arena", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(d.SizeBytes())
+			for i := 0; i < b.N; i++ {
+				a.Reset()
+				sinkMat = TransposeInto(nil, a.Dense(sh.c, sh.r), d)
 			}
 		})
 	}
