@@ -43,7 +43,8 @@ build:
 ## of BenchmarkTransposeDense with their fresh, reused and arena arms, and
 ## BenchmarkMatrixGrid among them), the trace and journal overhead
 ## benchmarks (at one iteration they print the off and on timings and the
-## journal's median on/off ratio; no bound is checked there) and the FME1 wire
+## journal benchmark's median metrics/off and journal+metrics/off ratios; no
+## bound is checked there) and the FME1 wire
 ## benchmark (codec,
 ## loopback-socket and arena arms) once each so they cannot rot. The tests of
 ## what runs concurrently since the executor walks the plan DAG — the executor
@@ -51,12 +52,13 @@ build:
 ## shared node lanes, block-cache visibility, the task samples each stage is
 ## handed, the non-zero counts concurrent tasks fold into a result under its
 ## sink's lock, with the kept total they give a matrix, and the task arenas
-## that concurrent tasks take from one pool and reset —
+## that concurrent tasks take from one pool and reset, and the one slowdown
+## history that sessions sharing a registry fold their stages into —
 ## run again ten times at GOMAXPROCS=2, so an ordering flake shows here
 ## rather than in a single tier-1 run. Every alternative of DAGTESTS must
 ## name a test of DAGPKGS: one that matches none fails the target before
 ## anything runs, so a renamed test cannot drop out of the rerun unnoticed
-DAGTESTS = Executor|GoldenStageLists|HitDispatches|ConformanceJournal|ConformanceBlockCache|FlightPeakMem|PipelineDiffGNMF|RemoteCache|RemoteGNMFCache|BlockCacheMatchesSim|MultiAggBlockCache|Visibility|Scopes|Overlapping|SharesNodeLanes|QueryLogParts|OwnTaskSamples|TraceShapeUnchanged|OfflineTraceEqualsLive|JournalCarriesLayerMetrics|TraceCoversEveryQuery|MatrixNNZMatchesScan|ReboundOutputDensityExact|TaskArenaNeverEscapes
+DAGTESTS = Executor|GoldenStageLists|HitDispatches|ConformanceJournal|ConformanceBlockCache|FlightPeakMem|PipelineDiffGNMF|RemoteCache|RemoteGNMFCache|BlockCacheMatchesSim|MultiAggBlockCache|Visibility|Scopes|Overlapping|SharesNodeLanes|QueryLogParts|OwnTaskSamples|TraceShapeUnchanged|OfflineTraceEqualsLive|JournalCarriesLayerMetrics|TraceCoversEveryQuery|MatrixNNZMatchesScan|ReboundOutputDensityExact|TaskArenaNeverEscapes|ShareOneSlowdownHistory
 DAGPKGS = . ./internal/core ./internal/exec ./internal/rt/... ./internal/blockcache ./internal/obs ./internal/sched ./internal/plancache ./internal/block
 race:
 	@listed="$$($(GO) test -list '$(DAGTESTS)' $(DAGPKGS))" || { echo "$$listed"; exit 1; }; \

@@ -99,16 +99,9 @@ func (c *client) poll() (dashboard, error) {
 	if err := c.get("/v1/status", "", &d.Status); err != nil {
 		return d, err
 	}
-	// /debug/stats embeds the same snapshot, but /metrics negotiates JSON
-	// directly in serve's obs.ServeMetrics sibling; serve's own /metrics is
-	// Prometheus-only, so take the snapshot from /debug/stats.
-	var stats struct {
-		Metrics obs.Snapshot `json:"metrics"`
-	}
-	if err := c.get("/debug/stats", "application/json", &stats); err != nil {
+	if err := c.get("/metrics", "application/json", &d.Metrics); err != nil {
 		return d, err
 	}
-	d.Metrics = stats.Metrics
 	return d, nil
 }
 

@@ -7,6 +7,7 @@ package fuseme_test
 // variables — the shape table in TestDocDriftDSLSnippets needs updating.
 
 import (
+	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -21,6 +22,8 @@ import (
 	"testing"
 
 	"fuseme"
+	"fuseme/internal/cluster"
+	"fuseme/internal/obs"
 )
 
 // fenced is one fenced code block pulled out of a markdown file.
@@ -443,6 +446,94 @@ func TestDocDriftClusterConfig(t *testing.T) {
 			t.Errorf("docs/OPERATIONS.md names ClusterConfig.%s, which is not declared", name)
 		}
 	}
+}
+
+// TestDocDriftFlightFields holds docs/OPERATIONS.md to the JSON of a stage's
+// flight record and of cluster.Stats, the measurement /debug/stats serves
+// under "stats": every flight.<path> the document names, and every key of a
+// JSON example's "flight" or "stats" object, must be one the type marshals.
+func TestDocDriftFlightFields(t *testing.T) {
+	marshalled := jsonPaths(map[string]bool{}, "flight.", fullJSON(t, &obs.FlightRecord{}))
+	jsonPaths(marshalled, "stats.", fullJSON(t, &cluster.Stats{}))
+	doc, err := os.ReadFile("docs/OPERATIONS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := regexp.MustCompile(`\bflight(\.[a-z_]+)+`).FindAll(doc, -1)
+	for _, path := range named {
+		if !marshalled[string(path)] {
+			t.Errorf("docs/OPERATIONS.md names %s, which a flight record's JSON does not carry", path)
+		}
+	}
+	examples := 0
+	for _, b := range extractFenced(t, "docs/OPERATIONS.md") {
+		if b.tag != "json" {
+			continue
+		}
+		var ex map[string]any
+		if err := json.Unmarshal([]byte(b.text), &ex); err != nil {
+			t.Errorf("docs/OPERATIONS.md:%d: the JSON example does not parse: %v", b.line, err)
+			continue
+		}
+		for _, key := range []string{"flight", "stats"} {
+			obj, ok := ex[key].(map[string]any)
+			if !ok {
+				continue
+			}
+			examples++
+			for path := range jsonPaths(map[string]bool{}, key+".", obj) {
+				if !marshalled[path] {
+					t.Errorf("docs/OPERATIONS.md:%d: the example carries %s, which its type does not marshal", b.line, path)
+				}
+			}
+		}
+	}
+	if len(named) == 0 || examples < 2 {
+		t.Fatalf("found %d flight paths and %d flight or stats examples — extraction broken", len(named), examples)
+	}
+}
+
+// fullJSON marshals the struct v points to with every field set non-zero, so
+// that no omitempty key is left out, and decodes it as a JSON object.
+func fullJSON(t *testing.T, v any) map[string]any {
+	t.Helper()
+	var fill func(reflect.Value)
+	fill = func(f reflect.Value) {
+		switch f.Kind() {
+		case reflect.Struct:
+			for i := 0; i < f.NumField(); i++ {
+				fill(f.Field(i))
+			}
+		case reflect.String:
+			f.SetString("x")
+		case reflect.Int, reflect.Int64:
+			f.SetInt(1)
+		case reflect.Float64:
+			f.SetFloat(1)
+		}
+	}
+	fill(reflect.ValueOf(v).Elem())
+	data, err := json.Marshal(v)
+	var obj map[string]any
+	if err == nil {
+		err = json.Unmarshal(data, &obj)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return obj
+}
+
+// jsonPaths adds to set the dotted path of every key of obj, at any depth,
+// after prefix, and returns set.
+func jsonPaths(set map[string]bool, prefix string, obj map[string]any) map[string]bool {
+	for key, v := range obj {
+		set[prefix+key] = true
+		if sub, ok := v.(map[string]any); ok {
+			jsonPaths(set, prefix+key+".", sub)
+		}
+	}
+	return set
 }
 
 // TestDocDriftFlags checks that every flag a command declares is named, as

@@ -384,12 +384,6 @@ func NewSession(cfg ClusterConfig, opts ...Option) (*Session, error) {
 	if err := s.resolveJournal(); err != nil {
 		return nil, err
 	}
-	// The straggler/skew detector rides on the metrics registry: its output
-	// (stage imbalance, per-worker slowdown scores) is gauge series, and the
-	// registry being on already means per-task instrumentation runs.
-	if s.obs.Metrics != nil {
-		s.obs.Skew = obs.NewSkewDetector()
-	}
 	if err := s.startMetricsServer(); err != nil {
 		return nil, err
 	}

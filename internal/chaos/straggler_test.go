@@ -49,7 +49,7 @@ func TestStragglerDetection(t *testing.T) {
 	t.Cleanup(func() { co.Close() })
 
 	reg := obs.NewRegistry()
-	o := &obs.Obs{Metrics: reg, Skew: obs.NewSkewDetector()}
+	o := &obs.Obs{Metrics: reg}
 	co.SetObs(o)
 
 	const rows, cols, k = 96, 64, 8
@@ -82,8 +82,8 @@ func TestStragglerDetection(t *testing.T) {
 		t.Errorf("stage skew gauge = %g, want > 1 with a padded worker", skew)
 	}
 
-	// The detector's raw view agrees with the gauges.
-	scores := o.Skew.Slowdowns()
+	// The registry's raw view agrees with the gauges.
+	scores := reg.Slowdowns()
 	if scores[slow] < 1.5 || scores[0] >= scores[slow] {
 		t.Errorf("detector slowdowns = %v, want worker %d flagged", scores, slow)
 	}

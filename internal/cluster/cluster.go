@@ -144,7 +144,10 @@ func (c Config) WaveOverhead(tasks int) float64 {
 // "amount of transferred data" the paper reports as communication cost. It is
 // also the one record of a single task's metering (Task.Metrics), which a
 // remote worker ships back in its done frame and both runtimes fold into
-// their stage with Add; its JSON form is a journal task event's metrics.
+// their stage with Add; a stage's measurement (a flight record's Meas) and the
+// runtime totals /debug/stats serves are Stats too. Its JSON form is one in all
+// three places: a journal task event's metrics, a stage_end flight's meas and
+// /debug/stats' stats.
 type Stats struct {
 	ConsolidationBytes int64   `json:"consolidation_bytes,omitempty"` // matrix consolidation step: inputs to tasks
 	AggregationBytes   int64   `json:"aggregation_bytes,omitempty"`   // matrix aggregation step: shuffled partials
@@ -195,69 +198,6 @@ type Stats struct {
 
 // TotalCommBytes is consolidation plus aggregation traffic.
 func (s Stats) TotalCommBytes() int64 { return s.ConsolidationBytes + s.AggregationBytes }
-
-// StatsView is the structured JSON projection of Stats served by the
-// /debug/stats observability endpoint and embedded in Session reports.
-type StatsView struct {
-	Wire struct {
-		ConsolidationBytes int64 `json:"consolidation_bytes"`
-		AggregationBytes   int64 `json:"aggregation_bytes"`
-		ExtraBytes         int64 `json:"extra_bytes"`
-		TotalCommBytes     int64 `json:"total_comm_bytes"`
-	} `json:"wire"`
-	Compute struct {
-		Flops        int64 `json:"flops"`
-		MaxTaskFlops int64 `json:"max_task_flops"`
-	} `json:"compute"`
-	Scheduling struct {
-		Stages int `json:"stages"`
-		Tasks  int `json:"tasks"`
-	} `json:"scheduling"`
-	Memory struct {
-		PeakTaskBytes int64  `json:"peak_task_bytes"`
-		PeakTask      string `json:"peak_task"`
-	} `json:"memory"`
-	Cache struct {
-		Hits       int64 `json:"hits"`
-		Misses     int64 `json:"misses"`
-		Evictions  int64 `json:"evictions"`
-		SavedBytes int64 `json:"saved_bytes"`
-	} `json:"cache"`
-	Pipeline struct {
-		StealTasks   int64   `json:"steal_tasks"`
-		FetchSeconds float64 `json:"fetch_seconds"`
-		TaskSeconds  float64 `json:"task_seconds"`
-	} `json:"pipeline"`
-	Time struct {
-		SimSeconds  float64 `json:"sim_seconds"`
-		WallSeconds float64 `json:"wall_seconds"`
-	} `json:"time"`
-}
-
-// View returns the structured projection of s.
-func (s Stats) View() StatsView {
-	var v StatsView
-	v.Wire.ConsolidationBytes = s.ConsolidationBytes
-	v.Wire.AggregationBytes = s.AggregationBytes
-	v.Wire.ExtraBytes = s.ExtraWireBytes
-	v.Wire.TotalCommBytes = s.TotalCommBytes()
-	v.Compute.Flops = s.Flops
-	v.Compute.MaxTaskFlops = s.MaxTaskFlops
-	v.Scheduling.Stages = s.Stages
-	v.Scheduling.Tasks = s.Tasks
-	v.Memory.PeakTaskBytes = s.PeakTaskMemBytes
-	v.Memory.PeakTask = FormatBytes(s.PeakTaskMemBytes)
-	v.Cache.Hits = s.CacheHits
-	v.Cache.Misses = s.CacheMisses
-	v.Cache.Evictions = s.CacheEvictions
-	v.Cache.SavedBytes = s.CacheSavedBytes
-	v.Pipeline.StealTasks = s.StealTasks
-	v.Pipeline.FetchSeconds = s.FetchSeconds
-	v.Pipeline.TaskSeconds = s.TaskSeconds
-	v.Time.SimSeconds = s.SimSeconds
-	v.Time.WallSeconds = s.WallSeconds
-	return v
-}
 
 // Add accumulates other into s.
 func (s *Stats) Add(other Stats) {

@@ -15,9 +15,9 @@ import (
 // wrapped around it: the journal's stage_start, carrying the stage's phase,
 // grid and cuboid partitioning, per-task instrumentation when it is on, and
 // — the one place a FlightRecord is built from live execution — the operator's
-// prediction pred joined to the stats the runtime reports for this stage
-// (rt.Stage.Report: this stage's own, whatever runs beside it), handed to
-// Obs.StageDone for every output derived from it. With per-task
+// prediction pred with, as its Meas, the stats the runtime reports for this
+// stage (rt.Stage.Report: this stage's own, whatever runs beside it), handed
+// to Obs.StageDone for every output derived from it. With per-task
 // instrumentation on, the stage keeps the samples of its own task attempts
 // — the sim's through the wrapped Fn, a descriptor runtime's through
 // rt.Stage.TaskDone — and hands their skew to Obs.StageDone too.
@@ -61,27 +61,13 @@ func runObservedStage(rtm rt.Runtime, o *obs.Obs, pred obs.FlightRecord, st *rt.
 	// The runtime folds every task's metering (and, for the TCP backend, the
 	// coordinator's wire accounting) into this stage's own stats and reports
 	// them before returning; a stage that failed before folding reports
-	// none, and its record carries zeros. SimSeconds is the stage clock: the
-	// Eq. 2 model under simulation, real wall under TCP. Steals are counted
-	// by the stage driver on both; the phase-seconds fields are zero under
-	// simulation.
-	var m cluster.Stats
-	st.Report = func(s cluster.Stats) { m = s }
-	err := rt.RunStage(rtm, st)
-
+	// none, and its record measures zero.
 	rec := pred
 	rec.Stage, rec.Tasks = st.Name, st.NumTasks
-	rec.MeasWallSeconds = m.SimSeconds
-	rec.MeasConsolidationBytes, rec.MeasAggregationBytes = m.ConsolidationBytes, m.AggregationBytes
-	rec.MeasExtraWireBytes, rec.MeasFlops = m.ExtraWireBytes, m.Flops
-	rec.MeasPeakTaskMemBytes = m.PeakTaskMemBytes
-	rec.CacheHits, rec.CacheMisses, rec.CacheSavedBytes = m.CacheHits, m.CacheMisses, m.CacheSavedBytes
-	rec.StealTasks, rec.MeasFetchSeconds, rec.MeasTaskSeconds = m.StealTasks, m.FetchSeconds, m.TaskSeconds
-	rec.FetchCalls, rec.FetchServeSeconds, rec.CollectSeconds = m.FetchCalls, m.FetchServeSeconds, m.CollectSeconds
+	st.Report = func(s cluster.Stats) { rec.Meas = s }
+	err := rt.RunStage(rtm, st)
 	o.StageDone(rec, skew(), err)
 
-	o.Counter(obs.MCacheEvictions).Add(m.CacheEvictions)
-	o.Counter(obs.MStealTasks).Add(m.StealTasks)
 	// The kernel pool is process-local (the sim cluster's; TCP workers report
 	// their own), so its counters are no part of the runtime's stage stats.
 	if pooled, ok := rtm.(interface{ KernelPool() *parallel.Pool }); ok {

@@ -12,8 +12,8 @@ import (
 // Tile sizes for the blocked dense kernel. A 64x64 float64 tile is 32 KiB:
 // the a-tile is read once per 16 (or 8) output columns and stays in L1, the
 // b-tile's rows come from L2 at the block's row stride — measured on the
-// benchmark's machine (2 MB L2), packing them per (k, j) tile gained nothing
-// (ROADMAP item 5). 64 is a multiple of every micro-kernel's steps (8x16,
+// benchmark's machine (2 MB L2), packing them per (k, j) tile gained nothing,
+// so the kernel does not pack. 64 is a multiple of every micro-kernel's steps (8x16,
 // 4x8, 4x4), so full tiles never reach the edge loop. tileK is also part of
 // the arithmetic: a product is added into its output once per k-tile, so
 // another value gives other sums.

@@ -53,11 +53,7 @@ func (c *Calibration) Measure(rec FlightRecord) {
 	s.PredNetBytes, s.PredComFlops, s.PredMemBytes = rec.PredNetBytes, rec.PredComFlops, rec.PredMemBytes
 	s.Stages++
 	s.Tasks += rec.Tasks
-	s.MeasNetBytes += rec.NetBytes()
-	s.ExtraWireBytes += rec.MeasExtraWireBytes
-	s.MeasFlops += rec.MeasFlops
-	s.MeasWallSeconds += rec.MeasWallSeconds
-	s.MeasPeakMem = max(s.MeasPeakMem, rec.MeasPeakTaskMemBytes)
+	s.Meas.Add(rec.Meas)
 	s.stageNames[rec.Stage] = struct{}{}
 }
 
@@ -95,11 +91,14 @@ type ReportRow struct {
 	Stages, Tasks int
 	Executions    int // how many times the operator ran (iterative workloads)
 
-	PredNetBytes, MeasNetBytes   int64
-	ExtraWireBytes               int64
-	PredComFlops, MeasFlops      int64
-	PredMemBytes, MeasPeakMem    int64
-	PredSeconds, MeasWallSeconds float64 // predicted Eq. 2 time vs measured wall
+	PredNetBytes, PredComFlops, PredMemBytes int64
+	PredSeconds                              float64 // predicted Eq. 2 time
+
+	// Meas is the operator's stage measurements summed with Stats.Add, so
+	// PeakTaskMemBytes is their maximum. Meas.TotalCommBytes is compared
+	// with PredNetBytes, Meas.Flops with PredComFlops and Meas.SimSeconds,
+	// the stages' clock, with PredSeconds.
+	Meas cluster.Stats
 
 	EffNetBW  float64 // measured net / (N * wall); 0 when wall is 0
 	EffCompBW float64 // measured flops / (N * wall)
@@ -150,18 +149,19 @@ func (c *Calibration) Report(cc cluster.Config) *Report {
 		row.PredComFlops *= int64(row.Executions)
 		netSec, comSec := cc.Eq2(float64(row.PredNetBytes), float64(row.PredComFlops))
 		row.PredSeconds = max(netSec, comSec)
-		if row.MeasWallSeconds > 0 {
-			row.EffNetBW = backSolve(float64(row.MeasNetBytes), row.MeasWallSeconds, cc.Nodes)
-			row.EffCompBW = backSolve(float64(row.MeasFlops), row.MeasWallSeconds, cc.Nodes)
+		net, flops, wall := float64(row.Meas.TotalCommBytes()), float64(row.Meas.Flops), row.Meas.SimSeconds
+		if wall > 0 {
+			row.EffNetBW = backSolve(net, wall, cc.Nodes)
+			row.EffCompBW = backSolve(flops, wall, cc.Nodes)
 			// Eq. 2 takes the max of the two terms, so the measured wall time
 			// of a stage reflects whichever resource bound it: attribute the
 			// row to that class when back-solving.
-			if netSec >= comSec && row.MeasNetBytes > 0 {
-				netBytes += float64(row.MeasNetBytes)
-				netWall += row.MeasWallSeconds
-			} else if row.MeasFlops > 0 {
-				comFlops += float64(row.MeasFlops)
-				comWall += row.MeasWallSeconds
+			if netSec >= comSec && net > 0 {
+				netBytes += net
+				netWall += wall
+			} else if flops > 0 {
+				comFlops += flops
+				comWall += wall
 			}
 		}
 		rep.Rows = append(rep.Rows, row)
@@ -207,9 +207,9 @@ func (r *Report) String() string {
 		}
 		fmt.Fprintf(&b, "  %-*s %-11s %5d  %-23s %-23s %-12s %-13s %-13s\n",
 			w, row.Op, pqr, row.Executions,
-			fmt.Sprintf("%s→%s", fmtCount(float64(row.PredNetBytes), "B"), fmtCount(float64(row.MeasNetBytes), "B")),
-			fmt.Sprintf("%s→%s", fmtCount(float64(row.PredComFlops), "fl"), fmtCount(float64(row.MeasFlops), "fl")),
-			fmt.Sprintf("%.3gs→%.3gs", row.PredSeconds, row.MeasWallSeconds),
+			fmt.Sprintf("%s→%s", fmtCount(float64(row.PredNetBytes), "B"), fmtCount(float64(row.Meas.TotalCommBytes()), "B")),
+			fmt.Sprintf("%s→%s", fmtCount(float64(row.PredComFlops), "fl"), fmtCount(float64(row.Meas.Flops), "fl")),
+			fmt.Sprintf("%.3gs→%.3gs", row.PredSeconds, row.Meas.SimSeconds),
 			fmtRate(row.EffNetBW, "B/s"), fmtRate(row.EffCompBW, "fl/s"))
 	}
 	if r.EffNetBW > 0 || r.EffCompBW > 0 {

@@ -111,8 +111,8 @@ func (r *traceRender) stage(start, end Event) {
 		args["P"], args["Q"], args["R"] = p[0], p[1], p[2]
 	}
 	if f := end.Flight; f != nil {
-		args["consolidation_bytes"], args["aggregation_bytes"] = f.MeasConsolidationBytes, f.MeasAggregationBytes
-		args["flops"], args["stage_seconds"] = f.MeasFlops, f.MeasWallSeconds
+		args["consolidation_bytes"], args["aggregation_bytes"] = f.Meas.ConsolidationBytes, f.Meas.AggregationBytes
+		args["flops"], args["stage_seconds"] = f.Meas.Flops, f.Meas.SimSeconds
 	}
 	if end.Error != "" {
 		args["error"] = end.Error

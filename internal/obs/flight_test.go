@@ -13,13 +13,9 @@ func sampleRecord(stage string) FlightRecord {
 		Stage: stage, Op: "CFO mul#3", Kind: "CFO",
 		P: 2, Q: 2, R: 1, Tasks: 4,
 		PredNetBytes: 1 << 20, PredComFlops: 1 << 24, PredMemBytes: 1 << 18,
-		MeasWallSeconds:        0.25,
-		MeasConsolidationBytes: 900_000,
-		MeasAggregationBytes:   120_000,
-		MeasExtraWireBytes:     4_096,
-		MeasFlops:              1 << 23,
-		MeasPeakTaskMemBytes:   1 << 17,
-		CacheHits:              6, CacheMisses: 2, CacheSavedBytes: 700_000,
+		Meas: cluster.Stats{SimSeconds: 0.25, ConsolidationBytes: 900_000, AggregationBytes: 120_000,
+			ExtraWireBytes: 4_096, Flops: 1 << 23, PeakTaskMemBytes: 1 << 17,
+			CacheHits: 6, CacheMisses: 2, CacheSavedBytes: 700_000},
 	}
 }
 
@@ -88,10 +84,10 @@ func TestCalibrationFromFlight(t *testing.T) {
 	if row.P != 2 || row.Q != 2 || row.R != 1 || row.PredNetBytes != 2<<20 {
 		t.Fatalf("rebuilt prediction mismatch: %+v", row)
 	}
-	if row.Stages != 2 || row.MeasWallSeconds != 0.5 {
+	if row.Stages != 2 || row.Meas.SimSeconds != 0.5 {
 		t.Fatalf("rebuilt totals = %+v, want 2 stages / 0.5s", row)
 	}
-	if row.MeasNetBytes != 2*(900_000+120_000) || row.ExtraWireBytes != 2*4_096 {
+	if row.Meas.TotalCommBytes() != 2*(900_000+120_000) || row.Meas.ExtraWireBytes != 2*4_096 {
 		t.Fatalf("rebuilt measurement mismatch: %+v", row)
 	}
 }

@@ -19,6 +19,40 @@ type Server struct {
 	done chan struct{}
 }
 
+// MetricsHandler serves reg for /metrics: Prometheus text by default, the
+// JSON snapshot (with histogram quantiles) when the client asks for
+// application/json.
+func MetricsHandler(reg *Registry) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if strings.Contains(r.Header.Get("Accept"), "application/json") {
+			writeJSON(w, reg.Snapshot())
+			return
+		}
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		_ = reg.WritePrometheus(w)
+	}
+}
+
+// StatsHandler serves /debug/stats: a JSON object holding reg's snapshot
+// under "metrics" and, when extra is non-nil, what extra returns per request
+// under key.
+func StatsHandler(reg *Registry, key string, extra func() any) http.HandlerFunc {
+	return func(w http.ResponseWriter, _ *http.Request) {
+		body := map[string]any{"metrics": reg.Snapshot()}
+		if extra != nil {
+			body[key] = extra()
+		}
+		writeJSON(w, body)
+	}
+}
+
+func writeJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(v)
+}
+
 // ServeMetrics starts an HTTP server on addr (e.g. ":9090" or
 // "127.0.0.1:0") exposing reg. stats, when non-nil, is called per
 // /debug/stats request and its result embedded under "stats" — callers pass
@@ -29,29 +63,8 @@ func ServeMetrics(addr string, reg *Registry, stats func() any) (*Server, error)
 		return nil, err
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		// Content negotiation: Prometheus text by default, the JSON
-		// snapshot (with histogram quantiles) when the client asks for it.
-		if strings.Contains(r.Header.Get("Accept"), "application/json") {
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			_ = enc.Encode(reg.Snapshot())
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = reg.WritePrometheus(w)
-	})
-	mux.HandleFunc("/debug/stats", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		body := map[string]any{"metrics": reg.Snapshot()}
-		if stats != nil {
-			body["stats"] = stats()
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(body)
-	})
+	mux.Handle("/metrics", MetricsHandler(reg))
+	mux.Handle("/debug/stats", StatsHandler(reg, "stats", stats))
 	// Runtime profiling endpoints. net/http/pprof registers on
 	// http.DefaultServeMux as a side effect of the import; this mux is
 	// private, so the handlers are wired explicitly.

@@ -13,13 +13,17 @@ import (
 // Registry holds named counters, gauges and histograms. Metric names follow
 // Prometheus conventions and may embed a label set, as in
 // `fuseme_wire_bytes_total{class="consolidation"}`; the exposition groups
-// series of one base name under a single TYPE line. Safe for concurrent use;
-// a nil *Registry absorbs every call.
+// series of one base name under a single TYPE line. It also keeps the
+// per-worker slowdown history behind the fuseme_worker_slowdown gauges
+// (ObserveSkew). Safe for concurrent use; a nil *Registry absorbs every call.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
+
+	skewMu sync.Mutex      // guards ewma; taken before mu, never after
+	ewma   map[int]float64 // per-worker EWMA mean task seconds, under skewMu
 }
 
 // NewRegistry returns an empty registry.
@@ -239,11 +243,15 @@ func (r *Registry) Histogram(name string) *Histogram {
 }
 
 // Reset zeroes every counter and histogram (series survive; gauges keep
-// their last value so liveness indicators don't blink out).
+// their last value so liveness indicators don't blink out) and forgets every
+// worker's slowdown history.
 func (r *Registry) Reset() {
 	if r == nil {
 		return
 	}
+	r.skewMu.Lock()
+	r.ewma = nil
+	r.skewMu.Unlock()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, c := range r.counters {

@@ -4,17 +4,20 @@
 // joins the planner's NetEst/ComEst/MemEst predictions against measured
 // execution so effective cluster bandwidths can be back-solved.
 //
-// The rule of the package: one FlightRecord per executed stage, built by the
-// executor from the runtime's stage stats; every other output — calibration
-// rows, the fuseme_* stage counters, the journal's stage_end event — is
-// derived from it in Obs.StageDone. One level down, a TaskSample is the one
-// record of a finished task attempt on either runtime, carrying the task's
-// own cluster.Stats. The dispatcher hands it to the stage that ran it, which
-// reports it to Obs.TaskDone and folds its own samples into the StageSkew it
-// passes to Obs.StageDone (StageSkewOf); the SkewDetector keeps only the
-// per-worker EWMA across stages. With tracing on, TaskDone journals the
-// sample as a task event, so the journal is the one per-query timeline: a
-// trace is ChromeTrace over its events, live or read back from a sink.
+// The rule of the package: one FlightRecord per executed stage, the
+// operator's prediction next to the stage's measurement, which is the
+// cluster.Stats the runtime reported for the stage; every other output —
+// calibration rows, the fuseme_* stage counters, the journal's stage_end
+// event — is derived from it in Obs.StageDone. One level down, a TaskSample
+// is the one record of a finished task attempt on either runtime, carrying
+// the task's own cluster.Stats. The dispatcher hands it to the stage that ran
+// it, which reports it to Obs.TaskDone and folds its own samples into the
+// StageSkew it passes to Obs.StageDone (StageSkewOf). The registry keeps the
+// per-worker slowdown EWMA across stages next to the gauges it publishes, so
+// sessions that share a registry share one history. With tracing on,
+// TaskDone journals the sample as a task event, so the journal is the one
+// per-query timeline: a trace is ChromeTrace over its events, live or read
+// back from a sink.
 //
 // Everything is nil-safe by design: a nil *Obs (or a nil component inside a
 // non-nil Obs) turns every instrumentation call into a pointer check and an
@@ -33,17 +36,15 @@ import (
 // Obs bundles one session's observability components. Any field may be nil;
 // the whole struct may be nil. Helper methods absorb both.
 type Obs struct {
-	Trace   bool          // journal a task event per attempt, with the body's sub-spans
-	Metrics *Registry     // metrics registry; nil disables metrics
-	Calib   *Calibration  // prediction/measurement join; nil disables calibration
-	QLog    *QueryLog     // current query's event-journal log (stage_end carries the flight record); nil disables journaling
-	Skew    *SkewDetector // straggler/skew detector; nil disables it
+	Trace   bool         // journal a task event per attempt, with the body's sub-spans
+	Metrics *Registry    // metrics registry, with the per-worker slowdown history; nil disables both
+	Calib   *Calibration // prediction/measurement join; nil disables calibration
+	QLog    *QueryLog    // current query's event-journal log (stage_end carries the flight record); nil disables journaling
 }
 
 // Enabled reports whether any component is active (stage-level hooks run).
 func (o *Obs) Enabled() bool {
-	return o != nil && (o.Trace || o.Metrics != nil || o.Calib != nil ||
-		o.QLog != nil || o.Skew != nil)
+	return o != nil && (o.Trace || o.Metrics != nil || o.Calib != nil || o.QLog != nil)
 }
 
 // Tracing reports whether tracing is on — the signal backends use to decide
@@ -56,7 +57,7 @@ func (o *Obs) Tracing() bool {
 // histograms, skew samples) should run. Calibration alone is stage-level and
 // does not require the per-task wrapper.
 func (o *Obs) PerTask() bool {
-	return o != nil && (o.Trace || o.Metrics != nil || o.Skew != nil)
+	return o != nil && (o.Trace || o.Metrics != nil)
 }
 
 // Counter returns the named counter; nil when metrics are off.
@@ -83,40 +84,38 @@ func (o *Obs) Histogram(name string) *Histogram {
 	return o.Metrics.Histogram(name)
 }
 
-// StageDone is the one emit point of an executed stage: rec — the owning
-// operator's prediction next to what the runtime measured — is folded into
-// the calibration rows, added to the stage counters and embedded, together
-// with the stage's task-duration skew, in the journal's stage_end event, so
-// the three outputs can never disagree. skew is StageSkewOf the task samples
-// the stage received (zero when it took none); it is published only when the
-// skew detector is on. err is the stage's failure, if any. A nil Obs or any
-// nil component absorbs its share.
+// StageDone is the one emit point of an executed stage, and the one place a
+// stage's stats are folded: rec — the owning operator's prediction next to
+// what the runtime measured — is folded into the calibration rows, added to
+// the stage counters and embedded, together with the stage's task-duration
+// skew, in the journal's stage_end event, so the three outputs can never
+// disagree. skew is StageSkewOf the task samples the stage received (zero
+// when it took none); the registry publishes it (Registry.ObserveSkew) and
+// the journal carries it when the metrics registry is on. err is the stage's
+// failure, if any. A nil Obs or any nil component absorbs its share.
 func (o *Obs) StageDone(rec FlightRecord, skew StageSkew, err error) {
 	if o == nil {
 		return
 	}
+	m := rec.Meas
 	o.Calib.Measure(rec)
 	o.Counter(MStagesTotal).Inc()
-	o.Counter(MConsolidationBytes).Add(rec.MeasConsolidationBytes)
-	o.Counter(MAggregationBytes).Add(rec.MeasAggregationBytes)
-	o.Counter(MExtraBytes).Add(rec.MeasExtraWireBytes)
-	o.Counter(MFlopsTotal).Add(rec.MeasFlops)
-	o.Counter(MCacheHits).Add(rec.CacheHits)
-	o.Counter(MCacheMisses).Add(rec.CacheMisses)
+	o.Counter(MConsolidationBytes).Add(m.ConsolidationBytes)
+	o.Counter(MAggregationBytes).Add(m.AggregationBytes)
+	o.Counter(MExtraBytes).Add(m.ExtraWireBytes)
+	o.Counter(MFlopsTotal).Add(m.Flops)
+	o.Counter(MCacheHits).Add(m.CacheHits)
+	o.Counter(MCacheMisses).Add(m.CacheMisses)
+	o.Counter(MCacheEvictions).Add(m.CacheEvictions)
+	o.Counter(MStealTasks).Add(m.StealTasks)
 	// A running total, kept under the gauge type the series always had.
 	saved := o.Gauge(MCacheSavedBytes)
-	saved.Set(saved.Value() + float64(rec.CacheSavedBytes))
+	saved.Set(saved.Value() + float64(m.CacheSavedBytes))
 
-	// Straggler/skew: publish the stage imbalance, fold the stage into the
-	// per-worker EWMAs and publish the refreshed slowdown scores.
 	var sk *StageSkew
-	if o.Skew != nil && skew.Tasks > 0 {
+	if o.Metrics != nil && skew.Tasks > 0 {
 		sk = &skew
-		o.Gauge(MStageSkew).Set(skew.Imbalance)
-		o.Skew.Observe(skew)
-		for worker, score := range o.Skew.Slowdowns() {
-			o.Gauge(WorkerSlowdownGauge(worker)).Set(score)
-		}
+		o.Metrics.ObserveSkew(skew)
 	}
 
 	// The record is copied to the heap only when the journal is on, so the
@@ -124,7 +123,7 @@ func (o *Obs) StageDone(rec FlightRecord, skew StageSkew, err error) {
 	if o.QLog != nil {
 		flight := rec
 		end := Event{Type: EvStageEnd, Stage: rec.Stage, Op: rec.Op, Tasks: rec.Tasks,
-			Seconds: rec.MeasWallSeconds, Flight: &flight, Skew: sk}
+			Seconds: m.SimSeconds, Flight: &flight, Skew: sk}
 		if err != nil {
 			end.Error = err.Error()
 		}
@@ -198,16 +197,13 @@ func (o *Obs) TaskDone(t TaskSample) {
 	}
 }
 
-// Reset clears calibration records, metric values (counters and histograms
-// restart at zero; gauges keep their last value) and the skew detector's
-// per-worker history.
+// Reset clears calibration records and metric values (Registry.Reset).
 func (o *Obs) Reset() {
 	if o == nil {
 		return
 	}
 	o.Calib.Reset()
 	o.Metrics.Reset()
-	o.Skew.Reset()
 }
 
 // Metric names. Wire-byte counters carry a class label matching the

@@ -104,7 +104,7 @@ func TestChromeTraceRendersQueryStagesAndTasks(t *testing.T) {
 	time.Sleep(time.Millisecond)
 	o.TaskDone(TaskSample{ID: 3, Worker: 1, StageStart: start, Start: start, End: time.Now(),
 		Metrics: cluster.Stats{Flops: 7}, Spans: []cluster.TaskSpan{{Name: "kernel", Cat: "taskop", Offset: 0, Dur: time.Microsecond}}})
-	o.StageDone(FlightRecord{Stage: "cuboid:mul#1", Tasks: 1, MeasFlops: 7, MeasWallSeconds: 0.001}, StageSkew{}, errors.New("boom"))
+	o.StageDone(FlightRecord{Stage: "cuboid:mul#1", Tasks: 1, Meas: cluster.Stats{Flops: 7, SimSeconds: 0.001}}, StageSkew{}, errors.New("boom"))
 	o.QLog.Emit(Event{Type: EvDone})
 
 	spans := renderSpans(t, tl.Events())
@@ -190,21 +190,21 @@ func TestTaskEventsStayUnderTheLineCap(t *testing.T) {
 }
 
 // TestResetForgetsSlowdowns: after Reset, the slowdown scores are those of a
-// fresh Obs fed the same stages — nothing from before the reset blends in.
+// fresh registry fed the same stages — nothing from before the reset blends in.
 func TestResetForgetsSlowdowns(t *testing.T) {
 	stage := func(w0, w1 float64) StageSkew {
 		return StageSkew{Tasks: 2, Workers: []WorkerLoad{{Worker: 0, Tasks: 1, Seconds: w0}, {Worker: 1, Tasks: 1, Seconds: w1}}}
 	}
-	reset := &Obs{Metrics: NewRegistry(), Skew: NewSkewDetector()}
+	reset := &Obs{Metrics: NewRegistry()}
 	reset.StageDone(FlightRecord{}, stage(9, 1), nil)
 	reset.Reset()
-	fresh := &Obs{Metrics: NewRegistry(), Skew: NewSkewDetector()}
+	fresh := &Obs{Metrics: NewRegistry()}
 	for _, o := range []*Obs{reset, fresh} {
 		o.StageDone(FlightRecord{}, stage(1, 2), nil)
 	}
-	got, want := reset.Skew.Slowdowns(), fresh.Skew.Slowdowns()
+	got, want := reset.Metrics.Slowdowns(), fresh.Metrics.Slowdowns()
 	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("slowdowns after a reset = %v, a fresh detector's = %v", got, want)
+		t.Fatalf("slowdowns after a reset = %v, a fresh registry's = %v", got, want)
 	}
 	for w, score := range want {
 		if g := reset.Metrics.Snapshot().Gauges[WorkerSlowdownGauge(w)]; g != score {
@@ -296,13 +296,13 @@ func TestCalibrationReport(t *testing.T) {
 	// in 10s wall → eff B̂n = 4e9/(4·10) = 1e8.
 	c.Measure(FlightRecord{Stage: "cuboid:mul#1", Op: "CFO mul#1", Kind: "CFO", P: 2, Q: 2, R: 1, Tasks: 4,
 		PredNetBytes: 8e9, PredComFlops: 4e9, PredMemBytes: 64 << 20,
-		MeasConsolidationBytes: 3e9, MeasAggregationBytes: 1e9, MeasFlops: 4e9,
-		MeasPeakTaskMemBytes: 50 << 20, MeasWallSeconds: 10})
+		Meas: cluster.Stats{ConsolidationBytes: 3e9, AggregationBytes: 1e9, Flops: 4e9,
+			PeakTaskMemBytes: 50 << 20, SimSeconds: 10}})
 	// Comp-bound operator: mul#2 did 8e12 flops in 5s wall → eff B̂c =
 	// 8e12/(4·5) = 4e11.
 	c.Measure(FlightRecord{Stage: "cuboid:mul#2", Op: "CFO mul#2", Kind: "CFO", P: 4, Q: 1, R: 1, Tasks: 4,
 		PredNetBytes: 1e6, PredComFlops: 8e12, PredMemBytes: 32 << 20,
-		MeasConsolidationBytes: 1e6, MeasFlops: 8e12, MeasWallSeconds: 5})
+		Meas: cluster.Stats{ConsolidationBytes: 1e6, Flops: 8e12, SimSeconds: 5}})
 
 	rep := c.Report(cc)
 	if len(rep.Rows) != 2 {
@@ -312,7 +312,7 @@ func TestCalibrationReport(t *testing.T) {
 	if r1.Op != "CFO mul#1" || r1.P != 2 || r1.Kind != "CFO" {
 		t.Fatalf("row 1 = %+v", r1)
 	}
-	if r1.MeasNetBytes != 4e9 || r1.Tasks != 4 || r1.Stages != 1 || r1.Executions != 1 {
+	if r1.Meas.TotalCommBytes() != 4e9 || r1.Tasks != 4 || r1.Stages != 1 || r1.Executions != 1 {
 		t.Fatalf("row 1 measurements = %+v", r1)
 	}
 	if want := 8e9 / (4 * 125e6); !close2(r1.PredSeconds, want) {
@@ -343,9 +343,9 @@ func TestCalibrationReport(t *testing.T) {
 func TestCalibrationFeedBackIsJudgedBandwidth(t *testing.T) {
 	cc := cluster.Config{Nodes: 4, NetBandwidth: 125e6, CompBandwidth: 546e9}
 	netBound := FlightRecord{Stage: "s1", Op: "CFO mul#1", PredNetBytes: 8e9, PredComFlops: 4e9,
-		MeasConsolidationBytes: 4e9, MeasFlops: 4e9, MeasWallSeconds: 10}
+		Meas: cluster.Stats{ConsolidationBytes: 4e9, Flops: 4e9, SimSeconds: 10}}
 	compBound := FlightRecord{Stage: "s2", Op: "CFO mul#2", PredNetBytes: 1e6, PredComFlops: 8e12,
-		MeasConsolidationBytes: 1e6, MeasFlops: 8e12, MeasWallSeconds: 5} // eff B̂c 4e11
+		Meas: cluster.Stats{ConsolidationBytes: 1e6, Flops: 8e12, SimSeconds: 5}} // eff B̂c 4e11
 	for _, c := range []struct {
 		name string
 		recs []FlightRecord
@@ -373,9 +373,9 @@ func TestCalibrationIterativeExecutions(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		partial, fuse := pred, pred
 		partial.Stage, partial.Tasks = "partial:mul#1", 8
-		partial.MeasConsolidationBytes, partial.MeasFlops, partial.MeasWallSeconds = 5e8, 1e9, 1
+		partial.Meas = cluster.Stats{ConsolidationBytes: 5e8, Flops: 1e9, SimSeconds: 1}
 		fuse.Stage, fuse.Tasks = "fuse:mul#1", 4
-		fuse.MeasAggregationBytes, fuse.MeasWallSeconds = 5e8, 0.5
+		fuse.Meas = cluster.Stats{AggregationBytes: 5e8, SimSeconds: 0.5}
 		c.Measure(partial)
 		c.Measure(fuse)
 	}
@@ -390,8 +390,8 @@ func TestCalibrationIterativeExecutions(t *testing.T) {
 	if row.PredNetBytes != 3e9 { // scaled by executions
 		t.Fatalf("PredNetBytes = %d, want 3e9", row.PredNetBytes)
 	}
-	if row.MeasNetBytes != 3e9 {
-		t.Fatalf("MeasNetBytes = %d", row.MeasNetBytes)
+	if n := row.Meas.TotalCommBytes(); n != 3e9 {
+		t.Fatalf("measured net bytes = %d", n)
 	}
 
 	c.Reset()
@@ -418,7 +418,7 @@ func TestCalibrationBoundedGrowth(t *testing.T) {
 		}
 		c.Measure(FlightRecord{Stage: stage + ops[i%keys], Op: ops[i%keys], Kind: "CFO", P: 2, Q: 2, R: 1, Tasks: 2,
 			PredNetBytes: 1e6, PredComFlops: 1e6,
-			MeasConsolidationBytes: 3, MeasAggregationBytes: 1, MeasFlops: 5, MeasWallSeconds: 0.5})
+			Meas: cluster.Stats{ConsolidationBytes: 3, AggregationBytes: 1, Flops: 5, SimSeconds: 0.5}})
 	}
 	names := 0
 	for _, s := range c.rows {
@@ -435,7 +435,7 @@ func TestCalibrationBoundedGrowth(t *testing.T) {
 	const per = calls / keys
 	for _, row := range rep.Rows {
 		if row.Stages != per || row.Tasks != 2*per || row.Executions != per/2 ||
-			row.MeasNetBytes != 4*per || row.MeasFlops != 5*per || row.MeasWallSeconds != 0.5*per {
+			row.Meas.TotalCommBytes() != 4*per || row.Meas.Flops != 5*per || row.Meas.SimSeconds != 0.5*per {
 			t.Fatalf("row %+v does not sum %d measurements", row, per)
 		}
 	}

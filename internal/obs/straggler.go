@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"sort"
-	"sync"
-)
+import "sort"
 
 // WorkerLoad is one worker's contribution to a stage: how many tasks it ran
 // and the total seconds it spent on them.
@@ -16,8 +13,8 @@ type WorkerLoad struct {
 // StageSkew summarises task-duration imbalance within one stage. Imbalance
 // is max/median task duration — 1.0 means perfectly balanced, large values
 // mean one task (a straggler or a skewed partition) dominated the stage's
-// critical path. ROADMAP items 3 (sparse skew) and 5 (autoscaling) consume
-// this signal.
+// critical path. Skew-aware partitioning of sparse inputs and autoscaling
+// are the consumers this signal is kept for.
 type StageSkew struct {
 	Stage         string       `json:"stage,omitempty"`
 	Tasks         int          `json:"tasks"`
@@ -73,68 +70,59 @@ func StageSkewOf(stage string, samples []TaskSample) StageSkew {
 	return sk
 }
 
-// SkewDetector keeps each worker's EWMA mean task duration across stages,
-// folded from every finished stage's StageSkew, and scores each worker
-// against the fleet median (Slowdowns): a healthy worker sits near 1.0, a
-// straggler drifts above. Safe for concurrent use; a nil detector absorbs
-// every call.
-type SkewDetector struct {
-	mu   sync.Mutex
-	ewma map[int]float64 // per-worker EWMA mean task seconds
-}
-
-// NewSkewDetector returns an empty detector.
-func NewSkewDetector() *SkewDetector {
-	return &SkewDetector{ewma: map[int]float64{}}
-}
-
-// Observe folds a finished stage's per-worker loads into each worker's EWMA.
-func (d *SkewDetector) Observe(sk StageSkew) {
-	if d == nil {
+// ObserveSkew publishes a finished stage's skew: its imbalance on
+// MStageSkew, its per-worker loads folded into each worker's EWMA mean task
+// duration, and the refreshed slowdown scores (Slowdowns) on the
+// WorkerSlowdownGauge series. The EWMA state lives in the registry beside
+// those gauges, so every session that publishes to one registry folds into
+// one history. A stage without samples (Tasks == 0) changes nothing.
+func (r *Registry) ObserveSkew(sk StageSkew) {
+	if r == nil || sk.Tasks == 0 {
 		return
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	r.skewMu.Lock()
+	defer r.skewMu.Unlock()
+	r.Gauge(MStageSkew).Set(sk.Imbalance)
+	if r.ewma == nil {
+		r.ewma = map[int]float64{}
+	}
 	for _, w := range sk.Workers {
 		mean := w.Seconds / float64(w.Tasks)
-		if prev, ok := d.ewma[w.Worker]; ok {
-			d.ewma[w.Worker] = prev + slowdownAlpha*(mean-prev)
+		if prev, ok := r.ewma[w.Worker]; ok {
+			r.ewma[w.Worker] = prev + slowdownAlpha*(mean-prev)
 		} else {
-			d.ewma[w.Worker] = mean
+			r.ewma[w.Worker] = mean
 		}
 	}
-}
-
-// Reset forgets every worker's history, as if no stage had been observed.
-func (d *SkewDetector) Reset() {
-	if d == nil {
-		return
+	for worker, score := range r.slowdownsLocked() {
+		r.Gauge(WorkerSlowdownGauge(worker)).Set(score)
 	}
-	d.mu.Lock()
-	d.ewma = map[int]float64{}
-	d.mu.Unlock()
 }
 
 // Slowdowns returns each worker's slowdown score: its EWMA mean task
 // duration divided by the fleet's median EWMA. Scores near 1.0 are healthy;
-// a worker consistently above (say ≥1.5) is a straggler. Empty until a
-// per-task stage has finished.
-func (d *SkewDetector) Slowdowns() map[int]float64 {
-	if d == nil {
+// a worker consistently above (say ≥1.5) is a straggler. Nil until a stage
+// with task samples has been observed, and on a nil registry.
+func (r *Registry) Slowdowns() map[int]float64 {
+	if r == nil {
 		return nil
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.ewma) == 0 {
+	r.skewMu.Lock()
+	defer r.skewMu.Unlock()
+	return r.slowdownsLocked()
+}
+
+func (r *Registry) slowdownsLocked() map[int]float64 {
+	if len(r.ewma) == 0 {
 		return nil
 	}
-	means := make([]float64, 0, len(d.ewma))
-	for _, m := range d.ewma {
+	means := make([]float64, 0, len(r.ewma))
+	for _, m := range r.ewma {
 		means = append(means, m)
 	}
 	fleet := median(means)
-	out := make(map[int]float64, len(d.ewma))
-	for id, m := range d.ewma {
+	out := make(map[int]float64, len(r.ewma))
+	for id, m := range r.ewma {
 		if fleet > 0 {
 			out[id] = m / fleet
 		} else {

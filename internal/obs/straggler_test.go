@@ -61,15 +61,15 @@ func TestSkewDetectorZeroDurations(t *testing.T) {
 }
 
 func TestSlowdownsFlagStraggler(t *testing.T) {
-	d := NewSkewDetector()
-	if got := d.Slowdowns(); got != nil {
+	r := NewRegistry()
+	if got := r.Slowdowns(); got != nil {
 		t.Fatalf("Slowdowns before any stage = %v, want nil", got)
 	}
 	// Three healthy workers at ~0.1s mean, one consistently 3x slower.
 	for stage := 0; stage < 4; stage++ {
-		d.Observe(StageSkewOf("s", samplesOf([]int{0, 1, 2, 3}, 0.1, 0.1, 0.1, 0.3)))
+		r.ObserveSkew(StageSkewOf("s", samplesOf([]int{0, 1, 2, 3}, 0.1, 0.1, 0.1, 0.3)))
 	}
-	scores := d.Slowdowns()
+	scores := r.Slowdowns()
 	for w := 0; w < 3; w++ {
 		if math.Abs(scores[w]-1) > 1e-9 {
 			t.Errorf("healthy worker %d score = %g, want 1", w, scores[w])
@@ -78,24 +78,29 @@ func TestSlowdownsFlagStraggler(t *testing.T) {
 	if scores[3] < 1.5 {
 		t.Errorf("straggler score = %g, want >= 1.5", scores[3])
 	}
+	for w, score := range scores {
+		if g := r.Gauge(WorkerSlowdownGauge(w)).Value(); g != score {
+			t.Errorf("worker %d gauge = %g, want its score %g", w, g, score)
+		}
+	}
 }
 
 func TestSlowdownEWMAConverges(t *testing.T) {
-	d := NewSkewDetector()
+	r := NewRegistry()
 	// A worker that was fast turns slow: EWMA should cross 1.5x the fleet
 	// median within a few stages (alpha = 0.3).
 	for i := 0; i < 3; i++ {
-		d.Observe(StageSkewOf("warm", samplesOf([]int{0, 1}, 0.1, 0.1)))
+		r.ObserveSkew(StageSkewOf("warm", samplesOf([]int{0, 1}, 0.1, 0.1)))
 	}
 	stagesToFlag := 0
 	for i := 0; i < 20; i++ {
-		d.Observe(StageSkewOf("slow", samplesOf([]int{0, 1}, 0.1, 1.0)))
+		r.ObserveSkew(StageSkewOf("slow", samplesOf([]int{0, 1}, 0.1, 1.0)))
 		stagesToFlag++
-		if d.Slowdowns()[1] >= 1.5 {
+		if r.Slowdowns()[1] >= 1.5 {
 			break
 		}
 	}
-	if got := d.Slowdowns()[1]; got < 1.5 {
+	if got := r.Slowdowns()[1]; got < 1.5 {
 		t.Fatalf("slow worker never flagged: score %g after %d stages", got, stagesToFlag)
 	}
 	if stagesToFlag > 5 {
@@ -104,9 +109,9 @@ func TestSlowdownEWMAConverges(t *testing.T) {
 }
 
 func TestSkewDetectorNilSafety(t *testing.T) {
-	var d *SkewDetector
-	d.Observe(StageSkewOf("s", samplesOf([]int{0}, 1)))
-	if d.Slowdowns() != nil {
-		t.Fatal("nil detector should return nil slowdowns")
+	var r *Registry
+	r.ObserveSkew(StageSkewOf("s", samplesOf([]int{0}, 1)))
+	if r.Slowdowns() != nil {
+		t.Fatal("a nil registry should return nil slowdowns")
 	}
 }

@@ -48,8 +48,8 @@ func normalize(events []obs.Event) []normEvent {
 				Stage: f.Stage, Op: f.Op, Kind: f.Kind,
 				P: f.P, Q: f.Q, R: f.R, Tasks: f.Tasks,
 				PredNetBytes: f.PredNetBytes, PredComFlops: f.PredComFlops,
-				PredMemBytes: f.PredMemBytes, MeasFlops: f.MeasFlops,
-				CacheHits: f.CacheHits, CacheMisses: f.CacheMisses,
+				PredMemBytes: f.PredMemBytes, MeasFlops: f.Meas.Flops,
+				CacheHits: f.Meas.CacheHits, CacheMisses: f.Meas.CacheMisses,
 			}
 		}
 		out = append(out, n)
@@ -77,7 +77,7 @@ func runJournaledGNMF(t *testing.T, rtm rt.Runtime) (first, second []normEvent, 
 	}
 	g := workloads.GNMF(users, items, k, inputs["X"].Density())
 	j := obs.NewJournal(0, nil)
-	o := &obs.Obs{Metrics: obs.NewRegistry(), Skew: obs.NewSkewDetector()}
+	o := &obs.Obs{Metrics: obs.NewRegistry()}
 	if co, ok := rtm.(interface{ SetObs(*obs.Obs) }); ok {
 		co.SetObs(o)
 	}

@@ -129,7 +129,7 @@ func TestStagesReceiveTheirOwnTaskSamples(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			rtm := &sampledRuntime{Runtime: open(t), both: make(chan struct{}), stages: map[string]*stageTally{}}
 			j := obs.NewJournal(0, nil)
-			o := &obs.Obs{Metrics: obs.NewRegistry(), Skew: obs.NewSkewDetector(), QLog: j.Begin("q1", "")}
+			o := &obs.Obs{Metrics: obs.NewRegistry(), QLog: j.Begin("q1", "")}
 			if _, _, err := core.RunObs(core.FuseME{}, g, rtm, inputs, o); err != nil {
 				t.Fatal(err)
 			}

@@ -229,16 +229,8 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("/v1/queries", s.handleQueries)
 	s.mux.HandleFunc("/v1/queries/", s.handleQueries)
 	s.mux.HandleFunc("/v1/status", s.handleStatus)
-	s.mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = s.reg.WritePrometheus(w)
-	})
-	s.mux.HandleFunc("/debug/stats", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(map[string]any{"metrics": s.reg.Snapshot(), "status": s.status()})
-	})
+	s.mux.Handle("/metrics", obs.MetricsHandler(s.reg))
+	s.mux.Handle("/debug/stats", obs.StatsHandler(s.reg, "status", func() any { return s.status() }))
 	return s, nil
 }
 

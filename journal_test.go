@@ -1,8 +1,10 @@
 package fuseme
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -161,9 +163,70 @@ func TestSetQueryLogConsumedOnce(t *testing.T) {
 	}
 }
 
+// TestSessionsShareOneSlowdownHistory: sessions that publish to one registry
+// — the serve daemon's pool — fold their stages into one per-worker slowdown
+// history, so fuseme_worker_slowdown{worker} scores every stage of every
+// session, not only those of the session that ran last. Two sessions take
+// turns; the gauges must be the scores of one registry fed every journaled
+// stage skew in order. The query is one operator, so its stages run one after
+// another and the journal keeps them in the order the registry saw them.
+// Then both sessions run at once, and the gauges must still be the
+// registry's scores.
+func TestSessionsShareOneSlowdownHistory(t *testing.T) {
+	reg, j := obs.NewRegistry(), NewJournal(0, nil)
+	a := journalSession(t, WithRegistry(reg), WithJournal(j))
+	b := journalSession(t, WithRegistry(reg), WithJournal(j))
+	ref := obs.NewRegistry()
+	for i, sess := range []*Session{a, b, a, b} {
+		id := fmt.Sprintf("turn%d", i)
+		sess.SetQueryLog(j.Begin(id, ""))
+		if _, err := sess.Query(obsTestScript); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range j.Events(id) {
+			if e.Type == obs.EvStageEnd && e.Skew != nil {
+				ref.ObserveSkew(*e.Skew)
+			}
+		}
+	}
+	checkSlowdownGauges := func(when string, want map[int]float64) {
+		t.Helper()
+		if len(want) == 0 {
+			t.Fatalf("%s: no worker has a slowdown score", when)
+		}
+		gauges := reg.Snapshot().Gauges
+		for w, score := range want {
+			if got := gauges[obs.WorkerSlowdownGauge(w)]; got != score {
+				t.Errorf("%s: worker %d slowdown gauge = %g, want %g", when, w, got, score)
+			}
+		}
+	}
+	checkSlowdownGauges("taking turns", ref.Slowdowns())
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	for i, sess := range []*Session{a, b} {
+		sess.SetQueryLog(j.Begin(fmt.Sprintf("together%d", i), ""))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, err := sess.Query(obsTestScript)
+			errs <- err
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkSlowdownGauges("at once", reg.Slowdowns())
+}
+
 // TestSessionSkewDetectorWithMetrics: enabling the metrics registry arms the
-// skew detector — stage_end events carry a StageSkew and the registry gains
-// the imbalance gauge and per-worker slowdown series.
+// skew detection it keeps — stage_end events carry a StageSkew and the
+// registry gains the imbalance gauge and per-worker slowdown series.
 func TestSessionSkewDetectorWithMetrics(t *testing.T) {
 	j := NewJournal(0, nil)
 	sess := journalSession(t, WithJournal(j), WithMetricsAddr(""))
@@ -207,11 +270,11 @@ func TestSessionSkewDetectorWithMetrics(t *testing.T) {
 }
 
 // TestJournalOverheadGate bounds the cost of full per-query observability
-// (journal + metrics + skew detection) against an uninstrumented session on
-// the same workload. Wall-clock comparison is loose on purpose — the precise
-// <2% bound is measured with benchstat on BenchmarkJournalOverhead; this
-// gate only rules out gross regressions (an accidental per-task allocation,
-// a lock on the hot path).
+// (journal + metrics, the registry keeping the skew history) against an
+// uninstrumented session on the same workload. Wall-clock comparison is loose
+// on purpose — BenchmarkJournalOverhead measures the two shares in
+// interleaved rounds; this gate only rules out gross regressions (an
+// accidental per-task allocation, a lock on the hot path).
 func TestJournalOverheadGate(t *testing.T) {
 	const iters = 20
 	run := func(opts ...Option) time.Duration {
@@ -232,6 +295,6 @@ func TestJournalOverheadGate(t *testing.T) {
 	on := run(WithJournal(NewJournal(0, nil)), WithMetricsAddr(""))
 	const slack = 150 * time.Millisecond
 	if on > off*5/4+slack {
-		t.Errorf("observed wall with journal+skew %v vs %v off: more than 25%%+%v slower", on, off, slack)
+		t.Errorf("observed wall with journal+metrics %v vs %v off: more than 25%%+%v slower", on, off, slack)
 	}
 }

@@ -150,7 +150,7 @@ func (s *Session) startMetricsServer() error {
 		if rtm == nil {
 			return nil
 		}
-		return rtm.Stats().View()
+		return rtm.Stats()
 	})
 	if err != nil {
 		return fmt.Errorf("fuseme: metrics endpoint: %w", err)

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"fuseme/internal/cluster"
 	"fuseme/internal/obs"
 )
 
@@ -105,7 +106,7 @@ func TestSessionTracingAndMetricsSim(t *testing.T) {
 	}
 	var predicted bool
 	for _, row := range rep.Rows {
-		if row.PredComFlops > 0 && row.MeasFlops > 0 {
+		if row.PredComFlops > 0 && row.Meas.Flops > 0 {
 			predicted = true
 		}
 	}
@@ -165,7 +166,7 @@ func TestSessionMetricsEndpointTCP(t *testing.T) {
 
 	var debug struct {
 		Metrics obs.Snapshot   `json:"metrics"`
-		Stats   map[string]any `json:"stats"`
+		Stats   *cluster.Stats `json:"stats"`
 	}
 	if err := json.Unmarshal([]byte(httpGet(t, "http://"+sess.MetricsAddr()+"/debug/stats")), &debug); err != nil {
 		t.Fatalf("/debug/stats is not valid JSON: %v", err)
@@ -173,8 +174,13 @@ func TestSessionMetricsEndpointTCP(t *testing.T) {
 	if debug.Metrics.Counters[obs.MRemoteTasksTotal] == 0 {
 		t.Error("/debug/stats shows zero remote tasks after a TCP query")
 	}
-	if debug.Stats == nil {
+	// The runtime totals are the cluster.Stats of the one query, the
+	// coordinator's side of the wire included.
+	if st := debug.Stats; st == nil {
 		t.Error("/debug/stats has no runtime stats block")
+	} else if st.Tasks != sess.LastStats().Tasks || st.FetchCalls == 0 || st.CollectSeconds <= 0 {
+		t.Errorf("/debug/stats runtime stats = %+v, want the query's %d tasks and the coordinator's fetch and collect figures",
+			*st, sess.LastStats().Tasks)
 	}
 	if got := debug.Metrics.Gauges[obs.MWorkersAlive]; got != 2 {
 		t.Errorf("workers-alive gauge = %v, want 2", got)
@@ -183,7 +189,7 @@ func TestSessionMetricsEndpointTCP(t *testing.T) {
 	// The calibration measured real wire traffic.
 	var wired bool
 	for _, row := range sess.CalibrationReport().Rows {
-		if row.MeasNetBytes > 0 {
+		if row.Meas.TotalCommBytes() > 0 {
 			wired = true
 		}
 	}

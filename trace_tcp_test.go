@@ -172,7 +172,7 @@ func TestSessionTCPDistributedTrace(t *testing.T) {
 		if r.PredNetBytes > 0 && r.P > 0 {
 			predicted = true
 		}
-		if r.MeasWallSeconds > 0 && r.MeasFlops > 0 {
+		if r.Meas.SimSeconds > 0 && r.Meas.Flops > 0 {
 			measured = true
 		}
 	}
@@ -228,7 +228,7 @@ func TestSessionFlightRecorderSim(t *testing.T) {
 	}
 }
 
-// TestFlightPeakMemIsPerStage: meas_peak_task_mem_bytes is the stage's own
+// TestFlightPeakMemIsPerStage: flight.meas.peak_task_mem_bytes is the stage's own
 // per-task high-water mark, not the query's running maximum — a small
 // operator after a large one reports a strictly smaller peak, in the
 // stage_end flight record and in the calibration row, on both runtimes.
@@ -262,16 +262,16 @@ func TestFlightPeakMemIsPerStage(t *testing.T) {
 			if big.Op == small.Op {
 				t.Fatalf("first and last stage belong to one operator %q", big.Op)
 			}
-			if small.MeasPeakTaskMemBytes <= 0 || small.MeasPeakTaskMemBytes >= big.MeasPeakTaskMemBytes {
+			if small.Meas.PeakTaskMemBytes <= 0 || small.Meas.PeakTaskMemBytes >= big.Meas.PeakTaskMemBytes {
 				t.Errorf("peak task memory: %q %d bytes, then %q %d bytes; want the later, smaller operator strictly below",
-					big.Op, big.MeasPeakTaskMemBytes, small.Op, small.MeasPeakTaskMemBytes)
+					big.Op, big.Meas.PeakTaskMemBytes, small.Op, small.Meas.PeakTaskMemBytes)
 			}
-			if got := sess.LastStats().PeakTaskMemBytes; got != big.MeasPeakTaskMemBytes {
-				t.Errorf("query peak = %d, want the larger stage's %d", got, big.MeasPeakTaskMemBytes)
+			if got := sess.LastStats().PeakTaskMemBytes; got != big.Meas.PeakTaskMemBytes {
+				t.Errorf("query peak = %d, want the larger stage's %d", got, big.Meas.PeakTaskMemBytes)
 			}
 			for _, row := range sess.CalibrationReport().Rows {
-				if row.Op == small.Op && row.MeasPeakMem != small.MeasPeakTaskMemBytes {
-					t.Errorf("calibration row %q peak = %d, flight line says %d", row.Op, row.MeasPeakMem, small.MeasPeakTaskMemBytes)
+				if row.Op == small.Op && row.Meas.PeakTaskMemBytes != small.Meas.PeakTaskMemBytes {
+					t.Errorf("calibration row %q peak = %d, flight line says %d", row.Op, row.Meas.PeakTaskMemBytes, small.Meas.PeakTaskMemBytes)
 				}
 			}
 		})

@@ -362,16 +362,16 @@ func layerMetrics(events []obs.Event) map[string]float64 {
 			startAt[e.Query+"/"+e.Stage] = e.UnixNano
 		case obs.EvStageEnd:
 			stages += e.UnixNano - startAt[e.Query+"/"+e.Stage]
-			f := e.Flight
+			f := e.Flight.Meas
 			m["exec.stages"]++
 			m["exec.tasks"] += float64(e.Tasks)
-			m["remote.fetch_wait_s"] += f.MeasFetchSeconds
-			m["remote.task_s"] += f.MeasTaskSeconds
+			m["remote.fetch_wait_s"] += f.FetchSeconds
+			m["remote.task_s"] += f.TaskSeconds
 			m["remote.fetch_calls"] += float64(f.FetchCalls)
 			m["remote.fetch_serve_s"] += f.FetchServeSeconds
 			m["remote.collect_s"] += f.CollectSeconds
-			wire += f.MeasConsolidationBytes + f.MeasAggregationBytes + f.MeasExtraWireBytes
-			extra += f.MeasExtraWireBytes
+			wire += f.TotalCommBytes() + f.ExtraWireBytes
+			extra += f.ExtraWireBytes
 			m["remote.steal_tasks"] += float64(f.StealTasks)
 			m["blockcache.hits"] += float64(f.CacheHits)
 		case obs.EvTask:
