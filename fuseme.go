@@ -187,6 +187,7 @@ type Stats struct {
 	SimSeconds         float64 // simulated elapsed time (paper's Eq. 2)
 	WallSeconds        float64 // real wall-clock time of local execution
 	PeakTaskMemBytes   int64   // per-task memory high-water mark
+	MaxTaskFlops       int64   // heaviest single task's flops (load balance)
 
 	// Block-cache counters (zero unless WithBlockCache / FUSEME_CACHE_BYTES
 	// enabled the worker-resident cache for loop-invariant inputs).
@@ -201,6 +202,11 @@ type Stats struct {
 	StealTasks   int64   // tasks an idle lane stole from a node whose lanes were all busy
 	FetchSeconds float64 // wire wait inside task bodies
 	TaskSeconds  float64 // total task wall time on workers
+
+	// The TCP coordinator's side of the wire, zero under simulation.
+	FetchCalls        int64   // block requests served to workers
+	FetchServeSeconds float64 // spent resolving them
+	CollectSeconds    float64 // spent taking task results in
 }
 
 // TotalCommBytes is consolidation plus aggregation traffic — the
@@ -214,6 +220,8 @@ func (s Stats) String() string {
 		s.SimSeconds, s.WallSeconds, cluster.FormatBytes(s.PeakTaskMemBytes))
 }
 
+// statsFrom is the public view of the runtime's stats: every field of
+// cluster.Stats but PrefetchSeconds, which nothing sets.
 func statsFrom(c cluster.Stats) Stats {
 	return Stats{
 		ConsolidationBytes: c.ConsolidationBytes,
@@ -225,6 +233,7 @@ func statsFrom(c cluster.Stats) Stats {
 		SimSeconds:         c.SimSeconds,
 		WallSeconds:        c.WallSeconds,
 		PeakTaskMemBytes:   c.PeakTaskMemBytes,
+		MaxTaskFlops:       c.MaxTaskFlops,
 		CacheHits:          c.CacheHits,
 		CacheMisses:        c.CacheMisses,
 		CacheEvictions:     c.CacheEvictions,
@@ -232,6 +241,9 @@ func statsFrom(c cluster.Stats) Stats {
 		StealTasks:         c.StealTasks,
 		FetchSeconds:       c.FetchSeconds,
 		TaskSeconds:        c.TaskSeconds,
+		FetchCalls:         c.FetchCalls,
+		FetchServeSeconds:  c.FetchServeSeconds,
+		CollectSeconds:     c.CollectSeconds,
 	}
 }
 

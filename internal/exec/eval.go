@@ -29,12 +29,14 @@ type evaluator struct {
 	blockSize int
 
 	memo      memoTable
-	pinned    bool               // the task pinned the main multiplication's aggregated partials (a fuse task)
-	accT      *matrix.Dense      // scratch: evalMatMul's transposed accumulator, in the arena
-	arena     *taskArena         // where the task's retained transposes and scratch live
-	colocated []int              // inputs co-partitioned with the output: no fetch cost
-	trace     *cluster.TaskTrace // per-task sub-spans; nil when tracing is off
-	caching   *spec.Stage        // the stage naming the cacheable inputs' content epochs and its cache scope
+	pinned    bool                // the task pinned the main multiplication's aggregated partials (a fuse task)
+	accT      *matrix.Dense       // scratch: evalMatMul's transposed accumulator, in the arena
+	arena     *taskArena          // where the task's retained transposes and scratch live
+	tile      superTile           // the masked SDDMM's super-tile being visited (visit, maskedMM)
+	terms     []matrix.MaskedTerm // scratch: a super-tile's kernel call
+	colocated []int               // inputs co-partitioned with the output: no fetch cost
+	trace     *cluster.TaskTrace  // per-task sub-spans; nil when tracing is off
+	caching   *spec.Stage         // the stage naming the cacheable inputs' content epochs and its cache scope
 }
 
 // memoTable is what a task holds of the blocks it met: one entry per (node,

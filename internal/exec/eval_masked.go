@@ -2,9 +2,12 @@ package exec
 
 import (
 	"fmt"
+	"slices"
+	"sync/atomic"
 
 	"fuseme/internal/dag"
 	"fuseme/internal/matrix"
+	"fuseme/internal/rt/spec"
 )
 
 // The compiled chain. A maximal run of member element-wise operators is not
@@ -141,37 +144,161 @@ func (ev *evaluator) driverPattern(bi, bj int) (*matrix.CSR, []float64) {
 	return pattern, make([]float64, len(pattern.Col))
 }
 
+// Super-tiles. A task visits the blocks of a masked plan in super-tiles
+// (visit): matrix.SuperTileCols column blocks of one block row, whose right
+// operand blocks fill half of the L2, group by group and, within a group,
+// block row by block row, so the group's right operand blocks stay in the
+// L2 while the left operand's blocks and the driver's stream past. The SDDMM
+// of a whole super-tile is one kernel call per k block
+// (matrix.MaskedMatMulGroupAccWith), which walks row i of every block in
+// turn; maskedMM runs it when the first block of the super-tile is asked for
+// and hands each block's values out once.
+
+// superTile is the super-tile a task visits: block row bi, column blocks
+// [lo, hi) of the main multiplication's plane.
+type superTile struct {
+	bi, lo, hi int
+	done       bool        // its SDDMM ran
+	blocks     []tileBlock // by column block, from lo
+}
+
+// tileBlock is one block of a super-tile: its driver pattern (nil: an
+// all-zero driver block) and the values the SDDMM summed into, until
+// maskedMM hands them out.
+type tileBlock struct {
+	pattern *matrix.CSR
+	vals    []float64
+	taken   bool
+}
+
+// enter makes blocks (bi, lo..hi-1) the super-tile, its SDDMM not yet run.
+func (t *superTile) enter(bi, lo, hi int) {
+	t.bi, t.lo, t.hi, t.done = bi, lo, hi, false
+	t.blocks = slices.Grow(t.blocks[:0], hi-lo)[:hi-lo]
+	clear(t.blocks)
+}
+
+// superTileCols is how many column blocks a super-tile of the task spans: 1
+// unless the plan runs the masked SDDMM here (not in a fuse task, which
+// samples pinned partials), else what the right operand's blocks over the
+// task's k range allow (matrix.SuperTileCols), or the test hook's width.
+func (ev *evaluator) superTileCols() int {
+	if ev.pc.mask == nil || ev.pinned {
+		return 1
+	}
+	if g := superTileHook.Load(); g > 0 {
+		return int(g)
+	}
+	bs := ev.blockSize
+	k := min(ev.kHi*bs, ev.pc.plan.MainMM.Inputs[0].Cols) - ev.kLo*bs
+	return matrix.SuperTileCols(bs, k)
+}
+
+// superTileHook, when positive, is the super-tile width in column blocks in
+// place of the L2 budget's; tests set it to compare super-tiles with blocks
+// visited one by one. Zero outside tests.
+var superTileHook atomic.Int64
+
+// visit calls fn for every block (bi, bj) of block rows ri and column blocks
+// rj of the main multiplication's plane, in super-tiles: column group by
+// column group, block row by block row within one. rowMajor keeps row-major
+// order instead — block row by block row, super-tile by super-tile — for an
+// output whose task-local aggregate would fold its blocks in another order
+// (a sum, min or max over all blocks; a row or column sum folds each of its
+// partial blocks in the same order either way).
+func (ev *evaluator) visit(ri, rj spec.Span, rowMajor bool, fn func(bi, bj int)) {
+	g := ev.superTileCols()
+	tile := func(bi, lo int) {
+		hi := min(lo+g, rj.Hi)
+		ev.tile.enter(bi, lo, hi)
+		for bj := lo; bj < hi; bj++ {
+			fn(bi, bj)
+		}
+	}
+	if rowMajor {
+		for bi := ri.Lo; bi < ri.Hi; bi++ {
+			for lo := rj.Lo; lo < rj.Hi; lo += g {
+				tile(bi, lo)
+			}
+		}
+	} else {
+		for lo := rj.Lo; lo < rj.Hi; lo += g {
+			for bi := ri.Lo; bi < ri.Hi; bi++ {
+				tile(bi, lo)
+			}
+		}
+	}
+	ev.tile.enter(0, 0, 0)
+}
+
 // maskedMM returns the driver pattern of block (bi, bj) and the main
-// multiplication restricted to it, summed over the task's k-range into one
-// task-owned buffer. A nil pattern is an all-zero driver block.
+// multiplication restricted to it, summed over the task's k range into one
+// task-owned buffer. A nil pattern is an all-zero driver block. A block
+// outside the super-tile being visited, or asked for again, is a super-tile
+// of its own.
 func (ev *evaluator) maskedMM(bi, bj int) (*matrix.CSR, []float64) {
-	pattern, vals := ev.driverPattern(bi, bj)
-	if pattern == nil {
-		return nil, nil
+	t := &ev.tile
+	if bi != t.bi || bj < t.lo || bj >= t.hi || t.blocks[bj-t.lo].taken {
+		t.enter(bi, bj, bj+1)
+	}
+	if !t.done {
+		ev.sddmm(t)
+	}
+	b := &t.blocks[bj-t.lo]
+	pattern, vals := b.pattern, b.vals
+	*b = tileBlock{taken: true}
+	return pattern, vals
+}
+
+// sddmm runs the super-tile's SDDMM: the driver pattern of each block and a
+// zeroed values buffer for it, then, per k block, one kernel call over the
+// blocks whose operands are not all-zero.
+func (ev *evaluator) sddmm(t *superTile) {
+	t.done = true
+	some := false
+	for j := range t.blocks {
+		b := &t.blocks[j]
+		b.pattern, b.vals = ev.driverPattern(t.bi, t.lo+j)
+		some = some || b.pattern != nil
+	}
+	if !some {
+		return
 	}
 	mm := ev.pc.plan.MainMM
 	left, right := mm.Inputs[0], mm.Inputs[1]
 	folded := ev.pc.role(right.ID)&roleFolded != 0
 	for bk := ev.kLo; bk < ev.kHi; bk++ {
-		// The SDDMM takes dot(A[i,:], Bt[j,:]), its right operand transposed:
-		// under a member t(B) that is B's own row-major block, read where it
-		// lies; any other right block is transposed once per output block.
-		la := ev.evalBlock(left, bi, bk)
-		var bt matrix.Mat
-		if folded {
-			bt = ev.transposedChild(right, bk, bj)
-		} else {
-			bt = ev.evalBlock(right, bk, bj)
+		la := ev.evalBlock(left, t.bi, bk)
+		terms := ev.terms[:0]
+		for j := range t.blocks {
+			b := &t.blocks[j]
+			if b.pattern == nil {
+				continue
+			}
+			// The SDDMM takes dot(A[i,:], Bt[j,:]), its right operand
+			// transposed: under a member t(B) that is B's own row-major
+			// block, read where it lies; any other right block is
+			// transposed once per output block.
+			var bt matrix.Mat
+			if folded {
+				bt = ev.transposedChild(right, bk, t.lo+j)
+			} else {
+				bt = ev.evalBlock(right, bk, t.lo+j)
+			}
+			if la == nil || bt == nil {
+				continue
+			}
+			if !folded {
+				bt = matrix.TransposeWith(ev.pool, bt)
+			}
+			_, inner := la.Dims()
+			ev.task.AddFlops(matrix.MaskedMatMulFlops(b.pattern, inner))
+			terms = append(terms, matrix.MaskedTerm{Mask: b.pattern, Acc: b.vals, Bt: bt})
 		}
-		if la == nil || bt == nil {
-			continue
+		if len(terms) > 0 {
+			matrix.MaskedMatMulGroupAccWith(ev.pool, la, terms)
 		}
-		if !folded {
-			bt = matrix.TransposeWith(ev.pool, bt)
-		}
-		_, inner := la.Dims()
-		ev.task.AddFlops(matrix.MaskedMatMulFlops(pattern, inner))
-		matrix.MaskedMatMulAccWith(ev.pool, pattern, vals, la, bt)
+		clear(terms)
+		ev.terms = terms[:0]
 	}
-	return pattern, vals
 }

@@ -43,3 +43,11 @@ func ArenaBlockLeavesAsClone() (cloned, kept bool) {
 	fresh := matrix.NewDense(2, 3)
 	return out != matrix.Mat(d) && matrix.Equal(out, d), ta.escape(fresh) == matrix.Mat(fresh)
 }
+
+// SetSuperTileCols makes every task visit super-tiles of cols column blocks
+// in place of the L2 budget's width until t ends; 1 visits the blocks one by
+// one, as a task did before super-tiles.
+func SetSuperTileCols(t testing.TB, cols int) {
+	superTileHook.Store(int64(cols))
+	t.Cleanup(func() { superTileHook.Store(0) })
+}

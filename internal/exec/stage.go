@@ -238,29 +238,23 @@ func (st *Stage) runPartialTask(task *cluster.Task, src blockSource, ta *taskAre
 	pc := st.outs[0]
 	ev := st.evaluator(pc, task, src, ta, kr.Lo, kr.Hi)
 	tt := task.Trace()
-	rowsp, colsp := sp.IRanges[pi], sp.JRanges[qi]
-	for bi := rowsp.Lo; bi < rowsp.Hi; bi++ {
-		for bj := colsp.Lo; bj < colsp.Hi; bj++ {
-			var part matrix.Mat
-			endKernel := tt.Begin("kernel", "taskop")
-			if pc.mask != nil {
-				pattern, vals := ev.maskedMM(bi, bj)
-				if pattern == nil {
-					endKernel()
-					continue // sparsity exploitation: nothing to do
-				}
+	ev.visit(sp.IRanges[pi], sp.JRanges[qi], false, func(bi, bj int) {
+		var part matrix.Mat
+		endKernel := tt.Begin("kernel", "taskop")
+		if pc.mask != nil {
+			if pattern, vals := ev.maskedMM(bi, bj); pattern != nil { // else sparsity exploitation: nothing to do
 				part = pattern.WithValues(vals)
-			} else {
-				part = ev.evalBlock(pc.plan.MainMM, bi, bj)
 			}
-			endKernel()
-			if part == nil {
-				continue
-			}
-			task.SendBlock(part)
-			emit(spec.OutPartial, bi, bj, part)
+		} else {
+			part = ev.evalBlock(pc.plan.MainMM, bi, bj)
 		}
-	}
+		endKernel()
+		if part == nil {
+			return
+		}
+		task.SendBlock(part)
+		emit(spec.OutPartial, bi, bj, part)
+	})
 	return nil
 }
 
@@ -319,21 +313,21 @@ func (st *Stage) runGridTask(task *cluster.Task, src blockSource, ta *taskArena,
 	return nil
 }
 
-// evalOutputs evaluates every block of out in partition (pi, qi) and emits
-// final blocks, or task-local aggregates when the plan roots in an
-// aggregation.
+// evalOutputs evaluates every block of out in partition (pi, qi), in
+// super-tiles (evaluator.visit), and emits final blocks, or task-local
+// aggregates when the plan roots in an aggregation. Sinks take final blocks
+// by position, so the visit order is free, but a sum, min or max over all
+// blocks folds them in row-major order.
 func (st *Stage) evalOutputs(out *taskOut, pi, qi int, emit emitFn) error {
 	sp := &st.Spec
-	ri, rj := sp.IRanges[pi], sp.JRanges[qi]
-	for bi := ri.Lo; bi < ri.Hi; bi++ {
-		for bj := rj.Lo; bj < rj.Hi; bj++ {
-			oi, oj := bi, bj
-			if sp.Swapped {
-				oi, oj = bj, bi
-			}
-			out.eval(oi, oj, emit)
+	agg := out.ev.pc.agg
+	rowMajor := agg != nil && agg.Agg != matrix.RowSum && agg.Agg != matrix.ColSum
+	out.ev.visit(sp.IRanges[pi], sp.JRanges[qi], rowMajor, func(bi, bj int) {
+		if sp.Swapped {
+			bi, bj = bj, bi
 		}
-	}
+		out.eval(bi, bj, emit)
+	})
 	out.flush(emit)
 	return nil
 }

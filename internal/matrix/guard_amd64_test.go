@@ -37,8 +37,9 @@ func guardedCopy[T float64 | int](t *testing.T, src []T) []T {
 
 // TestAssemblyStaysInBounds runs the assembly kernels on operands each of
 // which ends at an unreadable page — the last a and bt rows, the values
-// buffer, the pattern's Col (the SDDMM's prefetch looks one position ahead
-// and must not read Col[nnz]), the sparse x dense row kernels' operands and
+// buffer, the pattern's RowPtr and Col, of a group of one and of a group of
+// several terms, whose last term is narrower — the sparse x dense row
+// kernels' operands and
 // accumulators at every width under both levels' forms (the AVX-512 forms'
 // masked tails among them), the unary strips at every length, GEMM tiles with
 // every edge under both micro-kernels and both stride orders of the left
@@ -66,6 +67,33 @@ func TestAssemblyStaysInBounds(t *testing.T) {
 			t.Errorf("sddmm, k=%d: guarded operands give other values", k)
 		}
 	}
+
+	// The group kernel: three terms, each operand of each in guarded memory,
+	// the last term an edge block with fewer columns.
+	t.Run("sddmm/group", func(t *testing.T) {
+		if simdLevel < levelAVX512 {
+			t.Skip(asmLevels[1].lacks)
+		}
+		defer failOnFault(t)()
+		masks := []*CSR{mask, RandomSparse(rows, cols, 0.5, 1, 2, 2), RandomSparse(rows, 4, 0.6, 1, 2, 3)}
+		for _, k := range []int{1, 3, 4, 5, 8, 9, 12, 15, 16, 31, 64, 67} {
+			a := special(rng, make([]float64, rows*k))
+			want, got := make([]MaskedTerm, len(masks)), make([]MaskedTerm, len(masks))
+			for j, m := range masks {
+				bt := special(rng, make([]float64, m.Cols*k))
+				gm := &CSR{Rows: m.Rows, Cols: m.Cols, RowPtr: guardedCopy(t, m.RowPtr), Col: guardedCopy(t, m.Col), Val: m.Val}
+				want[j] = MaskedTerm{Mask: m, Acc: make([]float64, m.NNZ()), Bt: NewDenseData(m.Cols, k, bt)}
+				got[j] = MaskedTerm{Mask: gm, Acc: guarded[float64](t, m.NNZ()), Bt: NewDenseData(m.Cols, k, guardedCopy(t, bt))}
+			}
+			MaskedMatMulGroupAccWith(nil, NewDenseData(rows, k, a), want)
+			MaskedMatMulGroupAccWith(nil, NewDenseData(rows, k, guardedCopy(t, a)), got)
+			for j := range masks {
+				if !sameFloats(got[j].Acc, want[j].Acc) {
+					t.Errorf("sddmm group, k=%d, term %d: guarded operands give other values", k, j)
+				}
+			}
+		}
+	})
 
 	// The row kernels at each level: a pattern whose last row and last column
 	// hold values, so the last rows of the dense operand and of both

@@ -6,9 +6,13 @@ import "testing"
 
 // TestFastPathIsThePath keeps the assembly kernels the path at the repo
 // benchmark's block shapes, by counting entries into each assembly arm
-// (kernelCalls, compiled in by the kernelcount tag only): the dense/dense
-// SDDMM of a 256x256 mask block at density 0.005 against 256x64 factor
-// blocks is one kernel call per row range; the CSR x dense product of those
+// (kernelCalls, compiled in by the kernelcount tag only): at AVX-512 the
+// dense/dense SDDMM of a super-tile — SuperTileCols(256, 64) = 8 mask blocks
+// of 256x256 at density 0.005 against 256x64 factor blocks, one left block
+// for all — is one kernel call per row range, which walks the eight
+// patterns itself, so a serial call is 1 where a call per block made it 8;
+// below AVX-512 the SDDMM is its portable twin and counts nothing; the CSR x
+// dense product of those
 // blocks is one row kernel call per row range, and so is the dense x CSR
 // product, which walks the mask's rows inside the kernel; a 128x128 dense
 // product is one assembly tile per (i, k, j) tile and nothing beside; the NMF
@@ -29,7 +33,12 @@ func TestFastPathIsThePath(t *testing.T) {
 		for k := range kernelCalls {
 			kernelCalls[k].Store(0)
 		}
-		MaskedMatMulAccWith(nil, mask, make([]float64, mask.NNZ()), u, v)
+		terms := make([]MaskedTerm, SuperTileCols(benchBlock, benchK))
+		for j := range terms {
+			m := RandomSparse(benchBlock, benchBlock, 0.005, 1, 5, int64(10+j))
+			terms[j] = MaskedTerm{Mask: m, Acc: make([]float64, m.NNZ()), Bt: v}
+		}
+		MaskedMatMulGroupAccWith(nil, u, terms)
 		counts[kernelSDDMM] = kernelCalls[kernelSDDMM].Load()
 		MatMulTransAccWith(nil, NewDense(benchBlock, benchK), u, mask)
 		MatMulAccWith(nil, NewDense(benchBlock, benchK), mask, v)
@@ -58,7 +67,7 @@ func TestFastPathIsThePath(t *testing.T) {
 		kernelLog: 1, kernelSigmoid: 128, kernelTranspose: 2,
 	}
 	if simdLevel < levelAVX512 {
-		want[kernelTranspose] = 0
+		want[kernelTranspose], want[kernelSDDMM] = 0, 0
 	}
 	if simdLevel < levelAVX2 {
 		want = [numKernels]int64{}

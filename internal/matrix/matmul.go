@@ -27,8 +27,10 @@ const (
 // kernel has at or below its simdLevel. The dense GEMM, the two sparse x
 // dense row kernels and the dense transpose have a form at levelAVX512, and
 // so has the dense non-zero count (nnzAVX512), which has none at levelAVX2;
-// the transpose has no other assembly form either. The SDDMM and the unary
-// strips stop at levelAVX2: their bits are defined by four lanes.
+// the transpose and the masked SDDMM (sddmmGroupAVX512) have no other
+// assembly form either. The unary strips stop at levelAVX2: their bits are
+// defined by four lanes, and so are the SDDMM's, whose 8-lane products are
+// added as two 4-lane halves.
 const (
 	levelPortable = iota
 	levelAVX2
@@ -611,50 +613,123 @@ func MaskedMatMulWith(p *parallel.Pool, mask *CSR, a, b Mat) *CSR {
 // (Section 2.1 of the paper): for sparse mask X only nnz(X) dot products are
 // computed instead of rows x cols. The right operand comes transposed, so
 // every dot product walks two contiguous rows; a caller that holds b and not
-// t(b) transposes it once per call, as MaskedMatMulWith does. Mask rows are
-// split across p's kernel threads, and between dense operands each row range
-// is one kernel call (sddmmRows); each position is written by exactly one
-// goroutine, so results are bit-identical at every thread count. acc (len
-// nnz(mask)) must be owned by the caller.
+// t(b) transposes it once per call, as MaskedMatMulWith does. It is
+// MaskedMatMulGroupAccWith on a group of one block. acc (len nnz(mask)) must
+// be owned by the caller.
 func MaskedMatMulAccWith(p *parallel.Pool, mask *CSR, acc []float64, a, bt Mat) {
+	MaskedMatMulGroupAccWith(p, a, []MaskedTerm{{Mask: mask, Acc: acc, Bt: bt}})
+}
+
+// MaskedTerm is one output block of a masked product: the block's mask, its
+// values and the right operand's block, transposed.
+type MaskedTerm struct {
+	Mask *CSR      // the block's pattern, with the left operand's rows
+	Acc  []float64 // one value per stored position of Mask, owned by the caller
+	Bt   Mat       // the right operand's block transposed: Mask.Cols x inner
+}
+
+// superTileBytes is the share of a core's L2 that the right operands of one
+// super-tile fill: half of the 2 MiB L2 of the benchmark's machine, so the
+// group's blocks stay there while the caller walks the block rows under them
+// and the left operand's block and the masks stream past.
+const superTileBytes = 1 << 20
+
+// sddmmMaxTerms is the most terms one call of the group kernel takes, and so
+// the widest super-tile.
+const sddmmMaxTerms = 16
+
+// SuperTileCols returns how many column blocks of one block row a masked
+// product groups (MaskedMatMulGroupAccWith): as many right-operand blocks of
+// cols x k values as fill superTileBytes, at least one and at most
+// sddmmMaxTerms — 8 at the benchmark's 256 x 64 factor blocks.
+func SuperTileCols(cols, k int) int {
+	return min(sddmmMaxTerms, max(1, superTileBytes/(8*max(1, cols*k))))
+}
+
+// MaskedMatMulGroupAccWith is MaskedMatMulAccWith on a super-tile: terms
+// that share the left operand a — blocks of one block row, a the left
+// operand's block of that row. For every term and every stored (i,j) of its
+// mask at position q, Acc[q] += a[i,:] . Bt[j,:]. The mask rows are split
+// across p's kernel threads, and between dense operands each row range is
+// one walk (sddmmGroup): row i of every term in turn, so a's row i serves
+// the positions of all of them before the walk moves on. Each position is
+// written by exactly one goroutine with dot's arithmetic, so the results are
+// bit-identical at every thread count and grouping.
+func MaskedMatMulGroupAccWith(p *parallel.Pool, a Mat, terms []MaskedTerm) {
 	ar, ak := a.Dims()
-	bc, bk := bt.Dims()
-	if ak != bk || mask.Rows != ar || mask.Cols != bc || len(acc) != len(mask.Col) {
-		panic(fmt.Sprintf("matrix: masked matmul shape mismatch mask %dx%d (%d values), a %dx%d, t(b) %dx%d",
-			mask.Rows, mask.Cols, len(acc), ar, ak, bc, bk))
+	for _, t := range terms {
+		if bc, bk := t.Bt.Dims(); ak != bk || t.Mask.Rows != ar || t.Mask.Cols != bc || len(t.Acc) != len(t.Mask.Col) {
+			panic(fmt.Sprintf("matrix: masked matmul shape mismatch mask %dx%d (%d values), a %dx%d, t(b) %dx%d",
+				t.Mask.Rows, t.Mask.Cols, len(t.Acc), ar, ak, bc, bk))
+		}
 	}
 	da, denseA := a.(*Dense)
-	db, denseB := bt.(*Dense)
-	if denseA && denseB {
-		p.For(mask.Rows, rowGrain, func(rLo, rHi int) { sddmmRows(mask, rLo, rHi, da, db, acc) })
-		return
-	}
-	p.For(mask.Rows, rowGrain, func(rLo, rHi int) {
-		for i := rLo; i < rHi; i++ {
-			for q := mask.RowPtr[i]; q < mask.RowPtr[i+1]; q++ {
-				var s float64
-				for k := 0; k < ak; k++ {
-					s += a.At(i, k) * bt.At(mask.Col[q], k)
+	p.For(ar, rowGrain, func(rLo, rHi int) {
+		if denseA {
+			sddmmGroup(terms, rLo, rHi, da)
+		}
+		for _, t := range terms {
+			if _, denseB := t.Bt.(*Dense); denseA && denseB {
+				continue
+			}
+			for i := rLo; i < rHi; i++ {
+				for q := t.Mask.RowPtr[i]; q < t.Mask.RowPtr[i+1]; q++ {
+					var s float64
+					for k := 0; k < ak; k++ {
+						s += a.At(i, k) * t.Bt.At(t.Mask.Col[q], k)
+					}
+					t.Acc[q] += s
 				}
-				acc[q] += s
 			}
 		}
 	})
 }
 
-// sddmmRows is the dense/dense SDDMM over mask rows [rLo, rHi): one call of
-// the assembly kernel, which walks the pattern itself, or one dot per stored
-// position — the same arithmetic.
-func sddmmRows(mask *CSR, rLo, rHi int, a, bt *Dense, acc []float64) {
-	if simdLevel >= levelAVX2 && a.Cols > 0 && len(acc) > 0 {
-		countKernel(kernelSDDMM)
-		sddmmAVX(&mask.RowPtr[0], &mask.Col[0], rLo, rHi, len(acc), &a.Data[0], &bt.Data[0], &acc[0], a.Cols)
+// sddmmTerm is a dense term on raw storage, as sddmmGroupAVX512 reads it.
+type sddmmTerm struct {
+	rowPtr, col *int
+	bt, acc     *float64
+	nnz         int
+}
+
+// sddmmGroup is the dense/dense SDDMM over mask rows [rLo, rHi) of the terms
+// whose right operand is dense: row by row, each term's positions of the row
+// in turn. At levelAVX512 that is one call of the assembly kernel per
+// sddmmMaxTerms terms, which walks the patterns itself and runs four dots at
+// once; below it, one dot per stored position in the same order — the same
+// arithmetic.
+func sddmmGroup(terms []MaskedTerm, rLo, rHi int, a *Dense) {
+	if simdLevel >= levelAVX512 && len(a.Data) > 0 {
+		var raw [sddmmMaxTerms]sddmmTerm
+		n := 0
+		for _, t := range terms {
+			bt, ok := t.Bt.(*Dense)
+			if !ok || len(t.Acc) == 0 {
+				continue
+			}
+			raw[n] = sddmmTerm{&t.Mask.RowPtr[0], &t.Mask.Col[0], &bt.Data[0], &t.Acc[0], len(t.Acc)}
+			if n++; n == len(raw) {
+				countKernel(kernelSDDMM)
+				sddmmGroupAVX512(&raw[0], n, rLo, rHi, &a.Data[0], a.Cols)
+				n = 0
+			}
+		}
+		if n > 0 {
+			countKernel(kernelSDDMM)
+			sddmmGroupAVX512(&raw[0], n, rLo, rHi, &a.Data[0], a.Cols)
+		}
 		return
 	}
 	for i := rLo; i < rHi; i++ {
 		arow := a.Row(i)
-		for q := mask.RowPtr[i]; q < mask.RowPtr[i+1]; q++ {
-			acc[q] += dot(arow, bt.Row(mask.Col[q]))
+		for _, t := range terms {
+			bt, ok := t.Bt.(*Dense)
+			if !ok {
+				continue
+			}
+			for q := t.Mask.RowPtr[i]; q < t.Mask.RowPtr[i+1]; q++ {
+				t.Acc[q] += dot(arow, bt.Row(t.Mask.Col[q]))
+			}
 		}
 	}
 }
@@ -663,7 +738,8 @@ func sddmmRows(mask *CSR, rLo, rHi int, a, bt *Dense, acc []float64) {
 // (independent add chains keep the FP pipeline full), combined pairwise. Each
 // step is one multiply, rounded, then one add — never fused, which the
 // conversions state for the architectures whose compiler would — so that
-// sddmmAVX, whose four lanes are s0..s3, gives the same bits.
+// sddmmGroupAVX512, whose four accumulator lanes per dot are s0..s3, gives
+// the same bits.
 func dot(x, y []float64) float64 {
 	y = y[:len(x)]
 	var s0, s1, s2, s3 float64

@@ -32,12 +32,14 @@ func microAVX4x8(a, b, out *float64, kn, ldaB, ldkB, ldbB, ldoB uintptr)
 //go:noescape
 func microAVX512x8x16(a, b, out *float64, kn, ldaB, ldkB, ldbB, ldoB uintptr)
 
-// sddmmAVX is sddmmRows on raw storage: for the nnz-long pattern rowPtr/col
-// and mask rows [rLo, rHi), acc[q] += dot(a[i*k:][:k], bt[col[q]*k:][:k]) with
-// dot's arithmetic. k must be positive. Implemented in matmul_amd64.s.
+// sddmmGroupAVX512 is sddmmGroup on raw storage, at levelAVX512: for mask
+// rows [rLo, rHi), row by row, the row's stored positions q of each of the n
+// terms in turn get acc[q] += dot(a[i*k:][:k], bt[col[q]*k:][:k]), run four
+// dots at a time. n is at most sddmmMaxTerms, every term has a stored
+// position, and k is positive. Implemented in matmul_amd64.s.
 //
 //go:noescape
-func sddmmAVX(rowPtr, col *int, rLo, rHi, nnz int, a, bt, acc *float64, k int)
+func sddmmGroupAVX512(terms *sddmmTerm, n, rLo, rHi int, a *float64, k int)
 
 // spmmRowsAVX is spmmRows on raw storage: for the CSR pattern rowPtr/col with
 // values val and rows [rLo, rHi), acc[i][:n] += the product of row i with

@@ -244,102 +244,294 @@ kloop512:
 	VZEROUPPER
 	RET
 
-// func sddmmAVX(rowPtr, col *int, rLo, rHi, nnz int, a, bt, acc *float64, k int)
+// func sddmmGroupAVX512(terms *sddmmTerm, n, rLo, rHi int, a *float64, k int)
 //
-// For every stored position q of mask rows [rLo, rHi), in (i, col[q]) order:
-// acc[q] += a[i,:] . bt[col[q],:] over k elements, with the arithmetic of
-// dot: the four lanes of Y0 are its partial sums s0..s3 (multiply, then add —
-// not fused), the k%4 tail elements go into lane 0 with scalar operations,
-// and the sums combine as (s0+s1)+(s2+s3). While a dot product runs, the bt
-// row of the next stored position is prefetched line by line; the last
-// position (q+1 == nnz) prefetches its own row, so col[nnz] is never read.
+// For each mask row i of [rLo, rHi), for each of the n (at most 16) terms in
+// turn, for every stored position q of the term's row i:
+// acc[q] += a[i,:] . bt[col[q],:] over k elements, with the arithmetic of dot.
 //
-// Registers: R10 i, R13 &a[i*k], DI row bytes, SI q, CX end of row i's
-// positions, BX bt row cursor, DX a row minus bt row, AX prefetch row minus
-// bt row, R11/R12 bytes in whole groups of 8/4 elements, R8 scratch.
-TEXT ·sddmmAVX(SB), NOSPLIT, $0-72
-	MOVQ	col+8(FP), R9
+// The walk queues each position as an (a row, bt row, acc position) entry in
+// a 64-entry ring on the stack and, at the end of each row, runs the queued
+// entries four at a time while four remain; the rest wait for the next row.
+// A term row with at most two positions is queued without a branch on its
+// count: two entries are written — the second, or both, beyond the count
+// when the row is shorter, never past the term's last position — and the
+// count is added to the write index. A longer row queues its positions one
+// by one and runs the quads as they fill. While it reads a term's row, the
+// walk prefetches the term's row pointers, column indices and values 128
+// bytes ahead.
+//
+// A quad runs four dots at once, each in its own accumulator Y0..Y3, whose
+// lanes are dot's partial sums s0..s3: per 8 elements, four 8-lane
+// multiplies, and each product's low half, then its high half, is added into
+// its dot's accumulator — the order of dot's 4-element steps. A 4-element
+// step follows when k%8 >= 4, the k%4 tail elements go into lane 0 with
+// scalar operations, and the sums combine as (s0+s1)+(s2+s3). The call's last
+// quad, when short, is filled with the dot of its first a row with itself,
+// added into a scratch word.
+//
+// Frame: 0..504(SP) the ring's a rows, 512..1016(SP) its bt rows,
+// 1024..1528(SP) its acc positions, 1536(SP) the scratch word, 1544(SP) the
+// read index, 1552(SP) where a quad run returns to (0: the next row, 1: the
+// long row being queued, 2: the end), 1560..1592(SP) the walk's i, a row,
+// term, q and positions left while quads run. Registers while walking: R10
+// i, R13 &a[i*k], DI row bytes, R14 end of terms, R15 term, DX write index,
+// SI q, CX positions, R8/R9/R12 the term's col, bt and acc; while a quad
+// runs: R8..R11 its a rows, R12..R15 its bt rows, BX byte offset, AX bytes in
+// whole groups of 8, CX in whole groups of 4.
+TEXT ·sddmmGroupAVX512(SB), 0, $1600-48
+	MOVQ	terms+0(FP), R14
+	MOVQ	n+8(FP), AX
+	LEAQ	(AX)(AX*4), AX
+	LEAQ	(R14)(AX*8), R14
 	MOVQ	rLo+16(FP), R10
-	MOVQ	a+40(FP), R13
-	MOVQ	bt+48(FP), R14
-	MOVQ	acc+56(FP), R15
-	MOVQ	k+64(FP), DI
+	MOVQ	a+32(FP), R13
+	MOVQ	k+40(FP), DI
 	SHLQ	$3, DI
-	MOVQ	DI, R11
-	ANDQ	$-64, R11
-	MOVQ	DI, R12
-	ANDQ	$-32, R12
 	MOVQ	R10, AX
 	IMULQ	DI, AX
 	ADDQ	AX, R13
-rowloop:
+	XORQ	DX, DX
+	MOVQ	DX, 1544(SP)
+grow:
 	CMPQ	R10, rHi+24(FP)
-	JGE	done
-	MOVQ	rowPtr+0(FP), R8
-	MOVQ	(R8)(R10*8), SI
-	MOVQ	8(R8)(R10*8), CX
-	JMP	nzcheck
-nzloop:
-	MOVQ	(R9)(SI*8), BX
-	IMULQ	DI, BX
-	ADDQ	R14, BX
-	LEAQ	1(SI), DX
+	JGE	gend
+	MOVQ	terms+0(FP), R15
+	PCALIGN	$64
+gterm:
+	CMPQ	R15, R14
+	JEQ	growend
+	MOVQ	(R15), AX
+	MOVQ	(AX)(R10*8), SI
+	MOVQ	8(AX)(R10*8), CX
+	MOVQ	8(R15), R8
+	MOVQ	16(R15), R9
+	MOVQ	24(R15), R12
+	PREFETCHT0	128(AX)(R10*8)
+	PREFETCHT0	128(R8)(SI*8)
+	PREFETCHT0	128(R12)(SI*8)
+	SUBQ	SI, CX
+	CMPQ	CX, $2
+	JGT	gslow
+	MOVQ	32(R15), R11
+	DECQ	R11
 	MOVQ	SI, AX
-	CMPQ	DX, nnz+32(FP)
-	CMOVQLT	DX, AX
-	MOVQ	(R9)(AX*8), AX
+	CMPQ	AX, R11
+	CMOVQGT	R11, AX
+	LEAQ	1(SI), BX
+	CMPQ	BX, R11
+	CMOVQGT	R11, BX
+	MOVQ	DX, SI
+	ANDQ	$63, SI
+	MOVQ	R13, (SP)(SI*8)
+	LEAQ	(R12)(AX*8), R11
+	MOVQ	R11, 1024(SP)(SI*8)
+	MOVQ	(R8)(AX*8), AX
 	IMULQ	DI, AX
-	ADDQ	R14, AX
-	SUBQ	BX, AX
-	MOVQ	R13, DX
-	SUBQ	BX, DX
-	VXORPD	Y0, Y0, Y0
-	LEAQ	(BX)(R11*1), R8
-	CMPQ	BX, R8
-	JEQ	four
-loop8:
-	PREFETCHT0	(BX)(AX*1)
-	VMOVUPD	(BX)(DX*1), Y1
-	VMULPD	(BX), Y1, Y1
-	VADDPD	Y1, Y0, Y0
-	VMOVUPD	32(BX)(DX*1), Y2
-	VMULPD	32(BX), Y2, Y2
-	VADDPD	Y2, Y0, Y0
-	ADDQ	$64, BX
-	CMPQ	BX, R8
-	JNE	loop8
-four:
-	CMPQ	R11, R12
-	JEQ	tail
-	VMOVUPD	(BX)(DX*1), Y1
-	VMULPD	(BX), Y1, Y1
-	VADDPD	Y1, Y0, Y0
-	ADDQ	$32, BX
-tail:
-	VEXTRACTF128	$1, Y0, X1
-	MOVQ	DI, R8
-	SUBQ	R12, R8
-	JZ	combine
-tailloop:
-	VMOVSD	(BX)(DX*1), X2
-	VMULSD	(BX), X2, X2
-	VADDSD	X2, X0, X0
-	ADDQ	$8, BX
-	SUBQ	$8, R8
-	JNZ	tailloop
-combine:
-	VHADDPD	X1, X0, X0
-	VHADDPD	X0, X0, X0
-	VADDSD	(R15)(SI*8), X0, X0
-	VMOVSD	X0, (R15)(SI*8)
+	ADDQ	R9, AX
+	MOVQ	AX, 512(SP)(SI*8)
 	INCQ	SI
-nzcheck:
-	CMPQ	SI, CX
-	JLT	nzloop
+	ANDQ	$63, SI
+	MOVQ	R13, (SP)(SI*8)
+	LEAQ	(R12)(BX*8), R11
+	MOVQ	R11, 1024(SP)(SI*8)
+	MOVQ	(R8)(BX*8), BX
+	IMULQ	DI, BX
+	ADDQ	R9, BX
+	MOVQ	BX, 512(SP)(SI*8)
+	ADDQ	CX, DX
+	ADDQ	$40, R15
+	JMP	gterm
+gslow:
+	MOVQ	DX, AX
+	ANDQ	$63, AX
+	MOVQ	R13, (SP)(AX*8)
+	LEAQ	(R12)(SI*8), BX
+	MOVQ	BX, 1024(SP)(AX*8)
+	MOVQ	(R8)(SI*8), BX
+	IMULQ	DI, BX
+	ADDQ	R9, BX
+	MOVQ	BX, 512(SP)(AX*8)
+	INCQ	SI
+	INCQ	DX
+	DECQ	CX
+	MOVQ	DX, AX
+	SUBQ	1544(SP), AX
+	CMPQ	AX, $4
+	JGE	gslowflush
+gslowresume:
+	TESTQ	CX, CX
+	JNZ	gslow
+	ADDQ	$40, R15
+	JMP	gterm
+gslowflush:
+	MOVQ	SI, 1584(SP)
+	MOVQ	CX, 1592(SP)
+	MOVQ	$1, 1552(SP)
+	JMP	qloop
+growend:
+	MOVQ	$0, 1552(SP)
+	JMP	qloop
+gnextrow:
 	ADDQ	DI, R13
 	INCQ	R10
-	JMP	rowloop
-done:
+	JMP	grow
+gend:
+	MOVQ	DX, CX
+	SUBQ	1544(SP), CX
+	JZ	gdone
+	MOVQ	1544(SP), AX
+	ANDQ	$63, AX
+	MOVQ	(SP)(AX*8), BX
+	LEAQ	1536(SP), SI
+gpad:
+	MOVQ	DX, AX
+	ANDQ	$63, AX
+	MOVQ	BX, (SP)(AX*8)
+	MOVQ	BX, 512(SP)(AX*8)
+	MOVQ	SI, 1024(SP)(AX*8)
+	INCQ	DX
+	INCQ	CX
+	CMPQ	CX, $4
+	JLT	gpad
+	MOVQ	$2, 1552(SP)
+qloop:
+	MOVQ	R10, 1560(SP)
+	MOVQ	R13, 1568(SP)
+	MOVQ	R15, 1576(SP)
+quad:
+	MOVQ	DX, AX
+	SUBQ	1544(SP), AX
+	CMPQ	AX, $4
+	JLT	qdone
+	MOVQ	1544(SP), AX
+	ANDQ	$63, AX
+	MOVQ	(SP)(AX*8), R8
+	MOVQ	8(SP)(AX*8), R9
+	MOVQ	16(SP)(AX*8), R10
+	MOVQ	24(SP)(AX*8), R11
+	MOVQ	512(SP)(AX*8), R12
+	MOVQ	520(SP)(AX*8), R13
+	MOVQ	528(SP)(AX*8), R14
+	MOVQ	536(SP)(AX*8), R15
+	VXORPD	Y0, Y0, Y0
+	VXORPD	Y1, Y1, Y1
+	VXORPD	Y2, Y2, Y2
+	VXORPD	Y3, Y3, Y3
+	XORQ	BX, BX
+	MOVQ	DI, AX
+	ANDQ	$-64, AX
+	JZ	q4
+q8:
+	VMOVUPD	(R8)(BX*1), Z4
+	VMULPD	(R12)(BX*1), Z4, Z4
+	VMOVUPD	(R9)(BX*1), Z5
+	VMULPD	(R13)(BX*1), Z5, Z5
+	VMOVUPD	(R10)(BX*1), Z6
+	VMULPD	(R14)(BX*1), Z6, Z6
+	VMOVUPD	(R11)(BX*1), Z7
+	VMULPD	(R15)(BX*1), Z7, Z7
+	VADDPD	Y4, Y0, Y0
+	VADDPD	Y5, Y1, Y1
+	VADDPD	Y6, Y2, Y2
+	VADDPD	Y7, Y3, Y3
+	VEXTRACTF64X4	$1, Z4, Y4
+	VEXTRACTF64X4	$1, Z5, Y5
+	VEXTRACTF64X4	$1, Z6, Y6
+	VEXTRACTF64X4	$1, Z7, Y7
+	VADDPD	Y4, Y0, Y0
+	VADDPD	Y5, Y1, Y1
+	VADDPD	Y6, Y2, Y2
+	VADDPD	Y7, Y3, Y3
+	ADDQ	$64, BX
+	CMPQ	BX, AX
+	JNE	q8
+q4:
+	MOVQ	DI, CX
+	ANDQ	$-32, CX
+	CMPQ	BX, CX
+	JEQ	qtail
+	VMOVUPD	(R8)(BX*1), Y4
+	VMULPD	(R12)(BX*1), Y4, Y4
+	VMOVUPD	(R9)(BX*1), Y5
+	VMULPD	(R13)(BX*1), Y5, Y5
+	VMOVUPD	(R10)(BX*1), Y6
+	VMULPD	(R14)(BX*1), Y6, Y6
+	VMOVUPD	(R11)(BX*1), Y7
+	VMULPD	(R15)(BX*1), Y7, Y7
+	VADDPD	Y4, Y0, Y0
+	VADDPD	Y5, Y1, Y1
+	VADDPD	Y6, Y2, Y2
+	VADDPD	Y7, Y3, Y3
+	ADDQ	$32, BX
+qtail:
+	VEXTRACTF128	$1, Y0, X4
+	VEXTRACTF128	$1, Y1, X5
+	VEXTRACTF128	$1, Y2, X6
+	VEXTRACTF128	$1, Y3, X7
+	CMPQ	BX, DI
+	JEQ	qcombine
+qtailloop:
+	VMOVSD	(R8)(BX*1), X8
+	VMULSD	(R12)(BX*1), X8, X8
+	VADDSD	X8, X0, X0
+	VMOVSD	(R9)(BX*1), X8
+	VMULSD	(R13)(BX*1), X8, X8
+	VADDSD	X8, X1, X1
+	VMOVSD	(R10)(BX*1), X8
+	VMULSD	(R14)(BX*1), X8, X8
+	VADDSD	X8, X2, X2
+	VMOVSD	(R11)(BX*1), X8
+	VMULSD	(R15)(BX*1), X8, X8
+	VADDSD	X8, X3, X3
+	ADDQ	$8, BX
+	CMPQ	BX, DI
+	JNE	qtailloop
+qcombine:
+	VHADDPD	X4, X0, X0
+	VHADDPD	X0, X0, X0
+	VHADDPD	X5, X1, X1
+	VHADDPD	X1, X1, X1
+	VHADDPD	X6, X2, X2
+	VHADDPD	X2, X2, X2
+	VHADDPD	X7, X3, X3
+	VHADDPD	X3, X3, X3
+	MOVQ	1544(SP), AX
+	ANDQ	$63, AX
+	MOVQ	1024(SP)(AX*8), SI
+	VADDSD	(SI), X0, X0
+	VMOVSD	X0, (SI)
+	MOVQ	1032(SP)(AX*8), SI
+	VADDSD	(SI), X1, X1
+	VMOVSD	X1, (SI)
+	MOVQ	1040(SP)(AX*8), SI
+	VADDSD	(SI), X2, X2
+	VMOVSD	X2, (SI)
+	MOVQ	1048(SP)(AX*8), SI
+	VADDSD	(SI), X3, X3
+	VMOVSD	X3, (SI)
+	ADDQ	$4, 1544(SP)
+	JMP	quad
+qdone:
+	MOVQ	1560(SP), R10
+	MOVQ	1568(SP), R13
+	MOVQ	1576(SP), R15
+	MOVQ	terms+0(FP), R14
+	MOVQ	n+8(FP), AX
+	LEAQ	(AX)(AX*4), AX
+	LEAQ	(R14)(AX*8), R14
+	MOVQ	1552(SP), AX
+	TESTQ	AX, AX
+	JZ	gnextrow
+	CMPQ	AX, $1
+	JNE	gdone
+	MOVQ	1584(SP), SI
+	MOVQ	1592(SP), CX
+	MOVQ	8(R15), R8
+	MOVQ	16(R15), R9
+	MOVQ	24(R15), R12
+	JMP	gslowresume
+gdone:
 	VZEROUPPER
 	RET
 

@@ -169,47 +169,6 @@ func TestAVXMatchesScalar(t *testing.T) {
 		}
 	})
 
-	t.Run("sddmm", func(t *testing.T) {
-		const rows, cols = 9, 11
-		masks := map[string]*CSR{
-			"empty-rows": ToCSR(NewDenseData(rows, cols, func() []float64 { // rows 0, 4 and 5 empty; the last row ends at nnz
-				d := make([]float64, rows*cols)
-				for i := 0; i < rows; i++ {
-					for j := 0; j < cols; j++ {
-						if i != 0 && i != 4 && i != 5 && (i*j)%3 != 1 {
-							d[i*cols+j] = 1
-						}
-					}
-				}
-				return d
-			}())),
-			"empty-last-rows": RandomSparse(rows, cols, 0.1, 1, 2, 3),
-			"empty-block":     NewCSR(rows, cols),
-			"full":            ToCSR(RandomDense(rows, cols, 1, 2, 4)),
-		}
-		for k := 1; k <= 70; k++ {
-			for name, mask := range masks {
-				a := NewDenseData(rows, k, within(rng, rows*k, 3))
-				bt := NewDenseData(cols, k, within(rng, cols*k, 5))
-				acc := within(rng, mask.NNZ(), 1)
-				asm, twin := append([]float64(nil), acc...), append([]float64(nil), acc...)
-				MaskedMatMulAccWith(nil, mask, asm, a, bt)
-				portably(func() { MaskedMatMulAccWith(nil, mask, twin, a, bt) })
-				if !sameFloats(asm, twin) {
-					t.Fatalf("k=%d, %s mask: assembly and portable kernels disagree", k, name)
-				}
-				for lo := 0; lo < rows; lo += 4 { // any row range is that range of the whole
-					part := append([]float64(nil), acc...)
-					sddmmRows(mask, lo, min(lo+4, rows), a, bt, part)
-					qLo, qHi := mask.RowPtr[lo], mask.RowPtr[min(lo+4, rows)]
-					if !sameFloats(part[qLo:qHi], asm[qLo:qHi]) || !sameFloats(part[:qLo], acc[:qLo]) || !sameFloats(part[qHi:], acc[qHi:]) {
-						t.Fatalf("k=%d, %s mask: rows [%d, %d) computed alone differ, or wrote outside their positions", k, name, lo, lo+4)
-					}
-				}
-			}
-		}
-	})
-
 	// The strip kernels: every length, windows at each 8-byte phase of a
 	// 32-byte line, out of place and in place (the masked pass rewrites its
 	// values buffer), operands in special's regimes plus each kernel's edges.
@@ -473,6 +432,110 @@ func phased(n, phase int) (win, whole []float64, off int) {
 		off++
 	}
 	return whole[off : off+n : off+n], whole, off
+}
+
+// TestSDDMMGroupMatchesPortable holds the masked SDDMM to dot's bits at every
+// level the machine has: a group of terms sharing the left operand, run as
+// one call, must give what each term run alone on the portable path gives.
+// It covers k = 1..130 (every k%8 tail), groups of 1..9 terms, rows empty in
+// every term, empty blocks, terms narrower than the others (an edge block),
+// operands that are windows of larger arrays, a second product accumulated
+// over another k block into the same values, and any row range of the whole.
+func TestSDDMMGroupMatchesPortable(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	const rows = 9
+	mask := func(kind, cols int) *CSR {
+		switch kind % 4 {
+		case 0: // rows 0, 4 and 5 empty; the last row ends at nnz
+			d := NewDense(rows, cols)
+			for i := 0; i < rows; i++ {
+				for j := 0; j < cols; j++ {
+					if i != 0 && i != 4 && i != 5 && (i*j+kind)%3 != 1 {
+						d.Data[i*cols+j] = 1
+					}
+				}
+			}
+			return ToCSR(d)
+		case 1:
+			return RandomSparse(rows, cols, 0.15, 1, 2, int64(kind))
+		case 2:
+			return NewCSR(rows, cols)
+		}
+		return ToCSR(RandomDense(rows, cols, 1, 2, int64(kind)))
+	}
+	type step struct {
+		a   *Dense
+		bts []*Dense
+	}
+	run := func(level int, masks []*CSR, accs [][]float64, steps []step, group bool) [][]float64 {
+		out := make([][]float64, len(accs))
+		for j := range accs {
+			out[j] = slices.Clone(accs[j])
+		}
+		atLevel(level, func() {
+			for _, st := range steps {
+				terms := make([]MaskedTerm, len(masks))
+				for j := range masks {
+					terms[j] = MaskedTerm{Mask: masks[j], Acc: out[j], Bt: st.bts[j]}
+				}
+				if group {
+					MaskedMatMulGroupAccWith(nil, st.a, terms)
+					continue
+				}
+				for _, tm := range terms {
+					MaskedMatMulAccWith(nil, tm.Mask, tm.Acc, st.a, tm.Bt)
+				}
+			}
+		})
+		return out
+	}
+	levels := append([]kernelLevel{{"portable", levelPortable, ""}}, asmLevels...)
+	for k := 1; k <= 130; k++ {
+		for g := 1; g <= 9; g++ {
+			masks, accs := make([]*CSR, g), make([][]float64, g)
+			var steps []step
+			for _, kk := range []int{k, 1 + k%5} {
+				st := step{a: NewDenseData(rows, kk, within(rng, rows*kk, 3))}
+				for j := range masks {
+					cols := 11
+					if j == g-1 && g > 1 {
+						cols = 5 // the edge block
+					}
+					if masks[j] == nil {
+						masks[j] = mask(j+k, cols)
+						accs[j] = within(rng, masks[j].NNZ(), 1)
+					}
+					st.bts = append(st.bts, NewDenseData(cols, kk, within(rng, cols*kk, 5)))
+				}
+				steps = append(steps, st)
+			}
+			want := run(levelPortable, masks, accs, steps, false)
+			for _, lv := range levels {
+				if simdLevel < lv.level {
+					continue
+				}
+				if got := run(lv.level, masks, accs, steps, true); !slices.EqualFunc(got, want, sameFloats) {
+					t.Fatalf("k=%d, %d terms, %s: the group differs from each term run alone on the portable path", k, g, lv.name)
+				}
+			}
+			// Any row range is that range of the whole, and writes nothing else.
+			whole := run(simdLevel, masks, accs, steps[:1], true)
+			for lo := 0; lo < rows; lo += 4 {
+				hi := min(lo+4, rows)
+				part := make([]MaskedTerm, g)
+				for j := range masks {
+					part[j] = MaskedTerm{Mask: masks[j], Acc: slices.Clone(accs[j]), Bt: steps[0].bts[j]}
+				}
+				sddmmGroup(part, lo, hi, steps[0].a)
+				for j, m := range masks {
+					qLo, qHi := m.RowPtr[lo], m.RowPtr[hi]
+					if p := part[j].Acc; !sameFloats(p[qLo:qHi], whole[j][qLo:qHi]) || !sameFloats(p[:qLo], accs[j][:qLo]) || !sameFloats(p[qHi:], accs[j][qHi:]) {
+						t.Fatalf("k=%d, %d terms, term %d: rows [%d, %d) computed alone differ, or wrote outside their positions", k, g, j, lo, hi)
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestDotIsFourPartialSums pins the SDDMM's arithmetic itself, against a

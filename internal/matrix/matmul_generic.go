@@ -16,7 +16,7 @@ func microAVX512x8x16(a, b, out *float64, kn, ldaB, ldkB, ldbB, ldoB uintptr) {
 	panic("matrix: AVX kernel called on non-amd64")
 }
 
-func sddmmAVX(rowPtr, col *int, rLo, rHi, nnz int, a, bt, acc *float64, k int) {
+func sddmmGroupAVX512(terms *sddmmTerm, n, rLo, rHi int, a *float64, k int) {
 	panic("matrix: AVX kernel called on non-amd64")
 }
 

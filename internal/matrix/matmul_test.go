@@ -322,3 +322,61 @@ func BenchmarkMaskedMatMul(b *testing.B) {
 			func() { MaskedMatMulAccWith(nil, m, vals, ub, vb) })
 	}
 }
+
+// BenchmarkSDDMMTaskOrder times the masked SDDMM over the task grid of the
+// repo benchmark's nmfk_sim, in ns per stored position: 78 x 39 mask blocks
+// of 256 x 256 at density 0.005 against 256 x 64 factor blocks — one U block
+// per block row, one V block per block column, read as V's own row-major
+// blocks (the folded t(V)) — with the kernels at the machine's level.
+// per-block is a task's visit without super-tiles: block row by block row,
+// one kernel call per block. super-tile groups SuperTileCols(256, 64) column
+// blocks and visits them as the executor does: group by group, block row by
+// block row, one call per group and block row.
+func BenchmarkSDDMMTaskOrder(b *testing.B) {
+	const gi, gj = 78, 39
+	us, vs := make([]*Dense, gi), make([]*Dense, gj)
+	for i := range us {
+		us[i] = RandomDense(benchBlock, benchK, 0.1, 0.9, int64(i))
+	}
+	for j := range vs {
+		vs[j] = RandomDense(benchBlock, benchK, 0.1, 0.9, int64(gi+j))
+	}
+	masks, accs := make([]*CSR, gi*gj), make([][]float64, gi*gj)
+	nnz := 0
+	for l := range masks {
+		masks[l] = RandomSparse(benchBlock, benchBlock, 0.005, 1, 5, int64(l))
+		accs[l] = make([]float64, masks[l].NNZ())
+		nnz += masks[l].NNZ()
+	}
+	arm := func(name string, fn func()) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				fn()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nnz), "ns/nnz")
+		})
+	}
+	arm("per-block", func() {
+		for bi := 0; bi < gi; bi++ {
+			for bj := 0; bj < gj; bj++ {
+				l := bi*gj + bj
+				MaskedMatMulAccWith(nil, masks[l], accs[l], us[bi], vs[bj])
+			}
+		}
+	})
+	g := SuperTileCols(benchBlock, benchK)
+	terms := make([]MaskedTerm, 0, g)
+	arm(fmt.Sprintf("super-tile/%d", g), func() {
+		for lo := 0; lo < gj; lo += g {
+			for bi := 0; bi < gi; bi++ {
+				terms = terms[:0]
+				for bj := lo; bj < min(lo+g, gj); bj++ {
+					l := bi*gj + bj
+					terms = append(terms, MaskedTerm{Mask: masks[l], Acc: accs[l], Bt: vs[bj]})
+				}
+				MaskedMatMulGroupAccWith(nil, us[bi], terms)
+			}
+		}
+	})
+}

@@ -9,7 +9,7 @@
 // matmul is cache-blocked and register-tiled; the multiplication and
 // transpose kernels optionally fan out across a bounded parallel.Pool via
 // their *With variants (MatMulWith, MatMulAccWith, MaskedMatMulAccWith,
-// TransposeWith), which split disjoint output ranges so results are
+// MaskedMatMulGroupAccWith, TransposeWith), which split disjoint output ranges so results are
 // bit-identical at every thread count. The plain-named kernels (MatMul,
 // MaskedMatMul, Transpose) are the same code on a nil pool. Task-level
 // parallelism still lives in the cluster layer; the pool only adds intra-task
@@ -32,8 +32,11 @@
 // arm64, and exact software on an older x86 — identical and slow); its left
 // operand is read through a row and a k stride, so t(A) x B (MatMulTNAccWith)
 // is the same kernels on A's block as it lies. The dense
-// SDDMM (sddmmAVX; dot) is four interleaved partial sums, each step a rounded
-// multiply then an add, combined pairwise as (s0+s1)+(s2+s3); the CSR x dense
+// SDDMM (sddmmGroupAVX512, at AVX-512 only; dot) is four interleaved partial
+// sums, each step a rounded multiply then an add, combined pairwise as
+// (s0+s1)+(s2+s3); one call covers a super-tile — mask blocks of one block
+// row that share the left block (MaskedMatMulGroupAccWith) — walking row i
+// of each in turn and running four dots at once; the CSR x dense
 // and dense x CSR row kernels (spmmRowsAVX512 and spmmRowsAVX, spmmTAVX512
 // and spmmTAVX; spmmRows, spmmTCols) are a rounded multiply then an add per
 // element, summed from +0 and added once, and summed in place k ascending,
@@ -50,7 +53,8 @@
 // Ownership: a block is immutable once it has been published — bound as an
 // input, emitted by a task, memoised, pinned or cached. No kernel writes into
 // an operand; the accumulate kernels (MatMulAccWith, MatMulTNAccWith, MatMulTransAccWith,
-// MaskedMatMulAccWith) write only into the accumulator the caller passes,
+// MaskedMatMulAccWith, MaskedMatMulGroupAccWith) write only into the
+// accumulators the caller passes,
 // which must be a buffer that caller allocated and has not published yet.
 // Because nothing mutates a published block, ToDense and ToCSR return their
 // argument when it already has the requested representation, and a result

@@ -1,8 +1,11 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -18,7 +21,6 @@ import (
 // number of queries.
 type Calibration struct {
 	mu   sync.Mutex
-	ops  []string          // operator keys in first-measured order
 	rows map[string]*opRow // by operator key
 }
 
@@ -47,7 +49,6 @@ func (c *Calibration) Measure(rec FlightRecord) {
 	if s == nil {
 		s = &opRow{ReportRow: ReportRow{Op: rec.Op}, stageNames: map[string]struct{}{}}
 		c.rows[rec.Op] = s
-		c.ops = append(c.ops, rec.Op)
 	}
 	s.Kind, s.P, s.Q, s.R = rec.Kind, rec.P, rec.Q, rec.R
 	s.PredNetBytes, s.PredComFlops, s.PredMemBytes = rec.PredNetBytes, rec.PredComFlops, rec.PredMemBytes
@@ -77,7 +78,6 @@ func (c *Calibration) Reset() {
 		return
 	}
 	c.mu.Lock()
-	c.ops = nil
 	c.rows = map[string]*opRow{}
 	c.mu.Unlock()
 }
@@ -126,9 +126,13 @@ type Report struct {
 	TaskLatency *HistogramSnapshot
 }
 
-// Report renders the accumulated rows, in first-measured operator order,
-// with the Eq. 2 predicted time on cc and the back-solved effective
-// bandwidths.
+// Report renders the accumulated rows in plan order, with the Eq. 2
+// predicted time on cc and the back-solved effective bandwidths. Plan order
+// is the operator's root node ID, the N its key "Kind label#N" ends in — a
+// script's statements number their nodes in order — then the key; a row
+// whose key has no ID (a driver-side row, such as a collect stage's) comes
+// after them. It does not depend on which of the operators the executor runs
+// at once finished first.
 func (c *Calibration) Report(cc cluster.Config) *Report {
 	rep := &Report{Cluster: cc}
 	if c == nil {
@@ -137,8 +141,26 @@ func (c *Calibration) Report(cc cluster.Config) *Report {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
+	keys := make([]string, 0, len(c.rows))
+	for key := range c.rows {
+		keys = append(keys, key)
+	}
+	slices.SortFunc(keys, func(a, b string) int {
+		na, oka := planOrder(a)
+		nb, okb := planOrder(b)
+		switch {
+		case oka != okb:
+			if oka {
+				return -1
+			}
+			return 1
+		case na != nb:
+			return cmp.Compare(na, nb)
+		}
+		return strings.Compare(a, b)
+	})
 	var netBytes, netWall, comFlops, comWall float64
-	for _, key := range c.ops {
+	for _, key := range keys {
 		s := c.rows[key]
 		row := s.ReportRow
 		// Executions ≈ total stage records / distinct stage names.
@@ -173,6 +195,17 @@ func (c *Calibration) Report(cc cluster.Config) *Report {
 		rep.EffCompBW = backSolve(comFlops, comWall, cc.Nodes)
 	}
 	return rep
+}
+
+// planOrder returns the root node ID an operator key "Kind label#N" ends in,
+// and whether it has one.
+func planOrder(op string) (int, bool) {
+	i := strings.LastIndexByte(op, '#')
+	if i < 0 {
+		return 0, false
+	}
+	n, err := strconv.Atoi(op[i+1:])
+	return n, err == nil
 }
 
 // backSolve is the effective per-node bandwidth a measurement implies: a

@@ -424,9 +424,9 @@ func TestCalibrationBoundedGrowth(t *testing.T) {
 	for _, s := range c.rows {
 		names += len(s.stageNames)
 	}
-	if len(c.rows) != keys || len(c.ops) != keys || names != 2*keys {
-		t.Fatalf("store holds %d rows / %d ordered keys / %d stage names after %d calls; want %d/%d/%d",
-			len(c.rows), len(c.ops), names, calls, keys, keys, 2*keys)
+	if len(c.rows) != keys || names != 2*keys {
+		t.Fatalf("store holds %d rows / %d stage names after %d calls; want %d/%d",
+			len(c.rows), names, calls, keys, 2*keys)
 	}
 	rep := c.Report(cluster.Config{Nodes: 2, NetBandwidth: 1e9, CompBandwidth: 1e10})
 	if len(rep.Rows) != keys {
@@ -441,27 +441,28 @@ func TestCalibrationBoundedGrowth(t *testing.T) {
 	}
 }
 
-// TestCalibrationReportOrder: operators appear in first-measured order —
-// which is plan order, the executor running operators one after another —
-// however their later records interleave, and a row shows the prediction of
-// its operator's latest record.
+// TestCalibrationReportOrder: operators appear in plan order — by the root
+// node ID their key ends in, then by key — whichever was measured first, a
+// row without an ID (the collect stage's) last, and a row shows the
+// prediction of its operator's latest record.
 func TestCalibrationReportOrder(t *testing.T) {
 	c := NewCalibration()
-	c.Measure(FlightRecord{Stage: "s", Op: "A", P: 1})
-	c.Measure(FlightRecord{Stage: "s", Op: "B"})
+	c.Measure(FlightRecord{Stage: "s", Op: "CFO b(/)#16", P: 1})
 	c.Measure(FlightRecord{Stage: "collect", Op: "driver"})
-	c.Measure(FlightRecord{Stage: "s", Op: "B"})
-	c.Measure(FlightRecord{Stage: "s", Op: "A", P: 4})
+	c.Measure(FlightRecord{Stage: "s", Op: "CFO b(/)#9"})
+	c.Measure(FlightRecord{Stage: "s", Op: "CuboidMM ba(x)#9"})
+	c.Measure(FlightRecord{Stage: "s", Op: "CFO b(/)#9"})
+	c.Measure(FlightRecord{Stage: "s", Op: "CFO b(/)#16", P: 4})
 	rows := c.Report(cluster.Config{Nodes: 1}).Rows
 	var got []string
 	for _, row := range rows {
 		got = append(got, row.Op)
 	}
-	if want := "A B driver"; strings.Join(got, " ") != want {
+	if want := "CFO b(/)#9|CuboidMM ba(x)#9|CFO b(/)#16|driver"; strings.Join(got, "|") != want {
 		t.Fatalf("row order = %v, want %s", got, want)
 	}
-	if rows[0].P != 4 || rows[0].Executions != 2 {
-		t.Fatalf("row A = %+v, want the latest record's P=4 over 2 executions", rows[0])
+	if rows[2].P != 4 || rows[2].Executions != 2 {
+		t.Fatalf("row #16 = %+v, want the latest record's P=4 over 2 executions", rows[2])
 	}
 }
 

@@ -361,3 +361,36 @@ func httpGet(t *testing.T, url string) string {
 	}
 	return string(body)
 }
+
+// TestCalibrationRowOrderIsStable: GNMF's two updates include operators the
+// executor runs at once, which finish in either order. Twenty sessions on
+// the simulated cluster, one GNMF iteration each, must give one row order in
+// Session.Report: the rows follow the plan, not which operator finished
+// first.
+func TestCalibrationRowOrderIsStable(t *testing.T) {
+	var want string
+	for i := 0; i < 20; i++ {
+		sess, err := NewSession(LocalClusterConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		bindGNMFInputs(sess)
+		if _, err := sess.Query(gnmfScript); err != nil {
+			t.Fatal(err)
+		}
+		var ops []string
+		for _, row := range sess.CalibrationReport().Rows {
+			ops = append(ops, row.Op)
+		}
+		sess.Close()
+		got := strings.Join(ops, " | ")
+		if i == 0 {
+			want = got
+			continue
+		}
+		if got != want {
+			t.Fatalf("run %d: calibration rows %s, run 0: %s", i, got, want)
+		}
+	}
+	t.Logf("rows: %s", want)
+}
