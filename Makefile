@@ -55,12 +55,13 @@ build:
 ## that concurrent tasks take from one pool and reset, the one slowdown
 ## history that sessions sharing a registry fold their stages into, and the
 ## masked SDDMM's super-tiles — the group kernel against its portable twin,
-## and every masked query's bits with blocks grouped and one by one —
+## and every masked query's bits with blocks grouped and one by one — and
+## the element-wise strips against their portable twins and formulas,
 ## run again ten times at GOMAXPROCS=2, so an ordering flake shows here
 ## rather than in a single tier-1 run. Every alternative of DAGTESTS must
 ## name a test of DAGPKGS: one that matches none fails the target before
 ## anything runs, so a renamed test cannot drop out of the rerun unnoticed
-DAGTESTS = Executor|GoldenStageLists|HitDispatches|ConformanceJournal|ConformanceBlockCache|FlightPeakMem|PipelineDiffGNMF|RemoteCache|RemoteGNMFCache|BlockCacheMatchesSim|MultiAggBlockCache|Visibility|Scopes|Overlapping|SharesNodeLanes|QueryLogParts|OwnTaskSamples|TraceShapeUnchanged|OfflineTraceEqualsLive|JournalCarriesLayerMetrics|TraceCoversEveryQuery|MatrixNNZMatchesScan|ReboundOutputDensityExact|TaskArenaNeverEscapes|ShareOneSlowdownHistory|SDDMMGroupMatchesPortable|SuperTileOrderKeepsBits
+DAGTESTS = Executor|GoldenStageLists|HitDispatches|ConformanceJournal|ConformanceBlockCache|FlightPeakMem|PipelineDiffGNMF|RemoteCache|RemoteGNMFCache|BlockCacheMatchesSim|MultiAggBlockCache|Visibility|Scopes|Overlapping|SharesNodeLanes|QueryLogParts|OwnTaskSamples|TraceShapeUnchanged|OfflineTraceEqualsLive|JournalCarriesLayerMetrics|TraceCoversEveryQuery|MatrixNNZMatchesScan|ReboundOutputDensityExact|TaskArenaNeverEscapes|ShareOneSlowdownHistory|SDDMMGroupMatchesPortable|SuperTileOrderKeepsBits|StripKernelsMatchPortable
 DAGPKGS = . ./internal/core ./internal/exec ./internal/rt/... ./internal/blockcache ./internal/obs ./internal/sched ./internal/plancache ./internal/block ./internal/matrix
 race:
 	@listed="$$($(GO) test -list '$(DAGTESTS)' $(DAGPKGS))" || { echo "$$listed"; exit 1; }; \

@@ -31,12 +31,33 @@ type evaluator struct {
 	memo      memoTable
 	pinned    bool                // the task pinned the main multiplication's aggregated partials (a fuse task)
 	accT      *matrix.Dense       // scratch: evalMatMul's transposed accumulator, in the arena
-	arena     *taskArena          // where the task's retained transposes and scratch live
+	arena     *taskArena          // where the blocks the task builds and does not emit live
 	tile      superTile           // the masked SDDMM's super-tile being visited (visit, maskedMM)
 	terms     []matrix.MaskedTerm // scratch: a super-tile's kernel call
 	colocated []int               // inputs co-partitioned with the output: no fetch cost
 	trace     *cluster.TaskTrace  // per-task sub-spans; nil when tracing is off
 	caching   *spec.Stage         // the stage naming the cacheable inputs' content epochs and its cache scope
+}
+
+// dest is where a block the evaluator builds goes, by how long it is read.
+type dest uint8
+
+const (
+	toBlock dest = iota // read while one output block is evaluated: the arena's block region
+	toHeld              // held across the task's output blocks (a retained member's): the held region
+	toHeap              // emitted as it is: a fresh block, the only kind a task puts on the heap
+)
+
+// newBlock returns a rows x cols dense block for to, its values the
+// caller's to write.
+func (ev *evaluator) newBlock(rows, cols int, to dest) *matrix.Dense {
+	switch to {
+	case toHeld:
+		return ev.arena.held.dense(rows, cols)
+	case toHeap:
+		return matrix.NewDense(rows, cols)
+	}
+	return ev.arena.block.dense(rows, cols)
 }
 
 // memoTable is what a task holds of the blocks it met: one entry per (node,
@@ -46,7 +67,7 @@ type memoTable map[uint64]memoEntry
 // memoEntry is the task's state of one block of one node.
 type memoEntry struct {
 	blk     matrix.Mat    // the block, when held; nil is an all-zero block
-	leftT   *matrix.Dense // its retained, charged transpose as a dense left operand (evalMatMul), in the arena
+	leftT   *matrix.Dense // its retained, charged transpose as a dense left operand (evalMatMul), held in the arena
 	held    bool          // blk is memoised, pinned or fetched
 	fetched bool          // the block was fetched and metered (or broadcast, or a cache hit)
 	charged bool          // a retained transpose's memory: charged once, built or folded
@@ -127,11 +148,19 @@ func (ev *evaluator) shouldMemo(n *dag.Node) bool {
 	return r&roleMember == 0 || r&roleRetained != 0
 }
 
-// evalBlock computes block (bi, bj) of node n. A nil return is an all-zero
-// block. Only a retained member's block, or a pinned partial of the main
+// evalBlock computes block (bi, bj) of node n for the output block being
+// evaluated: evalTo, the block not emitted. A nil return is an all-zero
+// block.
+func (ev *evaluator) evalBlock(n *dag.Node, bi, bj int) matrix.Mat {
+	return ev.evalTo(n, bi, bj, toBlock)
+}
+
+// evalTo computes block (bi, bj) of node n; a dense block it builds goes to
+// to, or, for a retained member, to the held region unless to is the heap.
+// Only a retained member's block, or a pinned partial of the main
 // multiplication, can be held already: the memo is not asked for another
 // member's, and an input's is fetchExternal's to find.
-func (ev *evaluator) evalBlock(n *dag.Node, bi, bj int) matrix.Mat {
+func (ev *evaluator) evalTo(n *dag.Node, bi, bj int, to dest) matrix.Mat {
 	if !ev.pc.member(n) {
 		return ev.fetchExternal(n, bi, bj)
 	}
@@ -143,7 +172,10 @@ func (ev *evaluator) evalBlock(n *dag.Node, bi, bj int) matrix.Mat {
 			return e.blk
 		}
 	}
-	blk := ev.computeBlock(n, bi, bj)
+	if retained && to == toBlock {
+		to = toHeld
+	}
+	blk := ev.computeBlock(n, bi, bj, to)
 	if retained {
 		e := ev.memo[key] // a retained transpose's entry holds its charge already
 		e.blk, e.held = blk, true
@@ -155,32 +187,37 @@ func (ev *evaluator) evalBlock(n *dag.Node, bi, bj int) matrix.Mat {
 	return blk
 }
 
-// computeBlock computes block (bi, bj) of the member n. A transpose built
-// here is charged what building it moves (matrix.TransposeFlops): every time
-// for a streamed node, once per task for a retained one, whose block evalBlock
-// holds — a dense one in the task arena, since it dies with the task.
-func (ev *evaluator) computeBlock(n *dag.Node, bi, bj int) matrix.Mat {
+// computeBlock computes block (bi, bj) of the member n, a dense block it
+// builds for to. A transpose built here is charged what building it moves
+// (matrix.TransposeFlops): every time for a streamed node, once per task for
+// a retained one, whose block evalTo holds.
+func (ev *evaluator) computeBlock(n *dag.Node, bi, bj int, to dest) matrix.Mat {
 	switch n.Op {
 	case dag.OpUnary, dag.OpBinary:
 		if ev.pc.mask != nil && n == ev.pc.mask.Mul {
 			return ev.evalMaskedMul(bi, bj)
 		}
-		return ev.evalChain(n, bi, bj)
+		return ev.evalChain(n, bi, bj, to)
 	case dag.OpTranspose:
 		child := ev.transposedChild(n, bi, bj)
 		if child == nil {
 			return nil
 		}
 		ev.task.AddFlops(matrix.TransposeFlops(child))
-		if d, ok := child.(*matrix.Dense); ok && ev.shouldMemo(n) {
-			return matrix.TransposeInto(ev.pool, ev.arena.dense(d.Cols, d.Rows), d)
-		}
-		return matrix.TransposeWith(ev.pool, child)
+		return ev.transpose(child, to)
 	case dag.OpMatMul:
-		return ev.evalMatMul(n, bi, bj)
+		return ev.evalMatMul(n, bi, bj, to)
 	}
 	ev.fail(fmt.Errorf("exec: operator %s cannot appear inside a fused kernel", n.Label()))
 	return nil
+}
+
+// transpose returns t(m), a dense one built into a block for to.
+func (ev *evaluator) transpose(m matrix.Mat, to dest) matrix.Mat {
+	if d, ok := m.(*matrix.Dense); ok {
+		return matrix.TransposeInto(ev.pool, ev.newBlock(d.Cols, d.Rows, to), d)
+	}
+	return matrix.TransposeWith(ev.pool, m)
 }
 
 // transposedChild returns the block c whose transpose is block (bi, bj) of
@@ -324,13 +361,15 @@ func (ev *evaluator) scalarValue(n *dag.Node) float64 {
 }
 
 // evalMatMul computes one block of a multiplication into one task-owned
-// accumulator. The main mm sums only the task's k-range (partial when
-// R > 1); nested multiplications use their full inner dimension.
+// accumulator, a block for to: the sum's first product is stored into it
+// (matrix.MatMulInto), the others added. The main mm sums only the task's
+// k-range (partial when R > 1); nested multiplications use their full inner
+// dimension.
 //
 // A dense left block against a CSR right block (GNMF's t(V) %*% X) runs the
 // transposed kernel — the dense row held in registers, added into the row of
-// each non-zero — accumulating in a scratch the task reuses across output
-// blocks and transposes once per sum into a fresh block.
+// each non-zero — accumulating in a cleared scratch the task reuses across
+// output blocks and transposes once per sum into the block for to.
 // The kernel reads the left block's transpose: the operand under a member
 // t(A) node as it is (t(A)'s blocks are never built), else a copy the task
 // keeps, and is charged for, across its output blocks. The scratch and the
@@ -344,7 +383,7 @@ func (ev *evaluator) scalarValue(n *dag.Node) float64 {
 //
 // Before the k loop, a source that reads ahead is told the external blocks
 // the loop fetches, in the order it fetches them (appendExternal).
-func (ev *evaluator) evalMatMul(n *dag.Node, bi, bj int) matrix.Mat {
+func (ev *evaluator) evalMatMul(n *dag.Node, bi, bj int, to dest) matrix.Mat {
 	left, right := n.Inputs[0], n.Inputs[1]
 	lo, hi := 0, (left.Cols+ev.blockSize-1)/ev.blockSize
 	if n == ev.pc.plan.MainMM {
@@ -380,7 +419,7 @@ func (ev *evaluator) evalMatMul(n *dag.Node, bi, bj int) matrix.Mat {
 				key := ev.memoKey(left.ID, bi, bk)
 				e := ev.memo[key]
 				if e.leftT == nil { // built once per task, held against its memory
-					e.leftT = matrix.TransposeInto(ev.pool, ev.arena.dense(d.Cols, d.Rows), d)
+					e.leftT = matrix.TransposeInto(ev.pool, ev.arena.held.dense(d.Cols, d.Rows), d)
 					ev.memo[key] = e
 					ev.task.GrowMem(d.SizeBytes())
 				}
@@ -391,7 +430,7 @@ func (ev *evaluator) evalMatMul(n *dag.Node, bi, bj int) matrix.Mat {
 					// The task's scratch — taken, not shared: an operand may be a product itself.
 					accT, ev.accT = ev.accT, nil
 					if accT == nil || accT.Rows != cols || accT.Cols != rows {
-						accT = ev.arena.dense(cols, rows)
+						accT = ev.arena.held.dense(cols, rows)
 					}
 					clear(accT.Data)
 				}
@@ -403,7 +442,11 @@ func (ev *evaluator) evalMatMul(n *dag.Node, bi, bj int) matrix.Mat {
 		at, denseL := lt.(*matrix.Dense)
 		if b, ok := rb.(*matrix.Dense); ok && denseL {
 			ev.task.AddFlops(2 * int64(rows) * int64(at.Rows) * int64(cols))
-			acc = matrix.MatMulTNAccWith(ev.pool, acc, at, b)
+			if acc == nil {
+				acc = matrix.MatMulTNInto(ev.pool, ev.newBlock(rows, cols, to), at, b)
+			} else {
+				matrix.MatMulTNAccWith(ev.pool, acc, at, b)
+			}
 			sparse = false
 			continue
 		}
@@ -411,17 +454,20 @@ func (ev *evaluator) evalMatMul(n *dag.Node, bi, bj int) matrix.Mat {
 			la = ev.evalBlock(left, bi, bk) // no kernel reads a CSR block transposed: build t(A)'s block
 		}
 		ev.task.AddFlops(matrix.MatMulFlops(la, rb))
-		acc = matrix.MatMulAccWith(ev.pool, acc, la, rb) // a nil acc is the sum's first product: a fresh block
+		if acc == nil {
+			acc = matrix.MatMulInto(ev.pool, ev.newBlock(rows, cols, to), la, rb)
+		} else {
+			matrix.MatMulAccWith(ev.pool, acc, la, rb)
+		}
 		sparse = sparse && la.IsSparse() && rb.IsSparse()
 	}
 	switch {
 	case accT != nil:
 		ev.accT = accT // hand the scratch back
-		t := matrix.TransposeWith(ev.pool, accT)
 		if acc == nil {
-			return t
+			return matrix.TransposeInto(ev.pool, ev.newBlock(rows, cols, to), accT)
 		}
-		return matrix.AddAcc(acc, t)
+		return matrix.AddAcc(acc, matrix.TransposeInto(ev.pool, ev.newBlock(rows, cols, toBlock), accT))
 	case acc == nil:
 		return nil
 	case sparse:

@@ -24,12 +24,19 @@ type chain struct {
 	ev     *evaluator
 	root   *dag.Node
 	bi, bj int
+	to     dest // where the result goes, and the first product it is stored into
+	owned  bool // that product was built
 }
 
-// evalChain computes block (bi, bj) of the element-wise node n.
-func (ev *evaluator) evalChain(n *dag.Node, bi, bj int) matrix.Mat {
+// evalChain computes block (bi, bj) of the element-wise node n into a block
+// for to: the chain's first fresh product (Chain.Owned), built for to, or one
+// taken for it.
+func (ev *evaluator) evalChain(n *dag.Node, bi, bj int, to dest) matrix.Mat {
 	rows, cols := ev.blockDims(n, bi, bj)
-	c := &chain{Chain: &matrix.Chain{Rows: rows, Cols: cols}, ev: ev, root: n, bi: bi, bj: bj}
+	c := &chain{Chain: &matrix.Chain{Rows: rows, Cols: cols}, ev: ev, root: n, bi: bi, bj: bj, to: to}
+	if to != toHeap {
+		c.Alloc = func(rows, cols int) *matrix.Dense { return ev.newBlock(rows, cols, to) }
+	}
 	out := c.Materialise(ev.pool, c.node(n))
 	ev.task.AddFlops(c.Flops)
 	return out
@@ -47,10 +54,25 @@ func (c *chain) operand(n *dag.Node) matrix.Value {
 		return c.node(n)
 	}
 	oi, oj := operandCoords(n, c.bi, c.bj)
-	if n.Op == dag.OpMatMul && !ev.shouldMemo(n) && !ev.memo[ev.memoKey(n.ID, oi, oj)].held {
-		return c.Owned(ev.evalBlock(n, oi, oj)) // a fresh accumulator nobody else holds
+	// What the chain reads lives for the output block, unless the result is
+	// held: the chain may hand an operand out as its result.
+	to := toBlock
+	if c.to == toHeld {
+		to = toHeld
 	}
-	return c.Leaf(ev.evalBlock(n, oi, oj))
+	if n.Op == dag.OpMatMul && !ev.shouldMemo(n) && !ev.memo[ev.memoKey(n.ID, oi, oj)].held {
+		// A fresh accumulator nobody else holds. The first full one is where
+		// the result is stored.
+		if !c.owned {
+			to = c.to
+		}
+		blk := ev.evalTo(n, oi, oj, to)
+		if d, ok := blk.(*matrix.Dense); ok && d.Rows == c.Rows && d.Cols == c.Cols {
+			c.owned = true
+		}
+		return c.Owned(blk)
+	}
+	return c.Leaf(ev.evalTo(n, oi, oj, to))
 }
 
 // node compiles the member element-wise node n.
@@ -289,7 +311,7 @@ func (ev *evaluator) sddmm(t *superTile) {
 				continue
 			}
 			if !folded {
-				bt = matrix.TransposeWith(ev.pool, bt)
+				bt = ev.transpose(bt, toBlock)
 			}
 			_, inner := la.Dims()
 			ev.task.AddFlops(matrix.MaskedMatMulFlops(b.pattern, inner))

@@ -28,8 +28,9 @@
 // not published yet: a multiplication's accumulator, the masked values
 // buffer, per-task scratch. A chain that consumed such an accumulator stores
 // its result there (matrix.Chain.Owned), so the row being written is an
-// operand's row: a row is evaluated in scratch and stored once, after every
-// read of it. A fetched, memoised, pinned or cache-resident block is never
+// operand's row: a row is evaluated in scratch up to its last operator,
+// whose loop stores each value after reading that value's operands. A
+// fetched, memoised, pinned or cache-resident block is never
 // written, which is what lets the runtimes share blocks between tasks, caches
 // and bindings without copying (matrix.ToDense and ToCSR may return their
 // argument; an output may be one of its inputs' blocks, or share its
@@ -37,11 +38,12 @@
 // place. On a worker, the blocks a task fetched live in its task stream's
 // arena only until the task's done frame is written: a result that is, or
 // shares memory with, a fetched block has gone out before then, and a block
-// a task caches was fetched into storage of its own. The blocks a task builds
-// for itself and drops — its retained member transposes, the transposed
-// copies and scratch of a dense x CSR product — lie in a task arena that the
-// task's end resets (arena.go); one of them that reaches emit leaves as a
-// clone. Results that come off the wire are checked against the sinks —
+// a task caches was fetched into storage of its own. A task puts on the heap
+// only the blocks it emits as they are; every other dense block it builds —
+// retained members, products a chain only reads, aggregated roots, scratch —
+// lies in a task arena (arena.go), held until the task ends or until the
+// output block it serves was emitted or folded, and one of them that reaches
+// emit leaves as a clone. Results that come off the wire are checked against the sinks —
 // kind, key, shape — before any is routed (ErrMalformedResult).
 //
 // Three consolidation strategies share this machinery:

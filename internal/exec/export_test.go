@@ -33,15 +33,20 @@ func PoisonTaskArenas(t testing.TB) *atomic.Int64 {
 	return &n
 }
 
-// ArenaBlockLeavesAsClone reports whether a block taken from a task arena
-// leaves its task as an equal copy and a block built elsewhere as itself.
+// ArenaBlockLeavesAsClone reports whether a block taken from either region
+// of a task arena leaves its task as an equal copy and a block built
+// elsewhere as itself.
 func ArenaBlockLeavesAsClone() (cloned, kept bool) {
 	ta := new(taskArena)
-	d := ta.dense(2, 3)
-	copy(d.Data, []float64{1, 2, 3, 4, 5, 6})
-	out := ta.escape(d)
+	cloned = true
+	for _, r := range []*region{&ta.held, &ta.block} {
+		d := r.dense(2, 3)
+		copy(d.Data, []float64{1, 2, 3, 4, 5, 6})
+		out := ta.escape(d)
+		cloned = cloned && out != matrix.Mat(d) && matrix.Equal(out, d)
+	}
 	fresh := matrix.NewDense(2, 3)
-	return out != matrix.Mat(d) && matrix.Equal(out, d), ta.escape(fresh) == matrix.Mat(fresh)
+	return cloned, ta.escape(fresh) == matrix.Mat(fresh)
 }
 
 // SetSuperTileCols makes every task visit super-tiles of cols column blocks

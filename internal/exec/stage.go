@@ -157,16 +157,23 @@ func (st *Stage) outputs(task *cluster.Task, src blockSource, ta *taskArena, kHi
 }
 
 // eval computes output block (bi, bj) and folds it into the partial or emits
-// it.
+// it; a block emitted as it is is built on the heap. The blocks it built and
+// dropped are the arena's again afterwards.
 func (o *taskOut) eval(bi, bj int, emit emitFn) {
+	agg := o.ev.pc.agg
+	to := toHeap
+	if agg != nil {
+		to = toBlock
+	}
 	endKernel := o.ev.trace.Begin("kernel", "taskop")
-	blk := o.ev.evalBlock(o.ev.pc.root, bi, bj)
+	blk := o.ev.evalTo(o.ev.pc.root, bi, bj, to)
 	endKernel()
-	if agg := o.ev.pc.agg; agg != nil {
+	if agg != nil {
 		aggregateLocal(o.ev.task, o.partial, agg.Agg, bi, bj, blk)
 	} else if blk != nil {
 		emit(spec.OutFinal, bi, bj, blk)
 	}
+	o.ev.arena.endBlock()
 }
 
 // flush emits the task-local aggregate, if the output has one.
@@ -193,10 +200,10 @@ func runStageTask(st *Stage, task *cluster.Task, src blockSource, emit emitFn) e
 			cache.InvalidateStale(ne.Node, ne.Epoch)
 		}
 	}
-	ta := taskArenas.Get().(*taskArena)
+	ta := taskArenas.get()
 	defer func() {
 		ta.reset()
-		taskArenas.Put(ta)
+		taskArenas.put(ta)
 	}()
 	out := emit
 	emit = func(kind uint8, bi, bj int, blk matrix.Mat) { out(kind, bi, bj, ta.escape(blk)) }
@@ -246,14 +253,14 @@ func (st *Stage) runPartialTask(task *cluster.Task, src blockSource, ta *taskAre
 				part = pattern.WithValues(vals)
 			}
 		} else {
-			part = ev.evalBlock(pc.plan.MainMM, bi, bj)
+			part = ev.evalTo(pc.plan.MainMM, bi, bj, toHeap)
 		}
 		endKernel()
-		if part == nil {
-			return
+		if part != nil {
+			task.SendBlock(part)
+			emit(spec.OutPartial, bi, bj, part)
 		}
-		task.SendBlock(part)
-		emit(spec.OutPartial, bi, bj, part)
+		ta.endBlock()
 	})
 	return nil
 }

@@ -43,13 +43,13 @@ func TestSuperTileOrderKeepsBits(t *testing.T) {
 		"V": matrix.RandomDense(cols, k, 0.5, 1.5, 33),
 	}
 	cases := []arenaCase{
-		{"nmf-kernel", workloads.NMFKernel(rows, cols, k, d), nmfFlats},
-		{"nmf-kernel-sum", sum, nmfFlats},
+		{"nmf-kernel", workloads.NMFKernel(rows, cols, k, d), nmfFlats, true},
+		{"nmf-kernel-sum", sum, nmfFlats, true},
 		{"als", workloads.ALSLoss(rows, cols, k, d), map[string]matrix.Mat{
 			"X": matrix.RandomSparse(rows, cols, d, 0.5, 1.5, 34),
 			"U": matrix.RandomDense(rows, k, -0.5, 0.5, 35),
 			"V": matrix.RandomDense(k, cols, -0.5, 0.5, 36),
-		}},
+		}, true},
 	}
 	cfg := cluster.Config{
 		Nodes: 2, TasksPerNode: 2, TaskMemBytes: 1 << 30,
@@ -68,10 +68,10 @@ func TestSuperTileOrderKeepsBits(t *testing.T) {
 			}
 			for _, forceR := range []bool{false, true} {
 				exec.SetSuperTileCols(t, 1)
-				oneByOne := runArenaCase(t, rtm, tc.graph, inputs, forceR)
+				oneByOne := runArenaCase(t, rtm, tc.graph, inputs, forceR, tc.masked)
 				for _, width := range []int{0, 2, 3} { // 0: the L2 budget's
 					exec.SetSuperTileCols(t, width)
-					got := runArenaCase(t, rtm, tc.graph, inputs, forceR)
+					got := runArenaCase(t, rtm, tc.graph, inputs, forceR, tc.masked)
 					what := fmt.Sprintf("%s/%s/R2=%v/width %d", backend, tc.name, forceR, width)
 					for name, w := range want {
 						g, ok := got[name]

@@ -3,6 +3,7 @@
 package matrix
 
 import (
+	"math"
 	"math/rand"
 	"runtime/debug"
 	"slices"
@@ -41,8 +42,9 @@ func guardedCopy[T float64 | int](t *testing.T, src []T) []T {
 // several terms, whose last term is narrower — the sparse x dense row
 // kernels' operands and
 // accumulators at every width under both levels' forms (the AVX-512 forms'
-// masked tails among them), the unary strips at every length, GEMM tiles with
-// every edge under both micro-kernels and both stride orders of the left
+// masked tails among them), adding and storing, the unary strips and the
+// element-wise strips at every length, GEMM tiles with every edge under both
+// micro-kernels, adding and storing, and both stride orders of the left
 // operand, and the 8x8 transpose kernel's source and destination with and
 // without ragged edges — and requires the results of ordinary memory.
 func TestAssemblyStaysInBounds(t *testing.T) {
@@ -122,6 +124,11 @@ func TestAssemblyStaysInBounds(t *testing.T) {
 					if !sameFloats(got.Data, want.Data) {
 						t.Errorf("csr x dense, n=%d: guarded operands give other values", n)
 					}
+					want = MatMulInto(nil, NewDenseData(rows, n, slices.Clone(acc)), x, NewDenseData(cols, n, y))
+					got = MatMulInto(nil, NewDenseData(rows, n, guardedCopy(t, acc)), gx, NewDenseData(cols, n, guardedCopy(t, y)))
+					if !sameFloats(got.Data, want.Data) {
+						t.Errorf("csr x dense stored, n=%d: guarded operands give other values", n)
+					}
 					a, accT := special(rng, make([]float64, rows*n)), special(rng, make([]float64, cols*n))
 					wantT, gotT := NewDenseData(cols, n, slices.Clone(accT)), NewDenseData(cols, n, guardedCopy(t, accT))
 					MatMulTransAccWith(nil, wantT, NewDenseData(rows, n, a), x)
@@ -148,6 +155,47 @@ func TestAssemblyStaysInBounds(t *testing.T) {
 			transposeDense(NewDenseData(sh.r, sh.c, guardedCopy(t, a)), got, 0, sh.c)
 			if !sameBits(got, want) {
 				t.Errorf("%dx%d: guarded operands give other values", sh.r, sh.c)
+			}
+		}
+	})
+
+	// The element-wise strips: every operand, the destination, and for the
+	// scalar forms the operand the destination aliases, end at the page.
+	t.Run("strips/avx512", func(t *testing.T) {
+		if simdLevel < levelAVX512 {
+			t.Skip(asmLevels[1].lacks)
+		}
+		defer failOnFault(t)()
+		for n := 0; n <= 70; n++ {
+			for _, op := range []BinOp{Add, Sub, Mul, Div} {
+				x, y := stripOperands(rng, op, n)
+				for _, flush := range []bool{false, true} {
+					want, got := make([]float64, n), guarded[float64](t, n)
+					portably(func() { combine(op, want, x, y, flush) })
+					combine(op, got, guardedCopy(t, x), guardedCopy(t, y), flush)
+					if !sameFloats(got, want) {
+						t.Errorf("combine %v, n=%d: guarded operands give other values", op, n)
+					}
+					for _, left := range []bool{false, true} {
+						portably(func() { combineScalar(op, want, x, 0.75, left, flush) })
+						got := guardedCopy(t, x)
+						combineScalar(op, got, got, 0.75, left, flush)
+						if !sameFloats(got, want) {
+							t.Errorf("combineScalar %v, n=%d: guarded operands give other values", op, n)
+						}
+					}
+				}
+			}
+			x, _ := stripOperands(rng, Mul, n)
+			want, got := make([]float64, n), guarded[float64](t, n)
+			portably(func() { flushStrip(want, x) })
+			flushStrip(got, guardedCopy(t, x))
+			if !sameFloats(got, want) {
+				t.Errorf("flushStrip, n=%d: guarded operands give other values", n)
+			}
+			fill(got, -2)
+			if slices.ContainsFunc(got, func(v float64) bool { return v != -2 }) {
+				t.Errorf("fill, n=%d: guarded destination holds other values", n)
 			}
 		}
 	})
@@ -186,6 +234,16 @@ func TestAssemblyStaysInBounds(t *testing.T) {
 					MatMulTNAccWith(nil, tn, NewDenseData(sh.k, sh.m, guardedCopy(t, at)), NewDenseData(sh.k, sh.n, guardedCopy(t, b)))
 					if !sameFloats(nn.Data, want.Data) || !sameFloats(tn.Data, want.Data) {
 						t.Errorf("%dx%dx%d: guarded operands give other values", sh.m, sh.k, sh.n)
+					}
+					nan := make([]float64, sh.m*sh.n)
+					for i := range nan {
+						nan[i] = math.NaN()
+					}
+					nn, tn = NewDenseData(sh.m, sh.n, guardedCopy(t, nan)), NewDenseData(sh.m, sh.n, guardedCopy(t, nan))
+					MatMulInto(nil, nn, NewDenseData(sh.m, sh.k, guardedCopy(t, a)), NewDenseData(sh.k, sh.n, guardedCopy(t, b)))
+					MatMulTNInto(nil, tn, NewDenseData(sh.k, sh.m, guardedCopy(t, at)), NewDenseData(sh.k, sh.n, guardedCopy(t, b)))
+					if !sameFloats(nn.Data, want.Data) || !sameFloats(tn.Data, want.Data) {
+						t.Errorf("%dx%dx%d stored: guarded operands give other values", sh.m, sh.k, sh.n)
 					}
 				}
 			})

@@ -91,7 +91,7 @@ func TestFastPathIsThePath(t *testing.T) {
 				kernelCalls[kernelGEMMEdge].Store(0)
 				x, y := RandomDense(sh.m, sh.k, -1, 1, 1), RandomDense(sh.k, sh.n, -1, 1, 2)
 				MatMulAccWith(nil, nil, x, y)
-				MatMulTNAccWith(nil, nil, Transpose(x).(*Dense), y)
+				MatMulTNInto(nil, NewDense(sh.m, sh.n), Transpose(x).(*Dense), y)
 				if n := kernelCalls[kernelGEMMEdge].Load(); n != 0 {
 					t.Errorf("%dx%dx%d: the edge loop was entered %d times", sh.m, sh.k, sh.n, n)
 				}

@@ -72,11 +72,9 @@ func MatMulWith(p *parallel.Pool, a, b Mat) Mat {
 // MatMulAccWith accumulates acc += a x b in place and returns acc, splitting
 // row panels across p's kernel threads (p may be nil for the serial path).
 // acc must be a buffer the caller owns, or nil for the first product of a
-// sum: the kernel then allocates the block and, knowing it all zeros, does not
-// scan it to find out — on the repo benchmark's 0.005-dense block that scan
-// costs as much as the CSR x dense product. Dispatch is by representation:
-// dense x dense, CSR x dense and CSR x CSR have dedicated kernels, and
-// dense x CSR runs MatMulTransAccWith on a transposed copy of a.
+// sum: the product then goes into a fresh block, as MatMulInto. Dispatch is by
+// representation: dense x dense, CSR x dense and CSR x CSR have dedicated
+// kernels, and dense x CSR runs MatMulTransAccWith on a transposed copy of a.
 //
 // Every kernel sums the product of one element first and adds it to acc
 // once — in registers, aside, or in place where acc is still +0, which gives
@@ -85,35 +83,60 @@ func MatMulWith(p *parallel.Pool, a, b Mat) Mat {
 // is computed by exactly one goroutine, and the per-element accumulation
 // order is fixed by the tile grid, not by the partition.
 func MatMulAccWith(p *parallel.Pool, acc *Dense, a, b Mat) *Dense {
+	if acc == nil {
+		ar, _ := a.Dims()
+		_, bc := b.Dims()
+		return matMulAcc(p, NewDense(ar, bc), a, b, true)
+	}
+	return matMulAcc(p, acc, a, b, false)
+}
+
+// MatMulInto stores a x b into out, a block shaped as the product whose
+// values are overwritten — one taken unzeroed from an Arena will do — and
+// returns it. The kernels store the first term of each element's sum where
+// MatMulAccWith adds it: the sum + 0, which has the bits of adding the sum
+// onto +0, so out holds exactly what MatMulAccWith gives on a zeroed block,
+// and no value out held before is read into it.
+func MatMulInto(p *parallel.Pool, out *Dense, a, b Mat) *Dense {
+	return matMulAcc(p, out, a, b, true)
+}
+
+// matMulAcc is MatMulAccWith, or with store set MatMulInto.
+func matMulAcc(p *parallel.Pool, acc *Dense, a, b Mat, store bool) *Dense {
 	ar, ak := a.Dims()
 	bk, bc := b.Dims()
-	fresh := acc == nil
-	if fresh {
-		acc = NewDense(ar, bc)
-	}
 	if ak != bk || acc.Rows != ar || acc.Cols != bc {
 		panic(fmt.Sprintf("matrix: matmul shape mismatch %dx%d x %dx%d into %dx%d", ar, ak, bk, bc, acc.Rows, acc.Cols))
+	}
+	if ak == 0 { // an empty sum: no kernel writes anything
+		if store {
+			clear(acc.Data)
+		}
+		return acc
 	}
 	switch x := a.(type) {
 	case *Dense:
 		switch y := b.(type) {
 		case *Dense:
-			matMulDD(p, acc, strided{x.Data, x.Cols, 1}, y, fresh)
+			matMulDD(p, acc, strided{x.Data, x.Cols, 1}, y, store)
 			return acc
 		case *CSR:
 			// The product, transposed, summed aside and added once.
 			prodT := NewDense(bc, ar)
 			MatMulTransAccWith(p, prodT, TransposeWith(p, x).(*Dense), y)
+			if store {
+				return TransposeInto(p, acc, prodT)
+			}
 			AddAcc(acc, TransposeWith(p, prodT))
 			return acc
 		}
 	case *CSR:
 		switch y := b.(type) {
 		case *Dense:
-			spmmRowsWith(p, x, y, acc)
+			spmmRowsWith(p, x, y, acc, store)
 			return acc
 		case *CSR:
-			accRows(p, acc, fresh, func(i int, row []float64) {
+			accRows(p, acc, store, func(i int, row []float64) {
 				acols, avals := x.RowNNZ(i)
 				for q, k := range acols {
 					av := avals[q]
@@ -134,16 +157,20 @@ func MatMulAccWith(p *parallel.Pool, acc *Dense, a, b Mat) *Dense {
 const SparseResultThreshold = 0.25
 
 // accRows is the row-parallel driver of the CSR x CSR kernel: fill sums row i
-// of the product into a zeroed row — acc's own row while that is still +0,
-// otherwise a scratch row which is then added to acc's row and re-zeroed. Each
-// step of fill is a rounded multiply then an add, so a sum from +0 is never
-// -0 and filling in place gives the bits of adding once.
-func accRows(p *parallel.Pool, acc *Dense, fresh bool, fill func(i int, row []float64)) {
+// of the product into a zeroed row — acc's own row, cleared first when store
+// says its values are to be overwritten, or while it is still +0; otherwise
+// a scratch row which is then added to acc's row and re-zeroed. Each step of
+// fill is a rounded multiply then an add, so a sum from +0 is never -0 and
+// filling in place gives the bits of adding once.
+func accRows(p *parallel.Pool, acc *Dense, store bool, fill func(i int, row []float64)) {
 	p.For(acc.Rows, rowGrain, func(lo, hi int) {
 		var row []float64
 		for i := lo; i < hi; i++ {
 			orow := acc.Row(i)
-			if fresh || allZero(orow) {
+			if store {
+				clear(orow)
+			}
+			if store || allZero(orow) {
 				fill(i, orow)
 				continue
 			}
@@ -161,32 +188,33 @@ func accRows(p *parallel.Pool, acc *Dense, fresh bool, fill func(i int, row []fl
 
 // spmmRowsWith runs spmmRows over all of acc's rows, split across p's kernel
 // threads; a nil pool takes no closure, so the serial call allocates nothing.
-func spmmRowsWith(p *parallel.Pool, x *CSR, y, acc *Dense) {
+func spmmRowsWith(p *parallel.Pool, x *CSR, y, acc *Dense, store bool) {
 	if p == nil {
-		spmmRows(x, y, acc, 0, acc.Rows)
+		spmmRows(x, y, acc, 0, acc.Rows, store)
 		return
 	}
-	p.For(acc.Rows, rowGrain, func(lo, hi int) { spmmRows(x, y, acc, lo, hi) })
+	p.For(acc.Rows, rowGrain, func(lo, hi int) { spmmRows(x, y, acc, lo, hi, store) })
 }
 
 // spmmRows is the CSR x dense kernel over rows [rLo, rHi) of x: for each
 // element of acc's row i, s = +0, then s += round(v * y[k][j]) over the row's
 // stored (k, v) in order — multiply, rounded, then add, never fused, which
 // the conversions state for the architectures whose compiler would — and
-// acc[i][j] += s once. So the product is summed aside and added once without
+// acc[i][j] += s once — or, with store set, acc[i][j] = s + 0, the bits of
+// adding s onto +0. So the product is summed aside and added once without
 // a scratch row, and an empty row adds +0. The assembly forms walk the row
 // range themselves: spmmRowsAVX512 each row once per 64 columns, then 32, 16,
 // 8 and a masked tail; spmmRowsAVX in 16-column strips, then 4, then single
 // columns. The portable loops take 4 columns at a time — per element the same
 // arithmetic, so the bits agree.
-func spmmRows(x *CSR, y, acc *Dense, rLo, rHi int) {
+func spmmRows(x *CSR, y, acc *Dense, rLo, rHi int, store bool) {
 	n := y.Cols
 	if simdLevel >= levelAVX2 && n > 0 && len(x.Col) > 0 {
 		countKernel(kernelSpMM)
 		if simdLevel >= levelAVX512 {
-			spmmRowsAVX512(&x.RowPtr[0], &x.Col[0], &x.Val[0], rLo, rHi, &y.Data[0], &acc.Data[0], n)
+			spmmRowsAVX512(&x.RowPtr[0], &x.Col[0], &x.Val[0], rLo, rHi, &y.Data[0], &acc.Data[0], n, store)
 		} else {
-			spmmRowsAVX(&x.RowPtr[0], &x.Col[0], &x.Val[0], rLo, rHi, &y.Data[0], &acc.Data[0], n)
+			spmmRowsAVX(&x.RowPtr[0], &x.Col[0], &x.Val[0], rLo, rHi, &y.Data[0], &acc.Data[0], n, store)
 		}
 		return
 	}
@@ -204,17 +232,25 @@ func spmmRows(x *CSR, y, acc *Dense, rLo, rHi int) {
 				s3 += float64(v * b[3])
 			}
 			o := orow[j : j+4]
-			o[0] += s0
-			o[1] += s1
-			o[2] += s2
-			o[3] += s3
+			if store {
+				o[0], o[1], o[2], o[3] = s0+0, s1+0, s2+0, s3+0
+			} else {
+				o[0] += s0
+				o[1] += s1
+				o[2] += s2
+				o[3] += s3
+			}
 		}
 		for ; j < n; j++ {
 			var s float64
 			for q, k := range cols {
 				s += float64(vals[q] * y.Data[k*n+j])
 			}
-			orow[j] += s
+			if store {
+				orow[j] = s + 0
+			} else {
+				orow[j] += s
+			}
 		}
 	}
 }
@@ -298,15 +334,26 @@ func spmmTCols(accT, a *Dense, b *CSR, lo, hi int) {
 // reads at where it lies, through swapped strides, so a product under a
 // t(A) node never builds t(A)'s block; element for element it is the
 // arithmetic of MatMulAccWith on the built transpose, and gives its bits.
+// acc must be a buffer the caller owns; MatMulTNInto starts a sum.
 func MatMulTNAccWith(p *parallel.Pool, acc *Dense, at, b *Dense) *Dense {
-	fresh := acc == nil
-	if fresh {
-		acc = NewDense(at.Cols, b.Cols)
-	}
+	return matMulTN(p, acc, at, b, false)
+}
+
+// MatMulTNInto is MatMulInto with the left operand given transposed: out =
+// t(at) x b, out's values overwritten.
+func MatMulTNInto(p *parallel.Pool, out *Dense, at, b *Dense) *Dense {
+	return matMulTN(p, out, at, b, true)
+}
+
+// matMulTN is MatMulTNAccWith, or with store set MatMulTNInto.
+func matMulTN(p *parallel.Pool, acc *Dense, at, b *Dense, store bool) *Dense {
 	if at.Rows != b.Rows || acc.Rows != at.Cols || acc.Cols != b.Cols {
 		panic(fmt.Sprintf("matrix: matmul shape mismatch t(%dx%d) x %dx%d into %dx%d", at.Rows, at.Cols, b.Rows, b.Cols, acc.Rows, acc.Cols))
 	}
-	matMulDD(p, acc, strided{at.Data, 1, at.Cols}, b, fresh)
+	if at.Rows == 0 && store { // an empty sum: no kernel writes anything
+		clear(acc.Data)
+	}
+	matMulDD(p, acc, strided{at.Data, 1, at.Cols}, b, store)
 	return acc
 }
 
@@ -319,47 +366,51 @@ type strided struct {
 }
 
 // matMulDD is the dense x dense kernel, acc += a x b, row panels split across
-// p's kernel threads; fresh promises acc is all zeros.
-func matMulDD(p *parallel.Pool, acc *Dense, a strided, b *Dense, fresh bool) {
-	p.For(acc.Rows, tileI, func(lo, hi int) { matMulDDPanel(a, b, acc, lo, hi, fresh) })
+// p's kernel threads; store overwrites acc with a x b instead (MatMulInto).
+func matMulDD(p *parallel.Pool, acc *Dense, a strided, b *Dense, store bool) {
+	p.For(acc.Rows, tileI, func(lo, hi int) { matMulDDPanel(a, b, acc, lo, hi, store) })
 }
 
-// panelPool recycles the row-panel scratch of matMulDDPanel. A slice in the
-// pool is all zeros.
+// panelPool recycles the row-panel scratch of matMulDDPanel.
 var panelPool sync.Pool
 
 // matMulDDPanel accumulates rows [rLo, rHi) of a x b into acc with the
 // cache-blocked, register-tiled dense kernel, walking the fixed i/k/j tile
 // grid. A product spanning several k-tiles is summed first (k-tiles
-// ascending) and added to acc once: in a zeroed scratch row panel, or in
-// place where acc's rows are still zero — which fresh says, or a scan finds.
-func matMulDDPanel(a strided, b, acc *Dense, rLo, rHi int, fresh bool) {
+// ascending) and added to acc once: in a scratch row panel, or in place where
+// acc's rows are to be overwritten (store) or are still zero, which a scan
+// finds. The sum's first k-tile is stored, not added — into the panel, whose
+// old values are never read, or into acc's rows in place — and the others
+// are added onto it.
+func matMulDDPanel(a strided, b, acc *Dense, rLo, rHi int, store bool) {
 	K, N := b.Rows, b.Cols
 	var panel *[]float64
 	for it := rLo; it < rHi; it += tileI {
 		iMax := min(it+tileI, rHi)
 		rows := acc.Data[it*N : iMax*N]
-		out := rows
-		if K > tileK && !fresh && !allZero(rows) {
-			if panel == nil {
-				panel, _ = panelPool.Get().(*[]float64)
+		out, first := rows, store // first: the first k-tile stores its sums
+		if !store && K > tileK {
+			first = true
+			if !allZero(rows) {
+				if panel == nil {
+					panel, _ = panelPool.Get().(*[]float64)
+				}
+				if panel == nil || cap(*panel) < tileI*N {
+					s := make([]float64, tileI*N)
+					panel = &s
+				}
+				out = (*panel)[:tileI*N]
 			}
-			if panel == nil || cap(*panel) < tileI*N {
-				s := make([]float64, tileI*N)
-				panel = &s
-			}
-			out = (*panel)[:tileI*N]
 		}
 		for kt := 0; kt < K; kt += tileK {
 			kMax := min(kt+tileK, K)
 			for jt := 0; jt < N; jt += tileJ {
-				mulTile(a, b, out[jt:], N, it, iMax, kt, kMax, jt, min(jt+tileJ, N))
+				mulTile(a, b, out[jt:], N, it, iMax, kt, kMax, jt, min(jt+tileJ, N), first && kt == 0)
 			}
 		}
 		if &out[0] != &rows[0] {
 			for x, v := range out[:len(rows)] {
 				rows[x] += v
-				out[x] = 0
 			}
 		}
 	}
@@ -388,11 +439,13 @@ func allZero(s []float64) bool {
 // takes acc = fma(a, b, acc) — one rounding per step — over the tile's k
 // range, k ascending, and is added into out once per tile as out + (acc + 0):
 // the +0 turns a -0 sum into +0, so an out that holds -0 is left as adding
-// the product's block, whose elements start at +0, would leave it. Strips of either
-// assembly form, portable strips and edge rows therefore match bitwise, on
-// every machine: math.FMA is the hardware instruction on amd64 with FMA3 and
-// on arm64, and exact (and slow) software elsewhere.
-func mulTile(a strided, b *Dense, out []float64, ldo, iLo, iMax, kLo, kMax, jLo, jMax int) {
+// product's block, whose elements start at +0, would leave it. With store
+// set the tile's sums are stored as acc + 0 instead, out's old values unread:
+// the bits of adding onto +0. Strips of either assembly form, portable strips
+// and edge rows therefore match bitwise, on every machine: math.FMA is the
+// hardware instruction on amd64 with FMA3 and on arm64, and exact (and slow)
+// software elsewhere.
+func mulTile(a strided, b *Dense, out []float64, ldo, iLo, iMax, kLo, kMax, jLo, jMax int, store bool) {
 	if kLo >= kMax {
 		return
 	}
@@ -400,65 +453,74 @@ func mulTile(a strided, b *Dense, out []float64, ldo, iLo, iMax, kLo, kMax, jLo,
 	case simdLevel >= levelAVX512:
 		countKernel(kernelGEMM)
 		N := b.Cols
-		kn, ldaB, ldkB, ldbB, ldoB := uintptr(kMax-kLo), uintptr(a.rs*8), uintptr(a.ks*8), uintptr(N*8), uintptr(ldo*8)
+		kn, ldaB, ldkB, ldbB, ldoB, st := uintptr(kMax-kLo), uintptr(a.rs*8), uintptr(a.ks*8), uintptr(N*8), uintptr(ldo*8), storeArg(store)
 		i8, j16 := iLo+(iMax-iLo)&^7, jLo+(jMax-jLo)&^15
 		for i := iLo; i < i8; i += 8 {
 			ap, orow := &a.data[i*a.rs+kLo*a.ks], out[(i-iLo)*ldo:]
 			for j := jLo; j < j16; j += 16 {
-				microAVX512x8x16(ap, &b.Data[kLo*N+j], &orow[j-jLo], kn, ldaB, ldkB, ldbB, ldoB)
+				microAVX512x8x16(ap, &b.Data[kLo*N+j], &orow[j-jLo], kn, ldaB, ldkB, ldbB, ldoB, st)
 			}
 		}
 		if i8 > iLo && j16 < jMax {
-			mulTileAVX2(a, b, out[j16-jLo:], ldo, iLo, i8, kLo, kMax, j16, jMax)
+			mulTileAVX2(a, b, out[j16-jLo:], ldo, iLo, i8, kLo, kMax, j16, jMax, store)
 		}
 		if i8 < iMax {
-			mulTileAVX2(a, b, out[(i8-iLo)*ldo:], ldo, i8, iMax, kLo, kMax, jLo, jMax)
+			mulTileAVX2(a, b, out[(i8-iLo)*ldo:], ldo, i8, iMax, kLo, kMax, jLo, jMax, store)
 		}
 	case simdLevel >= levelAVX2:
 		countKernel(kernelGEMM)
-		mulTileAVX2(a, b, out, ldo, iLo, iMax, kLo, kMax, jLo, jMax)
+		mulTileAVX2(a, b, out, ldo, iLo, iMax, kLo, kMax, jLo, jMax, store)
 	default:
 		i := iLo
 		for ; i+4 <= iMax; i += 4 {
 			j := jLo
 			for ; j+4 <= jMax; j += 4 {
-				micro4x4(a, b, out[(i-iLo)*ldo+j-jLo:], ldo, i, j, kLo, kMax)
+				micro4x4(a, b, out[(i-iLo)*ldo+j-jLo:], ldo, i, j, kLo, kMax, store)
 			}
 			if j < jMax {
-				edgeTile(a, b, out[(i-iLo)*ldo+j-jLo:], ldo, i, i+4, kLo, kMax, j, jMax)
+				edgeTile(a, b, out[(i-iLo)*ldo+j-jLo:], ldo, i, i+4, kLo, kMax, j, jMax, store)
 			}
 		}
 		if i < iMax {
-			edgeTile(a, b, out[(i-iLo)*ldo:], ldo, i, iMax, kLo, kMax, jLo, jMax)
+			edgeTile(a, b, out[(i-iLo)*ldo:], ldo, i, iMax, kLo, kMax, jLo, jMax, store)
 		}
 	}
 }
 
+// storeArg is the assembly micro-kernels' store argument.
+func storeArg(store bool) uintptr {
+	if store {
+		return 1
+	}
+	return 0
+}
+
 // mulTileAVX2 is mulTile with the 4x8 micro-kernel, on a whole tile or on
 // what the 8x16 strips left of one.
-func mulTileAVX2(a strided, b *Dense, out []float64, ldo, iLo, iMax, kLo, kMax, jLo, jMax int) {
+func mulTileAVX2(a strided, b *Dense, out []float64, ldo, iLo, iMax, kLo, kMax, jLo, jMax int, store bool) {
 	N := b.Cols
-	kn, ldaB, ldkB, ldbB, ldoB := uintptr(kMax-kLo), uintptr(a.rs*8), uintptr(a.ks*8), uintptr(N*8), uintptr(ldo*8)
+	kn, ldaB, ldkB, ldbB, ldoB, st := uintptr(kMax-kLo), uintptr(a.rs*8), uintptr(a.ks*8), uintptr(N*8), uintptr(ldo*8), storeArg(store)
 	i := iLo
 	for ; i+4 <= iMax; i += 4 {
 		j := jLo
 		for ; j+8 <= jMax; j += 8 {
-			microAVX4x8(&a.data[i*a.rs+kLo*a.ks], &b.Data[kLo*N+j], &out[(i-iLo)*ldo+j-jLo], kn, ldaB, ldkB, ldbB, ldoB)
+			microAVX4x8(&a.data[i*a.rs+kLo*a.ks], &b.Data[kLo*N+j], &out[(i-iLo)*ldo+j-jLo], kn, ldaB, ldkB, ldbB, ldoB, st)
 		}
 		if j < jMax {
-			edgeTile(a, b, out[(i-iLo)*ldo+j-jLo:], ldo, i, i+4, kLo, kMax, j, jMax)
+			edgeTile(a, b, out[(i-iLo)*ldo+j-jLo:], ldo, i, i+4, kLo, kMax, j, jMax, store)
 		}
 	}
 	if i < iMax {
-		edgeTile(a, b, out[(i-iLo)*ldo:], ldo, i, iMax, kLo, kMax, jLo, jMax)
+		edgeTile(a, b, out[(i-iLo)*ldo:], ldo, i, iMax, kLo, kMax, jLo, jMax, store)
 	}
 }
 
 // micro4x4 is the portable twin of the assembly micro-kernels: it accumulates
 // the 4x4 output block at (i0, j0) over k in [kLo, kMax) in sixteen scalar
 // accumulators the compiler keeps in registers, touching out (whose out[0] is
-// element (i0, j0), row stride ldo) only once per tile, as out + (s + 0).
-func micro4x4(a strided, b *Dense, out []float64, ldo, i0, j0, kLo, kMax int) {
+// element (i0, j0), row stride ldo) only once per tile, as out + (s + 0), or
+// with store set as s + 0.
+func micro4x4(a strided, b *Dense, out []float64, ldo, i0, j0, kLo, kMax int, store bool) {
 	N := b.Cols
 	ad, rs := a.data, a.rs
 	ai := i0*rs + kLo*a.ks
@@ -493,33 +555,31 @@ func micro4x4(a strided, b *Dense, out []float64, ldo, i0, j0, kLo, kMax int) {
 		c33 = math.FMA(av, b3, c33)
 		ai += a.ks
 	}
-	o := out
-	o[0] += c00 + 0
-	o[1] += c01 + 0
-	o[2] += c02 + 0
-	o[3] += c03 + 0
-	o = out[ldo:]
-	o[0] += c10 + 0
-	o[1] += c11 + 0
-	o[2] += c12 + 0
-	o[3] += c13 + 0
-	o = out[2*ldo:]
-	o[0] += c20 + 0
-	o[1] += c21 + 0
-	o[2] += c22 + 0
-	o[3] += c23 + 0
-	o = out[3*ldo:]
-	o[0] += c30 + 0
-	o[1] += c31 + 0
-	o[2] += c32 + 0
-	o[3] += c33 + 0
+	put4(out, store, c00, c01, c02, c03)
+	put4(out[ldo:], store, c10, c11, c12, c13)
+	put4(out[2*ldo:], store, c20, c21, c22, c23)
+	put4(out[3*ldo:], store, c30, c31, c32, c33)
+}
+
+// put4 adds s + 0 into each of o's first four values, or with store set
+// stores it.
+func put4(o []float64, store bool, s0, s1, s2, s3 float64) {
+	o = o[:4]
+	if store {
+		o[0], o[1], o[2], o[3] = s0+0, s1+0, s2+0, s3+0
+		return
+	}
+	o[0] += s0 + 0
+	o[1] += s1 + 0
+	o[2] += s2 + 0
+	o[3] += s3 + 0
 }
 
 // edgeTile handles tile remainders narrower than the micro-kernel,
 // accumulating each output element over the tile's k range in a scalar
-// before the single += — mulTile's arithmetic. out[0] is element (iLo, jLo),
-// row stride ldo.
-func edgeTile(a strided, b *Dense, out []float64, ldo, iLo, iMax, kLo, kMax, jLo, jMax int) {
+// before the single += (with store set, =) — mulTile's arithmetic. out[0] is
+// element (iLo, jLo), row stride ldo.
+func edgeTile(a strided, b *Dense, out []float64, ldo, iLo, iMax, kLo, kMax, jLo, jMax int, store bool) {
 	countKernel(kernelGEMMEdge)
 	N := b.Cols
 	for i := iLo; i < iMax; i++ {
@@ -531,7 +591,11 @@ func edgeTile(a strided, b *Dense, out []float64, ldo, iLo, iMax, kLo, kMax, jLo
 				s = math.FMA(a.data[ai], b.Data[k*N+j], s)
 				ai += a.ks
 			}
-			orow[j-jLo] += s + 0
+			if store {
+				orow[j-jLo] = s + 0
+			} else {
+				orow[j-jLo] += s + 0
+			}
 		}
 	}
 }

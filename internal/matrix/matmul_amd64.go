@@ -20,17 +20,18 @@ func cpuidLevel() int
 // ascending and one accumulator lane per element — the arithmetic of micro4x4
 // and edgeTile, so mixing the paths cannot change results. a[r][k] lies
 // r*ldaB + k*ldkB bytes past a, so the left operand is read as stored or
-// transposed; the other strides are row strides, in bytes too. Implemented in
-// matmul_amd64.s.
+// transposed; the other strides are row strides, in bytes too. store (0 or
+// 1) set stores acc + 0 instead, out's old values unused — the bits of adding
+// onto +0. Implemented in matmul_amd64.s.
 //
 //go:noescape
-func microAVX4x8(a, b, out *float64, kn, ldaB, ldkB, ldbB, ldoB uintptr)
+func microAVX4x8(a, b, out *float64, kn, ldaB, ldkB, ldbB, ldoB, store uintptr)
 
 // microAVX512x8x16 is microAVX4x8 on an 8x16 output block, at levelAVX512.
 // Implemented in matmul_amd64.s.
 //
 //go:noescape
-func microAVX512x8x16(a, b, out *float64, kn, ldaB, ldkB, ldbB, ldoB uintptr)
+func microAVX512x8x16(a, b, out *float64, kn, ldaB, ldkB, ldbB, ldoB, store uintptr)
 
 // sddmmGroupAVX512 is sddmmGroup on raw storage, at levelAVX512: for mask
 // rows [rLo, rHi), row by row, the row's stored positions q of each of the n
@@ -44,18 +45,18 @@ func sddmmGroupAVX512(terms *sddmmTerm, n, rLo, rHi int, a *float64, k int)
 // spmmRowsAVX is spmmRows on raw storage: for the CSR pattern rowPtr/col with
 // values val and rows [rLo, rHi), acc[i][:n] += the product of row i with
 // b (n columns), each element summed from +0 in the row's stored order and
-// added once, with spmmRows's arithmetic. n must be positive. Implemented in
-// matmul_amd64.s.
+// added once — stored, with store set — with spmmRows's arithmetic. n must be
+// positive. Implemented in matmul_amd64.s.
 //
 //go:noescape
-func spmmRowsAVX(rowPtr, col *int, val *float64, rLo, rHi int, b, acc *float64, n int)
+func spmmRowsAVX(rowPtr, col *int, val *float64, rLo, rHi int, b, acc *float64, n int, store bool)
 
 // spmmRowsAVX512 is spmmRowsAVX at levelAVX512: each row's stored positions
 // are walked once per 64 output columns instead of once per 16. Implemented
 // in matmul_amd64.s.
 //
 //go:noescape
-func spmmRowsAVX512(rowPtr, col *int, val *float64, rLo, rHi int, b, acc *float64, n int)
+func spmmRowsAVX512(rowPtr, col *int, val *float64, rLo, rHi int, b, acc *float64, n int, store bool)
 
 // spmmTAVX is spmmTCols on raw storage: for the K rows of the CSR operand
 // rowPtr/col/val, k ascending, accT[col[q]][:m] += val[q] * a[k][:m] for

@@ -42,14 +42,16 @@ TEXT ·cpuidLevel(SB), NOSPLIT, $0-8
 leveldone:
 	RET
 
-// func microAVX4x8(a, b, out *float64, kn, ldaB, ldkB, ldbB, ldoB uintptr)
+// func microAVX4x8(a, b, out *float64, kn, ldaB, ldkB, ldbB, ldoB, store uintptr)
 //
 // Accumulates a 4x8 block: out[r][c] += sum_k a[r][k]*b[k][c], each element
 // in its own accumulator lane as acc = fma(a, b, acc), k ascending, then
 // out + (acc + 0) — the arithmetic of micro4x4 and edgeTile. Adding +0 first
 // turns a -0 sum into +0, so a -0 in out is left as adding the product's
-// block would leave it. a[r][k] lies at a + r*ldaB + k*ldkB.
-TEXT ·microAVX4x8(SB), NOSPLIT, $0-64
+// block would leave it. a[r][k] lies at a + r*ldaB + k*ldkB. With store set,
+// out's values are not used: each element gets (acc + 0) + 0, the bits of
+// adding the sum onto +0 — out is ANDed with Y14, all ones or all zeros.
+TEXT ·microAVX4x8(SB), NOSPLIT, $0-72
 	MOVQ	a+0(FP), BX
 	MOVQ	b+8(FP), CX
 	MOVQ	out+16(FP), DX
@@ -59,6 +61,10 @@ TEXT ·microAVX4x8(SB), NOSPLIT, $0-64
 	MOVQ	ldbB+48(FP), R9
 	MOVQ	ldoB+56(FP), R10
 	LEAQ	(R8)(R8*2), R11
+	MOVQ	store+64(FP), AX
+	DECQ	AX
+	MOVQ	AX, X14
+	VPBROADCASTQ	X14, Y14
 	VXORPD	Y0, Y0, Y0
 	VXORPD	Y1, Y1, Y1
 	VXORPD	Y2, Y2, Y2
@@ -95,38 +101,48 @@ kloop:
 	VADDPD	Y8, Y5, Y5
 	VADDPD	Y8, Y6, Y6
 	VADDPD	Y8, Y7, Y7
-	VADDPD	(DX), Y0, Y0
+	VANDPD	(DX), Y14, Y9
+	VADDPD	Y9, Y0, Y0
 	VMOVUPD	Y0, (DX)
-	VADDPD	32(DX), Y1, Y1
+	VANDPD	32(DX), Y14, Y9
+	VADDPD	Y9, Y1, Y1
 	VMOVUPD	Y1, 32(DX)
 	ADDQ	R10, DX
-	VADDPD	(DX), Y2, Y2
+	VANDPD	(DX), Y14, Y9
+	VADDPD	Y9, Y2, Y2
 	VMOVUPD	Y2, (DX)
-	VADDPD	32(DX), Y3, Y3
+	VANDPD	32(DX), Y14, Y9
+	VADDPD	Y9, Y3, Y3
 	VMOVUPD	Y3, 32(DX)
 	ADDQ	R10, DX
-	VADDPD	(DX), Y4, Y4
+	VANDPD	(DX), Y14, Y9
+	VADDPD	Y9, Y4, Y4
 	VMOVUPD	Y4, (DX)
-	VADDPD	32(DX), Y5, Y5
+	VANDPD	32(DX), Y14, Y9
+	VADDPD	Y9, Y5, Y5
 	VMOVUPD	Y5, 32(DX)
 	ADDQ	R10, DX
-	VADDPD	(DX), Y6, Y6
+	VANDPD	(DX), Y14, Y9
+	VADDPD	Y9, Y6, Y6
 	VMOVUPD	Y6, (DX)
-	VADDPD	32(DX), Y7, Y7
+	VANDPD	32(DX), Y14, Y9
+	VADDPD	Y9, Y7, Y7
 	VMOVUPD	Y7, 32(DX)
 	VZEROUPPER
 	RET
 
-// func microAVX512x8x16(a, b, out *float64, kn, ldaB, ldkB, ldbB, ldoB uintptr)
+// func microAVX512x8x16(a, b, out *float64, kn, ldaB, ldkB, ldbB, ldoB, store uintptr)
 //
 // microAVX4x8 at ZMM width: an 8x16 block in sixteen accumulators (row r in
 // Z(2r), Z(2r+1)), two loads of b and one broadcast of a per row and step —
 // the same acc = fma(a, b, acc) per element, k ascending, and one add of
-// acc + 0 into out. Zeroed with VPXORQ: VXORPD on ZMM registers is AVX-512DQ, not F.
+// acc + 0 into out, or with store set acc + 0 stored: the add of out runs
+// under the opmask K2, all lanes or none, and a lane it skips reads nothing.
+// Zeroed with VPXORQ: VXORPD on ZMM registers is AVX-512DQ, not F.
 //
 // Registers: R8 a's row stride, R11/R12/R13 three, five and seven times it,
 // R14 a's k stride.
-TEXT ·microAVX512x8x16(SB), NOSPLIT, $0-64
+TEXT ·microAVX512x8x16(SB), NOSPLIT, $0-72
 	MOVQ	a+0(FP), BX
 	MOVQ	b+8(FP), CX
 	MOVQ	out+16(FP), DX
@@ -138,6 +154,9 @@ TEXT ·microAVX512x8x16(SB), NOSPLIT, $0-64
 	LEAQ	(R8)(R8*2), R11
 	LEAQ	(R8)(R8*4), R12
 	LEAQ	(R11)(R8*4), R13
+	MOVQ	store+64(FP), AX
+	DECQ	AX
+	KMOVW	AX, K2
 	VPXORQ	Z0, Z0, Z0
 	VPXORQ	Z1, Z1, Z1
 	VPXORQ	Z2, Z2, Z2
@@ -202,44 +221,44 @@ kloop512:
 	VADDPD	Z16, Z13, Z13
 	VADDPD	Z16, Z14, Z14
 	VADDPD	Z16, Z15, Z15
-	VADDPD	(DX), Z0, Z0
+	VADDPD	(DX), Z0, K2, Z0
 	VMOVUPD	Z0, (DX)
-	VADDPD	64(DX), Z1, Z1
+	VADDPD	64(DX), Z1, K2, Z1
 	VMOVUPD	Z1, 64(DX)
 	ADDQ	R10, DX
-	VADDPD	(DX), Z2, Z2
+	VADDPD	(DX), Z2, K2, Z2
 	VMOVUPD	Z2, (DX)
-	VADDPD	64(DX), Z3, Z3
+	VADDPD	64(DX), Z3, K2, Z3
 	VMOVUPD	Z3, 64(DX)
 	ADDQ	R10, DX
-	VADDPD	(DX), Z4, Z4
+	VADDPD	(DX), Z4, K2, Z4
 	VMOVUPD	Z4, (DX)
-	VADDPD	64(DX), Z5, Z5
+	VADDPD	64(DX), Z5, K2, Z5
 	VMOVUPD	Z5, 64(DX)
 	ADDQ	R10, DX
-	VADDPD	(DX), Z6, Z6
+	VADDPD	(DX), Z6, K2, Z6
 	VMOVUPD	Z6, (DX)
-	VADDPD	64(DX), Z7, Z7
+	VADDPD	64(DX), Z7, K2, Z7
 	VMOVUPD	Z7, 64(DX)
 	ADDQ	R10, DX
-	VADDPD	(DX), Z8, Z8
+	VADDPD	(DX), Z8, K2, Z8
 	VMOVUPD	Z8, (DX)
-	VADDPD	64(DX), Z9, Z9
+	VADDPD	64(DX), Z9, K2, Z9
 	VMOVUPD	Z9, 64(DX)
 	ADDQ	R10, DX
-	VADDPD	(DX), Z10, Z10
+	VADDPD	(DX), Z10, K2, Z10
 	VMOVUPD	Z10, (DX)
-	VADDPD	64(DX), Z11, Z11
+	VADDPD	64(DX), Z11, K2, Z11
 	VMOVUPD	Z11, 64(DX)
 	ADDQ	R10, DX
-	VADDPD	(DX), Z12, Z12
+	VADDPD	(DX), Z12, K2, Z12
 	VMOVUPD	Z12, (DX)
-	VADDPD	64(DX), Z13, Z13
+	VADDPD	64(DX), Z13, K2, Z13
 	VMOVUPD	Z13, 64(DX)
 	ADDQ	R10, DX
-	VADDPD	(DX), Z14, Z14
+	VADDPD	(DX), Z14, K2, Z14
 	VMOVUPD	Z14, (DX)
-	VADDPD	64(DX), Z15, Z15
+	VADDPD	64(DX), Z15, K2, Z15
 	VMOVUPD	Z15, 64(DX)
 	VZEROUPPER
 	RET
@@ -535,19 +554,20 @@ gdone:
 	VZEROUPPER
 	RET
 
-// func spmmRowsAVX(rowPtr, col *int, val *float64, rLo, rHi int, b, acc *float64, n int)
+// func spmmRowsAVX(rowPtr, col *int, val *float64, rLo, rHi int, b, acc *float64, n int, store bool)
 //
 // CSR x dense over rows [rLo, rHi) of the CSR operand (rowPtr, col, val): for
 // each row i and output column j, s = +0, then s += val[q] * b[col[q]][j]
 // (multiply, then add — not fused) over the row's stored positions in order,
-// and acc[i][j] += s once. Columns go sixteen at a time (Y0..Y3 hold the
-// strip's sums), then four (Y0), then one (lane 0): per element the
-// arithmetic of spmmRows's portable loops.
+// and acc[i][j] += s once — with store set, s + 0 stored and acc's values
+// not used: acc is ANDed with Y15, all ones or all zeros. Columns go sixteen
+// at a time (Y0..Y3 hold the strip's sums), then four (Y0), then one (lane
+// 0): per element the arithmetic of spmmRows's portable loops.
 //
 // Registers: R8 rowPtr, R9 col, R10 val, R11 i, R12 rHi, R13 b, R14 &acc[i][0],
 // DI row bytes, SI/CX row i's first and end position, AX position, BX strip
-// byte offset, DX &b[col[q]][0] (and scratch).
-TEXT ·spmmRowsAVX(SB), NOSPLIT, $0-64
+// byte offset, DX &b[col[q]][0] (and scratch), Y9 acc's values.
+TEXT ·spmmRowsAVX(SB), NOSPLIT, $0-65
 	MOVQ	rowPtr+0(FP), R8
 	MOVQ	col+8(FP), R9
 	MOVQ	val+16(FP), R10
@@ -556,6 +576,10 @@ TEXT ·spmmRowsAVX(SB), NOSPLIT, $0-64
 	MOVQ	b+40(FP), R13
 	MOVQ	acc+48(FP), R14
 	MOVQ	n+56(FP), DI
+	MOVBQZX	store+64(FP), AX
+	DECQ	AX
+	MOVQ	AX, X15
+	VPBROADCASTQ	X15, Y15
 	SHLQ	$3, DI
 	MOVQ	R11, AX
 	IMULQ	DI, AX
@@ -593,13 +617,17 @@ s16nz:
 s16check:
 	CMPQ	AX, CX
 	JLT	s16nz
-	VADDPD	(R14)(BX*1), Y0, Y0
+	VANDPD	(R14)(BX*1), Y15, Y9
+	VADDPD	Y9, Y0, Y0
 	VMOVUPD	Y0, (R14)(BX*1)
-	VADDPD	32(R14)(BX*1), Y1, Y1
+	VANDPD	32(R14)(BX*1), Y15, Y9
+	VADDPD	Y9, Y1, Y1
 	VMOVUPD	Y1, 32(R14)(BX*1)
-	VADDPD	64(R14)(BX*1), Y2, Y2
+	VANDPD	64(R14)(BX*1), Y15, Y9
+	VADDPD	Y9, Y2, Y2
 	VMOVUPD	Y2, 64(R14)(BX*1)
-	VADDPD	96(R14)(BX*1), Y3, Y3
+	VANDPD	96(R14)(BX*1), Y15, Y9
+	VADDPD	Y9, Y3, Y3
 	VMOVUPD	Y3, 96(R14)(BX*1)
 	ADDQ	$128, BX
 	JMP	s16
@@ -621,7 +649,8 @@ s4nz:
 s4check:
 	CMPQ	AX, CX
 	JLT	s4nz
-	VADDPD	(R14)(BX*1), Y0, Y0
+	VANDPD	(R14)(BX*1), Y15, Y9
+	VADDPD	Y9, Y0, Y0
 	VMOVUPD	Y0, (R14)(BX*1)
 	ADDQ	$32, BX
 	JMP	s4
@@ -642,7 +671,9 @@ s1nz:
 s1check:
 	CMPQ	AX, CX
 	JLT	s1nz
-	VADDSD	(R14)(BX*1), X0, X0
+	VMOVSD	(R14)(BX*1), X9
+	VANDPD	X15, X9, X9
+	VADDSD	X9, X0, X0
 	VMOVSD	X0, (R14)(BX*1)
 	ADDQ	$8, BX
 	JMP	s1
@@ -762,7 +793,7 @@ tdone:
 	VZEROUPPER
 	RET
 
-// func spmmRowsAVX512(rowPtr, col *int, val *float64, rLo, rHi int, b, acc *float64, n int)
+// func spmmRowsAVX512(rowPtr, col *int, val *float64, rLo, rHi int, b, acc *float64, n int, store bool)
 //
 // spmmRowsAVX at ZMM width: a row's stored positions are walked once per 64
 // output columns, whose sums stay in Z0..Z7; what is left of the row takes
@@ -770,11 +801,13 @@ tdone:
 // the opmask K1 — the masked loads read nothing past the row and the masked
 // store writes nothing past it. Per element the arithmetic of spmmRows:
 // s = +0, then s += val[q] * b[col[q]][j] (multiply, then add — not fused)
-// in stored order, and acc[i][j] += s once.
+// in stored order, and acc[i][j] += s once — with store set, s + 0 stored:
+// the add of acc runs under the opmask K2, all lanes or none, and a lane it
+// skips reads nothing.
 //
-// Registers: as spmmRowsAVX; K1 the tail's lanes, Z16 the broadcast value,
-// Z17..Z24 the products.
-TEXT ·spmmRowsAVX512(SB), NOSPLIT, $0-64
+// Registers: as spmmRowsAVX; K1 the tail's lanes, K3 those of them that read
+// acc, Z16 the broadcast value, Z17..Z24 the products.
+TEXT ·spmmRowsAVX512(SB), NOSPLIT, $0-65
 	MOVQ	rowPtr+0(FP), R8
 	MOVQ	col+8(FP), R9
 	MOVQ	val+16(FP), R10
@@ -789,6 +822,10 @@ TEXT ·spmmRowsAVX512(SB), NOSPLIT, $0-64
 	SHLL	CX, AX
 	DECL	AX
 	KMOVW	AX, K1
+	MOVBQZX	store+64(FP), AX
+	DECQ	AX
+	KMOVW	AX, K2
+	KANDW	K1, K2, K3
 	SHLQ	$3, DI
 	MOVQ	R11, AX
 	IMULQ	DI, AX
@@ -838,21 +875,21 @@ z64nz:
 z64check:
 	CMPQ	AX, CX
 	JLT	z64nz
-	VADDPD	(R14)(BX*1), Z0, Z0
+	VADDPD	(R14)(BX*1), Z0, K2, Z0
 	VMOVUPD	Z0, (R14)(BX*1)
-	VADDPD	64(R14)(BX*1), Z1, Z1
+	VADDPD	64(R14)(BX*1), Z1, K2, Z1
 	VMOVUPD	Z1, 64(R14)(BX*1)
-	VADDPD	128(R14)(BX*1), Z2, Z2
+	VADDPD	128(R14)(BX*1), Z2, K2, Z2
 	VMOVUPD	Z2, 128(R14)(BX*1)
-	VADDPD	192(R14)(BX*1), Z3, Z3
+	VADDPD	192(R14)(BX*1), Z3, K2, Z3
 	VMOVUPD	Z3, 192(R14)(BX*1)
-	VADDPD	256(R14)(BX*1), Z4, Z4
+	VADDPD	256(R14)(BX*1), Z4, K2, Z4
 	VMOVUPD	Z4, 256(R14)(BX*1)
-	VADDPD	320(R14)(BX*1), Z5, Z5
+	VADDPD	320(R14)(BX*1), Z5, K2, Z5
 	VMOVUPD	Z5, 320(R14)(BX*1)
-	VADDPD	384(R14)(BX*1), Z6, Z6
+	VADDPD	384(R14)(BX*1), Z6, K2, Z6
 	VMOVUPD	Z6, 384(R14)(BX*1)
-	VADDPD	448(R14)(BX*1), Z7, Z7
+	VADDPD	448(R14)(BX*1), Z7, K2, Z7
 	VMOVUPD	Z7, 448(R14)(BX*1)
 	ADDQ	$512, BX
 	JMP	z64
@@ -883,13 +920,13 @@ z32nz:
 z32check:
 	CMPQ	AX, CX
 	JLT	z32nz
-	VADDPD	(R14)(BX*1), Z0, Z0
+	VADDPD	(R14)(BX*1), Z0, K2, Z0
 	VMOVUPD	Z0, (R14)(BX*1)
-	VADDPD	64(R14)(BX*1), Z1, Z1
+	VADDPD	64(R14)(BX*1), Z1, K2, Z1
 	VMOVUPD	Z1, 64(R14)(BX*1)
-	VADDPD	128(R14)(BX*1), Z2, Z2
+	VADDPD	128(R14)(BX*1), Z2, K2, Z2
 	VMOVUPD	Z2, 128(R14)(BX*1)
-	VADDPD	192(R14)(BX*1), Z3, Z3
+	VADDPD	192(R14)(BX*1), Z3, K2, Z3
 	VMOVUPD	Z3, 192(R14)(BX*1)
 	ADDQ	$256, BX
 z16:
@@ -913,9 +950,9 @@ z16nz:
 z16check:
 	CMPQ	AX, CX
 	JLT	z16nz
-	VADDPD	(R14)(BX*1), Z0, Z0
+	VADDPD	(R14)(BX*1), Z0, K2, Z0
 	VMOVUPD	Z0, (R14)(BX*1)
-	VADDPD	64(R14)(BX*1), Z1, Z1
+	VADDPD	64(R14)(BX*1), Z1, K2, Z1
 	VMOVUPD	Z1, 64(R14)(BX*1)
 	ADDQ	$128, BX
 z8:
@@ -936,7 +973,7 @@ z8nz:
 z8check:
 	CMPQ	AX, CX
 	JLT	z8nz
-	VADDPD	(R14)(BX*1), Z0, Z0
+	VADDPD	(R14)(BX*1), Z0, K2, Z0
 	VMOVUPD	Z0, (R14)(BX*1)
 	ADDQ	$64, BX
 ztail:
@@ -957,7 +994,7 @@ ztailnz:
 ztailcheck:
 	CMPQ	AX, CX
 	JLT	ztailnz
-	VMOVUPD.Z	(R14)(BX*1), K1, Z17
+	VMOVUPD.Z	(R14)(BX*1), K3, Z17
 	VADDPD	Z17, Z0, Z0
 	VMOVUPD	Z0, K1, (R14)(BX*1)
 znext:

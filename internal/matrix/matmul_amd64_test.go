@@ -106,8 +106,10 @@ func TestAVXMatchesScalar(t *testing.T) {
 	// products of several k-tiles (summed aside, the accumulator holding
 	// values), the left operand as stored (NN) and read transposed through
 	// swapped strides (TN, against the product with the built transpose), in
-	// the three regimes of special values, into a pre-filled accumulator and
-	// into none.
+	// the three regimes of special values, into a pre-filled accumulator, into
+	// none, and stored into a NaN-filled block (MatMulInto), which must give
+	// the bits of adding onto a zeroed one: a cell added instead of stored
+	// reads NaN.
 	t.Run("gemm", func(t *testing.T) {
 		type shape struct {
 			m, k, n int
@@ -138,7 +140,7 @@ func TestAVXMatchesScalar(t *testing.T) {
 				pr := product{a: a, at: Transpose(a).(*Dense), b: b, acc: acc, want: acc.Clone().(*Dense), every: every}
 				portably(func() {
 					MatMulAccWith(nil, pr.want, a, b)
-					pr.wantFresh = MatMulAccWith(nil, nil, a, b)
+					pr.wantFresh = MatMulAccWith(nil, NewDense(sh.m, sh.n), a, b)
 				})
 				products = append(products, pr)
 			}
@@ -149,8 +151,10 @@ func TestAVXMatchesScalar(t *testing.T) {
 					nn, tn := pr.acc.Clone().(*Dense), pr.acc.Clone().(*Dense)
 					MatMulAccWith(nil, nn, pr.a, pr.b)
 					MatMulTNAccWith(nil, tn, pr.at, pr.b)
-					nnFresh, tnFresh := MatMulAccWith(nil, nil, pr.a, pr.b), MatMulTNAccWith(nil, nil, pr.at, pr.b)
-					for name, pair := range map[string][2]*Dense{"NN": {nn, pr.want}, "TN": {tn, pr.want}, "NN, no accumulator": {nnFresh, pr.wantFresh}, "TN, no accumulator": {tnFresh, pr.wantFresh}} {
+					nnFresh, tnFresh := MatMulAccWith(nil, nil, pr.a, pr.b), MatMulTNInto(nil, NewDense(pr.acc.Rows, pr.acc.Cols), pr.at, pr.b)
+					nnStored, tnStored := MatMulInto(nil, nanDense(pr.acc.Rows, pr.acc.Cols), pr.a, pr.b), MatMulTNInto(nil, nanDense(pr.acc.Rows, pr.acc.Cols), pr.at, pr.b)
+					for name, pair := range map[string][2]*Dense{"NN": {nn, pr.want}, "TN": {tn, pr.want}, "NN, no accumulator": {nnFresh, pr.wantFresh}, "TN, no accumulator": {tnFresh, pr.wantFresh},
+						"NN, stored": {nnStored, pr.wantFresh}, "TN, stored": {tnStored, pr.wantFresh}} {
 						if !sameFloats(pair[0].Data, pair[1].Data) {
 							t.Fatalf("%dx%dx%d, an odd value every %d, %s: differs from the portable kernel on built operands", pr.a.Rows, pr.a.Cols, pr.b.Cols, pr.every, name)
 						}
@@ -210,6 +214,16 @@ func TestAVXMatchesScalar(t *testing.T) {
 	})
 }
 
+// nanDense is a rows x cols block of NaN: an accumulator whose values a
+// kernel that stores must not read.
+func nanDense(rows, cols int) *Dense {
+	d := NewDense(rows, cols)
+	for i := range d.Data {
+		d.Data[i] = math.NaN()
+	}
+	return d
+}
+
 // TestSpMMFormsAgree holds the two sparse x dense row kernels to their
 // reference formulas, bit for bit: CSR x dense sums each output element from
 // +0 over the row's stored values in order (a rounded multiply, then an add)
@@ -218,7 +232,8 @@ func TestAVXMatchesScalar(t *testing.T) {
 // AVX-512 forms' 64-, 32-, 16- and 8-column strips and masked tails, of the
 // AVX2 forms' 16- and 4-column strips and single columns, and of the kernel
 // threads' 64-column splits — over random row counts with rows left empty,
-// acc given and absent, special values; the portable twin and each assembly
+// acc given, absent and stored into NaN (MatMulInto: +0 + s), special
+// values; the portable twin and each assembly
 // level the machine has, each run on a pool of 1, 2 and 3 kernel threads.
 func TestSpMMFormsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
@@ -275,9 +290,11 @@ func TestSpMMFormsAgree(t *testing.T) {
 				for threads, p := range pools {
 					got := MatMulAccWith(p, acc.Clone().(*Dense), x, y)
 					gotFresh := MatMulAccWith(p, nil, x, y)
+					gotStored := MatMulInto(p, nanDense(rows, n), x, y)
 					gotT := accT.Clone().(*Dense)
 					MatMulTransAccWith(p, gotT, a, x)
-					for name, pair := range map[string][2]*Dense{"csr x dense": {got, want}, "csr x dense, no accumulator": {gotFresh, wantFresh}, "dense x csr": {gotT, wantT}} {
+					for name, pair := range map[string][2]*Dense{"csr x dense": {got, want}, "csr x dense, no accumulator": {gotFresh, wantFresh},
+						"csr x dense, stored": {gotStored, wantFresh}, "dense x csr": {gotT, wantT}} {
 						if !sameFloats(pair[0].Data, pair[1].Data) {
 							t.Fatalf("%s, %s, %d threads, %dx%d (%d stored) and %d columns: differs from the reference formula",
 								name, lv.name, threads, rows, inner, x.NNZ(), n)
@@ -299,7 +316,10 @@ func TestSpMMFormsAgree(t *testing.T) {
 // 1e-300, +0) is -0) onto it as it is; the last arm makes every tile sum -0,
 // in every lane of the GEMM's 8x16, 4x8 and 4x4 strips and its edge rows and
 // columns. n = 85 crosses the row kernels' 64-, 16-, 4- and 1-column strips
-// (at AVX-512 a 5-column masked tail).
+// (at AVX-512 a 5-column masked tail). Each arm also stores its product into
+// a NaN-filled block (MatMulInto, MatMulTNInto), which must give +0 +
+// product element by element: a cell added instead of stored reads NaN, and
+// one whose sum rounded to -0 stored as it is reads -0.
 func TestSparseProductAddsOnce(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	const n = 85
@@ -357,9 +377,13 @@ func TestSparseProductAddsOnce(t *testing.T) {
 					acc := repeat(rows, pattern...)
 					prod := MatMulWith(nil, arm.a, arm.b)
 					check(arm.name, acc, prod, MatMulAccWith(nil, NewDenseData(rows, n, slices.Clone(acc)), arm.a, arm.b))
+					zero := make([]float64, rows*n)
+					check(arm.name+", stored", zero, prod, MatMulInto(nil, nanDense(rows, n), arm.a, arm.b))
 					if at, ok := arm.a.(*Dense); ok && !arm.b.IsSparse() {
 						check(arm.name+", left operand transposed", acc, prod,
 							MatMulTNAccWith(nil, NewDenseData(rows, n, slices.Clone(acc)), Transpose(at).(*Dense), arm.b.(*Dense)))
+						check(arm.name+", left operand transposed, stored", zero, prod,
+							MatMulTNInto(nil, nanDense(rows, n), Transpose(at).(*Dense), arm.b.(*Dense)))
 					}
 				}
 			})

@@ -53,9 +53,12 @@
 // Ownership: a block is immutable once it has been published — bound as an
 // input, emitted by a task, memoised, pinned or cached. No kernel writes into
 // an operand; the accumulate kernels (MatMulAccWith, MatMulTNAccWith, MatMulTransAccWith,
-// MaskedMatMulAccWith, MaskedMatMulGroupAccWith) write only into the
-// accumulators the caller passes,
-// which must be a buffer that caller allocated and has not published yet.
+// MaskedMatMulAccWith, MaskedMatMulGroupAccWith) and the storing ones
+// (MatMulInto, MatMulTNInto, TransposeInto) write only into the blocks the
+// caller passes, which must be a buffer that caller allocated and has not
+// published yet. A storing kernel never reads the values it overwrites, so a
+// block taken unzeroed from an Arena will do: the products store the first
+// term of each element's sum as s + 0, the bits of adding s onto +0.
 // Because nothing mutates a published block, ToDense and ToCSR return their
 // argument when it already has the requested representation, and a result
 // may share a pattern (RowPtr/Col) with the operand it was sampled from.
@@ -66,15 +69,17 @@
 // internal/ref is built on them — and one-step instances of Chain, which the
 // executor (internal/exec) uses to compile a whole run of operators without
 // the intermediates. A chain's expression has two forms that agree bit for
-// bit: strips — one call per operator per row, tight loops over the row (a
-// registered unary function brings its own strip form, UnaryFn) —
+// bit: strips — one call per operator per row, tight loops over the row
+// (strip.go, at AVX-512 width for + - * /; a registered unary function
+// brings its own strip form, UnaryFn) —
 // write a dense result over row-major operands; cells — one call per operator
 // per cell — serve the pattern walks of sparse steps and a dense result with
 // a CSR operand. The masked (outer-fusion) path is a MaskedChain: in-place
 // passes over the values buffer of the driver's pattern, one loop per
 // operator. A chain given an Owned accumulator stores into
 // it, so the block being written is an operand: every row is evaluated in
-// scratch and stored by the last loop, after all reads of it (see Owned).
+// scratch up to its last operator, whose loop stores each value after
+// reading that value's operands (see Owned).
 package matrix
 
 import (

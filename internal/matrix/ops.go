@@ -112,6 +112,11 @@ type Value struct {
 	row    rowFn
 	strips int  // scratch strips row needs
 	view   bool // row returns an operand's storage and never writes dst
+
+	// store, where the last operator has the form, is row i computed as row
+	// computes it and stored flushed into out by that operator's own loop:
+	// each value of out is written after its operands' values were read.
+	store func(i int, out, dst, scratch []float64)
 }
 
 // IsZero reports whether v is an all-zero block.
@@ -167,18 +172,21 @@ type Chain struct {
 	// Flops meters the steps: each costs its operator's flops per touched
 	// cell — every cell of a dense result, the stored values of a sparse one.
 	Flops int64
+	// Alloc, when set, gives the block a dense result is stored into where
+	// no Owned operand gives one; nil allocates a fresh block.
+	Alloc func(rows, cols int) *Dense
 	out   *Dense // an operand's buffer the dense result may be stored into
 }
 
 // Owned is Leaf for a dense block the caller allocated, has not published
-// and gives up: a dense result is stored into it. Row i of an operand is only
-// read to compute row i of the result, and the aliasing rule is that no
-// operand row is written while that row is being evaluated: Materialise
-// evaluates each row into scratch and writes the owned row once, in its last
-// loop, after every read of it — wherever in the expression the owned block
-// stands.
+// and gives up: a dense result is stored into the first such block. Row i of
+// an operand is only read to compute row i of the result, and the aliasing
+// rule is that no operand value is written before it was read: Materialise
+// evaluates each row into scratch up to its last operator, whose loop stores
+// each value of the owned row after reading that value's operands — wherever
+// in the expression the owned block stands.
 func (c *Chain) Owned(blk Mat) Value {
-	if d, ok := blk.(*Dense); ok && d.Rows == c.Rows && d.Cols == c.Cols {
+	if d, ok := blk.(*Dense); ok && c.out == nil && d.Rows == c.Rows && d.Cols == c.Cols {
 		c.out = d
 	}
 	return c.Leaf(blk)
@@ -211,10 +219,7 @@ func (c *Chain) Leaf(blk Mat) Value {
 			v.row = func(i int, _, _ []float64) []float64 { return d[i*ld : i*ld+k] }
 		} else { // a column vector or 1x1 block: one scalar per row
 			v.row = func(i int, dst, _ []float64) []float64 {
-				s := d[i*ld]
-				for j := range dst {
-					dst[j] = s
-				}
+				fill(dst, d[i*ld])
 				return dst
 			}
 		}
@@ -251,8 +256,10 @@ func (c *Chain) onPattern(s *CSR, flops int64, dropZeros bool, g func(v float64,
 }
 
 // apply compiles u(x). A zero-preserving u keeps a sparse pattern. The strip
-// form of a dense result is one call of u over the row.
-func (c *Chain) apply(u UnaryFn, flops int64, x Value, dropZeros bool) Value {
+// form of a dense result is one call of u over the row; last, when not nil,
+// is u's flushing form — last(out, src) stores flush(u(src[j])) into out[j] —
+// and the value's store.
+func (c *Chain) apply(u UnaryFn, flops int64, x Value, dropZeros bool, last func(out, src []float64)) Value {
 	f := u.F
 	s := x.sparse()
 	switch {
@@ -266,6 +273,9 @@ func (c *Chain) apply(u UnaryFn, flops int64, x Value, dropZeros bool) Value {
 				u.over(dst, xr(i, dst, scratch))
 				return dst
 			}
+			if last != nil {
+				v.store = func(i int, out, dst, scratch []float64) { last(out, xr(i, dst, scratch)) }
+			}
 		}
 		return v
 	case s == nil:
@@ -277,13 +287,15 @@ func (c *Chain) apply(u UnaryFn, flops int64, x Value, dropZeros bool) Value {
 // Unary compiles u(x) at flops per touched cell. A sparse x under a
 // zero-preserving u keeps its pattern, explicit zeros included.
 func (c *Chain) Unary(u UnaryFn, flops int64, x Value) Value {
-	return c.apply(u, flops, x, false)
+	return c.apply(u, flops, x, false, nil)
 }
 
 // Scalar compiles op(x, s), or op(s, x) when left. A sparse x under a
-// zero-preserving operation keeps its pattern, minus zero results.
+// zero-preserving operation keeps its pattern, minus zero results. The strip
+// form is combineScalar's loop.
 func (c *Chain) Scalar(op BinOp, x Value, s float64, left bool) Value {
-	return c.apply(UnaryFn{F: ScalarFn(op, s, left)}, op.Flops(), x, true)
+	u := UnaryFn{F: ScalarFn(op, s, left), Strip: func(dst, src []float64) { combineScalar(op, dst, src, s, left, false) }}
+	return c.apply(u, op.Flops(), x, true, func(out, src []float64) { combineScalar(op, out, src, s, left, true) })
 }
 
 // ScalarFn returns x -> op(x, s), or x -> op(s, x) when left.
@@ -319,7 +331,7 @@ func (c *Chain) Binary(op BinOp, a, b Value) Value {
 	case zb && (op == Add || op == Sub):
 		return full(a)
 	case za && op == Sub:
-		return c.apply(UnaryFn{F: func(x float64) float64 { return x * -1 }}, 1, full(b), true)
+		return c.apply(UnaryFn{F: func(x float64) float64 { return x * -1 }}, 1, full(b), true, nil)
 	case a.vector || b.vector: // broadcasting always yields a dense block
 	case op == Mul && sa != nil:
 		return c.onPattern(sa, flops, true, func(v float64, i, j, p int) float64 { return v * bc(i, j, p) })
@@ -344,7 +356,8 @@ func (c *Chain) Binary(op BinOp, a, b Value) Value {
 // binaryStrip compiles the strip form of a dense op(a, b): a's row is
 // evaluated into the destination, b's into a scratch strip — or into the
 // destination too, where either left it alone by handing out its own row —
-// and one loop combines them.
+// and one loop combines them, into the destination (row) or, flushed, into
+// the stored row (store).
 func (c *Chain) binaryStrip(op BinOp, a, b Value) Value {
 	if a.row == nil || b.row == nil {
 		return Value{}
@@ -355,46 +368,23 @@ func (c *Chain) binaryStrip(op BinOp, a, b Value) Value {
 	if !bInDst {
 		v.strips = max(a.strips, b.strips+1)
 	}
-	v.row = func(i int, dst, scratch []float64) []float64 {
-		x := ar(i, dst, scratch)
+	operands := func(i int, dst, scratch []float64) (x, y []float64) {
+		x = ar(i, dst, scratch)
 		if bInDst {
-			combine(op, dst, x, br(i, dst, scratch))
-		} else {
-			combine(op, dst, x, br(i, scratch[:len(dst)], scratch[len(dst):]))
+			return x, br(i, dst, scratch)
 		}
+		return x, br(i, scratch[:len(dst)], scratch[len(dst):])
+	}
+	v.row = func(i int, dst, scratch []float64) []float64 {
+		x, y := operands(i, dst, scratch)
+		combine(op, dst, x, y, false)
 		return dst
 	}
-	return v
-}
-
-// combine stores op(x[j], y[j]) into dst[j]; dst may be x or y. The four
-// arithmetic operators, which every benchmarked chain is made of, get a loop
-// without a call; their semantics are still binOpFuncs'.
-func combine(op BinOp, dst, x, y []float64) {
-	x, y = x[:len(dst)], y[:len(dst)]
-	switch op {
-	case Add:
-		for j := range dst {
-			dst[j] = x[j] + y[j]
-		}
-	case Sub:
-		for j := range dst {
-			dst[j] = x[j] - y[j]
-		}
-	case Mul:
-		for j := range dst {
-			dst[j] = x[j] * y[j]
-		}
-	case Div:
-		for j := range dst {
-			dst[j] = x[j] / y[j]
-		}
-	default:
-		f := binOpFuncs[op]
-		for j := range dst {
-			dst[j] = f(x[j], y[j])
-		}
+	v.store = func(i int, out, dst, scratch []float64) {
+		x, y := operands(i, dst, scratch)
+		combine(op, out, x, y, true)
 	}
+	return v
 }
 
 func addSubSparse(op BinOp, a, b *CSR) *CSR {
@@ -465,10 +455,13 @@ func getStrips(n int) *[]float64 {
 
 // Materialise applies x once, into one output block, rows split across p's
 // kernel threads: strip by strip where x has that form, cell by cell
-// otherwise. Either way a row is evaluated into scratch and stored by one
-// flushing loop, so an Owned output is only written after it was read. A zero
-// value is a nil block; a block that already exists (an operand that came
-// through unchanged, a sparse result) is returned.
+// otherwise. A row is evaluated into scratch up to its last operator, which
+// stores it flushed into the output row (Value.store) — or, where that
+// operator has no such form, one flushing copy does — so an Owned output's
+// value is only written after it was read. Without an Owned output the block
+// is c.Alloc's, or fresh. A zero value is a nil block; a block that already
+// exists (an operand that came through unchanged, a sparse result) is
+// returned.
 func (c *Chain) Materialise(p *parallel.Pool, x Value) Mat {
 	switch {
 	case x.IsZero():
@@ -477,17 +470,25 @@ func (c *Chain) Materialise(p *parallel.Pool, x Value) Mat {
 		return x.blk
 	}
 	out := c.out
-	if out == nil {
+	switch {
+	case out != nil:
+	case c.Alloc != nil:
+		out = c.Alloc(c.Rows, c.Cols)
+	default:
 		out = NewDense(c.Rows, c.Cols)
 	}
-	row := x.row
-	if row == nil { // one call per cell
-		row = func(i int, dst, _ []float64) []float64 {
-			for j := range dst {
-				dst[j] = x.cell(i, j, -1)
+	store := x.store
+	if store == nil {
+		row := x.row
+		if row == nil { // one call per cell
+			row = func(i int, dst, _ []float64) []float64 {
+				for j := range dst {
+					dst[j] = x.cell(i, j, -1)
+				}
+				return dst
 			}
-			return dst
 		}
+		store = func(i int, out, dst, scratch []float64) { flushStrip(out, row(i, dst, scratch)) }
 	}
 	need := (x.strips + 1) * c.Cols
 	p.For(c.Rows, 1+chainGrain/(c.Cols+1), func(lo, hi int) {
@@ -495,10 +496,7 @@ func (c *Chain) Materialise(p *parallel.Pool, x Value) Mat {
 		defer stripPool.Put(buf)
 		dst, scratch := (*buf)[:c.Cols], (*buf)[c.Cols:need]
 		for i := lo; i < hi; i++ {
-			stored := out.Row(i)
-			for j, v := range row(i, dst, scratch)[:len(stored)] {
-				stored[j] = flush(v)
-			}
+			store(i, out.Row(i), dst, scratch)
 		}
 	})
 	return out
@@ -585,24 +583,20 @@ func (m *MaskedChain) Run(p *parallel.Pool, mask *CSR, vals []float64) {
 			case passUnary:
 				ps.u.over(run, run)
 			case passScalar:
-				combineScalar(ps.op, run, ps.s, ps.left)
+				combineScalar(ps.op, run, run, ps.s, ps.left, false)
 			case passBlock:
 				gather(other, ps.blk, mask, lo, hi)
 				if ps.left {
-					combine(ps.op, run, other, run)
+					combine(ps.op, run, other, run, false)
 				} else {
-					combine(ps.op, run, run, other)
+					combine(ps.op, run, run, other, false)
 				}
 			case passSample:
 				gather(run, ps.blk, mask, lo, hi)
-				for q, v := range run {
-					run[q] = flush(v)
-				}
+				flushStrip(run, run)
 			}
 		}
-		for q, v := range mask.Val[qLo:qHi] {
-			run[q] = flush(run[q] * v)
-		}
+		combine(Mul, run, run, mask.Val[qLo:qHi], true)
 	})
 }
 
@@ -633,43 +627,6 @@ func gather(dst []float64, blk Mat, mask *CSR, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		for q := mask.RowPtr[i]; q < mask.RowPtr[i+1]; q++ {
 			dst[q-base] = cell(i, mask.Col[q], q)
-		}
-	}
-}
-
-// combineScalar stores op(x[j], s), or op(s, x[j]) when left, into x[j]: the
-// scalar form of combine, with the same four operators spelled out and
-// ScalarFn behind the rest.
-func combineScalar(op BinOp, x []float64, s float64, left bool) {
-	switch {
-	case op == Add:
-		for j := range x {
-			x[j] += s
-		}
-	case op == Mul:
-		for j := range x {
-			x[j] *= s
-		}
-	case op == Sub && !left:
-		for j := range x {
-			x[j] -= s
-		}
-	case op == Sub:
-		for j := range x {
-			x[j] = s - x[j]
-		}
-	case op == Div && !left:
-		for j := range x {
-			x[j] /= s
-		}
-	case op == Div:
-		for j := range x {
-			x[j] = s / x[j]
-		}
-	default:
-		f := ScalarFn(op, s, left)
-		for j := range x {
-			x[j] = f(x[j])
 		}
 	}
 }
