@@ -61,8 +61,8 @@ build:
 ## rather than in a single tier-1 run. Every alternative of DAGTESTS must
 ## name a test of DAGPKGS: one that matches none fails the target before
 ## anything runs, so a renamed test cannot drop out of the rerun unnoticed
-DAGTESTS = Executor|GoldenStageLists|HitDispatches|ConformanceJournal|ConformanceBlockCache|FlightPeakMem|PipelineDiffGNMF|RemoteCache|RemoteGNMFCache|BlockCacheMatchesSim|MultiAggBlockCache|Visibility|Scopes|Overlapping|SharesNodeLanes|QueryLogParts|OwnTaskSamples|TraceShapeUnchanged|OfflineTraceEqualsLive|JournalCarriesLayerMetrics|TraceCoversEveryQuery|MatrixNNZMatchesScan|ReboundOutputDensityExact|TaskArenaNeverEscapes|ShareOneSlowdownHistory|SDDMMGroupMatchesPortable|SuperTileOrderKeepsBits|StripKernelsMatchPortable
-DAGPKGS = . ./internal/core ./internal/exec ./internal/rt/... ./internal/blockcache ./internal/obs ./internal/sched ./internal/plancache ./internal/block ./internal/matrix
+DAGTESTS = Executor|GoldenStageLists|HitDispatches|ConformanceJournal|ConformanceBlockCache|FlightPeakMem|PipelineDiffGNMF|RemoteCache|RemoteGNMFCache|BlockCacheMatchesSim|MultiAggBlockCache|Visibility|Scopes|Overlapping|SharesNodeLanes|QueryLogParts|OwnTaskSamples|TraceShapeUnchanged|OfflineTraceEqualsLive|JournalCarriesLayerMetrics|TraceCoversEveryQuery|MatrixNNZMatchesScan|ReboundOutputDensityExact|TaskArenaNeverEscapes|ShareOneSlowdownHistory|SDDMMGroupMatchesPortable|SuperTileOrderKeepsBits|StripKernelsMatchPortable|QueriesListEachQueryOnce
+DAGPKGS = . ./internal/core ./internal/exec ./internal/rt/... ./internal/blockcache ./internal/obs ./internal/sched ./internal/plancache ./internal/block ./internal/matrix ./internal/serve
 race:
 	@listed="$$($(GO) test -list '$(DAGTESTS)' $(DAGPKGS))" || { echo "$$listed"; exit 1; }; \
 	for alt in $$(echo '$(DAGTESTS)' | tr '|' ' '); do \

@@ -173,10 +173,14 @@ func render(w io.Writer, d dashboard) {
 	for _, q := range d.Queries.Live {
 		renderQuery(w, q)
 	}
-	for _, q := range d.Queries.Recent {
+	for _, q := range d.Queries.Recent[:min(len(d.Queries.Recent), maxRecentRows)] {
 		renderQuery(w, q)
 	}
 }
+
+// maxRecentRows bounds the ended queries a frame shows: /v1/queries lists
+// every query the server's journal ring still holds, hundreds of them.
+const maxRecentRows = 64
 
 // renderQuery writes one query row.
 func renderQuery(w io.Writer, q serve.QueryRecord) {

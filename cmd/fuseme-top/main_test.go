@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -92,5 +93,29 @@ func TestFmtSeconds(t *testing.T) {
 		if got := fmtSeconds(in); got != want {
 			t.Errorf("fmtSeconds(%g) = %q, want %q", in, got, want)
 		}
+	}
+}
+
+// TestRenderBoundsRecentQueries: a frame shows every live query and the
+// maxRecentRows most recently ended ones, however many the server lists.
+func TestRenderBoundsRecentQueries(t *testing.T) {
+	var d dashboard
+	d.Queries.Live = []serve.QueryRecord{{ID: "q-000300", State: "running"}}
+	for i := 299; i > 0; i-- {
+		d.Queries.Recent = append(d.Queries.Recent, serve.QueryRecord{ID: fmt.Sprintf("q-%06d", i), State: "done"})
+	}
+	var out strings.Builder
+	render(&out, d)
+	frame := out.String()
+	if rows := strings.Count(frame, "\nq-"); rows != 1+maxRecentRows {
+		t.Errorf("frame shows %d query rows, want %d", rows, 1+maxRecentRows)
+	}
+	for _, want := range []string{"q-000300", "q-000299", fmt.Sprintf("q-%06d", 300-maxRecentRows)} {
+		if !strings.Contains(frame, want) {
+			t.Errorf("frame lacks %s", want)
+		}
+	}
+	if strings.Contains(frame, fmt.Sprintf("q-%06d", 299-maxRecentRows)) {
+		t.Errorf("frame shows a query older than the %d most recent", maxRecentRows)
 	}
 }

@@ -176,76 +176,12 @@ var (
 	ErrTimeout = cluster.ErrTimeout
 )
 
-// Stats summarises one query execution.
-type Stats struct {
-	ConsolidationBytes int64   // input blocks moved to tasks
-	AggregationBytes   int64   // partial results shuffled
-	ExtraWireBytes     int64   // TCP runtime traffic with no simulated counterpart
-	Flops              int64   // floating-point operations executed
-	Stages             int     // distributed stages launched
-	Tasks              int     // tasks launched
-	SimSeconds         float64 // simulated elapsed time (paper's Eq. 2)
-	WallSeconds        float64 // real wall-clock time of local execution
-	PeakTaskMemBytes   int64   // per-task memory high-water mark
-	MaxTaskFlops       int64   // heaviest single task's flops (load balance)
-
-	// Block-cache counters (zero unless WithBlockCache / FUSEME_CACHE_BYTES
-	// enabled the worker-resident cache for loop-invariant inputs).
-	CacheHits       int64 // block fetches served from a worker cache
-	CacheMisses     int64 // cacheable fetches that had to ship
-	CacheEvictions  int64 // blocks dropped to respect the byte budget
-	CacheSavedBytes int64 // wire bytes avoided by cache hits
-
-	// Dispatch counters. Steals are counted on both runtimes (one stage
-	// driver queues every stage); the seconds are TCP-runtime measurements,
-	// zero under simulation.
-	StealTasks   int64   // tasks an idle lane stole from a node whose lanes were all busy
-	FetchSeconds float64 // wire wait inside task bodies
-	TaskSeconds  float64 // total task wall time on workers
-
-	// The TCP coordinator's side of the wire, zero under simulation.
-	FetchCalls        int64   // block requests served to workers
-	FetchServeSeconds float64 // spent resolving them
-	CollectSeconds    float64 // spent taking task results in
-}
-
-// TotalCommBytes is consolidation plus aggregation traffic — the
-// "communication cost" of the paper's figures.
-func (s Stats) TotalCommBytes() int64 { return s.ConsolidationBytes + s.AggregationBytes }
-
-// String renders a one-line summary.
-func (s Stats) String() string {
-	return fmt.Sprintf("comm=%s flops=%d stages=%d tasks=%d simTime=%.3fs wall=%.3fs peakTaskMem=%s",
-		cluster.FormatBytes(s.TotalCommBytes()), s.Flops, s.Stages, s.Tasks,
-		s.SimSeconds, s.WallSeconds, cluster.FormatBytes(s.PeakTaskMemBytes))
-}
-
-// statsFrom is the public view of the runtime's stats: every field of
-// cluster.Stats but PrefetchSeconds, which nothing sets.
-func statsFrom(c cluster.Stats) Stats {
-	return Stats{
-		ConsolidationBytes: c.ConsolidationBytes,
-		AggregationBytes:   c.AggregationBytes,
-		ExtraWireBytes:     c.ExtraWireBytes,
-		Flops:              c.Flops,
-		Stages:             c.Stages,
-		Tasks:              c.Tasks,
-		SimSeconds:         c.SimSeconds,
-		WallSeconds:        c.WallSeconds,
-		PeakTaskMemBytes:   c.PeakTaskMemBytes,
-		MaxTaskFlops:       c.MaxTaskFlops,
-		CacheHits:          c.CacheHits,
-		CacheMisses:        c.CacheMisses,
-		CacheEvictions:     c.CacheEvictions,
-		CacheSavedBytes:    c.CacheSavedBytes,
-		StealTasks:         c.StealTasks,
-		FetchSeconds:       c.FetchSeconds,
-		TaskSeconds:        c.TaskSeconds,
-		FetchCalls:         c.FetchCalls,
-		FetchServeSeconds:  c.FetchServeSeconds,
-		CollectSeconds:     c.CollectSeconds,
-	}
-}
+// Stats summarises one query execution. It is the runtime's own record,
+// cluster.Stats, so a query's stats carry the same fields, and encode to the
+// same JSON keys, as a stage's flight record and /debug/stats.
+// PrefetchSeconds is always zero: nothing prefetches across tasks, and the
+// field stays only until the benchmark stops reading it.
+type Stats = cluster.Stats
 
 // Matrix is a blocked matrix bound to a session.
 type Matrix struct {
@@ -697,7 +633,7 @@ func (s *Session) Query(script string) (map[string]*Matrix, error) {
 	}
 	cq.rtm.ResetStats()
 	out, err := core.ExecuteObs(cq.pp, cq.rtm, needed, s.obs)
-	s.last = statsFrom(cq.rtm.Stats())
+	s.last = cq.rtm.Stats()
 	if err != nil {
 		return fail(err)
 	}
@@ -761,7 +697,7 @@ func (s *Session) Simulate(script string, shapes map[string]Shape) (Stats, error
 		return Stats{}, err
 	}
 	st, err := core.Simulate(pp, s.cc)
-	return statsFrom(st), err
+	return st, err
 }
 
 // Shape declares an input for Simulate.

@@ -81,8 +81,9 @@ func isInputTranspose(n *dag.Node) bool {
 
 // ExplorationPhase is Algorithm 2: starting from each matrix multiplication,
 // grow a candidate plan through adjacent non-termination operators; a
-// termination operator may join only as the plan's top. Aggregations always
-// cap a plan (the executor evaluates them as plan roots).
+// termination operator may join only as the plan's top, and a multiplication
+// that is one is its own plan's top. Aggregations always cap a plan (the
+// executor evaluates them as plan roots).
 func ExplorationPhase(g *dag.Graph, rule fusion.TermRule) []*fusion.Plan {
 	reach := g.ReachableFromOutputs()
 	inWorkload := map[int]bool{}
@@ -104,7 +105,7 @@ func ExplorationPhase(g *dag.Graph, rule fusion.TermRule) []*fusion.Plan {
 		}
 		members := map[int]*dag.Node{vm.ID: vm}
 		inWorkload[vm.ID] = false
-		top := false
+		top := rule.IsTermination(vm)
 		rejected := map[int]bool{}
 
 		for {

@@ -179,11 +179,12 @@ type Stats struct {
 	// than its home (sched.Run counts them on both runtimes). The seconds
 	// counters, measured by the TCP runtime and zero under simulation,
 	// decompose task time: FetchSeconds is wire-wait inside task bodies,
-	// TaskSeconds total task wall time. PrefetchSeconds is always zero —
-	// nothing prefetches across tasks; the field stays only because bench/
-	// reads it.
-	StealTasks      int64   `json:"steal_tasks,omitempty"`
-	FetchSeconds    float64 `json:"fetch_seconds,omitempty"`
+	// TaskSeconds total task wall time.
+	StealTasks   int64   `json:"steal_tasks,omitempty"`
+	FetchSeconds float64 `json:"fetch_seconds,omitempty"`
+	// PrefetchSeconds is always zero: nothing prefetches across tasks. The
+	// field stays only because the benchmark (bench/) reads it; the
+	// benchmark's re-pin deletes both.
 	PrefetchSeconds float64 `json:"prefetch_seconds,omitempty"`
 	TaskSeconds     float64 `json:"task_seconds,omitempty"`
 
@@ -196,8 +197,16 @@ type Stats struct {
 	CollectSeconds    float64 `json:"collect_seconds,omitempty"`
 }
 
-// TotalCommBytes is consolidation plus aggregation traffic.
+// TotalCommBytes is consolidation plus aggregation traffic — the
+// "communication cost" of the paper's figures.
 func (s Stats) TotalCommBytes() int64 { return s.ConsolidationBytes + s.AggregationBytes }
+
+// String renders a one-line summary.
+func (s Stats) String() string {
+	return fmt.Sprintf("comm=%s flops=%d stages=%d tasks=%d simTime=%.3fs wall=%.3fs peakTaskMem=%s",
+		FormatBytes(s.TotalCommBytes()), s.Flops, s.Stages, s.Tasks,
+		s.SimSeconds, s.WallSeconds, FormatBytes(s.PeakTaskMemBytes))
+}
 
 // Add accumulates other into s.
 func (s *Stats) Add(other Stats) {

@@ -10,6 +10,7 @@ import (
 	"fuseme/internal/cluster"
 	"fuseme/internal/core"
 	"fuseme/internal/dag"
+	"fuseme/internal/lang"
 	"fuseme/internal/matrix"
 	"fuseme/internal/ref"
 	"fuseme/internal/workloads"
@@ -156,6 +157,48 @@ func TestAllEnginesMatchReference(t *testing.T) {
 					if !matrix.EqualApprox(g.ToMat(), w, 1e-8) {
 						t.Errorf("%s/%s/bs=%d: output %q differs from reference", tc.name, e.Name(), bs, name)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestOutputReadInsideAggregation: a named output that another statement
+// also computes, here P = U %*% V read again under s's sum, is a
+// termination operator, so FuseME's exploration phase must not grow the
+// plan it seeds upward past it. The plan that absorbed it materialised only
+// s, and Execute failed with "output P was never materialised". Every
+// engine's two outputs match the reference to 1e-9.
+func TestOutputReadInsideAggregation(t *testing.T) {
+	g := mustParse("P = U %*% V\ns = sum((U %*% V2) * W + U %*% V)", map[string]lang.InputDecl{
+		"U": {Rows: 40, Cols: 10, Sparsity: 1}, "V": {Rows: 10, Cols: 36, Sparsity: 1},
+		"V2": {Rows: 10, Cols: 36, Sparsity: 1}, "W": {Rows: 40, Cols: 36, Sparsity: 1},
+	})
+	flats := map[string]matrix.Mat{
+		"U":  matrix.RandomDense(40, 10, -1, 1, 1),
+		"V":  matrix.RandomDense(10, 36, -1, 1, 2),
+		"V2": matrix.RandomDense(10, 36, -1, 1, 3),
+		"W":  matrix.RandomDense(40, 36, -1, 1, 4),
+	}
+	want, err := ref.Evaluate(g, flats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != 2 {
+		t.Fatalf("reference has %d outputs, want P and s", len(want))
+	}
+	engines := []core.Engine{core.FuseME{}, core.FuseME{Balanced: true}, core.FuseME{NoMask: true},
+		core.SystemDSSim{}, core.DistMESim{}, core.MatFastSim{}, core.TensorFlowSim{}}
+	for _, bs := range []int{5, 8} {
+		for _, e := range engines {
+			got, _, err := core.Run(e, g, testCluster(bs), blockInputs(flats, bs))
+			if err != nil {
+				t.Errorf("%s/bs=%d: %v", e.Name(), bs, err)
+				continue
+			}
+			for name, w := range want {
+				if m, ok := got[name]; !ok || !matrix.EqualApprox(m.ToMat(), w, 1e-9) {
+					t.Errorf("%s/bs=%d: output %q missing or differs from the reference", e.Name(), bs, name)
 				}
 			}
 		}

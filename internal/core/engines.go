@@ -369,8 +369,3 @@ func multiAggEstimates(plans []*fusion.Plan, cc cluster.Config) (netBytes, memPe
 	memPerTask = inBytes/parts + 1
 	return netBytes, memPerTask
 }
-
-// Engines returns the full comparison roster in the paper's order.
-func Engines() []Engine {
-	return []Engine{MatFastSim{}, SystemDSSim{}, DistMESim{}, FuseME{}}
-}

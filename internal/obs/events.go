@@ -40,8 +40,11 @@ type Event struct {
 	UnixNano int64     `json:"t_unix_nano,omitempty"`
 	Tenant   string    `json:"tenant,omitempty"`
 
-	// Admission (received/queued/admitted).
-	Cause string `json:"cause,omitempty"` // what a queued submission waits on
+	// Admission (received/queued/admitted). A received event carries the
+	// script's first 200 bytes and the memory demand admission reserves.
+	Cause    string `json:"cause,omitempty"` // what a queued submission waits on
+	Script   string `json:"script,omitempty"`
+	MemBytes int64  `json:"mem_bytes,omitempty"`
 
 	// Planning (planned).
 	Engine         string  `json:"engine,omitempty"`
@@ -132,6 +135,17 @@ func (j *Journal) append(e Event) {
 
 // Events returns the retained events of one query, in sequence order.
 func (j *Journal) Events(query string) []Event {
+	return j.retained(func(e *Event) bool { return e.Query == query })
+}
+
+// Retained returns every event the ring holds, oldest first; each query's
+// events are in sequence order.
+func (j *Journal) Retained() []Event {
+	return j.retained(func(*Event) bool { return true })
+}
+
+// retained returns the held events keep accepts, oldest first.
+func (j *Journal) retained(keep func(*Event) bool) []Event {
 	if j == nil {
 		return nil
 	}
@@ -140,8 +154,8 @@ func (j *Journal) Events(query string) []Event {
 	var out []Event
 	for i := range j.ring {
 		// Oldest first: a full ring starts at the write cursor.
-		if e := j.ring[(j.next+i)%len(j.ring)]; e.Query == query {
-			out = append(out, e)
+		if e := &j.ring[(j.next+i)%len(j.ring)]; keep(e) {
+			out = append(out, *e)
 		}
 	}
 	return out

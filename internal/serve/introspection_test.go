@@ -179,7 +179,7 @@ func TestQueriesEndpointErrors(t *testing.T) {
 
 // TestStatusUnderConcurrentQueries hammers /v1/status and /v1/queries while
 // a batch of concurrent queries runs, checking the introspection endpoints
-// stay consistent (every submission eventually lands in the registry with a
+// stay consistent (every submission eventually is listed with a
 // terminal state and a coherent event log).
 func TestStatusUnderConcurrentQueries(t *testing.T) {
 	srv, err := serve.New(serve.Config{
@@ -356,5 +356,164 @@ func TestServeRejectsUnknownEngine(t *testing.T) {
 	}
 	if _, err := serve.New(serve.Config{Cluster: testClusterConfig(), Engine: fuseme.EngineSystemDS}); err != nil {
 		t.Errorf("serve.New with engine %q: %v", fuseme.EngineSystemDS, err)
+	}
+}
+
+// TestQueryReplyStatsKeys: a /v1/query reply's stats object is the runtime's
+// cluster.Stats, so the same query on a session that serves /debug/stats
+// reads the same counters under the same keys.
+func TestQueryReplyStatsKeys(t *testing.T) {
+	srv, err := serve.New(serve.Config{Cluster: testClusterConfig(), Sessions: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	specs, local := nmfInputs(1)
+	code, _, raw := postQuery(t, ts.URL, "", serve.QueryRequest{Script: nmfScript, Inputs: specs, OmitValues: true})
+	if code != http.StatusOK {
+		t.Fatalf("query: status %d: %s", code, raw)
+	}
+	var reply struct {
+		Stats map[string]any `json:"stats"`
+	}
+	if err := json.Unmarshal(raw, &reply); err != nil {
+		t.Fatal(err)
+	}
+
+	sess, err := fuseme.NewSession(testClusterConfig(), fuseme.WithMetricsAddr("127.0.0.1:0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	for name, m := range local {
+		sess.Bind(name, m)
+	}
+	if _, err := sess.Query(nmfScript); err != nil {
+		t.Fatal(err)
+	}
+	var debug struct {
+		Stats map[string]any `json:"stats"`
+	}
+	if code := getJSON(t, "http://"+sess.MetricsAddr()+"/debug/stats", &debug); code != http.StatusOK {
+		t.Fatalf("/debug/stats: status %d", code)
+	}
+
+	if reply.Stats["flops"] == nil || reply.Stats["tasks"] == nil {
+		t.Fatalf("reply stats %v lack flops or tasks", reply.Stats)
+	}
+	// The counters one plan fixes read equal; how many tasks a lane stole
+	// and the wall times depend on the run.
+	for _, key := range []string{"consolidation_bytes", "aggregation_bytes", "flops", "stages", "tasks",
+		"sim_seconds", "peak_task_mem_bytes", "max_task_flops"} {
+		if reply.Stats[key] != debug.Stats[key] {
+			t.Errorf("%s: reply %v, /debug/stats %v", key, reply.Stats[key], debug.Stats[key])
+		}
+	}
+	for key := range reply.Stats {
+		if _, ok := debug.Stats[key]; !ok && key != "steal_tasks" {
+			t.Errorf("the reply's stats have %q, /debug/stats has no such key: %v", key, debug.Stats)
+		}
+	}
+}
+
+// TestQueriesListEachQueryOnce: eight clients each submit a query that
+// succeeds, one that fails and one that admission rejects, while a poller
+// reads GET /v1/queries. Every snapshot lists each query at most once, and
+// the last lists all of them exactly once, each in its terminal state.
+func TestQueriesListEachQueryOnce(t *testing.T) {
+	srv, err := serve.New(serve.Config{Cluster: testClusterConfig(), Sessions: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	const clients = 8
+	specs, _ := nmfInputs(1)
+	kinds := []struct {
+		req   serve.QueryRequest
+		code  int
+		state string
+	}{
+		{serve.QueryRequest{Script: nmfScript, Inputs: specs, OmitValues: true}, http.StatusOK, "done"},
+		{serve.QueryRequest{Script: "O = X %*% Q", Inputs: specs, OmitValues: true}, http.StatusUnprocessableEntity, "failed"},
+		{serve.QueryRequest{Script: nmfScript, Inputs: specs, MemBytes: 1 << 62, OmitValues: true}, http.StatusRequestEntityTooLarge, "rejected"},
+	}
+	listOnce := func() (serve.QueryList, error) {
+		var list serve.QueryList
+		if code := getJSON(t, ts.URL+"/v1/queries", &list); code != http.StatusOK {
+			return list, fmt.Errorf("/v1/queries: status %d", code)
+		}
+		seen := map[string]bool{}
+		for _, q := range append(list.Live, list.Recent...) {
+			if seen[q.ID] {
+				return list, fmt.Errorf("query %s listed twice", q.ID)
+			}
+			seen[q.ID] = true
+		}
+		return list, nil
+	}
+
+	errs := make(chan error, clients*len(kinds)+1)
+	poll := make(chan struct{})
+	polled := make(chan struct{})
+	go func() {
+		defer close(polled)
+		for {
+			select {
+			case <-poll:
+				return
+			default:
+			}
+			if _, err := listOnce(); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for c := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range kinds {
+				kind := kinds[(c+k)%len(kinds)]
+				if code, _, raw := postQuery(t, ts.URL, "", kind.req); code != kind.code {
+					errs <- fmt.Errorf("client %d, %s query: status %d, want %d: %s", c, kind.state, code, kind.code, raw)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(poll)
+	<-polled
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+
+	list, err := listOnce()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Live) != 0 || len(list.Recent) != clients*len(kinds) {
+		t.Fatalf("%d live and %d recent queries, want 0 and %d", len(list.Live), len(list.Recent), clients*len(kinds))
+	}
+	states := map[string]int{}
+	for _, q := range list.Recent {
+		states[q.State]++
+	}
+	for _, kind := range kinds {
+		if states[kind.state] != clients {
+			t.Errorf("%d queries %s, want %d (all: %v)", states[kind.state], kind.state, clients, states)
+		}
+	}
+	for i := 1; i <= clients*len(kinds); i++ {
+		if id := fmt.Sprintf("q-%06d", i); srv.Journal().Events(id) == nil {
+			t.Errorf("the journal holds no events of %s", id)
+		}
 	}
 }

@@ -158,13 +158,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Register the query and open its event log: every lifecycle step from
-	// here on lands in the journal under one query id, queryable from
-	// GET /v1/queries/{id} while the query runs and after it finishes.
+	// Open the query's event log: every lifecycle step from here on lands
+	// in the journal under one query id, and GET /v1/queries folds the
+	// query's record from those events while the journal retains them.
 	demand := s.demand(&req, inputs)
-	rec := s.queries.begin(tenant.Name, req.Script, demand)
-	qlog := s.journal.Begin(rec.ID, tenant.Name)
-	qlog.Emit(obs.Event{Type: obs.EvReceived})
+	qlog := s.journal.Begin(fmt.Sprintf("q-%06d", s.nextQuery.Add(1)), tenant.Name)
+	qlog.Emit(obs.Event{Type: obs.EvReceived, Script: scriptPreview(req.Script), MemBytes: demand})
 
 	// Admission: reserve the submission's memory demand out of the tenant's
 	// carve-out, queueing bounded-FIFO when exhausted.
@@ -180,7 +179,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		s.tenantCounter(obs.MTenantRejects, tenant.Name).Inc()
 		qlog.Emit(obs.Event{Type: obs.EvFailed, Cause: "admission", Error: err.Error()})
-		s.queries.finish(rec, "rejected", func(r *QueryRecord) { r.Error = err.Error() })
 		code := http.StatusTooManyRequests
 		if errors.Is(err, ErrTooLarge) {
 			code = http.StatusRequestEntityTooLarge
@@ -194,15 +192,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	queued := time.Since(queueStart)
 	qlog.Emit(obs.Event{Type: obs.EvAdmitted, Seconds: queued.Seconds()})
 	s.reg.Histogram(obs.TenantSeries(obs.MTenantQueueSeconds, tenant.Name)).Observe(queued.Seconds())
-	s.queries.update(rec, func(r *QueryRecord) {
-		r.State = "running"
-		r.QueueMillis = float64(queued.Nanoseconds()) / 1e6
-	})
 
 	sess, err := s.acquireSession()
 	if err != nil {
 		qlog.Emit(obs.Event{Type: obs.EvFailed, Cause: "session", Error: err.Error()})
-		s.queries.finish(rec, "failed", func(r *QueryRecord) { r.Error = err.Error() })
 		writeJSON(w, http.StatusInternalServerError, httpError{Error: err.Error()})
 		return
 	}
@@ -230,10 +223,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.tenantCounter(obs.MTenantQueries, tenant.Name).Inc()
 	if err != nil {
 		s.tenantCounter(obs.MTenantErrors, tenant.Name).Inc()
-		s.queries.finish(rec, "failed", func(r *QueryRecord) {
-			r.ExecMillis = float64(execDur.Nanoseconds()) / 1e6
-			r.Error = err.Error()
-		})
 		code := http.StatusUnprocessableEntity
 		if errors.Is(err, fuseme.ErrOutOfMemory) || errors.Is(err, fuseme.ErrTimeout) {
 			code = http.StatusInsufficientStorage
@@ -244,10 +233,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	stats := sess.LastStats()
 	hit := sess.LastPlanCacheHit()
-	s.queries.finish(rec, "done", func(r *QueryRecord) {
-		r.ExecMillis = float64(execDur.Nanoseconds()) / 1e6
-		r.PlanCacheHit = hit
-	})
 	s.tenantCounter(obs.MTenantTasks, tenant.Name).Add(int64(stats.Tasks))
 	s.tenantCounter(obs.MTenantBytes, tenant.Name).Add(stats.TotalCommBytes() + stats.ExtraWireBytes)
 	if hit {

@@ -119,10 +119,10 @@ type Server struct {
 	datasets map[string]*fuseme.Matrix
 
 	// Per-query observability: the shared event journal every lifecycle
-	// event lands in, and the registry backing GET /v1/queries.
+	// event lands in, which GET /v1/queries folds, and the last query id.
 	journal     *obs.Journal
 	journalFile *os.File // Config.JournalPath sink, closed on Shutdown
-	queries     *queryRegistry
+	nextQuery   atomic.Int64
 }
 
 // tenantCounters are the per-tenant counter families /v1/status reports.
@@ -160,7 +160,6 @@ func New(cfg Config) (*Server, error) {
 		byToken:  map[string]*Tenant{},
 		datasets: map[string]*fuseme.Matrix{},
 		free:     make(chan *fuseme.Session, cfg.Sessions),
-		queries:  newQueryRegistry(),
 	}
 	var sink io.Writer
 	if cfg.JournalPath != "" {

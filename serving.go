@@ -77,22 +77,12 @@ func NewScheduler(slots int) *Scheduler {
 func (sc *Scheduler) Slots() int { return sc.s.Slots() }
 
 // TenantSchedStats reports one tenant's scheduling state.
-type TenantSchedStats struct {
-	Tenant  string `json:"tenant"`
-	Weight  int    `json:"weight"`
-	Granted int64  `json:"granted"`
-	Waiting int    `json:"waiting"`
-}
+type TenantSchedStats = sched.TenantSnapshot
 
 // TenantStats returns per-tenant grant/wait counts (sorted by tenant name)
 // and the number of currently running tasks.
 func (sc *Scheduler) TenantStats() (tenants []TenantSchedStats, running int) {
-	snaps, running := sc.s.Snapshot()
-	tenants = make([]TenantSchedStats, len(snaps))
-	for i, t := range snaps {
-		tenants[i] = TenantSchedStats{Tenant: t.Tenant, Weight: t.Weight, Granted: t.Granted, Waiting: t.Waiting}
-	}
-	return tenants, running
+	return sc.s.Snapshot()
 }
 
 // WithScheduler installs a shared task-dispatch scheduler on the session's
