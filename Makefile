@@ -43,8 +43,8 @@ build:
 ## of BenchmarkTransposeDense with their fresh, reused and arena arms, and
 ## BenchmarkMatrixGrid among them), the trace and journal overhead
 ## benchmarks (at one iteration they print the off and on timings and the
-## journal benchmark's median metrics/off and journal+metrics/off ratios; no
-## bound is checked there) and the FME1 wire
+## journal benchmark's median off2/off, metrics/off, journal/off and
+## journal+metrics/off ratios; no bound is checked there) and the FME1 wire
 ## benchmark (codec,
 ## loopback-socket and arena arms) once each so they cannot rot. The tests of
 ## what runs concurrently since the executor walks the plan DAG — the executor
@@ -53,7 +53,9 @@ build:
 ## handed, the non-zero counts concurrent tasks fold into a result under its
 ## sink's lock, with the kept total they give a matrix, and the task arenas
 ## that concurrent tasks take from one pool and reset, the one slowdown
-## history that sessions sharing a registry fold their stages into, and the
+## history that sessions sharing a registry fold their stages into, the
+## stages folded at once into one registry, a traced session's journal
+## replayed into the calibration and registry it folded live, and the
 ## masked SDDMM's super-tiles — the group kernel against its portable twin,
 ## and every masked query's bits with blocks grouped and one by one — and
 ## the element-wise strips against their portable twins and formulas,
@@ -61,7 +63,7 @@ build:
 ## rather than in a single tier-1 run. Every alternative of DAGTESTS must
 ## name a test of DAGPKGS: one that matches none fails the target before
 ## anything runs, so a renamed test cannot drop out of the rerun unnoticed
-DAGTESTS = Executor|GoldenStageLists|HitDispatches|ConformanceJournal|ConformanceBlockCache|FlightPeakMem|PipelineDiffGNMF|RemoteCache|RemoteGNMFCache|BlockCacheMatchesSim|MultiAggBlockCache|Visibility|Scopes|Overlapping|SharesNodeLanes|QueryLogParts|OwnTaskSamples|TraceShapeUnchanged|OfflineTraceEqualsLive|JournalCarriesLayerMetrics|TraceCoversEveryQuery|MatrixNNZMatchesScan|ReboundOutputDensityExact|TaskArenaNeverEscapes|ShareOneSlowdownHistory|SDDMMGroupMatchesPortable|SuperTileOrderKeepsBits|StripKernelsMatchPortable|QueriesListEachQueryOnce
+DAGTESTS = Executor|GoldenStageLists|HitDispatches|ConformanceJournal|ConformanceBlockCache|FlightPeakMem|PipelineDiffGNMF|RemoteCache|RemoteGNMFCache|BlockCacheMatchesSim|MultiAggBlockCache|Visibility|Scopes|Overlapping|SharesNodeLanes|QueryLogParts|OwnTaskSamples|TraceShapeUnchanged|OfflineTraceEqualsLive|JournalCarriesLayerMetrics|TraceCoversEveryQuery|MatrixNNZMatchesScan|ReboundOutputDensityExact|TaskArenaNeverEscapes|ShareOneSlowdownHistory|SDDMMGroupMatchesPortable|SuperTileOrderKeepsBits|StripKernelsMatchPortable|QueriesListEachQueryOnce|ConcurrentStageFolds|ReplayEqualsLive
 DAGPKGS = . ./internal/core ./internal/exec ./internal/rt/... ./internal/blockcache ./internal/obs ./internal/sched ./internal/plancache ./internal/block ./internal/matrix ./internal/serve
 race:
 	@listed="$$($(GO) test -list '$(DAGTESTS)' $(DAGPKGS))" || { echo "$$listed"; exit 1; }; \

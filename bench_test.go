@@ -221,16 +221,18 @@ func BenchmarkTraceOverhead(b *testing.B) {
 }
 
 // BenchmarkJournalOverhead quantifies the metrics registry and the event
-// journal on the same GNMF iteration as BenchmarkTraceOverhead, split into
-// their two shares. "off" is the default uninstrumented path; "metrics" adds
-// the metrics registry, which arms the per-task path (latency histograms and
-// the skew samples the registry folds into its slowdown scores);
-// "journal+metrics" adds lifecycle events on top (planned, stage start/end,
-// done — a handful of appends per query, no per-task work). The three run in
-// interleaved rounds in one process, one iteration of each per round in an
-// order that rotates, so a shared host's drift lands on all of them; the
-// benchmark reports the median of the rounds' metrics / off and
-// journal+metrics / off wall ratios and each one's interquartile range.
+// journal on the same GNMF iteration as BenchmarkTraceOverhead, each share
+// on its own and together. "off" is the default uninstrumented path, and
+// "off2" a second session on it: off2 / off is the noise floor the other
+// ratios are read against. "metrics" adds the metrics registry, which arms
+// the per-task path (latency histograms and the skew samples the registry
+// folds into its slowdown scores); "journal" adds lifecycle events alone
+// (planned, stage start/end, done — a handful of appends per query, no
+// per-task work); "journal+metrics" adds both. The arms run in interleaved
+// rounds in one process, one iteration of each per round in an order that
+// rotates, so a shared host's drift lands on all of them; the benchmark
+// reports the median of the rounds' wall ratios to off and each one's
+// interquartile range.
 func BenchmarkJournalOverhead(b *testing.B) {
 	const (
 		users, items, k = 1200, 800, 16
@@ -260,28 +262,37 @@ func BenchmarkJournalOverhead(b *testing.B) {
 		}
 		return time.Since(from).Seconds()
 	}
+	journal := func() fuseme.Option { return fuseme.WithJournal(fuseme.NewJournal(0, io.Discard)) }
+	names := []string{"off", "off2", "metrics", "journal", "journal+metrics"}
 	arms := []*fuseme.Session{
 		newGNMFSession(),
+		newGNMFSession(),
 		newGNMFSession(fuseme.WithMetricsAddr("")),
-		newGNMFSession(fuseme.WithJournal(fuseme.NewJournal(0, io.Discard)), fuseme.WithMetricsAddr("")),
+		newGNMFSession(journal()),
+		newGNMFSession(journal(), fuseme.WithMetricsAddr("")),
 	}
 	for _, sess := range arms {
 		timed(sess) // the first iteration counts the generated inputs
 	}
-	ratios := [2][]float64{make([]float64, b.N), make([]float64, b.N)}
+	ratios := make([][]float64, len(arms)) // ratios[arm][i]: round i's wall of arm over off's
+	for i := range ratios {
+		ratios[i] = make([]float64, b.N)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var secs [3]float64
+		secs := make([]float64, len(arms))
 		for j := range arms {
 			arm := (i + j) % len(arms)
 			secs[arm] = timed(arms[arm])
 		}
-		ratios[0][i], ratios[1][i] = secs[1]/secs[0], secs[2]/secs[0]
+		for arm := 1; arm < len(arms); arm++ {
+			ratios[arm][i] = secs[arm] / secs[0]
+		}
 	}
 	b.StopTimer()
-	for i, name := range []string{"metrics", "journal+metrics"} {
-		r := ratios[i]
+	for arm := 1; arm < len(arms); arm++ {
+		r, name := ratios[arm], names[arm]
 		slices.Sort(r)
 		quartile := func(q int) float64 { return r[(q*(len(r)-1)+2)/4] }
 		b.ReportMetric(quartile(2), name+"/off")

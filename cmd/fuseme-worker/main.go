@@ -45,7 +45,7 @@ func main() {
 
 	if *metricsAddr != "" {
 		reg := obs.NewRegistry()
-		w.SetObs(&obs.Obs{Metrics: reg})
+		w.SetObs(reg)
 		srv, err := obs.ServeMetrics(*metricsAddr, reg, nil)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "fuseme-worker:", err)

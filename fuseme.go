@@ -452,7 +452,7 @@ func (s *Session) runtime() (rt.Runtime, error) {
 		if err != nil {
 			return nil, err
 		}
-		co.SetObs(s.obs)
+		co.SetObs(s.obs.Metrics, s.obs.Trace)
 		s.rtm = co
 	default:
 		return nil, fmt.Errorf("fuseme: unknown runtime %q (want \"sim\" or \"tcp\")", s.cfg.Runtime)
@@ -582,12 +582,12 @@ func (s *Session) compile(script string) (cq *compiled, err error) {
 	}
 	if ok {
 		s.lastPlanHit = true
-		s.obs.Counter(obs.MPlanCacheHits).Inc()
+		s.obs.Metrics.Counter(obs.MPlanCacheHits).Inc()
 		return &compiled{pp: hit.PP, rtm: rtm, inNames: hit.InputNames, outNames: hit.OutputNames}, nil
 	}
-	s.obs.Counter(obs.MPlanCacheMisses).Inc()
+	s.obs.Metrics.Counter(obs.MPlanCacheMisses).Inc()
 	_, _, entries := s.planCache.c.Stats()
-	s.obs.Gauge(obs.MPlanCacheEntries).Set(float64(entries))
+	s.obs.Metrics.Gauge(obs.MPlanCacheEntries).Set(float64(entries))
 	return &compiled{pp: hit.PP, rtm: rtm}, nil
 }
 

@@ -13,30 +13,30 @@ import (
 
 // runObservedStage dispatches st through the runtime with observability
 // wrapped around it: the journal's stage_start, carrying the stage's phase,
-// grid and cuboid partitioning, per-task instrumentation when it is on, and
-// — the one place a FlightRecord is built from live execution — the operator's
-// prediction pred with, as its Meas, the stats the runtime reports for this
-// stage (rt.Stage.Report: this stage's own, whatever runs beside it), handed
-// to Obs.StageDone for every output derived from it. With per-task
-// instrumentation on, the stage keeps the samples of its own task attempts
-// — the sim's through the wrapped Fn, a descriptor runtime's through
-// rt.Stage.TaskDone — and hands their skew to Obs.StageDone too.
+// grid and cuboid partitioning, per-task instrumentation when tracing or a
+// registry is on, and — the one place a FlightRecord is built from live
+// execution — the operator's prediction pred with, as its Meas, the stats the
+// runtime reports for this stage (rt.Stage.Report: this stage's own, whatever
+// runs beside it), handed to Obs.StageDone. Per task, the stage hands each of
+// its own attempts to Obs.TaskDone — the sim's through the wrapped Fn, a
+// descriptor runtime's through rt.Stage.TaskDone — and their skew to
+// Obs.StageDone.
 //
-// The disabled path is one nil check and a plain rt.RunStage — that is the
-// fast path BenchmarkTraceOverhead guards.
+// The disabled path — a nil Obs, or one with every component off — is one
+// check and a plain rt.RunStage: the fast path BenchmarkTraceOverhead guards.
 func runObservedStage(rtm rt.Runtime, o *obs.Obs, pred obs.FlightRecord, st *rt.Stage) error {
-	if !o.Enabled() {
+	if o == nil || *o == (obs.Obs{}) {
 		return rt.RunStage(rtm, st)
 	}
 
 	// The samples live inside the branch, so a stage without per-task
 	// instrumentation (calibration alone, the default) allocates none.
 	skew := func() obs.StageSkew { return obs.StageSkew{} }
-	if o.PerTask() {
+	if o.Trace || o.Metrics != nil {
 		var mu sync.Mutex
 		var samples []obs.TaskSample // this stage's task attempts, under mu
 		st.TaskDone = func(t obs.TaskSample) {
-			o.TaskDone(t)
+			o.TaskDone(st.Name, t)
 			mu.Lock()
 			samples = append(samples, t)
 			mu.Unlock()
@@ -46,7 +46,7 @@ func runObservedStage(rtm rt.Runtime, o *obs.Obs, pred obs.FlightRecord, st *rt.
 			defer mu.Unlock()
 			return obs.StageSkewOf(st.Name, samples)
 		}
-		st.Fn = wrapTaskFn(o.Tracing(), st.Fn, time.Now(), rtm.Config().Nodes, st.TaskDone)
+		st.Fn = wrapTaskFn(o.Trace, st.Fn, time.Now(), rtm.Config().Nodes, st.TaskDone)
 	}
 	if o.QLog != nil {
 		sp := st.Spec
@@ -71,11 +71,7 @@ func runObservedStage(rtm rt.Runtime, o *obs.Obs, pred obs.FlightRecord, st *rt.
 	// The kernel pool is process-local (the sim cluster's; TCP workers report
 	// their own), so its counters are no part of the runtime's stage stats.
 	if pooled, ok := rtm.(interface{ KernelPool() *parallel.Pool }); ok {
-		delta, threads := pooled.KernelPool().Unreported()
-		o.Gauge(obs.MKernelThreads).Set(float64(threads))
-		o.Counter(obs.MKernelParallelCalls).Add(delta.ParallelCalls)
-		o.Counter(obs.MKernelSerialCalls).Add(delta.SerialCalls)
-		o.Counter(obs.MKernelHelperRuns).Add(delta.HelperRuns)
+		o.Metrics.PublishKernelPool(pooled.KernelPool())
 	}
 	return err
 }

@@ -10,9 +10,10 @@ import (
 // This file is the executor side of pipelined stage execution: the
 // task-index-ordered stage reducer, which streams partial aggregation while
 // tasks are still running yet folds in one fixed order. Nothing prefetches
-// across tasks (within one, blockSource.ahead names a loop's blocks);
-// work-stealing, the other half of the pipeline, exists only where tasks
-// queue per worker: in internal/rt/remote.
+// across tasks (within one, blockSource.ahead names a loop's blocks).
+// Work-stealing, the other half of the pipeline, runs on both runtimes: both
+// dispatch through cluster.Cluster.Dispatch to sched.Run, where an idle lane
+// takes a task queued on a busy node (cluster.Stats.StealTasks).
 
 // taskEmit is one buffered result emission of a task.
 type taskEmit struct {

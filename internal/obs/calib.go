@@ -36,13 +36,15 @@ func NewCalibration() *Calibration {
 	return &Calibration{rows: map[string]*opRow{}}
 }
 
-// Measure folds one stage execution into its operator's row. Several stages
-// (and several executions, in iterative workloads) map to one operator key:
-// measurements sum, the prediction is the latest record's.
-func (c *Calibration) Measure(rec FlightRecord) {
-	if c == nil {
+// Fold joins a stage_end's flight record to its operator's row (other events
+// change nothing). Several stages (and several executions, in iterative
+// workloads) map to one operator key: measurements sum, the prediction is
+// the latest record's.
+func (c *Calibration) Fold(e *Event) {
+	if c == nil || e.Type != EvStageEnd || e.Flight == nil {
 		return
 	}
+	rec := e.Flight
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.rows[rec.Op]
@@ -59,16 +61,12 @@ func (c *Calibration) Measure(rec FlightRecord) {
 }
 
 // CalibrationFromEvents rebuilds a calibration store from journal events —
-// the flight record each stage_end carries — so Report can be produced
-// offline from a -journal-out file (ReadEvents) and judge real distributed
-// measurements, not only the live session's.
+// Replay into a fresh store — so Report can be produced offline from a
+// -journal-out file (ReadEvents) and judge real distributed measurements,
+// not only the live session's.
 func CalibrationFromEvents(events []Event) *Calibration {
 	c := NewCalibration()
-	for _, e := range events {
-		if e.Type == EvStageEnd && e.Flight != nil {
-			c.Measure(*e.Flight)
-		}
-	}
+	Replay(events, c, nil)
 	return c
 }
 

@@ -22,7 +22,7 @@ const (
 	EvPlanned    EventType = "planned"     // plan chosen; Plan/PredSeconds describe it
 	EvStageStart EventType = "stage_start" // one distributed stage began
 	EvStageEnd   EventType = "stage_end"   // stage finished; Flight carries pred vs meas
-	EvTask       EventType = "task"        // one task attempt, when tracing is on; Task carries it
+	EvTask       EventType = "task"        // one task attempt, when tracing is on; Task carries it, Stage names its stage
 	EvDone       EventType = "done"        // query completed; Seconds is end-to-end
 	EvFailed     EventType = "failed"      // query failed; Error says why
 )
@@ -55,9 +55,9 @@ type Event struct {
 	ParseSeconds   float64 `json:"parse_s,omitempty"`      // script text to DAG
 	CompileSeconds float64 `json:"compile_s,omitempty"`    // the engine's compile, or on a plan-cache hit the lookup
 
-	// Stages (stage_start/stage_end). Phase, Grid (GIxGJxGK blocks) and PQR
-	// (the cuboid partitioning, absent on a grid stage) describe the stage
-	// on its start event.
+	// Stages (stage_start/stage_end; a task event names its stage too).
+	// Phase, Grid (GIxGJxGK blocks) and PQR (the cuboid partitioning, absent
+	// on a grid stage) describe the stage on its start event.
 	Stage  string        `json:"stage,omitempty"`
 	Op     string        `json:"op,omitempty"`
 	Tasks  int           `json:"tasks,omitempty"`

@@ -7,7 +7,8 @@ import "fuseme/internal/cluster"
 // (P,Q,R) and the Eq. 2–5 cost terms) next to what actually happened when
 // the stage ran. The engine fills the prediction half per operator, the
 // executor copies it per stage and sets Meas to the runtime's stats of that
-// stage, and Obs.StageDone derives every output from the result. One record
+// stage, and Obs.StageDone puts the result in the stage_end event every
+// consumer folds (Calibration.Fold, Registry.Fold, the journal). One record
 // per stage execution, so iterative workloads produce one record per stage
 // per iteration. The JSON tags are the journal's stage_end.flight and GET
 // /v1/queries/{id}'s wire format.

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"fuseme/internal/parallel"
 )
 
 // Registry holds named counters, gauges and histograms. Metric names follow
@@ -15,7 +17,7 @@ import (
 // `fuseme_wire_bytes_total{class="consolidation"}`; the exposition groups
 // series of one base name under a single TYPE line. It also keeps the
 // per-worker slowdown history behind the fuseme_worker_slowdown gauges
-// (ObserveSkew). Safe for concurrent use; a nil *Registry absorbs every call.
+// (Fold). Safe for concurrent use; a nil *Registry absorbs every call.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
@@ -66,6 +68,15 @@ func (g *Gauge) Set(v float64) {
 		return
 	}
 	g.bits.Store(math.Float64bits(v))
+}
+
+// Add adds d to the gauge value atomically: no concurrent addition is lost.
+func (g *Gauge) Add(d float64) {
+	if g == nil {
+		return
+	}
+	for old := g.bits.Load(); !g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)); old = g.bits.Load() {
+	}
 }
 
 // Value returns the current value (0 on nil).
@@ -194,6 +205,56 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 		s.P99 = h.quantileLocked(0.99)
 	}
 	return s
+}
+
+// Fold folds one event into the registry as it is emitted (Obs.StageDone,
+// Obs.TaskDone) or replayed (Replay): a stage_end adds its flight record's
+// measurement to the stage series and publishes its skew (the straggler
+// gauges); a task event's first part counts the attempt and observes its
+// queue wait and latency. Other events change nothing.
+func (r *Registry) Fold(e *Event) {
+	if r == nil {
+		return
+	}
+	switch {
+	case e.Type == EvStageEnd && e.Flight != nil:
+		m := &e.Flight.Meas
+		r.Counter(MStagesTotal).Inc()
+		r.Counter(MConsolidationBytes).Add(m.ConsolidationBytes)
+		r.Counter(MAggregationBytes).Add(m.AggregationBytes)
+		r.Counter(MExtraBytes).Add(m.ExtraWireBytes)
+		r.Counter(MFlopsTotal).Add(m.Flops)
+		r.Counter(MCacheHits).Add(m.CacheHits)
+		r.Counter(MCacheMisses).Add(m.CacheMisses)
+		r.Counter(MCacheEvictions).Add(m.CacheEvictions)
+		r.Counter(MStealTasks).Add(m.StealTasks)
+		// A running total, kept under the gauge type the series always had.
+		r.Gauge(MCacheSavedBytes).Add(float64(m.CacheSavedBytes))
+		if e.Skew != nil {
+			r.observeSkew(e)
+		}
+	case e.Type == EvTask && e.Task != nil && e.Part == 0:
+		t := e.Task
+		r.Histogram(MQueueSeconds).Observe(t.Start.Sub(t.StageStart).Seconds())
+		r.Histogram(MTaskSeconds).Observe(t.End.Sub(t.Start).Seconds())
+		r.Counter(MTasksTotal).Inc()
+		if t.Remote {
+			r.Counter(MRemoteTasksTotal).Inc()
+		}
+	}
+}
+
+// PublishKernelPool publishes what the process-local kernel pool p did since
+// its last report (parallel.Pool.Unreported); a nil registry leaves it.
+func (r *Registry) PublishKernelPool(p *parallel.Pool) {
+	if r == nil {
+		return
+	}
+	delta, threads := p.Unreported()
+	r.Gauge(MKernelThreads).Set(float64(threads))
+	r.Counter(MKernelParallelCalls).Add(delta.ParallelCalls)
+	r.Counter(MKernelSerialCalls).Add(delta.SerialCalls)
+	r.Counter(MKernelHelperRuns).Add(delta.HelperRuns)
 }
 
 // Counter returns (creating on first use) the named counter.

@@ -4,37 +4,37 @@
 // joins the planner's NetEst/ComEst/MemEst predictions against measured
 // execution so effective cluster bandwidths can be back-solved.
 //
-// The rule of the package: one FlightRecord per executed stage, the
-// operator's prediction next to the stage's measurement, which is the
-// cluster.Stats the runtime reported for the stage; every other output —
-// calibration rows, the fuseme_* stage counters, the journal's stage_end
-// event — is derived from it in Obs.StageDone. One level down, a TaskSample
-// is the one record of a finished task attempt on either runtime, carrying
-// the task's own cluster.Stats. The dispatcher hands it to the stage that ran
-// it, which reports it to Obs.TaskDone and folds its own samples into the
-// StageSkew it passes to Obs.StageDone (StageSkewOf). The registry keeps the
-// per-worker slowdown EWMA across stages next to the gauges it publishes, so
-// sessions that share a registry share one history. With tracing on,
-// TaskDone journals the sample as a task event, so the journal is the one
-// per-query timeline: a trace is ChromeTrace over its events, live or read
-// back from a sink.
+// The rule of the package: one event per executed stage and per task
+// attempt, folded by every consumer. A stage's is its stage_end: the
+// FlightRecord (the operator's prediction next to the cluster.Stats the
+// runtime reported for the stage) and, with a registry on, the skew of the
+// TaskSamples the stage received (StageSkewOf). A task attempt's is its task
+// event, naming its stage. Obs.StageDone and Obs.TaskDone build the event
+// once and hand it, as it is emitted, to Calibration.Fold, to Registry.Fold
+// (the fuseme_* series, and the per-worker slowdown history the registry
+// keeps beside its gauges) and to the QueryLog. Replay runs the same folds
+// over a journal read back, so an offline calibration or registry equals the
+// live one by construction; a trace is ChromeTrace over the same events.
 //
 // Everything is nil-safe by design: a nil *Obs (or a nil component inside a
 // non-nil Obs) turns every instrumentation call into a pointer check and an
 // immediate return, so disabled observability costs nothing on the task hot
-// path. The executor, the runtimes and the session all accept an *Obs and
-// never branch on "is observability on" beyond that nil check.
+// path. The executor and the session accept an *Obs, the TCP runtime the
+// *Registry it publishes to, and none branches on "is observability on"
+// beyond that nil check.
 package obs
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"fuseme/internal/cluster"
 )
 
 // Obs bundles one session's observability components. Any field may be nil;
-// the whole struct may be nil. Helper methods absorb both.
+// the whole struct may be nil.
 type Obs struct {
 	Trace   bool         // journal a task event per attempt, with the body's sub-spans
 	Metrics *Registry    // metrics registry, with the per-worker slowdown history; nil disables both
@@ -42,92 +42,57 @@ type Obs struct {
 	QLog    *QueryLog    // current query's event-journal log (stage_end carries the flight record); nil disables journaling
 }
 
-// Enabled reports whether any component is active (stage-level hooks run).
-func (o *Obs) Enabled() bool {
-	return o != nil && (o.Trace || o.Metrics != nil || o.Calib != nil || o.QLog != nil)
-}
-
-// Tracing reports whether tracing is on — the signal backends use to decide
-// whether task bodies should collect sub-spans.
-func (o *Obs) Tracing() bool {
-	return o != nil && o.Trace
-}
-
-// PerTask reports whether per-task instrumentation (task events, latency
-// histograms, skew samples) should run. Calibration alone is stage-level and
-// does not require the per-task wrapper.
-func (o *Obs) PerTask() bool {
-	return o != nil && (o.Trace || o.Metrics != nil)
-}
-
-// Counter returns the named counter; nil when metrics are off.
-func (o *Obs) Counter(name string) *Counter {
-	if o == nil {
-		return nil
-	}
-	return o.Metrics.Counter(name)
-}
-
-// Gauge returns the named gauge; nil when metrics are off.
-func (o *Obs) Gauge(name string) *Gauge {
-	if o == nil {
-		return nil
-	}
-	return o.Metrics.Gauge(name)
-}
-
-// Histogram returns the named duration histogram; nil when metrics are off.
-func (o *Obs) Histogram(name string) *Histogram {
-	if o == nil {
-		return nil
-	}
-	return o.Metrics.Histogram(name)
-}
-
-// StageDone is the one emit point of an executed stage, and the one place a
-// stage's stats are folded: rec — the owning operator's prediction next to
-// what the runtime measured — is folded into the calibration rows, added to
-// the stage counters and embedded, together with the stage's task-duration
-// skew, in the journal's stage_end event, so the three outputs can never
-// disagree. skew is StageSkewOf the task samples the stage received (zero
-// when it took none); the registry publishes it (Registry.ObserveSkew) and
-// the journal carries it when the metrics registry is on. err is the stage's
-// failure, if any. A nil Obs or any nil component absorbs its share.
+// StageDone is the one emit point of an executed stage: rec — the owning
+// operator's prediction next to what the runtime measured — becomes the
+// stage_end event, which the calibration and the registry fold and the
+// journal keeps, so the three can never disagree. skew is StageSkewOf the
+// task samples the stage received (zero when it took none); the event
+// carries it when the metrics registry is on. err is the stage's failure, if
+// any. A nil Obs or any nil component absorbs its share.
 func (o *Obs) StageDone(rec FlightRecord, skew StageSkew, err error) {
 	if o == nil {
 		return
 	}
-	m := rec.Meas
-	o.Calib.Measure(rec)
-	o.Counter(MStagesTotal).Inc()
-	o.Counter(MConsolidationBytes).Add(m.ConsolidationBytes)
-	o.Counter(MAggregationBytes).Add(m.AggregationBytes)
-	o.Counter(MExtraBytes).Add(m.ExtraWireBytes)
-	o.Counter(MFlopsTotal).Add(m.Flops)
-	o.Counter(MCacheHits).Add(m.CacheHits)
-	o.Counter(MCacheMisses).Add(m.CacheMisses)
-	o.Counter(MCacheEvictions).Add(m.CacheEvictions)
-	o.Counter(MStealTasks).Add(m.StealTasks)
-	// A running total, kept under the gauge type the series always had.
-	saved := o.Gauge(MCacheSavedBytes)
-	saved.Set(saved.Value() + float64(m.CacheSavedBytes))
-
-	var sk *StageSkew
-	if o.Metrics != nil && skew.Tasks > 0 {
-		sk = &skew
-		o.Metrics.ObserveSkew(skew)
+	var msg string
+	if err != nil {
+		msg = err.Error()
 	}
-
-	// The record is copied to the heap only when the journal is on, so the
-	// calibration-only default allocates nothing per stage here.
+	end := stageEnd(&rec, msg)
+	if o.Metrics != nil && skew.Tasks > 0 {
+		end.Skew = &skew
+	}
+	o.Metrics.Fold(&end)
+	o.Calib.Fold(&end)
+	// The journal keeps its own copy of the record and the skew, so the
+	// folds, on the stack, allocate nothing per stage.
 	if o.QLog != nil {
-		flight := rec
-		end := Event{Type: EvStageEnd, Stage: rec.Stage, Op: rec.Op, Tasks: rec.Tasks,
-			Seconds: m.SimSeconds, Flight: &flight, Skew: sk}
-		if err != nil {
-			end.Error = err.Error()
+		flight, kept := rec, skew
+		ev := stageEnd(&flight, msg)
+		if end.Skew != nil {
+			ev.Skew = &kept
 		}
-		o.QLog.Emit(end)
+		ev.UnixNano = end.UnixNano
+		o.QLog.Emit(ev)
+	}
+}
+
+// stageEnd is the stage_end event of rec.
+func stageEnd(rec *FlightRecord, err string) Event {
+	return Event{Type: EvStageEnd, Stage: rec.Stage, Op: rec.Op, Tasks: rec.Tasks,
+		Seconds: rec.Meas.SimSeconds, Flight: rec, Error: err}
+}
+
+// Replay runs the live folds over journal events read back (ReadEvents):
+// into c and r, either of which may be nil. The journal holds a query's
+// stage events in plan order (QueryLog.Parts), but the live consumers folded
+// them as they were emitted, so Replay folds in time order — the order
+// Registry.Fold stamps skews in — and events of one time in journal order.
+func Replay(events []Event, c *Calibration, r *Registry) {
+	events = slices.Clone(events)
+	slices.SortStableFunc(events, func(a, b Event) int { return cmp.Compare(a.UnixNano, b.UnixNano) })
+	for i := range events {
+		c.Fold(&events[i])
+		r.Fold(&events[i])
 	}
 }
 
@@ -135,7 +100,7 @@ func (o *Obs) StageDone(rec FlightRecord, skew StageSkew, err error) {
 // executor's task wrapper and the TCP coordinator's dispatch lane both fill
 // one and hand it to the stage that ran it, which reports it to Obs.TaskDone
 // and folds its stage's samples with StageSkewOf. The JSON form is the
-// journal's task event; Err travels as the event's error text.
+// journal's task event's task object; Err travels as the event's error text.
 type TaskSample struct {
 	ID     int `json:"id"`
 	Worker int `json:"worker"` // worker that ran the task; negative = none to attribute (no skew sample)
@@ -166,24 +131,19 @@ type TaskSample struct {
 // Part 1, 2, ... carrying the further spans.
 const taskEventSpans = 1024
 
-// TaskDone is the one emit point of a finished task attempt, called as it
-// returns: queue-wait and latency histograms, fuseme_tasks_total (and
-// fuseme_remote_tasks_total for a remote one) and, with tracing on, the
-// journal's task event.
-func (o *Obs) TaskDone(t TaskSample) {
-	if !o.PerTask() {
+// TaskDone is the one emit point of a finished task attempt of stage,
+// called as it returns: the task event, which the registry folds (queue-wait
+// and latency histograms, fuseme_tasks_total and, for a remote attempt,
+// fuseme_remote_tasks_total) and, with tracing on, the journal keeps.
+func (o *Obs) TaskDone(stage string, t TaskSample) {
+	if o == nil {
 		return
 	}
-	o.Histogram(MQueueSeconds).Observe(t.Start.Sub(t.StageStart).Seconds())
-	o.Histogram(MTaskSeconds).Observe(t.End.Sub(t.Start).Seconds())
-	o.Counter(MTasksTotal).Inc()
-	if t.Remote {
-		o.Counter(MRemoteTasksTotal).Inc()
-	}
+	o.Metrics.Fold(&Event{Type: EvTask, Stage: stage, Task: &t})
 	if !o.Trace || o.QLog == nil {
 		return
 	}
-	ev := Event{Type: EvTask}
+	ev := Event{Type: EvTask, Stage: stage}
 	if t.Err != nil {
 		ev.Error = t.Err.Error()
 	}
@@ -195,15 +155,6 @@ func (o *Obs) TaskDone(t TaskSample) {
 		ev.Task, ev.Part = &sample, part
 		o.QLog.Emit(ev)
 	}
-}
-
-// Reset clears calibration records and metric values (Registry.Reset).
-func (o *Obs) Reset() {
-	if o == nil {
-		return
-	}
-	o.Calib.Reset()
-	o.Metrics.Reset()
 }
 
 // Metric names. Wire-byte counters carry a class label matching the

@@ -19,16 +19,8 @@ import (
 func TestNilSafety(t *testing.T) {
 	// Every call on nil receivers must be a no-op, not a panic.
 	var o *Obs
-	if o.Enabled() || o.PerTask() {
-		t.Fatal("nil Obs should report disabled")
-	}
-	o.Counter("c").Add(3)
-	o.Counter("c").Inc()
-	o.Gauge("g").Set(1.5)
-	o.Histogram("h").Observe(0.1)
 	o.StageDone(FlightRecord{Op: "a"}, StageSkew{}, nil)
-	o.TaskDone(TaskSample{})
-	o.Reset()
+	o.TaskDone("s", TaskSample{})
 
 	var tl *Timeline
 	if tl.Events() != nil {
@@ -36,8 +28,9 @@ func TestNilSafety(t *testing.T) {
 	}
 	tl.Reset()
 
+	end := &Event{Type: EvStageEnd, Flight: &FlightRecord{}, Skew: &StageSkew{Tasks: 1}}
 	var c *Calibration
-	c.Measure(FlightRecord{})
+	c.Fold(end)
 	c.Reset()
 	if got := c.Report(cluster.Config{Nodes: 4}); len(got.Rows) != 0 {
 		t.Fatal("nil calibration should report no rows")
@@ -45,20 +38,22 @@ func TestNilSafety(t *testing.T) {
 
 	var reg *Registry
 	reg.Counter("x").Inc()
+	reg.Gauge("g").Add(1)
+	reg.Fold(end)
+	reg.PublishKernelPool(nil)
 	reg.Reset()
 	if err := reg.WritePrometheus(io.Discard); err != nil {
 		t.Fatal(err)
 	}
+	Replay([]Event{*end}, nil, nil)
 
 	// Obs with only some components set.
 	partial := &Obs{Calib: NewCalibration()}
-	if !partial.Enabled() {
-		t.Fatal("calib-only Obs should be enabled")
+	partial.StageDone(FlightRecord{Op: "a"}, StageSkew{Tasks: 1}, nil)
+	partial.TaskDone("s", TaskSample{})
+	if rows := partial.Calib.Report(cluster.Config{Nodes: 1}).Rows; len(rows) != 1 {
+		t.Fatalf("calib-only Obs rows = %+v, want the stage's", rows)
 	}
-	if partial.PerTask() {
-		t.Fatal("calib-only Obs should not run per-task instrumentation")
-	}
-	partial.Counter("c").Inc()
 }
 
 // traced returns an Obs that journals task events onto a fresh timeline, and
@@ -102,7 +97,7 @@ func TestChromeTraceRendersQueryStagesAndTasks(t *testing.T) {
 	o.QLog.Emit(Event{Type: EvStageStart, Stage: "cuboid:mul#1", Tasks: 1, Phase: "cuboid", Grid: "4x4x2", PQR: []int{2, 2, 1}})
 	start := time.Now()
 	time.Sleep(time.Millisecond)
-	o.TaskDone(TaskSample{ID: 3, Worker: 1, StageStart: start, Start: start, End: time.Now(),
+	o.TaskDone("cuboid:mul#1", TaskSample{ID: 3, Worker: 1, StageStart: start, Start: start, End: time.Now(),
 		Metrics: cluster.Stats{Flops: 7}, Spans: []cluster.TaskSpan{{Name: "kernel", Cat: "taskop", Offset: 0, Dur: time.Microsecond}}})
 	o.StageDone(FlightRecord{Stage: "cuboid:mul#1", Tasks: 1, Meas: cluster.Stats{Flops: 7, SimSeconds: 0.001}}, StageSkew{}, errors.New("boom"))
 	o.QLog.Emit(Event{Type: EvDone})
@@ -156,7 +151,7 @@ func TestTaskEventsStayUnderTheLineCap(t *testing.T) {
 	for i := range spans {
 		spans[i] = cluster.TaskSpan{Name: "fetch", Cat: "taskop", Offset: time.Duration(i), Dur: 1}
 	}
-	o.TaskDone(TaskSample{ID: 1, Worker: 0, StageStart: start, Start: start, End: start.Add(time.Millisecond), Spans: spans})
+	o.TaskDone("cuboid:mul#1", TaskSample{ID: 1, Worker: 0, StageStart: start, Start: start, End: start.Add(time.Millisecond), Spans: spans})
 	if err := j.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -197,12 +192,12 @@ func TestResetForgetsSlowdowns(t *testing.T) {
 	}
 	reset := &Obs{Metrics: NewRegistry()}
 	reset.StageDone(FlightRecord{}, stage(9, 1), nil)
-	reset.Reset()
+	reset.Metrics.Reset()
 	fresh := &Obs{Metrics: NewRegistry()}
 	for _, o := range []*Obs{reset, fresh} {
 		o.StageDone(FlightRecord{}, stage(1, 2), nil)
 	}
-	got, want := reset.Metrics.Slowdowns(), fresh.Metrics.Slowdowns()
+	got, want := reset.Metrics.slowdownsLocked(), fresh.Metrics.slowdownsLocked()
 	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("slowdowns after a reset = %v, a fresh registry's = %v", got, want)
 	}
@@ -294,13 +289,13 @@ func TestCalibrationReport(t *testing.T) {
 	// Net-bound operator: predicted net term 8e9/(4·125e6) = 16s dominates
 	// the comp term 4e9/(4·546e9) ≈ 0.0018s. Measured: mul#1 moved 4e9 bytes
 	// in 10s wall → eff B̂n = 4e9/(4·10) = 1e8.
-	c.Measure(FlightRecord{Stage: "cuboid:mul#1", Op: "CFO mul#1", Kind: "CFO", P: 2, Q: 2, R: 1, Tasks: 4,
+	c.measure(FlightRecord{Stage: "cuboid:mul#1", Op: "CFO mul#1", Kind: "CFO", P: 2, Q: 2, R: 1, Tasks: 4,
 		PredNetBytes: 8e9, PredComFlops: 4e9, PredMemBytes: 64 << 20,
 		Meas: cluster.Stats{ConsolidationBytes: 3e9, AggregationBytes: 1e9, Flops: 4e9,
 			PeakTaskMemBytes: 50 << 20, SimSeconds: 10}})
 	// Comp-bound operator: mul#2 did 8e12 flops in 5s wall → eff B̂c =
 	// 8e12/(4·5) = 4e11.
-	c.Measure(FlightRecord{Stage: "cuboid:mul#2", Op: "CFO mul#2", Kind: "CFO", P: 4, Q: 1, R: 1, Tasks: 4,
+	c.measure(FlightRecord{Stage: "cuboid:mul#2", Op: "CFO mul#2", Kind: "CFO", P: 4, Q: 1, R: 1, Tasks: 4,
 		PredNetBytes: 1e6, PredComFlops: 8e12, PredMemBytes: 32 << 20,
 		Meas: cluster.Stats{ConsolidationBytes: 1e6, Flops: 8e12, SimSeconds: 5}})
 
@@ -356,7 +351,7 @@ func TestCalibrationFeedBackIsJudgedBandwidth(t *testing.T) {
 	} {
 		cal := NewCalibration()
 		for _, r := range c.recs {
-			cal.Measure(r)
+			cal.measure(r)
 		}
 		out := cal.Report(cc).String()
 		if !strings.Contains(out, "B̂c=546 Gflop/s") || !strings.Contains(out, c.want) {
@@ -376,8 +371,8 @@ func TestCalibrationIterativeExecutions(t *testing.T) {
 		partial.Meas = cluster.Stats{ConsolidationBytes: 5e8, Flops: 1e9, SimSeconds: 1}
 		fuse.Stage, fuse.Tasks = "fuse:mul#1", 4
 		fuse.Meas = cluster.Stats{AggregationBytes: 5e8, SimSeconds: 0.5}
-		c.Measure(partial)
-		c.Measure(fuse)
+		c.measure(partial)
+		c.measure(fuse)
 	}
 	rep := c.Report(cluster.Config{Nodes: 2, NetBandwidth: 125e6, CompBandwidth: 546e9})
 	if len(rep.Rows) != 1 {
@@ -416,7 +411,7 @@ func TestCalibrationBoundedGrowth(t *testing.T) {
 		if (i/keys)%2 == 1 {
 			stage = "fuse:"
 		}
-		c.Measure(FlightRecord{Stage: stage + ops[i%keys], Op: ops[i%keys], Kind: "CFO", P: 2, Q: 2, R: 1, Tasks: 2,
+		c.measure(FlightRecord{Stage: stage + ops[i%keys], Op: ops[i%keys], Kind: "CFO", P: 2, Q: 2, R: 1, Tasks: 2,
 			PredNetBytes: 1e6, PredComFlops: 1e6,
 			Meas: cluster.Stats{ConsolidationBytes: 3, AggregationBytes: 1, Flops: 5, SimSeconds: 0.5}})
 	}
@@ -447,12 +442,12 @@ func TestCalibrationBoundedGrowth(t *testing.T) {
 // prediction of its operator's latest record.
 func TestCalibrationReportOrder(t *testing.T) {
 	c := NewCalibration()
-	c.Measure(FlightRecord{Stage: "s", Op: "CFO b(/)#16", P: 1})
-	c.Measure(FlightRecord{Stage: "collect", Op: "driver"})
-	c.Measure(FlightRecord{Stage: "s", Op: "CFO b(/)#9"})
-	c.Measure(FlightRecord{Stage: "s", Op: "CuboidMM ba(x)#9"})
-	c.Measure(FlightRecord{Stage: "s", Op: "CFO b(/)#9"})
-	c.Measure(FlightRecord{Stage: "s", Op: "CFO b(/)#16", P: 4})
+	c.measure(FlightRecord{Stage: "s", Op: "CFO b(/)#16", P: 1})
+	c.measure(FlightRecord{Stage: "collect", Op: "driver"})
+	c.measure(FlightRecord{Stage: "s", Op: "CFO b(/)#9"})
+	c.measure(FlightRecord{Stage: "s", Op: "CuboidMM ba(x)#9"})
+	c.measure(FlightRecord{Stage: "s", Op: "CFO b(/)#9"})
+	c.measure(FlightRecord{Stage: "s", Op: "CFO b(/)#16", P: 4})
 	rows := c.Report(cluster.Config{Nodes: 1}).Rows
 	var got []string
 	for _, row := range rows {
@@ -579,12 +574,12 @@ func TestTaskDoneDrawsARemoteBodyInItsWindow(t *testing.T) {
 	o, tl := traced()
 	start := time.Now()
 	end := start.Add(10 * time.Millisecond)
-	o.TaskDone(TaskSample{ID: 3, Worker: 1, Remote: true, StageStart: start, Start: start, End: end,
+	o.TaskDone("cuboid:mul#1", TaskSample{ID: 3, Worker: 1, Remote: true, StageStart: start, Start: start, End: end,
 		Metrics: cluster.Stats{TaskSeconds: 0.002}, Spans: []cluster.TaskSpan{
 			{Name: "fetch", Cat: "taskop", Offset: 0, Dur: time.Millisecond},
 			{Name: "send", Cat: "taskop", Offset: time.Millisecond, Dur: time.Hour},
 		}})
-	o.TaskDone(TaskSample{ID: 4, Worker: -1, Remote: true, StageStart: start, Start: start, End: end, Err: errors.New("gone")})
+	o.TaskDone("cuboid:mul#1", TaskSample{ID: 4, Worker: -1, Remote: true, StageStart: start, Start: start, End: end, Err: errors.New("gone")})
 	ev := renderSpans(t, tl.Events())
 	if len(ev) != 5 {
 		t.Fatalf("recorded %d spans, want sched, task, two sub-spans and a failed sched: %+v", len(ev), ev)

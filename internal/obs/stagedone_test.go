@@ -6,6 +6,7 @@ import (
 	"errors"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -86,7 +87,7 @@ func TestStageDoneFanOut(t *testing.T) {
 	for id := 0; id < 3; id++ {
 		now := time.Now()
 		samples = append(samples, TaskSample{ID: id, Worker: id % 2, StageStart: now, Start: now, End: time.Now()})
-		o.TaskDone(samples[id])
+		o.TaskDone(rec.Stage, samples[id])
 	}
 	o.StageDone(rec, StageSkewOf(rec.Stage, samples), errors.New("boom"))
 
@@ -96,6 +97,11 @@ func TestStageDoneFanOut(t *testing.T) {
 	events, err := ReadEvents(&sink)
 	if err != nil || len(events) != 4 {
 		t.Fatalf("journal sink = %+v, %v; want three task events and the stage_end", events, err)
+	}
+	for _, ev := range events[:3] {
+		if ev.Type != EvTask || ev.Stage != rec.Stage {
+			t.Errorf("task event %+v does not name its stage %q", ev, rec.Stage)
+		}
 	}
 	end := events[3]
 	if end.Type != EvStageEnd || end.Flight == nil || *end.Flight != rec {
@@ -151,7 +157,116 @@ func TestStageDoneFanOut(t *testing.T) {
 
 	var none *Obs
 	none.StageDone(rec, StageSkewOf(rec.Stage, samples), nil)
-	none.TaskDone(TaskSample{})
+	none.TaskDone(rec.Stage, TaskSample{})
 	(&Obs{}).StageDone(rec, StageSkewOf(rec.Stage, samples), errors.New("boom"))
-	(&Obs{}).TaskDone(TaskSample{})
+	(&Obs{}).TaskDone(rec.Stage, TaskSample{})
+}
+
+// measure folds rec into c as its stage_end event.
+func (c *Calibration) measure(rec FlightRecord) {
+	c.Fold(&Event{Type: EvStageEnd, Stage: rec.Stage, Flight: &rec})
+}
+
+// observeStage folds a stage_end event carrying sk into r.
+func (r *Registry) observeStage(sk StageSkew) {
+	r.Fold(&Event{Type: EvStageEnd, Stage: sk.Stage, Flight: &FlightRecord{Stage: sk.Stage}, Skew: &sk})
+}
+
+// TestConcurrentStageFoldsLoseNothing: stages folded at once — concurrent
+// operators, pooled sessions on one registry — add every stage's cache
+// savings to fuseme_cache_saved_bytes_total, as they add every hit to
+// fuseme_cache_hits_total.
+func TestConcurrentStageFoldsLoseNothing(t *testing.T) {
+	const goroutines, stages = 8, 2000
+	o := &Obs{Metrics: NewRegistry(), Calib: NewCalibration()}
+	rec := FlightRecord{Stage: "s", Op: "CFO mul#1", Tasks: 1, Meas: cluster.Stats{CacheHits: 1, CacheSavedBytes: 1}}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < stages; i++ {
+				o.StageDone(rec, StageSkew{}, nil)
+			}
+		}()
+	}
+	wg.Wait()
+	snap := o.Metrics.Snapshot()
+	if got := snap.Counters[MCacheHits]; got != goroutines*stages {
+		t.Errorf("%s = %d, want %d", MCacheHits, got, goroutines*stages)
+	}
+	if got := snap.Gauges[MCacheSavedBytes]; got != goroutines*stages {
+		t.Errorf("%s = %g, want %d", MCacheSavedBytes, got, goroutines*stages)
+	}
+}
+
+// TestReplayFoldsInEmissionOrder: a journal keeps an operator's stage_end
+// behind an earlier operator's (QueryLog.Parts) although the live registry
+// folded it first. Replay folds by time, so the slowdown history it rebuilds
+// is the live one, and folding in journal order would not be.
+func TestReplayFoldsInEmissionOrder(t *testing.T) {
+	var sink bytes.Buffer
+	j := NewJournal(0, &sink)
+	parts := j.Begin("q1", "").Parts(2)
+	live := &Obs{Trace: true, Metrics: NewRegistry(), Calib: NewCalibration()}
+	stage := func(part int, name string, w0, w1 float64) {
+		o := *live
+		o.QLog = parts[part]
+		samples := samplesOf([]int{0, 1}, w0, w1)
+		for _, s := range samples {
+			o.TaskDone(name, s)
+		}
+		o.StageDone(FlightRecord{Stage: name, Op: "CFO mul#" + name, Tasks: 2, Meas: cluster.Stats{Flops: 3}},
+			StageSkewOf(name, samples), nil)
+	}
+	stage(1, "2", 1, 4) // the later operator ends first: held
+	stage(0, "1", 2, 1)
+	parts[0].Close()
+	parts[1].Close()
+	if err := j.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	events, err := ReadEvents(&sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if events[len(events)-1].Stage != "2" {
+		t.Fatalf("the journal does not keep the held stage last: %+v", events)
+	}
+
+	replayed, c := NewRegistry(), NewCalibration()
+	Replay(events, c, replayed)
+	if got, want := replayed.Snapshot(), live.Metrics.Snapshot(); !reflect.DeepEqual(got.Gauges, want.Gauges) ||
+		!reflect.DeepEqual(got.Counters, want.Counters) {
+		t.Errorf("replayed registry = %+v\nlive = %+v", got, want)
+	}
+	cc := cluster.Config{Nodes: 2, NetBandwidth: 1e9, CompBandwidth: 1e10}
+	if got, want := c.Report(cc).String(), live.Calib.Report(cc).String(); got != want {
+		t.Errorf("replayed calibration:\n%s\nlive:\n%s", got, want)
+	}
+	inJournalOrder := NewRegistry()
+	for i := range events {
+		inJournalOrder.Fold(&events[i])
+	}
+	if reflect.DeepEqual(inJournalOrder.slowdownsLocked(), live.Metrics.slowdownsLocked()) {
+		t.Error("folding in journal order gives the live slowdowns too; the case is not the one meant")
+	}
+}
+
+// TestFoldsAllocateNothing: with the calibration and the registry on and the
+// journal off, a stage without task samples and a task attempt are folded
+// from events on the stack: no allocation per stage or per task.
+func TestFoldsAllocateNothing(t *testing.T) {
+	o := &Obs{Metrics: NewRegistry(), Calib: NewCalibration()}
+	rec := fullRecord()
+	now := time.Now()
+	sample := TaskSample{ID: 1, Worker: 1, StageStart: now, Start: now, End: now.Add(time.Millisecond)}
+	o.StageDone(rec, StageSkew{}, nil) // creates the row and the series
+	o.TaskDone(rec.Stage, sample)
+	if got := testing.AllocsPerRun(100, func() { o.StageDone(rec, StageSkew{}, nil) }); got != 0 {
+		t.Errorf("StageDone allocates %.0f times per stage", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { o.TaskDone(rec.Stage, sample) }); got != 0 {
+		t.Errorf("TaskDone allocates %.0f times per task", got)
+	}
 }

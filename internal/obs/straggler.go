@@ -1,6 +1,9 @@
 package obs
 
-import "sort"
+import (
+	"sort"
+	"time"
+)
 
 // WorkerLoad is one worker's contribution to a stage: how many tasks it ran
 // and the total seconds it spent on them.
@@ -70,23 +73,23 @@ func StageSkewOf(stage string, samples []TaskSample) StageSkew {
 	return sk
 }
 
-// ObserveSkew publishes a finished stage's skew: its imbalance on
+// observeSkew publishes the skew of stage_end e: its imbalance on
 // MStageSkew, its per-worker loads folded into each worker's EWMA mean task
-// duration, and the refreshed slowdown scores (Slowdowns) on the
-// WorkerSlowdownGauge series. The EWMA state lives in the registry beside
-// those gauges, so every session that publishes to one registry folds into
-// one history. A stage without samples (Tasks == 0) changes nothing.
-func (r *Registry) ObserveSkew(sk StageSkew) {
-	if r == nil || sk.Tasks == 0 {
-		return
-	}
+// duration kept beside the gauges, and the refreshed slowdown scores on the
+// WorkerSlowdownGauge series. The fold depends on order, so an unstamped e
+// gets its time under the lock that orders the folds: Replay, folding in
+// time order, folds the skews in the live order.
+func (r *Registry) observeSkew(e *Event) {
 	r.skewMu.Lock()
 	defer r.skewMu.Unlock()
-	r.Gauge(MStageSkew).Set(sk.Imbalance)
+	if e.UnixNano == 0 {
+		e.UnixNano = time.Now().UnixNano()
+	}
+	r.Gauge(MStageSkew).Set(e.Skew.Imbalance)
 	if r.ewma == nil {
 		r.ewma = map[int]float64{}
 	}
-	for _, w := range sk.Workers {
+	for _, w := range e.Skew.Workers {
 		mean := w.Seconds / float64(w.Tasks)
 		if prev, ok := r.ewma[w.Worker]; ok {
 			r.ewma[w.Worker] = prev + slowdownAlpha*(mean-prev)
@@ -99,19 +102,10 @@ func (r *Registry) ObserveSkew(sk StageSkew) {
 	}
 }
 
-// Slowdowns returns each worker's slowdown score: its EWMA mean task
+// slowdownsLocked returns each worker's slowdown score: its EWMA mean task
 // duration divided by the fleet's median EWMA. Scores near 1.0 are healthy;
 // a worker consistently above (say ≥1.5) is a straggler. Nil until a stage
-// with task samples has been observed, and on a nil registry.
-func (r *Registry) Slowdowns() map[int]float64 {
-	if r == nil {
-		return nil
-	}
-	r.skewMu.Lock()
-	defer r.skewMu.Unlock()
-	return r.slowdownsLocked()
-}
-
+// with task samples has been folded.
 func (r *Registry) slowdownsLocked() map[int]float64 {
 	if len(r.ewma) == 0 {
 		return nil

@@ -62,14 +62,14 @@ func TestSkewDetectorZeroDurations(t *testing.T) {
 
 func TestSlowdownsFlagStraggler(t *testing.T) {
 	r := NewRegistry()
-	if got := r.Slowdowns(); got != nil {
+	if got := r.slowdownsLocked(); got != nil {
 		t.Fatalf("Slowdowns before any stage = %v, want nil", got)
 	}
 	// Three healthy workers at ~0.1s mean, one consistently 3x slower.
 	for stage := 0; stage < 4; stage++ {
-		r.ObserveSkew(StageSkewOf("s", samplesOf([]int{0, 1, 2, 3}, 0.1, 0.1, 0.1, 0.3)))
+		r.observeStage(StageSkewOf("s", samplesOf([]int{0, 1, 2, 3}, 0.1, 0.1, 0.1, 0.3)))
 	}
-	scores := r.Slowdowns()
+	scores := r.slowdownsLocked()
 	for w := 0; w < 3; w++ {
 		if math.Abs(scores[w]-1) > 1e-9 {
 			t.Errorf("healthy worker %d score = %g, want 1", w, scores[w])
@@ -90,17 +90,17 @@ func TestSlowdownEWMAConverges(t *testing.T) {
 	// A worker that was fast turns slow: EWMA should cross 1.5x the fleet
 	// median within a few stages (alpha = 0.3).
 	for i := 0; i < 3; i++ {
-		r.ObserveSkew(StageSkewOf("warm", samplesOf([]int{0, 1}, 0.1, 0.1)))
+		r.observeStage(StageSkewOf("warm", samplesOf([]int{0, 1}, 0.1, 0.1)))
 	}
 	stagesToFlag := 0
 	for i := 0; i < 20; i++ {
-		r.ObserveSkew(StageSkewOf("slow", samplesOf([]int{0, 1}, 0.1, 1.0)))
+		r.observeStage(StageSkewOf("slow", samplesOf([]int{0, 1}, 0.1, 1.0)))
 		stagesToFlag++
-		if r.Slowdowns()[1] >= 1.5 {
+		if r.slowdownsLocked()[1] >= 1.5 {
 			break
 		}
 	}
-	if got := r.Slowdowns()[1]; got < 1.5 {
+	if got := r.slowdownsLocked()[1]; got < 1.5 {
 		t.Fatalf("slow worker never flagged: score %g after %d stages", got, stagesToFlag)
 	}
 	if stagesToFlag > 5 {
@@ -110,8 +110,8 @@ func TestSlowdownEWMAConverges(t *testing.T) {
 
 func TestSkewDetectorNilSafety(t *testing.T) {
 	var r *Registry
-	r.ObserveSkew(StageSkewOf("s", samplesOf([]int{0}, 1)))
-	if r.Slowdowns() != nil {
-		t.Fatal("a nil registry should return nil slowdowns")
+	r.observeStage(StageSkewOf("s", samplesOf([]int{0}, 1)))
+	if len(r.Snapshot().Gauges) != 0 {
+		t.Fatal("a nil registry should publish no gauges")
 	}
 }

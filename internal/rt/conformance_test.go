@@ -317,7 +317,7 @@ func pipelineBackends() map[string]func(t *testing.T) rt.Runtime {
 
 // runTracedPlan executes the reference plan with tracing enabled and returns
 // the spans of its rendered trace. For the TCP backend the coordinator must
-// already have the obs bundle attached (SetObs) before stages run.
+// already have its trace bit set (SetObs) before stages run.
 func runTracedPlan(t *testing.T, rtm rt.Runtime, o *obs.Obs, tl *obs.Timeline) []obs.TraceEvent {
 	t.Helper()
 	const rows, cols, k = 96, 80, 8
@@ -391,7 +391,7 @@ func TestRuntimeConformanceSpans(t *testing.T) {
 			rtm := open(t)
 			o, tl := tracedObs()
 			if co, ok := rtm.(*remote.Coordinator); ok {
-				co.SetObs(o)
+				co.SetObs(nil, o.Trace)
 			}
 			got := spanCounts(runTracedPlan(t, rtm, o, tl))
 			if len(got) != len(simCounts) {

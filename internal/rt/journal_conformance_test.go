@@ -2,6 +2,7 @@ package rt_test
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"fuseme/internal/block"
@@ -38,10 +39,14 @@ type normEvent struct {
 	Flight    *normFlight
 }
 
-// normalize reduces a journal to its backend-independent shape.
+// normalize reduces a journal to its backend-independent shape. Task events
+// are left out: tasks end in a backend's own order (taskStages compares them).
 func normalize(events []obs.Event) []normEvent {
 	out := make([]normEvent, 0, len(events))
 	for _, e := range events {
+		if e.Type == obs.EvTask {
+			continue
+		}
 		n := normEvent{Type: e.Type, Stage: e.Stage, Op: e.Op, Tasks: e.Tasks, Error: e.Error}
 		if f := e.Flight; f != nil {
 			n.Flight = &normFlight{
@@ -57,6 +62,21 @@ func normalize(events []obs.Event) []normEvent {
 	return out
 }
 
+// taskStages maps each stage a journal's task events name to the sorted IDs
+// of its attempts, one per attempt (the first part of a split one).
+func taskStages(events []obs.Event) map[string][]int {
+	out := map[string][]int{}
+	for _, e := range events {
+		if e.Type == obs.EvTask && e.Part == 0 {
+			out[e.Stage] = append(out[e.Stage], e.Task.ID)
+		}
+	}
+	for _, ids := range out {
+		slices.Sort(ids)
+	}
+	return out
+}
+
 // taskTally is what Obs.TaskDone emitted over a run: both backends report
 // every task through that one hook, so the counts must be equal.
 type taskTally struct {
@@ -65,9 +85,10 @@ type taskTally struct {
 }
 
 // runJournaledGNMF executes the GNMF update graph twice on one backend,
-// journaling both runs, and returns each run's normalized event sequence and
-// the per-task telemetry tally of both.
-func runJournaledGNMF(t *testing.T, rtm rt.Runtime) (first, second []normEvent, tally taskTally) {
+// journaling both traced runs, and returns each run's normalized event
+// sequence, the per-task telemetry tally of both and the first run's
+// taskStages.
+func runJournaledGNMF(t *testing.T, rtm rt.Runtime) (first, second []normEvent, tally taskTally, tasks map[string][]int) {
 	t.Helper()
 	const users, items, k = 96, 80, 8
 	inputs := map[string]*block.Matrix{
@@ -77,9 +98,9 @@ func runJournaledGNMF(t *testing.T, rtm rt.Runtime) (first, second []normEvent, 
 	}
 	g := workloads.GNMF(users, items, k, inputs["X"].Density())
 	j := obs.NewJournal(0, nil)
-	o := &obs.Obs{Metrics: obs.NewRegistry()}
-	if co, ok := rtm.(interface{ SetObs(*obs.Obs) }); ok {
-		co.SetObs(o)
+	o := &obs.Obs{Trace: true, Metrics: obs.NewRegistry()}
+	if co, ok := rtm.(interface{ SetObs(*obs.Registry, bool) }); ok {
+		co.SetObs(o.Metrics, o.Trace)
 	}
 	for run, query := range []string{"q1", "q2"} {
 		o.QLog = j.Begin(query, "")
@@ -96,7 +117,7 @@ func runJournaledGNMF(t *testing.T, rtm rt.Runtime) (first, second []normEvent, 
 			tally.SkewSamples += e.Skew.Tasks
 		}
 	}
-	return normalize(j.Events("q1")), normalize(j.Events("q2")), tally
+	return normalize(j.Events("q1")), normalize(j.Events("q2")), tally, taskStages(j.Events("q1"))
 }
 
 // TestRuntimeConformanceJournal requires the simulated cluster and the TCP
@@ -105,14 +126,21 @@ func runJournaledGNMF(t *testing.T, rtm rt.Runtime) (first, second []normEvent, 
 // counts, and stage_end flight records whose deterministic fields (chosen
 // (P,Q,R), predicted costs, flops, cache counters) match exactly. Only
 // timestamps, wall times, wire-byte volumes, steal counters and worker
-// attribution may differ between backends. Runs on pipelineBackends: the
+// attribution may differ between backends. Every task event names its stage,
+// and both backends journal the same task IDs under each stage name. Runs
+// on pipelineBackends: the
 // TCP side runs each worker's share of a stage on one lane, so it journals
 // with queued tasks an idle lane may steal.
 func TestRuntimeConformanceJournal(t *testing.T) {
 	ctors := pipelineBackends()
-	simFirst, simSecond, simTally := runJournaledGNMF(t, ctors["sim"](t))
+	simFirst, simSecond, simTally, simTasks := runJournaledGNMF(t, ctors["sim"](t))
 	if len(simFirst) == 0 {
 		t.Fatal("sim journaled no events")
+	}
+	for stage, ids := range simTasks {
+		if stage == "" || !slices.ContainsFunc(simFirst, func(e normEvent) bool { return e.Stage == stage }) {
+			t.Fatalf("sim journaled tasks %v under stage %q, which no stage event names", ids, stage)
+		}
 	}
 	if simTally.TasksTotal == 0 || simTally.SkewSamples != int(simTally.TasksTotal) {
 		t.Fatalf("sim task tally = %+v, want one skew sample per counted task", simTally)
@@ -146,9 +174,12 @@ func TestRuntimeConformanceJournal(t *testing.T) {
 			continue
 		}
 		t.Run(name, func(t *testing.T) {
-			first, second, tally := runJournaledGNMF(t, open(t))
+			first, second, tally, tasks := runJournaledGNMF(t, open(t))
 			if tally != simTally {
 				t.Errorf("per-task telemetry diverges: tcp %+v, sim %+v", tally, simTally)
+			}
+			if !reflect.DeepEqual(tasks, simTasks) {
+				t.Errorf("task events name other stages:\n tcp %v\n sim %v", tasks, simTasks)
 			}
 			if !reflect.DeepEqual(first, simFirst) {
 				t.Errorf("first run journals diverge:\n tcp %+v\n sim %+v", first, simFirst)

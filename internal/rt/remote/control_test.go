@@ -153,8 +153,8 @@ func TestPingRejectsMalformedPong(t *testing.T) {
 				peer.Close()
 			}()
 			co := &Coordinator{rcfg: DefaultConfig()}
-			o := &obs.Obs{Metrics: obs.NewRegistry()}
-			co.obs.Store(o)
+			reg := obs.NewRegistry()
+			co.reg.Store(reg)
 			w := &workerConn{ctrl: conn}
 			err := co.pingWorker(w)
 			if (err == nil) != tc.ok {
@@ -164,7 +164,7 @@ func TestPingRejectsMalformedPong(t *testing.T) {
 			if tc.ok {
 				want = 1
 			}
-			if got := o.Histogram(obs.MHeartbeatRTT).Snapshot().Count; got != want {
+			if got := reg.Histogram(obs.MHeartbeatRTT).Snapshot().Count; got != want {
 				t.Fatalf("recorded %d round trips, want %d", got, want)
 			}
 		})

@@ -96,22 +96,24 @@ type Coordinator struct {
 	// the stage's tasks.
 	stageSeq atomic.Uint64
 
-	obs atomic.Pointer[obs.Obs] // session observability; nil disables
+	reg   atomic.Pointer[obs.Registry] // the session's metrics; nil disables
+	trace atomic.Bool                  // workers record their task bodies' sub-spans
 }
 
-// SetObs attaches the session's observability bundle: heartbeat RTT, retry
-// and membership metrics, and whether workers trace their task bodies. Tasks
-// are not reported here: each attempt goes to its own stage
-// (rt.Stage.TaskDone). Safe to call anytime.
-func (c *Coordinator) SetObs(o *obs.Obs) {
-	c.obs.Store(o)
-	if o != nil {
-		c.publishMembership(o)
+// SetObs attaches the session's metrics registry — heartbeat RTT, retry and
+// membership metrics; nil publishes none — and sets whether workers trace
+// their task bodies. Tasks are not reported here: each attempt goes to its
+// own stage (rt.Stage.TaskDone). Safe to call anytime.
+func (c *Coordinator) SetObs(reg *obs.Registry, trace bool) {
+	c.reg.Store(reg)
+	c.trace.Store(trace)
+	if reg != nil {
+		c.publishMembership(reg)
 		// Catch the counter up to the epoch: the seed workers joined during
-		// construction, before any bundle was attached, and the counter is
+		// construction, before any registry was attached, and the counter is
 		// documented to equal the epoch. Registries are shared across a
 		// serve pool's sessions, so only add this coordinator's shortfall.
-		ctr := o.Counter(obs.MMembershipChanges)
+		ctr := reg.Counter(obs.MMembershipChanges)
 		if delta := int64(c.mem.Epoch()) - ctr.Value(); delta > 0 {
 			ctr.Add(delta)
 		}
@@ -120,15 +122,12 @@ func (c *Coordinator) SetObs(o *obs.Obs) {
 
 // publishMembership sets the membership gauges from the table: workers per
 // state, and the active count.
-func (c *Coordinator) publishMembership(o *obs.Obs) {
+func (c *Coordinator) publishMembership(reg *obs.Registry) {
 	for st, n := range c.mem.CountByState() {
-		o.Gauge(obs.ClusterWorkersGauge(st.String())).Set(float64(n))
+		reg.Gauge(obs.ClusterWorkersGauge(st.String())).Set(float64(n))
 	}
-	o.Gauge(obs.MWorkersAlive).Set(float64(c.ActiveCount()))
+	reg.Gauge(obs.MWorkersAlive).Set(float64(c.ActiveCount()))
 }
-
-// getObs returns the attached observability bundle (nil-safe to use).
-func (c *Coordinator) getObs() *obs.Obs { return c.obs.Load() }
 
 // SetScheduler installs a shared task-dispatch scheduler (nil is ignored).
 // Call before running stages. The coordinator dispatches through its
@@ -368,9 +367,9 @@ func (c *Coordinator) removeWorker(addr string) error {
 // dispatch scheduler and refresh the membership metrics.
 func (c *Coordinator) onMembershipChange() {
 	c.local.Scheduler().Resize(c.mem.ActiveCount() * c.taskSlots)
-	if o := c.getObs(); o.Enabled() {
-		o.Counter(obs.MMembershipChanges).Inc()
-		c.publishMembership(o)
+	if reg := c.reg.Load(); reg != nil {
+		reg.Counter(obs.MMembershipChanges).Inc()
+		c.publishMembership(reg)
 	}
 }
 
@@ -388,9 +387,9 @@ func (c *Coordinator) pingWorker(w *workerConn) error {
 		return err
 	}
 	rtt := time.Since(sent)
-	if o := c.getObs(); o.Enabled() {
-		o.Histogram(obs.MHeartbeatRTT).Observe(rtt.Seconds())
-		o.Gauge(obs.WorkerRTTGauge(w.id)).Set(rtt.Seconds())
+	if reg := c.reg.Load(); reg != nil {
+		reg.Histogram(obs.MHeartbeatRTT).Observe(rtt.Seconds())
+		reg.Gauge(obs.WorkerRTTGauge(w.id)).Set(rtt.Seconds())
 	}
 	return nil
 }
@@ -603,10 +602,10 @@ func (c *Coordinator) RunSpecStage(st *rt.Stage) error {
 		mu    sync.Mutex
 		stage = cluster.Stats{Stages: 1, Tasks: sp.NumTasks} // the tasks' metering, under mu
 	)
-	o := c.getObs()
+	reg := c.reg.Load()
 	steals, err := c.local.Dispatch(sp.Name, sp.NumTasks, active, func(node, taskID, attempt int) error {
 		if attempt > 0 {
-			o.Counter(obs.MRetriesTotal).Inc()
+			reg.Counter(obs.MRetriesTotal).Inc()
 		}
 		w := c.attemptWorker(node, taskID, attempt)
 		if w == nil {
@@ -758,7 +757,7 @@ func (c *Coordinator) serveTask(s *stream, st *rt.Stage, taskID int, gen uint64,
 	if err := s.writeGob(msgTask, taskAssign{
 		TaskID: taskID,
 		Gen:    gen,
-		Trace:  c.getObs().Tracing(),
+		Trace:  c.trace.Load(),
 	}); err != nil {
 		return res, false, transportError{err}
 	}

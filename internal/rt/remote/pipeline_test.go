@@ -109,7 +109,7 @@ func TestOneTaskStageRunsAtHome(t *testing.T) {
 	regs := make([]*obs.Registry, len(workers))
 	for i, w := range workers {
 		regs[i] = obs.NewRegistry()
-		w.SetObs(&obs.Obs{Metrics: regs[i]})
+		w.SetObs(regs[i])
 	}
 	a := block.RandomDense(8, 8, testConfig().BlockSize, 0, 1, 1)
 	g, err := lang.Parse("B = A + 1", map[string]lang.InputDecl{"A": {Rows: 8, Cols: 8, Sparsity: 1}})

@@ -37,8 +37,8 @@ func TestStaleIdleStreamRedials(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { co.Close() })
-	o := &obs.Obs{Metrics: obs.NewRegistry()}
-	co.SetObs(o)
+	reg := obs.NewRegistry()
+	co.SetObs(reg, false)
 
 	inputs, decls := testInputs(t, testConfig().BlockSize)
 	g, err := lang.Parse(`U2 = U * (t(V) %*% X) / (t(V) %*% V %*% U)`, decls)
@@ -64,7 +64,7 @@ func TestStaleIdleStreamRedials(t *testing.T) {
 	proxy.DropAll()
 	run("after the blip")
 
-	if n := o.Counter(obs.MRetriesTotal).Value(); n != 0 {
+	if n := reg.Counter(obs.MRetriesTotal).Value(); n != 0 {
 		t.Errorf("%s = %d after a dead idle stream, want 0", obs.MRetriesTotal, n)
 	}
 	if got := co.ClusterEpoch(); got != epoch {

@@ -58,7 +58,7 @@ type Worker struct {
 	killAfter atomic.Int64
 	started   atomic.Int64
 
-	obs atomic.Pointer[obs.Obs] // process-local metrics; nil disables
+	reg atomic.Pointer[obs.Registry] // process-local metrics; nil disables
 
 	// cache is the worker-resident block cache for loop-invariant inputs,
 	// built with the budget cacheBytes a stage shipped (see blockCache); nil
@@ -82,10 +82,10 @@ type Worker struct {
 	poolSlots   int
 }
 
-// SetObs attaches an observability bundle: each executed task records its
-// latency and wire-byte metrics in the worker's own registry (served by the
-// worker process's -metrics-addr endpoint).
-func (w *Worker) SetObs(o *obs.Obs) { w.obs.Store(o) }
+// SetObs attaches the worker's own metrics registry (served by the worker
+// process's -metrics-addr endpoint): each executed task records its latency,
+// wire-byte, cache and kernel-pool metrics there. Nil publishes none.
+func (w *Worker) SetObs(reg *obs.Registry) { w.reg.Store(reg) }
 
 // NewWorker starts a worker listening on addr (host:port; use port 0 for an
 // ephemeral port) and begins accepting connections.
@@ -435,22 +435,18 @@ func (w *Worker) runTask(s *stream, q *fetchQueue, st *workerStage, assign *task
 	taskDur := time.Since(start)
 	m := task.Metrics()
 	m.FetchSeconds, m.TaskSeconds = fetchSecs, taskDur.Seconds()
-	if o := w.obs.Load(); o.Enabled() {
-		o.Counter(obs.MWorkerTasksTotal).Inc()
-		o.Histogram(obs.MWorkerTaskSeconds).Observe(taskDur.Seconds())
-		o.Counter(obs.MWorkerFetchBytes).Add(m.ConsolidationBytes)
-		o.Counter(obs.MWorkerResultBytes).Add(m.AggregationBytes)
+	if reg := w.reg.Load(); reg != nil {
+		reg.Counter(obs.MWorkerTasksTotal).Inc()
+		reg.Histogram(obs.MWorkerTaskSeconds).Observe(taskDur.Seconds())
+		reg.Counter(obs.MWorkerFetchBytes).Add(m.ConsolidationBytes)
+		reg.Counter(obs.MWorkerResultBytes).Add(m.AggregationBytes)
 		if m.CacheHits+m.CacheMisses > 0 {
-			o.Counter(obs.MCacheHits).Add(m.CacheHits)
-			o.Counter(obs.MCacheMisses).Add(m.CacheMisses)
-			o.Counter(obs.MCacheEvictions).Add(m.CacheEvictions)
-			o.Gauge(obs.MCacheResidentBytes).Set(float64(cache.ResidentBytes()))
+			reg.Counter(obs.MCacheHits).Add(m.CacheHits)
+			reg.Counter(obs.MCacheMisses).Add(m.CacheMisses)
+			reg.Counter(obs.MCacheEvictions).Add(m.CacheEvictions)
+			reg.Gauge(obs.MCacheResidentBytes).Set(float64(cache.ResidentBytes()))
 		}
-		delta, threads := w.KernelPool().Unreported()
-		o.Gauge(obs.MKernelThreads).Set(float64(threads))
-		o.Counter(obs.MKernelParallelCalls).Add(delta.ParallelCalls)
-		o.Counter(obs.MKernelSerialCalls).Add(delta.SerialCalls)
-		o.Counter(obs.MKernelHelperRuns).Add(delta.HelperRuns)
+		reg.PublishKernelPool(w.KernelPool())
 	}
 	if q.finish() != nil {
 		return false // the stream is dead: no msgDone or msgFail can follow

@@ -1,9 +1,12 @@
 package fuseme
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -167,41 +170,37 @@ func TestSetQueryLogConsumedOnce(t *testing.T) {
 // — the serve daemon's pool — fold their stages into one per-worker slowdown
 // history, so fuseme_worker_slowdown{worker} scores every stage of every
 // session, not only those of the session that ran last. Two sessions take
-// turns; the gauges must be the scores of one registry fed every journaled
-// stage skew in order. The query is one operator, so its stages run one after
-// another and the journal keeps them in the order the registry saw them.
-// Then both sessions run at once, and the gauges must still be the
-// registry's scores.
+// turns, then run at once; each time the gauges must be the scores of a
+// fresh registry the shared journal is replayed into (obs.Replay), which
+// folds the two sessions' stages in the order the shared registry did.
 func TestSessionsShareOneSlowdownHistory(t *testing.T) {
 	reg, j := obs.NewRegistry(), NewJournal(0, nil)
 	a := journalSession(t, WithRegistry(reg), WithJournal(j))
 	b := journalSession(t, WithRegistry(reg), WithJournal(j))
-	ref := obs.NewRegistry()
 	for i, sess := range []*Session{a, b, a, b} {
-		id := fmt.Sprintf("turn%d", i)
-		sess.SetQueryLog(j.Begin(id, ""))
+		sess.SetQueryLog(j.Begin(fmt.Sprintf("turn%d", i), ""))
 		if _, err := sess.Query(obsTestScript); err != nil {
 			t.Fatal(err)
 		}
-		for _, e := range j.Events(id) {
-			if e.Type == obs.EvStageEnd && e.Skew != nil {
-				ref.ObserveSkew(*e.Skew)
+	}
+	checkSlowdownGauges := func(when string) {
+		t.Helper()
+		ref := obs.NewRegistry()
+		obs.Replay(j.Retained(), nil, ref)
+		got, scores := reg.Snapshot().Gauges, 0
+		for name, want := range ref.Snapshot().Gauges {
+			if strings.HasPrefix(name, obs.MWorkerSlowdown) {
+				scores++
+				if got[name] != want {
+					t.Errorf("%s: %s = %g, want %g", when, name, got[name], want)
+				}
 			}
 		}
-	}
-	checkSlowdownGauges := func(when string, want map[int]float64) {
-		t.Helper()
-		if len(want) == 0 {
+		if scores == 0 {
 			t.Fatalf("%s: no worker has a slowdown score", when)
 		}
-		gauges := reg.Snapshot().Gauges
-		for w, score := range want {
-			if got := gauges[obs.WorkerSlowdownGauge(w)]; got != score {
-				t.Errorf("%s: worker %d slowdown gauge = %g, want %g", when, w, got, score)
-			}
-		}
 	}
-	checkSlowdownGauges("taking turns", ref.Slowdowns())
+	checkSlowdownGauges("taking turns")
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 2)
@@ -221,7 +220,91 @@ func TestSessionsShareOneSlowdownHistory(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	checkSlowdownGauges("at once", reg.Slowdowns())
+	checkSlowdownGauges("at once")
+}
+
+// TestReplayEqualsLiveSession: a traced session's journal file, read back
+// and replayed into a fresh calibration and a fresh registry (obs.Replay),
+// gives the live session's Report text, the stage and task series and the
+// straggler gauges, because the live consumers fold the same events. Three
+// GNMF iterations, whose two updates run at once, on the simulated cluster
+// and over loopback TCP. The report's task-latency quantiles are masked: a
+// live task's duration is read off the monotonic clock, which a journaled
+// time does not carry, so the replayed quantiles may differ by the
+// microseconds the wall clock drifts from it; their count may not.
+func TestReplayEqualsLiveSession(t *testing.T) {
+	latency := regexp.MustCompile(`(task latency: n=\d+) .*`)
+	for _, runtime := range []string{"sim", "tcp"} {
+		t.Run(runtime, func(t *testing.T) {
+			var sink bytes.Buffer
+			cfg := LocalClusterConfig()
+			cfg.BlockSize = 16
+			if cfg.Runtime = runtime; runtime == "tcp" {
+				cfg.Workers = startWorkers(t, 2)
+			}
+			sess, err := NewSession(cfg, WithTracing(), WithMetricsAddr(""),
+				WithJournal(NewJournal(0, &sink)), WithBlockCache(1<<24))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			bindGNMFInputs(sess)
+			for range 3 {
+				out, err := sess.Query(gnmfScript)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sess.Bind("U", out["U2"])
+				sess.Bind("V", out["V2"])
+			}
+			if err := sess.Journal().Flush(); err != nil {
+				t.Fatal(err)
+			}
+			events, err := obs.ReadEvents(&sink)
+			if err != nil {
+				t.Fatal(err)
+			}
+			calib, reg := obs.NewCalibration(), obs.NewRegistry()
+			obs.Replay(events, calib, reg)
+
+			rep := calib.Report(sess.cc)
+			if snap := reg.Histogram(obs.MTaskSeconds).Snapshot(); snap.Count > 0 {
+				rep.TaskLatency = &snap
+			}
+			if got, want := latency.ReplaceAllString(rep.String(), "$1"), latency.ReplaceAllString(sess.Report(), "$1"); got != want {
+				t.Errorf("replayed report:\n%s\nlive:\n%s", got, want)
+			}
+			live, replayed := sess.obs.Metrics.Snapshot(), reg.Snapshot()
+			for _, name := range []string{obs.MStagesTotal, obs.MTasksTotal, obs.MFlopsTotal, obs.MCacheHits} {
+				if replayed.Counters[name] == 0 {
+					t.Errorf("replay folded no %s", name)
+				}
+			}
+			for name, v := range replayed.Counters {
+				if live.Counters[name] != v {
+					t.Errorf("%s = %d replayed, %d live", name, v, live.Counters[name])
+				}
+			}
+			if replayed.Gauges[obs.MStageSkew] == 0 {
+				t.Fatal("the replay published no stage skew: the run has no straggler gauges to compare")
+			}
+			for w := range cfg.Nodes {
+				if _, ok := replayed.Gauges[obs.WorkerSlowdownGauge(w)]; !ok {
+					t.Errorf("replay published no slowdown for worker %d", w)
+				}
+			}
+			for name, v := range replayed.Gauges {
+				if live.Gauges[name] != v {
+					t.Errorf("%s = %g replayed, %g live", name, v, live.Gauges[name])
+				}
+			}
+			for _, name := range []string{obs.MTaskSeconds, obs.MQueueSeconds} {
+				if got, want := replayed.Histograms[name].Count, live.Histograms[name].Count; got != want {
+					t.Errorf("%s count = %d replayed, %d live", name, got, want)
+				}
+			}
+		})
+	}
 }
 
 // TestSessionSkewDetectorWithMetrics: enabling the metrics registry arms the

@@ -217,10 +217,8 @@ func (s *Session) Report() string {
 func (s *Session) CalibrationReport() *obs.Report {
 	// Judged against the cluster the planner priced on.
 	rep := s.obs.Calib.Report(s.cc)
-	if s.obs.Metrics != nil {
-		if snap := s.obs.Metrics.Histogram(obs.MTaskSeconds).Snapshot(); snap.Count > 0 {
-			rep.TaskLatency = &snap
-		}
+	if snap := s.obs.Metrics.Histogram(obs.MTaskSeconds).Snapshot(); snap.Count > 0 {
+		rep.TaskLatency = &snap
 	}
 	return rep
 }
@@ -229,7 +227,8 @@ func (s *Session) CalibrationReport() *obs.Report {
 // counters (gauges keep their last value) and the per-worker slowdown
 // history.
 func (s *Session) ResetObservations() {
-	s.obs.Reset()
+	s.obs.Calib.Reset()
+	s.obs.Metrics.Reset()
 	s.timeline.Reset()
 }
 

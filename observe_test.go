@@ -211,7 +211,7 @@ func TestSessionCalibrationDefault(t *testing.T) {
 		t.Error("default session collected no calibration rows")
 	}
 	// But per-task instrumentation stays off...
-	if sess.obs.PerTask() {
+	if sess.obs.Trace || sess.obs.Metrics != nil {
 		t.Error("per-task instrumentation enabled without WithTracing/WithMetricsAddr")
 	}
 	// ...and the exporters report their collectors as disabled.
