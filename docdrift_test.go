@@ -687,11 +687,15 @@ func declName(fn *ast.FuncDecl) string {
 //     lowering file, internal/exec/lower.go (and in package spec itself);
 //   - in internal/exec, asks a plan for its space tree, node spaces, outer
 //     mask or multiplications only in newPlanCtx, which only lowering and
-//     NewSpecStage call: once per stage, never per execution or per task.
+//     NewSpecStage call: once per stage, never per execution or per task;
+//   - has one task path: outside package rt, passes no function literal to a
+//     RunStage method (a task body of its own), and calls the descriptor's
+//     task entry, RunTask, only in the TCP worker and in rt's in-process arm.
 func TestOneStageConstructor(t *testing.T) {
 	const rtPath, rtDir = `"fuseme/internal/rt"`, "internal/rt"
 	const specPath, specDir = `"fuseme/internal/rt/spec"`, "internal/rt/spec"
 	const lowerFile = "internal/exec/lower.go"
+	taskEntryCallers := map[string]bool{"internal/rt/rt.go": true, "internal/rt/remote/worker.go": true}
 	derivations := map[string]bool{"Spaces": true, "NodeSpaces": true, "FindOuterMask": true, "MatMuls": true}
 	planCtxCallers := map[string]bool{"FusedOp.Lower": true, "MultiAggOp.Lower": true, "NewSpecStage": true}
 	var literals []string
@@ -743,6 +747,18 @@ func TestOneStageConstructor(t *testing.T) {
 			case *ast.CallExpr:
 				if from(n.Fun, inSpec, specName, "FromPlan") && !inLowering {
 					t.Errorf("%s: spec.FromPlan outside %s", fset.Position(n.Pos()), lowerFile)
+				}
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
+					switch {
+					case sel.Sel.Name == "RunStage" && !inRT:
+						for _, arg := range n.Args {
+							if _, lit := arg.(*ast.FuncLit); lit {
+								t.Errorf("%s: a function literal passed to RunStage outside package rt", fset.Position(arg.Pos()))
+							}
+						}
+					case sel.Sel.Name == "RunTask" && !taskEntryCallers[slash]:
+						t.Errorf("%s: RunTask called outside the TCP worker and rt's in-process arm", fset.Position(n.Pos()))
+					}
 				}
 			case *ast.TypeAssertExpr:
 				if !inRT && n.Type != nil && fromRT(n.Type, "") {

@@ -452,7 +452,7 @@ func (s *Session) runtime() (rt.Runtime, error) {
 		if err != nil {
 			return nil, err
 		}
-		co.SetObs(s.obs.Metrics, s.obs.Trace)
+		co.SetObs(s.obs.Metrics)
 		s.rtm = co
 	default:
 		return nil, fmt.Errorf("fuseme: unknown runtime %q (want \"sim\" or \"tcp\")", s.cfg.Runtime)

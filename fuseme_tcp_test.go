@@ -234,7 +234,7 @@ func TestTCPStealAndDeathLeaveNoGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	co.SetObs(sess.obs.Metrics, sess.obs.Trace)
+	co.SetObs(sess.obs.Metrics)
 	wide := co.Config()
 	wide.TasksPerNode = 6
 	sess.rtm = wideRuntime{Coordinator: co, cfg: wide}

@@ -50,7 +50,7 @@ func TestStragglerDetection(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	o := &obs.Obs{Metrics: reg}
-	co.SetObs(reg, false)
+	co.SetObs(reg)
 
 	const rows, cols, k = 96, 64, 8
 	inputs := map[string]*block.Matrix{

@@ -382,6 +382,8 @@ func (c *Cluster) CheckAdmission(estTaskMemBytes int64, what string) error {
 type Task struct {
 	ID int
 
+	node int // the node whose lane runs the attempt (Node)
+
 	// pool is the kernel pool the task's local linear algebra may fan out
 	// on; nil means serial kernels. Set by the backend that runs the task.
 	pool *parallel.Pool
@@ -418,6 +420,10 @@ func (t *Task) SetCache(c *blockcache.Cache) { t.cache = c }
 
 // Cache returns the task's block cache (nil when uncached).
 func (t *Task) Cache() *blockcache.Cache { return t.cache }
+
+// Node returns the node whose lane runs the task under Cluster.RunStage:
+// its home, or the thief of a stolen task.
+func (t *Task) Node() int { return t.node }
 
 // StageStats returns the stats of the stage a task of Cluster.RunStage
 // belongs to — that stage's own, whatever other stages run beside it. They
@@ -538,13 +544,13 @@ func (c *Cluster) Dispatch(name string, numTasks int, alive []bool, run func(nod
 // RunStage executes numTasks tasks as one distributed stage over the
 // simulated nodes (Dispatch), each running task holding a slot of the
 // dispatch scheduler — by default min(TotalSlots, GOMAXPROCS) of them. fn runs
-// once per task attempt, on a Task carrying the kernel pool, the block cache
-// of the task's home node (task ID mod Nodes, whichever lane runs it, so
-// cache hits do not depend on steals) and the stage's own stats
-// (Task.StageStats). Task metrics are folded into those and into the cluster
-// stats, and the simulated clock advances per Eq. 2. The first error aborts
-// the stage once in-flight tasks finish; a simulated-time overrun returns a
-// wrapped ErrTimeout.
+// once per task attempt, on a Task carrying the node whose lane runs it
+// (Task.Node), the kernel pool, the block cache of the task's home node
+// (task ID mod Nodes, whichever lane runs it, so cache hits do not depend on
+// steals) and the stage's own stats (Task.StageStats). Task metrics are
+// folded into those and into the cluster stats, and the simulated clock
+// advances per Eq. 2. The first error aborts the stage once in-flight tasks
+// finish; a simulated-time overrun returns a wrapped ErrTimeout.
 func (c *Cluster) RunStage(name string, numTasks int, fn func(t *Task) error) error {
 	if numTasks < 0 {
 		return fmt.Errorf("cluster: stage %q: negative task count", name)
@@ -552,11 +558,11 @@ func (c *Cluster) RunStage(name string, numTasks int, fn func(t *Task) error) er
 	start := time.Now()
 	stage := &Stats{}
 	tasks := make([]Task, numTasks)
-	steals, err := c.Dispatch(name, numTasks, c.alive, func(_, id, _ int) error {
+	steals, err := c.Dispatch(name, numTasks, c.alive, func(node, id, _ int) error {
 		// A retried task restarts with clean metering: the failed attempt's
 		// partial work is discarded, exactly as a re-executed Spark task
 		// recomputes its partition.
-		tasks[id] = Task{ID: id, pool: c.pool, stage: stage}
+		tasks[id] = Task{ID: id, node: node, pool: c.pool, stage: stage}
 		if len(c.caches) > 0 {
 			tasks[id].cache = c.caches[id%len(c.caches)] // the home node's
 		}

@@ -14,27 +14,30 @@ import (
 	"fuseme/internal/chaos/chaostest"
 	"fuseme/internal/cluster"
 	"fuseme/internal/core"
+	"fuseme/internal/matrix"
 	"fuseme/internal/rt"
+	"fuseme/internal/rt/spec"
 	"fuseme/internal/sched"
 )
 
 // hooked is the in-process cluster with a hook called before every task
 // attempt of every stage, naming the stage: the test's view into which
-// stages run when. It takes the descriptor path of rt.RunStage.
+// stages run when. It takes the descriptor path of rt.RunStage and forwards
+// the stage to the cluster with the hook ahead of its task entry.
 type hooked struct {
 	*cluster.Cluster
 	attempt func(stage string, task int) error
 }
 
 func (h *hooked) RunSpecStage(st *rt.Stage) error {
-	fn := st.Fn
-	return rt.RunStage(h.Cluster, &rt.Stage{Name: st.Name, NumTasks: st.NumTasks, Report: st.Report,
-		Fn: func(t *cluster.Task) error {
-			if err := h.attempt(st.Name, t.ID); err != nil {
-				return err
-			}
-			return fn(t)
-		}})
+	cp := *st
+	cp.RunTask = func(t *cluster.Task, fetch func(spec.BlockRef) (matrix.Mat, error), ahead func([]spec.BlockRef), emit func(uint8, int, int, matrix.Mat) error) error {
+		if err := h.attempt(st.Name, t.ID); err != nil {
+			return err
+		}
+		return st.RunTask(t, fetch, ahead, emit)
+	}
+	return rt.RunStage(h.Cluster, &cp)
 }
 
 // wideCluster is the golden cluster with a slot for every lane, whatever

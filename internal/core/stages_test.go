@@ -23,8 +23,8 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/stages.golden fr
 
 // recorder is the in-process cluster with every dispatched stage descriptor
 // recorded, with when it started and ended on one logical clock: it takes
-// the descriptor path of rt.RunStage and runs the stage's closure on the
-// embedded cluster. Stages of independent operators run at once, so the
+// the descriptor path of rt.RunStage and forwards the stage to the embedded
+// cluster. Stages of independent operators run at once, so the
 // recorder is safe for concurrent use.
 type recorder struct {
 	*cluster.Cluster
@@ -49,7 +49,7 @@ func (r *recorder) tick() int {
 
 func (r *recorder) RunSpecStage(st *rt.Stage) error {
 	start := r.tick()
-	err := rt.RunStage(r.Cluster, &rt.Stage{Name: st.Name, NumTasks: st.NumTasks, Fn: st.Fn, Report: st.Report})
+	err := rt.RunStage(r.Cluster, st)
 	end := r.tick()
 	r.mu.Lock()
 	r.stages = append(r.stages, recorded{spec: *st.Spec, start: start, end: end})

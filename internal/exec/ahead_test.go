@@ -114,15 +114,26 @@ func checkAhead(t *testing.T, what string, hints []hint, fetched []spec.BlockRef
 // TestAheadNamesWhatTheTaskFetches runs GNMF (its partial, fuse, local and
 // grid tasks) and the AutoEncoder train step (its backward CFOs run as
 // one-stage cuboid tasks) through aheadRecorder and requires the results of the
-// simulated cluster bit for bit. The in-process block source offers no
-// read-ahead hook, plain or traced, so a simulated task builds no hint list.
+// simulated cluster bit for bit. rt.RunStage's in-process arm hands the task
+// entry no read-ahead hook, plain or traced, so a simulated task builds no
+// hint list.
 func TestAheadNamesWhatTheTaskFetches(t *testing.T) {
-	if plain, traced := exec.BindSourceAhead(); plain || traced {
-		t.Fatal("the in-process block source offers a read-ahead hook")
-	}
 	const bs = 16
 	cfg := pipelineTestConfig(2)
 	cfg.TasksPerNode = 1 // the repo benchmark's two lanes: GNMF plans partial, fuse and local stages
+	for _, trace := range []bool{false, true} {
+		probe := &rt.Stage{Name: "probe", NumTasks: 2, Trace: trace,
+			RunTask: func(_ *cluster.Task, _ func(spec.BlockRef) (matrix.Mat, error), ahead func([]spec.BlockRef), _ func(uint8, int, int, matrix.Mat) error) error {
+				if ahead != nil {
+					return fmt.Errorf("the in-process arm offers a read-ahead hook (traced %v)", trace)
+				}
+				return nil
+			},
+			Collect: func(int, []spec.OutBlock) error { return nil }}
+		if err := rt.RunStage(cluster.MustNew(cfg), probe); err != nil {
+			t.Fatal(err)
+		}
+	}
 	x := block.RandomSparse(160, 48, bs, 0.1, 1, 5, 1)
 	ae := workloads.AutoEncoderConfig{Features: 40, Batch: 24, H1: 20, H2: 8}
 	st := workloads.InitAutoEncoder(ae, bs, 7)

@@ -413,7 +413,7 @@ func TestHeldChainReadsHeldOperands(t *testing.T) {
 	})
 	want := matrix.MatMul(flats["U2"], flats["V"])
 	err := testCluster(bs).RunStage("held-chain", 1, func(task *cluster.Task) error {
-		ev := newEvaluator(newPlanCtx(plan, true), task, bindSource{bind: bind}, bs, 0, 1) // unmasked: U %*% V is built
+		ev := newEvaluator(newPlanCtx(plan, true), task, source{fetch: bindSource{bind: bind}.fetch}, bs, 0, 1) // unmasked: U %*% V is built
 		ev.arena = new(taskArena)
 		blk := ev.evalTo(plan.Root, 0, 0, toHeld)
 		if n := len(ev.arena.held.taken) + len(ev.arena.block.taken); n != 2 {
@@ -750,7 +750,7 @@ b4n = b4 - lrm * rowSums(D4)
 				if mm := plan.MainMM; mm != nil {
 					gk = (mm.Inputs[0].Cols + bs - 1) / bs
 				}
-				ev := newEvaluator(newPlanCtx(plan, false), task, bindSource{bind: bind}, bs, 0, gk)
+				ev := newEvaluator(newPlanCtx(plan, false), task, source{fetch: bindSource{bind: bind}.fetch}, bs, 0, gk)
 				ev.arena = new(taskArena)
 				if ev.pc.mask != nil {
 					t.Errorf("%s: %s is masked: its chain walks a pattern, the case is not the one meant", name, plan)

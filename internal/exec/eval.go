@@ -21,8 +21,8 @@ type execPanic struct{ err error }
 // evaluator computes blocks of the fused sub-DAG for one task. It is not
 // safe for concurrent use; every task builds its own.
 type evaluator struct {
-	pc        *planCtx    // the plan evaluated, with its mask and retained members
-	src       blockSource // external input (and pinned-partial) blocks
+	pc        *planCtx // the plan evaluated, with its mask and retained members
+	src       source   // external input (and pinned-partial) blocks
 	task      *cluster.Task
 	pool      *parallel.Pool // intra-task kernel threads; nil = serial
 	kLo, kHi  int            // main multiplication k-block range
@@ -92,7 +92,7 @@ func (ev *evaluator) memoKey(id, bi, bj int) uint64 {
 	return uint64(id)<<(2*memoCoordBits) | uint64(bi)<<memoCoordBits | uint64(bj)
 }
 
-func newEvaluator(pc *planCtx, task *cluster.Task, src blockSource, blockSize, kLo, kHi int) *evaluator {
+func newEvaluator(pc *planCtx, task *cluster.Task, src source, blockSize, kLo, kHi int) *evaluator {
 	return &evaluator{
 		pc:        pc,
 		src:       src,
@@ -245,7 +245,7 @@ func (ev *evaluator) transposedChild(n *dag.Node, bi, bj int) matrix.Mat {
 
 // fetchExternal meters and returns an input block, deduplicating fetches
 // within the task (each distinct block is consolidated once per task). The
-// block comes from the task's blockSource — the coordinator's bindings when
+// block comes from the task's source — the coordinator's bindings when
 // running in-process, or a network pull on a remote worker — and is retained
 // in the memo so remote tasks move each block at most once. The block of an
 // input that is not a leaf (an earlier operator's result) is charged to task
@@ -391,7 +391,7 @@ func (ev *evaluator) evalMatMul(n *dag.Node, bi, bj int, to dest) matrix.Mat {
 	}
 	rows, cols := ev.blockDims(n, bi, bj)
 	folded := ev.pc.role(left.ID)&roleFolded != 0
-	if ra := ev.src.ahead(); ra != nil {
+	if ra := ev.src.ahead; ra != nil {
 		refs := ra.refs[:0]
 		for bk := lo; bk < hi; bk++ {
 			refs = ev.appendExternal(refs, left, bi, bk)

@@ -206,9 +206,9 @@ type resultSink struct {
 	out *block.Matrix
 }
 
-// put stores a final block, counted here and only here: on the simulated
-// cluster in the task that made it, while it is hot, on the TCP coordinator
-// as it comes off the wire — outside the lock, so concurrent tasks count in
+// put stores a final block, counted here and only here, as Collect takes it:
+// on the simulated cluster on the lane whose task made it, on the TCP
+// coordinator as it comes off the wire — outside the lock, so concurrent tasks count in
 // parallel and fold their counts into the result's total under it. A result
 // rebound as an input then gives the session its density without a scan.
 func (s *resultSink) put(bi, bj int, blk matrix.Mat) {

@@ -5,16 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"fuseme/internal/cluster"
 	"fuseme/internal/matrix"
 )
-
-// BindSourceAhead reports whether the in-process block source, plain and
-// traced, offers a read-ahead hook, for external tests.
-func BindSourceAhead() (plain, traced bool) {
-	src := bindSource{}
-	return src.ahead() != nil, tracedSource{src: src, tt: &cluster.TaskTrace{}}.ahead() != nil
-}
 
 // PoisonTaskArenas makes every task arena reset fill the blocks it takes back
 // with NaN until t ends, and returns the count of blocks filled so far.

@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"fuseme/internal/cluster"
 	"fuseme/internal/obs"
@@ -17,10 +16,11 @@ import (
 // registry is on, and — the one place a FlightRecord is built from live
 // execution — the operator's prediction pred with, as its Meas, the stats the
 // runtime reports for this stage (rt.Stage.Report: this stage's own, whatever
-// runs beside it), handed to Obs.StageDone. Per task, the stage hands each of
-// its own attempts to Obs.TaskDone — the sim's through the wrapped Fn, a
-// descriptor runtime's through rt.Stage.TaskDone — and their skew to
-// Obs.StageDone.
+// runs beside it), handed to Obs.StageDone. Per task, either runtime hands
+// each of the stage's own attempts to rt.Stage.TaskDone, which passes it to
+// Obs.TaskDone and keeps it for the skew handed to Obs.StageDone; tracing
+// sets rt.Stage.Trace, so the attempts record their sub-spans wherever they
+// run.
 //
 // The disabled path — a nil Obs, or one with every component off — is one
 // check and a plain rt.RunStage: the fast path BenchmarkTraceOverhead guards.
@@ -46,8 +46,8 @@ func runObservedStage(rtm rt.Runtime, o *obs.Obs, pred obs.FlightRecord, st *rt.
 			defer mu.Unlock()
 			return obs.StageSkewOf(st.Name, samples)
 		}
-		st.Fn = wrapTaskFn(o.Trace, st.Fn, time.Now(), rtm.Config().Nodes, st.TaskDone)
 	}
+	st.Trace = o.Trace
 	if o.QLog != nil {
 		sp := st.Spec
 		start := obs.Event{Type: obs.EvStageStart, Stage: st.Name, Op: pred.Op, Tasks: st.NumTasks,
@@ -74,24 +74,4 @@ func runObservedStage(rtm rt.Runtime, o *obs.Obs, pred obs.FlightRecord, st *rt.
 		o.Metrics.PublishKernelPool(pooled.KernelPool())
 	}
 	return err
-}
-
-// wrapTaskFn hands every run of the in-process task body to done, recording
-// the body's sub-spans when trace is set; nodes is the simulated worker
-// count, attributing task ID to its home node the same way the sim cluster
-// places tasks. Only the sim backend executes Fn; the TCP coordinator hands
-// its attempts to rt.Stage.TaskDone from its dispatch lanes.
-func wrapTaskFn(trace bool, inner func(*cluster.Task) error, stageStart time.Time, nodes int, done func(obs.TaskSample)) func(*cluster.Task) error {
-	nodes = max(nodes, 1)
-	return func(task *cluster.Task) error {
-		start := time.Now()
-		if trace {
-			task.SetTrace(cluster.NewTaskTrace(start))
-		}
-		err := inner(task)
-		done(obs.TaskSample{ID: task.ID, Worker: task.ID % nodes, StageStart: stageStart,
-			Start: start, End: time.Now(), Spans: task.Trace().Spans(), Metrics: task.Metrics(), Err: err})
-		task.SetTrace(nil)
-		return err
-	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"fuseme/internal/block"
 	"fuseme/internal/blockcache"
-	"fuseme/internal/cluster"
 	"fuseme/internal/dag"
 	"fuseme/internal/fusion"
 	"fuseme/internal/matrix"
@@ -194,28 +193,23 @@ func (lo *Operator) bound(rtm rt.Runtime, bind Bindings, scopes []blockcache.Sco
 }
 
 // dispatch hands one stage to the runtime, and is the one place an rt.Stage
-// is built: the closure runs runStageTask in-process; descriptor-capable
-// runtimes ship the spec to workers and feed results back through Collect.
-// Both paths route results through a task-index-ordered stage reducer, so
-// floating-point results fold in the same order whatever order tasks complete
-// in. Both are wrapped in the operator's observability (spans, metrics,
-// calibration measurement) when enabled.
-func dispatch(rtm rt.Runtime, o *obs.Obs, pred obs.FlightRecord, st *Stage, src blockSource, sk *sinks) error {
+// is built: the descriptor, its task entry (Stage.RunTask), the
+// coordinator-side block source src as Fetch, and Collect, which checks a
+// task's result blocks and folds them through a task-index-ordered stage
+// reducer, so floating-point results fold in the same order whatever order
+// tasks complete in. Every runtime runs the task entry — a worker on its
+// rebuilt copy, the simulated cluster in-process (rt.RunStage) — and hands
+// the blocks to Collect. The stage is wrapped in the operator's
+// observability (spans, metrics, calibration measurement) when enabled.
+func dispatch(rtm rt.Runtime, o *obs.Obs, pred obs.FlightRecord, st *Stage, src bindSource, sk *sinks) error {
 	sp := &st.Spec
 	red := newStageReducer(sp.NumTasks, sk.route)
 	return runObservedStage(rtm, o, pred, &rt.Stage{
 		Name:     sp.Name,
 		NumTasks: sp.NumTasks,
-		Fn: func(task *cluster.Task) error {
-			red.reset(task.ID)
-			if err := runStageTask(st, task, src, red.emitFor(task.ID)); err != nil {
-				return err
-			}
-			red.complete(task.ID)
-			return nil
-		},
-		Spec:  sp,
-		Fetch: src.fetch,
+		Spec:     sp,
+		RunTask:  st.RunTask,
+		Fetch:    src.fetch,
 		Collect: func(taskID int, blocks []spec.OutBlock) error {
 			// Every block is checked before any is routed: final blocks
 			// route at once, so a rejected attempt must leave nothing behind.

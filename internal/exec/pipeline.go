@@ -10,17 +10,10 @@ import (
 // This file is the executor side of pipelined stage execution: the
 // task-index-ordered stage reducer, which streams partial aggregation while
 // tasks are still running yet folds in one fixed order. Nothing prefetches
-// across tasks (within one, blockSource.ahead names a loop's blocks).
+// across tasks (within one, source.ahead names a loop's blocks).
 // Work-stealing, the other half of the pipeline, runs on both runtimes: both
 // dispatch through cluster.Cluster.Dispatch to sched.Run, where an idle lane
 // takes a task queued on a busy node (cluster.Stats.StealTasks).
-
-// taskEmit is one buffered result emission of a task.
-type taskEmit struct {
-	kind   uint8
-	bi, bj int
-	blk    matrix.Mat
-}
 
 // stageReducer folds stage results into the route sinks in strict task-index
 // order, whatever order tasks complete in. Floating-point folds (OutAgg
@@ -37,7 +30,7 @@ type stageReducer struct {
 	route emitFn
 
 	mu   sync.Mutex
-	buf  [][]taskEmit
+	buf  [][]spec.OutBlock
 	done []bool
 	next int // lowest task index not yet folded
 }
@@ -45,7 +38,7 @@ type stageReducer struct {
 func newStageReducer(numTasks int, route emitFn) *stageReducer {
 	return &stageReducer{
 		route: route,
-		buf:   make([][]taskEmit, numTasks),
+		buf:   make([][]spec.OutBlock, numTasks),
 		done:  make([]bool, numTasks),
 	}
 }
@@ -59,7 +52,7 @@ func (r *stageReducer) emitFor(taskID int) emitFn {
 			return
 		}
 		r.mu.Lock()
-		r.buf[taskID] = append(r.buf[taskID], taskEmit{kind: kind, bi: bi, bj: bj, blk: blk})
+		r.buf[taskID] = append(r.buf[taskID], spec.OutBlock{Kind: kind, BI: bi, BJ: bj, Block: blk})
 		r.mu.Unlock()
 	}
 }
@@ -82,7 +75,7 @@ func (r *stageReducer) complete(taskID int) {
 	r.done[taskID] = true
 	for r.next < len(r.done) && r.done[r.next] {
 		for _, e := range r.buf[r.next] {
-			r.route(e.kind, e.bi, e.bj, e.blk)
+			r.route(e.Kind, e.BI, e.BJ, e.Block)
 		}
 		r.buf[r.next] = nil
 		r.next++

@@ -10,26 +10,30 @@ import (
 	"fuseme/internal/rt/spec"
 )
 
-// This file is the task half of the executor. runStageTask executes one task
-// of a Stage — its spec.Stage descriptor plus the context lowering built for
-// it — against a blockSource. The in-process backend calls it from the stage
-// closure in paths.go; a remote worker calls it through Stage.RunTask,
-// having rebuilt the same context from the shipped descriptor once per stage
-// (NewSpecStage). Both paths run the same arithmetic and the same metering.
+// This file is the task half of the executor: Stage.RunTask executes one
+// task of a Stage — its spec.Stage descriptor plus the context built for it,
+// by lowering or, on a worker, by NewSpecStage from the shipped descriptor —
+// against a block source, and hands its result blocks to an emit callback.
+// It is the one task body and its one entry, on both runtimes: a worker calls
+// it with a network pull and an upload, rt.RunStage's in-process arm with the
+// coordinator-side fetch (rt.Stage.Fetch) and a slice that rt.Stage.Collect
+// then takes, as the coordinator takes a worker's. Only where a block comes
+// from differs.
 
-// blockSource resolves a task's external block references: bound input
-// blocks and, in the fuse phase, aggregated main-multiplication partials.
-// A nil matrix with nil error is an all-zero block.
+// source is a task's block source. fetch resolves its external block
+// references: bound input blocks and, in the fuse phase, aggregated
+// main-multiplication partials; a nil matrix with nil error is an all-zero
+// block.
 //
-// ahead returns the task's read-ahead hook, or nil when the source takes
-// none. A task hands the hook, before a loop whose fetches it knows — a
+// ahead is the task's read-ahead hook, or nil when the source takes none. A
+// task hands the hook, before a loop whose fetches it knows — a
 // multiplication's k loop, a fuse task's partials — those references in the
 // order the loop fetches them; the source may start moving them then. A hint
 // is never a fetch: the task still fetches each reference it named, and may
 // fetch others between them.
-type blockSource interface {
-	fetch(ref spec.BlockRef) (matrix.Mat, error)
-	ahead() *readAhead
+type source struct {
+	fetch func(ref spec.BlockRef) (matrix.Mat, error)
+	ahead *readAhead
 }
 
 // readAhead is a task's read-ahead hook and the list the task builds for it,
@@ -40,7 +44,8 @@ type readAhead struct {
 }
 
 // bindSource serves blocks from coordinator-side state: the operator's
-// bindings and (when R > 1) the partial-result sink filled by stage one.
+// bindings and (when R > 1) the partial-result sink filled by stage one. Its
+// fetch is the stage's rt.Stage.Fetch.
 type bindSource struct {
 	bind     Bindings
 	partials *mmPartialSink
@@ -63,49 +68,6 @@ func (s bindSource) fetch(ref spec.BlockRef) (matrix.Mat, error) {
 	return nil, fmt.Errorf("exec: unknown block reference kind %d", ref.Kind)
 }
 
-// ahead is nil: a binding lookup has nothing to overlap, so an in-process
-// task builds no hint list.
-func (s bindSource) ahead() *readAhead { return nil }
-
-// fetchSource adapts a remote fetch callback (a network pull on a worker)
-// and its read-ahead hook (nil: none).
-type fetchSource struct {
-	fn    func(ref spec.BlockRef) (matrix.Mat, error)
-	hints *readAhead
-}
-
-func (s fetchSource) fetch(ref spec.BlockRef) (matrix.Mat, error) { return s.fn(ref) }
-func (s fetchSource) ahead() *readAhead                           { return s.hints }
-
-// tracedSource wraps a blockSource so every resolved block reference records
-// a "fetch" sub-span on the task's trace. Both backends share the wrapper, so
-// sim and TCP runs produce identical fetch-span counts for the same plan; the
-// spans time a binding lookup in-process and a real network pull on a worker.
-type tracedSource struct {
-	src blockSource
-	tt  *cluster.TaskTrace
-}
-
-func (s tracedSource) fetch(ref spec.BlockRef) (matrix.Mat, error) {
-	end := s.tt.Begin("fetch", "taskop")
-	m, err := s.src.fetch(ref)
-	end()
-	return m, err
-}
-
-func (s tracedSource) ahead() *readAhead { return s.src.ahead() }
-
-// tracedEmit wraps an emitFn so every emitted result block records a "send"
-// sub-span (the block leaving the task: an encode+upload on a worker, a sink
-// append in-process).
-func tracedEmit(tt *cluster.TaskTrace, emit emitFn) emitFn {
-	return func(kind uint8, bi, bj int, blk matrix.Mat) {
-		end := tt.Begin("send", "taskop")
-		emit(kind, bi, bj, blk)
-		end()
-	}
-}
-
 // emitFn receives a task's result blocks: final output blocks, task-local
 // aggregation partials, or partial main-multiplication blocks.
 type emitFn func(kind uint8, bi, bj int, blk matrix.Mat)
@@ -124,7 +86,7 @@ const maxOutputs = 1 << 6
 // multiplication's k-block range [kLo, kHi), wired to the stage's
 // co-partitioned inputs, input epochs and cache scope and to the task's
 // arena.
-func (st *Stage) evaluator(pc *planCtx, task *cluster.Task, src blockSource, ta *taskArena, kLo, kHi int) *evaluator {
+func (st *Stage) evaluator(pc *planCtx, task *cluster.Task, src source, ta *taskArena, kLo, kHi int) *evaluator {
 	ev := newEvaluator(pc, task, src, st.Spec.BlockSize, kLo, kHi)
 	ev.colocated, ev.caching, ev.arena = st.Spec.Colocated, &st.Spec, ta
 	return ev
@@ -143,7 +105,7 @@ type taskOut struct {
 // evaluators read through one memo — a multi-aggregation's plans hold no
 // multiplication, so only leaves are memoised — which makes a block several
 // aggregations consume fetched, metered and cached once per task.
-func (st *Stage) outputs(task *cluster.Task, src blockSource, ta *taskArena, kHi int) []taskOut {
+func (st *Stage) outputs(task *cluster.Task, src source, ta *taskArena, kHi int) []taskOut {
 	outs := make([]taskOut, len(st.outs))
 	for i, pc := range st.outs {
 		o := &outs[i]
@@ -187,55 +149,16 @@ func (o *taskOut) flush(emit emitFn) {
 	})
 }
 
-// runStageTask executes the task: the single task body both backends share.
-// Results leave through emit; metering lands on task. A task carrying a block
-// cache first drops its entries of each input the stage names at an older
-// epoch — rebound since, they can never hit again — so a cache is coherent
-// with the stage it serves without anyone tracking what it holds. The blocks
-// the task builds and drops come from a task arena, reset when the attempt
-// ends however it ends; a result block that lies there leaves as a clone.
-func runStageTask(st *Stage, task *cluster.Task, src blockSource, emit emitFn) error {
-	if cache := task.Cache(); cache != nil {
-		for _, ne := range st.Spec.Epochs {
-			cache.InvalidateStale(ne.Node, ne.Epoch)
-		}
-	}
-	ta := taskArenas.get()
-	defer func() {
-		ta.reset()
-		taskArenas.put(ta)
-	}()
-	out := emit
-	emit = func(kind uint8, bi, bj int, blk matrix.Mat) { out(kind, bi, bj, ta.escape(blk)) }
-	if tt := task.Trace(); tt != nil {
-		src = tracedSource{src: src, tt: tt}
-		emit = tracedEmit(tt, emit)
-	}
-	return runTask(func() error {
-		switch st.Spec.Phase {
-		case spec.PhaseCuboid:
-			return st.runCuboidTask(task, src, ta, emit)
-		case spec.PhasePartial:
-			return st.runPartialTask(task, src, ta, emit)
-		case spec.PhaseFuse:
-			return st.runFuseTask(task, src, ta, emit)
-		case spec.PhaseGrid:
-			return st.runGridTask(task, src, ta, emit)
-		}
-		return fmt.Errorf("exec: unknown stage phase %q", st.Spec.Phase)
-	})
-}
-
 // runCuboidTask handles the single-stage (R == 1) cuboid execution: the task
 // computes final output blocks of its (p, q) partition.
-func (st *Stage) runCuboidTask(task *cluster.Task, src blockSource, ta *taskArena, emit emitFn) error {
+func (st *Stage) runCuboidTask(task *cluster.Task, src source, ta *taskArena, emit emitFn) error {
 	q := len(st.Spec.JRanges)
 	return st.evalOutputs(&st.outputs(task, src, ta, st.Spec.GK)[0], task.ID/q, task.ID%q, emit)
 }
 
 // runPartialTask handles stage one of an R > 1 execution: partial
 // main-multiplication results over the task's k-range, shuffled out.
-func (st *Stage) runPartialTask(task *cluster.Task, src blockSource, ta *taskArena, emit emitFn) error {
+func (st *Stage) runPartialTask(task *cluster.Task, src source, ta *taskArena, emit emitFn) error {
 	sp := &st.Spec
 	q, r := len(sp.JRanges), len(sp.KRanges)
 	pi := task.ID / (q * r)
@@ -268,14 +191,14 @@ func (st *Stage) runPartialTask(task *cluster.Task, src blockSource, ta *taskAre
 // runFuseTask handles stage two of an R > 1 execution: the task pins the
 // aggregated multiplication results of its partition and applies the O-space
 // chain once.
-func (st *Stage) runFuseTask(task *cluster.Task, src blockSource, ta *taskArena, emit emitFn) error {
+func (st *Stage) runFuseTask(task *cluster.Task, src source, ta *taskArena, emit emitFn) error {
 	sp := &st.Spec
 	q := len(sp.JRanges)
 	pi, qi := task.ID/q, task.ID%q
 	out := &st.outputs(task, src, ta, sp.GK)[0]
 	out.ev.pinned = true
 	ri, rj := sp.IRanges[pi], sp.JRanges[qi]
-	if ra := src.ahead(); ra != nil {
+	if ra := src.ahead; ra != nil {
 		refs := ra.refs[:0]
 		for bi := ri.Lo; bi < ri.Hi; bi++ {
 			for bj := rj.Lo; bj < rj.Hi; bj++ {
@@ -303,7 +226,7 @@ func (st *Stage) runFuseTask(task *cluster.Task, src blockSource, ta *taskArena,
 // runGridTask handles matmul-free plans, BFO executions and
 // multi-aggregations: a strided map over the output block grid, every output
 // evaluated per block.
-func (st *Stage) runGridTask(task *cluster.Task, src blockSource, ta *taskArena, emit emitFn) error {
+func (st *Stage) runGridTask(task *cluster.Task, src source, ta *taskArena, emit emitFn) error {
 	sp := &st.Spec
 	outs := st.outputs(task, src, ta, sp.GK)
 	if sp.Broadcast {
@@ -342,7 +265,7 @@ func (st *Stage) evalOutputs(out *taskOut, pi, qi int, emit emitFn) error {
 // broadcastSides meters a full copy of every side matrix to the task, as the
 // BFO's matrix consolidation step does, and seeds the evaluator's fetch memo
 // so evaluation neither double-counts nor re-pulls them.
-func broadcastSides(sides []*dag.Node, src blockSource, ev *evaluator, task *cluster.Task) {
+func broadcastSides(sides []*dag.Node, src source, ev *evaluator, task *cluster.Task) {
 	bs := ev.blockSize
 	for _, in := range sides {
 		gi := (in.Rows + bs - 1) / bs
@@ -383,24 +306,70 @@ func NewSpecStage(sp *spec.Stage) (*Stage, error) {
 	return newStage(*sp, outs), nil
 }
 
-// RunTask runs task.ID of the stage on a worker: blocks are pulled through
-// fetch and result blocks handed to emit as they are produced (an emit error
-// fails the task). ahead, when not nil, is told before a loop which blocks
-// the loop will fetch, in fetch order (blockSource.ahead); a task bound to a
-// block cache never calls it, since a hit must not be fetched. Metering lands
-// on task and is reported back to the coordinator by the caller; the worker
-// hands the task its block cache (cluster.Task.SetCache).
+// RunTask runs task.ID of the stage: the single task body both runtimes
+// share. Blocks are pulled through fetch and result blocks handed to emit as
+// they are produced (an emit error fails the task). ahead, when not nil, is
+// told before a loop which blocks the loop will fetch, in fetch order
+// (source.ahead); a task bound to a block cache never calls it, since a hit
+// must not be fetched. Metering lands on task, whose runtime hands it its
+// block cache, kernel pool and trace and reports what it metered. A task
+// carrying a block cache first drops its entries of each input the stage
+// names at an older epoch — rebound since, they can never hit again — so a
+// cache is coherent with the stage it serves without anyone tracking what it
+// holds. The blocks the task builds and drops come from a task arena, reset
+// when the attempt ends however it ends; a result block that lies there
+// leaves as a clone.
 func (st *Stage) RunTask(task *cluster.Task, fetch func(spec.BlockRef) (matrix.Mat, error), ahead func([]spec.BlockRef), emit func(kind uint8, bi, bj int, blk matrix.Mat) error) error {
 	if sp := &st.Spec; task.ID < 0 || task.ID >= sp.NumTasks {
 		return fmt.Errorf("exec: task %d outside stage %q (%d tasks)", task.ID, sp.Name, sp.NumTasks)
 	}
-	src := fetchSource{fn: fetch}
-	if ahead != nil && task.Cache() == nil {
-		src.hints = &readAhead{hint: ahead}
+	src := source{fetch: fetch}
+	if cache := task.Cache(); cache != nil {
+		for _, ne := range st.Spec.Epochs {
+			cache.InvalidateStale(ne.Node, ne.Epoch)
+		}
+	} else if ahead != nil {
+		src.ahead = &readAhead{hint: ahead}
 	}
-	return runStageTask(st, task, src, func(kind uint8, bi, bj int, blk matrix.Mat) {
-		if err := emit(kind, bi, bj, blk); err != nil {
+	ta := taskArenas.get()
+	defer func() {
+		ta.reset()
+		taskArenas.put(ta)
+	}()
+	out := func(kind uint8, bi, bj int, blk matrix.Mat) {
+		if err := emit(kind, bi, bj, ta.escape(blk)); err != nil {
 			panic(execPanic{fmt.Errorf("exec: sending result block (%d,%d): %w", bi, bj, err)})
 		}
+	}
+	if tt := task.Trace(); tt != nil {
+		// Every resolved block reference records a "fetch" sub-span (a
+		// binding lookup in-process, a network pull on a worker) and every
+		// result block a "send" (a slice append in-process, an encode and
+		// upload on a worker).
+		src.fetch = func(ref spec.BlockRef) (matrix.Mat, error) {
+			end := tt.Begin("fetch", "taskop")
+			m, err := fetch(ref)
+			end()
+			return m, err
+		}
+		send := out
+		out = func(kind uint8, bi, bj int, blk matrix.Mat) {
+			end := tt.Begin("send", "taskop")
+			send(kind, bi, bj, blk)
+			end()
+		}
+	}
+	return runTask(func() error {
+		switch st.Spec.Phase {
+		case spec.PhaseCuboid:
+			return st.runCuboidTask(task, src, ta, out)
+		case spec.PhasePartial:
+			return st.runPartialTask(task, src, ta, out)
+		case spec.PhaseFuse:
+			return st.runFuseTask(task, src, ta, out)
+		case spec.PhaseGrid:
+			return st.runGridTask(task, src, ta, out)
+		}
+		return fmt.Errorf("exec: unknown stage phase %q", st.Spec.Phase)
 	})
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"fuseme/internal/parallel"
 )
@@ -211,7 +212,9 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 // Obs.TaskDone) or replayed (Replay): a stage_end adds its flight record's
 // measurement to the stage series and publishes its skew (the straggler
 // gauges); a task event's first part counts the attempt and observes its
-// queue wait and latency. Other events change nothing.
+// queue wait and latency, timed on the wall clock (wallSeconds): a journal
+// read back carries no other, so a live registry and a replayed one observe
+// the same values. Other events change nothing.
 func (r *Registry) Fold(e *Event) {
 	if r == nil {
 		return
@@ -235,13 +238,19 @@ func (r *Registry) Fold(e *Event) {
 		}
 	case e.Type == EvTask && e.Task != nil && e.Part == 0:
 		t := e.Task
-		r.Histogram(MQueueSeconds).Observe(t.Start.Sub(t.StageStart).Seconds())
-		r.Histogram(MTaskSeconds).Observe(t.End.Sub(t.Start).Seconds())
+		r.Histogram(MQueueSeconds).Observe(wallSeconds(t.StageStart, t.Start))
+		r.Histogram(MTaskSeconds).Observe(wallSeconds(t.Start, t.End))
 		r.Counter(MTasksTotal).Inc()
 		if t.Remote {
 			r.Counter(MRemoteTasksTotal).Inc()
 		}
 	}
+}
+
+// wallSeconds is the wall-clock time from a to b, without their monotonic
+// readings, and zero where the wall clock stepped back between them.
+func wallSeconds(a, b time.Time) float64 {
+	return max(b.Round(0).Sub(a.Round(0)).Seconds(), 0)
 }
 
 // PublishKernelPool publishes what the process-local kernel pool p did since

@@ -20,7 +20,7 @@ import (
 // dispatchRecorder is the in-process cluster with the descriptor of every
 // dispatched stage recorded, with the descriptors of the stages that had
 // ended when it started: it takes the descriptor path of rt.RunStage and
-// runs the stage's closure on the embedded cluster. Stages of independent
+// forwards the stage to the embedded cluster. Stages of independent
 // operators run at once, so it is safe for concurrent use.
 type dispatchRecorder struct {
 	*cluster.Cluster
@@ -38,7 +38,7 @@ func (r *dispatchRecorder) RunSpecStage(st *rt.Stage) error {
 	r.specs = append(r.specs, st.Spec)
 	r.after[st.Spec] = slices.Clone(r.ended)
 	r.mu.Unlock()
-	err := r.Cluster.RunStage(st.Name, st.NumTasks, st.Fn)
+	err := rt.RunStage(r.Cluster, st)
 	r.mu.Lock()
 	r.ended = append(r.ended, st.Spec)
 	r.mu.Unlock()

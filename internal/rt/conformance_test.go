@@ -390,9 +390,6 @@ func TestRuntimeConformanceSpans(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			rtm := open(t)
 			o, tl := tracedObs()
-			if co, ok := rtm.(*remote.Coordinator); ok {
-				co.SetObs(nil, o.Trace)
-			}
 			got := spanCounts(runTracedPlan(t, rtm, o, tl))
 			if len(got) != len(simCounts) {
 				t.Errorf("span kinds = %d, sim recorded %d:\n got %v\n sim %v",

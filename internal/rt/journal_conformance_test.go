@@ -99,8 +99,8 @@ func runJournaledGNMF(t *testing.T, rtm rt.Runtime) (first, second []normEvent, 
 	g := workloads.GNMF(users, items, k, inputs["X"].Density())
 	j := obs.NewJournal(0, nil)
 	o := &obs.Obs{Trace: true, Metrics: obs.NewRegistry()}
-	if co, ok := rtm.(interface{ SetObs(*obs.Registry, bool) }); ok {
-		co.SetObs(o.Metrics, o.Trace)
+	if co, ok := rtm.(interface{ SetObs(*obs.Registry) }); ok {
+		co.SetObs(o.Metrics)
 	}
 	for run, query := range []string{"q1", "q2"} {
 		o.QLog = j.Begin(query, "")

@@ -96,17 +96,15 @@ type Coordinator struct {
 	// the stage's tasks.
 	stageSeq atomic.Uint64
 
-	reg   atomic.Pointer[obs.Registry] // the session's metrics; nil disables
-	trace atomic.Bool                  // workers record their task bodies' sub-spans
+	reg atomic.Pointer[obs.Registry] // the session's metrics; nil disables
 }
 
 // SetObs attaches the session's metrics registry — heartbeat RTT, retry and
-// membership metrics; nil publishes none — and sets whether workers trace
-// their task bodies. Tasks are not reported here: each attempt goes to its
-// own stage (rt.Stage.TaskDone). Safe to call anytime.
-func (c *Coordinator) SetObs(reg *obs.Registry, trace bool) {
+// membership metrics; nil publishes none. Tasks are not reported here: each
+// attempt goes to its own stage (rt.Stage.TaskDone), and whether a worker
+// traces a task's body is its stage's (rt.Stage.Trace). Safe to call anytime.
+func (c *Coordinator) SetObs(reg *obs.Registry) {
 	c.reg.Store(reg)
-	c.trace.Store(trace)
 	if reg != nil {
 		c.publishMembership(reg)
 		// Catch the counter up to the epoch: the seed workers joined during
@@ -757,7 +755,7 @@ func (c *Coordinator) serveTask(s *stream, st *rt.Stage, taskID int, gen uint64,
 	if err := s.writeGob(msgTask, taskAssign{
 		TaskID: taskID,
 		Gen:    gen,
-		Trace:  c.trace.Load(),
+		Trace:  st.Trace,
 	}); err != nil {
 		return res, false, transportError{err}
 	}

@@ -38,7 +38,7 @@ func TestStaleIdleStreamRedials(t *testing.T) {
 	}
 	t.Cleanup(func() { co.Close() })
 	reg := obs.NewRegistry()
-	co.SetObs(reg, false)
+	co.SetObs(reg)
 
 	inputs, decls := testInputs(t, testConfig().BlockSize)
 	g, err := lang.Parse(`U2 = U * (t(V) %*% X) / (t(V) %*% V %*% U)`, decls)

@@ -3,8 +3,7 @@
 // ranges of one execution stage, and the framed block payloads that move
 // between a coordinator and its workers. A Stage plus a task index fully
 // determines one task's work, so a remote worker can execute any executor
-// stage from the descriptor alone, pulling input blocks on demand — the
-// distributed-runtime equivalent of shipping the stage closure.
+// stage from the descriptor alone, pulling input blocks on demand.
 //
 // Descriptors carry no matrix data. Blocks travel separately in the FME1
 // binary format (matrix.AppendViews/ReadBlock), so the wire cost of a block

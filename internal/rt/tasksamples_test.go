@@ -2,6 +2,7 @@ package rt_test
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -11,16 +12,18 @@ import (
 	"fuseme/internal/block"
 	"fuseme/internal/cluster"
 	"fuseme/internal/core"
+	"fuseme/internal/lang"
 	"fuseme/internal/matrix"
 	"fuseme/internal/obs"
 	"fuseme/internal/rt"
 	"fuseme/internal/rt/spec"
+	"fuseme/internal/sched"
 	"fuseme/internal/workloads"
 )
 
-// stageTally is what one stage's decorator saw: the task attempts that ran a
-// body (sim), the samples the runtime handed the stage (TCP), the attempts
-// per worker, and whether it failed one.
+// stageTally is what one stage's decorator saw: the samples the runtime
+// handed the stage, one per task attempt, the attempts per worker, and
+// whether it failed one.
 type stageTally struct {
 	tasks    int
 	attempts int
@@ -31,9 +34,9 @@ type stageTally struct {
 
 // sampledRuntime runs every stage through the runtime it wraps, holding the
 // first stage until a second is in flight beside it (or a timeout), failing
-// one attempt of every stage, and tallying per stage what ran and what the
-// stage was handed. A sim attempt fails as its body returns; a TCP attempt
-// fails inside its body, on its worker, at the stage's first block fetch.
+// one attempt of every stage, and tallying per stage what the stage was
+// handed. On either runtime the attempt fails inside its body, at the
+// stage's first block fetch: in-process on the sim, on its worker over TCP.
 type sampledRuntime struct {
 	rt.Runtime
 	both chan struct{}
@@ -71,39 +74,20 @@ func (s *sampledRuntime) RunSpecStage(st *rt.Stage) error {
 
 	var failed atomic.Bool
 	cp := *st
-	if sr, ok := s.Runtime.(rt.SpecRunner); ok {
-		fetch, done := st.Fetch, st.TaskDone
-		cp.Fetch = func(ref spec.BlockRef) (matrix.Mat, error) {
-			if failed.CompareAndSwap(false, true) {
-				return nil, errors.New("injected fetch failure")
-			}
-			return fetch(ref)
-		}
-		cp.TaskDone = func(t obs.TaskSample) {
-			s.mu.Lock()
-			tally.samples = append(tally.samples, t)
-			tally.attempts++
-			tally.byWorker[t.Worker]++
-			s.mu.Unlock()
-			done(t)
-		}
-		err := sr.RunSpecStage(&cp)
-		tally.failed = failed.Load()
-		return err
-	}
-	fn, nodes := st.Fn, s.Config().Nodes
-	cp.Fn = func(t *cluster.Task) error {
-		s.mu.Lock()
-		tally.attempts++
-		tally.byWorker[t.ID%nodes]++
-		s.mu.Unlock()
-		if err := fn(t); err != nil {
-			return err
-		}
+	fetch, done := st.Fetch, st.TaskDone
+	cp.Fetch = func(ref spec.BlockRef) (matrix.Mat, error) {
 		if failed.CompareAndSwap(false, true) {
-			return errors.New("injected failure after the body")
+			return nil, errors.New("injected fetch failure")
 		}
-		return nil
+		return fetch(ref)
+	}
+	cp.TaskDone = func(t obs.TaskSample) {
+		s.mu.Lock()
+		tally.samples = append(tally.samples, t)
+		tally.attempts++
+		tally.byWorker[t.Worker]++
+		s.mu.Unlock()
+		done(t)
 	}
 	err := rt.RunStage(s.Runtime, &cp)
 	tally.failed = failed.Load()
@@ -112,11 +96,10 @@ func (s *sampledRuntime) RunSpecStage(st *rt.Stage) error {
 
 // TestStagesReceiveTheirOwnTaskSamples: while two stages run at once, each
 // is handed one sample per task attempt it ran, failed attempts included,
-// and its stage_end carries the skew of exactly those samples — on the sim,
-// where the attempts come from the wrapped task closure, and over TCP
-// loopback, where they come from the coordinator's lanes through
-// rt.Stage.TaskDone, with no observability bundle attached to the
-// coordinator.
+// and its stage_end carries the skew of exactly those samples — on the sim
+// and over TCP loopback, where the attempts come from the runtime's lanes
+// through rt.Stage.TaskDone alike, with no observability bundle attached to
+// the coordinator.
 func TestStagesReceiveTheirOwnTaskSamples(t *testing.T) {
 	const users, items, k = 96, 80, 8
 	inputs := map[string]*block.Matrix{
@@ -162,18 +145,6 @@ func TestStagesReceiveTheirOwnTaskSamples(t *testing.T) {
 					t.Errorf("%s: stage_end carries no skew", stage)
 					continue
 				}
-				if name == "sim" {
-					// Every sim attempt names its home node and enters the skew.
-					got := map[int]int{}
-					for _, w := range skew.Workers {
-						got[w.Worker] = w.Tasks
-					}
-					if skew.Tasks != tally.attempts || !reflect.DeepEqual(got, tally.byWorker) {
-						t.Errorf("%s: skew over %d tasks on %v, the stage ran %d attempts on %v",
-							stage, skew.Tasks, got, tally.attempts, tally.byWorker)
-					}
-					continue
-				}
 				errs := 0
 				for _, s := range tally.samples {
 					if s.Err != nil {
@@ -192,6 +163,140 @@ func TestStagesReceiveTheirOwnTaskSamples(t *testing.T) {
 			}
 			if got := o.Metrics.Snapshot().Counters[obs.MTasksTotal]; got != int64(total) {
 				t.Errorf("fuseme_tasks_total = %d, the stages ran %d attempts", got, total)
+			}
+		})
+	}
+}
+
+// laneRuntime runs every stage through the runtime it wraps, which has one
+// lane per node, while plans compile for cfg's two: each node's queue is two
+// tasks deep. With hold set, it keeps the lane of the first task whose
+// results reach Collect busy there until an attempt ran away from its home,
+// so the other node must steal; with fail set, it fails the stage's first
+// block fetch.
+type laneRuntime struct {
+	rt.Runtime
+	cfg        cluster.Config
+	hold, fail bool
+	steals     atomic.Int64 // the stages' own steal counts (rt.Stage.Report)
+}
+
+func (l *laneRuntime) Config() cluster.Config { return l.cfg }
+
+func (l *laneRuntime) RunSpecStage(st *rt.Stage) error {
+	if lanes := l.Runtime.Config().TotalSlots(); st.NumTasks <= lanes {
+		return fmt.Errorf("stage %s: %d tasks on %d lanes, nothing queues", st.Name, st.NumTasks, lanes)
+	}
+	var (
+		held, failed atomic.Bool
+		stolen       = make(chan struct{})
+		once         sync.Once
+	)
+	nodes := l.Runtime.Config().Nodes
+	cp := *st
+	cp.TaskDone = func(s obs.TaskSample) {
+		if s.Err == nil && s.Worker != s.ID%nodes {
+			once.Do(func() { close(stolen) })
+		}
+		st.TaskDone(s)
+	}
+	cp.Report = func(s cluster.Stats) {
+		l.steals.Add(s.StealTasks)
+		st.Report(s)
+	}
+	if l.hold {
+		cp.Collect = func(taskID int, blocks []spec.OutBlock) error {
+			if held.CompareAndSwap(false, true) {
+				select {
+				case <-stolen:
+				case <-time.After(5 * time.Second):
+					return errors.New("no attempt ran away from its home while a lane was held")
+				}
+			}
+			return st.Collect(taskID, blocks)
+		}
+	}
+	if l.fail {
+		cp.Fetch = func(ref spec.BlockRef) (matrix.Mat, error) {
+			if failed.CompareAndSwap(false, true) {
+				return nil, errors.New("injected fetch failure")
+			}
+			return st.Fetch(ref)
+		}
+	}
+	return rt.RunStage(l.Runtime, &cp)
+}
+
+// TestAttemptsNameTheLaneThatRanThem: each runtime reports a task attempt
+// under the node whose lane ran it, as the journal's task events show. One
+// lane per node and two tasks queued at each; holding a lane busy in Collect
+// makes the other node steal, and the stolen attempt is reported under the
+// thief, not the task's home. A failed attempt is reported under no worker
+// (-1), on the sim as over TCP.
+func TestAttemptsNameTheLaneThatRanThem(t *testing.T) {
+	cfg := conformanceConfig()
+	cfg.TasksPerNode = 1
+	wide := cfg
+	wide.TasksPerNode = 2
+	g, err := lang.Parse("O = exp(X) / (Y + 1)", map[string]lang.InputDecl{
+		"X": {Rows: 64, Cols: 64, Sparsity: 1}, "Y": {Rows: 64, Cols: 64, Sparsity: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := map[string]*block.Matrix{
+		"X": block.RandomDense(64, 64, 16, 0, 1, 1),
+		"Y": block.RandomDense(64, 64, 16, 0, 1, 2),
+	}
+	// attempts runs the query on l and returns its journaled task attempts.
+	attempts := func(t *testing.T, l *laneRuntime) []obs.TaskSample {
+		t.Helper()
+		j := obs.NewJournal(0, nil)
+		o := &obs.Obs{Trace: true, QLog: j.Begin("q", "")}
+		if _, _, err := core.RunObs(core.FuseME{}, g, l, inputs, o); err != nil {
+			t.Fatal(err)
+		}
+		var out []obs.TaskSample
+		for _, e := range j.Events("q") {
+			if e.Type == obs.EvTask && e.Task != nil {
+				out = append(out, *e.Task)
+			}
+		}
+		if len(out) == 0 {
+			t.Fatal("no task attempt journaled")
+		}
+		return out
+	}
+	for name, open := range backendsWith(cfg) {
+		t.Run(name, func(t *testing.T) {
+			rtm := open(t)
+			if cl, ok := rtm.(*cluster.Cluster); ok {
+				cl.SetScheduler(sched.New(cfg.TotalSlots())) // a held lane keeps no slot from the other
+			}
+
+			stealing := &laneRuntime{Runtime: rtm, cfg: wide, hold: true}
+			thieves := 0
+			for _, s := range attempts(t, stealing) {
+				if s.Err != nil || s.Worker < 0 || s.Worker >= cfg.Nodes {
+					t.Errorf("task %d reported under worker %d (err %v)", s.ID, s.Worker, s.Err)
+				}
+				if s.Worker != s.ID%cfg.Nodes {
+					thieves++
+				}
+			}
+			if stealing.steals.Load() == 0 || thieves == 0 {
+				t.Errorf("%d steals counted, %d attempts reported away from their home; want both", stealing.steals.Load(), thieves)
+			}
+
+			var failed []obs.TaskSample
+			for _, s := range attempts(t, &laneRuntime{Runtime: rtm, cfg: wide, fail: true}) {
+				if s.Err != nil {
+					failed = append(failed, s)
+				} else if s.Worker < 0 {
+					t.Errorf("task %d succeeded under no worker", s.ID)
+				}
+			}
+			if len(failed) != 1 || failed[0].Worker != -1 {
+				t.Errorf("failed attempts %+v, want one, under worker -1", failed)
 			}
 		})
 	}

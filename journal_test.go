@@ -3,9 +3,9 @@ package fuseme
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -228,12 +228,10 @@ func TestSessionsShareOneSlowdownHistory(t *testing.T) {
 // gives the live session's Report text, the stage and task series and the
 // straggler gauges, because the live consumers fold the same events. Three
 // GNMF iterations, whose two updates run at once, on the simulated cluster
-// and over loopback TCP. The report's task-latency quantiles are masked: a
-// live task's duration is read off the monotonic clock, which a journaled
-// time does not carry, so the replayed quantiles may differ by the
-// microseconds the wall clock drifts from it; their count may not.
+// and over loopback TCP. The task latency and queue wait histograms agree,
+// quantiles included: both registries time a task on the wall clock, the one
+// a journaled time carries.
 func TestReplayEqualsLiveSession(t *testing.T) {
-	latency := regexp.MustCompile(`(task latency: n=\d+) .*`)
 	for _, runtime := range []string{"sim", "tcp"} {
 		t.Run(runtime, func(t *testing.T) {
 			var sink bytes.Buffer
@@ -271,7 +269,7 @@ func TestReplayEqualsLiveSession(t *testing.T) {
 			if snap := reg.Histogram(obs.MTaskSeconds).Snapshot(); snap.Count > 0 {
 				rep.TaskLatency = &snap
 			}
-			if got, want := latency.ReplaceAllString(rep.String(), "$1"), latency.ReplaceAllString(sess.Report(), "$1"); got != want {
+			if got, want := rep.String(), sess.Report(); got != want {
 				t.Errorf("replayed report:\n%s\nlive:\n%s", got, want)
 			}
 			live, replayed := sess.obs.Metrics.Snapshot(), reg.Snapshot()
@@ -299,8 +297,16 @@ func TestReplayEqualsLiveSession(t *testing.T) {
 				}
 			}
 			for _, name := range []string{obs.MTaskSeconds, obs.MQueueSeconds} {
-				if got, want := replayed.Histograms[name].Count, live.Histograms[name].Count; got != want {
-					t.Errorf("%s count = %d replayed, %d live", name, got, want)
+				// The sum alone may differ in its last bits: the journal holds
+				// the task events of overlapping stages in another order than
+				// the one they were folded in live.
+				got, want := replayed.Histograms[name], live.Histograms[name]
+				if math.Abs(got.Sum-want.Sum) > 1e-9*want.Sum {
+					t.Errorf("%s sum = %g replayed, %g live", name, got.Sum, want.Sum)
+				}
+				got.Sum, got.Mean = want.Sum, want.Mean
+				if got != want {
+					t.Errorf("%s = %+v replayed, %+v live", name, got, want)
 				}
 			}
 		})
