@@ -8,8 +8,12 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
+
+	"fuseme/internal/experiments"
 )
 
 // maskWall blanks the one timing field the commands print.
@@ -45,6 +49,52 @@ func TestQueryOutput(t *testing.T) {
 	}
 	if got, want := maskWall(out.String()), golden(t, "query.golden"); got != want {
 		t.Errorf("query mode printed\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestSimPricesThePaperCluster: -sim dry-runs on the paper's cluster as the
+// figures do, wave overhead included, so fig12a's 100K NMF-kernel query
+// prints the FuseME seconds of fig12a's 100K row.
+func TestSimPricesThePaperCluster(t *testing.T) {
+	tables, err := experiments.Run("fig12a", experiments.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ""
+	for _, tab := range tables {
+		if tab.ID != "fig12a" {
+			continue
+		}
+		col := slices.Index(tab.Columns, "FuseME")
+		for _, row := range tab.Rows {
+			if row[0] == "100K" && col >= 0 {
+				want = row[col]
+			}
+		}
+	}
+	if want == "" {
+		t.Fatal("fig12a has no 100K FuseME cell")
+	}
+	var out bytes.Buffer
+	args := []string{"-sim", "-in", "X:100000x100000:0.001", "-in", "U:100000x2000", "-in", "V:100000x2000",
+		"-e", "O = X * log(U %*% t(V) + 1e-3)"}
+	if err := run(args, &out); err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`simTime=([0-9.]+)s`).FindStringSubmatch(out.String())
+	if m == nil {
+		t.Fatalf("no simTime in %q", out.String())
+	}
+	sec, err := strconv.ParseFloat(m[1], 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decimals := 0
+	if i := strings.IndexByte(want, '.'); i >= 0 {
+		decimals = len(want) - i - 1
+	}
+	if got := strconv.FormatFloat(sec, 'f', decimals, 64); got != want {
+		t.Errorf("fuseme -sim prints %ss, fig12a's FuseME at 100K reads %ss", got, want)
 	}
 }
 

@@ -62,6 +62,11 @@ type ClusterConfig struct {
 	// When empty, the FUSEME_WORKERS environment variable (comma-separated)
 	// is consulted.
 	Workers []string
+
+	// waveSeconds is the scheduling overhead charged per wave of tasks; zero
+	// means defaultWaveSeconds. PaperClusterConfig carries the paper
+	// cluster's, so a dry run on it prices waves as the figures do.
+	waveSeconds float64
 }
 
 // PaperClusterConfig returns the paper's evaluation cluster (Section 6.1).
@@ -92,14 +97,23 @@ func fromInternal(c cluster.Config) ClusterConfig {
 		CompBandwidth: c.CompBandwidth,
 		BlockSize:     c.BlockSize,
 		SimTimeLimit:  c.SimTimeLimit,
+		waveSeconds:   c.TaskOverhead,
 	}
 }
+
+// defaultWaveSeconds is the scheduling overhead per wave of tasks of a
+// cluster that names none: an in-process stage's, not a Spark job's.
+const defaultWaveSeconds = 0.005
 
 // defaultMaxTaskRetries is the Spark-like budget of re-attempts a failed task
 // gets before its stage fails.
 const defaultMaxTaskRetries = 2
 
 func (c ClusterConfig) internal() cluster.Config {
+	wave := c.waveSeconds
+	if wave == 0 {
+		wave = defaultWaveSeconds
+	}
 	return cluster.Config{
 		Nodes:          c.Nodes,
 		TasksPerNode:   c.TasksPerNode,
@@ -108,7 +122,7 @@ func (c ClusterConfig) internal() cluster.Config {
 		CompBandwidth:  c.CompBandwidth,
 		BlockSize:      c.BlockSize,
 		SimTimeLimit:   c.SimTimeLimit,
-		TaskOverhead:   0.005,
+		TaskOverhead:   wave,
 		MaxTaskRetries: defaultMaxTaskRetries,
 	}
 }

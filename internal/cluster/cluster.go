@@ -100,6 +100,19 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// CheckAdmission rejects an operator, named by what, whose estimated
+// per-task memory exceeds the budget θt, wrapping ErrOutOfMemory. Engines with
+// no partitioning knob (BFO, MatFast's folded operators) fail here, as in the
+// paper. Execution (through the runtime) and the dry run (core.Simulate) both
+// check with it.
+func (c Config) CheckAdmission(estTaskMemBytes int64, what string) error {
+	if estTaskMemBytes > c.TaskMemBytes {
+		return fmt.Errorf("%s needs %s per task, budget %s: %w",
+			what, FormatBytes(estTaskMemBytes), FormatBytes(c.TaskMemBytes), ErrOutOfMemory)
+	}
+	return nil
+}
+
 // TotalSlots returns N * Tc, the maximum parallelism of the cluster.
 func (c Config) TotalSlots() int { return c.Nodes * c.TasksPerNode }
 
@@ -366,15 +379,9 @@ func (c *Cluster) AddStats(s Stats) {
 	c.stats.Add(s)
 }
 
-// CheckAdmission rejects an operator whose estimated per-task memory exceeds
-// the budget, wrapping ErrOutOfMemory. Engines with no partitioning knob
-// (BFO, MatFast's folded operators) fail here, as in the paper.
+// CheckAdmission applies the cluster's admission check (Config.CheckAdmission).
 func (c *Cluster) CheckAdmission(estTaskMemBytes int64, what string) error {
-	if estTaskMemBytes > c.cfg.TaskMemBytes {
-		return fmt.Errorf("%s needs %s per task, budget %s: %w",
-			what, FormatBytes(estTaskMemBytes), FormatBytes(c.cfg.TaskMemBytes), ErrOutOfMemory)
-	}
-	return nil
+	return c.cfg.CheckAdmission(estTaskMemBytes, what)
 }
 
 // Task is the handle a stage function uses to meter its data movement,

@@ -23,8 +23,8 @@ func localConfig() cluster.Config {
 }
 
 // TestGoldenPricedOutputs pins every number the Eq. 2 model prices — the
-// -explain text (DescribeCosts), PredictedSeconds and the core.Simulate dry
-// run — for the GNMF, AutoEncoder and NMF-kernel graphs under the local and
+// -explain text (DescribeCosts) and the core.Simulate dry run, whose clock is
+// also the journal's predicted time — for the GNMF, AutoEncoder and NMF-kernel graphs under the local and
 // the paper cluster to testdata/costs.golden. Floats print in full so a moved bit shows.
 func TestGoldenPricedOutputs(t *testing.T) {
 	local := func() map[string]*dag.Graph {
@@ -63,7 +63,6 @@ func TestGoldenPricedOutputs(t *testing.T) {
 					continue
 				}
 				b.WriteString(pp.DescribeCosts(cfg))
-				fmt.Fprintf(&b, "predicted seconds: %v\n", pp.PredictedSeconds(cfg))
 				// The simulated clock to 12 digits: the golden was written
 				// when Simulate summed its dependency levels in map order,
 				// which moved the last bit between runs.

@@ -14,6 +14,7 @@ import (
 	"fuseme/internal/block"
 	"fuseme/internal/blockcache"
 	"fuseme/internal/cluster"
+	"fuseme/internal/cost"
 	"fuseme/internal/dag"
 	"fuseme/internal/exec"
 	"fuseme/internal/fusion"
@@ -35,10 +36,12 @@ type PhysOp struct {
 	// execute as one distributed operator sharing their input scan.
 	Group []*fusion.Plan
 
-	// Compile-time estimates, used for admission control and plan display.
-	EstNetBytes   int64
-	EstComFlops   int64
-	EstMemPerTask int64
+	// Est holds the compile-time estimates — network bytes with their
+	// aggregation share, flops, per-task memory — that admission control,
+	// plan display and Simulate read. The estimate function that priced the
+	// operator filled it in, and it is the one count of the operator's
+	// traffic.
+	Est cost.OpEstimates
 
 	// Lowered is the operator as the stages Execute runs, built from the
 	// fields above by PhysPlan.Lower, which every Compile ends with.
@@ -54,19 +57,12 @@ func (op *PhysOp) Prediction() obs.FlightRecord {
 	return obs.FlightRecord{
 		Op:   fmt.Sprintf("%s %s#%d", op.Kind, op.Plan.Root.Label(), op.Plan.Root.ID),
 		Kind: op.Kind, P: op.P, Q: op.Q, R: op.R,
-		PredNetBytes: op.EstNetBytes, PredComFlops: op.EstComFlops, PredMemBytes: op.EstMemPerTask,
+		PredNetBytes: op.Est.NetBytes, PredComFlops: op.Est.ComFlops, PredMemBytes: op.Est.MemPerTask,
 	}
 }
 
-// PredictedSeconds is the plan's predicted Eq. 2 wall time under cfg: each
-// operator's max(net, comp) term, summed across operators.
-func (pp *PhysPlan) PredictedSeconds(cfg cluster.Config) float64 {
-	var total float64
-	for _, op := range pp.Ops {
-		total += max(cfg.Eq2(float64(op.EstNetBytes), float64(op.EstComFlops)))
-	}
-	return total
-}
+// desc names the operator in admission and execution errors.
+func (op *PhysOp) desc() string { return fmt.Sprintf("%s %s", op.Kind, op.Plan) }
 
 // PhysPlan is a compiled query: fused operators in a topological order, and
 // the dependency edges between them, which Execute walks.
@@ -80,6 +76,15 @@ type PhysPlan struct {
 	// depends on. Lower computes both, so they travel with a cached plan.
 	producers [][]int
 	ancestors [][]int
+}
+
+// checkLowered refuses a plan Lower never linked: Execute and Simulate read
+// its lowered stages and dependency edges.
+func (pp *PhysPlan) checkLowered() error {
+	if len(pp.producers) != len(pp.Ops) {
+		return fmt.Errorf("core: plan was never lowered (PhysPlan.Lower)")
+	}
+	return nil
 }
 
 // Producers returns the indices of the operators whose results operator i
@@ -165,17 +170,21 @@ func (pp *PhysPlan) Describe() string {
 			fmt.Fprintf(&b, " (P=%d,Q=%d,R=%d)", op.P, op.Q, op.R)
 		}
 		fmt.Fprintf(&b, " type=%s estNet=%s estMem=%s\n",
-			op.Plan.Classify(), cluster.FormatBytes(op.EstNetBytes), cluster.FormatBytes(op.EstMemPerTask))
+			op.Plan.Classify(), cluster.FormatBytes(op.Est.NetBytes), cluster.FormatBytes(op.Est.MemPerTask))
 	}
 	return b.String()
 }
 
 // Planned is the journal's planned event of the plan, compiled by the engine
 // named engine for cfg's cluster: the plan text, its operator count and the
-// Eq. 2 prediction. The caller adds what it timed (parse, compile).
+// predicted time, Simulate's clock. The caller adds what it timed (parse,
+// compile).
 func (pp *PhysPlan) Planned(engine string, cfg cluster.Config) obs.Event {
+	// An admission failure or a time-limit overrun is Execute's to report;
+	// the prediction is the clock as far as Simulate got.
+	s, _ := Simulate(pp, cfg)
 	return obs.Event{Type: obs.EvPlanned, Engine: engine, Plan: pp.Describe(),
-		Operators: len(pp.Ops), PredSeconds: pp.PredictedSeconds(cfg)}
+		Operators: len(pp.Ops), PredSeconds: s.SimSeconds}
 }
 
 // DescribeCosts renders the plan's per-operator cost predictions: each fused
@@ -192,16 +201,16 @@ func (pp *PhysPlan) DescribeCosts(cfg cluster.Config) string {
 		if op.Strategy == exec.Cuboid && op.Plan.MainMM != nil {
 			pqr = fmt.Sprintf("(%d,%d,%d)", op.P, op.Q, op.R)
 		}
-		netSec, comSec := cfg.Eq2(float64(op.EstNetBytes), float64(op.EstComFlops))
+		netSec, comSec := cfg.Eq2(float64(op.Est.NetBytes), float64(op.Est.ComFlops))
 		bound := "comp"
 		if netSec >= comSec {
 			bound = "net"
 		}
 		fmt.Fprintf(&b, "[%d] %-8s %-18s %-11s net=%-10s comp=%-12s mem/task=%-10s time=%.3gs (net %.3gs, comp %.3gs, %s-bound)\n",
 			i, op.Kind, fmt.Sprintf("%s#%d", op.Plan.Root.Label(), op.Plan.Root.ID), pqr,
-			cluster.FormatBytes(op.EstNetBytes),
-			fmt.Sprintf("%.3g flop", float64(op.EstComFlops)),
-			cluster.FormatBytes(op.EstMemPerTask),
+			cluster.FormatBytes(op.Est.NetBytes),
+			fmt.Sprintf("%.3g flop", float64(op.Est.ComFlops)),
+			cluster.FormatBytes(op.Est.MemPerTask),
 			max(netSec, comSec), netSec, comSec, bound)
 	}
 	return b.String()
@@ -269,8 +278,8 @@ func ExecuteObs(pp *PhysPlan, rtm rt.Runtime, inputs map[string]*block.Matrix, o
 // so the journal keeps plan order while stages overlap, and when the runtime
 // caches blocks each stage runs in the cache scope its ancestors give it.
 func (pp *PhysPlan) walk(rtm rt.Runtime, values map[int]*block.Matrix, o *obs.Obs) error {
-	if len(pp.producers) != len(pp.Ops) {
-		return fmt.Errorf("core: plan was never lowered (PhysPlan.Lower)")
+	if err := pp.checkLowered(); err != nil {
+		return err
 	}
 	var qlog *obs.QueryLog
 	if o != nil {
@@ -309,8 +318,7 @@ func (pp *PhysPlan) walk(rtm rt.Runtime, values map[int]*block.Matrix, o *obs.Ob
 			return
 		}
 		op := pp.Ops[i]
-		desc := fmt.Sprintf("%s %s", op.Kind, op.Plan)
-		if firstErr = rtm.CheckAdmission(op.EstMemPerTask, desc); firstErr != nil {
+		if firstErr = rtm.CheckAdmission(op.Est.MemPerTask, op.desc()); firstErr != nil {
 			return
 		}
 		lo := op.Lowered
@@ -328,7 +336,7 @@ func (pp *PhysPlan) walk(rtm rt.Runtime, values map[int]*block.Matrix, o *obs.Ob
 		go func() {
 			outs, err := lo.Run(rtm, bind, opObs, scopes[i])
 			if err != nil {
-				err = fmt.Errorf("core: %s failed: %w", desc, err)
+				err = fmt.Errorf("core: %s failed: %w", op.desc(), err)
 			}
 			done <- ended{i, outs, err}
 		}()

@@ -16,9 +16,8 @@ import (
 // gridOp builds the physical operator for a plan without matrix
 // multiplication (or any plan executed as a partitioned map).
 func gridOp(p *fusion.Plan, cc cluster.Config, kind string) *PhysOp {
-	net, com, mem := cost.ElementwiseEstimates(p, cc.TotalSlots())
 	return &PhysOp{Plan: p, Strategy: exec.Cuboid, Kind: kind,
-		EstNetBytes: net, EstComFlops: com, EstMemPerTask: mem}
+		Est: cost.ElementwiseEstimates(p, cc.TotalSlots())}
 }
 
 // FuseME is the paper's engine: CFG plan generation + CFO fused operators.
@@ -66,9 +65,7 @@ func (f FuseME) Compile(g *dag.Graph, cc cluster.Config) (*PhysPlan, error) {
 		pp.Ops = append(pp.Ops, &PhysOp{
 			Plan: p, Strategy: exec.Cuboid, Kind: "CFO",
 			P: params.P, Q: params.Q, R: params.R,
-			Balance: f.Balanced, NoMask: f.NoMask,
-			EstNetBytes: params.NetBytes, EstComFlops: params.ComFlops,
-			EstMemPerTask: params.MemPerTask,
+			Balance: f.Balanced, NoMask: f.NoMask, Est: params.OpEstimates,
 		})
 	}
 	pp.Ops = groupMultiAgg(pp.Ops, cc)
@@ -107,14 +104,11 @@ func (SystemDSSim) Compile(g *dag.Graph, cc cluster.Config) (*PhysPlan, error) {
 		}
 		gi, gj, _ := p.BlockGridDims(cc.BlockSize)
 		if useBFO(p, gi, gj) {
-			net, com, mem := cost.BFOEstimates(p, slots)
 			pp.Ops = append(pp.Ops, &PhysOp{Plan: p, Strategy: exec.Broadcast, Kind: "BFO",
-				EstNetBytes: net, EstComFlops: com, EstMemPerTask: mem})
+				Est: cost.BFOEstimates(p, slots)})
 		} else {
-			net, com, mem := cost.RFOEstimates(p, cc.BlockSize)
 			pp.Ops = append(pp.Ops, &PhysOp{Plan: p, Strategy: exec.Cuboid, Kind: "RFO",
-				P: gi, Q: gj, R: 1,
-				EstNetBytes: net, EstComFlops: com, EstMemPerTask: mem})
+				P: gi, Q: gj, R: 1, Est: cost.RFOEstimates(p, cc.BlockSize)})
 		}
 	}
 	pp.Ops = groupMultiAgg(pp.Ops, cc)
@@ -170,9 +164,7 @@ func (DistMESim) Compile(g *dag.Graph, cc cluster.Config) (*PhysPlan, error) {
 		}
 		params := opt.Optimize(cc, cost.Analyze(p, cc.BlockSize))
 		pp.Ops = append(pp.Ops, &PhysOp{Plan: p, Strategy: exec.Cuboid, Kind: "CuboidMM",
-			P: params.P, Q: params.Q, R: params.R,
-			EstNetBytes: params.NetBytes, EstComFlops: params.ComFlops,
-			EstMemPerTask: params.MemPerTask})
+			P: params.P, Q: params.Q, R: params.R, Est: params.OpEstimates})
 	}
 	return lowered(pp, cc)
 }
@@ -217,9 +209,8 @@ func compileElementwiseFusedBroadcast(g *dag.Graph, cc cluster.Config, mmKind st
 			pp.Ops = append(pp.Ops, gridOp(p, cc, "Fold"))
 			continue
 		}
-		net, com, mem := cost.BFOEstimates(p, slots)
 		pp.Ops = append(pp.Ops, &PhysOp{Plan: p, Strategy: exec.Broadcast, Kind: mmKind,
-			EstNetBytes: net, EstComFlops: com, EstMemPerTask: mem})
+			Est: cost.BFOEstimates(p, slots)})
 	}
 	return lowered(pp, cc)
 }
@@ -289,14 +280,11 @@ func groupMultiAgg(ops []*PhysOp, cc cluster.Config) []*PhysOp {
 				continue
 			}
 			plans := make([]*fusion.Plan, len(group))
-			var comFlops int64
 			for k, g := range group {
 				plans[k] = g.Plan
-				comFlops += g.EstComFlops
 			}
-			net, mem := multiAggEstimates(plans, cc)
 			merged := &PhysOp{Plan: plans[0], Group: plans, Strategy: exec.Cuboid,
-				Kind: "MultiAgg", EstNetBytes: net, EstComFlops: comFlops, EstMemPerTask: mem}
+				Kind: "MultiAgg", Est: multiAggEstimates(group, cc)}
 			replacement[group[0]] = merged
 			for _, g := range group {
 				grouped[g] = true
@@ -340,32 +328,34 @@ func sharesInput(inputs map[int]bool, p *fusion.Plan) bool {
 }
 
 // multiAggEstimates charges the union of the group's inputs once:
-// plane-shaped inputs are co-partitioned (free), others transfer once; the
+// plane-shaped inputs are co-partitioned (free), others transfer once, and
+// every sum shuffles its partial aggregates; the flops are the members'; the
 // per-task working set is one partition's share of the distinct inputs.
-func multiAggEstimates(plans []*fusion.Plan, cc cluster.Config) (netBytes, memPerTask int64) {
-	child := plans[0].Root.Inputs[0]
+func multiAggEstimates(group []*PhysOp, cc cluster.Config) cost.OpEstimates {
+	child := group[0].Plan.Root.Inputs[0]
 	seen := map[int]bool{}
+	var e cost.OpEstimates
 	var inBytes int64
-	for _, p := range plans {
-		for _, in := range p.ExternalInputs() {
+	tasks := cc.TotalSlots()
+	for _, op := range group {
+		for _, in := range op.Plan.ExternalInputs() {
 			if in.Op == dag.OpScalar || seen[in.ID] {
 				continue
 			}
 			seen[in.ID] = true
 			inBytes += in.EstSizeBytes()
 			if in.Rows != child.Rows || in.Cols != child.Cols {
-				netBytes += in.EstSizeBytes()
+				e.NetBytes += in.EstSizeBytes()
 			}
 		}
+		e.AggBytes += cost.RootPartialBytes(op.Plan, tasks)
+		e.ComFlops += op.Est.ComFlops
 	}
-	tasks := int64(cc.TotalSlots())
-	for _, p := range plans {
-		netBytes += p.Root.EstSizeBytes() * tasks // partial-aggregate shuffle
-	}
-	parts := tasks
+	e.NetBytes += e.AggBytes
+	parts := int64(tasks)
 	if byParts := (inBytes + cost.PartitionBytes - 1) / cost.PartitionBytes; byParts > parts {
 		parts = byParts
 	}
-	memPerTask = inBytes/parts + 1
-	return netBytes, memPerTask
+	e.MemPerTask = inBytes/parts + 1
+	return e
 }

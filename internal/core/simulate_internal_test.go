@@ -1,9 +1,11 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"fuseme/internal/cluster"
+	"fuseme/internal/cost"
 	"fuseme/internal/dag"
 	"fuseme/internal/exec"
 	"fuseme/internal/fusion"
@@ -11,8 +13,8 @@ import (
 )
 
 // chainPlan builds a physical plan of single-operator fragments for
-// sq(A) -> log(.) -> exp(.) plus an independent abs(B).
-func chainPlan(t *testing.T) *PhysPlan {
+// sq(A) -> log(.) -> exp(.) plus an independent abs(B), lowered for cfg.
+func chainPlan(t *testing.T, cfg cluster.Config) *PhysPlan {
 	t.Helper()
 	g := dag.NewGraph()
 	a := g.Input("A", 100, 100, 1)
@@ -30,27 +32,19 @@ func chainPlan(t *testing.T) *PhysPlan {
 			t.Fatal(err)
 		}
 		pp.Ops = append(pp.Ops, &PhysOp{Plan: p, Strategy: exec.Cuboid, Kind: "Map",
-			EstNetBytes: 1000, EstComFlops: 1000, EstMemPerTask: 1000})
+			Est: cost.OpEstimates{NetBytes: 1000, ComFlops: 1000, MemPerTask: 1000}})
+	}
+	if err := pp.Lower(cfg); err != nil {
+		t.Fatal(err)
 	}
 	return pp
-}
-
-func TestOpLevels(t *testing.T) {
-	pp := chainPlan(t)
-	levels := opLevels(pp)
-	want := []int{0, 1, 2, 0} // chain depths; abs(B) independent at level 0
-	for i, op := range pp.Ops {
-		if levels[op] != want[i] {
-			t.Errorf("op %d: level %d, want %d", i, levels[op], want[i])
-		}
-	}
 }
 
 func TestSimulateLevelParallelism(t *testing.T) {
 	cfg := cluster.Default()
 	cfg.TaskOverhead = 1.0
 	cfg.SimTimeLimit = 0
-	pp := chainPlan(t)
+	pp := chainPlan(t, cfg)
 	s, err := Simulate(pp, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -65,46 +59,13 @@ func TestSimulateLevelParallelism(t *testing.T) {
 	}
 }
 
-func TestEstAggregationBytes(t *testing.T) {
-	g := dag.NewGraph()
-	u := g.Input("U", 5000, 1000, 1)
-	v := g.Input("V", 1000, 5000, 1)
-	mm := g.MatMul(u, v)
-	g.SetOutput("O", mm)
-	p, err := fusion.NewPlan(mm, map[int]*dag.Node{mm.ID: mm})
-	if err != nil {
-		t.Fatal(err)
-	}
-	op := &PhysOp{Plan: p, Strategy: exec.Cuboid, P: 2, Q: 2, R: 3}
-	got := estAggregationBytes(op, 12)
-	if want := 3 * mm.EstSizeBytes(); got != want {
-		t.Fatalf("agg = %d, want %d", got, want)
-	}
-	op.R = 1
-	if got := estAggregationBytes(op, 4); got != 0 {
-		t.Fatalf("R=1 agg = %d, want 0", got)
-	}
-	// Broadcast strategy shuffles no partials.
-	op.R = 3
-	op.Strategy = exec.Broadcast
-	if got := estAggregationBytes(op, 4); got != 0 {
-		t.Fatalf("broadcast agg = %d, want 0", got)
-	}
-}
-
-func TestEstTasks(t *testing.T) {
-	g := dag.NewGraph()
-	u := g.Input("U", 5000, 1000, 1)
-	v := g.Input("V", 1000, 5000, 1)
-	mm := g.MatMul(u, v)
-	g.SetOutput("O", mm)
-	p, _ := fusion.NewPlan(mm, map[int]*dag.Node{mm.ID: mm})
-	cfg := cluster.Default()
-	if got := estTasks(&PhysOp{Plan: p, Strategy: exec.Cuboid, P: 3, Q: 4, R: 2}, cfg); got != 24 {
-		t.Fatalf("cuboid tasks = %d", got)
-	}
-	if got := estTasks(&PhysOp{Plan: p, Strategy: exec.Broadcast}, cfg); got != cfg.TotalSlots() {
-		t.Fatalf("broadcast tasks = %d", got)
+// TestSimulateRefusesUnloweredPlan: Simulate reads the lowered stages, so a
+// plan Lower never saw is an error, as it is for Execute.
+func TestSimulateRefusesUnloweredPlan(t *testing.T) {
+	pp := chainPlan(t, cluster.Default())
+	pp.producers = nil
+	if _, err := Simulate(pp, cluster.Default()); err == nil || !strings.Contains(err.Error(), "never lowered") {
+		t.Fatalf("Simulate of an unlowered plan: err = %v", err)
 	}
 }
 

@@ -85,9 +85,34 @@ type Estimates struct {
 	ComFlops ProdSum
 	MemBytes InvSum
 
+	// AggBytes is the size of the main multiplication's output (its
+	// pattern's, when masked): at R > 1, (R-1) * AggBytes of NetBytes is the
+	// aggregation shuffle of its partial results.
+	AggBytes float64
+
 	// Grid dimensions (in blocks) of the main multiplication; the optimizer
 	// search space is (1..I) x (1..J) x (1..K).
 	I, J, K int
+}
+
+// OpEstimates are one operator's estimates at its chosen parameters:
+// cluster-wide network bytes, of which AggBytes is the aggregation shuffle
+// (an R>1 multiplication's partial results, a root aggregation's partial
+// aggregates) and the rest consolidation; cluster-wide flops; and per-task
+// memory. Each estimate function below is the one place its operator's
+// traffic is counted.
+type OpEstimates struct {
+	NetBytes, AggBytes, ComFlops, MemPerTask int64
+}
+
+// At evaluates the estimates at the candidate (p,q,r).
+func (e Estimates) At(p, q, r int) OpEstimates {
+	return OpEstimates{
+		NetBytes:   int64(e.NetBytes.Eval(p, q, r)),
+		AggBytes:   int64(float64(r-1) * e.AggBytes),
+		ComFlops:   int64(e.ComFlops.Eval(p, q, r)),
+		MemPerTask: int64(e.MemBytes.Eval(p, q, r)),
+	}
 }
 
 // Cost evaluates the objective of Eq. 2 for a candidate (p,q,r) on cluster
@@ -127,17 +152,17 @@ func Analyze(p *fusion.Plan, blockSize int) Estimates {
 		a.maskedMM = p.MainMM
 		inner := p.MainMM.Inputs[0].Cols
 		a.maskedFlops = float64(2 * om.Driver.EstNNZ() * int64(inner))
-		a.mmOutBytes = float64(om.Driver.EstNNZ() * 16)
+		e.AggBytes = float64(om.Driver.EstNNZ() * 16)
 	} else {
-		a.mmOutBytes = float64(p.MainMM.EstSizeBytes())
+		e.AggBytes = float64(p.MainMM.EstSizeBytes())
 	}
 	top := axes{axP, axQ, axR}
 	a.topTree = tree
 	a.tree(tree, top, axP|axQ|axR)
 
 	// R>1 aggregation shuffle: (R-1) * |MM output| bytes.
-	e.NetBytes.C[axR] += a.mmOutBytes
-	e.NetBytes.C[0] -= a.mmOutBytes
+	e.NetBytes.C[axR] += e.AggBytes
+	e.NetBytes.C[0] -= e.AggBytes
 
 	// The plan output is materialised in the output plane: share 1/(P*Q).
 	e.MemBytes.C[axP|axQ] += float64(p.Root.EstSizeBytes())
@@ -150,7 +175,6 @@ type analysis struct {
 	topTree     *fusion.SpaceTree
 	maskedMM    *dag.Node
 	maskedFlops float64
-	mmOutBytes  float64
 }
 
 // colocatedO reports whether an external input of the top-level O-space is
@@ -256,45 +280,53 @@ const PartitionBytes = 128 << 20
 // broadcast vectors, reorganisations) transfer. A root aggregation shuffles
 // its small partial results. Per-task memory is one partition's share, not
 // the full per-task slice: map tasks stream partitions.
-func ElementwiseEstimates(p *fusion.Plan, tasks int) (netBytes, comFlops, memPerTask int64) {
+func ElementwiseEstimates(p *fusion.Plan, tasks int) OpEstimates {
 	planeR, planeC := p.Root.Rows, p.Root.Cols
 	if p.Root.Op == dag.OpUnaryAgg {
 		planeR, planeC = p.Root.Inputs[0].Rows, p.Root.Inputs[0].Cols
 	}
+	tasks = max(tasks, 1)
+	e := OpEstimates{AggBytes: RootPartialBytes(p, tasks)}
 	var inBytes int64
 	for _, in := range p.ExternalInputs() {
 		sz := in.EstSizeBytes()
 		inBytes += sz
 		if in.Rows != planeR || in.Cols != planeC {
-			netBytes += sz
+			e.NetBytes += sz
 		}
 	}
 	for _, id := range p.MemberIDs() {
-		comFlops += p.Members[id].EstFlops()
+		e.ComFlops += p.Members[id].EstFlops()
 	}
-	if tasks < 1 {
-		tasks = 1
-	}
-	if p.Root.Op == dag.OpUnaryAgg {
-		netBytes += p.Root.EstSizeBytes() * int64(tasks)
-	}
+	e.NetBytes += e.AggBytes
 	total := inBytes + p.Root.EstSizeBytes()
 	parts := int64(tasks)
 	if byParts := (total + PartitionBytes - 1) / PartitionBytes; byParts > parts {
 		parts = byParts
 	}
-	memPerTask = total/parts + 1
-	return netBytes, comFlops, memPerTask
+	e.MemPerTask = total/parts + 1
+	return e
+}
+
+// RootPartialBytes is the aggregation shuffle of a plan whose root
+// aggregates, run as tasks tasks: one partial aggregate per task. It is zero
+// for any other root.
+func RootPartialBytes(p *fusion.Plan, tasks int) int64 {
+	if p.Root.Op != dag.OpUnaryAgg {
+		return 0
+	}
+	return p.Root.EstSizeBytes() * int64(tasks)
 }
 
 // BFOEstimates returns the Table 1 row for the broadcast-based fused
 // operator: the largest input (by cell count) is repartitioned across T
-// tasks, every other input is broadcast to all T tasks.
+// tasks, every other input is broadcast to all T tasks, and a root
+// aggregation shuffles one partial aggregate per task.
 //
-//	net = |main| + T * sum(|side|)
+//	net = |main| + T * sum(|side|) (+ T * |out| under a root aggregation)
 //	mem = |main|/T + sum(|side|) + |out|/T
 //	com = sum over operators of numOp (side-op redundancy charged T-fold)
-func BFOEstimates(p *fusion.Plan, tasks int) (netBytes, comFlops, memPerTask int64) {
+func BFOEstimates(p *fusion.Plan, tasks int) OpEstimates {
 	main := mainInput(p)
 	t := int64(tasks)
 	var sideBytes int64
@@ -306,8 +338,9 @@ func BFOEstimates(p *fusion.Plan, tasks int) (netBytes, comFlops, memPerTask int
 		}
 		sideBytes += in.EstSizeBytes()
 	}
-	netBytes = mainBytes + t*sideBytes
-	memPerTask = mainBytes/t + sideBytes + p.Root.EstSizeBytes()/t
+	e := OpEstimates{AggBytes: RootPartialBytes(p, tasks)}
+	e.NetBytes = mainBytes + t*sideBytes + e.AggBytes
+	e.MemPerTask = mainBytes/t + sideBytes + p.Root.EstSizeBytes()/t
 	spaces := p.NodeSpaces()
 	for _, id := range p.MemberIDs() {
 		n := p.Members[id]
@@ -317,19 +350,16 @@ func BFOEstimates(p *fusion.Plan, tasks int) (netBytes, comFlops, memPerTask int
 		if spaces != nil && (spaces[id] == fusion.SpaceL || spaces[id] == fusion.SpaceR) && n.Op != dag.OpMatMul {
 			f *= t
 		}
-		comFlops += f
+		e.ComFlops += f
 	}
-	return netBytes, comFlops, memPerTask
+	return e
 }
 
 // RFOEstimates returns the Table 1 row for the replication-based fused
 // operator, which is exactly the cuboid model at (P,Q,R) = (I,J,1).
-func RFOEstimates(p *fusion.Plan, blockSize int) (netBytes, comFlops, memPerTask int64) {
+func RFOEstimates(p *fusion.Plan, blockSize int) OpEstimates {
 	e := Analyze(p, blockSize)
-	netBytes = int64(e.NetBytes.Eval(e.I, e.J, 1))
-	comFlops = int64(e.ComFlops.Eval(e.I, e.J, 1))
-	memPerTask = int64(e.MemBytes.Eval(e.I, e.J, 1))
-	return netBytes, comFlops, memPerTask
+	return e.At(e.I, e.J, 1)
 }
 
 // SparkSizeBytes estimates a matrix's footprint in SystemDS's Spark block

@@ -214,7 +214,8 @@ func TestElementwiseEstimates(t *testing.T) {
 	sq := g.Unary("sq", add)
 	g.SetOutput("O", sq)
 	p := planOf(t, sq, add)
-	net, com, mem := ElementwiseEstimates(p, 10)
+	est := ElementwiseEstimates(p, 10)
+	net, com, mem := est.NetBytes, est.ComFlops, est.MemPerTask
 	// Both inputs are shaped like the output plane: co-partitioned, free.
 	if net != 0 {
 		t.Fatalf("net = %d, want 0 (co-partitioned maps shuffle nothing)", net)
@@ -233,7 +234,7 @@ func TestElementwiseEstimates(t *testing.T) {
 	mixed := g2.Binary(matrix.Add, g2.Transpose(c), d)
 	g2.SetOutput("O", mixed)
 	p2 := planOf(t, mixed, mixed.Inputs[0])
-	net2, _, _ := ElementwiseEstimates(p2, 10)
+	net2 := ElementwiseEstimates(p2, 10).NetBytes
 	if net2 != c.EstSizeBytes() {
 		t.Fatalf("net = %d, want transposed input size %d", net2, c.EstSizeBytes())
 	}
@@ -242,7 +243,8 @@ func TestElementwiseEstimates(t *testing.T) {
 func TestBFOEstimatesMatchTable1(t *testing.T) {
 	p, x, u, v, _, _, _, _, _ := nmfPlan(t)
 	const tasks = 96
-	net, com, mem := BFOEstimates(p, tasks)
+	est := BFOEstimates(p, tasks)
+	net, com, mem := est.NetBytes, est.ComFlops, est.MemPerTask
 	// X is the main matrix (most cells); U, V and the scalar broadcast.
 	sides := u.EstSizeBytes() + v.EstSizeBytes() + 8
 	if net != x.EstSizeBytes()+tasks*sides {
@@ -260,7 +262,8 @@ func TestBFOEstimatesMatchTable1(t *testing.T) {
 func TestRFOEquivalentToIJ1(t *testing.T) {
 	p, _, _, _, _, _, _, _, _ := nmfPlan(t)
 	e := Analyze(p, 1000)
-	net, com, mem := RFOEstimates(p, 1000)
+	est := RFOEstimates(p, 1000)
+	net, com, mem := est.NetBytes, est.ComFlops, est.MemPerTask
 	if net != int64(e.NetBytes.Eval(e.I, e.J, 1)) {
 		t.Fatal("RFO net mismatch")
 	}
@@ -278,8 +281,8 @@ func TestBFOvsRFOvsCFOOrdering(t *testing.T) {
 	// CFO candidate sits between them on both axes.
 	p, _, _, _, _, _, _, _, _ := nmfPlan(t)
 	e := Analyze(p, 1000)
-	bfoNet, _, bfoMem := BFOEstimates(p, 96)
-	rfoNet, _, rfoMem := RFOEstimates(p, 1000)
+	bfo, rfo := BFOEstimates(p, 96), RFOEstimates(p, 1000)
+	bfoNet, bfoMem, rfoNet, rfoMem := bfo.NetBytes, bfo.MemPerTask, rfo.NetBytes, rfo.MemPerTask
 	cfoNet := int64(e.NetBytes.Eval(3, 2, 1))
 	cfoMem := int64(e.MemBytes.Eval(3, 2, 1))
 	if !(bfoNet > 0 && rfoNet > cfoNet) {
@@ -294,5 +297,54 @@ func TestMainInput(t *testing.T) {
 	p, x, _, _, _, _, _, _, _ := nmfPlan(t)
 	if MainInput(p) != x {
 		t.Fatalf("main input = %v", MainInput(p).Name)
+	}
+}
+
+// TestAggregationShareOfNet: each estimate function names the aggregation
+// share of the network bytes it counts, once — an R>1 multiplication's
+// (R-1) partial outputs, a root aggregation's partial aggregate per task —
+// and adds nothing for it on top.
+func TestAggregationShareOfNet(t *testing.T) {
+	g := dag.NewGraph()
+	u := g.Input("U", 5000, 1000, 1)
+	v := g.Input("V", 1000, 5000, 1)
+	mm := g.MatMul(u, v)
+	g.SetOutput("O", mm)
+	e := Analyze(planOf(t, mm), 1000)
+	r3, r1 := e.At(2, 2, 3), e.At(2, 2, 1)
+	if r3.AggBytes != 2*mm.EstSizeBytes() || r1.AggBytes != 0 {
+		t.Fatalf("cuboid aggregation share: R=3 %d, R=1 %d; want %d and 0", r3.AggBytes, r1.AggBytes, 2*mm.EstSizeBytes())
+	}
+	if got := r3.NetBytes - r1.NetBytes; got != r3.AggBytes {
+		t.Fatalf("R=3 adds %d net bytes over R=1, its aggregation share is %d", got, r3.AggBytes)
+	}
+
+	// A root aggregation: one partial aggregate per task, inside the net,
+	// for a broadcast operator as for a map.
+	const tasks = 10
+	p, _, _, _, _, _, _, _, _ := nmfPlan(t)
+	bfo := BFOEstimates(p, tasks)
+	if bfo.AggBytes != 0 {
+		t.Fatal("a BFO without a root aggregation names an aggregation share")
+	}
+	g1 := dag.NewGraph()
+	tr := g1.Transpose(g1.Input("V", 4000, 2000, 1))
+	mm2 := g1.MatMul(g1.Input("U", 5000, 2000, 1), tr)
+	add := g1.Binary(matrix.Add, mm2, g1.Scalar(1e-3))
+	lg := g1.Unary("log", add)
+	mul := g1.Binary(matrix.Mul, g1.Input("X", 5000, 4000, 0.001), lg)
+	sum := g1.Agg(matrix.SumAll, mul)
+	g1.SetOutput("s", sum)
+	summed := BFOEstimates(planOf(t, sum, mul, tr, mm2, add, lg), tasks)
+	if want := tasks * sum.EstSizeBytes(); summed.AggBytes != want || summed.NetBytes != bfo.NetBytes+want {
+		t.Fatalf("BFO under sum: agg %d net %d, want %d and %d", summed.AggBytes, summed.NetBytes, want, bfo.NetBytes+want)
+	}
+	g2 := dag.NewGraph()
+	a := g2.Input("A", 1000, 1000, 1)
+	sum2 := g2.Agg(matrix.SumAll, g2.Unary("sq", a))
+	g2.SetOutput("s", sum2)
+	ew := ElementwiseEstimates(planOf(t, sum2, sum2.Inputs[0]), tasks)
+	if ew.AggBytes != tasks*sum2.EstSizeBytes() || ew.NetBytes != ew.AggBytes {
+		t.Fatalf("element-wise sum: agg %d net %d, want both %d", ew.AggBytes, ew.NetBytes, tasks*sum2.EstSizeBytes())
 	}
 }

@@ -218,12 +218,7 @@ func dispatch(rtm rt.Runtime, o *obs.Obs, pred obs.FlightRecord, st *Stage, src 
 					return fmt.Errorf("task %d result (%d,%d): %w", taskID, ob.BI, ob.BJ, err)
 				}
 			}
-			red.reset(taskID)
-			emit := red.emitFor(taskID)
-			for _, ob := range blocks {
-				emit(ob.Kind, ob.BI, ob.BJ, ob.Block)
-			}
-			red.complete(taskID)
+			red.collect(taskID, blocks)
 			return nil
 		},
 	})

@@ -3,7 +3,6 @@ package exec
 import (
 	"sync"
 
-	"fuseme/internal/matrix"
 	"fuseme/internal/rt/spec"
 )
 
@@ -43,35 +42,23 @@ func newStageReducer(numTasks int, route emitFn) *stageReducer {
 	}
 }
 
-// emitFor returns the emit function for one task attempt: ordered kinds
-// buffer, final blocks pass through.
-func (r *stageReducer) emitFor(taskID int) emitFn {
-	return func(kind uint8, bi, bj int, blk matrix.Mat) {
-		if kind == spec.OutFinal {
-			r.route(kind, bi, bj, blk)
-			return
+// collect folds the results of one task, handed over whole by its
+// successful attempt (an attempt that fails hands over nothing, so a retried
+// task contributes exactly one attempt's blocks): final blocks route at
+// once, the ordered kinds are buffered under the task, and the task
+// completes, folding the contiguous completed prefix in task order.
+func (r *stageReducer) collect(taskID int, blocks []spec.OutBlock) {
+	var ordered []spec.OutBlock
+	for _, ob := range blocks {
+		if ob.Kind == spec.OutFinal {
+			r.route(ob.Kind, ob.BI, ob.BJ, ob.Block)
+			continue
 		}
-		r.mu.Lock()
-		r.buf[taskID] = append(r.buf[taskID], spec.OutBlock{Kind: kind, BI: bi, BJ: bj, Block: blk})
-		r.mu.Unlock()
+		ordered = append(ordered, ob)
 	}
-}
-
-// reset discards a task's buffered emissions. Called at the start of every
-// attempt, so a failed attempt's partial output is never folded — the retry
-// contributes exactly one task's worth of results.
-func (r *stageReducer) reset(taskID int) {
-	r.mu.Lock()
-	r.buf[taskID] = nil
-	r.done[taskID] = false
-	r.mu.Unlock()
-}
-
-// complete marks a task's results final and folds the contiguous completed
-// prefix, in task order.
-func (r *stageReducer) complete(taskID int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.buf[taskID] = ordered
 	r.done[taskID] = true
 	for r.next < len(r.done) && r.done[r.next] {
 		for _, e := range r.buf[r.next] {

@@ -49,15 +49,16 @@ func systemDSFused(g *dag.Graph, cfg cluster.Config) (cluster.Stats, error, stri
 	variant := "R"
 	if parts < gi || parts < gj {
 		variant = "B"
-		net, com, mem := cost.BFOEstimates(p, cfg.TotalSlots())
 		op = &core.PhysOp{Plan: p, Strategy: exec.Broadcast, Kind: "BFO",
-			EstNetBytes: net, EstComFlops: com, EstMemPerTask: mem}
+			Est: cost.BFOEstimates(p, cfg.TotalSlots())}
 	} else {
-		net, com, mem := cost.RFOEstimates(p, bs)
 		op = &core.PhysOp{Plan: p, Strategy: exec.Cuboid, Kind: "RFO", P: gi, Q: gj, R: 1,
-			EstNetBytes: net, EstComFlops: com, EstMemPerTask: mem}
+			Est: cost.RFOEstimates(p, bs)}
 	}
 	pp := &core.PhysPlan{Graph: g, Ops: []*core.PhysOp{op}}
+	if err := pp.Lower(cfg); err != nil {
+		return cluster.Stats{}, err, variant
+	}
 	stats, err := core.Simulate(pp, cfg)
 	return stats, err, variant
 }

@@ -36,11 +36,10 @@ func Table1(opts Options) ([]*Table, error) {
 		if p.MainMM == nil {
 			continue
 		}
-		bNet, _, bMem := cost.BFOEstimates(p, clCfg.TotalSlots())
-		rNet, _, rMem := cost.RFOEstimates(p, clCfg.BlockSize)
+		bfo, rfo := cost.BFOEstimates(p, clCfg.TotalSlots()), cost.RFOEstimates(p, clCfg.BlockSize)
 		best := opt.Optimize(clCfg, cost.Analyze(p, clCfg.BlockSize))
-		inst.AddRow("BFO", float64(bNet)/1e9, float64(bMem)/1e9)
-		inst.AddRow("RFO", float64(rNet)/1e9, float64(rMem)/1e9)
+		inst.AddRow("BFO", float64(bfo.NetBytes)/1e9, float64(bfo.MemPerTask)/1e9)
+		inst.AddRow("RFO", float64(rfo.NetBytes)/1e9, float64(rfo.MemPerTask)/1e9)
 		inst.AddRow(fmt.Sprintf("CFO (P=%d,Q=%d,R=%d)", best.P, best.Q, best.R),
 			float64(best.NetBytes)/1e9, float64(best.MemPerTask)/1e9)
 		break

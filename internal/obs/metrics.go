@@ -95,14 +95,17 @@ var durationBuckets = []float64{
 	0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60,
 }
 
-// Histogram is a fixed-bucket histogram of float64 observations.
+// Histogram is a fixed-bucket histogram of durations, observed in seconds.
+// It sums whole nanoseconds, so its sum does not depend on the order values
+// are observed in: a registry replayed from a journal (Replay) equals the
+// live one bit for bit.
 type Histogram struct {
-	mu     sync.Mutex
-	bounds []float64 // upper bucket bounds, ascending
-	counts []int64   // len(bounds)+1; last is the +Inf bucket
-	count  int64
-	sum    float64
-	max    float64
+	mu       sync.Mutex
+	bounds   []float64 // upper bucket bounds, ascending
+	counts   []int64   // len(bounds)+1; last is the +Inf bucket
+	count    int64
+	sumNanos int64
+	max      float64
 }
 
 func newHistogram(bounds []float64) *Histogram {
@@ -118,12 +121,15 @@ func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i]++
 	h.count++
-	h.sum += v
+	h.sumNanos += int64(math.Round(v * 1e9))
 	if v > h.max {
 		h.max = v
 	}
 	h.mu.Unlock()
 }
+
+// sumSeconds is the sum of the observations, in seconds.
+func (h *Histogram) sumSeconds() float64 { return float64(h.sumNanos) / 1e9 }
 
 // HistogramSnapshot summarises a histogram for the JSON endpoint, including
 // estimated p50/p95/p99 quantiles (linear interpolation within buckets).
@@ -198,9 +204,9 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 func (h *Histogram) snapshot() HistogramSnapshot {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	s := HistogramSnapshot{Count: h.count, Sum: h.sum, Max: h.max}
+	s := HistogramSnapshot{Count: h.count, Sum: h.sumSeconds(), Max: h.max}
 	if h.count > 0 {
-		s.Mean = h.sum / float64(h.count)
+		s.Mean = s.Sum / float64(h.count)
 		s.P50 = h.quantileLocked(0.50)
 		s.P95 = h.quantileLocked(0.95)
 		s.P99 = h.quantileLocked(0.99)
@@ -330,7 +336,7 @@ func (r *Registry) Reset() {
 	for _, h := range r.hists {
 		h.mu.Lock()
 		h.counts = make([]int64, len(h.bounds)+1)
-		h.count, h.sum, h.max = 0, 0, 0
+		h.count, h.sumNanos, h.max = 0, 0, 0
 		h.mu.Unlock()
 	}
 }
@@ -442,7 +448,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			fmt.Fprintf(&b, "%s %d\n", series("_bucket", fmt.Sprintf("le=%q", fmt.Sprintf("%g", bound))), cum)
 		}
 		fmt.Fprintf(&b, "%s %d\n", series("_bucket", `le="+Inf"`), h.count)
-		fmt.Fprintf(&b, "%s %g\n", series("_sum", ""), h.sum)
+		fmt.Fprintf(&b, "%s %g\n", series("_sum", ""), h.sumSeconds())
 		fmt.Fprintf(&b, "%s %d\n", series("_count", ""), h.count)
 		h.mu.Unlock()
 	}

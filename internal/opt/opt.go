@@ -25,15 +25,14 @@ var searchCalls atomic.Int64
 // SearchCalls returns how many parameter searches have run in this process.
 func SearchCalls() int64 { return searchCalls.Load() }
 
-// Result is the outcome of a parameter search.
+// Result is the outcome of a parameter search: the chosen (P,Q,R) and, when
+// feasible, the plan's estimates there.
 type Result struct {
-	P, Q, R    int
-	Cost       float64 // Eq. 2 objective; +Inf when infeasible
-	NetBytes   int64
-	ComFlops   int64
-	MemPerTask int64
-	Feasible   bool
-	Evaluated  int // candidates whose cost was evaluated
+	P, Q, R   int
+	Cost      float64 // Eq. 2 objective; +Inf when infeasible
+	Feasible  bool
+	Evaluated int // candidates whose cost was evaluated
+	cost.OpEstimates
 }
 
 func finish(cc cluster.Config, e cost.Estimates, p, q, r, evaluated int, feasible bool) Result {
@@ -43,9 +42,7 @@ func finish(cc cluster.Config, e cost.Estimates, p, q, r, evaluated int, feasibl
 		return res
 	}
 	res.Cost = cost.Cost(cc, e, p, q, r)
-	res.NetBytes = int64(e.NetBytes.Eval(p, q, r))
-	res.ComFlops = int64(e.ComFlops.Eval(p, q, r))
-	res.MemPerTask = int64(e.MemBytes.Eval(p, q, r))
+	res.OpEstimates = e.At(p, q, r)
 	return res
 }
 
