@@ -49,11 +49,14 @@ build:
 ## loopback-socket and arena arms) once each so they cannot rot. The tests of
 ## what runs concurrently since the executor walks the plan DAG — the executor
 ## itself, stage lists and journals kept in plan order, per-stage stats,
-## shared node lanes, block-cache visibility, the task samples each stage is
-## handed, the non-zero counts concurrent tasks fold into a result under its
-## sink's lock, with the kept total they give a matrix, and the task arenas
-## that concurrent tasks take from one pool and reset, the one slowdown
-## history that sessions sharing a registry fold their stages into, the
+## shared node lanes, the one dispatch gate — a node's lanes bound across
+## the stages of two tenants and across pooled TCP sessions, and the
+## weighted round-robin turn its lanes take tasks on, oldest stage first —,
+## block-cache visibility, the task samples each stage is handed, the
+## non-zero counts concurrent tasks fold into a result under its sink's
+## lock, with the kept total they give a matrix, and the task arenas that
+## concurrent tasks take from one pool and reset, the one slowdown history
+## that sessions sharing a registry fold their stages into, the
 ## stages folded at once into one registry, a traced session's journal
 ## replayed into the calibration and registry it folded live, and the
 ## masked SDDMM's super-tiles — the group kernel against its portable twin,
@@ -63,7 +66,7 @@ build:
 ## rather than in a single tier-1 run. Every alternative of DAGTESTS must
 ## name a test of DAGPKGS: one that matches none fails the target before
 ## anything runs, so a renamed test cannot drop out of the rerun unnoticed
-DAGTESTS = Executor|GoldenStageLists|HitDispatches|ConformanceJournal|ConformanceBlockCache|FlightPeakMem|PipelineDiffGNMF|RemoteCache|RemoteGNMFCache|BlockCacheMatchesSim|MultiAggBlockCache|Visibility|Scopes|Overlapping|SharesNodeLanes|QueryLogParts|OwnTaskSamples|TraceShapeUnchanged|OfflineTraceEqualsLive|JournalCarriesLayerMetrics|TraceCoversEveryQuery|MatrixNNZMatchesScan|ReboundOutputDensityExact|TaskArenaNeverEscapes|ShareOneSlowdownHistory|SDDMMGroupMatchesPortable|SuperTileOrderKeepsBits|StripKernelsMatchPortable|QueriesListEachQueryOnce|ConcurrentStageFolds|ReplayEqualsLive|AttemptsNameTheLane
+DAGTESTS = Executor|GoldenStageLists|HitDispatches|ConformanceJournal|ConformanceBlockCache|FlightPeakMem|PipelineDiffGNMF|RemoteCache|RemoteGNMFCache|BlockCacheMatchesSim|MultiAggBlockCache|Visibility|Scopes|Overlapping|SharesNodeLanes|QueryLogParts|OwnTaskSamples|TraceShapeUnchanged|OfflineTraceEqualsLive|JournalCarriesLayerMetrics|TraceCoversEveryQuery|MatrixNNZMatchesScan|ReboundOutputDensityExact|TaskArenaNeverEscapes|ShareOneSlowdownHistory|SDDMMGroupMatchesPortable|SuperTileOrderKeepsBits|StripKernelsMatchPortable|QueriesListEachQueryOnce|ConcurrentStageFolds|ReplayEqualsLive|AttemptsNameTheLane|SharedGateBoundsNode|PooledSessionsShareWorkerLanes|WeightedRoundRobin|SharedSchedulerInterleaves|OldestStageFirst
 DAGPKGS = . ./internal/core ./internal/exec ./internal/rt/... ./internal/blockcache ./internal/obs ./internal/sched ./internal/plancache ./internal/block ./internal/matrix ./internal/serve
 race:
 	@listed="$$($(GO) test -list '$(DAGTESTS)' $(DAGPKGS))" || { echo "$$listed"; exit 1; }; \

@@ -473,7 +473,7 @@ func (s *Session) runtime() (rt.Runtime, error) {
 	}
 	if s.sched != nil {
 		if ss, ok := s.rtm.(schedSetter); ok {
-			ss.SetScheduler(s.sched.s)
+			ss.SetScheduler(s.sched.install(s.cc.TasksPerNode))
 		}
 	}
 	if name, weight := s.tenantTag(); name != "" || weight != 0 {

@@ -3,12 +3,15 @@ package fuseme
 import (
 	"math"
 	"os"
+	"sort"
+	"sync"
 	"testing"
 	"time"
 
 	"fuseme/internal/chaos/chaostest"
 	"fuseme/internal/cluster"
 	"fuseme/internal/membership"
+	"fuseme/internal/obs"
 	"fuseme/internal/rt/remote"
 )
 
@@ -442,6 +445,73 @@ func TestMeanOverManyBlocks(t *testing.T) {
 			if got, want := out["A"].Dense()[0], sum/400; math.Abs(got-want) > 1e-12 {
 				t.Errorf("%s/%s: mean(X) = %g, want %g", name, eng, got, want)
 			}
+		}
+	}
+}
+
+// TestPooledSessionsShareWorkerLanes: sessions that share one Scheduler
+// share their workers' lanes. Four TCP sessions of two tenants, on two
+// loopback workers with TasksPerNode 1 and every task stalled 5 ms, run
+// their queries at once: on each worker, no task attempt is dispatched
+// before the previous one's reply arrived. The windows are the
+// coordinators' (journaled task events): a worker's ActiveTasks also counts
+// a task whose reply is already written, so it can read 2 for the moment
+// the next task arrives before the previous handler has returned.
+func TestPooledSessionsShareWorkerLanes(t *testing.T) {
+	workers := make([]*remote.Worker, 2)
+	addrs := make([]string, len(workers))
+	for i := range workers {
+		w, err := remote.NewWorker("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { w.Close() })
+		w.SetTaskDelay(5 * time.Millisecond)
+		workers[i], addrs[i] = w, w.Addr()
+	}
+	cfg := LocalClusterConfig()
+	cfg.BlockSize = 16
+	cfg.TasksPerNode = 1
+	cfg.Runtime, cfg.Workers = "tcp", addrs
+	sc := NewScheduler(cfg.Nodes * cfg.TasksPerNode)
+	j := NewJournal(0, nil)
+	var queries sync.WaitGroup
+	for i := range 4 {
+		sess, err := NewSession(cfg, WithScheduler(sc), WithJournal(j), WithTracing())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sess.Close() })
+		sess.SetTenant([]string{"a", "b"}[i%2], 1)
+		bindTestInputs(sess)
+		queries.Add(1)
+		go func() {
+			defer queries.Done()
+			for range 2 {
+				if _, err := sess.Query("O = X * log(U %*% t(V) + 1e-3)"); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	queries.Wait()
+
+	windows := make([][]obs.TaskSample, len(workers))
+	for _, e := range j.Retained() {
+		if e.Type == obs.EvTask && e.Part == 0 && e.Task.Worker >= 0 {
+			windows[e.Task.Worker] = append(windows[e.Task.Worker], *e.Task)
+		}
+	}
+	for w, ts := range windows {
+		sort.Slice(ts, func(a, b int) bool { return ts[a].Start.Before(ts[b].Start) })
+		for k := 1; k < len(ts); k++ {
+			if ts[k].Start.Before(ts[k-1].End) {
+				t.Fatalf("worker %d ran two tasks at once: one dispatched %v before the previous one's reply",
+					w, ts[k-1].End.Sub(ts[k].Start))
+			}
+		}
+		if len(ts) == 0 {
+			t.Errorf("worker %d ran no task", w)
 		}
 	}
 }

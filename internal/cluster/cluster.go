@@ -1,11 +1,12 @@
 // Package cluster implements the simulated distributed runtime the engines
 // execute on. It stands in for the paper's Spark cluster (one coordinator +
 // eight workers, 12 tasks per node, 1 Gbps Ethernet): tasks run on the stage
-// driver both runtimes share (sched.Run, Nodes × TasksPerNode lanes over a
-// bounded slot pool), every block that moves between storage, the driver and a
-// task is metered in bytes, per-task memory is tracked against the budget θt,
-// and a simulated clock advances per execution stage by the paper's Eq. 2
-// (Config.Eq2) plus the stage's scheduling overhead (Config.WaveOverhead):
+// driver both runtimes share (sched.Run: TasksPerNode lanes per node, and at
+// most GOMAXPROCS tasks at once in-process), every block that moves between
+// storage, the driver and a task is metered in bytes, per-task memory is
+// tracked against the budget θt, and a simulated clock advances per
+// execution stage by the paper's Eq. 2 (Config.Eq2) plus the stage's
+// scheduling overhead (Config.WaveOverhead):
 //
 //	stageTime = max(stageBytes / (N * B̂n), stageFlops / (N * B̂c)) + overhead
 //
@@ -297,17 +298,15 @@ type Cluster struct {
 
 	alive []bool // every simulated node, live, for Dispatch
 
-	// lanes bounds the tasks each node runs at once, TasksPerNode, across
-	// every stage in flight.
-	lanes *sched.NodeLanes
-
-	// sched gates task dispatch. By default each cluster owns a private
-	// scheduler sized like the old inline worker pool
-	// (min(TotalSlots, GOMAXPROCS)); the serve daemon installs one shared
-	// scheduler across many clusters so concurrent plans interleave fairly.
-	sched *sched.Scheduler
-	// tenant tags this cluster's stages for the (shared) scheduler.
-	tenantMu     sync.Mutex
+	// tenantMu guards the gate and the tenant tag Dispatch reads.
+	tenantMu sync.Mutex
+	// gate is the one dispatch gate of the cluster's tasks: TasksPerNode
+	// lanes per node across every stage in flight, taken on the tenant's
+	// turn. The cluster's own runs at most min(TotalSlots, GOMAXPROCS) tasks
+	// at once; the serve daemon installs one gate across its sessions, so
+	// their tasks share the nodes' lanes and interleave fairly.
+	gate *sched.Scheduler
+	// tenant tags this cluster's stages for the gate's turn.
 	tenant       string
 	tenantWeight int
 }
@@ -317,16 +316,13 @@ func New(cfg Config) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Cluster{cfg: cfg, alive: make([]bool, cfg.Nodes), lanes: sched.NewNodeLanes(cfg.TasksPerNode)}
+	c := &Cluster{cfg: cfg, alive: make([]bool, cfg.Nodes)}
 	for i := range c.alive {
 		c.alive[i] = true
 	}
-	localSlots := cfg.TotalSlots()
-	if n := runtime.GOMAXPROCS(0); n < localSlots {
-		localSlots = n
-	}
+	localSlots := min(cfg.TotalSlots(), runtime.GOMAXPROCS(0))
 	c.pool = parallel.New(parallel.Resolve(localSlots), localSlots)
-	c.sched = sched.New(localSlots)
+	c.gate = sched.New(cfg.TasksPerNode, localSlots)
 	if budget := cfg.CacheBudget(); budget > 0 {
 		c.caches = make([]*blockcache.Cache, cfg.Nodes)
 		for i := range c.caches {
@@ -450,13 +446,6 @@ func (t *Task) FetchBlock(m matrix.Mat) {
 	t.GrowMem(n)
 }
 
-// FetchBytes meters raw consolidation traffic (for metadata or pre-sized
-// estimates) without a concrete block.
-func (t *Task) FetchBytes(n int64) {
-	t.stats.ConsolidationBytes += n
-	t.GrowMem(n)
-}
-
 // SendBlock meters a partial-result block shuffled out of this task during
 // matrix aggregation.
 func (t *Task) SendBlock(m matrix.Mat) {
@@ -474,9 +463,6 @@ func (t *Task) GrowMem(n int64) {
 	t.memBytes += n
 	t.stats.PeakTaskMemBytes = max(t.stats.PeakTaskMemBytes, t.memBytes)
 }
-
-// ShrinkMem decreases the live-memory estimate (a block was released).
-func (t *Task) ShrinkMem(n int64) { t.memBytes -= n }
 
 // CacheHit meters a cache-eligible fetch served from the node-resident block
 // cache: no wire traffic, but the block still occupies task memory (exactly
@@ -506,51 +492,42 @@ func (t *Task) Metrics() Stats {
 	return m
 }
 
-// SetScheduler installs a shared task-dispatch scheduler; nil is ignored (the
-// cluster keeps the scheduler it has). Call before running stages; the serve
-// daemon uses one scheduler across many clusters so tasks of concurrent plans
-// interleave by weighted round-robin.
+// SetScheduler installs a dispatch gate shared with other clusters in place
+// of the cluster's own; nil is ignored. Call before running stages: the
+// serve daemon installs one gate across its sessions, so their tasks share
+// the nodes' lanes and interleave by weighted round-robin.
 func (c *Cluster) SetScheduler(s *sched.Scheduler) {
 	if s == nil {
 		return
 	}
 	c.tenantMu.Lock()
-	c.sched = s
+	c.gate = s
 	c.tenantMu.Unlock()
 }
 
 // SetTenant tags this cluster's subsequent stages with a tenant name and
-// scheduling weight for the (shared) dispatch scheduler.
+// scheduling weight for the dispatch gate's turn.
 func (c *Cluster) SetTenant(name string, weight int) {
 	c.tenantMu.Lock()
 	c.tenant, c.tenantWeight = name, weight
 	c.tenantMu.Unlock()
 }
 
-// Scheduler returns the installed dispatch scheduler.
-func (c *Cluster) Scheduler() *sched.Scheduler {
-	c.tenantMu.Lock()
-	defer c.tenantMu.Unlock()
-	return c.sched
-}
-
 // Dispatch runs one stage of numTasks tasks on the stage driver over the
 // nodes alive names — RunStage over the simulated nodes, the TCP coordinator
-// over its workers — with this cluster's dispatch scheduler, tenant tag,
-// node lanes (TasksPerNode per node, shared by every stage in flight) and
-// retry policy, and returns the stage's steal count.
+// over its workers — through this cluster's dispatch gate, under its tenant
+// tag and retry policy, and returns the stage's steal count.
 func (c *Cluster) Dispatch(name string, numTasks int, alive []bool, run func(node, taskID, attempt int) error) (int64, error) {
 	c.tenantMu.Lock()
-	s, st := c.sched, sched.Stage{Name: name, Tasks: numTasks, Alive: alive, Lanes: c.cfg.TasksPerNode, Nodes: c.lanes,
-		Pinned: c.cfg.CacheBudget() > 0,
+	s, st := c.gate, sched.Stage{Name: name, Tasks: numTasks, Alive: alive, Pinned: c.cfg.CacheBudget() > 0,
 		Tenant: c.tenant, Weight: c.tenantWeight, Retries: c.cfg.MaxTaskRetries, Inject: c.cfg.InjectTaskFailure}
 	c.tenantMu.Unlock()
 	return s.Run(st, run)
 }
 
 // RunStage executes numTasks tasks as one distributed stage over the
-// simulated nodes (Dispatch), each running task holding a slot of the
-// dispatch scheduler — by default min(TotalSlots, GOMAXPROCS) of them. fn runs
+// simulated nodes (Dispatch): at most TasksPerNode at once on a node and, on
+// the cluster's own gate, min(TotalSlots, GOMAXPROCS) in all. fn runs
 // once per task attempt, on a Task carrying the node whose lane runs it
 // (Task.Node), the kernel pool, the block cache of the task's home node
 // (task ID mod Nodes, whichever lane runs it, so cache hits do not depend on

@@ -7,8 +7,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"fuseme/internal/matrix"
+	"fuseme/internal/parallel/paralleltest"
 )
 
 func testConfig() Config {
@@ -96,7 +98,7 @@ func TestSimTimeFollowsEq2(t *testing.T) {
 	// Pure communication stage.
 	const bytes = int64(1 << 30)
 	if err := c.RunStage("comm", 1, func(task *Task) error {
-		task.FetchBytes(bytes)
+		fetchBytes(task, bytes)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -121,7 +123,7 @@ func TestSimTimeFollowsEq2(t *testing.T) {
 	c.ResetStats()
 	// Overlap: the max dominates, not the sum.
 	if err := c.RunStage("both", 1, func(task *Task) error {
-		task.FetchBytes(bytes)
+		fetchBytes(task, bytes)
 		task.AddFlops(flops)
 		return nil
 	}); err != nil {
@@ -208,7 +210,7 @@ func TestSimTimeout(t *testing.T) {
 	cfg.TaskOverhead = 0
 	c := MustNew(cfg)
 	err := c.RunStage("slow", 1, func(task *Task) error {
-		task.FetchBytes(1 << 40)
+		fetchBytes(task, 1<<40)
 		return nil
 	})
 	if !errors.Is(err, ErrTimeout) {
@@ -216,13 +218,46 @@ func TestSimTimeout(t *testing.T) {
 	}
 }
 
+// fetchBytes meters n bytes of consolidation traffic on task, as a fetched
+// block of that size does.
+func fetchBytes(task *Task, n int64) {
+	task.stats.ConsolidationBytes += n
+	task.GrowMem(n)
+}
+
+// TestRunStageCapsAtGOMAXPROCS: the sim runs at most GOMAXPROCS tasks at
+// once, however many lanes its nodes have.
+func TestRunStageCapsAtGOMAXPROCS(t *testing.T) {
+	paralleltest.ForceThreads(t, 1, 2) // GOMAXPROCS 2
+	cfg := testConfig()
+	cfg.Nodes, cfg.TasksPerNode = 2, 4
+	var running, peak atomic.Int32
+	if err := MustNew(cfg).RunStage("wide", 4*cfg.TotalSlots(), func(*Task) error {
+		cur := running.Add(1)
+		for p := peak.Load(); cur > p && !peak.CompareAndSwap(p, cur); p = peak.Load() {
+		}
+		time.Sleep(time.Millisecond)
+		running.Add(-1)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if p := peak.Load(); p != 2 {
+		t.Fatalf("%d tasks ran at once on %d lanes at GOMAXPROCS 2, want 2", p, cfg.TotalSlots())
+	}
+}
+
+// TestMemHighWaterMark: a stage's peak task memory is its largest task's
+// live memory, not the sum over its tasks.
 func TestMemHighWaterMark(t *testing.T) {
 	c := MustNew(testConfig())
-	if err := c.RunStage("mem", 1, func(task *Task) error {
-		task.GrowMem(100)
-		task.GrowMem(200)
-		task.ShrinkMem(250)
-		task.GrowMem(10)
+	if err := c.RunStage("mem", 2, func(task *Task) error {
+		if task.ID == 0 {
+			task.GrowMem(100)
+			task.GrowMem(200)
+		} else {
+			task.GrowMem(50)
+		}
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -334,10 +369,10 @@ func TestRetriedTaskMeteringIsClean(t *testing.T) {
 	attempts := make([]atomic.Int64, 4)
 	if err := c.RunStage("clean", 4, func(task *Task) error {
 		if attempts[task.ID].Add(1) == 1 && task.ID == 0 {
-			task.FetchBytes(1_000_000) // metered, then the attempt fails
+			fetchBytes(task, 1_000_000) // metered, then the attempt fails
 			return errors.New("flaky")
 		}
-		task.FetchBytes(100)
+		fetchBytes(task, 100)
 		return nil
 	}); err != nil {
 		t.Fatal(err)

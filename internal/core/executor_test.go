@@ -15,9 +15,9 @@ import (
 	"fuseme/internal/cluster"
 	"fuseme/internal/core"
 	"fuseme/internal/matrix"
+	"fuseme/internal/parallel/paralleltest"
 	"fuseme/internal/rt"
 	"fuseme/internal/rt/spec"
-	"fuseme/internal/sched"
 )
 
 // hooked is the in-process cluster with a hook called before every task
@@ -38,14 +38,6 @@ func (h *hooked) RunSpecStage(st *rt.Stage) error {
 		return st.RunTask(t, fetch, ahead, emit)
 	}
 	return rt.RunStage(h.Cluster, &cp)
-}
-
-// wideCluster is the golden cluster with a slot for every lane, whatever
-// GOMAXPROCS is: a task a hook holds must not keep another from starting.
-func wideCluster() *cluster.Cluster {
-	cl := cluster.MustNew(goldenConfig())
-	cl.SetScheduler(sched.New(goldenConfig().TotalSlots()))
-	return cl
 }
 
 // opOf returns the index of the operator that materialises output name.
@@ -76,7 +68,10 @@ func TestExecutorOverlapsIndependentOperators(t *testing.T) {
 	if c.name != "gnmf" {
 		t.Fatalf("golden case 0 is %s, want gnmf", c.name)
 	}
-	cl := wideCluster()
+	// The sim runs at most GOMAXPROCS tasks at once: U2's two held fuse
+	// tasks must leave V2's a slot.
+	paralleltest.ForceThreads(t, 1, goldenConfig().TotalSlots())
+	cl := cluster.MustNew(goldenConfig())
 	pp, err := c.engine.Compile(c.graph, cl.Config())
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +121,7 @@ func TestExecutorOverlapsIndependentOperators(t *testing.T) {
 func TestExecutorDependencyOrder(t *testing.T) {
 	for run := 0; run < 10; run++ {
 		for _, c := range goldenCases() {
-			rec := &recorder{Cluster: wideCluster()}
+			rec := &recorder{Cluster: cluster.MustNew(goldenConfig())}
 			pp, err := c.engine.Compile(c.graph, rec.Config())
 			if err != nil {
 				t.Fatalf("%s: %v", c.name, err)
@@ -145,7 +140,7 @@ func TestExecutorDependencyOrder(t *testing.T) {
 // behind.
 func TestExecutorFirstErrorWins(t *testing.T) {
 	c := goldenCases()[0]
-	cl := wideCluster()
+	cl := cluster.MustNew(goldenConfig())
 	pp, err := c.engine.Compile(c.graph, cl.Config())
 	if err != nil {
 		t.Fatal(err)

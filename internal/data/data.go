@@ -62,13 +62,3 @@ func (d Dataset) Scaled(f float64) Dataset {
 func (d Dataset) Generate(blockSize int, seed int64) *block.Matrix {
 	return block.RandomSparse(d.Rows, d.Cols, blockSize, d.Density(), 1, 5, seed)
 }
-
-// Synthetic builds a square synthetic dataset n x n at the given density,
-// as in the Section 6.2 experiments.
-func Synthetic(n int, density float64) Dataset {
-	return Dataset{
-		Name: fmt.Sprintf("synthetic-%d-%.3g", n, density),
-		Rows: n, Cols: n,
-		NNZ: int64(density * float64(n) * float64(n)),
-	}
-}

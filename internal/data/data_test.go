@@ -66,13 +66,6 @@ func TestGenerate(t *testing.T) {
 	}
 }
 
-func TestSynthetic(t *testing.T) {
-	d := Synthetic(1000, 0.1)
-	if d.Rows != 1000 || d.Cols != 1000 || d.NNZ != 100_000 {
-		t.Fatalf("synthetic %+v", d)
-	}
-}
-
 func TestTripletsRoundTrip(t *testing.T) {
 	m := block.RandomSparse(37, 29, 8, 0.1, 1, 5, 7)
 	var buf bytes.Buffer

@@ -81,16 +81,6 @@ func (s *Set) Validate(g *dag.Graph) error {
 	return nil
 }
 
-// PlanByRoot returns the plan whose root is node id, or nil.
-func (s *Set) PlanByRoot(id int) *Plan {
-	for _, p := range s.Plans {
-		if p.Root.ID == id {
-			return p
-		}
-	}
-	return nil
-}
-
 // fusableCell reports whether n may join a Cell (element-wise) fusion body:
 // unary, binary and transpose operators qualify.
 func fusableCell(n *dag.Node) bool {

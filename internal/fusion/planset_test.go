@@ -113,9 +113,6 @@ func TestSingletonsAndValidate(t *testing.T) {
 	if err := set.Validate(g); err != nil {
 		t.Fatal(err)
 	}
-	if set.PlanByRoot(mm.ID) != set.Plans[0] || set.PlanByRoot(-1) != nil {
-		t.Fatal("PlanByRoot wrong")
-	}
 	// A set missing an operator fails validation.
 	var partial Set
 	partial.Plans = plans[:1]

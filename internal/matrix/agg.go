@@ -116,12 +116,6 @@ func (a AggFunc) Combine(x, y Mat) Mat {
 	panic(fmt.Sprintf("matrix: unknown AggFunc %d", int(a)))
 }
 
-// IsAssociativeSum reports whether partial results combine by addition,
-// which permits pre-aggregation inside tasks.
-func (a AggFunc) IsAssociativeSum() bool {
-	return a == SumAll || a == RowSum || a == ColSum
-}
-
 func scalarMat(v float64) *Dense {
 	return &Dense{Rows: 1, Cols: 1, Data: []float64{v}}
 }

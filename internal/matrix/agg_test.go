@@ -91,9 +91,6 @@ func TestAggCombine(t *testing.T) {
 	if got := MaxAll.Combine(x, y).At(0, 0); got != 4 {
 		t.Fatalf("max combine = %v", got)
 	}
-	if !SumAll.IsAssociativeSum() || MinAll.IsAssociativeSum() {
-		t.Fatal("IsAssociativeSum wrong")
-	}
 }
 
 // Property: partitioned aggregation equals full aggregation (this is the

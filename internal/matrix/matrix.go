@@ -311,14 +311,6 @@ func MaybeCompress(m Mat, threshold float64) Mat {
 	return m
 }
 
-// Zeros returns an all-zero matrix in the representation suggested by sparse.
-func Zeros(rows, cols int, sparse bool) Mat {
-	if sparse {
-		return NewCSR(rows, cols)
-	}
-	return NewDense(rows, cols)
-}
-
 // Equal reports whether a and b have the same shape and identical elements.
 func Equal(a, b Mat) bool { return EqualApprox(a, b, 0) }
 

@@ -159,15 +159,6 @@ func TestEqualApprox(t *testing.T) {
 	}
 }
 
-func TestZeros(t *testing.T) {
-	if Zeros(3, 3, true).(*CSR).NNZ() != 0 {
-		t.Fatal("sparse Zeros has entries")
-	}
-	if Zeros(3, 3, false).(*Dense).NNZ() != 0 {
-		t.Fatal("dense Zeros has entries")
-	}
-}
-
 func TestTransposeInvolution(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		d := randDense(t, 7, 11, seed)

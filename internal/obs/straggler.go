@@ -40,20 +40,24 @@ const slowdownAlpha = 0.3
 func StageSkewOf(stage string, samples []TaskSample) StageSkew {
 	sk := StageSkew{Stage: stage}
 	var secs []float64
-	byWkr := map[int]*WorkerLoad{}
+	type load struct {
+		tasks int
+		busy  time.Duration // summed exactly, so the fold does not depend on the samples' order
+	}
+	byWkr := map[int]*load{}
 	for _, t := range samples {
 		if t.Worker < 0 {
 			continue
 		}
-		s := t.End.Sub(t.Start).Seconds()
-		secs = append(secs, s)
-		w := byWkr[t.Worker]
-		if w == nil {
-			w = &WorkerLoad{Worker: t.Worker}
-			byWkr[t.Worker] = w
+		d := t.End.Sub(t.Start)
+		secs = append(secs, d.Seconds())
+		l := byWkr[t.Worker]
+		if l == nil {
+			l = &load{}
+			byWkr[t.Worker] = l
 		}
-		w.Tasks++
-		w.Seconds += s
+		l.tasks++
+		l.busy += d
 	}
 	if len(secs) == 0 {
 		return sk
@@ -66,8 +70,8 @@ func StageSkewOf(stage string, samples []TaskSample) StageSkew {
 	} else if sk.MaxSeconds > 0 {
 		sk.Imbalance = 1
 	}
-	for _, w := range byWkr {
-		sk.Workers = append(sk.Workers, *w)
+	for w, l := range byWkr {
+		sk.Workers = append(sk.Workers, WorkerLoad{Worker: w, Tasks: l.tasks, Seconds: l.busy.Seconds()})
 	}
 	sort.Slice(sk.Workers, func(i, j int) bool { return sk.Workers[i].Worker < sk.Workers[j].Worker })
 	return sk

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -47,6 +48,18 @@ func TestSkewDetectorImbalance(t *testing.T) {
 	}
 	if sk := StageSkewOf("s3", samplesOf([]int{-1}, 0.1, 0.4)); sk.Tasks != 0 {
 		t.Fatalf("unattributed samples folded to %+v", sk)
+	}
+}
+
+// TestSkewOrderIndependent: a stage's skew is the same whatever order its
+// samples arrived in — tasks that end at once on two lanes hand them over
+// in either order. Summed as floats, 0.1+0.2+0.3 s and 0.3+0.2+0.1 s differ
+// in the last bit.
+func TestSkewOrderIndependent(t *testing.T) {
+	forward := samplesOf([]int{0}, 0.1, 0.2, 0.3)
+	backward := []TaskSample{forward[2], forward[1], forward[0]}
+	if a, b := StageSkewOf("s", forward), StageSkewOf("s", backward); !reflect.DeepEqual(a, b) {
+		t.Fatalf("skew of the same samples: %+v in one order, %+v in the other", a, b)
 	}
 }
 

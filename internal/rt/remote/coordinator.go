@@ -32,8 +32,8 @@ import (
 // voluntarily (msgLeave). A transport failure does not kill a worker
 // outright: the worker turns suspect, dispatch pauses, and one fresh-dial
 // probe decides between recovery and eviction. Every accepted membership
-// change resizes the dispatch scheduler to active-workers x TasksPerNode
-// slots and refreshes the membership metrics. Workers are not told: nothing
+// change refreshes the membership metrics; dispatch reads who is active per
+// stage, so nothing else needs telling. Workers are not told: nothing
 // on a worker depends on who else is in the cluster. Plans compile for the
 // seed cluster shape (Config), and placement follows the active workers per
 // stage.
@@ -127,16 +127,14 @@ func (c *Coordinator) publishMembership(reg *obs.Registry) {
 	reg.Gauge(obs.MWorkersAlive).Set(float64(c.ActiveCount()))
 }
 
-// SetScheduler installs a shared task-dispatch scheduler (nil is ignored).
-// Call before running stages. The coordinator dispatches through its
-// embedded cluster's, which starts as one of active workers x TasksPerNode
-// slots; membership changes resize whichever scheduler is installed — with a
-// shared scheduler that is a cluster-wide capacity change, which is exactly
-// right: the slots model the one physical cluster every tenant runs on.
+// SetScheduler installs a dispatch gate shared with other coordinators of
+// the same workers in place of its own (nil is ignored). Call before
+// running stages: a worker then runs at most TasksPerNode tasks of all of
+// them at once.
 func (c *Coordinator) SetScheduler(s *sched.Scheduler) { c.local.SetScheduler(s) }
 
 // SetTenant tags this coordinator's subsequent stages with a tenant name and
-// scheduling weight for the (shared) dispatch scheduler.
+// scheduling weight for the dispatch gate's turn.
 func (c *Coordinator) SetTenant(name string, weight int) { c.local.SetTenant(name, weight) }
 
 // workerConn is the coordinator's connection state for one worker; whether
@@ -263,7 +261,9 @@ func NewCoordinatorConfig(cfg cluster.Config, addrs []string, rcfg Config) (*Coo
 		cacheBytes: cfg.CacheBudget(),
 		taskSlots:  cfg.TasksPerNode,
 	}
-	local.SetScheduler(sched.New(len(addrs) * cfg.TasksPerNode))
+	// The workers run the tasks, not this process: their lanes alone bound
+	// them, however many join.
+	local.SetScheduler(sched.New(cfg.TasksPerNode, 0))
 	c.mem.OnChange(c.onMembershipChange)
 	for _, addr := range addrs {
 		if _, err := c.AddWorker(addr); err != nil {
@@ -361,10 +361,9 @@ func (c *Coordinator) removeWorker(addr string) error {
 	return fmt.Errorf("remote: no live worker at %s", addr)
 }
 
-// onMembershipChange is the membership.Table change hook: resize the
-// dispatch scheduler and refresh the membership metrics.
+// onMembershipChange is the membership.Table change hook: refresh the
+// membership metrics.
 func (c *Coordinator) onMembershipChange() {
-	c.local.Scheduler().Resize(c.mem.ActiveCount() * c.taskSlots)
 	if reg := c.reg.Load(); reg != nil {
 		reg.Counter(obs.MMembershipChanges).Inc()
 		c.publishMembership(reg)

@@ -21,7 +21,7 @@
 //
 // A runtime runs stages concurrently: the plan executor dispatches every
 // operator whose inputs are materialised at once, so the stages of
-// independent operators overlap, on node lanes they share (sched.NodeLanes).
+// independent operators overlap, on node lanes they share (sched.Scheduler).
 // Nothing in a runtime is "the current stage": each stage's own
 // cluster.Stats reaches its caller through the stage (Stage.Report), and so
 // does each of its task attempts, through Stage.TaskDone on either runtime,

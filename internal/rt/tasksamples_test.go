@@ -15,9 +15,9 @@ import (
 	"fuseme/internal/lang"
 	"fuseme/internal/matrix"
 	"fuseme/internal/obs"
+	"fuseme/internal/parallel/paralleltest"
 	"fuseme/internal/rt"
 	"fuseme/internal/rt/spec"
-	"fuseme/internal/sched"
 	"fuseme/internal/workloads"
 )
 
@@ -238,6 +238,9 @@ func TestAttemptsNameTheLaneThatRanThem(t *testing.T) {
 	cfg.TasksPerNode = 1
 	wide := cfg
 	wide.TasksPerNode = 2
+	// The sim runs at most GOMAXPROCS tasks at once: a held lane must not
+	// keep the other node's from running.
+	paralleltest.ForceThreads(t, 1, cfg.TotalSlots())
 	g, err := lang.Parse("O = exp(X) / (Y + 1)", map[string]lang.InputDecl{
 		"X": {Rows: 64, Cols: 64, Sparsity: 1}, "Y": {Rows: 64, Cols: 64, Sparsity: 1}})
 	if err != nil {
@@ -269,9 +272,6 @@ func TestAttemptsNameTheLaneThatRanThem(t *testing.T) {
 	for name, open := range backendsWith(cfg) {
 		t.Run(name, func(t *testing.T) {
 			rtm := open(t)
-			if cl, ok := rtm.(*cluster.Cluster); ok {
-				cl.SetScheduler(sched.New(cfg.TotalSlots())) // a held lane keeps no slot from the other
-			}
 
 			stealing := &laneRuntime{Runtime: rtm, cfg: wide, hold: true}
 			thieves := 0

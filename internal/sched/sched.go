@@ -1,161 +1,132 @@
-// Package sched is the one stage driver of both execution backends
-// (Scheduler.Run: home queues, TasksPerNode lanes per node shared by every
-// stage in flight (NodeLanes), the steal rule, retries, first-error abort; a
-// runtime supplies one attempt of a task), and the slot gate it dispatches
-// through.
+// Package sched is the one stage driver of both execution backends and the
+// one gate their tasks pass (Scheduler.Run: home queues, the steal rule,
+// retries, first-error abort; a runtime supplies one attempt of a task).
 //
-// Every task holds a slot of the Scheduler while it runs, so several
-// concurrently executing plans interleave their tasks on one cluster: when
-// tasks from multiple tenants are waiting, slots are granted by weighted
-// round-robin across tenants. One giant job therefore cannot starve small
-// queries — a tenant with weight w receives w grants per round while it has
-// waiters, regardless of how many tasks it has queued.
+// A Scheduler holds, under one mutex, each node's lanes — a node runs at most
+// its lane count of tasks at once, however many stages are in flight —, an
+// optional cap on the tasks running at once across the nodes, the queues of
+// every stage in flight and the tenants' weighted round-robin turn. A lane
+// takes its task and its node's lane in one step, and only on its tenant's
+// turn among the tenants with a lane waiting that could take a task: a
+// tenant of weight w takes up to w tasks per round while it has lanes
+// waiting, however many tasks it has queued, so one giant job cannot starve
+// small queries.
 //
-// A Scheduler holds no goroutines of its own and is cheap enough to create
-// per cluster; the serve daemon shares a single instance across all tenant
-// sessions to get cluster-wide fairness.
+// Each runtime owns a Scheduler; the serve daemon's sessions share one, and
+// with it the nodes' lanes and the tenants' turn. A Scheduler holds no
+// goroutines of its own.
 package sched
 
 import (
-	"fmt"
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
-// Scheduler is a weighted-fair slot gate. The zero value is not usable; use
-// New. All methods are safe for concurrent use.
+// Scheduler is the dispatch gate of a cluster's nodes. The zero value is not
+// usable; use New. All methods are safe for concurrent use.
 type Scheduler struct {
 	mu      sync.Mutex
-	slots   int
-	running int
-	tenants map[string]*tenantQ
-	ring    []*tenantQ // tenants with at least one waiter, in arrival order
-	cursor  int        // index into ring of the tenant currently being served
-	credit  int        // grants left for ring[cursor] before moving on
+	per     int   // lanes per node
+	limit   int   // tasks running at once across the nodes; 0: the lanes alone bound them
+	running int   // tasks running, of any stage
+	busy    []int // per node: lanes holding a task, of any stage
+	tenants map[string]*tenant
+	ring    []*tenant // tenants with a lane waiting, in arrival order
+	cursor  int       // index into ring of the tenant whose turn it is
+	credit  int       // grants left for ring[cursor] before its turn passes
+	stages  uint64    // stages opened, numbering them (taskQueues.seq)
 }
 
-// tenantQ is the per-tenant waiter queue plus grant accounting.
-type tenantQ struct {
+// tenant is one tenant's waiting lanes and grant count.
+type tenant struct {
 	name    string
 	weight  int
-	waiters []chan struct{} // FIFO; closed channel = slot granted
-	inRing  bool
-	granted atomic.Int64
+	granted int64
+	waiting []waiter // in ring exactly while not empty; oldest stage first
 }
 
-// New creates a scheduler with the given number of task slots. Counts below
-// one are clamped to one.
-func New(slots int) *Scheduler {
-	if slots < 1 {
-		slots = 1
-	}
-	return &Scheduler{slots: slots, tenants: map[string]*tenantQ{}}
+// waiter is a stage's lanes on one node that wait in next for a task.
+type waiter struct {
+	q    *taskQueues
+	node int
 }
 
-// Slots returns the scheduler's slot count.
-func (s *Scheduler) Slots() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.slots
+// New returns a gate of lanesPerNode lanes on every node (at least one) that
+// runs at most limit tasks at once across the nodes; a limit below one
+// leaves the lanes the only bound.
+func New(lanesPerNode, limit int) *Scheduler {
+	return &Scheduler{per: max(lanesPerNode, 1), limit: max(limit, 0), tenants: map[string]*tenant{}}
 }
 
-// Resize changes the slot count — the elastic-membership rebalance hook,
-// called by the TCP coordinator with alive-workers x tasks-per-node on every
-// membership change. Growing wakes queued waiters immediately; shrinking
-// never interrupts running tasks, it just stops granting until the running
-// count sinks below the new ceiling. Counts below one are clamped to one.
-func (s *Scheduler) Resize(slots int) {
-	if slots < 1 {
-		slots = 1
-	}
-	s.mu.Lock()
-	s.slots = slots
-	s.grantLocked()
-	s.mu.Unlock()
-}
-
-// Acquire blocks until a task slot is granted to tenant and returns the
-// release function for it. The empty tenant name is a valid (default)
-// tenant; weights below one are clamped to one. Grant order across tenants
-// with waiting tasks is weighted round-robin: a tenant with weight w gets up
-// to w consecutive grants per round.
-func (s *Scheduler) Acquire(tenant string, weight int) (release func()) {
-	if weight < 1 {
-		weight = 1
-	}
-	s.mu.Lock()
-	q := s.tenants[tenant]
-	if q == nil {
-		q = &tenantQ{name: tenant, weight: weight}
-		s.tenants[tenant] = q
-	}
-	q.weight = weight
-	// Fast path: a free slot and nobody waiting anywhere.
-	if s.running < s.slots && len(s.ring) == 0 {
-		s.running++
-		q.granted.Add(1)
-		s.mu.Unlock()
-		return s.releaseFunc()
-	}
-	ready := make(chan struct{})
-	q.waiters = append(q.waiters, ready)
-	if !q.inRing {
-		q.inRing = true
-		s.ring = append(s.ring, q)
-	}
-	s.grantLocked()
-	s.mu.Unlock()
-	<-ready
-	return s.releaseFunc()
-}
-
-func (s *Scheduler) releaseFunc() func() {
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			s.mu.Lock()
-			s.running--
-			s.grantLocked()
-			s.mu.Unlock()
-		})
-	}
-}
-
-// grantLocked hands free slots to waiters in weighted round-robin order.
-// Caller holds s.mu.
-func (s *Scheduler) grantLocked() {
-	for s.running < s.slots && len(s.ring) > 0 {
+// dispatch hands tasks to waiting lanes until no lane can take one or the
+// cap is reached — the one place that decides which lane a freed node lane
+// goes to. Each grant goes to the tenant whose turn it is among the tenants
+// with a lane that can take a task now (a tenant keeps its turn for weight
+// grants), and within it to the lanes of its oldest stage that can, so a
+// tenant's stages finish in the order they started. Only a granted lane is
+// woken. The caller holds s.mu.
+func (s *Scheduler) dispatch() {
+	for s.limit == 0 || s.running < s.limit {
 		if s.cursor >= len(s.ring) {
-			s.cursor = 0
-			s.credit = 0
+			s.cursor, s.credit = 0, 0
 		}
-		q := s.ring[s.cursor]
-		if len(q.waiters) == 0 {
-			// Drained tenant: drop it from the ring and move on without
-			// consuming credit.
-			q.inRing = false
-			s.ring = append(s.ring[:s.cursor], s.ring[s.cursor+1:]...)
-			s.credit = 0
-			continue
+		if !s.grant() {
+			return
 		}
-		if s.credit == 0 {
-			s.credit = q.weight
+	}
+}
+
+// grant is one step of dispatch: it hands one waiting lane its task and
+// reports whether any lane could take one.
+func (s *Scheduler) grant() bool {
+	for i := range s.ring {
+		k := (s.cursor + i) % len(s.ring)
+		t := s.ring[k]
+		for j, w := range t.waiting {
+			task, victim, ok := w.q.take(w.node)
+			if !ok {
+				continue
+			}
+			if k != s.cursor {
+				s.cursor, s.credit = k, 0
+			}
+			if s.credit == 0 {
+				s.credit = t.weight
+			}
+			s.credit--
+			t.granted++
+			w.q.parked[w.node]--
+			w.q.grants[w.node] <- grant{task: task, victim: victim, ok: true}
+			if w.q.parked[w.node] == 0 {
+				t.waiting = slices.Delete(t.waiting, j, j+1)
+			}
+			if w.q.left == 0 {
+				w.q.end()
+			}
+			if len(t.waiting) == 0 {
+				s.leave(t)
+			} else if s.credit == 0 {
+				s.cursor++
+			}
+			return true
 		}
-		ready := q.waiters[0]
-		q.waiters = q.waiters[1:]
-		s.running++
-		s.credit--
-		q.granted.Add(1)
-		close(ready)
-		if len(q.waiters) == 0 {
-			q.inRing = false
-			s.ring = append(s.ring[:s.cursor], s.ring[s.cursor+1:]...)
-			s.credit = 0
-		} else if s.credit == 0 {
-			s.cursor++
-		}
+	}
+	return false
+}
+
+// leave takes a tenant with no lane waiting out of the ring. The caller
+// holds s.mu.
+func (s *Scheduler) leave(t *tenant) {
+	k := slices.Index(s.ring, t)
+	if k < 0 {
+		return
+	}
+	s.ring = slices.Delete(s.ring, k, k+1)
+	if k < s.cursor {
+		s.cursor--
+	} else if k == s.cursor {
+		s.credit = 0
 	}
 }
 
@@ -163,30 +134,23 @@ func (s *Scheduler) grantLocked() {
 type TenantSnapshot struct {
 	Tenant  string `json:"tenant"`
 	Weight  int    `json:"weight"`
-	Granted int64  `json:"granted"` // slot grants since scheduler creation
-	Waiting int    `json:"waiting"` // tasks currently queued for a slot
+	Granted int64  `json:"granted"` // tasks its lanes took since the gate was made
+	Waiting int    `json:"waiting"` // its lanes waiting for a task their stage has queued
 }
 
 // Snapshot returns the per-tenant scheduling state, sorted by tenant name,
-// plus the number of currently running tasks.
+// plus the number of tasks running.
 func (s *Scheduler) Snapshot() (tenants []TenantSnapshot, running int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	tenants = make([]TenantSnapshot, 0, len(s.tenants))
-	for _, q := range s.tenants {
-		tenants = append(tenants, TenantSnapshot{
-			Tenant:  q.name,
-			Weight:  q.weight,
-			Granted: q.granted.Load(),
-			Waiting: len(q.waiters),
-		})
+	for _, t := range s.tenants {
+		waiting := 0
+		for _, w := range t.waiting {
+			waiting += w.q.parked[w.node]
+		}
+		tenants = append(tenants, TenantSnapshot{Tenant: t.name, Weight: t.weight, Granted: t.granted, Waiting: waiting})
 	}
 	slices.SortFunc(tenants, func(a, b TenantSnapshot) int { return strings.Compare(a.Tenant, b.Tenant) })
 	return tenants, s.running
-}
-
-// String describes the scheduler for debug output.
-func (s *Scheduler) String() string {
-	ts, running := s.Snapshot()
-	return fmt.Sprintf("sched{slots=%d running=%d tenants=%d}", s.Slots(), running, len(ts))
 }

@@ -18,17 +18,12 @@ type Stage struct {
 	// Alive has one entry per node. Task t's home is node t mod len(Alive);
 	// a dead home falls forward to the next live node.
 	Alive []bool
-	Lanes int // lanes per live node: the cluster's TasksPerNode
-	// Nodes, when not nil, bounds each node's running tasks across every
-	// stage in flight: a lane takes one of its node's lanes there for each
-	// task it runs. Nil bounds a node by this stage's lanes alone.
-	Nodes *NodeLanes
 	// Pinned keeps the stage's tasks at their homes unless its own lanes
 	// there are all busy (taskQueues): the tasks of a cached stage meet
 	// their home's block cache whatever else runs.
 	Pinned bool
 
-	Tenant string // the tag of the stage's slot requests
+	Tenant string // whose turn the stage's lanes take their tasks on
 	Weight int
 
 	// Retries is how many times a failed task is re-attempted. Inject, when
@@ -40,21 +35,18 @@ type Stage struct {
 
 // Run executes st; the runtime supplies only run, one attempt of a task on a
 // node. Each task is queued at its home; every live node drains its queue
-// with st.Lanes lanes (taskQueues, which also steals). A lane takes a task
-// only while its node has a lane free in st.Nodes, holds that lane until the
-// task ends, and holds a slot of s under st's tenant tag while it attempts
-// the task up to 1+st.Retries times. After the first task that fails for
-// good no further task starts. Run returns once every started task has
-// ended, with the number of tasks run away from their home and the first
-// error, wrapped with the stage name and task ID.
+// with up to s's lanes per node (taskQueues, which also steals). A lane
+// takes a task, and with it one of its node's lanes, on st's tenant's turn
+// (dispatch), holds both until it asks for its next task, and attempts the
+// task up to 1+st.Retries times. After the first task that fails for good no
+// further task starts. Run returns once every started task has ended, with
+// the number of tasks run away from their home and the first error, wrapped
+// with the stage name and task ID.
 func (s *Scheduler) Run(st Stage, run func(node, taskID, attempt int) error) (steals int64, err error) {
 	if !slices.Contains(st.Alive, true) {
 		return 0, fmt.Errorf("stage %q: no live node", st.Name)
 	}
-	q := newTaskQueues(len(st.Alive), max(st.Lanes, 1))
-	if st.Nodes != nil {
-		q.share(st.Nodes, st.Pinned)
-	}
+	q := s.open(st.Alive, st.Tenant, st.Weight, st.Pinned)
 	for id := 0; id < st.Tasks; id++ {
 		home := id % len(st.Alive)
 		for !st.Alive[home] {
@@ -71,14 +63,10 @@ func (s *Scheduler) Run(st Stage, run func(node, taskID, attempt int) error) (st
 	)
 	lane := func(node int) {
 		defer wg.Done()
-		// The task, and with it the node's lane, is taken before the slot,
-		// so a lane waiting in next for a task never holds a slot a running
-		// lane needs.
-		for task, victim, ok := q.next(node); ok; task, victim, ok = q.next(node) {
+		for task, victim, ok := q.next(node, false); ok; task, victim, ok = q.next(node, true) {
 			if victim != node {
 				stolen.Add(1)
 			}
-			release := s.Acquire(st.Tenant, st.Weight)
 			if !failed.Load() {
 				if err := st.attempts(node, task, run); err != nil {
 					errOnce.Do(func() { firstErr = err })
@@ -86,12 +74,10 @@ func (s *Scheduler) Run(st Stage, run func(node, taskID, attempt int) error) (st
 					q.close()
 				}
 			}
-			release()
-			q.done(node)
 		}
 	}
 	for node, live := range st.Alive {
-		for l := 0; live && l < min(q.lanes, st.Tasks); l++ {
+		for l := 0; live && l < min(s.per, st.Tasks); l++ {
 			wg.Add(1)
 			go lane(node)
 		}
@@ -114,106 +100,125 @@ func (st *Stage) attempts(node, task int, run func(node, taskID, attempt int) er
 	return fmt.Errorf("stage %q task %d: %w", st.Name, task, err)
 }
 
-// NodeLanes is the lanes of a cluster's nodes, shared by every stage in
-// flight on it: however many stages overlap, a node runs at most its lane
-// count of tasks at once. Nodes are numbered from 0. The task queues of all
-// those stages work under its one mutex, so a lane a stage frees wakes the
-// lanes of every other. Safe for concurrent use.
-type NodeLanes struct {
-	mu   sync.Mutex
-	wake sync.Cond // broadcast when a lane is freed or taken, a task is taken, or a stage's queues close
-	per  int       // lanes per node
-	busy []int     // per node: lanes running a task, of any stage
-}
-
-// NewNodeLanes returns lanes of per tasks per node (at least one).
-func NewNodeLanes(per int) *NodeLanes {
-	l := &NodeLanes{per: max(per, 1)}
-	l.wake.L = &l.mu
-	return l
-}
-
-// taskQueues holds one stage's per-node task queues, filled before the lanes
-// start, under the mutex of the nodes' lanes. A lane takes its own queue
-// front to back, and only while its node has a lane free. Stealing has one
-// rule: a lane whose queue is empty steals only from a node whose lanes are
-// all busy, because only then is a queued task stuck behind a busy home — so
-// a stage that has the cluster to itself and no more tasks than lanes runs
-// every task at its home, and a straggler's backlog is still taken. A node's
-// lanes are busy with whatever stage runs on them; a pinned stage — one
-// whose tasks should meet their home's block cache — counts only its own
-// tasks there, so other stages never draw its tasks away from home. A steal
-// takes the TAIL of the longest such queue: the task farthest from running
-// there.
+// taskQueues holds one stage's per-node task queues, filled before its lanes
+// start, under the mutex of the gate its lanes take their tasks through. A
+// lane takes its own queue front to back, and only while its node has a
+// lane free. Stealing has one rule: a lane whose queue is empty steals only
+// from a node whose lanes are all busy, because only then is a queued task
+// stuck behind a busy home — so a stage that has the cluster to itself and
+// no more tasks than lanes runs every task at its home, and a straggler's
+// backlog is still taken. A node's lanes are busy with whatever stage runs
+// on them; a pinned stage — one whose tasks should meet their home's block
+// cache — counts only its own tasks there, so other stages never draw its
+// tasks away from home. A steal takes the TAIL of the longest such queue:
+// the task farthest from running there.
 type taskQueues struct {
-	nodes  *NodeLanes
+	s      *Scheduler
+	tenant *tenant
+	seq    uint64 // the gate's count of stages opened before this one
 	queues [][]int
 	busy   []int // per node: this stage's lanes holding a task
-	lanes  int   // this stage's lanes per node
+	parked []int // per node: this stage's lanes waiting in next
+	// grants, per live node, carries what dispatch hands the node's parked
+	// lanes. It buffers one grant per lane of the node, so dispatch never
+	// blocks sending under the gate's mutex.
+	grants []chan grant
 	pinned bool
 	left   int // queued tasks
 	closed bool
 }
 
-// newTaskQueues returns the queues of a stage on n nodes of lanes lanes
-// each, which has the nodes to itself until share.
-func newTaskQueues(n, lanes int) *taskQueues {
-	nodes := NewNodeLanes(lanes)
-	nodes.busy = make([]int, n)
-	return &taskQueues{nodes: nodes, queues: make([][]int, n), busy: make([]int, n), lanes: lanes}
+// grant is what a parked lane is handed: a task and the node whose queue it
+// came from, or ok false when the stage has nothing more for it.
+type grant struct {
+	task, victim int
+	ok           bool
 }
 
-// share puts the stage on nodes shared with other stages (Stage.Nodes),
-// pinned or not. Call it before the first push.
-func (q *taskQueues) share(nodes *NodeLanes, pinned bool) {
-	nodes.mu.Lock()
-	if n := len(q.queues); n > len(nodes.busy) {
-		nodes.busy = append(nodes.busy, make([]int, n-len(nodes.busy))...)
+// open returns the empty queues of a stage on the nodes alive names, whose
+// lanes take their tasks on tenant's turn.
+func (s *Scheduler) open(alive []bool, tenantName string, weight int, pinned bool) *taskQueues {
+	n := len(alive)
+	q := &taskQueues{s: s, queues: make([][]int, n), busy: make([]int, n), parked: make([]int, n),
+		grants: make([]chan grant, n), pinned: pinned}
+	for v, live := range alive {
+		if live {
+			q.grants[v] = make(chan grant, s.per)
+		}
 	}
-	nodes.mu.Unlock()
-	q.nodes, q.pinned = nodes, pinned
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n > len(s.busy) {
+		s.busy = append(s.busy, make([]int, n-len(s.busy))...)
+	}
+	t := s.tenants[tenantName]
+	if t == nil {
+		t = &tenant{name: tenantName}
+		s.tenants[tenantName] = t
+	}
+	t.weight = max(weight, 1)
+	q.tenant, q.seq = t, s.stages
+	s.stages++
+	return q
 }
 
-// push appends a task to node n's queue.
+// push appends a task to node n's queue. Call it before the lanes start.
 func (q *taskQueues) push(n, task int) {
-	q.nodes.mu.Lock()
 	q.queues[n] = append(q.queues[n], task)
 	q.left++
-	q.nodes.mu.Unlock()
 }
 
-// next hands a lane of node n its next task and the node whose queue it came
-// from (n itself unless stolen), and takes a lane of n for it. While tasks
-// are queued but none may be taken — n has no free lane, or each is behind a
-// node with a free lane, which will run it — next waits. It returns false
-// once every task is taken or the queues are closed. The lane holds the task
-// until it calls done.
-func (q *taskQueues) next(n int) (task, victim int, ok bool) {
-	q.nodes.mu.Lock()
-	defer q.nodes.mu.Unlock()
-	for !q.closed && q.left > 0 {
-		if task, victim, ok = q.take(n); ok {
-			return task, victim, true
-		}
-		q.nodes.wake.Wait()
+// next releases the task a lane of node n holds, when held, and hands the
+// lane its next task and the node whose queue it came from (n itself unless
+// stolen), with one of n's lanes. While tasks are queued but none may be
+// taken — n has no free lane, the gate is at its cap, each task is behind a
+// node with a free lane, which will run it, or another tenant has the turn —
+// the lane waits. next returns false once every task is taken or the queues
+// are closed.
+func (q *taskQueues) next(n int, held bool) (task, victim int, ok bool) {
+	s := q.s
+	s.mu.Lock()
+	if held {
+		q.release(n)
 	}
-	return 0, 0, false
+	wait := !q.closed && q.left > 0
+	if wait {
+		q.parked[n]++
+		if t := q.tenant; q.parked[n] == 1 {
+			if len(t.waiting) == 0 {
+				s.ring = append(s.ring, t)
+			}
+			i := len(t.waiting)
+			for i > 0 && t.waiting[i-1].q.seq > q.seq {
+				i--
+			}
+			t.waiting = slices.Insert(t.waiting, i, waiter{q, n})
+		}
+	}
+	s.dispatch()
+	s.mu.Unlock()
+	if !wait {
+		return 0, 0, false
+	}
+	g := <-q.grants[n]
+	return g.task, g.victim, g.ok
 }
 
 // full reports whether node v's lanes are all busy, as this stage counts
-// them. The caller holds the nodes' mutex.
+// them. The caller holds the gate's mutex.
 func (q *taskQueues) full(v int) bool {
 	if q.pinned {
-		return q.busy[v] >= q.lanes
+		return q.busy[v] >= q.s.per
 	}
-	return q.nodes.busy[v] >= q.nodes.per
+	return q.s.busy[v] >= q.s.per
 }
 
-// take is one attempt of next, with the nodes' mutex held: nothing while n
-// has no free lane, else the head of n's own queue, else the tail of the
-// longest queue (ties to the lowest node) whose node is full.
+// take is one attempt at a task for a lane of node n, with the gate's mutex
+// held: nothing while n has no free lane, else the head of n's own queue,
+// else the tail of the longest queue (ties to the lowest node) whose node is
+// full. It takes one of n's lanes for the task.
 func (q *taskQueues) take(n int) (task, victim int, ok bool) {
-	if q.nodes.busy[n] >= q.nodes.per {
+	if q.s.busy[n] >= q.s.per {
 		return 0, 0, false
 	}
 	victim = n
@@ -235,27 +240,40 @@ func (q *taskQueues) take(n int) (task, victim int, ok bool) {
 		task, q.queues[victim] = tasks[len(tasks)-1], tasks[:len(tasks)-1]
 	}
 	q.busy[n]++
-	q.nodes.busy[n]++
+	q.s.busy[n]++
+	q.s.running++
 	q.left--
-	if q.full(n) || q.left == 0 {
-		q.nodes.wake.Broadcast() // n's queue may be stealable now, or nothing is left
-	}
 	return task, victim, true
 }
 
-// done releases the task a lane of node n took, and n's lane with it.
-func (q *taskQueues) done(n int) {
-	q.nodes.mu.Lock()
+// release ends the task a lane of node n holds, and frees n's lane. The
+// caller holds the gate's mutex.
+func (q *taskQueues) release(n int) {
 	q.busy[n]--
-	q.nodes.busy[n]--
-	q.nodes.mu.Unlock()
-	q.nodes.wake.Broadcast()
+	q.s.busy[n]--
+	q.s.running--
+}
+
+// end hands each parked lane of the stage nothing: its tasks are all taken,
+// or its queues closed. The caller holds the gate's mutex.
+func (q *taskQueues) end() {
+	t := q.tenant
+	t.waiting = slices.DeleteFunc(t.waiting, func(w waiter) bool { return w.q == q })
+	for n, k := range q.parked {
+		for ; k > 0; k-- {
+			q.grants[n] <- grant{}
+		}
+		q.parked[n] = 0
+	}
+	if len(t.waiting) == 0 {
+		q.s.leave(t)
+	}
 }
 
 // close makes every next return false (a failed stage runs nothing more).
 func (q *taskQueues) close() {
-	q.nodes.mu.Lock()
+	q.s.mu.Lock()
 	q.closed = true
-	q.nodes.wake.Broadcast()
-	q.nodes.mu.Unlock()
+	q.end()
+	q.s.mu.Unlock()
 }

@@ -33,7 +33,7 @@ func checkStealInterleaving(seed int64, nodes, lanes, numTasks int) error {
 		}
 		n := rng.Intn(nodes)
 		if held[n] > 0 && (held[n] == lanes || rng.Intn(3) == 0) {
-			q.done(n)
+			release(q, n)
 			held[n]--
 			continue
 		}
@@ -54,7 +54,7 @@ func checkStealInterleaving(seed int64, nodes, lanes, numTasks int) error {
 		}
 		seen[task] = true
 	}
-	if _, _, ok := q.next(0); ok {
+	if _, _, ok := q.next(0, false); ok {
 		return fmt.Errorf("next handed out a task after all %d were dispatched", numTasks)
 	}
 	return nil
@@ -115,13 +115,8 @@ func TestStealQueueConcurrentDrain(t *testing.T) {
 			wg.Add(1)
 			go func(n int) {
 				defer wg.Done()
-				for {
-					task, _, ok := q.next(n)
-					if !ok {
-						return
-					}
+				for task, _, ok := q.next(n, false); ok; task, _, ok = q.next(n, true) {
 					got <- task
-					q.done(n)
 				}
 			}(n)
 		}
@@ -171,12 +166,12 @@ func TestStealQueueVictimChoice(t *testing.T) {
 	if task, victim := take(0); victim != 2 || task != 23 {
 		t.Fatalf("steal from longest queue: got task %d from node %d, want 23 from 2", task, victim)
 	}
-	q.done(0)
+	release(q, 0)
 	// Queues 1 and 2 now tie at two tasks; the lower node wins.
 	if task, victim := take(0); victim != 1 || task != 12 {
 		t.Fatalf("tie break: got task %d from node %d, want 12 from 1", task, victim)
 	}
-	q.done(0)
+	release(q, 0)
 	// The thief's own queue comes first, even when another is longer.
 	q.push(0, 1)
 	if task, victim := take(0); victim != 0 || task != 1 {
@@ -184,11 +179,28 @@ func TestStealQueueVictimChoice(t *testing.T) {
 	}
 }
 
+// newTaskQueues returns the empty queues of a stage on n live nodes of a
+// gate of lanes lanes per node.
+func newTaskQueues(n, lanes int) *taskQueues {
+	alive := make([]bool, n)
+	for v := range alive {
+		alive[v] = true
+	}
+	return New(lanes, 0).open(alive, "", 1, false)
+}
+
 // tryTake is one attempt of next that never waits.
 func tryTake(q *taskQueues, n int) (task, victim int, ok bool) {
-	q.nodes.mu.Lock()
-	defer q.nodes.mu.Unlock()
+	q.s.mu.Lock()
+	defer q.s.mu.Unlock()
 	return q.take(n)
+}
+
+// release ends the task a lane of node n took by tryTake.
+func release(q *taskQueues, n int) {
+	q.s.mu.Lock()
+	defer q.s.mu.Unlock()
+	q.release(n)
 }
 
 // TestStealQueueBusyHome pins the steal rule: a steal is refused while the
@@ -221,10 +233,10 @@ func TestStealQueueBusyHome(t *testing.T) {
 	q.push(0, 7)
 	thief := make(chan bool)
 	go func() {
-		_, _, ok := q.next(1)
+		_, _, ok := q.next(1, false)
 		thief <- ok
 	}()
-	if task, victim, ok := q.next(0); !ok || victim != 0 || task != 7 {
+	if task, victim, ok := q.next(0, false); !ok || victim != 0 || task != 7 {
 		t.Fatalf("home lane took task %d from %d (ok=%v), want 7 from 0", task, victim, ok)
 	}
 	if <-thief {
@@ -259,7 +271,7 @@ func TestRunStragglerTailStolen(t *testing.T) {
 	var others sync.WaitGroup
 	others.Add(tasks - 1)
 	go func() { others.Wait(); close(release) }()
-	steals, err := New(2).Run(Stage{Tasks: tasks, Alive: []bool{true, true}, Lanes: 1}, func(node, task, _ int) error {
+	steals, err := New(1, 2).Run(Stage{Tasks: tasks, Alive: []bool{true, true}}, func(node, task, _ int) error {
 		p.ran(node, task)
 		if task == 1 {
 			<-release // the straggler is held until every other task has run
@@ -290,11 +302,11 @@ func TestRunStragglerTailStolen(t *testing.T) {
 // at its home, every time — a one-task stage on node 0, and a full stage of
 // one task per lane — with nothing stolen.
 func TestRunFitsAtHome(t *testing.T) {
-	s := New(2)
+	s := New(2, 2)
 	for _, tasks := range []int{1, 6} {
 		for run := 0; run < 1000; run++ {
 			var p placement
-			steals, err := s.Run(Stage{Tasks: tasks, Alive: []bool{true, true, true}, Lanes: 2}, func(node, task, _ int) error {
+			steals, err := s.Run(Stage{Tasks: tasks, Alive: []bool{true, true, true}}, func(node, task, _ int) error {
 				p.ran(node, task)
 				return nil
 			})
@@ -321,7 +333,7 @@ func TestRunAttempts(t *testing.T) {
 	var mu sync.Mutex
 	attempts := map[int][]int{} // task → the attempts run saw
 	fails := errors.New("attempt failed")
-	st := Stage{Name: "retry", Tasks: 4, Alive: []bool{true, true}, Lanes: 2, Retries: 2,
+	st := Stage{Name: "retry", Tasks: 4, Alive: []bool{true, true}, Retries: 2,
 		Inject: func(task, attempt int) bool { return task == 2 && attempt == 0 }}
 	run := func(_, task, attempt int) error {
 		mu.Lock()
@@ -332,7 +344,7 @@ func TestRunAttempts(t *testing.T) {
 		}
 		return nil
 	}
-	if _, err := New(2).Run(Stage{Tasks: 3, Alive: st.Alive, Lanes: 2, Retries: 2, Inject: st.Inject}, run); err != nil {
+	if _, err := New(2, 2).Run(Stage{Tasks: 3, Alive: st.Alive, Retries: 2, Inject: st.Inject}, run); err != nil {
 		t.Fatalf("tasks needing at most 3 attempts failed under Retries 2: %v", err)
 	}
 	want := map[int][]int{0: {0}, 1: {0, 1}, 2: {1, 2}}
@@ -343,11 +355,11 @@ func TestRunAttempts(t *testing.T) {
 	}
 
 	clear(attempts)
-	_, err := New(2).Run(st, run)
+	_, err := New(2, 2).Run(st, run)
 	if !errors.Is(err, fails) || !slices.Equal(attempts[3], []int{0, 1, 2}) {
 		t.Fatalf("a task failing 3 of 3 attempts: err %v after attempts %v; want %v after [0 1 2]", err, attempts[3], fails)
 	}
-	if _, err := New(1).Run(Stage{Tasks: 1, Alive: []bool{true}, Retries: 1,
+	if _, err := New(1, 1).Run(Stage{Tasks: 1, Alive: []bool{true}, Retries: 1,
 		Inject: func(int, int) bool { return true }}, run); !errors.Is(err, ErrInjected) {
 		t.Fatalf("every attempt injected: err %v, want ErrInjected", err)
 	}
@@ -358,7 +370,7 @@ func TestRunAttempts(t *testing.T) {
 func TestRunDeadHomesFallForward(t *testing.T) {
 	var p placement
 	alive := []bool{true, false, true, false}
-	steals, err := New(2).Run(Stage{Tasks: 8, Alive: alive, Lanes: 4}, func(node, task, _ int) error {
+	steals, err := New(4, 2).Run(Stage{Tasks: 8, Alive: alive}, func(node, task, _ int) error {
 		p.ran(node, task)
 		return nil
 	})
@@ -366,7 +378,7 @@ func TestRunDeadHomesFallForward(t *testing.T) {
 	if err != nil || steals != 0 || !maps.Equal(p.node, want) {
 		t.Fatalf("ran %v with %d steals (%v); want %v with 0", p.node, steals, err, want)
 	}
-	if _, err := New(1).Run(Stage{Tasks: 1, Alive: []bool{false, false}}, func(int, int, int) error {
+	if _, err := New(1, 1).Run(Stage{Tasks: 1, Alive: []bool{false, false}}, func(int, int, int) error {
 		t.Error("a stage with no live node ran a task")
 		return nil
 	}); err == nil {
@@ -381,8 +393,7 @@ func TestRunDeadHomesFallForward(t *testing.T) {
 // take a task queued behind the other, busy one.
 func TestRunSharesNodeLanes(t *testing.T) {
 	for _, pinned := range []bool{true, false} {
-		lanes := NewNodeLanes(1)
-		s := New(8)
+		s := New(1, 8)
 		var (
 			mu      sync.Mutex
 			running [2]int
@@ -396,7 +407,7 @@ func TestRunSharesNodeLanes(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				steals, err := s.Run(Stage{Tasks: 2, Alive: []bool{true, true}, Lanes: 1, Nodes: lanes, Pinned: pinned}, func(node, task, _ int) error {
+				steals, err := s.Run(Stage{Tasks: 2, Alive: []bool{true, true}, Pinned: pinned}, func(node, task, _ int) error {
 					mu.Lock()
 					running[node]++
 					ran++

@@ -7,10 +7,12 @@
 //     that would overcommit its tenant's carve-out queues (bounded, with a
 //     deadline) or is rejected with 429 + Retry-After instead of OOMing the
 //     cluster.
-//   - Fair scheduling: every session in the pool shares one task-dispatch
-//     scheduler (internal/sched), so stage tasks of concurrent plans
-//     interleave by weighted round-robin across tenants — one giant GNMF job
-//     cannot starve small queries.
+//   - Fair scheduling: every session in the pool shares one dispatch gate
+//     (internal/sched), and with it the nodes' lanes — a node runs at most
+//     TasksPerNode tasks of all sessions at once — and the tenants' turn: a
+//     freed lane goes to the stage tasks of concurrent plans by weighted
+//     round-robin across tenants, so one giant GNMF job cannot starve small
+//     queries.
 //   - Plan cache: sessions share one compiled-plan cache
 //     (internal/plancache), so repeat queries — even with renamed variables —
 //     skip CFG exploration entirely.
@@ -454,11 +456,14 @@ type TenantStatus struct {
 
 // Status is the /v1/status document.
 type Status struct {
-	Draining     bool                      `json:"draining"`
-	Sessions     int                       `json:"sessions"`
-	SessionsBusy int                       `json:"sessions_busy"`
-	PlanCache    fuseme.PlanCacheStats     `json:"plan_cache"`
-	Tenants      []TenantStatus            `json:"tenants"`
+	Draining     bool                  `json:"draining"`
+	Sessions     int                   `json:"sessions"`
+	SessionsBusy int                   `json:"sessions_busy"`
+	PlanCache    fuseme.PlanCacheStats `json:"plan_cache"`
+	Tenants      []TenantStatus        `json:"tenants"`
+	// Scheduler is each tenant's turn on the pool's dispatch gate: the tasks
+	// its lanes took (granted) and its lanes waiting for a task their stage
+	// has queued (waiting); RunningTasks is the tasks holding a node's lane.
 	Scheduler    []fuseme.TenantSchedStats `json:"scheduler"`
 	RunningTasks int                       `json:"running_tasks"`
 	// Workers is the TCP runtime's membership table (state, epoch per

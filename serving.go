@@ -3,6 +3,7 @@ package fuseme
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"fuseme/internal/membership"
 	"fuseme/internal/obs"
@@ -58,23 +59,26 @@ func WithPlanCache(pc *PlanCache) Option {
 	}
 }
 
-// Scheduler is a weighted-fair task-dispatch gate. Sharing one scheduler
-// across sessions (WithScheduler) makes their stage tasks interleave by
+// Scheduler is a task-dispatch gate shared by the sessions of one cluster
+// (WithScheduler): their tasks share the nodes' lanes, so a node runs at
+// most TasksPerNode tasks of all of them at once, and take those lanes by
 // weighted round-robin across tenants instead of each session dispatching
 // at full cluster width. Safe for concurrent use.
 type Scheduler struct {
-	s *sched.Scheduler
+	slots int
+	gate  atomic.Pointer[sched.Scheduler] // made by the first session that installs it
 }
 
-// NewScheduler creates a scheduler with the given number of concurrent task
-// slots (values below one are clamped to one). For a shared cluster, size
-// it at the cluster's total slot count.
+// NewScheduler creates a scheduler that runs at most slots tasks at once
+// across the cluster (values below one are clamped to one); size it at the
+// cluster's total slot count. Its lanes per node are the TasksPerNode of
+// the first session it is installed on.
 func NewScheduler(slots int) *Scheduler {
-	return &Scheduler{s: sched.New(slots)}
+	return &Scheduler{slots: max(slots, 1)}
 }
 
 // Slots returns the scheduler's slot count.
-func (sc *Scheduler) Slots() int { return sc.s.Slots() }
+func (sc *Scheduler) Slots() int { return sc.slots }
 
 // TenantSchedStats reports one tenant's scheduling state.
 type TenantSchedStats = sched.TenantSnapshot
@@ -82,7 +86,17 @@ type TenantSchedStats = sched.TenantSnapshot
 // TenantStats returns per-tenant grant/wait counts (sorted by tenant name)
 // and the number of currently running tasks.
 func (sc *Scheduler) TenantStats() (tenants []TenantSchedStats, running int) {
-	return sc.s.Snapshot()
+	if g := sc.gate.Load(); g != nil {
+		return g.Snapshot()
+	}
+	return []TenantSchedStats{}, 0
+}
+
+// install returns the shared gate, made on the first call with lanesPerNode
+// lanes per node.
+func (sc *Scheduler) install(lanesPerNode int) *sched.Scheduler {
+	sc.gate.CompareAndSwap(nil, sched.New(lanesPerNode, sc.slots))
+	return sc.gate.Load()
 }
 
 // WithScheduler installs a shared task-dispatch scheduler on the session's
