@@ -50,7 +50,8 @@ build:
 ## what runs concurrently since the executor walks the plan DAG — the executor
 ## itself, stage lists and journals kept in plan order, per-stage stats,
 ## shared node lanes, the one dispatch gate — a node's lanes bound across
-## the stages of two tenants and across pooled TCP sessions, and the
+## the stages of two tenants and across pooled TCP sessions, the workers'
+## lanes alone bounding the coordinator's dispatch at GOMAXPROCS=1, and the
 ## weighted round-robin turn its lanes take tasks on, oldest stage first —,
 ## block-cache visibility, the task samples each stage is handed, the
 ## non-zero counts concurrent tasks fold into a result under its sink's
@@ -66,7 +67,7 @@ build:
 ## rather than in a single tier-1 run. Every alternative of DAGTESTS must
 ## name a test of DAGPKGS: one that matches none fails the target before
 ## anything runs, so a renamed test cannot drop out of the rerun unnoticed
-DAGTESTS = Executor|GoldenStageLists|HitDispatches|ConformanceJournal|ConformanceBlockCache|FlightPeakMem|PipelineDiffGNMF|RemoteCache|RemoteGNMFCache|BlockCacheMatchesSim|MultiAggBlockCache|Visibility|Scopes|Overlapping|SharesNodeLanes|QueryLogParts|OwnTaskSamples|TraceShapeUnchanged|OfflineTraceEqualsLive|JournalCarriesLayerMetrics|TraceCoversEveryQuery|MatrixNNZMatchesScan|ReboundOutputDensityExact|TaskArenaNeverEscapes|ShareOneSlowdownHistory|SDDMMGroupMatchesPortable|SuperTileOrderKeepsBits|StripKernelsMatchPortable|QueriesListEachQueryOnce|ConcurrentStageFolds|ReplayEqualsLive|AttemptsNameTheLane|SharedGateBoundsNode|PooledSessionsShareWorkerLanes|WeightedRoundRobin|SharedSchedulerInterleaves|OldestStageFirst
+DAGTESTS = Executor|GoldenStageLists|HitDispatches|ConformanceJournal|ConformanceBlockCache|FlightPeakMem|PipelineDiffGNMF|RemoteCache|RemoteGNMFCache|BlockCacheMatchesSim|MultiAggBlockCache|Visibility|Scopes|Overlapping|SharesNodeLanes|QueryLogParts|OwnTaskSamples|TraceShapeUnchanged|OfflineTraceEqualsLive|JournalCarriesLayerMetrics|TraceCoversEveryQuery|MatrixNNZMatchesScan|ReboundOutputDensityExact|TaskArenaNeverEscapes|ShareOneSlowdownHistory|SDDMMGroupMatchesPortable|SuperTileOrderKeepsBits|StripKernelsMatchPortable|QueriesListEachQueryOnce|ConcurrentStageFolds|ReplayEqualsLive|AttemptsNameTheLane|SharedGateBoundsNode|PooledSessionsShareWorkerLanes|WorkerLanesAloneBound|WeightedRoundRobin|SharedSchedulerInterleaves|OldestStageFirst
 DAGPKGS = . ./internal/core ./internal/exec ./internal/rt/... ./internal/blockcache ./internal/obs ./internal/sched ./internal/plancache ./internal/block ./internal/matrix ./internal/serve
 race:
 	@listed="$$($(GO) test -list '$(DAGTESTS)' $(DAGPKGS))" || { echo "$$listed"; exit 1; }; \

@@ -287,8 +287,12 @@ type Session struct {
 	// closeMu makes Close idempotent under concurrent callers.
 	closeMu sync.Mutex
 
-	rtMu sync.Mutex
-	rtm  rt.Runtime // lazily constructed execution backend
+	// rtMu guards the execution backend, constructed lazily, and the tenant
+	// tag (SetTenant) it is given.
+	rtMu         sync.Mutex
+	rtm          rt.Runtime
+	tenant       string
+	tenantWeight int
 
 	// cc is cfg with every option and environment override resolved, once,
 	// by NewSession: each backend the session builds, every plan it compiles
@@ -308,10 +312,6 @@ type Session struct {
 	journalFile *os.File      // FUSEME_JOURNAL sink, the one file the session opens and closes
 	pendingQLog *obs.QueryLog // SetQueryLog target consumed by the next Query
 	queryCount  int64         // auto-assigned query ids (q1, q2, ...)
-
-	tenantMu     sync.Mutex
-	tenant       string // SetTenant tag for the shared scheduler
-	tenantWeight int
 }
 
 // NewSession creates a session on the given cluster configuration, running
@@ -471,15 +471,11 @@ func (s *Session) runtime() (rt.Runtime, error) {
 	default:
 		return nil, fmt.Errorf("fuseme: unknown runtime %q (want \"sim\" or \"tcp\")", s.cfg.Runtime)
 	}
-	if s.sched != nil {
-		if ss, ok := s.rtm.(schedSetter); ok {
-			ss.SetScheduler(s.sched.install(s.cc.TasksPerNode))
+	if st, ok := s.rtm.(seated); ok {
+		if s.sched != nil {
+			st.SetScheduler(s.sched.install(s.cc.TasksPerNode))
 		}
-	}
-	if name, weight := s.tenantTag(); name != "" || weight != 0 {
-		if tt, ok := s.rtm.(tenantTagger); ok {
-			tt.SetTenant(name, weight)
-		}
+		st.SetTenant(s.tenant, s.tenantWeight)
 	}
 	return s.rtm, nil
 }
@@ -672,8 +668,10 @@ func (s *Session) beginQueryLog() *obs.QueryLog {
 	s.pendingQLog = nil
 	if q == nil && (s.journal != nil || s.timeline != nil) {
 		s.queryCount++
-		name, _ := s.tenantTag()
-		q = obs.NewQueryLog(s.journal, fmt.Sprintf("q%d", s.queryCount), name)
+		s.rtMu.Lock()
+		tenant := s.tenant
+		s.rtMu.Unlock()
+		q = obs.NewQueryLog(s.journal, fmt.Sprintf("q%d", s.queryCount), tenant)
 	}
 	return q.Tee(s.timeline)
 }

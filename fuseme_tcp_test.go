@@ -3,6 +3,7 @@ package fuseme
 import (
 	"math"
 	"os"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -513,5 +514,56 @@ func TestPooledSessionsShareWorkerLanes(t *testing.T) {
 		if len(ts) == 0 {
 			t.Errorf("worker %d ran no task", w)
 		}
+	}
+}
+
+// TestWorkerLanesAloneBoundTCPDispatch runs the coordinator at GOMAXPROCS=1
+// over one worker of two lanes: the two tasks of a stage must still be in
+// flight together, their journaled dispatch-to-reply windows overlapping.
+// The workers run the tasks, not the coordinator's process, so its gate has
+// no cap of its own; one capped at GOMAXPROCS would run them one by one.
+func TestWorkerLanesAloneBoundTCPDispatch(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	w, err := remote.NewWorker("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close() })
+	w.SetTaskDelay(50 * time.Millisecond)
+	cfg := LocalClusterConfig()
+	cfg.BlockSize = 16
+	cfg.Nodes, cfg.TasksPerNode = 1, 2
+	cfg.Runtime, cfg.Workers = "tcp", []string{w.Addr()}
+	j := NewJournal(0, nil)
+	sess, err := NewSession(cfg, WithJournal(j), WithTracing())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sess.Close() })
+	bindTestInputs(sess)
+	if _, err := sess.Query("O = X * log(U %*% t(V) + 1e-3)"); err != nil {
+		t.Fatal(err)
+	}
+
+	windows := map[string][]obs.TaskSample{} // per stage, its tasks' first attempts
+	for _, e := range j.Retained() {
+		if e.Type == obs.EvTask && e.Part == 0 {
+			windows[e.Stage] = append(windows[e.Stage], *e.Task)
+		}
+	}
+	checked := 0
+	for stage, ts := range windows {
+		if len(ts) < 2 {
+			continue
+		}
+		checked++
+		sort.Slice(ts, func(a, b int) bool { return ts[a].Start.Before(ts[b].Start) })
+		if !ts[1].Start.Before(ts[0].End) {
+			t.Errorf("stage %s: task %d dispatched %v after task %d's reply; the worker's two lanes ran them one by one",
+				stage, ts[1].ID, ts[1].Start.Sub(ts[0].End), ts[0].ID)
+		}
+	}
+	if checked == 0 {
+		t.Fatalf("no stage ran two tasks: %v", windows)
 	}
 }

@@ -104,8 +104,9 @@ func (c Config) Validate() error {
 // CheckAdmission rejects an operator, named by what, whose estimated
 // per-task memory exceeds the budget θt, wrapping ErrOutOfMemory. Engines with
 // no partitioning knob (BFO, MatFast's folded operators) fail here, as in the
-// paper. Execution (through the runtime) and the dry run (core.Simulate) both
-// check with it.
+// paper. It is the one admission check: the executor's plan walk and the dry
+// run (core.Simulate) both call it only once an operator's estimate is over
+// θt, so what is built only for a rejection.
 func (c Config) CheckAdmission(estTaskMemBytes int64, what string) error {
 	if estTaskMemBytes > c.TaskMemBytes {
 		return fmt.Errorf("%s needs %s per task, budget %s: %w",
@@ -123,6 +124,15 @@ func (c Config) TotalSlots() int { return c.Nodes * c.TasksPerNode }
 // it to the workers in every stage.
 func (c Config) CacheBudget() int64 {
 	return max(min(c.CacheBytes, c.TaskMemBytes), 0)
+}
+
+// Seat returns a runtime's seat at gate, under the stage policy of this
+// shape: a stage's tasks are pinned to their homes when the block cache is
+// on, a failed task is retried MaxTaskRetries times, and InjectTaskFailure
+// is consulted before each attempt.
+func (c Config) Seat(gate *sched.Scheduler) *sched.Seat {
+	return sched.NewSeat(gate, sched.Stage{Pinned: c.CacheBudget() > 0,
+		Retries: c.MaxTaskRetries, Inject: c.InjectTaskFailure})
 }
 
 // Eq2 prices the two terms of the paper's Eq. 2 on this cluster: netBytes of
@@ -279,6 +289,14 @@ func (s Stats) Sub(prev Stats) Stats {
 // the operators of one plan that do not depend on each other do — and share
 // its nodes' lanes; stats reads are safe concurrently with stages.
 type Cluster struct {
+	// Seat is the cluster's place at its dispatch gate: TasksPerNode lanes
+	// per node across every stage in flight, taken on the tenant's turn. The
+	// cluster's own gate runs at most min(TotalSlots, GOMAXPROCS) tasks at
+	// once; the serve daemon installs one gate across its sessions
+	// (SetScheduler), so their tasks share the nodes' lanes and interleave
+	// fairly.
+	*sched.Seat
+
 	cfg Config
 
 	// pool is the shared intra-task kernel pool handed to every task this
@@ -296,19 +314,7 @@ type Cluster struct {
 	// real workers.
 	caches []*blockcache.Cache
 
-	alive []bool // every simulated node, live, for Dispatch
-
-	// tenantMu guards the gate and the tenant tag Dispatch reads.
-	tenantMu sync.Mutex
-	// gate is the one dispatch gate of the cluster's tasks: TasksPerNode
-	// lanes per node across every stage in flight, taken on the tenant's
-	// turn. The cluster's own runs at most min(TotalSlots, GOMAXPROCS) tasks
-	// at once; the serve daemon installs one gate across its sessions, so
-	// their tasks share the nodes' lanes and interleave fairly.
-	gate *sched.Scheduler
-	// tenant tags this cluster's stages for the gate's turn.
-	tenant       string
-	tenantWeight int
+	alive []bool // every simulated node, live
 }
 
 // New creates a cluster from cfg.
@@ -322,7 +328,7 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	localSlots := min(cfg.TotalSlots(), runtime.GOMAXPROCS(0))
 	c.pool = parallel.New(parallel.Resolve(localSlots), localSlots)
-	c.gate = sched.New(cfg.TasksPerNode, localSlots)
+	c.Seat = cfg.Seat(sched.New(cfg.TasksPerNode, localSlots))
 	if budget := cfg.CacheBudget(); budget > 0 {
 		c.caches = make([]*blockcache.Cache, cfg.Nodes)
 		for i := range c.caches {
@@ -366,19 +372,6 @@ func (c *Cluster) ResetStats() {
 // Close releases runtime resources. The simulated cluster holds none; the
 // method exists so *Cluster satisfies the rt.Runtime interface.
 func (c *Cluster) Close() error { return nil }
-
-// AddStats folds one stage's externally measured metrics (a remote backend's
-// wire accounting) into the cluster's totals.
-func (c *Cluster) AddStats(s Stats) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.stats.Add(s)
-}
-
-// CheckAdmission applies the cluster's admission check (Config.CheckAdmission).
-func (c *Cluster) CheckAdmission(estTaskMemBytes int64, what string) error {
-	return c.cfg.CheckAdmission(estTaskMemBytes, what)
-}
 
 // Task is the handle a stage function uses to meter its data movement,
 // computation and memory. Not safe for concurrent use (each task owns one).
@@ -492,44 +485,11 @@ func (t *Task) Metrics() Stats {
 	return m
 }
 
-// SetScheduler installs a dispatch gate shared with other clusters in place
-// of the cluster's own; nil is ignored. Call before running stages: the
-// serve daemon installs one gate across its sessions, so their tasks share
-// the nodes' lanes and interleave by weighted round-robin.
-func (c *Cluster) SetScheduler(s *sched.Scheduler) {
-	if s == nil {
-		return
-	}
-	c.tenantMu.Lock()
-	c.gate = s
-	c.tenantMu.Unlock()
-}
-
-// SetTenant tags this cluster's subsequent stages with a tenant name and
-// scheduling weight for the dispatch gate's turn.
-func (c *Cluster) SetTenant(name string, weight int) {
-	c.tenantMu.Lock()
-	c.tenant, c.tenantWeight = name, weight
-	c.tenantMu.Unlock()
-}
-
-// Dispatch runs one stage of numTasks tasks on the stage driver over the
-// nodes alive names — RunStage over the simulated nodes, the TCP coordinator
-// over its workers — through this cluster's dispatch gate, under its tenant
-// tag and retry policy, and returns the stage's steal count.
-func (c *Cluster) Dispatch(name string, numTasks int, alive []bool, run func(node, taskID, attempt int) error) (int64, error) {
-	c.tenantMu.Lock()
-	s, st := c.gate, sched.Stage{Name: name, Tasks: numTasks, Alive: alive, Pinned: c.cfg.CacheBudget() > 0,
-		Tenant: c.tenant, Weight: c.tenantWeight, Retries: c.cfg.MaxTaskRetries, Inject: c.cfg.InjectTaskFailure}
-	c.tenantMu.Unlock()
-	return s.Run(st, run)
-}
-
 // RunStage executes numTasks tasks as one distributed stage over the
-// simulated nodes (Dispatch): at most TasksPerNode at once on a node and, on
-// the cluster's own gate, min(TotalSlots, GOMAXPROCS) in all. fn runs
-// once per task attempt, on a Task carrying the node whose lane runs it
-// (Task.Node), the kernel pool, the block cache of the task's home node
+// simulated nodes, through the cluster's Seat: at most TasksPerNode at once
+// on a node and, on the cluster's own gate, min(TotalSlots, GOMAXPROCS) in
+// all. fn runs once per task attempt, on a Task carrying the node whose lane
+// runs it (Task.Node), the kernel pool, the block cache of the task's home node
 // (task ID mod Nodes, whichever lane runs it, so cache hits do not depend on
 // steals) and the stage's own stats (Task.StageStats). Task metrics are
 // folded into those and into the cluster stats, and the simulated clock
@@ -542,7 +502,7 @@ func (c *Cluster) RunStage(name string, numTasks int, fn func(t *Task) error) er
 	start := time.Now()
 	stage := &Stats{}
 	tasks := make([]Task, numTasks)
-	steals, err := c.Dispatch(name, numTasks, c.alive, func(node, id, _ int) error {
+	steals, err := c.Seat.Run(name, numTasks, c.alive, func(node, id, _ int) error {
 		// A retried task restarts with clean metering: the failed attempt's
 		// partial work is discarded, exactly as a re-executed Spark task
 		// recomputes its partition.

@@ -191,11 +191,10 @@ func TestRunStageAllTasksRun(t *testing.T) {
 func TestCheckAdmission(t *testing.T) {
 	cfg := testConfig()
 	cfg.TaskMemBytes = 1000
-	c := MustNew(cfg)
-	if err := c.CheckAdmission(999, "op"); err != nil {
+	if err := cfg.CheckAdmission(1000, "op"); err != nil {
 		t.Fatal(err)
 	}
-	err := c.CheckAdmission(1001, "broadcast of U")
+	err := cfg.CheckAdmission(1001, "broadcast of U")
 	if !errors.Is(err, ErrOutOfMemory) {
 		t.Fatalf("err = %v", err)
 	}

@@ -287,7 +287,8 @@ func (pp *PhysPlan) walk(rtm rt.Runtime, values map[int]*block.Matrix, o *obs.Ob
 	}
 	logs := qlog.Parts(len(pp.Ops))
 	scopes := make([][]blockcache.Scope, len(pp.Ops)) // per operator, its stages' (none uncached)
-	if rtm.Config().CacheBytes > 0 {
+	cfg := rtm.Config()
+	if cfg.CacheBytes > 0 {
 		all := blockcache.Scopes(pp.ancestors)
 		for i, op := range pp.Ops {
 			scopes[i], all = all[:len(op.Lowered.Stages)], all[len(op.Lowered.Stages):]
@@ -318,7 +319,8 @@ func (pp *PhysPlan) walk(rtm rt.Runtime, values map[int]*block.Matrix, o *obs.Ob
 			return
 		}
 		op := pp.Ops[i]
-		if firstErr = rtm.CheckAdmission(op.Est.MemPerTask, op.desc()); firstErr != nil {
+		if op.Est.MemPerTask > cfg.TaskMemBytes {
+			firstErr = cfg.CheckAdmission(op.Est.MemPerTask, op.desc())
 			return
 		}
 		lo := op.Lowered

@@ -11,8 +11,8 @@ import (
 // tasks are still running yet folds in one fixed order. Nothing prefetches
 // across tasks (within one, source.ahead names a loop's blocks).
 // Work-stealing, the other half of the pipeline, runs on both runtimes: both
-// dispatch through cluster.Cluster.Dispatch to sched.Run, where an idle lane
-// takes a task queued on a busy node (cluster.Stats.StealTasks).
+// dispatch through their sched.Seat to sched.Run, where an idle lane takes a
+// task queued on a busy node (cluster.Stats.StealTasks).
 
 // stageReducer folds stage results into the route sinks in strict task-index
 // order, whatever order tasks complete in. Floating-point folds (OutAgg

@@ -92,7 +92,7 @@ type Journal struct {
 	mu      sync.Mutex
 	ring    []Event       // capacity-bounded; oldest overwritten first
 	next    int           // ring write cursor: len(ring) until the ring is full
-	sink    *bufio.Writer // optional; nil = ring only
+	sink    *bufio.Writer // optional, set once by NewJournal; nil = ring only
 	sinkErr error         // the sink's first write error
 }
 
@@ -111,10 +111,19 @@ func NewJournal(ring int, sink io.Writer) *Journal {
 	return j
 }
 
-// append stores one stamped event, mirroring it to the sink.
+// append stores one stamped event, mirroring it to the sink. The event's
+// JSON line is encoded before the lock is taken; under it the ring takes the
+// event and the sink its line, so the two keep one order.
 func (j *Journal) append(e Event) {
 	if j == nil {
 		return
+	}
+	var line []byte
+	var err error
+	if j.sink != nil {
+		if line, err = json.Marshal(e); err == nil {
+			line = append(line, '\n')
+		}
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -125,9 +134,8 @@ func (j *Journal) append(e Event) {
 	}
 	j.next = (j.next + 1) % cap(j.ring)
 	if j.sink != nil && j.sinkErr == nil {
-		line, err := json.Marshal(e)
 		if err == nil {
-			_, err = j.sink.Write(append(line, '\n'))
+			_, err = j.sink.Write(line)
 		}
 		j.sinkErr = err
 	}

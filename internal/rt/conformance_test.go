@@ -14,6 +14,7 @@ import (
 	"fuseme/internal/block"
 	"fuseme/internal/cluster"
 	"fuseme/internal/core"
+	"fuseme/internal/dag"
 	"fuseme/internal/lang"
 	"fuseme/internal/obs"
 	"fuseme/internal/rt"
@@ -71,17 +72,22 @@ type planRun struct {
 	stats cluster.Stats
 }
 
-// runReferencePlan executes the NMF kernel (the paper's running example,
-// fusing a sparse-masked multiplication chain) on one backend.
-func runReferencePlan(t *testing.T, rtm rt.Runtime) planRun {
-	t.Helper()
+// referencePlan is the NMF kernel (the paper's running example, fusing a
+// sparse-masked multiplication chain) and its inputs.
+func referencePlan() (*dag.Graph, map[string]*block.Matrix) {
 	const rows, cols, k = 96, 80, 8
 	inputs := map[string]*block.Matrix{
 		"X": block.RandomSparse(rows, cols, 16, 0.05, 1, 5, 1),
 		"U": block.RandomDense(rows, k, 16, 0.5, 1.5, 2),
 		"V": block.RandomDense(cols, k, 16, 0.5, 1.5, 3),
 	}
-	g := workloads.NMFKernel(rows, cols, k, inputs["X"].Density())
+	return workloads.NMFKernel(rows, cols, k, inputs["X"].Density()), inputs
+}
+
+// runReferencePlan executes the reference plan on one backend.
+func runReferencePlan(t *testing.T, rtm rt.Runtime) planRun {
+	t.Helper()
+	g, inputs := referencePlan()
 	out, stats, err := core.Run(core.FuseME{}, g, rtm, inputs)
 	if err != nil {
 		t.Fatal(err)
@@ -454,9 +460,10 @@ func TestRuntimeConformanceInjectedRetries(t *testing.T) {
 }
 
 // TestRuntimeConformanceClosureStage requires a bare closure handed to
-// Runtime.RunStage (no executor stage is one any more, but the runtimes still
-// accept it) to run every task exactly once on every backend, with identical
-// stage/task accounting.
+// Runtime.RunStage (no executor stage is one any more) to run every task
+// exactly once on the sim, with its stage and task accounting, and the TCP
+// coordinator to refuse it (remote.ErrNoDescriptor) without counting a
+// stage: its tasks run on the workers, which only run descriptors.
 func TestRuntimeConformanceClosureStage(t *testing.T) {
 	const numTasks = 8
 	for name, open := range backends() {
@@ -467,13 +474,22 @@ func TestRuntimeConformanceClosureStage(t *testing.T) {
 				ran.Add(1)
 				return nil
 			})
+			s := rtm.Stats()
+			if name == "tcp" {
+				if !errors.Is(err, remote.ErrNoDescriptor) {
+					t.Errorf("RunStage(closure) = %v, want ErrNoDescriptor", err)
+				}
+				if ran.Load() != 0 || s.Stages != 0 || s.Tasks != 0 {
+					t.Errorf("refused closure ran %d times, stats %d stages / %d tasks; want none", ran.Load(), s.Stages, s.Tasks)
+				}
+				return
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
 			if ran.Load() != numTasks {
 				t.Errorf("closure ran %d times, want %d", ran.Load(), numTasks)
 			}
-			s := rtm.Stats()
 			if s.Stages != 1 || s.Tasks != numTasks {
 				t.Errorf("stats = %d stages / %d tasks, want 1 / %d", s.Stages, s.Tasks, numTasks)
 			}
@@ -481,19 +497,28 @@ func TestRuntimeConformanceClosureStage(t *testing.T) {
 	}
 }
 
-// TestRuntimeConformanceAdmission requires identical admission control: an
-// operator over the per-task memory budget is rejected with
-// cluster.ErrOutOfMemory on every backend, and one under it is admitted.
+// TestRuntimeConformanceAdmission requires identical admission control
+// through execution: a plan whose operators each need more per-task memory
+// than the runtime's budget θt fails core.Execute with
+// cluster.ErrOutOfMemory on every backend, and no stage runs.
 func TestRuntimeConformanceAdmission(t *testing.T) {
-	budget := conformanceConfig().TaskMemBytes
-	for name, open := range backends() {
+	g, inputs := referencePlan()
+	pp, err := core.FuseME{}.Compile(g, conformanceConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := conformanceConfig()
+	for _, op := range pp.Ops {
+		cfg.TaskMemBytes = min(cfg.TaskMemBytes, op.Est.MemPerTask-1)
+	}
+	for name, open := range backendsWith(cfg) {
 		t.Run(name, func(t *testing.T) {
 			rtm := open(t)
-			if err := rtm.CheckAdmission(budget+1, "oversized"); !errors.Is(err, cluster.ErrOutOfMemory) {
-				t.Errorf("CheckAdmission(budget+1) = %v, want ErrOutOfMemory", err)
+			if _, err := core.Execute(pp, rtm, inputs); !errors.Is(err, cluster.ErrOutOfMemory) {
+				t.Errorf("Execute over budget = %v, want ErrOutOfMemory", err)
 			}
-			if err := rtm.CheckAdmission(budget/2, "fits"); err != nil {
-				t.Errorf("CheckAdmission(budget/2) = %v, want nil", err)
+			if s := rtm.Stats(); s.Stages != 0 || s.Tasks != 0 {
+				t.Errorf("a rejected plan ran %d stages / %d tasks", s.Stages, s.Tasks)
 			}
 		})
 	}

@@ -19,9 +19,9 @@ import (
 
 // Coordinator is the TCP runtime backend: it satisfies rt.Runtime (and
 // rt.SpecRunner) by scheduling descriptor-based stages over a set of worker
-// processes. Closure-only stages — and all bookkeeping the simulated
-// cluster already does (admission control, stats accumulation) — run on an
-// embedded local cluster whose Nodes count is the number of workers.
+// processes. It holds what running them takes: the cluster shape it was
+// opened with (Config, whose Nodes is the worker count), its stats totals and
+// its seat at a dispatch gate. It refuses a bare closure stage (RunStage).
 //
 // Membership is elastic: each worker is a row in a membership.Table with a
 // liveness state machine (joining → active → suspect → dead → left), and that
@@ -61,9 +61,23 @@ import (
 // reads in a real deployment), fuse-phase partial re-delivery, final result
 // blocks — are recorded separately as ExtraWireBytes.
 type Coordinator struct {
-	local *cluster.Cluster
-	rcfg  Config            // transport tuning, validated and defaulted
-	mem   *membership.Table // the one record of the workers and their liveness
+	// Seat is the coordinator's place at its dispatch gate. Its own gate has
+	// no cap on the tasks running at once: the workers run them, not this
+	// process, so their lanes alone bound them, however many join.
+	*sched.Seat
+
+	// cfg is the cluster shape: plans compile against it, and every
+	// stageAssign ships its block-cache budget (CacheBudget, zero without a
+	// cache) and TasksPerNode, which bounds the kernel pool's shared helper
+	// budget on the worker. Each worker sizes its kernel threads against its
+	// own GOMAXPROCS — worker machines need not match the coordinator's.
+	cfg cluster.Config
+
+	statsMu sync.Mutex
+	stats   cluster.Stats // every stage's, folded as it ends
+
+	rcfg Config            // transport tuning, validated and defaulted
+	mem  *membership.Table // the one record of the workers and their liveness
 
 	// addMu serializes membership-mutating operations (AddWorker, leave) so
 	// member IDs always equal their slot in the workers slice.
@@ -82,14 +96,6 @@ type Coordinator struct {
 	joinMu sync.Mutex
 	joinLn net.Listener
 	joinWG sync.WaitGroup
-
-	// Settings shipped verbatim in every stageAssign: the session's block-cache
-	// budget (cluster.Config.CacheBudget, zero without a cache) and
-	// TasksPerNode, which bounds the kernel pool's shared helper budget on
-	// the worker. Each worker sizes its kernel threads against its own
-	// GOMAXPROCS — worker machines need not match the coordinator's.
-	cacheBytes int64
-	taskSlots  int
 
 	// stageSeq numbers the stages this coordinator runs: a task stream is
 	// shipped a stage's descriptor once, the first time it carries one of
@@ -126,16 +132,6 @@ func (c *Coordinator) publishMembership(reg *obs.Registry) {
 	}
 	reg.Gauge(obs.MWorkersAlive).Set(float64(c.ActiveCount()))
 }
-
-// SetScheduler installs a dispatch gate shared with other coordinators of
-// the same workers in place of its own (nil is ignored). Call before
-// running stages: a worker then runs at most TasksPerNode tasks of all of
-// them at once.
-func (c *Coordinator) SetScheduler(s *sched.Scheduler) { c.local.SetScheduler(s) }
-
-// SetTenant tags this coordinator's subsequent stages with a tenant name and
-// scheduling weight for the dispatch gate's turn.
-func (c *Coordinator) SetTenant(name string, weight int) { c.local.SetTenant(name, weight) }
 
 // workerConn is the coordinator's connection state for one worker; whether
 // the worker takes tasks is its membership row's state, not a field here.
@@ -202,7 +198,7 @@ func (w *workerConn) takeIdle() *stream {
 func (c *Coordinator) putIdle(w *workerConn, s *stream) {
 	w.idleMu.Lock()
 	w.running--
-	keep := s != nil && !c.closed.Load() && c.mem.IsActive(w.id) && len(w.idle) < max(w.peak, c.taskSlots)
+	keep := s != nil && !c.closed.Load() && c.mem.IsActive(w.id) && len(w.idle) < max(w.peak, c.cfg.TasksPerNode)
 	if keep {
 		w.idle = append(w.idle, s)
 	}
@@ -249,21 +245,16 @@ func NewCoordinatorConfig(cfg cluster.Config, addrs []string, rcfg Config) (*Coo
 	}
 	rcfg = rcfg.withDefaults()
 	cfg.Nodes = len(addrs)
-	local, err := cluster.New(cfg)
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	c := &Coordinator{
-		local:      local,
-		rcfg:       rcfg,
-		mem:        membership.NewTable(),
-		hbStop:     make(chan struct{}),
-		cacheBytes: cfg.CacheBudget(),
-		taskSlots:  cfg.TasksPerNode,
+		Seat:   cfg.Seat(sched.New(cfg.TasksPerNode, 0)),
+		cfg:    cfg,
+		rcfg:   rcfg,
+		mem:    membership.NewTable(),
+		hbStop: make(chan struct{}),
 	}
-	// The workers run the tasks, not this process: their lanes alone bound
-	// them, however many join.
-	local.SetScheduler(sched.New(cfg.TasksPerNode, 0))
 	c.mem.OnChange(c.onMembershipChange)
 	for _, addr := range addrs {
 		if _, err := c.AddWorker(addr); err != nil {
@@ -502,24 +493,32 @@ func (c *Coordinator) workerByID(id int) *workerConn {
 }
 
 // Config returns the cluster shape the planners compile against.
-func (c *Coordinator) Config() cluster.Config { return c.local.Config() }
+func (c *Coordinator) Config() cluster.Config { return c.cfg }
 
-// Stats returns accumulated metrics (local stages + remote wire metering).
-func (c *Coordinator) Stats() cluster.Stats { return c.local.Stats() }
-
-// ResetStats clears accumulated metrics.
-func (c *Coordinator) ResetStats() { c.local.ResetStats() }
-
-// CheckAdmission applies the per-task memory budget, as under simulation.
-func (c *Coordinator) CheckAdmission(estTaskMemBytes int64, what string) error {
-	return c.local.CheckAdmission(estTaskMemBytes, what)
+// Stats returns the stats of every stage run since the last ResetStats.
+func (c *Coordinator) Stats() cluster.Stats {
+	c.statsMu.Lock()
+	defer c.statsMu.Unlock()
+	return c.stats
 }
 
-// RunStage executes a bare closure in-process on the coordinator, on the
-// embedded cluster's model clock. No executor stage comes this way: they all
-// carry a descriptor and run through RunSpecStage.
-func (c *Coordinator) RunStage(name string, numTasks int, fn func(t *cluster.Task) error) error {
-	return c.local.RunStage(name, numTasks, fn)
+// ResetStats clears accumulated metrics.
+func (c *Coordinator) ResetStats() {
+	c.statsMu.Lock()
+	c.stats = cluster.Stats{}
+	c.statsMu.Unlock()
+}
+
+// ErrNoDescriptor refuses a stage the workers cannot run: a bare closure, or
+// an rt.Stage without its descriptor, Fetch or Collect. A worker rebuilds a
+// stage from its spec.Stage.
+var ErrNoDescriptor = errors.New("remote: a TCP stage needs a descriptor")
+
+// RunStage refuses a bare closure with ErrNoDescriptor and counts no stage:
+// the method is there for rt.Runtime alone. Every executor stage carries a
+// descriptor and runs through RunSpecStage.
+func (c *Coordinator) RunStage(name string, _ int, _ func(t *cluster.Task) error) error {
+	return fmt.Errorf("stage %q: %w", name, ErrNoDescriptor)
 }
 
 // Close stops heartbeats, the join listener and releases worker
@@ -572,7 +571,7 @@ func (m *wireMeter) countResult(ob spec.OutBlock) {
 }
 
 // RunSpecStage distributes one descriptor stage over the active workers on
-// the stage driver (the embedded cluster's Dispatch), whose home of a task,
+// the stage driver, through the coordinator's Seat; the home of a task,
 // taskID mod workers, is the simulated backend's cache home too. The table is
 // read once for the lanes: a worker that leaves the Active state before its
 // lanes start has them run its tasks elsewhere (attemptWorker). Stages may
@@ -580,7 +579,7 @@ func (m *wireMeter) countResult(ob spec.OutBlock) {
 func (c *Coordinator) RunSpecStage(st *rt.Stage) error {
 	sp := st.Spec
 	if sp == nil || st.Fetch == nil || st.Collect == nil {
-		return errors.New("remote: stage without descriptor/fetch/collect")
+		return fmt.Errorf("stage %q: %w", st.Name, ErrNoDescriptor)
 	}
 	start := time.Now()
 	gen := c.stageSeq.Add(1)
@@ -600,7 +599,7 @@ func (c *Coordinator) RunSpecStage(st *rt.Stage) error {
 		stage = cluster.Stats{Stages: 1, Tasks: sp.NumTasks} // the tasks' metering, under mu
 	)
 	reg := c.reg.Load()
-	steals, err := c.local.Dispatch(sp.Name, sp.NumTasks, active, func(node, taskID, attempt int) error {
+	steals, err := c.Seat.Run(sp.Name, sp.NumTasks, active, func(node, taskID, attempt int) error {
 		if attempt > 0 {
 			reg.Counter(obs.MRetriesTotal).Inc()
 		}
@@ -654,7 +653,9 @@ func (c *Coordinator) RunSpecStage(st *rt.Stage) error {
 	stage.CollectSeconds = time.Duration(wire.collectNanos.Load()).Seconds()
 	stage.WallSeconds = time.Since(start).Seconds()
 	stage.SimSeconds = stage.WallSeconds
-	c.local.AddStats(stage)
+	c.statsMu.Lock()
+	c.stats.Add(stage)
+	c.statsMu.Unlock()
 	if st.Report != nil {
 		st.Report(stage)
 	}
@@ -744,8 +745,8 @@ func (c *Coordinator) serveTask(s *stream, st *rt.Stage, taskID int, gen uint64,
 		if err := s.writeGob(msgStage, stageAssign{
 			Stage:      *st.Spec,
 			Gen:        gen,
-			CacheBytes: c.cacheBytes,
-			TaskSlots:  c.taskSlots,
+			CacheBytes: c.cfg.CacheBudget(),
+			TaskSlots:  c.cfg.TasksPerNode,
 		}); err != nil {
 			return res, false, transportError{err}
 		}

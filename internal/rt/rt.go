@@ -1,8 +1,9 @@
 // Package rt defines the pluggable Runtime interface the execution layer
-// runs on. The interface is extracted from the simulated cluster's surface
-// (stage execution, admission control, stats), so *cluster.Cluster satisfies
-// it unchanged; the TCP coordinator in rt/remote is the second
-// implementation, spreading the same stages across worker processes.
+// runs on: what a runtime needs to run stages — the cluster shape it was
+// opened with, its stats and stage execution. *cluster.Cluster implements it
+// in-process; the TCP coordinator in rt/remote spreads the same stages
+// across worker processes. Admission is not a runtime's: the executor checks
+// each operator against the shape's budget (cluster.Config.CheckAdmission).
 //
 // A Stage has one task path on both. Its descriptor (Spec) is lowered once,
 // when the plan is compiled, and a runtime must not modify it: a cached
@@ -16,8 +17,8 @@
 // calls RunTask on its rebuilt copy, pulling blocks over the wire. Nothing
 // prefetches across tasks on either; within a task a worker requests the
 // blocks its next loop reads ahead of the loop. internal/exec/paths.go is
-// the one place a Stage is built; a runtime still accepts a bare closure
-// through Runtime.RunStage.
+// the one place a Stage is built. Runtime.RunStage still takes a bare
+// closure, which only the sim runs; the coordinator refuses it.
 //
 // A runtime runs stages concurrently: the plan executor dispatches every
 // operator whose inputs are materialised at once, so the stages of
@@ -54,10 +55,8 @@ type Runtime interface {
 	Stats() cluster.Stats
 	// ResetStats clears accumulated metrics.
 	ResetStats()
-	// CheckAdmission rejects an operator whose estimated per-task memory
-	// exceeds the budget, wrapping cluster.ErrOutOfMemory.
-	CheckAdmission(estTaskMemBytes int64, what string) error
-	// RunStage executes numTasks tasks of one distributed stage in-process.
+	// RunStage executes numTasks tasks of one distributed stage in-process;
+	// a SpecRunner may refuse it.
 	RunStage(name string, numTasks int, fn func(t *cluster.Task) error) error
 	// Close releases backend resources (worker connections).
 	Close() error

@@ -12,9 +12,9 @@
 // waiting, however many tasks it has queued, so one giant job cannot starve
 // small queries.
 //
-// Each runtime owns a Scheduler; the serve daemon's sessions share one, and
-// with it the nodes' lanes and the tenants' turn. A Scheduler holds no
-// goroutines of its own.
+// Each runtime runs its stages through a Seat at a Scheduler of its own; the
+// serve daemon's sessions share one, and with it the nodes' lanes and the
+// tenants' turn. A Scheduler holds no goroutines of its own.
 package sched
 
 import (
@@ -57,6 +57,54 @@ type waiter struct {
 // leaves the lanes the only bound.
 func New(lanesPerNode, limit int) *Scheduler {
 	return &Scheduler{per: max(lanesPerNode, 1), limit: max(limit, 0), tenants: map[string]*tenant{}}
+}
+
+// Seat is a runtime's place at a dispatch gate: the gate its stages run
+// through, and the policy they run under — the runtime's pinning, retries and
+// injected failures, and the tenant tag they take their turn under. Both
+// runtimes embed one, so a shared gate and a tenant tag are set the same way
+// on either. Safe for concurrent use.
+type Seat struct {
+	mu     sync.Mutex
+	gate   *Scheduler
+	policy Stage // Pinned, Tenant, Weight, Retries and Inject of every stage
+}
+
+// NewSeat returns a seat at gate whose stages run under policy; a stage's
+// own Name, Tasks and Alive replace policy's.
+func NewSeat(gate *Scheduler, policy Stage) *Seat {
+	return &Seat{gate: gate, policy: policy}
+}
+
+// SetScheduler moves the seat to a gate shared with other runtimes; nil is
+// ignored. Call before running stages: the serve daemon installs one gate
+// across its sessions, so their tasks share the nodes' lanes and interleave
+// by weighted round-robin.
+func (s *Seat) SetScheduler(g *Scheduler) {
+	if g == nil {
+		return
+	}
+	s.mu.Lock()
+	s.gate = g
+	s.mu.Unlock()
+}
+
+// SetTenant tags the seat's subsequent stages with a tenant name and
+// scheduling weight for the gate's turn.
+func (s *Seat) SetTenant(name string, weight int) {
+	s.mu.Lock()
+	s.policy.Tenant, s.policy.Weight = name, weight
+	s.mu.Unlock()
+}
+
+// Run runs a stage of tasks tasks over the nodes alive names on the seat's
+// gate, under its policy (Scheduler.Run).
+func (s *Seat) Run(name string, tasks int, alive []bool, run func(node, taskID, attempt int) error) (steals int64, err error) {
+	s.mu.Lock()
+	g, st := s.gate, s.policy
+	s.mu.Unlock()
+	st.Name, st.Tasks, st.Alive = name, tasks, alive
+	return g.Run(st, run)
 }
 
 // dispatch hands tasks to waiting lanes until no lane can take one or the

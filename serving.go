@@ -128,34 +128,24 @@ func WithRegistry(reg *obs.Registry) Option {
 // scheduling weight. With a shared Scheduler installed, the tag drives
 // weighted round-robin dispatch across tenants; without one it is inert.
 func (s *Session) SetTenant(name string, weight int) {
-	s.tenantMu.Lock()
-	s.tenant, s.tenantWeight = name, weight
-	s.tenantMu.Unlock()
 	s.rtMu.Lock()
-	if tt, ok := s.rtm.(tenantTagger); ok {
-		tt.SetTenant(name, weight)
+	defer s.rtMu.Unlock()
+	s.tenant, s.tenantWeight = name, weight
+	if st, ok := s.rtm.(seated); ok {
+		st.SetTenant(name, weight)
 	}
-	s.rtMu.Unlock()
-}
-
-// tenantTag returns the session's tenant tag.
-func (s *Session) tenantTag() (string, int) {
-	s.tenantMu.Lock()
-	defer s.tenantMu.Unlock()
-	return s.tenant, s.tenantWeight
 }
 
 // LastPlanCacheHit reports whether the most recent Query (or Explain)
 // compiled from the plan cache rather than running plan generation.
 func (s *Session) LastPlanCacheHit() bool { return s.lastPlanHit }
 
-// tenantTagger is implemented by backends whose stages can be tagged for a
-// shared scheduler.
-type tenantTagger interface{ SetTenant(name string, weight int) }
-
-// schedSetter is implemented by backends that accept a shared dispatch
-// scheduler.
-type schedSetter interface{ SetScheduler(s *sched.Scheduler) }
+// seated is implemented by both backends, through the sched.Seat they run
+// their stages from: a shared dispatch gate and a tenant tag for its turn.
+type seated interface {
+	SetScheduler(s *sched.Scheduler)
+	SetTenant(name string, weight int)
+}
 
 // planFingerprint appends the engine identity/knobs and every cluster
 // parameter the compile reads to the canonical DAG key, so plans compiled
