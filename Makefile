@@ -53,10 +53,11 @@ build:
 ## the stages of two tenants and across pooled TCP sessions, the workers'
 ## lanes alone bounding the coordinator's dispatch at GOMAXPROCS=1, and the
 ## weighted round-robin turn its lanes take tasks on, oldest stage first —,
-## block-cache visibility, the task samples each stage is handed, the
-## non-zero counts concurrent tasks fold into a result under its sink's
-## lock, with the kept total they give a matrix, and the task arenas that
-## concurrent tasks take from one pool and reset, the one slowdown history
+## a worker's in-flight count against the lanes holding its tasks, the task
+## samples each stage is handed, the non-zero counts concurrent tasks fold
+## into a result under its sink's lock, with the kept total they give a
+## matrix, and the task arenas that concurrent tasks take from one pool and
+## reset, the one slowdown history
 ## that sessions sharing a registry fold their stages into, the
 ## stages folded at once into one registry, a traced session's journal
 ## replayed into the calibration and registry it folded live, and the
@@ -67,8 +68,8 @@ build:
 ## rather than in a single tier-1 run. Every alternative of DAGTESTS must
 ## name a test of DAGPKGS: one that matches none fails the target before
 ## anything runs, so a renamed test cannot drop out of the rerun unnoticed
-DAGTESTS = Executor|GoldenStageLists|HitDispatches|ConformanceJournal|ConformanceBlockCache|FlightPeakMem|PipelineDiffGNMF|RemoteCache|RemoteGNMFCache|BlockCacheMatchesSim|MultiAggBlockCache|Visibility|Scopes|Overlapping|SharesNodeLanes|QueryLogParts|OwnTaskSamples|TraceShapeUnchanged|OfflineTraceEqualsLive|JournalCarriesLayerMetrics|TraceCoversEveryQuery|MatrixNNZMatchesScan|ReboundOutputDensityExact|TaskArenaNeverEscapes|ShareOneSlowdownHistory|SDDMMGroupMatchesPortable|SuperTileOrderKeepsBits|StripKernelsMatchPortable|QueriesListEachQueryOnce|ConcurrentStageFolds|ReplayEqualsLive|AttemptsNameTheLane|SharedGateBoundsNode|PooledSessionsShareWorkerLanes|WorkerLanesAloneBound|WeightedRoundRobin|SharedSchedulerInterleaves|OldestStageFirst
-DAGPKGS = . ./internal/core ./internal/exec ./internal/rt/... ./internal/blockcache ./internal/obs ./internal/sched ./internal/plancache ./internal/block ./internal/matrix ./internal/serve
+DAGTESTS = Executor|GoldenStageLists|HitDispatches|ConformanceJournal|FlightPeakMem|PipelineDiffGNMF|Overlapping|SharesNodeLanes|QueryLogParts|OwnTaskSamples|TraceShapeUnchanged|OfflineTraceEqualsLive|JournalCarriesLayerMetrics|TraceCoversEveryQuery|MatrixNNZMatchesScan|ReboundOutputDensityExact|TaskArenaNeverEscapes|ShareOneSlowdownHistory|SDDMMGroupMatchesPortable|SuperTileOrderKeepsBits|StripKernelsMatchPortable|QueriesListEachQueryOnce|ConcurrentStageFolds|ReplayEqualsLive|AttemptsNameTheLane|SharedGateBoundsNode|PooledSessionsShareWorkerLanes|WorkerLanesAloneBound|WeightedRoundRobin|SharedSchedulerInterleaves|OldestStageFirst|ActiveTasksStayWithinTheLanes
+DAGPKGS = . ./internal/core ./internal/exec ./internal/rt/... ./internal/obs ./internal/sched ./internal/plancache ./internal/block ./internal/matrix ./internal/serve
 race:
 	@listed="$$($(GO) test -list '$(DAGTESTS)' $(DAGPKGS))" || { echo "$$listed"; exit 1; }; \
 	for alt in $$(echo '$(DAGTESTS)' | tr '|' ' '); do \

@@ -66,7 +66,6 @@ func main() {
 	tenants := flag.String("tenants", "", "tenant table name:token:weight[:quotaMB],... (default "+EnvTenants+", or a single open tenant)")
 	noPlanCache := flag.Bool("no-plan-cache", false, "disable the shared compiled-plan cache")
 	journal := flag.String("journal", "", "sink the query event journal to this JSONL file (the in-memory ring behind /v1/queries is always on)")
-	cacheBytes := flag.Int64("cache-bytes", 0, "per-worker block-cache budget for loop-invariant inputs (0 disables)")
 	var datasets stringsFlag
 	flag.Var(&datasets, "dataset", "preload a named dataset: name=dense:RxC:lo:hi:seed, name=sparse:RxC:density:lo:hi:seed or name=file:PATH (repeatable)")
 	flag.Parse()
@@ -120,9 +119,6 @@ func main() {
 		scfg.PlanCacheEntries = -1
 	}
 	scfg.JournalPath = *journal
-	if *cacheBytes > 0 {
-		scfg.SessionOptions = append(scfg.SessionOptions, fuseme.WithBlockCache(*cacheBytes))
-	}
 	srv, err := serve.New(scfg)
 	if err != nil {
 		fail(err)

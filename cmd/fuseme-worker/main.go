@@ -5,7 +5,7 @@
 // block fetches, and collects result blocks. Workers are stateless between
 // tasks and can serve successive coordinators; kill them with SIGINT. A
 // worker has no settings of its own: its kernel threads follow its
-// GOMAXPROCS, and its block cache the budget each stage ships.
+// GOMAXPROCS.
 //
 // Run a two-worker cluster on one machine:
 //

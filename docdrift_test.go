@@ -240,8 +240,8 @@ func TestDocDriftOptions(t *testing.T) {
 	if len(declared) == 0 {
 		t.Fatal("found no With* functions in the root package — parsing broken")
 	}
-	if len(declared) != 7 {
-		t.Errorf("the root package declares %d With* options, want 7: a new option needs a benchmark arm or a reason in ROADMAP", len(declared))
+	if len(declared) != 6 {
+		t.Errorf("the root package declares %d With* options, want 6: a new option needs a benchmark arm or a reason in ROADMAP", len(declared))
 	}
 	doc, err := os.ReadFile("docs/OPERATIONS.md")
 	if err != nil {
@@ -325,8 +325,8 @@ func TestDocDriftVariablesAndCommands(t *testing.T) {
 	if len(read) == 0 || len(rows) == 0 {
 		t.Fatalf("found %d variables in source and %d table rows — extraction broken", len(read), len(rows))
 	}
-	if len(read) != 4 {
-		t.Errorf("the source reads %d FUSEME_* variables, want 4: a new variable needs a reason in ROADMAP", len(read))
+	if len(read) != 3 {
+		t.Errorf("the source reads %d FUSEME_* variables, want 3: a new variable needs a reason in ROADMAP", len(read))
 	}
 	for name := range read {
 		if !rows[name] {
@@ -658,8 +658,8 @@ func TestDocDriftFlags(t *testing.T) {
 	if total == 0 {
 		t.Fatal("found no flag declarations under cmd/ — parsing broken")
 	}
-	if total != 60 {
-		t.Errorf("the commands declare %d flags, want 60: a new flag needs a reason in ROADMAP", total)
+	if total != 59 {
+		t.Errorf("the commands declare %d flags, want 59: a new flag needs a reason in ROADMAP", total)
 	}
 }
 

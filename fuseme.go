@@ -316,8 +316,8 @@ type Session struct {
 
 // NewSession creates a session on the given cluster configuration, running
 // the FuseME engine by default. Options enable observability (WithTracing,
-// WithMetricsAddr), the block cache and sharing across sessions
-// (WithPlanCache, WithScheduler, WithRegistry). Settings an option or the
+// WithMetricsAddr) and sharing across sessions (WithPlanCache,
+// WithScheduler, WithRegistry). Settings an option or the
 // environment can override are read here, once: changing FUSEME_* afterwards
 // does not reach the session.
 func NewSession(cfg ClusterConfig, opts ...Option) (*Session, error) {
@@ -325,7 +325,6 @@ func NewSession(cfg ClusterConfig, opts ...Option) (*Session, error) {
 	if err := cc.Validate(); err != nil {
 		return nil, err
 	}
-	cc.CacheBytes = -1 // unset: WithBlockCache, else FUSEME_CACHE_BYTES, else off
 	s := &Session{
 		cfg:    cfg,
 		cc:     cc,
@@ -339,9 +338,6 @@ func NewSession(cfg ClusterConfig, opts ...Option) (*Session, error) {
 		if err := opt(s); err != nil {
 			return nil, err
 		}
-	}
-	if err := s.resolveCacheBytes(); err != nil {
-		return nil, err
 	}
 	if err := s.resolveJournal(); err != nil {
 		return nil, err

@@ -37,6 +37,59 @@ func bindTestInputs(s *Session) {
 	s.RandomDense("V", 70, 10, 0.5, 1.5, 3)
 }
 
+// TestRebindServesTheNewInput: on the simulated cluster and over TCP
+// workers, the query after X is rebound returns what a fresh session bound
+// to the new X returns, not what it returned before.
+func TestRebindServesTheNewInput(t *testing.T) {
+	const script = "O = X * log(U %*% t(V) + 1e-3)"
+	session := func(cfg ClusterConfig) *Session {
+		t.Helper()
+		sess, err := NewSession(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sess.Close() })
+		bindTestInputs(sess)
+		return sess
+	}
+	query := func(sess *Session) []float64 {
+		t.Helper()
+		out, err := sess.Query(script)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out["O"].Dense()
+	}
+	newX := func(sess *Session) { sess.RandomSparse("X", 80, 70, 0.05, 1, 5, 99) }
+	sim := LocalClusterConfig()
+	sim.BlockSize = 16
+	ref := session(sim)
+	newX(ref)
+	want := query(ref)
+	for _, runtime := range []string{"sim", "tcp"} {
+		t.Run(runtime, func(t *testing.T) {
+			cfg := sim
+			if cfg.Runtime = runtime; runtime == "tcp" {
+				cfg.Workers = startWorkers(t, 2)
+			}
+			sess := session(cfg)
+			before := query(sess)
+			newX(sess)
+			got := query(sess)
+			changed := false
+			for i := range want {
+				if math.Abs(got[i]-want[i]) > 1e-12*math.Max(1, math.Abs(want[i])) {
+					t.Fatalf("O[%d] after the rebind = %g, a session bound to the new X gives %g", i, got[i], want[i])
+				}
+				changed = changed || before[i] != got[i]
+			}
+			if !changed {
+				t.Error("rebinding X did not change the result")
+			}
+		})
+	}
+}
+
 // TestSessionTCPRuntime runs the same query on a sim session and a TCP
 // session backed by two local workers and requires matching results, real
 // wire traffic, and a Close/reuse cycle that reconnects transparently.
@@ -455,9 +508,8 @@ func TestMeanOverManyBlocks(t *testing.T) {
 // loopback workers with TasksPerNode 1 and every task stalled 5 ms, run
 // their queries at once: on each worker, no task attempt is dispatched
 // before the previous one's reply arrived. The windows are the
-// coordinators' (journaled task events): a worker's ActiveTasks also counts
-// a task whose reply is already written, so it can read 2 for the moment
-// the next task arrives before the previous handler has returned.
+// coordinators' (journaled task events); the worker's own count is held to
+// its lanes by TestActiveTasksStayWithinTheLanes (internal/rt/remote).
 func TestPooledSessionsShareWorkerLanes(t *testing.T) {
 	workers := make([]*remote.Worker, 2)
 	addrs := make([]string, len(workers))

@@ -20,12 +20,11 @@
 // 6241 cells, 98 KiB.
 //
 // Ownership: a stored block is immutable. A Matrix changes only by having a
-// block replaced (SetBlock, AddInto), which restamps its content epoch; the
-// contents of a block it holds, or ever held, are never written. That is
-// what lets bindings, tasks, block caches and results share one block
-// without copying — an operator's output may hold its input's very block —
-// and what makes (node, epoch, coordinate) a sound cache key. Kernels write
-// only into buffers their task allocated (see internal/matrix, internal/exec).
+// block replaced (SetBlock, AddInto); the contents of a block it holds, or
+// ever held, are never written. That is what lets bindings, tasks and
+// results share one block without copying — an operator's output may hold
+// its input's very block. Kernels write only into buffers their task
+// allocated (see internal/matrix, internal/exec).
 //
 // Counts: a Matrix keeps its non-zero total as blocks are stored, so NNZ and
 // Density — asked of every bound input on every query — read a number. The
@@ -45,15 +44,6 @@ import (
 	"fuseme/internal/matrix"
 )
 
-// epochCounter issues globally-unique, monotonically increasing content
-// epochs. Every new Matrix gets a fresh epoch, and every in-place mutation
-// (SetBlock, AddInto) restamps the matrix with a fresh one. Because epochs
-// never repeat, a cache entry keyed by (node, epoch, coord) can never alias
-// different content: stale entries simply stop matching.
-var epochCounter atomic.Uint64
-
-func nextEpoch() uint64 { return epochCounter.Add(1) }
-
 // Key addresses a block by its (block-row, block-col) grid position.
 type Key struct {
 	Row, Col int
@@ -69,7 +59,6 @@ type Matrix struct {
 	br, bc     int          // grid dimensions: BlockRows(), BlockCols()
 	grid       []matrix.Mat // br×bc cells, row-major; nil = all-zero block
 	stored     int          // non-nil cells of grid
-	epoch      uint64       // content version; see epochCounter
 	nnz        atomic.Int64 // NNZ()+1 while the total is kept; 0 when NNZ must scan
 }
 
@@ -80,16 +69,10 @@ func New(rows, cols, blockSize int) *Matrix {
 	}
 	br, bc := ceilDiv(rows, blockSize), ceilDiv(cols, blockSize)
 	m := &Matrix{Rows: rows, Cols: cols, BlockSize: blockSize,
-		br: br, bc: bc, grid: make([]matrix.Mat, br*bc), epoch: nextEpoch()}
+		br: br, bc: bc, grid: make([]matrix.Mat, br*bc)}
 	m.nnz.Store(1) // no blocks, no non-zeros
 	return m
 }
-
-// Epoch returns the matrix's content version: a globally-unique counter value
-// assigned at construction and refreshed by every in-place mutation. Caches
-// key block content by (node, epoch, coord), so a matrix whose epoch is
-// unchanged is guaranteed to hold the same blocks it held when cached.
-func (m *Matrix) Epoch() uint64 { return m.epoch }
 
 // ceilDiv returns ceil(a/b) for positive b.
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
@@ -189,7 +172,6 @@ func (m *Matrix) SetCounted(bi, bj int, blk matrix.Mat, nnz int) {
 		panic(err.Error())
 	}
 	m.put(bi, bj, blk, nnz)
-	m.epoch = nextEpoch()
 }
 
 // NumStoredBlocks returns the number of explicitly stored (non-zero) blocks.
@@ -353,7 +335,6 @@ func AddInto(dst, src *Matrix) {
 		sum := matrix.Binary(matrix.Add, cur, blk)
 		dst.put(k.Row, k.Col, sum, count(sum))
 	})
-	dst.epoch = nextEpoch()
 }
 
 // RandomDense generates a blocked dense matrix with entries in [lo, hi),

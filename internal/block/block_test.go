@@ -199,7 +199,7 @@ func (b countedBlock) NNZ() int {
 
 // TestDensityCachedAndInvalidated: a session asks every bound input for its
 // density on every query, so blocks of unknown count are scanned once per
-// content epoch, not once per call — from any number of concurrent sessions —
+// change of content, not once per call — from any number of concurrent sessions —
 // replacing one (SetBlock with another, deleting it) makes the next call
 // count again, and AddInto's total is exact.
 func TestDensityCachedAndInvalidated(t *testing.T) {
@@ -241,11 +241,11 @@ func TestDensityCachedAndInvalidated(t *testing.T) {
 		{"delete", func() { m.SetBlock(1, 2, nil) }},
 	}
 	for _, c := range changes {
-		before, epoch := m.Density(), m.Epoch()
+		before := m.Density()
 		scans.Store(0)
 		c.change()
-		if d := m.Density(); d == before || d != recount() || m.Epoch() == epoch {
-			t.Errorf("%s: density %v -> %v, want %v under a new epoch", c.name, before, d, recount())
+		if d := m.Density(); d == before || d != recount() {
+			t.Errorf("%s: density %v -> %v, want %v", c.name, before, d, recount())
 		}
 		m.Density()
 		if n := int(scans.Load()); n != m.NumStoredBlocks() {

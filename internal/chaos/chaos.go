@@ -4,8 +4,8 @@
 // cluster's results against the same workload run undisturbed on the
 // simulated backend. The comparison is the whole point — a cluster that
 // loses and gains workers mid-computation must still produce the same
-// numbers, because retries re-home tasks and content epochs fence every
-// stale cached block.
+// numbers, because retries re-home tasks and every task pulls its input
+// blocks from the coordinator.
 package chaos
 
 import (
@@ -59,10 +59,7 @@ type Event struct {
 type Config struct {
 	// Workers is the initial worker-process count.
 	Workers int
-	// Cluster is the cluster shape (Nodes is overridden by Workers). A
-	// positive CacheBytes enables the loop-invariant block cache on the
-	// reference run and, through the stages the coordinator ships, on every
-	// worker, including ones added mid-run.
+	// Cluster is the cluster shape (Nodes is overridden by Workers).
 	Cluster cluster.Config
 	// Transport tunes the coordinator; tests use a tight heartbeat so
 	// liveness transitions resolve quickly.
@@ -95,7 +92,6 @@ type Report struct {
 	KillRecovery  []float64           `json:"kill_recovery_seconds"` // Close() -> membership dead, per Kill
 	WireBytes     int64               `json:"wire_bytes"`
 	FinalEpoch    uint64              `json:"final_epoch"`
-	PerStep       []cluster.Stats     `json:"-"` // stats delta of each workload step
 	FinalMembers  []membership.Member `json:"-"`
 }
 
@@ -123,7 +119,6 @@ func Run(cfg Config, wl Workload) (*Report, error) {
 		return nil, fmt.Errorf("chaos: %s setup: %w", wl.Name, err)
 	}
 	rep := &Report{Workload: wl.Name, Steps: wl.Steps}
-	prev := h.co.Stats()
 	for i := 0; i < wl.Steps; i++ {
 		for _, ev := range cfg.Events {
 			if ev.Before != i {
@@ -141,9 +136,6 @@ func Run(cfg Config, wl Workload) (*Report, error) {
 		if err := step(i); err != nil {
 			return nil, fmt.Errorf("chaos: %s step %d: %w", wl.Name, i, err)
 		}
-		cur := h.co.Stats()
-		rep.PerStep = append(rep.PerStep, cur.Sub(prev))
-		prev = cur
 	}
 
 	got := outputs()

@@ -28,17 +28,14 @@ func fastTransport() remote.Config {
 
 // TestChaosGNMFSoak is the headline soak: a four-worker cluster loses two
 // workers and gains two replacements mid-GNMF (kills, a drain, and joins
-// interleaved between iterations) with the block cache on — and the
-// surviving cluster's factors must match an undisturbed simulated run within
-// the repo's standard TCP tolerance (task completion order permutes
-// partial-aggregate merges by at most a ULP), and its last iteration must
-// still read X from the caches it has rebuilt.
+// interleaved between iterations) — and the surviving cluster's factors
+// must match an undisturbed simulated run within the repo's standard TCP
+// tolerance (task completion order permutes partial-aggregate merges by at
+// most a ULP).
 func TestChaosGNMFSoak(t *testing.T) {
-	cached := testCluster()
-	cached.CacheBytes = 64 << 20
 	cfg := Config{
 		Workers:   4,
-		Cluster:   cached,
+		Cluster:   testCluster(),
 		Transport: fastTransport(),
 		Events: []Event{
 			{Before: 1, Kind: Kill, Worker: 1},
@@ -63,9 +60,6 @@ func TestChaosGNMFSoak(t *testing.T) {
 		if s <= 0 || s > 15 {
 			t.Errorf("kill %d recovery = %gs, want (0, 15]", i, s)
 		}
-	}
-	if last := rep.PerStep[len(rep.PerStep)-1]; last.CacheHits == 0 {
-		t.Errorf("last step had no cache hits: %+v", last)
 	}
 	// 4 initial joins+activations already happened at construction; the 5
 	// events add at least: 2x(suspect+dead), 2x(join+activate), 1 leave.

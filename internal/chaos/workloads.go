@@ -9,8 +9,8 @@ import (
 
 // GNMFWorkload builds a stepwise GNMF run: one multiplicative-update
 // iteration per step, the plan compiled once per instance, factor state fed
-// forward — the paper's flagship iterative workload, and the one whose
-// loop-invariant X keeps the block cache busy across worker loss.
+// forward — the paper's flagship iterative workload, whose loop-invariant X
+// every iteration pulls again across worker loss.
 func GNMFWorkload(users, items, k, blockSize, iters int) Workload {
 	return Workload{
 		Name:  "gnmf",

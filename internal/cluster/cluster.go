@@ -22,7 +22,6 @@ import (
 	"sync"
 	"time"
 
-	"fuseme/internal/blockcache"
 	"fuseme/internal/matrix"
 	"fuseme/internal/parallel"
 	"fuseme/internal/sched"
@@ -46,13 +45,6 @@ type Config struct {
 	BlockSize     int     // block width/height in elements
 	SimTimeLimit  float64 // simulated seconds before ErrTimeout; 0 disables
 	TaskOverhead  float64 // simulated seconds of scheduling overhead per task wave
-
-	// CacheBytes is the per-node block-cache budget for loop-invariant
-	// inputs. Zero disables caching (the default), reproducing the uncached
-	// runtime exactly. The effective budget, CacheBudget, is clamped to
-	// TaskMemBytes so the cache respects the paper's per-task memory budget
-	// θt.
-	CacheBytes int64
 
 	// MaxTaskRetries is how many times a failed task is re-attempted before
 	// the stage fails (Spark's task retry). Zero means no retries.
@@ -118,21 +110,11 @@ func (c Config) CheckAdmission(estTaskMemBytes int64, what string) error {
 // TotalSlots returns N * Tc, the maximum parallelism of the cluster.
 func (c Config) TotalSlots() int { return c.Nodes * c.TasksPerNode }
 
-// CacheBudget is the block-cache budget a node runs with: CacheBytes clamped
-// to the per-task memory budget θt, and zero when caching is off. The
-// simulated cluster sizes its caches with it, and the TCP coordinator ships
-// it to the workers in every stage.
-func (c Config) CacheBudget() int64 {
-	return max(min(c.CacheBytes, c.TaskMemBytes), 0)
-}
-
 // Seat returns a runtime's seat at gate, under the stage policy of this
-// shape: a stage's tasks are pinned to their homes when the block cache is
-// on, a failed task is retried MaxTaskRetries times, and InjectTaskFailure
-// is consulted before each attempt.
+// shape: a failed task is retried MaxTaskRetries times, and
+// InjectTaskFailure is consulted before each attempt.
 func (c Config) Seat(gate *sched.Scheduler) *sched.Seat {
-	return sched.NewSeat(gate, sched.Stage{Pinned: c.CacheBudget() > 0,
-		Retries: c.MaxTaskRetries, Inject: c.InjectTaskFailure})
+	return sched.NewSeat(gate, sched.Stage{Retries: c.MaxTaskRetries, Inject: c.InjectTaskFailure})
 }
 
 // Eq2 prices the two terms of the paper's Eq. 2 on this cluster: netBytes of
@@ -190,13 +172,10 @@ type Stats struct {
 	// result blocks returned to the driver. Always zero under simulation.
 	ExtraWireBytes int64 `json:"extra_wire_bytes,omitempty"`
 
-	// Block-cache counters (zero unless Config.CacheBytes > 0). Hits are
-	// fetches served from a node/worker-resident cache without touching the
-	// wire; CacheSavedBytes is the in-memory size of those blocks (the
-	// traffic the cache avoided).
+	// CacheHits and CacheSavedBytes are always zero: there is no block
+	// cache. The fields stay only because the benchmark (bench/) reads
+	// them; the benchmark's re-pin deletes them.
 	CacheHits       int64 `json:"cache_hits,omitempty"`
-	CacheMisses     int64 `json:"cache_misses,omitempty"`
-	CacheEvictions  int64 `json:"cache_evictions,omitempty"`
 	CacheSavedBytes int64 `json:"cache_saved_bytes,omitempty"`
 
 	// Dispatch counters. A steal is a queued task executed by a node other
@@ -242,10 +221,6 @@ func (s *Stats) Add(other Stats) {
 	s.SimSeconds += other.SimSeconds
 	s.WallSeconds += other.WallSeconds
 	s.ExtraWireBytes += other.ExtraWireBytes
-	s.CacheHits += other.CacheHits
-	s.CacheMisses += other.CacheMisses
-	s.CacheEvictions += other.CacheEvictions
-	s.CacheSavedBytes += other.CacheSavedBytes
 	s.StealTasks += other.StealTasks
 	s.FetchSeconds += other.FetchSeconds
 	s.TaskSeconds += other.TaskSeconds
@@ -272,10 +247,6 @@ func (s Stats) Sub(prev Stats) Stats {
 	s.SimSeconds -= prev.SimSeconds
 	s.WallSeconds -= prev.WallSeconds
 	s.ExtraWireBytes -= prev.ExtraWireBytes
-	s.CacheHits -= prev.CacheHits
-	s.CacheMisses -= prev.CacheMisses
-	s.CacheEvictions -= prev.CacheEvictions
-	s.CacheSavedBytes -= prev.CacheSavedBytes
 	s.StealTasks -= prev.StealTasks
 	s.FetchSeconds -= prev.FetchSeconds
 	s.TaskSeconds -= prev.TaskSeconds
@@ -308,12 +279,6 @@ type Cluster struct {
 	mu    sync.Mutex
 	stats Stats
 
-	// caches holds one block cache per simulated node (empty when caching
-	// is disabled). A task reads its home node's, taskID % Nodes —
-	// deterministic, so the TCP runtime reproduces the same placement with
-	// real workers.
-	caches []*blockcache.Cache
-
 	alive []bool // every simulated node, live
 }
 
@@ -329,12 +294,6 @@ func New(cfg Config) (*Cluster, error) {
 	localSlots := min(cfg.TotalSlots(), runtime.GOMAXPROCS(0))
 	c.pool = parallel.New(parallel.Resolve(localSlots), localSlots)
 	c.Seat = cfg.Seat(sched.New(cfg.TasksPerNode, localSlots))
-	if budget := cfg.CacheBudget(); budget > 0 {
-		c.caches = make([]*blockcache.Cache, cfg.Nodes)
-		for i := range c.caches {
-			c.caches[i] = blockcache.New(budget)
-		}
-	}
 	return c, nil
 }
 
@@ -384,20 +343,15 @@ type Task struct {
 	// on; nil means serial kernels. Set by the backend that runs the task.
 	pool *parallel.Pool
 
-	// trace collects the task body's sub-spans (fetch/kernel/cache/send);
+	// trace collects the task body's sub-spans (fetch/kernel/send);
 	// nil means tracing is off. Set by the backend that runs the task.
 	trace *TaskTrace
-
-	// cache is the block cache of the task's node; nil means uncached. Set
-	// by the backend that runs the task. Which entries the task may hit is
-	// its stage's (spec.Stage.Scope).
-	cache *blockcache.Cache
 
 	// stage is the stats of the stage the task belongs to, filled in by the
 	// simulated cluster once the stage folded its tasks (StageStats).
 	stage *Stats
 
-	// stats is the task's metering: the byte, flop and cache counters, and
+	// stats is the task's metering: the byte and flop counters, and
 	// in PeakTaskMemBytes the high-water mark of memBytes, its live memory.
 	stats    Stats
 	memBytes int64
@@ -409,13 +363,6 @@ func (t *Task) SetPool(p *parallel.Pool) { t.pool = p }
 
 // Pool returns the task's kernel pool; nil means serial kernels.
 func (t *Task) Pool() *parallel.Pool { return t.pool }
-
-// SetCache hands the task its node's block cache (nil, the default: none).
-// Backends call it before running the task body.
-func (t *Task) SetCache(c *blockcache.Cache) { t.cache = c }
-
-// Cache returns the task's block cache (nil when uncached).
-func (t *Task) Cache() *blockcache.Cache { return t.cache }
 
 // Node returns the node whose lane runs the task under Cluster.RunStage:
 // its home, or the thief of a stolen task.
@@ -457,24 +404,6 @@ func (t *Task) GrowMem(n int64) {
 	t.stats.PeakTaskMemBytes = max(t.stats.PeakTaskMemBytes, t.memBytes)
 }
 
-// CacheHit meters a cache-eligible fetch served from the node-resident block
-// cache: no wire traffic, but the block still occupies task memory (exactly
-// like a colocated read). savedBytes is the consolidation-class traffic the
-// hit avoided — zero for colocated inputs, which never ship in the simulated
-// model, so CacheSavedBytes exactly equals the consolidation-byte drop
-// versus an uncached run on both backends.
-func (t *Task) CacheHit(blockBytes, savedBytes int64) {
-	t.stats.CacheHits++
-	t.stats.CacheSavedBytes += savedBytes
-	t.GrowMem(blockBytes)
-}
-
-// CacheMiss meters a cache-eligible fetch that had to ship the block.
-func (t *Task) CacheMiss() { t.stats.CacheMisses++ }
-
-// AddCacheEvictions meters entries the task's insertions evicted.
-func (t *Task) AddCacheEvictions(n int) { t.stats.CacheEvictions += int64(n) }
-
 // Metrics returns the task's accumulated metering as the Stats of one task:
 // its counters, its memory high-water mark as PeakTaskMemBytes and its flops
 // as MaxTaskFlops, so Stats.Add folds tasks into a stage. The seconds fields
@@ -489,9 +418,8 @@ func (t *Task) Metrics() Stats {
 // simulated nodes, through the cluster's Seat: at most TasksPerNode at once
 // on a node and, on the cluster's own gate, min(TotalSlots, GOMAXPROCS) in
 // all. fn runs once per task attempt, on a Task carrying the node whose lane
-// runs it (Task.Node), the kernel pool, the block cache of the task's home node
-// (task ID mod Nodes, whichever lane runs it, so cache hits do not depend on
-// steals) and the stage's own stats (Task.StageStats). Task metrics are
+// runs it (Task.Node), the kernel pool and the stage's own stats
+// (Task.StageStats). Task metrics are
 // folded into those and into the cluster stats, and the simulated clock
 // advances per Eq. 2. The first error aborts the stage once in-flight tasks
 // finish; a simulated-time overrun returns a wrapped ErrTimeout.
@@ -507,9 +435,6 @@ func (c *Cluster) RunStage(name string, numTasks int, fn func(t *Task) error) er
 		// partial work is discarded, exactly as a re-executed Spark task
 		// recomputes its partition.
 		tasks[id] = Task{ID: id, node: node, pool: c.pool, stage: stage}
-		if len(c.caches) > 0 {
-			tasks[id].cache = c.caches[id%len(c.caches)] // the home node's
-		}
 		return fn(&tasks[id])
 	})
 	if err != nil {

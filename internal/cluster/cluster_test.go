@@ -380,16 +380,3 @@ func TestRetriedTaskMeteringIsClean(t *testing.T) {
 		t.Fatalf("consolidation = %d, want 400 (failed attempt discarded)", got)
 	}
 }
-
-// TestCacheBudget: the budget a node's cache runs with is CacheBytes clamped
-// to θt, and zero when caching is off.
-func TestCacheBudget(t *testing.T) {
-	for _, c := range []struct {
-		cache, taskMem, want int64
-	}{{0, 1 << 20, 0}, {-1, 1 << 20, 0}, {1 << 10, 1 << 20, 1 << 10}, {1 << 30, 1 << 20, 1 << 20}} {
-		cfg := Config{CacheBytes: c.cache, TaskMemBytes: c.taskMem}
-		if got := cfg.CacheBudget(); got != c.want {
-			t.Errorf("CacheBudget(CacheBytes %d, TaskMemBytes %d) = %d, want %d", c.cache, c.taskMem, got, c.want)
-		}
-	}
-}

@@ -12,7 +12,6 @@ import (
 	"strings"
 
 	"fuseme/internal/block"
-	"fuseme/internal/blockcache"
 	"fuseme/internal/cluster"
 	"fuseme/internal/cost"
 	"fuseme/internal/dag"
@@ -71,11 +70,8 @@ type PhysPlan struct {
 	Ops   []*PhysOp
 
 	// producers[i] lists, by index, the operators whose results operator i
-	// reads; ancestors[s] lists, by position in the plan's stage list (every
-	// operator's lowered stages, in operator order), every stage stage s
-	// depends on. Lower computes both, so they travel with a cached plan.
+	// reads. Lower computes it, so it travels with a cached plan.
 	producers [][]int
-	ancestors [][]int
 }
 
 // checkLowered refuses a plan Lower never linked: Execute and Simulate read
@@ -96,7 +92,7 @@ func (pp *PhysPlan) Producers(i int) []int { return pp.producers[i] }
 // operator's strategy or (P,Q,R). From then on the lowered stages are the
 // plan — Execute runs them as they are, and a plan cache shares them — so a
 // plan executes only on a runtime of cfg's block size. Lower also derives
-// the operators' dependency edges (Producers) and the stages' ancestors.
+// the operators' dependency edges (Producers).
 func (pp *PhysPlan) Lower(cfg cluster.Config) error {
 	for _, op := range pp.Ops {
 		var err error
@@ -115,14 +111,10 @@ func (pp *PhysPlan) Lower(cfg cluster.Config) error {
 }
 
 // link derives the dependency edges of the lowered operators: operator i
-// depends on the operator that materialises each of its inputs, and a stage
-// on the stages before it in its operator and on every stage of the
-// operators its operator depends on, transitively.
+// depends on the operator that materialises each of its inputs.
 func (pp *PhysPlan) link() error {
 	producedBy := map[int]int{} // node ID -> index of the operator materialising it
 	pp.producers = make([][]int, len(pp.Ops))
-	pp.ancestors = nil
-	opStages := make([][]int, len(pp.Ops)) // each operator's stages and all their ancestors
 	for i, op := range pp.Ops {
 		for _, in := range op.Lowered.Inputs() {
 			j, ok := producedBy[in.ID]
@@ -138,17 +130,6 @@ func (pp *PhysPlan) link() error {
 			}
 		}
 		slices.Sort(pp.producers[i])
-		var anc []int // every stage of every operator i depends on
-		for _, j := range pp.producers[i] {
-			anc = append(anc, opStages[j]...)
-		}
-		slices.Sort(anc)
-		anc = slices.Compact(anc)
-		for range op.Lowered.Stages {
-			pp.ancestors = append(pp.ancestors, slices.Clone(anc))
-			anc = append(anc, len(pp.ancestors)-1)
-		}
-		opStages[i] = anc
 		for _, root := range op.Lowered.Roots() {
 			producedBy[root.ID] = i
 		}
@@ -275,8 +256,7 @@ func ExecuteObs(pp *PhysPlan, rtm rt.Runtime, inputs map[string]*block.Matrix, o
 // its results when it ends, and one goroutine per running operator does the
 // rest. Operators that become ready together start in plan order. Each
 // operator journals through its own part of the query log (QueryLog.Parts),
-// so the journal keeps plan order while stages overlap, and when the runtime
-// caches blocks each stage runs in the cache scope its ancestors give it.
+// so the journal keeps plan order while stages overlap.
 func (pp *PhysPlan) walk(rtm rt.Runtime, values map[int]*block.Matrix, o *obs.Obs) error {
 	if err := pp.checkLowered(); err != nil {
 		return err
@@ -286,14 +266,7 @@ func (pp *PhysPlan) walk(rtm rt.Runtime, values map[int]*block.Matrix, o *obs.Ob
 		qlog = o.QLog
 	}
 	logs := qlog.Parts(len(pp.Ops))
-	scopes := make([][]blockcache.Scope, len(pp.Ops)) // per operator, its stages' (none uncached)
 	cfg := rtm.Config()
-	if cfg.CacheBytes > 0 {
-		all := blockcache.Scopes(pp.ancestors)
-		for i, op := range pp.Ops {
-			scopes[i], all = all[:len(op.Lowered.Stages)], all[len(op.Lowered.Stages):]
-		}
-	}
 	type ended struct {
 		i    int
 		outs []*block.Matrix
@@ -336,7 +309,7 @@ func (pp *PhysPlan) walk(rtm rt.Runtime, values map[int]*block.Matrix, o *obs.Ob
 		}
 		running++
 		go func() {
-			outs, err := lo.Run(rtm, bind, opObs, scopes[i])
+			outs, err := lo.Run(rtm, bind, opObs)
 			if err != nil {
 				err = fmt.Errorf("core: %s failed: %w", op.desc(), err)
 			}

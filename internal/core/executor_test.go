@@ -181,9 +181,8 @@ func TestExecutorFirstErrorWins(t *testing.T) {
 }
 
 // TestExecutorDeterminism: 20 runs of GNMF and of the AutoEncoder step, each
-// on a fresh cluster with the block cache on and run twice so the second
-// run hits, give the same output bits and the same exact counters — flops,
-// bytes, stages, tasks, peak task memory and cache hits and misses —
+// on a fresh cluster and run twice, give the same output bits and the same
+// exact counters — flops, bytes, stages, tasks, peak task memory and steals —
 // however the operators' stages interleave.
 func TestExecutorDeterminism(t *testing.T) {
 	for _, c := range goldenCases()[:2] {
@@ -191,14 +190,12 @@ func TestExecutorDeterminism(t *testing.T) {
 			var first string
 			for run := 0; run < 20; run++ {
 				cfg := goldenConfig()
-				cfg.CacheBytes = 64 << 20
 				cl := cluster.MustNew(cfg)
 				pp, err := c.engine.Compile(c.graph, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				var b strings.Builder
-				var hits int64
 				for iter := 0; iter < 2; iter++ {
 					before := cl.Stats()
 					out, err := core.Execute(pp, cl, c.inputs)
@@ -206,9 +203,9 @@ func TestExecutorDeterminism(t *testing.T) {
 						t.Fatal(err)
 					}
 					s := cl.Stats().Sub(before)
-					fmt.Fprintf(&b, "flops=%d cons=%d agg=%d stages=%d tasks=%d peak=%d hits=%d misses=%d saved=%d steals=%d\n",
+					fmt.Fprintf(&b, "flops=%d cons=%d agg=%d stages=%d tasks=%d peak=%d steals=%d\n",
 						s.Flops, s.ConsolidationBytes, s.AggregationBytes, s.Stages, s.Tasks, s.PeakTaskMemBytes,
-						s.CacheHits, s.CacheMisses, s.CacheSavedBytes, s.StealTasks)
+						s.StealTasks)
 					names := make([]string, 0, len(out))
 					for name := range out {
 						names = append(names, name)
@@ -217,10 +214,6 @@ func TestExecutorDeterminism(t *testing.T) {
 					for _, name := range names {
 						fmt.Fprintf(&b, "%s=%x\n", name, digest(out[name]))
 					}
-					hits = s.CacheHits
-				}
-				if hits == 0 {
-					t.Fatalf("run %d: the second execution hit nothing", run)
 				}
 				if run == 0 {
 					first = b.String()

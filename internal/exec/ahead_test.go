@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"fuseme/internal/block"
-	"fuseme/internal/blockcache"
 	"fuseme/internal/cluster"
 	"fuseme/internal/core"
 	"fuseme/internal/dag"
@@ -22,9 +21,8 @@ import (
 // aheadRecorder runs every stage as a worker does — the shipped descriptor
 // rebuilt, each task through Stage.RunTask, blocks from the coordinator-side
 // Fetch, results through Collect — and checks each task's hint lists
-// against the fetches that follow them (checkAhead). Each task runs a second
-// time bound to a block cache, which must name nothing ahead. Stages of
-// independent operators run at once, so hinted is under mu.
+// against the fetches that follow them (checkAhead). Stages of independent
+// operators run at once, so hinted is under mu.
 type aheadRecorder struct {
 	*cluster.Cluster
 	t      *testing.T
@@ -68,16 +66,6 @@ func (r *aheadRecorder) RunSpecStage(st *rt.Stage) error {
 			r.hinted[st.Spec.Phase] += len(h.refs)
 		}
 		r.mu.Unlock()
-
-		cached := &cluster.Task{ID: id}
-		cached.SetCache(blockcache.New(1 << 20))
-		hints = nil
-		if err := stage.RunTask(cached, st.Fetch, ahead, func(uint8, int, int, matrix.Mat) error { return nil }); err != nil {
-			return err
-		}
-		if len(hints) > 0 {
-			r.t.Errorf("%s bound to a block cache named %d lists ahead", what, len(hints))
-		}
 		if err := st.Collect(id, blocks); err != nil {
 			return err
 		}

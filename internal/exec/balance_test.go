@@ -188,12 +188,12 @@ func TestBalancedRangesFollowEachBinding(t *testing.T) {
 		bind  Bindings
 		flats map[string]matrix.Mat
 	}{{bind, flats}, {flippedBind, flippedFlats}} {
-		ranges := lo.bound(cl, c.bind, nil)[0].Spec.IRanges
+		ranges := lo.bound(c.bind)[0].Spec.IRanges
 		if reflect.DeepEqual(ranges, equal) || reflect.DeepEqual(ranges, first) {
 			t.Errorf("ranges %v: not derived from this binding's driver (equal %v, previous binding %v)", ranges, equal, first)
 		}
 		first = ranges
-		got, err := lo.Run(cl, c.bind, nil, nil)
+		got, err := lo.Run(cl, c.bind, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -180,8 +180,8 @@ func TestCompiledChainMatchesReference(t *testing.T) {
 	}
 }
 
-// snapshot deep-copies every block of the bound inputs, keyed like the block
-// cache keys them.
+// snapshot deep-copies every block of the bound inputs, keyed by input and
+// block coordinate.
 func snapshot(bind Bindings) map[string]matrix.Mat {
 	out := map[string]matrix.Mat{}
 	for id, m := range bind {
@@ -193,17 +193,16 @@ func snapshot(bind Bindings) map[string]matrix.Mat {
 }
 
 // TestKernelsNeverWriteSharedBlocks is the aliasing check behind the
-// ownership contract: with the block cache on, after stages that exercise
-// every in-place kernel (accumulating multiplications, the folded
-// transposes, the masked values buffer, the R > 1 partial sink, pass-through
-// of an unchanged operand), every bound input block — which is also what the
-// node caches hold — is byte-identical to before, and so is the output of an
-// earlier operator that a later one consumed.
+// ownership contract: after stages that exercise every in-place kernel
+// (accumulating multiplications, the folded transposes, the masked values
+// buffer, the R > 1 partial sink, pass-through of an unchanged operand), run
+// twice each, every bound input block is byte-identical to before, and so is
+// the output of an earlier operator that a later one consumed.
 func TestKernelsNeverWriteSharedBlocks(t *testing.T) {
 	flats := chainInputs()
 	cl := cluster.MustNew(cluster.Config{
 		Nodes: 2, TasksPerNode: 2, TaskMemBytes: 1 << 40, NetBandwidth: 1e9, CompBandwidth: 1e12,
-		BlockSize: chainBS, CacheBytes: 1 << 30,
+		BlockSize: chainBS,
 	})
 	build := func(f func(g *dag.Graph, in map[string]*dag.Node) *dag.Node) (*fusion.Plan, Bindings) {
 		g := dag.NewGraph()
@@ -235,7 +234,7 @@ func TestKernelsNeverWriteSharedBlocks(t *testing.T) {
 		plan, bind := build(q)
 		before := snapshot(bind)
 		for _, r := range []int{1, 3} {
-			for pass := 0; pass < 2; pass++ { // the second pass runs on cache hits
+			for pass := 0; pass < 2; pass++ {
 				if _, err := (&FusedOp{Plan: plan, P: 2, Q: 2, R: r}).Execute(cl, bind); err != nil {
 					t.Fatalf("query %d R=%d: %v", qi, r, err)
 				}
@@ -250,10 +249,6 @@ func TestKernelsNeverWriteSharedBlocks(t *testing.T) {
 			t.Fatalf("query %d: the set of stored input blocks changed", qi)
 		}
 	}
-	if st := cl.Stats(); st.CacheHits == 0 {
-		t.Fatal("the block cache was never hit: the cached path went untested")
-	}
-
 	// An operator's output becomes the next one's input: B + 0 publishes B's
 	// own blocks, and the consumer must leave them as they were.
 	plan, bind := build(queries[2])
@@ -591,12 +586,11 @@ func TestSparseProductSumRepresentation(t *testing.T) {
 // t(F) as F's own blocks: peak task memory and fetched bytes are the figures
 // measured at e8b7d89, where every t(F) block was built — for a member t(F)
 // and for one that is an earlier operator's output (which is still
-// transposed back per output block), single stage and R > 1, block cache off
-// and on (two executions, the second on hits). A folded transpose moves
-// nothing and is charged no flops, so the two forms are charged alike: the
-// member form's pins of e8b7d89 (4320, 8640) less each of F's 360 values
-// charged to the two tasks that read it, once per execution. The two forms
-// give the same output bit for bit.
+// transposed back per output block), single stage and R > 1. A folded
+// transpose moves nothing and is charged no flops, so the two forms are
+// charged alike: the member form's pin of e8b7d89 (4320) less each of F's
+// 360 values charged to the two tasks that read it. The two forms give the
+// same output bit for bit.
 func TestMaskedFoldedTransposeCharges(t *testing.T) {
 	const bs, users, items, k = 8, 40, 30, 12
 	flats := map[string]matrix.Mat{
@@ -605,15 +599,11 @@ func TestMaskedFoldedTransposeCharges(t *testing.T) {
 		"F": matrix.RandomDense(items, k, 0.1, 0.9, 3),
 	}
 	type charges struct{ flops, peakMem, fetched int64 }
-	want := map[string]charges{ // measured at e8b7d89; the member flops less 2·360 per execution
-		"member/R=1/cache=false":   {4320 - 720, 6384, 13440},
-		"member/R=1/cache=true":    {8640 - 2*720, 6384, 13440},
-		"member/R=2/cache=false":   {4320 - 720, 4592, 13440},
-		"member/R=2/cache=true":    {8640 - 2*720, 4592, 13440},
-		"external/R=1/cache=false": {3600, 6384, 13440},
-		"external/R=1/cache=true":  {7200, 6384, 13440},
-		"external/R=2/cache=false": {3600, 4592, 13440},
-		"external/R=2/cache=true":  {7200, 4592, 13440},
+	want := map[string]charges{ // measured at e8b7d89; the member flops less 2·360
+		"member/R=1":   {4320 - 720, 6384, 13440},
+		"member/R=2":   {4320 - 720, 4592, 13440},
+		"external/R=1": {3600, 6384, 13440},
+		"external/R=2": {3600, 4592, 13440},
 	}
 	outputs := map[string]*block.Matrix{}
 	for _, form := range []string{"member", "external"} {
@@ -644,33 +634,20 @@ func TestMaskedFoldedTransposeCharges(t *testing.T) {
 			t.Fatalf("%s t(F): the plan has no outer mask, the case is not the one meant", form)
 		}
 		for _, r := range []int{1, 2} {
-			for _, cached := range []bool{false, true} {
-				name := fmt.Sprintf("%s/R=%d/cache=%v", form, r, cached)
-				cfg := cluster.Config{Nodes: 2, TasksPerNode: 2, TaskMemBytes: 1 << 40, NetBandwidth: 1e9, CompBandwidth: 1e12, BlockSize: bs}
-				runs := 1
-				if cached {
-					cfg.CacheBytes, runs = 1<<30, 2
-				}
-				cl := cluster.MustNew(cfg)
-				var out *block.Matrix
-				for i := 0; i < runs; i++ {
-					var err error
-					if out, err = (&FusedOp{Plan: plan, P: 2, Q: 2, R: r}).Execute(cl, bind); err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-				}
-				st := cl.Stats()
-				if got := (charges{st.Flops, st.PeakTaskMemBytes, st.ConsolidationBytes}); got != want[name] {
-					t.Errorf("%s: charged %+v, want %+v", name, got, want[name])
-				}
-				if cached && st.CacheHits == 0 {
-					t.Errorf("%s: the second execution never hit the cache", name)
-				}
-				outputs[name] = out
+			name := fmt.Sprintf("%s/R=%d", form, r)
+			cl := cluster.MustNew(cluster.Config{Nodes: 2, TasksPerNode: 2, TaskMemBytes: 1 << 40, NetBandwidth: 1e9, CompBandwidth: 1e12, BlockSize: bs})
+			out, err := (&FusedOp{Plan: plan, P: 2, Q: 2, R: r}).Execute(cl, bind)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
+			st := cl.Stats()
+			if got := (charges{st.Flops, st.PeakTaskMemBytes, st.ConsolidationBytes}); got != want[name] {
+				t.Errorf("%s: charged %+v, want %+v", name, got, want[name])
+			}
+			outputs[name] = out
 		}
 	}
-	first := outputs["member/R=1/cache=false"]
+	first := outputs["member/R=1"]
 	for name, out := range outputs {
 		if out.NumStoredBlocks() != first.NumStoredBlocks() {
 			t.Errorf("%s: %d output blocks, want %d", name, out.NumStoredBlocks(), first.NumStoredBlocks())

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"fuseme/internal/blockcache"
 	"fuseme/internal/cluster"
 	"fuseme/internal/dag"
 	"fuseme/internal/matrix"
@@ -36,7 +35,6 @@ type evaluator struct {
 	terms     []matrix.MaskedTerm // scratch: a super-tile's kernel call
 	colocated []int               // inputs co-partitioned with the output: no fetch cost
 	trace     *cluster.TaskTrace  // per-task sub-spans; nil when tracing is off
-	caching   *spec.Stage         // the stage naming the cacheable inputs' content epochs and its cache scope
 }
 
 // dest is where a block the evaluator builds goes, by how long it is read.
@@ -69,7 +67,7 @@ type memoEntry struct {
 	blk     matrix.Mat    // the block, when held; nil is an all-zero block
 	leftT   *matrix.Dense // its retained, charged transpose as a dense left operand (evalMatMul), held in the arena
 	held    bool          // blk is memoised, pinned or fetched
-	fetched bool          // the block was fetched and metered (or broadcast, or a cache hit)
+	fetched bool          // the block was fetched and metered (or broadcast)
 	charged bool          // a retained transpose's memory: charged once, built or folded
 }
 
@@ -259,55 +257,18 @@ func (ev *evaluator) fetchExternal(n *dag.Node, bi, bj int) matrix.Mat {
 	if e.fetched {
 		return e.blk
 	}
-	// A task without a cache, or an input its stage names no epoch for,
-	// takes the uncached fetch path exactly.
-	cache := ev.task.Cache()
-	var ck blockcache.Key
-	cacheable := false
-	if cache != nil {
-		if ep, ok := ev.caching.EpochOf(n.ID); ok {
-			ck = blockcache.Key{Node: n.ID, Epoch: ep, BI: bi, BJ: bj}
-			cacheable = true
-		}
+	blk, err := ev.src.fetch(spec.BlockRef{Kind: spec.RefInput, Node: n.ID, BI: bi, BJ: bj})
+	if err != nil {
+		ev.fail(fmt.Errorf("exec: input %d (%s) block (%d,%d): %w", n.ID, n.Label(), bi, bj, err))
 	}
-	var blk matrix.Mat
-	hit := false
-	if cacheable {
-		endCache := ev.trace.Begin("cache", "taskop")
-		blk, hit = cache.Get(ck, ev.caching.Scope)
-		endCache()
-	}
-	if hit {
-		// Served from the node/worker-resident cache: no wire fetch,
-		// but the block occupies task memory like any local read.
-		// Colocated inputs never ship in the simulated model, so a hit
-		// on one saves no consolidation bytes.
-		saved := blk.SizeBytes()
-		if slices.Contains(ev.colocated, n.ID) {
-			saved = 0
+	if slices.Contains(ev.colocated, n.ID) {
+		// Co-partitioned input: the task already owns the block; it
+		// occupies memory but moves no bytes.
+		if blk != nil {
+			ev.task.GrowMem(blk.SizeBytes())
 		}
-		ev.task.CacheHit(blk.SizeBytes(), saved)
 	} else {
-		var err error
-		blk, err = ev.src.fetch(spec.BlockRef{Kind: spec.RefInput, Node: n.ID, BI: bi, BJ: bj})
-		if err != nil {
-			ev.fail(fmt.Errorf("exec: input %d (%s) block (%d,%d): %w", n.ID, n.Label(), bi, bj, err))
-		}
-		if slices.Contains(ev.colocated, n.ID) {
-			// Co-partitioned input: the task already owns the block; it
-			// occupies memory but moves no bytes.
-			if blk != nil {
-				ev.task.GrowMem(blk.SizeBytes())
-			}
-		} else {
-			ev.task.FetchBlock(blk) // nil-safe: zero blocks cost nothing
-		}
-		if cacheable && blk != nil {
-			// Only materialised blocks are cached (and counted as misses):
-			// all-zero blocks cost nothing to refetch on either backend.
-			ev.task.CacheMiss()
-			ev.task.AddCacheEvictions(cache.Put(ck, blk, blk.SizeBytes(), ev.caching.Scope))
-		}
+		ev.task.FetchBlock(blk) // nil-safe: zero blocks cost nothing
 	}
 	if blk != nil && !n.IsLeaf() {
 		ev.task.GrowMem(blk.SizeBytes())

@@ -23,28 +23,27 @@
 // passes over the driver's values buffer, one loop per operator.
 //
 // Ownership: a block is immutable once published — bound as an input,
-// emitted to a sink, memoised, pinned, or resident in a block cache. The
-// in-place kernels write only into buffers the task itself allocated and has
-// not published yet: a multiplication's accumulator, the masked values
-// buffer, per-task scratch. A chain that consumed such an accumulator stores
-// its result there (matrix.Chain.Owned), so the row being written is an
-// operand's row: a row is evaluated in scratch up to its last operator,
-// whose loop stores each value after reading that value's operands. A
-// fetched, memoised, pinned or cache-resident block is never
-// written, which is what lets the runtimes share blocks between tasks, caches
-// and bindings without copying (matrix.ToDense and ToCSR may return their
-// argument; an output may be one of its inputs' blocks, or share its
-// pattern). The sinks own what tasks emitted and fold partials into it in
-// place. On a worker, the blocks a task fetched live in its task stream's
-// arena only until the task's done frame is written: a result that is, or
-// shares memory with, a fetched block has gone out before then, and a block
-// a task caches was fetched into storage of its own. A task puts on the heap
-// only the blocks it emits as they are; every other dense block it builds —
-// retained members, products a chain only reads, aggregated roots, scratch —
-// lies in a task arena (arena.go), held until the task ends or until the
-// output block it serves was emitted or folded, and one of them that reaches
-// emit leaves as a clone. Results that come off the wire are checked against the sinks —
-// kind, key, shape — before any is routed (ErrMalformedResult).
+// emitted to a sink, memoised or pinned. The in-place kernels write only
+// into buffers the task itself allocated and has not published yet: a
+// multiplication's accumulator, the masked values buffer, per-task scratch.
+// A chain that consumed such an accumulator stores its result there
+// (matrix.Chain.Owned), so the row being written is an operand's row: a row
+// is evaluated in scratch up to its last operator, whose loop stores each
+// value after reading that value's operands. A fetched, memoised or pinned
+// block is never written, which is what lets the runtimes share blocks
+// between tasks and bindings without copying (matrix.ToDense and ToCSR may
+// return their argument; an output may be one of its inputs' blocks, or
+// share its pattern). The sinks own what tasks emitted and fold partials
+// into it in place. On a worker, the blocks a task fetched live in its task
+// stream's arena only until the task's done frame is written: a result that
+// is, or shares memory with, a fetched block has gone out before then. A
+// task puts on the heap only the blocks it emits as they are; every other
+// dense block it builds — retained members, products a chain only reads,
+// aggregated roots, scratch — lies in a task arena (arena.go), held until
+// the task ends or until the output block it serves was emitted or folded,
+// and one of them that reaches emit leaves as a clone. Results that come off
+// the wire are checked against the sinks — kind, key, shape — before any is
+// routed (ErrMalformedResult).
 //
 // Three consolidation strategies share this machinery:
 //
@@ -62,9 +61,9 @@
 // paper's cost model instead charges the O-chain R-fold; see DESIGN.md for
 // why the executor aggregates first.) A root aggregation adds a metered
 // partial-aggregate combine. Operator.Run is the one executor: it fills in
-// what depends on the bound data — input epochs under block caching, the
-// ranges of a balanced operator — on a copy (Operator.bound), and hands every
-// stage to the runtime through dispatch.
+// what depends on the bound data — the ranges of a balanced operator — on a
+// copy (Operator.bound), and hands every stage to the runtime through
+// dispatch.
 package exec
 
 import (
@@ -122,7 +121,7 @@ func (op *FusedOp) Execute(rtm rt.Runtime, bind Bindings) (*block.Matrix, error)
 	if err != nil {
 		return nil, err
 	}
-	outs, err := lo.Run(rtm, bind, nil, nil)
+	outs, err := lo.Run(rtm, bind, nil)
 	if err != nil {
 		return nil, err
 	}

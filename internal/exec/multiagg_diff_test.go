@@ -1,7 +1,7 @@
 // Differential suite for multi-aggregation as a descriptor stage: its sums
 // fold through the task-ordered stage reducer like every other stage's, so
 // they do not depend on which task finishes first, on the backend, on a
-// retried task or on the block cache.
+// retried task.
 package exec_test
 
 import (
@@ -99,28 +99,24 @@ func TestMultiAggBitStable(t *testing.T) {
 	}
 }
 
-// TestMultiAggBlockCache: a multi-aggregation reads its inputs through the
-// block cache like any stage — the second iteration over unchanged inputs
-// hits, on both backends alike — and is bit-identical with the cache off.
-func TestMultiAggBlockCache(t *testing.T) {
+// TestMultiAggReadsEachBlockOnce: a multi-aggregation's three sums read
+// each block of X and of Y once per task, run after run: a task holds its 32
+// blocks of each and no more, and over TCP the 512 blocks are requested once
+// each.
+func TestMultiAggReadsEachBlockOnce(t *testing.T) {
 	cfg := multiAggConfig()
 	inputs := multiAggInputs(cfg.BlockSize)
 	pp := compileMultiAgg(t, cfg, inputs)
-	cold := sumBits(t, pp, openBackend(t, "sim", cfg), inputs)
-	cfg.CacheBytes = 64 << 20
+	held := int64(2 * 32 * cfg.BlockSize * cfg.BlockSize * 8)
 	for _, backend := range []string{"sim", "tcp"} {
 		rtm := openBackend(t, backend, cfg)
 		for iter := 0; iter < 2; iter++ {
 			before := rtm.Stats()
-			if got := sumBits(t, pp, rtm, inputs); got != cold {
-				t.Errorf("%s iteration %d with the cache on: %x, cache off %x", backend, iter, got, cold)
-			}
-			// Each task reads its 32 blocks of X and of Y once, for three sums.
-			// Exact only with every task at its home: none may be stolen.
+			sumBits(t, pp, rtm, inputs)
 			s := rtm.Stats().Sub(before)
-			if want := int64(iter) * 2 * 256; s.CacheHits != want || s.CacheHits+s.CacheMisses != 2*256 || s.StealTasks != 0 {
-				t.Errorf("%s iteration %d: %d hits, %d misses, %d steals; want %d hits of 512 reads, no steals",
-					backend, iter, s.CacheHits, s.CacheMisses, s.StealTasks, want)
+			if want := map[string]int64{"sim": 0, "tcp": 2 * 256}[backend]; s.PeakTaskMemBytes != held || s.FetchCalls != want {
+				t.Errorf("%s iteration %d: peak task memory %d, %d fetches served; want %d and %d",
+					backend, iter, s.PeakTaskMemBytes, s.FetchCalls, held, want)
 			}
 		}
 	}

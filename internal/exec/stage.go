@@ -84,11 +84,10 @@ const maxOutputs = 1 << 6
 
 // evaluator builds a task's evaluator of output plan pc over the main
 // multiplication's k-block range [kLo, kHi), wired to the stage's
-// co-partitioned inputs, input epochs and cache scope and to the task's
-// arena.
+// co-partitioned inputs and to the task's arena.
 func (st *Stage) evaluator(pc *planCtx, task *cluster.Task, src source, ta *taskArena, kLo, kHi int) *evaluator {
 	ev := newEvaluator(pc, task, src, st.Spec.BlockSize, kLo, kHi)
-	ev.colocated, ev.caching, ev.arena = st.Spec.Colocated, &st.Spec, ta
+	ev.colocated, ev.arena = st.Spec.Colocated, ta
 	return ev
 }
 
@@ -104,7 +103,7 @@ type taskOut struct {
 // outputs builds the task's outputs, one per plan of the stage. Their
 // evaluators read through one memo — a multi-aggregation's plans hold no
 // multiplication, so only leaves are memoised — which makes a block several
-// aggregations consume fetched, metered and cached once per task.
+// aggregations consume fetched and metered once per task.
 func (st *Stage) outputs(task *cluster.Task, src source, ta *taskArena, kHi int) []taskOut {
 	outs := make([]taskOut, len(st.outs))
 	for i, pc := range st.outs {
@@ -310,13 +309,9 @@ func NewSpecStage(sp *spec.Stage) (*Stage, error) {
 // share. Blocks are pulled through fetch and result blocks handed to emit as
 // they are produced (an emit error fails the task). ahead, when not nil, is
 // told before a loop which blocks the loop will fetch, in fetch order
-// (source.ahead); a task bound to a block cache never calls it, since a hit
-// must not be fetched. Metering lands on task, whose runtime hands it its
-// block cache, kernel pool and trace and reports what it metered. A task
-// carrying a block cache first drops its entries of each input the stage
-// names at an older epoch — rebound since, they can never hit again — so a
-// cache is coherent with the stage it serves without anyone tracking what it
-// holds. The blocks the task builds and drops come from a task arena, reset
+// (source.ahead). Metering lands on task, whose runtime hands it its kernel
+// pool and trace and reports what it metered. The blocks the task builds
+// and drops come from a task arena, reset
 // when the attempt ends however it ends; a result block that lies there
 // leaves as a clone.
 func (st *Stage) RunTask(task *cluster.Task, fetch func(spec.BlockRef) (matrix.Mat, error), ahead func([]spec.BlockRef), emit func(kind uint8, bi, bj int, blk matrix.Mat) error) error {
@@ -324,11 +319,7 @@ func (st *Stage) RunTask(task *cluster.Task, fetch func(spec.BlockRef) (matrix.M
 		return fmt.Errorf("exec: task %d outside stage %q (%d tasks)", task.ID, sp.Name, sp.NumTasks)
 	}
 	src := source{fetch: fetch}
-	if cache := task.Cache(); cache != nil {
-		for _, ne := range st.Spec.Epochs {
-			cache.InvalidateStale(ne.Node, ne.Epoch)
-		}
-	} else if ahead != nil {
+	if ahead != nil {
 		src.ahead = &readAhead{hint: ahead}
 	}
 	ta := taskArenas.get()

@@ -51,7 +51,7 @@
 // has the fast ranges and who finishes a value outside them).
 //
 // Ownership: a block is immutable once it has been published — bound as an
-// input, emitted by a task, memoised, pinned or cached. No kernel writes into
+// input, emitted by a task, memoised or pinned. No kernel writes into
 // an operand; the accumulate kernels (MatMulAccWith, MatMulTNAccWith, MatMulTransAccWith,
 // MaskedMatMulAccWith, MaskedMatMulGroupAccWith) and the storing ones
 // (MatMulInto, MatMulTNInto, TransposeInto) write only into the blocks the

@@ -14,8 +14,7 @@ func sampleRecord(stage string) FlightRecord {
 		P: 2, Q: 2, R: 1, Tasks: 4,
 		PredNetBytes: 1 << 20, PredComFlops: 1 << 24, PredMemBytes: 1 << 18,
 		Meas: cluster.Stats{SimSeconds: 0.25, ConsolidationBytes: 900_000, AggregationBytes: 120_000,
-			ExtraWireBytes: 4_096, Flops: 1 << 23, PeakTaskMemBytes: 1 << 17,
-			CacheHits: 6, CacheMisses: 2, CacheSavedBytes: 700_000},
+			ExtraWireBytes: 4_096, Flops: 1 << 23, PeakTaskMemBytes: 1 << 17, StealTasks: 2},
 	}
 }
 

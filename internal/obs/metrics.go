@@ -233,12 +233,7 @@ func (r *Registry) Fold(e *Event) {
 		r.Counter(MAggregationBytes).Add(m.AggregationBytes)
 		r.Counter(MExtraBytes).Add(m.ExtraWireBytes)
 		r.Counter(MFlopsTotal).Add(m.Flops)
-		r.Counter(MCacheHits).Add(m.CacheHits)
-		r.Counter(MCacheMisses).Add(m.CacheMisses)
-		r.Counter(MCacheEvictions).Add(m.CacheEvictions)
 		r.Counter(MStealTasks).Add(m.StealTasks)
-		// A running total, kept under the gauge type the series always had.
-		r.Gauge(MCacheSavedBytes).Add(float64(m.CacheSavedBytes))
 		if e.Skew != nil {
 			r.observeSkew(e)
 		}

@@ -190,13 +190,6 @@ const (
 	MWorkerFetchBytes  = "fuseme_worker_fetch_bytes_total"
 	MWorkerResultBytes = "fuseme_worker_result_bytes_total"
 
-	// Block-cache metrics (loop-invariant input caching).
-	MCacheHits          = "fuseme_cache_hits_total"
-	MCacheMisses        = "fuseme_cache_misses_total"
-	MCacheEvictions     = "fuseme_cache_evictions_total"
-	MCacheSavedBytes    = "fuseme_cache_saved_bytes_total"
-	MCacheResidentBytes = "fuseme_cache_resident_bytes"
-
 	// Intra-task kernel-pool metrics (internal/parallel utilization).
 	MKernelThreads       = "fuseme_kernel_threads"
 	MKernelParallelCalls = "fuseme_kernel_parallel_calls_total"

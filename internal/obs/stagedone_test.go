@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -14,8 +15,9 @@ import (
 )
 
 // fullRecord has every FlightRecord field, and every field of its Meas but
-// PrefetchSeconds, set to a distinct value. Nothing prefetches, so that field
-// is zero in every record and its omitempty key never appears.
+// the always-zero ones, set to a distinct value. Nothing prefetches and
+// there is no block cache, so PrefetchSeconds, CacheHits and CacheSavedBytes
+// are zero in every record and their omitempty keys never appear.
 func fullRecord() FlightRecord {
 	return FlightRecord{
 		Stage: "partial:mul#12", Op: "CFO mul#12", Kind: "CFO", P: 2, Q: 3, R: 4, Tasks: 24,
@@ -23,7 +25,6 @@ func fullRecord() FlightRecord {
 		Meas: cluster.Stats{ConsolidationBytes: 2001, AggregationBytes: 2002, Flops: 2004,
 			Stages: 1, Tasks: 24, SimSeconds: 0.125, WallSeconds: 0.5, PeakTaskMemBytes: 2005,
 			MaxTaskFlops: 2006, ExtraWireBytes: 2003,
-			CacheHits: 31, CacheMisses: 32, CacheEvictions: 34, CacheSavedBytes: 33,
 			StealTasks: 43, FetchSeconds: 0.25, TaskSeconds: 1.5,
 			FetchCalls: 44, FetchServeSeconds: 0.375, CollectSeconds: 0.0625},
 	}
@@ -34,22 +35,25 @@ func fullRecord() FlightRecord {
 // cluster.Stats under the JSON tags a task event's metrics use. A renamed
 // tag, a reordered or dropped field fails here.
 const (
-	goldenFlight = `{"stage":"partial:mul#12","op":"CFO mul#12","kind":"CFO","p":2,"q":3,"r":4,"tasks":24,"pred_net_bytes":1001,"pred_com_flops":1002,"pred_mem_bytes":1003,"meas":{"consolidation_bytes":2001,"aggregation_bytes":2002,"flops":2004,"stages":1,"tasks":24,"sim_seconds":0.125,"wall_seconds":0.5,"peak_task_mem_bytes":2005,"max_task_flops":2006,"extra_wire_bytes":2003,"cache_hits":31,"cache_misses":32,"cache_evictions":34,"cache_saved_bytes":33,"steal_tasks":43,"fetch_seconds":0.25,"task_seconds":1.5,"fetch_calls":44,"fetch_serve_seconds":0.375,"collect_seconds":0.0625}}`
+	goldenFlight = `{"stage":"partial:mul#12","op":"CFO mul#12","kind":"CFO","p":2,"q":3,"r":4,"tasks":24,"pred_net_bytes":1001,"pred_com_flops":1002,"pred_mem_bytes":1003,"meas":{"consolidation_bytes":2001,"aggregation_bytes":2002,"flops":2004,"stages":1,"tasks":24,"sim_seconds":0.125,"wall_seconds":0.5,"peak_task_mem_bytes":2005,"max_task_flops":2006,"extra_wire_bytes":2003,"steal_tasks":43,"fetch_seconds":0.25,"task_seconds":1.5,"fetch_calls":44,"fetch_serve_seconds":0.375,"collect_seconds":0.0625}}`
 	goldenEvent  = `{"query":"q7","seq":5,"type":"stage_end","t_unix_nano":1700000000000000000,"tenant":"acme","stage":"partial:mul#12","op":"CFO mul#12","tasks":24,"flight":` + goldenFlight + `,"skew":{"stage":"partial:mul#12","tasks":24,"max_seconds":0.5,"median_seconds":0.25,"imbalance":2,"workers":[{"worker":0,"tasks":12,"seconds":3},{"worker":1,"tasks":12,"seconds":4.5}]},"seconds":0.125,"error":"boom"}`
 )
+
+// alwaysZero names the fields of cluster.Stats no runtime sets.
+var alwaysZero = []string{"PrefetchSeconds", "CacheHits", "CacheSavedBytes"}
 
 func TestGoldenStageBytes(t *testing.T) {
 	rec := fullRecord()
 	for _, c := range []struct {
 		v      reflect.Value
 		fields int
-	}{{reflect.ValueOf(rec), 11}, {reflect.ValueOf(rec.Meas), 21}} {
+	}{{reflect.ValueOf(rec), 11}, {reflect.ValueOf(rec.Meas), 19}} {
 		if n := c.v.NumField(); n != c.fields {
 			t.Fatalf("%s has %d fields, the golden line covers %d: extend fullRecord and re-check the format", c.v.Type(), n, c.fields)
 		}
 		for i := 0; i < c.v.NumField(); i++ {
-			if c.v.Field(i).IsZero() && c.v.Type().Field(i).Name != "PrefetchSeconds" {
-				t.Fatalf("fullRecord leaves %s.%s zero", c.v.Type(), c.v.Type().Field(i).Name)
+			if name := c.v.Type().Field(i).Name; c.v.Field(i).IsZero() && !slices.Contains(alwaysZero, name) {
+				t.Fatalf("fullRecord leaves %s.%s zero", c.v.Type(), name)
 			}
 		}
 	}
@@ -132,15 +136,11 @@ func TestStageDoneFanOut(t *testing.T) {
 		MStagesTotal: 1, MTasksTotal: 3,
 		MConsolidationBytes: m.ConsolidationBytes, MAggregationBytes: m.AggregationBytes,
 		MExtraBytes: m.ExtraWireBytes, MFlopsTotal: m.Flops,
-		MCacheHits: m.CacheHits, MCacheMisses: m.CacheMisses, MCacheEvictions: m.CacheEvictions,
 		MStealTasks: m.StealTasks,
 	} {
 		if got := snap.Counters[name]; got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
-	}
-	if got := snap.Gauges[MCacheSavedBytes]; got != float64(m.CacheSavedBytes) {
-		t.Errorf("%s = %g, want %d", MCacheSavedBytes, got, m.CacheSavedBytes)
 	}
 	if snap.Histograms[MTaskSeconds].Count != 3 || snap.Histograms[MQueueSeconds].Count != 3 {
 		t.Errorf("task histograms = %+v", snap.Histograms)
@@ -173,13 +173,12 @@ func (r *Registry) observeStage(sk StageSkew) {
 }
 
 // TestConcurrentStageFoldsLoseNothing: stages folded at once — concurrent
-// operators, pooled sessions on one registry — add every stage's cache
-// savings to fuseme_cache_saved_bytes_total, as they add every hit to
-// fuseme_cache_hits_total.
+// operators, pooled sessions on one registry — add every stage's bytes and
+// steals to their counters.
 func TestConcurrentStageFoldsLoseNothing(t *testing.T) {
 	const goroutines, stages = 8, 2000
 	o := &Obs{Metrics: NewRegistry(), Calib: NewCalibration()}
-	rec := FlightRecord{Stage: "s", Op: "CFO mul#1", Tasks: 1, Meas: cluster.Stats{CacheHits: 1, CacheSavedBytes: 1}}
+	rec := FlightRecord{Stage: "s", Op: "CFO mul#1", Tasks: 1, Meas: cluster.Stats{ConsolidationBytes: 1, StealTasks: 1}}
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -192,11 +191,10 @@ func TestConcurrentStageFoldsLoseNothing(t *testing.T) {
 	}
 	wg.Wait()
 	snap := o.Metrics.Snapshot()
-	if got := snap.Counters[MCacheHits]; got != goroutines*stages {
-		t.Errorf("%s = %d, want %d", MCacheHits, got, goroutines*stages)
-	}
-	if got := snap.Gauges[MCacheSavedBytes]; got != goroutines*stages {
-		t.Errorf("%s = %g, want %d", MCacheSavedBytes, got, goroutines*stages)
+	for _, name := range []string{MConsolidationBytes, MStealTasks, MStagesTotal} {
+		if got := snap.Counters[name]; got != goroutines*stages {
+			t.Errorf("%s = %d, want %d", name, got, goroutines*stages)
+		}
 	}
 }
 

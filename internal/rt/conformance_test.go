@@ -38,8 +38,7 @@ func backends() map[string]func(t *testing.T) rt.Runtime {
 	return backendsWith(conformanceConfig())
 }
 
-// backendsWith returns the runtime constructors over cluster shape cfg; the
-// TCP backend's workers cache with cfg.CacheBytes, which every stage ships.
+// backendsWith returns the runtime constructors over cluster shape cfg.
 func backendsWith(cfg cluster.Config) map[string]func(t *testing.T) rt.Runtime {
 	return map[string]func(t *testing.T) rt.Runtime{
 		"sim": func(t *testing.T) rt.Runtime {
@@ -175,110 +174,6 @@ func TestRuntimeConformancePlan(t *testing.T) {
 	}
 }
 
-// cacheBackends returns the runtime constructors with the loop-invariant
-// block cache enabled on both sides (worker budgets and coordinator config).
-// A stolen task would run away from its cache home, which is legal for
-// results but perturbs the exact per-worker hit counts this suite compares;
-// no stage here has more tasks than a worker has lanes, so none is stolen
-// (TestRuntimeConformanceBlockCache checks it).
-func cacheBackends() map[string]func(t *testing.T) rt.Runtime {
-	cfg := conformanceConfig()
-	cfg.CacheBytes = 64 << 20
-	return backendsWith(cfg)
-}
-
-// runPlanTwice executes the reference plan twice against the same bound
-// inputs (so the second run sees the first run's epochs) and returns the
-// stats of each run separately.
-func runPlanTwice(t *testing.T, rtm rt.Runtime) (first, second cluster.Stats) {
-	t.Helper()
-	const rows, cols, k = 96, 80, 8
-	inputs := map[string]*block.Matrix{
-		"X": block.RandomSparse(rows, cols, 16, 0.05, 1, 5, 1),
-		"U": block.RandomDense(rows, k, 16, 0.5, 1.5, 2),
-		"V": block.RandomDense(cols, k, 16, 0.5, 1.5, 3),
-	}
-	g := workloads.NMFKernel(rows, cols, k, inputs["X"].Density())
-	if _, s, err := core.Run(core.FuseME{}, g, rtm, inputs); err != nil {
-		t.Fatal(err)
-	} else {
-		first = s
-	}
-	rtm.ResetStats()
-	if _, s, err := core.Run(core.FuseME{}, g, rtm, inputs); err != nil {
-		t.Fatal(err)
-	} else {
-		second = s
-	}
-	return first, second
-}
-
-// TestRuntimeConformanceBlockCache requires the simulated cluster and the
-// TCP backend to agree exactly on cache behaviour for the same fused plan
-// run twice: identical hit/miss counts per run, identical saved bytes, and
-// the same consolidation-byte classification (the second run's consolidation
-// class shrinks on both, by the same metered savings).
-func TestRuntimeConformanceBlockCache(t *testing.T) {
-	ctors := cacheBackends()
-	simFirst, simSecond := runPlanTwice(t, ctors["sim"](t))
-
-	if simFirst.CacheHits != 0 {
-		t.Errorf("sim cold run reported %d hits, want 0", simFirst.CacheHits)
-	}
-	if simFirst.CacheMisses == 0 {
-		t.Error("sim cold run populated nothing")
-	}
-	if simSecond.CacheHits == 0 {
-		t.Error("sim warm run hit nothing")
-	}
-	if simSecond.ConsolidationBytes >= simFirst.ConsolidationBytes {
-		t.Errorf("sim warm consolidation %d not below cold %d",
-			simSecond.ConsolidationBytes, simFirst.ConsolidationBytes)
-	}
-	if saved := simFirst.ConsolidationBytes - simSecond.ConsolidationBytes; simSecond.CacheSavedBytes != saved {
-		t.Errorf("sim warm run saved %d bytes but consolidation dropped by %d",
-			simSecond.CacheSavedBytes, saved)
-	}
-
-	for name, open := range ctors {
-		if name == "sim" {
-			continue
-		}
-		t.Run(name, func(t *testing.T) {
-			first, second := runPlanTwice(t, open(t))
-			for _, run := range []struct {
-				name     string
-				ref, got cluster.Stats
-			}{{"cold", simFirst, first}, {"warm", simSecond, second}} {
-				if run.got.CacheHits != run.ref.CacheHits || run.got.CacheMisses != run.ref.CacheMisses {
-					t.Errorf("%s run: hits/misses %d/%d, sim %d/%d", run.name,
-						run.got.CacheHits, run.got.CacheMisses, run.ref.CacheHits, run.ref.CacheMisses)
-				}
-				if run.got.CacheSavedBytes != run.ref.CacheSavedBytes {
-					t.Errorf("%s run: saved %d bytes, sim %d", run.name,
-						run.got.CacheSavedBytes, run.ref.CacheSavedBytes)
-				}
-				// Consolidation classifies identically: zero iff zero on the
-				// sim, nonzero within 2x (absolute volumes legitimately
-				// differ between metered and encoded bytes).
-				c, r := run.got.ConsolidationBytes, run.ref.ConsolidationBytes
-				if (c == 0) != (r == 0) {
-					t.Errorf("%s run: consolidation bytes = %d, sim %d: classified differently", run.name, c, r)
-				} else if r > 0 && (c > 2*r || r > 2*c) {
-					t.Errorf("%s run: consolidation bytes %d not within 2x of sim's %d", run.name, c, r)
-				}
-			}
-			if second.ConsolidationBytes >= first.ConsolidationBytes {
-				t.Errorf("warm consolidation %d not below cold %d",
-					second.ConsolidationBytes, first.ConsolidationBytes)
-			}
-			if first.StealTasks != 0 || second.StealTasks != 0 {
-				t.Errorf("steals %d then %d, want 0", first.StealTasks, second.StealTasks)
-			}
-		})
-	}
-}
-
 // wideRuntime is a coordinator that reports a wider cluster than it
 // dispatches to: plans compile for cfg, and lowered stages keep the task
 // counts cfg gives them, while the coordinator runs them on its own lanes.
@@ -358,7 +253,7 @@ func tracedObs() (*obs.Obs, *obs.Timeline) {
 
 // spanCounts tallies events by "cat/name", restricted to the task-execution
 // taxonomy both backends must agree on: whole-task spans (cat "task") and the
-// fetch/kernel/cache/send sub-spans (cat "taskop"). Scheduling spans (cat
+// fetch/kernel/send sub-spans (cat "taskop"). Scheduling spans (cat
 // "sched", coordinator-only) and stage/plan spans are outside the parity
 // contract.
 func spanCounts(events []obs.TraceEvent) map[string]int {
@@ -375,8 +270,7 @@ func spanCounts(events []obs.TraceEvent) map[string]int {
 // TestRuntimeConformanceSpans requires both backends to record the same task
 // spans for the same plan: one whole-task span per task and identical
 // fetch/kernel/send sub-span counts — span parity by construction, since both
-// run the identical executor task body. (Cache sub-spans only appear with the
-// block cache armed, which this plan does not enable.)
+// run the identical executor task body.
 func TestRuntimeConformanceSpans(t *testing.T) {
 	ctors := backends()
 	simObs, simTL := tracedObs()

@@ -24,8 +24,6 @@ type normFlight struct {
 	PredComFlops    int64
 	PredMemBytes    int64
 	MeasFlops       int64
-	CacheHits       int64
-	CacheMisses     int64
 }
 
 // normEvent is one journal event with every timing-, worker- and
@@ -54,7 +52,6 @@ func normalize(events []obs.Event) []normEvent {
 				P: f.P, Q: f.Q, R: f.R, Tasks: f.Tasks,
 				PredNetBytes: f.PredNetBytes, PredComFlops: f.PredComFlops,
 				PredMemBytes: f.PredMemBytes, MeasFlops: f.Meas.Flops,
-				CacheHits: f.Meas.CacheHits, CacheMisses: f.Meas.CacheMisses,
 			}
 		}
 		out = append(out, n)
@@ -124,7 +121,7 @@ func runJournaledGNMF(t *testing.T, rtm rt.Runtime) (first, second []normEvent, 
 // backend to journal the same GNMF run as the same event sequence — same
 // stage_start/stage_end alternation, same stage names, operators and task
 // counts, and stage_end flight records whose deterministic fields (chosen
-// (P,Q,R), predicted costs, flops, cache counters) match exactly. Only
+// (P,Q,R), predicted costs, flops) match exactly. Only
 // timestamps, wall times, wire-byte volumes, steal counters and worker
 // attribution may differ between backends. Every task event names its stage,
 // and both backends journal the same task IDs under each stage name. Runs

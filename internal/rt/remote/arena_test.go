@@ -12,11 +12,10 @@ import (
 )
 
 // oneStreamRuntime starts one worker and a coordinator with one dispatch lane
-// over it, whose stages ship a block-cache budget of cacheBytes (0 for
-// none), so every task runs on the same task stream, one after the other.
+// over it, so every task runs on the same task stream, one after the other.
 // Plans compile for six lanes, so a stage has several tasks, each fetching
 // its own blocks into the storage the task before it fetched into.
-func oneStreamRuntime(t *testing.T, cacheBytes int64) (wideRuntime, *remote.Worker) {
+func oneStreamRuntime(t *testing.T) wideRuntime {
 	t.Helper()
 	w, err := remote.NewWorker("127.0.0.1:0")
 	if err != nil {
@@ -24,7 +23,7 @@ func oneStreamRuntime(t *testing.T, cacheBytes int64) (wideRuntime, *remote.Work
 	}
 	t.Cleanup(func() { w.Close() })
 	cfg := testConfig()
-	cfg.TasksPerNode, cfg.CacheBytes = 1, cacheBytes
+	cfg.TasksPerNode = 1
 	co, err := remote.NewCoordinator(cfg, []string{w.Addr()})
 	if err != nil {
 		t.Fatal(err)
@@ -32,7 +31,7 @@ func oneStreamRuntime(t *testing.T, cacheBytes int64) (wideRuntime, *remote.Work
 	t.Cleanup(func() { co.Close() })
 	wide := co.Config()
 	wide.TasksPerNode = 6
-	return wideRuntime{Coordinator: co, cfg: wide}, w
+	return wideRuntime{Coordinator: co, cfg: wide}
 }
 
 // runBoth runs script on the simulated cluster of rtm's shape and on rtm,
@@ -74,7 +73,7 @@ func runBoth(t *testing.T, rtm wideRuntime, script string, inputs map[string]*bl
 // share their pattern with the fetched X block they were sampled from, so
 // its result frames go out from the very storage the next task reuses.
 func TestFetchedStorageIsReusedAcrossTasks(t *testing.T) {
-	rtm, _ := oneStreamRuntime(t, 0)
+	rtm := oneStreamRuntime(t)
 	for seed, q := range queries {
 		inputs := map[string]*block.Matrix{
 			"X": block.RandomSparse(tRows, tCols, 16, 0.2, 1, 5, int64(10*seed+1)),
@@ -86,18 +85,16 @@ func TestFetchedStorageIsReusedAcrossTasks(t *testing.T) {
 	}
 }
 
-// TestCachedFetchesOutliveTheirTask: on a worker with a block cache, the V
-// update's stage hits the X blocks the U update's stage cached — blocks
-// fetched by earlier tasks on the same stream. A task that may cache decodes
-// into storage of its own, so those blocks are still X when they hit.
+// TestCachedFetchesOutliveTheirTask: GNMF's U and V updates read X in
+// stages one after the other on one stream. A worker keeps no fetched block
+// past the task that fetched it, so the V update's stage fetches the X blocks
+// again, into the storage the U update's tasks decoded into, and both updates
+// equal the simulated run bit for bit.
 func TestCachedFetchesOutliveTheirTask(t *testing.T) {
-	rtm, w := oneStreamRuntime(t, testCacheBudget)
+	rtm := oneStreamRuntime(t)
 	inputs, _ := testInputs(t, testConfig().BlockSize)
 	const gnmf = `
 U2 = U * (t(V) %*% X) / (t(V) %*% V %*% U)
 V2 = V * (X %*% t(U)) / (V %*% (U %*% t(U)))`
 	runBoth(t, rtm, gnmf, inputs)
-	if w.CacheStats().Hits == 0 {
-		t.Fatal("the second stage hit no block the first one cached")
-	}
 }

@@ -48,11 +48,6 @@ import (
 // independent operators run at once and share the workers' lanes, so a
 // worker runs at most TasksPerNode tasks whatever is in flight.
 //
-// The coordinator keeps no record of what the workers' block caches hold:
-// each task keeps its worker's cache coherent from the stage descriptor
-// alone (exec drops the stale epochs it names), so nothing about a cache
-// crosses the wire.
-//
 // The coordinator meters real wire traffic into cluster.Stats. Bytes with a
 // simulated counterpart land in the matching counter so the two backends are
 // directly comparable: non-colocated input fetches are consolidation
@@ -67,9 +62,8 @@ type Coordinator struct {
 	*sched.Seat
 
 	// cfg is the cluster shape: plans compile against it, and every
-	// stageAssign ships its block-cache budget (CacheBudget, zero without a
-	// cache) and TasksPerNode, which bounds the kernel pool's shared helper
-	// budget on the worker. Each worker sizes its kernel threads against its
+	// stageAssign ships its TasksPerNode, which bounds the kernel pool's
+	// shared helper budget on the worker. Each worker sizes its kernel threads against its
 	// own GOMAXPROCS — worker machines need not match the coordinator's.
 	cfg cluster.Config
 
@@ -571,8 +565,8 @@ func (m *wireMeter) countResult(ob spec.OutBlock) {
 }
 
 // RunSpecStage distributes one descriptor stage over the active workers on
-// the stage driver, through the coordinator's Seat; the home of a task,
-// taskID mod workers, is the simulated backend's cache home too. The table is
+// the stage driver, through the coordinator's Seat; the home of a task is
+// taskID mod workers, as on the simulated backend. The table is
 // read once for the lanes: a worker that leaves the Active state before its
 // lanes start has them run its tasks elsewhere (attemptWorker). Stages may
 // run concurrently; each reports its own stats through st.Report.
@@ -743,10 +737,9 @@ func (c *Coordinator) serveTask(s *stream, st *rt.Stage, taskID int, gen uint64,
 	res = &taskResult{}
 	if s.gen != gen {
 		if err := s.writeGob(msgStage, stageAssign{
-			Stage:      *st.Spec,
-			Gen:        gen,
-			CacheBytes: c.cfg.CacheBudget(),
-			TaskSlots:  c.cfg.TasksPerNode,
+			Stage:     *st.Spec,
+			Gen:       gen,
+			TaskSlots: c.cfg.TasksPerNode,
 		}); err != nil {
 			return res, false, transportError{err}
 		}

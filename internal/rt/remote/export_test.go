@@ -1,11 +1,11 @@
 package remote
 
-import "fuseme/internal/blockcache"
-
-// BlockCache returns the worker's block cache (nil before a stage shipped a
-// budget), so external tests can look at what it holds.
-func (w *Worker) BlockCache() *blockcache.Cache {
-	w.cacheMu.Lock()
-	defer w.cacheMu.Unlock()
-	return w.cache
+// PauseAfterReply makes every task of the worker call pause after its reply
+// is written and before Drain stops counting it; nil removes the pause.
+func (w *Worker) PauseAfterReply(pause func()) {
+	if pause == nil {
+		w.afterReply.Store(nil)
+		return
+	}
+	w.afterReply.Store(&pause)
 }

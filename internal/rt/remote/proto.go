@@ -13,7 +13,7 @@
 // lanes that exist — each carrying one task at a time, any number in
 // sequence.
 //
-// Frame table, protocol v14 (C = coordinator, W = worker; "gob" = encoded by
+// Frame table, protocol v15 (C = coordinator, W = worker; "gob" = encoded by
 // the connection's gob stream, "raw" = fixed binary layout):
 //
 //	control connection (C dials; per-message gob, low rate, no block; any
@@ -55,8 +55,6 @@
 // Pull-based fetching means the worker discovers exactly the blocks the
 // fused kernel needs — the same dedup and colocation accounting as the
 // simulated backend, because both run the identical executor task body.
-// That body also keeps a worker's block cache coherent: it drops the stale
-// epochs the stage descriptor names, so no frame carries cache state.
 //
 // Buffer ownership. A block's bytes cross each hop once in user space. The
 // sender assembles the frame header, status byte or result header and FME1
@@ -70,8 +68,7 @@
 // the blocks a task fetched live until the task's msgDone or msgFail is
 // written — every result block went out before it, synchronously, so a
 // result that is a fetched block is already on the wire — and the next task
-// reuses the memory. A task bound to a block cache fetches into storage of
-// its own, because a cached block outlives the task. The coordinator decodes
+// reuses the memory. The coordinator decodes
 // each msgResult as it arrives into fresh storage, because results live on
 // in the stage's sinks; rt.Stage.Collect receives them as blocks.
 package remote
@@ -126,14 +123,15 @@ import (
 // now, and ships a task's spans relative to its body's start: the coordinator
 // places them in the task's own dispatch window, with no clock estimate.
 // Version 13 moves block-cache visibility into the stage descriptor: its
-// Scope names the generation the stage's insertions carry and the ones it
-// may hit — its ancestors in its query's plan, and every earlier query — so
-// the stages of independent operators can run at once with deterministic
+// cache scope names the generation the stage's insertions carry and the ones
+// it may hit — its ancestors in its query's plan, and every earlier query —
+// so the stages of independent operators can run at once with deterministic
 // hits; the generation in stageAssign and taskAssign only names the stage on
 // its stream. Version 14 ships a finished task's metering in taskDone as
 // the cluster.Stats of that one task, the record both runtimes fold into
-// their stage.
-const protoVersion = 14
+// their stage. Version 15 drops the block-cache budget from stageAssign;
+// the stage descriptor carries no input epochs or cache scope any more.
+const protoVersion = 15
 
 // Frame types.
 const (
@@ -198,21 +196,15 @@ type helloAck struct {
 	Proto int
 }
 
-// stageAssign ships a stage to a task stream: the descriptor — which
-// carries the stage's block-cache scope — and Gen, the coordinator's number
-// for the stage. It is sent once per (stream, stage); every msgTask until the
-// next msgStage names a task of it by id, and the worker rebuilds the plan
-// once for all of them.
-//
-// CacheBytes is the session's block-cache budget (cluster.Config.CacheBudget;
-// zero for a session without a cache): the worker's one cache is built with
-// it, and a task of a stage without one runs uncached. TaskSlots is the
-// per-worker slot count the kernel pool's helper budget is sized against.
+// stageAssign ships a stage to a task stream: the descriptor and Gen, the
+// coordinator's number for the stage. It is sent once per (stream, stage);
+// every msgTask until the next msgStage names a task of it by id, and the
+// worker rebuilds the plan once for all of them. TaskSlots is the per-worker
+// slot count the kernel pool's helper budget is sized against.
 type stageAssign struct {
-	Stage      spec.Stage
-	Gen        uint64
-	CacheBytes int64
-	TaskSlots  int
+	Stage     spec.Stage
+	Gen       uint64
+	TaskSlots int
 }
 
 // taskAssign assigns one task of the stream's current stage. Gen repeats
@@ -223,7 +215,7 @@ type taskAssign struct {
 	Gen    uint64
 
 	// Trace asks the worker to record per-task sub-spans (fetch, kernel,
-	// cache, send) and ship them back in taskDone.Spans. Trace context
+	// send) and ship them back in taskDone.Spans. Trace context
 	// propagation is this one bit plus the task identity already in the
 	// assignment — the coordinator rebuilds the global timeline from those.
 	Trace bool

@@ -9,13 +9,18 @@ import (
 	"net"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"fuseme/internal/block"
 	"fuseme/internal/cluster"
+	"fuseme/internal/core"
+	"fuseme/internal/lang"
 	"fuseme/internal/matrix"
 	"fuseme/internal/rt"
 	"fuseme/internal/rt/spec"
+	"fuseme/internal/sched"
 )
 
 // replayConn is a net.Conn whose reads replay fixed bytes and whose writes
@@ -557,7 +562,6 @@ func TestWireAllocBudget(t *testing.T) {
 			list[i] = spec.BlockRef{Kind: spec.RefInput, BI: i}
 		}
 		ahead := func() {
-			q.arena = &worker.arena // as a worker's task does
 			q.ahead(list)
 			for _, r := range list {
 				if _, err := q.fetch(r); err != nil {
@@ -686,7 +690,8 @@ func TestStreamNeedsItsStage(t *testing.T) {
 }
 
 // TestDrainWakesOnTaskCompletion: Drain returns as soon as the last
-// in-flight task finishes, and gives up at its deadline while one runs.
+// in-flight task has written its reply, and gives up at its deadline while
+// one runs or replies.
 func TestDrainWakesOnTaskCompletion(t *testing.T) {
 	w, err := NewWorker("127.0.0.1:0")
 	if err != nil {
@@ -696,21 +701,26 @@ func TestDrainWakesOnTaskCompletion(t *testing.T) {
 	if !w.Drain(0) {
 		t.Fatal("idle worker did not drain")
 	}
-	w.taskMu.Lock()
-	w.activeTasks = 2
-	w.taskMu.Unlock()
+	w.countTasks(2, 0)
 	if w.Drain(10 * time.Millisecond) {
 		t.Fatal("Drain returned true with two tasks in flight")
 	}
 	drained := make(chan bool, 1)
 	go func() { drained <- w.Drain(time.Minute) }()
-	w.taskFinished()
+	w.countTasks(-1, 1) // one task's body ends and its reply is being written
 	select {
 	case <-drained:
 		t.Fatal("Drain returned with one task still in flight")
 	case <-time.After(20 * time.Millisecond):
 	}
-	w.taskFinished()
+	w.countTasks(0, -1)
+	w.countTasks(-1, 1)
+	select {
+	case <-drained:
+		t.Fatal("Drain returned with a reply still being written")
+	case <-time.After(20 * time.Millisecond):
+	}
+	w.countTasks(0, -1)
 	if !<-drained {
 		t.Fatal("Drain timed out although the last task finished")
 	}
@@ -719,15 +729,96 @@ func TestDrainWakesOnTaskCompletion(t *testing.T) {
 	}
 }
 
-// TestHandshakeRefusesOtherVersions: protocol v14 does not interoperate with
-// v13 in either direction, and both ends say so at the handshake.
+// TestActiveTasksStayWithinTheLanes: a worker stops counting a task in
+// ActiveTasks before its reply goes out, so the count never exceeds the
+// coordinators' lanes that hold a task on it. Two coordinators share a gate
+// with one lane on a one-lane worker, and each runs a one-task stage. The
+// first task is held after its reply is written, before the worker retires
+// it; its coordinator frees the lane meanwhile, and the second coordinator's
+// task runs on a stream of its own. Once that task has replied too,
+// ActiveTasks reads at most the one lane, and Drain still waits for both
+// retirements.
+func TestActiveTasksStayWithinTheLanes(t *testing.T) {
+	w := startWorkers(t, 1)[0]
+	cfg := wireConfig()
+	cfg.Nodes, cfg.TasksPerNode = 1, 1
+	gate := sched.New(1, 0)
+	cos := [2]*Coordinator{coordinate(t, cfg, []*Worker{w}), coordinate(t, cfg, []*Worker{w})}
+	for _, co := range cos {
+		co.SetScheduler(gate)
+	}
+	g, err := lang.Parse("B = A + 1", map[string]lang.InputDecl{"A": {Rows: 8, Cols: 8, Sparsity: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := map[string]*block.Matrix{"A": block.RandomDense(8, 8, cfg.BlockSize, 0, 1, 1)}
+
+	type seen struct {
+		active  int
+		drained bool
+	}
+	held, release, lastReply := make(chan struct{}), make(chan struct{}), make(chan seen, 1)
+	var replies atomic.Int32
+	w.PauseAfterReply(func() {
+		switch replies.Add(1) {
+		case 1:
+			close(held)
+			select {
+			case <-release:
+			case <-time.After(10 * time.Second):
+			}
+		case 2:
+			lastReply <- seen{w.ActiveTasks(), w.Drain(0)}
+			close(release)
+		}
+	})
+	defer w.PauseAfterReply(nil)
+	run := func(co *Coordinator) chan error {
+		done := make(chan error, 1)
+		go func() {
+			_, _, err := core.Run(core.FuseME{}, g, co, inputs)
+			done <- err
+		}()
+		return done
+	}
+	first := run(cos[0])
+	select {
+	case <-held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the first task never replied")
+	}
+	second := run(cos[1])
+	for i, done := range []chan error{first, second} {
+		if err := <-done; err != nil {
+			t.Fatalf("coordinator %d: %v", i, err)
+		}
+	}
+	var got seen
+	select {
+	case got = <-lastReply:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%d replies, want 2", replies.Load())
+	}
+	if got.active > cfg.TasksPerNode {
+		t.Errorf("ActiveTasks = %d after both replies on a worker with %d lane", got.active, cfg.TasksPerNode)
+	}
+	if got.drained {
+		t.Error("Drain returned before the replied tasks were retired")
+	}
+	if !w.Drain(time.Second) || w.ActiveTasks() != 0 {
+		t.Errorf("worker did not drain: ActiveTasks = %d", w.ActiveTasks())
+	}
+}
+
+// TestHandshakeRefusesOtherVersions: protocol v15 does not interoperate with
+// v14 in either direction, and both ends say so at the handshake.
 func TestHandshakeRefusesOtherVersions(t *testing.T) {
-	if protoVersion != 14 {
-		t.Fatalf("protoVersion = %d, want 14", protoVersion)
+	if protoVersion != 15 {
+		t.Fatalf("protoVersion = %d, want 15", protoVersion)
 	}
 	cfg := cluster.Config{TasksPerNode: 1, TaskMemBytes: 1 << 30, NetBandwidth: 1e9, CompBandwidth: 50e9, BlockSize: 16}
 
-	// A v13 worker: acknowledges with its own version.
+	// A v14 worker: acknowledges with its own version.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -740,16 +831,16 @@ func TestHandshakeRefusesOtherVersions(t *testing.T) {
 				return
 			}
 			if _, err := expectFrame(conn, msgHello, maxControlFrame); err == nil {
-				writeGob(conn, msgHelloAck, helloAck{Proto: 13})
+				writeGob(conn, msgHelloAck, helloAck{Proto: 14})
 			}
 			conn.Close()
 		}
 	}()
 	if _, err := NewCoordinatorConfig(cfg, []string{ln.Addr().String()}, DefaultConfig()); err == nil || !strings.Contains(err.Error(), "protocol mismatch") {
-		t.Errorf("coordinator against a v13 worker: err = %v, want protocol mismatch", err)
+		t.Errorf("coordinator against a v14 worker: err = %v, want protocol mismatch", err)
 	}
 
-	// A v13 coordinator against this worker: told the worker's version, then
+	// A v14 coordinator against this worker: told the worker's version, then
 	// hung up on.
 	w, err := NewWorker("127.0.0.1:0")
 	if err != nil {
@@ -762,7 +853,7 @@ func TestHandshakeRefusesOtherVersions(t *testing.T) {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	if err := writeGob(conn, msgHello, hello{Proto: 13}); err != nil {
+	if err := writeGob(conn, msgHello, hello{Proto: 14}); err != nil {
 		t.Fatal(err)
 	}
 	payload, err := expectFrame(conn, msgHelloAck, maxControlFrame)
@@ -774,10 +865,10 @@ func TestHandshakeRefusesOtherVersions(t *testing.T) {
 		t.Errorf("ack = %+v, err %v; want the worker's version %d", ack, err, protoVersion)
 	}
 	if _, _, err := readFrame(conn, maxControlFrame); !errors.Is(err, io.EOF) {
-		t.Errorf("after a v13 hello: read err = %v, want EOF", err)
+		t.Errorf("after a v14 hello: read err = %v, want EOF", err)
 	}
 
-	// A v13 worker registering at the join listener.
+	// A v14 worker registering at the join listener.
 	co, err := NewCoordinatorConfig(cfg, []string{w.Addr()}, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -787,7 +878,7 @@ func TestHandshakeRefusesOtherVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := joinExchange(joinAddr, 5*time.Second, msgJoin, joinReq{Proto: 13, Addr: "127.0.0.1:1"}); err == nil || !strings.Contains(err.Error(), "protocol mismatch") {
-		t.Errorf("v13 join: err = %v, want protocol mismatch", err)
+	if _, err := joinExchange(joinAddr, 5*time.Second, msgJoin, joinReq{Proto: 14, Addr: "127.0.0.1:1"}); err == nil || !strings.Contains(err.Error(), "protocol mismatch") {
+		t.Errorf("v14 join: err = %v, want protocol mismatch", err)
 	}
 }

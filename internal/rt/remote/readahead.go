@@ -34,8 +34,7 @@ const FetchDepth = 4
 // One queue serves a stream for its lifetime, so its slices are reused from
 // task to task; the task body is its one goroutine.
 type fetchQueue struct {
-	s     *stream
-	arena *matrix.Arena // where the current task's fetched blocks live; nil: fresh storage
+	s *stream // its arena holds the current task's fetched blocks
 
 	// sent holds the requests on the wire or answered but not yet fetched, in
 	// request order; inflight counts those without their reply. want holds
@@ -141,7 +140,7 @@ func (q *fetchQueue) receive(k int) error {
 	if typ != msgBlock {
 		return q.s.fail(fmt.Errorf("remote: expected frame type %d, got %d", msgBlock, typ))
 	}
-	blk, err := q.s.readBlock(n, q.arena)
+	blk, err := q.s.readBlock(n, &q.s.arena)
 	if err != nil && q.s.err != nil {
 		return err
 	}
@@ -163,11 +162,10 @@ func (q *fetchQueue) drain() error {
 }
 
 // finish drains the stream at the end of a task, before its msgDone or
-// msgFail, and forgets the task's arena and what the task requested or named
-// and did not fetch.
+// msgFail, and forgets what the task requested or named and did not fetch.
 func (q *fetchQueue) finish() error {
 	err := q.drain()
 	clear(q.sent) // the blocks live in the arena the task's end resets
-	q.sent, q.want, q.inflight, q.arena = q.sent[:0], q.want[:0], 0, nil
+	q.sent, q.want, q.inflight = q.sent[:0], q.want[:0], 0
 	return err
 }

@@ -3,12 +3,10 @@ package remote
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"testing"
 
 	"fuseme/internal/block"
-	"fuseme/internal/blockcache"
 	"fuseme/internal/chaos/chaostest"
 	"fuseme/internal/cluster"
 	"fuseme/internal/core"
@@ -275,76 +273,6 @@ func (c wireCase) run(t *testing.T, co *Coordinator) [4]int64 {
 	return [4]int64{stats.ConsolidationBytes, stats.AggregationBytes, stats.ExtraWireBytes, int64(rtm.served)}
 }
 
-// TestUncachedStageSkipsTheWorkersCache: a worker that just served a cached
-// session runs an uncached session's GNMF as a worker that never cached
-// does. TestReadAheadKeepsTheWire's counts hold on it, its cache is neither
-// read nor filled, and the blocks its tasks fetch go into the streams'
-// arenas again instead of storage of their own: the runs allocate what they
-// allocate on fresh workers, give or take the spread of identical runs
-// (a few percent), where a task bound to the cache allocates a quarter more.
-func TestUncachedStageSkipsTheWorkersCache(t *testing.T) {
-	c := wireCases()[0]
-	fresh, caching := startWorkers(t, 2), startWorkers(t, 2)
-	cached := wireConfig()
-	cached.CacheBytes = 64 << 20
-	c.run(t, coordinate(t, cached, caching))
-	before := make([]blockcache.Stats, len(caching))
-	for i, w := range caching {
-		if before[i] = w.CacheStats(); before[i].ResidentBytes == 0 {
-			t.Fatalf("worker %d: the cached session filled no cache", i)
-		}
-	}
-
-	// The fewest bytes one of three runs allocates, after a run that dials
-	// the streams.
-	minAlloc := func(workers []*Worker) uint64 {
-		co := coordinate(t, wireConfig(), workers)
-		c.run(t, co)
-		least := uint64(math.MaxUint64)
-		for range 3 {
-			var a, b runtime.MemStats
-			runtime.GC()
-			runtime.ReadMemStats(&a)
-			if got := c.run(t, co); got != c.want {
-				t.Errorf("consolidation, aggregation, extra wire bytes and requests served: %v, want %v", got, c.want)
-			}
-			runtime.ReadMemStats(&b)
-			least = min(least, b.TotalAlloc-a.TotalAlloc)
-		}
-		return least
-	}
-	onFresh, onCaching := minAlloc(fresh), minAlloc(caching)
-	for i, w := range caching {
-		if got := w.CacheStats(); got != before[i] {
-			t.Errorf("worker %d: uncached runs moved its cache's counters from %+v to %+v", i, before[i], got)
-		}
-	}
-	if float64(onCaching) > 1.1*float64(onFresh) {
-		t.Errorf("an uncached GNMF allocates %d bytes on workers that served a cached session, %d on fresh ones: its tasks are bound to the cache", onCaching, onFresh)
-	}
-	t.Logf("allocated: %d bytes on fresh workers, %d on workers that served a cached session", onFresh, onCaching)
-}
-
-// TestWorkerCacheFollowsTheShippedBudget: a stage without a budget gets no
-// cache and leaves the worker's alone; the first budget builds the one
-// cache, the same budget keeps it, and a different one rebuilds it.
-func TestWorkerCacheFollowsTheShippedBudget(t *testing.T) {
-	w := &Worker{}
-	if c := w.blockCache(0); c != nil || w.BlockCache() != nil {
-		t.Fatal("a stage without a budget built a cache")
-	}
-	first := w.blockCache(1 << 20)
-	if first == nil || w.blockCache(1<<20) != first {
-		t.Fatal("the same budget did not keep the worker's one cache")
-	}
-	if w.blockCache(0) != nil || w.BlockCache() != first {
-		t.Fatal("a stage without a budget was handed the cache, or dropped it")
-	}
-	if second := w.blockCache(2 << 20); second == nil || second == first || w.BlockCache() != second {
-		t.Fatal("a different budget did not rebuild the cache")
-	}
-}
-
 // TestFetchQueueMatchesRepliesByPosition drives a fetch queue against a
 // peer that answers every request in order — block (i, 0) as a 1×1 block
 // holding i, an error for (1, 0) — and fetches a hinted list out of its
@@ -378,7 +306,7 @@ func TestFetchQueueMatchesRepliesByPosition(t *testing.T) {
 		}
 	}()
 	ref := func(i int) spec.BlockRef { return spec.BlockRef{Kind: spec.RefInput, BI: i} }
-	q := fetchQueue{s: worker, arena: &worker.arena}
+	q := fetchQueue{s: worker}
 	q.ahead([]spec.BlockRef{ref(0), ref(1), ref(2), ref(3), ref(4), ref(5)})
 	for _, i := range []int{3, 9, 0, 1, 5, 2, 4} {
 		blk, err := q.fetch(ref(i))

@@ -10,6 +10,7 @@ import (
 	"fuseme/internal/exec"
 	"fuseme/internal/lang"
 	"fuseme/internal/rt/remote"
+	"fuseme/internal/workloads"
 )
 
 // testConfig is a small cluster shape: real block arithmetic at laptop scale,
@@ -220,5 +221,73 @@ func TestAllWorkersDead(t *testing.T) {
 	}
 	if _, _, err := core.Run(core.FuseME{}, g, co, inputs); err == nil {
 		t.Fatal("expected an error with every worker dead")
+	}
+}
+
+func gnmfInputs(bs int) (x, u, v *block.Matrix) {
+	const users, items, k = 48, 32, 8
+	x = block.RandomDense(users, items, bs, 0.5, 1.5, 11)
+	u = block.RandomDense(k, items, bs, 0.2, 0.8, 12)
+	v = block.RandomDense(users, k, bs, 0.2, 0.8, 13)
+	return x, u, v
+}
+
+// TestRemoteGNMFSurvivesWorkerDeath: killing one of three workers early in
+// the first of three GNMF iterations does not change the results — retried
+// tasks land on the survivors — and the dead worker leaves the active set.
+func TestRemoteGNMFSurvivesWorkerDeath(t *testing.T) {
+	const iters = 3
+	bs := testConfig().BlockSize
+
+	cl := cluster.MustNew(testConfig())
+	x, u, v := gnmfInputs(bs)
+	ref, err := workloads.RunGNMF(core.FuseME{}, cl, x, u.Clone(), v.Clone(), iters)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	co, workers := startCluster(t, 3)
+	workers[1].KillAfterTasks(3) // dies early in the first iteration
+	res, err := workloads.RunGNMF(core.FuseME{}, co, x, u, v, iters)
+	if err != nil {
+		t.Fatalf("GNMF did not survive worker death: %v", err)
+	}
+	compareMatrices(t, "U after worker death", res.U, ref.U)
+	compareMatrices(t, "V after worker death", res.V, ref.V)
+	if co.ActiveCount() != 2 {
+		t.Errorf("ActiveCount = %d, want 2", co.ActiveCount())
+	}
+}
+
+// TestGNMFTransposeMembersSimEqualsTCP: under FuseME's plan, whose CFOs read
+// GNMF's t(V) and t(U) as members instead of a Map stage's output, three
+// iterations over TCP workers give the in-process run's factors bit for bit.
+func TestGNMFTransposeMembersSimEqualsTCP(t *testing.T) {
+	const iters = 3
+	bs := testConfig().BlockSize
+	x, u, v := gnmfInputs(bs)
+	sim, err := workloads.RunGNMF(core.FuseME{}, cluster.MustNew(testConfig()), x, u.Clone(), v.Clone(), iters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	co, _ := startCluster(t, 2)
+	rem, err := workloads.RunGNMF(core.FuseME{}, co, x, u, v, iters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []struct {
+		name     string
+		sim, rem *block.Matrix
+	}{{"U", sim.U, rem.U}, {"V", sim.V, rem.V}} {
+		for i := 0; i < m.sim.Rows; i++ {
+			for j := 0; j < m.sim.Cols; j++ {
+				if s, r := m.sim.At(i, j), m.rem.At(i, j); math.Float64bits(s) != math.Float64bits(r) {
+					t.Fatalf("%s(%d,%d): tcp %v, sim %v", m.name, i, j, r, s)
+				}
+			}
+		}
+	}
+	if s, r := sim.Total.Stages, rem.Total.Stages; s != r || s != iters*8 {
+		t.Errorf("stages: sim %d, tcp %d, want %d: four CFOs of two phases each per iteration", s, r, iters*8)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"fuseme/internal/blockcache"
 	"fuseme/internal/cluster"
 	"fuseme/internal/exec"
 	"fuseme/internal/matrix"
@@ -45,11 +44,15 @@ type Worker struct {
 	goneOnce   sync.Once
 	drop       chan struct{}
 
-	// activeTasks counts in-flight task executions; Drain waits for it to
-	// reach zero so a SIGTERM'd worker finishes its work before leaving.
-	// taskWatch (same lock) is closed whenever a task finishes.
+	// activeTasks counts the task executions whose body runs: a task
+	// leaves it before its msgDone or msgFail is written, so it never
+	// counts a task whose lane the coordinator may have freed. replying
+	// counts the tasks writing that reply. Drain waits for both to reach
+	// zero, so a SIGTERM'd worker sends every reply before leaving;
+	// taskWatch (same lock) is closed whenever either drops.
 	taskMu      sync.Mutex
 	activeTasks int
+	replying    int
 	taskWatch   chan struct{}
 
 	// killAfter, when positive, makes the worker die (close its listener and
@@ -60,18 +63,15 @@ type Worker struct {
 
 	reg atomic.Pointer[obs.Registry] // process-local metrics; nil disables
 
-	// cache is the worker-resident block cache for loop-invariant inputs,
-	// built with the budget cacheBytes a stage shipped (see blockCache); nil
-	// until a stage ships one.
-	cacheMu    sync.Mutex
-	cache      *blockcache.Cache
-	cacheBytes int64
-
 	// taskDelay, when positive, stalls every task body by that duration at
 	// the start of the timed task section, like a long kernel — a
 	// fault-injection hook that turns this worker into a straggler (the
 	// steal and skew-detection tests). Never used to measure anything.
 	taskDelay atomic.Int64
+	// afterReply, when set, runs between a task's reply and Drain's
+	// retirement of it: a test hook that widens the moment the coordinator
+	// may already run the worker's next task.
+	afterReply atomic.Pointer[func()]
 
 	// Kernel-pool state. The pool is built lazily from the first stageAssign
 	// (its TaskSlots field) and this process's GOMAXPROCS, and rebuilt only
@@ -84,7 +84,7 @@ type Worker struct {
 
 // SetObs attaches the worker's own metrics registry (served by the worker
 // process's -metrics-addr endpoint): each executed task records its latency,
-// wire-byte, cache and kernel-pool metrics there. Nil publishes none.
+// wire-byte and kernel-pool metrics there. Nil publishes none.
 func (w *Worker) SetObs(reg *obs.Registry) { w.reg.Store(reg) }
 
 // NewWorker starts a worker listening on addr (host:port; use port 0 for an
@@ -111,29 +111,6 @@ func (w *Worker) Addr() string { return w.ln.Addr().String() }
 // KillAfterTasks arms the fault-injection hook: the worker dies when task
 // number n (0-based) arrives. Negative disarms.
 func (w *Worker) KillAfterTasks(n int) { w.killAfter.Store(int64(n)) }
-
-// blockCache returns the cache a task of a stage with the given budget runs
-// with: none when the stage ships no budget, else the worker's one cache,
-// which is built from the first budget a stage ships and rebuilt — dropping
-// every cached block — when a stage ships a different one.
-func (w *Worker) blockCache(budget int64) *blockcache.Cache {
-	if budget <= 0 {
-		return nil
-	}
-	w.cacheMu.Lock()
-	defer w.cacheMu.Unlock()
-	if w.cacheBytes != budget {
-		w.cache, w.cacheBytes = blockcache.New(budget), budget
-	}
-	return w.cache
-}
-
-// CacheStats returns the worker cache's counters; zeroes with no cache.
-func (w *Worker) CacheStats() blockcache.Stats {
-	w.cacheMu.Lock()
-	defer w.cacheMu.Unlock()
-	return w.cache.Snapshot()
-}
 
 // SetTaskDelay stalls every subsequent task body by d inside the timed task
 // section, behaving like a long kernel — a fault-injection hook that makes
@@ -196,35 +173,38 @@ func (w *Worker) CoordinatorGone() <-chan struct{} { return w.gone }
 // fuseme-worker's -join backoff loop waits on to re-register.
 func (w *Worker) ControlDrop() <-chan struct{} { return w.drop }
 
-// ActiveTasks returns the number of task executions currently in flight.
+// ActiveTasks returns the number of task executions whose body runs: never
+// more than the coordinators' lanes on this worker that hold a task.
 func (w *Worker) ActiveTasks() int {
 	w.taskMu.Lock()
 	defer w.taskMu.Unlock()
 	return w.activeTasks
 }
 
-// taskFinished retires one in-flight task and wakes Drain.
-func (w *Worker) taskFinished() {
+// countTasks moves the in-flight counts by the given deltas and, when
+// either drops, wakes Drain.
+func (w *Worker) countTasks(active, replying int) {
 	w.taskMu.Lock()
-	w.activeTasks--
-	if w.taskWatch != nil {
+	w.activeTasks += active
+	w.replying += replying
+	if (active < 0 || replying < 0) && w.taskWatch != nil {
 		close(w.taskWatch)
 		w.taskWatch = nil
 	}
 	w.taskMu.Unlock()
 }
 
-// Drain waits until the worker has no in-flight tasks, woken by each task's
-// completion, up to timeout. It does not refuse new tasks by itself — the
-// departing worker is expected to have sent msgLeave first, which stops the
-// coordinator's dispatch. Returns true when the worker drained within the
-// deadline.
+// Drain waits until the worker has no in-flight task and every reply is
+// written, woken as each task ends, up to timeout. It does not refuse new
+// tasks by itself — the departing worker is expected to have sent msgLeave
+// first, which stops the coordinator's dispatch. Returns true when the
+// worker drained within the deadline.
 func (w *Worker) Drain(timeout time.Duration) bool {
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
 	for {
 		w.taskMu.Lock()
-		if w.activeTasks == 0 {
+		if w.activeTasks+w.replying == 0 {
 			w.taskMu.Unlock()
 			return true
 		}
@@ -370,39 +350,42 @@ func (w *Worker) controlLoop(conn net.Conn) error {
 	}
 }
 
-// runTask executes one assigned task of the stream's stage, pulling blocks
-// through the stream's fetch queue q and sending result blocks over s, and
-// reports the outcome. It returns false when the stream is no longer usable.
+// runTask executes one assigned task of the stream's stage and writes its
+// msgDone or msgFail. It returns false when the stream is no longer usable.
+// The task leaves ActiveTasks before the reply goes out and Drain's count
+// after, once the blocks it fetched into the stream's arena are released.
 func (w *Worker) runTask(s *stream, q *fetchQueue, st *workerStage, assign *taskAssign) bool {
 	if kill := w.killAfter.Load(); kill >= 0 && w.started.Add(1) > kill {
 		// Fault injection: die abruptly, mid-stage, without a reply.
 		w.Close()
 		return false
 	}
-	w.taskMu.Lock()
-	w.activeTasks++
-	w.taskMu.Unlock()
-	defer w.taskFinished()
-	// Deferred, so it runs after the msgDone or msgFail that returns.
-	defer s.arena.Reset()
+	w.countTasks(1, 0)
+	typ, reply := w.execTask(s, q, st, assign)
+	w.countTasks(-1, 1)
+	ok := typ != 0 && s.writeGob(typ, reply) == nil
+	s.arena.Reset()
+	if pause := w.afterReply.Load(); pause != nil {
+		(*pause)()
+	}
+	w.countTasks(0, -1)
+	return ok
+}
+
+// execTask runs one assigned task, pulling blocks through the stream's fetch
+// queue q into the stream's arena and sending result blocks over s, and
+// returns the reply that ends it: msgDone or msgFail and its payload, or
+// type 0 when the stream is dead and no reply can follow.
+func (w *Worker) execTask(s *stream, q *fetchQueue, st *workerStage, assign *taskAssign) (byte, any) {
 	if st.buildErr != nil {
-		return s.writeGob(msgFail, taskFail{Err: st.buildErr.Error()}) == nil
+		return msgFail, taskFail{Err: st.buildErr.Error()}
 	}
 	task := &cluster.Task{ID: assign.TaskID}
 	task.SetPool(w.kernelPool(st.TaskSlots))
-	cache := w.blockCache(st.CacheBytes)
-	task.SetCache(cache)
-	// Fetched blocks live in the stream's arena until the task ends, unless
-	// the task may cache them: a cached block outlives its task.
-	arena := &s.arena
-	if cache != nil {
-		arena = nil
-	}
 
 	// The task body fetches and emits from this goroutine alone. Its
 	// requests run ahead of its fetches (fetchQueue); a result goes out only
 	// once every reply it asked for is read, and so do msgDone and msgFail.
-	q.arena = arena
 	var fetchSecs float64 // wire wait inside the task body
 	fetch := func(ref spec.BlockRef) (matrix.Mat, error) {
 		fetchStart := time.Now()
@@ -440,19 +423,13 @@ func (w *Worker) runTask(s *stream, q *fetchQueue, st *workerStage, assign *task
 		reg.Histogram(obs.MWorkerTaskSeconds).Observe(taskDur.Seconds())
 		reg.Counter(obs.MWorkerFetchBytes).Add(m.ConsolidationBytes)
 		reg.Counter(obs.MWorkerResultBytes).Add(m.AggregationBytes)
-		if m.CacheHits+m.CacheMisses > 0 {
-			reg.Counter(obs.MCacheHits).Add(m.CacheHits)
-			reg.Counter(obs.MCacheMisses).Add(m.CacheMisses)
-			reg.Counter(obs.MCacheEvictions).Add(m.CacheEvictions)
-			reg.Gauge(obs.MCacheResidentBytes).Set(float64(cache.ResidentBytes()))
-		}
 		reg.PublishKernelPool(w.KernelPool())
 	}
 	if q.finish() != nil {
-		return false // the stream is dead: no msgDone or msgFail can follow
+		return 0, nil
 	}
 	if err != nil {
-		return s.writeGob(msgFail, taskFail{Err: err.Error()}) == nil
+		return msgFail, taskFail{Err: err.Error()}
 	}
-	return s.writeGob(msgDone, taskDone{Metrics: m, Spans: task.Trace().Spans()}) == nil
+	return msgDone, taskDone{Metrics: m, Spans: task.Trace().Spans()}
 }

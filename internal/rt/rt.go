@@ -28,8 +28,7 @@
 // does each of its task attempts, through Stage.TaskDone on either runtime,
 // as an obs.TaskSample carrying the task's own cluster.Stats; traced, the
 // sample is the journal task event a trace renders (obs.ChromeTrace). The
-// conformance tests in this package pin flops, cache hits and misses, stage
-// and task counts, span taxonomy, journal sequences and injected retries to
+// conformance tests in this package pin flops, stage and task counts, span taxonomy, journal sequences and injected retries to
 // be equal across backends.
 package rt
 

@@ -15,7 +15,6 @@ package spec
 import (
 	"fmt"
 
-	"fuseme/internal/blockcache"
 	"fuseme/internal/dag"
 	"fuseme/internal/fusion"
 	"fuseme/internal/matrix"
@@ -171,33 +170,6 @@ type Stage struct {
 	// the output plane: tasks charge them to memory but not to consolidation
 	// traffic (in a real deployment they are local reads, not shuffles).
 	Colocated []int
-
-	// Epochs carries the content epoch of every cacheable external input.
-	// Empty means block caching is disabled for the stage, reproducing the
-	// uncached runtime byte-for-byte.
-	Epochs []NodeEpoch
-	// Scope is the stage's place in the block cache's visibility order: the
-	// generation its insertions carry and the ones it may hit. Filled in
-	// with Epochs, per execution.
-	Scope blockcache.Scope
-}
-
-// NodeEpoch binds an external input node ID to the content epoch of the
-// matrix bound to it when the stage was built.
-type NodeEpoch struct {
-	Node  int
-	Epoch uint64
-}
-
-// EpochOf returns the stage's epoch for node, or (0, false) when the node is
-// not advertised as cacheable.
-func (st *Stage) EpochOf(node int) (uint64, bool) {
-	for _, ne := range st.Epochs {
-		if ne.Node == node {
-			return ne.Epoch, true
-		}
-	}
-	return 0, false
 }
 
 // Block reference kinds for worker → coordinator fetches.

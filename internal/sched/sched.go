@@ -60,14 +60,14 @@ func New(lanesPerNode, limit int) *Scheduler {
 }
 
 // Seat is a runtime's place at a dispatch gate: the gate its stages run
-// through, and the policy they run under — the runtime's pinning, retries and
-// injected failures, and the tenant tag they take their turn under. Both
+// through, and the policy they run under — the runtime's retries and injected
+// failures, and the tenant tag they take their turn under. Both
 // runtimes embed one, so a shared gate and a tenant tag are set the same way
 // on either. Safe for concurrent use.
 type Seat struct {
 	mu     sync.Mutex
 	gate   *Scheduler
-	policy Stage // Pinned, Tenant, Weight, Retries and Inject of every stage
+	policy Stage // Tenant, Weight, Retries and Inject of every stage
 }
 
 // NewSeat returns a seat at gate whose stages run under policy; a stage's

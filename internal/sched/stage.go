@@ -18,10 +18,6 @@ type Stage struct {
 	// Alive has one entry per node. Task t's home is node t mod len(Alive);
 	// a dead home falls forward to the next live node.
 	Alive []bool
-	// Pinned keeps the stage's tasks at their homes unless its own lanes
-	// there are all busy (taskQueues): the tasks of a cached stage meet
-	// their home's block cache whatever else runs.
-	Pinned bool
 
 	Tenant string // whose turn the stage's lanes take their tasks on
 	Weight int
@@ -46,7 +42,7 @@ func (s *Scheduler) Run(st Stage, run func(node, taskID, attempt int) error) (st
 	if !slices.Contains(st.Alive, true) {
 		return 0, fmt.Errorf("stage %q: no live node", st.Name)
 	}
-	q := s.open(st.Alive, st.Tenant, st.Weight, st.Pinned)
+	q := s.open(st.Alive, st.Tenant, st.Weight)
 	for id := 0; id < st.Tasks; id++ {
 		home := id % len(st.Alive)
 		for !st.Alive[home] {
@@ -108,22 +104,18 @@ func (st *Stage) attempts(node, task int, run func(node, taskID, attempt int) er
 // stuck behind a busy home — so a stage that has the cluster to itself and
 // no more tasks than lanes runs every task at its home, and a straggler's
 // backlog is still taken. A node's lanes are busy with whatever stage runs
-// on them; a pinned stage — one whose tasks should meet their home's block
-// cache — counts only its own tasks there, so other stages never draw its
-// tasks away from home. A steal takes the TAIL of the longest such queue:
-// the task farthest from running there.
+// on them. A steal takes the TAIL of the longest such queue: the task
+// farthest from running there.
 type taskQueues struct {
 	s      *Scheduler
 	tenant *tenant
 	seq    uint64 // the gate's count of stages opened before this one
 	queues [][]int
-	busy   []int // per node: this stage's lanes holding a task
 	parked []int // per node: this stage's lanes waiting in next
 	// grants, per live node, carries what dispatch hands the node's parked
 	// lanes. It buffers one grant per lane of the node, so dispatch never
 	// blocks sending under the gate's mutex.
 	grants []chan grant
-	pinned bool
 	left   int // queued tasks
 	closed bool
 }
@@ -137,10 +129,9 @@ type grant struct {
 
 // open returns the empty queues of a stage on the nodes alive names, whose
 // lanes take their tasks on tenant's turn.
-func (s *Scheduler) open(alive []bool, tenantName string, weight int, pinned bool) *taskQueues {
+func (s *Scheduler) open(alive []bool, tenantName string, weight int) *taskQueues {
 	n := len(alive)
-	q := &taskQueues{s: s, queues: make([][]int, n), busy: make([]int, n), parked: make([]int, n),
-		grants: make([]chan grant, n), pinned: pinned}
+	q := &taskQueues{s: s, queues: make([][]int, n), parked: make([]int, n), grants: make([]chan grant, n)}
 	for v, live := range alive {
 		if live {
 			q.grants[v] = make(chan grant, s.per)
@@ -204,14 +195,9 @@ func (q *taskQueues) next(n int, held bool) (task, victim int, ok bool) {
 	return g.task, g.victim, g.ok
 }
 
-// full reports whether node v's lanes are all busy, as this stage counts
-// them. The caller holds the gate's mutex.
-func (q *taskQueues) full(v int) bool {
-	if q.pinned {
-		return q.busy[v] >= q.s.per
-	}
-	return q.s.busy[v] >= q.s.per
-}
+// full reports whether node v's lanes are all busy. The caller holds the
+// gate's mutex.
+func (q *taskQueues) full(v int) bool { return q.s.busy[v] >= q.s.per }
 
 // take is one attempt at a task for a lane of node n, with the gate's mutex
 // held: nothing while n has no free lane, else the head of n's own queue,
@@ -239,7 +225,6 @@ func (q *taskQueues) take(n int) (task, victim int, ok bool) {
 	} else {
 		task, q.queues[victim] = tasks[len(tasks)-1], tasks[:len(tasks)-1]
 	}
-	q.busy[n]++
 	q.s.busy[n]++
 	q.s.running++
 	q.left--
@@ -249,7 +234,6 @@ func (q *taskQueues) take(n int) (task, victim int, ok bool) {
 // release ends the task a lane of node n holds, and frees n's lane. The
 // caller holds the gate's mutex.
 func (q *taskQueues) release(n int) {
-	q.busy[n]--
 	q.s.busy[n]--
 	q.s.running--
 }

@@ -38,7 +38,7 @@ func checkStealInterleaving(seed int64, nodes, lanes, numTasks int) error {
 			continue
 		}
 		own := len(q.queues[n]) > 0
-		busy := slices.Clone(q.busy)
+		busy := slices.Clone(q.s.busy)
 		task, victim, ok := tryTake(q, n)
 		if !ok {
 			continue
@@ -186,7 +186,7 @@ func newTaskQueues(n, lanes int) *taskQueues {
 	for v := range alive {
 		alive[v] = true
 	}
-	return New(lanes, 0).open(alive, "", 1, false)
+	return New(lanes, 0).open(alive, "", 1)
 }
 
 // tryTake is one attempt of next that never waits.
@@ -389,51 +389,49 @@ func TestRunDeadHomesFallForward(t *testing.T) {
 // TestRunSharesNodeLanes: stages in flight at once share their nodes' lanes.
 // Three stages of a task per node run together on two one-lane nodes: no
 // node ever runs two tasks at once, though each stage starts a lane on each
-// node. Pinned, every task runs at its home; unpinned, an idle node may
-// take a task queued behind the other, busy one.
+// node. An idle node may take a task queued behind the other, busy one, and
+// every such task counts as a steal.
 func TestRunSharesNodeLanes(t *testing.T) {
-	for _, pinned := range []bool{true, false} {
-		s := New(1, 8)
-		var (
-			mu      sync.Mutex
-			running [2]int
-			peak    [2]int
-			away    []int
-			ran     int
-			stolen  atomic.Int64
-		)
-		var wg sync.WaitGroup
-		for stage := 0; stage < 3; stage++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				steals, err := s.Run(Stage{Tasks: 2, Alive: []bool{true, true}, Pinned: pinned}, func(node, task, _ int) error {
-					mu.Lock()
-					running[node]++
-					ran++
-					peak[node] = max(peak[node], running[node])
-					if node != task%2 {
-						away = append(away, task)
-					}
-					mu.Unlock()
-					runtime.Gosched()
-					mu.Lock()
-					running[node]--
-					mu.Unlock()
-					return nil
-				})
-				if err != nil {
-					t.Errorf("stage %d: %v", stage, err)
+	s := New(1, 8)
+	var (
+		mu      sync.Mutex
+		running [2]int
+		peak    [2]int
+		away    []int
+		ran     int
+		stolen  atomic.Int64
+	)
+	var wg sync.WaitGroup
+	for stage := 0; stage < 3; stage++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			steals, err := s.Run(Stage{Tasks: 2, Alive: []bool{true, true}}, func(node, task, _ int) error {
+				mu.Lock()
+				running[node]++
+				ran++
+				peak[node] = max(peak[node], running[node])
+				if node != task%2 {
+					away = append(away, task)
 				}
-				stolen.Add(steals)
-			}()
-		}
-		wg.Wait()
-		if peak != [2]int{1, 1} || ran != 6 {
-			t.Errorf("pinned=%t: peak tasks per node %v, want [1 1]; %d tasks ran, want 6", pinned, peak, ran)
-		}
-		if int64(len(away)) != stolen.Load() || pinned && len(away) > 0 {
-			t.Errorf("pinned=%t: tasks %v ran away from home, %d steals counted", pinned, away, stolen.Load())
-		}
+				mu.Unlock()
+				runtime.Gosched()
+				mu.Lock()
+				running[node]--
+				mu.Unlock()
+				return nil
+			})
+			if err != nil {
+				t.Errorf("stage %d: %v", stage, err)
+			}
+			stolen.Add(steals)
+		}()
+	}
+	wg.Wait()
+	if peak != [2]int{1, 1} || ran != 6 {
+		t.Errorf("peak tasks per node %v, want [1 1]; %d tasks ran, want 6", peak, ran)
+	}
+	if int64(len(away)) != stolen.Load() {
+		t.Errorf("tasks %v ran away from home, %d steals counted", away, stolen.Load())
 	}
 }

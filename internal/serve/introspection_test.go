@@ -323,7 +323,7 @@ func TestServeSessionFailureEndsTheJournal(t *testing.T) {
 	srv, err := serve.New(serve.Config{
 		Cluster:        testClusterConfig(),
 		Sessions:       1,
-		SessionOptions: []fuseme.Option{fuseme.WithBlockCache(-1)}, // NewSession refuses it
+		SessionOptions: []fuseme.Option{fuseme.WithJournal(nil)}, // NewSession refuses it
 	})
 	if err != nil {
 		t.Fatal(err)

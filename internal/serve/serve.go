@@ -81,7 +81,7 @@ type Config struct {
 	// (256), negative disables plan caching.
 	PlanCacheEntries int
 	// SessionOptions are applied to every pooled session (e.g.
-	// fuseme.WithBlockCache).
+	// fuseme.WithTracing).
 	SessionOptions []fuseme.Option
 	// JournalPath, when non-empty, makes the server's query event journal
 	// (obs.DefaultJournalRing events in memory) also sink events to a JSONL

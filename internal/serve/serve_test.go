@@ -170,7 +170,7 @@ func requireExact(t *testing.T, ctx string, got, want []float64) {
 }
 
 // requireClose enforces the TCP runtime's "bit-close" contract (the same
-// 1e-12 relative bound as the block-cache differential suite): network
+// 1e-12 relative bound as the remote differential suite): network
 // arrival order makes cross-worker aggregation non-associative in the last
 // ulp, so TCP runs are not bit-reproducible the way sim runs are.
 func requireClose(t *testing.T, ctx string, got, want []float64, rel float64) {

@@ -240,7 +240,7 @@ func TestReplayEqualsLiveSession(t *testing.T) {
 				cfg.Workers = startWorkers(t, 2)
 			}
 			sess, err := NewSession(cfg, WithTracing(), WithMetricsAddr(""),
-				WithJournal(NewJournal(0, &sink)), WithBlockCache(1<<24))
+				WithJournal(NewJournal(0, &sink)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -272,7 +272,7 @@ func TestReplayEqualsLiveSession(t *testing.T) {
 				t.Errorf("replayed report:\n%s\nlive:\n%s", got, want)
 			}
 			live, replayed := sess.obs.Metrics.Snapshot(), reg.Snapshot()
-			for _, name := range []string{obs.MStagesTotal, obs.MTasksTotal, obs.MFlopsTotal, obs.MCacheHits} {
+			for _, name := range []string{obs.MStagesTotal, obs.MTasksTotal, obs.MFlopsTotal} {
 				if replayed.Counters[name] == 0 {
 					t.Errorf("replay folded no %s", name)
 				}

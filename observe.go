@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 
 	"fuseme/internal/obs"
 )
@@ -13,16 +12,12 @@ import (
 // Option configures a Session at construction time.
 type Option func(*Session) error
 
-// EnvCacheBytes sets the per-worker block-cache budget in bytes (see
-// WithBlockCache). Zero or unset disables caching.
-const EnvCacheBytes = "FUSEME_CACHE_BYTES"
-
 // EnvJournal names a JSONL file to sink the query event journal to (see
 // WithJournal). Unset leaves journaling off.
 const EnvJournal = "FUSEME_JOURNAL"
 
 // WithTracing keeps every query's journal events, plus a task event per task
-// attempt with the body's fetch/kernel/cache/send sub-spans, until
+// attempt with the body's fetch/kernel/send sub-spans, until
 // ResetObservations; Session.WriteTrace renders them (obs.ChromeTrace). A
 // WithJournal sink receives the same events, so it renders the same trace
 // offline. Without this option the instrumentation reduces to pointer checks.
@@ -98,42 +93,6 @@ func WithMetricsAddr(addr string) Option {
 		s.metricsAddr = addr
 		return nil
 	}
-}
-
-// WithBlockCache enables the worker-resident block cache for loop-invariant
-// inputs with a per-worker byte budget (0 disables; the effective budget is
-// clamped to the per-task memory budget θt). Iterative workloads whose
-// queries re-consume an unchanged input (e.g. the data matrix X in GNMF)
-// skip re-shipping its blocks from the second iteration on; results are
-// bit-identical with the cache on or off. Under the TCP runtime every stage
-// carries the budget to the workers, which size their one cache from it, so
-// hits count as they do on the simulated cluster; a worker running a stage
-// of a session without a budget uses no cache. Default 0, or
-// FUSEME_CACHE_BYTES.
-func WithBlockCache(bytes int64) Option {
-	return func(s *Session) error {
-		if bytes < 0 {
-			return fmt.Errorf("fuseme: BlockCache budget = %d, must be >= 0", bytes)
-		}
-		s.cc.CacheBytes = bytes
-		return nil
-	}
-}
-
-// resolveCacheBytes fixes the one setting with more than one source, after
-// the options ran: cache bytes (option > environment > off).
-func (s *Session) resolveCacheBytes() error {
-	var n int64
-	if env := os.Getenv(EnvCacheBytes); env != "" {
-		var err error
-		if n, err = strconv.ParseInt(env, 10, 64); err != nil || n < 0 {
-			return fmt.Errorf("fuseme: %s=%q: want a non-negative byte count", EnvCacheBytes, env)
-		}
-	}
-	if s.cc.CacheBytes < 0 {
-		s.cc.CacheBytes = n
-	}
-	return nil
 }
 
 // startMetricsServer starts the /metrics + /debug/stats endpoint if

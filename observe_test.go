@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -227,49 +228,53 @@ func TestSessionCalibrationDefault(t *testing.T) {
 // and of the environment variables NewSession resolves.
 func TestSessionOptionValidation(t *testing.T) {
 	cfg := LocalClusterConfig()
-	if _, err := NewSession(cfg, WithBlockCache(-1)); err == nil {
-		t.Error("WithBlockCache(-1) accepted")
+	if _, err := NewSession(cfg, WithJournal(nil)); err == nil {
+		t.Error("WithJournal(nil) accepted")
 	}
+	dir := t.TempDir()
 	for _, c := range []struct{ env, bad, good string }{
-		{EnvCacheBytes, "-1", "0"},
+		{EnvJournal, filepath.Join(dir, "missing", "j.jsonl"), filepath.Join(dir, "j.jsonl")},
 	} {
 		t.Setenv(c.env, c.bad)
 		if _, err := NewSession(cfg); err == nil || !strings.Contains(err.Error(), c.env) {
 			t.Errorf("%s=%s: err = %v, want one naming the variable", c.env, c.bad, err)
 		}
 		t.Setenv(c.env, c.good)
-		if _, err := NewSession(cfg); err != nil {
+		if sess, err := NewSession(cfg); err != nil {
 			t.Errorf("%s=%s rejected: %v", c.env, c.good, err)
+		} else {
+			sess.Close()
 		}
 		os.Unsetenv(c.env)
 	}
 }
 
 // TestSessionSettingsAreSnapshotted: NewSession reads the environment once.
-// A session built under FUSEME_CACHE_BYTES keeps its cache — after Close
-// rebuilds the backend too — when the variable is gone.
+// A session built under FUSEME_JOURNAL journals into that file after the
+// variable names another one.
 func TestSessionSettingsAreSnapshotted(t *testing.T) {
-	t.Setenv(EnvCacheBytes, "1073741824")
+	dir := t.TempDir()
+	first, second := filepath.Join(dir, "first.jsonl"), filepath.Join(dir, "second.jsonl")
+	t.Setenv(EnvJournal, first)
 	sess := newTestSession(t)
-	os.Unsetenv(EnvCacheBytes)
+	t.Setenv(EnvJournal, second)
 	bindTestInputs(sess)
+	if _, err := sess.Query(obsTestScript); err != nil {
+		t.Fatal(err)
+	}
 	if err := sess.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for range 2 {
-		if _, err := sess.Query(obsTestScript); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rtm, err := sess.runtime()
+	f, err := os.Open(first)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cb := rtm.Config().CacheBytes; cb != 1<<30 {
-		t.Errorf("rebuilt backend runs with CacheBytes = %d, want the 1 GiB read at NewSession", cb)
+	defer f.Close()
+	if events, err := obs.ReadEvents(f); err != nil || len(events) == 0 {
+		t.Errorf("the journal named at NewSession holds %d events (err %v), want the query's", len(events), err)
 	}
-	if sess.LastStats().CacheHits == 0 {
-		t.Error("the repeat query on the rebuilt backend hit nothing")
+	if _, err := os.Stat(second); !os.IsNotExist(err) {
+		t.Errorf("the journal named after NewSession was opened: %v", err)
 	}
 }
 
