@@ -64,7 +64,6 @@ func main() {
 	queueWait := flag.Duration("queue-wait", 10*time.Second, "max time a queued submission waits for memory before 429")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight plans on shutdown")
 	tenants := flag.String("tenants", "", "tenant table name:token:weight[:quotaMB],... (default "+EnvTenants+", or a single open tenant)")
-	noPlanCache := flag.Bool("no-plan-cache", false, "disable the shared compiled-plan cache")
 	journal := flag.String("journal", "", "sink the query event journal to this JSONL file (the in-memory ring behind /v1/queries is always on)")
 	var datasets stringsFlag
 	flag.Var(&datasets, "dataset", "preload a named dataset: name=dense:RxC:lo:hi:seed, name=sparse:RxC:density:lo:hi:seed or name=file:PATH (repeatable)")
@@ -114,9 +113,6 @@ func main() {
 		BudgetBytes: *budget,
 		QueueDepth:  *queueDepth,
 		QueueWait:   *queueWait,
-	}
-	if *noPlanCache {
-		scfg.PlanCacheEntries = -1
 	}
 	scfg.JournalPath = *journal
 	srv, err := serve.New(scfg)

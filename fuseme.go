@@ -52,7 +52,7 @@ type ClusterConfig struct {
 	NetBandwidth  float64 // peak network bandwidth per node, bytes/s (paper: 1 Gbps)
 	CompBandwidth float64 // peak compute bandwidth per node, flop/s (paper: 546 GFLOPS)
 	BlockSize     int     // block width/height (paper: 1000)
-	SimTimeLimit  float64 // simulated-seconds limit before ErrTimeout; 0 = none
+	SimTimeLimit  float64 // limit on a plan's simulated seconds: a plan over it is refused with ErrTimeout before it runs, on either runtime; 0 = none
 
 	// Runtime selects the execution backend: "sim" (default) runs stages
 	// in-process on the simulated cluster; "tcp" distributes them over
@@ -184,15 +184,20 @@ func (e Engine) internal() (core.Engine, error) {
 // Errors surfaced by query execution.
 var (
 	// ErrOutOfMemory reports that an operator's estimated per-task memory
-	// exceeded the cluster's task budget.
+	// exceeded the cluster's task budget; the plan was refused before any of
+	// it ran.
 	ErrOutOfMemory = cluster.ErrOutOfMemory
-	// ErrTimeout reports that the simulated time limit was exceeded.
+	// ErrTimeout reports that a plan's simulated clock exceeded the time
+	// limit; the plan was refused before any of it ran.
 	ErrTimeout = cluster.ErrTimeout
 )
 
 // Stats summarises one query execution. It is the runtime's own record,
 // cluster.Stats, so a query's stats carry the same fields, and encode to the
-// same JSON keys, as a stage's flight record and /debug/stats.
+// same JSON keys, as a stage's flight record and /debug/stats. The runtime
+// fills in what it measured (bytes, flops, stages, tasks, wall time);
+// SimSeconds is the plan's Eq. 2 clock, core.Simulate's, the same on either
+// runtime and equal to the query's planned pred_seconds.
 // PrefetchSeconds is always zero: nothing prefetches across tasks, and the
 // field stays only until the benchmark stops reading it.
 type Stats = cluster.Stats
@@ -284,7 +289,8 @@ type Session struct {
 	// queryMu serialises Query; a second caller gets ErrSessionBusy rather
 	// than corrupting shared per-query state (inputs, stats, obs).
 	queryMu sync.Mutex
-	// closeMu makes Close idempotent under concurrent callers.
+	// closeMu makes Close idempotent under concurrent callers, and guards
+	// the journal Close drops (the FUSEME_JOURNAL one).
 	closeMu sync.Mutex
 
 	// rtMu guards the execution backend, constructed lazily, and the tenant
@@ -307,7 +313,7 @@ type Session struct {
 	sched       *Scheduler // WithScheduler; nil = backend-private dispatch
 	lastPlanHit bool       // most recent compile came from the plan cache
 
-	journal     *obs.Journal  // WithJournal/FUSEME_JOURNAL; nil = off
+	journal     *obs.Journal  // WithJournal/FUSEME_JOURNAL (until Close); nil = off
 	timeline    *obs.Timeline // WithTracing: every event since ResetObservations; nil = off
 	journalFile *os.File      // FUSEME_JOURNAL sink, the one file the session opens and closes
 	pendingQLog *obs.QueryLog // SetQueryLog target consumed by the next Query
@@ -477,16 +483,20 @@ func (s *Session) runtime() (rt.Runtime, error) {
 }
 
 // Close releases the session's execution backend (worker connections under
-// the TCP runtime) and stops the metrics endpoint, if any. It is idempotent
-// and safe for concurrent callers; a second Close is a no-op. The session
-// can be used again afterwards; the backend is reconstructed on demand (the
-// metrics endpoint is not).
+// the TCP runtime), stops the metrics endpoint, if any, and closes the
+// FUSEME_JOURNAL file the session opened. It is idempotent and safe for
+// concurrent callers; a second Close is a no-op. The session can be used
+// again afterwards; the backend is reconstructed on demand (the metrics
+// endpoint and the FUSEME_JOURNAL journal are not: later queries journal
+// only into a WithJournal journal).
 func (s *Session) Close() error {
 	s.closeMu.Lock()
 	srv := s.metricsSrv
 	s.metricsSrv = nil
-	journalFile := s.journalFile
-	s.journalFile = nil
+	j, journalFile := s.journal, s.journalFile
+	if journalFile != nil {
+		s.journal, s.journalFile = nil, nil
+	}
 	s.closeMu.Unlock()
 	var err error
 	if srv != nil {
@@ -503,7 +513,7 @@ func (s *Session) Close() error {
 	}
 	// A sink handed in by the caller (WithJournal) is flushed, not closed;
 	// the FUSEME_JOURNAL file is the session's own.
-	if cerr := s.journal.Flush(); err == nil {
+	if cerr := j.Flush(); err == nil {
 		err = cerr
 	}
 	if journalFile != nil {
@@ -632,14 +642,14 @@ func (s *Session) Query(script string) (map[string]*Matrix, error) {
 		}
 		needed[in.Name] = b
 	}
-	if qlog != nil {
-		planned := cq.pp.Planned(s.engine.Name(), cq.rtm.Config())
-		planned.PlanCacheHit, planned.ParseSeconds, planned.CompileSeconds = s.lastPlanHit, cq.parseS, cq.compileS
-		qlog.Emit(planned)
-	}
+	planned := obs.Event{Engine: s.engine.Name(), PlanCacheHit: s.lastPlanHit,
+		ParseSeconds: cq.parseS, CompileSeconds: cq.compileS}
 	cq.rtm.ResetStats()
-	out, err := core.ExecuteObs(cq.pp, cq.rtm, needed, s.obs)
+	out, sim, err := core.ExecuteObs(cq.pp, cq.rtm, needed, s.obs, &planned)
+	// The runtime measures; the plan's clock is Simulate's, the same
+	// number the planned event carries, on either runtime.
 	s.last = cq.rtm.Stats()
+	s.last.SimSeconds = sim.SimSeconds
 	if err != nil {
 		return fail(err)
 	}
@@ -662,12 +672,15 @@ func (s *Session) Query(script string) (map[string]*Matrix, error) {
 func (s *Session) beginQueryLog() *obs.QueryLog {
 	q := s.pendingQLog
 	s.pendingQLog = nil
-	if q == nil && (s.journal != nil || s.timeline != nil) {
+	s.closeMu.Lock()
+	j := s.journal
+	s.closeMu.Unlock()
+	if q == nil && (j != nil || s.timeline != nil) {
 		s.queryCount++
 		s.rtMu.Lock()
 		tenant := s.tenant
 		s.rtMu.Unlock()
-		q = obs.NewQueryLog(s.journal, fmt.Sprintf("q%d", s.queryCount), tenant)
+		q = obs.NewQueryLog(j, fmt.Sprintf("q%d", s.queryCount), tenant)
 	}
 	return q.Tee(s.timeline)
 }

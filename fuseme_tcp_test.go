@@ -11,6 +11,7 @@ import (
 
 	"fuseme/internal/chaos/chaostest"
 	"fuseme/internal/cluster"
+	"fuseme/internal/core"
 	"fuseme/internal/membership"
 	"fuseme/internal/obs"
 	"fuseme/internal/rt/remote"
@@ -139,6 +140,49 @@ func TestSessionTCPRuntime(t *testing.T) {
 	}
 	if _, err := sess.Query(script); err != nil {
 		t.Fatalf("query after Close: %v", err)
+	}
+}
+
+// TestSimSecondsIsThePlansClock: a query's LastStats().SimSeconds is the
+// plan's Eq. 2 clock, core.Simulate of the plan it executed: bit for bit the
+// same on the simulated cluster and over TCP workers, and the planned
+// event's pred_seconds.
+func TestSimSecondsIsThePlansClock(t *testing.T) {
+	const script = "O = X * log(U %*% t(V) + 1e-3)"
+	sim := LocalClusterConfig()
+	tcp := sim
+	tcp.Runtime, tcp.Workers = "tcp", startWorkers(t, sim.Nodes)
+	var clocks []float64
+	for _, cfg := range []ClusterConfig{sim, tcp} {
+		j := NewJournal(0, nil)
+		sess, err := NewSession(cfg, WithJournal(j))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sess.Close() })
+		bindTestInputs(sess)
+		if _, err := sess.Query(script); err != nil {
+			t.Fatalf("%s: %v", cfg.Runtime, err)
+		}
+		got := sess.LastStats().SimSeconds
+		cq, err := sess.compile(script)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := core.Simulate(cq.pp, cq.rtm.Config())
+		if err != nil {
+			t.Fatal(err)
+		}
+		planned := j.Events("q1")[0]
+		if got <= 0 || math.Float64bits(got) != math.Float64bits(want.SimSeconds) ||
+			planned.Type != obs.EvPlanned || math.Float64bits(planned.PredSeconds) != math.Float64bits(got) {
+			t.Errorf("%q runtime: SimSeconds %v, Simulate %v, planned %s %v; want one clock",
+				cfg.Runtime, got, want.SimSeconds, planned.Type, planned.PredSeconds)
+		}
+		clocks = append(clocks, got)
+	}
+	if math.Float64bits(clocks[0]) != math.Float64bits(clocks[1]) {
+		t.Errorf("SimSeconds: sim %v, tcp %v; want bit-identical", clocks[0], clocks[1])
 	}
 }
 

@@ -3,16 +3,19 @@
 // eight workers, 12 tasks per node, 1 Gbps Ethernet): tasks run on the stage
 // driver both runtimes share (sched.Run: TasksPerNode lanes per node, and at
 // most GOMAXPROCS tasks at once in-process), every block that moves between
-// storage, the driver and a task is metered in bytes, per-task memory is
-// tracked against the budget θt, and a simulated clock advances per
-// execution stage by the paper's Eq. 2 (Config.Eq2) plus the stage's
-// scheduling overhead (Config.WaveOverhead):
+// storage, the driver and a task is metered in bytes, and per-task memory is
+// tracked. A stage's Stats hold only measurements — bytes, flops, tasks and
+// wall time — as the TCP runtime's do. The paper's Eq. 2 (Config.Eq2) plus
+// the scheduling overhead of a stage's task waves (Config.WaveOverhead)
+// price a plan, not an executed stage:
 //
 //	stageTime = max(stageBytes / (N * B̂n), stageFlops / (N * B̂c)) + overhead
 //
-// because computation and communication overlap within a stage. Real local
+// because computation and communication overlap within a stage. core.Simulate
+// is the one clock: it prices a compiled plan from its estimates and refuses
+// it (ErrOutOfMemory, ErrTimeout) before execution starts. Real local
 // arithmetic still runs (and is verified against references in tests); only
-// placement and the clock are simulated.
+// placement is simulated.
 package cluster
 
 import (
@@ -31,8 +34,9 @@ import (
 // memory exceeds the task budget. This is the O.O.M. of the paper's figures.
 var ErrOutOfMemory = errors.New("task memory budget exceeded (O.O.M.)")
 
-// ErrTimeout is returned (wrapped) when the simulated clock passes the
-// configured limit. This is the T.O. (12 h in the paper) of the figures.
+// ErrTimeout is returned (wrapped) when a plan's simulated clock
+// (core.Simulate) passes the configured limit. This is the T.O. (12 h in the
+// paper) of the figures.
 var ErrTimeout = errors.New("simulated time limit exceeded (T.O.)")
 
 // Config describes the simulated cluster.
@@ -43,7 +47,7 @@ type Config struct {
 	NetBandwidth  float64 // B̂n: peak network bandwidth per node, bytes/s
 	CompBandwidth float64 // B̂c: peak computation bandwidth per node, flop/s
 	BlockSize     int     // block width/height in elements
-	SimTimeLimit  float64 // simulated seconds before ErrTimeout; 0 disables
+	SimTimeLimit  float64 // a plan's simulated seconds (core.Simulate) before ErrTimeout; 0 disables
 	TaskOverhead  float64 // simulated seconds of scheduling overhead per task wave
 
 	// MaxTaskRetries is how many times a failed task is re-attempted before
@@ -96,9 +100,9 @@ func (c Config) Validate() error {
 // CheckAdmission rejects an operator, named by what, whose estimated
 // per-task memory exceeds the budget θt, wrapping ErrOutOfMemory. Engines with
 // no partitioning knob (BFO, MatFast's folded operators) fail here, as in the
-// paper. It is the one admission check: the executor's plan walk and the dry
-// run (core.Simulate) both call it only once an operator's estimate is over
-// θt, so what is built only for a rejection.
+// paper. It is the one admission check: core.Simulate, which the executor
+// runs before any operator starts, calls it only once an operator's estimate
+// is over θt, so what is built only for a rejection.
 func (c Config) CheckAdmission(estTaskMemBytes int64, what string) error {
 	if estTaskMemBytes > c.TaskMemBytes {
 		return fmt.Errorf("%s needs %s per task, budget %s: %w",
@@ -120,11 +124,11 @@ func (c Config) Seat(gate *sched.Scheduler) *sched.Seat {
 // Eq2 prices the two terms of the paper's Eq. 2 on this cluster: netBytes of
 // cluster-wide traffic over N × B̂n and flops over N × B̂c, both per-node
 // constants as configured (kernel threads are part of what a node achieves,
-// not a factor on B̂c). Computation and
-// communication overlap, so a stage takes the larger of the two. This is the
-// one place the model prices a term: the optimizer's objective, the simulated
-// clock, -explain and the calibration report all call it. A non-positive
-// bandwidth prices its term at zero.
+// not a factor on B̂c). Computation and communication overlap, so a stage
+// takes the larger of the two. This is the one place the model prices a
+// term: the optimizer's objective, the plan's clock (core.Simulate),
+// -explain and the calibration report all call it. A non-positive bandwidth
+// prices its term at zero.
 func (c Config) Eq2(netBytes, flops float64) (netSec, compSec float64) {
 	n := float64(c.Nodes)
 	if c.NetBandwidth > 0 {
@@ -160,8 +164,8 @@ type Stats struct {
 	Flops              int64   `json:"flops,omitempty"`               // floating-point operations executed
 	Stages             int     `json:"stages,omitempty"`              // distributed stages launched
 	Tasks              int     `json:"tasks,omitempty"`               // tasks launched across all stages
-	SimSeconds         float64 `json:"sim_seconds,omitempty"`         // simulated elapsed time (Eq. 2 per stage)
-	WallSeconds        float64 `json:"wall_seconds,omitempty"`        // real wall-clock time of local execution
+	SimSeconds         float64 `json:"sim_seconds,omitempty"`         // the plan's Eq. 2 clock (core.Simulate); no runtime writes it
+	WallSeconds        float64 `json:"wall_seconds,omitempty"`        // real wall-clock time of execution
 	PeakTaskMemBytes   int64   `json:"peak_task_mem_bytes,omitempty"` // max per-task memory high-water mark
 	MaxTaskFlops       int64   `json:"max_task_flops,omitempty"`      // heaviest single task (load-balance metric)
 
@@ -419,10 +423,9 @@ func (t *Task) Metrics() Stats {
 // on a node and, on the cluster's own gate, min(TotalSlots, GOMAXPROCS) in
 // all. fn runs once per task attempt, on a Task carrying the node whose lane
 // runs it (Task.Node), the kernel pool and the stage's own stats
-// (Task.StageStats). Task metrics are
-// folded into those and into the cluster stats, and the simulated clock
-// advances per Eq. 2. The first error aborts the stage once in-flight tasks
-// finish; a simulated-time overrun returns a wrapped ErrTimeout.
+// (Task.StageStats). Task metrics are folded into those and into the cluster
+// stats, with the stage's wall time. The first error aborts the stage once
+// in-flight tasks finish.
 func (c *Cluster) RunStage(name string, numTasks int, fn func(t *Task) error) error {
 	if numTasks < 0 {
 		return fmt.Errorf("cluster: stage %q: negative task count", name)
@@ -445,19 +448,11 @@ func (c *Cluster) RunStage(name string, numTasks int, fn func(t *Task) error) er
 		stage.Add(tasks[i].Metrics())
 	}
 	stage.Stages, stage.Tasks, stage.StealTasks = 1, numTasks, steals
-	stage.SimSeconds = max(c.cfg.Eq2(float64(stage.TotalCommBytes()), float64(stage.Flops))) +
-		c.cfg.WaveOverhead(numTasks)
 	stage.WallSeconds = time.Since(start).Seconds()
 
 	c.mu.Lock()
 	c.stats.Add(*stage)
-	over := c.cfg.SimTimeLimit > 0 && c.stats.SimSeconds > c.cfg.SimTimeLimit
-	total := c.stats.SimSeconds
 	c.mu.Unlock()
-	if over {
-		return fmt.Errorf("stage %q: simulated time %.1fs exceeds limit %.1fs: %w",
-			name, total, c.cfg.SimTimeLimit, ErrTimeout)
-	}
 	return nil
 }
 

@@ -74,15 +74,6 @@ type PhysPlan struct {
 	producers [][]int
 }
 
-// checkLowered refuses a plan Lower never linked: Execute and Simulate read
-// its lowered stages and dependency edges.
-func (pp *PhysPlan) checkLowered() error {
-	if len(pp.producers) != len(pp.Ops) {
-		return fmt.Errorf("core: plan was never lowered (PhysPlan.Lower)")
-	}
-	return nil
-}
-
 // Producers returns the indices of the operators whose results operator i
 // reads: the operators it waits for.
 func (pp *PhysPlan) Producers(i int) []int { return pp.producers[i] }
@@ -156,18 +147,6 @@ func (pp *PhysPlan) Describe() string {
 	return b.String()
 }
 
-// Planned is the journal's planned event of the plan, compiled by the engine
-// named engine for cfg's cluster: the plan text, its operator count and the
-// predicted time, Simulate's clock. The caller adds what it timed (parse,
-// compile).
-func (pp *PhysPlan) Planned(engine string, cfg cluster.Config) obs.Event {
-	// An admission failure or a time-limit overrun is Execute's to report;
-	// the prediction is the clock as far as Simulate got.
-	s, _ := Simulate(pp, cfg)
-	return obs.Event{Type: obs.EvPlanned, Engine: engine, Plan: pp.Describe(),
-		Operators: len(pp.Ops), PredSeconds: s.SimSeconds}
-}
-
 // DescribeCosts renders the plan's per-operator cost predictions: each fused
 // operator's chosen (P,Q,R) with its predicted network, computation and
 // per-task memory terms and the Eq. 2 time decomposition under cfg's cluster
@@ -210,44 +189,60 @@ type Engine interface {
 // cluster or a remote coordinator) as the DAG its operators form: every
 // operator whose inputs are materialised runs at once, each running its
 // lowered stages and materialising its roots' values, which the operators
-// depending on it consume as external inputs. Admission control rejects
-// operators whose estimated per-task memory exceeds the budget (the O.O.M.
-// of the paper's figures). The first error wins: operators already running
-// finish, no operator starts after it, and Execute returns it once none is
-// running.
+// depending on it consume as external inputs. Before any operator starts,
+// the plan is priced once by Simulate on the runtime's cluster shape, and a
+// plan Simulate refuses fails there, on either runtime: an operator whose
+// estimated per-task memory exceeds the budget (the O.O.M. of the paper's
+// figures), or a clock past SimTimeLimit (the T.O.). Once running, the first
+// error wins: operators already running finish, no operator starts after it,
+// and Execute returns it once none is running.
 func Execute(pp *PhysPlan, rtm rt.Runtime, inputs map[string]*block.Matrix) (map[string]*block.Matrix, error) {
-	return ExecuteObs(pp, rtm, inputs, nil)
+	out, _, err := ExecuteObs(pp, rtm, inputs, nil, nil)
+	return out, err
 }
 
 // ExecuteObs is Execute with observability: it threads o into every
 // operator, so stages and tasks are instrumented and every stage's flight
-// record carries the operator's compile-time cost prediction. A nil o is
-// exactly Execute.
-func ExecuteObs(pp *PhysPlan, rtm rt.Runtime, inputs map[string]*block.Matrix, o *obs.Obs) (map[string]*block.Matrix, error) {
+// record carries the operator's compile-time cost prediction. With planned
+// non-nil and a query log on o, the log opens with the plan's planned event:
+// planned's fields (the engine, what the caller timed) with the plan's text,
+// its operator count and Simulate's clock as pred_seconds, also when
+// Simulate refuses the plan. It returns Simulate's stats beside the outputs,
+// the plan's clock included. A nil o and planned is exactly Execute.
+func ExecuteObs(pp *PhysPlan, rtm rt.Runtime, inputs map[string]*block.Matrix, o *obs.Obs, planned *obs.Event) (map[string]*block.Matrix, cluster.Stats, error) {
+	sim, err := Simulate(pp, rtm.Config())
+	if planned != nil && o != nil && o.QLog != nil {
+		ev := *planned
+		ev.Type, ev.Plan, ev.Operators, ev.PredSeconds = obs.EvPlanned, pp.Describe(), len(pp.Ops), sim.SimSeconds
+		o.QLog.Emit(ev)
+	}
+	if err != nil {
+		return nil, sim, err
+	}
 	values := map[int]*block.Matrix{}
 	for _, in := range pp.Graph.InputNodes() {
 		m, ok := inputs[in.Name]
 		if !ok {
-			return nil, fmt.Errorf("core: missing input %q", in.Name)
+			return nil, sim, fmt.Errorf("core: missing input %q", in.Name)
 		}
 		if m.Rows != in.Rows || m.Cols != in.Cols {
-			return nil, fmt.Errorf("core: input %q is %dx%d, query declares %dx%d",
+			return nil, sim, fmt.Errorf("core: input %q is %dx%d, query declares %dx%d",
 				in.Name, m.Rows, m.Cols, in.Rows, in.Cols)
 		}
 		values[in.ID] = m
 	}
 	if err := pp.walk(rtm, values, o); err != nil {
-		return nil, err
+		return nil, sim, err
 	}
 	outputs := make(map[string]*block.Matrix, len(pp.Graph.Outputs()))
 	for name, n := range pp.Graph.Outputs() {
 		v, ok := values[n.ID]
 		if !ok {
-			return nil, fmt.Errorf("core: output %q (node %d) was never materialised", name, n.ID)
+			return nil, sim, fmt.Errorf("core: output %q (node %d) was never materialised", name, n.ID)
 		}
 		outputs[name] = v
 	}
-	return outputs, nil
+	return outputs, sim, nil
 }
 
 // walk runs the plan's operators as their dependency edges allow, reading
@@ -258,15 +253,11 @@ func ExecuteObs(pp *PhysPlan, rtm rt.Runtime, inputs map[string]*block.Matrix, o
 // operator journals through its own part of the query log (QueryLog.Parts),
 // so the journal keeps plan order while stages overlap.
 func (pp *PhysPlan) walk(rtm rt.Runtime, values map[int]*block.Matrix, o *obs.Obs) error {
-	if err := pp.checkLowered(); err != nil {
-		return err
-	}
 	var qlog *obs.QueryLog
 	if o != nil {
 		qlog = o.QLog
 	}
 	logs := qlog.Parts(len(pp.Ops))
-	cfg := rtm.Config()
 	type ended struct {
 		i    int
 		outs []*block.Matrix
@@ -285,17 +276,12 @@ func (pp *PhysPlan) walk(rtm rt.Runtime, values map[int]*block.Matrix, o *obs.Ob
 			users[j] = append(users[j], i)
 		}
 	}
-	// start starts operator i, unless an operator failed already or i's
-	// admission fails, which fails the query.
+	// start starts operator i, unless an operator failed already.
 	start := func(i int) {
 		if firstErr != nil {
 			return
 		}
 		op := pp.Ops[i]
-		if op.Est.MemPerTask > cfg.TaskMemBytes {
-			firstErr = cfg.CheckAdmission(op.Est.MemPerTask, op.desc())
-			return
-		}
 		lo := op.Lowered
 		bind := exec.Bindings{}
 		for _, in := range lo.Inputs() {
@@ -360,7 +346,7 @@ func RunObs(e Engine, g *dag.Graph, rtm rt.Runtime, inputs map[string]*block.Mat
 	if err != nil {
 		return nil, rtm.Stats(), fmt.Errorf("%s: compile: %w", e.Name(), err)
 	}
-	out, err := ExecuteObs(pp, rtm, inputs, o)
+	out, _, err := ExecuteObs(pp, rtm, inputs, o, nil)
 	if err != nil {
 		return nil, rtm.Stats(), fmt.Errorf("%s: %w", e.Name(), err)
 	}

@@ -3,6 +3,7 @@ package core_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -321,6 +322,35 @@ func TestSimulateTimeout(t *testing.T) {
 	}
 	if _, err := core.Simulate(pp, cl.Config()); !errors.Is(err, cluster.ErrTimeout) {
 		t.Fatalf("got %v, want T.O.", err)
+	}
+}
+
+// TestSimTimeout: the T.O. is the plan's. Execute refuses a plan whose
+// Simulate clock passes SimTimeLimit before any stage runs, and runs the
+// same plan with the limit at its clock.
+func TestSimTimeout(t *testing.T) {
+	tc := smallWorkloads(t)[0]
+	cfg := testCluster(5).Config()
+	pp, err := (core.FuseME{}).Compile(tc.graph, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := core.Simulate(pp, cfg)
+	if err != nil || sim.SimSeconds <= 0 {
+		t.Fatalf("Simulate = %v s, %v", sim.SimSeconds, err)
+	}
+	inputs := blockInputs(tc.flats, 5)
+	cfg.SimTimeLimit = math.Nextafter(sim.SimSeconds, 0)
+	cl := cluster.MustNew(cfg)
+	if _, err := core.Execute(pp, cl, inputs); !errors.Is(err, cluster.ErrTimeout) {
+		t.Fatalf("Execute with the limit just below the plan's clock = %v, want T.O.", err)
+	}
+	if s := cl.Stats(); s.Stages != 0 || s.Tasks != 0 {
+		t.Errorf("a refused plan ran %d stages / %d tasks", s.Stages, s.Tasks)
+	}
+	cfg.SimTimeLimit = sim.SimSeconds
+	if _, err := core.Execute(pp, cluster.MustNew(cfg), inputs); err != nil {
+		t.Errorf("Execute with the limit at the plan's clock: %v", err)
 	}
 }
 

@@ -6,12 +6,15 @@ import (
 	"fuseme/internal/cluster"
 )
 
-// Simulate dry-runs a compiled plan at full scale: no blocks are computed;
-// instead, the compile-time estimates drive the same admission control,
-// communication accounting and simulated clock (Eq. 2) that real execution
-// uses. This is how the experiment harness reproduces the paper's figures at
-// their original dimensions (hundreds of thousands to millions of block
-// rows), which no single machine could materialise.
+// Simulate prices a compiled plan at full scale, the one clock of the
+// system: no blocks are computed; instead, the compile-time estimates drive
+// admission control, communication accounting and the paper's Eq. 2. Execute
+// runs it before any operator starts, on either runtime, and refuses the
+// plan it refuses; a session reports its clock as LastStats().SimSeconds and
+// as the planned event's pred_seconds. This is also how the experiment
+// harness reproduces the paper's figures at their original dimensions
+// (hundreds of thousands to millions of block rows), which no single machine
+// could materialise.
 //
 // It reads the plan Execute runs: the stages and tasks are each operator's
 // lowered stages (so they equal what execution meters), and each operator's
@@ -21,9 +24,8 @@ import (
 // so time is charged per dependency level of the plan's producer edges:
 // bytes and flops add up across a level's operators, the level's scheduling
 // overhead is the largest of its operators' wave overheads (each summed over
-// the operator's stages, as Cluster.RunStage charges them), and levels
-// execute in sequence. This is where fusion's stage-count reduction
-// becomes visible.
+// the operator's stages), and levels execute in sequence. This is where
+// fusion's stage-count reduction becomes visible.
 //
 // A plan that was never lowered is refused. Admission failures return a
 // wrapped cluster.ErrOutOfMemory; exceeding the configured simulated-time
@@ -31,8 +33,8 @@ import (
 // before the failure are returned either way.
 func Simulate(pp *PhysPlan, cfg cluster.Config) (cluster.Stats, error) {
 	var s cluster.Stats
-	if err := pp.checkLowered(); err != nil {
-		return s, err
+	if len(pp.producers) != len(pp.Ops) {
+		return s, fmt.Errorf("core: plan was never lowered (PhysPlan.Lower)")
 	}
 	// One slice, two uses: lv[i].depth is operator i's dependency level, and
 	// lv[l] sums level l's terms. An operator's level is at most its index

@@ -39,12 +39,8 @@ func (o Options) execute(id string, e core.Engine, g *dag.Graph, rtm rt.Runtime,
 	start := time.Now()
 	pp, err := e.Compile(g, rtm.Config())
 	if err == nil {
-		if qlog != nil {
-			planned := pp.Planned(e.Name(), rtm.Config())
-			planned.CompileSeconds = time.Since(start).Seconds()
-			qlog.Emit(planned)
-		}
-		_, err = core.ExecuteObs(pp, rtm, inputs, &obs.Obs{Trace: o.Timeline != nil, QLog: qlog})
+		planned := obs.Event{Engine: e.Name(), CompileSeconds: time.Since(start).Seconds()}
+		_, _, err = core.ExecuteObs(pp, rtm, inputs, &obs.Obs{Trace: o.Timeline != nil, QLog: qlog}, &planned)
 	}
 	end := obs.Event{Type: obs.EvDone, Seconds: time.Since(start).Seconds()}
 	if err != nil {

@@ -94,8 +94,8 @@ type ReportRow struct {
 
 	// Meas is the operator's stage measurements summed with Stats.Add, so
 	// PeakTaskMemBytes is their maximum. Meas.TotalCommBytes is compared
-	// with PredNetBytes, Meas.Flops with PredComFlops and Meas.SimSeconds,
-	// the stages' clock, with PredSeconds.
+	// with PredNetBytes, Meas.Flops with PredComFlops and Meas.WallSeconds,
+	// the stages' measured wall time, with PredSeconds.
 	Meas cluster.Stats
 
 	EffNetBW  float64 // measured net / (N * wall); 0 when wall is 0
@@ -169,7 +169,7 @@ func (c *Calibration) Report(cc cluster.Config) *Report {
 		row.PredComFlops *= int64(row.Executions)
 		netSec, comSec := cc.Eq2(float64(row.PredNetBytes), float64(row.PredComFlops))
 		row.PredSeconds = max(netSec, comSec)
-		net, flops, wall := float64(row.Meas.TotalCommBytes()), float64(row.Meas.Flops), row.Meas.SimSeconds
+		net, flops, wall := float64(row.Meas.TotalCommBytes()), float64(row.Meas.Flops), row.Meas.WallSeconds
 		if wall > 0 {
 			row.EffNetBW = backSolve(net, wall, cc.Nodes)
 			row.EffCompBW = backSolve(flops, wall, cc.Nodes)
@@ -240,7 +240,7 @@ func (r *Report) String() string {
 			w, row.Op, pqr, row.Executions,
 			fmt.Sprintf("%s→%s", fmtCount(float64(row.PredNetBytes), "B"), fmtCount(float64(row.Meas.TotalCommBytes()), "B")),
 			fmt.Sprintf("%s→%s", fmtCount(float64(row.PredComFlops), "fl"), fmtCount(float64(row.Meas.Flops), "fl")),
-			fmt.Sprintf("%.3gs→%.3gs", row.PredSeconds, row.Meas.SimSeconds),
+			fmt.Sprintf("%.3gs→%.3gs", row.PredSeconds, row.Meas.WallSeconds),
 			fmtRate(row.EffNetBW, "B/s"), fmtRate(row.EffCompBW, "fl/s"))
 	}
 	if r.EffNetBW > 0 || r.EffCompBW > 0 {

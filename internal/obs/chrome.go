@@ -112,7 +112,7 @@ func (r *traceRender) stage(start, end Event) {
 	}
 	if f := end.Flight; f != nil {
 		args["consolidation_bytes"], args["aggregation_bytes"] = f.Meas.ConsolidationBytes, f.Meas.AggregationBytes
-		args["flops"], args["stage_seconds"] = f.Meas.Flops, f.Meas.SimSeconds
+		args["flops"], args["stage_seconds"] = f.Meas.Flops, f.Meas.WallSeconds
 	}
 	if end.Error != "" {
 		args["error"] = end.Error

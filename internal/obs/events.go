@@ -51,7 +51,7 @@ type Event struct {
 	Plan           string  `json:"plan,omitempty"` // PhysPlan.Describe text
 	PlanCacheHit   bool    `json:"plan_cache_hit,omitempty"`
 	Operators      int     `json:"operators,omitempty"`
-	PredSeconds    float64 `json:"pred_seconds,omitempty"` // Eq. 2 total across operators
+	PredSeconds    float64 `json:"pred_seconds,omitempty"` // the plan's Eq. 2 clock (core.Simulate), a session's LastStats().SimSeconds
 	ParseSeconds   float64 `json:"parse_s,omitempty"`      // script text to DAG
 	CompileSeconds float64 `json:"compile_s,omitempty"`    // the engine's compile, or on a plan-cache hit the lookup
 
@@ -73,7 +73,8 @@ type Event struct {
 	Task *TaskSample `json:"task,omitempty"`
 	Part int         `json:"part,omitempty"`
 
-	// Completion (done/failed) and waits (admitted).
+	// Completion (done/failed), waits (admitted) and a stage_end's measured
+	// wall time.
 	Seconds float64 `json:"seconds,omitempty"`
 	Error   string  `json:"error,omitempty"`
 }

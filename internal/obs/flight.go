@@ -29,8 +29,10 @@ type FlightRecord struct {
 
 	// Meas is the stage's own stats as its runtime reported them
 	// (rt.Stage.Report), zero for a stage that failed before its tasks were
-	// folded. Meas.SimSeconds is the stage clock: the Eq. 2 model under
-	// simulation, real wall under TCP. Meas.TotalCommBytes is the traffic
-	// comparable to PredNetBytes; ExtraWireBytes has no predicted twin.
+	// folded. It holds measurements only, on either runtime: Meas.WallSeconds
+	// is the stage's wall time, and Meas.SimSeconds is zero (the plan's Eq. 2
+	// clock is core.Simulate's, on the planned event). Meas.TotalCommBytes is
+	// the traffic comparable to PredNetBytes; ExtraWireBytes has no predicted
+	// twin.
 	Meas cluster.Stats `json:"meas"`
 }

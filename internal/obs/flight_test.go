@@ -13,7 +13,7 @@ func sampleRecord(stage string) FlightRecord {
 		Stage: stage, Op: "CFO mul#3", Kind: "CFO",
 		P: 2, Q: 2, R: 1, Tasks: 4,
 		PredNetBytes: 1 << 20, PredComFlops: 1 << 24, PredMemBytes: 1 << 18,
-		Meas: cluster.Stats{SimSeconds: 0.25, ConsolidationBytes: 900_000, AggregationBytes: 120_000,
+		Meas: cluster.Stats{WallSeconds: 0.25, ConsolidationBytes: 900_000, AggregationBytes: 120_000,
 			ExtraWireBytes: 4_096, Flops: 1 << 23, PeakTaskMemBytes: 1 << 17, StealTasks: 2},
 	}
 }
@@ -83,7 +83,7 @@ func TestCalibrationFromFlight(t *testing.T) {
 	if row.P != 2 || row.Q != 2 || row.R != 1 || row.PredNetBytes != 2<<20 {
 		t.Fatalf("rebuilt prediction mismatch: %+v", row)
 	}
-	if row.Stages != 2 || row.Meas.SimSeconds != 0.5 {
+	if row.Stages != 2 || row.Meas.WallSeconds != 0.5 {
 		t.Fatalf("rebuilt totals = %+v, want 2 stages / 0.5s", row)
 	}
 	if row.Meas.TotalCommBytes() != 2*(900_000+120_000) || row.Meas.ExtraWireBytes != 2*4_096 {

@@ -79,7 +79,7 @@ func (o *Obs) StageDone(rec FlightRecord, skew StageSkew, err error) {
 // stageEnd is the stage_end event of rec.
 func stageEnd(rec *FlightRecord, err string) Event {
 	return Event{Type: EvStageEnd, Stage: rec.Stage, Op: rec.Op, Tasks: rec.Tasks,
-		Seconds: rec.Meas.SimSeconds, Flight: rec, Error: err}
+		Seconds: rec.Meas.WallSeconds, Flight: rec, Error: err}
 }
 
 // Replay runs the live folds over journal events read back (ReadEvents):

@@ -99,7 +99,7 @@ func TestChromeTraceRendersQueryStagesAndTasks(t *testing.T) {
 	time.Sleep(time.Millisecond)
 	o.TaskDone("cuboid:mul#1", TaskSample{ID: 3, Worker: 1, StageStart: start, Start: start, End: time.Now(),
 		Metrics: cluster.Stats{Flops: 7}, Spans: []cluster.TaskSpan{{Name: "kernel", Cat: "taskop", Offset: 0, Dur: time.Microsecond}}})
-	o.StageDone(FlightRecord{Stage: "cuboid:mul#1", Tasks: 1, Meas: cluster.Stats{Flops: 7, SimSeconds: 0.001}}, StageSkew{}, errors.New("boom"))
+	o.StageDone(FlightRecord{Stage: "cuboid:mul#1", Tasks: 1, Meas: cluster.Stats{Flops: 7, WallSeconds: 0.001}}, StageSkew{}, errors.New("boom"))
 	o.QLog.Emit(Event{Type: EvDone})
 
 	spans := renderSpans(t, tl.Events())
@@ -292,12 +292,12 @@ func TestCalibrationReport(t *testing.T) {
 	c.measure(FlightRecord{Stage: "cuboid:mul#1", Op: "CFO mul#1", Kind: "CFO", P: 2, Q: 2, R: 1, Tasks: 4,
 		PredNetBytes: 8e9, PredComFlops: 4e9, PredMemBytes: 64 << 20,
 		Meas: cluster.Stats{ConsolidationBytes: 3e9, AggregationBytes: 1e9, Flops: 4e9,
-			PeakTaskMemBytes: 50 << 20, SimSeconds: 10}})
+			PeakTaskMemBytes: 50 << 20, WallSeconds: 10}})
 	// Comp-bound operator: mul#2 did 8e12 flops in 5s wall → eff B̂c =
 	// 8e12/(4·5) = 4e11.
 	c.measure(FlightRecord{Stage: "cuboid:mul#2", Op: "CFO mul#2", Kind: "CFO", P: 4, Q: 1, R: 1, Tasks: 4,
 		PredNetBytes: 1e6, PredComFlops: 8e12, PredMemBytes: 32 << 20,
-		Meas: cluster.Stats{ConsolidationBytes: 1e6, Flops: 8e12, SimSeconds: 5}})
+		Meas: cluster.Stats{ConsolidationBytes: 1e6, Flops: 8e12, WallSeconds: 5}})
 
 	rep := c.Report(cc)
 	if len(rep.Rows) != 2 {
@@ -338,9 +338,9 @@ func TestCalibrationReport(t *testing.T) {
 func TestCalibrationFeedBackIsJudgedBandwidth(t *testing.T) {
 	cc := cluster.Config{Nodes: 4, NetBandwidth: 125e6, CompBandwidth: 546e9}
 	netBound := FlightRecord{Stage: "s1", Op: "CFO mul#1", PredNetBytes: 8e9, PredComFlops: 4e9,
-		Meas: cluster.Stats{ConsolidationBytes: 4e9, Flops: 4e9, SimSeconds: 10}}
+		Meas: cluster.Stats{ConsolidationBytes: 4e9, Flops: 4e9, WallSeconds: 10}}
 	compBound := FlightRecord{Stage: "s2", Op: "CFO mul#2", PredNetBytes: 1e6, PredComFlops: 8e12,
-		Meas: cluster.Stats{ConsolidationBytes: 1e6, Flops: 8e12, SimSeconds: 5}} // eff B̂c 4e11
+		Meas: cluster.Stats{ConsolidationBytes: 1e6, Flops: 8e12, WallSeconds: 5}} // eff B̂c 4e11
 	for _, c := range []struct {
 		name string
 		recs []FlightRecord
@@ -368,9 +368,9 @@ func TestCalibrationIterativeExecutions(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		partial, fuse := pred, pred
 		partial.Stage, partial.Tasks = "partial:mul#1", 8
-		partial.Meas = cluster.Stats{ConsolidationBytes: 5e8, Flops: 1e9, SimSeconds: 1}
+		partial.Meas = cluster.Stats{ConsolidationBytes: 5e8, Flops: 1e9, WallSeconds: 1}
 		fuse.Stage, fuse.Tasks = "fuse:mul#1", 4
-		fuse.Meas = cluster.Stats{AggregationBytes: 5e8, SimSeconds: 0.5}
+		fuse.Meas = cluster.Stats{AggregationBytes: 5e8, WallSeconds: 0.5}
 		c.measure(partial)
 		c.measure(fuse)
 	}
@@ -413,7 +413,7 @@ func TestCalibrationBoundedGrowth(t *testing.T) {
 		}
 		c.measure(FlightRecord{Stage: stage + ops[i%keys], Op: ops[i%keys], Kind: "CFO", P: 2, Q: 2, R: 1, Tasks: 2,
 			PredNetBytes: 1e6, PredComFlops: 1e6,
-			Meas: cluster.Stats{ConsolidationBytes: 3, AggregationBytes: 1, Flops: 5, SimSeconds: 0.5}})
+			Meas: cluster.Stats{ConsolidationBytes: 3, AggregationBytes: 1, Flops: 5, WallSeconds: 0.5}})
 	}
 	names := 0
 	for _, s := range c.rows {
@@ -430,7 +430,7 @@ func TestCalibrationBoundedGrowth(t *testing.T) {
 	const per = calls / keys
 	for _, row := range rep.Rows {
 		if row.Stages != per || row.Tasks != 2*per || row.Executions != per/2 ||
-			row.Meas.TotalCommBytes() != 4*per || row.Meas.Flops != 5*per || row.Meas.SimSeconds != 0.5*per {
+			row.Meas.TotalCommBytes() != 4*per || row.Meas.Flops != 5*per || row.Meas.WallSeconds != 0.5*per {
 			t.Fatalf("row %+v does not sum %d measurements", row, per)
 		}
 	}

@@ -15,15 +15,16 @@ import (
 )
 
 // fullRecord has every FlightRecord field, and every field of its Meas but
-// the always-zero ones, set to a distinct value. Nothing prefetches and
-// there is no block cache, so PrefetchSeconds, CacheHits and CacheSavedBytes
-// are zero in every record and their omitempty keys never appear.
+// the always-zero ones, set to a distinct value. Nothing prefetches, there
+// is no block cache and no runtime keeps a clock (the plan's is
+// core.Simulate's), so PrefetchSeconds, CacheHits, CacheSavedBytes and
+// SimSeconds are zero in every record and their omitempty keys never appear.
 func fullRecord() FlightRecord {
 	return FlightRecord{
 		Stage: "partial:mul#12", Op: "CFO mul#12", Kind: "CFO", P: 2, Q: 3, R: 4, Tasks: 24,
 		PredNetBytes: 1001, PredComFlops: 1002, PredMemBytes: 1003,
 		Meas: cluster.Stats{ConsolidationBytes: 2001, AggregationBytes: 2002, Flops: 2004,
-			Stages: 1, Tasks: 24, SimSeconds: 0.125, WallSeconds: 0.5, PeakTaskMemBytes: 2005,
+			Stages: 1, Tasks: 24, WallSeconds: 0.5, PeakTaskMemBytes: 2005,
 			MaxTaskFlops: 2006, ExtraWireBytes: 2003,
 			StealTasks: 43, FetchSeconds: 0.25, TaskSeconds: 1.5,
 			FetchCalls: 44, FetchServeSeconds: 0.375, CollectSeconds: 0.0625},
@@ -35,12 +36,12 @@ func fullRecord() FlightRecord {
 // cluster.Stats under the JSON tags a task event's metrics use. A renamed
 // tag, a reordered or dropped field fails here.
 const (
-	goldenFlight = `{"stage":"partial:mul#12","op":"CFO mul#12","kind":"CFO","p":2,"q":3,"r":4,"tasks":24,"pred_net_bytes":1001,"pred_com_flops":1002,"pred_mem_bytes":1003,"meas":{"consolidation_bytes":2001,"aggregation_bytes":2002,"flops":2004,"stages":1,"tasks":24,"sim_seconds":0.125,"wall_seconds":0.5,"peak_task_mem_bytes":2005,"max_task_flops":2006,"extra_wire_bytes":2003,"steal_tasks":43,"fetch_seconds":0.25,"task_seconds":1.5,"fetch_calls":44,"fetch_serve_seconds":0.375,"collect_seconds":0.0625}}`
-	goldenEvent  = `{"query":"q7","seq":5,"type":"stage_end","t_unix_nano":1700000000000000000,"tenant":"acme","stage":"partial:mul#12","op":"CFO mul#12","tasks":24,"flight":` + goldenFlight + `,"skew":{"stage":"partial:mul#12","tasks":24,"max_seconds":0.5,"median_seconds":0.25,"imbalance":2,"workers":[{"worker":0,"tasks":12,"seconds":3},{"worker":1,"tasks":12,"seconds":4.5}]},"seconds":0.125,"error":"boom"}`
+	goldenFlight = `{"stage":"partial:mul#12","op":"CFO mul#12","kind":"CFO","p":2,"q":3,"r":4,"tasks":24,"pred_net_bytes":1001,"pred_com_flops":1002,"pred_mem_bytes":1003,"meas":{"consolidation_bytes":2001,"aggregation_bytes":2002,"flops":2004,"stages":1,"tasks":24,"wall_seconds":0.5,"peak_task_mem_bytes":2005,"max_task_flops":2006,"extra_wire_bytes":2003,"steal_tasks":43,"fetch_seconds":0.25,"task_seconds":1.5,"fetch_calls":44,"fetch_serve_seconds":0.375,"collect_seconds":0.0625}}`
+	goldenEvent  = `{"query":"q7","seq":5,"type":"stage_end","t_unix_nano":1700000000000000000,"tenant":"acme","stage":"partial:mul#12","op":"CFO mul#12","tasks":24,"flight":` + goldenFlight + `,"skew":{"stage":"partial:mul#12","tasks":24,"max_seconds":0.5,"median_seconds":0.25,"imbalance":2,"workers":[{"worker":0,"tasks":12,"seconds":3},{"worker":1,"tasks":12,"seconds":4.5}]},"seconds":0.5,"error":"boom"}`
 )
 
 // alwaysZero names the fields of cluster.Stats no runtime sets.
-var alwaysZero = []string{"PrefetchSeconds", "CacheHits", "CacheSavedBytes"}
+var alwaysZero = []string{"SimSeconds", "PrefetchSeconds", "CacheHits", "CacheSavedBytes"}
 
 func TestGoldenStageBytes(t *testing.T) {
 	rec := fullRecord()
@@ -62,7 +63,7 @@ func TestGoldenStageBytes(t *testing.T) {
 		t.Errorf("flight line moved (err %v):\n got %s\nwant %s", err, got, goldenFlight)
 	}
 	ev := Event{Query: "q7", Seq: 5, Type: EvStageEnd, UnixNano: 1700000000000000000, Tenant: "acme",
-		Stage: rec.Stage, Op: rec.Op, Tasks: rec.Tasks, Seconds: rec.Meas.SimSeconds, Flight: &rec,
+		Stage: rec.Stage, Op: rec.Op, Tasks: rec.Tasks, Seconds: rec.Meas.WallSeconds, Flight: &rec,
 		Skew: &StageSkew{Stage: rec.Stage, Tasks: 24, MaxSeconds: 0.5, MedianSeconds: 0.25, Imbalance: 2,
 			Workers: []WorkerLoad{{Worker: 0, Tasks: 12, Seconds: 3}, {Worker: 1, Tasks: 12, Seconds: 4.5}}},
 		Error: "boom"}
@@ -112,7 +113,7 @@ func TestStageDoneFanOut(t *testing.T) {
 		t.Errorf("stage_end.flight = %+v, want the record", end.Flight)
 	}
 	if end.Stage != rec.Stage || end.Op != rec.Op || end.Tasks != rec.Tasks ||
-		end.Seconds != rec.Meas.SimSeconds || end.Error != "boom" || end.Query != "q1" || end.Tenant != "acme" {
+		end.Seconds != rec.Meas.WallSeconds || end.Error != "boom" || end.Query != "q1" || end.Tenant != "acme" {
 		t.Errorf("stage_end header = %+v", end)
 	}
 	if end.Skew == nil || end.Skew.Tasks != 3 || len(end.Skew.Workers) != 2 {

@@ -392,27 +392,44 @@ func TestRuntimeConformanceClosureStage(t *testing.T) {
 }
 
 // TestRuntimeConformanceAdmission requires identical admission control
-// through execution: a plan whose operators each need more per-task memory
-// than the runtime's budget θt fails core.Execute with
-// cluster.ErrOutOfMemory on every backend, and no stage runs.
+// through execution, priced from the plan by core.Simulate: a plan whose
+// operators each need more per-task memory than the runtime's budget θt
+// fails core.Execute with cluster.ErrOutOfMemory, and one whose Simulate
+// clock passes SimTimeLimit with cluster.ErrTimeout, on every backend, and
+// no stage runs.
 func TestRuntimeConformanceAdmission(t *testing.T) {
 	g, inputs := referencePlan()
 	pp, err := core.FuseME{}.Compile(g, conformanceConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := conformanceConfig()
+	overBudget := conformanceConfig()
 	for _, op := range pp.Ops {
-		cfg.TaskMemBytes = min(cfg.TaskMemBytes, op.Est.MemPerTask-1)
+		overBudget.TaskMemBytes = min(overBudget.TaskMemBytes, op.Est.MemPerTask-1)
 	}
-	for name, open := range backendsWith(cfg) {
+	sim, err := core.Simulate(pp, conformanceConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	overLimit := conformanceConfig()
+	overLimit.SimTimeLimit = math.Nextafter(sim.SimSeconds, 0)
+	arms := []struct {
+		name string
+		cfg  cluster.Config
+		want error
+	}{{"oom", overBudget, cluster.ErrOutOfMemory}, {"timeout", overLimit, cluster.ErrTimeout}}
+	for name := range backends() {
 		t.Run(name, func(t *testing.T) {
-			rtm := open(t)
-			if _, err := core.Execute(pp, rtm, inputs); !errors.Is(err, cluster.ErrOutOfMemory) {
-				t.Errorf("Execute over budget = %v, want ErrOutOfMemory", err)
-			}
-			if s := rtm.Stats(); s.Stages != 0 || s.Tasks != 0 {
-				t.Errorf("a rejected plan ran %d stages / %d tasks", s.Stages, s.Tasks)
+			for _, arm := range arms {
+				t.Run(arm.name, func(t *testing.T) {
+					rtm := backendsWith(arm.cfg)[name](t)
+					if _, err := core.Execute(pp, rtm, inputs); !errors.Is(err, arm.want) {
+						t.Errorf("Execute = %v, want %v", err, arm.want)
+					}
+					if s := rtm.Stats(); s.Stages != 0 || s.Tasks != 0 {
+						t.Errorf("a rejected plan ran %d stages / %d tasks", s.Stages, s.Tasks)
+					}
+				})
 			}
 		})
 	}
@@ -439,7 +456,7 @@ func TestRuntimeConformanceStatsReset(t *testing.T) {
 
 // TestRuntimeConformanceMultiAgg requires a multi-aggregation (Figure 2(d):
 // several sums over one plane, one stage) to run as the same stage on every
-// backend — on TCP by the workers, with the runtime's own measured clock and
+// backend — on TCP by the workers, with the runtime's own measured wall time and
 // wire accounting rather than the coordinator process's model of them.
 func TestRuntimeConformanceMultiAgg(t *testing.T) {
 	const rows, cols = 96, 80
@@ -479,8 +496,9 @@ func TestRuntimeConformanceMultiAgg(t *testing.T) {
 		t.Errorf("tcp ran %d stages / %d tasks / %d flops (max %d), sim %d / %d / %d (max %d)",
 			tcp.Stages, tcp.Tasks, tcp.Flops, tcp.MaxTaskFlops, sim.Stages, sim.Tasks, sim.Flops, sim.MaxTaskFlops)
 	}
-	if tcp.SimSeconds != tcp.WallSeconds || tcp.WallSeconds <= 0 {
-		t.Errorf("tcp stage clock %v s is not its measured wall %v s", tcp.SimSeconds, tcp.WallSeconds)
+	if sim.SimSeconds != 0 || tcp.SimSeconds != 0 || sim.WallSeconds <= 0 || tcp.WallSeconds <= 0 {
+		t.Errorf("stage seconds: sim %v simulated / %v wall, tcp %v / %v; want no clock and a measured wall on both",
+			sim.SimSeconds, sim.WallSeconds, tcp.SimSeconds, tcp.WallSeconds)
 	}
 	if sim.ConsolidationBytes <= 0 || tcp.ConsolidationBytes <= 0 || tcp.ConsolidationBytes > 2*sim.ConsolidationBytes {
 		t.Errorf("consolidation (the row vector): tcp %d bytes, sim %d", tcp.ConsolidationBytes, sim.ConsolidationBytes)

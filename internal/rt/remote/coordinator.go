@@ -637,7 +637,7 @@ func (c *Coordinator) RunSpecStage(st *rt.Stage) error {
 	}
 
 	// The byte counters are what crossed the wire, not the workers' own
-	// SizeBytes accounting; the clock is real time.
+	// SizeBytes accounting.
 	stage.ConsolidationBytes = wire.consolidation.Load()
 	stage.AggregationBytes = wire.aggregation.Load()
 	stage.ExtraWireBytes = wire.extra.Load()
@@ -646,7 +646,6 @@ func (c *Coordinator) RunSpecStage(st *rt.Stage) error {
 	stage.FetchServeSeconds = time.Duration(wire.fetchNanos.Load()).Seconds()
 	stage.CollectSeconds = time.Duration(wire.collectNanos.Load()).Seconds()
 	stage.WallSeconds = time.Since(start).Seconds()
-	stage.SimSeconds = stage.WallSeconds
 	c.statsMu.Lock()
 	c.stats.Add(stage)
 	c.statsMu.Unlock()

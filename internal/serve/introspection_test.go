@@ -320,11 +320,9 @@ func TestServeSessionsShareTheServersJournal(t *testing.T) {
 // cannot be created is recorded failed, and its journal ends with a failed
 // event instead of stopping at admitted.
 func TestServeSessionFailureEndsTheJournal(t *testing.T) {
-	srv, err := serve.New(serve.Config{
-		Cluster:        testClusterConfig(),
-		Sessions:       1,
-		SessionOptions: []fuseme.Option{fuseme.WithJournal(nil)}, // NewSession refuses it
-	})
+	cc := testClusterConfig()
+	cc.NetBandwidth = 0 // serve.New takes its budget from the shape; NewSession refuses the bandwidth
+	srv, err := serve.New(serve.Config{Cluster: cc, Sessions: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,15 +402,20 @@ func TestQueryReplyStatsKeys(t *testing.T) {
 		t.Fatalf("reply stats %v lack flops or tasks", reply.Stats)
 	}
 	// The counters one plan fixes read equal; how many tasks a lane stole
-	// and the wall times depend on the run.
+	// and the wall times depend on the run. sim_seconds is the plan's
+	// clock, which the query reports and the runtime does not keep.
 	for _, key := range []string{"consolidation_bytes", "aggregation_bytes", "flops", "stages", "tasks",
-		"sim_seconds", "peak_task_mem_bytes", "max_task_flops"} {
+		"peak_task_mem_bytes", "max_task_flops"} {
 		if reply.Stats[key] != debug.Stats[key] {
 			t.Errorf("%s: reply %v, /debug/stats %v", key, reply.Stats[key], debug.Stats[key])
 		}
 	}
+	if reply.Stats["sim_seconds"] == nil || debug.Stats["sim_seconds"] != nil {
+		t.Errorf("sim_seconds: reply %v, /debug/stats %v; want the plan's clock in the reply only",
+			reply.Stats["sim_seconds"], debug.Stats["sim_seconds"])
+	}
 	for key := range reply.Stats {
-		if _, ok := debug.Stats[key]; !ok && key != "steal_tasks" {
+		if _, ok := debug.Stats[key]; !ok && key != "steal_tasks" && key != "sim_seconds" {
 			t.Errorf("the reply's stats have %q, /debug/stats has no such key: %v", key, debug.Stats)
 		}
 	}

@@ -77,12 +77,6 @@ type Config struct {
 	// QueueWait bounds how long a queued submission waits for memory before
 	// 429 (default 10s).
 	QueueWait time.Duration
-	// PlanCacheEntries sizes the shared plan cache; 0 uses the default
-	// (256), negative disables plan caching.
-	PlanCacheEntries int
-	// SessionOptions are applied to every pooled session (e.g.
-	// fuseme.WithTracing).
-	SessionOptions []fuseme.Option
 	// JournalPath, when non-empty, makes the server's query event journal
 	// (obs.DefaultJournalRing events in memory) also sink events to a JSONL
 	// file at this path (flushed on Shutdown).
@@ -159,6 +153,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		reg:      obs.NewRegistry(),
+		pc:       fuseme.NewPlanCache(0), // the pool shares one default-size cache
 		byToken:  map[string]*Tenant{},
 		datasets: map[string]*fuseme.Matrix{},
 		free:     make(chan *fuseme.Session, cfg.Sessions),
@@ -172,9 +167,6 @@ func New(cfg Config) (*Server, error) {
 		sink, s.journalFile = f, f
 	}
 	s.journal = obs.NewJournal(obs.DefaultJournalRing, sink)
-	if cfg.PlanCacheEntries >= 0 {
-		s.pc = fuseme.NewPlanCache(cfg.PlanCacheEntries)
-	}
 	s.sched = fuseme.NewScheduler(cfg.Cluster.Nodes * cfg.Cluster.TasksPerNode)
 
 	// Normalize tenants and carve the budget.
@@ -245,14 +237,8 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 // Journal returns the shared query event journal.
 func (s *Server) Journal() *obs.Journal { return s.journal }
 
-// PlanCacheStats returns the shared plan cache's counters (zero when plan
-// caching is disabled).
-func (s *Server) PlanCacheStats() fuseme.PlanCacheStats {
-	if s.pc == nil {
-		return fuseme.PlanCacheStats{}
-	}
-	return s.pc.Stats()
-}
+// PlanCacheStats returns the shared plan cache's counters.
+func (s *Server) PlanCacheStats() fuseme.PlanCacheStats { return s.pc.Stats() }
 
 // RegisterDataset publishes a named matrix that any tenant may reference as
 // {"dataset": name} in a query's inputs. Build matrices with
@@ -286,12 +272,8 @@ func (s *Server) acquireSession() (*fuseme.Session, error) {
 		s.sessMu.Unlock()
 		// The server's journal, so a session never opens FUSEME_JOURNAL's
 		// file itself: served queries log through SetQueryLog into it.
-		opts := []fuseme.Option{fuseme.WithRegistry(s.reg), fuseme.WithScheduler(s.sched), fuseme.WithJournal(s.journal)}
-		if s.pc != nil {
-			opts = append(opts, fuseme.WithPlanCache(s.pc))
-		}
-		opts = append(opts, s.cfg.SessionOptions...)
-		sess, err := fuseme.NewSession(s.cfg.Cluster, opts...)
+		sess, err := fuseme.NewSession(s.cfg.Cluster, fuseme.WithRegistry(s.reg), fuseme.WithScheduler(s.sched),
+			fuseme.WithJournal(s.journal), fuseme.WithPlanCache(s.pc))
 		if err != nil {
 			s.sessMu.Lock()
 			s.created--
@@ -473,10 +455,7 @@ type Status struct {
 }
 
 func (s *Server) status() Status {
-	st := Status{Draining: s.Draining()}
-	if s.pc != nil {
-		st.PlanCache = s.pc.Stats()
-	}
+	st := Status{Draining: s.Draining(), PlanCache: s.pc.Stats()}
 	s.sessMu.Lock()
 	st.Sessions = s.created
 	s.sessMu.Unlock()

@@ -101,7 +101,7 @@ func TestGNMFConvergence(t *testing.T) {
 		t.Fatalf("%d per-iteration stats, want 5", len(res.PerIter))
 	}
 	for i, s := range res.PerIter {
-		if s.TotalCommBytes() <= 0 || s.SimSeconds <= 0 {
+		if s.TotalCommBytes() <= 0 || s.WallSeconds <= 0 {
 			t.Errorf("iteration %d has empty stats: %+v", i, s)
 		}
 	}

@@ -144,6 +144,44 @@ func TestSessionJournalFileSink(t *testing.T) {
 	}
 }
 
+// TestSessionCloseEndsItsOwnJournal: the FUSEME_JOURNAL journal is the
+// session's own, so it goes with Close like the metrics endpoint: a query
+// after Close still runs, journals nowhere, and the next Close succeeds. The
+// file keeps the first query's events.
+func TestSessionCloseEndsItsOwnJournal(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "env.jsonl")
+	t.Setenv(EnvJournal, path)
+	sess := journalSession(t)
+	for i := 0; i < 2; i++ {
+		if _, err := sess.Query(obsTestScript); err != nil {
+			t.Fatalf("query %d: %v", i+1, err)
+		}
+		if err := sess.Close(); err != nil {
+			t.Fatalf("Close %d: %v", i+1, err)
+		}
+	}
+	if sess.Journal() != nil {
+		t.Error("the FUSEME_JOURNAL journal outlived Close")
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	events, err := obs.ReadEvents(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range events {
+		if e.Query != "q1" {
+			t.Fatalf("the file holds an event of %s after Close: %+v", e.Query, e)
+		}
+	}
+	if len(events) < 3 || events[len(events)-1].Type != obs.EvDone {
+		t.Fatalf("file events = %+v, want q1's lifecycle", events)
+	}
+}
+
 // TestSetQueryLogConsumedOnce: a pending query log (the serve handoff) names
 // exactly one Query; the next query falls back to auto-numbering.
 func TestSetQueryLogConsumedOnce(t *testing.T) {

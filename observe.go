@@ -70,7 +70,7 @@ func (s *Session) resolveJournal() error {
 }
 
 // Journal returns the session's event journal, or nil when journaling is
-// off.
+// off (a FUSEME_JOURNAL journal is, after Close).
 func (s *Session) Journal() *obs.Journal { return s.journal }
 
 // SetQueryLog routes the next Query call's lifecycle events into q instead

@@ -172,7 +172,7 @@ func TestSessionTCPDistributedTrace(t *testing.T) {
 		if r.PredNetBytes > 0 && r.P > 0 {
 			predicted = true
 		}
-		if r.Meas.SimSeconds > 0 && r.Meas.Flops > 0 {
+		if r.Meas.WallSeconds > 0 && r.Meas.Flops > 0 {
 			measured = true
 		}
 	}
